@@ -1,0 +1,194 @@
+package distributed
+
+import (
+	"dmt/internal/comm"
+	"dmt/internal/models"
+	"dmt/internal/nn"
+	"dmt/internal/quant"
+	"dmt/internal/tensor"
+)
+
+// The over-arch gradient reduction is sliced into readiness-ordered buckets
+// of whole parameters, each carried by ONE batched collective. The plan and
+// the launch/finish pair below are shared by every rank-parallel schedule
+// (schedule.go); a schedule only decides WHEN a bucket launches and
+// finishes. None of that changes arithmetic: each parameter is still
+// reduced by one collective whose sum accumulates in source-rank order,
+// buckets never split a parameter (so compressed runs quantize exactly the
+// tensors the sequential reference quantizes), and launch/wait order is
+// identical on every rank.
+
+// defaultBucketBytes is the per-bucket gradient payload cap when
+// Config.BucketBytes is zero.
+const defaultBucketBytes = 64 << 10
+
+// gradBucket is one launch unit of the over-arch reduction: a run of whole
+// parameters (indices into OverArchParams) that become ready at the same
+// backward stage.
+type gradBucket struct {
+	params []int
+	// afterBottom marks buckets whose gradients are final only once
+	// BackwardBottom has run; the rest are final right after BackwardTop.
+	afterBottom bool
+	// idx is the bucket's position in launch order — the key into each
+	// rank's persistent bucket arena (see launchBucket).
+	idx int
+}
+
+// planBuckets groups the over-arch parameters into buckets in launch order:
+// top-MLP parameters first (ready after BackwardTop), bottom-MLP parameters
+// second (ready after BackwardBottom), each group greedily packed up to
+// bucketBytes. The plan depends only on the model architecture, so every
+// rank computes the identical schedule.
+func planBuckets(m *models.DMTDLRM, bucketBytes int) []gradBucket {
+	if bucketBytes <= 0 {
+		bucketBytes = defaultBucketBytes
+	}
+	all := m.OverArchParams()
+	nBottom := len(m.BottomParams())
+	var out []gradBucket
+	pack := func(lo, hi int, afterBottom bool) {
+		cur := gradBucket{afterBottom: afterBottom}
+		bytes := 0
+		for pi := lo; pi < hi; pi++ {
+			sz := 4 * all[pi].Value.Len()
+			if len(cur.params) > 0 && bytes+sz > bucketBytes {
+				out = append(out, cur)
+				cur = gradBucket{afterBottom: afterBottom}
+				bytes = 0
+			}
+			cur.params = append(cur.params, pi)
+			bytes += sz
+		}
+		if len(cur.params) > 0 {
+			out = append(out, cur)
+		}
+	}
+	pack(nBottom, len(all), false)
+	pack(0, nBottom, true)
+	for i := range out {
+		out[i].idx = i
+	}
+	return out
+}
+
+// Buckets exposes the gradient-bucket launch plan as parameter-index groups
+// in launch order — test and diagnostics hook.
+func (tr *Trainer) Buckets() [][]int {
+	out := make([][]int, len(tr.buckets))
+	for i, b := range tr.buckets {
+		out[i] = append([]int(nil), b.params...)
+	}
+	return out
+}
+
+// bucketArena is one rank's reusable bucket-assembly scratch. Reuse across
+// steps is safe because every rank's buckets of step N are finished before
+// a Run join that precedes the first launch of step N+1 (the exchange
+// phase, or the next SPTT forward for carried buckets): no peer can still
+// be reading last step's buffers.
+type bucketArena struct {
+	// vs[bi] holds, per parameter of bucket bi, the gradient snapshot that
+	// rides the raw (uncompressed) wire in place of a per-step clone — the
+	// slice posted as one batched message.
+	vs [][]*tensor.Tensor
+	// encs[bi] holds bucket bi's encoded payload slots (compressed path);
+	// the Encoded values themselves come from quant's buffer pool.
+	encs [][]*quant.Encoded
+}
+
+// pendingBucket is one in-flight gradient bucket: the single batched
+// collective carrying every parameter of the bucket. Exactly one handle is
+// set — h for the raw wire, hEnc for the compressed one.
+type pendingBucket struct {
+	params []int
+	h      *comm.Pending[[][]*tensor.Tensor]
+	hEnc   *comm.Pending[[][]*quant.Encoded]
+}
+
+// carry marks the bucket's handle as deliberately spanning a step boundary
+// so the comm runtime's leak guards report it as pipelined, not leaked.
+func (pb pendingBucket) carry() {
+	if pb.h != nil {
+		pb.h.Carry()
+		return
+	}
+	pb.hEnc.Carry()
+}
+
+// launchBucket posts rank g's reduction of one gradient bucket on the world
+// group — every parameter of the bucket rides a single batched AllGather
+// message — and returns without waiting. On the raw wire the gradients are
+// snapshotted into the rank's persistent arena before sending: collectives
+// deliver by reference and p.Grad is overwritten while peers may still be
+// reading. On the compressed wire each rank sends its contribution g + r
+// and remembers the round-trip error r for the next step: the fused
+// quant.EncodeResidual quantizes g + r straight into pooled wire buffers
+// and leaves the refreshed error-feedback residual behind in the same pass
+// — no cloned contribution and no intermediate fp32 tensor ever
+// materializes. Each parameter is still encoded separately, so bucket
+// boundaries never change what the quantizer sees, and steady-state
+// launches allocate nothing.
+func (tr *Trainer) launchBucket(g int, params []*nn.Param, b gradBucket) pendingBucket {
+	s := tr.cfg.Compression.Gradient
+	c, a := tr.world[g], &tr.arenas[g]
+	if s == quant.None {
+		vs := a.vs[b.idx]
+		for i, pi := range b.params {
+			vs[i].CopyFrom(params[pi].Grad)
+		}
+		return pendingBucket{params: b.params, h: c.IAllGatherBatch(vs)}
+	}
+	encs := a.encs[b.idx]
+	for i, pi := range b.params {
+		encs[i] = quant.EncodeResidual(s, params[pi].Grad, tr.residuals[g][pi])
+	}
+	return pendingBucket{params: b.params, hEnc: c.IAllGatherBatchEnc(encs)}
+}
+
+// finishBucket completes a launched bucket: waits for every rank's batch,
+// then per parameter accumulates the contributions in source-rank order
+// directly into the parameter gradient, scaled to the global-batch mean.
+// Decoding is deterministic and the sum runs in source-rank order, so every
+// rank obtains averages bit-identical to the sequential path's centralized
+// ones. Compressed contributions reduce through the fused DecodeInto/AddTo,
+// so no decoded intermediate is materialized, and every received payload is
+// released back to the wire-buffer pool once consumed. (The error-feedback
+// residual was already refreshed at launch by EncodeResidual.)
+func (tr *Trainer) finishBucket(params []*nn.Param, pb pendingBucket, invG float32) {
+	// Both indexed [src][i]; raw parts point by reference into peer arenas.
+	var raw [][]*tensor.Tensor
+	var enc [][]*quant.Encoded
+	if pb.h != nil {
+		raw = pb.h.Wait()
+	} else {
+		enc = pb.hEnc.Wait()
+	}
+	for i, pi := range pb.params {
+		gd := params[pi].Grad
+		if raw != nil {
+			gd.CopyFrom(raw[0][i])
+			for src := 1; src < len(raw); src++ {
+				tensor.AddInPlace(gd, raw[src][i])
+			}
+		} else {
+			enc[0][i].DecodeInto(gd)
+			for src := 1; src < len(enc); src++ {
+				enc[src][i].AddTo(gd)
+			}
+		}
+		scaleInPlace(gd, invG)
+	}
+	for _, es := range enc {
+		for _, e := range es {
+			e.Release()
+		}
+	}
+}
+
+func scaleInPlace(t *tensor.Tensor, f float32) {
+	d := t.Data()
+	for i := range d {
+		d[i] *= f
+	}
+}

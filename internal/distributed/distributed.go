@@ -4,18 +4,23 @@
 // with intra-host gradient reduction (§3.2), and the over-arch runs fully
 // data-parallel with a global gradient average (§2.2).
 //
-// The training engine is rank-parallel: every phase of a step runs one
-// goroutine per rank under comm.Run, exactly like the SPTT dataflow — dense
-// forward/backward per rank, over-arch gradient averaging via a real
-// AllReduce on the global group, tower-module gradients reduced intra-host
-// inside SPTTBackward, and sparse updates applied by each table's owner
-// rank. A sequential reference step (Config.Sequential) executes the same
-// mathematics in a single goroutine with centralized averaging loops, for
-// benchmarking and as a bitwise cross-check. A third schedule
-// (Config.Overlap, see overlap.go) reorders the rank-parallel step onto
-// non-blocking collectives so embedding and gradient communication hide
-// behind dense compute; Stats splits communication time into exposed vs
-// hidden to measure exactly how much was hidden.
+// The training engine is rank-parallel: one executor (stepRanks, schedule.go)
+// walks a fixed phase order — SPTT forward, dense forward/backward, SPTT
+// backward, gradient exchange, update — running every phase as one goroutine
+// per rank under comm.Run, exactly like the SPTT dataflow: over-arch
+// gradient averaging via real bucketed collectives on the global group
+// (buckets.go), tower-module gradients reduced intra-host inside
+// SPTTBackward, and sparse updates applied by each table's owner rank. What
+// communication a step leaves exposed is decided by a schedule VALUE the
+// executor reads — blocking, overlapped (Config.Overlap) or cross-step
+// pipelined (Config.Pipeline) — which only moves the bottom-MLP halves into
+// the SPTT peer-AlltoAll windows and the bucket launch/finish points across
+// phases; schedule.go lists the three values and why they are the same
+// mathematics. Stats splits communication time into exposed vs hidden to
+// measure exactly how much each schedule hid. A sequential reference step
+// (Config.Sequential) executes the same mathematics in a single goroutine
+// with centralized averaging loops, as the benchmark baseline and the
+// bitwise cross-check every schedule is tested against.
 //
 // Gradients are normalized so that one distributed step over G ranks with
 // local batch B is mathematically identical to one single-process step over
@@ -69,7 +74,7 @@ type Config struct {
 	// bitwise identical to the sequential and rank-parallel engines.
 	// Mutually exclusive with Sequential.
 	Overlap bool
-	// Pipeline selects the cross-step pipelined schedule (pipeline.go) at
+	// Pipeline selects the cross-step pipelined schedule (schedule.go) at
 	// the given depth: the overlapped schedule extended across step
 	// boundaries, so step N's gradient buckets complete while step N+1's
 	// SPTT step (f) peer AlltoAll and bottom-MLP forward are already
@@ -177,8 +182,11 @@ type Trainer struct {
 	// parameter, (L-1) copies of the gradient leave the rank.
 	tmReduceBytes int64
 	stats         Stats
-	// buckets is the overlapped schedule's launch plan for the over-arch
-	// gradient reduction, in launch order (identical on every rank).
+	// sched is the rank-parallel schedule the executor reads, resolved from
+	// the Config selectors at New (unused by the sequential reference).
+	sched schedule
+	// buckets is the launch plan for the over-arch gradient reduction, in
+	// launch order (identical on every rank).
 	buckets []gradBucket
 	// Cumulative world-group timing at the end of the previous step, so
 	// each step can charge its own exposed/hidden delta.
@@ -207,26 +215,11 @@ type Trainer struct {
 	// (see launchBucket). Unused by the sequential reference path.
 	arenas []bucketArena
 
-	// Cross-step pipelining state (Config.Pipeline): the previous step's
-	// still-in-flight gradient buckets, and the fallback reason when the
-	// plan-time conflict assertion rejected pipelining.
-	carry            *pipelineCarry
+	// Cross-step state (Config.Pipeline): the previous step's still-in-
+	// flight gradient buckets, per rank in launch order, and the fallback
+	// reason when the plan-time conflict assertion rejected pipelining.
+	carried          [][]pendingBucket
 	pipelineFallback string
-}
-
-// bucketArena is one rank's reusable bucket-assembly scratch. Reuse across
-// steps is safe because the gradient-exchange comm.Run joins before the next
-// step can launch: no peer can still be reading last step's buffers.
-type bucketArena struct {
-	// contrib holds, per over-arch parameter, the gradient snapshot that
-	// rides the raw (uncompressed) wire in place of a per-step clone.
-	contrib []*tensor.Tensor
-	// vs[bi] aliases the contrib tensors of bucket bi's parameters — the
-	// slice posted as one batched message.
-	vs [][]*tensor.Tensor
-	// encs[bi] holds bucket bi's encoded payload slots (compressed path);
-	// the Encoded values themselves come from quant's buffer pool.
-	encs [][]*quant.Encoded
 }
 
 // PhaseTimes is cumulative wall-clock per step phase.
@@ -282,12 +275,6 @@ type SimTimes struct {
 	SPTTFwdHidden  time.Duration
 	SPTTBwdExposed time.Duration
 	SPTTBwdHidden  time.Duration
-	// Cross-step carried-bucket exposure (mirrors
-	// PhaseTimes.CrossStepExposed/Hidden in modeled virtual time): what
-	// the previous step's gradient buckets cost / hid when the pipelined
-	// schedule completed them under the next step's forward.
-	CrossStepExposed time.Duration
-	CrossStepHidden  time.Duration
 }
 
 // Stats reports cumulative step counts, per-phase times, and gradient /
@@ -339,17 +326,9 @@ func New(cfg Config) (*Trainer, error) {
 	if len(cfg.Model.Towers) != t {
 		return nil, fmt.Errorf("distributed: %d towers for %d hosts", len(cfg.Model.Towers), t)
 	}
-	if cfg.Overlap && cfg.Sequential {
-		return nil, fmt.Errorf("distributed: Overlap requires the rank-parallel engine (Sequential=false)")
-	}
-	if cfg.Pipeline < 0 || cfg.Pipeline > 1 {
-		return nil, fmt.Errorf("distributed: Pipeline depth %d unsupported (0 disables, 1 spans one step boundary)", cfg.Pipeline)
-	}
-	if cfg.Pipeline > 0 && cfg.Sequential {
-		return nil, fmt.Errorf("distributed: Pipeline requires the rank-parallel engine (Sequential=false)")
-	}
-	if cfg.Pipeline > 0 && cfg.Overlap {
-		return nil, fmt.Errorf("distributed: Pipeline and Overlap are distinct schedules; set at most one")
+	sched, err := resolveSchedule(cfg)
+	if err != nil {
+		return nil, err
 	}
 	ordered, towerOf, rankOf, err := TowersInHostOrder(cfg.Model.Towers, cfg.Model.Schema.NumSparse(), cfg.L)
 	if err != nil {
@@ -357,7 +336,7 @@ func New(cfg Config) (*Trainer, error) {
 	}
 	cfg.Model.Towers = ordered
 
-	tr := &Trainer{cfg: cfg}
+	tr := &Trainer{cfg: cfg, sched: sched}
 	for g := 0; g < cfg.G; g++ {
 		m := models.NewDMTDLRM(cfg.Model)
 		tr.replicas = append(tr.replicas, m)
@@ -365,8 +344,6 @@ func New(cfg Config) (*Trainer, error) {
 		tr.overOpts = append(tr.overOpts, nn.NewAdam(cfg.DenseLR))
 		tr.tmOpts = append(tr.tmOpts, nn.NewAdam(cfg.DenseLR))
 		tr.loss = append(tr.loss, &nn.BCEWithLogits{})
-	}
-	for g := 0; g < cfg.G; g++ {
 		for _, p := range tr.modules[g].Params() {
 			tr.tmReduceBytes += int64(cfg.L-1) * 4 * int64(p.Grad.Len())
 		}
@@ -400,14 +377,8 @@ func New(cfg Config) (*Trainer, error) {
 		// the same fabric model as the training collectives.
 		tr.net = comm.NewNetwork(fabricLatency{f: cfg.Fabric, g: cfg.G, l: cfg.L},
 			cfg.G+cfg.EmbeddingTier.Servers)
-		elems := func(ps []*nn.Param) (n int64) {
-			for _, p := range ps {
-				n += int64(p.Value.Len())
-			}
-			return n
-		}
-		bot := elems(tr.replicas[0].BottomParams())
-		top := elems(tr.replicas[0].OverArchParams()) - bot
+		bot := nn.CountParams(tr.replicas[0].Bottom)
+		top := nn.CountParams(tr.replicas[0].Top)
 		// ns per weight element: 2 FLOPs per element per sample forward,
 		// over the generation's calibrated effective training throughput.
 		perElem := 2 * float64(cfg.LocalBatch) / (perfmodel.EffectiveTFlops(cfg.Fabric.Gen) * 1e12) * 1e9
@@ -448,16 +419,13 @@ func New(cfg Config) (*Trainer, error) {
 		for g := 0; g < cfg.G; g++ {
 			a := &tr.arenas[g]
 			if cfg.Compression.Gradient == quant.None {
-				for _, p := range tr.replicas[g].OverArchParams() {
-					a.contrib = append(a.contrib, tensor.New(p.Value.Shape()...))
-				}
+				params := tr.replicas[g].OverArchParams()
 				a.vs = make([][]*tensor.Tensor, len(tr.buckets))
 				for bi, b := range tr.buckets {
-					vs := make([]*tensor.Tensor, len(b.params))
+					a.vs[bi] = make([]*tensor.Tensor, len(b.params))
 					for i, pi := range b.params {
-						vs[i] = a.contrib[pi]
+						a.vs[bi][i] = tensor.New(params[pi].Value.Shape()...)
 					}
-					a.vs[bi] = vs
 				}
 			} else {
 				a.encs = make([][]*quant.Encoded, len(tr.buckets))
@@ -467,9 +435,10 @@ func New(cfg Config) (*Trainer, error) {
 			}
 		}
 	}
-	if cfg.Pipeline > 0 {
+	if tr.sched == pipelined {
 		if err := tr.pipelinePlanCheck(); err != nil {
 			tr.pipelineFallback = err.Error()
+			tr.sched = overlapped
 		}
 	}
 	return tr, nil
@@ -530,22 +499,18 @@ func (tr *Trainer) charge(g int, d time.Duration) {
 // network's mean virtual time in simulated-latency mode, so PhaseTimes is
 // deterministic and decomposes the MODELED timeline.
 func (tr *Trainer) phaseClock() func() time.Duration {
+	//dmt:nondeterministic-ok wall-clock fallback used only when no netsim network is attached; latency mode replaces it below
+	start := time.Now()
+	//dmt:nondeterministic-ok wall-clock fallback used only when no netsim network is attached; latency mode replaces it below
+	now := func() time.Duration { return time.Since(start) }
 	if tr.net != nil {
-		last := tr.net.Now()
-		return func() time.Duration {
-			now := tr.net.Now()
-			d := now - last
-			last = now
-			return d
-		}
+		now = tr.net.Now
 	}
-	//dmt:nondeterministic-ok wall-clock fallback used only when no netsim network is attached; latency mode takes the tr.net branch above
-	last := time.Now()
+	last := now()
 	return func() time.Duration {
-		//dmt:nondeterministic-ok wall-clock fallback used only when no netsim network is attached; latency mode takes the tr.net branch above
-		now := time.Now()
-		d := now.Sub(last)
-		last = now
+		t := now()
+		d := t - last
+		last = t
 		return d
 	}
 }
@@ -596,19 +561,12 @@ func (tr *Trainer) Step(batches []*data.Batch) StepResult {
 	if cfg.Sequential {
 		return tr.stepSequential(batches, inputs)
 	}
-	if cfg.Pipeline > 0 && tr.pipelineFallback == "" {
-		return tr.stepPipelined(batches, inputs)
-	}
-	if cfg.Overlap || cfg.Pipeline > 0 {
-		return tr.stepOverlapped(batches, inputs)
-	}
-	return tr.stepParallel(batches, inputs)
+	return tr.stepRanks(batches, inputs)
 }
 
-// denseRank is rank g's share of the dense phase — over-arch forward, loss,
-// and backward on the rank-local replica. Both engines call it (from a plain
-// loop or from one goroutine per rank under comm.Run), so the seq/parallel
-// bitwise equivalence of the dense mathematics holds by construction.
+// denseRank is rank g's share of the sequential reference's dense phase —
+// over-arch forward, loss, and backward on the rank-local replica, through
+// the unstaged model methods the executor's staged calls compose to.
 func (tr *Trainer) denseRank(g int, batches []*data.Batch, compressed, dCompressed []*tensor.Tensor, res *StepResult) {
 	m := tr.replicas[g]
 	for _, p := range m.DenseParams() {
@@ -621,189 +579,18 @@ func (tr *Trainer) denseRank(g int, batches []*data.Batch, compressed, dCompress
 	tr.charge(g, tr.bottomBwd+tr.topBwd)
 }
 
-// stepParallel is the rank-parallel engine: four phases, each with one
-// goroutine per rank. The SPTT phases build their own communicator families;
-// the dense phases share the trainer's persistent world group.
-func (tr *Trainer) stepParallel(batches []*data.Batch, inputs []*sptt.Inputs) StepResult {
-	cfg := tr.cfg
-	lap := tr.phaseClock()
-	compressed, st := tr.engine.SPTTForwardCompressed(inputs, tr.modules,
-		sptt.Options{Comms: sptt.Comms{CrossHost: cfg.Compression.Embedding, Net: tr.net}})
-	embFwd := lap()
-
-	// Dense forward/backward, one goroutine per rank. Replicas, losses, and
-	// per-rank result slots are disjoint, so no synchronization beyond the
-	// Run join is needed.
-	res := StepResult{PerRankLoss: make([]float64, cfg.G)}
-	dCompressed := make([]*tensor.Tensor, cfg.G)
-	comm.Run(tr.world, func(c *comm.Comm) {
-		tr.denseRank(c.Rank(), batches, compressed, dCompressed, &res)
-	})
-	// Summed in rank order after the join so the mean is deterministic.
-	for g := 0; g < cfg.G; g++ {
-		res.MeanLoss += res.PerRankLoss[g] / float64(cfg.G)
-	}
-	dense := lap()
-
-	// Backward through the dataflow: tower-module gradients are reduced
-	// intra-host inside SPTTBackward; sparse gradients land at the owners.
-	sparse := tr.engine.SPTTBackward(st, dCompressed)
-	embBwd := lap()
-
-	// Gradient normalization to the global-batch mean (see package doc):
-	// over-arch gradients average across all ranks via AllReduce (the comm
-	// runtime reduces in source-rank order, so every rank's result is
-	// bit-identical to the sequential path's centralized average);
-	// tower-module gradients arrive host-summed over all G·B samples and
-	// divide by G; sparse gradients likewise, scaled by their owner.
-	invG := 1 / float32(cfg.G)
-	comm.Run(tr.world, func(c *comm.Comm) {
-		tr.reduceOverArch(c, invG)
-		tr.scaleRank(c.Rank(), sparse, invG)
-	})
-	gradEx := lap()
-
-	// Updates: each rank steps its over-arch and its own tower module; each
-	// owner rank applies sparse updates to its canonical tables.
-	comm.Run(tr.world, func(c *comm.Comm) {
-		tr.updateRank(c.Rank(), sparse)
-	})
-	update := lap()
-
-	exposed, hidden := tr.commTimes(st)
-	tr.account(st, PhaseTimes{
-		EmbComm:      embFwd + embBwd,
-		Dense:        dense,
-		GradExchange: gradEx,
-		Update:       update,
-		ExposedComm:  exposed,
-		HiddenComm:   hidden,
-	})
-	return res
-}
-
-// reduceOverArch averages this rank's over-arch gradients across all ranks
-// on the world group, one blocking bucket collective at a time. With
-// gradient compression active each rank sends its contribution g + r over
-// the compressed wire and remembers the round-trip error r for the next
-// step; decoding is deterministic and the sum runs in source-rank order, so
-// every rank still obtains bit-identical averages. The overlapped schedule
-// runs the same launchBucket/finishBucket pair split across the backward.
-func (tr *Trainer) reduceOverArch(c *comm.Comm, invG float32) {
-	g := c.Rank()
-	params := tr.replicas[g].OverArchParams()
-	for _, b := range tr.buckets {
-		tr.finishBucket(g, params, tr.launchBucket(c, g, params, b), invG)
-	}
-}
-
-// pendingBucket is one in-flight gradient bucket: the single batched
-// collective carrying every parameter of the bucket. Exactly one handle is
-// set — h for the raw wire, hEnc for the compressed one.
-type pendingBucket struct {
-	params []int
-	h      *comm.Pending[[][]*tensor.Tensor]
-	hEnc   *comm.Pending[[][]*quant.Encoded]
-}
-
-// launchBucket posts rank g's reduction of one gradient bucket — every
-// parameter of the bucket rides a single batched AllGather message — and
-// returns without waiting. On the raw wire the gradients are snapshotted
-// into the rank's persistent arena before sending: collectives deliver by
-// reference and p.Grad is overwritten while peers may still be reading. On
-// the compressed wire the fused quant.EncodeResidual quantizes g + r
-// straight into pooled wire buffers and leaves the refreshed error-feedback
-// residual behind in the same pass — no cloned contribution and no
-// intermediate fp32 tensor ever materializes. Each parameter is still
-// encoded separately, so bucket boundaries never change what the quantizer
-// sees, and steady-state launches allocate nothing.
-func (tr *Trainer) launchBucket(c *comm.Comm, g int, params []*nn.Param, b gradBucket) pendingBucket {
-	s := tr.cfg.Compression.Gradient
-	a := &tr.arenas[g]
-	if s == quant.None {
-		vs := a.vs[b.idx]
-		for i, pi := range b.params {
-			vs[i].CopyFrom(params[pi].Grad)
-		}
-		return pendingBucket{params: b.params, h: c.IAllGatherBatch(vs)}
-	}
-	encs := a.encs[b.idx]
-	for i, pi := range b.params {
-		encs[i] = quant.EncodeResidual(s, params[pi].Grad, tr.residuals[g][pi])
-	}
-	return pendingBucket{params: b.params, hEnc: c.IAllGatherBatchEnc(encs)}
-}
-
-// finishBucket completes a launched bucket: waits for every rank's batch,
-// then per parameter accumulates the contributions in source-rank order
-// directly into the parameter gradient, scaled to the global-batch mean.
-// Compressed contributions reduce through the fused DecodeInto/AddTo, so no
-// decoded intermediate is materialized, and every received payload is
-// released back to the wire-buffer pool once consumed. (The error-feedback
-// residual was already refreshed at launch by EncodeResidual.)
-func (tr *Trainer) finishBucket(g int, params []*nn.Param, pb pendingBucket, invG float32) {
-	if pb.h != nil {
-		parts := pb.h.Wait() // indexed [src][i], by reference into peer arenas
-		for i, pi := range pb.params {
-			gd := params[pi].Grad
-			gd.CopyFrom(parts[0][i])
-			for src := 1; src < len(parts); src++ {
-				tensor.AddInPlace(gd, parts[src][i])
-			}
-			d := gd.Data()
-			for j, x := range d {
-				d[j] = x * invG
-			}
-		}
-		return
-	}
-	parts := pb.hEnc.Wait() // indexed [src][i]
-	for i, pi := range pb.params {
-		gd := params[pi].Grad
-		parts[0][i].DecodeInto(gd)
-		for src := 1; src < len(parts); src++ {
-			parts[src][i].AddTo(gd)
-		}
-		d := gd.Data()
-		for j, x := range d {
-			d[j] = x * invG
-		}
-	}
-	for _, es := range parts {
-		for _, e := range es {
-			e.Release()
-		}
-	}
-}
-
 // scaleRank normalizes rank g's tower-module gradients and the sparse
 // gradients of its owned features to the global-batch mean — the
-// non-over-arch share of the gradient-exchange phase, common to the
-// blocking and overlapped schedules.
+// non-over-arch share of the gradient-exchange phase.
 func (tr *Trainer) scaleRank(g int, sparse map[int]*nn.SparseGrad, invG float32) {
 	for _, p := range tr.modules[g].Params() {
-		d := p.Grad.Data()
-		for i := range d {
-			d[i] *= invG
-		}
+		scaleInPlace(p.Grad, invG)
 	}
 	for _, f := range tr.engine.Cfg.OwnedFeatures(g) {
 		if sg := sparse[f]; sg != nil {
-			d := sg.Grads.Data()
-			for i := range d {
-				d[i] *= invG
-			}
+			scaleInPlace(sg.Grads, invG)
 		}
 	}
-}
-
-// updateRank runs rank g's update phase: dense optimizer over the over-arch
-// and its own tower module, plus the owner's sparse updates through the
-// embedding tier. Common to the blocking and overlapped schedules.
-func (tr *Trainer) updateRank(g int, sparse map[int]*nn.SparseGrad) {
-	tr.overOpts[g].Step(tr.replicas[g].OverArchParams())
-	tr.tmOpts[g].Step(tr.modules[g].Params())
-	tr.applySparse(g, sparse)
 }
 
 // applySparse ships rank g's owned sparse gradients through its tier store.
@@ -854,9 +641,9 @@ func (tr *Trainer) stepSequential(batches []*data.Batch, inputs []*sptt.Inputs) 
 				tensor.AddInPlace(avg, overArch[g][pi].Grad)
 			}
 		} else {
-			// Centralized mirror of reduceOverArch: quantize each rank's
-			// g + r contribution (quant.Apply is exactly the wire round
-			// trip), update that rank's residual, sum in rank order.
+			// Centralized mirror of launchBucket/finishBucket: quantize each
+			// rank's g + r contribution (quant.Apply is exactly the wire
+			// round trip), update that rank's residual, sum in rank order.
 			for g := 0; g < cfg.G; g++ {
 				v := overArch[g][pi].Grad.Clone()
 				tensor.AddInPlace(v, tr.residuals[g][pi])
@@ -953,8 +740,6 @@ func (tr *Trainer) account(st *sptt.SPTTState, ph PhaseTimes) {
 		tr.stats.Sim.SPTTFwdHidden += st.HiddenComm / g
 		tr.stats.Sim.SPTTBwdExposed += st.BwdExposedComm / g
 		tr.stats.Sim.SPTTBwdHidden += st.BwdHiddenComm / g
-		tr.stats.Sim.CrossStepExposed += ph.CrossStepExposed
-		tr.stats.Sim.CrossStepHidden += ph.CrossStepHidden
 	}
 	for _, m := range [][][]int64{
 		st.GlobalTraffic, st.HostTraffic, st.PeerTraffic,

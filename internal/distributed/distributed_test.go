@@ -315,17 +315,6 @@ func TestOverlapStatsAndBuckets(t *testing.T) {
 	}
 }
 
-// TestNewRejectsOverlapSequential: the two engine selectors are mutually
-// exclusive.
-func TestNewRejectsOverlapSequential(t *testing.T) {
-	cfg, _ := testSetup(16)
-	cfg.Sequential = true
-	cfg.Overlap = true
-	if _, err := New(cfg); err == nil {
-		t.Fatal("Overlap+Sequential must error")
-	}
-}
-
 // TestRankParallelStepConcurrency drives the rank-parallel step at G=8 so
 // `go test -race` exercises every concurrent interaction: parallel dense
 // compute, the over-arch AllReduce, concurrent tower-module scaling, and

@@ -36,11 +36,11 @@ func (g scheduleGolden) String() string {
 }
 
 // scheduleGoldens were captured from the three hand-written step bodies
-// (stepParallel / stepOverlapped / stepPipelined) before they were merged
-// into one executor: G=8, L=2, A100 fabric, 3 steps + Drain. "toy" is
-// latencySetup as is (the Figure 13 profile: the bucket drain fits inside
-// the SPTT backward window); "wide" widens the top MLP to {512, 256} so the
-// drain outlasts that window and the schedules actually separate.
+// that preceded the one executor (commit e9762c8): G=8, L=2, A100 fabric,
+// 3 steps + Drain. "toy" is latencySetup as is (the Figure 13 profile: the
+// bucket drain fits inside the SPTT backward window); "wide" widens the top
+// MLP to {512, 256} so the drain outlasts that window and the schedules
+// actually separate.
 var scheduleGoldens = map[string]scheduleGolden{
 	"toy/blocking/fp16":    {PhaseTimes{69228, 9, 30228, 0, 99456, 0, 0, 0}, [6]time.Duration{3, 6, 36129, 0, 33099, 0}, [4]int64{49776, 277920, 202752, 110592}, 0x3fe61db8f51e35f6},
 	"toy/blocking/fp32":    {PhaseTimes{69348, 9, 30459, 0, 99807, 0, 0, 0}, [6]time.Duration{3, 6, 36189, 0, 33159, 0}, [4]int64{96096, 555840, 202752, 184320}, 0x3fe61dbeec918f1e},

@@ -93,16 +93,7 @@ func EmbTier(gen topology.Generation) EmbTierReport {
 		p := rep.Profile
 		p.EmbServers = sh.servers
 		p.EmbCacheRows = sh.cacheRows
-		tr, dgen, err := NewTrainer(p, false)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: embtier setup: %v", err))
-		}
-		var last float64
-		for step := 0; step < p.Steps; step++ {
-			last = tr.Step(TrainingBatches(dgen, p, step)).MeanLoss
-		}
-		st := tr.Stats()
-		tr.Close()
+		last, st, _ := runTraining(p, false)
 		rep.Rows = append(rep.Rows, EmbTierRow{
 			Servers:   sh.servers,
 			CacheRows: sh.cacheRows,

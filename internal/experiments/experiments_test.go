@@ -3,8 +3,10 @@ package experiments
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dmt/internal/quant"
 	"dmt/internal/topology"
@@ -368,6 +370,24 @@ func TestTrainingThroughputReport(t *testing.T) {
 	}
 	if s := FormatTraining(r); len(s) == 0 {
 		t.Fatal("empty report")
+	}
+}
+
+// TestTrainingThroughputClosesTrainers: with a remote embedding tier every
+// row's trainer owns server goroutines, and the experiment must stop them —
+// no goroutine may outlive the report. (Trainer.Close joins the servers;
+// the short poll only covers their supervisor's own exit.)
+func TestTrainingThroughputClosesTrainers(t *testing.T) {
+	p := SmokeTraining()
+	p.EmbServers = 1
+	before := runtime.NumGoroutine()
+	TrainingThroughput(p)
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("TrainingThroughput leaked %d goroutine(s) with EmbServers=1", after-before)
 	}
 }
 

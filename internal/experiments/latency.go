@@ -83,15 +83,7 @@ func Figure13(gen topology.Generation) Figure13Report {
 			p := rep.Profile
 			p.Compress = scheme
 			p.Overlap = overlap
-			tr, dgen, err := NewTrainer(p, false)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: figure 13 setup: %v", err))
-			}
-			var last float64
-			for step := 0; step < p.Steps; step++ {
-				last = tr.Step(TrainingBatches(dgen, p, step)).MeanLoss
-			}
-			st := tr.Stats()
+			last, st, _ := runTraining(p, false)
 			per := func(d time.Duration) time.Duration { return d / time.Duration(st.Steps) }
 			rep.Rows = append(rep.Rows, Figure13Row{
 				Scheme:         scheme,

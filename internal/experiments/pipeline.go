@@ -83,16 +83,7 @@ func Pipeline(gen topology.Generation) PipelineReport {
 			p.Compress = scheme
 			p.Overlap = !pipeline
 			p.Pipeline = pipeline
-			tr, dgen, err := NewTrainer(p, false)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: pipeline setup: %v", err))
-			}
-			var last float64
-			for step := 0; step < p.Steps; step++ {
-				last = tr.Step(TrainingBatches(dgen, p, step)).MeanLoss
-			}
-			tr.Drain()
-			st := tr.Stats()
+			last, st, _ := runTraining(p, false)
 			per := func(d time.Duration) time.Duration { return d / time.Duration(st.Steps) }
 			rep.Rows = append(rep.Rows, PipelineRow{
 				Scheme:           scheme,
@@ -103,7 +94,6 @@ func Pipeline(gen topology.Generation) PipelineReport {
 				CrossStepHidden:  per(st.Phases.CrossStepHidden),
 				FinalLoss:        last,
 			})
-			tr.Close()
 		}
 	}
 	return rep

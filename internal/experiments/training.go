@@ -151,6 +151,26 @@ func TrainingBatches(gen *data.Generator, p TrainingProfile, step int) []*data.B
 	return batches
 }
 
+// runTraining is the one build-trainer / run-p.Steps / read-Stats loop every
+// measured training experiment shares. The trainer is drained inside the
+// timed region — the pipelined schedule carries the last step's bucket tail
+// across the boundary, so its steps/s and exposed comm must pay for the
+// deferred work (a no-op for the other schedules) — and always closed, so
+// a remote embedding tier's server goroutines never outlive the row.
+func runTraining(p TrainingProfile, sequential bool) (finalLoss float64, st distributed.Stats, elapsed time.Duration) {
+	tr, gen, err := NewTrainer(p, sequential)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: training setup: %v", err))
+	}
+	defer tr.Close()
+	start := time.Now()
+	for step := 0; step < p.Steps; step++ {
+		finalLoss = tr.Step(TrainingBatches(gen, p, step)).MeanLoss
+	}
+	tr.Drain()
+	return finalLoss, tr.Stats(), time.Since(start)
+}
+
 // TrainingThroughput runs the engines over the same step sequence:
 // sequential and rank-parallel always, plus the overlapped and cross-step
 // pipelined schedules when the profile asks for them. All rows follow
@@ -179,25 +199,12 @@ func TrainingThroughput(p TrainingProfile) TrainingReport {
 		sp := p
 		sp.Overlap = mode.overlap
 		sp.Pipeline = mode.pipeline
-		tr, gen, err := NewTrainer(sp, mode.sequential)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: training setup: %v", err))
-		}
-		var last float64
-		start := time.Now()
-		for step := 0; step < sp.Steps; step++ {
-			last = tr.Step(TrainingBatches(gen, sp, step)).MeanLoss
-		}
-		// The pipelined engine carries the last step's bucket tail across
-		// the boundary; drain it inside the timed region so its steps/s
-		// pays for the deferred work. A no-op for the other engines.
-		tr.Drain()
-		elapsed := time.Since(start)
+		last, st, elapsed := runTraining(sp, mode.sequential)
 		rep.Rows = append(rep.Rows, TrainingRow{
 			Mode:        mode.name,
 			StepsPerSec: float64(sp.Steps) / elapsed.Seconds(),
 			FinalLoss:   last,
-			Stats:       tr.Stats(),
+			Stats:       st,
 		})
 	}
 	rep.Speedup = rep.Rows[1].StepsPerSec / rep.Rows[0].StepsPerSec
@@ -243,22 +250,13 @@ func TrainingCompression(p TrainingProfile, schemes []quant.Scheme) CompressionR
 	for _, s := range schemes {
 		sp := p
 		sp.Compress = s
-		tr, gen, err := NewTrainer(sp, false)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: compression setup: %v", err))
-		}
-		var last float64
-		start := time.Now()
-		for step := 0; step < sp.Steps; step++ {
-			last = tr.Step(TrainingBatches(gen, sp, step)).MeanLoss
-		}
-		elapsed := time.Since(start)
+		last, st, elapsed := runTraining(sp, false)
 		rep.Rows = append(rep.Rows, CompressionRow{
 			Scheme:      s,
 			StepsPerSec: float64(sp.Steps) / elapsed.Seconds(),
 			FinalLoss:   last,
 			DeltaLoss:   last - rep.baselineLoss(last),
-			Stats:       tr.Stats(),
+			Stats:       st,
 		})
 	}
 	return rep

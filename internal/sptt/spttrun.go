@@ -207,13 +207,6 @@ type Comms struct {
 	Net *comm.Network
 }
 
-// NewComms is the compatibility constructor mirroring the field order the
-// old flat Options carried (CrossHost, Overlap, Net), for callers migrating
-// from the pre-grouped API.
-func NewComms(crossHost quant.Scheme, overlap func(rank int), net *comm.Network) Comms {
-	return Comms{CrossHost: crossHost, Overlap: overlap, Net: net}
-}
-
 // Options tweaks the transform's specializations (§3.1.3).
 type Options struct {
 	// SkipPermute uses a virtual process group instead of physically

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"os"
 	"sort"
 )
 
@@ -43,18 +42,11 @@ var kernels = map[string]Kernel{
 	"parallel": parallelKernel{},
 }
 
-// active is the backend the package-level ops dispatch to. The parallel
-// tiled backend is the default; DMT_KERNEL=serial (or SetKernel) restores
-// the single-threaded reference.
+// active is the backend the package-level ops dispatch to: the parallel
+// tiled backend, which itself runs the serial loop whenever there is nothing
+// to fan out over (runTiles: one proc, small work, one tile). SetKernel
+// substitutes the single-threaded reference or a registered backend.
 var active Kernel = kernels["parallel"]
-
-func init() {
-	if name := os.Getenv("DMT_KERNEL"); name != "" {
-		if k, ok := kernels[name]; ok {
-			active = k
-		}
-	}
-}
 
 // ActiveKernel returns the backend currently in use.
 func ActiveKernel() Kernel { return active }

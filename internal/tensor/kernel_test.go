@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"os"
 	"testing"
 )
 
@@ -95,7 +94,7 @@ func TestParallelPairwiseDotBitwiseMatchesSerial(t *testing.T) {
 // the backend the package-level ops dispatch to and restores cleanly, and a
 // registered third-party backend (the future SIMD drop-in) is selectable.
 func TestKernelSeam(t *testing.T) {
-	if got := ActiveKernel().Name(); got != "parallel" && os.Getenv("DMT_KERNEL") == "" {
+	if got := ActiveKernel().Name(); got != "parallel" {
 		t.Fatalf("default kernel = %q, want parallel", got)
 	}
 	restore, err := SetKernel("serial")

@@ -194,8 +194,7 @@ func pairwiseDotSamples(x, out []float32, f, n, lo, hi int) {
 }
 
 // serialKernel is the single-threaded reference backend: the baseline the
-// parallel backend is pinned against, and the fallback for single-core runs
-// (DMT_KERNEL=serial).
+// parallel backend is pinned against (tests select it through SetKernel).
 type serialKernel struct{}
 
 func (serialKernel) Name() string { return "serial" }
