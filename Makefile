@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt fmt-check vet lint bench bench-smoke bench-train bench-overlap bench-latency bench-latency-check bench-pipeline bench-pipeline-check bench-embtier bench-embtier-check bench-cluster bench-cluster-check bench-hotpath bench-hotpath-check fuzz-smoke serve-demo
+.PHONY: build test race fmt fmt-check vet lint bench bench-smoke bench-train bench-overlap bench-latency bench-latency-check bench-pipeline bench-pipeline-check bench-embtier bench-embtier-check bench-cluster bench-cluster-check bench-hotpath bench-hotpath-check fuzz-smoke examples-smoke serve-demo
 
 build:
 	$(GO) build ./...
@@ -138,12 +138,22 @@ bench-hotpath-check:
 	$(GO) test -run '^(TestFusedCutsAllocs|TestPooledEncodeAllocs)$$' -v ./internal/quant
 	$(GO) test -run '^TestEmbeddingBackwardAllocs$$' -v ./internal/nn
 
-# Short native-fuzz runs over the wire codec (go test allows one -fuzz
-# target per invocation, hence the separate runs).
+# Short native-fuzz runs over the wire codec and the SPTT step (a) bag
+# payload (go test allows one -fuzz target per invocation, hence the
+# separate runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFloat16RoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzLinearQuantRoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedCodec$$' -fuzztime 10s ./internal/quant
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBags$$' -fuzztime 10s ./internal/sptt
+
+# The example mains have no tests: build them all, and run the SPTT
+# walkthrough, which panics on a semantic-preservation violation and prints
+# the Figure 7 traffic accounting — the cheapest end-to-end check of the
+# embedding-exchange dataflow.
+examples-smoke:
+	$(GO) build ./examples/...
+	$(GO) run ./examples/sptt_walkthrough
 
 serve-demo:
 	$(GO) run ./cmd/dmt-serve -requests 8192 -concurrency 32

@@ -11,8 +11,8 @@ import (
 
 	"dmt/internal/nn"
 	"dmt/internal/sptt"
-	"dmt/internal/tensor"
 	"dmt/internal/topology"
+	"dmt/internal/towers"
 )
 
 func main() {
@@ -74,7 +74,7 @@ func main() {
 
 	cluster := topology.Cluster{Gen: topology.A100, Hosts: 2, GPUsPerHost: 2}
 	sum := func(m [][]int64) (intra, cross int64) { return cluster.SplitTraffic(m) }
-	bIntra, bCross := sum(bst.Traffic)
+	bIntra, bCross := sum(bst.GlobalTraffic)
 	_, gCross := sum(sst.GlobalTraffic)
 	hIntra, hCross := sum(sst.HostTraffic)
 	pIntra, pCross := sum(sst.PeerTraffic)
@@ -91,21 +91,9 @@ func main() {
 	// be exact; a real tower module would shrink step (f)'s bytes by CR.
 	mods := make([]sptt.TowerModule, g)
 	for r := 0; r < g; r++ {
-		mods[r] = passThrough{f: 2, n: n}
+		mods[r] = towers.NewPassThrough(2, n)
 	}
 	comp, _ := eng.SPTTForwardCompressed(inputs, mods, sptt.Options{})
 	fmt.Printf("\ncompressed-path output width per rank: %d (= F x N with pass-through towers)\n",
 		comp[0].Dim(1))
 }
-
-// passThrough is a minimal inline TowerModule for the demo.
-type passThrough struct{ f, n int }
-
-func (p passThrough) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return x.Reshape(x.Dim(0), p.f*p.n).Clone()
-}
-func (p passThrough) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	return dy.Reshape(dy.Dim(0), p.f, p.n).Clone()
-}
-func (p passThrough) OutDim() int         { return p.f * p.n }
-func (p passThrough) Params() []*nn.Param { return nil }

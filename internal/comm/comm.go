@@ -285,12 +285,6 @@ func CancelGroup(comms []*Comm) {
 	comms[0].g.cancel()
 }
 
-// IsCanceled reports whether a recovered panic value is the cancellation
-// cascade (a peer or CancelGroup poisoned the group) rather than an original
-// failure. Long-lived server loops use it to tell a clean shutdown from a
-// genuine panic.
-func IsCanceled(r any) bool { return r == errCanceled }
-
 // NewGroup creates a fresh instant-delivery group of the given size and
 // returns one Comm per rank. Groups are independent: SPTT builds a global
 // group, one intra-host group per host, and one peer group per local index,
@@ -531,11 +525,6 @@ func (c *Comm) checkIdle(op string) {
 			c.rank, op, n))
 	}
 }
-
-// Carried reports how many of this rank's pending handles are marked as
-// deliberately spanning a step boundary (Pending.Carry). Same read rule as
-// Times: valid after the rank goroutines have been joined.
-func (c *Comm) Carried() int { return int(c.carried) }
 
 // AssertDrained panics if any rank of comms still has unwaited Pending
 // handles. The cross-step pipelined trainer calls it after its drain pass:

@@ -198,7 +198,7 @@ func (tr *Trainer) PipelineActive() bool { return tr.sched == pipelined }
 func (tr *Trainer) PipelineFallback() string { return tr.pipelineFallback }
 
 // stepRanks is the rank-parallel executor: five phases, each with one
-// goroutine per rank. The SPTT phases build their own communicator
+// goroutine per rank. The SPTT phases run on the engine's communicator
 // families; the dense, exchange and update phases share the trainer's
 // persistent world group. Phase walls always bound the step, but under a
 // non-blocking schedule compute and communication deliberately cross them —

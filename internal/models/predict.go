@@ -32,14 +32,6 @@ type VecCache interface {
 	PutVec(ns int, key uint64, v []float32)
 }
 
-// BagCache is a deprecated alias for VecCache: the bag- and tower-specific
-// cache interfaces collapsed into one vector cache when the embeddings
-// package became the single backend. Kept for one release.
-type BagCache = VecCache
-
-// TowerCache is a deprecated alias for VecCache (see BagCache).
-type TowerCache = VecCache
-
 // PredictOptions configures a Predict call. The zero value disables all
 // caching and is always valid.
 type PredictOptions struct {

@@ -1,7 +1,7 @@
 package sptt
 
 import (
-	"fmt"
+	"time"
 
 	"dmt/internal/comm"
 	"dmt/internal/embeddings"
@@ -10,218 +10,173 @@ import (
 )
 
 // Engine holds the embedding tables of one distribution problem and executes
-// the baseline and SPTT dataflows over fresh communicator groups. Tables are
-// logically owned by Config.RankOf; only the owning rank's goroutine reads
-// or updates a table, mirroring model parallelism.
+// every flow of the dataflow over communicator families and layout tables it
+// builds once. Tables are logically owned by Config.RankOf; only the owning
+// rank's goroutine reads or updates a table, mirroring model parallelism.
+// An Engine runs one forward or backward call at a time.
 type Engine struct {
 	Cfg    Config
 	Tables []*nn.EmbeddingBag // indexed by feature
-	// Tier is the embedding backend every step (b) lookup goes through.
-	// NewEngine installs an in-process LocalTier over Tables (bitwise
-	// identical to direct table access); the distributed trainer swaps in
-	// its own tier — a LocalTier carrying the training learning rate, or a
-	// RemoteTier whose lookups travel the simulated fabric.
+	// Tier is the embedding backend every table-wise step (b) lookup goes
+	// through. NewEngine installs an in-process LocalTier over Tables
+	// (bitwise identical to direct table access); the distributed trainer
+	// swaps in its own tier — a LocalTier carrying the training learning
+	// rate, or a RemoteTier whose lookups travel the simulated fabric.
 	Tier embeddings.Tier
+
+	// The layout, derived from Cfg once: the index maps step (d)'s and the
+	// flat flow's send chunks are gathered through, and the two shardings.
+	peerOrder, rankOrder []int
+	tableWise, rowWise   sharding
+
+	// fam is the communicator cache: the families of the last completed
+	// run, reused as long as calls name the same Comms.Net.
+	fam *families
+}
+
+// sharding is where a flow keeps its tables: lookup[r] lists the features
+// rank r looks up in steps (a)+(b), and tower[t] is the feature order of
+// tower t's block in steps (d)–(f).
+type sharding struct {
+	lookup [][]int
+	tower  [][]int
+	// byRow marks the §3.1.3 layout: every rank of a host looks up all of
+	// its tower's features, each within its own row range of the table.
+	byRow bool
 }
 
 // NewEngine builds deterministic tables for the configuration.
 func NewEngine(cfg Config, seed uint64) (*Engine, error) {
-	if err := cfg.Validate(len(cfg.TowerOf) > 0); err != nil {
+	towers := len(cfg.TowerOf) > 0
+	if err := cfg.Validate(towers); err != nil {
 		return nil, err
 	}
 	r := tensor.NewRNG(seed)
-	e := &Engine{Cfg: cfg}
+	e := &Engine{Cfg: cfg, peerOrder: PeerOrder(cfg.G, cfg.L), rowWise: sharding{byRow: true}}
 	for f, spec := range cfg.Features {
 		e.Tables = append(e.Tables,
 			nn.NewEmbeddingBag(r.Split(uint64(f)+1), spec.Cardinality, cfg.N, spec.Mode, spec.Name))
 	}
 	e.Tier = embeddings.NewLocalTier(e.Tables, 0)
+
+	for g := 0; g < cfg.G; g++ {
+		e.rankOrder = append(e.rankOrder, g)
+		e.tableWise.lookup = append(e.tableWise.lookup, cfg.OwnedFeatures(g))
+	}
+	if towers {
+		// Table-wise towers list their features in host order; row-wise
+		// ones have no per-rank ownership, so plain ascending order.
+		e.rowWise.tower = make([][]int, cfg.T())
+		for f, t := range cfg.TowerOf {
+			e.rowWise.tower[t] = append(e.rowWise.tower[t], f)
+		}
+		for t := 0; t < cfg.T(); t++ {
+			e.tableWise.tower = append(e.tableWise.tower, cfg.TowerFeatures(t))
+		}
+		for g := 0; g < cfg.G; g++ {
+			e.rowWise.lookup = append(e.rowWise.lookup, e.rowWise.tower[g/cfg.L])
+		}
+	}
 	return e, nil
 }
 
-// rankLookupState caches, per owned feature, the global-batch bags assembled
-// during step (b); the backward pass turns output gradients into sparse
-// table gradients with them.
-type rankLookupState struct {
-	features []int     // owned features, ascending
-	indices  [][]int32 // per owned feature: flat indices for the global batch
-	offsets  [][]int32 // per owned feature: offsets, length G*B
-	// order is the source-rank sequence the global bags were assembled in:
-	// nil means rank order (baseline and standard SPTT); the swapped-(b,c)
-	// specialization assembles directly in peer order.
-	order []int
+// families are the three communicator families of the dataflow, all built
+// against one (possibly nil) simulated network.
+type families struct {
+	net    *comm.Network
+	global []*comm.Comm
+	host   [][]*comm.Comm // [host][local index]
+	peer   [][]*comm.Comm // [class][host index]
 }
 
-// BaselineState carries everything the baseline backward needs plus the
-// traffic matrix of the forward's global collectives.
-type BaselineState struct {
-	lookups []*rankLookupState // per rank
-	Traffic [][]int64          // (src, dst) bytes on the global group
+// newFamilies is the package's only communicator constructor. With a
+// non-nil net, every sub-group is created with its ranks' GLOBAL identities
+// (host h owns ranks h*l..h*l+l-1; peer class m owns ranks {t*l+m}), so the
+// latency model prices each hop by the actual host placement and all
+// families share each rank's one virtual clock.
+func newFamilies(g, l int, net *comm.Network) *families {
+	t := g / l
+	fm := &families{net: net, global: comm.NewGroupNet(g, net, nil)}
+	for h := 0; h < t; h++ {
+		granks := make([]int, l)
+		for j := range granks {
+			granks[j] = h*l + j
+		}
+		fm.host = append(fm.host, comm.NewGroupNet(l, net, granks))
+	}
+	for m := 0; m < l; m++ {
+		granks := make([]int, t)
+		for th := range granks {
+			granks[th] = th*l + m
+		}
+		fm.peer = append(fm.peer, comm.NewGroupNet(t, net, granks))
+	}
+	return fm
 }
 
-// distributeAndLookup implements steps (a)+(b), shared by both paths:
-// exchange sparse inputs so each owner holds its features' bags for the
-// global batch, then pool-lookup each owned feature. Returns the
-// per-owned-feature pooled embeddings, each of shape (G*B, N), with the
-// source-rank blocks arranged in the given order (nil = rank order).
-//
-// A non-nil order is the §3.1.3 "swap steps (b) and (c)" specialization:
-// when the sparse inputs are smaller than the embeddings, the peer permute
-// is applied to the index payloads before lookup, so the embeddings come
-// out of step (b) already peer-ordered and no embedding-sized shuffle is
-// needed.
-func (e *Engine) distributeAndLookup(c *comm.Comm, in *Inputs, order []int) (*rankLookupState, []*tensor.Tensor) {
-	cfg := e.Cfg
-	chunks := make([][]int32, cfg.G)
-	for dst := 0; dst < cfg.G; dst++ {
-		chunks[dst] = encodeBags(cfg.OwnedFeatures(dst), in, cfg.B)
-	}
-	recvd := c.AlltoAllInt32(chunks)
-
-	owned := cfg.OwnedFeatures(c.Rank())
-	st := &rankLookupState{features: owned, order: order}
-	decoded := make([][2][][]int32, cfg.G) // per src: (indices, offsets) per owned feature
-	for src := 0; src < cfg.G; src++ {
-		idx, off := decodeBags(recvd[src], len(owned), cfg.B)
-		decoded[src] = [2][][]int32{idx, off}
-	}
-	srcAt := func(pos int) int {
-		if order == nil {
-			return pos
-		}
-		return order[pos]
-	}
-
-	reqs := make([]embeddings.Req, len(owned))
-	for i, f := range owned {
-		// Assemble the global batch for feature f, blocks in `order`.
-		var gIdx []int32
-		gOff := make([]int32, 0, cfg.G*cfg.B)
-		for pos := 0; pos < cfg.G; pos++ {
-			src := srcAt(pos)
-			idx := decoded[src][0][i]
-			off := decoded[src][1][i]
-			base := int32(len(gIdx))
-			for _, o := range off {
-				gOff = append(gOff, base+o)
-			}
-			gIdx = append(gIdx, idx...)
-		}
-		st.indices = append(st.indices, gIdx)
-		st.offsets = append(st.offsets, gOff)
-		reqs[i] = embeddings.Req{Table: f, IDs: gIdx}
-	}
-
-	// Step (b) through the embedding tier. The Lookup is issued even with
-	// zero owned features: remote stores count one round per client per
-	// phase (round symmetry), and an owner-less rank still participates.
-	rows := e.Tier.Client(c.Rank()).Lookup(reqs)
-	pooled := make([]*tensor.Tensor, len(owned))
-	for i, f := range owned {
-		pooled[i] = poolRows(rows[i], cfg.Features[f].Mode, st.offsets[i], cfg.N)
-	}
-	return st, pooled
+// usage is what one call moved and waited for: per family, a G×G traffic
+// matrix indexed by global rank, and the collective time summed over all
+// ranks of all families.
+type usage struct {
+	global, host, peer [][]int64
+	exposed, hidden    time.Duration
 }
 
-// BaselineForward runs Figure 4's flat dataflow: steps (a), (b), then one
-// global AlltoAll (c) returning embeddings. outs[r] is rank r's (B, F, N)
-// tensor in canonical feature order.
-func (e *Engine) BaselineForward(inputs []*Inputs) ([]*tensor.Tensor, *BaselineState) {
-	cfg := e.Cfg
-	if len(inputs) != cfg.G {
-		panic(fmt.Sprintf("sptt: %d inputs for %d ranks", len(inputs), cfg.G))
+// tally adds sign × the families' cumulative counters to u. The groups
+// outlive a call, so a call's own share is the tally after it minus the
+// tally before it. Valid only while no rank goroutine is running.
+func (fm *families) tally(u *usage, sign int64) {
+	l := len(fm.peer)
+	add := func(m [][]int64, grp []*comm.Comm, grank func(i int) int) {
+		for i, c := range grp {
+			for j := range grp {
+				m[grank(i)][grank(j)] += sign * c.BytesSentTo(j)
+			}
+			e, h := c.Times()
+			u.exposed += time.Duration(sign) * e
+			u.hidden += time.Duration(sign) * h
+		}
 	}
-	world := comm.NewGroup(cfg.G)
-	outs := make([]*tensor.Tensor, cfg.G)
-	st := &BaselineState{lookups: make([]*rankLookupState, cfg.G)}
+	add(u.global, fm.global, func(i int) int { return i })
+	for h, grp := range fm.host {
+		add(u.host, grp, func(j int) int { return h*l + j })
+	}
+	for m, grp := range fm.peer {
+		add(u.peer, grp, func(t int) int { return t*l + m })
+	}
+}
 
-	comm.Run(world, func(c *comm.Comm) {
-		rank := c.Rank()
-		ls, pooled := e.distributeAndLookup(c, inputs[rank], nil)
-		st.lookups[rank] = ls
-
-		// Step (c): global AlltoAll of embeddings. To dst: my owned
-		// features' pooled rows for dst's local batch.
-		chunks := make([]*tensor.Tensor, cfg.G)
-		for dst := 0; dst < cfg.G; dst++ {
-			blk := tensor.New(len(ls.features), cfg.B, cfg.N)
-			for i := range ls.features {
-				src := pooled[i].Data()[dst*cfg.B*cfg.N : (dst+1)*cfg.B*cfg.N]
-				copy(blk.Data()[i*cfg.B*cfg.N:(i+1)*cfg.B*cfg.N], src)
-			}
-			chunks[dst] = blk
+// run executes fn once per rank, each on its own goroutine with the rank's
+// three communicators, and returns what this call alone moved and waited
+// for. The host and peer families are linked to the global one for
+// cancellation: a panicking rank cancels all of them, so no peer deadlocks
+// on a sub-group receive, and the panic is re-raised with its rank attached.
+func (e *Engine) run(net *comm.Network, fn func(global, host, peer *comm.Comm)) usage {
+	g, l := e.Cfg.G, e.Cfg.L
+	fm := e.fam
+	if fm == nil || fm.net != net {
+		fm = newFamilies(g, l, net)
+	}
+	// Canceled groups cannot be reused, so the cache is emptied for the
+	// duration of the run and refilled only if it completes: the call after
+	// a failed one builds fresh families.
+	e.fam = nil
+	mk := func() [][]int64 {
+		m := make([][]int64, g)
+		for i := range m {
+			m[i] = make([]int64, g)
 		}
-		got := c.AlltoAllTensors(chunks)
-
-		// Assemble (B, F, N) in canonical feature order.
-		out := tensor.New(cfg.B, cfg.F(), cfg.N)
-		for src := 0; src < cfg.G; src++ {
-			feats := cfg.OwnedFeatures(src)
-			for i, f := range feats {
-				blk := got[src].Data()[i*cfg.B*cfg.N : (i+1)*cfg.B*cfg.N]
-				for s := 0; s < cfg.B; s++ {
-					dst := out.Data()[(s*cfg.F()+f)*cfg.N : (s*cfg.F()+f+1)*cfg.N]
-					copy(dst, blk[s*cfg.N:(s+1)*cfg.N])
-				}
-			}
-		}
-		outs[rank] = out
+		return m
+	}
+	u := usage{global: mk(), host: mk(), peer: mk()}
+	fm.tally(&u, -1)
+	comm.RunLinked(fm.global, append(append([][]*comm.Comm{}, fm.host...), fm.peer...), func(c *comm.Comm) {
+		r := c.Rank()
+		fn(c, fm.host[r/l][r%l], fm.peer[r%l][r/l])
 	})
-	st.Traffic = comm.TrafficMatrix(world)
-	return outs, st
-}
-
-// BaselineBackward routes output gradients dOuts[r] (B, F, N) back to the
-// owning ranks (the reverse AlltoAll of §2.2's backward pass) and returns
-// the coalesced sparse gradient per feature.
-func (e *Engine) BaselineBackward(st *BaselineState, dOuts []*tensor.Tensor) map[int]*nn.SparseGrad {
-	cfg := e.Cfg
-	world := comm.NewGroup(cfg.G)
-	grads := make([]map[int]*nn.SparseGrad, cfg.G)
-
-	comm.Run(world, func(c *comm.Comm) {
-		rank := c.Rank()
-		dOut := dOuts[rank]
-		// Reverse of step (c): send each owner the gradient slice of its
-		// features for my local batch.
-		chunks := make([]*tensor.Tensor, cfg.G)
-		for dst := 0; dst < cfg.G; dst++ {
-			feats := cfg.OwnedFeatures(dst)
-			blk := tensor.New(len(feats), cfg.B, cfg.N)
-			for i, f := range feats {
-				for s := 0; s < cfg.B; s++ {
-					src := dOut.Data()[(s*cfg.F()+f)*cfg.N : (s*cfg.F()+f+1)*cfg.N]
-					copy(blk.Data()[(i*cfg.B+s)*cfg.N:(i*cfg.B+s+1)*cfg.N], src)
-				}
-			}
-			chunks[dst] = blk
-		}
-		got := c.AlltoAllTensors(chunks)
-
-		ls := st.lookups[rank]
-		out := make(map[int]*nn.SparseGrad, len(ls.features))
-		for i, f := range ls.features {
-			// dPooled for the global batch, source-rank order.
-			dPooled := tensor.New(cfg.G*cfg.B, cfg.N)
-			for src := 0; src < cfg.G; src++ {
-				blk := got[src].Data()[i*cfg.B*cfg.N : (i+1)*cfg.B*cfg.N]
-				copy(dPooled.Data()[src*cfg.B*cfg.N:(src+1)*cfg.B*cfg.N], blk)
-			}
-			out[f] = poolBackward(cfg.Features[f].Mode, ls.indices[i], ls.offsets[i], dPooled)
-		}
-		grads[rank] = out
-	})
-
-	merged := make(map[int]*nn.SparseGrad)
-	for _, m := range grads {
-		for f, g := range m {
-			if _, dup := merged[f]; dup {
-				panic(fmt.Sprintf("sptt: feature %d graded on two ranks", f))
-			}
-			merged[f] = g
-		}
-	}
-	return merged
+	fm.tally(&u, +1)
+	e.fam = fm
+	return u
 }
 
 // ApplySparseSGD applies per-feature sparse gradients to the engine's

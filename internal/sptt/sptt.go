@@ -1,22 +1,49 @@
-// Package sptt implements the Semantic-Preserving Tower Transform (§3.1) —
-// the paper's core contribution — together with the classic global-AlltoAll
-// embedding distribution it replaces (Figure 4), as real dataflow over the
-// in-process collective runtime.
+// Package sptt implements the Semantic-Preserving Tower Transform (§3.1,
+// Figure 7) — the paper's core contribution — and the flat global-AlltoAll
+// embedding distribution it replaces (Figure 4) as ONE staged dataflow over
+// the in-process collective runtime. Every flow takes the same per-rank
+// sparse inputs and leaves, on every rank, the pooled embeddings of all
+// features for that rank's local batch; the package tests verify that
+// outputs and backward gradients agree bit for bit across flows — the
+// "semantic-preserving" property Table 3 shows as AUC-neutrality.
 //
-// Both paths take identical per-rank sparse inputs and produce, on every
-// rank, the pooled embeddings of all features for that rank's local batch,
-// in canonical feature order. The package tests verify bit-for-bit equality
-// of outputs and backward gradients — the "semantic-preserving" property
-// SPTT's name claims, which Table 3 demonstrates as AUC-neutrality.
+// The dataflow has two halves, each with one reverse for the backward pass:
 //
-// SPTT's six steps (Figure 7):
+//   - The lookup half, steps (a)–(d), ends with each rank holding its
+//     tower's block (F_t, T, B, N) for its peer class:
+//     (a) feature-distribution AlltoAll of index payloads (global world),
+//     (b) pooled embedding lookup of the global batch at the table's owner,
+//     (c) peer permute, (d) intra-host AlltoAll (the NVLink domain).
+//   - The exchange half: (e) the local (features, peers) -> (peers,
+//     features) shuffle, an optional tower module (§3.2), and (f) L
+//     concurrent peer AlltoAlls, each in a world of size T = G/L — the
+//     dataflow's only cross-host hop for embeddings, written once as
+//     post -> Comms overlap hook -> wait.
 //
-//	(a) feature-distribution AlltoAll (indices, global world)
-//	(b) local embedding lookup (pooled, per owned table)
-//	(c) peer permute (local reorder of source-rank blocks)
-//	(d) intra-host AlltoAll (NVLink domain)
-//	(e) local data shuffle ((features, peers) -> (peers, features) transpose)
-//	(f) L concurrent peer AlltoAlls, each in a world of size T = G/L
+// A flow chooses three things and nothing else:
+//
+//   - where tables are sharded: table-wise (one owner rank per table, lookup
+//     through Engine.Tier) or row-wise across the tower's host (§3.1.3: each
+//     rank pools the bag entries in its row range and step (d) becomes a
+//     ReduceScatter that sums the partial pools);
+//   - whether a tower module sits between (e) and (f), compressing the
+//     tower's embeddings before they cross hosts;
+//   - whether step (f) exists at all: the flat baseline stops after (b) and
+//     returns embeddings with a single global AlltoAll.
+//
+// Step (c) never moves data. §3.1.3 observes that the permute can be
+// skipped by handing step (d) a virtual process group; here that is an
+// index map (PeerOrder) through which step (d)'s send chunks are gathered,
+// and the flat flow's AlltoAll is the same gather through the identity map.
+// Lookups stay in source-rank order in every flow: §3.1.3's other
+// specialization — permuting the index payloads before the lookup — would
+// make pooling gradients accumulate over bags in peer order, equal to the
+// flat flow's only up to float associativity, and would change the request
+// bytes an embedding tier sees; rank order keeps both bit-identical.
+//
+// An Engine builds its communicator families and layout tables once and
+// reuses them on every call, so it is NOT safe for concurrent calls: run
+// one forward or backward at a time per Engine.
 package sptt
 
 import (
@@ -136,25 +163,6 @@ func PeerOrder(g, l int) []int {
 	return order
 }
 
-// InversePerm returns the inverse permutation.
-func InversePerm(p []int) []int {
-	inv := make([]int, len(p))
-	for i, v := range p {
-		inv[v] = i
-	}
-	return inv
-}
-
-// RoundRobinAssignment places feature f on rank f%G — the flat baseline
-// placement of Figure 4.
-func RoundRobinAssignment(nFeatures, g int) []int {
-	out := make([]int, nFeatures)
-	for f := range out {
-		out[f] = f % g
-	}
-	return out
-}
-
 // TowerAssignment converts a tower partition (towers[t] = feature list) into
 // (TowerOf, RankOf): each tower's features are placed round-robin over its
 // host's L ranks.
@@ -190,6 +198,42 @@ type Inputs struct {
 	Offsets [][]int32
 }
 
+// checkInputs validates the per-rank sparse batches every flow starts from,
+// before any rank goroutine runs: a malformed bag would otherwise surface on
+// the rank that decodes it rather than the one that supplied it, or pool the
+// wrong rows without failing at all.
+func (c Config) checkInputs(inputs []*Inputs) error {
+	if len(inputs) != c.G {
+		return fmt.Errorf("sptt: %d inputs for %d ranks", len(inputs), c.G)
+	}
+	for r, in := range inputs {
+		if in == nil || len(in.Indices) != c.F() || len(in.Offsets) != c.F() {
+			return fmt.Errorf("sptt: rank %d inputs do not cover the %d features", r, c.F())
+		}
+		for f, offs := range in.Offsets {
+			if len(offs) != c.B || offs[0] != 0 {
+				return fmt.Errorf("sptt: rank %d feature %d: want %d bag offsets starting at 0", r, f, c.B)
+			}
+			for s := range offs {
+				if end := bagEnd(offs, s, len(in.Indices[f])); end < int(offs[s]) {
+					return fmt.Errorf("sptt: rank %d feature %d: bag %d ends at %d, before its offset %d (%d indices)",
+						r, f, s, end, offs[s], len(in.Indices[f]))
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// bagEnd returns where bag s ends in a flat list of n indices: the next
+// bag's offset, or n for the last bag.
+func bagEnd(offsets []int32, s, n int) int {
+	if s+1 < len(offsets) {
+		return int(offsets[s+1])
+	}
+	return n
+}
+
 // encodeBags packs the bags of the given features from in into one int32
 // payload: per feature, B bag sizes followed by the flat indices.
 func encodeBags(features []int, in *Inputs, b int) []int32 {
@@ -198,12 +242,7 @@ func encodeBags(features []int, in *Inputs, b int) []int32 {
 		offs := in.Offsets[f]
 		idxs := in.Indices[f]
 		for s := 0; s < b; s++ {
-			lo := int(offs[s])
-			hi := len(idxs)
-			if s+1 < b {
-				hi = int(offs[s+1])
-			}
-			payload = append(payload, int32(hi-lo))
+			payload = append(payload, int32(bagEnd(offs, s, len(idxs)))-offs[s])
 		}
 		payload = append(payload, idxs...)
 	}
@@ -230,6 +269,21 @@ func decodeBags(payload []int32, nFeatures, b int) (indices [][]int32, offsets [
 	return indices, offsets
 }
 
+// shardBags keeps only the bag entries whose row falls in [lo, hi): the
+// share of a global batch one row shard of the table pools (§3.1.3).
+func shardBags(indices, offsets []int32, lo, hi int) (idx, off []int32) {
+	off = make([]int32, len(offsets))
+	for s := range offsets {
+		off[s] = int32(len(idx))
+		for _, ix := range indices[offsets[s]:bagEnd(offsets, s, len(indices))] {
+			if int(ix) >= lo && int(ix) < hi {
+				idx = append(idx, ix)
+			}
+		}
+	}
+	return idx, off
+}
+
 // poolRows performs the pure step (b) pooling kernel over pre-gathered
 // embedding rows: rows.Row(p) is the embedding of bag position p (the
 // embeddings.Store response for the flat index list the offsets describe).
@@ -240,11 +294,7 @@ func poolRows(rows *tensor.Tensor, mode nn.PoolMode, offsets []int32, dim int) *
 	b := len(offsets)
 	out := tensor.New(b, dim)
 	for s := 0; s < b; s++ {
-		lo := int(offsets[s])
-		hi := rows.Dim(0)
-		if s+1 < b {
-			hi = int(offsets[s+1])
-		}
+		lo, hi := int(offsets[s]), bagEnd(offsets, s, rows.Dim(0))
 		if lo == hi {
 			continue
 		}
@@ -272,11 +322,7 @@ func poolBackward(mode nn.PoolMode, indices, offsets []int32, dPooled *tensor.Te
 	dim := dPooled.Dim(1)
 	acc := make(map[int][]float32)
 	for s := 0; s < b; s++ {
-		lo := int(offsets[s])
-		hi := len(indices)
-		if s+1 < b {
-			hi = int(offsets[s+1])
-		}
+		lo, hi := int(offsets[s]), bagEnd(offsets, s, len(indices))
 		if lo == hi {
 			continue
 		}

@@ -91,16 +91,6 @@ func TestPeerOrderGroupsPeersContiguously(t *testing.T) {
 	}
 }
 
-func TestInversePerm(t *testing.T) {
-	p := []int{2, 0, 3, 1}
-	inv := InversePerm(p)
-	for i, v := range p {
-		if inv[v] != i {
-			t.Fatalf("inverse wrong: %v -> %v", p, inv)
-		}
-	}
-}
-
 func TestTowerAssignmentErrors(t *testing.T) {
 	if _, _, err := TowerAssignment([][]int{{0, 1}}, 3, 2); err == nil {
 		t.Fatal("unassigned feature must error")
@@ -163,68 +153,6 @@ func TestSPTTMatchesBaseline(t *testing.T) {
 	}
 }
 
-func TestSPTTSkipPermuteVariant(t *testing.T) {
-	// §3.1.3: the virtual-process-group specialization omits the physical
-	// permute; outputs must be identical.
-	cfg := makeConfig(8, 4, 2, 3, 9, 40, 2, nn.PoolSum)
-	eng, err := NewEngine(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := makeInputs(cfg, 4)
-	a, _ := eng.SPTTForward(inputs, Options{})
-	b, _ := eng.SPTTForward(inputs, Options{SkipPermute: true})
-	for r := 0; r < cfg.G; r++ {
-		if !a[r].Equal(b[r]) {
-			t.Fatalf("rank %d: SkipPermute changed the result", r)
-		}
-	}
-}
-
-func TestSPTTSwapLookupPermuteVariant(t *testing.T) {
-	// §3.1.3: swapping steps (b) and (c) — permuting the index payloads and
-	// looking up directly in peer order — must be exact, forward and
-	// backward.
-	cfg := makeConfig(8, 2, 3, 4, 9, 35, 2, nn.PoolMean)
-	eng, err := NewEngine(cfg, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := makeInputs(cfg, 14)
-	base, bst := eng.BaselineForward(inputs)
-	swapped, sst := eng.SPTTForward(inputs, Options{SwapLookupPermute: true})
-	for r := 0; r < cfg.G; r++ {
-		if !base[r].Equal(swapped[r]) {
-			t.Fatalf("rank %d: swapped variant diverged by %v", r, base[r].MaxAbsDiff(swapped[r]))
-		}
-	}
-
-	rng := tensor.NewRNG(15)
-	dOuts := make([]*tensor.Tensor, cfg.G)
-	for g := range dOuts {
-		dOuts[g] = tensor.RandN(rng, 1, cfg.B, cfg.F(), cfg.N)
-	}
-	bg := eng.BaselineBackward(bst, dOuts)
-	sg := eng.SPTTBackward(sst, dOuts)
-	for f := 0; f < cfg.F(); f++ {
-		// Touched rows must match exactly; gradient values accumulate over
-		// bags in peer order instead of rank order, so they agree to float
-		// associativity rather than bit-for-bit.
-		if len(bg[f].Rows) != len(sg[f].Rows) {
-			t.Fatalf("feature %d: swapped-variant touched rows diverged", f)
-		}
-		for i := range bg[f].Rows {
-			if bg[f].Rows[i] != sg[f].Rows[i] {
-				t.Fatalf("feature %d: swapped-variant touched rows diverged", f)
-			}
-		}
-		if !bg[f].Grads.AllClose(sg[f].Grads, 1e-5, 1e-7) {
-			t.Fatalf("feature %d: swapped-variant gradients diverged by %v",
-				f, bg[f].Grads.MaxAbsDiff(sg[f].Grads))
-		}
-	}
-}
-
 func TestSPTTBackwardMatchesBaseline(t *testing.T) {
 	cfg := makeConfig(4, 2, 2, 3, 6, 30, 2, nn.PoolMean)
 	eng, err := NewEngine(cfg, 5)
@@ -242,7 +170,7 @@ func TestSPTTBackwardMatchesBaseline(t *testing.T) {
 	for g := range dOuts {
 		dOuts[g] = tensor.RandN(r, 1, cfg.B, cfg.F(), cfg.N)
 	}
-	bg := eng.BaselineBackward(bst, dOuts)
+	bg := eng.SPTTBackward(bst, dOuts)
 	sg := eng.SPTTBackward(sst, dOuts)
 
 	if len(bg) != cfg.F() || len(sg) != cfg.F() {
@@ -297,8 +225,8 @@ func TestRowWiseBackwardMatchesBaseline(t *testing.T) {
 	for g := range dOuts {
 		dOuts[g] = tensor.RandN(r, 1, cfg.B, cfg.F(), cfg.N)
 	}
-	bg := eng.BaselineBackward(bst, dOuts)
-	rg := eng.SPTTBackwardRowWise(rst, dOuts)
+	bg := eng.SPTTBackward(bst, dOuts)
+	rg := eng.SPTTBackward(rst, dOuts)
 	for f := 0; f < cfg.F(); f++ {
 		b, s := bg[f], rg[f]
 		if len(b.Rows) != len(s.Rows) {
@@ -329,8 +257,33 @@ func TestRowWiseRejectsMeanPooling(t *testing.T) {
 	eng.SPTTForwardRowWise(makeInputs(cfg, 2))
 }
 
+// sameSparseGrads reports whether two backward results touch the same rows
+// of the same features with bit-identical gradients.
+func sameSparseGrads(a, b map[int]*nn.SparseGrad) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for f, ga := range a {
+		gb := b[f]
+		if gb == nil || len(ga.Rows) != len(gb.Rows) || !ga.Grads.Equal(gb.Grads) {
+			return false
+		}
+		for i := range ga.Rows {
+			if ga.Rows[i] != gb.Rows[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestQuickSPTTEquivalence is the property-based form of the theorem:
-// random cluster shapes, feature counts, bag sizes, pooling modes.
+// random cluster shapes, feature counts, bag sizes, pooling modes, and for
+// each several input draws through ONE engine (so every flow also runs on
+// communicator families another flow has already used). The tower flow must
+// match the flat one bit for bit, outputs and sparse gradients; on
+// sum-pooling draws so must the row-wise flow, except that its outputs sum
+// per-shard partial pools and agree only to float associativity.
 func TestQuickSPTTEquivalence(t *testing.T) {
 	f := func(seed uint64, lSel, tSel, bSel, nfSel, hotSel uint8, mean bool) bool {
 		l := []int{1, 2, 4}[int(lSel)%3]
@@ -348,19 +301,31 @@ func TestQuickSPTTEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		inputs := makeInputs(cfg, seed+1)
-		base, _ := eng.BaselineForward(inputs)
-		// Rotate through all three specializations.
-		opt := Options{}
-		switch seed % 3 {
-		case 1:
-			opt.SkipPermute = true
-		case 2:
-			opt.SwapLookupPermute = true
-		}
-		spttOut, _ := eng.SPTTForward(inputs, opt)
-		for r := 0; r < g; r++ {
-			if !base[r].Equal(spttOut[r]) {
+		for draw := uint64(1); draw <= 3; draw++ {
+			inputs := makeInputs(cfg, seed+draw)
+			dOuts := randomGrads(cfg, seed+10*draw, 0)
+			base, bst := eng.BaselineForward(inputs)
+			baseGrads := eng.SPTTBackward(bst, dOuts)
+
+			out, st := eng.SPTTForward(inputs, Options{})
+			for r := 0; r < g; r++ {
+				if !base[r].Equal(out[r]) {
+					return false
+				}
+			}
+			if !sameSparseGrads(baseGrads, eng.SPTTBackward(st, dOuts)) {
+				return false
+			}
+			if mean {
+				continue
+			}
+			out, st = eng.SPTTForwardRowWise(inputs)
+			for r := 0; r < g; r++ {
+				if !base[r].AllClose(out[r], 1e-5, 1e-6) {
+					return false
+				}
+			}
+			if !sameSparseGrads(baseGrads, eng.SPTTBackward(st, dOuts)) {
 				return false
 			}
 		}
@@ -402,7 +367,7 @@ func TestBytesOnWirePreserved(t *testing.T) {
 	// the comparison on the embedding-return phase only. Index payloads are
 	// identical in both paths, so comparing full-global vs (global+peer)
 	// works: baselineCross - spttGlobalCross == spttPeerCross.
-	baseCross := crossBytes(bst.Traffic)
+	baseCross := crossBytes(bst.GlobalTraffic)
 	spttIdxCross := crossBytes(sst.GlobalTraffic)
 	spttPeerCross := crossBytes(sst.PeerTraffic)
 	if got, want := spttPeerCross, baseCross-spttIdxCross; got != want {
@@ -445,7 +410,7 @@ func TestDistributedSparseSGDStep(t *testing.T) {
 	}
 
 	_, stA := engA.BaselineForward(inputs)
-	engA.ApplySparseSGD(engA.BaselineBackward(stA, dOuts), 0.1)
+	engA.ApplySparseSGD(engA.SPTTBackward(stA, dOuts), 0.1)
 
 	_, stB := engB.SPTTForward(inputs, Options{})
 	engB.ApplySparseSGD(engB.SPTTBackward(stB, dOuts), 0.1)

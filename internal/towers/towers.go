@@ -193,8 +193,9 @@ func (t *DCNTower) Params() []*nn.Param {
 }
 
 // PassThrough is the identity tower (SPTT without compression): it flattens
-// (S, F, N) to (S, F·N). Compression ratio 1; used for the Table 3
-// neutrality experiments and as the CR=1 ablation point.
+// (S, F, N) to (S, F·N). Compression ratio 1 — the module that makes the
+// compressed flow reproduce the pass-through transform exactly, as
+// examples/sptt_walkthrough demonstrates.
 type PassThrough struct {
 	F, N  int
 	lastS int
