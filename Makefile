@@ -138,14 +138,15 @@ bench-hotpath-check:
 	$(GO) test -run '^(TestFusedCutsAllocs|TestPooledEncodeAllocs)$$' -v ./internal/quant
 	$(GO) test -run '^TestEmbeddingBackwardAllocs$$' -v ./internal/nn
 
-# Short native-fuzz runs over the wire codec and the SPTT step (a) bag
-# payload (go test allows one -fuzz target per invocation, hence the
-# separate runs).
+# Short native-fuzz runs over the wire codec, the SPTT step (a) bag payload
+# and the pooling backward against its map-based oracle (go test allows one
+# -fuzz target per invocation, hence the separate runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFloat16RoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzLinearQuantRoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedCodec$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBags$$' -fuzztime 10s ./internal/sptt
+	$(GO) test -run '^$$' -fuzz '^FuzzPoolBackward$$' -fuzztime 10s ./internal/sptt
 
 # The example mains have no tests: build them all, and run the SPTT
 # walkthrough, which panics on a semantic-preservation violation and prints

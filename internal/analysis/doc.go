@@ -27,7 +27,15 @@
 //     process-global math/rand source, and map iteration whose body the
 //     analyzer cannot prove order-insensitive. Commutative-exact bodies
 //     (map-to-map builds, integer accumulation, max/min guards,
-//     collect-keys-then-sort) pass without annotation.
+//     collect-keys-then-sort) pass without annotation. A blind spot:
+//     the analyzer sees calls, not goroutines, so a virtual clock READ
+//     from one goroutine while another may still advance it (an observer
+//     averaging comm.Network clocks while a persistent server rank
+//     finishes a receive) passes — the value is a pure function of the
+//     message stream only once every writer has reached its settled
+//     point. Such reads need a host-side join with the writers first
+//     (embeddings.RemoteTier's per-round settle is one), and a
+//     repeat-under-Gosched test, not this analyzer, guards them.
 //
 //   - noretain: the documented no-retention boundaries. Predict
 //     implementations must not retain the batch or alias it in their

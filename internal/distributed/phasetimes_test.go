@@ -2,10 +2,14 @@ package distributed
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"dmt/internal/embeddings"
+	"dmt/internal/netsim"
 	"dmt/internal/sptt"
+	"dmt/internal/topology"
 )
 
 // TestAccountFoldsEveryPhaseField walks PhaseTimes by reflection, charges a
@@ -39,5 +43,39 @@ func TestAccountFoldsEveryPhaseField(t *testing.T) {
 	}
 	if tr.stats.Steps != 2 {
 		t.Fatalf("account counted %d steps, want 2", tr.stats.Steps)
+	}
+}
+
+// TestPhaseWallsSettledWithRemoteTier is the regression for phase walls
+// that raced the embedding servers. The walls lap on the mean over ALL
+// virtual clocks, the servers' included, and a server's last receive of a
+// round — the client's empty chunk of the response collective, which still
+// costs the per-message latency — used to be free to land after the client
+// had its rows and the rank goroutines had joined, so the same step split
+// its time between two neighbouring phases differently from run to run. A
+// client round now returns only once its server has finished it. The
+// server hook yields exactly inside that window, under one and two procs;
+// all four walls must read the same on every repeat.
+func TestPhaseWallsSettledWithRemoteTier(t *testing.T) {
+	defer embeddings.SetServeRoundHook(runtime.Gosched)()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	walls := func() [4]time.Duration {
+		cfg, gen := latencySetup(1)
+		cfg.Overlap = true
+		cfg.Fabric = netsim.New(topology.A100)
+		cfg.EmbeddingTier = EmbeddingTier{Servers: 2, CacheRows: 64}
+		tr, _ := runSteps(t, cfg, gen, 2)
+		defer tr.Close()
+		ph := tr.Stats().Phases
+		return [4]time.Duration{ph.EmbComm, ph.Dense, ph.GradExchange, ph.Update}
+	}
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		want := walls()
+		for rep := 1; rep < 50; rep++ {
+			if got := walls(); got != want {
+				t.Fatalf("GOMAXPROCS %d, repeat %d: phase walls (emb, dense, grad, update) = %v, first run %v", procs, rep, got, want)
+			}
+		}
 	}
 }

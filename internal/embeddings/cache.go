@@ -1,9 +1,6 @@
 package embeddings
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // CacheStats is a point-in-time snapshot of a cache's counters.
 type CacheStats struct {
@@ -30,60 +27,141 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.Entries += o.Entries
 }
 
+// lruCore is one unlocked LRU: the building block both cache users wrap.
+// Entries live in one slice and are linked into a recency ring by int32
+// indices around the sentinel ents[0] (next = most recent, prev = least
+// recent), so a cached vector costs one slice element instead of a boxed
+// entry plus a list node, and a hit or refresh relinks indices without
+// touching the heap. The slice grows on demand up to capacity+1; once full,
+// an insert re-keys the least recent entry in place. There is no other
+// removal, so the live entries are always ents[1:].
+type lruCore struct {
+	capacity                int
+	ents                    []lruEntry
+	index                   map[uint64]int32 // key -> position in ents
+	hits, misses, evictions uint64
+}
+
+type lruEntry struct {
+	key        uint64
+	val        []float32
+	prev, next int32
+}
+
+// lruGeometry splits capacity over shards (rounded up to a power of two; at
+// least one entry per shard). Per-shard capacity rounds up, so the true
+// limit can exceed capacity by up to shards-1 entries.
+func lruGeometry(capacity, shards int) (n, per int) {
+	if shards < 1 {
+		shards = 1
+	}
+	n = 1
+	for n < shards {
+		n <<= 1
+	}
+	if n > capacity {
+		n = 1
+		for n*2 <= capacity {
+			n <<= 1
+		}
+	}
+	return n, (capacity + n - 1) / n
+}
+
+func (c *lruCore) init(capacity int) {
+	c.capacity = capacity
+	c.ents = make([]lruEntry, 1, 8)
+	c.index = make(map[uint64]int32, capacity)
+}
+
+func (c *lruCore) len() int { return len(c.ents) - 1 }
+
+// linkFront makes the unlinked entry i the most recent.
+func (c *lruCore) linkFront(i int32) {
+	head := c.ents[0].next
+	c.ents[i].prev, c.ents[i].next = 0, head
+	c.ents[head].prev = i
+	c.ents[0].next = i
+}
+
+func (c *lruCore) unlink(i int32) {
+	e := &c.ents[i]
+	c.ents[e.prev].next, c.ents[e.next].prev = e.next, e.prev
+}
+
+// get returns key's value and marks it most recently used.
+func (c *lruCore) get(key uint64) ([]float32, bool) {
+	i, ok := c.index[key]
+	if !ok {
+		c.misses++
+		return nil, false
+	}
+	c.hits++
+	if c.ents[0].next != i {
+		c.unlink(i)
+		c.linkFront(i)
+	}
+	return c.ents[i].val, true
+}
+
+// slot returns the entry holding key after the call, marked most recently
+// used: key's own entry (a refresh), a new one, or — when the core is full —
+// the least recent entry re-keyed. val is whatever the entry held before;
+// the caller replaces it (ShardedLRU) or overwrites it in place
+// (CachedStore). The pointer is valid until the next slot call.
+func (c *lruCore) slot(key uint64) *lruEntry {
+	i, ok := c.index[key]
+	if ok {
+		c.unlink(i)
+	} else {
+		if c.len() < c.capacity {
+			c.ents = append(c.ents, lruEntry{})
+			i = int32(len(c.ents) - 1)
+		} else {
+			i = c.ents[0].prev
+			c.unlink(i)
+			delete(c.index, c.ents[i].key)
+			c.evictions++
+		}
+		c.ents[i].key = key
+		c.index[key] = i
+	}
+	c.linkFront(i)
+	return &c.ents[i]
+}
+
+func (c *lruCore) stats() CacheStats {
+	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.len()}
+}
+
 // ShardedLRU is a fixed-capacity LRU cache of float32 vectors keyed by
-// uint64, split into independently locked shards so concurrent serving
-// workers do not serialize on one mutex. Values are treated as immutable by
-// contract: callers must not modify a slice after Put or mutate one
-// returned by Get.
+// uint64, split into independently locked shards (one lruCore each) so
+// concurrent serving workers do not serialize on one mutex. Values are
+// treated as immutable by contract: callers must not modify a slice after
+// Put or mutate one returned by Get.
 type ShardedLRU struct {
 	shards []*lruShard
 	mask   uint64
 }
 
 type lruShard struct {
-	mu                      sync.Mutex
-	capacity                int
-	ll                      *list.List // front = most recent
-	items                   map[uint64]*list.Element
-	hits, misses, evictions uint64
-}
-
-type lruEntry struct {
-	key uint64
-	val []float32
+	mu sync.Mutex
+	lruCore
 }
 
 // NewShardedLRU builds a cache holding up to capacity entries, spread over
-// shards (rounded up to a power of two; at least one entry per shard).
-// Per-shard capacity rounds up, so the true limit can exceed capacity by up
-// to shards-1 entries. A capacity of zero or less yields a nil cache, on
-// which Get and Put are no-ops — callers can disable caching without
-// branching.
+// shards (see lruGeometry for the rounding). A capacity of zero or less
+// yields a nil cache, on which Get and Put are no-ops — callers can disable
+// caching without branching.
 func NewShardedLRU(capacity, shards int) *ShardedLRU {
 	if capacity <= 0 {
 		return nil
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	pow := 1
-	for pow < shards {
-		pow <<= 1
-	}
-	if pow > capacity {
-		pow = 1
-		for pow*2 <= capacity {
-			pow <<= 1
-		}
-	}
-	c := &ShardedLRU{shards: make([]*lruShard, pow), mask: uint64(pow - 1)}
-	per := (capacity + pow - 1) / pow
+	n, per := lruGeometry(capacity, shards)
+	c := &ShardedLRU{shards: make([]*lruShard, n), mask: uint64(n - 1)}
 	for i := range c.shards {
-		c.shards[i] = &lruShard{
-			capacity: per,
-			ll:       list.New(),
-			items:    make(map[uint64]*list.Element, per),
-		}
+		c.shards[i] = &lruShard{}
+		c.shards[i].init(per)
 	}
 	return c
 }
@@ -111,13 +189,7 @@ func (c *ShardedLRU) Get(key uint64) ([]float32, bool) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.items[key]; ok {
-		sh.ll.MoveToFront(el)
-		sh.hits++
-		return el.Value.(*lruEntry).val, true
-	}
-	sh.misses++
-	return nil, false
+	return sh.get(key)
 }
 
 // Put inserts or refreshes key, evicting the shard's least recently used
@@ -129,32 +201,12 @@ func (c *ShardedLRU) Put(key uint64, val []float32) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.items[key]; ok {
-		el.Value.(*lruEntry).val = val
-		sh.ll.MoveToFront(el)
-		return
-	}
-	sh.items[key] = sh.ll.PushFront(&lruEntry{key: key, val: val})
-	if sh.ll.Len() > sh.capacity {
-		oldest := sh.ll.Back()
-		sh.ll.Remove(oldest)
-		delete(sh.items, oldest.Value.(*lruEntry).key)
-		sh.evictions++
-	}
+	sh.slot(key).val = val
 }
 
 // Len returns the current number of entries across shards.
 func (c *ShardedLRU) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.ll.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	return c.Stats().Entries
 }
 
 // Stats merges the shard counters.
@@ -165,7 +217,7 @@ func (c *ShardedLRU) Stats() CacheStats {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		out.Add(CacheStats{Hits: sh.hits, Misses: sh.misses, Evictions: sh.evictions, Entries: sh.ll.Len()})
+		out.Add(sh.stats())
 		sh.mu.Unlock()
 	}
 	return out

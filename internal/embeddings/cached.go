@@ -1,115 +1,206 @@
 package embeddings
 
-import "dmt/internal/tensor"
+import (
+	"sync"
+
+	"dmt/internal/tensor"
+)
 
 // CachedStore is a write-back hot-ID cache in front of another Store — the
-// training-side generalization of the serving LRU. Lookup serves hot rows
-// from the LRU and fetches only the deduplicated misses from the inner
-// store; Update forwards the gradient and re-caches the refreshed rows the
-// inner store returns, so the cache stays warm through training (every
-// looked-up row is updated every step — invalidation would never hit).
+// training-side user of the LRU core. Lookup serves hot rows from the cache
+// and fetches only the deduplicated misses from the inner store; Update
+// forwards the gradient and re-caches the refreshed rows the inner store
+// returns, so the cache stays warm through training (every looked-up row is
+// updated every step — invalidation would never hit).
 //
 // Coherence rides the Store ownership contract: a table's rows only ever
 // flow through its single owner rank's cache, so there is no cross-cache
 // invalidation problem to solve.
+//
+// The cache owns its rows: every entry's vector is a buffer carved from a
+// slab when the entry is first filled and overwritten in place on every
+// later write-back or re-keying, so steady-state traffic allocates nothing
+// per row.
 type CachedStore struct {
 	inner Store
-	lru   *ShardedLRU
+	dim   int
+
+	// mu guards everything below. It is taken once per pass over a call's
+	// rows — never per row — and the trainer gives every rank its own store,
+	// so it is uncontended there; it exists because the ownership contract is
+	// per TABLE, and owners of disjoint tables may share one store.
+	mu   sync.Mutex
+	lru  *rowLRU
+	slab []float32      // unused tail of the newest row slab
+	idle *lookupScratch // the last finished Lookup's scratch, for the next one
 }
+
+// rowLRU is ShardedLRU's shard split — same selector, same per-shard
+// capacity, hence the same hit, miss and eviction decisions — over bare
+// cores: CachedStore's one lock covers all of them.
+type rowLRU struct {
+	cores []lruCore
+	mask  uint64
+}
+
+func (l *rowLRU) core(key uint64) *lruCore { return &l.cores[mix64(key)&l.mask] }
+
+// Get returns the cached row under key, marking it most recently used. The
+// slice is the cache's own buffer: valid until the next write to the cache.
+func (l *rowLRU) Get(key uint64) ([]float32, bool) { return l.core(key).get(key) }
+
+// lookupScratch is what one Lookup carries from its probe pass, across the
+// inner fetch, to its fill pass.
+type lookupScratch struct {
+	reqs   []Req           // per request: the deduplicated missed ids
+	ids    []int32         // backing array of every reqs[i].IDs
+	missAt []int32         // per requested id: its row in the miss response, -1 for a hit
+	pos    map[int32]int32 // missed id -> miss-response row, for the request being probed
+}
+
+// rowSlabRows is how many cache rows one slab allocation holds.
+const rowSlabRows = 256
 
 // Cached wraps inner with a hot-ID cache of up to rows entries. rows <= 0
 // returns inner unchanged (caching disabled).
 func Cached(inner Store, rows int) Store {
-	lru := NewShardedLRU(rows, 8)
-	if lru == nil {
+	if rows <= 0 {
 		return inner
 	}
-	return &CachedStore{inner: inner, lru: lru}
+	n, per := lruGeometry(rows, 8)
+	lru := &rowLRU{cores: make([]lruCore, n), mask: uint64(n - 1)}
+	for i := range lru.cores {
+		lru.cores[i].init(per)
+	}
+	return &CachedStore{inner: inner, dim: inner.Dim(), lru: lru}
 }
 
 // StatsOf returns the LRU counters of a store built by Cached; a plain
 // (uncached) Store yields zeros.
 func StatsOf(s Store) CacheStats {
+	var out CacheStats
 	if c, ok := s.(*CachedStore); ok {
-		return c.lru.Stats()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for i := range c.lru.cores {
+			out.Add(c.lru.cores[i].stats())
+		}
 	}
-	return CacheStats{}
+	return out
 }
 
 // Dim returns the inner store's dimension.
-func (c *CachedStore) Dim() int { return c.inner.Dim() }
+func (c *CachedStore) Dim() int { return c.dim }
+
+// scratch hands out the idle scratch (or a new one) sized for nReqs
+// requests over total ids. Called with mu held.
+func (c *CachedStore) scratch(nReqs, total int) *lookupScratch {
+	sc := c.idle
+	c.idle = nil
+	if sc == nil {
+		sc = &lookupScratch{pos: make(map[int32]int32)}
+	}
+	if cap(sc.reqs) < nReqs {
+		sc.reqs = make([]Req, nReqs)
+	}
+	if cap(sc.ids) < total {
+		sc.ids = make([]int32, 0, total)
+		sc.missAt = make([]int32, total)
+	}
+	sc.reqs, sc.ids = sc.reqs[:nReqs], sc.ids[:0]
+	return sc
+}
+
+// put copies row into key's cache entry, reusing the entry's buffer.
+// Called with mu held.
+func (c *CachedStore) put(key uint64, row []float32) {
+	e := c.lru.core(key).slot(key)
+	if e.val == nil {
+		if len(c.slab) < c.dim {
+			c.slab = make([]float32, rowSlabRows*c.dim)
+		}
+		e.val, c.slab = c.slab[:c.dim:c.dim], c.slab[c.dim:]
+	}
+	copy(e.val, row)
+}
 
 // Lookup fills each request from the cache where possible and fetches the
 // deduplicated misses from the inner store. The inner Lookup is issued
 // unconditionally — even with zero misses — preserving the round symmetry
-// remote stores require.
+// remote stores require. The cache sees every request probed first, then
+// the fetch, then the fetched rows inserted in request order (one insert
+// per distinct missed id): under capacity pressure the LRU evicts by insert
+// recency, so this order decides the surviving set and the hit/miss
+// counters pinned downstream.
 func (c *CachedStore) Lookup(reqs []Req) []*tensor.Tensor {
-	dim := c.inner.Dim()
-	hit := make([][][]float32, len(reqs)) // per req, per id: cached row or nil
-	missReqs := make([]Req, len(reqs))
-	// missAt[i][k] is the position of reqs[i].IDs[k]'s row within the miss
-	// response for request i (ids deduplicated within a request).
-	missAt := make([][]int, len(reqs))
-	for i, r := range reqs {
-		hit[i] = make([][]float32, len(r.IDs))
-		missAt[i] = make([]int, len(r.IDs))
-		missReqs[i] = Req{Table: r.Table}
-		pos := make(map[int32]int, len(r.IDs))
-		for k, id := range r.IDs {
-			if v, ok := c.lru.Get(NsKey(r.Table, uint64(id))); ok {
-				hit[i][k] = v
-				missAt[i][k] = -1
-				continue
-			}
-			p, dup := pos[id]
-			if !dup {
-				p = len(missReqs[i].IDs)
-				pos[id] = p
-				missReqs[i].IDs = append(missReqs[i].IDs, id)
-			}
-			missAt[i][k] = p
-		}
+	dim := c.dim
+	total := 0
+	for _, r := range reqs {
+		total += len(r.IDs)
 	}
-
-	fetched := c.inner.Lookup(missReqs)
-
 	out := make([]*tensor.Tensor, len(reqs))
+	resp := make([]float32, total*dim)
+
+	c.mu.Lock()
+	sc := c.scratch(len(reqs), total)
+	off := 0
 	for i, r := range reqs {
-		rows := tensor.New(len(r.IDs), dim)
-		for k := range r.IDs {
-			if v := hit[i][k]; v != nil {
+		n := len(r.IDs)
+		rows := tensor.FromSlice(resp[off*dim:(off+n)*dim], n, dim)
+		missAt := sc.missAt[off : off+n]
+		first := len(sc.ids)
+		clear(sc.pos)
+		for k, id := range r.IDs {
+			// A hit is copied out now: the entry's buffer is overwritten by
+			// whatever the cache stores there next.
+			if v, ok := c.lru.Get(NsKey(r.Table, uint64(id))); ok {
 				copy(rows.Row(k), v)
+				missAt[k] = -1
 				continue
 			}
-			copy(rows.Row(k), fetched[i].Row(missAt[i][k]))
+			p, dup := sc.pos[id]
+			if !dup {
+				p = int32(len(sc.ids) - first)
+				sc.pos[id] = p
+				sc.ids = append(sc.ids, id)
+			}
+			missAt[k] = p
 		}
-		// Cache the fetched rows (one Put per distinct missed id). The
-		// cached slice must not alias the returned tensor — callers may
-		// pool in place — so copy out of the fetch response instead.
-		// Insertion order must follow the request's id order: under
-		// capacity pressure the LRU evicts by Put recency, so inserting
-		// in map-iteration order made the surviving cached set — and with
-		// it the pinned hit/miss wire counters — vary run to run.
-		for p, id := range missReqs[i].IDs {
-			v := make([]float32, dim)
-			copy(v, fetched[i].Row(p))
-			c.lru.Put(NsKey(r.Table, uint64(id)), v)
-		}
+		sc.reqs[i] = Req{Table: r.Table, IDs: sc.ids[first:]}
 		out[i] = rows
+		off += n
 	}
+	c.mu.Unlock()
+
+	fetched := c.inner.Lookup(sc.reqs)
+
+	c.mu.Lock()
+	off = 0
+	for i, r := range reqs {
+		for k, p := range sc.missAt[off : off+len(r.IDs)] {
+			if p >= 0 {
+				copy(out[i].Row(k), fetched[i].Row(int(p)))
+			}
+		}
+		for p, id := range sc.reqs[i].IDs {
+			c.put(NsKey(r.Table, uint64(id)), fetched[i].Row(p))
+		}
+		off += len(r.IDs)
+	}
+	c.idle = sc
+	c.mu.Unlock()
 	return out
 }
 
 // Update forwards to the inner store and write-backs the refreshed rows.
 func (c *CachedStore) Update(ups []Upd) []*tensor.Tensor {
 	fresh := c.inner.Update(ups)
-	dim := c.inner.Dim()
+	c.mu.Lock()
 	for i, u := range ups {
 		for j, row := range u.Rows {
-			v := make([]float32, dim)
-			copy(v, fresh[i].Row(j))
-			c.lru.Put(NsKey(u.Table, uint64(row)), v)
+			c.put(NsKey(u.Table, uint64(row)), fresh[i].Row(j))
 		}
 	}
+	c.mu.Unlock()
 	return fresh
 }

@@ -18,6 +18,40 @@
 //
 // Both implement the same Store and are built through a Tier, the per-job
 // handle the distributed trainer owns.
+//
+// # The cache core and its two users
+//
+// One unlocked LRU, lruCore (cache.go), backs every cache in the tree: a
+// slice of entries linked into a recency ring by int32 indices around a
+// sentinel, plus a key index. A cached vector is one slice element, a hit or
+// a refresh relinks indices, and an insert into a full core re-keys the
+// least recent entry in place, so steady-state traffic touches the heap
+// only through the index. Two users wrap it, splitting keys over cores with
+// the same selector and the same per-core capacity, so both make the same
+// hit, miss and eviction decisions:
+//
+//   - ShardedLRU (and Keyed over it), the serving and simulator caches:
+//     one mutex per core, because serve workers really do call Get and Put
+//     concurrently. It stores the caller's slice; values are immutable.
+//   - CachedStore, the training-side write-back row cache: it OWNS its
+//     rows — each entry's buffer is carved from a slab once and overwritten
+//     in place by every later write-back — and takes no per-row lock. The
+//     Store ownership contract gives a table one owner, the trainer gives
+//     every rank its own store, and a call walks all its rows in one pass,
+//     so the only exclusion left to provide is between owners of DISJOINT
+//     tables sharing one store: one store-wide mutex taken once per pass,
+//     uncontended in the trainer. (A per-row-locked prototype spent
+//     ≈ 10 % of an embedding-bound step inside Unlock.)
+//
+// # Aliasing
+//
+// Lookup and Update results are views: a remote client cuts each server's
+// response slab into one tensor per request, and CachedStore fills one slab
+// per call. The tensors of one call are disjoint, belong to the caller, and
+// stay valid for as long as the caller holds them — no implementation
+// reuses a result buffer across calls, so none is a //dmt:transient-result.
+// In the other direction a Store only reads its arguments, and only until
+// the call returns; callers may reuse request and gradient buffers.
 package embeddings
 
 import (
@@ -54,6 +88,11 @@ type Upd struct {
 // up and updates it (the trainer's per-table owner rank). Implementations
 // rely on it — it is what makes per-client caches trivially coherent and
 // server-side request interleaving value-irrelevant.
+//
+// Aliasing contract: the tensors one call returns are disjoint views (of a
+// response slab, typically), the caller's to keep and to write; nothing is
+// reused across calls. Implementations do not retain reqs, ups, or any slice
+// or tensor inside them past the call.
 //
 // Round symmetry contract (remote stores): every client must call Lookup
 // once per lookup phase and Update once per update phase even when it owns

@@ -61,6 +61,11 @@ type RemoteTier struct {
 	clients []Store
 	opts    []*nn.SparseAdam // per server
 
+	// settled[c][s] carries one token per finished round of pair (c, s),
+	// from the server to the client (see settle). Capacity 1: the client
+	// takes a round's token before it starts the pair's next round.
+	settled [][]chan struct{}
+
 	done   chan struct{}
 	closed int32
 
@@ -97,10 +102,13 @@ func NewRemote(cfg RemoteConfig) *RemoteTier {
 	}
 
 	t.pairs = make([][][]*comm.Comm, cfg.Clients)
+	t.settled = make([][]chan struct{}, cfg.Clients)
 	linked := make([][]*comm.Comm, 0, cfg.Clients*cfg.Servers)
 	for c := 0; c < cfg.Clients; c++ {
 		t.pairs[c] = make([][]*comm.Comm, cfg.Servers)
+		t.settled[c] = make([]chan struct{}, cfg.Servers)
 		for s := 0; s < cfg.Servers; s++ {
+			t.settled[c][s] = make(chan struct{}, 1)
 			var pg []*comm.Comm
 			if cfg.Net != nil {
 				pg = comm.NewGroupNet(2, cfg.Net, []int{c, cfg.Clients + s})
@@ -191,64 +199,111 @@ func (t *RemoteTier) serveLoop(c *comm.Comm) {
 	s := c.Rank()
 	for {
 		for cl := 0; cl < t.cfg.Clients; cl++ {
-			t.serveRound(t.pairs[cl][s][1], s)
+			t.serveRound(t.pairs[cl][s][1], cl, s)
 		}
 	}
 }
 
 // serveRound answers one client round on a pair group: decode the request,
-// then run the kind's response collectives.
-func (t *RemoteTier) serveRound(pc *comm.Comm, s int) {
+// then run the kind's response collectives. The rows it gathers, and the
+// gradient payload it steps the optimizer on, are one slab per round.
+func (t *RemoteTier) serveRound(pc *comm.Comm, cl, s int) {
 	req := pc.AlltoAllInt32(make([][]int32, 2))[0]
 	kind, tables, ids := decodeRequest(req)
 	total := 0
 	for _, sub := range ids {
 		total += len(sub)
 	}
+	resp := tensor.New(total, t.dim)
 	switch kind {
 	case roundLookup:
-		rows := tensor.New(total, t.dim)
 		r := 0
 		for i, f := range tables {
 			e := t.cfg.Tables[f]
 			for _, id := range ids[i] {
-				copy(rows.Row(r), e.Table.Row(int(id)))
+				copy(resp.Row(r), e.Table.Row(int(id)))
 				r++
 			}
 		}
-		resp := make([]*tensor.Tensor, 2)
-		resp[0] = rows
-		pc.AlltoAllTensors(resp)
 	case roundUpdate:
 		grads := pc.AlltoAllTensors(make([]*tensor.Tensor, 2))[0]
-		fresh := tensor.New(total, t.dim)
+		rows := make([]int, total)
 		r := 0
 		for i, f := range tables {
 			e := t.cfg.Tables[f]
 			n := len(ids[i])
-			rows := make([]int, n)
+			sub := rows[r : r+n]
 			for j, id := range ids[i] {
-				rows[j] = int(id)
+				sub[j] = int(id)
 			}
-			g := tensor.New(n, t.dim)
-			copy(g.Data(), grads.Data()[r*t.dim:(r+n)*t.dim])
-			t.opts[s].Step(e, &nn.SparseGrad{Rows: rows, Grads: g})
-			for j, row := range rows {
-				copy(fresh.Row(r+j), e.Table.Row(row))
+			t.opts[s].Step(e, &nn.SparseGrad{Rows: sub, Grads: rowsView(grads, r, n, t.dim)})
+			for j, row := range sub {
+				copy(resp.Row(r+j), e.Table.Row(row))
 			}
 			r += n
 		}
-		resp := make([]*tensor.Tensor, 2)
-		resp[0] = fresh
-		pc.AlltoAllTensors(resp)
 	default:
 		panic(fmt.Sprintf("embeddings: unknown round kind %d", kind))
 	}
+	// The response is posted and waited in two steps only so that tests can
+	// yield between them (serveRoundHook); AlltoAllTensors is the same pair.
+	pending := pc.IAlltoAllTensors(pairT(resp, 0))
+	if serveRoundHook != nil {
+		serveRoundHook()
+	}
+	pending.Wait()
+	// The wait's last receive — the client's empty chunk — may advance this
+	// server's clock after the client already holds its rows; the client
+	// leaves the round only once that has happened (see settle).
+	t.settled[cl][s] <- struct{}{}
+}
+
+// serveRoundHook, when non-nil, runs on the server goroutine between
+// posting a round's response and receiving the client's side of that
+// collective. Tests set it (SetServeRoundHook) to widen the window in which
+// a server is still finishing a round its client has the rows of.
+var serveRoundHook func()
+
+// SetServeRoundHook installs fn as the server-round test hook and returns a
+// function restoring the previous one. Test-only; not safe while any tier
+// is running rounds.
+func SetServeRoundHook(fn func()) (restore func()) {
+	prev := serveRoundHook
+	serveRoundHook = fn
+	return func() { serveRoundHook = prev }
+}
+
+// settle blocks the client of pair (cl, s) until the server has finished the
+// round the client just received the response of. It is host-side only — no
+// message, no virtual clock — and exists for observers of the clocks: the
+// server's last receive of a round can advance its clock, and a reader of
+// comm.Network.Now between phases (the trainer's phase walls) must see that
+// advance on every run, not on the runs where the server goroutine happened
+// to get there first. A dead tier (a server panic cancels every server)
+// aborts the wait the way a canceled receive would.
+func (t *RemoteTier) settle(cl, s int) {
+	select {
+	case <-t.settled[cl][s]:
+	case <-t.done:
+		panic("embeddings: round abandoned: server tier canceled")
+	}
+}
+
+// rowsView views rows [lo, lo+n) of a (rows, dim) slab as a tensor of their
+// own. Collectives deliver payloads by reference and no slab is written
+// again after its round, so per-request results need no copy.
+func rowsView(slab *tensor.Tensor, lo, n, dim int) *tensor.Tensor {
+	return tensor.FromSlice(slab.Data()[lo*dim:(lo+n)*dim], n, dim)
 }
 
 // encodeRequest packs a round request: [kind, nTables, (table, n, ids...)*].
 func encodeRequest(kind int32, tables []int32, ids [][]int32) []int32 {
-	out := []int32{kind, int32(len(tables))}
+	size := 2 + 2*len(tables)
+	for _, sub := range ids {
+		size += len(sub)
+	}
+	out := make([]int32, 2, size)
+	out[0], out[1] = kind, int32(len(tables))
 	for i, f := range tables {
 		out = append(out, f, int32(len(ids[i])))
 		out = append(out, ids[i]...)
@@ -259,12 +314,13 @@ func encodeRequest(kind int32, tables []int32, ids [][]int32) []int32 {
 func decodeRequest(req []int32) (kind int32, tables []int32, ids [][]int32) {
 	kind = req[0]
 	n := int(req[1])
+	tables, ids = make([]int32, n), make([][]int32, n)
 	pos := 2
 	for i := 0; i < n; i++ {
-		tables = append(tables, req[pos])
+		tables[i] = req[pos]
 		cnt := int(req[pos+1])
 		pos += 2
-		ids = append(ids, req[pos:pos+cnt])
+		ids[i] = req[pos : pos+cnt]
 		pos += cnt
 	}
 	return kind, tables, ids
@@ -272,8 +328,8 @@ func decodeRequest(req []int32) (kind int32, tables []int32, ids [][]int32) {
 
 // remoteClient is compute rank `rank`'s uncached wire client. Each Lookup /
 // Update fans the batched request out over the servers by table ownership —
-// one round per server, ascending, empty rounds included — and reassembles
-// the responses in request order.
+// one round per server, ascending, empty rounds included — and hands back
+// per-request views of the servers' response slabs, in request order.
 type remoteClient struct {
 	t    *RemoteTier
 	rank int
@@ -281,107 +337,112 @@ type remoteClient struct {
 
 func (rc *remoteClient) Dim() int { return rc.t.dim }
 
-// Lookup routes each request to its table's owning server and stitches the
-// per-server row responses back into per-request tensors.
+// routing is one client call's fan-out: per server, the tables and id lists
+// of its round in request order, and per request, the span of its rows in
+// that server's response.
+type routing struct {
+	tables [][]int32
+	ids    [][][]int32
+	rows   []int // per server: rows in its response
+	at     []rowSpan
+}
+
+type rowSpan struct{ server, off, n int }
+
+func newRouting(servers, requests int) *routing {
+	return &routing{
+		tables: make([][]int32, servers), ids: make([][][]int32, servers),
+		rows: make([]int, servers), at: make([]rowSpan, 0, requests),
+	}
+}
+
+// add routes the next request to its table's owning server.
+func (ro *routing) add(table int, ids []int32) {
+	s := table % len(ro.rows)
+	ro.tables[s] = append(ro.tables[s], int32(table))
+	ro.ids[s] = append(ro.ids[s], ids)
+	ro.at = append(ro.at, rowSpan{server: s, off: ro.rows[s], n: len(ids)})
+	ro.rows[s] += len(ids)
+}
+
+// views cuts the per-server response slabs into per-request tensors.
+func (ro *routing) views(resp []*tensor.Tensor, dim int) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(ro.at))
+	for i, sp := range ro.at {
+		out[i] = rowsView(resp[sp.server], sp.off, sp.n, dim)
+	}
+	return out
+}
+
+// Lookup routes each request to its table's owning server and returns the
+// per-request views of the servers' row responses.
 func (rc *remoteClient) Lookup(reqs []Req) []*tensor.Tensor {
 	t := rc.t
 	atomic.AddInt64(&t.lookups, 1)
-	S := t.cfg.Servers
-	perTables := make([][]int32, S)
-	perIDs := make([][][]int32, S)
-	// at[i] locates request i's rows in its server's response: (server, row
-	// offset within the concatenated response).
-	type loc struct{ server, off int }
-	at := make([]loc, len(reqs))
-	off := make([]int, S)
-	for i, r := range reqs {
-		s := r.Table % S
-		perTables[s] = append(perTables[s], int32(r.Table))
-		perIDs[s] = append(perIDs[s], r.IDs)
-		at[i] = loc{server: s, off: off[s]}
-		off[s] += len(r.IDs)
+	ro := newRouting(t.cfg.Servers, len(reqs))
+	for _, r := range reqs {
+		ro.add(r.Table, r.IDs)
 	}
-
-	resp := make([]*tensor.Tensor, S)
-	for s := 0; s < S; s++ {
+	resp := make([]*tensor.Tensor, t.cfg.Servers)
+	for s := range resp {
 		pc := t.pairs[rc.rank][s][0]
-		req := encodeRequest(roundLookup, perTables[s], perIDs[s])
+		req := encodeRequest(roundLookup, ro.tables[s], ro.ids[s])
 		e0, _ := pc.Times()
 		pc.AlltoAllInt32(pair2(req))
 		rows := pc.AlltoAllTensors(make([]*tensor.Tensor, 2))[1]
+		t.settle(rc.rank, s)
 		e1, _ := pc.Times()
 		atomic.AddInt64(&t.lookupExposedNS, int64(e1-e0))
 		atomic.AddInt64(&t.lookupCrossBytes, int64(4*len(req))+rowBytes(rows))
 		resp[s] = rows
 	}
-
-	out := make([]*tensor.Tensor, len(reqs))
-	for i, r := range reqs {
-		rows := tensor.New(len(r.IDs), t.dim)
-		src := resp[at[i].server]
-		for k := range r.IDs {
-			copy(rows.Row(k), src.Row(at[i].off+k))
-		}
-		out[i] = rows
-	}
-	return out
+	return ro.views(resp, t.dim)
 }
 
 // Update ships each table's sparse gradient to its owning server and
-// returns the post-update rows the servers send back.
+// returns the per-update views of the post-update rows the servers send
+// back.
 func (rc *remoteClient) Update(ups []Upd) []*tensor.Tensor {
 	t := rc.t
 	atomic.AddInt64(&t.updates, 1)
-	S := t.cfg.Servers
-	perTables := make([][]int32, S)
-	perIDs := make([][][]int32, S)
-	perUps := make([][]Upd, S)
-	type loc struct{ server, off int }
-	at := make([]loc, len(ups))
-	off := make([]int, S)
-	for i, u := range ups {
-		s := u.Table % S
-		rows := make([]int32, len(u.Rows))
+	total := 0
+	for _, u := range ups {
+		total += len(u.Rows)
+	}
+	ids := make([]int32, total)
+	ro := newRouting(t.cfg.Servers, len(ups))
+	for _, u := range ups {
+		sub := ids[:len(u.Rows):len(u.Rows)]
+		ids = ids[len(u.Rows):]
 		for j, r := range u.Rows {
-			rows[j] = int32(r)
+			sub[j] = int32(r)
 		}
-		perTables[s] = append(perTables[s], int32(u.Table))
-		perIDs[s] = append(perIDs[s], rows)
-		perUps[s] = append(perUps[s], u)
-		at[i] = loc{server: s, off: off[s]}
-		off[s] += len(u.Rows)
+		ro.add(u.Table, sub)
 	}
 
-	resp := make([]*tensor.Tensor, S)
-	for s := 0; s < S; s++ {
+	resp := make([]*tensor.Tensor, t.cfg.Servers)
+	for s := range resp {
 		pc := t.pairs[rc.rank][s][0]
-		req := encodeRequest(roundUpdate, perTables[s], perIDs[s])
-		grads := tensor.New(off[s], t.dim)
-		r := 0
-		for _, u := range perUps[s] {
-			copy(grads.Data()[r*t.dim:(r+len(u.Rows))*t.dim], u.GradRows.Data())
-			r += len(u.Rows)
+		req := encodeRequest(roundUpdate, ro.tables[s], ro.ids[s])
+		// One gradient payload per round: the server's updates in request
+		// order (ups and ro.at run in step).
+		grads := tensor.New(ro.rows[s], t.dim)
+		for i, sp := range ro.at {
+			if sp.server == s {
+				copy(grads.Data()[sp.off*t.dim:(sp.off+sp.n)*t.dim], ups[i].GradRows.Data())
+			}
 		}
 		e0, _ := pc.Times()
 		pc.AlltoAllInt32(pair2(req))
-		pc.AlltoAllTensors(pairT(grads))
+		pc.AlltoAllTensors(pairT(grads, 1))
 		fresh := pc.AlltoAllTensors(make([]*tensor.Tensor, 2))[1]
+		t.settle(rc.rank, s)
 		e1, _ := pc.Times()
 		atomic.AddInt64(&t.updateExposedNS, int64(e1-e0))
 		atomic.AddInt64(&t.updateCrossBytes, int64(4*len(req))+rowBytes(grads)+rowBytes(fresh))
 		resp[s] = fresh
 	}
-
-	out := make([]*tensor.Tensor, len(ups))
-	for i, u := range ups {
-		rows := tensor.New(len(u.Rows), t.dim)
-		src := resp[at[i].server]
-		for k := range u.Rows {
-			copy(rows.Row(k), src.Row(at[i].off+k))
-		}
-		out[i] = rows
-	}
-	return out
+	return ro.views(resp, t.dim)
 }
 
 // pair2 addresses a request payload to the server side of a pair group.
@@ -391,10 +452,11 @@ func pair2(req []int32) [][]int32 {
 	return out
 }
 
-// pairT addresses a tensor payload to the server side of a pair group.
-func pairT(x *tensor.Tensor) []*tensor.Tensor {
+// pairT addresses a tensor payload to one side of a pair group (0 the
+// client, 1 the server).
+func pairT(x *tensor.Tensor, to int) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, 2)
-	out[1] = x
+	out[to] = x
 	return out
 }
 

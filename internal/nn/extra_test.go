@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -140,5 +141,51 @@ func TestSparseAdamPrimeConcurrentTables(t *testing.T) {
 		if !seqTabs[i].Table.Equal(parTabs[i].Table) {
 			t.Fatalf("table %d: concurrent primed updates diverge from sequential", i)
 		}
+	}
+}
+
+// TestSparseAdamBiasCorrectionMemo: the per-step-count memo of the bias
+// corrections is a cache of math.Pow results, nothing more. Two optimizers
+// step identical tables through 200 identical sparse gradients — rows
+// touched at different rates, so their step counts spread — while Beta2
+// (then Beta1) changes mid-run; one has its memo thrown away before every
+// step, so each correction it uses comes fresh from math.Pow under the
+// betas of that moment. A memo that survived a beta change, or returned
+// another step count's entry, would split the tables.
+func TestSparseAdamBiasCorrectionMemo(t *testing.T) {
+	const rows, dim = 12, 3
+	newTable := func() *EmbeddingBag {
+		return NewEmbeddingBag(tensor.NewRNG(21), rows, dim, PoolSum, "memo")
+	}
+	memoTable, freshTable := newTable(), newTable()
+	memo, fresh := NewSparseAdam(0.05), NewSparseAdam(0.05)
+	rng := tensor.NewRNG(22)
+	for step := 0; step < 200; step++ {
+		switch step {
+		case 70:
+			memo.Beta2, fresh.Beta2 = 0.95, 0.95
+		case 140:
+			memo.Beta1, fresh.Beta1 = 0.8, 0.8
+		}
+		var touched []int
+		for r := 0; r < rows; r++ {
+			if step%(r+1) == 0 { // row r every r+1 steps
+				touched = append(touched, r)
+			}
+		}
+		g := &SparseGrad{Rows: touched, Grads: tensor.RandUniform(rng, -1, 1, len(touched), dim)}
+		memo.Step(memoTable, g)
+		if st := fresh.state[freshTable]; st != nil {
+			st.bc = nil
+		}
+		fresh.Step(freshTable, g)
+		for i, w := range freshTable.Table.Data() {
+			if got := memoTable.Table.Data()[i]; math.Float32bits(got) != math.Float32bits(w) {
+				t.Fatalf("step %d: element %d = %x with the memo, %x without", step, i, math.Float32bits(got), math.Float32bits(w))
+			}
+		}
+	}
+	if st := memo.state[memoTable]; len(st.bc) == 0 || len(st.bc) > 201 {
+		t.Fatalf("memo holds %d step counts after 200 steps", len(st.bc))
 	}
 }

@@ -122,6 +122,29 @@ type SparseAdam struct {
 type sparseAdamState struct {
 	m, v  *tensor.Tensor
 	steps []int
+
+	// bc[t] memoises the bias corrections (1-Beta1^t, 1-Beta2^t) of step
+	// count t, computed for the betas recorded beside it. A row's
+	// corrections depend on nothing but its step count, and every touched
+	// row needs them on every step. The table grows to the largest step
+	// count any row of this table has reached.
+	bc               [][2]float64
+	bcBeta1, bcBeta2 float32
+}
+
+// biasCorrection returns (1-beta1^t, 1-beta2^t), from the memo when it was
+// filled under the same betas.
+func (st *sparseAdamState) biasCorrection(beta1, beta2 float32, t int) (bc1, bc2 float64) {
+	if beta1 != st.bcBeta1 || beta2 != st.bcBeta2 {
+		st.bc, st.bcBeta1, st.bcBeta2 = st.bc[:0], beta1, beta2
+	}
+	for n := len(st.bc); n <= t; n++ {
+		st.bc = append(st.bc, [2]float64{
+			1 - math.Pow(float64(beta1), float64(n)),
+			1 - math.Pow(float64(beta2), float64(n)),
+		})
+	}
+	return st.bc[t][0], st.bc[t][1]
 }
 
 // NewSparseAdam returns a SparseAdam with standard defaults.
@@ -155,9 +178,7 @@ func (o *SparseAdam) Step(e *EmbeddingBag, g *SparseGrad) {
 	st := o.ensure(e)
 	for i, row := range g.Rows {
 		st.steps[row]++
-		t := st.steps[row]
-		bc1 := 1 - math.Pow(float64(o.Beta1), float64(t))
-		bc2 := 1 - math.Pow(float64(o.Beta2), float64(t))
+		bc1, bc2 := st.biasCorrection(o.Beta1, o.Beta2, st.steps[row])
 		md, vd := st.m.Row(row), st.v.Row(row)
 		gd := g.Grads.Row(i)
 		wd := e.Table.Row(row)

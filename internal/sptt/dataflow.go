@@ -321,7 +321,11 @@ func (e *Engine) lookup(c *comm.Comm, in *Inputs, sh *sharding) (*rankLookupStat
 	st := &rankLookupState{features: feats}
 	reqs := make([]embeddings.Req, len(feats))
 	for i, f := range feats {
-		var gIdx []int32
+		n := 0
+		for src := range decoded {
+			n += len(decoded[src][0][i])
+		}
+		gIdx := make([]int32, 0, n)
 		gOff := make([]int32, 0, cfg.G*cfg.B)
 		for src := range decoded {
 			base := int32(len(gIdx))
@@ -344,8 +348,9 @@ func (e *Engine) lookup(c *comm.Comm, in *Inputs, sh *sharding) (*rankLookupStat
 	// and an owner-less rank still participates.
 	var rows []*tensor.Tensor
 	if sh.byRow {
-		for _, q := range reqs {
-			rows = append(rows, e.Tables[q.Table].LookupRows(q.IDs))
+		rows = make([]*tensor.Tensor, len(reqs))
+		for i, q := range reqs {
+			rows[i] = e.Tables[q.Table].LookupRows(q.IDs)
 		}
 	} else {
 		rows = e.Tier.Client(rank).Lookup(reqs)
@@ -397,15 +402,17 @@ func (e *Engine) poolGrads(ls *rankLookupState, got []*tensor.Tensor, order []in
 	bn := cfg.B * cfg.N
 	k := len(order) / len(got)
 	out := make([]*nn.SparseGrad, len(ls.features))
+	// One reassembly buffer serves every feature: the blocks of got cover
+	// all G source ranks, so each feature overwrites it completely.
+	dPooled := tensor.New(cfg.G*cfg.B, cfg.N)
 	for i, f := range ls.features {
-		dPooled := tensor.New(cfg.G*cfg.B, cfg.N)
 		for j, g := range got {
 			for kk := 0; kk < k; kk++ {
 				src := order[j*k+kk]
 				copy(dPooled.Data()[src*bn:(src+1)*bn], g.Data()[(i*k+kk)*bn:(i*k+kk+1)*bn])
 			}
 		}
-		out[i] = poolBackward(cfg.Features[f].Mode, ls.indices[i], ls.offsets[i], dPooled)
+		out[i] = poolBackward(cfg.Features[f].Mode, ls.indices[i], ls.offsets[i], dPooled, e.slots[f])
 	}
 	return out
 }

@@ -29,6 +29,12 @@ type Engine struct {
 	peerOrder, rankOrder []int
 	tableWise, rowWise   sharding
 
+	// slots[f] is poolBackward's scratch index for table f, one entry per
+	// row, all zero between calls. A table-wise feature is pooled by its one
+	// owner rank; a row-wise one by each rank of its host over its own row
+	// range, so concurrent ranks never touch the same entry.
+	slots [][]int32
+
 	// fam is the communicator cache: the families of the last completed
 	// run, reused as long as calls name the same Comms.Net.
 	fam *families
@@ -56,6 +62,7 @@ func NewEngine(cfg Config, seed uint64) (*Engine, error) {
 	for f, spec := range cfg.Features {
 		e.Tables = append(e.Tables,
 			nn.NewEmbeddingBag(r.Split(uint64(f)+1), spec.Cardinality, cfg.N, spec.Mode, spec.Name))
+		e.slots = append(e.slots, make([]int32, spec.Cardinality))
 	}
 	e.Tier = embeddings.NewLocalTier(e.Tables, 0)
 

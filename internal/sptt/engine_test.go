@@ -230,6 +230,16 @@ func TestInputsValidation(t *testing.T) {
 			in[3].Offsets[0][1] = int32(len(in[3].Indices[0]) + 5)
 			return in
 		}, "rank 3 feature 0"},
+		// An index outside its table used to panic on the owner rank in the
+		// table-wise flows and pool zeros, returning normally, row-wise.
+		{"index past the table", func(in []*Inputs) []*Inputs {
+			in[6].Indices[1] = append(in[6].Indices[1], int32(cfg.Features[1].Cardinality))
+			return in
+		}, fmt.Sprintf("rank 6 feature 1: index %d at position", cfg.Features[1].Cardinality)},
+		{"negative index", func(in []*Inputs) []*Inputs {
+			in[2].Indices[5] = append(in[2].Indices[5], -1)
+			return in
+		}, "rank 2 feature 5: index -1 at position"},
 	}
 	flows := map[string]func(in []*Inputs){
 		"flat":         func(in []*Inputs) { eng.BaselineForward(in) },
@@ -272,6 +282,7 @@ func FuzzDecodeBags(f *testing.F) {
 		next := int32(0)
 		for f := range feats {
 			feats[f] = f
+			cfg.Features[f].Cardinality = 5 * 6 * 9 // every index the generator can reach
 			in.Indices[f] = []int32{}
 			for s := 0; s < cfg.B; s++ {
 				in.Offsets[f] = append(in.Offsets[f], int32(len(in.Indices[f])))

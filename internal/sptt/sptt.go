@@ -199,9 +199,10 @@ type Inputs struct {
 }
 
 // checkInputs validates the per-rank sparse batches every flow starts from,
-// before any rank goroutine runs: a malformed bag would otherwise surface on
-// the rank that decodes it rather than the one that supplied it, or pool the
-// wrong rows without failing at all.
+// before any rank goroutine runs: a malformed bag or an index outside its
+// table would otherwise surface on the rank that decodes or looks it up
+// rather than the one that supplied it, or (row-wise, where every shard
+// skips a row it does not hold) pool zeros without failing at all.
 func (c Config) checkInputs(inputs []*Inputs) error {
 	if len(inputs) != c.G {
 		return fmt.Errorf("sptt: %d inputs for %d ranks", len(inputs), c.G)
@@ -218,6 +219,11 @@ func (c Config) checkInputs(inputs []*Inputs) error {
 				if end := bagEnd(offs, s, len(in.Indices[f])); end < int(offs[s]) {
 					return fmt.Errorf("sptt: rank %d feature %d: bag %d ends at %d, before its offset %d (%d indices)",
 						r, f, s, end, offs[s], len(in.Indices[f]))
+				}
+			}
+			for p, ix := range in.Indices[f] {
+				if card := c.Features[f].Cardinality; ix < 0 || int(ix) >= card {
+					return fmt.Errorf("sptt: rank %d feature %d: index %d at position %d outside the table's %d rows", r, f, ix, p, card)
 				}
 			}
 		}
@@ -237,7 +243,11 @@ func bagEnd(offsets []int32, s, n int) int {
 // encodeBags packs the bags of the given features from in into one int32
 // payload: per feature, B bag sizes followed by the flat indices.
 func encodeBags(features []int, in *Inputs, b int) []int32 {
-	var payload []int32
+	size := len(features) * b
+	for _, f := range features {
+		size += len(in.Indices[f])
+	}
+	payload := make([]int32, 0, size)
 	for _, f := range features {
 		offs := in.Offsets[f]
 		idxs := in.Indices[f]
@@ -253,11 +263,12 @@ func encodeBags(features []int, in *Inputs, b int) []int32 {
 func decodeBags(payload []int32, nFeatures, b int) (indices [][]int32, offsets [][]int32) {
 	indices = make([][]int32, nFeatures)
 	offsets = make([][]int32, nFeatures)
+	offs := make([]int32, nFeatures*b)
 	pos := 0
 	for f := 0; f < nFeatures; f++ {
 		sizes := payload[pos : pos+b]
 		pos += b
-		offsets[f] = make([]int32, b)
+		offsets[f] = offs[f*b : (f+1)*b : (f+1)*b]
 		total := 0
 		for s := 0; s < b; s++ {
 			offsets[f][s] = int32(total)
@@ -316,11 +327,34 @@ func poolRows(rows *tensor.Tensor, mode nn.PoolMode, offsets []int32, dim int) *
 }
 
 // poolBackward converts a pooled-output gradient into a coalesced sparse
-// table gradient (the pure counterpart of nn.EmbeddingBag.Backward).
-func poolBackward(mode nn.PoolMode, indices, offsets []int32, dPooled *tensor.Tensor) *nn.SparseGrad {
+// table gradient (the pure counterpart of nn.EmbeddingBag.Backward),
+// accumulating straight into the result's rows. slot is the table's scratch
+// index — one zero per table row, zero again on return — through which a
+// bag entry finds its row's position in the result: the touched rows are
+// marked and collected, sorted, numbered, and then the bags are walked in
+// their original order, so every row's float additions run from zero in the
+// order the bags list it.
+func poolBackward(mode nn.PoolMode, indices, offsets []int32, dPooled *tensor.Tensor, slot []int32) *nn.SparseGrad {
 	b := len(offsets)
 	dim := dPooled.Dim(1)
-	acc := make(map[int][]float32)
+	// Only entries inside some bag count: a leading offset above zero leaves
+	// a prefix of indices in no bag.
+	used := indices[:0]
+	if b > 0 {
+		used = indices[offsets[0]:]
+	}
+	rows := make([]int, 0, min(len(used), len(slot)))
+	for _, ix := range used {
+		if slot[ix] == 0 {
+			slot[ix] = 1
+			rows = append(rows, int(ix))
+		}
+	}
+	sort.Ints(rows)
+	for i, r := range rows {
+		slot[r] = int32(i) + 1
+	}
+	grads := tensor.New(len(rows), dim)
 	for s := 0; s < b; s++ {
 		lo, hi := int(offsets[s]), bagEnd(offsets, s, len(indices))
 		if lo == hi {
@@ -332,24 +366,14 @@ func poolBackward(mode nn.PoolMode, indices, offsets []int32, dPooled *tensor.Te
 			scale = 1 / float32(hi-lo)
 		}
 		for _, ix := range indices[lo:hi] {
-			row := acc[int(ix)]
-			if row == nil {
-				row = make([]float32, dim)
-				acc[int(ix)] = row
-			}
-			for d := 0; d < dim; d++ {
-				row[d] += scale * g[d]
+			row := grads.Row(int(slot[ix]) - 1)[:len(g)]
+			for d, gv := range g {
+				row[d] += scale * gv
 			}
 		}
 	}
-	rows := make([]int, 0, len(acc))
-	for r := range acc {
-		rows = append(rows, r)
-	}
-	sort.Ints(rows)
-	grads := tensor.New(len(rows), dim)
-	for i, r := range rows {
-		copy(grads.Row(i), acc[r])
+	for _, r := range rows {
+		slot[r] = 0
 	}
 	return &nn.SparseGrad{Rows: rows, Grads: grads}
 }

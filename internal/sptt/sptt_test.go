@@ -1,6 +1,10 @@
 package sptt
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -448,4 +452,145 @@ func TestOverlapHookBitwiseNeutral(t *testing.T) {
 	if st.HiddenComm <= 0 {
 		t.Fatalf("hooked run reported no hidden comm window: %v", st.HiddenComm)
 	}
+}
+
+// poolBackwardMap is the kernel poolBackward replaced, kept as its oracle:
+// one heap row per touched table row behind a map, copied out in sorted
+// order.
+func poolBackwardMap(mode nn.PoolMode, indices, offsets []int32, dPooled *tensor.Tensor) *nn.SparseGrad {
+	b := len(offsets)
+	dim := dPooled.Dim(1)
+	acc := make(map[int][]float32)
+	for s := 0; s < b; s++ {
+		lo, hi := int(offsets[s]), bagEnd(offsets, s, len(indices))
+		if lo == hi {
+			continue
+		}
+		g := dPooled.Row(s)
+		scale := float32(1)
+		if mode == nn.PoolMean {
+			scale = 1 / float32(hi-lo)
+		}
+		for _, ix := range indices[lo:hi] {
+			row := acc[int(ix)]
+			if row == nil {
+				row = make([]float32, dim)
+				acc[int(ix)] = row
+			}
+			for d := 0; d < dim; d++ {
+				row[d] += scale * g[d]
+			}
+		}
+	}
+	rows := make([]int, 0, len(acc))
+	for r := range acc {
+		rows = append(rows, r)
+	}
+	sort.Ints(rows)
+	grads := tensor.New(len(rows), dim)
+	for i, r := range rows {
+		copy(grads.Row(i), acc[r])
+	}
+	return &nn.SparseGrad{Rows: rows, Grads: grads}
+}
+
+// checkPoolBackward runs poolBackward and its oracle over one bag layout
+// and requires the same rows, bit-equal gradients, and the scratch index
+// handed back all zero.
+func checkPoolBackward(t *testing.T, mode nn.PoolMode, indices, offsets []int32, card, dim int, seed uint64) {
+	t.Helper()
+	dPooled := tensor.RandUniform(tensor.NewRNG(seed), -1, 1, len(offsets), dim)
+	slot := make([]int32, card)
+	got := poolBackward(mode, indices, offsets, dPooled, slot)
+	want := poolBackwardMap(mode, indices, offsets, dPooled)
+	if !slices.Equal(got.Rows, want.Rows) {
+		t.Fatalf("rows %v, want %v (indices %v offsets %v)", got.Rows, want.Rows, indices, offsets)
+	}
+	for i, w := range want.Grads.Data() {
+		if g := got.Grads.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+			t.Fatalf("grad element %d = %x, want %x (indices %v offsets %v)", i, math.Float32bits(g), math.Float32bits(w), indices, offsets)
+		}
+	}
+	if got.Grads.Dim(0) != len(want.Rows) || got.Grads.Dim(1) != dim {
+		t.Fatalf("grads shaped %v for %d rows of %d", got.Grads.Shape(), len(want.Rows), dim)
+	}
+	for r, v := range slot {
+		if v != 0 {
+			t.Fatalf("scratch index left %d at row %d", v, r)
+		}
+	}
+}
+
+// TestPoolBackwardMatchesMapOracle: the slot-indexed kernel equals the
+// map-based one bit for bit — the rows' additions happen in bag order from
+// zero in both — over sum and mean pooling, empty bags, ids repeated inside
+// and across bags, a leading non-zero offset, and ids at both table ends.
+func TestPoolBackwardMatchesMapOracle(t *testing.T) {
+	const card, dim = 11, 5
+	layouts := []struct {
+		name             string
+		indices, offsets []int32
+	}{
+		{"no bags", nil, nil},
+		{"all bags empty", nil, []int32{0, 0, 0}},
+		{"single-hot", []int32{3, 1, 4}, []int32{0, 1, 2}},
+		{"repeats inside a bag", []int32{7, 7, 7, 2}, []int32{0, 3}},
+		{"repeats across bags", []int32{5, 2, 5, 2, 5}, []int32{0, 2, 4}},
+		{"empty bags between", []int32{9, 1, 9}, []int32{0, 0, 1, 1, 1, 3}},
+		{"table ends", []int32{0, card - 1, card - 1, 0}, []int32{0, 1, 3}},
+		{"leading offset skips a prefix", []int32{8, 6, 4, 6, 1}, []int32{2, 3}},
+		{"descending ids", []int32{10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, []int32{0, 4, 4, 9}},
+	}
+	for _, mode := range []nn.PoolMode{nn.PoolSum, nn.PoolMean} {
+		for i, l := range layouts {
+			t.Run(fmt.Sprintf("%s/mode%d", l.name, mode), func(t *testing.T) {
+				checkPoolBackward(t, mode, l.indices, l.offsets, card, dim, uint64(i)+1)
+			})
+		}
+	}
+	// Random layouts: bag sizes 0..5 over a small table, so repeats abound.
+	r := tensor.NewRNG(77)
+	for trial := 0; trial < 200; trial++ {
+		var indices, offsets []int32
+		lead := r.Intn(3) // entries before the first bag
+		for k := 0; k < lead; k++ {
+			indices = append(indices, int32(r.Intn(card)))
+		}
+		for s := r.Intn(9); s > 0; s-- {
+			offsets = append(offsets, int32(len(indices)))
+			for k := r.Intn(6); k > 0; k-- {
+				indices = append(indices, int32(r.Intn(card)))
+			}
+		}
+		checkPoolBackward(t, nn.PoolMode(trial%2), indices, offsets, card, dim, uint64(trial)+100)
+	}
+}
+
+// FuzzPoolBackward: poolBackward equals its oracle on arbitrary bag
+// payloads — sizes[s]%7 entries in bag s, ids drawn from the id bytes.
+func FuzzPoolBackward(f *testing.F) {
+	f.Add([]byte{1, 0, 2, 3}, []byte{4, 4, 9, 200, 0, 31}, false)
+	f.Add([]byte{}, []byte{}, true)
+	f.Add([]byte{6, 6, 6}, []byte{1}, true)
+	f.Fuzz(func(t *testing.T, sizes, ids []byte, mean bool) {
+		const card = 32
+		var indices, offsets []int32
+		next := 0
+		for _, sz := range sizes {
+			offsets = append(offsets, int32(len(indices)))
+			for k := 0; k < int(sz)%7; k++ {
+				id := byte(next)
+				if len(ids) > 0 {
+					id = ids[next%len(ids)]
+				}
+				indices = append(indices, int32(id%card))
+				next++
+			}
+		}
+		mode := nn.PoolSum
+		if mean {
+			mode = nn.PoolMean
+		}
+		checkPoolBackward(t, mode, indices, offsets, card, 3, uint64(len(sizes))+1)
+	})
 }
