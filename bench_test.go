@@ -1,5 +1,5 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation.
-// Each benchmark iteration produces the complete artifact; run with
+// Benchmarks regenerating every table and figure of the paper's evaluation,
+// plus microbenchmarks of the core dataflow and training step. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -9,278 +9,35 @@
 package dmt_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"dmt/internal/data"
 	"dmt/internal/experiments"
 	"dmt/internal/models"
-	"dmt/internal/netsim"
 	"dmt/internal/nn"
-	"dmt/internal/perfmodel"
-	"dmt/internal/quant"
-	"dmt/internal/serve"
 	"dmt/internal/sptt"
 	"dmt/internal/tensor"
 	"dmt/internal/topology"
-	"dmt/internal/trace"
 )
 
-// --- Throughput-side tables and figures ---
-
-func BenchmarkTable1_HardwareGenerations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Table1(); len(rows) != 3 {
-			b.Fatal("table 1 wrong")
-		}
-	}
-}
-
-func BenchmarkFigure1_LatencyBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure1()
-		if r.ComputePct <= 0 {
-			b.Fatal("figure 1 wrong")
-		}
-	}
-}
-
-func BenchmarkFigure5_CollectiveScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Figure5(); len(rows) != 14 {
-			b.Fatal("figure 5 wrong")
-		}
-	}
-}
-
-func BenchmarkFigure6_ParallelismCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure6()
-		if !r.DataParallelIsBest {
-			b.Fatal("figure 6: data parallelism must win")
-		}
-	}
-}
-
-func BenchmarkFigure10_DMTSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Figure10(); len(rows) != 32 {
-			b.Fatal("figure 10 wrong")
-		}
-	}
-}
-
-func BenchmarkFigure11_TMOverSPTT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Figure11(); len(rows) == 0 {
-			b.Fatal("figure 11 wrong")
-		}
-	}
-}
-
-func BenchmarkFigure12_CompressionSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Figure12(); len(rows) != 12 {
-			b.Fatal("figure 12 wrong")
-		}
-	}
-}
-
-func BenchmarkFigure13_ComponentLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure13Model()
-		if r.ComputeImprovement <= 1 {
-			b.Fatal("figure 13: DMT must improve compute")
-		}
-	}
-}
-
-// BenchmarkFigure13_Measured regenerates the measured component-latency
-// table: the training engines run with the comm runtime in netsim-driven
-// latency mode, and fp16/overlap must model strictly less exposed comm than
-// fp32/blocking (the acceptance ordering).
-func BenchmarkFigure13_Measured(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure13(topology.A100)
-		if r.Row(quant.FP16, true).ExposedComm >= r.Row(quant.None, false).ExposedComm {
-			b.Fatal("figure 13: fp16/overlap must expose less than fp32/blocking")
-		}
-	}
-}
-
-func BenchmarkDiscussion_QuantizedXLRM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if r := experiments.QuantXLRM(); r.Speedup <= 1 {
-			b.Fatal("§6: quantized DMT must win")
-		}
-	}
-}
-
-func BenchmarkAblation_HostsPerTower(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.TowerHostsAblation(); len(rows) != 4 {
-			b.Fatal("ablation wrong")
-		}
-	}
-}
-
-// --- Quality-side tables and figures (smoke profile; seconds each) ---
-
-func BenchmarkTable2_StrongBaseline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Table2(experiments.Smoke()); len(rows) != 4 {
-			b.Fatal("table 2 wrong")
-		}
-	}
-}
-
-func BenchmarkTable3_SPTTNeutrality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Table3(experiments.Smoke()); len(rows) != 4 {
-			b.Fatal("table 3 wrong")
-		}
-	}
-}
-
-func BenchmarkTable4_DMTAccuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Table4(experiments.Smoke()); len(rows) == 0 {
-			b.Fatal("table 4 wrong")
-		}
-	}
-}
-
-func BenchmarkTable5_CompressionAUC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Table5(experiments.Smoke()); len(rows) != 4 {
-			b.Fatal("table 5 wrong")
-		}
-	}
-}
-
-func BenchmarkTable6_TPvsNaive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Table6(experiments.Smoke()); len(rows) != 2 {
-			b.Fatal("table 6 wrong")
-		}
-	}
-}
-
-func BenchmarkFigure9_TPEmbedding(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if r := experiments.Figure9(experiments.Smoke()); len(r.Groups) == 0 {
-			b.Fatal("figure 9 wrong")
-		}
-	}
-}
-
-func BenchmarkDiscussion_QuantQuality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.QuantQuality(experiments.Smoke()); len(rows) != 4 {
-			b.Fatal("quant quality wrong")
-		}
-	}
-}
-
-func BenchmarkXLRM_NEImprovement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.XLRMQuality(experiments.Smoke())
-		if r.BaselineNE <= 0 {
-			b.Fatal("xlrm wrong")
-		}
-	}
-}
-
-func BenchmarkTimeline_BaselineVsDMT(b *testing.B) {
-	c := topology.NewCluster(topology.H100, 64)
-	base := perfmodel.DefaultConfig(perfmodel.DCNSpec(), c, perfmodel.Baseline)
-	dmt := perfmodel.DefaultConfig(perfmodel.DCNSpec(), c, perfmodel.DMT)
-	for i := 0; i < b.N; i++ {
-		if out := trace.Compare(base, dmt, 64); len(out) == 0 {
-			b.Fatal("timeline empty")
-		}
-	}
-}
-
-// --- Serving: unbatched vs micro-batched vs cached throughput ---
-//
-// Each iteration pushes serveReqsPerIter requests through the server from
-// 32 closed-loop zipf clients, so ns/op across the Serve benchmarks compares
-// end-to-end serving throughput directly (lower = higher QPS). The
-// acceptance bar: micro-batched DMT-DLRM ≥ 2x the unbatched path.
-
-const (
-	serveConcurrency = 32
-	serveReqsPerIter = 2048
-	serveUnique      = 512
-)
-
-func serveModel(kind string) models.Predictor {
-	cfg := data.CriteoLike(1)
-	switch kind {
-	case "dlrm":
-		return models.NewDLRM(models.DefaultDLRMConfig(cfg.Schema, 1))
-	case "dmt":
-		towersList := models.RoundRobinTowers(8, cfg.NumSparse())
-		return models.NewDMTDLRM(models.ServingDMTDLRMConfig(cfg.Schema, towersList, 1))
-	default:
-		panic("unknown serve model " + kind)
-	}
-}
-
-func benchServe(b *testing.B, kind string, cfg serve.Config) {
-	gen := data.NewGenerator(data.CriteoLike(1))
-	samples := serve.BuildSamples(gen, serveUnique)
-	srv := serve.NewServer(serveModel(kind), cfg)
-	defer srv.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var rep serve.LoadReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = serve.RunLoad(srv, samples, serve.LoadConfig{
-			Concurrency: serveConcurrency,
-			Requests:    serveReqsPerIter,
-			ZipfS:       1.2,
-			Seed:        uint64(i + 1),
+// BenchmarkExperiments regenerates every registered experiment, one
+// sub-benchmark per registry entry (`dmt-bench -list`, `dmt-train -list`):
+// the simulated-fabric tables on A100, the quality tables at the smoke
+// profile, the serving tables at their command defaults. Each iteration
+// produces the complete rendered artifact.
+func BenchmarkExperiments(b *testing.B) {
+	opts := experiments.Options{Gen: topology.A100, Profile: experiments.Smoke()}
+	for _, e := range experiments.All() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if out, err := e.Run(opts); err != nil || out == "" {
+					b.Fatalf("%s: %q, %v", e.Name, out, err)
+				}
+			}
 		})
-		if err != nil {
-			b.Fatalf("RunLoad: %v", err)
-		}
 	}
-	b.ReportMetric(rep.QPS, "qps")
-	st := srv.Stats()
-	b.ReportMetric(st.Tower.HitRate()*100, "tower-hit-%")
 }
-
-func unbatchedConfig() serve.Config {
-	cfg := serve.DefaultConfig()
-	cfg.MaxBatch = 1
-	return cfg
-}
-
-func microbatchConfig() serve.Config {
-	cfg := serve.DefaultConfig()
-	cfg.MaxBatch = serveConcurrency
-	cfg.MaxWait = time.Millisecond
-	return cfg
-}
-
-func cachedConfig() serve.Config {
-	cfg := microbatchConfig()
-	cfg.EmbCacheEntries = 1 << 14
-	cfg.TowerCacheEntries = 1 << 14
-	return cfg
-}
-
-func BenchmarkServe_DLRM_Unbatched(b *testing.B)    { benchServe(b, "dlrm", unbatchedConfig()) }
-func BenchmarkServe_DLRM_Microbatched(b *testing.B) { benchServe(b, "dlrm", microbatchConfig()) }
-func BenchmarkServe_DLRM_Cached(b *testing.B)       { benchServe(b, "dlrm", cachedConfig()) }
-
-func BenchmarkServe_DMTDLRM_Unbatched(b *testing.B)    { benchServe(b, "dmt", unbatchedConfig()) }
-func BenchmarkServe_DMTDLRM_Microbatched(b *testing.B) { benchServe(b, "dmt", microbatchConfig()) }
-func BenchmarkServe_DMTDLRM_TowerCached(b *testing.B)  { benchServe(b, "dmt", cachedConfig()) }
 
 // --- Microbenchmarks of the core dataflow and training step ---
 
@@ -339,141 +96,88 @@ func BenchmarkSPTT_TransformDataflow(b *testing.B) {
 }
 
 // BenchmarkDistributedStep compares the single-goroutine reference step
-// against the rank-parallel engine — blocking and overlapped — at G=4 and
-// G=8 (2 hosts and 4 hosts of 2 ranks). All engines execute identical
-// mathematics over the same batches, so ns/op is a direct engine
-// comparison; on a multi-core runner the rank-parallel step should win by
-// ≥1.5x at G=8. The fp16/int8 variants run over the compressed wire
-// (gradient AllReduce with error feedback plus quantized cross-host
-// embedding hops), so their ns/op delta against the fp32 row is the
-// codec's CPU cost. Every variant reports the exposed/hidden comm split;
-// the acceptance bar is overlap/fp16 at G=8 reporting lower exposed-ms
-// per step than rank-parallel/fp16.
-//
-// The latency/* variants run the same engines with the comm runtime in
-// simulated-latency mode (netsim A100 fabric): their exposed/hidden metrics
-// are MODELED virtual-clock milliseconds — deterministic, wire-byte-driven
-// — while ns/op still measures real execution cost (the simulation's
-// overhead is part of it).
-//
-// The pipeline variants run the cross-step schedule: step N's gradient
-// buckets complete behind step N+1's SPTT forward, with the deferred tail
-// drained after the timed loop before the stats are read.
+// against the rank-parallel engine under its three schedules at G=8 (4
+// hosts of 2 ranks), fp32. All engines execute identical mathematics over
+// the same batches, so ns/op is a direct engine comparison; every variant
+// reports the exposed/hidden comm split. The pipeline variant's deferred
+// bucket tail is drained after the timed loop, before the stats are read.
+// (The compressed-wire, simulated-fabric and remote-tier shapes are
+// benchmark/'s train_dense and train_embed workloads, with exact pins.)
 func BenchmarkDistributedStep(b *testing.B) {
-	for _, g := range []int{4, 8} {
-		for _, mode := range []struct {
-			name       string
-			sequential bool
-			overlap    bool
-			pipeline   bool
-			compress   quant.Scheme
-			latency    bool
-		}{
-			{"sequential", true, false, false, quant.None, false},
-			{"rank-parallel", false, false, false, quant.None, false},
-			{"overlap", false, true, false, quant.None, false},
-			{"pipeline", false, false, true, quant.None, false},
-			{"rank-parallel/fp16", false, false, false, quant.FP16, false},
-			{"overlap/fp16", false, true, false, quant.FP16, false},
-			{"pipeline/fp16", false, false, true, quant.FP16, false},
-			{"rank-parallel/int8", false, false, false, quant.INT8, false},
-			{"latency/fp32", false, false, false, quant.None, true},
-			{"latency-overlap/fp32", false, true, false, quant.None, true},
-			{"latency-pipeline/fp32", false, false, true, quant.None, true},
-			{"latency/fp16", false, false, false, quant.FP16, true},
-			{"latency-overlap/fp16", false, true, false, quant.FP16, true},
-			{"latency-pipeline/fp16", false, false, true, quant.FP16, true},
-		} {
-			if (mode.compress != quant.None || mode.latency) && g != 8 {
-				continue // compressed and simulated variants only at the larger scale
+	for _, mode := range []struct {
+		name              string
+		sequential        bool
+		overlap, pipeline bool
+	}{
+		{"sequential", true, false, false},
+		{"rank-parallel", false, false, false},
+		{"overlap", false, true, false},
+		{"pipeline", false, false, true},
+	} {
+		b.Run(mode.name+"/G=8", func(b *testing.B) {
+			p := experiments.DefaultTraining()
+			p.Overlap, p.Pipeline = mode.overlap, mode.pipeline
+			tr, gen, err := experiments.NewTrainer(p, mode.sequential)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("%s/G=%d", mode.name, g), func(b *testing.B) {
-				p := experiments.DefaultTraining()
-				p.G = g
-				p.Compress = mode.compress
-				p.Overlap = mode.overlap
-				p.Pipeline = mode.pipeline
-				if mode.latency {
-					p.Fabric = netsim.New(topology.A100)
-				}
-				tr, gen, err := experiments.NewTrainer(p, mode.sequential)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Cycle a small set of pre-materialized step batches so data
-				// generation stays out of the timed loop.
-				const nSets = 4
-				sets := make([][]*data.Batch, nSets)
-				for i := range sets {
-					sets[i] = experiments.TrainingBatches(gen, p, i)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tr.Step(sets[i%nSets])
-				}
-				b.StopTimer()
-				tr.Drain() // fold the pipelined tail into the stats; no-op otherwise
-				st := tr.Stats()
-				b.ReportMetric(float64(st.Steps)/b.Elapsed().Seconds(), "steps/s")
-				perStepMS := func(d time.Duration) float64 {
-					return d.Seconds() * 1e3 / float64(st.Steps)
-				}
-				b.ReportMetric(perStepMS(st.Phases.ExposedComm), "exposed-ms/step")
-				b.ReportMetric(perStepMS(st.Phases.HiddenComm), "hidden-ms/step")
-			})
+			defer tr.Close()
+			// Cycle a small set of pre-materialized step batches so data
+			// generation stays out of the timed loop.
+			const nSets = 4
+			sets := make([][]*data.Batch, nSets)
+			for i := range sets {
+				sets[i] = experiments.TrainingBatches(gen, p, i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.Step(sets[i%nSets])
+			}
+			b.StopTimer()
+			tr.Drain() // fold the pipelined tail into the stats; no-op otherwise
+			st := tr.Stats()
+			b.ReportMetric(float64(st.Steps)/b.Elapsed().Seconds(), "steps/s")
+			perStepMS := func(d time.Duration) float64 {
+				return d.Seconds() * 1e3 / float64(st.Steps)
+			}
+			b.ReportMetric(perStepMS(st.Phases.ExposedComm), "exposed-ms/step")
+			b.ReportMetric(perStepMS(st.Phases.HiddenComm), "hidden-ms/step")
+		})
+	}
+}
+
+// benchTrainStep times one single-process training step — forward, loss,
+// backward, dense Adam, sparse Adam — on a fixed 256-sample batch.
+func benchTrainStep(b *testing.B, m models.Model, batch *data.Batch) {
+	loss := &nn.BCEWithLogits{}
+	opt := nn.NewAdam(1e-3)
+	sparse := nn.NewSparseAdam(1e-2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		logits := m.Forward(batch)
+		loss.Forward(logits, batch.Labels)
+		for _, p := range m.DenseParams() {
+			p.ZeroGrad()
+		}
+		m.Backward(loss.Backward())
+		opt.Step(m.DenseParams())
+		for fi, g := range m.TakeSparseGrads() {
+			sparse.Step(m.Embeddings()[fi], g)
 		}
 	}
 }
 
 func BenchmarkTrainStep_DLRM(b *testing.B) {
 	cfg := data.CriteoLike(1)
-	gen := data.NewGenerator(cfg)
 	m := models.NewDLRM(models.DefaultDLRMConfig(cfg.Schema, 1))
-	loss := &nn.BCEWithLogits{}
-	opt := nn.NewAdam(1e-3)
-	sparse := nn.NewSparseAdam(1e-2)
-	batch := gen.Batch(0, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		logits := m.Forward(batch)
-		loss.Forward(logits, batch.Labels)
-		for _, p := range m.DenseParams() {
-			p.ZeroGrad()
-		}
-		m.Backward(loss.Backward())
-		opt.Step(m.DenseParams())
-		for fi, g := range m.TakeSparseGrads() {
-			sparse.Step(m.Embeddings()[fi], g)
-		}
-	}
+	benchTrainStep(b, m, data.NewGenerator(cfg).Batch(0, 256))
 }
 
 func BenchmarkTrainStep_DMTDLRM(b *testing.B) {
 	cfg := data.CriteoLike(1)
-	gen := data.NewGenerator(cfg)
-	towersList := make([][]int, 13)
-	for f := 0; f < cfg.NumSparse(); f++ {
-		towersList[f%13] = append(towersList[f%13], f)
-	}
+	towersList := models.RoundRobinTowers(13, cfg.NumSparse())
 	m := models.NewDMTDLRM(models.DefaultDMTDLRMConfig(cfg.Schema, towersList, 1))
-	loss := &nn.BCEWithLogits{}
-	opt := nn.NewAdam(1e-3)
-	sparse := nn.NewSparseAdam(1e-2)
-	batch := gen.Batch(0, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		logits := m.Forward(batch)
-		loss.Forward(logits, batch.Labels)
-		for _, p := range m.DenseParams() {
-			p.ZeroGrad()
-		}
-		m.Backward(loss.Backward())
-		opt.Step(m.DenseParams())
-		for fi, g := range m.TakeSparseGrads() {
-			sparse.Step(m.Embeddings()[fi], g)
-		}
-	}
+	benchTrainStep(b, m, data.NewGenerator(cfg).Batch(0, 256))
 }

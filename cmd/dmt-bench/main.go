@@ -1,8 +1,9 @@
-// Command dmt-bench regenerates the paper's throughput tables and figures
-// from the calibrated performance model: Table 1, Figures 1, 5, 6, 10, 11,
-// 12, 13, the §6 quantization comparison, and the K-host-towers ablation —
-// plus the measured distributed-training engine comparison (-exp train),
-// which times real sequential vs rank-parallel steps on this machine.
+// Command dmt-bench regenerates the paper's throughput-side tables and
+// figures: the closed-form performance-model reproductions, and the measured
+// experiments that run the distributed training engines on this machine or
+// on a simulated fabric. The experiments come from the registry in
+// internal/experiments; `dmt-bench -list` prints each name with a one-line
+// description and the paper reference.
 //
 // Usage:
 //
@@ -11,148 +12,80 @@
 //	dmt-bench -exp train -compress fp16  # measured training over a quantized wire
 //	dmt-bench -exp train -overlap      # add the overlapped engine row
 //	dmt-bench -exp fig13 -gen h100     # measured component latencies on a simulated fabric
-//	dmt-bench -exp pipeline            # cross-step pipelining vs the overlapped schedule
-//	dmt-bench -exp embtier             # disaggregated embedding tier memory:compute sweep
-//	dmt-bench -list                    # list experiment names
+//	dmt-bench -list                    # list experiments
 //
 // -gen picks the hardware generation (v100, a100, h100) for the experiments
-// that simulate a fabric: `fig13` runs the training engines with the comm
-// runtime in netsim-driven latency mode and prints the measured,
-// deterministic component-latency table (fig13model remains the closed-form
-// reproduction of the paper's figure).
+// that simulate a fabric (fig13, pipeline, embtier): they run the training
+// engines with the comm runtime in netsim-driven latency mode and print
+// deterministic virtual-clock tables.
 //
 // -compress selects the wire scheme (fp32, fp16, int8, int4) for the
 // experiments that model or measure compressed communication: `train` runs
-// the rank-parallel engine with quantized collectives (gradient AllReduce
-// with error feedback, cross-host embedding hops) and appends a per-scheme
-// sweep against fp32; `fig6` costs the parallelism search over compressed
-// links.
+// the engines with quantized collectives (gradient AllReduce with error
+// feedback, cross-host embedding hops) and appends the scheme-vs-fp32
+// table; `fig6` costs the parallelism search over compressed links.
 //
-// -overlap adds a third row to `train`: the overlapped schedule, which
-// hides the SPTT peer AlltoAll behind the bottom-MLP forward and the
-// bucketed gradient AllReduce behind the dense and embedding backward.
-// The table's exposed/hidden columns show how much communication the
-// schedule moved off the critical path; the trajectory stays bitwise
-// identical to the blocking engines.
-//
-// -pipeline adds a cross-step pipelined row to `train` instead: the
-// overlapped schedule extended across step boundaries, with step N's
-// gradient buckets completing behind step N+1's SPTT forward. The
-// `pipeline` experiment measures the same schedule on the simulated
-// fabric, where the boundary-drain saving is a deterministic virtual-clock
-// quantity (the bench-pipeline CI gate).
+// -overlap and -pipeline each add a row to `train`: the overlapped schedule
+// (SPTT peer AlltoAll hidden behind the bottom-MLP forward, gradient
+// buckets behind the backward), and its cross-step extension (step N's
+// buckets completing behind step N+1's SPTT forward). The trajectory stays
+// bitwise identical to the blocking engines; the exposed/hidden columns
+// show what the schedule moved off the critical path.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"dmt/internal/experiments"
-	"dmt/internal/perfmodel"
 	"dmt/internal/quant"
 	"dmt/internal/topology"
-	"dmt/internal/trace"
 )
-
-// compress is the wire scheme selected by -compress; fp32 reproduces every
-// experiment's historical output exactly.
-var compress quant.Scheme
-
-// overlap adds the overlapped-engine row to the train experiment.
-var overlap bool
-
-// pipeline adds the cross-step pipelined row to the train experiment.
-var pipeline bool
-
-// gen is the hardware generation selected by -gen for the experiments that
-// simulate a fabric (fig13).
-var gen topology.Generation
-
-var runners = map[string]func() string{
-	"table1": func() string { return experiments.FormatTable1(experiments.Table1()) },
-	"fig1":   func() string { return experiments.FormatFigure1(experiments.Figure1()) },
-	"fig5":   func() string { return experiments.FormatFigure5(experiments.Figure5()) },
-	"fig6":   func() string { return experiments.FormatFigure6(experiments.Figure6Compressed(compress)) },
-	"fig10": func() string {
-		return experiments.FormatSpeedups("Figure 10: Speedup of DMT over Strong Baseline", experiments.Figure10())
-	},
-	"fig11": func() string {
-		return experiments.FormatSpeedups("Figure 11: Speedup of Tower Modules over SPTT (DLRM)", experiments.Figure11())
-	},
-	"fig12":    func() string { return experiments.FormatFigure12(experiments.Figure12()) },
-	"fig13":    func() string { return experiments.FormatFigure13(experiments.Figure13(gen)) },
-	"pipeline": func() string { return experiments.FormatPipeline(experiments.Pipeline(gen)) },
-	"embtier":  func() string { return experiments.FormatEmbTier(experiments.EmbTier(gen)) },
-	"fig13model": func() string {
-		return experiments.FormatFigure13Model(experiments.Figure13Model())
-	},
-	"quant": func() string { return experiments.FormatQuantXLRM(experiments.QuantXLRM()) },
-	"khost": func() string { return experiments.FormatTowerHostsAblation(experiments.TowerHostsAblation()) },
-	"train": func() string {
-		p := experiments.DefaultTraining()
-		p.Compress = compress
-		p.Overlap = overlap
-		p.Pipeline = pipeline
-		out := experiments.FormatTraining(experiments.TrainingThroughput(p))
-		if compress != quant.None {
-			out += experiments.FormatCompression(
-				experiments.TrainingCompression(p, []quant.Scheme{compress}))
-		}
-		return out
-	},
-	"timeline": func() string {
-		c := topology.NewCluster(topology.H100, 64)
-		return trace.Compare(
-			perfmodel.DefaultConfig(perfmodel.DCNSpec(), c, perfmodel.Baseline),
-			perfmodel.DefaultConfig(perfmodel.DCNSpec(), c, perfmodel.DMT), 64)
-	},
-}
-
-// order fixes the presentation sequence for the "run everything" mode.
-var order = []string{"table1", "fig1", "fig5", "fig6", "fig10", "fig11", "fig12", "fig13model", "fig13", "pipeline", "embtier", "quant", "khost", "train", "timeline"}
 
 func main() {
 	exp := flag.String("exp", "", "experiment to run (default: all)")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	scheme := flag.String("compress", "fp32", "wire scheme for train/fig6 (fp32, fp16, int8, int4)")
 	genName := flag.String("gen", "a100", "hardware generation for the simulated fabric (v100, a100, h100)")
-	flag.BoolVar(&overlap, "overlap", false, "measure the overlapped engine in the train experiment")
-	flag.BoolVar(&pipeline, "pipeline", false, "measure the cross-step pipelined engine in the train experiment")
+	var opts experiments.Options
+	flag.BoolVar(&opts.Overlap, "overlap", false, "measure the overlapped engine in the train experiment")
+	flag.BoolVar(&opts.Pipeline, "pipeline", false, "measure the cross-step pipelined engine in the train experiment")
 	flag.Parse()
 
-	var err error
-	if compress, err = quant.ParseScheme(*scheme); err != nil {
+	fail := func(code int, err error) {
 		fmt.Fprintf(os.Stderr, "dmt-bench: %v\n", err)
-		os.Exit(2)
+		os.Exit(code)
 	}
-	if gen, err = topology.ByName(strings.ToUpper(*genName)); err != nil {
-		fmt.Fprintf(os.Stderr, "dmt-bench: %v\n", err)
-		os.Exit(2)
+	var err error
+	if opts.Compress, err = quant.ParseScheme(*scheme); err != nil {
+		fail(2, err)
+	}
+	if opts.Gen, err = topology.ByName(strings.ToUpper(*genName)); err != nil {
+		fail(2, err)
 	}
 
+	exps := experiments.Select(experiments.Model, experiments.Measured)
 	if *list {
-		names := make([]string, 0, len(runners))
-		for n := range runners {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Println(strings.Join(names, "\n"))
+		fmt.Print(experiments.List(exps))
 		return
 	}
 	if *exp != "" {
-		run, ok := runners[*exp]
+		e, ok := experiments.Lookup(exps, *exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "dmt-bench: unknown experiment %q (use -list)\n", *exp)
-			os.Exit(2)
+			fail(2, fmt.Errorf("unknown experiment %q (use -list)", *exp))
 		}
-		fmt.Print(run())
-		return
+		exps = []experiments.Experiment{e}
 	}
-	for _, name := range order {
-		fmt.Print(runners[name]())
-		fmt.Println()
+	for _, e := range exps {
+		out, err := e.Run(opts)
+		if err != nil {
+			fail(1, err)
+		}
+		fmt.Print(out)
+		if *exp == "" {
+			fmt.Println()
+		}
 	}
 }

@@ -99,12 +99,17 @@ func main() {
 	}
 
 	if *table {
-		rows, err := experiments.ServingTable(experiments.DefaultServing())
+		e, ok := experiments.Lookup(experiments.Select(experiments.Serving), "serving")
+		if !ok {
+			fmt.Fprintln(os.Stderr, "dmt-serve: the serving table is not registered")
+			os.Exit(1)
+		}
+		out, err := e.Run(experiments.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dmt-serve: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Print(experiments.FormatServing(rows))
+		fmt.Print(out)
 		return
 	}
 
@@ -158,7 +163,7 @@ func main() {
 	}
 	if unbatched != nil && batched != nil && cached != nil {
 		fmt.Printf("\nDMT micro-batching speedup: %.2fx  (+caches: %.2fx, tower hit rate %.1f%%)\n",
-			batched.QPS/unbatched.QPS, cached.QPS/unbatched.QPS, cached.TowerHitRate*100)
+			batched.QPS/unbatched.QPS, cached.QPS/unbatched.QPS, cached.Tower.HitRate()*100)
 	}
 
 	// The same cost model the cluster simulator runs on, for the modeled

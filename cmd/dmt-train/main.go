@@ -1,6 +1,8 @@
 // Command dmt-train regenerates the paper's model-quality tables by
-// training the reproduction's models on the synthetic CTR workload:
-// Tables 2–6, Figure 9, and the XLRM-mini normalized-entropy comparison.
+// training the reproduction's models on the synthetic CTR workload. The
+// experiments come from the registry in internal/experiments; `dmt-train
+// -list` prints each name with a one-line description and the paper
+// reference.
 //
 // Usage:
 //
@@ -16,30 +18,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 	"time"
 
 	"dmt/internal/experiments"
 )
-
-var runners = map[string]func(p experiments.Profile) string{
-	"table2": func(p experiments.Profile) string { return experiments.FormatTable2(experiments.Table2(p)) },
-	"table3": func(p experiments.Profile) string {
-		return experiments.FormatQualityRows("Table 3: SPTT AUC-neutrality", experiments.Table3(p))
-	},
-	"table4": func(p experiments.Profile) string {
-		return experiments.FormatQualityRows("Table 4: DMT tower-count sweep", experiments.Table4(p))
-	},
-	"table5":      func(p experiments.Profile) string { return experiments.FormatTable5(experiments.Table5(p)) },
-	"table6":      func(p experiments.Profile) string { return experiments.FormatTable6(experiments.Table6(p)) },
-	"fig9":        func(p experiments.Profile) string { return experiments.FormatFigure9(experiments.Figure9(p)) },
-	"fig9learned": func(p experiments.Profile) string { return experiments.FormatFigure9(experiments.Figure9Learned(p)) },
-	"xlrm":        func(p experiments.Profile) string { return experiments.FormatXLRM(experiments.XLRMQuality(p)) },
-	"quantq":      func(p experiments.Profile) string { return experiments.FormatQuantQuality(experiments.QuantQuality(p)) },
-}
-
-var order = []string{"table2", "table3", "table4", "table5", "table6", "fig9", "xlrm", "quantq"}
 
 func main() {
 	exp := flag.String("exp", "", "experiment to run (default: all)")
@@ -47,43 +29,41 @@ func main() {
 	list := flag.Bool("list", false, "list experiment names and exit")
 	flag.Parse()
 
+	exps := experiments.Select(experiments.Quality)
 	if *list {
-		names := make([]string, 0, len(runners))
-		for n := range runners {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Println(strings.Join(names, "\n"))
+		fmt.Print(experiments.List(exps))
 		return
 	}
 
-	var profile experiments.Profile
+	var opts experiments.Options
 	switch *profileName {
 	case "smoke":
-		profile = experiments.Smoke()
+		opts.Profile = experiments.Smoke()
 	case "quick":
-		profile = experiments.Quick()
+		opts.Profile = experiments.Quick()
 	case "full":
-		profile = experiments.Full()
+		opts.Profile = experiments.Full()
 	default:
 		fmt.Fprintf(os.Stderr, "dmt-train: unknown profile %q\n", *profileName)
 		os.Exit(2)
 	}
 
-	runOne := func(name string) {
-		start := time.Now()
-		fmt.Print(runners[name](profile))
-		fmt.Printf("[%s profile, %.1fs]\n\n", profile.Name, time.Since(start).Seconds())
-	}
 	if *exp != "" {
-		if _, ok := runners[*exp]; !ok {
+		e, ok := experiments.Lookup(exps, *exp)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "dmt-train: unknown experiment %q (use -list)\n", *exp)
 			os.Exit(2)
 		}
-		runOne(*exp)
-		return
+		exps = []experiments.Experiment{e}
 	}
-	for _, name := range order {
-		runOne(name)
+	for _, e := range exps {
+		start := time.Now()
+		out, err := e.Run(opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dmt-train: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Print(out)
+		fmt.Printf("[%s profile, %.1fs]\n\n", opts.Profile.Name, time.Since(start).Seconds())
 	}
 }

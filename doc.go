@@ -16,6 +16,8 @@
 // by the public planning API (internal/core).
 //
 // The root bench_test.go regenerates every table and figure of the paper's
-// evaluation; see DESIGN.md for the per-experiment index and EXPERIMENTS.md
-// for paper-versus-measured results.
+// evaluation from the one registry in internal/experiments; `go run
+// ./cmd/dmt-bench -list` and `go run ./cmd/dmt-train -list` print the
+// per-experiment index, and each experiment prints its paper-versus-measured
+// comparison.
 package dmt

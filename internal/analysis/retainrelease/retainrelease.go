@@ -12,7 +12,7 @@
 // dropped without Release is not a crash (the pool tolerates it and the
 // GC reclaims the buffers), but it silently defeats the pooling: the
 // buffers never return to the pool, and the steady-state zero-alloc
-// property the hot-path CI gates pin (`make bench-hotpath-check`)
+// property tier-1's alloc pins hold (quant's TestPooledEncodeAllocs)
 // erodes one forgotten Release at a time. The analyzer checks, per
 // function, that every acquired reference reaches Release() or an
 // ownership transfer (sent on the wire, stored, passed on, returned) on

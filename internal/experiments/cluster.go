@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"dmt/internal/cluster"
@@ -71,19 +72,11 @@ func DefaultCluster() ClusterProfile {
 	return p
 }
 
-// ClusterRow is one (rate, fleet size) simulated measurement.
+// ClusterRow is one (rate, fleet size) simulated measurement: the arrival
+// rate and what the simulator reported for that fleet.
 type ClusterRow struct {
-	Rate     float64
-	Replicas int
-	Served   int
-	Rejected int
-	AvgBatch float64
-
-	P50, P95, P99 time.Duration
-	TowerHitRate  float64
-	MeetsSLO      bool
-
-	Classes []cluster.ClassResult
+	Rate float64
+	cluster.Result
 }
 
 // ClusterMin is the capacity answer for one rate: the smallest fleet inside
@@ -149,27 +142,55 @@ func ClusterCapacity(p ClusterProfile) (ClusterCapacityResult, error) {
 			if err != nil {
 				return res, fmt.Errorf("experiments: cluster sweep: %w", err)
 			}
-			r := cluster.Run(cfg, trace)
-			row := ClusterRow{
-				Rate:         rate,
-				Replicas:     n,
-				Served:       r.Served,
-				Rejected:     r.Rejected,
-				AvgBatch:     r.AvgBatch,
-				P50:          r.P50,
-				P95:          r.P95,
-				P99:          r.P99,
-				TowerHitRate: r.Tower.HitRate(),
-				MeetsSLO:     r.MeetsSLO(),
-				Classes:      r.Classes,
-			}
+			row := ClusterRow{Rate: rate, Result: cluster.Run(cfg, trace)}
 			res.Rows = append(res.Rows, row)
-			if row.MeetsSLO && min.MinReplicas == 0 {
+			if row.MeetsSLO() && min.MinReplicas == 0 {
 				min.MinReplicas = n
-				min.P99 = r.P99
+				min.P99 = row.P99
 			}
 		}
 		res.Min = append(res.Min, min)
 	}
 	return res, nil
+}
+
+// FormatCluster renders the capacity-planning sweep: per arrival rate, the
+// fleet sizes tried and which held every SLO class's p99, then the
+// min-replica answers.
+func FormatCluster(r ClusterCapacityResult) string {
+	title := fmt.Sprintf("Cluster capacity planning (simulated): %s\npolicy=%s  arrival=%s  max-batch=%d  max-wait=%v  classes:",
+		r.Cost, r.Profile.Policy, r.Profile.Arrival, r.Profile.MaxBatch, r.Profile.MaxWait)
+	for _, c := range r.Classes {
+		title += fmt.Sprintf(" %s(%.0f%%, %d item(s), p99<%v)", c.Name, c.Share*100, c.Items, c.SLO)
+	}
+	var answers []string
+	for _, m := range r.Min {
+		if m.MinReplicas == 0 {
+			answers = append(answers, fmt.Sprintf("%.0f req/s needs >%d replicas", m.Rate, r.Profile.MaxReplicas))
+		} else {
+			answers = append(answers, fmt.Sprintf("%.0f req/s -> %d replica(s) (p99 %v)",
+				m.Rate, m.MinReplicas, micros(m.P99)))
+		}
+	}
+	return table[ClusterRow]{
+		title: title,
+		cols: []column[ClusterRow]{
+			{"req/s", "%10.0f", func(r ClusterRow) any { return r.Rate }},
+			{"replicas", "%9d", func(r ClusterRow) any { return r.Replicas }},
+			{"served", "%9d", func(r ClusterRow) any { return r.Served }},
+			{"rejected", "%9d", func(r ClusterRow) any { return r.Rejected }},
+			{"p50", "%10s", func(r ClusterRow) any { return micros(r.P50) }},
+			{"p95", "%10s", func(r ClusterRow) any { return micros(r.P95) }},
+			{"p99", "%10s", func(r ClusterRow) any { return micros(r.P99) }},
+			{"AvgBatch", "%9.1f", func(r ClusterRow) any { return r.AvgBatch }},
+			{"TwrHit", "%7.1f%%", func(r ClusterRow) any { return r.Tower.HitRate() * 100 }},
+			{"SLO", "%5s", func(r ClusterRow) any {
+				if r.MeetsSLO() {
+					return "YES"
+				}
+				return " no"
+			}},
+		},
+		foot: []string{"", "capacity: " + strings.Join(answers, "; ")},
+	}.render(r.Rows)
 }

@@ -4,54 +4,60 @@ import (
 	"math"
 	"testing"
 
+	"dmt/internal/embeddings"
 	"dmt/internal/topology"
 )
 
-// TestEmbTierCacheReducesExposedLookup is the bench-embtier CI gate: the
-// disaggregated tier must (a) leave the training trajectory bitwise intact
+// TestEmbTierCacheReducesExposedLookup is the embedding tier's acceptance
+// gate: the disaggregated tier must (a) leave the training trajectory bitwise intact
 // in every configuration, (b) actually ship lookup traffic over the
 // simulated fabric, and (c) have the write-back hot-ID cache strictly
 // reduce both the lookup wire volume and the modeled exposed lookup time
 // against cache-off at the same server count.
 func TestEmbTierCacheReducesExposedLookup(t *testing.T) {
-	rep := EmbTier(topology.A100)
+	rep, err := EmbTier(topology.A100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier := func(servers, cacheRows int) embeddings.TierStats {
+		return mustRun(t, rep, embTierName(servers, cacheRows)).Stats.Tier
+	}
 
-	local := rep.Row(0, 0)
+	local := mustRun(t, rep, "local")
 	base := math.Float64bits(local.FinalLoss)
-	for _, row := range rep.Rows {
+	for _, row := range rep.Runs {
 		if math.Float64bits(row.FinalLoss) != base {
 			t.Fatalf("row %s final loss %v (bits %#x) diverged from local %v (bits %#x): the tier changed values",
-				row.Config(), row.FinalLoss, math.Float64bits(row.FinalLoss), local.FinalLoss, base)
+				row.Name, row.FinalLoss, math.Float64bits(row.FinalLoss), local.FinalLoss, base)
 		}
 	}
-	if local.Tier.LookupCrossBytes != 0 || local.Tier.UpdateCrossBytes != 0 {
+	if lt := local.Stats.Tier; lt.LookupCrossBytes != 0 || lt.UpdateCrossBytes != 0 {
 		t.Fatalf("local tier reported wire bytes (%d lookup, %d update); in-process lookups are memory reads",
-			local.Tier.LookupCrossBytes, local.Tier.UpdateCrossBytes)
+			lt.LookupCrossBytes, lt.UpdateCrossBytes)
 	}
 
-	off := rep.Row(2, 0)
-	on := rep.Row(2, embTierCacheRows)
-	if off.Tier.LookupCrossBytes == 0 {
+	off, on := tier(2, 0), tier(2, embTierCacheRows)
+	if off.LookupCrossBytes == 0 {
 		t.Fatal("remote tier at s=2 shipped no cross-host lookup bytes")
 	}
-	if off.Tier.LookupExposed == 0 {
+	if off.LookupExposed == 0 {
 		t.Fatal("remote tier at s=2 exposed no modeled lookup time")
 	}
-	if on.Tier.CacheHits == 0 {
+	if on.CacheHits == 0 {
 		t.Fatal("write-back cache saw no hits over the run")
 	}
-	if on.Tier.LookupCrossBytes >= off.Tier.LookupCrossBytes {
+	if on.LookupCrossBytes >= off.LookupCrossBytes {
 		t.Fatalf("cache did not reduce lookup wire: %d bytes with cache vs %d without",
-			on.Tier.LookupCrossBytes, off.Tier.LookupCrossBytes)
+			on.LookupCrossBytes, off.LookupCrossBytes)
 	}
-	if on.Tier.LookupExposed >= off.Tier.LookupExposed {
+	if on.LookupExposed >= off.LookupExposed {
 		t.Fatalf("cache did not reduce exposed lookup time: %v with cache vs %v without",
-			on.Tier.LookupExposed, off.Tier.LookupExposed)
+			on.LookupExposed, off.LookupExposed)
 	}
 	// Update rounds are write-through: the cache must not change their
 	// volume, only refresh itself from the returned rows.
-	if on.Tier.UpdateCrossBytes != off.Tier.UpdateCrossBytes {
+	if on.UpdateCrossBytes != off.UpdateCrossBytes {
 		t.Fatalf("cache changed update wire volume: %d bytes with cache vs %d without",
-			on.Tier.UpdateCrossBytes, off.Tier.UpdateCrossBytes)
+			on.UpdateCrossBytes, off.UpdateCrossBytes)
 	}
 }

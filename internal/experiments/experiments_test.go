@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -24,23 +23,24 @@ func TestTable1MatchesPaper(t *testing.T) {
 	if last.ScaleOutGrowth > 4 {
 		t.Fatalf("scale-out growth %v, paper cites 4x", last.ScaleOutGrowth)
 	}
-	if !strings.Contains(FormatTable1(rows), "H100") {
+	if !strings.Contains(table1Table.render(rows), "H100") {
 		t.Fatal("format must include generations")
 	}
 }
 
 func TestFigure1MatchesShape(t *testing.T) {
 	r := Figure1()
-	if math.Abs(r.ComputePct-r.PaperComputePct) > 15 {
-		t.Fatalf("compute share %v too far from paper %v", r.ComputePct, r.PaperComputePct)
+	compute, emb, dense := r[0], r[1], r[2]
+	if math.Abs(compute.ModelPct-compute.PaperPct) > 15 {
+		t.Fatalf("compute share %v too far from paper %v", compute.ModelPct, compute.PaperPct)
 	}
-	if math.Abs(r.EmbPct-r.PaperEmbPct) > 12 {
-		t.Fatalf("embedding share %v too far from paper %v", r.EmbPct, r.PaperEmbPct)
+	if math.Abs(emb.ModelPct-emb.PaperPct) > 12 {
+		t.Fatalf("embedding share %v too far from paper %v", emb.ModelPct, emb.PaperPct)
 	}
-	if r.DensePct > 8 {
-		t.Fatalf("dense share %v should be marginal", r.DensePct)
+	if dense.ModelPct > 8 {
+		t.Fatalf("dense share %v should be marginal", dense.ModelPct)
 	}
-	if !strings.Contains(FormatFigure1(r), "Exposed Embedding") {
+	if !strings.Contains(figure1Table.render(r), "Exposed Embedding") {
 		t.Fatal("format")
 	}
 }
@@ -56,18 +56,16 @@ func TestFigure5WithinTolerance(t *testing.T) {
 			t.Errorf("%s@%d: %.1f vs paper %.1f", r.Collective, r.GPUs, r.ModelBusBW, r.PaperBusBW)
 		}
 	}
-	FormatFigure5(rows)
 }
 
 func TestFigure6DataParallelWins(t *testing.T) {
-	r := Figure6()
+	r := Figure6(quant.None)
 	if !r.DataParallelIsBest {
 		t.Fatalf("best mesh %+v is not data parallel", r.BestMesh)
 	}
 	if len(r.Results) != 28 {
 		t.Fatalf("%d configs, want 28", len(r.Results))
 	}
-	FormatFigure6(r)
 }
 
 func TestFigure10Shapes(t *testing.T) {
@@ -97,7 +95,6 @@ func TestFigure10Shapes(t *testing.T) {
 			t.Fatal("V100 cluster supports at most 16 hosts")
 		}
 	}
-	FormatSpeedups("Figure 10", rows)
 }
 
 func TestFigure11TMGains(t *testing.T) {
@@ -107,7 +104,6 @@ func TestFigure11TMGains(t *testing.T) {
 			t.Errorf("TM gain %v at %s/%d out of band", r.Speedup, r.Gen, r.GPUs)
 		}
 	}
-	FormatSpeedups("Figure 11", rows)
 }
 
 func TestFigure12Monotone(t *testing.T) {
@@ -122,7 +118,6 @@ func TestFigure12Monotone(t *testing.T) {
 		}
 		prev[r.Gen] = r.Speedup
 	}
-	FormatFigure12(rows)
 }
 
 func TestFigure13Improvements(t *testing.T) {
@@ -133,39 +128,42 @@ func TestFigure13Improvements(t *testing.T) {
 	if r.EmbImprovement < 1.1 {
 		t.Fatalf("embedding improvement %v, paper 4.6x", r.EmbImprovement)
 	}
-	FormatFigure13Model(r)
 }
 
 // TestFigure13Measured is the acceptance gate behind the measured
-// component-latency table (and the bench-latency CI job): (a) the
-// overlapped schedule exposes strictly less modeled communication than the
-// blocking one at each wire scheme, (b) fp16 compression exposes strictly
-// less than fp32 under each schedule (wire bytes drive the delays), so the
-// headline fp16/overlap row beats fp32/blocking — and the whole table is
-// deterministic, bit for bit, across runs.
+// component-latency table: (a) the overlapped schedule exposes strictly
+// less modeled communication than the blocking one at each wire scheme,
+// (b) fp16 compression exposes strictly less than fp32 under each schedule
+// (wire bytes drive the delays), so the headline fp16/overlap row beats
+// fp32/blocking — and the whole table is deterministic, bit for bit,
+// across runs.
 func TestFigure13Measured(t *testing.T) {
-	r := Figure13(topology.A100)
-	if len(r.Rows) != 4 {
-		t.Fatalf("%d rows, want 4", len(r.Rows))
+	r, err := Figure13(topology.A100)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fp32b := r.Row(quant.None, false)
-	fp32o := r.Row(quant.None, true)
-	fp16b := r.Row(quant.FP16, false)
-	fp16o := r.Row(quant.FP16, true)
+	if len(r.Runs) != 4 {
+		t.Fatalf("%d rows, want 4", len(r.Runs))
+	}
+	fp32b := mustRun(t, r, "fp32/blocking")
+	fp32o := mustRun(t, r, "fp32/overlap")
+	fp16b := mustRun(t, r, "fp16/blocking")
+	fp16o := mustRun(t, r, "fp16/overlap")
+	exposed := func(run TrainingRun) time.Duration { return run.Stats.Phases.ExposedComm }
 	// (a) overlap reduces modeled exposed comm vs blocking.
-	if fp32o.ExposedComm >= fp32b.ExposedComm {
-		t.Errorf("fp32: overlap exposed %v, blocking %v — overlap must reduce it", fp32o.ExposedComm, fp32b.ExposedComm)
+	if exposed(fp32o) >= exposed(fp32b) {
+		t.Errorf("fp32: overlap exposed %v, blocking %v — overlap must reduce it", exposed(fp32o), exposed(fp32b))
 	}
-	if fp16o.ExposedComm >= fp16b.ExposedComm {
-		t.Errorf("fp16: overlap exposed %v, blocking %v — overlap must reduce it", fp16o.ExposedComm, fp16b.ExposedComm)
+	if exposed(fp16o) >= exposed(fp16b) {
+		t.Errorf("fp16: overlap exposed %v, blocking %v — overlap must reduce it", exposed(fp16o), exposed(fp16b))
 	}
 	// (b) fp16 wire bytes reduce modeled exposed time vs fp32.
-	if fp16b.ExposedComm >= fp32b.ExposedComm {
-		t.Errorf("blocking: fp16 exposed %v, fp32 %v — compression must reduce it", fp16b.ExposedComm, fp32b.ExposedComm)
+	if exposed(fp16b) >= exposed(fp32b) {
+		t.Errorf("blocking: fp16 exposed %v, fp32 %v — compression must reduce it", exposed(fp16b), exposed(fp32b))
 	}
 	// The headline acceptance pair.
-	if fp16o.ExposedComm >= fp32b.ExposedComm {
-		t.Errorf("fp16/overlap exposed %v must beat fp32/blocking %v", fp16o.ExposedComm, fp32b.ExposedComm)
+	if exposed(fp16o) >= exposed(fp32b) {
+		t.Errorf("fp16/overlap exposed %v must beat fp32/blocking %v", exposed(fp16o), exposed(fp32b))
 	}
 	// The fabric delays never change values: both fp32 schedules end at the
 	// same loss (fp16 differs — quantization is lossy, error feedback or
@@ -175,20 +173,22 @@ func TestFigure13Measured(t *testing.T) {
 			fp32b.FinalLoss, fp32o.FinalLoss, fp16b.FinalLoss, fp16o.FinalLoss)
 	}
 	// Every component is nonnegative and the modeled compute is nonzero.
-	for _, row := range r.Rows {
-		if row.DenseFwd <= 0 || row.DenseBwd <= 0 {
-			t.Errorf("%s: modeled dense compute %v/%v should be positive", row.Config(), row.DenseFwd, row.DenseBwd)
+	for _, row := range r.Runs {
+		sim := row.Stats.Sim
+		if sim.DenseFwd <= 0 || sim.DenseBwd <= 0 {
+			t.Errorf("%s: modeled dense compute %v/%v should be positive", row.Name, sim.DenseFwd, sim.DenseBwd)
 		}
-		if row.SPTTFwdExposed < 0 || row.SPTTBwdExposed < 0 || row.ExposedComm <= 0 {
-			t.Errorf("%s: bad exposure %v/%v/%v", row.Config(), row.SPTTFwdExposed, row.SPTTBwdExposed, row.ExposedComm)
+		if sim.SPTTFwdExposed < 0 || sim.SPTTBwdExposed < 0 || exposed(row) <= 0 {
+			t.Errorf("%s: bad exposure %v/%v/%v", row.Name, sim.SPTTFwdExposed, sim.SPTTBwdExposed, exposed(row))
 		}
 	}
 	// Bitwise reproducibility: the table IS the virtual timeline.
-	r2 := Figure13(topology.A100)
-	if !reflect.DeepEqual(r.Rows, r2.Rows) {
-		t.Fatalf("figure 13 not deterministic:\n%+v\n%+v", r.Rows, r2.Rows)
+	r2, err := Figure13(topology.A100)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := FormatFigure13(r)
+	sameTimeline(t, r, r2)
+	out := renderFigure13(r)
 	if !strings.Contains(out, "fp16/overlap") || !strings.Contains(out, "fp32/blocking") {
 		t.Fatalf("format missing configs:\n%s", out)
 	}
@@ -199,7 +199,6 @@ func TestQuantXLRMBand(t *testing.T) {
 	if r.Speedup < 1.0 || r.Speedup > 1.5 {
 		t.Fatalf("quantized XLRM speedup %v, paper up to 1.2", r.Speedup)
 	}
-	FormatQuantXLRM(r)
 }
 
 func TestTowerHostsAblation(t *testing.T) {
@@ -212,12 +211,21 @@ func TestTowerHostsAblation(t *testing.T) {
 			t.Fatal("non-positive iteration time")
 		}
 	}
-	FormatTowerHostsAblation(rows)
 }
 
-// Quality experiments at Smoke scale.
+// Quality experiments at Smoke scale. The four that train repeats for
+// seconds each skip under -short, as benchmark/'s slow tests do; plain
+// `go test ./...` runs them.
+
+func skipTrainedQualityInShort(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("trains models for seconds; skipped under -short")
+	}
+}
 
 func TestTable3SPTTNeutralitySmoke(t *testing.T) {
+	skipTrainedQualityInShort(t)
 	rows := Table3(Smoke())
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
@@ -234,10 +242,11 @@ func TestTable3SPTTNeutralitySmoke(t *testing.T) {
 			t.Fatalf("%s AUC %v too weak", base.Model, base.MedianAUC)
 		}
 	}
-	FormatQualityRows("Table 3", rows)
+	qualityTable("Table 3").render(rows)
 }
 
 func TestTable5GracefulDegradationSmoke(t *testing.T) {
+	skipTrainedQualityInShort(t)
 	rows := Table5(Smoke())
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
@@ -250,7 +259,7 @@ func TestTable5GracefulDegradationSmoke(t *testing.T) {
 	if rows[3].MedianAUC > rows[0].MedianAUC+0.01 {
 		t.Fatalf("CR16 AUC %v should not exceed CR2 %v", rows[3].MedianAUC, rows[0].MedianAUC)
 	}
-	FormatTable5(rows)
+	table5Table.render(rows)
 }
 
 func TestFigure9PipelineSmoke(t *testing.T) {
@@ -273,7 +282,7 @@ func TestFigure9PipelineSmoke(t *testing.T) {
 	if r.WithinAffinity <= r.CrossAffinity {
 		t.Fatal("coherent towers must concentrate affinity")
 	}
-	out := FormatFigure9(r)
+	out := renderFigure9(r)
 	if !strings.Contains(out, "2D") || !strings.Contains(out, "proxy") {
 		t.Fatal("format")
 	}
@@ -281,8 +290,7 @@ func TestFigure9PipelineSmoke(t *testing.T) {
 
 func TestFigure9LearnedVariantRuns(t *testing.T) {
 	// The probe-trained variant must run; its structure is weak at smoke
-	// scale by design (documented in EXPERIMENTS.md), so only mechanics are
-	// asserted.
+	// scale by design, so only mechanics are asserted.
 	r := Figure9Learned(Smoke())
 	if len(r.Groups) != qualityGroups || r.Source != "probe-trained embeddings" {
 		t.Fatalf("learned variant wrong: %d groups, %q", len(r.Groups), r.Source)
@@ -290,6 +298,7 @@ func TestFigure9LearnedVariantRuns(t *testing.T) {
 }
 
 func TestQuantQualitySmoke(t *testing.T) {
+	skipTrainedQualityInShort(t)
 	rows := QuantQuality(Smoke())
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
@@ -305,10 +314,11 @@ func TestQuantQualitySmoke(t *testing.T) {
 	if rows[3].DeltaNE < -0.01 {
 		t.Fatalf("int4 ΔNE %v implausibly negative", rows[3].DeltaNE)
 	}
-	FormatQuantQuality(rows)
+	quantQualityTable.render(rows)
 }
 
 func TestXLRMQualitySmoke(t *testing.T) {
+	skipTrainedQualityInShort(t)
 	r := XLRMQuality(Smoke())
 	if math.IsNaN(r.BaselineNE) || math.IsNaN(r.DMTNE) {
 		t.Fatal("NE is NaN")
@@ -321,7 +331,7 @@ func TestXLRMQualitySmoke(t *testing.T) {
 	if r.DMTNE > r.BaselineNE*1.05 {
 		t.Fatalf("DMT NE %v far above baseline %v", r.DMTNE, r.BaselineNE)
 	}
-	FormatXLRM(r)
+	renderXLRM(r)
 }
 
 func itoa(n int) string {
@@ -338,38 +348,49 @@ func itoa(n int) string {
 
 func TestTrainingThroughputReport(t *testing.T) {
 	p := SmokeTraining()
-	r := TrainingThroughput(p)
-	if len(r.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(r.Rows))
+	r, err := TrainingThroughput(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Rows[0].Mode != "sequential" || r.Rows[1].Mode != "rank-parallel" {
-		t.Fatalf("unexpected modes: %+v", r.Rows)
+	if len(r.Runs) != 2 {
+		t.Fatalf("got %d rows, want 2", len(r.Runs))
 	}
-	for _, row := range r.Rows {
-		if row.StepsPerSec <= 0 {
-			t.Fatalf("%s: steps/s %v", row.Mode, row.StepsPerSec)
+	seq, par := r.Runs[0], r.Runs[1]
+	if seq.Name != "sequential" || par.Name != "rank-parallel" {
+		t.Fatalf("unexpected modes: %+v", r.Runs)
+	}
+	for _, row := range r.Runs {
+		if row.StepsPerSec() <= 0 {
+			t.Fatalf("%s: steps/s %v", row.Name, row.StepsPerSec())
 		}
 		if row.Stats.Steps != p.Steps {
-			t.Fatalf("%s: counted %d steps, want %d", row.Mode, row.Stats.Steps, p.Steps)
+			t.Fatalf("%s: counted %d steps, want %d", row.Name, row.Stats.Steps, p.Steps)
 		}
 		if row.Stats.EmbIntraHostBytes <= 0 || row.Stats.EmbCrossHostBytes <= 0 {
-			t.Fatalf("%s: embedding traffic not split: %+v", row.Mode, row.Stats)
+			t.Fatalf("%s: embedding traffic not split: %+v", row.Name, row.Stats)
 		}
 	}
 	// Both engines follow bitwise-identical trajectories, so the measured
 	// losses must agree exactly — the report compares speed, not math.
-	if r.Rows[0].FinalLoss != r.Rows[1].FinalLoss {
-		t.Fatalf("engines diverged: %v vs %v", r.Rows[0].FinalLoss, r.Rows[1].FinalLoss)
+	if seq.FinalLoss != par.FinalLoss {
+		t.Fatalf("engines diverged: %v vs %v", seq.FinalLoss, par.FinalLoss)
 	}
 	// Only the rank-parallel engine moves dense gradients over the wire.
-	if r.Rows[1].Stats.GradCrossHostBytes <= 0 {
-		t.Fatalf("rank-parallel engine reported no cross-host gradient bytes: %+v", r.Rows[1].Stats)
+	if par.Stats.GradCrossHostBytes <= 0 {
+		t.Fatalf("rank-parallel engine reported no cross-host gradient bytes: %+v", par.Stats)
 	}
-	if r.Speedup <= 0 {
-		t.Fatalf("speedup %v", r.Speedup)
+	if s := renderTraining(r); !strings.Contains(s, "rank-parallel speedup") {
+		t.Fatalf("report missing the speedup line:\n%s", s)
 	}
-	if s := FormatTraining(r); len(s) == 0 {
-		t.Fatal("empty report")
+}
+
+// TestTrainingSetupFailureIsAnError: a profile the trainer rejects comes
+// back from the sweep as an error, not a panic.
+func TestTrainingSetupFailureIsAnError(t *testing.T) {
+	p := SmokeTraining()
+	p.LocalBatch = 0
+	if _, err := TrainingThroughput(p); err == nil {
+		t.Fatal("TrainingThroughput accepted an empty local batch")
 	}
 }
 
@@ -381,7 +402,9 @@ func TestTrainingThroughputClosesTrainers(t *testing.T) {
 	p := SmokeTraining()
 	p.EmbServers = 1
 	before := runtime.NumGoroutine()
-	TrainingThroughput(p)
+	if _, err := TrainingThroughput(p); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -398,44 +421,49 @@ func TestTrainingThroughputClosesTrainers(t *testing.T) {
 func TestTrainingThroughputOverlapRow(t *testing.T) {
 	p := SmokeTraining()
 	p.Overlap = true
-	r := TrainingThroughput(p)
-	if len(r.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(r.Rows))
+	r, err := TrainingThroughput(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Rows[2].Mode != "overlapped" {
-		t.Fatalf("unexpected modes: %+v", r.Rows)
+	if len(r.Runs) != 3 {
+		t.Fatalf("got %d rows, want 3", len(r.Runs))
 	}
-	if r.Rows[2].FinalLoss != r.Rows[0].FinalLoss {
-		t.Fatalf("overlapped engine diverged: %v vs %v", r.Rows[2].FinalLoss, r.Rows[0].FinalLoss)
+	over := r.Runs[2]
+	if over.Name != "overlapped" {
+		t.Fatalf("unexpected modes: %+v", r.Runs)
 	}
-	if r.Rows[2].Stats.Phases.HiddenComm <= 0 {
-		t.Fatalf("overlapped row hid no communication: %+v", r.Rows[2].Stats.Phases)
+	if over.FinalLoss != r.Runs[0].FinalLoss {
+		t.Fatalf("overlapped engine diverged: %v vs %v", over.FinalLoss, r.Runs[0].FinalLoss)
 	}
-	if r.OverlapSpeedup <= 0 {
-		t.Fatalf("overlap speedup %v", r.OverlapSpeedup)
+	if over.Stats.Phases.HiddenComm <= 0 {
+		t.Fatalf("overlapped row hid no communication: %+v", over.Stats.Phases)
 	}
-	out := FormatTraining(r)
-	for _, want := range []string{"overlapped", "exposed", "hidden"} {
+	if over.StepsPerSec() <= 0 {
+		t.Fatalf("overlapped steps/s %v", over.StepsPerSec())
+	}
+	out := renderTraining(r)
+	for _, want := range []string{"overlapped vs rank-parallel", "exposed", "hidden"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("train table missing %q:\n%s", want, out)
 		}
 	}
 }
 
-// TestTrainingCompressionSweep: the per-scheme sweep must prepend the fp32
-// baseline, charge at least 40% fewer cross-host gradient bytes under fp16
-// (the dmt-bench acceptance bar), and keep the error-feedback loss drift
-// small.
+// TestTrainingCompressionSweep: a compressed profile must add the fp32
+// baseline run without measuring the rank-parallel engine twice, charge at
+// least 40% fewer cross-host gradient bytes under fp16 (the dmt-bench
+// acceptance bar), and keep the error-feedback loss drift small.
 func TestTrainingCompressionSweep(t *testing.T) {
 	p := SmokeTraining()
-	r := TrainingCompression(p, []quant.Scheme{quant.FP16})
-	if len(r.Rows) != 2 || r.Rows[0].Scheme != quant.None || r.Rows[1].Scheme != quant.FP16 {
-		t.Fatalf("unexpected sweep rows: %+v", r.Rows)
+	p.Compress = quant.FP16
+	r, err := TrainingThroughput(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	base, fp16 := r.Rows[0], r.Rows[1]
-	if base.DeltaLoss != 0 {
-		t.Fatalf("fp32 row must anchor the loss delta, got %v", base.DeltaLoss)
+	if len(r.Runs) != 3 || r.Runs[2].Name != "fp32" {
+		t.Fatalf("unexpected sweep rows: %+v", r.Runs)
 	}
+	base, fp16 := r.Runs[2], mustRun(t, r, "rank-parallel")
 	if base.Stats.GradCrossHostBytes <= 0 {
 		t.Fatalf("fp32 row has no cross-host gradient traffic: %+v", base.Stats)
 	}
@@ -447,11 +475,14 @@ func TestTrainingCompressionSweep(t *testing.T) {
 		t.Fatalf("fp16 embedding cross-host bytes %d not ≥40%% under fp32's %d",
 			got, base.Stats.EmbCrossHostBytes)
 	}
-	if math.Abs(fp16.DeltaLoss) > 0.01*base.FinalLoss {
-		t.Fatalf("fp16 loss drift %v too large vs baseline %v", fp16.DeltaLoss, base.FinalLoss)
+	if drift := fp16.FinalLoss - base.FinalLoss; math.Abs(drift) > 0.01*base.FinalLoss {
+		t.Fatalf("fp16 loss drift %v too large vs baseline %v", drift, base.FinalLoss)
 	}
-	if s := FormatCompression(r); !strings.Contains(s, "fp16") || !strings.Contains(s, "-5") {
-		t.Fatalf("sweep report missing the fp16 savings row:\n%s", s)
+	s := renderTraining(r)
+	_, schemes, ok := strings.Cut(s, "Compressed communication")
+	if !ok || !strings.Contains(schemes, "fp16") || !strings.Contains(schemes, "-5") ||
+		!strings.Contains(schemes, "+0.000000") {
+		t.Fatalf("sweep report missing the fp32 anchor or the fp16 savings row:\n%s", s)
 	}
 }
 
@@ -459,9 +490,9 @@ func TestTrainingCompressionSweep(t *testing.T) {
 // int8 must leave the paper's headline ranking — pure data parallelism wins
 // — unchanged, and must never make any mesh slower than its fp32 costing.
 func TestFigure6CompressedKeepsRanking(t *testing.T) {
-	base := Figure6()
+	base := Figure6(quant.None)
 	for _, s := range []quant.Scheme{quant.FP16, quant.INT8} {
-		r := Figure6Compressed(s)
+		r := Figure6(s)
 		if !r.DataParallelIsBest {
 			t.Fatalf("%s: best mesh %+v is not data parallel", s, r.BestMesh)
 		}

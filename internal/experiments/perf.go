@@ -1,11 +1,15 @@
 // Package experiments contains one entry point per table and figure of the
 // paper's evaluation (§5) plus the §6 discussion experiments. Each entry
 // returns typed rows carrying both the reproduction's measurement and the
-// paper's reported value, so cmd/dmt-bench, the root benchmarks, and
-// EXPERIMENTS.md all render the same side-by-side comparison.
+// paper's reported value, and declares the table that renders them; the
+// registry (registry.go) is the one list of them that cmd/dmt-bench,
+// cmd/dmt-train, cmd/dmt-serve and the root BenchmarkExperiments all read
+// (`dmt-bench -list` / `dmt-train -list` print it).
 package experiments
 
 import (
+	"fmt"
+
 	"dmt/internal/netsim"
 	"dmt/internal/parallel"
 	"dmt/internal/perfmodel"
@@ -42,24 +46,56 @@ func Table1() []Table1Row {
 	return rows
 }
 
-// Figure1Result is the exposed-latency breakdown of DCN on 64×H100.
-type Figure1Result struct {
-	Breakdown perfmodel.Breakdown
-	// Percent shares in Figure 1's order; Paper* are the reported bars.
-	ComputePct, EmbPct, DensePct, OthersPct     float64
-	PaperComputePct, PaperEmbPct, PaperDensePct float64
+var table1Table = table[Table1Row]{
+	title: "Table 1: Generational upgrades (compute outpaces network)",
+	cols: []column[Table1Row]{
+		{"GPU", "%-6s", func(r Table1Row) any { return r.Gen.Name }},
+		{"Year", "%-6d", func(r Table1Row) any { return r.Gen.Year }},
+		{"Peak TF/s", "%10.1f", func(r Table1Row) any { return r.Gen.PeakTFlops }},
+		{"ScaleOut Gb", "%12.0f", func(r Table1Row) any { return r.Gen.ScaleOutGbps }},
+		{"ScaleUp GB/s", "%12.0f", func(r Table1Row) any { return r.Gen.ScaleUpGBps }},
+		{"Compute×", "%9.1f", func(r Table1Row) any { return r.ComputeGrowth }},
+		{"Net×", "%9.1f", func(r Table1Row) any { return r.ScaleOutGrowth }},
+	},
 }
 
-// Figure1 reproduces the iteration-latency breakdown bar.
-func Figure1() Figure1Result {
+// Figure1Row is one bar of the exposed-latency breakdown of DCN on 64×H100:
+// the model's percent share and the paper's reported one (negative where
+// the paper reports none).
+type Figure1Row struct {
+	Component          string
+	ModelPct, PaperPct float64
+}
+
+// Figure1 reproduces the iteration-latency breakdown bar, in the figure's
+// order: compute, exposed embedding comm, exposed dense sync, others.
+func Figure1() []Figure1Row {
 	c := topology.NewCluster(topology.H100, 64)
 	b := perfmodel.Iterate(perfmodel.DefaultConfig(perfmodel.DCNSpec(), c, perfmodel.Baseline))
 	comp, emb, dense, others := b.Percentages()
-	return Figure1Result{
-		Breakdown:  b,
-		ComputePct: comp, EmbPct: emb, DensePct: dense, OthersPct: others,
-		PaperComputePct: 70.4, PaperEmbPct: 27.5, PaperDensePct: 2.1,
+	return []Figure1Row{
+		{"Compute", comp, 70.4},
+		{"Exposed Embedding Comm", emb, 27.5},
+		{"Exposed Dense Sync", dense, 2.1},
+		{"Others", others, -1},
 	}
+}
+
+// paperCell renders a paper-reported value, or "-" where the paper has none.
+func paperCell(v float64) string {
+	if v < 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.1f", v)
+}
+
+var figure1Table = table[Figure1Row]{
+	title: "Figure 1: Exposed latency breakdown, DCN on 64xH100 (model vs paper)",
+	cols: []column[Figure1Row]{
+		{"Component", "%-28s", func(r Figure1Row) any { return r.Component }},
+		{"Model%", "%8.1f", func(r Figure1Row) any { return r.ModelPct }},
+		{"Paper%", "%8s", func(r Figure1Row) any { return paperCell(r.PaperPct) }},
+	},
 }
 
 // Figure5Row is one point of the collective-scalability curves.
@@ -90,6 +126,17 @@ func Figure5() []Figure5Row {
 	return rows
 }
 
+var figure5Table = table[Figure5Row]{
+	title: "Figure 5: Achieved bus bandwidth vs scale (A100, 8 GPUs/host)",
+	cols: []column[Figure5Row]{
+		{"Collective", "%-14s", func(r Figure5Row) any { return r.Collective }},
+		{"GPUs", "%6d", func(r Figure5Row) any { return r.GPUs }},
+		{"Model GB/s", "%12.1f", func(r Figure5Row) any { return r.ModelBusBW }},
+		{"Paper GB/s", "%12.1f", func(r Figure5Row) any { return r.PaperBusBW }},
+		{"Err%", "%+8.1f", func(r Figure5Row) any { return (r.ModelBusBW - r.PaperBusBW) / r.PaperBusBW * 100 }},
+	},
+}
+
 // Figure6Result is the parallelism-search CDF.
 type Figure6Result struct {
 	Results  []parallel.Result
@@ -99,17 +146,12 @@ type Figure6Result struct {
 }
 
 // Figure6 reproduces the Alpa search over the dense part of DLRM on 64
-// A100 GPUs.
-func Figure6() Figure6Result {
-	return Figure6Compressed(quant.None)
-}
-
-// Figure6Compressed reruns the parallelism search with the planner costing
-// quantized wire links (`dmt-bench -exp fig6 -compress <scheme>`).
-// Compression shrinks pure DP's only communication — the gradient
+// A100 GPUs, with the planner costing links at the given wire scheme
+// (`dmt-bench -exp fig6 -compress <scheme>`; quant.None is the paper's
+// figure). Compression shrinks pure DP's only communication — the gradient
 // AllReduce — so the paper's data-parallelism-wins ranking must survive
 // every scheme; the experiments tests assert it.
-func Figure6Compressed(s quant.Scheme) Figure6Result {
+func Figure6(s quant.Scheme) Figure6Result {
 	cfg := parallel.DefaultSearchConfig()
 	cfg.Compression = s
 	res := parallel.Search(cfg)
@@ -118,6 +160,31 @@ func Figure6Compressed(s quant.Scheme) Figure6Result {
 		BestMesh:           res[0].Mesh,
 		DataParallelIsBest: res[0].Mesh.IsDataParallel(),
 	}
+}
+
+// renderFigure6 renders the CDF summary: the three fastest meshes, the
+// median and the slowest. The mesh and its latency share one column: the
+// layout pads the latency to a fixed width after the unpadded mesh, so the
+// rows are ragged and no per-column width describes them.
+func renderFigure6(r Figure6Result) string {
+	type pick struct {
+		label string
+		parallel.Result
+	}
+	n := len(r.Results)
+	picks := []pick{{"fastest", r.Results[0]}, {"2nd", r.Results[1]}, {"3rd", r.Results[2]},
+		{"median", r.Results[n/2]}, {"slowest", r.Results[n-1]}}
+	return table[pick]{
+		title: fmt.Sprintf("Figure 6: Parallelism search CDF, dense DLRM on 64xA100 (%d configs)\n"+
+			"Best mesh: dp=%d tp=%d pp=%d (data parallel: %v)",
+			n, r.BestMesh.DP, r.BestMesh.TP, r.BestMesh.PP, r.DataParallelIsBest),
+		cols: []column[pick]{
+			{"", "%-10s", func(p pick) any { return p.label }},
+			{fmt.Sprintf("%-16s %12s", "mesh(dp,tp,pp)", "iter ms"), "%s", func(p pick) any {
+				return fmt.Sprintf("(%d,%d,%d) %19.2f", p.Mesh.DP, p.Mesh.TP, p.Mesh.PP, p.Latency*1e3)
+			}},
+		},
+	}.render(picks)
 }
 
 // SpeedupRow is one bar of Figures 10 and 11.
@@ -145,26 +212,35 @@ var paperFigure10 = map[string]map[string][]float64{
 	},
 }
 
+// dmtSpeedups is the grid Figures 10 and 11 share: DMT's modeled speedup
+// over the given system at every generation and scale the paper ran, next
+// to the published bar.
+func dmtSpeedups(spec perfmodel.ModelSpec, over perfmodel.System, paper map[string][]float64) []SpeedupRow {
+	var rows []SpeedupRow
+	for _, gen := range topology.Generations() {
+		for si, gpus := range gpuScales {
+			if gen.Name == "V100" && gpus > v100MaxGPUs {
+				continue
+			}
+			c := topology.NewCluster(gen, gpus)
+			rows = append(rows, SpeedupRow{
+				Model: spec.Name, Gen: gen.Name, GPUs: gpus,
+				Speedup: perfmodel.Speedup(
+					perfmodel.DefaultConfig(spec, c, over),
+					perfmodel.DefaultConfig(spec, c, perfmodel.DMT)),
+				PaperSpeedup: paper[gen.Name][si],
+			})
+		}
+	}
+	return rows
+}
+
 // Figure10 reproduces the end-to-end DMT speedups over the Strong Baseline
 // across generations and scales.
 func Figure10() []SpeedupRow {
 	var rows []SpeedupRow
 	for _, spec := range []perfmodel.ModelSpec{perfmodel.DLRMSpec(), perfmodel.DCNSpec()} {
-		for _, gen := range topology.Generations() {
-			for si, gpus := range gpuScales {
-				if gen.Name == "V100" && gpus > v100MaxGPUs {
-					continue
-				}
-				c := topology.NewCluster(gen, gpus)
-				s := perfmodel.Speedup(
-					perfmodel.DefaultConfig(spec, c, perfmodel.Baseline),
-					perfmodel.DefaultConfig(spec, c, perfmodel.DMT))
-				rows = append(rows, SpeedupRow{
-					Model: spec.Name, Gen: gen.Name, GPUs: gpus, Speedup: s,
-					PaperSpeedup: paperFigure10[spec.Name][gen.Name][si],
-				})
-			}
-		}
+		rows = append(rows, dmtSpeedups(spec, perfmodel.Baseline, paperFigure10[spec.Name])...)
 	}
 	return rows
 }
@@ -178,24 +254,21 @@ var paperFigure11 = map[string][]float64{
 
 // Figure11 reproduces the tower-module-over-SPTT ablation on DLRM.
 func Figure11() []SpeedupRow {
-	spec := perfmodel.DLRMSpec()
-	var rows []SpeedupRow
-	for _, gen := range topology.Generations() {
-		for si, gpus := range gpuScales {
-			if gen.Name == "V100" && gpus > v100MaxGPUs {
-				continue
-			}
-			c := topology.NewCluster(gen, gpus)
-			s := perfmodel.Speedup(
-				perfmodel.DefaultConfig(spec, c, perfmodel.SPTT),
-				perfmodel.DefaultConfig(spec, c, perfmodel.DMT))
-			rows = append(rows, SpeedupRow{
-				Model: "DLRM", Gen: gen.Name, GPUs: gpus, Speedup: s,
-				PaperSpeedup: paperFigure11[gen.Name][si],
-			})
-		}
+	return dmtSpeedups(perfmodel.DLRMSpec(), perfmodel.SPTT, paperFigure11)
+}
+
+// speedupTable renders Figure 10/11-style speedup grids.
+func speedupTable(title string) table[SpeedupRow] {
+	return table[SpeedupRow]{
+		title: title,
+		cols: []column[SpeedupRow]{
+			{"Model", "%-6s", func(r SpeedupRow) any { return r.Model }},
+			{"GPU", "%-6s", func(r SpeedupRow) any { return r.Gen }},
+			{"Scale", "%6d", func(r SpeedupRow) any { return r.GPUs }},
+			{"Model×", "%10.2f", func(r SpeedupRow) any { return r.Speedup }},
+			{"Paper×", "%10s", func(r SpeedupRow) any { return paperCell(r.PaperSpeedup) }},
+		},
 	}
-	return rows
 }
 
 // Figure12Row is one bar of the compression-ratio ablation.
@@ -235,16 +308,22 @@ func Figure12() []Figure12Row {
 	return rows
 }
 
+var figure12Table = table[Figure12Row]{
+	title: "Figure 12: Compression ratio vs speedup of DMT 8T-DLRM over SPTT (64 GPUs)",
+	cols: []column[Figure12Row]{
+		{"GPU", "%-6s", func(r Figure12Row) any { return r.Gen }},
+		{"CR", "%6.0f", func(r Figure12Row) any { return r.CR }},
+		{"Model×", "%10.2f", func(r Figure12Row) any { return r.Speedup }},
+		{"Paper×", "%10.1f", func(r Figure12Row) any { return r.PaperSpeedup }},
+	},
+}
+
 // Figure13ModelResult compares perfmodel component latencies of DCN and
 // DMT-DCN on 64×H100 against the paper's Figure 13 bars. (The MEASURED
 // component-latency table — the comm runtime driven by the netsim cost
-// model — is Figure13 in latency.go.)
+// model — is Figure13 in fabric.go.)
 type Figure13ModelResult struct {
-	DCN, DMTDCN perfmodel.Breakdown
-	// Paper milliseconds: DCN compute 29.4 / emb 11.5; DMT 21.8 / 2.5;
-	// dense 1.2.
-	PaperDCNComputeMS, PaperDCNEmbMS   float64
-	PaperDMTComputeMS, PaperDMTEmbMS   float64
+	DCN, DMTDCN                        perfmodel.Breakdown
 	ComputeImprovement, EmbImprovement float64
 }
 
@@ -255,16 +334,37 @@ func Figure13Model() Figure13ModelResult {
 	spec := perfmodel.DCNSpec()
 	base := perfmodel.Iterate(perfmodel.DefaultConfig(spec, c, perfmodel.Baseline))
 	dmt := perfmodel.Iterate(perfmodel.DefaultConfig(spec, c, perfmodel.DMT))
-	r := Figure13ModelResult{
-		DCN: base, DMTDCN: dmt,
-		PaperDCNComputeMS: 29.4, PaperDCNEmbMS: 11.5,
-		PaperDMTComputeMS: 21.8, PaperDMTEmbMS: 2.5,
-	}
+	r := Figure13ModelResult{DCN: base, DMTDCN: dmt}
 	r.ComputeImprovement = base.Compute / dmt.Compute
 	if dmt.ExposedEmb > 0 {
 		r.EmbImprovement = base.ExposedEmb / dmt.ExposedEmb
 	}
 	return r
+}
+
+// renderFigure13Model renders the two systems' component latencies in ms
+// with the paper's and the model's improvement factors under them.
+func renderFigure13Model(r Figure13ModelResult) string {
+	type system struct {
+		name string
+		perfmodel.Breakdown
+	}
+	return table[system]{
+		title: "Figure 13: Component latency, DCN vs DMT-DCN on 64xH100 (ms)",
+		cols: []column[system]{
+			{"", "%-10s", func(s system) any { return s.name }},
+			{"Compute", "%10.1f", func(s system) any { return s.Compute * 1e3 }},
+			{"EmbComm", "%10.1f", func(s system) any { return s.ExposedEmb * 1e3 }},
+			{"DenseSync", "%10.1f", func(s system) any { return s.ExposedDense * 1e3 }},
+			{"Others", "%10.1f", func(s system) any { return s.Others * 1e3 }},
+		},
+		foot: []string{
+			"paper:     compute 29.4 -> 21.8 (1.4x), emb 11.5 -> 2.5 (4.6x)",
+			fmt.Sprintf("model:     compute %.1f -> %.1f (%.1fx), emb %.1f -> %.1f (%.1fx)",
+				r.DCN.Compute*1e3, r.DMTDCN.Compute*1e3, r.ComputeImprovement,
+				r.DCN.ExposedEmb*1e3, r.DMTDCN.ExposedEmb*1e3, r.EmbImprovement),
+		},
+	}.render([]system{{"DCN", r.DCN}, {"DMT-DCN", r.DMTDCN}})
 }
 
 // QuantXLRMResult is the §6 quantization discussion: FP8-quantized flat
@@ -286,6 +386,11 @@ func QuantXLRM() QuantXLRMResult {
 		Speedup:      perfmodel.Speedup(base, dmt),
 		PaperSpeedup: 1.2,
 	}
+}
+
+func renderQuantXLRM(r QuantXLRMResult) string {
+	return fmt.Sprintf("§6: quantized DMT-XLRM over FP8 XLRM on 1024xH100: %.2fx (paper: up to %.1fx)\n",
+		r.Speedup, r.PaperSpeedup)
 }
 
 // TowerHostsAblationRow quantifies the §3.1.3 K-host-towers trade-off:
@@ -310,4 +415,12 @@ func TowerHostsAblation() []TowerHostsAblationRow {
 		})
 	}
 	return rows
+}
+
+var towerHostsTable = table[TowerHostsAblationRow]{
+	title: "Ablation (§3.1.3): hosts per tower, DMT-DLRM on 512xA100",
+	cols: []column[TowerHostsAblationRow]{
+		{"hosts/tower", "%14d", func(r TowerHostsAblationRow) any { return r.HostsPerTower }},
+		{"iter ms", "%12.2f", func(r TowerHostsAblationRow) any { return r.IterationMS }},
+	},
 }

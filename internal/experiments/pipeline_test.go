@@ -5,25 +5,51 @@ import (
 	"strings"
 	"testing"
 
-	"dmt/internal/quant"
+	"dmt/internal/distributed"
 	"dmt/internal/topology"
 )
 
+// mustRun returns the sweep's named run, failing the test when it has none.
+func mustRun(t *testing.T, s Sweep, name string) TrainingRun {
+	t.Helper()
+	r := s.Run(name)
+	if r.Name != name {
+		t.Fatalf("sweep has no %q run: %+v", name, s.Runs)
+	}
+	return r
+}
+
+// sameTimeline fails the test unless two sweeps of one simulated-fabric grid
+// agree bit for bit: on a fabric every Stats field is read off the virtual
+// clocks or the byte stream, so only Elapsed may differ.
+func sameTimeline(t *testing.T, a, b Sweep) {
+	t.Helper()
+	for i := range a.Runs {
+		x, y := a.Runs[i], b.Runs[i]
+		if x.Name != y.Name || x.FinalLoss != y.FinalLoss || !reflect.DeepEqual(x.Stats, y.Stats) {
+			t.Fatalf("%s not deterministic:\n%+v\n%+v", x.Name, x, y)
+		}
+	}
+}
+
 // TestPipelineMeasured is the acceptance gate behind the cross-step
-// pipelining table (and the bench-pipeline CI job): at G=8 on the simulated
+// pipelining table: at G=8 on the simulated
 // A100 fabric, the pipelined schedule exposes strictly less modeled
 // communication than the overlapped baseline at both wire schemes, the
 // pipelined rows actually hide bucket completion across step boundaries,
 // the trajectory stays schedule-invariant, and the whole table is
 // deterministic bit for bit.
 func TestPipelineMeasured(t *testing.T) {
-	r := Pipeline(topology.A100)
-	if len(r.Rows) != 4 {
-		t.Fatalf("%d rows, want 4", len(r.Rows))
+	r, err := Pipeline(topology.A100)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range []quant.Scheme{quant.None, quant.FP16} {
-		over := r.Row(s, false)
-		pipe := r.Row(s, true)
+	if len(r.Runs) != 4 {
+		t.Fatalf("%d rows, want 4", len(r.Runs))
+	}
+	phases := func(name string) distributed.PhaseTimes { return mustRun(t, r, name).Stats.Phases }
+	for _, s := range []string{"fp32", "fp16"} {
+		over, pipe := phases(s+"/overlap"), phases(s+"/pipeline")
 		// The gate: strictly below the overlapped floor at the same scheme.
 		if pipe.ExposedComm >= over.ExposedComm {
 			t.Errorf("%s: pipelined exposed %v not strictly below overlapped %v",
@@ -40,22 +66,23 @@ func TestPipelineMeasured(t *testing.T) {
 				s, over.CrossStepExposed, over.CrossStepHidden)
 		}
 		// The fabric and the schedule never change values.
-		if pipe.FinalLoss != over.FinalLoss {
-			t.Errorf("%s: schedules diverged in value: %v vs %v", s, pipe.FinalLoss, over.FinalLoss)
+		if pl, ol := r.Run(s+"/pipeline").FinalLoss, r.Run(s+"/overlap").FinalLoss; pl != ol {
+			t.Errorf("%s: schedules diverged in value: %v vs %v", s, pl, ol)
 		}
 	}
 	// fp16 wire bytes still reduce exposure under the pipelined schedule.
-	if p16, p32 := r.Row(quant.FP16, true), r.Row(quant.None, true); p16.ExposedComm >= p32.ExposedComm {
+	if p16, p32 := phases("fp16/pipeline"), phases("fp32/pipeline"); p16.ExposedComm >= p32.ExposedComm {
 		t.Errorf("pipelined: fp16 exposed %v not below fp32 %v", p16.ExposedComm, p32.ExposedComm)
 	}
-	// Bitwise reproducibility: the table IS the virtual timeline. The
-	// bench-pipeline-check CI gate additionally diffs the rendered table
+	// Bitwise reproducibility: the table IS the virtual timeline.
+	// TestGoldenTables additionally pins the rendered table byte for byte
 	// across GOMAXPROCS settings.
-	r2 := Pipeline(topology.A100)
-	if !reflect.DeepEqual(r.Rows, r2.Rows) {
-		t.Fatalf("pipeline table not deterministic:\n%+v\n%+v", r.Rows, r2.Rows)
+	r2, err := Pipeline(topology.A100)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := FormatPipeline(r)
+	sameTimeline(t, r, r2)
+	out := renderPipeline(r)
 	for _, want := range []string{"fp16/pipeline", "fp32/overlap", "xstepHid"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("format missing %q:\n%s", want, out)
@@ -69,25 +96,28 @@ func TestPipelineMeasured(t *testing.T) {
 func TestTrainingThroughputPipelineRow(t *testing.T) {
 	p := SmokeTraining()
 	p.Pipeline = true
-	r := TrainingThroughput(p)
-	if len(r.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(r.Rows))
+	r, err := TrainingThroughput(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	row := r.Rows[2]
-	if row.Mode != "pipelined" {
-		t.Fatalf("unexpected modes: %+v", r.Rows)
+	if len(r.Runs) != 3 {
+		t.Fatalf("got %d rows, want 3", len(r.Runs))
 	}
-	if row.FinalLoss != r.Rows[0].FinalLoss {
-		t.Fatalf("pipelined engine diverged: %v vs %v", row.FinalLoss, r.Rows[0].FinalLoss)
+	row := r.Runs[2]
+	if row.Name != "pipelined" {
+		t.Fatalf("unexpected modes: %+v", r.Runs)
+	}
+	if row.FinalLoss != r.Runs[0].FinalLoss {
+		t.Fatalf("pipelined engine diverged: %v vs %v", row.FinalLoss, r.Runs[0].FinalLoss)
 	}
 	if row.Stats.Steps != p.Steps {
 		t.Fatalf("pipelined row counted %d steps, want %d", row.Stats.Steps, p.Steps)
 	}
-	if r.PipelineSpeedup <= 0 {
-		t.Fatalf("pipeline speedup %v", r.PipelineSpeedup)
+	if row.StepsPerSec() <= 0 {
+		t.Fatalf("pipelined steps/s %v", row.StepsPerSec())
 	}
-	out := FormatTraining(r)
-	if !strings.Contains(out, "pipelined") {
+	out := renderTraining(r)
+	if !strings.Contains(out, "pipelined vs rank-parallel") {
 		t.Fatalf("train table missing the pipelined row:\n%s", out)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"dmt/internal/data"
 	"dmt/internal/metrics"
@@ -89,6 +90,16 @@ func dcnConfig(schema data.Schema, seed uint64) models.DCNConfig {
 		DeepMLP: []int{64, 32}, Seed: seed}
 }
 
+// dlrmFamily and dcnFamily are the seeded constructors of the two baseline
+// model families on a schema, as RepeatedAUC and the tables consume them.
+func dlrmFamily(schema data.Schema) func(seed uint64) models.Model {
+	return func(seed uint64) models.Model { return models.NewDLRM(dlrmConfig(schema, seed)) }
+}
+
+func dcnFamily(schema data.Schema) func(seed uint64) models.Model {
+	return func(seed uint64) models.Model { return models.NewDCN(dcnConfig(schema, seed)) }
+}
+
 func dmtDLRMConfig(schema data.Schema, towersList [][]int, d int, seed uint64) models.DMTDLRMConfig {
 	return models.DMTDLRMConfig{Schema: schema, N: qualityN, Towers: towersList,
 		C: 1, P: 0, D: d, BottomMLP: []int{32, d}, TopMLP: []int{64, 32}, Seed: seed}
@@ -157,10 +168,8 @@ func Table2(p Profile) []Table2Row {
 		base                           func(seed uint64) models.Model
 		pAUCb, pAUCs, pEpochB, pEpochS float64
 	}{
-		{"DLRM", func(s uint64) models.Model { return models.NewDLRM(dlrmConfig(gen.Config().Schema, s)) },
-			0.8030, 0.8047, 6.5, 29.0 / 60},
-		{"DCN", func(s uint64) models.Model { return models.NewDCN(dcnConfig(gen.Config().Schema, s)) },
-			0.7963, 0.8002, 58.0 / 60, 27.0 / 60},
+		{"DLRM", dlrmFamily(gen.Config().Schema), 0.8030, 0.8047, 6.5, 29.0 / 60},
+		{"DCN", dcnFamily(gen.Config().Schema), 0.7963, 0.8002, 58.0 / 60, 27.0 / 60},
 	} {
 		spec := perfmodel.DLRMSpec()
 		if m.name == "DCN" {
@@ -180,7 +189,19 @@ func Table2(p Profile) []Table2Row {
 	return rows
 }
 
-// QualityRow is a generic model-quality measurement used by Tables 3–5.
+var table2Table = table[Table2Row]{
+	title: "Table 2: Baseline vs Strong Baseline (synthetic workload; epoch time modeled)",
+	cols: []column[Table2Row]{
+		{"Config", "%-26s", func(r Table2Row) any { return r.Config }},
+		{"Batch", "%6d", func(r Table2Row) any { return r.BatchSize }},
+		{"AUC", "%8.4f", func(r Table2Row) any { return r.AUC }},
+		{"Epoch(h)", "%10.2f", func(r Table2Row) any { return r.EpochHours }},
+		{"PaperAUC", "%10.4f", func(r Table2Row) any { return r.PaperAUC }},
+		{"PaperEpoch(h)", "%12.2f", func(r Table2Row) any { return r.PaperEpochHours }},
+	},
+}
+
+// QualityRow is a generic model-quality measurement used by Tables 3–6.
 type QualityRow struct {
 	Model           string
 	MedianAUC       float64
@@ -189,6 +210,39 @@ type QualityRow struct {
 	ParamsMillions  float64
 	PaperAUC        float64
 	Note            string
+}
+
+// repeatedQuality is the one "train runs repeats, summarise" step the
+// quality tables share: the median/std AUC over the repeats next to the
+// model's compute and size, plus the per-run AUCs for significance tests.
+func repeatedQuality(name string, mk func(seed uint64) models.Model, gen *data.Generator,
+	tc models.TrainConfig, runs int, seed uint64, paperAUC float64) (QualityRow, []float64) {
+	aucs := models.RepeatedAUC(mk, gen, tc, runs, seed)
+	probe := mk(seed)
+	return QualityRow{
+		Model:           name,
+		MedianAUC:       metrics.Median(aucs),
+		StdAUC:          metrics.StdDev(aucs),
+		MFlopsPerSample: probe.FlopsPerSample() / 1e6,
+		ParamsMillions:  float64(probe.ParamCount()) / 1e6,
+		PaperAUC:        paperAUC,
+	}, aucs
+}
+
+// qualityTable renders Table 3/4-style quality grids.
+func qualityTable(title string) table[QualityRow] {
+	return table[QualityRow]{
+		title: title,
+		cols: []column[QualityRow]{
+			{"Model", "%-24s", func(r QualityRow) any { return r.Model }},
+			{"AUC", "%9.4f", func(r QualityRow) any { return r.MedianAUC }},
+			{"Std", "%9.4f", func(r QualityRow) any { return r.StdAUC }},
+			{"MFlops/s", "%10.3f", func(r QualityRow) any { return r.MFlopsPerSample }},
+			{"Params(M)", "%10.3f", func(r QualityRow) any { return r.ParamsMillions }},
+			{"PaperAUC", "%9.4f", func(r QualityRow) any { return r.PaperAUC }},
+			{"Note", " %s", func(r QualityRow) any { return r.Note }},
+		},
+	}
 }
 
 // Table3 reproduces the SPTT AUC-neutrality result: the transform is pure
@@ -212,19 +266,10 @@ func Table3(p Profile) []QualityRow {
 		paperAUC float64
 		paperTM  float64
 	}{
-		{"DLRM", func(s uint64) models.Model { return models.NewDLRM(dlrmConfig(gen.Config().Schema, s)) }, 0.8047, 0.8053},
-		{"DCN", func(s uint64) models.Model { return models.NewDCN(dcnConfig(gen.Config().Schema, s)) }, 0.8002, 0.8001},
+		{"DLRM", dlrmFamily(gen.Config().Schema), 0.8047, 0.8053},
+		{"DCN", dcnFamily(gen.Config().Schema), 0.8002, 0.8001},
 	} {
-		aucs := models.RepeatedAUC(m.mk, gen, tc, p.Runs, 500)
-		probe := m.mk(500)
-		base := QualityRow{
-			Model:           m.name,
-			MedianAUC:       metrics.Median(aucs),
-			StdAUC:          metrics.StdDev(aucs),
-			MFlopsPerSample: probe.FlopsPerSample() / 1e6,
-			ParamsMillions:  float64(probe.ParamCount()) / 1e6,
-			PaperAUC:        m.paperAUC,
-		}
+		base, _ := repeatedQuality(m.name, m.mk, gen, tc, p.Runs, 500, m.paperAUC)
 		rows = append(rows, base)
 		spttRow := base
 		spttRow.Model = "SPTT-" + m.name
@@ -296,39 +341,23 @@ func Table4(p Profile) []QualityRow {
 	var rows []QualityRow
 	addRows := func(family string, baseline func(uint64) models.Model, dmt func([][]int, uint64) models.Model,
 		towerCounts []int, paperBase float64, paperDMT map[int]float64) {
-		aucs := models.RepeatedAUC(baseline, gen, tc, p.Runs, 700)
-		probe := baseline(700)
-		rows = append(rows, QualityRow{
-			Model:     family + " Strong Baseline",
-			MedianAUC: metrics.Median(aucs), StdAUC: metrics.StdDev(aucs),
-			MFlopsPerSample: probe.FlopsPerSample() / 1e6,
-			ParamsMillions:  float64(probe.ParamCount()) / 1e6,
-			PaperAUC:        paperBase,
-		})
+		row, _ := repeatedQuality(family+" Strong Baseline", baseline, gen, tc, p.Runs, 700, paperBase)
+		rows = append(rows, row)
 		for _, t := range towerCounts {
 			towersList := tpTowers(gen, t, 900+uint64(t))
 			mk := func(seed uint64) models.Model { return dmt(towersList, seed) }
-			dmtAUCs := models.RepeatedAUC(mk, gen, tc, p.Runs, 700)
-			dprobe := mk(700)
-			rows = append(rows, QualityRow{
-				Model:     fmt.Sprintf("DMT %dT-%s", t, family),
-				MedianAUC: metrics.Median(dmtAUCs), StdAUC: metrics.StdDev(dmtAUCs),
-				MFlopsPerSample: dprobe.FlopsPerSample() / 1e6,
-				ParamsMillions:  float64(dprobe.ParamCount()) / 1e6,
-				PaperAUC:        paperDMT[t],
-			})
+			row, _ := repeatedQuality(fmt.Sprintf("DMT %dT-%s", t, family), mk, gen, tc, p.Runs, 700, paperDMT[t])
+			rows = append(rows, row)
 		}
 	}
 
-	addRows("DLRM",
-		func(s uint64) models.Model { return models.NewDLRM(dlrmConfig(schema, s)) },
+	addRows("DLRM", dlrmFamily(schema),
 		func(tl [][]int, s uint64) models.Model {
 			return models.NewDMTDLRM(dmtDLRMConfig(schema, tl, qualityN/2, s))
 		},
 		[]int{2, 4, 8, 24},
 		0.8047, map[int]float64{2: 0.8046, 4: 0.8045, 8: 0.8045, 24: 0.8047})
-	addRows("DCN",
-		func(s uint64) models.Model { return models.NewDCN(dcnConfig(schema, s)) },
+	addRows("DCN", dcnFamily(schema),
 		func(tl [][]int, s uint64) models.Model { return models.NewDMTDCN(dmtDCNConfig(schema, tl, s)) },
 		[]int{2, 4, 8},
 		0.8002, map[int]float64{2: 0.7998, 4: 0.8003, 8: 0.8006})
@@ -337,15 +366,10 @@ func Table4(p Profile) []QualityRow {
 	// Table 3's equivalence check.
 	for _, r := range rows {
 		if r.Model == "DCN Strong Baseline" {
-			rows = append(rows, QualityRow{
-				Model:           fmt.Sprintf("DMT %dT-DCN", qualityFeatures),
-				MedianAUC:       r.MedianAUC,
-				StdAUC:          r.StdAUC,
-				MFlopsPerSample: r.MFlopsPerSample,
-				ParamsMillions:  r.ParamsMillions,
-				PaperAUC:        0.8001,
-				Note:            "SPTT alone (one tower per feature)",
-			})
+			r.Model = fmt.Sprintf("DMT %dT-DCN", qualityFeatures)
+			r.PaperAUC = 0.8001
+			r.Note = "SPTT alone (one tower per feature)"
+			rows = append(rows, r)
 			break
 		}
 	}
@@ -354,11 +378,9 @@ func Table4(p Profile) []QualityRow {
 
 // Table5Row is one compression-ratio point of the AUC trade-off.
 type Table5Row struct {
-	CR        float64
-	D         int
-	MedianAUC float64
-	StdAUC    float64
-	PaperAUC  float64
+	CR float64
+	D  int
+	QualityRow
 }
 
 // Table5 reproduces AUC versus compression ratio on DMT 8T-DLRM: quality
@@ -376,27 +398,30 @@ func Table5(p Profile) []Table5Row {
 		mk := func(seed uint64) models.Model {
 			return models.NewDMTDLRM(dmtDLRMConfig(schema, towersList, d, seed))
 		}
-		aucs := models.RepeatedAUC(mk, gen, tc, p.Runs, 1100)
-		rows = append(rows, Table5Row{
-			CR: cr, D: d,
-			MedianAUC: metrics.Median(aucs), StdAUC: metrics.StdDev(aucs),
-			PaperAUC: paper[cr],
-		})
+		row, _ := repeatedQuality("DMT 8T-DLRM", mk, gen, tc, p.Runs, 1100, paper[cr])
+		rows = append(rows, Table5Row{CR: cr, D: d, QualityRow: row})
 	}
 	return rows
 }
 
-// Table6Row compares TP against the naive strided assignment.
+var table5Table = table[Table5Row]{
+	title: "Table 5: AUC vs compression ratio, DMT 8T-DLRM",
+	cols: []column[Table5Row]{
+		{"CR", "%6.0f", func(r Table5Row) any { return r.CR }},
+		{"D", "%4d", func(r Table5Row) any { return r.D }},
+		{"AUC", "%9.4f", func(r Table5Row) any { return r.MedianAUC }},
+		{"Std", "%9.4f", func(r Table5Row) any { return r.StdAUC }},
+		{"PaperAUC", "%10.4f", func(r Table5Row) any { return r.PaperAUC }},
+	},
+}
+
+// Table6Row compares TP against the naive strided assignment: each side's
+// repeats summarised (PaperAUC carries the paper's figure for that side),
+// and the Mann-Whitney U p-value between the per-run AUCs.
 type Table6Row struct {
-	Config      string
-	TPMedian    float64
-	TPStd       float64
-	NaiveMedian float64
-	NaiveStd    float64
-	PValue      float64
-	PaperTP     float64
-	PaperNaive  float64
-	PaperP      float64
+	Config    string
+	TP, Naive QualityRow
+	PValue    float64
 }
 
 // Table6 reproduces the TP-vs-naive significance test: per configuration,
@@ -414,7 +439,7 @@ func Table6(p Profile) []Table6Row {
 	schema := gen.Config().Schema
 
 	run := func(name string, towersCount int, mkModel func([][]int, uint64) models.Model, lr float32,
-		paperTP, paperNaive, paperP float64) Table6Row {
+		paperTP, paperNaive float64) Table6Row {
 		tc := trainConfig(p)
 		tc.DenseLR = lr
 		// A larger eval set trims per-run AUC estimation noise, the
@@ -422,16 +447,12 @@ func Table6(p Profile) []Table6Row {
 		tc.EvalSamples = p.EvalSamples * 4
 		tpList := tpTowers(gen, towersCount, 910+uint64(towersCount))
 		naiveList := partition.NaiveAssignment(qualityFeatures, towersCount)
-		tpAUCs := models.RepeatedAUC(func(s uint64) models.Model { return mkModel(tpList, s) }, gen, tc, p.Runs, 1300)
-		naiveAUCs := models.RepeatedAUC(func(s uint64) models.Model { return mkModel(naiveList, s) }, gen, tc, p.Runs, 1300)
+		tp, tpAUCs := repeatedQuality("TP", func(s uint64) models.Model { return mkModel(tpList, s) },
+			gen, tc, p.Runs, 1300, paperTP)
+		naive, naiveAUCs := repeatedQuality("naive", func(s uint64) models.Model { return mkModel(naiveList, s) },
+			gen, tc, p.Runs, 1300, paperNaive)
 		_, pval := metrics.MannWhitneyU(tpAUCs, naiveAUCs)
-		return Table6Row{
-			Config:   name,
-			TPMedian: metrics.Median(tpAUCs), TPStd: metrics.StdDev(tpAUCs),
-			NaiveMedian: metrics.Median(naiveAUCs), NaiveStd: metrics.StdDev(naiveAUCs),
-			PValue:  pval,
-			PaperTP: paperTP, PaperNaive: paperNaive, PaperP: paperP,
-		}
+		return Table6Row{Config: name, TP: tp, Naive: naive, PValue: pval}
 	}
 
 	return []Table6Row{
@@ -440,11 +461,25 @@ func Table6(p Profile) []Table6Row {
 		// grouping can pay.
 		run("DMT 8T-DLRM (lr 1e-3)", 8,
 			func(tl [][]int, s uint64) models.Model { return models.NewDMTDLRM(dmtDLRMConfig(schema, tl, 2, s)) },
-			1e-3, 0.7990, 0.7981, 0.0006),
+			1e-3, 0.7990, 0.7981),
 		run("DMT 4T-DCN (lr 2e-3)", 4,
 			func(tl [][]int, s uint64) models.Model { return models.NewDMTDCN(dmtDCNConfig(schema, tl, s)) },
-			2e-3, 0.8006, 0.8003, 0.0023),
+			2e-3, 0.8006, 0.8003),
 	}
+}
+
+var table6Table = table[Table6Row]{
+	title: "Table 6: TP vs naive assignment (Mann-Whitney U)",
+	cols: []column[Table6Row]{
+		{"Config", "%-22s", func(r Table6Row) any { return r.Config }},
+		{"TP", "%9.4f", func(r Table6Row) any { return r.TP.MedianAUC }},
+		{"TP std", "%9.4f", func(r Table6Row) any { return r.TP.StdAUC }},
+		{"Naive", "%9.4f", func(r Table6Row) any { return r.Naive.MedianAUC }},
+		{"Nv std", "%9.4f", func(r Table6Row) any { return r.Naive.StdAUC }},
+		{"p-value", "%9.4f", func(r Table6Row) any { return r.PValue }},
+		{"PaperTP", "%9.4f", func(r Table6Row) any { return r.TP.PaperAUC }},
+		{"PaperNv", "%9.4f", func(r Table6Row) any { return r.Naive.PaperAUC }},
+	},
 }
 
 // Figure9Result carries the artifacts of the TP visualization: the
@@ -477,7 +512,7 @@ func Figure9(p Profile) Figure9Result {
 // Figure9Learned runs the same pipeline on embeddings from a probe-trained
 // DLRM, exposing how much structure the tables have acquired at the
 // profile's budget (at in-process scale: little — the matrix is nearly
-// flat, which is itself a documented finding in EXPERIMENTS.md).
+// flat, which is itself the finding: `dmt-train -exp fig9learned` prints it).
 func Figure9Learned(p Profile) Figure9Result {
 	gen := qualityWorkload(p, 9099)
 	tc := trainConfig(p)
@@ -508,6 +543,39 @@ func figure9From(emb *tensor.Tensor, source string) Figure9Result {
 		CrossAffinity:  cross,
 		TPGain:         gain,
 	}
+}
+
+// renderFigure9 renders the similarity matrix as an ASCII heatmap plus the
+// learned 2-D coordinates with tower labels.
+func renderFigure9(r Figure9Result) string {
+	var b strings.Builder
+	im := r.Partition.Interaction
+	f := im.Dim(0)
+	groupOf := make([]int, f)
+	for t, g := range r.Groups {
+		for _, i := range g {
+			groupOf[i] = t
+		}
+	}
+	fmt.Fprintf(&b, "Figure 9: TP similarity matrix (coherent strategy) and 2D embedding\n")
+	fmt.Fprintf(&b, "source: %s\n", r.Source)
+	shades := []byte(" .:-=+*#%@")
+	for i := 0; i < f; i++ {
+		for j := 0; j < f; j++ {
+			k := int(im.At(i, j) * float32(len(shades)-1))
+			b.WriteByte(shades[max(0, min(k, len(shades)-1))])
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, " f%02d t%d\n", i, groupOf[i])
+	}
+	fmt.Fprintf(&b, "\nLearned 2D feature coordinates (feature: x, y, tower):\n")
+	for i := 0; i < f; i++ {
+		fmt.Fprintf(&b, "  f%02d: %+7.3f %+7.3f  t%d\n",
+			i, r.Partition.Coords.At(i, 0), r.Partition.Coords.At(i, 1), groupOf[i])
+	}
+	fmt.Fprintf(&b, "\nWithin-tower affinity %.4f vs cross-tower %.4f (TP/naive gain %.2fx)\n",
+		r.WithinAffinity, r.CrossAffinity, r.TPGain)
+	return b.String()
 }
 
 // QuantQualityRow is one precision point of the §6 quantization-quality
@@ -542,6 +610,17 @@ func QuantQuality(p Profile) []QuantQualityRow {
 	return rows
 }
 
+var quantQualityTable = table[QuantQualityRow]{
+	title: "§6 quality side: embedding-comm precision vs model quality (DLRM)",
+	cols: []column[QuantQualityRow]{
+		{"Scheme", "%-8s", func(r QuantQualityRow) any { return r.Scheme }},
+		{"AUC", "%9.4f", func(r QuantQualityRow) any { return r.AUC }},
+		{"NE", "%9.4f", func(r QuantQualityRow) any { return r.NE }},
+		{"ΔNE", "%+10.4f", func(r QuantQualityRow) any { return r.DeltaNE }},
+	},
+	foot: []string{"paper: FP8-quantizing XLRM costs 0.1% NE without extensive tuning"},
+}
+
 // XLRMQualityResult is the §5.2.2/§5.2.3 XLRM-mini experiment: DMT with
 // category-partitioned towers (item / item-user / user) against the
 // unmodified model, measured in Normalized Entropy (lower is better).
@@ -562,18 +641,11 @@ func XLRMQuality(p Profile) XLRMQualityResult {
 	gen := data.NewGenerator(cfg)
 	tc := trainConfig(p)
 
-	base := models.Train(models.NewDLRM(models.DLRMConfig{
-		Schema: cfg.Schema, N: qualityN, BottomMLP: []int{32, qualityN},
-		TopMLP: []int{64, 32}, Seed: 21,
-	}), gen, tc)
+	base := models.Train(dlrmFamily(cfg.Schema)(21), gen, tc)
 
 	// Category towers: the generator's three planted categories stand in
 	// for the item / item-user / user split TP discovered (§5.2.3).
-	dmt := models.Train(models.NewDMTDLRM(models.DMTDLRMConfig{
-		Schema: cfg.Schema, N: qualityN, Towers: gen.TrueGroups(),
-		C: 1, P: 0, D: qualityN / 2, BottomMLP: []int{32, qualityN / 2},
-		TopMLP: []int{64, 32}, Seed: 21,
-	}), gen, tc)
+	dmt := models.Train(models.NewDMTDLRM(dmtDLRMConfig(cfg.Schema, gen.TrueGroups(), qualityN/2, 21)), gen, tc)
 
 	imp := (base.NE - dmt.NE) / base.NE * 100
 	return XLRMQualityResult{
@@ -581,4 +653,10 @@ func XLRMQuality(p Profile) XLRMQualityResult {
 		ImprovementPct:      imp,
 		PaperImprovementPct: 0.02,
 	}
+}
+
+func renderXLRM(r XLRMQualityResult) string {
+	return fmt.Sprintf("XLRM-mini (§5.2.2): Normalized Entropy, category towers vs baseline\n"+
+		"Baseline NE %.4f, DMT NE %.4f, improvement %+.3f%% (paper: +%.2f%%)\n",
+		r.BaselineNE, r.DMTNE, r.ImprovementPct, r.PaperImprovementPct)
 }

@@ -56,14 +56,13 @@ func DefaultServing() ServingProfile {
 	}
 }
 
-// ServingRow is one (model, serving mode) measurement.
+// ServingRow is one (model, serving mode) measurement: what the load
+// generator saw (QPS, latency percentiles) and what the server counted
+// (batch occupancy, cache hit rates).
 type ServingRow struct {
-	Model, Mode   string
-	QPS           float64
-	P50, P95, P99 time.Duration
-	AvgBatch      float64
-	EmbHitRate    float64
-	TowerHitRate  float64
+	Model, Mode string
+	serve.LoadReport
+	serve.Stats
 }
 
 // servingModes enumerates the three server configurations under test.
@@ -127,18 +126,26 @@ func ServingTable(p ServingProfile) ([]ServingRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: serving %s/%s: %w", m.Name(), mode.name, err)
 			}
-			rows = append(rows, ServingRow{
-				Model:        m.Name(),
-				Mode:         mode.name,
-				QPS:          rep.QPS,
-				P50:          rep.P50,
-				P95:          rep.P95,
-				P99:          rep.P99,
-				AvgBatch:     st.AvgBatch,
-				EmbHitRate:   st.Emb.HitRate(),
-				TowerHitRate: st.Tower.HitRate(),
-			})
+			rows = append(rows, ServingRow{Model: m.Name(), Mode: mode.name, LoadReport: rep, Stats: st})
 		}
 	}
 	return rows, nil
+}
+
+// FormatServing renders the serving-throughput comparison.
+func FormatServing(rows []ServingRow) string {
+	return table[ServingRow]{
+		title: "Serving throughput: unbatched vs micro-batched vs cached (zipf load)",
+		cols: []column[ServingRow]{
+			{"Model", "%-14s", func(r ServingRow) any { return r.Model }},
+			{"Mode", "%-18s", func(r ServingRow) any { return r.Mode }},
+			{"QPS", "%10.0f", func(r ServingRow) any { return r.QPS }},
+			{"p50", "%10s", func(r ServingRow) any { return micros(r.P50) }},
+			{"p95", "%10s", func(r ServingRow) any { return micros(r.P95) }},
+			{"p99", "%10s", func(r ServingRow) any { return micros(r.P99) }},
+			{"AvgBatch", "%9.1f", func(r ServingRow) any { return r.AvgBatch }},
+			{"EmbHit", "%7.1f%%", func(r ServingRow) any { return r.Emb.HitRate() * 100 }},
+			{"TwrHit", "%7.1f%%", func(r ServingRow) any { return r.Tower.HitRate() * 100 }},
+		},
+	}.render(rows)
 }

@@ -25,11 +25,11 @@ func TestServingTable(t *testing.T) {
 	if dmtCached == nil {
 		t.Fatal("missing DMT microbatch+cache row")
 	}
-	if dmtCached.TowerHitRate <= 0 {
-		t.Errorf("DMT cached row: tower hit rate %v, want > 0 under zipf load", dmtCached.TowerHitRate)
+	if hit := dmtCached.Tower.HitRate(); hit <= 0 {
+		t.Errorf("DMT cached row: tower hit rate %v, want > 0 under zipf load", hit)
 	}
-	if dmtCached.EmbHitRate <= 0 {
-		t.Errorf("DMT cached row: embedding hit rate %v, want > 0 under zipf load", dmtCached.EmbHitRate)
+	if hit := dmtCached.Emb.HitRate(); hit <= 0 {
+		t.Errorf("DMT cached row: embedding hit rate %v, want > 0 under zipf load", hit)
 	}
 	out := FormatServing(rows)
 	if !strings.Contains(out, "DMT") || !strings.Contains(out, "microbatch") {

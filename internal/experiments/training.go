@@ -6,6 +6,7 @@ import (
 
 	"dmt/internal/data"
 	"dmt/internal/distributed"
+	"dmt/internal/embeddings"
 	"dmt/internal/models"
 	"dmt/internal/netsim"
 	"dmt/internal/quant"
@@ -71,29 +72,6 @@ func DefaultTraining() TrainingProfile {
 	}
 }
 
-// TrainingRow is one engine's measurement.
-type TrainingRow struct {
-	Mode        string // "sequential", "rank-parallel", "overlapped", or "pipelined"
-	StepsPerSec float64
-	FinalLoss   float64
-	Stats       distributed.Stats
-}
-
-// TrainingReport compares the engines.
-type TrainingReport struct {
-	Profile TrainingProfile
-	Rows    []TrainingRow
-	// Speedup is rank-parallel steps/s over sequential steps/s.
-	Speedup float64
-	// OverlapSpeedup is overlapped steps/s over blocking rank-parallel
-	// steps/s; zero when the overlapped engine was not measured.
-	OverlapSpeedup float64
-	// PipelineSpeedup is cross-step pipelined steps/s over blocking
-	// rank-parallel steps/s; zero when the pipelined engine was not
-	// measured.
-	PipelineSpeedup float64
-}
-
 // NewTrainer builds a distributed trainer for a profile — shared by the
 // experiment below, cmd/dmt-bench, and the root BenchmarkDistributedStep.
 func NewTrainer(p TrainingProfile, sequential bool) (*distributed.Trainer, *data.Generator, error) {
@@ -151,124 +129,231 @@ func TrainingBatches(gen *data.Generator, p TrainingProfile, step int) []*data.B
 	return batches
 }
 
+// variant is one named point of a training grid: the mutation it applies to
+// the grid's base profile, and whether it runs the single-goroutine
+// reference engine instead of the rank-parallel one.
+type variant struct {
+	name       string
+	sequential bool
+	set        func(*TrainingProfile)
+}
+
+// TrainingRun is the one row type every measured training table reads: the
+// variant's name and what runTraining observed for it. Tables derive their
+// columns from Stats; nothing is copied out into per-table row structs.
+type TrainingRun struct {
+	Name      string
+	FinalLoss float64
+	Elapsed   time.Duration
+	Stats     distributed.Stats
+}
+
+// StepsPerSec is the run's wall-clock throughput, drain included.
+func (r TrainingRun) StepsPerSec() float64 {
+	return float64(r.Stats.Steps) / r.Elapsed.Seconds()
+}
+
+// perStep is a cumulative duration's per-step mean in whole nanoseconds.
+func (r TrainingRun) perStep(d time.Duration) time.Duration {
+	if r.Stats.Steps == 0 {
+		return 0
+	}
+	return d / time.Duration(r.Stats.Steps)
+}
+
+// HitRate is the hot-ID cache hit rate over the run.
+func (r TrainingRun) HitRate() float64 {
+	t := r.Stats.Tier
+	return embeddings.CacheStats{Hits: t.CacheHits, Misses: t.CacheMisses}.HitRate()
+}
+
+// Sweep is one grid's result: the base profile and one run per variant, in
+// the grid's declared order.
+type Sweep struct {
+	Profile TrainingProfile
+	Runs    []TrainingRun
+}
+
+// Run returns the named variant's run, or the zero TrainingRun (Name "")
+// when the sweep has none.
+func (s Sweep) Run(name string) TrainingRun {
+	for _, r := range s.Runs {
+		if r.Name == name {
+			return r
+		}
+	}
+	return TrainingRun{}
+}
+
 // runTraining is the one build-trainer / run-p.Steps / read-Stats loop every
 // measured training experiment shares. The trainer is drained inside the
 // timed region — the pipelined schedule carries the last step's bucket tail
 // across the boundary, so its steps/s and exposed comm must pay for the
 // deferred work (a no-op for the other schedules) — and always closed, so
 // a remote embedding tier's server goroutines never outlive the row.
-func runTraining(p TrainingProfile, sequential bool) (finalLoss float64, st distributed.Stats, elapsed time.Duration) {
+func runTraining(name string, p TrainingProfile, sequential bool) (TrainingRun, error) {
 	tr, gen, err := NewTrainer(p, sequential)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: training setup: %v", err))
+		return TrainingRun{}, fmt.Errorf("experiments: training setup for %s: %w", name, err)
 	}
 	defer tr.Close()
+	run := TrainingRun{Name: name}
 	start := time.Now()
 	for step := 0; step < p.Steps; step++ {
-		finalLoss = tr.Step(TrainingBatches(gen, p, step)).MeanLoss
+		run.FinalLoss = tr.Step(TrainingBatches(gen, p, step)).MeanLoss
 	}
 	tr.Drain()
-	return finalLoss, tr.Stats(), time.Since(start)
+	run.Stats, run.Elapsed = tr.Stats(), time.Since(start)
+	return run, nil
 }
+
+// sweep is the one training sweep: every variant applied to a copy of the
+// base profile and run over the same step sequence, in order.
+func sweep(base TrainingProfile, variants []variant) (Sweep, error) {
+	s := Sweep{Profile: base}
+	for _, v := range variants {
+		p := base
+		if v.set != nil {
+			v.set(&p)
+		}
+		run, err := runTraining(v.name, p, v.sequential)
+		if err != nil {
+			return s, err
+		}
+		s.Runs = append(s.Runs, run)
+	}
+	return s, nil
+}
+
+// The schedules a grid can put a profile under. Blocking clears both flags
+// explicitly so a grid row never inherits the base profile's schedule.
+func blocking(p *TrainingProfile)   { p.Overlap, p.Pipeline = false, false }
+func overlapped(p *TrainingProfile) { p.Overlap, p.Pipeline = true, false }
+func pipelined(p *TrainingProfile)  { p.Overlap, p.Pipeline = false, true }
 
 // TrainingThroughput runs the engines over the same step sequence:
 // sequential and rank-parallel always, plus the overlapped and cross-step
 // pipelined schedules when the profile asks for them. All rows follow
 // bitwise-identical trajectories, so the comparison is pure execution
 // speed — and, for the scheduled rows, how much communication moved from
-// the exposed to the hidden column.
-func TrainingThroughput(p TrainingProfile) TrainingReport {
-	rep := TrainingReport{Profile: p}
-	type engineMode struct {
-		name       string
-		sequential bool
-		overlap    bool
-		pipeline   bool
-	}
-	modes := []engineMode{
-		{"sequential", true, false, false},
-		{"rank-parallel", false, false, false},
+// the exposed to the hidden column. A compressed profile adds one "fp32"
+// run of the rank-parallel engine, the baseline of the wire-scheme table;
+// that table's other row is the rank-parallel run itself, measured once.
+func TrainingThroughput(p TrainingProfile) (Sweep, error) {
+	variants := []variant{
+		{name: "sequential", sequential: true, set: blocking},
+		{name: "rank-parallel", set: blocking},
 	}
 	if p.Overlap {
-		modes = append(modes, engineMode{"overlapped", false, true, false})
+		variants = append(variants, variant{name: "overlapped", set: overlapped})
 	}
 	if p.Pipeline {
-		modes = append(modes, engineMode{"pipelined", false, false, true})
+		variants = append(variants, variant{name: "pipelined", set: pipelined})
 	}
-	for _, mode := range modes {
-		sp := p
-		sp.Overlap = mode.overlap
-		sp.Pipeline = mode.pipeline
-		last, st, elapsed := runTraining(sp, mode.sequential)
-		rep.Rows = append(rep.Rows, TrainingRow{
-			Mode:        mode.name,
-			StepsPerSec: float64(sp.Steps) / elapsed.Seconds(),
-			FinalLoss:   last,
-			Stats:       st,
-		})
+	if p.Compress != quant.None {
+		variants = append(variants, variant{name: "fp32", set: func(p *TrainingProfile) {
+			blocking(p)
+			p.Compress = quant.None
+		}})
 	}
-	rep.Speedup = rep.Rows[1].StepsPerSec / rep.Rows[0].StepsPerSec
-	for _, row := range rep.Rows {
-		switch row.Mode {
-		case "overlapped":
-			rep.OverlapSpeedup = row.StepsPerSec / rep.Rows[1].StepsPerSec
-		case "pipelined":
-			rep.PipelineSpeedup = row.StepsPerSec / rep.Rows[1].StepsPerSec
+	return sweep(p, variants)
+}
+
+func mb(b int64) float64 { return float64(b) / (1 << 20) }
+
+// us is a duration in (fractional) microseconds.
+func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+
+// shape is the "G=…, L=…, B=…, n steps" clause the training titles share.
+func (p TrainingProfile) shape() string {
+	return fmt.Sprintf("G=%d, L=%d, B=%d, %d steps", p.G, p.L, p.LocalBatch, p.Steps)
+}
+
+// Columns the engine table and the wire-scheme table share.
+var (
+	colStepsPerSec = column[TrainingRun]{"steps/s", "%9.1f", func(r TrainingRun) any { return r.StepsPerSec() }}
+	colLoss        = column[TrainingRun]{"loss", "%9.4f", func(r TrainingRun) any { return r.FinalLoss }}
+	gradIntraMB    = func(r TrainingRun) any { return mb(r.Stats.GradIntraHostBytes) }
+	gradCrossMB    = func(r TrainingRun) any { return mb(r.Stats.GradCrossHostBytes) }
+	embCrossMB     = func(r TrainingRun) any { return mb(r.Stats.EmbCrossHostBytes) }
+)
+
+// renderTraining renders the engine comparison and, for a compressed
+// profile, the wire-scheme table under it.
+func renderTraining(s Sweep) string {
+	p := s.Profile
+	perStep := func(r TrainingRun, d time.Duration) any { return micros(r.perStep(d)) }
+	engines := table[TrainingRun]{
+		title: "Distributed training: sequential vs rank-parallel step (" + p.shape() + ")",
+		cols: []column[TrainingRun]{
+			{"Engine", "%-14s", func(r TrainingRun) any { return r.Name }},
+			colStepsPerSec,
+			colLoss,
+			{"emb-comm", "| %9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.EmbComm) }},
+			{"dense", "%9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.Dense) }},
+			{"grad-ex", "%9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.GradExchange) }},
+			{"update", "%9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.Update) }},
+			{"exposed", "| %9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.ExposedComm) }},
+			{"hidden", "%9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.HiddenComm) }},
+			{"gradIntra", "| %8.2fMB", gradIntraMB},
+			{"gradCross", "%8.2fMB", gradCrossMB},
+			{"embIntra", "%8.2fMB", func(r TrainingRun) any { return mb(r.Stats.EmbIntraHostBytes) }},
+			{"embCross", "%8.2fMB", embCrossMB},
+		},
+	}
+	par := s.Run("rank-parallel")
+	engines.foot = []string{fmt.Sprintf(
+		"rank-parallel speedup: %.2fx (phase times are per step; byte volumes cumulative)",
+		par.StepsPerSec()/s.Run("sequential").StepsPerSec())}
+	if p.Overlap {
+		engines.foot = append(engines.foot,
+			fmt.Sprintf("overlapped vs rank-parallel: %.2fx — exposed is mean-per-rank time blocked in",
+				s.Run("overlapped").StepsPerSec()/par.StepsPerSec()),
+			"collective receives; hidden is in-flight collective time covered by compute")
+	}
+	if p.Pipeline {
+		engines.foot = append(engines.foot,
+			fmt.Sprintf("pipelined vs rank-parallel: %.2fx — gradient buckets complete across the step",
+				s.Run("pipelined").StepsPerSec()/par.StepsPerSec()),
+			"boundary, behind the next step's SPTT forward (drained tail included in the timing)")
+	}
+	if p.Compress == quant.None {
+		return engines.render(s.Runs)
+	}
+	engines.title += fmt.Sprintf("\nwire compression: %s (gradient AllReduce with error feedback; cross-host embedding hops)", p.Compress)
+
+	// The wire-scheme table: the trailing fp32 baseline run against the
+	// rank-parallel run (shown under its scheme's name), with the byte
+	// savings the compressed collectives actually delivered and the loss
+	// drift left after error feedback.
+	base := s.Run("fp32")
+	par.Name = p.Compress.String()
+	save := func(n func(distributed.Stats) int64) func(TrainingRun) any {
+		return func(r TrainingRun) any {
+			b, was := float64(n(r.Stats)), float64(n(base.Stats))
+			if was == 0 {
+				return "-"
+			}
+			return fmt.Sprintf("%+.1f%%", (b-was)/was*100)
 		}
 	}
-	return rep
-}
-
-// CompressionRow is one wire scheme's measurement on the rank-parallel
-// engine: throughput, final loss (and its drift against the fp32 row), and
-// the cumulative gradient/embedding wire volumes split by fabric.
-type CompressionRow struct {
-	Scheme      quant.Scheme
-	StepsPerSec float64
-	FinalLoss   float64
-	// DeltaLoss is FinalLoss minus the fp32 row's — the price of the wire
-	// scheme after error feedback. Zero for the fp32 row by construction.
-	DeltaLoss float64
-	Stats     distributed.Stats
-}
-
-// CompressionReport is the per-scheme sweep behind
-// `dmt-bench -exp train -compress <scheme>`.
-type CompressionReport struct {
-	Profile TrainingProfile
-	Rows    []CompressionRow
-}
-
-// TrainingCompression trains the rank-parallel engine once per scheme over
-// the same step sequence. A leading quant.None row is inserted if absent so
-// every report carries its own fp32 baseline for the byte and loss deltas.
-func TrainingCompression(p TrainingProfile, schemes []quant.Scheme) CompressionReport {
-	if len(schemes) == 0 || schemes[0] != quant.None {
-		schemes = append([]quant.Scheme{quant.None}, schemes...)
+	schemes := table[TrainingRun]{
+		title: "Compressed communication: wire scheme sweep, rank-parallel engine (" + p.shape() + ")",
+		cols: []column[TrainingRun]{
+			{"Scheme", "%-8s", func(r TrainingRun) any { return r.Name }},
+			colStepsPerSec,
+			colLoss,
+			{"Δloss", "%+10.6f", func(r TrainingRun) any { return r.FinalLoss - base.FinalLoss }},
+			{"gradCross", "| %8.2fMB", gradCrossMB},
+			{"vs fp32", "%9s", save(func(st distributed.Stats) int64 { return st.GradCrossHostBytes })},
+			{"embCross", "%8.2fMB", embCrossMB},
+			{"vs fp32", "%9s", save(func(st distributed.Stats) int64 { return st.EmbCrossHostBytes })},
+			{"gradIntra", "| %8.2fMB", gradIntraMB},
+		},
+		foot: []string{
+			"embedding intra-host hops stay fp32 (topology-aware policy); the gradient AllReduce",
+			"compresses every hop and carries per-rank error feedback",
+		},
 	}
-	rep := CompressionReport{Profile: p}
-	for _, s := range schemes {
-		sp := p
-		sp.Compress = s
-		last, st, elapsed := runTraining(sp, false)
-		rep.Rows = append(rep.Rows, CompressionRow{
-			Scheme:      s,
-			StepsPerSec: float64(sp.Steps) / elapsed.Seconds(),
-			FinalLoss:   last,
-			DeltaLoss:   last - rep.baselineLoss(last),
-			Stats:       st,
-		})
-	}
-	return rep
-}
-
-// baselineLoss returns the fp32 row's final loss, or fallback before that
-// row exists (making the first row's delta zero).
-func (r CompressionReport) baselineLoss(fallback float64) float64 {
-	for _, row := range r.Rows {
-		if row.Scheme == quant.None {
-			return row.FinalLoss
-		}
-	}
-	return fallback
+	return engines.render(s.Runs[:len(s.Runs)-1]) + schemes.render([]TrainingRun{base, par})
 }

@@ -284,7 +284,7 @@ func (f *Fabric) Figure5Curve(coll Collective) []Figure5Point {
 }
 
 // PaperFigure5 returns the paper's measured A100 values for comparison in
-// tests and EXPERIMENTS.md.
+// tests and `dmt-bench -exp fig5`.
 func PaperFigure5(coll Collective) []Figure5Point {
 	switch coll {
 	case AllReduce:

@@ -230,7 +230,8 @@ func (b Breakdown) Percentages() (compute, emb, dense, others float64) {
 // contend with the gradient AllReduce; their tail latency grows with rank
 // count well beyond what an isolated nccl-tests run (Figure 5) shows. The
 // coefficient is calibrated so the modeled SPTT-only and TM-only gains
-// compose to Figure 10's end-to-end speedups (see EXPERIMENTS.md).
+// compose to Figure 10's end-to-end speedups (`dmt-bench -exp fig10` and
+// `-exp fig11` print them next to the paper's bars).
 func stragglerPenalty(world int) float64 {
 	if world <= 8 {
 		return 1

@@ -104,8 +104,8 @@ type rankLookupState struct {
 
 // SPTTState is what a forward call leaves for SPTTBackward — the flow it
 // ran and the cached lookups — plus the call's per-phase traffic matrices
-// (G×G, global rank indexed) for the volume assertions in tests and
-// EXPERIMENTS.md. Every figure covers that one call only.
+// (G×G, global rank indexed) for the volume assertions in tests. Every
+// figure covers that one call only.
 type SPTTState struct {
 	flow
 	lookups []*rankLookupState // per rank
