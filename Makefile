@@ -48,9 +48,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 20m .
 
 # Hot-path kernel benchmarks: the serial vs parallel tiled MatMul backends
-# at over-arch shapes, and the fused vs unfused quantized codec with
-# allocs/op (-benchmem) — the before/after numbers behind the README's
-# "Hot-path kernels" section.
+# at over-arch shapes, the fused vs unfused quantized codec with allocs/op
+# (-benchmem), and the codec's receive side (decode/addto, MB/s of fp32) on
+# a uniform and on a gradient-like, mostly half-subnormal payload — the
+# before/after numbers behind the README's "Hot-path kernels" section.
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '^BenchmarkHotpath' -benchmem -timeout 20m ./internal/tensor ./internal/quant
 

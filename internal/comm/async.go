@@ -201,8 +201,9 @@ func (c *Comm) IAllGatherBatch(xs []*tensor.Tensor) *Pending[[][]*tensor.Tensor]
 	for _, x := range xs {
 		bytes += tensorBytes(x)
 	}
+	msg := any(xs) // boxed once, not once per destination
 	for d := 0; d < n; d++ {
-		c.send(d, xs, bytes)
+		c.send(d, msg, bytes)
 	}
 	return newPending(c, func() [][]*tensor.Tensor {
 		out := make([][]*tensor.Tensor, n)

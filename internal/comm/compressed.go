@@ -36,6 +36,10 @@ import (
 // caller owns. Reduce-style resolvers use the fused AddTo so no intermediate
 // decoded tensor is ever materialized. Steady-state compressed collectives
 // therefore run without per-step codec allocations.
+//
+// All of the above describes the Q collectives. IAllGatherBatchEnc only
+// carries payloads; its one caller, the trainer's gradient buckets, decodes
+// at the sender instead (see distributed/buckets.go).
 
 // IAlltoAllTensorsQ posts quantized chunks and returns a handle resolving to
 // the decoded chunks indexed by source rank. Nil chunks are delivered as
@@ -140,8 +144,9 @@ func (c *Comm) IAllGatherBatchQ(s quant.Scheme, xs []*tensor.Tensor) *Pending[[]
 
 // IAllGatherBatchEnc gathers pre-encoded payloads: the whole batch travels
 // to every rank as one mailbox message, and the handle resolves to the raw
-// payloads indexed [src][i] so the receiver can run the fused
-// DecodeInto/AddTo paths without materializing intermediate tensors. The
+// payloads indexed [src][i], leaving what to do with them to the receiver
+// (the fused DecodeInto/AddTo, or nothing when the sender's decoded image
+// is reachable in-process — the wire bytes are charged either way). The
 // collective takes over the caller's reference on each payload; the resolver
 // hands each receiver one reference per payload, which the receiver must
 // Release after consuming.
@@ -159,8 +164,9 @@ func (c *Comm) postGatherBatchEnc(encs []*quant.Encoded) func() [][]*quant.Encod
 		e.Retain(n - 1) // with the caller's reference: one per receiver
 		bytes += e.WireBytes()
 	}
+	msg := any(encs) // boxed once, not once per destination
 	for d := 0; d < n; d++ {
-		c.send(d, encs, bytes)
+		c.send(d, msg, bytes)
 	}
 	return func() [][]*quant.Encoded {
 		out := make([][]*quant.Encoded, n)

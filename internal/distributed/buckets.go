@@ -86,11 +86,16 @@ func (tr *Trainer) Buckets() [][]int {
 // steps is safe because every rank's buckets of step N are finished before
 // a Run join that precedes the first launch of step N+1 (the exchange
 // phase, or the next SPTT forward for carried buckets): no peer can still
-// be reading last step's buffers.
+// be reading last step's buffers. Within a step a peer reads them only
+// after the Wait that received this rank's message for the bucket, and the
+// message was sent after they were filled, so the mailbox orders the two.
 type bucketArena struct {
-	// vs[bi] holds, per parameter of bucket bi, the gradient snapshot that
-	// rides the raw (uncompressed) wire in place of a per-step clone — the
-	// slice posted as one batched message.
+	// vs[bi] holds, per parameter of bucket bi, this rank's fp32 part of
+	// the reduction, exactly sized and built once in New: on the raw wire
+	// the gradient snapshot that rides the batched message in place of a
+	// per-step clone, on the compressed wire the decoded image of the
+	// payload it sent — decoded once here, not once per receiver. Every
+	// rank's finishBucket sums the G ranks' parts.
 	vs [][]*tensor.Tensor
 	// encs[bi] holds bucket bi's encoded payload slots (compressed path);
 	// the Encoded values themselves come from quant's buffer pool.
@@ -99,9 +104,11 @@ type bucketArena struct {
 
 // pendingBucket is one in-flight gradient bucket: the single batched
 // collective carrying every parameter of the bucket. Exactly one handle is
-// set — h for the raw wire, hEnc for the compressed one.
+// set — h for the raw wire, hEnc for the compressed one. idx is the
+// bucket's arena key.
 type pendingBucket struct {
 	params []int
+	idx    int
 	h      *comm.Pending[[][]*tensor.Tensor]
 	hEnc   *comm.Pending[[][]*quant.Encoded]
 }
@@ -124,58 +131,54 @@ func (pb pendingBucket) carry() {
 // reading. On the compressed wire each rank sends its contribution g + r
 // and remembers the round-trip error r for the next step: the fused
 // quant.EncodeResidual quantizes g + r straight into pooled wire buffers
-// and leaves the refreshed error-feedback residual behind in the same pass
-// — no cloned contribution and no intermediate fp32 tensor ever
-// materializes. Each parameter is still encoded separately, so bucket
+// and leaves the refreshed error-feedback residual behind in the same pass,
+// and the sender decodes the payload once into its arena image — what every
+// receiver would reconstruct from it, since decoding is a pure function of
+// the payload. Each parameter is still encoded separately, so bucket
 // boundaries never change what the quantizer sees, and steady-state
 // launches allocate nothing.
 func (tr *Trainer) launchBucket(g int, params []*nn.Param, b gradBucket) pendingBucket {
 	s := tr.cfg.Compression.Gradient
 	c, a := tr.world[g], &tr.arenas[g]
+	vs := a.vs[b.idx]
 	if s == quant.None {
-		vs := a.vs[b.idx]
 		for i, pi := range b.params {
 			vs[i].CopyFrom(params[pi].Grad)
 		}
-		return pendingBucket{params: b.params, h: c.IAllGatherBatch(vs)}
+		return pendingBucket{params: b.params, idx: b.idx, h: c.IAllGatherBatch(vs)}
 	}
 	encs := a.encs[b.idx]
 	for i, pi := range b.params {
 		encs[i] = quant.EncodeResidual(s, params[pi].Grad, tr.residuals[g][pi])
+		encs[i].DecodeInto(vs[i])
 	}
-	return pendingBucket{params: b.params, hEnc: c.IAllGatherBatchEnc(encs)}
+	return pendingBucket{params: b.params, idx: b.idx, hEnc: c.IAllGatherBatchEnc(encs)}
 }
 
 // finishBucket completes a launched bucket: waits for every rank's batch,
-// then per parameter accumulates the contributions in source-rank order
+// then per parameter accumulates the ranks' fp32 parts in source-rank order
 // directly into the parameter gradient, scaled to the global-batch mean.
-// Decoding is deterministic and the sum runs in source-rank order, so every
-// rank obtains averages bit-identical to the sequential path's centralized
-// ones. Compressed contributions reduce through the fused DecodeInto/AddTo,
-// so no decoded intermediate is materialized, and every received payload is
-// released back to the wire-buffer pool once consumed. (The error-feedback
-// residual was already refreshed at launch by EncodeResidual.)
+// The parts are read from the peers' arenas: the raw wire delivers exactly
+// those tensors by reference, and on the compressed wire each is the image
+// its sender decoded at launch — bit for bit what DecodeInto/AddTo on the
+// received payload would add, computed G times a step instead of G². So
+// every rank obtains averages bit-identical to the sequential path's
+// centralized ones. The received payloads carried the wire bytes and clock
+// charges; they are released back to the wire-buffer pool unread. (The
+// error-feedback residual was already refreshed at launch by
+// EncodeResidual.)
 func (tr *Trainer) finishBucket(params []*nn.Param, pb pendingBucket, invG float32) {
-	// Both indexed [src][i]; raw parts point by reference into peer arenas.
-	var raw [][]*tensor.Tensor
 	var enc [][]*quant.Encoded
 	if pb.h != nil {
-		raw = pb.h.Wait()
+		pb.h.Wait()
 	} else {
 		enc = pb.hEnc.Wait()
 	}
 	for i, pi := range pb.params {
 		gd := params[pi].Grad
-		if raw != nil {
-			gd.CopyFrom(raw[0][i])
-			for src := 1; src < len(raw); src++ {
-				tensor.AddInPlace(gd, raw[src][i])
-			}
-		} else {
-			enc[0][i].DecodeInto(gd)
-			for src := 1; src < len(enc); src++ {
-				enc[src][i].AddTo(gd)
-			}
+		gd.CopyFrom(tr.arenas[0].vs[pb.idx][i])
+		for src := 1; src < len(tr.arenas); src++ {
+			tensor.AddInPlace(gd, tr.arenas[src].vs[pb.idx][i])
 		}
 		scaleInPlace(gd, invG)
 	}

@@ -418,20 +418,15 @@ func New(cfg Config) (*Trainer, error) {
 		tr.arenas = make([]bucketArena, cfg.G)
 		for g := 0; g < cfg.G; g++ {
 			a := &tr.arenas[g]
-			if cfg.Compression.Gradient == quant.None {
-				params := tr.replicas[g].OverArchParams()
-				a.vs = make([][]*tensor.Tensor, len(tr.buckets))
-				for bi, b := range tr.buckets {
-					a.vs[bi] = make([]*tensor.Tensor, len(b.params))
-					for i, pi := range b.params {
-						a.vs[bi][i] = tensor.New(params[pi].Value.Shape()...)
-					}
+			params := tr.replicas[g].OverArchParams()
+			a.vs = make([][]*tensor.Tensor, len(tr.buckets))
+			a.encs = make([][]*quant.Encoded, len(tr.buckets))
+			for bi, b := range tr.buckets {
+				a.vs[bi] = make([]*tensor.Tensor, len(b.params))
+				for i, pi := range b.params {
+					a.vs[bi][i] = tensor.New(params[pi].Value.Shape()...)
 				}
-			} else {
-				a.encs = make([][]*quant.Encoded, len(tr.buckets))
-				for bi, b := range tr.buckets {
-					a.encs[bi] = make([]*quant.Encoded, len(b.params))
-				}
+				a.encs[bi] = make([]*quant.Encoded, len(b.params))
 			}
 		}
 	}

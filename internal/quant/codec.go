@@ -38,9 +38,10 @@ type Encoded struct {
 	scales []float64
 
 	// Pool bookkeeping (see pool.go): pooled payloads carry a reference
-	// count and return their buffers for reuse on the last Release.
+	// count and return their buffers, by size class, on the last Release.
 	refs   atomic.Int32
 	pooled bool
+	class  uint8
 }
 
 // Scheme returns the scheme the payload was encoded under.
@@ -86,7 +87,7 @@ func linearLevels(s Scheme) float64 {
 // buffers are recycled, making steady-state encode allocation-free. Callers
 // that never Release simply leave the value to the garbage collector.
 func Encode(s Scheme, t *tensor.Tensor) *Encoded {
-	e := getEncoded(s)
+	e := getEncoded(s, t.Len())
 	if s != None {
 		e.shape = append(e.shape[:0], t.Shape()...)
 	}

@@ -1,0 +1,111 @@
+package quant
+
+import (
+	"math"
+	"testing"
+
+	"dmt/internal/tensor"
+)
+
+// halfValue is the test's own reading of a binary16 magnitude (sign bit
+// clear), independent of the codec: m·2^-24 below the normal range,
+// (1024+m)·2^(e-25) in it. The exponent-31 row is read as if it were finite
+// (0x7c00 = 65536), which is what the overflow midpoint 65520 rounds
+// against.
+func halfValue(mag uint16) float64 {
+	e, m := int(mag>>10), float64(mag&0x3ff)
+	if e == 0 {
+		return math.Ldexp(m, -24)
+	}
+	return math.Ldexp(1024+m, e-25)
+}
+
+// TestFromFloat16TableExhaustive checks all 65 536 table entries: each is
+// the format's definition (decodeFloat16) bit for bit, that definition
+// agrees with the arithmetic reading above, every NaN half decodes to the
+// same-signed canonical quiet NaN, and every other half survives
+// ToFloat16(FromFloat16(h)) unchanged.
+func TestFromFloat16TableExhaustive(t *testing.T) {
+	for i := 0; i < 1<<16; i++ {
+		h := uint16(i)
+		got := math.Float32bits(FromFloat16(h))
+		if def := math.Float32bits(decodeFloat16(h)); got != def {
+			t.Fatalf("half %#04x: table holds %#08x, decodeFloat16 gives %#08x", h, got, def)
+		}
+		sign, mag := uint32(h&0x8000)<<16, h&0x7fff
+		want := sign | math.Float32bits(float32(halfValue(mag)))
+		switch {
+		case mag > 0x7c00:
+			want = sign | 0x7fc00000
+		case mag == 0x7c00:
+			want = sign | 0x7f800000
+		}
+		if got != want {
+			t.Fatalf("half %#04x decodes to %#08x, want %#08x", h, got, want)
+		}
+		if mag <= 0x7c00 {
+			if back := ToFloat16(FromFloat16(h)); back != h {
+				t.Fatalf("half %#04x -> %g -> %#04x: not a fixed point", h, FromFloat16(h), back)
+			}
+		}
+	}
+}
+
+// TestToFloat16MidpointNeighbours walks every pair of adjacent halves of
+// either sign — zero to the smallest subnormal, the subnormal/normal seam,
+// every binade boundary, 65504 to the overflow threshold — and rounds the
+// float32 midpoint between them and its two float32 neighbours: just inside
+// either half goes to that half, the exact tie to the even one.
+func TestToFloat16MidpointNeighbours(t *testing.T) {
+	for mag := uint16(0); mag < 0x7c00; mag++ {
+		lo, hi := halfValue(mag), halfValue(mag+1)
+		mid := float32((lo + hi) / 2) // exact: float32 carries 13 more bits than a half
+		even := mag + mag&1
+		for _, c := range []struct {
+			v    float32
+			want uint16
+		}{
+			{math.Nextafter32(mid, 0), mag},
+			{mid, even},
+			{math.Nextafter32(mid, float32(math.Inf(1))), mag + 1},
+		} {
+			if got := ToFloat16(c.v); got != c.want {
+				t.Fatalf("%g (%#08x) between halves %#04x and %#04x rounds to %#04x, want %#04x",
+					c.v, math.Float32bits(c.v), mag, mag+1, got, c.want)
+			}
+			if got := ToFloat16(-c.v); got != 0x8000|c.want {
+				t.Fatalf("%g rounds to %#04x, want %#04x", -c.v, got, 0x8000|c.want)
+			}
+		}
+	}
+}
+
+// TestPoolIsSizeClassed is the regression pin for the size-blind payload
+// pool: rounds of large payloads (a top-layer gradient) interleaved with
+// rounds of small ones (an AlltoAll chunk) must not hand the large buffers
+// to the small payloads. Every buffer handed out holds less than twice the
+// capacity it needs, whatever else the pool has seen.
+func TestPoolIsSizeClassed(t *testing.T) {
+	r := tensor.NewRNG(5)
+	large := tensor.RandUniform(r, -1, 1, 256, 152)
+	small := tensor.RandUniform(r, -1, 1, 512)
+	for _, s := range []Scheme{FP16, INT8} {
+		for round := 0; round < 4; round++ {
+			for _, x := range []*tensor.Tensor{large, small} {
+				var es [8]*Encoded
+				held := 0
+				for i := range es {
+					es[i] = Encode(s, x)
+					held += max(cap(es[i].f16), cap(es[i].q)) // one object serves both schemes
+				}
+				if limit := 2 * len(es) * x.Len(); held >= limit {
+					t.Fatalf("%s round %d: %d payloads of %d elements hold capacity for %d, want < %d",
+						s, round, len(es), x.Len(), held, limit)
+				}
+				for _, e := range es {
+					e.Release()
+				}
+			}
+		}
+	}
+}

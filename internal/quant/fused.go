@@ -29,7 +29,7 @@ func EncodeResidual(s Scheme, g, r *tensor.Tensor) *Encoded {
 		panic(fmt.Sprintf("quant: EncodeResidual size mismatch %d vs %d", g.Len(), r.Len()))
 	}
 	gd, rd := g.Data(), r.Data()
-	e := getEncoded(s)
+	e := getEncoded(s, g.Len())
 	if s != None {
 		e.shape = append(e.shape[:0], g.Shape()...)
 	}

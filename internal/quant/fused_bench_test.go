@@ -1,19 +1,47 @@
 package quant
 
 import (
+	"math"
 	"testing"
 
 	"dmt/internal/tensor"
 )
 
+// gradientLike fills a tensor the way an over-arch gradient looks on the
+// wire: magnitudes log-uniform over 1e-7…1e-4 with random signs, so most
+// elements land below the smallest normal half (2^-14 ≈ 6.1e-5) and travel
+// as subnormals — the case the trainer's receive side actually decodes and
+// a U(−1, 1) payload never produces.
+func gradientLike(r *tensor.RNG, shape ...int) *tensor.Tensor {
+	t := tensor.RandUniform(r, -7, -4, shape...)
+	sign := tensor.RandUniform(r, -1, 1, shape...).Data()
+	for i, e := range t.Data() {
+		t.Data()[i] = float32(math.Copysign(math.Pow(10, float64(e)), float64(sign[i])))
+	}
+	return t
+}
+
 // BenchmarkHotpathCodec measures the per-bucket wire path of compressed
-// collectives: the fused quantize+encode+error-feedback pass against the
-// unfused clone/add/encode/decode/sub composition it replaces. Run with
-// -benchmem (`make bench-hotpath`): the headline is the allocs/op column.
+// collectives. fused/unfused: the quantize+encode+error-feedback pass
+// against the clone/add/encode/decode/sub composition it replaces — run
+// with -benchmem (`make bench-hotpath`), the headline is the allocs/op
+// column. decode/addto: the receive side (DecodeInto, AddTo) in fp32 MB/s,
+// on the uniform payload and on a gradient-like one.
 func BenchmarkHotpathCodec(b *testing.B) {
 	r := tensor.NewRNG(42)
 	g := tensor.RandUniform(r, -1, 1, 64, 257) // odd width keeps INT4 honest
 	res := tensor.RandUniform(r, -0.01, 0.01, 64, 257)
+	grad := gradientLike(r, 64, 257)
+	subnormal := 0
+	for _, v := range grad.Data() {
+		if h := ToFloat16(v) & 0x7fff; h != 0 && h < 0x0400 {
+			subnormal++
+		}
+	}
+	if 10*subnormal < 6*grad.Len() {
+		b.Fatalf("gradient-like payload has %d of %d subnormal halves, want >= 60%%", subnormal, grad.Len())
+	}
+	dst := tensor.New(64, 257)
 	for _, s := range []Scheme{FP16, INT8, INT4} {
 		b.Run(s.String()+"/fused", func(b *testing.B) {
 			EncodeResidual(s, g, res).Release() // warm the pool
@@ -31,5 +59,24 @@ func BenchmarkHotpathCodec(b *testing.B) {
 				e.Release()
 			}
 		})
+		for _, p := range []struct {
+			name string
+			x    *tensor.Tensor
+		}{{"uniform", g}, {"gradient", grad}} {
+			e := Encode(s, p.x)
+			b.Run(s.String()+"/decode/"+p.name, func(b *testing.B) {
+				b.SetBytes(int64(4 * dst.Len()))
+				for i := 0; i < b.N; i++ {
+					e.DecodeInto(dst)
+				}
+			})
+			b.Run(s.String()+"/addto/"+p.name, func(b *testing.B) {
+				b.SetBytes(int64(4 * dst.Len()))
+				for i := 0; i < b.N; i++ {
+					e.AddTo(dst)
+				}
+			})
+			e.Release()
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package quant
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // encodedPool recycles Encoded payload buffers. A compressed collective
 // encodes once per step per bucket; without pooling every Encode allocates
@@ -17,10 +20,21 @@ import "sync"
 // zero the buffers go back to the pool. Dropping an Encoded without Release
 // is always safe — it simply falls to the garbage collector like any other
 // value, and the pool never sees it.
-var encodedPool = sync.Pool{New: func() any { return new(Encoded) }}
+//
+// One pool per size class (bits.Len of the element count): buffers keep
+// their capacity across reuse, so a single pool would hand the largest
+// gradient's buffers to 1 KB AlltoAll chunks and back until every pooled
+// payload had grown to the largest one. Within a class capacity stays
+// below twice what the payload needs.
+var encodedPools [bits.UintSize + 1]sync.Pool
 
-func getEncoded(s Scheme) *Encoded {
-	e := encodedPool.Get().(*Encoded)
+func getEncoded(s Scheme, n int) *Encoded {
+	class := uint8(bits.Len(uint(n)))
+	e, _ := encodedPools[class].Get().(*Encoded)
+	if e == nil {
+		e = new(Encoded)
+	}
+	e.class = class
 	e.scheme = s
 	e.refs.Store(1)
 	e.pooled = true
@@ -60,7 +74,7 @@ func (e *Encoded) recycle() {
 	e.q = e.q[:0]
 	e.nib = e.nib[:0]
 	e.scales = e.scales[:0]
-	encodedPool.Put(e)
+	encodedPools[e.class].Put(e)
 }
 
 // grow returns s resized to n elements, reusing capacity when it suffices.

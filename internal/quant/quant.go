@@ -145,8 +145,23 @@ func ToFloat16(f float32) uint16 {
 	}
 }
 
-// FromFloat16 converts binary16 bits back to float32 exactly.
-func FromFloat16(h uint16) float32 {
+// FromFloat16 converts binary16 bits back to float32 exactly: one load from
+// a table of all 65 536 halves (256 KiB), which init fills from decodeFloat16
+// — the format's one definition. Most gradient halves on the wire are
+// subnormal, so the receive side must not pay the normalising loop per
+// element.
+func FromFloat16(h uint16) float32 { return float16Table[h] }
+
+var float16Table [1 << 16]float32
+
+func init() {
+	for h := range float16Table {
+		float16Table[h] = decodeFloat16(uint16(h))
+	}
+}
+
+// decodeFloat16 is the binary16 → float32 conversion FromFloat16 tabulates.
+func decodeFloat16(h uint16) float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h >> 10 & 0x1f)
 	mant := uint32(h & 0x3ff)

@@ -47,8 +47,9 @@ func Scale(a *Tensor, s float32) *Tensor {
 // AddInPlace accumulates src into dst (dst += src).
 func AddInPlace(dst, src *Tensor) {
 	mustSameShape("AddInPlace", dst, src)
-	for i := range dst.data {
-		dst.data[i] += src.data[i]
+	d, s := dst.data, src.data[:len(dst.data)] // hoisted: no per-element reload or bounds check
+	for i := range d {
+		d[i] += s[i]
 	}
 }
 
