@@ -63,23 +63,27 @@ bench-hotpath:
 bench-hotpath-check:
 	$(GO) test -tags benchgate -run '^TestHotpathParallelMatMulSpeedup$$' -v ./internal/tensor
 
-# Short native-fuzz runs over the wire codec, the SPTT step (a) bag payload
-# and the pooling backward against its map-based oracle (go test allows one
-# -fuzz target per invocation, hence the separate runs).
+# Short native-fuzz runs over the wire codec, the SPTT step (a) bag payload,
+# the pooling backward against its map-based oracle and the workload trace
+# parser (go test allows one -fuzz target per invocation, hence the separate
+# runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFloat16RoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzLinearQuantRoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedCodec$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBags$$' -fuzztime 10s ./internal/sptt
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolBackward$$' -fuzztime 10s ./internal/sptt
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/workload
 
-# The example mains have no tests: build them all, and run the SPTT
+# The example mains have no tests: build them all, run the SPTT
 # walkthrough, which panics on a semantic-preservation violation and prints
 # the Figure 7 traffic accounting — the cheapest end-to-end check of the
-# embedding-exchange dataflow.
+# embedding-exchange dataflow — and the quickstart, the one caller of the
+# core.Plan planning API.
 examples-smoke:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/sptt_walkthrough
+	$(GO) run ./examples/quickstart
 
 # The command mains have no tests either: build them all and drive the three
 # experiment front ends through the registry — a listing and one fast

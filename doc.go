@@ -9,8 +9,8 @@
 // (internal/tensor, internal/nn), an in-process collective runtime
 // (internal/comm), a synthetic CTR workload with planted interaction
 // structure (internal/data), a calibrated datacenter performance model
-// (internal/topology, internal/netsim, internal/perfmodel), embedding
-// sharding (internal/sharding), the DLRM/DCN model families
+// (internal/topology, internal/netsim, internal/perfmodel), the embedding
+// store backend (internal/embeddings), the DLRM/DCN model families
 // (internal/models), a parallelism-search study (internal/parallel), and
 // per-table/figure experiment drivers (internal/experiments) orchestrated
 // by the public planning API (internal/core).

@@ -5,8 +5,9 @@
 //
 // The flow mirrors how the paper's system is used (§3, §5): probe feature
 // embeddings feed the Tower Partitioner, the planner assigns one tower per
-// host with per-tower sharding, the performance model prices the deployment,
-// and the planned DMT-DLRM trains with hierarchical feature interaction.
+// host and spreads each tower's tables over its host's GPUs, the performance
+// model prices the deployment, and the planned DMT-DLRM trains with
+// hierarchical feature interaction.
 package main
 
 import (
@@ -33,7 +34,7 @@ func main() {
 	// Plan for 32 A100s (4 hosts -> 4 towers).
 	cluster := topology.NewCluster(topology.A100, 32)
 	planner := core.NewPlanner(cluster)
-	plan, err := planner.Plan(gen.LatentBatch(0, 128), core.TablesFromSchema(cfg.Schema, 16))
+	plan, err := planner.Plan(gen.LatentBatch(0, 128))
 	if err != nil {
 		panic(err)
 	}

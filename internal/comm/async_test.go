@@ -81,32 +81,6 @@ func TestAsyncReduceScatterAndInt32(t *testing.T) {
 	})
 }
 
-// TestAsyncCompressedMatchesBlocking: the I*Q forms must resolve to exactly
-// what the blocking Q collectives produce (same encode-once/decode-per-
-// receiver pipeline).
-func TestAsyncCompressedMatchesBlocking(t *testing.T) {
-	const n = 4
-	blocking := make([]*tensor.Tensor, n)
-	async := make([]*tensor.Tensor, n)
-	mk := func(rank int) *tensor.Tensor {
-		return tensor.FromSlice([]float32{0.1 + float32(rank), -1.5 * float32(rank), 3.25}, 3)
-	}
-	comms := NewGroup(n)
-	Run(comms, func(c *Comm) {
-		blocking[c.Rank()] = c.AllReduceSumQ(quant.FP16, mk(c.Rank()))
-	})
-	comms2 := NewGroup(n)
-	Run(comms2, func(c *Comm) {
-		h := c.IAllReduceSumQ(quant.FP16, mk(c.Rank()))
-		async[c.Rank()] = h.Wait()
-	})
-	for r := 0; r < n; r++ {
-		if !blocking[r].Equal(async[r]) {
-			t.Fatalf("rank %d: async compressed AllReduce differs from blocking", r)
-		}
-	}
-}
-
 // TestWaitOutOfOrderPanics: mailbox FIFO is the wire format, so waiting
 // handle #1 while #0 is still pending must panic rather than silently hand
 // one collective another's payloads.
@@ -235,10 +209,10 @@ func TestTimesCounters(t *testing.T) {
 	}
 }
 
-// TestAllGatherBatchMatchesPerTensor: the batched collective must deliver,
-// per source and per slot, exactly what b separate AllGathers would —
-// including over the quantized wire, where each tensor keeps its own row
-// structure.
+// TestAllGatherBatchMatchesPerTensor: the batched gather must deliver, per
+// source and per slot, exactly what b separate gathers would — including
+// over the quantized wire, where each tensor is encoded on its own and keeps
+// its own row structure — and charge the same wire bytes.
 func TestAllGatherBatchMatchesPerTensor(t *testing.T) {
 	const n, b = 4, 3
 	mk := func(rank, i int) *tensor.Tensor {
@@ -252,23 +226,31 @@ func TestAllGatherBatchMatchesPerTensor(t *testing.T) {
 			r := c.Rank()
 			ref[r] = make([][]*tensor.Tensor, b)
 			for i := 0; i < b; i++ {
-				ref[r][i] = c.AllGatherQ(s, mk(r, i))
+				x := mk(r, i)
+				ref[r][i] = c.IAlltoAllTensorsQ(s, []*tensor.Tensor{x, x, x, x}).Wait()
 			}
 		})
 		comms2 := NewGroup(n)
 		Run(comms2, func(c *Comm) {
 			r := c.Rank()
-			xs := make([]*tensor.Tensor, b)
-			for i := 0; i < b; i++ {
-				xs[i] = mk(r, i)
+			encs := make([]*quant.Encoded, b)
+			for i := range encs {
+				encs[i] = quant.Encode(s, mk(r, i))
 			}
-			got[r] = c.IAllGatherBatchQ(s, xs).Wait()
+			parts := c.IAllGatherBatchEnc(encs).Wait()
+			got[r] = make([][]*tensor.Tensor, n)
+			for src, es := range parts {
+				for _, e := range es {
+					got[r][src] = append(got[r][src], e.Decode())
+					e.Release()
+				}
+			}
 		})
 		for r := 0; r < n; r++ {
 			for src := 0; src < n; src++ {
 				for i := 0; i < b; i++ {
 					if !got[r][src][i].Equal(ref[r][i][src]) {
-						t.Fatalf("%s rank %d: batch slot %d from src %d differs from per-tensor AllGather", s, r, i, src)
+						t.Fatalf("%s rank %d: batch slot %d from src %d differs from per-tensor gather", s, r, i, src)
 					}
 				}
 			}
@@ -287,8 +269,8 @@ func TestAllGatherBatchMatchesPerTensor(t *testing.T) {
 	}
 }
 
-// TestBroadcastWithPendingPanics: the direct-receive collectives must
-// refuse to run while a handle is outstanding instead of stealing its
+// TestBroadcastWithPendingPanics: a blocking collective must refuse to run
+// while a compressed AlltoAll handle is outstanding instead of stealing its
 // payloads.
 func TestBroadcastWithPendingPanics(t *testing.T) {
 	comms := NewGroup(2)
@@ -303,8 +285,8 @@ func TestBroadcastWithPendingPanics(t *testing.T) {
 	}()
 	Run(comms, func(c *Comm) {
 		x := tensor.FromSlice([]float32{1}, 1)
-		h := c.IAllReduceSum(x)
-		c.Broadcast(x, 0)
+		h := c.IAlltoAllTensorsQ(quant.FP16, []*tensor.Tensor{x, x})
+		c.AllGather(x)
 		h.Wait()
 	})
 }

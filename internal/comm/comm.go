@@ -1,15 +1,16 @@
 // Package comm is the in-process collective-communication runtime that
 // stands in for NCCL. Ranks are goroutines; a Group is a private full mesh
 // of unbounded FIFO mailboxes; collectives (AlltoAll, AllReduce,
-// ReduceScatter, AllGather, Broadcast, Barrier) move real tensors between
-// ranks.
+// ReduceScatter, AllGather) move real tensors between ranks; the SPTT
+// embedding AlltoAll and the batched gradient AllGather also run over a
+// quantized wire (compressed.go).
 //
-// Every collective comes in two forms: a blocking call and a non-blocking
-// I* variant (IAlltoAllTensors, IAllReduceSum, ...) that posts its sends
-// immediately and returns a Pending handle whose Wait() drains the receives
-// and finishes the reduction. The blocking calls are thin I*-plus-Wait
-// wrappers, so both forms share one implementation, one traffic accounting,
-// and one determinism argument. Handles let callers overlap communication
+// Every collective has a non-blocking I* form (IAlltoAllTensors,
+// IAllReduceSum, ...) that posts its sends immediately and returns a
+// Pending handle whose Wait() drains the receives and finishes the
+// reduction. The blocking calls (AlltoAllTensors, AllReduceSum, ...) are
+// thin I*-plus-Wait wrappers, so both forms share one implementation, one
+// traffic accounting, and one determinism argument. Handles let callers overlap communication
 // with compute: post, do rank-local work, then Wait — the runtime tracks
 // how long each rank actually blocked (exposed time) versus how long posted
 // collectives sat in flight under compute (hidden time).
@@ -506,14 +507,11 @@ func (c *Comm) ReduceScatterSum(chunks []*tensor.Tensor) *tensor.Tensor {
 	return c.IReduceScatterSum(chunks).Wait()
 }
 
-// checkIdle panics if this rank still has unwaited Pending handles. The
-// direct-receive collectives (Broadcast, Barrier) do not go through the
-// handle sequencing, so running one with a collective in flight would
-// silently steal the pending collective's mailbox payloads. The blocking
-// wrappers — including every compressed Q form — run the same guard before
-// posting their sends: their immediate Wait would panic on the sequencing
-// violation anyway, but by then the sends would already sit in peers'
-// mailboxes, so the guard fails the call loudly BEFORE the wire is touched.
+// checkIdle panics if this rank still has unwaited Pending handles. Every
+// blocking wrapper runs it before posting its sends: the wrapper's immediate
+// Wait would panic on the sequencing violation anyway, but by then the sends
+// would already sit in peers' mailboxes, so the guard fails the call loudly
+// BEFORE the wire is touched.
 func (c *Comm) checkIdle(op string) {
 	if c.waitSeq != c.issueSeq {
 		n := c.issueSeq - c.waitSeq
@@ -536,31 +534,6 @@ func AssertDrained(comms []*Comm) {
 			panic(fmt.Sprintf("comm: rank %d has %d unwaited handle(s) after drain (%d marked carried)",
 				c.rank, n, c.carried))
 		}
-	}
-}
-
-// Broadcast returns root's x on every rank.
-func (c *Comm) Broadcast(x *tensor.Tensor, root int) *tensor.Tensor {
-	c.checkIdle("Broadcast")
-	if c.rank == root {
-		for d := 0; d < c.g.size; d++ {
-			if d != root {
-				c.send(d, x, tensorBytes(x))
-			}
-		}
-		return x
-	}
-	return c.recv(root).(*tensor.Tensor)
-}
-
-// Barrier blocks until every rank of the group has entered it.
-func (c *Comm) Barrier() {
-	c.checkIdle("Barrier")
-	for d := 0; d < c.g.size; d++ {
-		c.send(d, nil, 0)
-	}
-	for s := 0; s < c.g.size; s++ {
-		c.recv(s)
 	}
 }
 

@@ -29,7 +29,7 @@ func TestCompressedWireAccounting(t *testing.T) {
 			for d := 0; d < n; d++ {
 				chunks[d] = tensor.Full(float32(c.Rank()+1), elems)
 			}
-			c.AlltoAllTensorsQ(tc.scheme, chunks)
+			c.IAlltoAllTensorsQ(tc.scheme, chunks).Wait()
 		})
 		m := TrafficMatrix(comms)
 		for s := 0; s < n; s++ {
@@ -62,7 +62,7 @@ func TestCompressedAlltoAllDeliversQuantized(t *testing.T) {
 		got := make([][]*tensor.Tensor, n)
 		comms := NewGroup(n)
 		Run(comms, func(c *Comm) {
-			got[c.Rank()] = c.AlltoAllTensorsQ(s, orig[c.Rank()])
+			got[c.Rank()] = c.IAlltoAllTensorsQ(s, orig[c.Rank()]).Wait()
 		})
 		for dst := 0; dst < n; dst++ {
 			for src := 0; src < n; src++ {
@@ -81,65 +81,13 @@ func TestCompressedAlltoAllDeliversQuantized(t *testing.T) {
 	}
 }
 
-// TestBroadcastQAllRanksIdentical: the root must see the same quantized
-// values as every receiver, not its raw tensor.
-func TestBroadcastQAllRanksIdentical(t *testing.T) {
-	const n = 4
-	x := tensor.RandN(tensor.NewRNG(5), 1, 2, 6)
-	for _, s := range []quant.Scheme{quant.FP16, quant.INT8} {
-		out := make([]*tensor.Tensor, n)
-		comms := NewGroup(n)
-		Run(comms, func(c *Comm) {
-			var in *tensor.Tensor
-			if c.Rank() == 1 {
-				in = x
-			}
-			out[c.Rank()] = c.BroadcastQ(s, in, 1)
-		})
-		want := quant.Apply(s, x)
-		for rk := 0; rk < n; rk++ {
-			if !out[rk].Equal(want) {
-				t.Fatalf("%s: rank %d broadcast differs from quantized root payload", s, rk)
-			}
-		}
-	}
-}
-
-// TestReduceScatterSumQMatchesReference: the quantized reduce-scatter must
-// equal the rank-ordered sum of the quantized chunks addressed to the rank.
-func TestReduceScatterSumQMatchesReference(t *testing.T) {
-	const n = 3
-	r := tensor.NewRNG(7)
-	chunks := make([][]*tensor.Tensor, n)
-	for src := 0; src < n; src++ {
-		chunks[src] = make([]*tensor.Tensor, n)
-		for d := 0; d < n; d++ {
-			chunks[src][d] = tensor.RandN(r, 1, 2, 4)
-		}
-	}
-	for _, s := range []quant.Scheme{quant.FP16, quant.INT4} {
-		out := make([]*tensor.Tensor, n)
-		comms := NewGroup(n)
-		Run(comms, func(c *Comm) {
-			out[c.Rank()] = c.ReduceScatterSumQ(s, chunks[c.Rank()])
-		})
-		for d := 0; d < n; d++ {
-			want := quant.Apply(s, chunks[0][d]).Clone()
-			for src := 1; src < n; src++ {
-				tensor.AddInPlace(want, quant.Apply(s, chunks[src][d]))
-			}
-			if !out[d].Equal(want) {
-				t.Fatalf("%s: rank %d reduce-scatter differs from sequential reference", s, d)
-			}
-		}
-	}
-}
-
-// TestCompressedCollectivesConcurrencyAgree drives compressed AllReduceSum
-// and AlltoAllTensors at G=8 under comm.Run — the `-race` workout for the
-// compressed wire path — and checks that every rank's AllReduce result is
-// bit-identical across ranks and equal to the sequential reference (the
-// rank-ordered sum of each rank's quantized contribution).
+// TestCompressedCollectivesConcurrencyAgree drives both compressed
+// collectives at G=8 under comm.Run — the `-race` workout for the
+// compressed wire path. Each rank reduces the gathered payloads the way the
+// gradient buckets do (DecodeInto source 0, AddTo the rest, in rank order),
+// and every rank's sum must be bit-identical across ranks and equal to the
+// sequential reference (the rank-ordered sum of each rank's quantized
+// contribution); every AlltoAll chunk must arrive as quant.Apply predicts.
 func TestCompressedCollectivesConcurrencyAgree(t *testing.T) {
 	const g, rounds = 8, 5
 	r := tensor.NewRNG(23)
@@ -166,8 +114,19 @@ func TestCompressedCollectivesConcurrencyAgree(t *testing.T) {
 		comms := NewGroup(g)
 		Run(comms, func(c *Comm) {
 			for round := 0; round < rounds; round++ {
-				sums[c.Rank()][round] = c.AllReduceSumQ(s, xs[round][c.Rank()])
-				a2a[c.Rank()][round] = c.AlltoAllTensorsQ(s, chunks[round][c.Rank()])
+				x := xs[round][c.Rank()]
+				parts := c.IAllGatherBatchEnc([]*quant.Encoded{quant.Encode(s, x)}).Wait()
+				sum := tensor.New(x.Shape()...)
+				for src, p := range parts {
+					if src == 0 {
+						p[0].DecodeInto(sum)
+					} else {
+						p[0].AddTo(sum)
+					}
+					p[0].Release()
+				}
+				sums[c.Rank()][round] = sum
+				a2a[c.Rank()][round] = c.IAlltoAllTensorsQ(s, chunks[round][c.Rank()]).Wait()
 			}
 		})
 		for round := 0; round < rounds; round++ {
@@ -232,22 +191,26 @@ func TestSplitByHostRejectsBadWidth(t *testing.T) {
 	}
 }
 
-// TestCompressedNoneIsRawPath: the Q variants with quant.None must deliver
-// the sender's tensor by reference, exactly like the raw collectives.
+// TestCompressedNoneIsRawPath: IAlltoAllTensorsQ with quant.None must
+// deliver the sender's tensor by reference, exactly like the raw collective.
 func TestCompressedNoneIsRawPath(t *testing.T) {
 	const n = 2
 	x := tensor.FromSlice([]float32{1, 2, 3}, 3)
-	got := make([]*tensor.Tensor, n)
+	got := make([][]*tensor.Tensor, n)
 	comms := NewGroup(n)
 	Run(comms, func(c *Comm) {
-		got[c.Rank()] = c.BroadcastQ(quant.None, x, 0)
+		chunks := []*tensor.Tensor{nil, nil}
+		if c.Rank() == 0 {
+			chunks = []*tensor.Tensor{x, x}
+		}
+		got[c.Rank()] = c.IAlltoAllTensorsQ(quant.None, chunks).Wait()
 	})
 	for rk := 0; rk < n; rk++ {
-		if got[rk] != x {
-			t.Fatalf("rank %d: None broadcast must deliver by reference", rk)
+		if got[rk][0] != x {
+			t.Fatalf("rank %d: None AlltoAll must deliver by reference", rk)
 		}
 	}
-	if fmt.Sprintf("%p", got[0]) != fmt.Sprintf("%p", x) {
+	if fmt.Sprintf("%p", got[1][0]) != fmt.Sprintf("%p", x) {
 		t.Fatal("pointer identity lost")
 	}
 }

@@ -91,7 +91,7 @@ func TestLatencyModeWireBytesDriveDelay(t *testing.T) {
 			for i := range x.Data() {
 				x.Data()[i] = float32(i)
 			}
-			c.AllReduceSumQ(s, x)
+			c.IAlltoAllTensorsQ(s, []*tensor.Tensor{x, x, x, x}).Wait()
 		})
 		e, _ := GroupTimes(comms)
 		return e
@@ -121,15 +121,17 @@ func latencyWorkload(g, l int) ([]time.Duration, []time.Duration, []time.Duratio
 				big.Data()[i] = float32(r*step + i)
 			}
 			// Two handles in flight at once, compute between issue and Wait,
-			// then blocking calls (raw and compressed) and a barrier.
+			// then a compressed gather and a blocking raw collective.
 			h1 := c.IAllReduceSum(big)
 			h2 := c.IAllGather(x)
 			k.Advance(time.Duration(10+step) * time.Microsecond)
 			h1.Wait()
 			h2.Wait()
-			c.AllReduceSumQ(quant.FP16, big)
+			for _, es := range c.IAllGatherBatchEnc([]*quant.Encoded{quant.Encode(quant.FP16, big)}).Wait() {
+				es[0].Release()
+			}
 			k.Advance(5 * time.Microsecond)
-			c.Barrier()
+			c.AllGather(x)
 		}
 		exposed[r], hidden[r] = c.Times()
 		clocks[r] = k.Now()
@@ -228,8 +230,9 @@ func TestHiddenWindowsUnion(t *testing.T) {
 }
 
 // TestBarrierFailsWithPendingQ: the refuse-to-run-with-handles-pending
-// guard must cover the compressed entry points — a pending IAllGatherBatchQ
-// makes a Barrier fail loudly instead of stealing its mailbox payloads.
+// guard covers the compressed gradient gather — a pending
+// IAllGatherBatchEnc makes a blocking collective fail loudly instead of
+// stealing its mailbox payloads.
 func TestBarrierFailsWithPendingQ(t *testing.T) {
 	comms := NewGroup(2)
 	defer func() {
@@ -243,29 +246,37 @@ func TestBarrierFailsWithPendingQ(t *testing.T) {
 	}()
 	Run(comms, func(c *Comm) {
 		x := tensor.FromSlice([]float32{1, 2}, 2)
-		h := c.IAllGatherBatchQ(quant.FP16, []*tensor.Tensor{x})
-		c.Barrier()
+		h := c.IAllGatherBatchEnc([]*quant.Encoded{quant.Encode(quant.FP16, x)})
+		c.AllReduceSum(x)
 		h.Wait()
 	})
 }
 
-// TestBlockingQFailsWithPending: the blocking compressed wrappers guard
-// too, failing before their sends touch the wire.
+// TestBlockingQFailsWithPending: a compressed handle carried across a step
+// boundary still blocks the blocking collectives, the guard names it as
+// carried, and it fires before the blocking call's sends touch the wire —
+// only the compressed payload is on it.
 func TestBlockingQFailsWithPending(t *testing.T) {
-	comms := NewGroup(2)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "pending handle") {
-			t.Fatalf("panic should mention pending handles: %v", r)
-		}
+	comms := NewGroup(1)
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("expected panic")
+			}
+			if msg, ok := r.(string); !ok || !strings.Contains(msg, "carried across a step boundary") {
+				t.Fatalf("panic should report the carried handle: %v", r)
+			}
+		}()
+		Run(comms, func(c *Comm) {
+			x := tensor.FromSlice([]float32{1}, 1)
+			h := c.IAlltoAllTensorsQ(quant.INT8, []*tensor.Tensor{x})
+			h.Carry()
+			c.AllReduceSum(x)
+			h.Wait()
+		})
 	}()
-	Run(comms, func(c *Comm) {
-		x := tensor.FromSlice([]float32{1}, 1)
-		h := c.IAllReduceSum(x)
-		c.AllReduceSumQ(quant.INT8, x)
-		h.Wait()
-	})
+	if got, want := TrafficMatrix(comms)[0][0], int64(1+4); got != want {
+		t.Fatalf("wire carries %d bytes, want the int8 payload's %d", got, want)
+	}
 }

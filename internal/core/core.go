@@ -1,18 +1,19 @@
 // Package core is the top-level orchestration API of the DMT reproduction —
 // the surface a user of the library touches to go from "I have a
-// recommendation model and a cluster" to "a tower-partitioned, sharded,
+// recommendation model and a cluster" to "a tower-partitioned,
 // throughput-predicted DMT deployment":
 //
 //	planner := core.NewPlanner(cluster)
-//	plan, err := planner.Plan(featureEmbeddings, tables)
+//	plan, err := planner.Plan(featureEmbeddings)
 //	model  := core.BuildDMTDLRM(plan, schema, seed)   // trainable DMT model
 //	pred   := plan.Throughput                          // modeled speedup
 //
-// Plan runs the Tower Partitioner (§3.3) over per-feature embeddings,
-// assigns towers to hosts with per-tower embedding sharding (§4), and
-// prices the deployment with the calibrated performance model (§5.3). The
-// resulting partition feeds the DMT model constructors (hierarchical
-// interaction, §3.2) and the sptt.Engine (distributed dataflow, §3.1).
+// Plan runs the Tower Partitioner (§3.3) over per-feature embeddings, places
+// each tower on its own host (sptt.TowerAssignment: the tower's tables
+// round-robin over the host's GPUs), and prices the deployment with the
+// calibrated performance model (§5.3). The resulting partition feeds the DMT
+// model constructors (hierarchical interaction, §3.2) and the sptt.Engine
+// (distributed dataflow, §3.1), which executes exactly that placement.
 package core
 
 import (
@@ -22,7 +23,6 @@ import (
 	"dmt/internal/models"
 	"dmt/internal/partition"
 	"dmt/internal/perfmodel"
-	"dmt/internal/sharding"
 	"dmt/internal/sptt"
 	"dmt/internal/tensor"
 	"dmt/internal/topology"
@@ -57,7 +57,9 @@ func NewPlanner(cluster topology.Cluster) *Planner {
 	}
 }
 
-// Plan is a complete DMT deployment decision.
+// Plan is a complete DMT deployment decision. Its placement — which tower
+// and which rank hold each feature's table — is TowerOf/RankOf, the layout
+// SPTTConfig hands the dataflow engine.
 type Plan struct {
 	Cluster topology.Cluster
 	// Towers is the feature partition (tower t lives on host t).
@@ -65,8 +67,6 @@ type Plan struct {
 	// TowerOf / RankOf are the flattened assignment (sptt.Config layout).
 	TowerOf []int
 	RankOf  []int
-	// Sharding places each tower's tables on its host's GPUs.
-	Sharding *sharding.Plan
 	// Partition retains the TP artifacts (interaction matrix, coordinates).
 	Partition *partition.Result
 	// Throughput compares baseline, SPTT, and DMT on this cluster.
@@ -89,19 +89,16 @@ type ThroughputPrediction struct {
 }
 
 // Plan partitions features into one tower per host using the interaction
-// structure of the provided per-feature embeddings (B, F, N), shards each
-// tower's tables onto its host, and prices the deployment.
-func (p *Planner) Plan(featureEmbeddings *tensor.Tensor, tables []sharding.Table) (*Plan, error) {
+// structure of the provided per-feature embeddings (B, F, N), places each
+// tower's tables on its host's ranks, and prices the deployment.
+func (p *Planner) Plan(featureEmbeddings *tensor.Tensor) (*Plan, error) {
 	if featureEmbeddings.Rank() != 3 {
 		return nil, fmt.Errorf("core: feature embeddings must be (B, F, N), got %v", featureEmbeddings.Shape())
 	}
 	f := featureEmbeddings.Dim(1)
-	if len(tables) != f {
-		return nil, fmt.Errorf("core: %d tables for %d features", len(tables), f)
-	}
 	numTowers := p.Cluster.Hosts
 	if numTowers > f {
-		return nil, fmt.Errorf("core: %d hosts but only %d features; use column sharding to widen (§5.2.2 fn1)", numTowers, f)
+		return nil, fmt.Errorf("core: %d hosts but only %d features; every host's tower needs at least one feature", numTowers, f)
 	}
 
 	tp := partition.NewTP(p.Strategy, p.Seed)
@@ -114,40 +111,11 @@ func (p *Planner) Plan(featureEmbeddings *tensor.Tensor, tables []sharding.Table
 		return nil, err
 	}
 
-	// Per-tower sharding: each tower's tables onto its host's GPUs.
-	shPlanner := &sharding.Planner{
-		NumRanks:   p.Cluster.GPUs(),
-		LocalBatch: p.LocalBatch,
-	}
-	full := &sharding.Plan{Tables: tables, NumRanks: p.Cluster.GPUs()}
-	for t, feats := range res.Groups {
-		ranks := make([]int, p.Cluster.GPUsPerHost)
-		for j := range ranks {
-			ranks[j] = t*p.Cluster.GPUsPerHost + j
-		}
-		towerTables := make([]sharding.Table, len(feats))
-		for i, ft := range feats {
-			towerTables[i] = tables[ft]
-		}
-		sub, err := shPlanner.PlanOn(towerTables, ranks)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sub.Shards {
-			s.Table = feats[s.Table] // re-index into the full table list
-			full.Shards = append(full.Shards, s)
-		}
-	}
-	if err := full.Validate(); err != nil {
-		return nil, err
-	}
-
 	return &Plan{
 		Cluster:          p.Cluster,
 		Towers:           res.Groups,
 		TowerOf:          towerOf,
 		RankOf:           rankOf,
-		Sharding:         full,
 		Partition:        res,
 		Throughput:       p.predict(),
 		CompressionRatio: p.CompressionRatio,
@@ -217,19 +185,4 @@ func BuildDMTDCN(plan *Plan, schema data.Schema, embDim int, seed uint64) *model
 		DeepMLP: []int{64, 32},
 		Seed:    seed,
 	})
-}
-
-// TablesFromSchema derives sharding.Table descriptors from a data schema
-// and embedding dimension.
-func TablesFromSchema(schema data.Schema, embDim int) []sharding.Table {
-	tables := make([]sharding.Table, schema.NumSparse())
-	for f := range tables {
-		tables[f] = sharding.Table{
-			Name:          fmt.Sprintf("emb%d", f),
-			Rows:          schema.Cardinalities[f],
-			Dim:           embDim,
-			PoolingFactor: float64(schema.HotSizes[f]),
-		}
-	}
-	return tables
 }

@@ -22,10 +22,10 @@ func testWorkload(seed uint64) (*data.Generator, data.Config) {
 }
 
 func TestPlanEndToEnd(t *testing.T) {
-	gen, cfg := testWorkload(1)
+	gen, _ := testWorkload(1)
 	cluster := topology.NewCluster(topology.A100, 32) // 4 hosts
 	pl := NewPlanner(cluster)
-	plan, err := pl.Plan(gen.LatentBatch(0, 128), TablesFromSchema(cfg.Schema, 16))
+	plan, err := pl.Plan(gen.LatentBatch(0, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,16 +51,6 @@ func TestPlanEndToEnd(t *testing.T) {
 	if len(seen) != 16 {
 		t.Fatalf("only %d features assigned", len(seen))
 	}
-	if err := plan.Sharding.Validate(); err != nil {
-		t.Fatalf("sharding plan invalid: %v", err)
-	}
-	// Shards stay on the owning tower's host.
-	for _, s := range plan.Sharding.Shards {
-		wantHost := plan.TowerOf[s.Table]
-		if s.Rank/cluster.GPUsPerHost != wantHost {
-			t.Fatalf("table %d sharded to host %d, want %d", s.Table, s.Rank/cluster.GPUsPerHost, wantHost)
-		}
-	}
 	if plan.Throughput.SpeedupOverBaseline <= 1 {
 		t.Fatalf("predicted speedup %v should exceed 1 on 32 GPUs", plan.Throughput.SpeedupOverBaseline)
 	}
@@ -72,17 +62,14 @@ func TestPlanEndToEnd(t *testing.T) {
 }
 
 func TestPlanRejectsBadInputs(t *testing.T) {
-	gen, cfg := testWorkload(2)
+	gen, _ := testWorkload(2)
 	cluster := topology.NewCluster(topology.A100, 32)
 	pl := NewPlanner(cluster)
-	if _, err := pl.Plan(gen.LatentBatch(0, 16).Reshape(16, -1), nil); err == nil {
+	if _, err := pl.Plan(gen.LatentBatch(0, 16).Reshape(16, -1)); err == nil {
 		t.Fatal("non-3D embeddings must error")
 	}
-	if _, err := pl.Plan(gen.LatentBatch(0, 16), TablesFromSchema(cfg.Schema, 16)[:3]); err == nil {
-		t.Fatal("table/feature mismatch must error")
-	}
 	big := topology.NewCluster(topology.A100, 512) // 64 hosts > 16 features
-	if _, err := NewPlanner(big).Plan(gen.LatentBatch(0, 16), TablesFromSchema(cfg.Schema, 16)); err == nil {
+	if _, err := NewPlanner(big).Plan(gen.LatentBatch(0, 16)); err == nil {
 		t.Fatal("more hosts than features must error with guidance")
 	}
 }
@@ -91,7 +78,7 @@ func TestBuiltModelTrains(t *testing.T) {
 	gen, cfg := testWorkload(3)
 	cluster := topology.NewCluster(topology.A100, 16) // 2 hosts
 	pl := NewPlanner(cluster)
-	plan, err := pl.Plan(gen.LatentBatch(0, 128), TablesFromSchema(cfg.Schema, 16))
+	plan, err := pl.Plan(gen.LatentBatch(0, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +98,9 @@ func TestBuiltModelTrains(t *testing.T) {
 }
 
 func TestSPTTConfigFromPlan(t *testing.T) {
-	gen, cfg := testWorkload(4)
+	gen, _ := testWorkload(4)
 	cluster := topology.NewCluster(topology.A100, 16)
-	plan, err := NewPlanner(cluster).Plan(gen.LatentBatch(0, 64), TablesFromSchema(cfg.Schema, 16))
+	plan, err := NewPlanner(cluster).Plan(gen.LatentBatch(0, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +114,16 @@ func TestSPTTConfigFromPlan(t *testing.T) {
 }
 
 func TestPlannerStrategyAffectsPartition(t *testing.T) {
-	gen, cfg := testWorkload(5)
+	gen, _ := testWorkload(5)
 	cluster := topology.NewCluster(topology.A100, 32)
 	coh := NewPlanner(cluster)
 	div := NewPlanner(cluster)
 	div.Strategy = partition.Diverse
-	pc, err := coh.Plan(gen.LatentBatch(0, 128), TablesFromSchema(cfg.Schema, 16))
+	pc, err := coh.Plan(gen.LatentBatch(0, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd, err := div.Plan(gen.LatentBatch(0, 128), TablesFromSchema(cfg.Schema, 16))
+	pd, err := div.Plan(gen.LatentBatch(0, 128))
 	if err != nil {
 		t.Fatal(err)
 	}

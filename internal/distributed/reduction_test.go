@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dmt/internal/comm"
@@ -172,11 +173,14 @@ func TestBucketReductionMatchesPerReceiverDecode(t *testing.T) {
 // bucket, the boxed message, the pending handle, its resolver and the [src]
 // result slice (198 objects at G = 8 with two buckets; 310 on either wire
 // while the message was boxed once per destination). The codec, the arena
-// images and the reduction add nothing.
+// images and the reduction add nothing. The collector is held off while
+// measuring: a GC cycle empties sync.Pool, and the re-encodes it forces
+// would count the heap the earlier tests left behind, not the cycle.
 func TestCompressedBucketCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops payloads at random, so encodes allocate")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cycle := func(s quant.Scheme) float64 {
 		cfg, _ := latencySetup(3)
 		cfg.Compression.Gradient = s

@@ -200,7 +200,7 @@ func TestServerPanicCancelsComputeGroups(t *testing.T) {
 			}
 			// Rank 1 blocks on a compute collective the dying rank will never
 			// join; only the cancellation cascade can free it.
-			compute[c.Rank()].Barrier()
+			compute[c.Rank()].AllReduceSum(tensor.FromSlice([]float32{1}, 1))
 		})
 	}()
 	select {

@@ -16,17 +16,6 @@ type DCNConfig struct {
 	Seed    uint64
 }
 
-// DefaultDCNConfig returns the reproduction's standard small DCN.
-func DefaultDCNConfig(schema data.Schema, seed uint64) DCNConfig {
-	return DCNConfig{
-		Schema:      schema,
-		N:           16,
-		CrossLayers: 2,
-		DeepMLP:     []int{64, 32},
-		Seed:        seed,
-	}
-}
-
 // DCN concatenates dense features with all sparse embeddings and applies a
 // CrossNet followed by a deep MLP (stacked structure).
 type DCN struct {

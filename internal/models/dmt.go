@@ -144,55 +144,31 @@ func (m *DMTDLRM) CompressionRatio() float64 {
 	return towers.CompressionRatio(m.cfg.Schema.NumSparse(), m.cfg.N, outs)
 }
 
-// Forward computes logits.
+// Forward computes logits: embeddings, the tower modules (hierarchical
+// interaction level 1: per-tower compression), then the same over-arch a
+// distributed rank runs — ForwardDenseFrom(ForwardBottom(dense), towers).
 func (m *DMTDLRM) Forward(b *data.Batch) *tensor.Tensor {
-	m.lastBatch = b.Size
-	d := m.cfg.D
 	sparse := embedAll(m.Embs, b) // (B, F, N)
-	denseEmb := m.Bottom.Forward(b.Dense)
-
-	// Hierarchical interaction level 1: per-tower compression.
-	parts := []*tensor.Tensor{denseEmb} // later viewed as derived feature 0
+	parts := make([]*tensor.Tensor, len(m.cfg.Towers))
 	for t, feats := range m.cfg.Towers {
-		sel := tensor.SelectFeatures(sparse, feats)
-		parts = append(parts, m.TMs[t].Forward(sel)) // (B, O_t)
+		parts[t] = m.TMs[t].Forward(tensor.SelectFeatures(sparse, feats)) // (B, O_t)
 	}
-	flat := tensor.Concat(1, parts...) // (B, D*(1+ΣK_t))
-	k := flat.Dim(1) / d
-	x := flat.Reshape(b.Size, k, d)
-
-	// Level 2: global interaction over derived features.
-	z := m.Interaction.Forward(x)
-	top := tensor.Concat(1, denseEmb, z)
-	return m.Top.Forward(top).Reshape(b.Size)
+	return m.ForwardDenseFrom(m.ForwardBottom(b.Dense), tensor.Concat(1, parts...))
 }
 
-// Backward propagates logit gradients.
+// Backward propagates logit gradients: BackwardTop and BackwardBottom (the
+// over-arch, as on a distributed rank), then each tower's share of the
+// compressed-output gradient back through its module into the tables.
 func (m *DMTDLRM) Backward(dLogits *tensor.Tensor) {
-	b := m.lastBatch
-	d := m.cfg.D
-	f, n := m.cfg.Schema.NumSparse(), m.cfg.N
-
-	dTop := m.Top.Backward(dLogits.Reshape(b, 1))
-	parts := tensor.SplitCols(dTop, []int{d, dTop.Dim(1) - d})
-	dDenseDirect, dZ := parts[0], parts[1]
-	dX := m.Interaction.Backward(dZ) // (B, K, D)
-	dFlat := dX.Reshape(b, dX.Dim(1)*d)
-
-	// Split back into dense embedding + per-tower blocks.
-	widths := []int{d}
-	for t := range m.cfg.Towers {
-		widths = append(widths, m.TMs[t].OutDim())
+	dCompressed, dDenseEmb := m.BackwardTop(dLogits)
+	m.BackwardBottom(dDenseEmb)
+	widths := make([]int, len(m.TMs))
+	for t, tm := range m.TMs {
+		widths[t] = tm.OutDim()
 	}
-	blocks := tensor.SplitCols(dFlat, widths)
-
-	dDense := tensor.Add(blocks[0], dDenseDirect)
-	m.Bottom.Backward(dDense)
-
-	dSparse := tensor.New(b, f, n)
-	for t, feats := range m.cfg.Towers {
-		dSel := m.TMs[t].Backward(blocks[t+1]) // (B, F_t, N)
-		tensor.ScatterAddFeatures(dSparse, dSel, feats)
+	dSparse := tensor.New(m.lastBatch, m.cfg.Schema.NumSparse(), m.cfg.N)
+	for t, dOut := range tensor.SplitCols(dCompressed, widths) {
+		tensor.ScatterAddFeatures(dSparse, m.TMs[t].Backward(dOut), m.cfg.Towers[t]) // (B, F_t, N)
 	}
 	m.sparseGrads = scatterEmbGrads(m.Embs, dSparse)
 }

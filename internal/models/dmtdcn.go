@@ -24,20 +24,6 @@ type DMTDCNConfig struct {
 	Seed          uint64
 }
 
-// DefaultDMTDCNConfig mirrors DefaultDCNConfig with D = N/2 towers.
-func DefaultDMTDCNConfig(schema data.Schema, towersList [][]int, seed uint64) DMTDCNConfig {
-	return DMTDCNConfig{
-		Schema:        schema,
-		N:             16,
-		Towers:        towersList,
-		D:             8,
-		TMCrossLayers: 1,
-		CrossLayers:   2,
-		DeepMLP:       []int{64, 32},
-		Seed:          seed,
-	}
-}
-
 // DMTDCN is the DMT counterpart of DCN.
 type DMTDCN struct {
 	cfg   DMTDCNConfig

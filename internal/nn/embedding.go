@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"sort"
 
 	"dmt/internal/tensor"
@@ -35,15 +34,10 @@ type EmbeddingBag struct {
 	lastIndices []int32
 	lastOffsets []int32
 
-	// Backward arena, reused across steps: slot assignment per touched row
-	// (first-encounter order, exactly the order the old per-row map
-	// materialized rows in), the touched rows by slot, and the flat
-	// accumulation buffer at Dim floats per slot. Only the returned
-	// SparseGrad escapes a Backward call, so everything else lives here and
-	// steady-state backward allocates nothing beyond that result.
-	bwdSlot map[int]int
-	bwdRows []int
-	bwdBuf  []float32
+	// slot is PoolBackward's scratch index for this table, one entry per row,
+	// built on the first Backward and all zero between calls, so steady-state
+	// backward allocates nothing beyond the returned SparseGrad.
+	slot []int32
 }
 
 // NewEmbeddingBag creates a table initialized U(-1/Rows, 1/Rows), the
@@ -64,36 +58,14 @@ func NewEmbeddingBag(r *tensor.RNG, rows, dim int, mode PoolMode, name string) *
 // indices[offsets[i]:offsets[i+1]] (the last bag extends to len(indices)).
 // Returns a (numBags, Dim) tensor. Empty bags pool to zero.
 func (e *EmbeddingBag) Forward(indices, offsets []int32) *tensor.Tensor {
-	nbags := len(offsets)
-	out := tensor.New(nbags, e.Dim)
-	for b := 0; b < nbags; b++ {
-		lo, hi := e.bagBounds(indices, offsets, b)
-		if lo == hi {
-			continue
-		}
-		dst := out.Row(b)
-		for _, idx := range indices[lo:hi] {
-			if int(idx) < 0 || int(idx) >= e.Rows {
-				panic(fmt.Sprintf("nn: embedding %q index %d out of range [0,%d)", e.Name, idx, e.Rows))
-			}
-			src := e.Table.Row(int(idx))
-			for d := 0; d < e.Dim; d++ {
-				dst[d] += src[d]
-			}
-		}
-		if e.Mode == PoolMean {
-			inv := float32(1) / float32(hi-lo)
-			for d := 0; d < e.Dim; d++ {
-				dst[d] *= inv
-			}
-		}
-	}
+	out := e.ForwardInference(indices, offsets)
 	e.lastIndices = indices
 	e.lastOffsets = offsets
 	return out
 }
 
-func (e *EmbeddingBag) bagBounds(indices, offsets []int32, b int) (int, int) {
+// bagBounds returns bag b's [lo, hi) range in indices.
+func bagBounds(indices, offsets []int32, b int) (int, int) {
 	lo := int(offsets[b])
 	hi := len(indices)
 	if b+1 < len(offsets) {
@@ -109,77 +81,69 @@ type SparseGrad struct {
 	Grads *tensor.Tensor // (len(Rows), dim)
 }
 
-// Backward converts the pooled-output gradient dY (numBags, Dim) into a
-// coalesced sparse gradient over table rows.
-//
-// Accumulation runs in bag order, index order within each bag, into one
-// arena slot per distinct row — the identical float32 operation sequence per
-// row as the original per-row map, so trajectories do not move by a bit.
-// The arena persists across steps; only the returned SparseGrad is freshly
-// allocated (it escapes into the optimizer and the gradient routing).
+// Backward converts the pooled-output gradient dY (numBags, Dim) of the last
+// Forward into a coalesced sparse gradient over table rows (PoolBackward).
 func (e *EmbeddingBag) Backward(dy *tensor.Tensor) *SparseGrad {
 	if e.lastOffsets == nil {
 		panic("nn: EmbeddingBag.Backward before Forward")
 	}
-	if e.bwdSlot == nil {
-		e.bwdSlot = make(map[int]int)
+	if e.slot == nil {
+		e.slot = make([]int32, e.Rows)
 	}
-	clear(e.bwdSlot)
-	e.bwdRows = e.bwdRows[:0]
-	for b := 0; b < len(e.lastOffsets); b++ {
-		lo, hi := e.bagBounds(e.lastIndices, e.lastOffsets, b)
+	return PoolBackward(e.Mode, e.lastIndices, e.lastOffsets, dy, e.slot)
+}
+
+// PoolBackward converts a pooled-output gradient into a coalesced sparse
+// table gradient — the one pooling-backward kernel, behind both
+// EmbeddingBag.Backward and the SPTT dataflow's step (a) backward —
+// accumulating straight into the result's rows. slot is the table's scratch
+// index — one zero per table row, zero again on return — through which a
+// bag entry finds its row's position in the result: the touched rows are
+// marked and collected, sorted, numbered, and then the bags are walked in
+// their original order, so every row's float additions run from zero in the
+// order the bags list it.
+func PoolBackward(mode PoolMode, indices, offsets []int32, dPooled *tensor.Tensor, slot []int32) *SparseGrad {
+	b := len(offsets)
+	dim := dPooled.Dim(1)
+	// Only entries inside some bag count: a leading offset above zero leaves
+	// a prefix of indices in no bag.
+	used := indices[:0]
+	if b > 0 {
+		used = indices[offsets[0]:]
+	}
+	rows := make([]int, 0, min(len(used), len(slot)))
+	for _, ix := range used {
+		if slot[ix] == 0 {
+			slot[ix] = 1
+			rows = append(rows, int(ix))
+		}
+	}
+	sort.Ints(rows)
+	for i, r := range rows {
+		slot[r] = int32(i) + 1
+	}
+	grads := tensor.New(len(rows), dim)
+	for s := 0; s < b; s++ {
+		lo, hi := bagBounds(indices, offsets, s)
 		if lo == hi {
 			continue
 		}
-		g := dy.Row(b)
+		g := dPooled.Row(s)
 		scale := float32(1)
-		if e.Mode == PoolMean {
+		if mode == PoolMean {
 			scale = 1 / float32(hi-lo)
 		}
-		for _, idx := range e.lastIndices[lo:hi] {
-			slot, ok := e.bwdSlot[int(idx)]
-			if !ok {
-				slot = len(e.bwdRows)
-				e.bwdSlot[int(idx)] = slot
-				e.bwdRows = append(e.bwdRows, int(idx))
-				e.bwdBuf = growZeroRow(e.bwdBuf, slot, e.Dim)
-			}
-			row := e.bwdBuf[slot*e.Dim : (slot+1)*e.Dim]
-			for d := 0; d < e.Dim; d++ {
-				row[d] += scale * g[d]
+		for _, ix := range indices[lo:hi] {
+			row := grads.Row(int(slot[ix]) - 1)[:len(g)]
+			for d, gv := range g {
+				row[d] += scale * gv
 			}
 		}
 	}
-	rows := make([]int, len(e.bwdRows))
-	copy(rows, e.bwdRows)
-	sort.Ints(rows)
-	grads := tensor.New(len(rows), e.Dim)
-	for i, r := range rows {
-		slot := e.bwdSlot[r]
-		copy(grads.Row(i), e.bwdBuf[slot*e.Dim:(slot+1)*e.Dim])
+	for _, r := range rows {
+		slot[r] = 0
 	}
 	return &SparseGrad{Rows: rows, Grads: grads}
-}
-
-// growZeroRow extends buf to cover slot rows of dim floats and zeroes the
-// new slot's range (a reused arena carries stale values where the old
-// per-row make() carried zeros). Growth doubles to amortize reallocation.
-func growZeroRow(buf []float32, slot, dim int) []float32 {
-	need := (slot + 1) * dim
-	if need > len(buf) {
-		if need <= cap(buf) {
-			buf = buf[:need]
-		} else {
-			grown := make([]float32, need, 2*need)
-			copy(grown, buf)
-			buf = grown
-		}
-	}
-	row := buf[slot*dim : (slot+1)*dim]
-	for d := range row {
-		row[d] = 0
-	}
-	return buf
 }
 
 // LookupRows returns the raw (un-pooled) embeddings for a flat index list,

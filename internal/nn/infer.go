@@ -92,7 +92,7 @@ func (e *EmbeddingBag) ForwardInference(indices, offsets []int32) *tensor.Tensor
 	nbags := len(offsets)
 	out := tensor.New(nbags, e.Dim)
 	for b := 0; b < nbags; b++ {
-		lo, hi := e.bagBounds(indices, offsets, b)
+		lo, hi := bagBounds(indices, offsets, b)
 		e.PoolBagInto(out.Row(b), indices[lo:hi])
 	}
 	return out

@@ -97,12 +97,6 @@ func Apply(s Scheme, t *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Apply16 rounds every element to the nearest IEEE 754 half-precision
-// value (round-to-nearest-even), the error model of fp16 collectives.
-func Apply16(t *tensor.Tensor) *tensor.Tensor {
-	return Apply(FP16, t)
-}
-
 // ToFloat16 converts a float32 to IEEE 754 binary16 bits with
 // round-to-nearest-even, handling subnormals, infinities, and NaN.
 func ToFloat16(f float32) uint16 {

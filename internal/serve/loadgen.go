@@ -25,12 +25,6 @@ type LoadConfig struct {
 	Seed        uint64  // per-client RNG derivation
 }
 
-// DefaultLoadConfig is the standard evaluation point: 32 closed-loop
-// clients, moderately skewed ids.
-func DefaultLoadConfig() LoadConfig {
-	return LoadConfig{Concurrency: 32, Requests: 4096, ZipfS: 1.2, Seed: 1}
-}
-
 // LoadReport summarizes one run.
 type LoadReport struct {
 	Requests      int

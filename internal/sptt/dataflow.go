@@ -412,7 +412,7 @@ func (e *Engine) poolGrads(ls *rankLookupState, got []*tensor.Tensor, order []in
 				copy(dPooled.Data()[src*bn:(src+1)*bn], g.Data()[(i*k+kk)*bn:(i*k+kk+1)*bn])
 			}
 		}
-		out[i] = poolBackward(cfg.Features[f].Mode, ls.indices[i], ls.offsets[i], dPooled, e.slots[f])
+		out[i] = nn.PoolBackward(cfg.Features[f].Mode, ls.indices[i], ls.offsets[i], dPooled, e.slots[f])
 	}
 	return out
 }

@@ -29,7 +29,7 @@ type Engine struct {
 	peerOrder, rankOrder []int
 	tableWise, rowWise   sharding
 
-	// slots[f] is poolBackward's scratch index for table f, one entry per
+	// slots[f] is nn.PoolBackward's scratch index for table f, one entry per
 	// row, all zero between calls. A table-wise feature is pooled by its one
 	// owner rank; a row-wise one by each rank of its host over its own row
 	// range, so concurrent ranks never touch the same entry.

@@ -325,55 +325,3 @@ func poolRows(rows *tensor.Tensor, mode nn.PoolMode, offsets []int32, dim int) *
 	}
 	return out
 }
-
-// poolBackward converts a pooled-output gradient into a coalesced sparse
-// table gradient (the pure counterpart of nn.EmbeddingBag.Backward),
-// accumulating straight into the result's rows. slot is the table's scratch
-// index — one zero per table row, zero again on return — through which a
-// bag entry finds its row's position in the result: the touched rows are
-// marked and collected, sorted, numbered, and then the bags are walked in
-// their original order, so every row's float additions run from zero in the
-// order the bags list it.
-func poolBackward(mode nn.PoolMode, indices, offsets []int32, dPooled *tensor.Tensor, slot []int32) *nn.SparseGrad {
-	b := len(offsets)
-	dim := dPooled.Dim(1)
-	// Only entries inside some bag count: a leading offset above zero leaves
-	// a prefix of indices in no bag.
-	used := indices[:0]
-	if b > 0 {
-		used = indices[offsets[0]:]
-	}
-	rows := make([]int, 0, min(len(used), len(slot)))
-	for _, ix := range used {
-		if slot[ix] == 0 {
-			slot[ix] = 1
-			rows = append(rows, int(ix))
-		}
-	}
-	sort.Ints(rows)
-	for i, r := range rows {
-		slot[r] = int32(i) + 1
-	}
-	grads := tensor.New(len(rows), dim)
-	for s := 0; s < b; s++ {
-		lo, hi := int(offsets[s]), bagEnd(offsets, s, len(indices))
-		if lo == hi {
-			continue
-		}
-		g := dPooled.Row(s)
-		scale := float32(1)
-		if mode == nn.PoolMean {
-			scale = 1 / float32(hi-lo)
-		}
-		for _, ix := range indices[lo:hi] {
-			row := grads.Row(int(slot[ix]) - 1)[:len(g)]
-			for d, gv := range g {
-				row[d] += scale * gv
-			}
-		}
-	}
-	for _, r := range rows {
-		slot[r] = 0
-	}
-	return &nn.SparseGrad{Rows: rows, Grads: grads}
-}

@@ -454,7 +454,7 @@ func TestOverlapHookBitwiseNeutral(t *testing.T) {
 	}
 }
 
-// poolBackwardMap is the kernel poolBackward replaced, kept as its oracle:
+// poolBackwardMap is the kernel nn.PoolBackward replaced, kept as its oracle:
 // one heap row per touched table row behind a map, copied out in sorted
 // order.
 func poolBackwardMap(mode nn.PoolMode, indices, offsets []int32, dPooled *tensor.Tensor) *nn.SparseGrad {
@@ -494,14 +494,14 @@ func poolBackwardMap(mode nn.PoolMode, indices, offsets []int32, dPooled *tensor
 	return &nn.SparseGrad{Rows: rows, Grads: grads}
 }
 
-// checkPoolBackward runs poolBackward and its oracle over one bag layout
+// checkPoolBackward runs nn.PoolBackward and its oracle over one bag layout
 // and requires the same rows, bit-equal gradients, and the scratch index
 // handed back all zero.
 func checkPoolBackward(t *testing.T, mode nn.PoolMode, indices, offsets []int32, card, dim int, seed uint64) {
 	t.Helper()
 	dPooled := tensor.RandUniform(tensor.NewRNG(seed), -1, 1, len(offsets), dim)
 	slot := make([]int32, card)
-	got := poolBackward(mode, indices, offsets, dPooled, slot)
+	got := nn.PoolBackward(mode, indices, offsets, dPooled, slot)
 	want := poolBackwardMap(mode, indices, offsets, dPooled)
 	if !slices.Equal(got.Rows, want.Rows) {
 		t.Fatalf("rows %v, want %v (indices %v offsets %v)", got.Rows, want.Rows, indices, offsets)
@@ -566,7 +566,7 @@ func TestPoolBackwardMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// FuzzPoolBackward: poolBackward equals its oracle on arbitrary bag
+// FuzzPoolBackward: nn.PoolBackward equals its oracle on arbitrary bag
 // payloads — sizes[s]%7 entries in bag s, ids drawn from the id bytes.
 func FuzzPoolBackward(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 3}, []byte{4, 4, 9, 200, 0, 31}, false)

@@ -47,9 +47,6 @@ func Full(v float32, shape ...int) *Tensor {
 	return t
 }
 
-// Ones returns a tensor of ones.
-func Ones(shape ...int) *Tensor { return Full(1, shape...) }
-
 // checkShape validates a shape and returns its element count.
 func checkShape(shape []int) int {
 	n := 1

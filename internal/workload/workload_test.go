@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -90,20 +93,82 @@ func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsCorruptTraces pins the error paths.
+// TestDecodeRejectsCorruptTraces pins the error paths: every trace Encode
+// could not have written, or Generate could not have produced, fails with an
+// error naming the offending line.
 func TestDecodeRejectsCorruptTraces(t *testing.T) {
-	cases := []string{
-		"",
-		"not a trace\n0 0 0 0 1\n",
-		"# dmt workload trace v1\nclass broken\n",
-		"# dmt workload trace v1\nclass a 1 1 1000\n0 0 0 5 1\n", // class index out of range
-		"# dmt workload trace v1\n0 nonsense 0 0 1\n",
+	const h = "# dmt workload trace v1\n"
+	const cls = "class a 1 1 1000\n"
+	cases := []struct {
+		name, trace string
+		line        int // the line the error must name; 0 when the header is missing
+	}{
+		{"empty", "", 0},
+		{"no header", "not a trace\n0 0 0 0 1\n", 0},
+		{"short class record", h + "class broken\n", 2},
+		{"class index out of range", h + cls + "0 0 0 5 1\n", 3},
+		{"non-numeric arrival", h + "0 nonsense 0 0 1\n", 2},
+		{"sixth field", h + cls + "0 5 1 0 3 99\n", 3},
+		{"NaN share", h + "class a NaN 1 100\n", 2},
+		{"infinite share", h + "class a +Inf 1 100\n", 2},
+		{"negative share", h + "class a -0.5 1 100\n", 2},
+		{"class items below 1", h + "class a 1 0 100\n", 2},
+		{"negative SLO", h + "class a 1 1 -5\n", 2},
+		{"negative items", h + cls + "0 5 1 0 -4\n", 3},
+		{"negative arrival", h + cls + "0 -5 1 0 1\n", 3},
+		{"negative sample", h + cls + "0 5 -1 0 1\n", 3},
+		{"arrivals go backwards", h + cls + "0 5 1 0 1\n1 4 1 0 1\n", 4},
+		{"blank line", h + cls + "\n0 5 1 0 1\n", 3},
+		{"non-canonical number", h + cls + "0 05 1 0 1\n", 3},
+		{"class after a request", h + cls + "0 5 1 0 1\nclass b 1 1 100\n", 3},
+		{"missing final newline", h + cls + "0 5 1 0 1", 3},
+		{"CRLF line ends", strings.ReplaceAll(h+cls, "\n", "\r\n"), 1},
 	}
-	for i, c := range cases {
-		if _, err := Decode([]byte(c)); err == nil {
-			t.Errorf("case %d: corrupt trace decoded without error", i)
+	for _, c := range cases {
+		_, err := Decode([]byte(c.trace))
+		if err == nil {
+			t.Errorf("%s: corrupt trace decoded without error", c.name)
+			continue
+		}
+		if want := fmt.Sprintf("trace line %d:", c.line); c.line > 0 && !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name line %d", c.name, err, c.line)
 		}
 	}
+	if _, err := Decode([]byte(h + cls + "0 5 1 0 1\n1 5 0 0 3\n")); err != nil {
+		t.Errorf("hand-written canonical trace rejected: %v", err)
+	}
+}
+
+// FuzzDecode: Decode never panics, and whatever it accepts re-encodes to
+// exactly the input, which decodes to a deeply equal trace and re-encodes
+// identically.
+func FuzzDecode(f *testing.F) {
+	cfg := testConfig(Gamma)
+	cfg.Requests = 8
+	f.Add(Generate(cfg).Encode())
+	f.Add([]byte("# dmt workload trace v1\nclass a 1 1 1000\n0 5 1 0 3\n"))
+	f.Add([]byte("# dmt workload trace v1\nclass a 1 1 1000\n0 5 1 0 3 99\n"))
+	f.Add([]byte("# dmt workload trace v1\nclass a NaN 1 100\n"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tr, err := Decode(b)
+		if err != nil {
+			return
+		}
+		enc := tr.Encode()
+		if !bytes.Equal(enc, b) {
+			t.Fatalf("accepted trace re-encodes differently:\n%q\n%q", b, enc)
+		}
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v", err)
+		}
+		if !reflect.DeepEqual(tr, back) {
+			t.Fatal("re-decoded trace differs")
+		}
+		if !bytes.Equal(back.Encode(), enc) {
+			t.Fatal("second re-encode differs")
+		}
+	})
 }
 
 // TestGenerateDeterministicAcrossRunsAndProcs: trace generation is a pure
