@@ -25,12 +25,12 @@ vet:
 
 # The full lint gate: gofmt, go vet, and the repo's own dmt-lint analyzer
 # suite (internal/analysis: pendingwait, retainrelease, determinism,
-# noretain) run as a vet tool. staticcheck and the shadow pass run too
-# when installed; offline environments skip them (CI runs them in the
-# advisory lint-extra job, where they are installed from the network).
+# noretain), a standalone command over the packages and their tests.
+# staticcheck and the shadow vet tool run too when installed; offline
+# environments skip them (CI runs them in the advisory lint-extra job,
+# where they are installed from the network).
 lint: fmt-check vet
-	$(GO) build -o bin/dmt-lint ./cmd/dmt-lint
-	$(GO) vet -vettool=bin/dmt-lint ./...
+	$(GO) build -o bin/dmt-lint ./cmd/dmt-lint && bin/dmt-lint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "lint: staticcheck not installed; skipped"; fi
 	@if command -v shadow >/dev/null 2>&1; then $(GO) vet -vettool=$$(command -v shadow) ./...; \
@@ -85,9 +85,10 @@ examples-smoke:
 	$(GO) run ./examples/sptt_walkthrough
 	$(GO) run ./examples/quickstart
 
-# The command mains have no tests either: build them all and drive the three
-# experiment front ends through the registry — a listing and one fast
-# experiment each.
+# Build every command main and drive each one no test runs: the three
+# experiment front ends through the registry (a listing and one fast
+# experiment each) and the partitioner. (dmt-lint has its own test, and
+# make lint runs it.)
 cmds-smoke:
 	$(GO) build ./cmd/...
 	$(GO) run ./cmd/dmt-bench -list
@@ -95,6 +96,7 @@ cmds-smoke:
 	$(GO) run ./cmd/dmt-train -list
 	$(GO) run ./cmd/dmt-train -exp fig9 -profile smoke
 	$(GO) run ./cmd/dmt-serve -cluster
+	$(GO) run ./cmd/dmt-partition -towers 4
 
 serve-demo:
 	$(GO) run ./cmd/dmt-serve -requests 8192 -concurrency 32

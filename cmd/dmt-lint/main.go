@@ -1,63 +1,55 @@
 // dmt-lint machine-checks the repo's concurrency, refcount, and
 // determinism invariants (see internal/analysis).
 //
-// It is a standard go/analysis unitchecker, so it runs two ways:
+//	dmt-lint [packages]
 //
-//	go vet -vettool=$(pwd)/bin/dmt-lint ./...   # as a vet tool
-//	go run ./cmd/dmt-lint ./...                 # standalone
-//
-// Standalone mode simply re-executes the binary under `go vet -vettool`,
-// which supplies the build-system plumbing (package loading, export
-// data, fact files) a unitchecker needs.
+// loads the packages (default ./...) with their tests, runs every
+// analyzer, and prints each finding as file:line:col: analyzer: message.
+// It exits 1 when there are findings and 2 when the packages do not load
+// or type-check. It takes no flags.
 package main
 
 import (
 	"fmt"
+	"io"
 	"os"
-	"os/exec"
+	"path/filepath"
 	"strings"
 
-	"golang.org/x/tools/go/analysis/unitchecker"
-
 	"dmt/internal/analysis"
+	"dmt/internal/analysis/lint"
 )
 
 func main() {
-	args := os.Args[1:]
-	if vetInvocation(args) {
-		unitchecker.Main(analysis.All()...) // does not return
-	}
+	os.Exit(run(".", os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	// Standalone: re-exec under go vet with ourselves as the tool.
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmt-lint: %v\n", err)
-		os.Exit(1)
+// run lints the packages patterns match in the module at dir and returns
+// the exit code.
+func run(dir string, patterns []string, stdout, stderr io.Writer) int {
+	for _, p := range patterns {
+		if strings.HasPrefix(p, "-") {
+			fmt.Fprintln(stderr, "usage: dmt-lint [packages]")
+			return 2
+		}
 	}
-	patterns := args
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + exe}, patterns...)...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			os.Exit(ee.ExitCode())
-		}
-		fmt.Fprintf(os.Stderr, "dmt-lint: %v\n", err)
-		os.Exit(1)
+	diags, err := lint.Run(dir, patterns, analysis.All())
+	if err != nil {
+		fmt.Fprintf(stderr, "dmt-lint: %v\n", err)
+		return 2
 	}
-}
-
-// vetInvocation reports whether the go command is driving us: it calls
-// the tool with -V=full for its version handshake, -flags to enumerate
-// the tool's flags, and a *.cfg file per package unit.
-func vetInvocation(args []string) bool {
-	for _, a := range args {
-		if strings.HasPrefix(a, "-V=") || a == "-flags" || strings.HasSuffix(a, ".cfg") {
-			return true
-		}
+	// Paths under dir print relative to it, in messages too, as the go
+	// command prints them.
+	abs, _ := filepath.Abs(dir)
+	for _, d := range diags {
+		line := fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
+		fmt.Fprintln(stdout, strings.ReplaceAll(line, abs+string(filepath.Separator), ""))
 	}
-	return false
+	if len(diags) > 0 {
+		return 1
+	}
+	return 0
 }

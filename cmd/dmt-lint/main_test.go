@@ -1,0 +1,89 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestRun drives dmt-lint in-process on small modules: findings exit 1,
+// a clean package 0, and a package that does not load or type-check, or
+// a pattern that matches nothing, exits 2 with an error naming it.
+func TestRun(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		files    map[string]string
+		args     []string
+		code     int
+		stdout   string // every line of it, in order
+		inStderr []string
+	}{{
+		name:   "finding",
+		files:  map[string]string{"internal/netsim/n.go": "package netsim\n\nimport \"time\"\n\nfunc F() time.Time { return time.Now() }\n"},
+		args:   []string{"./..."},
+		code:   1,
+		stdout: "internal/netsim/n.go:5:29: determinism: time.Now reads the wall clock in a virtual-clock package: use the group's Clock (or annotate //dmt:nondeterministic-ok <reason> for wall-clock-only stats)\n",
+	}, {
+		name:  "clean",
+		files: map[string]string{"ok/ok.go": "package ok\n\nfunc F() int { return 1 }\n"},
+		code:  0,
+	}, {
+		name:     "type error",
+		files:    map[string]string{"bad/bad.go": "package bad\n\nvar X int = \"s\"\n"},
+		args:     []string{"./bad"},
+		code:     2,
+		inStderr: []string{"example/bad", "bad.go:3:13"},
+	}, {
+		name:     "unresolved import",
+		files:    map[string]string{"a/a.go": "package a\n\nimport \"example/missing\"\n\nvar X = missing.Y\n"},
+		args:     []string{"./a"},
+		code:     2,
+		inStderr: []string{"example/missing", "a/a.go:3:8"},
+	}, {
+		name:     "pattern matches nothing",
+		files:    map[string]string{"empty/README": "no Go files here\n"},
+		args:     []string{"./empty/..."},
+		code:     2,
+		inStderr: []string{"no packages match ./empty/..."},
+	}, {
+		name:     "no such directory",
+		args:     []string{"./nothing/..."},
+		code:     2,
+		inStderr: []string{"./nothing/..."},
+	}, {
+		name:     "flags are not taken",
+		args:     []string{"-json", "./..."},
+		code:     2,
+		inStderr: []string{"usage: dmt-lint [packages]"},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module example\n\ngo 1.24\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for name, src := range tc.files {
+				path := filepath.Join(dir, name)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(dir, tc.args, &stdout, &stderr); code != tc.code {
+				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, tc.code, &stdout, &stderr)
+			}
+			if stdout.String() != tc.stdout {
+				t.Errorf("stdout:\n%s\nwant:\n%s", &stdout, tc.stdout)
+			}
+			for _, s := range tc.inStderr {
+				if !strings.Contains(stderr.String(), s) {
+					t.Errorf("stderr %q does not name %q", &stderr, s)
+				}
+			}
+		})
+	}
+}

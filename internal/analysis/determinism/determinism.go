@@ -47,23 +47,17 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"dmt/internal/analysis/directive"
 	"dmt/internal/analysis/dmtpkg"
+	"dmt/internal/analysis/lint"
 )
 
 // Marker is the suppression directive, without the leading "//".
 const Marker = "dmt:nondeterministic-ok"
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "determinism",
-	Doc:      "forbid wall-clock time, global math/rand, and order-sensitive map iteration on the virtual-clock path",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
+// Analyzer forbids wall-clock time, global math/rand, and order-sensitive
+// map iteration on the virtual-clock path.
+var Analyzer = &lint.Analyzer{Name: "determinism", Run: run}
 
 // forbiddenTime are the wall-clock entry points of package time.
 var forbiddenTime = map[string]bool{
@@ -78,37 +72,28 @@ var allowedRand = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *lint.Pass) {
 	if !dmtpkg.OnVirtualClockPath(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	supp := directive.New(pass, Marker)
-
-	testFiles := make(map[*ast.File]bool)
 	for _, f := range pass.Files {
-		testFiles[f] = dmtpkg.IsTestFile(pass.Fset, f)
+		if dmtpkg.IsTestFile(pass.Fset, f) {
+			continue
+		}
+		lint.WithStack(f, func(n ast.Node, stack []ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				checkCall(pass, supp, n)
+			case *ast.RangeStmt:
+				checkMapRange(pass, supp, n, stack)
+			}
+			return true
+		})
 	}
-
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil), (*ast.RangeStmt)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
-		}
-		if f, ok := stack[0].(*ast.File); ok && testFiles[f] {
-			return false // skip the whole file
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			checkCall(pass, supp, n)
-		case *ast.RangeStmt:
-			checkMapRange(pass, supp, n, stack)
-		}
-		return true
-	})
-	return nil, nil
 }
 
-func checkCall(pass *analysis.Pass, supp *directive.Index, call *ast.CallExpr) {
+func checkCall(pass *lint.Pass, supp *directive.Index, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -128,7 +113,7 @@ func checkCall(pass *analysis.Pass, supp *directive.Index, call *ast.CallExpr) {
 	}
 }
 
-func checkMapRange(pass *analysis.Pass, supp *directive.Index, rng *ast.RangeStmt, stack []ast.Node) {
+func checkMapRange(pass *lint.Pass, supp *directive.Index, rng *ast.RangeStmt, stack []ast.Node) {
 	t, ok := pass.TypesInfo.Types[rng.X]
 	if !ok {
 		return
@@ -147,7 +132,7 @@ func checkMapRange(pass *analysis.Pass, supp *directive.Index, rng *ast.RangeStm
 // is the set of variables that do not outlive one iteration — writes to
 // them cannot leak visitation order.
 type classifier struct {
-	pass   *analysis.Pass
+	pass   *lint.Pass
 	locals map[types.Object]bool
 	fnBody *ast.BlockStmt
 	why    string
@@ -495,7 +480,7 @@ func (c *classifier) constant(e ast.Expr) bool {
 	return false
 }
 
-func isInteger(pass *analysis.Pass, e ast.Expr) bool {
+func isInteger(pass *lint.Pass, e ast.Expr) bool {
 	tv, ok := pass.TypesInfo.Types[e]
 	if !ok || tv.Type == nil {
 		return false
@@ -504,7 +489,7 @@ func isInteger(pass *analysis.Pass, e ast.Expr) bool {
 	return ok && b.Info()&(types.IsInteger|types.IsBoolean) != 0
 }
 
-func isBuiltin(pass *analysis.Pass, fun ast.Expr, name string) bool {
+func isBuiltin(pass *lint.Pass, fun ast.Expr, name string) bool {
 	id, ok := fun.(*ast.Ident)
 	if !ok || id.Name != name {
 		return false

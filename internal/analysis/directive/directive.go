@@ -4,33 +4,36 @@
 //
 //	//dmt:<marker>-ok <reason>
 //
-// placed either at the end of the offending line or on its own line
-// immediately above. The reason is mandatory: a bare marker is itself a
-// diagnostic, so every suppression in the tree carries a written
-// justification that survives review.
+// placed either at the end of the offending line, where it covers that
+// line only, or alone on the line immediately above, where it covers the
+// line below. The marker must be followed by whitespace and a reason:
+// a bare marker is itself a diagnostic, so every suppression in the tree
+// carries a written justification that survives review.
 package directive
 
 import (
+	"bytes"
 	"go/ast"
 	"go/token"
+	"os"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
+	"dmt/internal/analysis/lint"
 )
 
 // Index holds the positions of one analyzer's suppression markers within a
 // pass, keyed by (file, line). Build it once per pass with New; bare markers
 // (no reason) are reported immediately as diagnostics.
 type Index struct {
-	pass   *analysis.Pass
+	pass   *lint.Pass
 	marker string
 	lines  map[string]map[int]bool // filename -> set of suppressed lines
 }
 
 // New scans every file in the pass for marker (e.g.
-// "//dmt:nondeterministic-ok") and returns the index. A marker with no
+// "dmt:nondeterministic-ok") and returns the index. A marker with no
 // trailing reason is reported against the comment and does not suppress.
-func New(pass *analysis.Pass, marker string) *Index {
+func New(pass *lint.Pass, marker string) *Index {
 	ix := &Index{pass: pass, marker: marker, lines: map[string]map[int]bool{}}
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
@@ -47,9 +50,12 @@ func (ix *Index) add(c *ast.Comment) {
 	if !ok {
 		return
 	}
-	if reason := strings.TrimSpace(text); reason == "" {
+	if strings.TrimSpace(text) == "" {
 		ix.pass.Reportf(c.Pos(), "%s needs a reason: //%s <why this is safe>", ix.marker, ix.marker)
 		return
+	}
+	if text[0] != ' ' && text[0] != '\t' {
+		return // a longer word, such as //dmt:nondeterministic-okay
 	}
 	pos := ix.pass.Fset.Position(c.Pos())
 	set := ix.lines[pos.Filename]
@@ -57,11 +63,20 @@ func (ix *Index) add(c *ast.Comment) {
 		set = map[int]bool{}
 		ix.lines[pos.Filename] = set
 	}
-	// A trailing comment suppresses its own line; a comment on its own
-	// line suppresses the line below it. Marking both is harmless and
-	// covers either placement without tracking what else shares the line.
-	set[pos.Line] = true
-	set[pos.Line+1] = true
+	if aloneOnLine(pos) {
+		set[pos.Line+1] = true
+	} else {
+		set[pos.Line] = true
+	}
+}
+
+// aloneOnLine reports whether only blanks precede pos on its line.
+func aloneOnLine(pos token.Position) bool {
+	src, err := os.ReadFile(pos.Filename)
+	if err != nil || pos.Offset > len(src) {
+		return false
+	}
+	return len(bytes.TrimSpace(src[pos.Offset-pos.Column+1:pos.Offset])) == 0
 }
 
 // Suppresses reports whether a justified marker covers pos.

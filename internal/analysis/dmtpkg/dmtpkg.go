@@ -58,12 +58,6 @@ var VirtualClockPackages = []string{
 // OnVirtualClockPath reports whether the package at path is covered by
 // the determinism analyzer.
 func OnVirtualClockPath(path string) bool {
-	// The go test build of a covered package analyzes as "<path>.test"
-	// or "<path> [<path>.test]"; strip the test-variant suffix.
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	path = strings.TrimSuffix(path, "_test")
 	for _, name := range VirtualClockPackages {
 		if IsPath(path, name) {
 			return true

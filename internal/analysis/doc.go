@@ -1,6 +1,7 @@
-// Package analysis is the dmt-lint suite: golang.org/x/tools/go/analysis
-// analyzers that machine-check the repository's hand-enforced
-// concurrency, refcount, and determinism invariants.
+// Package analysis is the dmt-lint suite: analyzers, written against the
+// standard library's go/ast and go/types alone, that machine-check the
+// repository's hand-enforced concurrency, refcount, and determinism
+// invariants.
 //
 // Nine PRs in, the correctness story rests on conventions that were
 // documented in comments and caught only at runtime — by AssertDrained,
@@ -44,11 +45,12 @@
 //
 // # Running
 //
-// The suite ships as cmd/dmt-lint, runnable standalone
-// (`go run ./cmd/dmt-lint ./...`, which re-executes itself under
-// `go vet -vettool`) or directly as a vet tool
-// (`go vet -vettool=$(which dmt-lint) ./...`). `make lint` wires it into
-// the repo's lint gate together with gofmt and go vet.
+// The suite ships as cmd/dmt-lint (`go run ./cmd/dmt-lint ./...`; `make
+// lint` builds it into bin/ and runs it after gofmt and go vet). Package
+// lint loads the packages and runs the analyzers: packages come from
+// `go list`, test variants included, and are type-checked from source;
+// package flow holds the control-flow graphs and the may-leak walk
+// pendingwait and retainrelease share.
 //
 // # Suppressing a finding
 //

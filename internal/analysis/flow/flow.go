@@ -21,8 +21,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"golang.org/x/tools/go/cfg"
 )
 
 // Class is the effect one CFG node has on the tracked obligation.
@@ -56,7 +54,7 @@ type Tracker struct {
 // Leaks reports whether some path from the creation to a normal function
 // return neither satisfies nor transfers the obligation. It returns the
 // position of the return that ends the first leaking path found.
-func Leaks(g *cfg.CFG, t *Tracker) (token.Pos, bool) {
+func Leaks(g *CFG, t *Tracker) (token.Pos, bool) {
 	if g == nil {
 		return token.NoPos, false
 	}
@@ -97,9 +95,9 @@ func Leaks(g *cfg.CFG, t *Tracker) (token.Pos, bool) {
 		}
 		return token.NoPos, false
 	}
-	visited := make(map[*cfg.Block]bool)
-	var walk func(b *cfg.Block) (token.Pos, bool)
-	walk = func(b *cfg.Block) (token.Pos, bool) {
+	visited := make(map[*Block]bool)
+	var walk func(b *Block) (token.Pos, bool)
+	walk = func(b *Block) (token.Pos, bool) {
 		if visited[b] {
 			return token.NoPos, false
 		}
@@ -142,7 +140,7 @@ func Leaks(g *cfg.CFG, t *Tracker) (token.Pos, bool) {
 
 // scan classifies b.Nodes[from:]. done=true means the path was decided in
 // this block: either discharged (leak=false) or killed (leak=true, at pos).
-func (t *Tracker) scan(b *cfg.Block, from int) (pos token.Pos, done, leak bool) {
+func (t *Tracker) scan(b *Block, from int) (pos token.Pos, done, leak bool) {
 	for _, n := range b.Nodes[from:] {
 		if n == t.Creation {
 			// Looped back to the acquisition with the obligation open.
@@ -246,7 +244,7 @@ func (t *Tracker) classifyUse(stack []ast.Node) Class {
 // statically nil: a block ending in `v == nil` or `v != nil` with two
 // successors (then, else) has one arm where v is nil and there is nothing
 // to discharge.
-func (t *Tracker) prunedNilBranch(b *cfg.Block, succ int) bool {
+func (t *Tracker) prunedNilBranch(b *Block, succ int) bool {
 	if len(b.Succs) != 2 || len(b.Nodes) == 0 {
 		return false
 	}
@@ -298,7 +296,7 @@ func parentOf(stack []ast.Node, n int) ast.Node {
 	return nil
 }
 
-func findNode(g *cfg.CFG, target ast.Node) (*cfg.Block, int) {
+func findNode(g *CFG, target ast.Node) (*Block, int) {
 	for _, b := range g.Blocks {
 		for i, n := range b.Nodes {
 			if n == target {
@@ -309,7 +307,7 @@ func findNode(g *cfg.CFG, target ast.Node) (*cfg.Block, int) {
 	return nil, 0
 }
 
-func returnEnd(b *cfg.Block) ast.Node {
+func returnEnd(b *Block) ast.Node {
 	if len(b.Nodes) == 0 {
 		return nil
 	}

@@ -3,66 +3,57 @@
 // lines carry `// want "regexp"` comments and the harness verifies the
 // emitted diagnostics match them one-to-one.
 //
-// The x/tools analysistest package is not vendored (it drags in
-// go/packages and an export-data loader), so the harness drives the real
-// production entry point instead: it builds cmd/dmt-lint once and runs
-//
-//	go vet -vettool=dmt-lint -json -<analyzer> ./<dir>/...
-//
-// inside the fixture module. That is a stronger test than an in-process
-// run — it exercises the unitchecker handshake, analyzer flag selection,
-// and cross-package fact export/import exactly the way CI runs them.
+// The harness calls lint.Run, as cmd/dmt-lint does, in-process and with
+// only the analyzer under test: the fixture packages are loaded through
+// `go list`, cross-package facts flow from the packages they import, and
+// a package with tests is reported through its test variant alone — so a
+// finding reported twice fails the match.
 package linttest
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
+
+	"dmt/internal/analysis"
+	"dmt/internal/analysis/lint"
 )
 
-var (
-	buildOnce sync.Once
-	binPath   string
-	buildErr  error
-)
-
-// Run builds dmt-lint, runs the named analyzer over ./<dir>/... for each
-// fixture dir (relative to testdata/src), and compares diagnostics
-// against the dirs' want comments.
+// Run runs the named analyzer over ./<dir>/... for each fixture dir
+// (relative to testdata/src), and compares diagnostics against the dirs'
+// want comments.
 func Run(t *testing.T, analyzer string, dirs ...string) {
 	t.Helper()
 	src := testdataSrc(t)
 
-	args := []string{"vet", "-vettool=" + bin(t), "-json", "-" + analyzer}
-	for _, d := range dirs {
-		args = append(args, "./"+filepath.ToSlash(d)+"/...")
+	var a *lint.Analyzer
+	for _, x := range analysis.All() {
+		if x.Name == analyzer {
+			a = x
+		}
 	}
-	cmd := exec.Command("go", args...)
-	cmd.Dir = src
-	out, _ := cmd.CombinedOutput() // diagnostics make vet exit nonzero
-	diags := parseDiags(t, out, src)
+	if a == nil {
+		t.Fatalf("no analyzer named %q", analyzer)
+	}
+	var patterns []string
+	for _, d := range dirs {
+		patterns = append(patterns, "./"+filepath.ToSlash(d)+"/...")
+	}
+	diags, err := lint.Run(src, patterns, []*lint.Analyzer{a})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	wants := collectWants(t, src, dirs)
-	seen := map[string]bool{}
 	for _, d := range diags {
-		key := fmt.Sprintf("%s:%d:%s", d.file, d.line, d.message)
-		if seen[key] {
-			continue // test-variant units re-report the base package
-		}
-		seen[key] = true
-		if !claim(wants[posKey(d.file, d.line)], d.message) {
-			t.Errorf("%s:%d: unexpected diagnostic: %s", d.file, d.line, d.message)
+		if !claim(wants[posKey(d.Pos.Filename, d.Pos.Line)], d.Message) {
+			t.Errorf("%s:%d: unexpected diagnostic: %s", d.Pos.Filename, d.Pos.Line, d.Message)
 		}
 	}
 	for pos, ws := range wants {
@@ -83,74 +74,6 @@ func claim(ws []*want, message string) bool {
 		}
 	}
 	return false
-}
-
-type diag struct {
-	file    string
-	line    int
-	message string
-}
-
-// parseDiags decodes `go vet -json` output: per-unit JSON objects of the
-// shape {"pkgpath": {"analyzer": [{"posn": ..., "message": ...}]}},
-// interleaved with "# pkgpath" progress lines.
-func parseDiags(t *testing.T, out []byte, src string) []diag {
-	t.Helper()
-	var jsonOnly bytes.Buffer
-	for _, ln := range strings.Split(string(out), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(ln), "#") {
-			continue
-		}
-		jsonOnly.WriteString(ln)
-		jsonOnly.WriteString("\n")
-	}
-	dec := json.NewDecoder(&jsonOnly)
-	var diags []diag
-	for {
-		var unit map[string]map[string][]struct {
-			Posn    string `json:"posn"`
-			Message string `json:"message"`
-		}
-		err := dec.Decode(&unit)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("cannot parse go vet -json output (%v); full output:\n%s", err, out)
-		}
-		for _, byAnalyzer := range unit {
-			for _, ds := range byAnalyzer {
-				for _, d := range ds {
-					file, line, ok := splitPosn(d.Posn)
-					if !ok {
-						t.Fatalf("malformed position %q in diagnostic %q", d.Posn, d.Message)
-					}
-					if !filepath.IsAbs(file) {
-						file = filepath.Join(src, file)
-					}
-					diags = append(diags, diag{filepath.Clean(file), line, d.Message})
-				}
-			}
-		}
-	}
-	return diags
-}
-
-// splitPosn splits "file:line:col" from the right.
-func splitPosn(p string) (file string, line int, ok bool) {
-	i := strings.LastIndex(p, ":")
-	if i < 0 {
-		return "", 0, false
-	}
-	j := strings.LastIndex(p[:i], ":")
-	if j < 0 {
-		return "", 0, false
-	}
-	n, err := strconv.Atoi(p[j+1 : i])
-	if err != nil {
-		return "", 0, false
-	}
-	return p[:j], n, true
 }
 
 type want struct {
@@ -213,46 +136,15 @@ func collectWants(t *testing.T, src string, dirs []string) map[string][]*want {
 
 func posKey(file string, line int) string { return fmt.Sprintf("%s:%d", file, line) }
 
-// bin builds cmd/dmt-lint once per test process.
-func bin(t *testing.T) string {
-	t.Helper()
-	buildOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "dmt-lint-")
-		if err != nil {
-			buildErr = err
-			return
-		}
-		binPath = filepath.Join(dir, "dmt-lint")
-		cmd := exec.Command("go", "build", "-o", binPath, "./cmd/dmt-lint")
-		cmd.Dir = repoRoot()
-		if out, err := cmd.CombinedOutput(); err != nil {
-			buildErr = fmt.Errorf("building dmt-lint: %v\n%s", err, out)
-		}
-	})
-	if buildErr != nil {
-		t.Fatal(buildErr)
-	}
-	return binPath
-}
-
-// selfDir returns the directory holding this source file, so the harness
-// finds the repo and fixtures no matter which test package calls it.
-func selfDir() string {
-	_, file, _, ok := runtime.Caller(0)
-	if !ok {
-		panic("linttest: runtime.Caller failed")
-	}
-	return filepath.Dir(file)
-}
-
-func repoRoot() string {
-	// selfDir = <repo>/internal/analysis/linttest
-	return filepath.Dir(filepath.Dir(filepath.Dir(selfDir())))
-}
-
+// testdataSrc returns the fixture module, found next to this source file
+// so any test package can call the harness.
 func testdataSrc(t *testing.T) string {
 	t.Helper()
-	src := filepath.Join(filepath.Dir(selfDir()), "testdata", "src")
+	_, file, _, ok := runtime.Caller(0)
+	if !ok {
+		t.Fatal("linttest: runtime.Caller failed")
+	}
+	src := filepath.Join(filepath.Dir(filepath.Dir(file)), "testdata", "src")
 	if _, err := os.Stat(filepath.Join(src, "go.mod")); err != nil {
 		t.Fatalf("fixture module not found: %v", err)
 	}

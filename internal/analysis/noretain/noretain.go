@@ -40,12 +40,9 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"dmt/internal/analysis/directive"
 	"dmt/internal/analysis/dmtpkg"
+	"dmt/internal/analysis/lint"
 )
 
 // Marker is the suppression directive, without the leading "//".
@@ -54,26 +51,15 @@ const Marker = "dmt:retain-ok"
 // TransientDirective marks a declaration whose result is arena-backed.
 const TransientDirective = "dmt:transient-result"
 
-// transientFact is exported on functions declared with
-// //dmt:transient-result so cross-package call sites see the contract.
-type transientFact struct{}
+// Analyzer checks the no-retention contracts of Predictor.Predict and
+// the arena APIs. Its Pass.Facts marks the functions declared with
+// //dmt:transient-result, so cross-package call sites see the contract.
+var Analyzer = &lint.Analyzer{Name: "noretain", Run: run}
 
-func (*transientFact) AFact()         {}
-func (*transientFact) String() string { return "transientResult" }
-
-var Analyzer = &analysis.Analyzer{
-	Name:      "noretain",
-	Doc:       "check the no-retention contracts of Predictor.Predict and the arena APIs",
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{(*transientFact)(nil)},
-	Run:       run,
-}
-
-func run(pass *analysis.Pass) (any, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
+func run(pass *lint.Pass) {
 	supp := directive.New(pass, Marker)
 
-	// Export facts for //dmt:transient-result declarations.
+	// Mark //dmt:transient-result declarations.
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -83,71 +69,76 @@ func run(pass *analysis.Pass) (any, error) {
 			for _, c := range fd.Doc.List {
 				if strings.HasPrefix(c.Text, "//"+TransientDirective) {
 					if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-						pass.ExportObjectFact(fn, &transientFact{})
+						pass.Facts[fn] = true
 					}
 				}
 			}
 		}
 	}
 
-	// Rule 1: Predict implementations.
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Recv == nil || fd.Name.Name != "Predict" || fd.Body == nil {
-			return
-		}
-		batch := batchParam(pass, fd)
-		if batch == nil {
-			return
-		}
-		checkNoRetention(pass, supp, fd.Body, batch, "the batch",
-			"Predict must not retain the batch past its return (the serve worker reuses its arena)")
-	})
-
-	// Rule 2: transient-result call sites.
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
-		}
-		call := n.(*ast.CallExpr)
-		fn := calleeFunc(pass, call)
-		if fn == nil || !pass.ImportObjectFact(fn, new(transientFact)) {
-			return true
-		}
-		// A transient result consumed in place (argument, receiver,
-		// expression) is fine; track it when bound to a variable, and
-		// flag direct escapes.
-		parent := parentNonParen(stack)
-		switch p := parent.(type) {
-		case *ast.ReturnStmt:
-			supp.Report(call.Pos(), "%s returns arena-backed storage (//%s): it must not escape the caller", fn.Name(), TransientDirective)
-		case *ast.AssignStmt:
-			for i, r := range p.Rhs {
-				if unparen(r) != ast.Expr(call) || i >= len(p.Lhs) {
-					continue
-				}
-				if id, ok := p.Lhs[i].(*ast.Ident); ok {
-					if v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var); ok && !v.IsField() && isLocalVar(v) {
-						if body := enclosingBody(stack); body != nil {
-							checkNoRetention(pass, supp, body, v, fn.Name()+"'s arena-backed result",
-								fn.Name()+" returns arena-backed storage (//"+TransientDirective+")")
-						}
-						return true
-					}
-				}
-				supp.Report(call.Pos(), "%s returns arena-backed storage (//%s): storing it retains memory the arena will reuse", fn.Name(), TransientDirective)
+	for _, f := range pass.Files {
+		lint.WithStack(f, func(n ast.Node, stack []ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				checkPredict(pass, supp, n)
+			case *ast.CallExpr:
+				checkTransientCall(pass, supp, n, stack)
 			}
-		case *ast.SendStmt:
-			supp.Report(call.Pos(), "%s returns arena-backed storage (//%s): it must not be sent on a channel", fn.Name(), TransientDirective)
+			return true
+		})
+	}
+}
+
+// checkPredict applies rule 1 to a Predict implementation.
+func checkPredict(pass *lint.Pass, supp *directive.Index, fd *ast.FuncDecl) {
+	if fd.Recv == nil || fd.Name.Name != "Predict" || fd.Body == nil {
+		return
+	}
+	batch := batchParam(pass, fd)
+	if batch == nil {
+		return
+	}
+	checkNoRetention(pass, supp, fd.Body, batch, "the batch",
+		"Predict must not retain the batch past its return (the serve worker reuses its arena)")
+}
+
+// checkTransientCall applies rule 2 to a call site.
+func checkTransientCall(pass *lint.Pass, supp *directive.Index, call *ast.CallExpr, stack []ast.Node) {
+	fn := calleeFunc(pass, call)
+	if fn == nil || !pass.Facts[fn] {
+		return
+	}
+	// A transient result consumed in place (argument, receiver,
+	// expression) is fine; track it when bound to a variable, and
+	// flag direct escapes.
+	parent := parentNonParen(stack)
+	switch p := parent.(type) {
+	case *ast.ReturnStmt:
+		supp.Report(call.Pos(), "%s returns arena-backed storage (//%s): it must not escape the caller", fn.Name(), TransientDirective)
+	case *ast.AssignStmt:
+		for i, r := range p.Rhs {
+			if unparen(r) != ast.Expr(call) || i >= len(p.Lhs) {
+				continue
+			}
+			if id, ok := p.Lhs[i].(*ast.Ident); ok {
+				if v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var); ok && !v.IsField() && isLocalVar(v) {
+					if body := enclosingBody(stack); body != nil {
+						checkNoRetention(pass, supp, body, v, fn.Name()+"'s arena-backed result",
+							fn.Name()+" returns arena-backed storage (//"+TransientDirective+")")
+					}
+					return
+				}
+			}
+			supp.Report(call.Pos(), "%s returns arena-backed storage (//%s): storing it retains memory the arena will reuse", fn.Name(), TransientDirective)
 		}
-		return true
-	})
-	return nil, nil
+	case *ast.SendStmt:
+		supp.Report(call.Pos(), "%s returns arena-backed storage (//%s): it must not be sent on a channel", fn.Name(), TransientDirective)
+	}
 }
 
 // checkNoRetention taints seed inside body, propagates through
 // alias-producing assignments, and reports escapes.
-func checkNoRetention(pass *analysis.Pass, supp *directive.Index, body *ast.BlockStmt, seed *types.Var, what, contract string) {
+func checkNoRetention(pass *lint.Pass, supp *directive.Index, body *ast.BlockStmt, seed *types.Var, what, contract string) {
 	tainted := map[types.Object]bool{seed: true}
 
 	// Fixpoint alias propagation: x := <expr mentioning tainted via
@@ -229,7 +220,7 @@ func checkNoRetention(pass *analysis.Pass, supp *directive.Index, body *ast.Bloc
 // tainted object: a tainted ident, or selector/index/slice chains over
 // one. Call results are fresh (Decode, Clone, append-copy idioms), so a
 // call boundary stops the taint.
-func aliases(pass *analysis.Pass, e ast.Expr, tainted map[types.Object]bool) bool {
+func aliases(pass *lint.Pass, e ast.Expr, tainted map[types.Object]bool) bool {
 	switch e := e.(type) {
 	case *ast.Ident:
 		obj := pass.TypesInfo.Uses[e]
@@ -254,7 +245,7 @@ func aliases(pass *analysis.Pass, e ast.Expr, tainted map[types.Object]bool) boo
 // storesOutside reports whether the assignment target l outlives the
 // function frame: a field selector, a dereference, an index into
 // anything non-local, or a package-level variable.
-func storesOutside(pass *analysis.Pass, l ast.Expr) bool {
+func storesOutside(pass *lint.Pass, l ast.Expr) bool {
 	switch l := l.(type) {
 	case *ast.Ident:
 		v, ok := pass.TypesInfo.ObjectOf(l).(*types.Var)
@@ -288,7 +279,7 @@ func isLocalVar(v *types.Var) bool {
 	return scope != v.Pkg().Scope()
 }
 
-func batchParam(pass *analysis.Pass, fd *ast.FuncDecl) *types.Var {
+func batchParam(pass *lint.Pass, fd *ast.FuncDecl) *types.Var {
 	fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
 	if !ok {
 		return nil
@@ -303,7 +294,7 @@ func batchParam(pass *analysis.Pass, fd *ast.FuncDecl) *types.Var {
 	return nil
 }
 
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
+func calleeFunc(pass *lint.Pass, call *ast.CallExpr) *types.Func {
 	switch f := unparen(call.Fun).(type) {
 	case *ast.Ident:
 		fn, _ := pass.TypesInfo.Uses[f].(*types.Func)

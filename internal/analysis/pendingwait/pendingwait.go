@@ -30,26 +30,18 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/ctrlflow"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/cfg"
-
 	"dmt/internal/analysis/directive"
 	"dmt/internal/analysis/dmtpkg"
 	"dmt/internal/analysis/flow"
+	"dmt/internal/analysis/lint"
 )
 
 // Marker is the suppression directive, without the leading "//".
 const Marker = "dmt:pending-ok"
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "pendingwait",
-	Doc:      "check that every comm.Pending is waited, carried, or transferred on all paths",
-	Requires: []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer},
-	Run:      run,
-}
+// Analyzer checks that every comm.Pending is waited, carried, or
+// transferred on all paths.
+var Analyzer = &lint.Analyzer{Name: "pendingwait", Run: run}
 
 func classify(method string) flow.Class {
 	if method == "Wait" || method == "Carry" {
@@ -58,63 +50,46 @@ func classify(method string) flow.Class {
 	return flow.Neutral
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
+func run(pass *lint.Pass) {
 	supp := directive.New(pass, Marker)
-
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
-		}
-		call := n.(*ast.CallExpr)
-		tv, ok := pass.TypesInfo.Types[call]
-		if !ok || !dmtpkg.IsNamed(tv.Type, "comm", "Pending") {
+	for _, f := range pass.Files {
+		lint.WithStack(f, func(n ast.Node, stack []ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				check(pass, supp, call, stack)
+			}
 			return true
-		}
-		binding, id, bindStmt, method := flow.Bind(stack)
-		switch binding {
-		case flow.BindDiscard, flow.BindBlank:
-			supp.Report(call.Pos(), "comm.Pending from %s is dropped without Wait or Carry: the handle leaks and the next collective on the group will panic or misdeliver", callName(call))
-		case flow.BindRecv:
-			if classify(method) != flow.Satisfy {
-				supp.Report(call.Pos(), "comm.Pending from %s is consumed by %s without Wait or Carry", callName(call), method)
-			}
-		case flow.BindVar:
-			v, _ := pass.TypesInfo.ObjectOf(id).(*types.Var)
-			if v == nil {
-				return true
-			}
-			tr := &flow.Tracker{
-				Info:           pass.TypesInfo,
-				Var:            v,
-				Creation:       bindStmt,
-				ClassifyMethod: classify,
-			}
-			if g := EnclosingCFG(cfgs, stack); g != nil {
-				if _, leaks := flow.Leaks(g, tr); leaks {
-					supp.Report(call.Pos(), "comm.Pending %q from %s may reach a return without Wait or Carry", id.Name, callName(call))
-				}
-			}
-		}
-		return true
-	})
-	return nil, nil
+		})
+	}
 }
 
-// EnclosingCFG returns the control-flow graph of the innermost function
-// declaration or literal on the inspector stack, or nil at package scope.
-// Shared with the retainrelease analyzer, which walks the same way.
-func EnclosingCFG(cfgs *ctrlflow.CFGs, stack []ast.Node) *cfg.CFG {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch f := stack[i].(type) {
-		case *ast.FuncLit:
-			return cfgs.FuncLit(f)
-		case *ast.FuncDecl:
-			return cfgs.FuncDecl(f)
+func check(pass *lint.Pass, supp *directive.Index, call *ast.CallExpr, stack []ast.Node) {
+	tv, ok := pass.TypesInfo.Types[call]
+	if !ok || !dmtpkg.IsNamed(tv.Type, "comm", "Pending") {
+		return
+	}
+	binding, id, bindStmt, method := flow.Bind(stack)
+	switch binding {
+	case flow.BindDiscard, flow.BindBlank:
+		supp.Report(call.Pos(), "comm.Pending from %s is dropped without Wait or Carry: the handle leaks and the next collective on the group will panic or misdeliver", callName(call))
+	case flow.BindRecv:
+		if classify(method) != flow.Satisfy {
+			supp.Report(call.Pos(), "comm.Pending from %s is consumed by %s without Wait or Carry", callName(call), method)
+		}
+	case flow.BindVar:
+		v, _ := pass.TypesInfo.ObjectOf(id).(*types.Var)
+		if v == nil {
+			return
+		}
+		tr := &flow.Tracker{
+			Info:           pass.TypesInfo,
+			Var:            v,
+			Creation:       bindStmt,
+			ClassifyMethod: classify,
+		}
+		if _, leaks := flow.Leaks(pass.CFGs.Enclosing(stack), tr); leaks {
+			supp.Report(call.Pos(), "comm.Pending %q from %s may reach a return without Wait or Carry", id.Name, callName(call))
 		}
 	}
-	return nil
 }
 
 func callName(call *ast.CallExpr) string {

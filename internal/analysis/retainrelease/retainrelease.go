@@ -32,26 +32,18 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/ctrlflow"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"dmt/internal/analysis/directive"
 	"dmt/internal/analysis/dmtpkg"
 	"dmt/internal/analysis/flow"
-	"dmt/internal/analysis/pendingwait"
+	"dmt/internal/analysis/lint"
 )
 
 // Marker is the suppression directive, without the leading "//".
 const Marker = "dmt:refcount-ok"
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "retainrelease",
-	Doc:      "check that pooled quant.Encoded references are released or transferred on all paths",
-	Requires: []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer},
-	Run:      run,
-}
+// Analyzer checks that pooled quant.Encoded references are released or
+// transferred on all paths.
+var Analyzer = &lint.Analyzer{Name: "retainrelease", Run: run}
 
 func classify(method string) flow.Class {
 	if method == "Release" {
@@ -62,20 +54,10 @@ func classify(method string) flow.Class {
 	return flow.Neutral
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
+func run(pass *lint.Pass) {
 	supp := directive.New(pass, Marker)
 
-	testFiles := make(map[*ast.File]bool)
-	for _, f := range pass.Files {
-		testFiles[f] = dmtpkg.IsTestFile(pass.Fset, f)
-	}
-
 	check := func(n ast.Node, stack []ast.Node, what string) {
-		if f, ok := stack[0].(*ast.File); ok && testFiles[f] {
-			return
-		}
 		binding, id, bindStmt, method := flow.Bind(stack)
 		switch binding {
 		case flow.BindDiscard, flow.BindBlank:
@@ -95,46 +77,45 @@ func run(pass *analysis.Pass) (any, error) {
 				Creation:       bindStmt,
 				ClassifyMethod: classify,
 			}
-			if g := pendingwait.EnclosingCFG(cfgs, stack); g != nil {
-				if _, leaks := flow.Leaks(g, tr); leaks {
-					supp.Report(n.Pos(), "pooled quant.Encoded %q from %s may reach a return without Release", id.Name, what)
-				}
+			if _, leaks := flow.Leaks(pass.CFGs.Enclosing(stack), tr); leaks {
+				supp.Report(n.Pos(), "pooled quant.Encoded %q from %s may reach a return without Release", id.Name, what)
 			}
 		}
 	}
 
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil), (*ast.TypeAssertExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
+	for _, f := range pass.Files {
+		if dmtpkg.IsTestFile(pass.Fset, f) {
+			continue
 		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			// A call returning *quant.Encoded mints a reference the
-			// caller owns (Encode, EncodeResidual, pool getters).
-			tv, ok := pass.TypesInfo.Types[n]
-			if ok && dmtpkg.IsNamed(tv.Type, "quant", "Encoded") && !isMethodOnEncoded(pass, n) {
-				check(n, stack, callNameOf(n))
+		lint.WithStack(f, func(n ast.Node, stack []ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				// A call returning *quant.Encoded mints a reference the
+				// caller owns (Encode, EncodeResidual, pool getters).
+				tv, ok := pass.TypesInfo.Types[n]
+				if ok && dmtpkg.IsNamed(tv.Type, "quant", "Encoded") && !isMethodOnEncoded(pass, n) {
+					check(n, stack, callNameOf(n))
+				}
+			case *ast.TypeAssertExpr:
+				// Pulling a payload off the wire: each delivered reference
+				// must be released by its receiver. Skip type switches —
+				// their assert has no type syntax.
+				if n.Type == nil {
+					return true
+				}
+				if tv, ok := pass.TypesInfo.Types[n.Type]; ok && dmtpkg.IsNamed(tv.Type, "quant", "Encoded") {
+					check(n, stack, "the wire")
+				}
 			}
-		case *ast.TypeAssertExpr:
-			// Pulling a payload off the wire: each delivered reference
-			// must be released by its receiver. Skip type switches —
-			// their assert has no type syntax.
-			if n.Type == nil {
-				return true
-			}
-			if tv, ok := pass.TypesInfo.Types[n.Type]; ok && dmtpkg.IsNamed(tv.Type, "quant", "Encoded") {
-				check(n, stack, "the wire")
-			}
-		}
-		return true
-	})
-	return nil, nil
+			return true
+		})
+	}
 }
 
 // isMethodOnEncoded reports whether call is a method call whose receiver
 // is itself an Encoded — those return derived values or the receiver,
 // never a fresh reference.
-func isMethodOnEncoded(pass *analysis.Pass, call *ast.CallExpr) bool {
+func isMethodOnEncoded(pass *lint.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false

@@ -129,3 +129,20 @@ func seededRand(n int) int {
 func suppressedWallClock() int64 {
 	return time.Now().UnixNano() //dmt:nondeterministic-ok fixture: wall-clock-only stats path
 }
+
+// ---- marker placement -------------------------------------------------
+
+func trailingMarkerCoversItsOwnLineOnly() (int64, int64) {
+	a := time.Now().UnixNano() //dmt:nondeterministic-ok fixture: covers this line, not the next
+	b := time.Now().UnixNano() // want `time\.Now reads the wall clock`
+	return a, b
+}
+
+func markerAloneCoversTheNextLine() int64 {
+	//dmt:nondeterministic-ok fixture: a marker alone on its line covers the line below
+	return time.Now().UnixNano()
+}
+
+func markerNeedsWhitespaceBeforeTheReason() int64 {
+	return time.Now().UnixNano() /* want `time\.Now reads the wall clock` */ //dmt:nondeterministic-okay
+}
