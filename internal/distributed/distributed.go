@@ -84,10 +84,12 @@ type Config struct {
 	// moves behind the boundary with them — still applied before the
 	// parameters are read, so the trajectory stays bitwise identical to
 	// the sequential engine; Trainer.Drain (called by Close) completes the
-	// final step's carried work. Requires conflict-free table ownership,
-	// asserted at plan time — on a conflict the trainer falls back to the
-	// overlapped schedule (see PipelineFallback). Mutually exclusive with
-	// Sequential and with Overlap.
+	// final step's carried work. Every trainer New builds can carry work
+	// across the boundary: each table has exactly one owner (New derives
+	// RankOf through sptt.TowerAssignment, a slice indexed by table), and the
+	// tower modules and the over-arch are separate nn.Linears
+	// (models.NewDMTDLRM), so they share no parameter. Mutually exclusive
+	// with Sequential and with Overlap.
 	Pipeline int
 	// BucketBytes caps how many gradient bytes one overlapped AllReduce
 	// bucket carries. Parameters are always grouped whole: encoding
@@ -216,10 +218,8 @@ type Trainer struct {
 	arenas []bucketArena
 
 	// Cross-step state (Config.Pipeline): the previous step's still-in-
-	// flight gradient buckets, per rank in launch order, and the fallback
-	// reason when the plan-time conflict assertion rejected pipelining.
-	carried          [][]pendingBucket
-	pipelineFallback string
+	// flight gradient buckets, per rank in launch order.
+	carried [][]pendingBucket
 }
 
 // PhaseTimes is cumulative wall-clock per step phase.
@@ -428,12 +428,6 @@ func New(cfg Config) (*Trainer, error) {
 				}
 				a.encs[bi] = make([]*quant.Encoded, len(b.params))
 			}
-		}
-	}
-	if tr.sched == pipelined {
-		if err := tr.pipelinePlanCheck(); err != nil {
-			tr.pipelineFallback = err.Error()
-			tr.sched = overlapped
 		}
 	}
 	return tr, nil

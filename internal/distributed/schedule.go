@@ -80,12 +80,16 @@ const (
 //     BackwardDense = BackwardBottom after BackwardTop).
 //   - Independence. The SPTT forward touches embedding tables and
 //     tower-module parameters; carried work touches over-arch parameters.
-//     The sets are disjoint (asserted at plan time, along with exact
-//     table-ownership partitioning — pipelinePlanCheck), so reordering the
-//     over-arch update behind the boundary changes no value any concurrent
-//     reader observes. Tower-module Adam and the owner-applied sparse
-//     updates never cross the boundary: the next forward reads them, and
-//     their collectives already hid inside SPTTBackward.
+//     The sets are disjoint by construction: models.NewDMTDLRM builds the
+//     tower modules and the over-arch as separate nn.Linears, and each table
+//     has exactly one owner, since New derives RankOf (a slice indexed by
+//     table) through sptt.TowerAssignment, which rejects invalid, duplicate
+//     and missing features, and sptt.Config.Validate range-checks it. So
+//     reordering the over-arch update behind the boundary changes no value
+//     any concurrent reader observes. Tower-module Adam and the
+//     owner-applied sparse updates never cross the boundary: the next
+//     forward reads them, and their collectives already hid inside
+//     SPTTBackward.
 //   - Update placement. The over-arch Adam step still runs after the bucket
 //     averages land and before ForwardBottom reads the parameters — the
 //     same read-after-update dataflow under every schedule, just later in
@@ -122,80 +126,15 @@ func resolveSchedule(cfg Config) (schedule, error) {
 	return blocking, nil
 }
 
-// pipelineConflictInject, when non-nil, is consulted by pipelinePlanCheck
-// after the structural assertions — test seam for the fallback path, since
-// trainers built through New can never actually conflict (the SPTT config
-// derives ownership from a validated partition).
-var pipelineConflictInject func(tr *Trainer) error
-
-// pipelinePlanCheck asserts the independence carrying buckets across a step
-// boundary rests on: per rank, the over-arch parameters (updated behind the
-// boundary) share no tensors with the tower-module parameters (read by the
-// next step's forward), and the embedding tables are owned by exactly one
-// rank each, so step N+1's lookups never race step N's deferred update
-// path. A violation makes New pick the overlapped schedule instead, rather
-// than risking a silent value divergence.
-func (tr *Trainer) pipelinePlanCheck() error {
-	for g := 0; g < tr.cfg.G; g++ {
-		over := make(map[*tensor.Tensor]string)
-		for _, p := range tr.replicas[g].OverArchParams() {
-			over[p.Value] = p.Name
-		}
-		for _, p := range tr.modules[g].Params() {
-			if name, ok := over[p.Value]; ok {
-				return fmt.Errorf("distributed: pipeline conflict: rank %d tower-module param %s aliases over-arch param %s", g, p.Name, name)
-			}
-		}
-	}
-	owned := make([][]int, tr.cfg.G)
-	for g := 0; g < tr.cfg.G; g++ {
-		owned[g] = tr.engine.Cfg.OwnedFeatures(g)
-	}
-	if err := checkOwnershipPartition(owned, tr.cfg.Model.Schema.NumSparse()); err != nil {
-		return err
-	}
-	if pipelineConflictInject != nil {
-		return pipelineConflictInject(tr)
-	}
-	return nil
-}
-
-// checkOwnershipPartition verifies that owned (per-rank table lists) is an
-// exact partition of the nf tables: every table claimed by exactly one
-// rank. Any overlap would let step N's deferred update path race step
-// N+1's lookups on a shared table, so a violation disables pipelining.
-func checkOwnershipPartition(owned [][]int, nf int) error {
-	owner := make([]int, nf)
-	for f := range owner {
-		owner[f] = -1
-	}
-	for g := range owned {
-		for _, f := range owned[g] {
-			if f < 0 || f >= nf {
-				return fmt.Errorf("distributed: pipeline conflict: rank %d owns out-of-range table %d", g, f)
-			}
-			if owner[f] >= 0 {
-				return fmt.Errorf("distributed: pipeline conflict: table %d owned by ranks %d and %d", f, owner[f], g)
-			}
-			owner[f] = g
-		}
-	}
-	for f, g := range owner {
-		if g < 0 {
-			return fmt.Errorf("distributed: pipeline conflict: table %d has no owner", f)
-		}
-	}
-	return nil
-}
-
 // PipelineActive reports whether the cross-step pipelined schedule is in
-// effect (Config.Pipeline > 0 and the plan-time conflict check passed).
+// effect (Config.Pipeline > 0).
 func (tr *Trainer) PipelineActive() bool { return tr.sched == pipelined }
 
-// PipelineFallback returns the plan-time conflict that disabled pipelining
-// (empty when pipelining is active or was never requested). A trainer with
-// a fallback reason runs the overlapped schedule instead.
-func (tr *Trainer) PipelineFallback() string { return tr.pipelineFallback }
+// PipelineFallback returns why a trainer asked to pipeline runs another
+// schedule. It is always "": no trainer New builds can conflict across the
+// step boundary (see the Independence note above), so Config.Pipeline always
+// selects the pipelined schedule. It stays for callers that report it.
+func (tr *Trainer) PipelineFallback() string { return "" }
 
 // stepRanks is the rank-parallel executor: five phases, each with one
 // goroutine per rank. The SPTT phases run on the engine's communicator

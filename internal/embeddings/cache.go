@@ -107,8 +107,8 @@ func (c *lruCore) get(key uint64) ([]float32, bool) {
 // slot returns the entry holding key after the call, marked most recently
 // used: key's own entry (a refresh), a new one, or — when the core is full —
 // the least recent entry re-keyed. val is whatever the entry held before;
-// the caller replaces it (ShardedLRU) or overwrites it in place
-// (CachedStore). The pointer is valid until the next slot call.
+// the caller replaces it (Keyed) or overwrites it in place (CachedStore).
+// The pointer is valid until the next slot call.
 func (c *lruCore) slot(key uint64) *lruEntry {
 	i, ok := c.index[key]
 	if ok {
@@ -134,38 +134,6 @@ func (c *lruCore) stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.len()}
 }
 
-// ShardedLRU is a fixed-capacity LRU cache of float32 vectors keyed by
-// uint64, split into independently locked shards (one lruCore each) so
-// concurrent serving workers do not serialize on one mutex. Values are
-// treated as immutable by contract: callers must not modify a slice after
-// Put or mutate one returned by Get.
-type ShardedLRU struct {
-	shards []*lruShard
-	mask   uint64
-}
-
-type lruShard struct {
-	mu sync.Mutex
-	lruCore
-}
-
-// NewShardedLRU builds a cache holding up to capacity entries, spread over
-// shards (see lruGeometry for the rounding). A capacity of zero or less
-// yields a nil cache, on which Get and Put are no-ops — callers can disable
-// caching without branching.
-func NewShardedLRU(capacity, shards int) *ShardedLRU {
-	if capacity <= 0 {
-		return nil
-	}
-	n, per := lruGeometry(capacity, shards)
-	c := &ShardedLRU{shards: make([]*lruShard, n), mask: uint64(n - 1)}
-	for i := range c.shards {
-		c.shards[i] = &lruShard{}
-		c.shards[i].init(per)
-	}
-	return c
-}
-
 // splitmix finalizer decorrelates the shard selector from the low key bits,
 // which the per-table/per-tower namespacing already perturbs.
 func mix64(z uint64) uint64 {
@@ -177,45 +145,84 @@ func mix64(z uint64) uint64 {
 	return z
 }
 
-func (c *ShardedLRU) shard(key uint64) *lruShard {
-	return c.shards[mix64(key)&c.mask]
+// NsKey folds a namespace (table or tower index) into a key so one LRU can
+// back every table without cross-table collisions.
+func NsKey(ns int, key uint64) uint64 {
+	return mix64(uint64(ns)*0x9e3779b97f4a7c15 ^ key)
 }
 
-// Get returns the cached vector for key, marking it most recently used.
-func (c *ShardedLRU) Get(key uint64) ([]float32, bool) {
-	if c == nil {
+// Keyed is a fixed-capacity LRU cache of float32 vectors under namespaced
+// keys — the shape both serving caches (pooled bags per table, tower outputs
+// per tower) and the cluster simulator's replicas share. It satisfies
+// models.VecCache structurally. The keys are split over independently locked
+// shards (one lruCore each) so concurrent serving workers do not serialize
+// on one mutex. Values are treated as immutable by contract: callers must
+// not modify a slice after PutVec or mutate one returned by GetVec. A nil
+// *Keyed (capacity <= 0) disables caching: GetVec misses, PutVec is a no-op,
+// Stats and Len are zero.
+type Keyed struct {
+	shards []*lruShard
+	mask   uint64
+}
+
+type lruShard struct {
+	mu sync.Mutex
+	lruCore
+}
+
+// NewKeyed builds a cache holding up to capacity vectors, spread over shards
+// (see lruGeometry for the rounding); capacity <= 0 yields nil (caching
+// disabled).
+func NewKeyed(capacity, shards int) *Keyed {
+	if capacity <= 0 {
+		return nil
+	}
+	n, per := lruGeometry(capacity, shards)
+	k := &Keyed{shards: make([]*lruShard, n), mask: uint64(n - 1)}
+	for i := range k.shards {
+		k.shards[i] = &lruShard{}
+		k.shards[i].init(per)
+	}
+	return k
+}
+
+// shard returns the shard holding (ns, key) and the namespaced key.
+func (k *Keyed) shard(ns int, key uint64) (*lruShard, uint64) {
+	key = NsKey(ns, key)
+	return k.shards[mix64(key)&k.mask], key
+}
+
+// GetVec returns the cached vector under (ns, key), marking it most recently
+// used.
+func (k *Keyed) GetVec(ns int, key uint64) ([]float32, bool) {
+	if k == nil {
 		return nil, false
 	}
-	sh := c.shard(key)
+	sh, key := k.shard(ns, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.get(key)
 }
 
-// Put inserts or refreshes key, evicting the shard's least recently used
-// entry when full.
-func (c *ShardedLRU) Put(key uint64, val []float32) {
-	if c == nil {
+// PutVec caches v under (ns, key), evicting the shard's least recently used
+// entry when full. v must not be mutated afterwards.
+func (k *Keyed) PutVec(ns int, key uint64, v []float32) {
+	if k == nil {
 		return
 	}
-	sh := c.shard(key)
+	sh, key := k.shard(ns, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.slot(key).val = val
+	sh.slot(key).val = v
 }
 
-// Len returns the current number of entries across shards.
-func (c *ShardedLRU) Len() int {
-	return c.Stats().Entries
-}
-
-// Stats merges the shard counters.
-func (c *ShardedLRU) Stats() CacheStats {
+// Stats merges the shard counters; zero for a nil cache.
+func (k *Keyed) Stats() CacheStats {
 	var out CacheStats
-	if c == nil {
+	if k == nil {
 		return out
 	}
-	for _, sh := range c.shards {
+	for _, sh := range k.shards {
 		sh.mu.Lock()
 		out.Add(sh.stats())
 		sh.mu.Unlock()
@@ -223,59 +230,5 @@ func (c *ShardedLRU) Stats() CacheStats {
 	return out
 }
 
-// NsKey folds a namespace (table or tower index) into a key so one LRU can
-// back every table without cross-table collisions.
-func NsKey(ns int, key uint64) uint64 {
-	return mix64(uint64(ns)*0x9e3779b97f4a7c15 ^ key)
-}
-
-// Keyed wraps a ShardedLRU with namespaced vector access — the shape both
-// serving caches (pooled bags per table, tower outputs per tower) and the
-// training-side hot-ID cache share. It satisfies models.VecCache
-// structurally. A nil *Keyed (capacity <= 0) disables caching: Get misses,
-// Put is a no-op, Stats is zero.
-type Keyed struct {
-	lru *ShardedLRU
-}
-
-// NewKeyed builds a namespaced cache of up to capacity vectors over the
-// given shard count; capacity <= 0 yields nil (caching disabled).
-func NewKeyed(capacity, shards int) *Keyed {
-	lru := NewShardedLRU(capacity, shards)
-	if lru == nil {
-		return nil
-	}
-	return &Keyed{lru: lru}
-}
-
-// GetVec returns the cached vector under (ns, key).
-func (k *Keyed) GetVec(ns int, key uint64) ([]float32, bool) {
-	if k == nil {
-		return nil, false
-	}
-	return k.lru.Get(NsKey(ns, key))
-}
-
-// PutVec caches v under (ns, key). v must not be mutated afterwards.
-func (k *Keyed) PutVec(ns int, key uint64, v []float32) {
-	if k == nil {
-		return
-	}
-	k.lru.Put(NsKey(ns, key), v)
-}
-
-// Stats merges the underlying shard counters; zero for a nil cache.
-func (k *Keyed) Stats() CacheStats {
-	if k == nil {
-		return CacheStats{}
-	}
-	return k.lru.Stats()
-}
-
-// Len returns the entry count; zero for a nil cache.
-func (k *Keyed) Len() int {
-	if k == nil {
-		return 0
-	}
-	return k.lru.Len()
-}
+// Len returns the entry count across shards; zero for a nil cache.
+func (k *Keyed) Len() int { return k.Stats().Entries }

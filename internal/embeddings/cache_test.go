@@ -8,15 +8,16 @@ import (
 	"dmt/internal/tensor"
 )
 
-func put(c *ShardedLRU, key uint64, v float32) { c.Put(key, []float32{v}) }
+// The Keyed tests use namespace 0 throughout.
+func put(c *Keyed, key uint64, v float32) { c.PutVec(0, key, []float32{v}) }
 
 func TestLRUHitMissAccounting(t *testing.T) {
-	c := NewShardedLRU(8, 1)
-	if _, ok := c.Get(1); ok {
+	c := NewKeyed(8, 1)
+	if _, ok := c.GetVec(0, 1); ok {
 		t.Fatal("empty cache returned a hit")
 	}
 	put(c, 1, 10)
-	v, ok := c.Get(1)
+	v, ok := c.GetVec(0, 1)
 	if !ok || v[0] != 10 {
 		t.Fatalf("got %v %v, want [10] true", v, ok)
 	}
@@ -30,17 +31,17 @@ func TestLRUHitMissAccounting(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := NewShardedLRU(4, 1) // single shard so LRU order is global
+	c := NewKeyed(4, 1) // single shard so LRU order is global
 	for k := uint64(0); k < 4; k++ {
 		put(c, k, float32(k))
 	}
 	put(c, 0, 0) // refresh key 0: key 1 becomes the oldest
 	put(c, 9, 9) // exceeds capacity, evicts key 1
-	if _, ok := c.Get(1); ok {
+	if _, ok := c.GetVec(0, 1); ok {
 		t.Fatal("key 1 should have been evicted")
 	}
 	for _, k := range []uint64{0, 2, 3, 9} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.GetVec(0, k); !ok {
 			t.Fatalf("key %d should have survived", k)
 		}
 	}
@@ -54,7 +55,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestLRUShardingKeepsCapacity(t *testing.T) {
-	c := NewShardedLRU(64, 8)
+	c := NewKeyed(64, 8)
 	for k := uint64(0); k < 1000; k++ {
 		put(c, k, float32(k))
 	}
@@ -67,16 +68,16 @@ func TestLRUShardingKeepsCapacity(t *testing.T) {
 }
 
 func TestNilCacheIsDisabled(t *testing.T) {
-	c := NewShardedLRU(0, 8)
+	c := NewKeyed(0, 8)
 	if c != nil {
 		t.Fatal("zero capacity should yield a nil cache")
 	}
-	c.Put(1, []float32{1}) // all no-ops on nil
-	if _, ok := c.Get(1); ok {
+	c.PutVec(0, 1, []float32{1}) // all no-ops on nil
+	if _, ok := c.GetVec(0, 1); ok {
 		t.Fatal("nil cache returned a hit")
 	}
-	if st := c.Stats(); st != (CacheStats{}) {
-		t.Fatalf("nil cache stats %+v, want zero", st)
+	if st := c.Stats(); st != (CacheStats{}) || c.Len() != 0 {
+		t.Fatalf("nil cache stats %+v, len %d, want zero", st, c.Len())
 	}
 }
 
@@ -188,25 +189,25 @@ func TestLRUCoreMatchesModel(t *testing.T) {
 	}
 }
 
-// TestShardedLRUAllocs pins the steady-state paths at zero allocations: a
-// hit, a refresh, and an insert that evicts from a full cache.
-func TestShardedLRUAllocs(t *testing.T) {
-	c := NewShardedLRU(64, 4)
+// TestKeyedAllocs pins the steady-state paths at zero allocations: a hit, a
+// refresh, and an insert that evicts from a full cache.
+func TestKeyedAllocs(t *testing.T) {
+	c := NewKeyed(64, 4)
 	val := []float32{1, 2, 3}
 	for k := uint64(0); k < 1000; k++ {
-		c.Put(k, val)
+		c.PutVec(0, k, val)
 	}
 	hot := uint64(999)
-	if n := testing.AllocsPerRun(100, func() { c.Get(hot) }); n != 0 {
-		t.Errorf("Get hit allocates %v times", n)
+	if n := testing.AllocsPerRun(100, func() { c.GetVec(0, hot) }); n != 0 {
+		t.Errorf("GetVec hit allocates %v times", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { c.Put(hot, val) }); n != 0 {
-		t.Errorf("Put refresh allocates %v times", n)
+	if n := testing.AllocsPerRun(100, func() { c.PutVec(0, hot, val) }); n != 0 {
+		t.Errorf("PutVec refresh allocates %v times", n)
 	}
 	next := uint64(1000)
 	before := c.Stats().Evictions
-	if n := testing.AllocsPerRun(1000, func() { c.Put(next, val); next++ }); n != 0 {
-		t.Errorf("Put insert-with-evict allocates %v times", n)
+	if n := testing.AllocsPerRun(1000, func() { c.PutVec(0, next, val); next++ }); n != 0 {
+		t.Errorf("PutVec insert-with-evict allocates %v times", n)
 	}
 	if got := c.Stats().Evictions - before; got != 1001 {
 		t.Fatalf("%d evictions over 1001 inserts into a full cache", got)

@@ -35,9 +35,9 @@ type CachedStore struct {
 	idle *lookupScratch // the last finished Lookup's scratch, for the next one
 }
 
-// rowLRU is ShardedLRU's shard split — same selector, same per-shard
-// capacity, hence the same hit, miss and eviction decisions — over bare
-// cores: CachedStore's one lock covers all of them.
+// rowLRU is Keyed's shard split — same selector, same per-shard capacity,
+// hence the same hit, miss and eviction decisions — over bare cores:
+// CachedStore's one lock covers all of them.
 type rowLRU struct {
 	cores []lruCore
 	mask  uint64

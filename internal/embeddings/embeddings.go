@@ -30,9 +30,9 @@
 // the same selector and the same per-core capacity, so both make the same
 // hit, miss and eviction decisions:
 //
-//   - ShardedLRU (and Keyed over it), the serving and simulator caches:
-//     one mutex per core, because serve workers really do call Get and Put
-//     concurrently. It stores the caller's slice; values are immutable.
+//   - Keyed, the serving and simulator caches: one mutex per core, because
+//     serve workers really do call GetVec and PutVec concurrently. It stores
+//     the caller's slice; values are immutable.
 //   - CachedStore, the training-side write-back row cache: it OWNS its
 //     rows — each entry's buffer is carved from a slab once and overwritten
 //     in place by every later write-back — and takes no per-row lock. The

@@ -109,12 +109,7 @@ func NewRemote(cfg RemoteConfig) *RemoteTier {
 		t.settled[c] = make([]chan struct{}, cfg.Servers)
 		for s := 0; s < cfg.Servers; s++ {
 			t.settled[c][s] = make(chan struct{}, 1)
-			var pg []*comm.Comm
-			if cfg.Net != nil {
-				pg = comm.NewGroupNet(2, cfg.Net, []int{c, cfg.Clients + s})
-			} else {
-				pg = comm.NewGroup(2)
-			}
+			pg := comm.NewGroupNet(2, cfg.Net, []int{c, cfg.Clients + s})
 			t.pairs[c][s] = pg
 			linked = append(linked, pg)
 		}
@@ -123,16 +118,11 @@ func NewRemote(cfg RemoteConfig) *RemoteTier {
 		t.clients = append(t.clients, Cached(&remoteClient{t: t, rank: c}, cfg.CacheRows))
 	}
 
-	var serverComms []*comm.Comm
-	if cfg.Net != nil {
-		granks := make([]int, cfg.Servers)
-		for s := range granks {
-			granks[s] = cfg.Clients + s
-		}
-		serverComms = comm.NewGroupNet(cfg.Servers, cfg.Net, granks)
-	} else {
-		serverComms = comm.NewGroup(cfg.Servers)
+	granks := make([]int, cfg.Servers)
+	for s := range granks {
+		granks[s] = cfg.Clients + s
 	}
+	serverComms := comm.NewGroupNet(cfg.Servers, cfg.Net, granks)
 	go func() {
 		defer close(t.done)
 		defer func() {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dmt/internal/embeddings"
-	"dmt/internal/topology"
 )
 
 // TestEmbTierCacheReducesExposedLookup is the embedding tier's acceptance
@@ -15,10 +14,7 @@ import (
 // reduce both the lookup wire volume and the modeled exposed lookup time
 // against cache-off at the same server count.
 func TestEmbTierCacheReducesExposedLookup(t *testing.T) {
-	rep, err := EmbTier(topology.A100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := ambientSweep(t, "embtier")
 	tier := func(servers, cacheRows int) embeddings.TierStats {
 		return mustRun(t, rep, embTierName(servers, cacheRows)).Stats.Tier
 	}

@@ -4,9 +4,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"dmt/internal/topology"
@@ -14,38 +16,76 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
-// rankParallel names the deterministic tables that goroutines produce: the
+// fabricGrids are the deterministic tables that goroutines produce: the
 // training engines on a simulated fabric, whose virtual-clock numbers must
-// not depend on the scheduler.
-var rankParallel = map[string]bool{"fig13": true, "pipeline": true, "embtier": true}
+// not depend on the scheduler. Each maps to its grid and renderer, as
+// registered.
+var fabricGrids = map[string]struct {
+	grid   func(topology.Generation) (Sweep, error)
+	render func(Sweep) string
+}{
+	"fig13":    {Figure13, renderFigure13},
+	"pipeline": {Pipeline, renderPipeline},
+	"embtier":  {EmbTier, renderEmbTier},
+}
+
+var (
+	sweepMu       sync.Mutex
+	ambientSweeps = map[string]Sweep{}
+)
+
+// ambientSweep runs the named fabric grid at A100 and the ambient GOMAXPROCS
+// once per test binary: TestGoldenTables and the grid's acceptance test
+// share the result.
+func ambientSweep(t *testing.T, name string) Sweep {
+	t.Helper()
+	sweepMu.Lock()
+	defer sweepMu.Unlock()
+	s, ok := ambientSweeps[name]
+	if !ok {
+		var err error
+		if s, err = fabricGrids[name].grid(topology.A100); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ambientSweeps[name] = s
+	}
+	return s
+}
+
+// sameTimeline fails the test unless two sweeps of one simulated-fabric grid
+// agree bit for bit: on a fabric every Stats field is read off the virtual
+// clocks or the byte stream, so only Elapsed may differ.
+func sameTimeline(t *testing.T, a, b Sweep) {
+	t.Helper()
+	for i := range a.Runs {
+		x, y := a.Runs[i], b.Runs[i]
+		if x.Name != y.Name || x.FinalLoss != y.FinalLoss || !reflect.DeepEqual(x.Stats, y.Stats) {
+			t.Fatalf("%s not deterministic:\n%+v\n%+v", x.Name, x, y)
+		}
+	}
+}
 
 // TestGoldenTables pins every deterministic table byte for byte against
 // testdata/<name>.golden (A100, default profiles, fp32): all Model
-// experiments, the simulated-fabric grids — rendered at GOMAXPROCS 1 and at
-// the ambient setting — and the fleet simulator's capacity table (once: the
-// simulator is single-goroutine, and internal/cluster's
+// experiments, the simulated-fabric grids and the fleet simulator's capacity
+// table (once: the simulator is single-goroutine, and internal/cluster's
 // TestSimulatorDeterministicAcrossRunsAndProcs holds it across settings).
-// Not parallel: it changes the process-wide GOMAXPROCS. Regenerate with
-// `go test -run TestGoldenTables -update ./internal/experiments` and review
-// the diff.
+// Each fabric grid is run at GOMAXPROCS 1 and compared, every Stats field,
+// with the shared ambient-GOMAXPROCS sweep, and both are rendered: the one
+// determinism check across runs and scheduler settings the grids' acceptance
+// tests rely on. Not parallel: it changes the process-wide GOMAXPROCS.
+// Regenerate with `go test -run TestGoldenTables -update
+// ./internal/experiments` and review the diff.
 func TestGoldenTables(t *testing.T) {
 	ambient := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(ambient)
 	for _, e := range All() {
-		if e.Kind != Model && !rankParallel[e.Name] && e.Name != "cluster" {
+		fg, onFabric := fabricGrids[e.Name]
+		if e.Kind != Model && !onFabric && e.Name != "cluster" {
 			continue
 		}
-		procs := []int{ambient}
-		if rankParallel[e.Name] {
-			procs = []int{1, ambient}
-		}
 		path := filepath.Join("testdata", e.Name+".golden")
-		for _, n := range procs {
-			runtime.GOMAXPROCS(n)
-			got, err := e.Run(Options{Gen: topology.A100})
-			if err != nil {
-				t.Fatalf("%s: %v", e.Name, err)
-			}
+		check := func(procs int, got string) {
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
@@ -56,9 +96,27 @@ func TestGoldenTables(t *testing.T) {
 				t.Fatalf("%s: %v (run with -update to create it)", e.Name, err)
 			}
 			if got != string(want) {
-				t.Errorf("%s at GOMAXPROCS=%d differs from %s:\n--- got ---\n%s--- want ---\n%s", e.Name, n, path, got, want)
+				t.Errorf("%s at GOMAXPROCS=%d differs from %s:\n--- got ---\n%s--- want ---\n%s", e.Name, procs, path, got, want)
 			}
 		}
+		if !onFabric {
+			got, err := e.Run(Options{Gen: topology.A100})
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
+			}
+			check(ambient, got)
+			continue
+		}
+		runtime.GOMAXPROCS(1)
+		serial, err := fg.grid(topology.A100)
+		runtime.GOMAXPROCS(ambient)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		check(1, fg.render(serial))
+		s := ambientSweep(t, e.Name)
+		sameTimeline(t, serial, s)
+		check(ambient, fg.render(s))
 	}
 }
 

@@ -14,10 +14,6 @@ import "time"
 // read-held (see Predict), which also pins the work channel open for the
 // duration of any flush this request performs.
 func (s *Server) enqueue(r request) {
-	if s.cfg.MaxBatch == 1 {
-		s.work <- []request{r}
-		return
-	}
 	s.pmu.Lock()
 	s.pending = append(s.pending, r)
 	if len(s.pending) >= s.cfg.MaxBatch {

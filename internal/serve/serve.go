@@ -16,8 +16,9 @@
 //     (hot items, recurring users) skip the tower module entirely — a reuse
 //     level a monolithic DLRM/DCN interaction cannot expose.
 //
-// The package is driven by cmd/dmt-serve and the BenchmarkServe_* entries
-// in the repo root.
+// The package is driven by cmd/dmt-serve, the registry's serving experiment
+// (BenchmarkExperiments/serving in the repo root) and the benchmark's
+// serve_hot and serve_cold workloads.
 package serve
 
 import (

@@ -2,15 +2,18 @@ package tensor
 
 import "fmt"
 
-// MatMul returns a @ b for a of shape (m, k) and b of shape (k, n),
-// dispatched through the active kernel backend (see Kernel).
+// MatMul returns a @ b for a of shape (m, k) and b of shape (k, n), tiled
+// over output rows (see runTiles).
 func MatMul(a, b *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[0] {
 		panic(fmt.Sprintf("tensor: MatMul shapes %v, %v", a.shape, b.shape))
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	out := New(m, n)
-	active.MatMul(a.data, b.data, out.data, m, k, n)
+	ad, bd, od := a.data, b.data, out.data
+	runTiles(m, tileRowsMatMul, m*n*k, func(lo, hi int) {
+		matMulRows(ad, bd, od, k, n, lo, hi)
+	})
 	return out
 }
 
@@ -23,7 +26,10 @@ func MatMulBT(a, b *Tensor) *Tensor {
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[0]
 	out := New(m, n)
-	active.MatMulBT(a.data, b.data, out.data, m, k, n)
+	ad, bd, od := a.data, b.data, out.data
+	runTiles(m, tileRowsBT, m*n*k, func(lo, hi int) {
+		matMulBTRows(ad, bd, od, k, n, lo, hi)
+	})
 	return out
 }
 
@@ -35,7 +41,10 @@ func MatMulAT(a, b *Tensor) *Tensor {
 	}
 	k, m, n := a.shape[0], a.shape[1], b.shape[1]
 	out := New(m, n)
-	active.MatMulAT(a.data, b.data, out.data, k, m, n)
+	ad, bd, od := a.data, b.data, out.data
+	runTiles(m, tileRowsMatMul, m*n*k, func(lo, hi int) {
+		matMulATRows(ad, bd, od, k, m, n, lo, hi)
+	})
 	return out
 }
 
@@ -50,16 +59,23 @@ func BatchedPairwiseDot(x *Tensor) *Tensor {
 	}
 	b, f, n := x.shape[0], x.shape[1], x.shape[2]
 	out := New(b, f, f)
-	active.PairwiseDot(x.data, out.data, b, f, n)
+	xd, od := x.data, out.data
+	runTiles(b, tileSamplesPD, b*f*f*n, func(lo, hi int) {
+		pairwiseDotSamples(xd, od, f, n, lo, hi)
+	})
 	return out
 }
 
-// --- Shared row-range routines ---
+// --- Row-range routines ---
 //
-// Both backends compute through the routines below, so the parallel tiled
-// kernel is bitwise identical to the serial one by construction: a tile is
-// just a row range, and every output element accumulates in the same
-// ascending-p order regardless of which worker owns its tile.
+// The entry points above tile their output over the routines below, and a
+// routine run over the whole range on one goroutine is the reference the
+// tests pin the tiled path to. Contract, which any faster routine must
+// honour: out arrives zero-filled, each output element is written once, and
+// it accumulates its dot product in ascending p (reduction-index) order. A
+// tile is then just a row range, so the result is bitwise identical however
+// the rows are cut and whichever worker runs them — the training golden
+// trajectories depend on it.
 
 // matMulRows computes rows [lo, hi) of a @ b. The ikj loop order keeps the
 // inner loop streaming over b's rows.
@@ -191,26 +207,4 @@ func pairwiseDotSamples(x, out []float32, f, n, lo, hi int) {
 			}
 		}
 	}
-}
-
-// serialKernel is the single-threaded reference backend: the baseline the
-// parallel backend is pinned against (tests select it through SetKernel).
-type serialKernel struct{}
-
-func (serialKernel) Name() string { return "serial" }
-
-func (serialKernel) MatMul(a, b, out []float32, m, k, n int) {
-	matMulRows(a, b, out, k, n, 0, m)
-}
-
-func (serialKernel) MatMulBT(a, b, out []float32, m, k, n int) {
-	matMulBTRows(a, b, out, k, n, 0, m)
-}
-
-func (serialKernel) MatMulAT(a, b, out []float32, k, m, n int) {
-	matMulATRows(a, b, out, k, m, n, 0, m)
-}
-
-func (serialKernel) PairwiseDot(x, out []float32, bs, f, n int) {
-	pairwiseDotSamples(x, out, f, n, 0, bs)
 }

@@ -5,17 +5,6 @@ import (
 	"sync"
 )
 
-// parallelKernel is the goroutine-parallel tiled backend: the default for
-// the large over-arch layers of the training step and the serve predict
-// path. Output rows are cut into fixed-size tiles and tile t is always
-// executed by worker t % workers — deterministic tile ownership, and since
-// tiles never share output elements and every tile runs the same serial
-// row-range routine, the result is bitwise identical to the serial backend
-// no matter how the scheduler interleaves the workers.
-type parallelKernel struct{}
-
-func (parallelKernel) Name() string { return "parallel" }
-
 // parallelThreshold is the rough flop count above which a multiply fans out
 // over goroutines. Small multiplies (the common case in unit tests and tiny
 // models) stay on the calling goroutine to avoid scheduling cost.
@@ -24,7 +13,7 @@ const parallelThreshold = 1 << 14
 // Tile heights, in output rows. MatMul/MatMulAT rows stream the full b
 // matrix, so modest tiles keep the fan-out balanced; MatMulBT tiles are a
 // multiple of 4 so every full slab inside a tile takes the register-tiled
-// 4-row kernel, exactly as in the serial backend.
+// 4-row kernel, exactly as in one whole-range call.
 const (
 	tileRowsMatMul = 8
 	tileRowsBT     = 16
@@ -33,9 +22,11 @@ const (
 
 // runTiles executes body(lo, hi) over [0, units) cut into tiles of at most
 // `tile` units, fanned out over workers with fixed ownership (tile t on
-// worker t % workers). When the work estimate is under parallelThreshold or
-// only one worker is available it degenerates to a serial loop on the
-// calling goroutine.
+// worker t % workers). Tiles never share output elements and body is a
+// row-range routine, so the result is bitwise identical to body(0, units)
+// however the scheduler interleaves the workers. When the work estimate is
+// under parallelThreshold, only one worker is available or there is a single
+// tile, it makes that one call on the calling goroutine.
 func runTiles(units, tile, work int, body func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	tiles := (units + tile - 1) / tile
@@ -64,28 +55,4 @@ func runTiles(units, tile, work int, body func(lo, hi int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-func (parallelKernel) MatMul(a, b, out []float32, m, k, n int) {
-	runTiles(m, tileRowsMatMul, m*n*k, func(lo, hi int) {
-		matMulRows(a, b, out, k, n, lo, hi)
-	})
-}
-
-func (parallelKernel) MatMulBT(a, b, out []float32, m, k, n int) {
-	runTiles(m, tileRowsBT, m*n*k, func(lo, hi int) {
-		matMulBTRows(a, b, out, k, n, lo, hi)
-	})
-}
-
-func (parallelKernel) MatMulAT(a, b, out []float32, k, m, n int) {
-	runTiles(m, tileRowsMatMul, m*n*k, func(lo, hi int) {
-		matMulATRows(a, b, out, k, m, n, lo, hi)
-	})
-}
-
-func (parallelKernel) PairwiseDot(x, out []float32, bs, f, n int) {
-	runTiles(bs, tileSamplesPD, bs*f*f*n, func(lo, hi int) {
-		pairwiseDotSamples(x, out, f, n, lo, hi)
-	})
 }
