@@ -84,11 +84,23 @@ func randOperand(r *RNG, zeroEvery int, shape ...int) *Tensor {
 	return t
 }
 
-// TestTiledKernelsMatchRowRoutines pins every tiled entry point bitwise to
+// TestParallelKernelBitwiseMatchesSerial pins MatMul, MatMulBT and MatMulAT,
+// fanned out over tiles, bitwise to their row routines run serially.
+func TestParallelKernelBitwiseMatchesSerial(t *testing.T) {
+	checkTiledMatchesRowRoutine(t, tiledKernels[:3])
+}
+
+// TestParallelPairwiseDotBitwiseMatchesSerial pins BatchedPairwiseDot,
+// fanned out over tiles, bitwise to pairwiseDotSamples run serially.
+func TestParallelPairwiseDotBitwiseMatchesSerial(t *testing.T) {
+	checkTiledMatchesRowRoutine(t, tiledKernels[3:])
+}
+
+// checkTiledMatchesRowRoutine compares each kernel's tiled entry point with
 // its row routine across shapes that exercise every tiling edge: rows not a
 // multiple of the tile height, partial 4-row slabs in MatMulBT, single rows
 // and columns, exact zeros, and shapes with more tiles than workers.
-func TestTiledKernelsMatchRowRoutines(t *testing.T) {
+func checkTiledMatchesRowRoutine(t *testing.T, kernels []tiledKernel) {
 	atLeastFourProcs(t)
 	r := NewRNG(42)
 	shapes := [][3]int{
@@ -101,7 +113,7 @@ func TestTiledKernelsMatchRowRoutines(t *testing.T) {
 		{130, 64, 1},
 		{257, 31, 70},
 	}
-	for _, kn := range tiledKernels {
+	for _, kn := range kernels {
 		for _, d := range shapes {
 			xs, ys := kn.shapes(d[0], d[1], d[2])
 			x, y := randOperand(r, 7, xs...), randOperand(r, 7, ys...)
