@@ -1,6 +1,8 @@
 package models
 
 import (
+	"slices"
+
 	"dmt/internal/data"
 	"dmt/internal/nn"
 	"dmt/internal/quant"
@@ -111,52 +113,54 @@ func lookupPooled(embs []*nn.EmbeddingBag, b *data.Batch, cache VecCache) *tenso
 	return out
 }
 
-// cachedTowerForward computes one tower's derived features (B, outDim) via
-// fwd, memoizing per-sample output rows keyed on the tower's bag ids. Rows
-// are cacheable because tower modules operate per sample on their own
-// feature group only; misses are gathered into one sub-batch so the module
-// still runs batched.
+// cachedTowerForward computes one tower's derived features via fwd into
+// columns [col, col+outDim) of out (B, width), memoizing per-sample output
+// rows keyed on the tower's bag ids. Rows are cacheable because tower
+// modules operate per sample on their own feature group only; misses are
+// gathered into one sub-batch so the module still runs batched. Each tower
+// writing its own column window of one buffer is what Concat of per-tower
+// outputs would build.
 func cachedTowerForward(embs []*nn.EmbeddingBag, tower int, feats []int, b *data.Batch,
-	opt PredictOptions, outDim int, fwd func(*tensor.Tensor) *tensor.Tensor) *tensor.Tensor {
+	opt PredictOptions, out *tensor.Tensor, col, outDim int, fwd func(*tensor.Tensor) *tensor.Tensor) {
 
-	out := tensor.New(b.Size, outDim)
+	row := func(s int) []float32 { return out.Row(s)[col : col+outDim] }
 	// slot[s] is the row of the miss sub-batch that serves sample s, or -1
 	// on a cache hit. Duplicate keys within the batch — the common case
 	// under skewed load — share one slot, so each distinct feature-group
-	// value runs the tower module exactly once.
+	// value runs the tower module exactly once. A batch is at most the
+	// server's MaxBatch samples, so a linear search of the missing keys
+	// finds duplicates without allocating a map.
 	slot := make([]int, b.Size)
 	var miss []int // representative sample per distinct missing key
 	var missKey []uint64
 	if opt.Towers == nil {
-		miss = make([]int, b.Size)
-		for s := range miss {
-			miss[s] = s
+		for s := range slot {
 			slot[s] = s
 		}
+		miss = slot
 	} else {
-		seen := make(map[uint64]int)
+		miss, missKey = make([]int, 0, b.Size), make([]uint64, 0, b.Size)
 		for s := 0; s < b.Size; s++ {
 			h := fnvOffset
 			for _, f := range feats {
 				h = hashBag(h, bagOf(b, f, s))
 			}
 			if v, ok := opt.Towers.GetVec(tower, h); ok {
-				copy(out.Row(s), v)
+				copy(row(s), v)
 				slot[s] = -1
 				continue
 			}
-			if sl, ok := seen[h]; ok {
-				slot[s] = sl
+			if mi := slices.Index(missKey, h); mi >= 0 {
+				slot[s] = mi
 				continue
 			}
-			seen[h] = len(miss)
 			slot[s] = len(miss)
 			miss = append(miss, s)
 			missKey = append(missKey, h)
 		}
 	}
 	if len(miss) == 0 {
-		return out
+		return
 	}
 	ft := len(feats)
 	n := embs[0].Dim
@@ -170,11 +174,34 @@ func cachedTowerForward(embs []*nn.EmbeddingBag, tower int, feats []int, b *data
 	y := fwd(sel) // (len(miss), outDim)
 	for s := 0; s < b.Size; s++ {
 		if slot[s] >= 0 {
-			copy(out.Row(s), y.Row(slot[s]))
+			copy(row(s), y.Row(slot[s]))
 		}
 	}
 	for mi, key := range missKey {
 		opt.Towers.PutVec(tower, key, append([]float32(nil), y.Row(mi)...))
+	}
+}
+
+// towerInput is the (B, width) buffer DMT Predict feeds forward: lead's
+// columns first, then each tower's output window, which cachedTowerForward
+// fills.
+func towerInput[TM interface {
+	OutDim() int
+	ForwardInference(*tensor.Tensor) *tensor.Tensor
+}](lead *tensor.Tensor, embs []*nn.EmbeddingBag, towers [][]int, tms []TM, b *data.Batch, opt PredictOptions) *tensor.Tensor {
+
+	width := lead.Dim(1)
+	for _, tm := range tms {
+		width += tm.OutDim()
+	}
+	out := tensor.New(b.Size, width)
+	for s := 0; s < b.Size; s++ {
+		copy(out.Row(s), lead.Row(s))
+	}
+	col := lead.Dim(1)
+	for t, feats := range towers {
+		cachedTowerForward(embs, t, feats, b, opt, out, col, tms[t].OutDim(), tms[t].ForwardInference)
+		col += tms[t].OutDim()
 	}
 	return out
 }
@@ -212,12 +239,7 @@ func (m *DMTDLRM) Schema() data.Schema { return m.cfg.Schema }
 func (m *DMTDLRM) Predict(b *data.Batch, opt PredictOptions) *tensor.Tensor {
 	d := m.cfg.D
 	denseEmb := m.Bottom.ForwardInference(b.Dense)
-	parts := []*tensor.Tensor{denseEmb}
-	for t, feats := range m.cfg.Towers {
-		tm := m.TMs[t]
-		parts = append(parts, cachedTowerForward(m.Embs, t, feats, b, opt, tm.OutDim(), tm.ForwardInference))
-	}
-	flat := tensor.Concat(1, parts...)
+	flat := towerInput(denseEmb, m.Embs, m.cfg.Towers, m.TMs, b, opt)
 	x := flat.Reshape(b.Size, flat.Dim(1)/d, d)
 	z := m.Interaction.ForwardInference(x)
 	top := tensor.Concat(1, denseEmb, z)
@@ -230,12 +252,7 @@ func (m *DMTDCN) Schema() data.Schema { return m.cfg.Schema }
 // Predict is the read-only forward pass, math-identical to Forward. With a
 // TowerCache, per-tower derived features are memoized across requests.
 func (m *DMTDCN) Predict(b *data.Batch, opt PredictOptions) *tensor.Tensor {
-	parts := []*tensor.Tensor{b.Dense}
-	for t, feats := range m.cfg.Towers {
-		tm := m.TMs[t]
-		parts = append(parts, cachedTowerForward(m.Embs, t, feats, b, opt, tm.OutDim(), tm.ForwardInference))
-	}
-	x0 := tensor.Concat(1, parts...)
+	x0 := towerInput(b.Dense, m.Embs, m.cfg.Towers, m.TMs, b, opt)
 	c := m.Cross.ForwardInference(x0)
 	return m.Deep.ForwardInference(c).Reshape(b.Size)
 }

@@ -1,0 +1,83 @@
+package models
+
+import (
+	"math"
+	"testing"
+
+	"dmt/internal/data"
+	"dmt/internal/tensor"
+)
+
+// servingDMTDLRM is the serving benchmark's DMT-DLRM: 8 towers, D = 128.
+func servingDMTDLRM(cfg data.Config) *DMTDLRM {
+	return NewDMTDLRM(DMTDLRMConfig{
+		Schema: cfg.Schema, N: 32,
+		Towers: RoundRobinTowers(8, cfg.Schema.NumSparse()),
+		C:      0, P: 1, D: 128,
+		BottomMLP: []int{64, 128},
+		TopMLP:    []int{32},
+		Seed:      1,
+	})
+}
+
+// TestDMTDLRMPredictAllocs pins the cache-less Predict at batch 32 to at
+// most 224 heap allocations: the Linear bias and the inference ReLU work in
+// place, and the towers write their column windows of one buffer instead of
+// a Concat of per-tower tensors.
+func TestDMTDLRMPredictAllocs(t *testing.T) {
+	cfg := data.CriteoLike(1)
+	m := servingDMTDLRM(cfg)
+	b := data.NewGenerator(cfg).Batch(0, 32)
+	if n := testing.AllocsPerRun(20, func() { m.Predict(b, PredictOptions{}) }); n > 224 {
+		t.Fatalf("DMT-DLRM Predict at batch 32: %v allocations, want <= 224", n)
+	}
+}
+
+// mapCache is a VecCache without eviction.
+type mapCache map[[2]uint64][]float32
+
+func (c mapCache) GetVec(ns int, key uint64) ([]float32, bool) {
+	v, ok := c[[2]uint64{uint64(ns), key}]
+	return v, ok
+}
+
+func (c mapCache) PutVec(ns int, key uint64, v []float32) { c[[2]uint64{uint64(ns), key}] = v }
+
+// TestPredictTowerCacheMatchesUncached predicts a batch whose samples repeat
+// within it, through a cold and then a warm tower cache: in-batch duplicates
+// share one tower-module row and hits are copied in, and both passes must
+// equal the cache-less Predict bit for bit.
+func TestPredictTowerCacheMatchesUncached(t *testing.T) {
+	cfg := data.CriteoLike(2)
+	m := servingDMTDLRM(cfg)
+	b := repeatBatch(data.NewGenerator(cfg).Batch(0, 5), 3)
+	want := m.Predict(b, PredictOptions{}).Data()
+	opt := PredictOptions{Towers: mapCache{}}
+	for pass := 0; pass < 2; pass++ {
+		for i, v := range m.Predict(b, opt).Data() {
+			if math.Float32bits(v) != math.Float32bits(want[i]) {
+				t.Fatalf("pass %d sample %d: %v with the tower cache, %v without", pass, i, v, want[i])
+			}
+		}
+	}
+	if len(opt.Towers.(mapCache)) != 8*5 {
+		t.Fatalf("%d tower rows cached, want one per tower per distinct sample (40)", len(opt.Towers.(mapCache)))
+	}
+}
+
+// repeatBatch returns b's samples r times over, in order.
+func repeatBatch(b *data.Batch, r int) *data.Batch {
+	out := &data.Batch{Size: r * b.Size, Indices: make([][]int32, len(b.Indices)), Offsets: make([][]int32, len(b.Offsets))}
+	var dense []float32
+	for i := 0; i < r; i++ {
+		dense = append(dense, b.Dense.Data()...)
+		for f := range b.Indices {
+			for _, o := range b.Offsets[f] {
+				out.Offsets[f] = append(out.Offsets[f], o+int32(len(out.Indices[f])))
+			}
+			out.Indices[f] = append(out.Indices[f], b.Indices[f]...)
+		}
+	}
+	out.Dense = tensor.FromSlice(dense, out.Size, b.Dense.Dim(1))
+	return out
+}

@@ -18,24 +18,24 @@ func (l *Linear) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
 	return l.apply(x)
 }
 
-// reluApply is max(x, 0) without an activation mask.
-func reluApply(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
-	xd, od := x.Data(), out.Data()
+// reluInPlace is max(x, 0) without an activation mask, overwriting x:
+// every element that is not > 0 (NaN and -0 included) becomes +0.
+func reluInPlace(x *tensor.Tensor) {
+	xd := x.Data()
 	for i, v := range xd {
-		if v > 0 {
-			od[i] = v
+		if !(v > 0) {
+			xd[i] = 0
 		}
 	}
-	return out
 }
 
-// ForwardInference applies the MLP stack without caching activations.
+// ForwardInference applies the MLP stack without caching activations. The
+// ReLU runs in place on each Linear's fresh output.
 func (m *MLP) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
 	for i, l := range m.Layers {
 		x = l.ForwardInference(x)
 		if i < len(m.Layers)-1 || m.FinalReLU {
-			x = reluApply(x)
+			reluInPlace(x)
 		}
 	}
 	return x

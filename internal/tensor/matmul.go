@@ -12,7 +12,7 @@ func MatMul(a, b *Tensor) *Tensor {
 	out := New(m, n)
 	ad, bd, od := a.data, b.data, out.data
 	runTiles(m, tileRowsMatMul, m*n*k, func(lo, hi int) {
-		matMulRows(ad, bd, od, k, n, lo, hi)
+		mulRows(ad, bd, od, k, n, lo, hi)
 	})
 	return out
 }
@@ -28,7 +28,7 @@ func MatMulBT(a, b *Tensor) *Tensor {
 	out := New(m, n)
 	ad, bd, od := a.data, b.data, out.data
 	runTiles(m, tileRowsBT, m*n*k, func(lo, hi int) {
-		matMulBTRows(ad, bd, od, k, n, lo, hi)
+		mulBTRows(ad, bd, od, k, n, lo, hi)
 	})
 	return out
 }
@@ -43,7 +43,7 @@ func MatMulAT(a, b *Tensor) *Tensor {
 	out := New(m, n)
 	ad, bd, od := a.data, b.data, out.data
 	runTiles(m, tileRowsMatMul, m*n*k, func(lo, hi int) {
-		matMulATRows(ad, bd, od, k, m, n, lo, hi)
+		mulATRows(ad, bd, od, k, m, n, lo, hi)
 	})
 	return out
 }
@@ -75,7 +75,16 @@ func BatchedPairwiseDot(x *Tensor) *Tensor {
 // it accumulates its dot product in ascending p (reduction-index) order. A
 // tile is then just a row range, so the result is bitwise identical however
 // the rows are cut and whichever worker runs them — the training golden
-// trajectories depend on it.
+// trajectories depend on it. Every product is written float32(a*b): the
+// conversion forbids fusing it into the add, which arm64, ppc64le and s390x
+// would otherwise do.
+//
+// The AVX2 micro-kernel's row routines (gemm_amd64.go) honour the same
+// contract with the same float32 operations, and replace the scalar MatMul,
+// MatMulBT and MatMulAT routines when init finds the CPU support. The
+// scalar routines stay the reference, and the fallback under the purego
+// tag and off amd64.
+var mulRows, mulBTRows, mulATRows = matMulRows, matMulBTRows, matMulATRows
 
 // matMulRows computes rows [lo, hi) of a @ b. The ikj loop order keeps the
 // inner loop streaming over b's rows.
@@ -90,7 +99,7 @@ func matMulRows(a, b, out []float32, k, n, lo, hi int) {
 			}
 			brow := b[p*n : (p+1)*n]
 			for j := range orow {
-				orow[j] += av * brow[j]
+				orow[j] += float32(av * brow[j])
 			}
 		}
 	}
@@ -114,7 +123,7 @@ func matMulBTRows(a, b, out []float32, k, n, lo, hi int) {
 			brow := b[j*k : (j+1)*k]
 			var s float32
 			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
+				s += float32(arow[p] * brow[p])
 			}
 			orow[j] = s
 		}
@@ -135,22 +144,22 @@ func matMulBT4(a, b, out []float32, k, n int) {
 		for p := 0; p < k; p++ {
 			av0, av1, av2, av3 := a0[p], a1[p], a2[p], a3[p]
 			bv0, bv1, bv2, bv3 := b0[p], b1[p], b2[p], b3[p]
-			s00 += av0 * bv0
-			s01 += av0 * bv1
-			s02 += av0 * bv2
-			s03 += av0 * bv3
-			s10 += av1 * bv0
-			s11 += av1 * bv1
-			s12 += av1 * bv2
-			s13 += av1 * bv3
-			s20 += av2 * bv0
-			s21 += av2 * bv1
-			s22 += av2 * bv2
-			s23 += av2 * bv3
-			s30 += av3 * bv0
-			s31 += av3 * bv1
-			s32 += av3 * bv2
-			s33 += av3 * bv3
+			s00 += float32(av0 * bv0)
+			s01 += float32(av0 * bv1)
+			s02 += float32(av0 * bv2)
+			s03 += float32(av0 * bv3)
+			s10 += float32(av1 * bv0)
+			s11 += float32(av1 * bv1)
+			s12 += float32(av1 * bv2)
+			s13 += float32(av1 * bv3)
+			s20 += float32(av2 * bv0)
+			s21 += float32(av2 * bv1)
+			s22 += float32(av2 * bv2)
+			s23 += float32(av2 * bv3)
+			s30 += float32(av3 * bv0)
+			s31 += float32(av3 * bv1)
+			s32 += float32(av3 * bv2)
+			s33 += float32(av3 * bv3)
 		}
 		out[j], out[j+1], out[j+2], out[j+3] = s00, s01, s02, s03
 		out[n+j], out[n+j+1], out[n+j+2], out[n+j+3] = s10, s11, s12, s13
@@ -162,10 +171,10 @@ func matMulBT4(a, b, out []float32, k, n int) {
 		var s0, s1, s2, s3 float32
 		for p := 0; p < k; p++ {
 			bv := brow[p]
-			s0 += a0[p] * bv
-			s1 += a1[p] * bv
-			s2 += a2[p] * bv
-			s3 += a3[p] * bv
+			s0 += float32(a0[p] * bv)
+			s1 += float32(a1[p] * bv)
+			s2 += float32(a2[p] * bv)
+			s3 += float32(a3[p] * bv)
 		}
 		out[j], out[n+j], out[2*n+j], out[3*n+j] = s0, s1, s2, s3
 	}
@@ -182,7 +191,7 @@ func matMulATRows(a, b, out []float32, k, m, n, lo, hi int) {
 			}
 			brow := b[p*n : (p+1)*n]
 			for j := range orow {
-				orow[j] += av * brow[j]
+				orow[j] += float32(av * brow[j])
 			}
 		}
 	}
@@ -200,7 +209,7 @@ func pairwiseDotSamples(x, out []float32, f, n, lo, hi int) {
 				vj := base[j*n : (j+1)*n]
 				var dot float32
 				for p := 0; p < n; p++ {
-					dot += vi[p] * vj[p]
+					dot += float32(vi[p] * vj[p])
 				}
 				obase[i*f+j] = dot
 				obase[j*f+i] = dot

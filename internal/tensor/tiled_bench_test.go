@@ -5,11 +5,23 @@ import (
 	"testing"
 )
 
+type gemmShape struct{ m, k, n int }
+
 // Over-arch layer shapes: the batched activations (m = batch) against the
 // wide MLP weight matrices the paper's dense tower is made of.
-var hotpathShapes = []struct{ m, k, n int }{
+var hotpathShapes = []gemmShape{
 	{256, 512, 512},
 	{512, 512, 512},
+}
+
+// trainDenseShapes is each entry point's dominant shape in the benchmark's
+// train_dense step, (m, k, n) as tiledKernels reads it: the forward
+// x·Wᵀ, the input gradient dY·W and the weight gradient dYᵀ·X of one
+// over-arch Linear at the local batch of 64.
+var trainDenseShapes = map[string]gemmShape{
+	"MatMulBT": {64, 152, 256},
+	"MatMul":   {64, 128, 256},
+	"MatMulAT": {256, 64, 152},
 }
 
 // tiledKernelNamed returns the tiledKernels entry for an entry point.
@@ -23,25 +35,33 @@ func tiledKernelNamed(tb testing.TB, name string) tiledKernel {
 	return tiledKernel{}
 }
 
-// BenchmarkHotpathMatMul times the tiled MatMul entry point against its row
-// routine on one goroutine at over-arch shapes (`make bench-hotpath`); the
-// before/after table in the README's hot-path section comes from this run.
+// BenchmarkHotpathMatMul times the tiled MatMul entry point (the vector
+// kernel where the CPU has it) against its scalar row routine on one
+// goroutine, at over-arch shapes and at train_dense's (`make
+// bench-hotpath`); the table in the README's hot-path section comes from
+// this run.
 func BenchmarkHotpathMatMul(b *testing.B) {
 	benchmarkTiled(b, tiledKernelNamed(b, "MatMul"))
 }
 
 // BenchmarkHotpathMatMulBT is the Linear-layer layout (weights stored
-// (out, in)): the serve predict path's kernel.
+// (out, in)): the forward and serve predict path's kernel.
 func BenchmarkHotpathMatMulBT(b *testing.B) {
 	benchmarkTiled(b, tiledKernelNamed(b, "MatMulBT"))
 }
 
+// BenchmarkHotpathMatMulAT is the weight-gradient layout.
+func BenchmarkHotpathMatMulAT(b *testing.B) {
+	benchmarkTiled(b, tiledKernelNamed(b, "MatMulAT"))
+}
+
 func benchmarkTiled(b *testing.B, kn tiledKernel) {
+	shapes := append([]gemmShape{trainDenseShapes[kn.name]}, hotpathShapes...)
 	for _, side := range []struct {
 		name string
 		run  func(x, y *Tensor) *Tensor
 	}{{"rows", kn.ref}, {"tiled", kn.tiled}} {
-		for _, sh := range hotpathShapes {
+		for _, sh := range shapes {
 			b.Run(fmt.Sprintf("%s/m=%d,k=%d,n=%d", side.name, sh.m, sh.k, sh.n), func(b *testing.B) {
 				r := NewRNG(1)
 				xs, ys := kn.shapes(sh.m, sh.k, sh.n)

@@ -9,10 +9,12 @@ import (
 )
 
 // TestHotpathParallelMatMulSpeedup is the bench-hotpath-check gate: at
-// over-arch shapes the tiled MatMul and MatMulBT entry points must beat
-// their row routines on one goroutine by at least 1.5x. Timing takes the
-// best of several runs per side to shrug off scheduler noise; single-core
-// environments skip (there is nothing to fan out over). It is a wall-clock
+// over-arch shapes the tiled vector MatMul and MatMulBT entry points (the
+// AVX2 kernel fanned out over tiles; the scalar routines under purego) must
+// beat their scalar row routines on one goroutine by at least 1.5x. Timing
+// takes the best of several runs per side to shrug off scheduler noise;
+// single-core environments skip (a purego build there has nothing to fan
+// out over). It is a wall-clock
 // speed assertion, so it lives behind the benchgate build tag that only
 // `make bench-hotpath-check` passes: a plain `go test ./...` (tier-1) never
 // compiles it, and other packages competing for the cores cannot fail it.
