@@ -1,8 +1,6 @@
 package models
 
 import (
-	"slices"
-
 	"dmt/internal/data"
 	"dmt/internal/nn"
 	"dmt/internal/quant"
@@ -127,9 +125,7 @@ func cachedTowerForward(embs []*nn.EmbeddingBag, tower int, feats []int, b *data
 	// slot[s] is the row of the miss sub-batch that serves sample s, or -1
 	// on a cache hit. Duplicate keys within the batch — the common case
 	// under skewed load — share one slot, so each distinct feature-group
-	// value runs the tower module exactly once. A batch is at most the
-	// server's MaxBatch samples, so a linear search of the missing keys
-	// finds duplicates without allocating a map.
+	// value runs the tower module exactly once.
 	slot := make([]int, b.Size)
 	var miss []int // representative sample per distinct missing key
 	var missKey []uint64
@@ -139,6 +135,7 @@ func cachedTowerForward(embs []*nn.EmbeddingBag, tower int, feats []int, b *data
 		}
 		miss = slot
 	} else {
+		seen := make(map[uint64]int, b.Size)
 		miss, missKey = make([]int, 0, b.Size), make([]uint64, 0, b.Size)
 		for s := 0; s < b.Size; s++ {
 			h := fnvOffset
@@ -150,10 +147,11 @@ func cachedTowerForward(embs []*nn.EmbeddingBag, tower int, feats []int, b *data
 				slot[s] = -1
 				continue
 			}
-			if mi := slices.Index(missKey, h); mi >= 0 {
-				slot[s] = mi
+			if sl, ok := seen[h]; ok {
+				slot[s] = sl
 				continue
 			}
+			seen[h] = len(miss)
 			slot[s] = len(miss)
 			miss = append(miss, s)
 			missKey = append(missKey, h)

@@ -27,23 +27,13 @@ func NewLinear(r *tensor.RNG, in, out int, name string) *Linear {
 	}
 }
 
-// apply computes y = x Wᵀ + b without touching training state. The bias is
-// added in place into MatMulBT's fresh output: the same y + b[c] as
-// AddRowVector, without a second (batch, Out) tensor.
+// apply computes y = x Wᵀ + b without touching training state.
 func (l *Linear) apply(x *tensor.Tensor) *tensor.Tensor {
 	mustRank2("Linear.Forward", x)
 	if x.Dim(1) != l.In {
 		panic(fmt.Sprintf("nn: Linear expects %d input features, got shape %v", l.In, x.Shape()))
 	}
-	y := tensor.MatMulBT(x, l.W.Value)
-	yd, bias := y.Data(), l.B.Value.Data()
-	for r := 0; r < y.Dim(0); r++ {
-		row := yd[r*l.Out : (r+1)*l.Out]
-		for c, bv := range bias {
-			row[c] += bv
-		}
-	}
-	return y
+	return tensor.AddRowVector(tensor.MatMulBT(x, l.W.Value), l.B.Value)
 }
 
 // Forward computes y = x Wᵀ + b for x of shape (batch, In).

@@ -1,5 +1,3 @@
-//go:build !purego
-
 package tensor
 
 // The AVX2 micro-kernel (gemm_amd64.s) under MatMul, MatMulAT and MatMulBT.

@@ -1,5 +1,3 @@
-//go:build !purego
-
 #include "textflag.h"
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

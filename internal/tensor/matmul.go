@@ -82,8 +82,8 @@ func BatchedPairwiseDot(x *Tensor) *Tensor {
 // The AVX2 micro-kernel's row routines (gemm_amd64.go) honour the same
 // contract with the same float32 operations, and replace the scalar MatMul,
 // MatMulBT and MatMulAT routines when init finds the CPU support. The
-// scalar routines stay the reference, and the fallback under the purego
-// tag and off amd64.
+// scalar routines stay the reference, and the path on CPUs without AVX2
+// and off amd64.
 var mulRows, mulBTRows, mulATRows = matMulRows, matMulBTRows, matMulATRows
 
 // matMulRows computes rows [lo, hi) of a @ b. The ikj loop order keeps the

@@ -64,22 +64,21 @@ func AXPY(alpha float32, src, dst []float32) {
 	}
 }
 
-// AddRowVector adds a length-w vector to every row of a (h, w) tensor,
-// returning a new tensor. Used for linear-layer biases.
+// AddRowVector adds a length-w vector to every row of a (h, w) tensor in
+// place and returns a. Used for linear-layer biases, on a GEMM's fresh
+// output.
 func AddRowVector(a, v *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(v.shape) != 1 || a.shape[1] != v.shape[0] {
 		panic(fmt.Sprintf("tensor: AddRowVector shapes %v, %v", a.shape, v.shape))
 	}
-	out := New(a.shape...)
 	w := a.shape[1]
 	for r := 0; r < a.shape[0]; r++ {
 		av := a.data[r*w : (r+1)*w]
-		ov := out.data[r*w : (r+1)*w]
-		for c := 0; c < w; c++ {
-			ov[c] = av[c] + v.data[c]
+		for c, bv := range v.data {
+			av[c] += bv
 		}
 	}
-	return out
+	return a
 }
 
 // Sum returns the sum of all elements (accumulated in float64 for accuracy).

@@ -44,6 +44,9 @@ func TestAddRowVector(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	v := FromSlice([]float32{10, 20, 30}, 3)
 	out := AddRowVector(a, v)
+	if out != a {
+		t.Fatal("AddRowVector returned a new tensor; it adds in place")
+	}
 	want := []float32{11, 22, 33, 14, 25, 36}
 	for i, w := range want {
 		if out.Data()[i] != w {

@@ -10,11 +10,11 @@ import (
 
 // TestHotpathParallelMatMulSpeedup is the bench-hotpath-check gate: at
 // over-arch shapes the tiled vector MatMul and MatMulBT entry points (the
-// AVX2 kernel fanned out over tiles; the scalar routines under purego) must
-// beat their scalar row routines on one goroutine by at least 1.5x. Timing
-// takes the best of several runs per side to shrug off scheduler noise;
-// single-core environments skip (a purego build there has nothing to fan
-// out over). It is a wall-clock
+// AVX2 kernel fanned out over tiles; the scalar routines on CPUs without
+// it) must beat their scalar row routines on one goroutine by at least
+// 1.5x. Timing takes the best of several runs per side to shrug off
+// scheduler noise; single-core environments skip, since on a CPU without
+// AVX2 only the fan-out gives the speedup. It is a wall-clock
 // speed assertion, so it lives behind the benchgate build tag that only
 // `make bench-hotpath-check` passes: a plain `go test ./...` (tier-1) never
 // compiles it, and other packages competing for the cores cannot fail it.
