@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt fmt-check vet lint bench bench-smoke bench-hotpath bench-hotpath-check fuzz-smoke examples-smoke cmds-smoke serve-demo
+.PHONY: build test race fmt fmt-check vet lint fma-check bench bench-smoke bench-hotpath bench-hotpath-check fuzz-smoke examples-smoke cmds-smoke serve-demo
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,20 @@ lint: fmt-check vet
 	else echo "lint: staticcheck not installed; skipped"; fi
 	@if command -v shadow >/dev/null 2>&1; then $(GO) vet -vettool=$$(command -v shadow) ./...; \
 	else echo "lint: shadow not installed; skipped"; fi
+
+# arm64 compiles x += a*b into one fused multiply-add (FMADD/FMSUB/FNMADD/
+# FNMSUB), which rounds once where amd64 rounds twice, so a fused op on the
+# training path breaks the bitwise goldens there. Writing the product as
+# float32(a*b) or float64(a*b) keeps it apart. Cross-compiles the trainer's
+# test binary for arm64 (no emulator, no network) and fails if any function
+# from a non-test dmt/ file contains a fused op.
+fma-check:
+	@mkdir -p bin
+	GOARCH=arm64 $(GO) test -c -o bin/fma-check-arm64.test ./internal/distributed
+	@$(GO) tool objdump bin/fma-check-arm64.test | awk ' \
+		/^TEXT / { fn = $$2; file = $$3; next } \
+		/\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD]? / && fn ~ /^dmt\// && file !~ /_test\.go$$/ { print "fma-check: " fn " " $$1 ": " $$4; bad = 1 } \
+		END { if (bad) { print "fma-check: fused multiply-add in non-test code; write the product as float32(a*b) or float64(a*b)"; exit 1 } }'
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -timeout 60m .

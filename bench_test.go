@@ -10,7 +10,6 @@ package dmt_test
 
 import (
 	"testing"
-	"time"
 
 	"dmt/internal/data"
 	"dmt/internal/experiments"
@@ -98,9 +97,9 @@ func BenchmarkSPTT_TransformDataflow(b *testing.B) {
 // BenchmarkDistributedStep compares the single-goroutine reference step
 // against the rank-parallel engine under its three schedules at G=8 (4
 // hosts of 2 ranks), fp32. All engines execute identical mathematics over
-// the same batches, so ns/op is a direct engine comparison; every variant
-// reports the exposed/hidden comm split. The pipeline variant's deferred
-// bucket tail is drained after the timed loop, before the stats are read.
+// the same batches, so ns/op is a direct engine comparison. The pipeline
+// variant's deferred bucket tail is drained after the timed loop, before the
+// stats are read.
 // (The compressed-wire, simulated-fabric and remote-tier shapes are
 // benchmark/'s train_dense and train_embed workloads, with exact pins.)
 func BenchmarkDistributedStep(b *testing.B) {
@@ -138,11 +137,6 @@ func BenchmarkDistributedStep(b *testing.B) {
 			tr.Drain() // fold the pipelined tail into the stats; no-op otherwise
 			st := tr.Stats()
 			b.ReportMetric(float64(st.Steps)/b.Elapsed().Seconds(), "steps/s")
-			perStepMS := func(d time.Duration) float64 {
-				return d.Seconds() * 1e3 / float64(st.Steps)
-			}
-			b.ReportMetric(perStepMS(st.Phases.ExposedComm), "exposed-ms/step")
-			b.ReportMetric(perStepMS(st.Phases.HiddenComm), "hidden-ms/step")
 		})
 	}
 }

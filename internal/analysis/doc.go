@@ -37,6 +37,9 @@
 //     point. Such reads need a host-side join with the writers first
 //     (embeddings.RemoteTier's per-round settle is one), and a
 //     repeat-under-Gosched test, not this analyzer, guards them.
+//     comm itself reads no wall clock at all: every group runs on a
+//     Network's virtual clocks (NewGroup on a private zero-delay one), so
+//     exposed and hidden time have one deterministic definition.
 //
 //   - noretain: the documented no-retention boundaries. Predict
 //     implementations must not retain the batch or alias it in their
@@ -64,6 +67,7 @@
 //
 // placed at the end of the offending line or alone on the line above.
 // Suppressions are for code that is deliberately outside the invariant
-// (a test that leaks a handle to exercise the runtime guard; wall-clock
-// stats that latency mode never reads), not for silencing bugs.
+// (a test that leaks a handle to exercise the runtime guard; the trainer's
+// wall-clock phase walls, which a run on a fabric never reads), not for
+// silencing bugs.
 package analysis

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"time"
 
 	"dmt/internal/tensor"
 )
@@ -29,16 +28,13 @@ import (
 type Pending[T any] struct {
 	c      *Comm
 	ticket uint64
-	// issued is the wall-clock issue instant (instant-delivery groups);
-	// issuedVT the virtual one (simulated-latency groups). Only the form
-	// matching the group's mode is populated — latency mode never reads the
-	// wall clock, which is what keeps its timeline reproducible.
-	issued   time.Time
-	issuedVT int64
-	fn       func() T
-	done     bool
-	carried  bool
-	v        T
+	// issued is the rank's virtual time at issue, where the handle's hidden
+	// window starts.
+	issued  int64
+	fn      func() T
+	done    bool
+	carried bool
+	v       T
 }
 
 // Carry marks the handle as deliberately left in flight across a logical
@@ -58,13 +54,7 @@ func (p *Pending[T]) Carry() {
 }
 
 func newPending[T any](c *Comm, fn func() T) *Pending[T] {
-	p := &Pending[T]{c: c, ticket: c.issueSeq, fn: fn}
-	if c.g.net != nil {
-		p.issuedVT = c.clock.ns.Load()
-	} else {
-		//dmt:nondeterministic-ok wall-clock-only overlap stats; never read in virtual-clock (latency) mode
-		p.issued = time.Now()
-	}
+	p := &Pending[T]{c: c, ticket: c.issueSeq, issued: c.clock.ns.Load(), fn: fn}
 	c.issueSeq++
 	return p
 }
@@ -75,9 +65,8 @@ func newPending[T any](c *Comm, fn func() T) *Pending[T] {
 // part already credited to an earlier handle, so concurrently in-flight
 // collectives (the overlap engine posts several gradient buckets at once)
 // contribute the UNION of their windows, never more than the rank actually
-// executed. Time the receives then leave the rank stalled is credited to
-// its exposed counter (wall-blocked time, or the modeled gap to the
-// messages' ready-times in latency mode).
+// executed. The receives then advance the rank's clock to any later message
+// ready-time and credit that gap to its exposed counter.
 func (p *Pending[T]) Wait() T {
 	if p.done {
 		return p.v
@@ -92,28 +81,12 @@ func (p *Pending[T]) Wait() T {
 			c.rank, p.ticket, c.waitSeq))
 	}
 	c.waitSeq++
-	if c.g.net != nil {
-		// The virtual hidden frontier lives on the rank's shared Clock, so
-		// the union also spans handles on different groups of one network.
-		start := p.issuedVT
-		if f := c.clock.hiddenFrontierNS; f > start {
-			start = f
-		}
-		if now := c.clock.ns.Load(); now > start {
-			c.hiddenNS += now - start
-			c.clock.hiddenFrontierNS = now
-		}
-	} else {
-		//dmt:nondeterministic-ok wall-clock-only overlap stats; never read in virtual-clock (latency) mode
-		now := time.Now()
-		start := p.issued
-		if c.hiddenFrontier.After(start) {
-			start = c.hiddenFrontier
-		}
-		if d := now.Sub(start); d > 0 {
-			c.hiddenNS += d.Nanoseconds()
-		}
-		c.hiddenFrontier = now
+	// The hidden frontier lives on the rank's shared Clock, so the union also
+	// spans handles on different groups of one network.
+	start := max(p.issued, c.clock.hiddenFrontierNS)
+	if now := c.clock.ns.Load(); now > start {
+		c.hiddenNS += now - start
+		c.clock.hiddenFrontierNS = now
 	}
 	p.v = p.fn()
 	p.fn = nil

@@ -104,6 +104,14 @@ func TestWaitOutOfOrderPanics(t *testing.T) {
 	})
 }
 
+// recoverRun runs fn and returns the value it panicked with (nil if none).
+// A deadlock instead of a panic hangs until the test binary's timeout.
+func recoverRun(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
+}
+
 // TestRunPanicCancelsGroup is the deadlock regression: one rank panicking
 // before it posts its sends must not leave the remaining ranks blocked
 // forever on their receives. Run cancels the group, the peers abort, and
@@ -111,9 +119,7 @@ func TestWaitOutOfOrderPanics(t *testing.T) {
 func TestRunPanicCancelsGroup(t *testing.T) {
 	const n = 4
 	comms := NewGroup(n)
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
+	r := recoverRun(func() {
 		Run(comms, func(c *Comm) {
 			if c.Rank() == 2 {
 				panic("boom before sending")
@@ -122,18 +128,13 @@ func TestRunPanicCancelsGroup(t *testing.T) {
 			// never arrives; pre-refactor this deadlocked.
 			c.AllReduceSum(tensor.FromSlice([]float32{1}, 1))
 		})
-	}()
-	select {
-	case r := <-done:
-		if r == nil {
-			t.Fatal("Run returned without panicking")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "rank 2") || !strings.Contains(msg, "boom before sending") {
-			t.Fatalf("panic should name rank 2 and the original message: %v", r)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run deadlocked after a rank panic")
+	})
+	if r == nil {
+		t.Fatal("Run returned without panicking")
+	}
+	msg, ok := r.(string)
+	if !ok || !strings.Contains(msg, "rank 2") || !strings.Contains(msg, "boom before sending") {
+		t.Fatalf("panic should name rank 2 and the original message: %v", r)
 	}
 }
 
@@ -178,34 +179,33 @@ func TestTrafficCountersConcurrentRead(t *testing.T) {
 	}
 }
 
-// TestTimesCounters: a rank that posts and immediately computes before
-// waiting must record hidden time covering the compute window, and ranks
-// blocked on a deliberately slow peer must record exposed time.
+// TestTimesCounters: a rank that posts and computes before waiting hides
+// exactly its compute window, and the rest of its wait for a slow peer is
+// exposed — on the virtual clock, so exactly.
 func TestTimesCounters(t *testing.T) {
 	const n = 2
-	comms := NewGroup(n)
+	net := NewNetwork(fixedDelay{}, n)
+	comms := NewGroupNet(n, net, nil)
 	Run(comms, func(c *Comm) {
 		if c.Rank() == 1 {
-			time.Sleep(20 * time.Millisecond) // slow rank: posts late
+			net.Clock(1).Advance(20 * time.Millisecond) // slow rank: posts late
 		}
 		h := c.IAllReduceSum(tensor.FromSlice([]float32{1}, 1))
 		if c.Rank() == 0 {
-			time.Sleep(5 * time.Millisecond) // overlapped "compute"
+			net.Clock(0).Advance(5 * time.Millisecond) // overlapped compute
 		}
 		h.Wait()
 	})
-	e0, h0 := comms[0].Times()
-	if h0 < 5*time.Millisecond {
-		t.Fatalf("rank 0 hidden %v, want >= 5ms of overlap window", h0)
+	// Rank 1 posted at 20ms and rank 0 hid 5ms of that; the other 15ms is
+	// exposed. Rank 1's payload from rank 0 was ready long before it waited.
+	want := [n][2]time.Duration{{15 * time.Millisecond, 5 * time.Millisecond}, {0, 0}}
+	for r, c := range comms {
+		if e, h := c.Times(); e != want[r][0] || h != want[r][1] {
+			t.Errorf("rank %d: exposed %v hidden %v, want %v and %v", r, e, h, want[r][0], want[r][1])
+		}
 	}
-	if e0 < 5*time.Millisecond {
-		// Rank 1 posted ~20ms late and rank 0 only hid 5ms of it; the rest
-		// must show up as exposed blocking time.
-		t.Fatalf("rank 0 exposed %v, want >= 5ms of blocking on the slow peer", e0)
-	}
-	exposed, hidden := GroupTimes(comms)
-	if exposed < e0 || hidden < h0 {
-		t.Fatalf("GroupTimes (%v, %v) must include rank 0's (%v, %v)", exposed, hidden, e0, h0)
+	if e, h := GroupTimes(comms); e != 15*time.Millisecond || h != 5*time.Millisecond {
+		t.Fatalf("GroupTimes (%v, %v), want (15ms, 5ms)", e, h)
 	}
 }
 
@@ -298,9 +298,7 @@ func TestRunLinkedCancelsLinkedGroups(t *testing.T) {
 	const n = 2
 	world := NewGroup(n)
 	sub := NewGroup(n)
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
+	r := recoverRun(func() {
 		RunLinked(world, [][]*Comm{sub}, func(c *Comm) {
 			if c.Rank() == 0 {
 				panic("boom on the primary group")
@@ -309,16 +307,11 @@ func TestRunLinkedCancelsLinkedGroups(t *testing.T) {
 			// will never arrive.
 			sub[c.Rank()].AllReduceSum(tensor.FromSlice([]float32{1}, 1))
 		})
-	}()
-	select {
-	case r := <-done:
-		if r == nil {
-			t.Fatal("RunLinked returned without panicking")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "rank 0") {
-			t.Fatalf("panic should name rank 0: %v", r)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("RunLinked deadlocked on a linked-group receive")
+	})
+	if r == nil {
+		t.Fatal("RunLinked returned without panicking")
+	}
+	if msg, ok := r.(string); !ok || !strings.Contains(msg, "rank 0") {
+		t.Fatalf("panic should name rank 0: %v", r)
 	}
 }

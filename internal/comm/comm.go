@@ -10,10 +10,10 @@
 // Pending handle whose Wait() drains the receives and finishes the
 // reduction. The blocking calls (AlltoAllTensors, AllReduceSum, ...) are
 // thin I*-plus-Wait wrappers, so both forms share one implementation, one
-// traffic accounting, and one determinism argument. Handles let callers overlap communication
-// with compute: post, do rank-local work, then Wait — the runtime tracks
-// how long each rank actually blocked (exposed time) versus how long posted
-// collectives sat in flight under compute (hidden time).
+// traffic accounting, and one determinism argument. Handles let callers
+// overlap communication with compute: post, do rank-local work, then Wait —
+// the runtime accounts, on the virtual clock below, how much communication
+// each rank left exposed and how much it hid behind compute.
 //
 // The runtime is deterministic: every collective delivers results in source
 // rank order and reductions accumulate in rank order, so repeated runs are
@@ -30,17 +30,19 @@
 //
 // # Simulated latency
 //
-// By default the mailboxes deliver instantly, so exposed time measures only
-// goroutine synchronization stalls. Groups built with NewGroupNet against a
-// Network instead run a deterministic virtual-time simulation: every message
-// carries a ready-time — the sender's virtual clock at issue plus a modeled
-// point-to-point transfer cost (LatencyModel, typically netsim.P2PTime) —
-// and a receiver whose clock is behind a message's ready-time advances its
-// clock to it and charges the gap to its exposed counter. Compute advances
-// a rank's clock only through explicit Clock.Advance calls, so the whole
-// timeline is a pure function of the byte stream and the charged compute:
-// no time.Now in the delay path, bit-identical timing across runs, however
-// the goroutines are actually scheduled.
+// Every group runs on a Network: a latency model plus one deterministic
+// virtual clock per global rank. Every message carries a ready-time — the
+// sender's virtual clock at issue plus a modeled point-to-point transfer
+// cost (LatencyModel, typically netsim.P2PTime) — and a receiver whose clock
+// is behind a message's ready-time advances its clock to it and charges the
+// gap to its exposed counter. Hidden time is the union of the Pending
+// handles' issue→Wait windows on the same clock. Compute advances a rank's
+// clock only through explicit Clock.Advance calls, so the whole timeline is
+// a pure function of the byte stream and the charged compute: bit-identical
+// across runs, however the goroutines are actually scheduled. NewGroup
+// builds its group a private zero-delay network — instant delivery is the
+// cheapest latency model, not a separate mode — so with nothing modeled,
+// exposed and hidden time are both zero.
 package comm
 
 import (
@@ -75,9 +77,8 @@ type Comm struct {
 	rank int
 	g    *group
 
-	// clock is this rank's virtual clock when the group runs in simulated-
-	// latency mode (NewGroupNet), shared with every other group the same
-	// global rank participates in; nil for instant-delivery groups.
+	// clock is this rank's virtual clock on the group's network, shared with
+	// every other group the same global rank joins on that network.
 	clock *Clock
 
 	// Issue/wait sequence numbers for Pending handles and the per-rank
@@ -92,22 +93,22 @@ type Comm struct {
 	carried   uint64
 	exposedNS int64
 	hiddenNS  int64
-	// hiddenFrontier is the end of the latest wall-clock hidden window
-	// already credited on this group, so concurrently in-flight handles
-	// credit the union of their issue→Wait windows rather than the sum
-	// (instant mode; latency mode keeps the frontier on the shared Clock).
-	hiddenFrontier time.Time
 }
 
-// LatencyModel prices one point-to-point message for the simulated-latency
-// mode. Implementations must be pure functions of their arguments — the
-// determinism of the virtual timeline rests on it. src and dst are GLOBAL
-// ranks (the identity callers pass to NewGroupNet), so a model can price
-// intra-host and cross-host links differently; src == dst is self-delivery
-// and should cost 0.
+// LatencyModel prices one point-to-point message. Implementations must be
+// pure functions of their arguments — the determinism of the virtual
+// timeline rests on it. src and dst are GLOBAL ranks (the identity callers
+// pass to NewGroupNet), so a model can price intra-host and cross-host links
+// differently; self-delivery (src == dst) is never priced.
 type LatencyModel interface {
 	P2PDelay(src, dst, nbytes int) time.Duration
 }
+
+// zeroDelay is the latency model of the private network NewGroup builds:
+// every message is ready the instant it is sent.
+type zeroDelay struct{}
+
+func (zeroDelay) P2PDelay(int, int, int) time.Duration { return 0 }
 
 // Clock is one rank's deterministic virtual clock: the simulated instant
 // that rank has reached. Receives advance it to late messages' ready-times
@@ -121,7 +122,9 @@ type LatencyModel interface {
 type Clock struct {
 	ns atomic.Int64
 	// hiddenFrontierNS is the virtual end of the latest hidden window
-	// already credited across ALL of the rank's groups (see hiddenFrontier).
+	// already credited across ALL of the rank's groups, so concurrently
+	// in-flight handles credit the union of their issue→Wait windows rather
+	// than the sum. Touched only by the goroutine acting as the rank.
 	hiddenFrontierNS int64
 }
 
@@ -175,8 +178,10 @@ func (n *Network) Now() time.Duration {
 	return time.Duration(total / int64(len(n.clocks)))
 }
 
-// timedMsg wraps a payload with its modeled arrival instant in latency mode.
-type timedMsg struct {
+// message is one queued message: the payload and the virtual instant it is
+// ready at the receiver. Queued by value, so a send allocates nothing
+// beyond the queue's amortized growth.
+type message struct {
 	v       any
 	readyNS int64
 }
@@ -189,12 +194,12 @@ type timedMsg struct {
 type mailbox struct {
 	mu       sync.Mutex
 	cond     sync.Cond
-	q        []any
+	q        []message
 	head     int
 	canceled bool
 }
 
-func (m *mailbox) put(v any) {
+func (m *mailbox) put(v message) {
 	m.mu.Lock()
 	if m.canceled {
 		m.mu.Unlock()
@@ -205,37 +210,25 @@ func (m *mailbox) put(v any) {
 	m.mu.Unlock()
 }
 
-// take pops the oldest message, blocking until one arrives. It returns the
-// nanoseconds this call actually spent blocked — the receiver's exposed
-// communication time for this message.
-func (m *mailbox) take() (v any, blockedNS int64) {
+// take pops the oldest message, blocking until one arrives.
+func (m *mailbox) take() message {
 	m.mu.Lock()
+	for m.head == len(m.q) && !m.canceled {
+		m.cond.Wait()
+	}
 	if m.canceled {
 		m.mu.Unlock()
 		panic(errCanceled)
 	}
-	if m.head == len(m.q) {
-		//dmt:nondeterministic-ok measures real blocked time for wall-clock stats; virtual time comes from the netsim clock
-		start := time.Now()
-		for m.head == len(m.q) && !m.canceled {
-			m.cond.Wait()
-		}
-		//dmt:nondeterministic-ok measures real blocked time for wall-clock stats; virtual time comes from the netsim clock
-		blockedNS = time.Since(start).Nanoseconds()
-		if m.canceled {
-			m.mu.Unlock()
-			panic(errCanceled)
-		}
-	}
-	v = m.q[m.head]
-	m.q[m.head] = nil
+	v := m.q[m.head]
+	m.q[m.head] = message{}
 	m.head++
 	if m.head == len(m.q) {
 		m.q = m.q[:0]
 		m.head = 0
 	}
 	m.mu.Unlock()
-	return v, blockedNS
+	return v
 }
 
 func (m *mailbox) cancel() {
@@ -255,9 +248,8 @@ type group struct {
 	// the hot path.
 	sent [][]int64
 
-	// net and granks are set for simulated-latency groups: granks[i] is
-	// group rank i's global rank, the identity the latency model prices
-	// links by. Both nil for instant-delivery groups.
+	// net is the group's network; granks[i] is group rank i's global rank
+	// on it, the identity the latency model prices links by.
 	net    *Network
 	granks []int
 
@@ -286,42 +278,42 @@ func CancelGroup(comms []*Comm) {
 	comms[0].g.cancel()
 }
 
-// NewGroup creates a fresh instant-delivery group of the given size and
-// returns one Comm per rank. Groups are independent: SPTT builds a global
-// group, one intra-host group per host, and one peer group per local index,
-// and hands each rank its three handles.
+// NewGroup creates a fresh group of the given size on a private zero-delay
+// network and returns one Comm per rank. Groups are independent: SPTT builds
+// a global group, one intra-host group per host, and one peer group per
+// local index, and hands each rank its three handles.
 func NewGroup(size int) []*Comm {
 	return NewGroupNet(size, nil, nil)
 }
 
 // NewGroupNet creates a group whose rank i acts as global rank
-// globalRanks[i] on the simulated network (nil globalRanks means the
-// identity — group rank == global rank). A nil net yields the plain
-// instant-delivery group. With a net, every message is stamped with a
-// modeled ready-time and the ranks' shared virtual clocks (net.Clock) drive
-// the exposed/hidden accounting instead of wall time.
+// globalRanks[i] on the network (nil globalRanks means the identity — group
+// rank == global rank). Every message is stamped with a modeled ready-time,
+// and the ranks' shared virtual clocks (net.Clock) drive the exposed/hidden
+// accounting. A nil net is NewGroup: a private zero-delay network of size
+// ranks, with globalRanks ignored.
 func NewGroupNet(size int, net *Network, globalRanks []int) []*Comm {
 	if size <= 0 {
 		panic(fmt.Sprintf("comm: group size %d", size))
 	}
-	g := &group{size: size, net: net}
-	if net != nil {
-		if globalRanks == nil {
-			globalRanks = make([]int, size)
-			for i := range globalRanks {
-				globalRanks[i] = i
-			}
-		}
-		if len(globalRanks) != size {
-			panic(fmt.Sprintf("comm: %d global ranks for group of %d", len(globalRanks), size))
-		}
-		for _, gr := range globalRanks {
-			if gr < 0 || gr >= len(net.clocks) {
-				panic(fmt.Sprintf("comm: global rank %d outside network of %d", gr, len(net.clocks)))
-			}
-		}
-		g.granks = globalRanks
+	if net == nil {
+		net, globalRanks = NewNetwork(zeroDelay{}, size), nil
 	}
+	if globalRanks == nil {
+		globalRanks = make([]int, size)
+		for i := range globalRanks {
+			globalRanks[i] = i
+		}
+	}
+	if len(globalRanks) != size {
+		panic(fmt.Sprintf("comm: %d global ranks for group of %d", len(globalRanks), size))
+	}
+	for _, gr := range globalRanks {
+		if gr < 0 || gr >= len(net.clocks) {
+			panic(fmt.Sprintf("comm: global rank %d outside network of %d", gr, len(net.clocks)))
+		}
+	}
+	g := &group{size: size, net: net, granks: globalRanks}
 	g.mail = make([][]*mailbox, size)
 	g.sent = make([][]int64, size)
 	for d := 0; d < size; d++ {
@@ -335,10 +327,7 @@ func NewGroupNet(size int, net *Network, globalRanks []int) []*Comm {
 	}
 	comms := make([]*Comm, size)
 	for r := 0; r < size; r++ {
-		comms[r] = &Comm{rank: r, g: g}
-		if net != nil {
-			comms[r].clock = net.Clock(g.granks[r])
-		}
+		comms[r] = &Comm{rank: r, g: g, clock: net.Clock(globalRanks[r])}
 	}
 	return comms
 }
@@ -367,14 +356,13 @@ func (c *Comm) BytesSent() int64 {
 	return t
 }
 
-// Times returns this rank's cumulative collective timing: exposed is
-// communication the schedule failed to hide — wall time actually blocked in
-// receives for instant-delivery groups, modeled virtual gaps to message
-// ready-times for simulated-latency groups — and hidden is the union of the
+// Times returns this rank's cumulative collective timing in virtual time:
+// exposed is communication the schedule failed to hide — the gaps from the
+// rank's clock to later message ready-times — and hidden is the union of the
 // Pending handles' issue→Wait windows (communication covered by overlapping
 // compute; overlapping windows are merged, so a rank's hidden time never
-// exceeds the span it was actually executing). Valid to read after the rank
-// goroutines have been joined.
+// exceeds the span its clock covered). Both are zero when nothing is
+// modeled. Valid to read after the rank goroutines have been joined.
 func (c *Comm) Times() (exposed, hidden time.Duration) {
 	return time.Duration(c.exposedNS), time.Duration(c.hiddenNS)
 }
@@ -427,39 +415,32 @@ func SplitByHost(m [][]int64, l int) (intra, cross int64) {
 	return intra, cross
 }
 
+// send stamps the payload with its ready-time. The ready-time reads only
+// the SENDER's clock, so it is fixed at issue and travels with the payload;
+// the mailbox mutex gives the receiver a happens-before edge to read it.
 func (c *Comm) send(dst int, v any, nbytes int) {
 	atomic.AddInt64(&c.g.sent[c.rank][dst], int64(nbytes))
-	if c.g.net != nil {
-		// The ready-time reads only the SENDER's clock, so it is fixed at
-		// issue and travels with the payload; the mailbox mutex gives the
-		// receiver a happens-before edge to read it.
-		delay := time.Duration(0)
-		if src, d := c.g.granks[c.rank], c.g.granks[dst]; src != d {
-			delay = c.g.net.model.P2PDelay(src, d, nbytes)
-			if delay < 0 {
-				panic(fmt.Sprintf("comm: negative p2p delay %v", delay))
-			}
+	ready := c.clock.ns.Load()
+	if src, d := c.g.granks[c.rank], c.g.granks[dst]; src != d {
+		delay := c.g.net.model.P2PDelay(src, d, nbytes)
+		if delay < 0 {
+			panic(fmt.Sprintf("comm: negative p2p delay %v", delay))
 		}
-		v = timedMsg{v: v, readyNS: c.clock.ns.Load() + delay.Nanoseconds()}
+		ready += delay.Nanoseconds()
 	}
-	c.g.mail[dst][c.rank].put(v)
+	c.g.mail[dst][c.rank].put(message{v: v, readyNS: ready})
 }
 
+// recv takes src's next payload. How long the goroutine blocked is a
+// scheduling artifact (the sender hadn't posted yet), not modeled transfer:
+// the exposed cost is the virtual gap to the message's ready-time.
 func (c *Comm) recv(src int) any {
-	v, blocked := c.g.mail[c.rank][src].take()
-	if c.g.net != nil {
-		// Latency mode: wall time spent blocked is a simulation artifact
-		// (the sender goroutine hadn't posted yet), not modeled transfer —
-		// the exposed cost is the virtual gap to the message's ready-time.
-		tm := v.(timedMsg)
-		if gap := tm.readyNS - c.clock.ns.Load(); gap > 0 {
-			c.exposedNS += gap
-			c.clock.ns.Store(tm.readyNS)
-		}
-		return tm.v
+	m := c.g.mail[c.rank][src].take()
+	if gap := m.readyNS - c.clock.ns.Load(); gap > 0 {
+		c.exposedNS += gap
+		c.clock.ns.Store(m.readyNS)
 	}
-	c.exposedNS += blocked
-	return v
+	return m.v
 }
 
 func tensorBytes(t *tensor.Tensor) int {

@@ -19,8 +19,8 @@ import (
 // What travels through the mailboxes is the reduced representation, and the
 // traffic counters charge its wire size (2 bytes/element for fp16, ~1 for
 // int8, ~0.5 for int4, plus one 4-byte scale per row for the linear schemes)
-// instead of the raw 4 bytes/element; in simulated-latency mode the same
-// wire bytes price the transfer.
+// instead of the raw 4 bytes/element; the same wire bytes price the
+// transfer on the virtual clock.
 //
 // Determinism is preserved: encoding happens once on the sender and decoding
 // is a pure function of the payload, so every receiver reconstructs the same

@@ -199,33 +199,64 @@ func TestLatencyModeConcurrentRanks(t *testing.T) {
 
 // TestHiddenWindowsUnion: concurrently in-flight handles must credit the
 // UNION of their issue→Wait windows, not the sum — otherwise a rank that
-// posts three collectives and computes for d would report ~3d hidden time,
-// more than it was alive. Pinned in instant mode, where the three windows
-// are near-identical wall intervals.
+// posts three collectives and computes for d would report 3d hidden time,
+// more than its clock covered.
 func TestHiddenWindowsUnion(t *testing.T) {
 	const n = 2
-	comms := NewGroup(n)
-	var walls [n]time.Duration
-	start := time.Now()
+	net := NewNetwork(fixedDelay{}, n)
+	comms := NewGroupNet(n, net, nil)
 	Run(comms, func(c *Comm) {
 		x := tensor.FromSlice([]float32{float32(c.Rank())}, 1)
 		h1 := c.IAllGather(x)
 		h2 := c.IAllGather(x)
 		h3 := c.IAllGather(x)
-		time.Sleep(20 * time.Millisecond)
+		net.Clock(c.Rank()).Advance(20 * time.Millisecond)
 		h1.Wait()
 		h2.Wait()
 		h3.Wait()
-		walls[c.Rank()] = time.Since(start)
 	})
 	for r, c := range comms {
-		_, hidden := c.Times()
-		if hidden > walls[r] {
-			t.Errorf("rank %d: hidden %v exceeds its own wall time %v (windows double-counted)", r, hidden, walls[r])
+		if _, hidden := c.Times(); hidden != 20*time.Millisecond {
+			t.Errorf("rank %d: hidden %v, want exactly the 20ms compute window", r, hidden)
 		}
-		if hidden < 20*time.Millisecond {
-			t.Errorf("rank %d: hidden %v should cover the 20ms compute window", r, hidden)
+	}
+}
+
+// TestSendAllocatesNothingPerMessage: a message is queued by value beside
+// its ready-time, so one warmed IAlltoAllTensors round allocates the same on
+// a zero-delay group as on a priced network — per rank the handle, its
+// resolver and the result slice, and nothing per message.
+func TestSendAllocatesNothingPerMessage(t *testing.T) {
+	const g = 4
+	round := func(comms []*Comm) float64 {
+		chunks := make([][]*tensor.Tensor, g)
+		for r := range chunks {
+			chunks[r] = make([]*tensor.Tensor, g)
+			for d := range chunks[r] {
+				chunks[r][d] = tensor.FromSlice([]float32{float32(r*g + d)}, 1)
+			}
 		}
+		hs := make([]*Pending[[]*tensor.Tensor], g)
+		// Posts never block (mailboxes are unbounded), so one goroutine can
+		// act as every rank in turn: all sends first, then all receives.
+		step := func() {
+			for r, c := range comms {
+				hs[r] = c.IAlltoAllTensors(chunks[r])
+			}
+			for _, h := range hs {
+				h.Wait()
+			}
+		}
+		step() // grow the mailbox queues once
+		return testing.AllocsPerRun(20, step)
+	}
+	zero := round(NewGroup(g))
+	priced := round(NewGroupNet(g, NewNetwork(fixedDelay{base: time.Microsecond}, g), nil))
+	if zero != priced {
+		t.Fatalf("a round allocates %v on a zero-delay group but %v on a priced network", zero, priced)
+	}
+	if zero > 3*g {
+		t.Fatalf("a round of %d messages allocates %v, want at most 3 per rank (%d)", g*g, zero, 3*g)
 	}
 }
 

@@ -162,7 +162,7 @@ func NewGenerator(cfg Config) *Generator {
 			row := lat.Row(rIdx)
 			var norm float64
 			for _, v := range row {
-				norm += float64(v) * float64(v)
+				norm += float64(float64(v) * float64(v))
 			}
 			if norm > 0 {
 				inv := float32(1 / math.Sqrt(norm))
@@ -302,16 +302,16 @@ func (g *Generator) Batch(start, size int) *Batch {
 				rj := pooled.Row(j)
 				var dot float64
 				for d := range ri {
-					dot += float64(ri[d]) * float64(rj[d])
+					dot += float64(float64(ri[d]) * float64(rj[d]))
 				}
-				logit += cfg.InteractionScale * dot
+				logit += float64(cfg.InteractionScale * dot)
 			}
 		}
 		for d := 0; d < cfg.NumDense; d++ {
-			logit += cfg.DenseScale * g.denseW[d] * float64(b.Dense.At(s, d))
+			logit += float64(cfg.DenseScale * g.denseW[d] * float64(b.Dense.At(s, d)))
 		}
 		b.Logits[s] = logit
-		noisy := logit + cfg.NoiseStd*g.normal(streamNoise, sample, 0, 0)
+		noisy := logit + float64(cfg.NoiseStd*g.normal(streamNoise, sample, 0, 0))
 		p := 1 / (1 + math.Exp(-noisy))
 		if g.uniform(streamLabel, sample, 0, 0) < p {
 			b.Labels[s] = 1

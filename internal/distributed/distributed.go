@@ -106,15 +106,14 @@ type Config struct {
 	// The zero value (both schemes None) keeps the engine bitwise identical
 	// to the uncompressed trajectory.
 	Compression Compression
-	// Fabric, when non-nil, runs every collective of the step in simulated-
-	// latency mode: messages arrive after the fabric's modeled point-to-
-	// point transfer time (netsim.P2PTime over the G/L host placement; wire
-	// bytes, so compression shrinks delays), per-rank virtual clocks are
-	// advanced by modeled dense compute, and PhaseTimes becomes a
-	// deterministic virtual-time decomposition — ExposedComm is modeled
-	// transfer cost the schedule failed to hide, reproducible bit for bit
-	// across runs. The trajectory itself is unchanged: delay moves time,
-	// never values.
+	// Fabric, when non-nil, prices every collective of the step: messages
+	// arrive after the fabric's modeled point-to-point transfer time
+	// (netsim.P2PTime over the G/L host placement; wire bytes, so compression
+	// shrinks delays), per-rank virtual clocks are advanced by modeled dense
+	// compute, and the phase walls become a deterministic virtual-time
+	// decomposition. Without it messages cost nothing, no compute is charged,
+	// and ExposedComm/HiddenComm and Sim are zero. The trajectory itself is
+	// unchanged: delay moves time, never values.
 	Fabric *netsim.Fabric
 	// EmbeddingTier disaggregates the embedding tables onto dedicated
 	// server ranks. The zero value keeps them in-process (a LocalTier).
@@ -222,7 +221,9 @@ type Trainer struct {
 	carried [][]pendingBucket
 }
 
-// PhaseTimes is cumulative wall-clock per step phase.
+// PhaseTimes is cumulative time per step phase: wall-clock phase walls
+// without Config.Fabric, the network's virtual time with it. The
+// communication fields are always virtual time.
 type PhaseTimes struct {
 	// EmbComm covers the SPTT embedding dataflow: forward distribution with
 	// tower-module compression plus the backward pass (which also carries
@@ -235,18 +236,18 @@ type PhaseTimes struct {
 	GradExchange time.Duration
 	// Update covers dense optimizer steps and owner-applied sparse updates.
 	Update time.Duration
-	// ExposedComm is the mean-per-rank time ranks actually spent blocked in
-	// collective receives — communication the schedule failed to hide. It
+	// ExposedComm is the mean-per-rank modeled transfer time ranks waited for
+	// in collective receives — communication the schedule failed to hide. It
 	// spans every group the step touched: the world group plus the SPTT
 	// dataflow's global/host/peer families, forward and backward.
 	ExposedComm time.Duration
-	// HiddenComm is the mean-per-rank in-flight window of non-blocking
+	// HiddenComm is the mean-per-rank virtual-time window of non-blocking
 	// collectives between issue and Wait — communication covered by
-	// overlapping compute. Near zero for the blocking schedules; under
+	// overlapping modeled compute. Zero for the blocking schedules; under
 	// Config.Overlap it is the quantity the refactor exists to maximize.
 	// Windows of concurrently in-flight collectives are merged (interval
-	// union), so a rank's hidden time never exceeds the time it actually
-	// executed.
+	// union), so a rank's hidden time never exceeds the span its clock
+	// covered.
 	HiddenComm time.Duration
 	// CrossStepExposed/CrossStepHidden sub-attribute the pipelined
 	// schedule's carried gradient buckets: of the completing step's
@@ -257,13 +258,12 @@ type PhaseTimes struct {
 	CrossStepHidden  time.Duration
 }
 
-// SimTimes is the simulated-latency decomposition, accumulated only when
-// Config.Fabric is set: the modeled dense compute charged to each rank's
-// virtual clock and the SPTT dataflow's exposed/hidden split by direction —
-// the components of the measured Figure 13 table. All fields are
-// cumulative; the SPTT fields are mean-per-rank. Deterministic: every value
-// is derived from the byte stream and the analytic compute model, never
-// from wall time.
+// SimTimes is the virtual-clock decomposition, zero unless Config.Fabric is
+// set: the modeled dense compute charged to each rank's virtual clock and
+// the SPTT dataflow's exposed/hidden split by direction — the components of
+// the measured Figure 13 table. All fields are cumulative; the SPTT fields
+// are mean-per-rank. Deterministic: every value is derived from the byte
+// stream and the analytic compute model, never from wall time.
 type SimTimes struct {
 	// DenseFwd/DenseBwd are the modeled over-arch forward/backward compute
 	// per rank (identical on every rank by symmetry).
@@ -292,8 +292,8 @@ type Stats struct {
 	// Embedding dataflow bytes: SPTT forward and backward, all fabrics.
 	EmbIntraHostBytes int64
 	EmbCrossHostBytes int64
-	// Sim is the simulated-latency component breakdown; zero unless the
-	// trainer runs with Config.Fabric.
+	// Sim is the virtual-clock component breakdown; zero unless the trainer
+	// runs with Config.Fabric.
 	Sim SimTimes
 	// Tier is the embedding tier's traffic: wire bytes, cache counters, and
 	// modeled exposed lookup/update time. Bytes are zero for the in-process
@@ -475,7 +475,7 @@ func (m fabricLatency) P2PDelay(src, dst, nbytes int) time.Duration {
 }
 
 // charge advances rank g's virtual clock by a modeled compute duration; a
-// no-op outside simulated-latency mode. This is how dense compute hides
+// no-op without Config.Fabric. This is how dense compute hides
 // in-flight collectives in virtual time.
 func (tr *Trainer) charge(g int, d time.Duration) {
 	if tr.net != nil {
@@ -721,15 +721,13 @@ func (tr *Trainer) account(st *sptt.SPTTState, ph PhaseTimes) {
 	tr.stats.Phases.HiddenComm += ph.HiddenComm
 	tr.stats.Phases.CrossStepExposed += ph.CrossStepExposed
 	tr.stats.Phases.CrossStepHidden += ph.CrossStepHidden
-	if tr.net != nil {
-		g := time.Duration(tr.cfg.G)
-		tr.stats.Sim.DenseFwd += tr.bottomFwd + tr.topFwd
-		tr.stats.Sim.DenseBwd += tr.bottomBwd + tr.topBwd
-		tr.stats.Sim.SPTTFwdExposed += st.ExposedComm / g
-		tr.stats.Sim.SPTTFwdHidden += st.HiddenComm / g
-		tr.stats.Sim.SPTTBwdExposed += st.BwdExposedComm / g
-		tr.stats.Sim.SPTTBwdHidden += st.BwdHiddenComm / g
-	}
+	g := time.Duration(tr.cfg.G)
+	tr.stats.Sim.DenseFwd += tr.bottomFwd + tr.topFwd
+	tr.stats.Sim.DenseBwd += tr.bottomBwd + tr.topBwd
+	tr.stats.Sim.SPTTFwdExposed += st.ExposedComm / g
+	tr.stats.Sim.SPTTFwdHidden += st.HiddenComm / g
+	tr.stats.Sim.SPTTBwdExposed += st.BwdExposedComm / g
+	tr.stats.Sim.SPTTBwdHidden += st.BwdHiddenComm / g
 	for _, m := range [][][]int64{
 		st.GlobalTraffic, st.HostTraffic, st.PeerTraffic,
 		st.BwdGlobalTraffic, st.BwdHostTraffic, st.BwdPeerTraffic,

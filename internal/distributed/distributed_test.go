@@ -6,8 +6,10 @@ import (
 
 	"dmt/internal/data"
 	"dmt/internal/models"
+	"dmt/internal/netsim"
 	"dmt/internal/nn"
 	"dmt/internal/tensor"
+	"dmt/internal/topology"
 )
 
 // testSetup builds a small cluster (4 ranks, 2 hosts) and workload.
@@ -259,12 +261,14 @@ func TestOverlapMatchesSequentialBitwiseG8(t *testing.T) {
 }
 
 // TestOverlapStatsAndBuckets: the overlapped engine must actually overlap —
-// its cumulative HiddenComm must be positive (collectives spent time in
-// flight under compute) — and the bucket plan must cover every over-arch
-// parameter exactly once, in top-before-bottom launch order.
+// on a fabric its cumulative HiddenComm must be positive (collectives spent
+// virtual time in flight under modeled compute) — and the bucket plan must
+// cover every over-arch parameter exactly once, in top-before-bottom launch
+// order.
 func TestOverlapStatsAndBuckets(t *testing.T) {
 	cfg, gen := testSetup(15)
 	cfg.Overlap = true
+	cfg.Fabric = netsim.New(topology.A100)
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func runSteps(t *testing.T, cfg Config, gen *data.Generator, steps int) (*Traine
 }
 
 // TestLatencyTrajectoryMatchesGolden: simulated latency changes timing,
-// never values — every latency-mode engine follows the instant-delivery
+// never values — every latency-mode engine follows the fabric-free
 // sequential trajectory bit for bit, with and without wire compression.
 func TestLatencyTrajectoryMatchesGolden(t *testing.T) {
 	const steps = 3
@@ -171,32 +171,22 @@ func TestLatencyOverlapReducesExposed(t *testing.T) {
 // TestHiddenNeverExceedsWall is the interval-union regression: with many
 // small buckets in flight at once (G=8, tiny BucketBytes), the per-rank
 // hidden time is a union of overlapping windows and must stay at or below
-// the wall time the steps actually took — the old per-handle sum exceeded
+// the virtual wall time the steps took — the old per-handle sum exceeded
 // it.
 func TestHiddenNeverExceedsWall(t *testing.T) {
 	cfg, gen := latencySetup(1)
 	cfg.Overlap = true
 	cfg.BucketBytes = 64 // one parameter per bucket: maximally concurrent handles
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Fabric = netsim.New(topology.A100)
+	tr, _ := runSteps(t, cfg, gen, 3)
 	if len(tr.Buckets()) < 4 {
 		t.Fatalf("setup: want >=4 buckets for concurrency, got %d", len(tr.Buckets()))
 	}
-	start := time.Now()
-	const steps = 3
-	for step := 0; step < steps; step++ {
-		batches := make([]*data.Batch, cfg.G)
-		for r := 0; r < cfg.G; r++ {
-			batches[r] = gen.Batch(step*cfg.G*cfg.LocalBatch+r*cfg.LocalBatch, cfg.LocalBatch)
-		}
-		tr.Step(batches)
-	}
-	wall := time.Since(start)
+	// The network's mean clock is the mean-per-rank virtual wall time.
+	wall := tr.Network().Now()
 	st := tr.Stats()
 	if st.Phases.HiddenComm > wall {
-		t.Fatalf("mean-per-rank hidden %v exceeds wall %v: overlapping windows double-counted",
+		t.Fatalf("mean-per-rank hidden %v exceeds virtual wall %v: overlapping windows double-counted",
 			st.Phases.HiddenComm, wall)
 	}
 	if st.Phases.HiddenComm <= 0 {

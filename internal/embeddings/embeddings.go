@@ -132,8 +132,8 @@ type TierStats struct {
 	// is cross-host by construction.
 	LookupCrossBytes int64
 	UpdateCrossBytes int64
-	// Modeled virtual-clock time clients spent blocked on server responses
-	// (summed over clients; deterministic under a simulated network).
+	// Modeled virtual-clock time clients waited for server responses (summed
+	// over clients; zero without RemoteConfig.Net).
 	LookupExposed time.Duration
 	UpdateExposed time.Duration
 }

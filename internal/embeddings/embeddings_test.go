@@ -34,7 +34,7 @@ func gradFor(rows []int, dim int, salt float32) *tensor.Tensor {
 }
 
 // TestRemoteMatchesLocal drives a Local tier and a Remote tier (2 clients,
-// 2 servers, instant wires) through identical lookup/update phases over
+// 2 servers, zero-delay wires) through identical lookup/update phases over
 // identically seeded tables. Every returned row must match bitwise — the
 // wire protocol moves rows, it never changes them — and the remote tier
 // must account nonzero lookup and update wire bytes.

@@ -34,7 +34,7 @@ type RemoteConfig struct {
 	// CacheRows is each client's hot-ID cache capacity (0 disables).
 	CacheRows int
 	// Net prices the request/response rounds; it must span Clients+Servers
-	// global ranks. nil runs the protocol with instant delivery (tests).
+	// global ranks. nil runs the protocol on zero-delay groups (tests).
 	Net *comm.Network
 }
 

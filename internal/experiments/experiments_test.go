@@ -405,9 +405,9 @@ func TestTrainingThroughputClosesTrainers(t *testing.T) {
 }
 
 // TestTrainingThroughputOverlapRow: with Overlap set the report grows a
-// third row for the overlapped schedule — same bitwise trajectory, positive
-// hidden-comm time (the schedule actually overlapped something), and the
-// exposed/hidden split rendered in the train table.
+// third row for the overlapped schedule — same bitwise trajectory, a
+// measured steps/s, and its speedup rendered in the train table. (What the
+// schedule hides is modeled time, pinned by the fig13 and pipeline tests.)
 func TestTrainingThroughputOverlapRow(t *testing.T) {
 	p := SmokeTraining()
 	p.Overlap = true
@@ -425,17 +425,11 @@ func TestTrainingThroughputOverlapRow(t *testing.T) {
 	if over.FinalLoss != r.Runs[0].FinalLoss {
 		t.Fatalf("overlapped engine diverged: %v vs %v", over.FinalLoss, r.Runs[0].FinalLoss)
 	}
-	if over.Stats.Phases.HiddenComm <= 0 {
-		t.Fatalf("overlapped row hid no communication: %+v", over.Stats.Phases)
-	}
 	if over.StepsPerSec() <= 0 {
 		t.Fatalf("overlapped steps/s %v", over.StepsPerSec())
 	}
-	out := renderTraining(r)
-	for _, want := range []string{"overlapped vs rank-parallel", "exposed", "hidden"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("train table missing %q:\n%s", want, out)
-		}
+	if out := renderTraining(r); !strings.Contains(out, "overlapped vs rank-parallel") {
+		t.Fatalf("train table missing the overlapped row:\n%s", out)
 	}
 }
 

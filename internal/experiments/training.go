@@ -42,10 +42,9 @@ type TrainingProfile struct {
 	// across step boundaries, with step N's gradient buckets completing
 	// under step N+1's SPTT forward.
 	Pipeline bool
-	// Fabric, when non-nil, runs the engines in simulated-latency mode: the
-	// comm runtime delivers messages after this fabric's modeled transfer
-	// times and the exposed/hidden columns become deterministic virtual-
-	// clock quantities (the Figure 13 measurement).
+	// Fabric, when non-nil, prices the engines' messages with this fabric's
+	// modeled transfer times, so exposed/hidden communication are nonzero
+	// virtual-clock quantities (the Figure 13 measurement).
 	Fabric *netsim.Fabric
 	// EmbServers disaggregates the embedding tables onto this many dedicated
 	// server ranks (distributed.EmbeddingTier); 0 keeps them in-process.
@@ -235,8 +234,8 @@ func pipelined(p *TrainingProfile)  { p.Overlap, p.Pipeline = false, true }
 // sequential and rank-parallel always, plus the overlapped and cross-step
 // pipelined schedules when the profile asks for them. All rows follow
 // bitwise-identical trajectories, so the comparison is pure execution
-// speed — and, for the scheduled rows, how much communication moved from
-// the exposed to the hidden column. A compressed profile adds one "fp32"
+// speed; how much communication each schedule hides is the fabric tables'
+// (fig13, pipeline) subject. A compressed profile adds one "fp32"
 // run of the rank-parallel engine, the baseline of the wire-scheme table;
 // that table's other row is the rank-parallel run itself, measured once.
 func TrainingThroughput(p TrainingProfile) (Sweep, error) {
@@ -293,8 +292,6 @@ func renderTraining(s Sweep) string {
 			{"dense", "%9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.Dense) }},
 			{"grad-ex", "%9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.GradExchange) }},
 			{"update", "%9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.Update) }},
-			{"exposed", "| %9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.ExposedComm) }},
-			{"hidden", "%9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.HiddenComm) }},
 			{"gradIntra", "| %8.2fMB", gradIntraMB},
 			{"gradCross", "%8.2fMB", gradCrossMB},
 			{"embIntra", "%8.2fMB", func(r TrainingRun) any { return mb(r.Stats.EmbIntraHostBytes) }},
@@ -306,10 +303,8 @@ func renderTraining(s Sweep) string {
 		"rank-parallel speedup: %.2fx (phase times are per step; byte volumes cumulative)",
 		par.StepsPerSec()/s.Run("sequential").StepsPerSec())}
 	if p.Overlap {
-		engines.foot = append(engines.foot,
-			fmt.Sprintf("overlapped vs rank-parallel: %.2fx — exposed is mean-per-rank time blocked in",
-				s.Run("overlapped").StepsPerSec()/par.StepsPerSec()),
-			"collective receives; hidden is in-flight collective time covered by compute")
+		engines.foot = append(engines.foot, fmt.Sprintf("overlapped vs rank-parallel: %.2fx",
+			s.Run("overlapped").StepsPerSec()/par.StepsPerSec()))
 	}
 	if p.Pipeline {
 		engines.foot = append(engines.foot,

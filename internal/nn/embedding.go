@@ -136,7 +136,7 @@ func PoolBackward(mode PoolMode, indices, offsets []int32, dPooled *tensor.Tenso
 		for _, ix := range indices[lo:hi] {
 			row := grads.Row(int(slot[ix]) - 1)[:len(g)]
 			for d, gv := range g {
-				row[d] += scale * gv
+				row[d] += float32(scale * gv)
 			}
 		}
 	}
@@ -155,15 +155,6 @@ func (e *EmbeddingBag) LookupRows(idx []int32) *tensor.Tensor {
 		copy(out.Row(i), e.Table.Row(int(ix)))
 	}
 	return out
-}
-
-// ApplySparseSGD applies a plain SGD update for a sparse gradient:
-// row -= lr * grad. Exposed for the distributed trainer, whose embedding
-// updates happen on the owning rank.
-func (e *EmbeddingBag) ApplySparseSGD(g *SparseGrad, lr float32) {
-	for i, r := range g.Rows {
-		tensor.AXPY(-lr, g.Grads.Row(i), e.Table.Row(r))
-	}
 }
 
 // ParamCount returns the number of scalars in the table.

@@ -44,7 +44,7 @@ func pairwiseUpper(x *tensor.Tensor) *tensor.Tensor {
 				vj := base[j*n : (j+1)*n]
 				var dot float32
 				for p := 0; p < n; p++ {
-					dot += vi[p] * vj[p]
+					dot += float32(vi[p] * vj[p])
 				}
 				orow[k] = dot
 				k++
@@ -82,8 +82,8 @@ func (d *DotInteraction) Backward(dy *tensor.Tensor) *tensor.Tensor {
 				dvi := dbase[i*n : (i+1)*n]
 				dvj := dbase[j*n : (j+1)*n]
 				for p := 0; p < n; p++ {
-					dvi[p] += g * vj[p]
-					dvj[p] += g * vi[p]
+					dvi[p] += float32(g * vj[p])
+					dvj[p] += float32(g * vi[p])
 				}
 			}
 		}

@@ -37,7 +37,7 @@ func (l *BCEWithLogits) Forward(logits *tensor.Tensor, labels []float32) float64
 		x := float64(zi)
 		y := float64(labels[i])
 		// log(1+e^x) - y*x, stable form: max(x,0) - y*x + log(1+e^{-|x|})
-		total += math.Max(x, 0) - y*x + math.Log1p(math.Exp(-math.Abs(x)))
+		total += math.Max(x, 0) - float64(y*x) + math.Log1p(math.Exp(-math.Abs(x)))
 	}
 	return total / float64(len(z))
 }

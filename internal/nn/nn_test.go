@@ -87,16 +87,6 @@ func TestEmbeddingLookupRows(t *testing.T) {
 	}
 }
 
-func TestEmbeddingApplySparseSGD(t *testing.T) {
-	e := &EmbeddingBag{Name: "e", Rows: 2, Dim: 2, Mode: PoolSum,
-		Table: tensor.FromSlice([]float32{1, 1, 1, 1}, 2, 2)}
-	g := &SparseGrad{Rows: []int{1}, Grads: tensor.FromSlice([]float32{2, 4}, 1, 2)}
-	e.ApplySparseSGD(g, 0.5)
-	if e.Table.At(0, 0) != 1 || e.Table.At(1, 0) != 0 || e.Table.At(1, 1) != -1 {
-		t.Fatalf("sparse SGD got %v", e.Table.Data())
-	}
-}
-
 func TestCrossNetSingleLayerKnown(t *testing.T) {
 	// One layer, W = I, b = 0: y = x0*(x0) + x0 = x0² + x0.
 	c := NewCrossNet(tensor.NewRNG(1), 2, 1, "c")

@@ -89,11 +89,11 @@ func (o *Adam) Step(params []*Param) {
 		md, vd, gd, wd := m.Data(), v.Data(), p.Grad.Data(), p.Value.Data()
 		for i := range gd {
 			g := gd[i]
-			md[i] = o.Beta1*md[i] + (1-o.Beta1)*g
-			vd[i] = o.Beta2*vd[i] + (1-o.Beta2)*g*g
+			md[i] = float32(o.Beta1*md[i]) + float32((1-o.Beta1)*g)
+			vd[i] = float32(o.Beta2*vd[i]) + float32((1-o.Beta2)*g*g)
 			mhat := float64(md[i]) / bc1
 			vhat := float64(vd[i]) / bc2
-			wd[i] -= o.LR * float32(mhat/(math.Sqrt(vhat)+float64(o.Eps)))
+			wd[i] -= float32(o.LR * float32(mhat/(math.Sqrt(vhat)+float64(o.Eps))))
 		}
 	}
 }
@@ -184,11 +184,11 @@ func (o *SparseAdam) Step(e *EmbeddingBag, g *SparseGrad) {
 		wd := e.Table.Row(row)
 		for d := range gd {
 			gv := gd[d]
-			md[d] = o.Beta1*md[d] + (1-o.Beta1)*gv
-			vd[d] = o.Beta2*vd[d] + (1-o.Beta2)*gv*gv
+			md[d] = float32(o.Beta1*md[d]) + float32((1-o.Beta1)*gv)
+			vd[d] = float32(o.Beta2*vd[d]) + float32((1-o.Beta2)*gv*gv)
 			mhat := float64(md[d]) / bc1
 			vhat := float64(vd[d]) / bc2
-			wd[d] -= o.LR * float32(mhat/(math.Sqrt(vhat)+float64(o.Eps)))
+			wd[d] -= float32(o.LR * float32(mhat/(math.Sqrt(vhat)+float64(o.Eps))))
 		}
 	}
 }

@@ -62,15 +62,14 @@ type Comms struct {
 	// SPTTState at forward time, so the hook set for a step's forward is
 	// the one its backward invokes.
 	BwdOverlap func(rank int)
-	// Net, when non-nil, runs the dataflow's collectives in simulated-
-	// latency mode: all communicator families are built against this
-	// network, so message delays follow its point-to-point cost model and
-	// the state's Exposed/Hidden times are modeled virtual-clock quantities
-	// (deterministic) rather than goroutine-stall wall time. Outputs are
-	// bitwise identical with or without it — delay changes timing, never
-	// values. The Overlap hook may advance the rank's clock
-	// (Net.Clock(rank).Advance) to model the compute that hides the
-	// exchange.
+	// Net, when non-nil, prices the dataflow's collectives: all communicator
+	// families are built against this network, so message delays follow its
+	// point-to-point cost model and the state's Exposed/Hidden times are
+	// modeled virtual-clock quantities. Without it the families run on
+	// zero-delay networks and those times are zero. Outputs are bitwise
+	// identical with or without it — delay changes timing, never values. The
+	// Overlap hook may advance the rank's clock (Net.Clock(rank).Advance) to
+	// model the compute that hides the exchange.
 	Net *comm.Network
 }
 
@@ -130,10 +129,11 @@ type SPTTState struct {
 	BwdHostTraffic   [][]int64
 	BwdPeerTraffic   [][]int64
 
-	// Collective timing, summed over all ranks and group families: exposed
-	// is time ranks spent blocked in receives, hidden is the in-flight
-	// window of non-blocking collectives covered by compute (the Overlap
-	// hook). The Bwd pair is filled in by SPTTBackward.
+	// Collective timing on the virtual clock, summed over all ranks and
+	// group families: exposed is modeled transfer time ranks waited for in
+	// receives, hidden is the in-flight window of non-blocking collectives
+	// covered by modeled compute (the Overlap hook). The Bwd pair is filled
+	// in by SPTTBackward.
 	ExposedComm    time.Duration
 	HiddenComm     time.Duration
 	BwdExposedComm time.Duration

@@ -185,12 +185,3 @@ func (e *Engine) run(net *comm.Network, fn func(global, host, peer *comm.Comm)) 
 	e.fam = fm
 	return u
 }
-
-// ApplySparseSGD applies per-feature sparse gradients to the engine's
-// tables with plain SGD — the distributed trainer's embedding update.
-func (e *Engine) ApplySparseSGD(grads map[int]*nn.SparseGrad, lr float32) {
-	//dmt:nondeterministic-ok each entry updates its own table; features are disjoint, so visit order cannot be observed
-	for f, g := range grads {
-		e.Tables[f].ApplySparseSGD(g, lr)
-	}
-}

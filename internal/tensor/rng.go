@@ -93,7 +93,7 @@ func RandN(r *RNG, std float64, shape ...int) *Tensor {
 func RandUniform(r *RNG, lo, hi float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.data {
-		t.data[i] = float32(lo + (hi-lo)*r.Float64())
+		t.data[i] = float32(lo + float64((hi-lo)*r.Float64()))
 	}
 	return t
 }
