@@ -63,10 +63,12 @@ bench-smoke:
 
 # Hot-path kernel benchmarks: each tiled vector entry point (MatMul,
 # MatMulBT, MatMulAT) against its scalar row routine on one goroutine at
-# train_dense's and over-arch shapes, the fused vs unfused quantized codec with allocs/op
-# (-benchmem), and the codec's receive side (decode/addto, MB/s of fp32) on
-# a uniform and on a gradient-like, mostly half-subnormal payload — the
-# before/after numbers behind the README's "Hot-path kernels" section.
+# train_dense's and over-arch shapes, Adam and AddInPlace vector vs scalar
+# at an over-arch weight's size, the fused vs unfused quantized codec with
+# allocs/op (-benchmem), the fused encode on a gradient-like, mostly
+# half-subnormal payload, and the codec's receive side (decode/addto, MB/s
+# of fp32) on a uniform and on the gradient-like payload — the before/after
+# numbers behind the README's "Hot-path kernels" section.
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '^BenchmarkHotpath' -benchmem -timeout 20m ./internal/tensor ./internal/quant
 
@@ -79,11 +81,14 @@ bench-hotpath-check:
 	$(GO) test -tags benchgate -run '^TestHotpathParallelMatMulSpeedup$$' -v ./internal/tensor
 
 # Short native-fuzz runs over the tiled GEMM entry points against their row
-# routines, the wire codec, the SPTT step (a) bag payload, the pooling
-# backward against its map-based oracle and the workload trace parser (go
-# test allows one -fuzz target per invocation, hence the separate runs).
+# routines, the elementwise kernels (AddInPlace, ScaleInPlace, AdamUpdate)
+# against their scalar references, the wire codec, the SPTT step (a) bag
+# payload, the pooling backward against its map-based oracle and the
+# workload trace parser (go test allows one -fuzz target per invocation,
+# hence the separate runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTiledKernels$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzElementwiseKernels$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzFloat16RoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzLinearQuantRoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedCodec$$' -fuzztime 10s ./internal/quant

@@ -180,18 +180,11 @@ func (tr *Trainer) finishBucket(params []*nn.Param, pb pendingBucket, invG float
 		for src := 1; src < len(tr.arenas); src++ {
 			tensor.AddInPlace(gd, tr.arenas[src].vs[pb.idx][i])
 		}
-		scaleInPlace(gd, invG)
+		tensor.ScaleInPlace(gd, invG)
 	}
 	for _, es := range enc {
 		for _, e := range es {
 			e.Release()
 		}
-	}
-}
-
-func scaleInPlace(t *tensor.Tensor, f float32) {
-	d := t.Data()
-	for i := range d {
-		d[i] *= f
 	}
 }

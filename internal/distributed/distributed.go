@@ -573,11 +573,11 @@ func (tr *Trainer) denseRank(g int, batches []*data.Batch, compressed, dCompress
 // non-over-arch share of the gradient-exchange phase.
 func (tr *Trainer) scaleRank(g int, sparse map[int]*nn.SparseGrad, invG float32) {
 	for _, p := range tr.modules[g].Params() {
-		scaleInPlace(p.Grad, invG)
+		tensor.ScaleInPlace(p.Grad, invG)
 	}
 	for _, f := range tr.engine.Cfg.OwnedFeatures(g) {
 		if sg := sparse[f]; sg != nil {
-			scaleInPlace(sg.Grads, invG)
+			tensor.ScaleInPlace(sg.Grads, invG)
 		}
 	}
 }
@@ -645,27 +645,19 @@ func (tr *Trainer) stepSequential(batches []*data.Batch, inputs []*sptt.Inputs) 
 				}
 			}
 		}
-		for i, v := range avg.Data() {
-			avg.Data()[i] = v * invG
-		}
+		tensor.ScaleInPlace(avg, invG)
 		for g := 0; g < cfg.G; g++ {
 			overArch[g][pi].Grad.CopyFrom(avg)
 		}
 	}
 	for g := 0; g < cfg.G; g++ {
 		for _, p := range tr.modules[g].Params() {
-			d := p.Grad.Data()
-			for i := range d {
-				d[i] *= invG
-			}
+			tensor.ScaleInPlace(p.Grad, invG)
 		}
 	}
 	//dmt:nondeterministic-ok in-place scaling of disjoint per-feature gradients; no cross-entry state, order cannot be observed
 	for _, sg := range sparse {
-		d := sg.Grads.Data()
-		for i := range d {
-			d[i] *= invG
-		}
+		tensor.ScaleInPlace(sg.Grads, invG)
 	}
 	gradEx := lap()
 

@@ -109,7 +109,7 @@ func checkReduction(t *testing.T, name string, tr *Trainer, s quant.Scheme) {
 		}
 	}
 	for _, w := range wantGrad {
-		scaleInPlace(w, 1/float32(G))
+		tensor.ScaleInPlace(w, 1/float32(G))
 	}
 	runBuckets(tr)
 	for g := 0; g < G; g++ {

@@ -158,6 +158,10 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
+// TestSparseAdamMatchesDenseAdamWhenAllRowsTouched: with every row touched
+// every step, SparseAdam's 3-wide rows (all scalar tail) and dense Adam's
+// whole tensor (one vector block, then the tail) perform one element
+// arithmetic, so the tables agree exactly.
 func TestSparseAdamMatchesDenseAdamWhenAllRowsTouched(t *testing.T) {
 	r := tensor.NewRNG(8)
 	table := tensor.RandN(r, 1, 4, 3)
@@ -173,8 +177,20 @@ func TestSparseAdamMatchesDenseAdamWhenAllRowsTouched(t *testing.T) {
 		dense.Step([]*Param{p})
 		sparse.Step(e, &SparseGrad{Rows: []int{0, 1, 2, 3}, Grads: g})
 	}
-	if !e.Table.AllClose(p.Value, 1e-5, 1e-6) {
+	if !e.Table.Equal(p.Value) {
 		t.Fatalf("sparse Adam diverged from dense Adam by %v", e.Table.MaxAbsDiff(p.Value))
+	}
+}
+
+// TestAdamStepAllocatesNothing pins the optimizer's steady state: once the
+// first Step has created the moments, Step allocates nothing.
+func TestAdamStepAllocatesNothing(t *testing.T) {
+	r := tensor.NewRNG(3)
+	params := []*Param{NewParam("w", tensor.RandN(r, 1, 64, 67)), NewParam("b", tensor.RandN(r, 1, 67))}
+	o := NewAdam(1e-3)
+	o.Step(params)
+	if n := testing.AllocsPerRun(20, func() { o.Step(params) }); n != 0 {
+		t.Fatalf("Adam.Step allocates %v per call after the first, want 0", n)
 	}
 }
 

@@ -70,11 +70,14 @@ func NewAdam(lr float32) *Adam {
 	}
 }
 
-// Step applies one bias-corrected Adam update.
+// Step applies one bias-corrected Adam update (tensor.AdamUpdate, the
+// vector kernel where the CPU has one).
 func (o *Adam) Step(params []*Param) {
 	o.t++
-	bc1 := 1 - float64(math.Pow(float64(o.Beta1), float64(o.t)))
-	bc2 := 1 - float64(math.Pow(float64(o.Beta2), float64(o.t)))
+	s := tensor.AdamStep{LR: o.LR, Beta1: o.Beta1, Beta2: o.Beta2, Eps: o.Eps,
+		BC1: 1 - math.Pow(float64(o.Beta1), float64(o.t)),
+		BC2: 1 - math.Pow(float64(o.Beta2), float64(o.t)),
+	}
 	for _, p := range params {
 		m := o.m[p]
 		if m == nil {
@@ -86,15 +89,7 @@ func (o *Adam) Step(params []*Param) {
 			v = tensor.New(p.Value.Shape()...)
 			o.v[p] = v
 		}
-		md, vd, gd, wd := m.Data(), v.Data(), p.Grad.Data(), p.Value.Data()
-		for i := range gd {
-			g := gd[i]
-			md[i] = float32(o.Beta1*md[i]) + float32((1-o.Beta1)*g)
-			vd[i] = float32(o.Beta2*vd[i]) + float32((1-o.Beta2)*g*g)
-			mhat := float64(md[i]) / bc1
-			vhat := float64(vd[i]) / bc2
-			wd[i] -= float32(o.LR * float32(mhat/(math.Sqrt(vhat)+float64(o.Eps))))
-		}
+		tensor.AdamUpdate(s, p.Value.Data(), p.Grad.Data(), m.Data(), v.Data())
 	}
 }
 
@@ -173,23 +168,15 @@ func (o *SparseAdam) ensure(e *EmbeddingBag) *sparseAdamState {
 	return st
 }
 
-// Step applies the sparse gradient g to table e.
+// Step applies the sparse gradient g to table e, one tensor.AdamUpdate per
+// touched row with that row's bias corrections.
 func (o *SparseAdam) Step(e *EmbeddingBag, g *SparseGrad) {
 	st := o.ensure(e)
+	s := tensor.AdamStep{LR: o.LR, Beta1: o.Beta1, Beta2: o.Beta2, Eps: o.Eps}
 	for i, row := range g.Rows {
 		st.steps[row]++
-		bc1, bc2 := st.biasCorrection(o.Beta1, o.Beta2, st.steps[row])
-		md, vd := st.m.Row(row), st.v.Row(row)
-		gd := g.Grads.Row(i)
-		wd := e.Table.Row(row)
-		for d := range gd {
-			gv := gd[d]
-			md[d] = float32(o.Beta1*md[d]) + float32((1-o.Beta1)*gv)
-			vd[d] = float32(o.Beta2*vd[d]) + float32((1-o.Beta2)*gv*gv)
-			mhat := float64(md[d]) / bc1
-			vhat := float64(vd[d]) / bc2
-			wd[d] -= float32(o.LR * float32(mhat/(math.Sqrt(vhat)+float64(o.Eps))))
-		}
+		s.BC1, s.BC2 = st.biasCorrection(o.Beta1, o.Beta2, st.steps[row])
+		tensor.AdamUpdate(s, e.Table.Row(row), g.Grads.Row(i), st.m.Row(row), st.v.Row(row))
 	}
 }
 

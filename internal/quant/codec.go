@@ -54,12 +54,39 @@ func (e *Encoded) Scheme() Scheme { return e.scheme }
 // gradient spike cannot poison the residual memory permanently). True
 // ±Inf and NaN inputs still travel as themselves, mirroring the
 // uncompressed wire.
+//
+// It is ToFloat16 plus that clamp, without a branch: every case is computed
+// and the right one selected (CMOVs on amd64), since a gradient bucket mixes
+// subnormal and normal halves unpredictably. On the magnitude a:
+//   - normal halves round in integers: rebias the exponent, add half an ulp
+//     less one plus the kept LSB (ties to even), shift; min clamps overflow
+//     to 65504;
+//   - subnormal halves (a < 2⁻¹⁴) come from one float32 add of 0.5, whose
+//     ulp is 2⁻²⁴, the subnormal half's step: the FPU's round-to-nearest-even
+//     leaves the 10 kept bits at the bottom of the sum's mantissa, under
+//     0.5's bits;
+//   - ±Inf stays Inf and NaN becomes the quiet half NaN.
+//
+// It stays out of line: inlined into a loop that looks the half up in
+// FromFloat16's table, the compiler turns the selects back into branches,
+// since it never makes a load address wait on a CMOV.
+//
+//go:noinline
 func toFloat16Sat(v float32) uint16 {
-	h := ToFloat16(v)
-	if h&0x7fff == 0x7c00 && !math.IsInf(float64(v), 0) {
-		return h&0x8000 | 0x7bff // ±65504, the largest half
+	b := math.Float32bits(v)
+	a := b &^ 0x80000000
+	h := min((a+0xc8000fff+(a>>13)&1)>>13, 0x7bff)
+	sub := math.Float32bits(math.Float32frombits(a)+0.5) - 0x3f000000
+	if a < 0x38800000 {
+		h = sub
 	}
-	return h
+	if a >= 0x7f800000 {
+		h = 0x7c00
+	}
+	if a > 0x7f800000 {
+		h = 0x7e00
+	}
+	return uint16(b>>16&0x8000 | h)
 }
 
 // linearGeometry returns the (rows, width) a linear scheme quantizes over.

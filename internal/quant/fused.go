@@ -45,10 +45,12 @@ func EncodeResidual(s Scheme, g, r *tensor.Tensor) *Encoded {
 		e.raw = v
 	case FP16:
 		e.f16 = grow(e.f16, g.Len())
+		f16 := e.f16[:len(gd)] // hoisted: no per-element reload or bounds check
+		rd = rd[:len(gd)]
 		for i := range gd {
 			vi := gd[i] + rd[i]
 			h := toFloat16Sat(vi)
-			e.f16[i] = h
+			f16[i] = h
 			rd[i] = vi - FromFloat16(h)
 		}
 	case INT8, INT4:

@@ -25,8 +25,11 @@ func gradientLike(r *tensor.RNG, shape ...int) *tensor.Tensor {
 // collectives. fused/unfused: the quantize+encode+error-feedback pass
 // against the clone/add/encode/decode/sub composition it replaces — run
 // with -benchmem (`make bench-hotpath`), the headline is the allocs/op
-// column. decode/addto: the receive side (DecodeInto, AddTo) in fp32 MB/s,
-// on the uniform payload and on a gradient-like one.
+// column; fused/gradient is the fused pass, in fp32 MB/s, on the
+// gradient-like payload the trainer actually encodes (with its own
+// residual), where most halves are subnormal. decode/addto: the receive
+// side (DecodeInto, AddTo) in fp32 MB/s, on the uniform payload and on a
+// gradient-like one.
 func BenchmarkHotpathCodec(b *testing.B) {
 	r := tensor.NewRNG(42)
 	g := tensor.RandUniform(r, -1, 1, 64, 257) // odd width keeps INT4 honest
@@ -43,15 +46,21 @@ func BenchmarkHotpathCodec(b *testing.B) {
 	}
 	dst := tensor.New(64, 257)
 	for _, s := range []Scheme{FP16, INT8, INT4} {
-		b.Run(s.String()+"/fused", func(b *testing.B) {
-			EncodeResidual(s, g, res).Release() // warm the pool
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e := EncodeResidual(s, g, res)
-				e.Release()
-			}
-		})
+		for _, p := range []struct {
+			name   string
+			x, res *tensor.Tensor
+		}{{"fused", g, res}, {"fused/gradient", grad, tensor.New(64, 257)}} {
+			b.Run(s.String()+"/"+p.name, func(b *testing.B) {
+				EncodeResidual(s, p.x, p.res).Release() // warm the pool
+				b.ReportAllocs()
+				b.SetBytes(int64(4 * p.x.Len()))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e := EncodeResidual(s, p.x, p.res)
+					e.Release()
+				}
+			})
+		}
 		b.Run(s.String()+"/unfused", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

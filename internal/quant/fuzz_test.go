@@ -17,7 +17,9 @@ import (
 //   - the sign bit survives, including on signed zeros and underflow;
 //   - the round trip is a fixed point (re-encoding gives the same bits);
 //   - |rt − v| ≤ max(2^-25, |v|·2^-11): half the subnormal ulp, or the
-//     relative half-ulp at 10 mantissa bits.
+//     relative half-ulp at 10 mantissa bits;
+//   - the wire's branch-free saturating encoder gives ToFloat16's half
+//     with finite overflow clamped to ±65504 (toFloat16SatRef).
 //
 // This fuzzer found a real defect: the subnormal path rounded every tie
 // toward truncation instead of to even, so values like 513.5 subnormal ulps
@@ -43,6 +45,10 @@ func FuzzFloat16RoundTrip(f *testing.F) {
 		v := math.Float32frombits(bits)
 		h := ToFloat16(v)
 		rt := FromFloat16(h)
+
+		if got, want := toFloat16Sat(v), toFloat16SatRef(v); got != want {
+			t.Fatalf("%v (%#x): branch-free saturating encode gives %#x, reference %#x", v, bits, got, want)
+		}
 
 		if v != v { // NaN
 			if rt == rt {

@@ -1,0 +1,48 @@
+package tensor
+
+import "testing"
+
+// overArchLen is the size of train_dense's widest over-arch weight, the
+// (256, 152) first top-MLP layer: the length one Adam update and one
+// gradient accumulation per source rank run over.
+const overArchLen = 256 * 152
+
+// BenchmarkHotpathAdam times one Adam step over an over-arch weight: the
+// vector kernel the CPU selected (AdamUpdate) against the scalar reference,
+// in MB/s of the four float32 arrays it streams.
+func BenchmarkHotpathAdam(b *testing.B) {
+	r := NewRNG(1)
+	w, g := RandUniform(r, -1, 1, overArchLen).data, RandUniform(r, -1e-3, 1e-3, overArchLen).data
+	m, v := New(overArchLen).data, New(overArchLen).data
+	s := AdamStep{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, BC1: 0.1, BC2: 0.001}
+	for _, side := range []struct {
+		name string
+		run  func(s AdamStep, w, g, m, v []float32)
+	}{{"scalar", adamRef}, {"vector", AdamUpdate}} {
+		b.Run(side.name, func(b *testing.B) {
+			b.SetBytes(4 * 4 * overArchLen)
+			for i := 0; i < b.N; i++ {
+				side.run(s, w, g, m, v)
+			}
+		})
+	}
+}
+
+// BenchmarkHotpathAddInPlace times one source rank's share of a gradient
+// bucket's reduction over an over-arch weight: AddInPlace (the vector
+// routine the CPU selected) against the scalar reference, in MB/s of dst.
+func BenchmarkHotpathAddInPlace(b *testing.B) {
+	r := NewRNG(2)
+	dst, src := RandUniform(r, -1, 1, overArchLen), RandUniform(r, -1, 1, overArchLen)
+	for _, side := range []struct {
+		name string
+		run  func(d, s *Tensor)
+	}{{"scalar", func(d, s *Tensor) { addRef(d.data, s.data) }}, {"vector", AddInPlace}} {
+		b.Run(side.name, func(b *testing.B) {
+			b.SetBytes(4 * overArchLen)
+			for i := 0; i < b.N; i++ {
+				side.run(dst, src)
+			}
+		})
+	}
+}

@@ -3,7 +3,7 @@ package tensor
 // The AVX2 micro-kernel (gemm_amd64.s) under MatMul, MatMulAT and MatMulBT.
 // Its row routines below honour matmul.go's contract with the scalar ones'
 // float32 operations in the same order, so they are bitwise identical to
-// them; init selects them once, from CPUID.
+// them; init selects them once, from CPUID, with the elementwise routines.
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -14,9 +14,28 @@ func xgetbv() (eax uint32)
 //go:noescape
 func gemm4(out, a, b *float32, k, nc, ldo, rsA, psA, ldb int, skipZero bool)
 
+// The elementwise routines (elementwise_amd64.s) are addRef, scaleRef and,
+// over w's whole blocks of 8 with c1 = 1 − β₁ and c2 = 1 − β₂, adamRef.
+//
+//go:noescape
+func addAVX2(d, s []float32)
+
+//go:noescape
+func scaleAVX2(d []float32, f float32)
+
+//go:noescape
+func adam8(w, gr, m, v []float32, b1, c1, b2, c2, lr float32, bc1, bc2, eps float64)
+
+func adamAVX2(s AdamStep, w, g, m, v []float32) {
+	n := len(w) &^ 7
+	adam8(w[:n], g[:n], m[:n], v[:n], s.Beta1, 1-s.Beta1, s.Beta2, 1-s.Beta2, s.LR, s.BC1, s.BC2, float64(s.Eps))
+	adamRef(s, w[n:], g[n:], m[n:], v[n:])
+}
+
 func init() {
 	if hasAVX2() {
 		mulRows, mulBTRows, mulATRows = matMulRowsAVX2, matMulBTRowsAVX2, matMulATRowsAVX2
+		addVec, scaleVec, adamVec = addAVX2, scaleAVX2, adamAVX2
 	}
 }
 

@@ -47,9 +47,49 @@ func Scale(a *Tensor, s float32) *Tensor {
 // AddInPlace accumulates src into dst (dst += src).
 func AddInPlace(dst, src *Tensor) {
 	mustSameShape("AddInPlace", dst, src)
-	d, s := dst.data, src.data[:len(dst.data)] // hoisted: no per-element reload or bounds check
+	addVec(dst.data, src.data)
+}
+
+// ScaleInPlace multiplies every element of t by f (t *= f).
+func ScaleInPlace(t *Tensor, f float32) { scaleVec(t.data, f) }
+
+// AdamStep is one Adam step's constants, BC1 = 1 − β₁ᵗ and BC2 = 1 − β₂ᵗ.
+type AdamStep struct {
+	LR, Beta1, Beta2, Eps float32
+	BC1, BC2              float64
+}
+
+// AdamUpdate applies step s to w from gradient g, updating moments m and v.
+func AdamUpdate(s AdamStep, w, g, m, v []float32) { adamVec(s, w, g, m, v) }
+
+// The scalar references below, replaced when init finds AVX2 by routines
+// (gemm_amd64.go) that repeat their operations and order exactly, so the
+// results match bit for bit (NaN payloads: see elementwise_amd64.s).
+var addVec, scaleVec, adamVec = addRef, scaleRef, adamRef
+
+func addRef(d, s []float32) {
+	s = s[:len(d)] // hoisted: no per-element bounds check
 	for i := range d {
 		d[i] += s[i]
+	}
+}
+
+func scaleRef(d []float32, f float32) {
+	for i := range d {
+		d[i] *= f
+	}
+}
+
+// adamRef is AdamUpdate's scalar reference: moments in float32, the ratio in
+// float64, products written float32(a*b) so no compiler fuses them.
+func adamRef(s AdamStep, w, g, m, v []float32) {
+	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
+	c1, c2 := 1-s.Beta1, 1-s.Beta2
+	for i, gi := range g {
+		m[i] = float32(s.Beta1*m[i]) + float32(c1*gi)
+		v[i] = float32(s.Beta2*v[i]) + float32(c2*gi*gi)
+		mhat, vhat := float64(m[i])/s.BC1, float64(v[i])/s.BC2
+		w[i] -= float32(s.LR * float32(mhat/(math.Sqrt(vhat)+float64(s.Eps))))
 	}
 }
 
