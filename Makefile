@@ -68,9 +68,11 @@ bench-smoke:
 # allocs/op (-benchmem), the fused encode on a gradient-like, mostly
 # half-subnormal payload, and the codec's receive side (decode/addto, MB/s
 # of fp32) on a uniform and on the gradient-like payload — the before/after
-# numbers behind the README's "Hot-path kernels" section.
+# numbers behind the README's "Hot-path kernels" section — and the
+# embedding tier's caches: a Cached(Local) Lookup+Update round at one
+# train_embed rank's shape, and Keyed hits and evicting inserts.
 bench-hotpath:
-	$(GO) test -run '^$$' -bench '^BenchmarkHotpath' -benchmem -timeout 20m ./internal/tensor ./internal/quant
+	$(GO) test -run '^$$' -bench '^BenchmarkHotpath' -benchmem -timeout 20m ./internal/tensor ./internal/quant ./internal/embeddings
 
 # The one gate nothing else expresses: the tiled vector entry point vs the
 # scalar row routine on one goroutine — MatMul and MatMulBT must be >= 1.5x
@@ -83,9 +85,10 @@ bench-hotpath-check:
 # Short native-fuzz runs over the tiled GEMM entry points against their row
 # routines, the elementwise kernels (AddInPlace, ScaleInPlace, AdamUpdate)
 # against their scalar references, the wire codec, the SPTT step (a) bag
-# payload, the pooling backward against its map-based oracle and the
-# workload trace parser (go test allows one -fuzz target per invocation,
-# hence the separate runs).
+# payload, the pooling backward against its map-based oracle (over tables
+# small and large enough for both of its row orders), the LRU core against
+# its reference model and the workload trace parser (go test allows one
+# -fuzz target per invocation, hence the separate runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTiledKernels$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzElementwiseKernels$$' -fuzztime 10s ./internal/tensor
@@ -94,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedCodec$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBags$$' -fuzztime 10s ./internal/sptt
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolBackward$$' -fuzztime 10s ./internal/sptt
+	$(GO) test -run '^$$' -fuzz '^FuzzLRUCore$$' -fuzztime 10s ./internal/embeddings
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/workload
 
 # The example mains have no tests: build them all, run the SPTT

@@ -1,6 +1,9 @@
 package embeddings
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // CacheStats is a point-in-time snapshot of a cache's counters.
 type CacheStats struct {
@@ -30,21 +33,27 @@ func (s *CacheStats) Add(o CacheStats) {
 // lruCore is one unlocked LRU: the building block both cache users wrap.
 // Entries live in one slice and are linked into a recency ring by int32
 // indices around the sentinel ents[0] (next = most recent, prev = least
-// recent), so a cached vector costs one slice element instead of a boxed
-// entry plus a list node, and a hit or refresh relinks indices without
-// touching the heap. The slice grows on demand up to capacity+1; once full,
-// an insert re-keys the least recent entry in place. There is no other
-// removal, so the live entries are always ents[1:].
+// recent); an entry holds its key and links and nothing else, so the slice
+// has no pointer for the GC to scan, and each user keeps its values beside
+// the core, indexed by entry position. The slice grows on demand up to
+// capacity+1; once full, an insert re-keys the least recent entry in place.
+// There is no other removal, so the live entries are always ents[1:].
+//
+// The key index is an open-addressed table of entry positions (0, the
+// sentinel's, marks an empty cell): linear probing from a multiplicative
+// hash of the key, at most a quarter full, with backward-shift deletion, so
+// a hit, a refresh or an evicting insert allocates nothing and leaves no
+// tombstone.
 type lruCore struct {
 	capacity                int
 	ents                    []lruEntry
-	index                   map[uint64]int32 // key -> position in ents
+	index                   []int32 // power-of-two cells, >= 4*capacity
+	shift                   uint    // 64 - log2(len(index)): a hash's top bits pick the home cell
 	hits, misses, evictions uint64
 }
 
 type lruEntry struct {
 	key        uint64
-	val        []float32
 	prev, next int32
 }
 
@@ -71,10 +80,56 @@ func lruGeometry(capacity, shards int) (n, per int) {
 func (c *lruCore) init(capacity int) {
 	c.capacity = capacity
 	c.ents = make([]lruEntry, 1, 8)
-	c.index = make(map[uint64]int32, capacity)
+	cells := 4
+	for cells < 4*capacity {
+		cells <<= 1
+	}
+	c.index = make([]int32, cells)
+	c.shift = uint(64 - bits.TrailingZeros(uint(cells)))
 }
 
 func (c *lruCore) len() int { return len(c.ents) - 1 }
+
+// home is key's first probe cell (Fibonacci hashing).
+func (c *lruCore) home(key uint64) uint32 {
+	return uint32((key * 0x9e3779b97f4a7c15) >> c.shift)
+}
+
+// find returns the cell holding key and its entry position, or, when key is
+// absent, the empty cell that ends its probe and 0.
+func (c *lruCore) find(key uint64) (cell uint32, i int32) {
+	mask := uint32(len(c.index) - 1)
+	for cell = c.home(key); ; cell = (cell + 1) & mask {
+		i = c.index[cell]
+		if i == 0 || c.ents[i].key == key {
+			return cell, i
+		}
+	}
+}
+
+// del empties cell and shifts later members of its probe run back into the
+// hole, so every remaining key stays reachable from its home cell without
+// tombstones.
+func (c *lruCore) del(cell uint32) {
+	mask := uint32(len(c.index) - 1)
+	for j := cell; ; {
+		c.index[cell] = 0
+		for {
+			j = (j + 1) & mask
+			i := c.index[j]
+			if i == 0 {
+				return
+			}
+			// The entry at j may fill the hole unless its home lies
+			// cyclically in (cell, j].
+			if (j-c.home(c.ents[i].key))&mask >= (j-cell)&mask {
+				c.index[cell] = i
+				cell = j
+				break
+			}
+		}
+	}
+}
 
 // linkFront makes the unlinked entry i the most recent.
 func (c *lruCore) linkFront(i int32) {
@@ -89,45 +144,48 @@ func (c *lruCore) unlink(i int32) {
 	c.ents[e.prev].next, c.ents[e.next].prev = e.next, e.prev
 }
 
-// get returns key's value and marks it most recently used.
-func (c *lruCore) get(key uint64) ([]float32, bool) {
-	i, ok := c.index[key]
-	if !ok {
+// get returns the position of key's entry and marks it most recently used.
+func (c *lruCore) get(key uint64) (int32, bool) {
+	_, i := c.find(key)
+	if i == 0 {
 		c.misses++
-		return nil, false
+		return 0, false
 	}
 	c.hits++
 	if c.ents[0].next != i {
 		c.unlink(i)
 		c.linkFront(i)
 	}
-	return c.ents[i].val, true
+	return i, true
 }
 
-// slot returns the entry holding key after the call, marked most recently
-// used: key's own entry (a refresh), a new one, or — when the core is full —
-// the least recent entry re-keyed. val is whatever the entry held before;
-// the caller replaces it (Keyed) or overwrites it in place (CachedStore).
-// The pointer is valid until the next slot call.
-func (c *lruCore) slot(key uint64) *lruEntry {
-	i, ok := c.index[key]
-	if ok {
+// slot returns the position of the entry holding key after the call, marked
+// most recently used: key's own entry (a refresh), a new one (the next
+// position, one past the last), or — when the core is full — the least
+// recent entry re-keyed. The value stored at that position is whatever the
+// entry held before; the caller replaces or overwrites it.
+func (c *lruCore) slot(key uint64) int32 {
+	cell, i := c.find(key)
+	if i != 0 {
 		c.unlink(i)
+	} else if c.len() < c.capacity {
+		c.ents = append(c.ents, lruEntry{key: key})
+		i = int32(len(c.ents) - 1)
+		c.index[cell] = i
 	} else {
-		if c.len() < c.capacity {
-			c.ents = append(c.ents, lruEntry{})
-			i = int32(len(c.ents) - 1)
-		} else {
-			i = c.ents[0].prev
-			c.unlink(i)
-			delete(c.index, c.ents[i].key)
-			c.evictions++
-		}
+		i = c.ents[0].prev
+		c.unlink(i)
+		// Index key first, into the empty cell its probe ended on, then
+		// delete the victim's cell: the backward shift keeps every key
+		// reachable, the new one included.
+		victim, _ := c.find(c.ents[i].key)
 		c.ents[i].key = key
-		c.index[key] = i
+		c.index[cell] = i
+		c.del(victim)
+		c.evictions++
 	}
 	c.linkFront(i)
-	return &c.ents[i]
+	return i
 }
 
 func (c *lruCore) stats() CacheStats {
@@ -168,6 +226,7 @@ type Keyed struct {
 type lruShard struct {
 	mu sync.Mutex
 	lruCore
+	vals [][]float32 // vals[i] is entry i's vector; vals[0] is the sentinel's
 }
 
 // NewKeyed builds a cache holding up to capacity vectors, spread over shards
@@ -180,7 +239,7 @@ func NewKeyed(capacity, shards int) *Keyed {
 	n, per := lruGeometry(capacity, shards)
 	k := &Keyed{shards: make([]*lruShard, n), mask: uint64(n - 1)}
 	for i := range k.shards {
-		k.shards[i] = &lruShard{}
+		k.shards[i] = &lruShard{vals: make([][]float32, 1, 8)}
 		k.shards[i].init(per)
 	}
 	return k
@@ -201,7 +260,10 @@ func (k *Keyed) GetVec(ns int, key uint64) ([]float32, bool) {
 	sh, key := k.shard(ns, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.get(key)
+	if i, ok := sh.get(key); ok {
+		return sh.vals[i], true
+	}
+	return nil, false
 }
 
 // PutVec caches v under (ns, key), evicting the shard's least recently used
@@ -213,7 +275,11 @@ func (k *Keyed) PutVec(ns int, key uint64, v []float32) {
 	sh, key := k.shard(ns, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.slot(key).val = v
+	if i := sh.slot(key); int(i) < len(sh.vals) {
+		sh.vals[i] = v
+	} else {
+		sh.vals = append(sh.vals, v)
+	}
 }
 
 // Stats merges the shard counters; zero for a nil cache.

@@ -128,65 +128,194 @@ func (r *refLRU) put(key uint64, val float32) (evicted uint64, did bool) {
 	return evicted, did
 }
 
+// lruHarness drives a core and the reference model through the same
+// operations and checks them against each other after every one: the same
+// hit/miss answer and value on every get, the same eviction (and victim) on
+// every put, the same counters, and an index that finds every live entry
+// at its position and holds nothing else.
+type lruHarness struct {
+	t    *testing.T
+	c    lruCore
+	vals []float32 // beside the core, by entry position, as its users keep them
+	ref  refLRU
+	want CacheStats
+	op   int
+}
+
+func newLRUHarness(t *testing.T, capacity int) *lruHarness {
+	h := &lruHarness{t: t, vals: make([]float32, capacity+1), ref: refLRU{capacity: capacity}}
+	h.c.init(capacity)
+	return h
+}
+
+func (h *lruHarness) get(key uint64) {
+	i, ok := h.c.get(key)
+	want, wantOK := h.ref.get(key)
+	if ok != wantOK || (ok && h.vals[i] != want) {
+		h.t.Fatalf("op %d: get(%d) = %v at %d, want %v %v", h.op, key, ok, i, want, wantOK)
+	}
+	if ok {
+		h.want.Hits++
+	} else {
+		h.want.Misses++
+	}
+	h.check()
+}
+
+func (h *lruHarness) put(key uint64) {
+	val := float32(h.op)
+	h.vals[h.c.slot(key)] = val
+	if victim, evicted := h.ref.put(key, val); evicted {
+		h.want.Evictions++
+		if _, i := h.c.find(victim); i != 0 {
+			h.t.Fatalf("op %d: put(%d) kept %d, the model's victim", h.op, key, victim)
+		}
+	}
+	h.check()
+}
+
+func (h *lruHarness) check() {
+	h.want.Entries = len(h.ref.ents)
+	if got := h.c.stats(); got != h.want {
+		h.t.Fatalf("op %d: stats %+v, want %+v", h.op, got, h.want)
+	}
+	for i := 1; i < len(h.c.ents); i++ {
+		if _, got := h.c.find(h.c.ents[i].key); got != int32(i) {
+			h.t.Fatalf("op %d: key %d of entry %d found at entry %d", h.op, h.c.ents[i].key, i, got)
+		}
+	}
+	occupied := 0
+	for _, i := range h.c.index {
+		if i != 0 {
+			occupied++
+		}
+	}
+	if occupied != h.c.len() {
+		h.t.Fatalf("op %d: index holds %d cells for %d entries", h.op, occupied, h.c.len())
+	}
+	h.op++
+}
+
+// checkOrder walks the ring from least to most recent against the model.
+func (h *lruHarness) checkOrder() {
+	i := h.c.ents[0].prev
+	for _, want := range h.ref.ents {
+		if e := h.c.ents[i]; e.key != want.key || h.vals[i] != want.val {
+			h.t.Fatalf("recency order diverged: entry (%d, %v), want (%d, %v)", e.key, h.vals[i], want.key, want.val)
+		}
+		i = h.c.ents[i].prev
+	}
+	if i != 0 {
+		h.t.Fatal("ring holds more entries than the model")
+	}
+}
+
+// homeKeys returns the n smallest keys whose probe starts at cell.
+func homeKeys(c *lruCore, cell uint32, n int) []uint64 {
+	var keys []uint64
+	for k := uint64(1); len(keys) < n; k++ {
+		if c.home(k) == cell {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 // TestLRUCoreMatchesModel drives the index-linked core and the reference
-// with one seeded stream of gets, inserts and refreshes and requires the
-// same hit/miss answer and value on every get, the same eviction (and
-// victim) on every put, the same length throughout, and the same recency
-// order at the end.
+// with one seeded stream of gets, inserts and refreshes (see lruHarness) and
+// requires the same recency order at the end.
 func TestLRUCoreMatchesModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 7, 1024} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
-			var c lruCore
-			c.init(capacity)
-			ref := &refLRU{capacity: capacity}
+			h := newLRUHarness(t, capacity)
 			rng := tensor.NewRNG(uint64(capacity))
 			keys := uint64(2*capacity + 3) // about half the puts evict once warm
-			var wantStats CacheStats
 			for op := 0; op < 20000; op++ {
 				key := NsKey(3, rng.Uint64()%keys)
 				if rng.Intn(3) == 0 {
-					got, ok := c.get(key)
-					want, wantOK := ref.get(key)
-					if ok != wantOK || (ok && got[0] != want) {
-						t.Fatalf("op %d: get(%d) = %v %v, want %v %v", op, key, got, ok, want, wantOK)
-					}
-					if ok {
-						wantStats.Hits++
-					} else {
-						wantStats.Misses++
-					}
+					h.get(key)
 				} else {
-					val := float32(op)
-					c.slot(key).val = []float32{val}
-					victim, evicted := ref.put(key, val)
-					if evicted {
-						wantStats.Evictions++
-						if _, still := c.index[victim]; still {
-							t.Fatalf("op %d: put(%d) kept %d, the model's victim", op, key, victim)
-						}
-					}
-				}
-				wantStats.Entries = len(ref.ents)
-				if got := c.stats(); got != wantStats {
-					t.Fatalf("op %d: stats %+v, want %+v", op, got, wantStats)
-				}
-				if len(c.index) != c.len() {
-					t.Fatalf("op %d: index holds %d keys for %d entries", op, len(c.index), c.len())
+					h.put(key)
 				}
 			}
-			// Walk the ring from least to most recent.
-			i := c.ents[0].prev
-			for _, want := range ref.ents {
-				if e := c.ents[i]; e.key != want.key || e.val[0] != want.val {
-					t.Fatalf("recency order diverged: entry (%d, %v), want (%d, %v)", e.key, e.val, want.key, want.val)
-				}
-				i = c.ents[i].prev
-			}
-			if i != 0 {
-				t.Fatal("ring holds more entries than the model")
-			}
+			h.checkOrder()
 		})
 	}
+	// Keys sharing the last cell as home wrap their probe run past the end
+	// of the index into keys homed at cells 0 and 1, so evictions shift
+	// entries back across the wrap.
+	t.Run("wrapping run", func(t *testing.T) {
+		h := newLRUHarness(t, 4)
+		last := uint32(len(h.c.index) - 1)
+		keys := append(homeKeys(&h.c, last, 6), homeKeys(&h.c, 0, 3)...)
+		keys = append(keys, homeKeys(&h.c, 1, 2)...)
+		a, b, c, d, e := keys[0], keys[1], keys[2], keys[6], keys[3]
+		for _, k := range []uint64{a, b, c, d} {
+			h.put(k) // cells last, 0, 1 (home last) and 2 (home 0)
+		}
+		h.put(e) // probes last..3, evicts a: b, c, d and e shift back one cell
+		for _, want := range []struct {
+			cell uint32
+			key  uint64 // 0: empty
+		}{{last, b}, {0, c}, {1, d}, {2, e}, {3, 0}} {
+			if i := h.c.index[want.cell]; (want.key == 0) != (i == 0) || (i != 0 && h.c.ents[i].key != want.key) {
+				t.Fatalf("cell %d holds entry %d, want key %d", want.cell, i, want.key)
+			}
+		}
+		rng := tensor.NewRNG(9)
+		for op := 0; op < 5000; op++ {
+			key := keys[rng.Intn(len(keys))]
+			if rng.Intn(3) == 0 {
+				h.get(key)
+			} else {
+				h.put(key)
+			}
+		}
+		h.checkOrder()
+	})
+}
+
+// FuzzLRUCore drives the core and the reference model from a byte stream:
+// the first byte picks the capacity (1–8), each later byte one op (at most
+// maxOps) — the top bit a get or a put, the rest a key from a pool in which
+// whole groups share a home cell (the last one among them, so probe runs
+// wrap).
+func FuzzLRUCore(f *testing.F) {
+	const maxOps = 256
+	f.Add([]byte{3, 0x80, 1, 2, 3, 4, 0x81, 5, 20, 21, 40, 0x94})
+	f.Add([]byte{0, 7, 7, 0x87, 8})
+	f.Add([]byte{7, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 0x90, 0x91, 0x92})
+	var pools [8][]uint64 // by capacity-1
+	for i := range pools {
+		var c lruCore
+		c.init(i + 1)
+		last := uint32(len(c.index) - 1)
+		pools[i] = append(homeKeys(&c, last, 16), homeKeys(&c, 0, 16)...)
+		pools[i] = append(pools[i], homeKeys(&c, 1, 8)...)
+		for k := uint64(0); k < 24; k++ {
+			pools[i] = append(pools[i], NsKey(1, k))
+		}
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		if len(ops) > 1+maxOps {
+			t.Skip() // longer streams add nothing the core can see, only run time
+		}
+		capacity := int(ops[0])%8 + 1
+		h := newLRUHarness(t, capacity)
+		pool := pools[capacity-1]
+		for _, op := range ops[1:] {
+			key := pool[int(op&0x7f)%len(pool)]
+			if op&0x80 != 0 {
+				h.get(key)
+			} else {
+				h.put(key)
+			}
+		}
+		h.checkOrder()
+	})
 }
 
 // TestKeyedAllocs pins the steady-state paths at zero allocations: a hit, a

@@ -17,13 +17,11 @@ import (
 // flow through its single owner rank's cache, so there is no cross-cache
 // invalidation problem to solve.
 //
-// The cache owns its rows: every entry's vector is a buffer carved from a
-// slab when the entry is first filled and overwritten in place on every
-// later write-back or re-keying, so steady-state traffic allocates nothing
-// per row.
+// The cache owns its rows: each LRU core keeps one contiguous array with
+// entry i's row at i·dim, overwritten in place on every write-back or
+// re-keying, so no traffic allocates per row.
 type CachedStore struct {
 	inner Store
-	dim   int
 
 	// mu guards everything below. It is taken once per pass over a call's
 	// rows — never per row — and the trainer gives every rank its own store,
@@ -31,7 +29,6 @@ type CachedStore struct {
 	// per TABLE, and owners of disjoint tables may share one store.
 	mu   sync.Mutex
 	lru  *rowLRU
-	slab []float32      // unused tail of the newest row slab
 	idle *lookupScratch // the last finished Lookup's scratch, for the next one
 }
 
@@ -39,15 +36,36 @@ type CachedStore struct {
 // hence the same hit, miss and eviction decisions — over bare cores:
 // CachedStore's one lock covers all of them.
 type rowLRU struct {
-	cores []lruCore
+	cores []rowCore
 	mask  uint64
+	dim   int
 }
 
-func (l *rowLRU) core(key uint64) *lruCore { return &l.cores[mix64(key)&l.mask] }
+// rowCore is one core and its entries' rows, entry i's at rows[i·dim:],
+// sized for a full core up front.
+type rowCore struct {
+	lruCore
+	rows []float32
+}
+
+func (l *rowLRU) core(key uint64) *rowCore { return &l.cores[mix64(key)&l.mask] }
 
 // Get returns the cached row under key, marking it most recently used. The
 // slice is the cache's own buffer: valid until the next write to the cache.
-func (l *rowLRU) Get(key uint64) ([]float32, bool) { return l.core(key).get(key) }
+func (l *rowLRU) Get(key uint64) ([]float32, bool) {
+	c := l.core(key)
+	i, ok := c.get(key)
+	if !ok {
+		return nil, false
+	}
+	return c.rows[int(i)*l.dim:][:l.dim:l.dim], true
+}
+
+// put copies row into key's cache entry.
+func (l *rowLRU) put(key uint64, row []float32) {
+	c := l.core(key)
+	copy(c.rows[int(c.slot(key))*l.dim:][:l.dim:l.dim], row)
+}
 
 // lookupScratch is what one Lookup carries from its probe pass, across the
 // inner fetch, to its fill pass.
@@ -58,21 +76,20 @@ type lookupScratch struct {
 	pos    map[int32]int32 // missed id -> miss-response row, for the request being probed
 }
 
-// rowSlabRows is how many cache rows one slab allocation holds.
-const rowSlabRows = 256
-
 // Cached wraps inner with a hot-ID cache of up to rows entries. rows <= 0
 // returns inner unchanged (caching disabled).
 func Cached(inner Store, rows int) Store {
 	if rows <= 0 {
 		return inner
 	}
+	dim := inner.Dim()
 	n, per := lruGeometry(rows, 8)
-	lru := &rowLRU{cores: make([]lruCore, n), mask: uint64(n - 1)}
+	lru := &rowLRU{cores: make([]rowCore, n), mask: uint64(n - 1), dim: dim}
 	for i := range lru.cores {
 		lru.cores[i].init(per)
+		lru.cores[i].rows = make([]float32, (per+1)*dim)
 	}
-	return &CachedStore{inner: inner, dim: inner.Dim(), lru: lru}
+	return &CachedStore{inner: inner, lru: lru}
 }
 
 // StatsOf returns the LRU counters of a store built by Cached; a plain
@@ -90,7 +107,7 @@ func StatsOf(s Store) CacheStats {
 }
 
 // Dim returns the inner store's dimension.
-func (c *CachedStore) Dim() int { return c.dim }
+func (c *CachedStore) Dim() int { return c.lru.dim }
 
 // scratch hands out the idle scratch (or a new one) sized for nReqs
 // requests over total ids. Called with mu held.
@@ -111,19 +128,6 @@ func (c *CachedStore) scratch(nReqs, total int) *lookupScratch {
 	return sc
 }
 
-// put copies row into key's cache entry, reusing the entry's buffer.
-// Called with mu held.
-func (c *CachedStore) put(key uint64, row []float32) {
-	e := c.lru.core(key).slot(key)
-	if e.val == nil {
-		if len(c.slab) < c.dim {
-			c.slab = make([]float32, rowSlabRows*c.dim)
-		}
-		e.val, c.slab = c.slab[:c.dim:c.dim], c.slab[c.dim:]
-	}
-	copy(e.val, row)
-}
-
 // Lookup fills each request from the cache where possible and fetches the
 // deduplicated misses from the inner store. The inner Lookup is issued
 // unconditionally — even with zero misses — preserving the round symmetry
@@ -133,7 +137,7 @@ func (c *CachedStore) put(key uint64, row []float32) {
 // recency, so this order decides the surviving set and the hit/miss
 // counters pinned downstream.
 func (c *CachedStore) Lookup(reqs []Req) []*tensor.Tensor {
-	dim := c.dim
+	dim := c.lru.dim
 	total := 0
 	for _, r := range reqs {
 		total += len(r.IDs)
@@ -183,7 +187,7 @@ func (c *CachedStore) Lookup(reqs []Req) []*tensor.Tensor {
 			}
 		}
 		for p, id := range sc.reqs[i].IDs {
-			c.put(NsKey(r.Table, uint64(id)), fetched[i].Row(p))
+			c.lru.put(NsKey(r.Table, uint64(id)), fetched[i].Row(p))
 		}
 		off += len(r.IDs)
 	}
@@ -198,7 +202,7 @@ func (c *CachedStore) Update(ups []Upd) []*tensor.Tensor {
 	c.mu.Lock()
 	for i, u := range ups {
 		for j, row := range u.Rows {
-			c.put(NsKey(u.Table, uint64(row)), fresh[i].Row(j))
+			c.lru.put(NsKey(u.Table, uint64(row)), fresh[i].Row(j))
 		}
 	}
 	c.mu.Unlock()

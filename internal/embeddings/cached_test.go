@@ -55,7 +55,9 @@ func TestCachedLookupDeterministicUnderEviction(t *testing.T) {
 // slab, result headers — never per id. The same round over 16x the ids must
 // allocate exactly as often, with every id hitting (capacity above the id
 // count) and with nearly every id missing and evicting (an LRU far smaller
-// than the cyclic scan keeps only the write-back's tail).
+// than the cyclic scan keeps only the write-back's tail). In the second case
+// every written-back row re-keys an evicted entry of a full cache and
+// overwrites its row in place.
 func TestCachedRoundAllocsIndependentOfIDs(t *testing.T) {
 	const (
 		rows = 2048

@@ -22,20 +22,20 @@
 // # The cache core and its two users
 //
 // One unlocked LRU, lruCore (cache.go), backs every cache in the tree: a
-// slice of entries linked into a recency ring by int32 indices around a
-// sentinel, plus a key index. A cached vector is one slice element, a hit or
-// a refresh relinks indices, and an insert into a full core re-keys the
-// least recent entry in place, so steady-state traffic touches the heap
-// only through the index. Two users wrap it, splitting keys over cores with
-// the same selector and the same per-core capacity, so both make the same
-// hit, miss and eviction decisions:
+// slice of pointer-free entries (key and two int32 links) in a recency ring
+// around a sentinel, plus an open-addressed index of entry positions. A hit
+// or a refresh relinks indices, and an insert into a full core re-keys the
+// least recent entry in place. The core stores no values: each user keeps
+// them beside it, indexed by entry position. Two users wrap it, splitting
+// keys over cores with the same selector and the same per-core capacity, so
+// both make the same hit, miss and eviction decisions:
 //
 //   - Keyed, the serving and simulator caches: one mutex per core, because
 //     serve workers really do call GetVec and PutVec concurrently. It stores
 //     the caller's slice; values are immutable.
 //   - CachedStore, the training-side write-back row cache: it OWNS its
-//     rows — each entry's buffer is carved from a slab once and overwritten
-//     in place by every later write-back — and takes no per-row lock. The
+//     rows — one contiguous array per core, entry i's row at i·dim,
+//     overwritten in place by every write-back — and takes no per-row lock. The
 //     Store ownership contract gives a table one owner, the trainer gives
 //     every rank its own store, and a call walks all its rows in one pass,
 //     so the only exclusion left to provide is between owners of DISJOINT

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"sort"
-
-	"dmt/internal/tensor"
-)
+import "dmt/internal/tensor"
 
 // PoolMode selects how multi-hot lookups are pooled into one vector.
 type PoolMode int
@@ -99,9 +95,15 @@ func (e *EmbeddingBag) Backward(dy *tensor.Tensor) *SparseGrad {
 // accumulating straight into the result's rows. slot is the table's scratch
 // index — one zero per table row, zero again on return — through which a
 // bag entry finds its row's position in the result: the touched rows are
-// marked and collected, sorted, numbered, and then the bags are walked in
-// their original order, so every row's float additions run from zero in the
-// order the bags list it.
+// marked, collected in ascending order and numbered, and then the bags are
+// walked in their original order, so every row's float additions run from
+// zero in the order the bags list it.
+//
+// Ascending order comes from a scan of slot between the least and greatest
+// marked row, at most the table's row count. PoolBackward reads and writes
+// slot only inside that span: row-wise co-owners of one table share its
+// slot over disjoint row ranges, so each must stay inside the span of the
+// rows its own bags list.
 func PoolBackward(mode PoolMode, indices, offsets []int32, dPooled *tensor.Tensor, slot []int32) *SparseGrad {
 	b := len(offsets)
 	dim := dPooled.Dim(1)
@@ -111,16 +113,21 @@ func PoolBackward(mode PoolMode, indices, offsets []int32, dPooled *tensor.Tenso
 	if b > 0 {
 		used = indices[offsets[0]:]
 	}
-	rows := make([]int, 0, min(len(used), len(slot)))
+	n := 0
+	lo, hi := len(slot), -1
 	for _, ix := range used {
 		if slot[ix] == 0 {
 			slot[ix] = 1
-			rows = append(rows, int(ix))
+			n++
+			lo, hi = min(lo, int(ix)), max(hi, int(ix))
 		}
 	}
-	sort.Ints(rows)
-	for i, r := range rows {
-		slot[r] = int32(i) + 1
+	rows := make([]int, 0, n)
+	for r := lo; r <= hi; r++ {
+		if slot[r] != 0 {
+			rows = append(rows, r)
+			slot[r] = int32(len(rows))
+		}
 	}
 	grads := tensor.New(len(rows), dim)
 	for s := 0; s < b; s++ {

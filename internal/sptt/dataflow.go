@@ -176,6 +176,8 @@ func (e *Engine) SPTTForwardCompressed(inputs []*Inputs, modules []TowerModule, 
 // than through the embeddings tier: row-wise sharding splits single tables
 // ACROSS compute ranks, the antithesis of disaggregating whole tables onto
 // memory nodes, so the Store API's per-table ownership does not describe it.
+// It is a reference flow: the tests hold it to the table-wise flows' outputs
+// and gradients, and no trainer or benchmark runs it.
 func (e *Engine) SPTTForwardRowWise(inputs []*Inputs) ([]*tensor.Tensor, *SPTTState) {
 	for f, spec := range e.Cfg.Features {
 		if spec.Mode != nn.PoolSum {

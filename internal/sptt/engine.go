@@ -32,7 +32,8 @@ type Engine struct {
 	// slots[f] is nn.PoolBackward's scratch index for table f, one entry per
 	// row, all zero between calls. A table-wise feature is pooled by its one
 	// owner rank; a row-wise one by each rank of its host over its own row
-	// range, so concurrent ranks never touch the same entry.
+	// range, and PoolBackward touches only the span of rows it pools, so
+	// concurrent ranks never touch the same entry.
 	slots [][]int32
 
 	// fam is the communicator cache: the families of the last completed

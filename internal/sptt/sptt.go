@@ -25,7 +25,8 @@
 //   - where tables are sharded: table-wise (one owner rank per table, lookup
 //     through Engine.Tier) or row-wise across the tower's host (§3.1.3: each
 //     rank pools the bag entries in its row range and step (d) becomes a
-//     ReduceScatter that sums the partial pools);
+//     ReduceScatter that sums the partial pools; a reference flow, which
+//     bypasses the tier and runs only in tests);
 //   - whether a tower module sits between (e) and (f), compressing the
 //     tower's embeddings before they cross hosts;
 //   - whether step (f) exists at all: the flat baseline stops after (b) and

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -522,17 +523,8 @@ func checkPoolBackward(t *testing.T, mode nn.PoolMode, indices, offsets []int32,
 	dPooled := tensor.RandUniform(tensor.NewRNG(seed), -1, 1, len(offsets), dim)
 	slot := make([]int32, card)
 	got := nn.PoolBackward(mode, indices, offsets, dPooled, slot)
-	want := poolBackwardMap(mode, indices, offsets, dPooled)
-	if !slices.Equal(got.Rows, want.Rows) {
-		t.Fatalf("rows %v, want %v (indices %v offsets %v)", got.Rows, want.Rows, indices, offsets)
-	}
-	for i, w := range want.Grads.Data() {
-		if g := got.Grads.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
-			t.Fatalf("grad element %d = %x, want %x (indices %v offsets %v)", i, math.Float32bits(g), math.Float32bits(w), indices, offsets)
-		}
-	}
-	if got.Grads.Dim(0) != len(want.Rows) || got.Grads.Dim(1) != dim {
-		t.Fatalf("grads shaped %v for %d rows of %d", got.Grads.Shape(), len(want.Rows), dim)
+	if err := matchPoolBackward(got, mode, indices, offsets, dPooled); err != nil {
+		t.Fatal(err)
 	}
 	for r, v := range slot {
 		if v != 0 {
@@ -541,67 +533,153 @@ func checkPoolBackward(t *testing.T, mode nn.PoolMode, indices, offsets []int32,
 	}
 }
 
+// matchPoolBackward compares one PoolBackward result with the oracle's:
+// the same rows and bit-equal gradients.
+func matchPoolBackward(got *nn.SparseGrad, mode nn.PoolMode, indices, offsets []int32, dPooled *tensor.Tensor) error {
+	want := poolBackwardMap(mode, indices, offsets, dPooled)
+	if !slices.Equal(got.Rows, want.Rows) {
+		return fmt.Errorf("rows %v, want %v (indices %v offsets %v)", got.Rows, want.Rows, indices, offsets)
+	}
+	if got.Grads.Dim(0) != len(want.Rows) || got.Grads.Dim(1) != dPooled.Dim(1) {
+		return fmt.Errorf("grads shaped %v for %d rows of %d", got.Grads.Shape(), len(want.Rows), dPooled.Dim(1))
+	}
+	for i, w := range want.Grads.Data() {
+		if g := got.Grads.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+			return fmt.Errorf("grad element %d = %x, want %x (indices %v offsets %v)", i, math.Float32bits(g), math.Float32bits(w), indices, offsets)
+		}
+	}
+	return nil
+}
+
 // TestPoolBackwardMatchesMapOracle: the slot-indexed kernel equals the
 // map-based one bit for bit — the rows' additions happen in bag order from
 // zero in both — over sum and mean pooling, empty bags, ids repeated inside
 // and across bags, a leading non-zero offset, and ids at both table ends.
+// The large table's layouts scatter a few ids over most of its rows, so
+// the scan for their order crosses a span far wider than the ids.
 func TestPoolBackwardMatchesMapOracle(t *testing.T) {
 	const card, dim = 11, 5
+	const large = 4096
 	layouts := []struct {
 		name             string
+		card             int
 		indices, offsets []int32
 	}{
-		{"no bags", nil, nil},
-		{"all bags empty", nil, []int32{0, 0, 0}},
-		{"single-hot", []int32{3, 1, 4}, []int32{0, 1, 2}},
-		{"repeats inside a bag", []int32{7, 7, 7, 2}, []int32{0, 3}},
-		{"repeats across bags", []int32{5, 2, 5, 2, 5}, []int32{0, 2, 4}},
-		{"empty bags between", []int32{9, 1, 9}, []int32{0, 0, 1, 1, 1, 3}},
-		{"table ends", []int32{0, card - 1, card - 1, 0}, []int32{0, 1, 3}},
-		{"leading offset skips a prefix", []int32{8, 6, 4, 6, 1}, []int32{2, 3}},
-		{"descending ids", []int32{10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, []int32{0, 4, 4, 9}},
+		{"no bags", card, nil, nil},
+		{"all bags empty", card, nil, []int32{0, 0, 0}},
+		{"single-hot", card, []int32{3, 1, 4}, []int32{0, 1, 2}},
+		{"repeats inside a bag", card, []int32{7, 7, 7, 2}, []int32{0, 3}},
+		{"repeats across bags", card, []int32{5, 2, 5, 2, 5}, []int32{0, 2, 4}},
+		{"empty bags between", card, []int32{9, 1, 9}, []int32{0, 0, 1, 1, 1, 3}},
+		{"table ends", card, []int32{0, card - 1, card - 1, 0}, []int32{0, 1, 3}},
+		{"leading offset skips a prefix", card, []int32{8, 6, 4, 6, 1}, []int32{2, 3}},
+		{"descending ids", card, []int32{10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, []int32{0, 4, 4, 9}},
+		{"sparse over a large table", large, []int32{4000, 3, 2048, 3, large - 1, 0}, []int32{0, 2, 2, 5}},
+		{"sparse, repeats across bags", large, []int32{1000, 3000, 1000, 3000, 17}, []int32{0, 1, 3}},
 	}
 	for _, mode := range []nn.PoolMode{nn.PoolSum, nn.PoolMean} {
 		for i, l := range layouts {
 			t.Run(fmt.Sprintf("%s/mode%d", l.name, mode), func(t *testing.T) {
-				checkPoolBackward(t, mode, l.indices, l.offsets, card, dim, uint64(i)+1)
+				checkPoolBackward(t, mode, l.indices, l.offsets, l.card, dim, uint64(i)+1)
 			})
 		}
 	}
-	// Random layouts: bag sizes 0..5 over a small table, so repeats abound.
+	// Random layouts: bag sizes 0..5 over a small table, so repeats abound,
+	// and over a large one, so the ids are few and far apart.
 	r := tensor.NewRNG(77)
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 400; trial++ {
+		tc := card
+		if trial%2 == 1 {
+			tc = large
+		}
 		var indices, offsets []int32
 		lead := r.Intn(3) // entries before the first bag
 		for k := 0; k < lead; k++ {
-			indices = append(indices, int32(r.Intn(card)))
+			indices = append(indices, int32(r.Intn(tc)))
 		}
 		for s := r.Intn(9); s > 0; s-- {
 			offsets = append(offsets, int32(len(indices)))
 			for k := r.Intn(6); k > 0; k-- {
-				indices = append(indices, int32(r.Intn(card)))
+				indices = append(indices, int32(r.Intn(tc)))
 			}
 		}
-		checkPoolBackward(t, nn.PoolMode(trial%2), indices, offsets, card, dim, uint64(trial)+100)
+		checkPoolBackward(t, nn.PoolMode(trial/2%2), indices, offsets, tc, dim, uint64(trial)+100)
+	}
+}
+
+// TestPoolBackwardRowWiseSharedSlot: row-wise co-owners of one table pool
+// their own row ranges concurrently through one shared slot index, as the
+// row-wise flow's ranks do. Each must get the oracle's result, and (under
+// -race) neither may touch an entry of the other's range.
+func TestPoolBackwardRowWiseSharedSlot(t *testing.T) {
+	const card, dim, half = 4096, 4, 2048
+	slot := make([]int32, card)
+	r := tensor.NewRNG(5)
+	for trial := 0; trial < 40; trial++ {
+		type owner struct {
+			indices, offsets []int32
+			dPooled          *tensor.Tensor
+			got              *nn.SparseGrad
+		}
+		var owners [2]owner
+		for k := range owners {
+			// ids in a window of the owner's range, of random width, ending
+			// at or starting from the shared boundary row.
+			width := 1 + r.Intn(half)
+			o := &owners[k]
+			for s := 1 + r.Intn(6); s > 0; s-- {
+				o.offsets = append(o.offsets, int32(len(o.indices)))
+				for n := r.Intn(5); n > 0; n-- {
+					id := half - 1 - r.Intn(width)
+					if k == 1 {
+						id = half + r.Intn(width)
+					}
+					o.indices = append(o.indices, int32(id))
+				}
+			}
+			o.dPooled = tensor.RandUniform(r, -1, 1, len(o.offsets), dim)
+		}
+		var wg sync.WaitGroup
+		for k := range owners {
+			wg.Add(1)
+			go func(o *owner) {
+				defer wg.Done()
+				o.got = nn.PoolBackward(nn.PoolSum, o.indices, o.offsets, o.dPooled, slot)
+			}(&owners[k])
+		}
+		wg.Wait()
+		for k, o := range owners {
+			if err := matchPoolBackward(o.got, nn.PoolSum, o.indices, o.offsets, o.dPooled); err != nil {
+				t.Fatalf("trial %d, owner %d: %v", trial, k, err)
+			}
+		}
+		for row, v := range slot {
+			if v != 0 {
+				t.Fatalf("trial %d: scratch index left %d at row %d", trial, v, row)
+			}
+		}
 	}
 }
 
 // FuzzPoolBackward: nn.PoolBackward equals its oracle on arbitrary bag
-// payloads — sizes[s]%7 entries in bag s, ids drawn from the id bytes.
+// payloads — sizes[s]%7 entries in bag s, ids drawn two bytes at a time
+// from the id bytes, over a table of 1 to 4096 rows the input picks, so
+// the ids may be dense in a small table or few and far apart in a large one.
 func FuzzPoolBackward(f *testing.F) {
-	f.Add([]byte{1, 0, 2, 3}, []byte{4, 4, 9, 200, 0, 31}, false)
-	f.Add([]byte{}, []byte{}, true)
-	f.Add([]byte{6, 6, 6}, []byte{1}, true)
-	f.Fuzz(func(t *testing.T, sizes, ids []byte, mean bool) {
-		const card = 32
+	f.Add([]byte{1, 0, 2, 3}, []byte{4, 4, 9, 200, 0, 31}, uint16(31), false)
+	f.Add([]byte{}, []byte{}, uint16(0), true)
+	f.Add([]byte{6, 6, 6}, []byte{1}, uint16(7), true)
+	f.Add([]byte{2, 3}, []byte{15, 160, 0, 3, 8, 0, 0, 3}, uint16(4095), false)
+	f.Fuzz(func(t *testing.T, sizes, ids []byte, cardSel uint16, mean bool) {
+		card := int(cardSel)%4096 + 1
 		var indices, offsets []int32
 		next := 0
 		for _, sz := range sizes {
 			offsets = append(offsets, int32(len(indices)))
 			for k := 0; k < int(sz)%7; k++ {
-				id := byte(next)
+				id := next
 				if len(ids) > 0 {
-					id = ids[next%len(ids)]
+					id = int(ids[2*next%len(ids)])<<8 | int(ids[(2*next+1)%len(ids)])
 				}
 				indices = append(indices, int32(id%card))
 				next++
