@@ -87,8 +87,9 @@ bench-hotpath-check:
 # against their scalar references, the wire codec, the SPTT step (a) bag
 # payload, the pooling backward against its map-based oracle (over tables
 # small and large enough for both of its row orders), the LRU core against
-# its reference model and the workload trace parser (go test allows one
-# -fuzz target per invocation, hence the separate runs).
+# its reference model, the micro-batcher against its flush rule and the
+# workload trace parser (go test allows one -fuzz target per invocation,
+# hence the separate runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTiledKernels$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzElementwiseKernels$$' -fuzztime 10s ./internal/tensor
@@ -98,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBags$$' -fuzztime 10s ./internal/sptt
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolBackward$$' -fuzztime 10s ./internal/sptt
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUCore$$' -fuzztime 10s ./internal/embeddings
+	$(GO) test -run '^$$' -fuzz '^FuzzBatcher$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/workload
 
 # The example mains have no tests: build them all, run the SPTT

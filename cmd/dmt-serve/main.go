@@ -63,6 +63,14 @@ func main() {
 		p.Towers = *towers
 		p.ZipfS = *zipfS
 		p.MaxBatch = *maxBatch
+		p.CacheEntries = *cacheSize
+		// -max-wait's default is the real server's 1 ms, not the profile's
+		// window, so only a -max-wait the user gave overrides the profile.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "max-wait" {
+				p.MaxWait = *maxWait
+			}
+		})
 		p.Policy = *policy
 		p.Shape = *shape
 		p.MaxReplicas = *maxReplicas

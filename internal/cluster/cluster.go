@@ -13,8 +13,8 @@
 //   - per-replica tower-output and embedding-row caches are embeddings.Keyed
 //     instances, so hit/miss accounting follows exactly the semantics the
 //     real server's memoization uses;
-//   - batch formation mirrors the micro-batcher's flush-on-full /
-//     flush-on-MaxWait policy on the virtual clock.
+//   - each replica runs serve's Batcher, the micro-batcher's one
+//     flush-on-full / flush-on-MaxWait rule, on the virtual clock.
 //
 // Requests arrive from a workload.Trace (open-loop arrivals, zipf key skew,
 // SLO classes), pass token-bucket admission, are routed by a pluggable
@@ -40,8 +40,8 @@ type Config struct {
 	Replicas int
 	// Cost prices batched forwards and embedding fetches.
 	Cost serve.CostModel
-	// MaxBatch / MaxWait mirror serve.Config: flush a forming batch when it
-	// holds MaxBatch requests or when its oldest request has waited MaxWait.
+	// MaxBatch / MaxWait are serve.Config's, applied by serve.NewBatcher:
+	// flush a batch when it is full or its oldest request has waited MaxWait.
 	MaxBatch int
 	MaxWait  time.Duration
 	// Policy routes admitted requests; nil defaults to round-robin.
@@ -75,9 +75,9 @@ type event struct {
 	at   time.Duration
 	seq  int64 // push order: the deterministic tie-break
 	kind evKind
-	req  int   // evArrive: index into trace.Requests
-	rep  int   // evFlush/evDone: replica index
-	gen  int64 // evFlush: timer generation, stale timers are ignored
+	req  int    // evArrive: index into trace.Requests
+	rep  int    // evFlush/evDone: replica index
+	gen  uint64 // evFlush: the generation the replica's Batcher armed
 }
 
 type eventHeap []event
@@ -101,6 +101,7 @@ type sim struct {
 	reps    []*replica
 	bucket  *tokenBucket
 	classes []*classAcc
+	loads   []time.Duration // route's scratch: Policy.Pick must not retain it
 	batches int
 	served  int
 	makespn time.Duration
@@ -118,12 +119,6 @@ func Run(cfg Config, trace *workload.Trace) Result {
 	if cfg.Replicas < 1 {
 		panic(fmt.Sprintf("cluster: %d replicas", cfg.Replicas))
 	}
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = 1
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = time.Millisecond
-	}
 	if cfg.CacheShards < 1 {
 		cfg.CacheShards = 8
 	}
@@ -131,7 +126,7 @@ func Run(cfg Config, trace *workload.Trace) Result {
 		cfg.Policy = RoundRobin()
 	}
 
-	s := &sim{cfg: cfg, trace: trace}
+	s := &sim{cfg: cfg, trace: trace, loads: make([]time.Duration, cfg.Replicas)}
 	for i := 0; i < cfg.Replicas; i++ {
 		s.reps = append(s.reps, newReplica(i, cfg))
 	}
@@ -158,8 +153,8 @@ func Run(cfg Config, trace *workload.Trace) Result {
 			s.arrive(e.at, &s.trace.Requests[e.req])
 		case evFlush:
 			r := s.reps[e.rep]
-			if e.gen == r.timerGen && len(r.pending) > 0 {
-				s.flush(r, e.at)
+			if group := r.batch.Expire(e.gen); group != nil {
+				s.flush(r, group, e.at)
 			}
 		case evDone:
 			s.complete(s.reps[e.rep], e.at)
@@ -177,40 +172,36 @@ func (s *sim) arrive(now time.Duration, rq *workload.Request) {
 		return
 	}
 	r := s.reps[s.route(now, rq)]
-	r.pending = append(r.pending, pendingReq{req: rq})
 	r.pendingEst += time.Duration(rq.Items) * s.cfg.Cost.ItemTime()
-	if len(r.pending) >= s.cfg.MaxBatch {
-		s.flush(r, now)
-		return
+	group, gen, arm := r.batch.Add(rq)
+	if group != nil {
+		s.flush(r, group, now)
 	}
-	if len(r.pending) == 1 {
-		r.timerGen++
-		s.push(event{at: now + s.cfg.MaxWait, kind: evFlush, rep: r.id, gen: r.timerGen})
+	if arm {
+		s.push(event{at: now + r.batch.MaxWait(), kind: evFlush, rep: r.id, gen: gen})
 	}
 }
 
 // route applies the policy over the replicas' current modeled load.
 func (s *sim) route(now time.Duration, rq *workload.Request) int {
-	loads := make([]time.Duration, len(s.reps))
 	for i, r := range s.reps {
-		loads[i] = r.loadAt(now)
+		s.loads[i] = r.loadAt(now)
 	}
-	pick := s.cfg.Policy.Pick(rq, loads)
+	pick := s.cfg.Policy.Pick(rq, s.loads)
 	if pick < 0 || pick >= len(s.reps) {
 		panic(fmt.Sprintf("cluster: policy %s picked replica %d of %d", s.cfg.Policy.Name(), pick, len(s.reps)))
 	}
 	return pick
 }
 
-// flush seals the replica's forming batch: cache accounting runs here (the
-// batch's cost is fixed at flush, exactly once per request), and the batch
-// joins the executor queue.
-func (s *sim) flush(r *replica, now time.Duration) {
-	r.timerGen++ // invalidate any armed flush timer
-	b := r.seal(now, s.cfg.Cost, s.cfg.EmbIDSpace)
+// flush seals a batch the replica's Batcher released: cache accounting runs
+// here (the batch's cost is fixed at flush, exactly once per request), and
+// the batch joins the executor queue.
+func (s *sim) flush(r *replica, group []*workload.Request, now time.Duration) {
+	b := r.seal(group, now, s.cfg.Cost, s.cfg.EmbIDSpace)
 	r.queue = append(r.queue, b)
 	r.queuedCost += b.cost()
-	if !r.busy {
+	if r.current == nil {
 		s.start(r, now)
 	}
 }
@@ -221,7 +212,6 @@ func (s *sim) start(r *replica, now time.Duration) {
 	r.queue = r.queue[1:]
 	r.queuedCost -= b.cost()
 	b.serviceStart = now
-	r.busy = true
 	r.current = b
 	r.busyUntil = now + b.cost()
 	s.push(event{at: r.busyUntil, kind: evDone, rep: r.id})
@@ -232,11 +222,9 @@ func (s *sim) start(r *replica, now time.Duration) {
 func (s *sim) complete(r *replica, now time.Duration) {
 	b := r.current
 	r.current = nil
-	r.busy = false
 	s.batches++
 	r.batches++
-	for i := range b.reqs {
-		rq := b.reqs[i].req
+	for _, rq := range b.reqs {
 		acc := s.classes[rq.Class]
 		acc.served++
 		s.served++

@@ -9,29 +9,28 @@ import (
 )
 
 // replica is one simulated serving instance: the forming micro-batch, the
-// executor queue, and the per-replica memoization caches. It is the
-// replica-state layer the serve refactor carved out: the same batch policy
-// and cache semantics as the real server, minus the goroutines — state
-// advances only when the simulator delivers an event.
+// executor queue, and the per-replica memoization caches. Batches form
+// under the real server's serve.Batcher; state advances only when the
+// simulator delivers an event. Two divergences from the real server remain
+// (closing either would move the simulator's pinned results):
+//
+//   - one executor per replica, where a Server runs Config.Workers;
+//   - caches keyed by the request's sample identity with marker values,
+//     where the server keys them by the real bag ids.
 type replica struct {
 	id int
 
-	// pending is the batch under construction (the micro-batcher's "partial
-	// batch"); timerGen invalidates stale MaxWait flush timers.
-	pending    []pendingReq
-	pendingEst time.Duration // modeled compute of pending (load estimate)
-	timerGen   int64
+	// batch forms the next micro-batch; pendingEst is its modeled compute.
+	batch      *serve.Batcher[*workload.Request]
+	pendingEst time.Duration
 
-	// queue holds flushed batches awaiting the executor; the replica serves
-	// one batch at a time, exactly like one worker of the real pool.
+	// queue holds flushed batches awaiting the executor, which serves
+	// current (nil when idle) until busyUntil.
 	queue      []*batchJob
 	queuedCost time.Duration
-	busy       bool
 	busyUntil  time.Duration
 	current    *batchJob
 
-	// tower / emb are the replica's memoization caches, the same
-	// embeddings.Keyed structure the real server plugs into models.Predict.
 	tower *embeddings.Keyed
 	emb   *embeddings.Keyed
 
@@ -39,13 +38,9 @@ type replica struct {
 	batches int
 }
 
-type pendingReq struct {
-	req *workload.Request
-}
-
 // batchJob is one sealed micro-batch with its modeled cost, fixed at flush.
 type batchJob struct {
-	reqs         []pendingReq
+	reqs         []*workload.Request
 	flushedAt    time.Duration
 	serviceStart time.Duration
 	compute      time.Duration
@@ -57,6 +52,7 @@ func (b *batchJob) cost() time.Duration { return b.compute + b.embFetch }
 func newReplica(id int, cfg Config) *replica {
 	return &replica{
 		id:    id,
+		batch: serve.NewBatcher[*workload.Request](cfg.MaxBatch, cfg.MaxWait),
 		tower: embeddings.NewKeyed(cfg.TowerCacheEntries, cfg.CacheShards),
 		emb:   embeddings.NewKeyed(cfg.EmbCacheEntries, cfg.CacheShards),
 	}
@@ -68,30 +64,29 @@ func newReplica(id int, cfg Config) *replica {
 // this figure.
 func (r *replica) loadAt(now time.Duration) time.Duration {
 	load := r.queuedCost + r.pendingEst
-	if r.busy && r.busyUntil > now {
+	if r.busyUntil > now {
 		load += r.busyUntil - now
 	}
 	return load
 }
 
-// towerMarker/rowMarker are the cached "values": the simulator only needs
-// the Keyed cache's presence/LRU/eviction semantics, not row payloads.
+// cacheMarker is every cached tower output and embedding row: the simulator
+// needs the Keyed cache's presence/LRU/eviction semantics, not payloads.
 var cacheMarker = []float32{1}
 
-// seal fixes the forming batch's cost: tower and embedding cache accounting
+// seal fixes a flushed batch's cost: tower and embedding cache accounting
 // runs through the replica's embeddings.Keyed caches with exactly the
 // serve-path key structure (namespace = tower or table, key = the request's
 // feature-group identity; duplicate keys within a batch hit after the first
 // occurrence, mirroring models.Predict's intra-batch dedupe).
-func (r *replica) seal(now time.Duration, cost serve.CostModel, embIDSpace int) *batchJob {
-	b := &batchJob{reqs: r.pending, flushedAt: now}
-	r.pending = nil
+func (r *replica) seal(group []*workload.Request, now time.Duration, cost serve.CostModel, embIDSpace int) *batchJob {
+	b := &batchJob{reqs: group, flushedAt: now}
 	r.pendingEst = 0
 
 	items, towerHits, missRows := 0, 0, 0
-	for _, pr := range b.reqs {
-		sample := uint64(pr.req.Sample)
-		items += pr.req.Items
+	for _, rq := range group {
+		sample := uint64(rq.Sample)
+		items += rq.Items
 		for t := 0; t < cost.Towers; t++ {
 			if _, ok := r.tower.GetVec(t, sample); ok {
 				towerHits++

@@ -9,8 +9,8 @@ import (
 )
 
 // Policy routes one admitted request to a replica. loads[i] is replica i's
-// modeled outstanding work at the arrival instant (replica.loadAt); policies
-// must be deterministic functions of their arguments and their own state.
+// modeled outstanding work at the arrival instant (replica.loadAt); Pick is a
+// deterministic function of its arguments and own state and never keeps loads.
 type Policy interface {
 	Name() string
 	Pick(rq *workload.Request, loads []time.Duration) int

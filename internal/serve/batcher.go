@@ -1,64 +1,78 @@
 package serve
 
-// The micro-batching scheduler. Enqueue is a mutex-guarded append — no
-// per-request goroutine handoff — and the batch is flushed to the worker
-// pool by whichever request fills it (flush-on-full) or by a timer armed
-// when the oldest pending request arrived (flush-on-timeout), so the first
-// request of a partial batch waits at most MaxWait. Every sender into the
-// work channel runs under the server's read lock and re-checks closed, so
-// Close can safely close the channel once the write lock has been held.
+// The micro-batching scheduler. Batcher is its flush rule, with no clock:
+// the request that fills a batch flushes it, or else a timer armed by the
+// batch's first request flushes it MaxWait later. The Server below drives
+// it from a mutex and time.AfterFunc, the cluster simulator from its event
+// heap. The generation contract: each timer carries the generation Add
+// armed it with and every flush advances the generation, so a timer that
+// outlives its batch hands Expire a stale one and flushes nothing, whether
+// or not the driver tried to cancel it.
+//
+// The Server's Predict adds to the batch under a mutex, with no
+// per-request goroutine handoff.
 
 import "time"
 
-// enqueue hands one accepted request to the scheduler. Called with s.mu
-// read-held (see Predict), which also pins the work channel open for the
-// duration of any flush this request performs.
-func (s *Server) enqueue(r request) {
-	s.pmu.Lock()
-	s.pending = append(s.pending, r)
-	if len(s.pending) >= s.cfg.MaxBatch {
-		group := s.pending
-		s.pending = nil
-		if s.ptimer != nil {
-			s.ptimer.Stop()
-			s.ptimer = nil
-		}
-		s.pmu.Unlock()
-		s.work <- group
-		return
-	}
-	if s.ptimer == nil {
-		s.ptimer = time.AfterFunc(s.cfg.MaxWait, s.flushExpired)
-	}
-	s.pmu.Unlock()
+// Batcher forms micro-batches of T. The driver serialises its calls.
+type Batcher[T any] struct {
+	maxBatch int
+	maxWait  time.Duration
+	pending  []T
+	gen      uint64
 }
 
-// flushExpired is the MaxWait timer callback: it dispatches whatever is
-// pending. After Close it does nothing — Close flushes the remainder
-// itself.
-func (s *Server) flushExpired() {
+// NewBatcher returns an empty batcher: maxBatch < 1 is 1, maxWait <= 0 is 1 ms.
+func NewBatcher[T any](maxBatch int, maxWait time.Duration) *Batcher[T] {
+	if maxWait <= 0 {
+		maxWait = time.Millisecond
+	}
+	return &Batcher[T]{maxBatch: max(maxBatch, 1), maxWait: maxWait}
+}
+
+// MaxWait is how long after an arm Expire is due.
+func (b *Batcher[T]) MaxWait() time.Duration { return b.maxWait }
+
+// Add appends x and returns the batch if x filled it; else, if x opened it,
+// arm is set and the driver must call Expire(gen) MaxWait from now.
+func (b *Batcher[T]) Add(x T) (flush []T, gen uint64, arm bool) {
+	b.pending = append(b.pending, x)
+	if len(b.pending) >= b.maxBatch {
+		return b.Take(), 0, false
+	}
+	return nil, b.gen, len(b.pending) == 1
+}
+
+// Expire returns the batch timer gen was armed for, nil if already flushed.
+func (b *Batcher[T]) Expire(gen uint64) []T {
+	if gen != b.gen {
+		return nil
+	}
+	return b.Take()
+}
+
+// Take detaches what is pending (nil if nothing) and advances the generation.
+func (b *Batcher[T]) Take() []T {
+	batch := b.pending
+	b.pending = nil
+	b.gen++
+	return batch
+}
+
+// flushExpired is timer gen's callback. After Close it does nothing —
+// Close flushes the remainder itself.
+func (s *Server) flushExpired(gen uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return
 	}
-	group := s.takePending()
-	if len(group) > 0 {
+	s.pmu.Lock()
+	group := s.batch.Expire(gen)
+	s.pmu.Unlock()
+	if group != nil {
 		s.work <- group
 	}
-}
-
-// takePending detaches the pending batch and disarms the timer.
-func (s *Server) takePending() []request {
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	if s.ptimer != nil {
-		s.ptimer.Stop()
-		s.ptimer = nil
-	}
-	group := s.pending
-	s.pending = nil
-	return group
 }
 
 // worker executes flushed batches until the work channel closes. Each

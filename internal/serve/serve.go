@@ -91,7 +91,6 @@ type request struct {
 
 // Server owns a model and answers Predict calls through the micro-batcher.
 type Server struct {
-	cfg    Config
 	model  models.Predictor
 	schema data.Schema
 	opt    models.PredictOptions
@@ -101,15 +100,15 @@ type Server struct {
 	work chan []request
 
 	// mu guards closed against in-flight senders on work: every sender
-	// (enqueue, flushExpired) holds the read lock, so once Close has held
+	// (Predict, flushExpired) holds the read lock, so once Close has held
 	// the write lock no further sends can start and closing work is safe.
 	mu     sync.RWMutex
 	closed bool
 
-	// pmu guards the micro-batch under construction.
-	pmu     sync.Mutex
-	pending []request
-	ptimer  *time.Timer
+	// pmu guards the forming batch and ptimer, the last MaxWait timer armed.
+	pmu    sync.Mutex
+	batch  *Batcher[request]
+	ptimer *time.Timer
 
 	workerWG sync.WaitGroup
 
@@ -119,12 +118,6 @@ type Server struct {
 
 // NewServer starts the batcher and worker pool for model.
 func NewServer(model models.Predictor, cfg Config) *Server {
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = 1
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = time.Millisecond
-	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -132,11 +125,11 @@ func NewServer(model models.Predictor, cfg Config) *Server {
 		cfg.CacheShards = 8
 	}
 	s := &Server{
-		cfg:    cfg,
 		model:  model,
 		schema: model.Schema(),
 		emb:    embeddings.NewKeyed(cfg.EmbCacheEntries, cfg.CacheShards),
 		tower:  embeddings.NewKeyed(cfg.TowerCacheEntries, cfg.CacheShards),
+		batch:  NewBatcher[request](cfg.MaxBatch, cfg.MaxWait),
 		work:   make(chan []request, cfg.Workers),
 	}
 	if s.emb != nil {
@@ -180,7 +173,18 @@ func (s *Server) Predict(sm Sample) (float32, error) {
 		s.mu.RUnlock()
 		return 0, ErrClosed
 	}
-	s.enqueue(req)
+	s.pmu.Lock()
+	group, gen, arm := s.batch.Add(req)
+	if group != nil && s.ptimer != nil {
+		s.ptimer.Stop() // spares the stale callback's wake-up, if still possible
+	}
+	if arm {
+		s.ptimer = time.AfterFunc(s.batch.MaxWait(), func() { s.flushExpired(gen) })
+	}
+	s.pmu.Unlock()
+	if group != nil {
+		s.work <- group
+	}
 	s.mu.RUnlock()
 	return <-req.out, nil
 }
@@ -194,10 +198,11 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
+	group := s.batch.Take() // every other use of the batch holds the read lock
 	s.mu.Unlock()
 	// No sender can be in flight past this point (all hold the read lock
 	// and re-check closed), so the remainder flush and close are safe.
-	if group := s.takePending(); len(group) > 0 {
+	if group != nil {
 		s.work <- group
 	}
 	close(s.work)
