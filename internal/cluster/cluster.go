@@ -25,8 +25,10 @@
 package cluster
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -62,22 +64,15 @@ type Config struct {
 	EmbIDSpace int
 }
 
-// event kinds, processed in (time, push-order) sequence.
-type evKind int
-
-const (
-	evArrive evKind = iota
-	evFlush
-	evDone
-)
-
+// event is a timer the simulator sets: a replica's MaxWait flush or the end
+// of its executor's batch (done). Arrivals are not events: Run takes them
+// off the trace in order, each ahead of any event due at its instant or later.
 type event struct {
 	at   time.Duration
 	seq  int64 // push order: the deterministic tie-break
-	kind evKind
-	req  int    // evArrive: index into trace.Requests
-	rep  int    // evFlush/evDone: replica index
-	gen  uint64 // evFlush: the generation the replica's Batcher armed
+	done bool
+	rep  int    // replica index
+	gen  uint64 // flush: the generation the replica's Batcher armed
 }
 
 type eventHeap []event
@@ -95,7 +90,6 @@ func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h 
 
 type sim struct {
 	cfg     Config
-	trace   *workload.Trace
 	events  eventHeap
 	seq     int64
 	reps    []*replica
@@ -126,7 +120,7 @@ func Run(cfg Config, trace *workload.Trace) Result {
 		cfg.Policy = RoundRobin()
 	}
 
-	s := &sim{cfg: cfg, trace: trace, loads: make([]time.Duration, cfg.Replicas)}
+	s := &sim{cfg: cfg, loads: make([]time.Duration, cfg.Replicas)}
 	for i := 0; i < cfg.Replicas; i++ {
 		s.reps = append(s.reps, newReplica(i, cfg))
 	}
@@ -141,26 +135,32 @@ func Run(cfg Config, trace *workload.Trace) Result {
 		s.classes = append(s.classes, &classAcc{class: c})
 	}
 
-	for i := range trace.Requests {
-		s.push(event{at: trace.Requests[i].At, kind: evArrive, req: i})
-	}
-	heap.Init(&s.events)
-
-	for s.events.Len() > 0 {
+	reqs := arrivalOrder(trace.Requests)
+	for next := 0; next < len(reqs) || len(s.events) > 0; {
+		if next < len(reqs) && (len(s.events) == 0 || reqs[next].At <= s.events[0].at) {
+			s.arrive(reqs[next].At, &reqs[next])
+			next++
+			continue
+		}
 		e := heap.Pop(&s.events).(event)
-		switch e.kind {
-		case evArrive:
-			s.arrive(e.at, &s.trace.Requests[e.req])
-		case evFlush:
-			r := s.reps[e.rep]
-			if group := r.batch.Expire(e.gen); group != nil {
-				s.flush(r, group, e.at)
-			}
-		case evDone:
-			s.complete(s.reps[e.rep], e.at)
+		if r := s.reps[e.rep]; e.done {
+			s.complete(r, e.at)
+		} else if group := r.batch.Expire(e.gen); group != nil {
+			s.flush(r, group, e.at)
 		}
 	}
 	return s.result()
+}
+
+// arrivalOrder returns reqs stably sorted by arrival: reqs itself if already
+// so (a generated or read trace is), else a sorted copy.
+func arrivalOrder(reqs []workload.Request) []workload.Request {
+	byAt := func(a, b workload.Request) int { return cmp.Compare(a.At, b.At) }
+	if !slices.IsSortedFunc(reqs, byAt) {
+		reqs = slices.Clone(reqs)
+		slices.SortStableFunc(reqs, byAt)
+	}
+	return reqs
 }
 
 // arrive admits, routes, and enqueues one request.
@@ -178,7 +178,7 @@ func (s *sim) arrive(now time.Duration, rq *workload.Request) {
 		s.flush(r, group, now)
 	}
 	if arm {
-		s.push(event{at: now + r.batch.MaxWait(), kind: evFlush, rep: r.id, gen: gen})
+		s.push(event{at: now + r.batch.MaxWait(), rep: r.id, gen: gen})
 	}
 }
 
@@ -214,7 +214,7 @@ func (s *sim) start(r *replica, now time.Duration) {
 	b.serviceStart = now
 	r.current = b
 	r.busyUntil = now + b.cost()
-	s.push(event{at: r.busyUntil, kind: evDone, rep: r.id})
+	s.push(event{at: r.busyUntil, done: true, rep: r.id})
 }
 
 // complete retires the replica's in-service batch, charging each request its
@@ -256,7 +256,7 @@ func (s *sim) result() Result {
 	if s.batches > 0 {
 		res.AvgBatch = float64(s.served) / float64(s.batches)
 	}
-	var all []time.Duration
+	all := make([]time.Duration, 0, s.served)
 	for _, acc := range s.classes {
 		res.Rejected += acc.rejected
 		cr := ClassResult{
@@ -306,6 +306,3 @@ type classAcc struct {
 	queueWait         time.Duration
 	compute, embFetch time.Duration
 }
-
-// Interface conformance.
-var _ heap.Interface = (*eventHeap)(nil)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -71,5 +72,36 @@ func TestGenerateIsPureFunctionOfConfig(t *testing.T) {
 	b := workload.Generate(wcfg).Encode()
 	if string(a) != string(b) {
 		t.Fatal("same workload config produced different trace bytes")
+	}
+}
+
+// TestUnsortedTraceRunsInArrivalOrder: Run serves requests by arrival
+// instant, not by their position in the trace, and leaves the caller's
+// trace as it was.
+func TestUnsortedTraceRunsInArrivalOrder(t *testing.T) {
+	cost := serve.NewCostModel(topology.A100, perfmodel.DLRMSpec(), 8)
+	trace := workload.Generate(workload.Config{
+		Arrival: workload.Poisson, Rate: 200_000, Requests: 2000,
+		Samples: 256, ZipfS: 1.2, Classes: workload.DefaultClasses(), Seed: 5,
+	})
+	cfg := func() Config {
+		return Config{
+			Replicas: 2, Cost: cost, MaxBatch: 8, MaxWait: 100 * time.Microsecond,
+			Policy: LeastLoaded(), TowerCacheEntries: 1 << 10, EmbCacheEntries: 1 << 10,
+		}
+	}
+	want := Run(cfg(), trace)
+
+	// Reverse every 7-request stretch: arrivals now go back and forth.
+	shuffled := &workload.Trace{Classes: trace.Classes, Requests: slices.Clone(trace.Requests)}
+	for i := 0; i < len(shuffled.Requests); i += 7 {
+		slices.Reverse(shuffled.Requests[i:min(i+7, len(shuffled.Requests))])
+	}
+	before := slices.Clone(shuffled.Requests)
+	if got := Run(cfg(), shuffled); !reflect.DeepEqual(got, want) {
+		t.Fatalf("unsorted trace:\n got %+v\nwant %+v", got, want)
+	}
+	if !slices.Equal(shuffled.Requests, before) {
+		t.Fatal("Run reordered the caller's trace")
 	}
 }
