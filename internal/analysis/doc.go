@@ -25,10 +25,10 @@
 //   - determinism: in the packages on the deterministic virtual-clock
 //     path (comm, distributed, netsim, cluster, sptt, embeddings,
 //     workload), forbid wall-clock reads (time.Now/Since/...), the
-//     process-global math/rand source, and map iteration whose body the
-//     analyzer cannot prove order-insensitive. Commutative-exact bodies
-//     (map-to-map builds, integer accumulation, max/min guards,
-//     collect-keys-then-sort) pass without annotation. A blind spot:
+//     process-global math/rand source, and every range over a map or
+//     over maps.All/Keys/Values, whatever its body does: range over
+//     slices.Sorted(maps.Keys(m)) instead, or justify the loop with a
+//     marker. A blind spot:
 //     the analyzer sees calls, not goroutines, so a virtual clock READ
 //     from one goroutine while another may still advance it (an observer
 //     averaging comm.Network clocks while a persistent server rank

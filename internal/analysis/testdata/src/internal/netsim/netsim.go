@@ -4,7 +4,9 @@
 package netsim
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 )
@@ -26,11 +28,15 @@ func globalRand(n int) int {
 	return rand.Intn(n) // want `rand\.Intn draws from the process-global source`
 }
 
-// ---- flagged: order-sensitive map iteration ---------------------------
+// ---- flagged: map iteration ------------------------------------------
+//
+// Every range over a map, or over maps.All/Keys/Values, is reported,
+// whatever its body does; the bodies below include ones whose effects
+// commute, such as integer sums and map-to-map builds.
 
 func floatAccumulation(m map[int]float64) float64 {
 	var sum float64
-	for _, v := range m { // want `map iteration order is observable: floating-point`
+	for _, v := range m { // want `map iteration order is observable`
 		sum += v
 	}
 	return sum
@@ -45,7 +51,100 @@ func orderDependentWrite(m map[int]int) int {
 }
 
 func sideEffectingCall(m map[int]int, sink func(int)) {
-	for _, v := range m { // want `map iteration order is observable: a call whose effects may depend on visitation order`
+	for _, v := range m { // want `map iteration order is observable`
+		sink(v)
+	}
+}
+
+func mapToMapBuild(m map[int]float64) map[int]float64 {
+	out := make(map[int]float64, len(m))
+	for k, v := range m { // want `map iteration order is observable`
+		out[k] = 2 * v
+	}
+	return out
+}
+
+func integerAccumulation(m map[int]int) int {
+	n := 0
+	for _, v := range m { // want `map iteration order is observable`
+		n += v
+	}
+	return n
+}
+
+func maxGuard(m map[int]int) int {
+	best := 0
+	for _, v := range m { // want `map iteration order is observable`
+		if v > best {
+			best = v
+		}
+	}
+	return best
+}
+
+func collectKeysThenSort(m map[int]float64) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m { // want `map iteration order is observable`
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+func deleteWhileRanging(m map[int]int, cut int) {
+	for k, v := range m { // want `map iteration order is observable`
+		if v < cut {
+			delete(m, k)
+		}
+	}
+}
+
+func constantFlag(m map[int]int) bool {
+	found := false
+	for _, v := range m { // want `map iteration order is observable`
+		if v == 0 {
+			found = true
+		}
+	}
+	return found
+}
+
+func iterationLocalWork(m map[int][]float32) int {
+	total := 0
+	for _, row := range m { // want `map iteration order is observable`
+		s := 0
+		for range row {
+			s++
+		}
+		total += s
+	}
+	return total
+}
+
+func keysIterator(m map[int]int) []int {
+	var keys []int
+	for k := range maps.Keys(m) { // want `map iteration order is observable`
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+func valuesIterator(m map[int]float64) float64 {
+	var sum float64
+	for v := range maps.Values(m) { // want `map iteration order is observable`
+		sum += v
+	}
+	return sum
+}
+
+func allIterator(m map[int]int, sink func(int, int)) {
+	for k, v := range maps.All(m) { // want `map iteration order is observable`
+		sink(k, v)
+	}
+}
+
+func bareMarkerOnMapRange(m map[int]int, sink func(int)) {
+	for _, v := range m { /* want `dmt:nondeterministic-ok needs a reason` `map iteration order is observable` */ //dmt:nondeterministic-ok
 		sink(v)
 	}
 }
@@ -56,69 +155,21 @@ func bareMarkerNeedsReason() int64 {
 
 // ---- allowed ----------------------------------------------------------
 
-func mapToMapBuild(m map[int]float64) map[int]float64 {
-	out := make(map[int]float64, len(m))
-	for k, v := range m {
-		out[k] = 2 * v
+func sortedKeys(m map[int]float64) float64 {
+	var sum float64
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		sum += m[k]
 	}
-	return out
+	return sum
 }
 
-func integerAccumulation(m map[int]int) int {
-	n := 0
-	for _, v := range m {
-		n += v
-	}
-	return n
-}
-
-func maxGuard(m map[int]int) int {
-	best := 0
-	for _, v := range m {
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-func collectKeysThenSort(m map[int]float64) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-func deleteWhileRanging(m map[int]int, cut int) {
-	for k, v := range m {
-		if v < cut {
-			delete(m, k)
-		}
-	}
-}
-
-func constantFlag(m map[int]int) bool {
-	found := false
-	for _, v := range m {
-		if v == 0 {
-			found = true
-		}
-	}
-	return found
-}
-
-func iterationLocalWork(m map[int][]float32) int {
-	total := 0
+func suppressedMapRange(m map[int][]float32, scale float32) {
+	//dmt:nondeterministic-ok fixture: each entry is scaled in place and no entry reads another
 	for _, row := range m {
-		s := 0
-		for range row {
-			s++
+		for i := range row {
+			row[i] *= scale
 		}
-		total += s
 	}
-	return total
 }
 
 func seededRand(n int) int {

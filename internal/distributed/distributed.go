@@ -651,13 +651,7 @@ func (tr *Trainer) stepSequential(batches []*data.Batch, inputs []*sptt.Inputs) 
 		}
 	}
 	for g := 0; g < cfg.G; g++ {
-		for _, p := range tr.modules[g].Params() {
-			tensor.ScaleInPlace(p.Grad, invG)
-		}
-	}
-	//dmt:nondeterministic-ok in-place scaling of disjoint per-feature gradients; no cross-entry state, order cannot be observed
-	for _, sg := range sparse {
-		tensor.ScaleInPlace(sg.Grads, invG)
+		tr.scaleRank(g, sparse, invG)
 	}
 	gradEx := lap()
 

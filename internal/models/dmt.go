@@ -215,7 +215,7 @@ func (m *DMTDLRM) BackwardDense(dLogits *tensor.Tensor) *tensor.Tensor {
 }
 
 // BackwardTop runs the upper share of the dense backward — top MLP and
-// interaction. After it returns, every TopParams gradient is final (the
+// interaction. After it returns, every top-MLP gradient is final (the
 // overlapped schedule launches their AllReduce buckets here) while
 // BottomParams gradients are still pending BackwardBottom. It returns the
 // gradient of the compressed tower outputs and of the bottom-MLP output.
@@ -240,17 +240,13 @@ func (m *DMTDLRM) BackwardBottom(dDenseEmb *tensor.Tensor) {
 // OverArchParams returns the parameters of the over-arch only (bottom and
 // top MLPs, not the tower modules): the set a data-parallel replica
 // synchronizes globally, while tower modules synchronize intra-host (§3.2).
-// The order is BottomParams followed by TopParams; the distributed
+// The order is BottomParams followed by the top MLP's; the distributed
 // trainer's error-feedback residuals and gradient buckets index into it.
 func (m *DMTDLRM) OverArchParams() []*nn.Param { return nn.CollectParams(m.Bottom, m.Top) }
 
 // BottomParams returns the bottom MLP's parameters — the over-arch share
 // whose gradients become final only after BackwardBottom.
 func (m *DMTDLRM) BottomParams() []*nn.Param { return nn.CollectParams(m.Bottom) }
-
-// TopParams returns the top MLP's parameters — the over-arch share whose
-// gradients are final as soon as BackwardTop returns.
-func (m *DMTDLRM) TopParams() []*nn.Param { return nn.CollectParams(m.Top) }
 
 // DenseParams returns MLP and tower-module parameters.
 func (m *DMTDLRM) DenseParams() []*nn.Param {

@@ -141,9 +141,6 @@ func New(gen topology.Generation) *Fabric {
 // reference the curves were calibrated on.
 func (f *Fabric) nicScale() float64 { return f.Gen.ScaleOutGBps() / topology.A100.ScaleOutGBps() }
 
-// nvlinkScale is the scale-up ratio relative to A100.
-func (f *Fabric) nvlinkScale() float64 { return f.Gen.ScaleUpGBps / topology.A100.ScaleUpGBps }
-
 // BusBW returns the achieved bus bandwidth (GB/s) of a collective over
 // world ranks spread ranksPerHost per host. Bus bandwidth follows NCCL's
 // convention: it is the size-independent figure of merit; latency is added

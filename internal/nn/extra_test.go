@@ -83,14 +83,6 @@ func TestGradientAccumulationAcrossCalls(t *testing.T) {
 	}
 }
 
-func TestSGDZeroGradNoMovement(t *testing.T) {
-	p := NewParam("p", tensor.FromSlice([]float32{1}, 1))
-	NewSGD(10, 0.9).Step([]*Param{p})
-	if p.Value.Data()[0] != 1 {
-		t.Fatal("zero gradient must not move the parameter")
-	}
-}
-
 func TestAdamDistinctParamsIndependentState(t *testing.T) {
 	a := NewParam("a", tensor.FromSlice([]float32{0}, 1))
 	b := NewParam("b", tensor.FromSlice([]float32{0}, 1))

@@ -1,7 +1,7 @@
 // Package nn provides the neural-network layers of the DMT reproduction:
 // linear layers, MLPs, embedding bags with sparse gradients, the DLRM
 // pairwise-dot interaction, the DCN-v2 CrossNet, binary cross-entropy loss,
-// and SGD/Adam/SparseAdam optimizers.
+// and Adam/SparseAdam optimizers.
 //
 // There is no autograd tape. Every layer caches what it needs during Forward
 // and exposes an explicit Backward that returns the input gradient and

@@ -124,26 +124,6 @@ func TestSigmoidStable(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := NewParam("p", tensor.FromSlice([]float32{1, 1}, 2))
-	p.Grad.Data()[0] = 2
-	NewSGD(0.1, 0).Step([]*Param{p})
-	if math.Abs(float64(p.Value.Data()[0])-0.8) > 1e-6 || p.Value.Data()[1] != 1 {
-		t.Fatalf("sgd step got %v", p.Value.Data())
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	p := NewParam("p", tensor.FromSlice([]float32{0}, 1))
-	o := NewSGD(1, 0.5)
-	p.Grad.Data()[0] = 1
-	o.Step([]*Param{p}) // v=1, w=-1
-	o.Step([]*Param{p}) // v=1.5, w=-2.5
-	if math.Abs(float64(p.Value.Data()[0])+2.5) > 1e-6 {
-		t.Fatalf("momentum got %v", p.Value.Data()[0])
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)² with Adam; gradient = 2(w-3).
 	p := NewParam("w", tensor.FromSlice([]float32{0}, 1))

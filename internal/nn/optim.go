@@ -6,43 +6,6 @@ import (
 	"dmt/internal/tensor"
 )
 
-// Optimizer updates dense parameters from their accumulated gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float32
-	Momentum float32
-	velocity map[*Param]*tensor.Tensor
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float32) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*tensor.Tensor)}
-}
-
-// Step applies one update to each parameter.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if o.Momentum == 0 {
-			tensor.AXPY(-o.LR, p.Grad.Data(), p.Value.Data())
-			continue
-		}
-		v := o.velocity[p]
-		if v == nil {
-			v = tensor.New(p.Value.Shape()...)
-			o.velocity[p] = v
-		}
-		vd, gd, wd := v.Data(), p.Grad.Data(), p.Value.Data()
-		for i := range vd {
-			vd[i] = o.Momentum*vd[i] + gd[i]
-			wd[i] -= o.LR * vd[i]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer, the paper's choice for both the Strong
 // Baseline and DMT models (§5.1) and for the Tower Partitioner's MDS solve
 // (§3.3).

@@ -93,17 +93,6 @@ func adamRef(s AdamStep, w, g, m, v []float32) {
 	}
 }
 
-// AXPY computes dst += alpha*src over raw slices; the hot loop of the
-// optimizers and sparse gradient accumulation.
-func AXPY(alpha float32, src, dst []float32) {
-	if len(src) != len(dst) {
-		panic("tensor: AXPY length mismatch")
-	}
-	for i, v := range src {
-		dst[i] += alpha * v
-	}
-}
-
 // AddRowVector adds a length-w vector to every row of a (h, w) tensor in
 // place and returns a. Used for linear-layer biases, on a GEMM's fresh
 // output.
