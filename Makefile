@@ -68,11 +68,12 @@ bench-smoke:
 # allocs/op (-benchmem), the fused encode on a gradient-like, mostly
 # half-subnormal payload, and the codec's receive side (decode/addto, MB/s
 # of fp32) on a uniform and on the gradient-like payload — the before/after
-# numbers behind the README's "Hot-path kernels" section — and the
-# embedding tier's caches: a Cached(Local) Lookup+Update round at one
-# train_embed rank's shape, and Keyed hits and evicting inserts.
+# numbers behind the README's "Hot-path kernels" section — the embedding
+# tier's caches: a Cached(Local) Lookup+Update round at one train_embed
+# rank's shape, and Keyed hits and evicting inserts — and the serving
+# DMT-DLRM's Predict at batch 32 on cold keys through Keyed caches.
 bench-hotpath:
-	$(GO) test -run '^$$' -bench '^BenchmarkHotpath' -benchmem -timeout 20m ./internal/tensor ./internal/quant ./internal/embeddings
+	$(GO) test -run '^$$' -bench '^BenchmarkHotpath' -benchmem -timeout 20m ./internal/tensor ./internal/quant ./internal/embeddings ./internal/models
 
 # The one gate nothing else expresses: the tiled vector entry point vs the
 # scalar row routine on one goroutine — MatMul and MatMulBT must be >= 1.5x

@@ -214,10 +214,16 @@ func NsKey(ns int, key uint64) uint64 {
 // per tower) and the cluster simulator's replicas share. It satisfies
 // models.VecCache structurally. The keys are split over independently locked
 // shards (one lruCore each) so concurrent serving workers do not serialize
-// on one mutex. Values are treated as immutable by contract: callers must
-// not modify a slice after PutVec or mutate one returned by GetVec. A nil
-// *Keyed (capacity <= 0) disables caching: GetVec misses, PutVec is a no-op,
-// Stats and Len are zero.
+// on one mutex.
+//
+// Keyed owns its values. Each shard keeps them in one []float32 slab, entry
+// i's vector at i·stride with its own length beside it: PutVec copies in and
+// GetInto copies out, both under the shard's lock, so callers keep their
+// buffers and an insert that evicts overwrites the victim's row in place,
+// allocating nothing. The slab grows with the live entries (see reserve),
+// never past the shard's capacity, and a vector longer than the stride
+// widens every row once. A nil *Keyed (capacity <= 0) disables
+// caching: lookups miss, PutVec is a no-op, Stats and Len are zero.
 type Keyed struct {
 	shards []*lruShard
 	mask   uint64
@@ -226,7 +232,9 @@ type Keyed struct {
 type lruShard struct {
 	mu sync.Mutex
 	lruCore
-	vals [][]float32 // vals[i] is entry i's vector; vals[0] is the sentinel's
+	slab   []float32 // entry i's vector at slab[i*stride:], lens[i] long
+	lens   []int32   // lens[0] is the sentinel's
+	stride int
 }
 
 // NewKeyed builds a cache holding up to capacity vectors, spread over shards
@@ -239,7 +247,7 @@ func NewKeyed(capacity, shards int) *Keyed {
 	n, per := lruGeometry(capacity, shards)
 	k := &Keyed{shards: make([]*lruShard, n), mask: uint64(n - 1)}
 	for i := range k.shards {
-		k.shards[i] = &lruShard{vals: make([][]float32, 1, 8)}
+		k.shards[i] = &lruShard{lens: make([]int32, 1, 8)}
 		k.shards[i].init(per)
 	}
 	return k
@@ -251,8 +259,35 @@ func (k *Keyed) shard(ns int, key uint64) (*lruShard, uint64) {
 	return k.shards[mix64(key)&k.mask], key
 }
 
-// GetVec returns the cached vector under (ns, key), marking it most recently
-// used.
+// vec is entry i's vector, a view of the slab.
+func (sh *lruShard) vec(i int32) []float32 {
+	lo := int(i) * sh.stride
+	hi := lo + int(sh.lens[i])
+	return sh.slab[lo:hi:hi]
+}
+
+// GetInto copies the vector cached under (ns, key) into dst, as copy does,
+// and marks it most recently used. It reports whether the key was cached;
+// on a miss dst is untouched.
+func (k *Keyed) GetInto(ns int, key uint64, dst []float32) bool {
+	if k == nil {
+		return false
+	}
+	sh, key := k.shard(ns, key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	i, ok := sh.get(key)
+	if ok {
+		copy(dst, sh.vec(i))
+	}
+	return ok
+}
+
+// GetVec returns the vector cached under (ns, key), marking it most recently
+// used. The result is a view of the cache's storage, valid only until the
+// next PutVec on this cache (which may overwrite or move it) and never to be
+// written: it suits a single goroutine that checks presence or reads the
+// value at once. Concurrent readers use GetInto.
 func (k *Keyed) GetVec(ns int, key uint64) ([]float32, bool) {
 	if k == nil {
 		return nil, false
@@ -261,13 +296,13 @@ func (k *Keyed) GetVec(ns int, key uint64) ([]float32, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if i, ok := sh.get(key); ok {
-		return sh.vals[i], true
+		return sh.vec(i), true
 	}
 	return nil, false
 }
 
-// PutVec caches v under (ns, key), evicting the shard's least recently used
-// entry when full. v must not be mutated afterwards.
+// PutVec caches a copy of v under (ns, key), evicting the shard's least
+// recently used entry when full. The caller may reuse v at once.
 func (k *Keyed) PutVec(ns int, key uint64, v []float32) {
 	if k == nil {
 		return
@@ -275,11 +310,49 @@ func (k *Keyed) PutVec(ns int, key uint64, v []float32) {
 	sh, key := k.shard(ns, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if i := sh.slot(key); int(i) < len(sh.vals) {
-		sh.vals[i] = v
-	} else {
-		sh.vals = append(sh.vals, v)
+	i := sh.slot(key)
+	if int(i) == len(sh.lens) {
+		sh.lens = append(sh.lens, 0)
 	}
+	sh.reserve(len(v), int(i)+1)
+	sh.lens[i] = int32(len(v))
+	copy(sh.slab[int(i)*sh.stride:], v)
+}
+
+// slabDoubling is the slab size, in float32s, below which a slab doubles
+// when it grows: a few small steps instead of dozens of quarter steps, for
+// at most 16 KiB of slack per shard.
+const slabDoubling = 1 << 12
+
+// reserve makes room for rows entries of width vectors: it widens the stride
+// to width if that is longer, moving every live row, and grows the slab to
+// at least rows rows — doubling while small, then by a quarter at a time,
+// so appending entry by entry costs amortized O(1) copies — but never past
+// the shard's capacity plus the sentinel's row, so a full cache holds no
+// slack.
+func (sh *lruShard) reserve(width, rows int) {
+	stride := max(sh.stride, width)
+	have := 0
+	if sh.stride > 0 {
+		have = len(sh.slab) / sh.stride
+	}
+	if stride == sh.stride && rows <= have {
+		return
+	}
+	if rows > have {
+		grow := have / 4
+		if have*stride < slabDoubling {
+			grow = have
+		}
+		rows = min(max(rows, have+grow), sh.capacity+1)
+	} else {
+		rows = have
+	}
+	slab := make([]float32, rows*stride)
+	for j, n := range sh.lens {
+		copy(slab[j*stride:j*stride+int(n)], sh.vec(int32(j)))
+	}
+	sh.slab, sh.stride = slab, stride
 }
 
 // Stats merges the shard counters; zero for a nil cache.

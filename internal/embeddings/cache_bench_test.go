@@ -62,9 +62,9 @@ func BenchmarkHotpathRowCache(b *testing.B) {
 }
 
 // BenchmarkHotpathKeyed times Keyed at the serving tower cache's geometry
-// (16 384 entries over 8 shards, 16-float vectors): GetVec hits over a
-// half-full cache's keys, and PutVecs of new keys into a full cache, each of
-// which evicts.
+// (16 384 entries over 8 shards, 16-float vectors): GetVec hits (a view)
+// and GetInto hits (a copy, what Predict does) over a half-full cache's
+// keys, and PutVecs of new keys into a full cache, each of which evicts.
 func BenchmarkHotpathKeyed(b *testing.B) {
 	const (
 		entries = 1 << 14
@@ -84,6 +84,18 @@ func BenchmarkHotpathKeyed(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			k := i % (entries / 2)
 			if _, ok := c.GetVec(k%towers, uint64(k)); !ok {
+				b.Fatalf("key %d missed", k)
+			}
+		}
+	})
+	b.Run("get-into-hit", func(b *testing.B) {
+		c := fill(entries / 2)
+		dst := make([]float32, 16)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % (entries / 2)
+			if !c.GetInto(k%towers, uint64(k), dst) {
 				b.Fatalf("key %d missed", k)
 			}
 		}

@@ -318,8 +318,9 @@ func FuzzLRUCore(f *testing.F) {
 	})
 }
 
-// TestKeyedAllocs pins the steady-state paths at zero allocations: a hit, a
-// refresh, and an insert that evicts from a full cache.
+// TestKeyedAllocs pins the steady-state paths at zero allocations: a hit
+// (GetVec's view and GetInto's copy), a refresh, and an insert that evicts
+// from a full cache.
 func TestKeyedAllocs(t *testing.T) {
 	c := NewKeyed(64, 4)
 	val := []float32{1, 2, 3}
@@ -329,6 +330,10 @@ func TestKeyedAllocs(t *testing.T) {
 	hot := uint64(999)
 	if n := testing.AllocsPerRun(100, func() { c.GetVec(0, hot) }); n != 0 {
 		t.Errorf("GetVec hit allocates %v times", n)
+	}
+	dst := make([]float32, len(val))
+	if n := testing.AllocsPerRun(100, func() { c.GetInto(0, hot, dst) }); n != 0 {
+		t.Errorf("GetInto hit allocates %v times", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { c.PutVec(0, hot, val) }); n != 0 {
 		t.Errorf("PutVec refresh allocates %v times", n)
@@ -340,5 +345,94 @@ func TestKeyedAllocs(t *testing.T) {
 	}
 	if got := c.Stats().Evictions - before; got != 1001 {
 		t.Fatalf("%d evictions over 1001 inserts into a full cache", got)
+	}
+}
+
+// filled returns a vector of n copies of v.
+func filled(n int, v float32) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// TestKeyedMixedLengths stores vectors of lengths 1, 16 and 128 in one
+// shard, so the slab's stride widens with live rows in it, and reads every
+// one back exactly through GetInto and GetVec.
+func TestKeyedMixedLengths(t *testing.T) {
+	c := NewKeyed(16, 1)
+	want := map[uint64][]float32{}
+	for k, n := range []int{1, 16, 1, 128, 16, 1} {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(100*k + i)
+		}
+		c.PutVec(0, uint64(k), v)
+		want[uint64(k)] = v
+	}
+	for k, v := range want {
+		got, ok := c.GetVec(0, k)
+		if !ok || !slices.Equal(got, v) {
+			t.Errorf("key %d: GetVec %v %v, want %v", k, got, ok, v)
+		}
+		dst := filled(len(v), -1)
+		if !c.GetInto(0, k, dst) || !slices.Equal(dst, v) {
+			t.Errorf("key %d: GetInto read %v, want %v", k, dst, v)
+		}
+	}
+	var nilCache *Keyed
+	if dst := filled(2, -1); nilCache.GetInto(0, 1, dst) || !slices.Equal(dst, filled(2, -1)) {
+		t.Error("a nil cache's GetInto hit or wrote dst")
+	}
+}
+
+// TestKeyedCopiesOnPut mutates a vector after PutVec: the cache keeps the
+// value it was given.
+func TestKeyedCopiesOnPut(t *testing.T) {
+	c := NewKeyed(8, 1)
+	v := []float32{1, 2, 3}
+	c.PutVec(0, 7, v)
+	v[0], v[2] = 9, 9
+	dst := make([]float32, 3)
+	if !c.GetInto(0, 7, dst) || !slices.Equal(dst, []float32{1, 2, 3}) {
+		t.Fatalf("cached %v after the caller's vector changed, want [1 2 3]", dst)
+	}
+}
+
+// TestKeyedConcurrentRows has 4 goroutines store constant-filled vectors
+// under overlapping keys and read them back into their own buffers while
+// the others evict and overwrite rows: a row read back must be one vector,
+// never a mix of two (run it under -race).
+func TestKeyedConcurrentRows(t *testing.T) {
+	const dim = 64
+	c := NewKeyed(32, 2)
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			vec, dst := make([]float32, dim), make([]float32, dim)
+			for i := 0; i < 2000; i++ {
+				key := uint64((i*7 + g) % 48)
+				for j := range vec {
+					vec[j] = float32(1000*g + i)
+				}
+				c.PutVec(0, key, vec)
+				if !c.GetInto(0, uint64((i*5+g)%48), dst) {
+					continue
+				}
+				for _, v := range dst {
+					if v != dst[0] {
+						errs <- fmt.Errorf("torn row: %v", dst)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

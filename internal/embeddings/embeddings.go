@@ -31,9 +31,11 @@
 // both make the same hit, miss and eviction decisions:
 //
 //   - Keyed, the serving and simulator caches: one mutex per core, because
-//     serve workers really do call GetVec and PutVec concurrently. It stores
-//     the caller's slice; values are immutable.
-//   - CachedStore, the training-side write-back row cache: it OWNS its
+//     serve workers really do call GetInto and PutVec concurrently. It owns
+//     its vectors — one slab per core, entry i's at i·stride, grown with
+//     the live entries — and copies in and out under the core's lock, so
+//     an evicting insert overwrites a row in place and allocates nothing.
+//   - CachedStore, the training-side write-back row cache: it too owns its
 //     rows — one contiguous array per core, entry i's row at i·dim,
 //     overwritten in place by every write-back — and takes no per-row lock. The
 //     Store ownership contract gives a table one owner, the trainer gives

@@ -81,10 +81,10 @@ func (m *DLRM) Forward(b *data.Batch) *tensor.Tensor {
 	// Simulated quantized embedding AlltoAll: the dense network sees the
 	// rounded values, the backward pass is straight-through.
 	sparse = quant.Apply(m.cfg.EmbCommQuant, sparse)
-	x := stackDenseSparse(denseEmb, sparse) // (B, F+1, N)
-	z := m.Interaction.Forward(x)           // (B, P)
-	top := tensor.Concat(1, denseEmb, z)    // (B, N+P)
-	logits := m.Top.Forward(top)            // (B, 1)
+	x := stackDenseSparse(nil, denseEmb, sparse) // (B, F+1, N)
+	z := m.Interaction.Forward(x)                // (B, P)
+	top := tensor.Concat(1, denseEmb, z)         // (B, N+P)
+	logits := m.Top.Forward(top)                 // (B, 1)
 	return logits.Reshape(b.Size)
 }
 

@@ -85,10 +85,11 @@ func scatterEmbGrads(embs []*nn.EmbeddingBag, dEmb *tensor.Tensor) []*nn.SparseG
 }
 
 // stackDenseSparse interleaves the dense embedding (B, N) ahead of the
-// sparse embeddings (B, F, N) into the (B, F+1, N) interaction input.
-func stackDenseSparse(denseEmb, sparse *tensor.Tensor) *tensor.Tensor {
+// sparse embeddings (B, F, N) into the (B, F+1, N) interaction input, taken
+// from the arena a (the heap for the training path's nil).
+func stackDenseSparse(a *tensor.Arena, denseEmb, sparse *tensor.Tensor) *tensor.Tensor {
 	b, f, n := sparse.Dim(0), sparse.Dim(1), sparse.Dim(2)
-	x := tensor.New(b, f+1, n)
+	x := a.New(b, f+1, n)
 	for s := 0; s < b; s++ {
 		copy(x.Data()[s*(f+1)*n:s*(f+1)*n+n], denseEmb.Row(s))
 		copy(x.Data()[s*(f+1)*n+n:(s+1)*(f+1)*n], sparse.Data()[s*f*n:(s+1)*f*n])

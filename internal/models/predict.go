@@ -1,6 +1,9 @@
 package models
 
 import (
+	"slices"
+	"sync"
+
 	"dmt/internal/data"
 	"dmt/internal/nn"
 	"dmt/internal/quant"
@@ -21,14 +24,20 @@ import (
 //     DLRM/DCN interaction mixes all features and caches nothing above the
 //     per-bag level.
 //
-// Cached values are treated as immutable by both sides: Predict copies on
-// read and stores fresh copies on write.
+// The caches copy in and out (VecCache), so Predict hands them its own
+// rows and reads hits straight into place. Everything else a Predict call
+// computes — activations, the tower input, the miss sub-batch, the
+// per-sample dedupe tables — lives in a predictScratch taken from a package
+// pool and returned before Predict returns, so a steady stream of batches
+// reuses the same memory. Only the returned logits are freshly allocated.
 
 // VecCache memoizes float32 vectors under a (namespace, key) pair — the one
 // shape both serving caches share (namespace = table index for pooled bags,
-// tower index for tower outputs). embeddings.Keyed satisfies it.
+// tower index for tower outputs). embeddings.Keyed satisfies it. The cache
+// owns its copies: GetInto copies a hit into dst (leaving dst alone on a
+// miss) and PutVec copies v, so callers pass scratch memory both ways.
 type VecCache interface {
-	GetVec(ns int, key uint64) ([]float32, bool)
+	GetInto(ns int, key uint64, dst []float32) bool
 	PutVec(ns int, key uint64, v []float32)
 }
 
@@ -48,9 +57,38 @@ type Predictor interface {
 	// concurrent callers and leaves training state untouched. Predict must
 	// not retain b or any of its backing arrays past its return, and its
 	// result must not alias them: callers (the serve worker pool) reuse the
-	// batch's arena for the next flush. Cache implementations satisfy this
-	// by copying what they store.
+	// batch's arena for the next flush. The result is the caller's: it
+	// aliases neither the batch nor Predict's pooled scratch.
 	Predict(b *data.Batch, opt PredictOptions) *tensor.Tensor
+}
+
+// predictScratch is one Predict call's reusable memory: the arena every
+// intermediate tensor comes from, and cachedTowerForward's per-sample
+// tables. A call owns it from getScratch until it puts it back.
+type predictScratch struct {
+	arena   tensor.Arena
+	slot    []int
+	miss    []int
+	missKey []uint64
+	seen    map[uint64]int
+}
+
+var scratchPool = sync.Pool{New: func() any { return &predictScratch{seen: make(map[uint64]int)} }}
+
+// getScratch takes a scratch from the pool with its arena rewound; the
+// caller puts it back before returning.
+func getScratch() *predictScratch {
+	sc := scratchPool.Get().(*predictScratch)
+	sc.arena.Reset()
+	return sc
+}
+
+// logits copies a forward's (B, 1) output out of the arena into a fresh
+// (B) tensor, so the result outlives the scratch.
+func logits(y *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(y.Len())
+	copy(out.Data(), y.Data())
+	return out
 }
 
 // FNV-1a over int32 id streams; bag lengths are mixed in so concatenated
@@ -88,20 +126,20 @@ func pooledBagInto(dst []float32, e *nn.EmbeddingBag, table int, bag []int32, ca
 		return
 	}
 	key := hashBag(fnvOffset, bag)
-	if v, ok := cache.GetVec(table, key); ok {
-		copy(dst, v)
+	if cache.GetInto(table, key, dst) {
 		return
 	}
 	e.PoolBagInto(dst, bag)
-	cache.PutVec(table, key, append([]float32(nil), dst...))
+	cache.PutVec(table, key, dst)
 }
 
 // lookupPooled is the inference counterpart of embedAll: every feature's
-// pooled lookup for a batch, returning (B, F, N), read-only on the tables.
-func lookupPooled(embs []*nn.EmbeddingBag, b *data.Batch, cache VecCache) *tensor.Tensor {
+// pooled lookup for a batch, returning (B, F, N) from the arena a,
+// read-only on the tables.
+func lookupPooled(a *tensor.Arena, embs []*nn.EmbeddingBag, b *data.Batch, cache VecCache) *tensor.Tensor {
 	f := len(embs)
 	n := embs[0].Dim
-	out := tensor.New(b.Size, f, n)
+	out := a.New(b.Size, f, n)
 	for fi, e := range embs {
 		for s := 0; s < b.Size; s++ {
 			dst := out.Data()[(s*f+fi)*n : (s*f+fi+1)*n]
@@ -111,39 +149,45 @@ func lookupPooled(embs []*nn.EmbeddingBag, b *data.Batch, cache VecCache) *tenso
 	return out
 }
 
-// cachedTowerForward computes one tower's derived features via fwd into
-// columns [col, col+outDim) of out (B, width), memoizing per-sample output
-// rows keyed on the tower's bag ids. Rows are cacheable because tower
+// towerModule is the inference face of both tower types.
+type towerModule interface {
+	OutDim() int
+	ForwardInference(*tensor.Arena, *tensor.Tensor) *tensor.Tensor
+}
+
+// cachedTowerForward computes one tower's derived features via tm into
+// columns [col, col+tm.OutDim()) of out (B, width), memoizing per-sample
+// output rows keyed on the tower's bag ids. Rows are cacheable because tower
 // modules operate per sample on their own feature group only; misses are
 // gathered into one sub-batch so the module still runs batched. Each tower
 // writing its own column window of one buffer is what Concat of per-tower
 // outputs would build.
-func cachedTowerForward(embs []*nn.EmbeddingBag, tower int, feats []int, b *data.Batch,
-	opt PredictOptions, out *tensor.Tensor, col, outDim int, fwd func(*tensor.Tensor) *tensor.Tensor) {
+func cachedTowerForward(sc *predictScratch, embs []*nn.EmbeddingBag, tower int, feats []int, b *data.Batch,
+	opt PredictOptions, out *tensor.Tensor, col int, tm towerModule) {
 
+	outDim := tm.OutDim()
 	row := func(s int) []float32 { return out.Row(s)[col : col+outDim] }
 	// slot[s] is the row of the miss sub-batch that serves sample s, or -1
 	// on a cache hit. Duplicate keys within the batch — the common case
 	// under skewed load — share one slot, so each distinct feature-group
 	// value runs the tower module exactly once.
-	slot := make([]int, b.Size)
-	var miss []int // representative sample per distinct missing key
-	var missKey []uint64
+	sc.slot = slices.Grow(sc.slot[:0], b.Size)[:b.Size]
+	slot := sc.slot
+	miss, missKey := sc.miss[:0], sc.missKey[:0] // representative sample and key per distinct missing key
 	if opt.Towers == nil {
 		for s := range slot {
 			slot[s] = s
 		}
 		miss = slot
 	} else {
-		seen := make(map[uint64]int, b.Size)
-		miss, missKey = make([]int, 0, b.Size), make([]uint64, 0, b.Size)
+		seen := sc.seen
+		clear(seen)
 		for s := 0; s < b.Size; s++ {
 			h := fnvOffset
 			for _, f := range feats {
 				h = hashBag(h, bagOf(b, f, s))
 			}
-			if v, ok := opt.Towers.GetVec(tower, h); ok {
-				copy(row(s), v)
+			if opt.Towers.GetInto(tower, h, row(s)) {
 				slot[s] = -1
 				continue
 			}
@@ -156,49 +200,47 @@ func cachedTowerForward(embs []*nn.EmbeddingBag, tower int, feats []int, b *data
 			miss = append(miss, s)
 			missKey = append(missKey, h)
 		}
+		sc.miss, sc.missKey = miss, missKey
 	}
 	if len(miss) == 0 {
 		return
 	}
+	a := &sc.arena
 	ft := len(feats)
 	n := embs[0].Dim
-	sel := tensor.New(len(miss), ft, n)
+	sel := a.New(len(miss), ft, n)
 	for mi, s := range miss {
 		for k, f := range feats {
 			dst := sel.Data()[(mi*ft+k)*n : (mi*ft+k+1)*n]
 			pooledBagInto(dst, embs[f], f, bagOf(b, f, s), opt.Embeddings)
 		}
 	}
-	y := fwd(sel) // (len(miss), outDim)
+	y := tm.ForwardInference(a, sel) // (len(miss), outDim)
 	for s := 0; s < b.Size; s++ {
 		if slot[s] >= 0 {
 			copy(row(s), y.Row(slot[s]))
 		}
 	}
 	for mi, key := range missKey {
-		opt.Towers.PutVec(tower, key, append([]float32(nil), y.Row(mi)...))
+		opt.Towers.PutVec(tower, key, y.Row(mi))
 	}
 }
 
-// towerInput is the (B, width) buffer DMT Predict feeds forward: lead's
-// columns first, then each tower's output window, which cachedTowerForward
-// fills.
-func towerInput[TM interface {
-	OutDim() int
-	ForwardInference(*tensor.Tensor) *tensor.Tensor
-}](lead *tensor.Tensor, embs []*nn.EmbeddingBag, towers [][]int, tms []TM, b *data.Batch, opt PredictOptions) *tensor.Tensor {
-
+// towerInput is the (B, width) buffer DMT Predict feeds forward, from the
+// scratch's arena: lead's columns first, then each tower's output window,
+// which cachedTowerForward fills.
+func towerInput[TM towerModule](sc *predictScratch, lead *tensor.Tensor, embs []*nn.EmbeddingBag, towers [][]int, tms []TM, b *data.Batch, opt PredictOptions) *tensor.Tensor {
 	width := lead.Dim(1)
 	for _, tm := range tms {
 		width += tm.OutDim()
 	}
-	out := tensor.New(b.Size, width)
+	out := sc.arena.New(b.Size, width)
 	for s := 0; s < b.Size; s++ {
 		copy(out.Row(s), lead.Row(s))
 	}
 	col := lead.Dim(1)
 	for t, feats := range towers {
-		cachedTowerForward(embs, t, feats, b, opt, out, col, tms[t].OutDim(), tms[t].ForwardInference)
+		cachedTowerForward(sc, embs, t, feats, b, opt, out, col, tms[t])
 		col += tms[t].OutDim()
 	}
 	return out
@@ -209,13 +251,16 @@ func (m *DLRM) Schema() data.Schema { return m.cfg.Schema }
 
 // Predict is the read-only forward pass, math-identical to Forward.
 func (m *DLRM) Predict(b *data.Batch, opt PredictOptions) *tensor.Tensor {
-	denseEmb := m.Bottom.ForwardInference(b.Dense)    // (B, N)
-	sparse := lookupPooled(m.Embs, b, opt.Embeddings) // (B, F, N)
+	sc := getScratch()
+	defer scratchPool.Put(sc)
+	a := &sc.arena
+	denseEmb := m.Bottom.ForwardInference(a, b.Dense)    // (B, N)
+	sparse := lookupPooled(a, m.Embs, b, opt.Embeddings) // (B, F, N)
 	sparse = quant.Apply(m.cfg.EmbCommQuant, sparse)
-	x := stackDenseSparse(denseEmb, sparse) // (B, F+1, N)
-	z := m.Interaction.ForwardInference(x)
-	top := tensor.Concat(1, denseEmb, z)
-	return m.Top.ForwardInference(top).Reshape(b.Size)
+	x := stackDenseSparse(a, denseEmb, sparse) // (B, F+1, N)
+	z := m.Interaction.ForwardInference(a, x)
+	top := a.Concat(1, denseEmb, z)
+	return logits(m.Top.ForwardInference(a, top))
 }
 
 // Schema returns the model's feature layout.
@@ -223,10 +268,13 @@ func (m *DCN) Schema() data.Schema { return m.cfg.Schema }
 
 // Predict is the read-only forward pass, math-identical to Forward.
 func (m *DCN) Predict(b *data.Batch, opt PredictOptions) *tensor.Tensor {
-	sparse := lookupPooled(m.Embs, b, opt.Embeddings)
-	x0 := tensor.Concat(1, b.Dense, sparse.Reshape(b.Size, -1))
-	c := m.Cross.ForwardInference(x0)
-	return m.Deep.ForwardInference(c).Reshape(b.Size)
+	sc := getScratch()
+	defer scratchPool.Put(sc)
+	a := &sc.arena
+	sparse := lookupPooled(a, m.Embs, b, opt.Embeddings)
+	x0 := a.Concat(1, b.Dense, a.Reshape(sparse, b.Size, -1))
+	c := m.Cross.ForwardInference(a, x0)
+	return logits(m.Deep.ForwardInference(a, c))
 }
 
 // Schema returns the model's feature layout.
@@ -235,13 +283,16 @@ func (m *DMTDLRM) Schema() data.Schema { return m.cfg.Schema }
 // Predict is the read-only forward pass, math-identical to Forward. With a
 // TowerCache, per-tower derived features are memoized across requests.
 func (m *DMTDLRM) Predict(b *data.Batch, opt PredictOptions) *tensor.Tensor {
+	sc := getScratch()
+	defer scratchPool.Put(sc)
+	a := &sc.arena
 	d := m.cfg.D
-	denseEmb := m.Bottom.ForwardInference(b.Dense)
-	flat := towerInput(denseEmb, m.Embs, m.cfg.Towers, m.TMs, b, opt)
-	x := flat.Reshape(b.Size, flat.Dim(1)/d, d)
-	z := m.Interaction.ForwardInference(x)
-	top := tensor.Concat(1, denseEmb, z)
-	return m.Top.ForwardInference(top).Reshape(b.Size)
+	denseEmb := m.Bottom.ForwardInference(a, b.Dense)
+	flat := towerInput(sc, denseEmb, m.Embs, m.cfg.Towers, m.TMs, b, opt)
+	x := a.Reshape(flat, b.Size, flat.Dim(1)/d, d)
+	z := m.Interaction.ForwardInference(a, x)
+	top := a.Concat(1, denseEmb, z)
+	return logits(m.Top.ForwardInference(a, top))
 }
 
 // Schema returns the model's feature layout.
@@ -250,9 +301,12 @@ func (m *DMTDCN) Schema() data.Schema { return m.cfg.Schema }
 // Predict is the read-only forward pass, math-identical to Forward. With a
 // TowerCache, per-tower derived features are memoized across requests.
 func (m *DMTDCN) Predict(b *data.Batch, opt PredictOptions) *tensor.Tensor {
-	x0 := towerInput(b.Dense, m.Embs, m.cfg.Towers, m.TMs, b, opt)
-	c := m.Cross.ForwardInference(x0)
-	return m.Deep.ForwardInference(c).Reshape(b.Size)
+	sc := getScratch()
+	defer scratchPool.Put(sc)
+	a := &sc.arena
+	x0 := towerInput(sc, b.Dense, m.Embs, m.cfg.Towers, m.TMs, b, opt)
+	c := m.Cross.ForwardInference(a, x0)
+	return logits(m.Deep.ForwardInference(a, c))
 }
 
 // Interface conformance checks.

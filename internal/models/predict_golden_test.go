@@ -96,7 +96,6 @@ func readGolden(t *testing.T) map[string]string {
 	defer f.Close()
 	out := map[string]string{}
 	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		fields := strings.SplitN(sc.Text(), " ", 4)
 		if len(fields) < 3 {
@@ -132,6 +131,81 @@ func TestPredictGolden(t *testing.T) {
 		key := strings.Join(strings.SplitN(got, " ", 4)[:3], " ")
 		if want[key] != got {
 			t.Errorf("%s: Predict bits differ from the golden\n got: %s\nwant: %s", key, got, want[key])
+		}
+	}
+}
+
+// TestPredictArenaReuse runs every model at sizes 32, 5, 32 and 1 on one
+// goroutine, so each call reuses scratch a larger or smaller batch dirtied,
+// then on 4 goroutines at once through shared caches. Every result must
+// equal the golden: a stale row, an unzeroed GEMM output or a scratch
+// shared between concurrent calls would show as different bits.
+func TestPredictArenaReuse(t *testing.T) {
+	want := readGolden(t)
+	cfg := goldenConfig()
+	gen := data.NewGenerator(cfg)
+	gms := goldenModels(cfg.Schema)
+	sizes := []int{32, 5, 32, 1}
+	batches := map[int]*data.Batch{}
+	for _, size := range sizes {
+		batches[size] = gen.Batch(100*size, size)
+	}
+	check := func(name string, size int, opt PredictOptions, m Predictor) error {
+		got := goldenLine(name, "none", size, m.Predict(batches[size], opt).Data())
+		if key := fmt.Sprintf("%s none %d", name, size); got != want[key] {
+			return fmt.Errorf("%s: got %s, want %s", key, got, want[key])
+		}
+		return nil
+	}
+	for _, size := range sizes {
+		for _, gm := range gms {
+			if err := check(gm.name, size, PredictOptions{}, gm.m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	opts := make([]PredictOptions, len(gms)) // one cache pair per model, shared by the goroutines
+	for i := range opts {
+		opts[i] = PredictOptions{Embeddings: embeddings.NewKeyed(1<<12, 4), Towers: embeddings.NewKeyed(1<<12, 4)}
+	}
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			var err error
+			for i, gm := range gms {
+				for _, size := range sizes {
+					if err == nil {
+						err = check(gm.name, size, PredictOptions{}, gm.m)
+					}
+					if err == nil {
+						err = check(gm.name, size, opts[i], gm.m)
+					}
+				}
+			}
+			errs <- err
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestPredictResultIsTheCallers overwrites a returned logits tensor and
+// predicts again: the next answer must not change, so no result aliases
+// Predict's pooled scratch.
+func TestPredictResultIsTheCallers(t *testing.T) {
+	cfg := goldenConfig()
+	b := data.NewGenerator(cfg).Batch(0, 5)
+	for _, gm := range goldenModels(cfg.Schema) {
+		first := gm.m.Predict(b, PredictOptions{})
+		want := goldenLine(gm.name, "none", 5, first.Data())
+		for i := range first.Data() {
+			first.Data()[i] = float32(math.NaN())
+		}
+		if got := goldenLine(gm.name, "none", 5, gm.m.Predict(b, PredictOptions{}).Data()); got != want {
+			t.Errorf("%s: overwriting one result changed the next\n got: %s\nwant: %s", gm.name, got, want)
 		}
 	}
 }

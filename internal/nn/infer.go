@@ -11,11 +11,19 @@ import (
 // module instance can serve many concurrent read-only Predict calls
 // (package serve) while remaining usable for training from its owning
 // goroutine. Training state (cached activations, gradients) is never read
-// or written here.
+// or written here. Every result and intermediate comes from the arena a
+// (the heap when a is nil), so a caller that resets one arena per pass
+// allocates nothing once the arena has grown.
 
 // ForwardInference computes y = x Wᵀ + b without caching the input.
-func (l *Linear) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
-	return l.apply(x)
+func (l *Linear) ForwardInference(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	mustRank2("Linear.Forward", x)
+	if x.Dim(1) != l.In {
+		panic(fmt.Sprintf("nn: Linear expects %d input features, got shape %v", l.In, x.Shape()))
+	}
+	y := a.New(x.Dim(0), l.Out)
+	tensor.MatMulBTInto(y, x, l.W.Value)
+	return tensor.AddRowVector(y, l.B.Value)
 }
 
 // reluInPlace is max(x, 0) without an activation mask, overwriting x:
@@ -31,9 +39,9 @@ func reluInPlace(x *tensor.Tensor) {
 
 // ForwardInference applies the MLP stack without caching activations. The
 // ReLU runs in place on each Linear's fresh output.
-func (m *MLP) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
+func (m *MLP) ForwardInference(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	for i, l := range m.Layers {
-		x = l.ForwardInference(x)
+		x = l.ForwardInference(a, x)
 		if i < len(m.Layers)-1 || m.FinalReLU {
 			reluInPlace(x)
 		}
@@ -42,23 +50,32 @@ func (m *MLP) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // ForwardInference computes the pairwise dots without caching the input.
-func (d *DotInteraction) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
+func (d *DotInteraction) ForwardInference(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 {
 		panic(fmt.Sprintf("nn: DotInteraction expects (B,F,N), got %v", x.Shape()))
 	}
-	return pairwiseUpper(x)
+	return pairwiseUpper(a, x)
 }
 
-// ForwardInference applies all cross layers without caching per-layer state.
-func (c *CrossNet) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
+// ForwardInference applies all cross layers without caching per-layer
+// state. Each layer's x0 ⊙ u + x_l overwrites u, its fresh GEMM output,
+// with the products rounded before the add exactly as Forward's Mul then
+// Add round them.
+func (c *CrossNet) ForwardInference(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	mustRank2("CrossNet.Forward", x)
 	if x.Dim(1) != c.Dim {
 		panic(fmt.Sprintf("nn: CrossNet dim %d, input %v", c.Dim, x.Shape()))
 	}
 	cur := x
 	for l := range c.Ws {
-		u := tensor.AddRowVector(tensor.MatMulBT(cur, c.Ws[l].Value), c.Bs[l].Value)
-		cur = tensor.Add(tensor.Mul(x, u), cur)
+		u := a.New(x.Dim(0), c.Dim)
+		tensor.MatMulBTInto(u, cur, c.Ws[l].Value)
+		tensor.AddRowVector(u, c.Bs[l].Value)
+		ud, x0, xl := u.Data(), x.Data(), cur.Data()
+		for i, v := range ud {
+			ud[i] = float32(x0[i]*v) + xl[i]
+		}
+		cur = u
 	}
 	return cur
 }

@@ -24,15 +24,15 @@ func (d *DotInteraction) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: DotInteraction expects (B,F,N), got %v", x.Shape()))
 	}
 	d.lastX = x
-	return pairwiseUpper(x)
+	return pairwiseUpper(nil, x)
 }
 
 // pairwiseUpper is the interaction kernel shared by the training Forward and
-// the stash-free inference path.
-func pairwiseUpper(x *tensor.Tensor) *tensor.Tensor {
+// the stash-free inference path; the result comes from the arena a.
+func pairwiseUpper(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	b, f, n := x.Dim(0), x.Dim(1), x.Dim(2)
 	ow := f * (f - 1) / 2
-	out := tensor.New(b, ow)
+	out := a.New(b, ow)
 	xd, od := x.Data(), out.Data()
 	for s := 0; s < b; s++ {
 		base := xd[s*f*n : (s+1)*f*n]

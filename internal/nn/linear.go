@@ -27,18 +27,9 @@ func NewLinear(r *tensor.RNG, in, out int, name string) *Linear {
 	}
 }
 
-// apply computes y = x Wᵀ + b without touching training state.
-func (l *Linear) apply(x *tensor.Tensor) *tensor.Tensor {
-	mustRank2("Linear.Forward", x)
-	if x.Dim(1) != l.In {
-		panic(fmt.Sprintf("nn: Linear expects %d input features, got shape %v", l.In, x.Shape()))
-	}
-	return tensor.AddRowVector(tensor.MatMulBT(x, l.W.Value), l.B.Value)
-}
-
 // Forward computes y = x Wᵀ + b for x of shape (batch, In).
 func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := l.apply(x)
+	out := l.ForwardInference(nil, x)
 	l.lastX = x
 	return out
 }

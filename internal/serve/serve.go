@@ -89,6 +89,11 @@ type request struct {
 	out    chan float32
 }
 
+// replies recycles the requests' reply channels (buffered, capacity 1).
+// A channel goes back only after its one receive, or unused on the
+// ErrClosed path, so every channel in the pool is empty.
+var replies = sync.Pool{New: func() any { return make(chan float32, 1) }}
+
 // Server owns a model and answers Predict calls through the micro-batcher.
 type Server struct {
 	model  models.Predictor
@@ -163,7 +168,7 @@ func (s *Server) Predict(sm Sample) (float32, error) {
 			}
 		}
 	}
-	req := request{sample: sm, out: make(chan float32, 1)}
+	req := request{sample: sm, out: replies.Get().(chan float32)}
 	// The read lock pins the closed flag for the duration of the enqueue
 	// (including a flush this request performs): once Close has flipped it
 	// under the write lock, no new send on work can start, and everything
@@ -171,6 +176,7 @@ func (s *Server) Predict(sm Sample) (float32, error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
+		replies.Put(req.out)
 		return 0, ErrClosed
 	}
 	s.pmu.Lock()
@@ -186,7 +192,9 @@ func (s *Server) Predict(sm Sample) (float32, error) {
 		s.work <- group
 	}
 	s.mu.RUnlock()
-	return <-req.out, nil
+	v := <-req.out
+	replies.Put(req.out)
+	return v, nil
 }
 
 // Close stops accepting requests, flushes and answers everything pending,

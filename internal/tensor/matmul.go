@@ -11,7 +11,11 @@ func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	out := New(m, n)
 	ad, bd, od := a.data, b.data, out.data
-	runTiles(m, tileRowsMatMul, m*n*k, func(lo, hi int) {
+	if inline(m, tileRowsMatMul, m*n*k) {
+		mulRows(ad, bd, od, k, n, 0, m)
+		return out
+	}
+	runTiles(m, tileRowsMatMul, func(lo, hi int) {
 		mulRows(ad, bd, od, k, n, lo, hi)
 	})
 	return out
@@ -24,13 +28,31 @@ func MatMulBT(a, b *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulBT shapes %v, %v", a.shape, b.shape))
 	}
+	out := New(a.shape[0], b.shape[0])
+	MatMulBTInto(out, a, b)
+	return out
+}
+
+// MatMulBTInto writes a @ bᵀ into out, of shape (m, n), for a of shape
+// (m, k) and b of shape (n, k), overwriting whatever out held. It is
+// MatMulBT's one path: out is zeroed and filled by the same row routine,
+// so the result is bitwise MatMulBT's. When the multiply runs on the
+// calling goroutine (see inline) it allocates nothing.
+func MatMulBTInto(out, a, b *Tensor) {
+	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[1] ||
+		len(out.shape) != 2 || out.shape[0] != a.shape[0] || out.shape[1] != b.shape[0] {
+		panic(fmt.Sprintf("tensor: MatMulBTInto shapes %v = %v x %vᵀ", out.shape, a.shape, b.shape))
+	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[0]
-	out := New(m, n)
 	ad, bd, od := a.data, b.data, out.data
-	runTiles(m, tileRowsBT, m*n*k, func(lo, hi int) {
+	clear(od)
+	if inline(m, tileRowsBT, m*n*k) {
+		mulBTRows(ad, bd, od, k, n, 0, m)
+		return
+	}
+	runTiles(m, tileRowsBT, func(lo, hi int) {
 		mulBTRows(ad, bd, od, k, n, lo, hi)
 	})
-	return out
 }
 
 // MatMulAT returns aᵀ @ b for a of shape (k, m) and b of shape (k, n).
@@ -42,7 +64,11 @@ func MatMulAT(a, b *Tensor) *Tensor {
 	k, m, n := a.shape[0], a.shape[1], b.shape[1]
 	out := New(m, n)
 	ad, bd, od := a.data, b.data, out.data
-	runTiles(m, tileRowsMatMul, m*n*k, func(lo, hi int) {
+	if inline(m, tileRowsMatMul, m*n*k) {
+		mulATRows(ad, bd, od, k, m, n, 0, m)
+		return out
+	}
+	runTiles(m, tileRowsMatMul, func(lo, hi int) {
 		mulATRows(ad, bd, od, k, m, n, lo, hi)
 	})
 	return out
@@ -60,7 +86,11 @@ func BatchedPairwiseDot(x *Tensor) *Tensor {
 	b, f, n := x.shape[0], x.shape[1], x.shape[2]
 	out := New(b, f, f)
 	xd, od := x.data, out.data
-	runTiles(b, tileSamplesPD, b*f*f*n, func(lo, hi int) {
+	if inline(b, tileSamplesPD, b*f*f*n) {
+		pairwiseDotSamples(xd, od, f, n, 0, b)
+		return out
+	}
+	runTiles(b, tileSamplesPD, func(lo, hi int) {
 		pairwiseDotSamples(xd, od, f, n, lo, hi)
 	})
 	return out

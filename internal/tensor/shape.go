@@ -40,7 +40,10 @@ func Transpose3D01(a *Tensor) *Tensor {
 
 // Concat concatenates tensors along the given axis. All other dimensions
 // must match. axis supports negative indexing.
-func Concat(axis int, ts ...*Tensor) *Tensor {
+func Concat(axis int, ts ...*Tensor) *Tensor { return (*Arena)(nil).Concat(axis, ts...) }
+
+// Concat is tensor.Concat with the result taken from the arena.
+func (a *Arena) Concat(axis int, ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {
 		panic("tensor: Concat of zero tensors")
 	}
@@ -51,7 +54,8 @@ func Concat(axis int, ts ...*Tensor) *Tensor {
 	if axis < 0 || axis >= rank {
 		panic(fmt.Sprintf("tensor: Concat axis %d out of range for rank %d", axis, rank))
 	}
-	outShape := append([]int(nil), ts[0].shape...)
+	var dims [4]int
+	outShape := append(dims[:0], ts[0].shape...)
 	total := 0
 	for _, t := range ts {
 		if len(t.shape) != rank {
@@ -59,7 +63,7 @@ func Concat(axis int, ts ...*Tensor) *Tensor {
 		}
 		for d := 0; d < rank; d++ {
 			if d != axis && t.shape[d] != outShape[d] {
-				panic(fmt.Sprintf("tensor: Concat dim %d mismatch %v vs %v", d, t.shape, outShape))
+				panic(fmt.Sprintf("tensor: Concat dim %d mismatch %v vs %v", d, t.shape, ts[0].shape))
 			}
 		}
 		total += t.shape[axis]
@@ -74,7 +78,7 @@ func Concat(axis int, ts ...*Tensor) *Tensor {
 	for d := axis + 1; d < rank; d++ {
 		inner *= outShape[d]
 	}
-	out := New(outShape...)
+	out := a.New(outShape...)
 	rowLen := total * inner
 	offset := 0
 	for _, t := range ts {

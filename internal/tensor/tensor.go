@@ -12,6 +12,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Tensor is a contiguous, row-major dense tensor of float32 values.
@@ -52,7 +53,9 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			// A copy, so shape itself does not escape: callers' variadic
+			// shapes stay on their stacks.
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", slices.Clone(shape)))
 		}
 		n *= d
 	}
@@ -129,29 +132,7 @@ func (t *Tensor) Zero() {
 // Reshape returns a tensor sharing t's data with a new shape of equal
 // element count. One dimension may be -1 and is inferred.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	out := append([]int(nil), shape...)
-	infer := -1
-	known := 1
-	for i, d := range out {
-		if d == -1 {
-			if infer >= 0 {
-				panic("tensor: Reshape allows at most one -1 dimension")
-			}
-			infer = i
-		} else {
-			known *= d
-		}
-	}
-	if infer >= 0 {
-		if known == 0 || len(t.data)%known != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
-		}
-		out[infer] = len(t.data) / known
-	}
-	if checkShape(out) != len(t.data) {
-		panic(fmt.Sprintf("tensor: Reshape %v to %v changes element count", t.shape, shape))
-	}
-	return &Tensor{shape: out, data: t.data}
+	return &Tensor{shape: reshapeDims(append([]int(nil), shape...), t), data: t.data}
 }
 
 // Row returns a view of row i of a 2-D tensor as a []float32.

@@ -80,23 +80,28 @@ func (t *DLRMTower) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // ForwardInference maps (S, F, N) to (S, OutDim) without caching training
 // state, so one module instance can serve concurrent read-only predictions.
-func (t *DLRMTower) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
+// The output and its intermediates come from the arena a (see
+// nn.Linear.ForwardInference).
+func (t *DLRMTower) ForwardInference(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(1) != t.F || x.Dim(2) != t.N {
 		panic(fmt.Sprintf("towers: DLRM tower expects (S,%d,%d), got %v", t.F, t.N, x.Shape()))
 	}
 	s := x.Dim(0)
-	var parts []*tensor.Tensor
+	var flat, perFeat *tensor.Tensor
 	if t.Flat != nil {
-		parts = append(parts, t.Flat.ForwardInference(x.Reshape(s, t.F*t.N)))
+		flat = t.Flat.ForwardInference(a, a.Reshape(x, s, t.F*t.N))
 	}
 	if t.PerFeature != nil {
-		o2 := t.PerFeature.ForwardInference(x.Reshape(s*t.F, t.N))
-		parts = append(parts, o2.Reshape(s, t.F*t.C*t.D))
+		o2 := t.PerFeature.ForwardInference(a, a.Reshape(x, s*t.F, t.N))
+		perFeat = a.Reshape(o2, s, t.F*t.C*t.D)
 	}
-	if len(parts) == 1 {
-		return parts[0]
+	switch {
+	case perFeat == nil:
+		return flat
+	case flat == nil:
+		return perFeat
 	}
-	return tensor.Concat(1, parts...)
+	return a.Concat(1, flat, perFeat)
 }
 
 // Backward maps dY (S, OutDim) to dX (S, F, N).
@@ -170,14 +175,15 @@ func (t *DCNTower) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return t.Proj.Forward(o)
 }
 
-// ForwardInference maps (S, F, N) to (S, F·D) without caching training state.
-func (t *DCNTower) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
+// ForwardInference maps (S, F, N) to (S, F·D) without caching training
+// state, drawing from the arena a.
+func (t *DCNTower) ForwardInference(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(1) != t.F || x.Dim(2) != t.N {
 		panic(fmt.Sprintf("towers: DCN tower expects (S,%d,%d), got %v", t.F, t.N, x.Shape()))
 	}
 	s := x.Dim(0)
-	o := t.Cross.ForwardInference(x.Reshape(s, t.F*t.N))
-	return t.Proj.ForwardInference(o)
+	o := t.Cross.ForwardInference(a, a.Reshape(x, s, t.F*t.N))
+	return t.Proj.ForwardInference(a, o)
 }
 
 // Backward maps dY (S, F·D) to dX (S, F, N).
