@@ -21,8 +21,8 @@
 //     derived from the batch (b, b.Dense, b.Indices[f], sub-slices of
 //     those) must not be assigned to struct fields, package variables,
 //     or map/slice elements of non-locals, sent on channels, captured by
-//     go statements, or returned. (Handing them to a VecCache is fine:
-//     PutVec copies.)
+//     go statements, returned, or handed to a VecCache PutVec without a
+//     fresh copy.
 //  2. Call results of functions whose doc comment carries the
 //     //dmt:transient-result directive (the arena APIs opt in at the
 //     declaration; the analyzer exports a fact, so cross-package callers
@@ -199,6 +199,16 @@ func checkNoRetention(pass *lint.Pass, supp *directive.Index, body *ast.BlockStm
 				if obj := pass.TypesInfo.Uses[id]; obj != nil && tainted[obj] {
 					supp.Report(n.Pos(), "%s is captured by a goroutine that may outlive the call: %s", what, contract)
 					break
+				}
+			}
+		case *ast.CallExpr:
+			// Handing a tainted slice to a cache without copying
+			// publishes arena memory under a stable key.
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "PutVec" {
+				for _, a := range n.Args {
+					if isTainted(a) {
+						supp.Report(n.Pos(), "%s is stored in a cache without a copy: %s", what, contract)
+					}
 				}
 			}
 		}

@@ -8,6 +8,11 @@ import (
 	"dmt/internal/data"
 )
 
+// vecCache mimics the serve-side cache API the analyzer guards.
+type vecCache struct{}
+
+func (vecCache) PutVec(ns int, key uint64, v []float32) {}
+
 // ---- rule 1, flagged: Predict retaining the batch ----------------------
 
 type fieldRetainer struct{ last []float32 }
@@ -46,6 +51,13 @@ type subsliceRetainer struct{ last []float32 }
 func (m *subsliceRetainer) Predict(b *data.Batch) []float32 {
 	d := b.Dense[:4]
 	m.last = d // want `the batch is stored outside the call frame`
+	return nil
+}
+
+type cacheLeaker struct{ cache vecCache }
+
+func (m *cacheLeaker) Predict(b *data.Batch) []float32 {
+	m.cache.PutVec(0, 1, b.Dense) // want `the batch is stored in a cache without a copy`
 	return nil
 }
 

@@ -28,18 +28,20 @@ var sink *tensor.Tensor
 // TestDMTDLRMPredictAllocs pins the cache-less Predict at batch 32 on one
 // proc to the allocations of its returned logits tensor alone: every
 // intermediate comes from the pooled arena, and every GEMM runs inline
-// without building runTiles' closure.
+// without building runTiles' closure. Under -race, where sync.Pool drops a
+// share of the scratch put back, it keeps the older bound of 224.
 func TestDMTDLRMPredictAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop scratch at random")
-	}
 	cfg := data.CriteoLike(1)
 	m := servingDMTDLRM(cfg)
 	b := data.NewGenerator(cfg).Batch(0, 32)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	want := testing.AllocsPerRun(20, func() { sink = tensor.New(32) })
-	if n := testing.AllocsPerRun(20, func() { sink = m.Predict(b, PredictOptions{}) }); n > want {
-		t.Fatalf("DMT-DLRM Predict at batch 32: %v allocations, want <= %v (the logits tensor's)", n, want)
+	limit, what := 224.0, "the bound under -race"
+	if !raceEnabled {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		limit = testing.AllocsPerRun(20, func() { sink = tensor.New(32) })
+		what = "the logits tensor's"
+	}
+	if n := testing.AllocsPerRun(20, func() { sink = m.Predict(b, PredictOptions{}) }); n > limit {
+		t.Fatalf("DMT-DLRM Predict at batch 32: %v allocations, want <= %v (%s)", n, limit, what)
 	}
 }
 
