@@ -13,7 +13,7 @@ import (
 // 4096 distinct samples, twice the samples the tower cache can hold, so
 // every tower lookup misses and inserts with an eviction, while repeated
 // ids still hit the embedding cache. Run it with -benchmem: allocs/op is
-// the returned logits plus runTiles' fan-out.
+// the returned logits alone.
 func BenchmarkHotpathPredict(b *testing.B) {
 	const (
 		batch   = 32

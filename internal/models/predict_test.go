@@ -25,22 +25,39 @@ func servingDMTDLRM(cfg data.Config) *DMTDLRM {
 // sink keeps a measured result on the heap, as a caller's would be.
 var sink *tensor.Tensor
 
-// TestDMTDLRMPredictAllocs pins the cache-less Predict at batch 32 on one
-// proc to the allocations of its returned logits tensor alone: every
-// intermediate comes from the pooled arena, and every GEMM runs inline
-// without building runTiles' closure. Under -race, where sync.Pool drops a
-// share of the scratch put back, it keeps the older bound of 224.
+// allocsPerCall is testing.AllocsPerRun without its switch to GOMAXPROCS(1):
+// the mallocs of runs calls of f, divided by runs and rounded down, at the
+// default procs. A collection comes first, so that starting mark workers
+// does not count, and then a warm-up call: the collection parks the
+// caller, which may resume on another proc, and f's pooled scratch sits in
+// the private slot of the proc that put it back.
+func allocsPerCall(runs int, f func()) uint64 {
+	runtime.GC()
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// TestDMTDLRMPredictAllocs pins the cache-less Predict at batch 32, at the
+// default GOMAXPROCS, to the allocations of its returned logits tensor
+// alone: every intermediate comes from the pooled arena, and every GEMM
+// runs on the calling goroutine. Under -race, where sync.Pool drops a share
+// of the scratch put back, it keeps the older bound of 224.
 func TestDMTDLRMPredictAllocs(t *testing.T) {
 	cfg := data.CriteoLike(1)
 	m := servingDMTDLRM(cfg)
 	b := data.NewGenerator(cfg).Batch(0, 32)
-	limit, what := 224.0, "the bound under -race"
+	limit, what := uint64(224), "the bound under -race"
 	if !raceEnabled {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		limit = testing.AllocsPerRun(20, func() { sink = tensor.New(32) })
+		limit = allocsPerCall(20, func() { sink = tensor.New(32) })
 		what = "the logits tensor's"
 	}
-	if n := testing.AllocsPerRun(20, func() { sink = m.Predict(b, PredictOptions{}) }); n > limit {
+	if n := allocsPerCall(20, func() { sink = m.Predict(b, PredictOptions{}) }); n > limit {
 		t.Fatalf("DMT-DLRM Predict at batch 32: %v allocations, want <= %v (%s)", n, limit, what)
 	}
 }

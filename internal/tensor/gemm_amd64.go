@@ -14,6 +14,12 @@ func xgetbv() (eax uint32)
 //go:noescape
 func gemm4(out, a, b *float32, k, nc, ldo, rsA, psA, ldb int, skipZero bool)
 
+// transpose8 packs 8 rows of b, ldb apart, into 8·blocks rows of dst, ldd
+// apart: dst[p*ldd+j] = b[j*ldb+p] (see gemm_amd64.s).
+//
+//go:noescape
+func transpose8(dst, b *float32, ldb, ldd, blocks int)
+
 // The elementwise routines (elementwise_amd64.s) are addRef, scaleRef and,
 // over w's whole blocks of 8 with c1 = 1 − β₁ and c2 = 1 − β₂, adamRef.
 //
@@ -79,6 +85,8 @@ func matMulATRowsAVX2(a, b, out []float32, k, m, n, lo, hi int) {
 // p, so each 16-column (then 8-column) block of bᵀ is packed, ≤ btPanelK
 // steps at a time, into a stack panel that every 4-row slab of [lo, hi)
 // then accumulates from; out holds the partial sums between chunks.
+// transpose8 packs 8 columns 8 steps at a time, and a chunk's last kc mod 8
+// steps are copied one by one.
 func matMulBTRowsAVX2(a, b, out []float32, k, n, lo, hi int) {
 	hi4 := lo + (hi-lo)&^3
 	if hi4 > lo {
@@ -87,12 +95,12 @@ func matMulBTRowsAVX2(a, b, out []float32, k, n, lo, hi int) {
 			w := min(16, n&^7-c)
 			for p0 := 0; p0 < k; p0 += btPanelK {
 				kc := min(btPanelK, k-p0)
-				for j := 0; j < w; j += 4 {
-					r0 := b[(c+j)*k+p0 : (c+j)*k+p0+kc]
-					r1, r2, r3 := b[(c+j+1)*k+p0:][:kc], b[(c+j+2)*k+p0:][:kc], b[(c+j+3)*k+p0:][:kc]
-					for p := range r0 {
-						d := panel[p*w+j:][:4]
-						d[0], d[1], d[2], d[3] = r0[p], r1[p], r2[p], r3[p]
+				for j := 0; j < w; j += 8 {
+					transpose8(&panel[j], &b[(c+j)*k+p0], k, w, kc/8)
+					for p := kc &^ 7; p < kc; p++ {
+						for jj := j; jj < j+8; jj++ {
+							panel[p*w+jj] = b[(c+jj)*k+p0+p]
+						}
 					}
 				}
 				for i := lo; i < hi4; i += 4 {

@@ -149,3 +149,82 @@ loop8:
 done:
 	VZEROUPPER
 	RET
+
+// func transpose8(dst, b *float32, ldb, ldd, blocks int)
+//
+// For j < 8 and p < 8·blocks: dst[p*ldd+j] = b[j*ldb+p]. Each block loads
+// an 8×8 tile of b's rows, transposes it in registers (unpack pairs, then
+// shuffle quads, then swap 128-bit halves) and stores it as 8 rows of dst.
+// It only moves bits, so the packed panel holds b's values exactly.
+//
+// Registers: SI/DI walk b and dst along p, R8/R10 1·ldb/3·ldb bytes, R9/R11
+// 1·ldd/3·ldd bytes, CX counts blocks, AX/BX address rows 4–7.
+TEXT ·transpose8(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ ldb+16(FP), R8
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R10
+	MOVQ ldd+24(FP), R9
+	SHLQ $2, R9
+	LEAQ (R9)(R9*2), R11
+	MOVQ blocks+32(FP), CX
+	TESTQ CX, CX
+	JZ    tdone
+
+tloop:
+	LEAQ    (SI)(R8*4), AX
+	VMOVUPS (SI), Y0
+	VMOVUPS (SI)(R8*1), Y1
+	VMOVUPS (SI)(R8*2), Y2
+	VMOVUPS (SI)(R10*1), Y3
+	VMOVUPS (AX), Y4
+	VMOVUPS (AX)(R8*1), Y5
+	VMOVUPS (AX)(R8*2), Y6
+	VMOVUPS (AX)(R10*1), Y7
+
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VUNPCKLPS Y5, Y4, Y12
+	VUNPCKHPS Y5, Y4, Y13
+	VUNPCKLPS Y7, Y6, Y14
+	VUNPCKHPS Y7, Y6, Y15
+
+	VSHUFPS $0x44, Y10, Y8, Y0
+	VSHUFPS $0xEE, Y10, Y8, Y1
+	VSHUFPS $0x44, Y11, Y9, Y2
+	VSHUFPS $0xEE, Y11, Y9, Y3
+	VSHUFPS $0x44, Y14, Y12, Y4
+	VSHUFPS $0xEE, Y14, Y12, Y5
+	VSHUFPS $0x44, Y15, Y13, Y6
+	VSHUFPS $0xEE, Y15, Y13, Y7
+
+	VPERM2F128 $0x20, Y4, Y0, Y8
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x31, Y4, Y0, Y12
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y15
+
+	LEAQ    (DI)(R9*4), BX
+	VMOVUPS Y8, (DI)
+	VMOVUPS Y9, (DI)(R9*1)
+	VMOVUPS Y10, (DI)(R9*2)
+	VMOVUPS Y11, (DI)(R11*1)
+	VMOVUPS Y12, (BX)
+	VMOVUPS Y13, (BX)(R9*1)
+	VMOVUPS Y14, (BX)(R9*2)
+	VMOVUPS Y15, (BX)(R11*1)
+
+	ADDQ $32, SI
+	LEAQ (DI)(R9*8), DI
+	DECQ CX
+	JNZ  tloop
+
+tdone:
+	VZEROUPPER
+	RET

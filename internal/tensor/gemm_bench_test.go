@@ -15,7 +15,7 @@ var hotpathShapes = []gemmShape{
 }
 
 // trainDenseShapes is each entry point's dominant shape in the benchmark's
-// train_dense step, (m, k, n) as tiledKernels reads it: the forward
+// train_dense step, (m, k, n) as gemmKernels reads it: the forward
 // x·Wᵀ, the input gradient dY·W and the weight gradient dYᵀ·X of one
 // over-arch Linear at the local batch of 64.
 var trainDenseShapes = map[string]gemmShape{
@@ -24,43 +24,46 @@ var trainDenseShapes = map[string]gemmShape{
 	"MatMulAT": {256, 64, 152},
 }
 
-// tiledKernelNamed returns the tiledKernels entry for an entry point.
-func tiledKernelNamed(tb testing.TB, name string) tiledKernel {
-	for _, kn := range tiledKernels {
+// trainDensePairwise is train_dense's interaction input, (B, F, N) =
+// (m, k, n): 17 feature vectors of 16 per sample at the local batch.
+var trainDensePairwise = gemmShape{64, 17, 16}
+
+// gemmKernelNamed returns the gemmKernels entry for an entry point.
+func gemmKernelNamed(tb testing.TB, name string) gemmKernel {
+	for _, kn := range gemmKernels {
 		if kn.name == name {
 			return kn
 		}
 	}
-	tb.Fatalf("no tiled kernel %q", name)
-	return tiledKernel{}
+	tb.Fatalf("no GEMM kernel %q", name)
+	return gemmKernel{}
 }
 
-// BenchmarkHotpathMatMul times the tiled MatMul entry point (the vector
-// kernel where the CPU has it) against its scalar row routine on one
-// goroutine, at over-arch shapes and at train_dense's (`make
-// bench-hotpath`); the table in the README's hot-path section comes from
-// this run.
+// BenchmarkHotpathMatMul times the MatMul entry point (the vector kernel
+// where the CPU has it) against its scalar row routine, at over-arch
+// shapes and at train_dense's (`make bench-hotpath`); the table in the
+// README's hot-path section comes from this run.
 func BenchmarkHotpathMatMul(b *testing.B) {
-	benchmarkTiled(b, tiledKernelNamed(b, "MatMul"))
+	benchmarkGEMM(b, gemmKernelNamed(b, "MatMul"))
 }
 
 // BenchmarkHotpathMatMulBT is the Linear-layer layout (weights stored
 // (out, in)): the forward and serve predict path's kernel.
 func BenchmarkHotpathMatMulBT(b *testing.B) {
-	benchmarkTiled(b, tiledKernelNamed(b, "MatMulBT"))
+	benchmarkGEMM(b, gemmKernelNamed(b, "MatMulBT"))
 }
 
 // BenchmarkHotpathMatMulAT is the weight-gradient layout.
 func BenchmarkHotpathMatMulAT(b *testing.B) {
-	benchmarkTiled(b, tiledKernelNamed(b, "MatMulAT"))
+	benchmarkGEMM(b, gemmKernelNamed(b, "MatMulAT"))
 }
 
-func benchmarkTiled(b *testing.B, kn tiledKernel) {
+func benchmarkGEMM(b *testing.B, kn gemmKernel) {
 	shapes := append([]gemmShape{trainDenseShapes[kn.name]}, hotpathShapes...)
 	for _, side := range []struct {
 		name string
 		run  func(x, y *Tensor) *Tensor
-	}{{"rows", kn.ref}, {"tiled", kn.tiled}} {
+	}{{"rows", kn.ref}, {"entry", kn.entry}} {
 		for _, sh := range shapes {
 			b.Run(fmt.Sprintf("%s/m=%d,k=%d,n=%d", side.name, sh.m, sh.k, sh.n), func(b *testing.B) {
 				r := NewRNG(1)

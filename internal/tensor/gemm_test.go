@@ -7,22 +7,23 @@ import (
 	"testing"
 )
 
-// tiledKernel pairs a tiled entry point with its reference: the row routine
-// it tiles, run over the whole output on the calling goroutine. Both take
-// the operand shapes that dims (m, k, n) give; BatchedPairwiseDot reads them
-// as (B, F, N) and ignores its second operand.
-type tiledKernel struct {
+// gemmKernel pairs a GEMM entry point with its reference: the scalar row
+// routine, run over the whole output. Both take the operand shapes that
+// dims (m, k, n) give. On a CPU with AVX2 the entry point runs the vector
+// routine init selected (see TestAVX2RowRoutinesSelected), so comparing the
+// two pins gemm_amd64.s to the scalar contract bit for bit.
+type gemmKernel struct {
 	name   string
 	shapes func(m, k, n int) (x, y []int)
-	tiled  func(x, y *Tensor) *Tensor
+	entry  func(x, y *Tensor) *Tensor
 	ref    func(x, y *Tensor) *Tensor
 }
 
-var tiledKernels = []tiledKernel{
+var gemmKernels = []gemmKernel{
 	{
 		name:   "MatMul",
 		shapes: func(m, k, n int) ([]int, []int) { return []int{m, k}, []int{k, n} },
-		tiled:  MatMul,
+		entry:  MatMul,
 		ref: func(a, b *Tensor) *Tensor {
 			m, k, n := a.shape[0], a.shape[1], b.shape[1]
 			out := New(m, n)
@@ -33,7 +34,7 @@ var tiledKernels = []tiledKernel{
 	{
 		name:   "MatMulBT",
 		shapes: func(m, k, n int) ([]int, []int) { return []int{m, k}, []int{n, k} },
-		tiled:  MatMulBT,
+		entry:  MatMulBT,
 		ref: func(a, b *Tensor) *Tensor {
 			m, k, n := a.shape[0], a.shape[1], b.shape[0]
 			out := New(m, n)
@@ -44,7 +45,7 @@ var tiledKernels = []tiledKernel{
 	{
 		name:   "MatMulAT",
 		shapes: func(m, k, n int) ([]int, []int) { return []int{k, m}, []int{k, n} },
-		tiled:  MatMulAT,
+		entry:  MatMulAT,
 		ref: func(a, b *Tensor) *Tensor {
 			k, m, n := a.shape[0], a.shape[1], b.shape[1]
 			out := New(m, n)
@@ -52,27 +53,6 @@ var tiledKernels = []tiledKernel{
 			return out
 		},
 	},
-	{
-		name:   "BatchedPairwiseDot",
-		shapes: func(m, k, n int) ([]int, []int) { return []int{m, k, n}, []int{1} },
-		tiled:  func(x, _ *Tensor) *Tensor { return BatchedPairwiseDot(x) },
-		ref: func(x, _ *Tensor) *Tensor {
-			b, f, n := x.shape[0], x.shape[1], x.shape[2]
-			out := New(b, f, f)
-			pairwiseDotSamples(x.data, out.data, f, n, 0, b)
-			return out
-		},
-	},
-}
-
-// atLeastFourProcs raises GOMAXPROCS to 4 for the rest of the test, so
-// runTiles fans out even under `go test -cpu 1` and the tiled path is not
-// just the reference compared with itself.
-func atLeastFourProcs(tb testing.TB) {
-	if prev := runtime.GOMAXPROCS(0); prev < 4 {
-		runtime.GOMAXPROCS(4)
-		tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
 }
 
 // specials are the values a faster routine is likeliest to get wrong:
@@ -119,26 +99,13 @@ func sameBits(t *testing.T, what string, got, want *Tensor) {
 	}
 }
 
-// TestParallelKernelBitwiseMatchesSerial pins MatMul, MatMulBT and MatMulAT,
-// fanned out over tiles, bitwise to their row routines run serially.
-func TestParallelKernelBitwiseMatchesSerial(t *testing.T) {
-	checkTiledMatchesRowRoutine(t, tiledKernels[:3])
-}
-
-// TestParallelPairwiseDotBitwiseMatchesSerial pins BatchedPairwiseDot,
-// fanned out over tiles, bitwise to pairwiseDotSamples run serially.
-func TestParallelPairwiseDotBitwiseMatchesSerial(t *testing.T) {
-	checkTiledMatchesRowRoutine(t, tiledKernels[3:])
-}
-
-// checkTiledMatchesRowRoutine compares each kernel's tiled entry point with
-// its row routine across shapes that exercise every tiling and kernel edge:
-// rows not a multiple of the tile height or of 4, columns not a multiple of
-// 8 or 16, reductions past the 256-step bᵀ panel, single rows and columns,
-// exact zeros, and shapes with more tiles than workers. Every shape runs
-// once plain and once with specials in both operands.
-func checkTiledMatchesRowRoutine(t *testing.T, kernels []tiledKernel) {
-	atLeastFourProcs(t)
+// TestKernelBitwiseMatchesScalar pins MatMul, MatMulBT and MatMulAT
+// bitwise to their scalar row routines across shapes that exercise every
+// kernel edge: rows not a multiple of 4, columns not a multiple of 8 or
+// 16, reductions past the 256-step bᵀ panel, single rows and columns, and
+// exact zeros. Every shape runs once plain and once with specials in both
+// operands.
+func TestKernelBitwiseMatchesScalar(t *testing.T) {
 	r := NewRNG(42)
 	shapes := [][3]int{
 		{1, 1, 1},
@@ -154,16 +121,68 @@ func checkTiledMatchesRowRoutine(t *testing.T, kernels []tiledKernel) {
 		{6, 257, 23},
 		{35, 256, 31},
 	}
-	for _, kn := range kernels {
+	for _, kn := range gemmKernels {
 		for _, d := range shapes {
 			for _, sp := range []bool{false, true} {
 				xs, ys := kn.shapes(d[0], d[1], d[2])
 				x, y := randOperand(r, 7, sp, xs...), randOperand(r, 7, sp, ys...)
-				got := kn.tiled(x, y)
+				got := kn.entry(x, y)
 				sameBits(t, fmt.Sprintf("%s %v specials=%v", kn.name, d, sp), got, kn.ref(x, y))
-				sameBits(t, fmt.Sprintf("%s %v specials=%v, second run", kn.name, d, sp), kn.tiled(x, y), got)
+				sameBits(t, fmt.Sprintf("%s %v specials=%v, second run", kn.name, d, sp), kn.entry(x, y), got)
 			}
 		}
+	}
+}
+
+// sink keeps the tensors the allocation pins make on the heap, as a
+// caller's would be.
+var sink *Tensor
+
+// allocsPerCall is testing.AllocsPerRun without its switch to GOMAXPROCS(1):
+// the mallocs of runs calls of f, divided by runs and rounded down, at the
+// procs the caller set. A collection and a warm-up call come first, so that
+// neither starting the mark workers of procs added since the last
+// collection nor f's first call counts.
+func allocsPerCall(runs int, f func()) uint64 {
+	runtime.GC()
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// TestGEMMAllocatesOnlyItsOutput pins every entry point, at 4 procs and
+// train_dense's dominant shapes, to the allocations of one New of its
+// output, and MatMulBTInto to none: a multiply runs on the calling
+// goroutine and allocates nothing of its own, however many procs there are.
+func TestGEMMAllocatesOnlyItsOutput(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	r := NewRNG(8)
+	for _, kn := range gemmKernels {
+		sh := trainDenseShapes[kn.name]
+		xs, ys := kn.shapes(sh.m, sh.k, sh.n)
+		x, y := RandUniform(r, -1, 1, xs...), RandUniform(r, -1, 1, ys...)
+		want := allocsPerCall(20, func() { sink = New(sh.m, sh.n) })
+		if got := allocsPerCall(20, func() { sink = kn.entry(x, y) }); got != want {
+			t.Errorf("%s %v allocates %v per call; New of its output allocates %v", kn.name, sh, got, want)
+		}
+		if kn.name == "MatMulBT" {
+			out := New(sh.m, sh.n)
+			if got := allocsPerCall(20, func() { MatMulBTInto(out, x, y) }); got != 0 {
+				t.Errorf("MatMulBTInto %v allocates %v per call", sh, got)
+			}
+		}
+	}
+	sh := trainDensePairwise
+	x := RandUniform(r, -1, 1, sh.m, sh.k, sh.n)
+	want := allocsPerCall(20, func() { sink = New(sh.m, sh.k, sh.k) })
+	if got := allocsPerCall(20, func() { sink = BatchedPairwiseDot(x) }); got != want {
+		t.Errorf("BatchedPairwiseDot %v allocates %v per call; New of its output allocates %v", sh, got, want)
 	}
 }
 
@@ -179,12 +198,10 @@ func TestMatMulBTAllocs(t *testing.T) {
 	}
 }
 
-// FuzzTiledKernels draws random shapes, up to 256 per side and 600 deep
-// (48 features for BatchedPairwiseDot), with exact zeros and specials in
-// both operands, and requires every tiled entry point to match its row
-// routine bit for bit.
-func FuzzTiledKernels(f *testing.F) {
-	atLeastFourProcs(f)
+// FuzzGEMMKernels draws random shapes, up to 256 per side and 600 deep,
+// with exact zeros and specials in both operands, and requires every entry
+// point to match its scalar row routine bit for bit.
+func FuzzGEMMKernels(f *testing.F) {
 	f.Add(uint16(257), uint16(31), uint16(70), uint64(1), uint8(7))
 	f.Add(uint16(64), uint16(16), uint16(129), uint64(2), uint8(1))
 	f.Add(uint16(1), uint16(1), uint16(1), uint64(3), uint8(0))
@@ -192,14 +209,10 @@ func FuzzTiledKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, m, k, n uint16, seed uint64, zeroEvery uint8) {
 		dm, dk, dn := 1+int(m)%256, 1+int(k)%600, 1+int(n)%256
 		r := NewRNG(seed)
-		for _, kn := range tiledKernels {
-			kk := dk
-			if kn.name == "BatchedPairwiseDot" {
-				kk = 1 + int(k)%48
-			}
-			xs, ys := kn.shapes(dm, kk, dn)
+		for _, kn := range gemmKernels {
+			xs, ys := kn.shapes(dm, dk, dn)
 			x, y := randOperand(r, 1+int(zeroEvery), true, xs...), randOperand(r, 1+int(zeroEvery), true, ys...)
-			sameBits(t, fmt.Sprintf("%s (%d, %d, %d)", kn.name, dm, kk, dn), kn.tiled(x, y), kn.ref(x, y))
+			sameBits(t, fmt.Sprintf("%s (%d, %d, %d)", kn.name, dm, dk, dn), kn.entry(x, y), kn.ref(x, y))
 		}
 	})
 }

@@ -2,22 +2,15 @@ package tensor
 
 import "fmt"
 
-// MatMul returns a @ b for a of shape (m, k) and b of shape (k, n), tiled
-// over output rows (see runTiles).
+// MatMul returns a @ b for a of shape (m, k) and b of shape (k, n), on the
+// calling goroutine.
 func MatMul(a, b *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[0] {
 		panic(fmt.Sprintf("tensor: MatMul shapes %v, %v", a.shape, b.shape))
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	out := New(m, n)
-	ad, bd, od := a.data, b.data, out.data
-	if inline(m, tileRowsMatMul, m*n*k) {
-		mulRows(ad, bd, od, k, n, 0, m)
-		return out
-	}
-	runTiles(m, tileRowsMatMul, func(lo, hi int) {
-		mulRows(ad, bd, od, k, n, lo, hi)
-	})
+	mulRows(a.data, b.data, out.data, k, n, 0, m)
 	return out
 }
 
@@ -36,23 +29,15 @@ func MatMulBT(a, b *Tensor) *Tensor {
 // MatMulBTInto writes a @ bᵀ into out, of shape (m, n), for a of shape
 // (m, k) and b of shape (n, k), overwriting whatever out held. It is
 // MatMulBT's one path: out is zeroed and filled by the same row routine,
-// so the result is bitwise MatMulBT's. When the multiply runs on the
-// calling goroutine (see inline) it allocates nothing.
+// so the result is bitwise MatMulBT's. It allocates nothing.
 func MatMulBTInto(out, a, b *Tensor) {
 	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[1] ||
 		len(out.shape) != 2 || out.shape[0] != a.shape[0] || out.shape[1] != b.shape[0] {
 		panic(fmt.Sprintf("tensor: MatMulBTInto shapes %v = %v x %vᵀ", out.shape, a.shape, b.shape))
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[0]
-	ad, bd, od := a.data, b.data, out.data
-	clear(od)
-	if inline(m, tileRowsBT, m*n*k) {
-		mulBTRows(ad, bd, od, k, n, 0, m)
-		return
-	}
-	runTiles(m, tileRowsBT, func(lo, hi int) {
-		mulBTRows(ad, bd, od, k, n, lo, hi)
-	})
+	clear(out.data)
+	mulBTRows(a.data, b.data, out.data, k, n, 0, m)
 }
 
 // MatMulAT returns aᵀ @ b for a of shape (k, m) and b of shape (k, n).
@@ -63,14 +48,7 @@ func MatMulAT(a, b *Tensor) *Tensor {
 	}
 	k, m, n := a.shape[0], a.shape[1], b.shape[1]
 	out := New(m, n)
-	ad, bd, od := a.data, b.data, out.data
-	if inline(m, tileRowsMatMul, m*n*k) {
-		mulATRows(ad, bd, od, k, m, n, 0, m)
-		return out
-	}
-	runTiles(m, tileRowsMatMul, func(lo, hi int) {
-		mulATRows(ad, bd, od, k, m, n, lo, hi)
-	})
+	mulATRows(a.data, b.data, out.data, k, m, n, 0, m)
 	return out
 }
 
@@ -85,29 +63,22 @@ func BatchedPairwiseDot(x *Tensor) *Tensor {
 	}
 	b, f, n := x.shape[0], x.shape[1], x.shape[2]
 	out := New(b, f, f)
-	xd, od := x.data, out.data
-	if inline(b, tileSamplesPD, b*f*f*n) {
-		pairwiseDotSamples(xd, od, f, n, 0, b)
-		return out
-	}
-	runTiles(b, tileSamplesPD, func(lo, hi int) {
-		pairwiseDotSamples(xd, od, f, n, lo, hi)
-	})
+	pairwiseDotSamples(x.data, out.data, f, n, 0, b)
 	return out
 }
 
 // --- Row-range routines ---
 //
-// The entry points above tile their output over the routines below, and a
-// routine run over the whole range on one goroutine is the reference the
-// tests pin the tiled path to. Contract, which any faster routine must
-// honour: out arrives zero-filled, each output element is written once, and
-// it accumulates its dot product in ascending p (reduction-index) order. A
-// tile is then just a row range, so the result is bitwise identical however
-// the rows are cut and whichever worker runs them — the training golden
-// trajectories depend on it. Every product is written float32(a*b): the
-// conversion forbids fusing it into the add, which arm64, ppc64le and s390x
-// would otherwise do.
+// Each entry point above calls one routine below over its whole output
+// range, on the calling goroutine: parallelism lives one level up, in the
+// trainer's ranks and the server's batch executors, never inside a
+// multiply. Contract, which any faster routine must honour: out arrives
+// zero-filled, each output element is written once, and it accumulates its
+// dot product in ascending p (reduction-index) order. The result is then
+// bitwise identical however the rows are cut into ranges — the training
+// golden trajectories depend on it. Every product is written float32(a*b):
+// the conversion forbids fusing it into the add, which arm64, ppc64le and
+// s390x would otherwise do.
 //
 // The AVX2 micro-kernel's row routines (gemm_amd64.go) honour the same
 // contract with the same float32 operations, and replace the scalar MatMul,

@@ -51,18 +51,6 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulParallelPath(t *testing.T) {
-	// Large enough to cross parallelThreshold; compare against naive.
-	r := NewRNG(4)
-	a := RandN(r, 1, 64, 48)
-	b := RandN(r, 1, 48, 40)
-	got := MatMul(a, b)
-	want := naiveMatMul(a, b)
-	if !got.AllClose(want, 1e-3, 1e-3) {
-		t.Fatalf("parallel MatMul mismatch: %v", got.MaxAbsDiff(want))
-	}
-}
-
 func TestMatMulBT(t *testing.T) {
 	r := NewRNG(5)
 	a := RandN(r, 1, 6, 10)

@@ -1,6 +1,7 @@
 // Package tensor implements the dense float32 tensor substrate used by the
 // DMT reproduction: contiguous row-major tensors, a deterministic RNG,
-// elementwise and reduction kernels, and a parallel matrix multiply.
+// elementwise and reduction kernels, and matrix multiplies that run on the
+// calling goroutine (the package starts none).
 //
 // The package is intentionally small: it provides exactly the operations the
 // recommendation models (DLRM, DCN, tower modules) and the Tower Partitioner
