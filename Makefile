@@ -70,8 +70,10 @@ bench-smoke:
 # of fp32) on a uniform and on the gradient-like payload — the before/after
 # numbers behind the README's "Hot-path kernels" section — the embedding
 # tier's caches: a Cached(Local) Lookup+Update round at one train_embed
-# rank's shape, and Keyed hits and evicting inserts — and the serving
-# DMT-DLRM's Predict at batch 32 on cold keys through Keyed caches.
+# rank's shape, Keyed hits and evicting inserts, and the cluster
+# simulator's LRUSet hits and evicting inserts (BenchmarkHotpathLRUSet) —
+# and the serving DMT-DLRM's Predict at batch 32 on cold keys through
+# Keyed caches.
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '^BenchmarkHotpath' -benchmem -timeout 20m ./internal/tensor ./internal/quant ./internal/embeddings ./internal/models
 

@@ -10,9 +10,10 @@
 //   - service times come from serve.CostModel (forward time from
 //     perfmodel.EffectiveTFlops over model FLOPs, embedding-fetch rounds
 //     priced by netsim.P2PTime);
-//   - per-replica tower-output and embedding-row caches are embeddings.Keyed
-//     instances, so hit/miss accounting follows exactly the semantics the
-//     real server's memoization uses;
+//   - per-replica tower-output and embedding-row caches are
+//     embeddings.LRUSets: presence-only, lock-free, and one probe per key,
+//     yet deciding every hit, miss and eviction exactly as the real
+//     server's embeddings.Keyed memoization of the same geometry does;
 //   - each replica runs serve's Batcher, the micro-batcher's one
 //     flush-on-full / flush-on-MaxWait rule, on the virtual clock.
 //
@@ -26,10 +27,8 @@ package cluster
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"dmt/internal/serve"
@@ -54,7 +53,7 @@ type Config struct {
 	AdmitRate  float64
 	AdmitBurst float64
 	// TowerCacheEntries / EmbCacheEntries size each replica's caches
-	// (embeddings.Keyed; <= 0 disables as in serve.Config).
+	// (embeddings.LRUSet; <= 0 disables as in serve.Config).
 	TowerCacheEntries int
 	EmbCacheEntries   int
 	CacheShards       int
@@ -75,18 +74,53 @@ type event struct {
 	gen  uint64 // flush: the generation the replica's Batcher armed
 }
 
+// eventHeap is a binary min-heap of events by (at, seq), sifted in place
+// so no event is boxed. (at, seq) is a total order, so the pop order is
+// the only one any heap could give.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q.less(r, c) {
+			c = r
+		}
+		if !q.less(c, i) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
+}
 
 type sim struct {
 	cfg     Config
@@ -104,7 +138,7 @@ type sim struct {
 func (s *sim) push(e event) {
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.events, e)
+	s.events.push(e)
 }
 
 // Run simulates the trace against the fleet and returns the aggregated
@@ -142,7 +176,7 @@ func Run(cfg Config, trace *workload.Trace) Result {
 			next++
 			continue
 		}
-		e := heap.Pop(&s.events).(event)
+		e := s.events.pop()
 		if r := s.reps[e.rep]; e.done {
 			s.complete(r, e.at)
 		} else if group := r.batch.Expire(e.gen); group != nil {
@@ -201,18 +235,20 @@ func (s *sim) flush(r *replica, group []*workload.Request, now time.Duration) {
 	b := r.seal(group, now, s.cfg.Cost, s.cfg.EmbIDSpace)
 	r.queue = append(r.queue, b)
 	r.queuedCost += b.cost()
-	if r.current == nil {
+	if !r.busy {
 		s.start(r, now)
 	}
 }
 
 // start begins service of the replica's oldest queued batch.
 func (s *sim) start(r *replica, now time.Duration) {
-	b := r.queue[0]
-	r.queue = r.queue[1:]
+	b := r.queue[r.head]
+	if r.head++; r.head == len(r.queue) {
+		r.queue, r.head = r.queue[:0], 0
+	}
 	r.queuedCost -= b.cost()
 	b.serviceStart = now
-	r.current = b
+	r.current, r.busy = b, true
 	r.busyUntil = now + b.cost()
 	s.push(event{at: r.busyUntil, done: true, rep: r.id})
 }
@@ -221,7 +257,7 @@ func (s *sim) start(r *replica, now time.Duration) {
 // latency breakdown, then starts the next batch if one is queued.
 func (s *sim) complete(r *replica, now time.Duration) {
 	b := r.current
-	r.current = nil
+	r.busy = false
 	s.batches++
 	r.batches++
 	for _, rq := range b.reqs {
@@ -236,10 +272,11 @@ func (s *sim) complete(r *replica, now time.Duration) {
 		acc.compute += b.compute
 		acc.embFetch += b.embFetch
 	}
+	r.batch.Reuse(b.reqs)
 	if now > s.makespn {
 		s.makespn = now
 	}
-	if len(r.queue) > 0 {
+	if r.head < len(r.queue) {
 		s.start(r, now)
 	}
 }
@@ -265,7 +302,7 @@ func (s *sim) result() Result {
 			Served:   acc.served,
 			Rejected: acc.rejected,
 		}
-		sort.Slice(acc.lats, func(i, j int) bool { return acc.lats[i] < acc.lats[j] })
+		slices.Sort(acc.lats)
 		cr.P50 = workload.Percentile(acc.lats, 0.50)
 		cr.P95 = workload.Percentile(acc.lats, 0.95)
 		cr.P99 = workload.Percentile(acc.lats, 0.99)
@@ -279,7 +316,7 @@ func (s *sim) result() Result {
 		all = append(all, acc.lats...)
 		res.Classes = append(res.Classes, cr)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
 	res.P50 = workload.Percentile(all, 0.50)
 	res.P95 = workload.Percentile(all, 0.95)
 	res.P99 = workload.Percentile(all, 0.99)

@@ -137,3 +137,30 @@ func TestEmbIDSpaceSharesRowsAcrossSamples(t *testing.T) {
 		t.Fatalf("tower hits %d, want 0 for distinct samples", res.Tower.Hits)
 	}
 }
+
+// TestRunAllocatesNothingPerRequest pins the simulator's steady state at
+// zero allocations: the event heap holds events unboxed, batch jobs live by
+// value in a queue that restarts when it drains, and every served batch's
+// slice goes back to the Batcher. Doubling the trace may add only the
+// per-run set-up and the latency slices' growth, well under 0.01
+// allocations per extra request.
+func TestRunAllocatesNothingPerRequest(t *testing.T) {
+	const n = 20_000
+	cost := serve.NewCostModel(topology.A100, perfmodel.DLRMSpec(), 8)
+	allocs := func(requests int) float64 {
+		trace := workload.Generate(workload.Config{
+			Arrival: workload.Poisson, Rate: 2_000_000, Requests: requests,
+			Samples: 4096, ZipfS: 1.2, Classes: workload.DefaultClasses(), Seed: 3,
+		})
+		return testing.AllocsPerRun(1, func() {
+			Run(Config{
+				Replicas: 4, Cost: cost, MaxBatch: 32, MaxWait: 200 * time.Microsecond,
+				Policy: CacheAffinity(0), TowerCacheEntries: 1 << 10, EmbCacheEntries: 1 << 10,
+				EmbIDSpace: 1 << 12,
+			}, trace)
+		})
+	}
+	if per := (allocs(2*n) - allocs(n)) / n; per > 0.01 {
+		t.Fatalf("%.3f allocations per extra request, want ~0", per)
+	}
+}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"cmp"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"slices"
@@ -103,5 +105,37 @@ func TestUnsortedTraceRunsInArrivalOrder(t *testing.T) {
 	}
 	if !slices.Equal(shuffled.Requests, before) {
 		t.Fatal("Run reordered the caller's trace")
+	}
+}
+
+// TestEventHeapPopsInOrder interleaves pushes and pops of events with many
+// tied instants: every pop must return the least pending event by
+// (at, seq), the order container/heap gave.
+func TestEventHeapPopsInOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	var h eventHeap
+	var pending []event // the model: pending events, sorted by (at, seq)
+	byAtSeq := func(a, b event) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	}
+	for seq := int64(0); seq < 5000 || len(pending) > 0; {
+		if seq < 5000 && (len(pending) == 0 || rng.IntN(3) > 0) {
+			e := event{at: time.Duration(rng.IntN(64)), seq: seq, rep: int(seq)}
+			seq++
+			h.push(e)
+			i, _ := slices.BinarySearchFunc(pending, e, byAtSeq)
+			pending = slices.Insert(pending, i, e)
+			continue
+		}
+		if got := h.pop(); got != pending[0] {
+			t.Fatalf("popped %+v, want %+v", got, pending[0])
+		}
+		pending = pending[1:]
+		if len(h) != len(pending) {
+			t.Fatalf("heap holds %d events, want %d", len(h), len(pending))
+		}
 	}
 }

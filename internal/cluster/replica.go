@@ -11,12 +11,15 @@ import (
 // replica is one simulated serving instance: the forming micro-batch, the
 // executor queue, and the per-replica memoization caches. Batches form
 // under the real server's serve.Batcher; state advances only when the
-// simulator delivers an event. Two divergences from the real server remain
-// (closing either would move the simulator's pinned results):
+// simulator delivers an event. The caches are embeddings.LRUSets: they hold
+// keys only, and decide every hit, miss and eviction as the server's
+// embeddings.Keyed caches of the same geometry would. Two divergences from
+// the real server remain (closing either would move the simulator's pinned
+// results):
 //
 //   - one executor per replica, where a Server runs Config.Workers;
-//   - caches keyed by the request's sample identity with marker values,
-//     where the server keys them by the real bag ids.
+//   - caches keyed by the request's sample identity, where the server keys
+//     them by the real bag ids.
 type replica struct {
 	id int
 
@@ -24,15 +27,19 @@ type replica struct {
 	batch      *serve.Batcher[*workload.Request]
 	pendingEst time.Duration
 
-	// queue holds flushed batches awaiting the executor, which serves
-	// current (nil when idle) until busyUntil.
-	queue      []*batchJob
+	// queue[head:] holds flushed batches awaiting the executor, which
+	// serves current (when busy) until busyUntil. The queue restarts at its
+	// base whenever it empties, and every served batch's request slice goes
+	// back to batch through Reuse, so a steady fleet allocates no batches.
+	queue      []batchJob
+	head       int
 	queuedCost time.Duration
+	busy       bool
 	busyUntil  time.Duration
-	current    *batchJob
+	current    batchJob
 
-	tower *embeddings.Keyed
-	emb   *embeddings.Keyed
+	tower *embeddings.LRUSet
+	emb   *embeddings.LRUSet
 
 	served  int
 	batches int
@@ -53,8 +60,8 @@ func newReplica(id int, cfg Config) *replica {
 	return &replica{
 		id:    id,
 		batch: serve.NewBatcher[*workload.Request](cfg.MaxBatch, cfg.MaxWait),
-		tower: embeddings.NewKeyed(cfg.TowerCacheEntries, cfg.CacheShards),
-		emb:   embeddings.NewKeyed(cfg.EmbCacheEntries, cfg.CacheShards),
+		tower: embeddings.NewLRUSet(cfg.TowerCacheEntries, cfg.CacheShards),
+		emb:   embeddings.NewLRUSet(cfg.EmbCacheEntries, cfg.CacheShards),
 	}
 }
 
@@ -70,17 +77,13 @@ func (r *replica) loadAt(now time.Duration) time.Duration {
 	return load
 }
 
-// cacheMarker is every cached tower output and embedding row: the simulator
-// needs the Keyed cache's presence/LRU/eviction semantics, not payloads.
-var cacheMarker = []float32{1}
-
 // seal fixes a flushed batch's cost: tower and embedding cache accounting
-// runs through the replica's embeddings.Keyed caches with exactly the
-// serve-path key structure (namespace = tower or table, key = the request's
+// runs through the replica's presence caches with exactly the serve-path
+// key structure (namespace = tower or table, key = the request's
 // feature-group identity; duplicate keys within a batch hit after the first
 // occurrence, mirroring models.Predict's intra-batch dedupe).
-func (r *replica) seal(group []*workload.Request, now time.Duration, cost serve.CostModel, embIDSpace int) *batchJob {
-	b := &batchJob{reqs: group, flushedAt: now}
+func (r *replica) seal(group []*workload.Request, now time.Duration, cost serve.CostModel, embIDSpace int) batchJob {
+	b := batchJob{reqs: group, flushedAt: now}
 	r.pendingEst = 0
 
 	items, towerHits, missRows := 0, 0, 0
@@ -88,10 +91,8 @@ func (r *replica) seal(group []*workload.Request, now time.Duration, cost serve.
 		sample := uint64(rq.Sample)
 		items += rq.Items
 		for t := 0; t < cost.Towers; t++ {
-			if _, ok := r.tower.GetVec(t, sample); ok {
+			if r.tower.Touch(t, sample) {
 				towerHits++
-			} else {
-				r.tower.PutVec(t, sample, cacheMarker)
 			}
 		}
 		for f := 0; f < cost.EmbTables; f++ {
@@ -101,11 +102,9 @@ func (r *replica) seal(group []*workload.Request, now time.Duration, cost serve.
 				// shared across samples, as real bag ids are.
 				id %= uint64(embIDSpace)
 			}
-			if _, ok := r.emb.GetVec(f, id); ok {
-				continue
+			if !r.emb.Touch(f, id) {
+				missRows++
 			}
-			r.emb.PutVec(f, id, cacheMarker)
-			missRows++
 		}
 	}
 	b.compute, b.embFetch = cost.BatchTime(items, towerHits, missRows)

@@ -30,7 +30,7 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.Entries += o.Entries
 }
 
-// lruCore is one unlocked LRU: the building block both cache users wrap.
+// lruCore is one unlocked LRU: the building block every cache wraps.
 // Entries live in one slice and are linked into a recency ring by int32
 // indices around the sentinel ents[0] (next = most recent, prev = least
 // recent); an entry holds its key and links and nothing else, so the slice
@@ -144,6 +144,14 @@ func (c *lruCore) unlink(i int32) {
 	c.ents[e.prev].next, c.ents[e.next].prev = e.next, e.prev
 }
 
+// promote marks entry i most recently used.
+func (c *lruCore) promote(i int32) {
+	if c.ents[0].next != i {
+		c.unlink(i)
+		c.linkFront(i)
+	}
+}
+
 // get returns the position of key's entry and marks it most recently used.
 func (c *lruCore) get(key uint64) (int32, bool) {
 	_, i := c.find(key)
@@ -152,23 +160,44 @@ func (c *lruCore) get(key uint64) (int32, bool) {
 		return 0, false
 	}
 	c.hits++
-	if c.ents[0].next != i {
-		c.unlink(i)
-		c.linkFront(i)
-	}
+	c.promote(i)
 	return i, true
 }
 
 // slot returns the position of the entry holding key after the call, marked
-// most recently used: key's own entry (a refresh), a new one (the next
-// position, one past the last), or — when the core is full — the least
-// recent entry re-keyed. The value stored at that position is whatever the
-// entry held before; the caller replaces or overwrites it.
+// most recently used: key's own entry (a refresh), or a new one as insert
+// makes it. The value stored at that position is whatever the entry held
+// before; the caller replaces or overwrites it.
 func (c *lruCore) slot(key uint64) int32 {
 	cell, i := c.find(key)
-	if i != 0 {
-		c.unlink(i)
-	} else if c.len() < c.capacity {
+	if i == 0 {
+		return c.insert(cell, key)
+	}
+	c.promote(i)
+	return i
+}
+
+// getOrInsert is get followed, on a miss, by slot, in one probe: it counts
+// the hit or miss as get does, and a missed key is inserted into the empty
+// cell its probe ended on. It returns key's entry position, most recently
+// used, and whether key was already cached.
+func (c *lruCore) getOrInsert(key uint64) (int32, bool) {
+	cell, i := c.find(key)
+	if i == 0 {
+		c.misses++
+		return c.insert(cell, key), false
+	}
+	c.hits++
+	c.promote(i)
+	return i, true
+}
+
+// insert adds the absent key, whose probe ended on the empty cell, as the
+// most recent entry and returns its position: the next one, one past the
+// last, or — when the core is full — the least recent entry re-keyed.
+func (c *lruCore) insert(cell uint32, key uint64) int32 {
+	var i int32
+	if c.len() < c.capacity {
 		c.ents = append(c.ents, lruEntry{key: key})
 		i = int32(len(c.ents) - 1)
 		c.index[cell] = i
@@ -210,11 +239,10 @@ func NsKey(ns int, key uint64) uint64 {
 }
 
 // Keyed is a fixed-capacity LRU cache of float32 vectors under namespaced
-// keys — the shape both serving caches (pooled bags per table, tower outputs
-// per tower) and the cluster simulator's replicas share. It satisfies
-// models.VecCache structurally. The keys are split over independently locked
-// shards (one lruCore each) so concurrent serving workers do not serialize
-// on one mutex.
+// keys — the shape both serving caches share (pooled bags per table, tower
+// outputs per tower). It satisfies models.VecCache structurally. The keys
+// are split over independently locked shards (one lruCore each) so
+// concurrent serving workers do not serialize on one mutex.
 //
 // Keyed owns its values. Each shard keeps them in one []float32 slab, entry
 // i's vector at i·stride with its own length beside it: PutVec copies in and
@@ -371,3 +399,40 @@ func (k *Keyed) Stats() CacheStats {
 
 // Len returns the entry count across shards; zero for a nil cache.
 func (k *Keyed) Len() int { return k.Stats().Entries }
+
+// LRUSet is a presence-only LRU over namespaced keys, for a single
+// goroutine that only asks whether a key is cached (the cluster
+// simulator's replicas). It is CachedStore's shard split with no rows, so
+// it makes exactly the hit, miss and eviction decisions of a Keyed of the
+// same capacity and shards driven by GetVec and, on a miss, PutVec — but
+// in one probe per key, with no lock and no values. A nil *LRUSet
+// (capacity <= 0) disables caching: every Touch misses and Stats is zero.
+type LRUSet rowLRU
+
+// NewLRUSet builds a set of up to capacity keys, spread over shards as
+// NewKeyed spreads them; capacity <= 0 yields nil (caching disabled).
+func NewLRUSet(capacity, shards int) *LRUSet {
+	if capacity <= 0 {
+		return nil
+	}
+	return (*LRUSet)(newRowLRU(capacity, shards, 0))
+}
+
+// Touch reports whether (ns, key) was cached and leaves it cached, most
+// recently used, evicting the shard's least recently used key when full.
+func (s *LRUSet) Touch(ns int, key uint64) bool {
+	if s == nil {
+		return false
+	}
+	key = NsKey(ns, key)
+	_, hit := (*rowLRU)(s).core(key).getOrInsert(key)
+	return hit
+}
+
+// Stats merges the shard counters; zero for a nil set.
+func (s *LRUSet) Stats() CacheStats {
+	if s == nil {
+		return CacheStats{}
+	}
+	return (*rowLRU)(s).stats()
+}

@@ -111,3 +111,42 @@ func BenchmarkHotpathKeyed(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkHotpathLRUSet times LRUSet at the cluster simulator's geometry
+// (16 384 keys over 8 shards): Touches that hit, over a half-full set's
+// keys, and Touches of new keys into a full set, each of which evicts.
+func BenchmarkHotpathLRUSet(b *testing.B) {
+	const (
+		entries = 1 << 14
+		towers  = 8
+	)
+	fill := func(n int) *LRUSet {
+		s := NewLRUSet(entries, 8)
+		for k := 0; k < n; k++ {
+			s.Touch(k%towers, uint64(k))
+		}
+		return s
+	}
+	b.Run("hit", func(b *testing.B) {
+		s := fill(entries / 2) // no shard overflows, so every key stays
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % (entries / 2)
+			if !s.Touch(k%towers, uint64(k)) {
+				b.Fatalf("key %d missed", k)
+			}
+		}
+	})
+	b.Run("insert-evict", func(b *testing.B) {
+		s := fill(2 * entries)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := 2*entries + i
+			if s.Touch(k%towers, uint64(k)) {
+				b.Fatalf("new key %d hit", k)
+			}
+		}
+	})
+}

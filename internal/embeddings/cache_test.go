@@ -79,6 +79,16 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	if st := c.Stats(); st != (CacheStats{}) || c.Len() != 0 {
 		t.Fatalf("nil cache stats %+v, len %d, want zero", st, c.Len())
 	}
+	s := NewLRUSet(0, 8)
+	if s != nil {
+		t.Fatal("zero capacity should yield a nil set")
+	}
+	if s.Touch(0, 1) || s.Touch(0, 1) {
+		t.Fatal("nil set returned a hit")
+	}
+	if st := s.Stats(); st != (CacheStats{}) {
+		t.Fatalf("nil set stats %+v, want zero", st)
+	}
 }
 
 func TestCacheStatsAdd(t *testing.T) {
@@ -150,28 +160,50 @@ func newLRUHarness(t *testing.T, capacity int) *lruHarness {
 
 func (h *lruHarness) get(key uint64) {
 	i, ok := h.c.get(key)
-	want, wantOK := h.ref.get(key)
-	if ok != wantOK || (ok && h.vals[i] != want) {
-		h.t.Fatalf("op %d: get(%d) = %v at %d, want %v %v", h.op, key, ok, i, want, wantOK)
-	}
-	if ok {
-		h.want.Hits++
-	} else {
-		h.want.Misses++
-	}
+	h.refGet("get", key, i, ok)
 	h.check()
 }
 
 func (h *lruHarness) put(key uint64) {
 	val := float32(h.op)
 	h.vals[h.c.slot(key)] = val
+	h.refPut("put", key, val)
+	h.check()
+}
+
+// getOrInsert checks the one-probe op against the model's get then put.
+func (h *lruHarness) getOrInsert(key uint64) {
+	i, ok := h.c.getOrInsert(key)
+	h.refGet("getOrInsert", key, i, ok)
+	val := float32(h.op)
+	h.vals[i] = val
+	h.refPut("getOrInsert", key, val)
+	h.check()
+}
+
+// refGet gets key from the model, which must answer as the core did: ok,
+// and on a hit the value at the core's entry i.
+func (h *lruHarness) refGet(op string, key uint64, i int32, ok bool) {
+	want, wantOK := h.ref.get(key)
+	if ok != wantOK || (ok && h.vals[i] != want) {
+		h.t.Fatalf("op %d: %s(%d) = %v at %d, want %v %v", h.op, op, key, ok, i, want, wantOK)
+	}
+	if ok {
+		h.want.Hits++
+	} else {
+		h.want.Misses++
+	}
+}
+
+// refPut puts key into the model; the core must have evicted the model's
+// victim, if any.
+func (h *lruHarness) refPut(op string, key uint64, val float32) {
 	if victim, evicted := h.ref.put(key, val); evicted {
 		h.want.Evictions++
 		if _, i := h.c.find(victim); i != 0 {
-			h.t.Fatalf("op %d: put(%d) kept %d, the model's victim", h.op, key, victim)
+			h.t.Fatalf("op %d: %s(%d) kept %d, the model's victim", h.op, op, key, victim)
 		}
 	}
-	h.check()
 }
 
 func (h *lruHarness) check() {
@@ -222,8 +254,9 @@ func homeKeys(c *lruCore, cell uint32, n int) []uint64 {
 }
 
 // TestLRUCoreMatchesModel drives the index-linked core and the reference
-// with one seeded stream of gets, inserts and refreshes (see lruHarness) and
-// requires the same recency order at the end.
+// with one seeded stream of gets, inserts, refreshes and one-probe
+// get-or-inserts (see lruHarness) and requires the same recency order at
+// the end.
 func TestLRUCoreMatchesModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 7, 1024} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
@@ -232,9 +265,12 @@ func TestLRUCoreMatchesModel(t *testing.T) {
 			keys := uint64(2*capacity + 3) // about half the puts evict once warm
 			for op := 0; op < 20000; op++ {
 				key := NsKey(3, rng.Uint64()%keys)
-				if rng.Intn(3) == 0 {
+				switch rng.Intn(4) {
+				case 0:
 					h.get(key)
-				} else {
+				case 1:
+					h.getOrInsert(key)
+				default:
 					h.put(key)
 				}
 			}
@@ -277,14 +313,15 @@ func TestLRUCoreMatchesModel(t *testing.T) {
 
 // FuzzLRUCore drives the core and the reference model from a byte stream:
 // the first byte picks the capacity (1–8), each later byte one op (at most
-// maxOps) — the top bit a get or a put, the rest a key from a pool in which
-// whole groups share a home cell (the last one among them, so probe runs
-// wrap).
+// maxOps) — the top bit a get, else the next bit a one-probe get-or-insert,
+// else a put; the low six bits a key from a pool in which whole groups
+// share a home cell (the last one among them, so probe runs wrap).
 func FuzzLRUCore(f *testing.F) {
 	const maxOps = 256
 	f.Add([]byte{3, 0x80, 1, 2, 3, 4, 0x81, 5, 20, 21, 40, 0x94})
 	f.Add([]byte{0, 7, 7, 0x87, 8})
 	f.Add([]byte{7, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 0x90, 0x91, 0x92})
+	f.Add([]byte{2, 0x41, 0x42, 0x41, 0x43, 0x81, 0x50, 2, 0x60, 0x42})
 	var pools [8][]uint64 // by capacity-1
 	for i := range pools {
 		var c lruCore
@@ -307,10 +344,13 @@ func FuzzLRUCore(f *testing.F) {
 		h := newLRUHarness(t, capacity)
 		pool := pools[capacity-1]
 		for _, op := range ops[1:] {
-			key := pool[int(op&0x7f)%len(pool)]
-			if op&0x80 != 0 {
+			key := pool[int(op&0x3f)%len(pool)]
+			switch {
+			case op&0x80 != 0:
 				h.get(key)
-			} else {
+			case op&0x40 != 0:
+				h.getOrInsert(key)
+			default:
 				h.put(key)
 			}
 		}
@@ -345,6 +385,79 @@ func TestKeyedAllocs(t *testing.T) {
 	}
 	if got := c.Stats().Evictions - before; got != 1001 {
 		t.Fatalf("%d evictions over 1001 inserts into a full cache", got)
+	}
+}
+
+// TestLRUSetAllocs pins LRUSet's steady-state paths at zero allocations: a
+// hit on the most recent key, a hit that refreshes an older one, and an
+// insert that evicts from a full set. One shard, so the two refreshed keys
+// share a ring and each Touch relinks.
+func TestLRUSetAllocs(t *testing.T) {
+	s := NewLRUSet(64, 1)
+	for k := uint64(0); k < 1000; k++ {
+		s.Touch(0, k)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Touch(0, 999) }); n != 0 {
+		t.Errorf("Touch hit allocates %v times", n)
+	}
+	older := uint64(998)
+	if n := testing.AllocsPerRun(100, func() { s.Touch(0, older); older ^= 1 }); n != 0 {
+		t.Errorf("Touch refresh allocates %v times", n)
+	}
+	next := uint64(1000)
+	before := s.Stats().Evictions
+	if n := testing.AllocsPerRun(1000, func() { s.Touch(0, next); next++ }); n != 0 {
+		t.Errorf("Touch insert-with-evict allocates %v times", n)
+	}
+	if got := s.Stats().Evictions - before; got != 1001 {
+		t.Fatalf("%d evictions over 1001 inserts into a full set", got)
+	}
+}
+
+// TestLRUSetMatchesKeyed drives an LRUSet and a Keyed of one geometry with
+// one seeded stream, Keyed as a presence cache (GetVec, then PutVec on a
+// miss): every Touch must answer as GetVec did, and the final counters must
+// agree. The geometries are the simulator's (16 384 keys over 8 shards,
+// 26 tables' keys folded onto a 65 536-id space), one shard, and fewer
+// entries than shards.
+func TestLRUSetMatchesKeyed(t *testing.T) {
+	for _, g := range []struct {
+		name             string
+		capacity, shards int
+		samples          int
+		fold             uint64 // id space the keys fold onto; 0 keeps them
+	}{
+		{"sim_fleet", 1 << 14, 8, 4096, 1 << 16},
+		{"one shard", 64, 1, 40, 0},
+		{"capacity below shards", 3, 8, 6, 0},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			set, keyed := NewLRUSet(g.capacity, g.shards), NewKeyed(g.capacity, g.shards)
+			marker := []float32{1}
+			rng := tensor.NewRNG(uint64(g.capacity))
+			for op := 0; op < 100_000; op++ {
+				ns := rng.Intn(26)
+				key := uint64(rng.Intn(rng.Intn(g.samples) + 1)) // skewed to small samples
+				if g.fold > 0 {
+					key = NsKey(ns, key) % g.fold
+				}
+				hit := set.Touch(ns, key)
+				_, want := keyed.GetVec(ns, key)
+				if !want {
+					keyed.PutVec(ns, key, marker)
+				}
+				if hit != want {
+					t.Fatalf("op %d: Touch(%d, %d) = %v, Keyed hit %v", op, ns, key, hit, want)
+				}
+			}
+			got, want := set.Stats(), keyed.Stats()
+			if got != want {
+				t.Fatalf("set stats %+v, Keyed %+v", got, want)
+			}
+			if want.Hits == 0 || want.Evictions == 0 {
+				t.Fatalf("stream made %d hits and %d evictions; it must make both", want.Hits, want.Evictions)
+			}
+		})
 	}
 }
 

@@ -33,8 +33,9 @@ type CachedStore struct {
 }
 
 // rowLRU is Keyed's shard split — same selector, same per-shard capacity,
-// hence the same hit, miss and eviction decisions — over bare cores:
-// CachedStore's one lock covers all of them.
+// hence the same hit, miss and eviction decisions — over bare cores, with
+// no lock of its own: CachedStore's one lock covers all of them, and
+// LRUSet, the split with no rows, has a single caller.
 type rowLRU struct {
 	cores []rowCore
 	mask  uint64
@@ -48,7 +49,28 @@ type rowCore struct {
 	rows []float32
 }
 
+// newRowLRU splits capacity over shards as Keyed does (see lruGeometry),
+// with dim floats per entry; dim 0 keeps no rows.
+func newRowLRU(capacity, shards, dim int) *rowLRU {
+	n, per := lruGeometry(capacity, shards)
+	l := &rowLRU{cores: make([]rowCore, n), mask: uint64(n - 1), dim: dim}
+	for i := range l.cores {
+		l.cores[i].init(per)
+		l.cores[i].rows = make([]float32, (per+1)*dim)
+	}
+	return l
+}
+
 func (l *rowLRU) core(key uint64) *rowCore { return &l.cores[mix64(key)&l.mask] }
+
+// stats merges the cores' counters.
+func (l *rowLRU) stats() CacheStats {
+	var out CacheStats
+	for i := range l.cores {
+		out.Add(l.cores[i].stats())
+	}
+	return out
+}
 
 // Get returns the cached row under key, marking it most recently used. The
 // slice is the cache's own buffer: valid until the next write to the cache.
@@ -82,28 +104,19 @@ func Cached(inner Store, rows int) Store {
 	if rows <= 0 {
 		return inner
 	}
-	dim := inner.Dim()
-	n, per := lruGeometry(rows, 8)
-	lru := &rowLRU{cores: make([]rowCore, n), mask: uint64(n - 1), dim: dim}
-	for i := range lru.cores {
-		lru.cores[i].init(per)
-		lru.cores[i].rows = make([]float32, (per+1)*dim)
-	}
-	return &CachedStore{inner: inner, lru: lru}
+	return &CachedStore{inner: inner, lru: newRowLRU(rows, 8, inner.Dim())}
 }
 
 // StatsOf returns the LRU counters of a store built by Cached; a plain
 // (uncached) Store yields zeros.
 func StatsOf(s Store) CacheStats {
-	var out CacheStats
-	if c, ok := s.(*CachedStore); ok {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		for i := range c.lru.cores {
-			out.Add(c.lru.cores[i].stats())
-		}
+	c, ok := s.(*CachedStore)
+	if !ok {
+		return CacheStats{}
 	}
-	return out
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.stats()
 }
 
 // Dim returns the inner store's dimension.

@@ -19,6 +19,7 @@ type Batcher[T any] struct {
 	maxBatch int
 	maxWait  time.Duration
 	pending  []T
+	spare    [][]T // emptied batches handed back by Reuse, for later batches
 	gen      uint64
 }
 
@@ -53,10 +54,24 @@ func (b *Batcher[T]) Expire(gen uint64) []T {
 
 // Take detaches what is pending (nil if nothing) and advances the generation.
 func (b *Batcher[T]) Take() []T {
+	b.gen++
+	if len(b.pending) == 0 {
+		return nil
+	}
 	batch := b.pending
 	b.pending = nil
-	b.gen++
+	if n := len(b.spare); n > 0 {
+		b.pending, b.spare = b.spare[n-1], b.spare[:n-1]
+	}
 	return batch
+}
+
+// Reuse hands back a batch the driver is done with; a later batch forms in
+// its backing array. A driver that never calls it (the Server, whose
+// workers keep batches past the lock) gets a new array for every batch.
+func (b *Batcher[T]) Reuse(batch []T) {
+	clear(batch)
+	b.spare = append(b.spare, batch[:0])
 }
 
 // flushExpired is timer gen's callback. After Close it does nothing —

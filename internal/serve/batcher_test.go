@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -274,6 +275,8 @@ type flushRec struct {
 // non-decreasing) the way the cluster simulator drives it: one list of
 // events taken in (instant, push order), every arrival pushed before any
 // timer, and a timer left in the list when its batch flushes another way.
+// It records a copy of each flushed batch and hands every other one back
+// through Reuse, so batches form both in fresh and in reused arrays.
 func driveBatcher(t *testing.T, at []int64, maxBatch int, maxWait int64) []flushRec {
 	type event struct {
 		at  int64
@@ -287,6 +290,12 @@ func driveBatcher(t *testing.T, at []int64, maxBatch int, maxWait int64) []flush
 		evs = append(evs, event{at: a, seq: i, req: i})
 	}
 	var out []flushRec
+	record := func(at int64, group []int) {
+		out = append(out, flushRec{at, slices.Clone(group)})
+		if len(out)%2 == 0 {
+			b.Reuse(group)
+		}
+	}
 	for seq := len(at); len(evs) > 0; {
 		k := 0
 		for i, e := range evs {
@@ -298,13 +307,13 @@ func driveBatcher(t *testing.T, at []int64, maxBatch int, maxWait int64) []flush
 		evs = append(evs[:k], evs[k+1:]...)
 		if e.req < 0 {
 			if group := b.Expire(e.gen); group != nil {
-				out = append(out, flushRec{e.at, group})
+				record(e.at, group)
 			}
 			continue
 		}
 		group, gen, arm := b.Add(e.req)
 		if group != nil {
-			out = append(out, flushRec{e.at, group})
+			record(e.at, group)
 		}
 		if arm {
 			evs = append(evs, event{at: e.at + maxWait, seq: seq, req: -1, gen: gen})

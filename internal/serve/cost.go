@@ -22,7 +22,8 @@ import (
 //     cross-host fabric (netsim.P2PTime via Fabric.RoundTrip).
 //   - Tower-cache hits skip the per-tower module compute — the DMT-specific
 //     memoization models.Predict exploits; the replica-state layer does the
-//     hit/miss accounting with embeddings.Keyed and feeds the counts here.
+//     hit/miss accounting with embeddings.LRUSet (Keyed's decisions, keys
+//     only) and feeds the counts here.
 //
 // All methods are pure functions of their arguments, so every number they
 // produce is deterministic and independent of wall-clock load.
