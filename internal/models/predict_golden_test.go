@@ -14,7 +14,7 @@ import (
 	"dmt/internal/embeddings"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/predict.golden from the current Predict")
+var update = flag.Bool("update", false, "rewrite the golden files of the tests run from the current code")
 
 // goldenSizes are the batch sizes the golden covers: a lone request, an
 // open-loop micro-batch that leaves a ragged 4-row GEMM slab, and a full one.
