@@ -39,13 +39,15 @@ lint: fmt-check vet
 # arm64 compiles x += a*b into one fused multiply-add (FMADD/FMSUB/FNMADD/
 # FNMSUB), which rounds once where amd64 rounds twice, so a fused op on the
 # training path breaks the bitwise goldens there. Writing the product as
-# float32(a*b) or float64(a*b) keeps it apart. Cross-compiles the trainer's
-# test binary for arm64 (no emulator, no network) and fails if any function
-# from a non-test dmt/ file contains a fused op.
+# float32(a*b) or float64(a*b) keeps it apart. Cross-compiles for arm64 (no
+# emulator, no network) the trainer's test binary and the models' (every
+# model's forward, Predict included, the towers and the metrics), and fails
+# if any function from a non-test dmt/ file contains a fused op.
 fma-check:
 	@mkdir -p bin
 	GOARCH=arm64 $(GO) test -c -o bin/fma-check-arm64.test ./internal/distributed
-	@$(GO) tool objdump bin/fma-check-arm64.test | awk ' \
+	GOARCH=arm64 $(GO) test -c -o bin/fma-check-models-arm64.test ./internal/models
+	@for b in bin/fma-check-arm64.test bin/fma-check-models-arm64.test; do $(GO) tool objdump $$b; done | awk ' \
 		/^TEXT / { fn = $$2; file = $$3; next } \
 		/\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD]? / && fn ~ /^dmt\// && file !~ /_test\.go$$/ { print "fma-check: " fn " " $$1 ": " $$4; bad = 1 } \
 		END { if (bad) { print "fma-check: fused multiply-add in non-test code; write the product as float32(a*b) or float64(a*b)"; exit 1 } }'

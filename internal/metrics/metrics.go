@@ -35,7 +35,7 @@ func AUC(scores []float64, labels []float32) float64 {
 			j++
 		}
 		// Midrank for the tie group [i, j). Ranks are 1-based.
-		midrank := float64(i+j+1) / 2
+		midrank := float64(float64(i+j+1) / 2)
 		for k := i; k < j; k++ {
 			if labels[idx[k]] > 0.5 {
 				rankSumPos += midrank
@@ -53,7 +53,7 @@ func AUC(scores []float64, labels []float32) float64 {
 	if nPos == 0 || nNeg == 0 {
 		return 0.5
 	}
-	return (rankSumPos - nPos*(nPos+1)/2) / (nPos * nNeg)
+	return (rankSumPos - float64(nPos*(nPos+1)/2)) / (nPos * nNeg)
 }
 
 // LogLoss returns the mean binary cross-entropy of probability predictions,
@@ -93,7 +93,7 @@ func NormalizedEntropy(probs []float64, labels []float32) float64 {
 	if p <= 0 || p >= 1 {
 		return math.NaN()
 	}
-	background := -(p*math.Log(p) + (1-p)*math.Log(1-p))
+	background := -(float64(p*math.Log(p)) + float64((1-p)*math.Log(1-p)))
 	return LogLoss(probs, labels) / background
 }
 

@@ -24,7 +24,7 @@ type DCN struct {
 	Cross *nn.CrossNet
 	Deep  *nn.MLP
 
-	lastBatch   int
+	tape        nn.Tape // Forward's, popped by Backward
 	sparseGrads []*nn.SparseGrad
 }
 
@@ -37,6 +37,7 @@ func NewDCN(cfg DCNConfig) *DCN {
 		Embs:  newEmbeddings(r, cfg.Schema, cfg.N),
 		Cross: nn.NewCrossNet(r.Split(1), d0, cfg.CrossLayers, "cross"),
 		Deep:  nn.NewMLP(r.Split(2), d0, append(append([]int(nil), cfg.DeepMLP...), 1), false, "deep"),
+		tape:  nn.Tape{Record: true},
 	}
 }
 
@@ -48,23 +49,25 @@ func (m *DCN) inputDim() int { return m.cfg.Schema.NumDense + m.cfg.Schema.NumSp
 
 // Forward computes logits for a batch.
 func (m *DCN) Forward(b *data.Batch) *tensor.Tensor {
-	m.lastBatch = b.Size
-	sparse := embedAll(m.Embs, b) // (B, F, N)
-	x0 := tensor.Concat(1, b.Dense, sparse.Reshape(b.Size, -1))
-	c := m.Cross.Forward(x0)
-	logits := m.Deep.Forward(c)
-	return logits.Reshape(b.Size)
+	m.tape.Reset()
+	return m.forward(&m.tape, nil, b, PredictOptions{}).Reshape(b.Size)
 }
 
-// Backward propagates logit gradients.
+// forward is the one forward body, behind Forward and Predict: (B, 1)
+// logits, pooled lookups going through opt's cache when there is one.
+func (m *DCN) forward(t *nn.Tape, _ *predictScratch, b *data.Batch, opt PredictOptions) *tensor.Tensor {
+	sparse := lookupPooled(t, m.Embs, b, opt.Embeddings) // (B, F, N)
+	x0 := t.Concat(1, b.Dense, t.Reshape(sparse, b.Size, -1))
+	return m.Deep.Forward(t, m.Cross.Forward(t, x0))
+}
+
+// Backward propagates logit gradients. Dense inputs are raw features, with
+// no parameters behind them.
 func (m *DCN) Backward(dLogits *tensor.Tensor) {
-	b := m.lastBatch
-	dC := m.Deep.Backward(dLogits.Reshape(b, 1))
-	dX0 := m.Cross.Backward(dC)
-	parts := tensor.SplitCols(dX0, []int{m.cfg.Schema.NumDense, m.cfg.Schema.NumSparse() * m.cfg.N})
-	// Dense inputs are raw features: no parameters behind them.
-	dSparse := parts[1].Reshape(b, m.cfg.Schema.NumSparse(), m.cfg.N)
-	m.sparseGrads = scatterEmbGrads(m.Embs, dSparse)
+	b := dLogits.Len()
+	dX0 := m.Cross.Backward(&m.tape, m.Deep.Backward(&m.tape, dLogits.Reshape(b, 1)))
+	m.sparseGrads = make([]*nn.SparseGrad, len(m.Embs))
+	lookupBackward(&m.tape, m.Embs, nil, dX0, m.cfg.Schema.NumDense, m.sparseGrads)
 }
 
 // DenseParams returns CrossNet and deep MLP parameters.

@@ -48,7 +48,7 @@ type DLRM struct {
 	Interaction *nn.DotInteraction
 	Top         *nn.MLP
 
-	lastBatch   int
+	tape        nn.Tape // Forward's, popped by Backward
 	sparseGrads []*nn.SparseGrad
 }
 
@@ -67,6 +67,7 @@ func NewDLRM(cfg DLRMConfig) *DLRM {
 		Bottom:      nn.NewMLP(r.Split(1), cfg.Schema.NumDense, cfg.BottomMLP, true, "bottom"),
 		Interaction: di,
 		Top:         nn.NewMLP(r.Split(2), topIn, append(append([]int(nil), cfg.TopMLP...), 1), false, "top"),
+		tape:        nn.Tape{Record: true},
 	}
 }
 
@@ -75,37 +76,37 @@ func (m *DLRM) Name() string { return "DLRM" }
 
 // Forward computes logits for a batch.
 func (m *DLRM) Forward(b *data.Batch) *tensor.Tensor {
-	m.lastBatch = b.Size
-	denseEmb := m.Bottom.Forward(b.Dense) // (B, N)
-	sparse := embedAll(m.Embs, b)         // (B, F, N)
+	m.tape.Reset()
+	return m.forward(&m.tape, nil, b, PredictOptions{}).Reshape(b.Size)
+}
+
+// forward is the one forward body, behind Forward and Predict: (B, 1)
+// logits, pooled lookups going through opt's cache when there is one.
+func (m *DLRM) forward(t *nn.Tape, _ *predictScratch, b *data.Batch, opt PredictOptions) *tensor.Tensor {
+	sparse := lookupPooled(t, m.Embs, b, opt.Embeddings) // (B, F, N)
 	// Simulated quantized embedding AlltoAll: the dense network sees the
 	// rounded values, the backward pass is straight-through.
 	sparse = quant.Apply(m.cfg.EmbCommQuant, sparse)
-	x := stackDenseSparse(nil, denseEmb, sparse) // (B, F+1, N)
-	z := m.Interaction.Forward(x)                // (B, P)
-	top := tensor.Concat(1, denseEmb, z)         // (B, N+P)
-	logits := m.Top.Forward(top)                 // (B, 1)
-	return logits.Reshape(b.Size)
+	denseEmb := m.Bottom.Forward(t, b.Dense)   // (B, N)
+	x := stackDenseSparse(t, denseEmb, sparse) // (B, F+1, N)
+	z := m.Interaction.Forward(t, x)           // (B, P)
+	return m.Top.Forward(t, t.Concat(1, denseEmb, z))
 }
 
 // Backward propagates logit gradients to all parameters.
 func (m *DLRM) Backward(dLogits *tensor.Tensor) {
-	f, n := m.cfg.Schema.NumSparse(), m.cfg.N
-	b := m.lastBatch
-	dTop := m.Top.Backward(dLogits.Reshape(b, 1)) // (B, N+P)
+	b, n := dLogits.Len(), m.cfg.N
+	dTop := m.Top.Backward(&m.tape, dLogits.Reshape(b, 1)) // (B, N+P)
 	parts := tensor.SplitCols(dTop, []int{n, dTop.Dim(1) - n})
-	dDenseEmbDirect, dZ := parts[0], parts[1]
-	dX := m.Interaction.Backward(dZ) // (B, F+1, N)
-
+	dX := m.Interaction.Backward(&m.tape, parts[1]).Reshape(b, -1) // (B, (F+1)·N)
 	dDenseEmb := tensor.New(b, n)
-	dSparse := tensor.New(b, f, n)
 	for s := 0; s < b; s++ {
-		copy(dDenseEmb.Row(s), dX.Data()[s*(f+1)*n:s*(f+1)*n+n])
-		copy(dSparse.Data()[s*f*n:(s+1)*f*n], dX.Data()[s*(f+1)*n+n:(s+1)*(f+1)*n])
+		copy(dDenseEmb.Row(s), dX.Row(s)[:n])
 	}
-	tensor.AddInPlace(dDenseEmb, dDenseEmbDirect)
-	m.Bottom.Backward(dDenseEmb)
-	m.sparseGrads = scatterEmbGrads(m.Embs, dSparse)
+	tensor.AddInPlace(dDenseEmb, parts[0])
+	m.Bottom.Backward(&m.tape, dDenseEmb)
+	m.sparseGrads = make([]*nn.SparseGrad, len(m.Embs))
+	lookupBackward(&m.tape, m.Embs, nil, dX, n, m.sparseGrads)
 }
 
 // DenseParams returns the MLP parameters.
@@ -130,7 +131,7 @@ func (m *DLRM) ParamCount() int64 {
 func (m *DLRM) FlopsPerSample() float64 {
 	f, n := m.cfg.Schema.NumSparse(), m.cfg.N
 	di := &nn.DotInteraction{}
-	interaction := float64((f+1)*(f+1)) * float64(n) // pairwise dots
+	interaction := float64((f + 1) * (f + 1) * n) // pairwise dots
 	topIn := n + di.OutDim(f+1)
 	return mlpFlops(m.cfg.Schema.NumDense, m.cfg.BottomMLP) +
 		interaction +

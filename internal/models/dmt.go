@@ -78,7 +78,7 @@ type DMTDLRM struct {
 	Interaction *nn.DotInteraction
 	Top         *nn.MLP
 
-	lastBatch   int
+	tape        nn.Tape // the training pass's, staged calls included
 	sparseGrads []*nn.SparseGrad
 }
 
@@ -96,6 +96,7 @@ func NewDMTDLRM(cfg DMTDLRMConfig) *DMTDLRM {
 		Embs:        newEmbeddings(r, cfg.Schema, cfg.N),
 		Bottom:      nn.NewMLP(r.Split(1), cfg.Schema.NumDense, cfg.BottomMLP, true, "bottom"),
 		Interaction: &nn.DotInteraction{},
+		tape:        nn.Tape{Record: true},
 	}
 	totalDerived := 0
 	for t, feats := range cfg.Towers {
@@ -144,33 +145,37 @@ func (m *DMTDLRM) CompressionRatio() float64 {
 	return towers.CompressionRatio(m.cfg.Schema.NumSparse(), m.cfg.N, outs)
 }
 
-// Forward computes logits: embeddings, the tower modules (hierarchical
-// interaction level 1: per-tower compression), then the same over-arch a
-// distributed rank runs — ForwardDenseFrom(ForwardBottom(dense), towers).
+// Forward computes logits: the bottom MLP, the embeddings and tower
+// modules (hierarchical interaction level 1: per-tower compression), then
+// the over-arch a distributed rank runs in ForwardDenseFrom.
 func (m *DMTDLRM) Forward(b *data.Batch) *tensor.Tensor {
-	sparse := embedAll(m.Embs, b) // (B, F, N)
-	parts := make([]*tensor.Tensor, len(m.cfg.Towers))
-	for t, feats := range m.cfg.Towers {
-		parts[t] = m.TMs[t].Forward(tensor.SelectFeatures(sparse, feats)) // (B, O_t)
-	}
-	return m.ForwardDenseFrom(m.ForwardBottom(b.Dense), tensor.Concat(1, parts...))
+	m.tape.Reset()
+	return m.forward(&m.tape, nil, b, PredictOptions{}).Reshape(b.Size)
 }
 
-// Backward propagates logit gradients: BackwardTop and BackwardBottom (the
-// over-arch, as on a distributed rank), then each tower's share of the
-// compressed-output gradient back through its module into the tables.
+// forward is the one forward body, behind Forward and Predict: (B, 1)
+// logits. sc holds the tower cache's dedupe tables (nil without one).
+func (m *DMTDLRM) forward(t *nn.Tape, sc *predictScratch, b *data.Batch, opt PredictOptions) *tensor.Tensor {
+	denseEmb := m.Bottom.Forward(t, b.Dense)
+	flat := towerInput(t, sc, denseEmb, m.Embs, m.cfg.Towers, m.TMs, b, opt)
+	return m.overArch(t, denseEmb, flat)
+}
+
+// overArch is the global interaction and the top MLP over flat, the dense
+// embedding followed by the tower outputs (B, D + Σ O_t): (B, 1) logits.
+func (m *DMTDLRM) overArch(t *nn.Tape, denseEmb, flat *tensor.Tensor) *tensor.Tensor {
+	b, d := flat.Dim(0), m.cfg.D
+	z := m.Interaction.Forward(t, t.Reshape(flat, b, flat.Dim(1)/d, d))
+	return m.Top.Forward(t, t.Concat(1, denseEmb, z))
+}
+
+// Backward propagates logit gradients: BackwardTop (the over-arch, as on a
+// distributed rank), each tower's share of the compressed-output gradient
+// back through its module into the tables, then BackwardBottom.
 func (m *DMTDLRM) Backward(dLogits *tensor.Tensor) {
 	dCompressed, dDenseEmb := m.BackwardTop(dLogits)
+	m.sparseGrads = towersBackward(&m.tape, m.Embs, m.cfg.Towers, m.TMs, dCompressed)
 	m.BackwardBottom(dDenseEmb)
-	widths := make([]int, len(m.TMs))
-	for t, tm := range m.TMs {
-		widths[t] = tm.OutDim()
-	}
-	dSparse := tensor.New(m.lastBatch, m.cfg.Schema.NumSparse(), m.cfg.N)
-	for t, dOut := range tensor.SplitCols(dCompressed, widths) {
-		tensor.ScatterAddFeatures(dSparse, m.TMs[t].Backward(dOut), m.cfg.Towers[t]) // (B, F_t, N)
-	}
-	m.sparseGrads = scatterEmbGrads(m.Embs, dSparse)
 }
 
 // ForwardDense runs only the dense side of the model: given the raw dense
@@ -187,21 +192,15 @@ func (m *DMTDLRM) ForwardDense(dense, compressed *tensor.Tensor) *tensor.Tensor 
 // overlapped distributed schedule run it while the SPTT peer AlltoAll is
 // still in flight.
 func (m *DMTDLRM) ForwardBottom(dense *tensor.Tensor) *tensor.Tensor {
-	return m.Bottom.Forward(dense)
+	m.tape.Reset()
+	return m.Bottom.Forward(&m.tape, dense)
 }
 
 // ForwardDenseFrom is ForwardDense with the bottom-MLP activation already
-// computed (by ForwardBottom): interaction over the dense embedding and the
-// compressed tower outputs, then the top MLP.
+// computed (by ForwardBottom, which started the pass): interaction over the
+// dense embedding and the compressed tower outputs, then the top MLP.
 func (m *DMTDLRM) ForwardDenseFrom(denseEmb, compressed *tensor.Tensor) *tensor.Tensor {
-	b := denseEmb.Dim(0)
-	m.lastBatch = b
-	d := m.cfg.D
-	flat := tensor.Concat(1, denseEmb, compressed)
-	x := flat.Reshape(b, flat.Dim(1)/d, d)
-	z := m.Interaction.Forward(x)
-	top := tensor.Concat(1, denseEmb, z)
-	return m.Top.Forward(top).Reshape(b)
+	return m.overArch(&m.tape, denseEmb, tensor.Concat(1, denseEmb, compressed)).Reshape(denseEmb.Dim(0))
 }
 
 // BackwardDense reverses ForwardDense: it accumulates bottom/top gradients
@@ -220,12 +219,11 @@ func (m *DMTDLRM) BackwardDense(dLogits *tensor.Tensor) *tensor.Tensor {
 // BottomParams gradients are still pending BackwardBottom. It returns the
 // gradient of the compressed tower outputs and of the bottom-MLP output.
 func (m *DMTDLRM) BackwardTop(dLogits *tensor.Tensor) (dCompressed, dDenseEmb *tensor.Tensor) {
-	b := m.lastBatch
-	d := m.cfg.D
-	dTop := m.Top.Backward(dLogits.Reshape(b, 1))
+	b, d := dLogits.Len(), m.cfg.D
+	dTop := m.Top.Backward(&m.tape, dLogits.Reshape(b, 1))
 	parts := tensor.SplitCols(dTop, []int{d, dTop.Dim(1) - d})
 	dDenseDirect, dZ := parts[0], parts[1]
-	dX := m.Interaction.Backward(dZ)
+	dX := m.Interaction.Backward(&m.tape, dZ)
 	dFlat := dX.Reshape(b, dX.Dim(1)*d)
 	blocks := tensor.SplitCols(dFlat, []int{d, dFlat.Dim(1) - d})
 	return blocks[1], tensor.Add(blocks[0], dDenseDirect)
@@ -234,7 +232,7 @@ func (m *DMTDLRM) BackwardTop(dLogits *tensor.Tensor) (dCompressed, dDenseEmb *t
 // BackwardBottom finishes the dense backward through the bottom MLP,
 // finalizing the BottomParams gradients.
 func (m *DMTDLRM) BackwardBottom(dDenseEmb *tensor.Tensor) {
-	m.Bottom.Backward(dDenseEmb)
+	m.Bottom.Backward(&m.tape, dDenseEmb)
 }
 
 // OverArchParams returns the parameters of the over-arch only (bottom and
@@ -288,11 +286,11 @@ func (m *DMTDLRM) FlopsPerSample() float64 {
 			total += linearFlops(m.cfg.N*ft, m.cfg.P*m.cfg.D)
 		}
 		if m.cfg.C > 0 {
-			total += float64(ft) * linearFlops(m.cfg.N, m.cfg.C*m.cfg.D)
+			total += linearFlops(ft*m.cfg.N, m.cfg.C*m.cfg.D) // ft projections of N
 		}
 		kTotal += m.derived[t]
 	}
-	total += float64(kTotal*kTotal) * float64(m.cfg.D)
+	total += float64(kTotal * kTotal * m.cfg.D)
 	topIn := m.cfg.D + m.Interaction.OutDim(kTotal)
 	total += mlpFlops(topIn, append(append([]int(nil), m.cfg.TopMLP...), 1))
 	return total

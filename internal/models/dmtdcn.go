@@ -32,7 +32,7 @@ type DMTDCN struct {
 	Cross *nn.CrossNet
 	Deep  *nn.MLP
 
-	lastBatch   int
+	tape        nn.Tape // Forward's, popped by Backward
 	sparseGrads []*nn.SparseGrad
 }
 
@@ -42,7 +42,7 @@ func NewDMTDCN(cfg DMTDCNConfig) *DMTDCN {
 		panic(err)
 	}
 	r := tensor.NewRNG(cfg.Seed)
-	m := &DMTDCN{cfg: cfg, Embs: newEmbeddings(r, cfg.Schema, cfg.N)}
+	m := &DMTDCN{cfg: cfg, Embs: newEmbeddings(r, cfg.Schema, cfg.N), tape: nn.Tape{Record: true}}
 	for t, feats := range cfg.Towers {
 		m.TMs = append(m.TMs, towers.NewDCNTower(r.Split(uint64(10+t)), len(feats), cfg.N, cfg.D,
 			cfg.TMCrossLayers, fmt.Sprintf("tm%d", t)))
@@ -67,37 +67,23 @@ func (m *DMTDCN) CompressionRatio() float64 {
 
 // Forward computes logits.
 func (m *DMTDCN) Forward(b *data.Batch) *tensor.Tensor {
-	m.lastBatch = b.Size
-	sparse := embedAll(m.Embs, b) // (B, F, N)
-	parts := []*tensor.Tensor{b.Dense}
-	for t, feats := range m.cfg.Towers {
-		sel := tensor.SelectFeatures(sparse, feats)
-		parts = append(parts, m.TMs[t].Forward(sel)) // (B, F_t·D)
-	}
-	x0 := tensor.Concat(1, parts...)
-	c := m.Cross.Forward(x0)
-	return m.Deep.Forward(c).Reshape(b.Size)
+	m.tape.Reset()
+	return m.forward(&m.tape, nil, b, PredictOptions{}).Reshape(b.Size)
+}
+
+// forward is the one forward body, behind Forward and Predict: (B, 1)
+// logits. sc holds the tower cache's dedupe tables (nil without one).
+func (m *DMTDCN) forward(t *nn.Tape, sc *predictScratch, b *data.Batch, opt PredictOptions) *tensor.Tensor {
+	x0 := towerInput(t, sc, b.Dense, m.Embs, m.cfg.Towers, m.TMs, b, opt)
+	return m.Deep.Forward(t, m.Cross.Forward(t, x0))
 }
 
 // Backward propagates logit gradients.
 func (m *DMTDCN) Backward(dLogits *tensor.Tensor) {
-	b := m.lastBatch
-	f, n := m.cfg.Schema.NumSparse(), m.cfg.N
-	dC := m.Deep.Backward(dLogits.Reshape(b, 1))
-	dX0 := m.Cross.Backward(dC)
-
-	widths := []int{m.cfg.Schema.NumDense}
-	for _, tm := range m.TMs {
-		widths = append(widths, tm.OutDim())
-	}
-	blocks := tensor.SplitCols(dX0, widths)
-
-	dSparse := tensor.New(b, f, n)
-	for t, feats := range m.cfg.Towers {
-		dSel := m.TMs[t].Backward(blocks[t+1])
-		tensor.ScatterAddFeatures(dSparse, dSel, feats)
-	}
-	m.sparseGrads = scatterEmbGrads(m.Embs, dSparse)
+	b, nd := dLogits.Len(), m.cfg.Schema.NumDense
+	dX0 := m.Cross.Backward(&m.tape, m.Deep.Backward(&m.tape, dLogits.Reshape(b, 1)))
+	dTowers := tensor.SplitCols(dX0, []int{nd, dX0.Dim(1) - nd})[1]
+	m.sparseGrads = towersBackward(&m.tape, m.Embs, m.cfg.Towers, m.TMs, dTowers)
 }
 
 // DenseParams returns CrossNet, deep MLP, and tower-module parameters.

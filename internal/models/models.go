@@ -16,17 +16,24 @@ import (
 	"dmt/internal/data"
 	"dmt/internal/nn"
 	"dmt/internal/tensor"
+	"dmt/internal/towers"
 )
 
 // Model is what the trainer drives: forward to logits, backward from logit
 // gradients, dense parameters for Adam, embedding tables plus their sparse
 // gradients for SparseAdam.
+//
+// Forward and Predict run the model's one forward body: Forward on the tape
+// the model owns, recording what Backward needs, and Predict on a pooled
+// tape that records nothing.
 type Model interface {
-	Name() string
-	// Forward maps a batch to logits of shape (B).
+	Predictor
+	// Forward maps a batch to logits of shape (B), recording the pass on
+	// the model's tape; it starts a new pass, so a Forward with no Backward
+	// leaves nothing behind.
 	Forward(b *data.Batch) *tensor.Tensor
-	// Backward consumes dLoss/dLogits (B), accumulating dense parameter
-	// gradients and stashing per-table sparse gradients.
+	// Backward consumes dLoss/dLogits (B) of the last Forward, accumulating
+	// dense parameter gradients and stashing per-table sparse gradients.
 	Backward(dLogits *tensor.Tensor)
 	// DenseParams returns all dense trainable parameters.
 	DenseParams() []*nn.Param
@@ -54,42 +61,69 @@ func newEmbeddings(r *tensor.RNG, schema data.Schema, n int) []*nn.EmbeddingBag 
 	return embs
 }
 
-// embedAll runs every feature's lookup for a batch, returning (B, F, N).
-// Each table caches its inputs, so a following Backward is valid.
-func embedAll(embs []*nn.EmbeddingBag, b *data.Batch) *tensor.Tensor {
+// lookupPooled pools every feature's bags for a batch into (B, F, N) from
+// t's arena, through the cache when there is one, and records each table's
+// lookup on t.
+func lookupPooled(t *nn.Tape, embs []*nn.EmbeddingBag, b *data.Batch, cache VecCache) *tensor.Tensor {
 	f := len(embs)
 	n := embs[0].Dim
-	out := tensor.New(b.Size, f, n)
+	out := t.New(b.Size, f, n)
 	for fi, e := range embs {
-		pooled := e.Forward(b.Indices[fi], b.Offsets[fi]) // (B, N)
 		for s := 0; s < b.Size; s++ {
-			copy(out.Data()[(s*f+fi)*n:(s*f+fi+1)*n], pooled.Row(s))
+			dst := out.Data()[(s*f+fi)*n : (s*f+fi+1)*n]
+			pooledBagInto(dst, e, fi, bagOf(b, fi, s), cache)
 		}
+		e.Record(t, b.Indices[fi], b.Offsets[fi])
 	}
 	return out
 }
 
-// scatterEmbGrads converts a (B, F, N) embedding gradient into per-table
-// sparse gradients via each table's cached inputs.
-func scatterEmbGrads(embs []*nn.EmbeddingBag, dEmb *tensor.Tensor) []*nn.SparseGrad {
-	b, f, n := dEmb.Dim(0), dEmb.Dim(1), dEmb.Dim(2)
-	grads := make([]*nn.SparseGrad, f)
-	for fi, e := range embs {
+// lookupBackward pops the lookups of feats (all tables when nil), recorded
+// in that order, off t into grads. Feature feats[k]'s pooled gradient is
+// columns [col+k·N, col+(k+1)·N) of d's rows.
+func lookupBackward(t *nn.Tape, embs []*nn.EmbeddingBag, feats []int, d *tensor.Tensor, col int, grads []*nn.SparseGrad) {
+	nf := len(feats)
+	if feats == nil {
+		nf = len(embs)
+	}
+	b, n := d.Dim(0), embs[0].Dim
+	w := d.Len() / b
+	for k := nf - 1; k >= 0; k-- {
+		f := k
+		if feats != nil {
+			f = feats[k]
+		}
 		dPooled := tensor.New(b, n)
 		for s := 0; s < b; s++ {
-			copy(dPooled.Row(s), dEmb.Data()[(s*f+fi)*n:(s*f+fi+1)*n])
+			copy(dPooled.Row(s), d.Data()[s*w+col+k*n:][:n])
 		}
-		grads[fi] = e.Backward(dPooled)
+		grads[f] = embs[f].Backward(t, dPooled)
+	}
+}
+
+// towersBackward pops what towerInput recorded off t, the last tower first
+// and each module before its lookups, given the gradient of the tower
+// outputs (B, Σ O_t), and returns the tables' sparse gradients.
+func towersBackward[TM towers.Module](t *nn.Tape, embs []*nn.EmbeddingBag, towerFeats [][]int, tms []TM, dOut *tensor.Tensor) []*nn.SparseGrad {
+	widths := make([]int, len(tms))
+	for tw, tm := range tms {
+		widths[tw] = tm.OutDim()
+	}
+	blocks := tensor.SplitCols(dOut, widths)
+	grads := make([]*nn.SparseGrad, len(embs))
+	for tw := len(tms) - 1; tw >= 0; tw-- {
+		dSel := tms[tw].BackwardOn(t, blocks[tw]) // (B, F_t, N)
+		lookupBackward(t, embs, towerFeats[tw], dSel.Reshape(dSel.Dim(0), -1), 0, grads)
 	}
 	return grads
 }
 
 // stackDenseSparse interleaves the dense embedding (B, N) ahead of the
 // sparse embeddings (B, F, N) into the (B, F+1, N) interaction input, taken
-// from the arena a (the heap for the training path's nil).
-func stackDenseSparse(a *tensor.Arena, denseEmb, sparse *tensor.Tensor) *tensor.Tensor {
+// from t's arena.
+func stackDenseSparse(t *nn.Tape, denseEmb, sparse *tensor.Tensor) *tensor.Tensor {
 	b, f, n := sparse.Dim(0), sparse.Dim(1), sparse.Dim(2)
-	x := a.New(b, f+1, n)
+	x := t.New(b, f+1, n)
 	for s := 0; s < b; s++ {
 		copy(x.Data()[s*(f+1)*n:s*(f+1)*n+n], denseEmb.Row(s))
 		copy(x.Data()[s*(f+1)*n+n:(s+1)*(f+1)*n], sparse.Data()[s*f*n:(s+1)*f*n])
@@ -105,8 +139,9 @@ func tableParamCount(embs []*nn.EmbeddingBag) int64 {
 	return total
 }
 
-// linearFlops is 2·in·out multiply-accumulates.
-func linearFlops(in, out int) float64 { return 2 * float64(in) * float64(out) }
+// linearFlops is 2·in·out multiply-accumulates. The flop counts multiply
+// in int, so no float product can fuse into a caller's sum (make fma-check).
+func linearFlops(in, out int) float64 { return float64(2 * in * out) }
 
 func mlpFlops(in int, sizes []int) float64 {
 	total := 0.0
@@ -120,5 +155,5 @@ func mlpFlops(in int, sizes []int) float64 {
 
 func crossNetFlops(dim, layers int) float64 {
 	// Per layer: a (dim×dim) matvec plus elementwise ops.
-	return float64(layers) * (2*float64(dim)*float64(dim) + 3*float64(dim))
+	return float64(layers * (2*dim*dim + 3*dim))
 }

@@ -6,14 +6,15 @@ import (
 
 	"dmt/internal/data"
 	"dmt/internal/nn"
-	"dmt/internal/quant"
 	"dmt/internal/tensor"
+	"dmt/internal/towers"
 )
 
-// This file is the serving path: forward-only Predict implementations that
-// never touch optimizer or gradient state, so a single model instance can
-// answer many concurrent requests (package serve). Two memoization hooks
-// exploit request skew:
+// This file is the serving path. Predict runs each model's one forward
+// body, the one Forward runs, on a tape that records nothing, so a single
+// model instance answers many concurrent requests (package serve) while it
+// trains from its owning goroutine. Two memoization hooks exploit request
+// skew:
 //
 //   - Embeddings memoizes pooled embedding-bag lookups per (table, bag ids)
 //     — applicable to any model.
@@ -30,6 +31,8 @@ import (
 // per-sample dedupe tables — lives in a predictScratch taken from a package
 // pool and returned before Predict returns, so a steady stream of batches
 // reuses the same memory. Only the returned logits are freshly allocated.
+// Training passes no caches: a recording tape needs every lookup and tower
+// forward to run.
 
 // VecCache memoizes float32 vectors under a (namespace, key) pair — the one
 // shape both serving caches share (namespace = table index for pooled bags,
@@ -62,30 +65,30 @@ type Predictor interface {
 	Predict(b *data.Batch, opt PredictOptions) *tensor.Tensor
 }
 
-// predictScratch is one Predict call's reusable memory: the arena every
+// predictScratch is one Predict call's reusable memory, taken from a pool
+// and put back by predict: the non-recording tape whose arena every
 // intermediate tensor comes from, and cachedTowerForward's per-sample
-// tables. A call owns it from getScratch until it puts it back.
+// tables.
 type predictScratch struct {
-	arena   tensor.Arena
+	tape    nn.Tape
 	slot    []int
 	miss    []int
 	missKey []uint64
 	seen    map[uint64]int
 }
 
-var scratchPool = sync.Pool{New: func() any { return &predictScratch{seen: make(map[uint64]int)} }}
+var scratchPool = sync.Pool{New: func() any {
+	return &predictScratch{tape: nn.Tape{Arena: new(tensor.Arena)}, seen: make(map[uint64]int)}
+}}
 
-// getScratch takes a scratch from the pool with its arena rewound; the
-// caller puts it back before returning.
-func getScratch() *predictScratch {
+// predict is every Predict: it runs a model's forward body on a pooled
+// scratch's tape and copies the (B, 1) logits out of the arena into a
+// fresh (B) tensor, so the result outlives the scratch.
+func predict(b *data.Batch, opt PredictOptions, forward func(*nn.Tape, *predictScratch, *data.Batch, PredictOptions) *tensor.Tensor) *tensor.Tensor {
 	sc := scratchPool.Get().(*predictScratch)
-	sc.arena.Reset()
-	return sc
-}
-
-// logits copies a forward's (B, 1) output out of the arena into a fresh
-// (B) tensor, so the result outlives the scratch.
-func logits(y *tensor.Tensor) *tensor.Tensor {
+	defer scratchPool.Put(sc)
+	sc.tape.Reset()
+	y := forward(&sc.tape, sc, b, opt)
 	out := tensor.New(y.Len())
 	copy(out.Data(), y.Data())
 	return out
@@ -133,53 +136,31 @@ func pooledBagInto(dst []float32, e *nn.EmbeddingBag, table int, bag []int32, ca
 	cache.PutVec(table, key, dst)
 }
 
-// lookupPooled is the inference counterpart of embedAll: every feature's
-// pooled lookup for a batch, returning (B, F, N) from the arena a,
-// read-only on the tables.
-func lookupPooled(a *tensor.Arena, embs []*nn.EmbeddingBag, b *data.Batch, cache VecCache) *tensor.Tensor {
-	f := len(embs)
-	n := embs[0].Dim
-	out := a.New(b.Size, f, n)
-	for fi, e := range embs {
-		for s := 0; s < b.Size; s++ {
-			dst := out.Data()[(s*f+fi)*n : (s*f+fi+1)*n]
-			pooledBagInto(dst, e, fi, bagOf(b, fi, s), cache)
-		}
-	}
-	return out
-}
-
-// towerModule is the inference face of both tower types.
-type towerModule interface {
-	OutDim() int
-	ForwardInference(*tensor.Arena, *tensor.Tensor) *tensor.Tensor
-}
-
 // cachedTowerForward computes one tower's derived features via tm into
-// columns [col, col+tm.OutDim()) of out (B, width), memoizing per-sample
-// output rows keyed on the tower's bag ids. Rows are cacheable because tower
-// modules operate per sample on their own feature group only; misses are
-// gathered into one sub-batch so the module still runs batched. Each tower
-// writing its own column window of one buffer is what Concat of per-tower
-// outputs would build.
-func cachedTowerForward(sc *predictScratch, embs []*nn.EmbeddingBag, tower int, feats []int, b *data.Batch,
-	opt PredictOptions, out *tensor.Tensor, col int, tm towerModule) {
+// columns [col, col+tm.OutDim()) of out (B, width), and records the tower's
+// lookups and module on t. With a tower cache it memoizes per-sample output
+// rows keyed on the tower's bag ids: rows are cacheable because tower
+// modules operate per sample on their own feature group only, and misses
+// are gathered into one sub-batch so the module still runs batched. Each
+// tower writing its own column window of one buffer is what Concat of
+// per-tower outputs would build.
+func cachedTowerForward(t *nn.Tape, sc *predictScratch, embs []*nn.EmbeddingBag, tower int, feats []int, b *data.Batch,
+	opt PredictOptions, out *tensor.Tensor, col int, tm towers.Module) {
 
 	outDim := tm.OutDim()
 	row := func(s int) []float32 { return out.Row(s)[col : col+outDim] }
+	// Without a tower cache the module runs on every sample, in order. With
+	// one, miss lists a representative sample per distinct missing key, and
 	// slot[s] is the row of the miss sub-batch that serves sample s, or -1
 	// on a cache hit. Duplicate keys within the batch — the common case
 	// under skewed load — share one slot, so each distinct feature-group
 	// value runs the tower module exactly once.
-	sc.slot = slices.Grow(sc.slot[:0], b.Size)[:b.Size]
-	slot := sc.slot
-	miss, missKey := sc.miss[:0], sc.missKey[:0] // representative sample and key per distinct missing key
-	if opt.Towers == nil {
-		for s := range slot {
-			slot[s] = s
-		}
-		miss = slot
-	} else {
+	var slot, miss []int
+	var missKey []uint64
+	rows := b.Size
+	if opt.Towers != nil {
+		sc.slot = slices.Grow(sc.slot[:0], b.Size)[:b.Size]
+		slot, miss, missKey = sc.slot, sc.miss[:0], sc.missKey[:0]
 		seen := sc.seen
 		clear(seen)
 		for s := 0; s < b.Size; s++ {
@@ -201,24 +182,35 @@ func cachedTowerForward(sc *predictScratch, embs []*nn.EmbeddingBag, tower int, 
 			missKey = append(missKey, h)
 		}
 		sc.miss, sc.missKey = miss, missKey
+		if len(miss) == 0 {
+			return
+		}
+		rows = len(miss)
 	}
-	if len(miss) == 0 {
-		return
-	}
-	a := &sc.arena
 	ft := len(feats)
 	n := embs[0].Dim
-	sel := a.New(len(miss), ft, n)
-	for mi, s := range miss {
+	sel := t.New(rows, ft, n)
+	for i := 0; i < rows; i++ {
+		s := i
+		if miss != nil {
+			s = miss[i]
+		}
 		for k, f := range feats {
-			dst := sel.Data()[(mi*ft+k)*n : (mi*ft+k+1)*n]
+			dst := sel.Data()[(i*ft+k)*n : (i*ft+k+1)*n]
 			pooledBagInto(dst, embs[f], f, bagOf(b, f, s), opt.Embeddings)
 		}
 	}
-	y := tm.ForwardInference(a, sel) // (len(miss), outDim)
+	for _, f := range feats {
+		embs[f].Record(t, b.Indices[f], b.Offsets[f])
+	}
+	y := tm.ForwardOn(t, sel) // (rows, outDim)
 	for s := 0; s < b.Size; s++ {
-		if slot[s] >= 0 {
-			copy(row(s), y.Row(slot[s]))
+		r := s
+		if slot != nil {
+			r = slot[s]
+		}
+		if r >= 0 {
+			copy(row(s), y.Row(r))
 		}
 	}
 	for mi, key := range missKey {
@@ -226,22 +218,22 @@ func cachedTowerForward(sc *predictScratch, embs []*nn.EmbeddingBag, tower int, 
 	}
 }
 
-// towerInput is the (B, width) buffer DMT Predict feeds forward, from the
-// scratch's arena: lead's columns first, then each tower's output window,
+// towerInput is the (B, width) input of a DMT model's global interaction,
+// from t's arena: lead's columns first, then each tower's output window,
 // which cachedTowerForward fills.
-func towerInput[TM towerModule](sc *predictScratch, lead *tensor.Tensor, embs []*nn.EmbeddingBag, towers [][]int, tms []TM, b *data.Batch, opt PredictOptions) *tensor.Tensor {
+func towerInput[TM towers.Module](t *nn.Tape, sc *predictScratch, lead *tensor.Tensor, embs []*nn.EmbeddingBag, towerFeats [][]int, tms []TM, b *data.Batch, opt PredictOptions) *tensor.Tensor {
 	width := lead.Dim(1)
 	for _, tm := range tms {
 		width += tm.OutDim()
 	}
-	out := sc.arena.New(b.Size, width)
+	out := t.New(b.Size, width)
 	for s := 0; s < b.Size; s++ {
 		copy(out.Row(s), lead.Row(s))
 	}
 	col := lead.Dim(1)
-	for t, feats := range towers {
-		cachedTowerForward(sc, embs, t, feats, b, opt, out, col, tms[t])
-		col += tms[t].OutDim()
+	for tw, feats := range towerFeats {
+		cachedTowerForward(t, sc, embs, tw, feats, b, opt, out, col, tms[tw])
+		col += tms[tw].OutDim()
 	}
 	return out
 }
@@ -249,70 +241,43 @@ func towerInput[TM towerModule](sc *predictScratch, lead *tensor.Tensor, embs []
 // Schema returns the model's feature layout.
 func (m *DLRM) Schema() data.Schema { return m.cfg.Schema }
 
-// Predict is the read-only forward pass, math-identical to Forward.
+// Predict is the read-only forward pass: Forward's body on a pooled tape.
 func (m *DLRM) Predict(b *data.Batch, opt PredictOptions) *tensor.Tensor {
-	sc := getScratch()
-	defer scratchPool.Put(sc)
-	a := &sc.arena
-	denseEmb := m.Bottom.ForwardInference(a, b.Dense)    // (B, N)
-	sparse := lookupPooled(a, m.Embs, b, opt.Embeddings) // (B, F, N)
-	sparse = quant.Apply(m.cfg.EmbCommQuant, sparse)
-	x := stackDenseSparse(a, denseEmb, sparse) // (B, F+1, N)
-	z := m.Interaction.ForwardInference(a, x)
-	top := a.Concat(1, denseEmb, z)
-	return logits(m.Top.ForwardInference(a, top))
+	return predict(b, opt, m.forward)
 }
 
 // Schema returns the model's feature layout.
 func (m *DCN) Schema() data.Schema { return m.cfg.Schema }
 
-// Predict is the read-only forward pass, math-identical to Forward.
+// Predict is the read-only forward pass: Forward's body on a pooled tape.
 func (m *DCN) Predict(b *data.Batch, opt PredictOptions) *tensor.Tensor {
-	sc := getScratch()
-	defer scratchPool.Put(sc)
-	a := &sc.arena
-	sparse := lookupPooled(a, m.Embs, b, opt.Embeddings)
-	x0 := a.Concat(1, b.Dense, a.Reshape(sparse, b.Size, -1))
-	c := m.Cross.ForwardInference(a, x0)
-	return logits(m.Deep.ForwardInference(a, c))
+	return predict(b, opt, m.forward)
 }
 
 // Schema returns the model's feature layout.
 func (m *DMTDLRM) Schema() data.Schema { return m.cfg.Schema }
 
-// Predict is the read-only forward pass, math-identical to Forward. With a
-// TowerCache, per-tower derived features are memoized across requests.
+// Predict is the read-only forward pass: Forward's body on a pooled tape.
+// With a tower cache, per-tower derived features are memoized across
+// requests.
 func (m *DMTDLRM) Predict(b *data.Batch, opt PredictOptions) *tensor.Tensor {
-	sc := getScratch()
-	defer scratchPool.Put(sc)
-	a := &sc.arena
-	d := m.cfg.D
-	denseEmb := m.Bottom.ForwardInference(a, b.Dense)
-	flat := towerInput(sc, denseEmb, m.Embs, m.cfg.Towers, m.TMs, b, opt)
-	x := a.Reshape(flat, b.Size, flat.Dim(1)/d, d)
-	z := m.Interaction.ForwardInference(a, x)
-	top := a.Concat(1, denseEmb, z)
-	return logits(m.Top.ForwardInference(a, top))
+	return predict(b, opt, m.forward)
 }
 
 // Schema returns the model's feature layout.
 func (m *DMTDCN) Schema() data.Schema { return m.cfg.Schema }
 
-// Predict is the read-only forward pass, math-identical to Forward. With a
-// TowerCache, per-tower derived features are memoized across requests.
+// Predict is the read-only forward pass: Forward's body on a pooled tape.
+// With a tower cache, per-tower derived features are memoized across
+// requests.
 func (m *DMTDCN) Predict(b *data.Batch, opt PredictOptions) *tensor.Tensor {
-	sc := getScratch()
-	defer scratchPool.Put(sc)
-	a := &sc.arena
-	x0 := towerInput(sc, b.Dense, m.Embs, m.cfg.Towers, m.TMs, b, opt)
-	c := m.Cross.ForwardInference(a, x0)
-	return logits(m.Deep.ForwardInference(a, c))
+	return predict(b, opt, m.forward)
 }
 
 // Interface conformance checks.
 var (
-	_ Predictor = (*DLRM)(nil)
-	_ Predictor = (*DCN)(nil)
-	_ Predictor = (*DMTDLRM)(nil)
-	_ Predictor = (*DMTDCN)(nil)
+	_ Model = (*DLRM)(nil)
+	_ Model = (*DCN)(nil)
+	_ Model = (*DMTDLRM)(nil)
+	_ Model = (*DMTDCN)(nil)
 )

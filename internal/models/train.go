@@ -102,7 +102,9 @@ func Train(m Model, gen *data.Generator, cfg TrainConfig) TrainResult {
 	return res
 }
 
-// Evaluate computes AUC/LogLoss/NE on a held-out sample range.
+// Evaluate computes AUC/LogLoss/NE on a held-out sample range. It runs
+// Predict, which records nothing, so a training pass in flight is
+// undisturbed.
 func Evaluate(m Model, gen *data.Generator, start, samples, batchSize int) TrainResult {
 	var scores []float64
 	var labels []float32
@@ -112,7 +114,7 @@ func Evaluate(m Model, gen *data.Generator, start, samples, batchSize int) Train
 			n = samples - off
 		}
 		b := gen.Batch(start+off, n)
-		logits := m.Forward(b)
+		logits := m.Predict(b, PredictOptions{})
 		scores = append(scores, nn.Predictions(logits)...)
 		labels = append(labels, b.Labels...)
 	}
@@ -135,10 +137,9 @@ func RepeatedAUC(mk func(seed uint64) Model, gen *data.Generator, cfg TrainConfi
 	return aucs
 }
 
-// GatherFeatureEmbeddings runs the model's tables over a probe batch and
-// returns (B, F, N) per-sample embeddings — the Tower Partitioner's input
-// (§3.3's R tensor).
+// GatherFeatureEmbeddings runs the model's tables over a probe batch, on a
+// tape that records nothing, and returns (B, F, N) per-sample embeddings —
+// the Tower Partitioner's input (§3.3's R tensor).
 func GatherFeatureEmbeddings(m Model, gen *data.Generator, start, samples int) *tensor.Tensor {
-	b := gen.Batch(start, samples)
-	return embedAll(m.Embeddings(), b)
+	return lookupPooled(&nn.Tape{}, m.Embeddings(), gen.Batch(start, samples), nil)
 }

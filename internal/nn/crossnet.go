@@ -17,10 +17,6 @@ import (
 type CrossNet struct {
 	Dim    int
 	Ws, Bs []*Param
-
-	lastX0 *tensor.Tensor
-	lastXs []*tensor.Tensor // inputs to each layer: x_0..x_{L-1}
-	lastUs []*tensor.Tensor // u_l = W_l x_l + b_l
 }
 
 // NewCrossNet builds an L-layer CrossNet over dim-dimensional inputs.
@@ -36,21 +32,29 @@ func NewCrossNet(r *tensor.RNG, dim, layers int, name string) *CrossNet {
 // Layers returns the number of cross layers.
 func (c *CrossNet) Layers() int { return len(c.Ws) }
 
-// Forward applies all cross layers to x of shape (B, Dim).
-func (c *CrossNet) Forward(x *tensor.Tensor) *tensor.Tensor {
+// Forward applies all cross layers to x of shape (B, Dim). Each layer's
+// u = W x_l + b is a fresh GEMM output; a recording tape keeps (x0, x_l, u)
+// and x0 ⊙ u + x_l goes to a new tensor, otherwise it overwrites u. Either
+// way each product is rounded before the add.
+func (c *CrossNet) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	mustRank2("CrossNet.Forward", x)
 	if x.Dim(1) != c.Dim {
 		panic(fmt.Sprintf("nn: CrossNet dim %d, input %v", c.Dim, x.Shape()))
 	}
-	c.lastX0 = x
-	c.lastXs = c.lastXs[:0]
-	c.lastUs = c.lastUs[:0]
 	cur := x
 	for l := range c.Ws {
-		c.lastXs = append(c.lastXs, cur)
-		u := tensor.AddRowVector(tensor.MatMulBT(cur, c.Ws[l].Value), c.Bs[l].Value)
-		c.lastUs = append(c.lastUs, u)
-		next := tensor.Add(tensor.Mul(c.lastX0, u), cur)
+		u := t.New(x.Dim(0), c.Dim)
+		tensor.MatMulBTInto(u, cur, c.Ws[l].Value)
+		tensor.AddRowVector(u, c.Bs[l].Value)
+		next := u
+		if t.Record {
+			t.push(record{layer: c, x: x, y: cur, z: u})
+			next = t.New(x.Dim(0), c.Dim)
+		}
+		nd, x0, xl := next.Data(), x.Data(), cur.Data()
+		for i, v := range u.Data() {
+			nd[i] = float32(x0[i]*v) + xl[i]
+		}
 		cur = next
 	}
 	return cur
@@ -58,19 +62,16 @@ func (c *CrossNet) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward propagates dY through all layers, accumulating parameter
 // gradients, and returns dX (which includes the x0 skip contributions).
-func (c *CrossNet) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if c.lastX0 == nil {
-		panic("nn: CrossNet.Backward before Forward")
-	}
-	dx0 := tensor.New(c.lastX0.Shape()...) // accumulated gradient into x0 across layers
+func (c *CrossNet) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
+	dx0 := tensor.New(dy.Shape()...) // accumulated gradient into x0 across layers
 	dcur := dy
 	for l := len(c.Ws) - 1; l >= 0; l-- {
-		xl := c.lastXs[l]
-		ul := c.lastUs[l]
+		r := t.pop(c)
+		x0, xl, ul := r.x, r.y, r.z
 		// y = x0 ⊙ u + x_l
 		// ∂/∂x0 += dcur ⊙ u ; ∂/∂u = dcur ⊙ x0 ; ∂/∂x_l += dcur
 		tensor.AddInPlace(dx0, tensor.Mul(dcur, ul))
-		du := tensor.Mul(dcur, c.lastX0)
+		du := tensor.Mul(dcur, x0)
 		// u = W x_l + b: dW += duᵀ x_l, db += Σ du, dx_l += du W.
 		tensor.AddInPlace(c.Ws[l].Grad, tensor.MatMulAT(du, xl))
 		tensor.AddInPlace(c.Bs[l].Grad, tensor.SumRows(du))

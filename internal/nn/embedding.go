@@ -1,6 +1,10 @@
 package nn
 
-import "dmt/internal/tensor"
+import (
+	"fmt"
+
+	"dmt/internal/tensor"
+)
 
 // PoolMode selects how multi-hot lookups are pooled into one vector.
 type PoolMode int
@@ -27,9 +31,6 @@ type EmbeddingBag struct {
 	// through the dense optimizer path (§2.2).
 	Table *tensor.Tensor
 
-	lastIndices []int32
-	lastOffsets []int32
-
 	// slot is PoolBackward's scratch index for this table, one entry per row,
 	// built on the first Backward and all zero between calls, so steady-state
 	// backward allocates nothing beyond the returned SparseGrad.
@@ -52,12 +53,44 @@ func NewEmbeddingBag(r *tensor.RNG, rows, dim int, mode PoolMode, name string) *
 // Forward pools rows for each bag. offsets has one entry per sample giving
 // the start of its bag in indices; sample i's bag is
 // indices[offsets[i]:offsets[i+1]] (the last bag extends to len(indices)).
-// Returns a (numBags, Dim) tensor. Empty bags pool to zero.
-func (e *EmbeddingBag) Forward(indices, offsets []int32) *tensor.Tensor {
-	out := e.ForwardInference(indices, offsets)
-	e.lastIndices = indices
-	e.lastOffsets = offsets
+// Returns a (numBags, Dim) tensor from t's arena. Empty bags pool to zero.
+func (e *EmbeddingBag) Forward(t *Tape, indices, offsets []int32) *tensor.Tensor {
+	out := t.New(len(offsets), e.Dim)
+	for b := range offsets {
+		lo, hi := bagBounds(indices, offsets, b)
+		e.PoolBagInto(out.Row(b), indices[lo:hi])
+	}
+	e.Record(t, indices, offsets)
 	return out
+}
+
+// Record leaves on t the record Forward leaves, for a caller that pooled the
+// same bags itself, one PoolBagInto at a time.
+func (e *EmbeddingBag) Record(t *Tape, indices, offsets []int32) {
+	t.push(record{layer: e, ids: indices, offs: offsets})
+}
+
+// PoolBagInto pools the table rows of one bag into dst (length Dim, assumed
+// zeroed). An empty bag leaves dst at zero.
+func (e *EmbeddingBag) PoolBagInto(dst []float32, bag []int32) {
+	if len(bag) == 0 {
+		return
+	}
+	for _, idx := range bag {
+		if int(idx) < 0 || int(idx) >= e.Rows {
+			panic(fmt.Sprintf("nn: embedding %q index %d out of range [0,%d)", e.Name, idx, e.Rows))
+		}
+		src := e.Table.Row(int(idx))
+		for d := 0; d < e.Dim; d++ {
+			dst[d] += src[d]
+		}
+	}
+	if e.Mode == PoolMean {
+		inv := float32(1) / float32(len(bag))
+		for d := 0; d < e.Dim; d++ {
+			dst[d] *= inv
+		}
+	}
 }
 
 // bagBounds returns bag b's [lo, hi) range in indices.
@@ -77,16 +110,15 @@ type SparseGrad struct {
 	Grads *tensor.Tensor // (len(Rows), dim)
 }
 
-// Backward converts the pooled-output gradient dY (numBags, Dim) of the last
-// Forward into a coalesced sparse gradient over table rows (PoolBackward).
-func (e *EmbeddingBag) Backward(dy *tensor.Tensor) *SparseGrad {
-	if e.lastOffsets == nil {
-		panic("nn: EmbeddingBag.Backward before Forward")
-	}
+// Backward converts the pooled-output gradient dY (numBags, Dim) of the
+// recorded Forward into a coalesced sparse gradient over table rows
+// (PoolBackward).
+func (e *EmbeddingBag) Backward(t *Tape, dy *tensor.Tensor) *SparseGrad {
+	r := t.pop(e)
 	if e.slot == nil {
 		e.slot = make([]int32, e.Rows)
 	}
-	return PoolBackward(e.Mode, e.lastIndices, e.lastOffsets, dy, e.slot)
+	return PoolBackward(e.Mode, r.ids, r.offs, dy, e.slot)
 }
 
 // PoolBackward converts a pooled-output gradient into a coalesced sparse

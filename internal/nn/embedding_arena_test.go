@@ -72,8 +72,9 @@ func TestEmbeddingBackwardArenaBitwise(t *testing.T) {
 			}
 			dy := tensor.RandUniform(r, -1, 1, nbags, e.Dim)
 
-			e.Forward(indices, offsets)
-			got := e.Backward(dy)
+			tp := &Tape{Record: true}
+			e.Forward(tp, indices, offsets)
+			got := e.Backward(tp, dy)
 			want := refBackward(e, indices, offsets, dy)
 
 			if len(got.Rows) != len(want.Rows) {
@@ -108,12 +109,13 @@ func TestEmbeddingBackwardAllocs(t *testing.T) {
 		}
 	}
 	dy := tensor.RandUniform(r, -1, 1, 64, e.Dim)
-	e.Forward(indices, offsets)
-	e.Backward(dy) // warm the arena to its high-water mark
+	tp := &Tape{Record: true}
+	e.Forward(tp, indices, offsets)
+	e.Backward(tp, dy) // warm the arena to its high-water mark
 
 	allocs := testing.AllocsPerRun(50, func() {
-		e.Forward(indices, offsets)
-		e.Backward(dy)
+		e.Forward(tp, indices, offsets)
+		e.Backward(tp, dy)
 	})
 	// Forward's output tensor + Backward's result: a handful of fixed
 	// allocations, regardless of the ~200 distinct rows touched.

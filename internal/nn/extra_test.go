@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,14 +45,44 @@ func TestCrossNetLayerCount(t *testing.T) {
 	}
 }
 
+// TestLinearBackwardBeforeForwardPanics holds the tape's misuse checks: a
+// Backward with no record to pop, a Backward on a tape that did not record,
+// and a Backward that would pop another layer's record each panic, naming
+// the layer.
 func TestLinearBackwardBeforeForwardPanics(t *testing.T) {
-	l := NewLinear(tensor.NewRNG(3), 2, 2, "l")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	l.Backward(tensor.New(1, 2))
+	r := tensor.NewRNG(3)
+	l := NewLinear(r, 2, 2, "l")
+	other := NewLinear(r, 2, 2, "other")
+	x, dy := tensor.New(1, 2), tensor.New(1, 2)
+	mustPanic := func(what, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, want) {
+				t.Fatalf("%s: panic %q, want one naming %q", what, msg, want)
+			}
+		}()
+		f()
+	}
+	mustPanic("empty tape", "Linear l:", func() { l.Backward(&Tape{Record: true}, dy) })
+	mustPanic("non-recording tape", "Linear l:", func() {
+		tp := &Tape{}
+		l.Forward(tp, x)
+		l.Backward(tp, dy)
+	})
+	mustPanic("another layer's record", "record of Linear other", func() {
+		tp := &Tape{Record: true}
+		l.Forward(tp, x)
+		other.Forward(tp, x)
+		l.Backward(tp, dy)
+	})
+	mustPanic("an MLP's gate record", "Linear m.1: Backward would consume the record of MLP m", func() {
+		m := NewMLP(r, 2, []int{2, 2}, true, "m")
+		tp := &Tape{Record: true}
+		m.Forward(tp, x)
+		m.Layers[1].Backward(tp, dy)
+	})
 }
 
 func TestDotInteractionOutDim(t *testing.T) {
@@ -71,11 +102,12 @@ func TestGradientAccumulationAcrossCalls(t *testing.T) {
 	l := NewLinear(r, 2, 1, "l")
 	x := tensor.FromSlice([]float32{1, 2}, 1, 2)
 	dy := tensor.FromSlice([]float32{1}, 1, 1)
-	l.Forward(x)
-	l.Backward(dy)
+	tp := &Tape{Record: true}
+	l.Forward(tp, x)
+	l.Backward(tp, dy)
 	once := l.W.Grad.Clone()
-	l.Forward(x)
-	l.Backward(dy)
+	l.Forward(tp, x)
+	l.Backward(tp, dy)
 	for i, v := range l.W.Grad.Data() {
 		if v != 2*once.Data()[i] {
 			t.Fatal("gradients must accumulate across backward calls")

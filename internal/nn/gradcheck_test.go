@@ -62,11 +62,12 @@ func TestLinearGradients(t *testing.T) {
 	l := NewLinear(r, 3, 2, "lin")
 	x := tensor.RandN(r, 1, 4, 3)
 	ws := newWeightedSum(8, 7)
-	lossFn := func() float64 { return ws.Loss(l.Forward(x)) }
+	lossFn := func() float64 { return ws.Loss(l.Forward(&Tape{}, x)) }
 
 	ZeroGrads(l)
-	y := l.Forward(x)
-	dx := l.Backward(ws.Grad(y.Shape()))
+	tp := &Tape{Record: true}
+	y := l.Forward(tp, x)
+	dx := l.Backward(tp, ws.Grad(y.Shape()))
 
 	checkDense(t, "linear dX", x, dx, lossFn, 1e-2)
 	checkDense(t, "linear dW", l.W.Value, l.W.Grad, lossFn, 1e-2)
@@ -78,11 +79,12 @@ func TestMLPGradients(t *testing.T) {
 	m := NewMLP(r, 4, []int{5, 3}, false, "mlp")
 	x := tensor.RandN(r, 1, 3, 4)
 	ws := newWeightedSum(9, 11)
-	lossFn := func() float64 { return ws.Loss(m.Forward(x)) }
+	lossFn := func() float64 { return ws.Loss(m.Forward(&Tape{}, x)) }
 
 	ZeroGrads(m)
-	y := m.Forward(x)
-	dx := m.Backward(ws.Grad(y.Shape()))
+	tp := &Tape{Record: true}
+	y := m.Forward(tp, x)
+	dx := m.Backward(tp, ws.Grad(y.Shape()))
 
 	checkDense(t, "mlp dX", x, dx, lossFn, 1e-2)
 	for _, p := range m.Params() {
@@ -93,7 +95,7 @@ func TestMLPGradients(t *testing.T) {
 func TestMLPFinalReLU(t *testing.T) {
 	r := tensor.NewRNG(3)
 	m := NewMLP(r, 2, []int{2}, true, "mlp")
-	y := m.Forward(tensor.RandN(r, 5, 4, 2))
+	y := m.Forward(&Tape{}, tensor.RandN(r, 5, 4, 2))
 	for _, v := range y.Data() {
 		if v < 0 {
 			t.Fatal("final ReLU must clamp outputs at zero")
@@ -106,10 +108,11 @@ func TestDotInteractionGradients(t *testing.T) {
 	di := &DotInteraction{}
 	x := tensor.RandN(r, 1, 2, 4, 3) // B=2, F=4, N=3
 	ws := newWeightedSum(2*di.OutDim(4), 13)
-	lossFn := func() float64 { return ws.Loss(di.Forward(x)) }
+	lossFn := func() float64 { return ws.Loss(di.Forward(&Tape{}, x)) }
 
-	y := di.Forward(x)
-	dx := di.Backward(ws.Grad(y.Shape()))
+	tp := &Tape{Record: true}
+	y := di.Forward(tp, x)
+	dx := di.Backward(tp, ws.Grad(y.Shape()))
 	checkDense(t, "dot dX", x, dx, lossFn, 1e-2)
 }
 
@@ -118,11 +121,12 @@ func TestCrossNetGradients(t *testing.T) {
 	c := NewCrossNet(r, 4, 2, "cn")
 	x := tensor.RandN(r, 0.5, 3, 4)
 	ws := newWeightedSum(12, 17)
-	lossFn := func() float64 { return ws.Loss(c.Forward(x)) }
+	lossFn := func() float64 { return ws.Loss(c.Forward(&Tape{}, x)) }
 
 	ZeroGrads(c)
-	y := c.Forward(x)
-	dx := c.Backward(ws.Grad(y.Shape()))
+	tp := &Tape{Record: true}
+	y := c.Forward(tp, x)
+	dx := c.Backward(tp, ws.Grad(y.Shape()))
 
 	checkDense(t, "crossnet dX", x, dx, lossFn, 1e-2)
 	for _, p := range c.Params() {
@@ -151,10 +155,11 @@ func TestEmbeddingBagBackwardMatchesNumerical(t *testing.T) {
 		indices := []int32{0, 2, 2, 5, 1} // duplicate row 2 to exercise coalescing
 		offsets := []int32{0, 3, 3}       // bags: {0,2,2}, {}, {5,1}
 		ws := newWeightedSum(9, 19)
-		lossFn := func() float64 { return ws.Loss(e.Forward(indices, offsets)) }
+		lossFn := func() float64 { return ws.Loss(e.Forward(&Tape{}, indices, offsets)) }
 
-		y := e.Forward(indices, offsets)
-		sg := e.Backward(ws.Grad(y.Shape()))
+		tp := &Tape{Record: true}
+		y := e.Forward(tp, indices, offsets)
+		sg := e.Backward(tp, ws.Grad(y.Shape()))
 
 		// Densify the sparse gradient.
 		dense := tensor.New(6, 3)

@@ -13,8 +13,6 @@ type Linear struct {
 	In, Out int
 	W       *Param // (Out, In)
 	B       *Param // (Out)
-
-	lastX *tensor.Tensor
 }
 
 // NewLinear creates a Linear layer with Xavier-uniform weights and zero bias.
@@ -27,21 +25,24 @@ func NewLinear(r *tensor.RNG, in, out int, name string) *Linear {
 	}
 }
 
-// Forward computes y = x Wᵀ + b for x of shape (batch, In).
-func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := l.ForwardInference(nil, x)
-	l.lastX = x
-	return out
+// Forward computes y = x Wᵀ + b for x of shape (batch, In), recording x.
+func (l *Linear) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
+	mustRank2("Linear.Forward", x)
+	if x.Dim(1) != l.In {
+		panic(fmt.Sprintf("nn: Linear expects %d input features, got shape %v", l.In, x.Shape()))
+	}
+	y := t.New(x.Dim(0), l.Out)
+	tensor.MatMulBTInto(y, x, l.W.Value)
+	t.push(record{layer: l, x: x})
+	return tensor.AddRowVector(y, l.B.Value)
 }
 
 // Backward consumes dY (batch, Out), accumulates dW and dB, and returns
 // dX (batch, In).
-func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if l.lastX == nil {
-		panic("nn: Linear.Backward before Forward")
-	}
+func (l *Linear) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
+	x := t.pop(l).x
 	// dW = dYᵀ · X, accumulated.
-	tensor.AddInPlace(l.W.Grad, tensor.MatMulAT(dy, l.lastX))
+	tensor.AddInPlace(l.W.Grad, tensor.MatMulAT(dy, x))
 	tensor.AddInPlace(l.B.Grad, tensor.SumRows(dy))
 	// dX = dY · W.
 	return tensor.MatMul(dy, l.W.Value)
@@ -50,51 +51,13 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 // Params returns the layer's parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// ReLU is the rectified linear activation.
-type ReLU struct {
-	mask []bool
-}
-
-// Forward computes max(x, 0) elementwise.
-func (a *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
-	if cap(a.mask) < x.Len() {
-		a.mask = make([]bool, x.Len())
-	}
-	a.mask = a.mask[:x.Len()]
-	xd, od := x.Data(), out.Data()
-	for i, v := range xd {
-		if v > 0 {
-			od[i] = v
-			a.mask[i] = true
-		} else {
-			a.mask[i] = false
-		}
-	}
-	return out
-}
-
-// Backward gates the upstream gradient by the forward activation mask.
-func (a *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(dy.Shape()...)
-	dd, od := dy.Data(), out.Data()
-	for i := range dd {
-		if a.mask[i] {
-			od[i] = dd[i]
-		}
-	}
-	return out
-}
-
-// Params returns nil: ReLU has no parameters.
-func (a *ReLU) Params() []*Param { return nil }
-
 // MLP is a stack of Linear layers with ReLU between them, and optionally a
 // ReLU after the final layer (DLRM's bottom MLP ends in ReLU; the top MLP
-// emits a raw logit).
+// emits a raw logit). Each ReLU runs in place on its Linear's fresh output
+// and records that output: y > 0 exactly where the pre-activation is > 0
+// (NaN and -0 included), so Backward gates on it.
 type MLP struct {
 	Layers    []*Linear
-	acts      []*ReLU
 	FinalReLU bool
 }
 
@@ -104,7 +67,6 @@ func NewMLP(r *tensor.RNG, in int, sizes []int, finalReLU bool, name string) *ML
 	prev := in
 	for i, s := range sizes {
 		m.Layers = append(m.Layers, NewLinear(r, prev, s, fmt.Sprintf("%s.%d", name, i)))
-		m.acts = append(m.acts, &ReLU{})
 		prev = s
 	}
 	return m
@@ -113,24 +75,43 @@ func NewMLP(r *tensor.RNG, in int, sizes []int, finalReLU bool, name string) *ML
 // OutDim returns the dimensionality of the MLP output.
 func (m *MLP) OutDim() int { return m.Layers[len(m.Layers)-1].Out }
 
+// relu reports whether layer i is followed by a ReLU.
+func (m *MLP) relu(i int) bool { return i < len(m.Layers)-1 || m.FinalReLU }
+
 // Forward applies the stack.
-func (m *MLP) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (m *MLP) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	for i, l := range m.Layers {
-		x = l.Forward(x)
-		if i < len(m.Layers)-1 || m.FinalReLU {
-			x = m.acts[i].Forward(x)
+		x = l.Forward(t, x)
+		if m.relu(i) {
+			xd := x.Data()
+			for j, v := range xd {
+				if !(v > 0) {
+					xd[j] = 0
+				}
+			}
+			t.push(record{layer: m, y: x})
 		}
 	}
 	return x
 }
 
-// Backward reverses the stack.
-func (m *MLP) Backward(dy *tensor.Tensor) *tensor.Tensor {
+// Backward reverses the stack. The final ReLU gates a copy of dy, which is
+// the caller's; every other gate overwrites a Linear's fresh dX.
+func (m *MLP) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		if i < len(m.Layers)-1 || m.FinalReLU {
-			dy = m.acts[i].Backward(dy)
+		if m.relu(i) {
+			y := t.pop(m).y
+			if i == len(m.Layers)-1 {
+				dy = dy.Clone()
+			}
+			dd := dy.Data()
+			for j, v := range y.Data() {
+				if !(v > 0) {
+					dd[j] = 0
+				}
+			}
 		}
-		dy = m.Layers[i].Backward(dy)
+		dy = m.Layers[i].Backward(t, dy)
 	}
 	return dy
 }

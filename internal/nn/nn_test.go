@@ -12,7 +12,7 @@ func TestLinearForwardKnown(t *testing.T) {
 	l := &Linear{In: 2, Out: 1,
 		W: NewParam("w", tensor.FromSlice([]float32{2, 3}, 1, 2)),
 		B: NewParam("b", tensor.FromSlice([]float32{10}, 1))}
-	y := l.Forward(tensor.FromSlice([]float32{1, 1, 2, 0}, 2, 2))
+	y := l.Forward(&Tape{}, tensor.FromSlice([]float32{1, 1, 2, 0}, 2, 2))
 	if y.At(0, 0) != 15 || y.At(1, 0) != 14 {
 		t.Fatalf("linear forward got %v", y.Data())
 	}
@@ -26,31 +26,51 @@ func TestLinearRejectsWrongWidth(t *testing.T) {
 			t.Fatal("expected panic for wrong input width")
 		}
 	}()
-	l.Forward(tensor.New(2, 4))
+	l.Forward(&Tape{}, tensor.New(2, 4))
 }
 
+// TestReLUForwardBackward runs the MLP's in-place ReLU through an identity
+// layer: the forward clamps every value that is not > 0 (NaN and -0
+// included) to +0, and the backward passes the gradient exactly where the
+// recorded output is > 0.
 func TestReLUForwardBackward(t *testing.T) {
-	a := &ReLU{}
-	y := a.Forward(tensor.FromSlice([]float32{-1, 0, 2}, 3))
-	if y.Data()[0] != 0 || y.Data()[1] != 0 || y.Data()[2] != 2 {
-		t.Fatalf("relu forward %v", y.Data())
+	id := &Linear{In: 1, Out: 1,
+		W: NewParam("w", tensor.FromSlice([]float32{1}, 1, 1)),
+		B: NewParam("b", tensor.New(1))}
+	m := &MLP{Layers: []*Linear{id}, FinalReLU: true}
+	nan, negZero := float32(math.NaN()), float32(math.Copysign(0, -1))
+	tp := &Tape{Record: true}
+	y := m.Forward(tp, tensor.FromSlice([]float32{-1, 0, 2, nan, negZero}, 5, 1))
+	for i, want := range []float32{0, 0, 2, 0, 0} {
+		if got := y.Data()[i]; math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("relu forward[%d] = %v (bits %08x), want +%v", i, got, math.Float32bits(got), want)
+		}
 	}
-	dx := a.Backward(tensor.FromSlice([]float32{5, 5, 5}, 3))
-	if dx.Data()[0] != 0 || dx.Data()[2] != 5 {
-		t.Fatalf("relu backward %v", dx.Data())
+	dy := tensor.FromSlice([]float32{5, 5, 5, 5, 5}, 5, 1)
+	dx := m.Backward(tp, dy)
+	for i, want := range []float32{0, 0, 5, 0, 0} {
+		if got := dx.Data()[i]; got != want {
+			t.Fatalf("relu backward[%d] = %v, want %v", i, got, want)
+		}
+	}
+	if dy.Data()[0] != 5 {
+		t.Fatal("MLP.Backward overwrote the caller's gradient")
+	}
+	if tp.Len() != 0 {
+		t.Fatalf("tape holds %d records after the pass's Backward, want 0", tp.Len())
 	}
 }
 
 func TestEmbeddingBagPooling(t *testing.T) {
 	e := &EmbeddingBag{Name: "e", Rows: 3, Dim: 2, Mode: PoolSum,
 		Table: tensor.FromSlice([]float32{1, 2, 10, 20, 100, 200}, 3, 2)}
-	y := e.Forward([]int32{0, 2, 1}, []int32{0, 2})
+	y := e.Forward(&Tape{}, []int32{0, 2, 1}, []int32{0, 2})
 	// bag0 = row0+row2 = (101, 202); bag1 = row1 = (10, 20)
 	if y.At(0, 0) != 101 || y.At(0, 1) != 202 || y.At(1, 0) != 10 {
 		t.Fatalf("sum pooling got %v", y.Data())
 	}
 	e.Mode = PoolMean
-	y = e.Forward([]int32{0, 2, 1}, []int32{0, 2})
+	y = e.Forward(&Tape{}, []int32{0, 2, 1}, []int32{0, 2})
 	if y.At(0, 0) != 50.5 {
 		t.Fatalf("mean pooling got %v", y.Data())
 	}
@@ -59,7 +79,7 @@ func TestEmbeddingBagPooling(t *testing.T) {
 func TestEmbeddingBagEmptyBag(t *testing.T) {
 	r := tensor.NewRNG(2)
 	e := NewEmbeddingBag(r, 4, 3, PoolMean, "e")
-	y := e.Forward([]int32{1}, []int32{0, 1, 1}) // bags: {1}, {}, {}
+	y := e.Forward(&Tape{}, []int32{1}, []int32{0, 1, 1}) // bags: {1}, {}, {}
 	for d := 0; d < 3; d++ {
 		if y.At(1, d) != 0 || y.At(2, d) != 0 {
 			t.Fatal("empty bags must pool to zero")
@@ -75,7 +95,7 @@ func TestEmbeddingBagOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic for out-of-range index")
 		}
 	}()
-	e.Forward([]int32{4}, []int32{0})
+	e.Forward(&Tape{}, []int32{4}, []int32{0})
 }
 
 func TestEmbeddingLookupRows(t *testing.T) {
@@ -92,7 +112,7 @@ func TestCrossNetSingleLayerKnown(t *testing.T) {
 	c := NewCrossNet(tensor.NewRNG(1), 2, 1, "c")
 	c.Ws[0].Value = tensor.FromSlice([]float32{1, 0, 0, 1}, 2, 2)
 	c.Bs[0].Value = tensor.New(2)
-	y := c.Forward(tensor.FromSlice([]float32{2, 3}, 1, 2))
+	y := c.Forward(&Tape{}, tensor.FromSlice([]float32{2, 3}, 1, 2))
 	if y.At(0, 0) != 6 || y.At(0, 1) != 12 {
 		t.Fatalf("crossnet known got %v", y.Data())
 	}
@@ -215,13 +235,15 @@ func TestCountAndCollectParams(t *testing.T) {
 
 // Properties.
 
+// TestQuickReLUNonNegative: an MLP ending in ReLU emits neither a negative
+// value nor -0.
 func TestQuickReLUNonNegative(t *testing.T) {
 	f := func(seed uint64, n8 uint8) bool {
 		n := int(n8%32) + 1
-		x := tensor.RandN(tensor.NewRNG(seed), 3, n)
-		y := (&ReLU{}).Forward(x)
+		r := tensor.NewRNG(seed)
+		y := NewMLP(r, 4, []int{n}, true, "m").Forward(&Tape{}, tensor.RandN(r, 3, 2, 4))
 		for _, v := range y.Data() {
-			if v < 0 {
+			if math.Signbit(float64(v)) {
 				return false
 			}
 		}
@@ -257,14 +279,43 @@ func TestQuickEmbeddingSumLinearity(t *testing.T) {
 		r := tensor.NewRNG(seed)
 		e := NewEmbeddingBag(r, rows, dim, PoolSum, "e")
 		idx := []int32{0, int32(rows - 1), int32(rows / 2)}
-		full := e.Forward(idx, []int32{0})
+		full := e.Forward(&Tape{}, idx, []int32{0})
 		acc := tensor.New(1, dim)
 		for _, i := range idx {
-			tensor.AddInPlace(acc, e.Forward([]int32{i}, []int32{0}))
+			tensor.AddInPlace(acc, e.Forward(&Tape{}, []int32{i}, []int32{0}))
 		}
 		return full.AllClose(acc, 1e-5, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDotInteractionMatchesPlainDots holds the four-chain kernel to one
+// ascending-p sum per pair, bit for bit, at every feature count from 1 to
+// 11 (so every group size and padding case occurs).
+func TestDotInteractionMatchesPlainDots(t *testing.T) {
+	r := tensor.NewRNG(12)
+	for f := 1; f <= 11; f++ {
+		x := tensor.RandN(r, 1, 3, f, 5)
+		y := (&DotInteraction{}).Forward(&Tape{}, x)
+		k := 0
+		for s := 0; s < 3; s++ {
+			for i := 0; i < f; i++ {
+				for j := i + 1; j < f; j++ {
+					var dot float32
+					for p := 0; p < 5; p++ {
+						dot += float32(x.At(s, i, p) * x.At(s, j, p))
+					}
+					if got := y.Data()[k]; math.Float32bits(got) != math.Float32bits(dot) {
+						t.Fatalf("F=%d sample %d pair (%d,%d): %v, want %v", f, s, i, j, got, dot)
+					}
+					k++
+				}
+			}
+		}
+		if k != y.Len() {
+			t.Fatalf("F=%d: %d outputs, want %d", f, y.Len(), k)
+		}
 	}
 }

@@ -12,9 +12,13 @@
 //     embeddings followed by a linear to F·D outputs — the DCN interaction
 //     module in miniature.
 //
-// Every module implements sptt.TowerModule, so it can run replicated inside
-// the distributed dataflow (replicas per host GPU, gradients AllReduced
-// intra-host) or standalone in the single-process trainer.
+// Each tower type has one forward body, ForwardOn, over a caller's nn.Tape.
+// Its sptt.TowerModule face, Forward and Backward, runs that body on a tape
+// the module owns and records on; that is how each replica runs inside the
+// distributed dataflow (one per host GPU, gradients AllReduced intra-host).
+// The single-process DMT models call ForwardOn and BackwardOn on their own
+// tape instead: a recording one to train, and Predict's non-recording one,
+// drawn from its pooled arena, to serve.
 package towers
 
 import (
@@ -24,6 +28,14 @@ import (
 	"dmt/internal/sptt"
 	"dmt/internal/tensor"
 )
+
+// Module is a tower module as the single-process DMT models drive it: its
+// sptt face plus the same forward and backward on a caller's tape.
+type Module interface {
+	sptt.TowerModule
+	ForwardOn(tp *nn.Tape, x *tensor.Tensor) *tensor.Tensor
+	BackwardOn(tp *nn.Tape, dy *tensor.Tensor) *tensor.Tensor
+}
 
 // DLRMTower is Listing 1: cat[ linear(N·F → p·D)(flatten(x)),
 // linear(N → c·D) applied per feature ]. Output width D·(c·F + p).
@@ -35,7 +47,7 @@ type DLRMTower struct {
 	Flat       *nn.Linear
 	PerFeature *nn.Linear
 
-	lastS int
+	tape nn.Tape // Forward and Backward's
 }
 
 // NewDLRMTower builds the module for a tower of f features with embedding
@@ -44,7 +56,7 @@ func NewDLRMTower(r *tensor.RNG, f, n, c, p, d int, name string) *DLRMTower {
 	if c < 0 || p < 0 || c+p == 0 || d <= 0 {
 		panic(fmt.Sprintf("towers: invalid DLRM tower c=%d p=%d D=%d", c, p, d))
 	}
-	t := &DLRMTower{F: f, N: n, C: c, P: p, D: d}
+	t := &DLRMTower{F: f, N: n, C: c, P: p, D: d, tape: nn.Tape{Record: true}}
 	if p > 0 {
 		t.Flat = nn.NewLinear(r, n*f, p*d, name+".flat")
 	}
@@ -57,43 +69,28 @@ func NewDLRMTower(r *tensor.RNG, f, n, c, p, d int, name string) *DLRMTower {
 // OutDim returns O = D·(c·F + p).
 func (t *DLRMTower) OutDim() int { return t.D * (t.C*t.F + t.P) }
 
-// Forward maps (S, F, N) to (S, OutDim).
+// Forward maps (S, F, N) to (S, OutDim), recording on the module's tape.
 func (t *DLRMTower) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 3 || x.Dim(1) != t.F || x.Dim(2) != t.N {
-		panic(fmt.Sprintf("towers: DLRM tower expects (S,%d,%d), got %v", t.F, t.N, x.Shape()))
-	}
-	s := x.Dim(0)
-	t.lastS = s
-	var parts []*tensor.Tensor
-	if t.Flat != nil {
-		parts = append(parts, t.Flat.Forward(x.Reshape(s, t.F*t.N)))
-	}
-	if t.PerFeature != nil {
-		o2 := t.PerFeature.Forward(x.Reshape(s*t.F, t.N))
-		parts = append(parts, o2.Reshape(s, t.F*t.C*t.D))
-	}
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	return tensor.Concat(1, parts...)
+	t.tape.Reset()
+	return t.ForwardOn(&t.tape, x)
 }
 
-// ForwardInference maps (S, F, N) to (S, OutDim) without caching training
-// state, so one module instance can serve concurrent read-only predictions.
-// The output and its intermediates come from the arena a (see
-// nn.Linear.ForwardInference).
-func (t *DLRMTower) ForwardInference(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+// Backward maps dY (S, OutDim) to dX (S, F, N) through the last Forward.
+func (t *DLRMTower) Backward(dy *tensor.Tensor) *tensor.Tensor { return t.BackwardOn(&t.tape, dy) }
+
+// ForwardOn maps (S, F, N) to (S, OutDim) on the tape tp.
+func (t *DLRMTower) ForwardOn(tp *nn.Tape, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(1) != t.F || x.Dim(2) != t.N {
 		panic(fmt.Sprintf("towers: DLRM tower expects (S,%d,%d), got %v", t.F, t.N, x.Shape()))
 	}
 	s := x.Dim(0)
 	var flat, perFeat *tensor.Tensor
 	if t.Flat != nil {
-		flat = t.Flat.ForwardInference(a, a.Reshape(x, s, t.F*t.N))
+		flat = t.Flat.Forward(tp, tp.Reshape(x, s, t.F*t.N))
 	}
 	if t.PerFeature != nil {
-		o2 := t.PerFeature.ForwardInference(a, a.Reshape(x, s*t.F, t.N))
-		perFeat = a.Reshape(o2, s, t.F*t.C*t.D)
+		o2 := t.PerFeature.Forward(tp, tp.Reshape(x, s*t.F, t.N))
+		perFeat = tp.Reshape(o2, s, t.F*t.C*t.D)
 	}
 	switch {
 	case perFeat == nil:
@@ -101,31 +98,25 @@ func (t *DLRMTower) ForwardInference(a *tensor.Arena, x *tensor.Tensor) *tensor.
 	case flat == nil:
 		return perFeat
 	}
-	return a.Concat(1, flat, perFeat)
+	return tp.Concat(1, flat, perFeat)
 }
 
-// Backward maps dY (S, OutDim) to dX (S, F, N).
-func (t *DLRMTower) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	s := t.lastS
+// BackwardOn maps dY (S, OutDim) to dX (S, F, N), popping ForwardOn's
+// records off tp.
+func (t *DLRMTower) BackwardOn(tp *nn.Tape, dy *tensor.Tensor) *tensor.Tensor {
+	s := dy.Dim(0)
 	dx := tensor.New(s, t.F, t.N)
-	off := 0
-	if t.Flat != nil {
-		w := t.P * t.D
-		dy1 := tensor.SplitCols(dy, []int{w, dy.Dim(1) - w})
-		d1 := t.Flat.Backward(dy1[0])
-		tensor.AddInPlace(dx, d1.Reshape(s, t.F, t.N))
-		off = w
+	dFlat, dPer := dy, dy
+	if t.Flat != nil && t.PerFeature != nil {
+		parts := tensor.SplitCols(dy, []int{t.P * t.D, t.F * t.C * t.D})
+		dFlat, dPer = parts[0], parts[1]
 	}
 	if t.PerFeature != nil {
-		w := t.F * t.C * t.D
-		var dy2 *tensor.Tensor
-		if off == 0 {
-			dy2 = dy
-		} else {
-			dy2 = tensor.SplitCols(dy, []int{off, w})[1]
-		}
-		d2 := t.PerFeature.Backward(dy2.Reshape(s*t.F, t.C*t.D))
+		d2 := t.PerFeature.Backward(tp, dPer.Reshape(s*t.F, t.C*t.D))
 		tensor.AddInPlace(dx, d2.Reshape(s, t.F, t.N))
+	}
+	if t.Flat != nil {
+		tensor.AddInPlace(dx, t.Flat.Backward(tp, dFlat).Reshape(s, t.F, t.N))
 	}
 	return dx
 }
@@ -148,6 +139,8 @@ type DCNTower struct {
 	F, N, D int
 	Cross   *nn.CrossNet
 	Proj    *nn.Linear
+
+	tape nn.Tape // Forward and Backward's
 }
 
 // NewDCNTower builds the module with the given number of cross layers.
@@ -159,37 +152,35 @@ func NewDCNTower(r *tensor.RNG, f, n, d, crossLayers int, name string) *DCNTower
 		F: f, N: n, D: d,
 		Cross: nn.NewCrossNet(r, f*n, crossLayers, name+".cross"),
 		Proj:  nn.NewLinear(r, f*n, f*d, name+".proj"),
+		tape:  nn.Tape{Record: true},
 	}
 }
 
 // OutDim returns O = F·D.
 func (t *DCNTower) OutDim() int { return t.F * t.D }
 
-// Forward maps (S, F, N) to (S, F·D).
+// Forward maps (S, F, N) to (S, F·D), recording on the module's tape.
 func (t *DCNTower) Forward(x *tensor.Tensor) *tensor.Tensor {
+	t.tape.Reset()
+	return t.ForwardOn(&t.tape, x)
+}
+
+// Backward maps dY (S, F·D) to dX (S, F, N) through the last Forward.
+func (t *DCNTower) Backward(dy *tensor.Tensor) *tensor.Tensor { return t.BackwardOn(&t.tape, dy) }
+
+// ForwardOn maps (S, F, N) to (S, F·D) on the tape tp.
+func (t *DCNTower) ForwardOn(tp *nn.Tape, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(1) != t.F || x.Dim(2) != t.N {
 		panic(fmt.Sprintf("towers: DCN tower expects (S,%d,%d), got %v", t.F, t.N, x.Shape()))
 	}
-	s := x.Dim(0)
-	o := t.Cross.Forward(x.Reshape(s, t.F*t.N))
-	return t.Proj.Forward(o)
+	o := t.Cross.Forward(tp, tp.Reshape(x, x.Dim(0), t.F*t.N))
+	return t.Proj.Forward(tp, o)
 }
 
-// ForwardInference maps (S, F, N) to (S, F·D) without caching training
-// state, drawing from the arena a.
-func (t *DCNTower) ForwardInference(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 3 || x.Dim(1) != t.F || x.Dim(2) != t.N {
-		panic(fmt.Sprintf("towers: DCN tower expects (S,%d,%d), got %v", t.F, t.N, x.Shape()))
-	}
-	s := x.Dim(0)
-	o := t.Cross.ForwardInference(a, a.Reshape(x, s, t.F*t.N))
-	return t.Proj.ForwardInference(a, o)
-}
-
-// Backward maps dY (S, F·D) to dX (S, F, N).
-func (t *DCNTower) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	do := t.Proj.Backward(dy)
-	dflat := t.Cross.Backward(do)
+// BackwardOn maps dY (S, F·D) to dX (S, F, N), popping ForwardOn's
+// records off tp.
+func (t *DCNTower) BackwardOn(tp *nn.Tape, dy *tensor.Tensor) *tensor.Tensor {
+	dflat := t.Cross.Backward(tp, t.Proj.Backward(tp, dy))
 	return dflat.Reshape(dflat.Dim(0), t.F, t.N)
 }
 
@@ -203,8 +194,7 @@ func (t *DCNTower) Params() []*nn.Param {
 // compressed flow reproduce the pass-through transform exactly, as
 // examples/sptt_walkthrough demonstrates.
 type PassThrough struct {
-	F, N  int
-	lastS int
+	F, N int
 }
 
 // NewPassThrough builds the identity tower.
@@ -215,13 +205,12 @@ func (t *PassThrough) OutDim() int { return t.F * t.N }
 
 // Forward flattens.
 func (t *PassThrough) Forward(x *tensor.Tensor) *tensor.Tensor {
-	t.lastS = x.Dim(0)
 	return x.Reshape(x.Dim(0), t.F*t.N).Clone()
 }
 
 // Backward unflattens.
 func (t *PassThrough) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	return dy.Reshape(t.lastS, t.F, t.N).Clone()
+	return dy.Reshape(dy.Dim(0), t.F, t.N).Clone()
 }
 
 // Params returns nil.
@@ -243,8 +232,8 @@ func CompressionRatio(totalFeatures, n int, outDims []int) float64 {
 
 // Interface conformance checks.
 var (
-	_ sptt.TowerModule = (*DLRMTower)(nil)
-	_ sptt.TowerModule = (*DCNTower)(nil)
+	_ Module           = (*DLRMTower)(nil)
+	_ Module           = (*DCNTower)(nil)
 	_ sptt.TowerModule = (*PassThrough)(nil)
 )
 

@@ -70,6 +70,33 @@ func TestPassThroughRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTowerForwardKeepsOnePass runs each tower type's Forward 100 times
+// with no Backward, as an evaluation would: the module's tape must hold
+// one pass's records, and the Backward after them must empty it.
+func TestTowerForwardKeepsOnePass(t *testing.T) {
+	r := tensor.NewRNG(10)
+	x := tensor.RandN(r, 1, 3, 2, 4)
+	dlrm := NewDLRMTower(r, 2, 4, 1, 1, 2, "d")
+	dcn := NewDCNTower(r, 2, 4, 2, 2, "c")
+	for _, tc := range []struct {
+		m    sptt.TowerModule
+		tape *nn.Tape
+	}{{dlrm, &dlrm.tape}, {dcn, &dcn.tape}} {
+		tc.m.Forward(x)
+		one := tc.tape.Len()
+		for range 100 {
+			tc.m.Forward(x)
+		}
+		if n := tc.tape.Len(); n != one || one == 0 {
+			t.Fatalf("%T: tape holds %d records after 100 Forwards, want one pass's %d", tc.m, n, one)
+		}
+		tc.m.Backward(tensor.New(3, tc.m.OutDim()))
+		if n := tc.tape.Len(); n != 0 {
+			t.Fatalf("%T: tape holds %d records after Backward, want 0", tc.m, n)
+		}
+	}
+}
+
 // gradient checks via weighted-sum loss.
 
 func checkTowerGradients(t *testing.T, name string, tw sptt.TowerModule, x *tensor.Tensor, params []*nn.Param) {
