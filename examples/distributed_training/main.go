@@ -72,14 +72,10 @@ func main() {
 	}
 	fmt.Println("replica sync check: over-arch and tower-module replicas bit-identical")
 
-	// Evaluate on held-out samples with rank 0's replica + the canonical
-	// tables (copied into the replica's lookup path via the engine).
+	// Evaluate on held-out samples with rank 0's replica, whose tables are
+	// the trainer's one trained set.
 	eval := gen.Batch(1<<22, 4096)
-	m := tr.Replica(0)
-	for f, e := range m.Embs {
-		e.Table.CopyFrom(tr.Engine().Tables[f].Table)
-	}
-	logits := m.Forward(eval)
+	logits := tr.Replica(0).Forward(eval)
 	scores := nn.Predictions(logits)
 	fmt.Printf("held-out AUC after %d distributed steps: %.4f\n",
 		steps, metrics.AUC(scores, eval.Labels))

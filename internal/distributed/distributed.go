@@ -4,6 +4,12 @@
 // with intra-host gradient reduction (§3.2), and the over-arch runs fully
 // data-parallel with a global gradient average (§2.2).
 //
+// Only the dense modules are replicated. The trainer holds one set of
+// embedding tables, as each table lives on one owner rank in the paper: the
+// rank replicas, the SPTT engine and the embedding tier all point at the
+// same tables, so the trainer's memory is one table set plus its SparseAdam
+// moments, the footprint a memory node would have to hold.
+//
 // The training engine is rank-parallel: one executor (stepRanks, schedule.go)
 // walks a fixed phase order — SPTT forward, dense forward/backward, SPTT
 // backward, gradient exchange, update — running every phase as one goroutine
@@ -59,7 +65,8 @@ type Config struct {
 	// Learning rates (Adam for dense, SparseAdam for tables).
 	DenseLR  float32
 	SparseLR float32
-	// Seed drives table initialization.
+	// Seed is not read. The tables are seeded once, by Model.Seed, as rank
+	// 0's replica would seed them, and every other holder shares them.
 	Seed uint64
 	// Sequential selects the single-goroutine reference step instead of the
 	// rank-parallel engine. Both follow bitwise-identical trajectories; the
@@ -169,9 +176,10 @@ type Trainer struct {
 	overOpts []*nn.Adam
 	tmOpts   []*nn.Adam
 	loss     []*nn.BCEWithLogits
-	// tier is the embedding backend: a LocalTier wrapping the engine's
-	// tables, or a RemoteTier of dedicated server ranks
-	// (Config.EmbeddingTier). Sparse optimizer state lives inside it.
+	// tier is the embedding backend: a LocalTier over the trainer's one
+	// table set, or a RemoteTier of dedicated server ranks that takes the
+	// set over (Config.EmbeddingTier). Sparse optimizer state lives inside
+	// it.
 	tier embeddings.Tier
 
 	// world is the persistent global group the rank-parallel step uses for
@@ -318,9 +326,11 @@ func TowersInHostOrder(towers [][]int, nFeatures, l int) ([][]int, []int, []int,
 	return ordered, towerOf, rankOf, nil
 }
 
-// New builds the trainer: G full model replicas with identical parameters
-// (same seed), an SPTT engine whose tables are the replicas' tables, and
-// per-rank tower-module bindings.
+// New builds the trainer: G model replicas whose dense modules are
+// independent copies with identical parameters (same seed) and whose
+// embedding tables are one set, seeded once as replica 0's; an embedding
+// tier and an SPTT engine that adopt that same set; and per-rank
+// tower-module bindings.
 func New(cfg Config) (*Trainer, error) {
 	t := cfg.G / cfg.L
 	if len(cfg.Model.Towers) != t {
@@ -337,8 +347,10 @@ func New(cfg Config) (*Trainer, error) {
 	cfg.Model.Towers = ordered
 
 	tr := &Trainer{cfg: cfg, sched: sched}
+	var tables []*nn.EmbeddingBag // replica 0's, seeded by cfg.Model.Seed
 	for g := 0; g < cfg.G; g++ {
-		m := models.NewDMTDLRM(cfg.Model)
+		m := models.NewDMTDLRMSharing(cfg.Model, tables)
+		tables = m.Embs
 		tr.replicas = append(tr.replicas, m)
 		tr.modules = append(tr.modules, m.TMs[g/cfg.L])
 		tr.overOpts = append(tr.overOpts, nn.NewAdam(cfg.DenseLR))
@@ -349,28 +361,6 @@ func New(cfg Config) (*Trainer, error) {
 		}
 	}
 
-	// The dataflow engine owns the canonical tables; seed them from replica
-	// 0 so a single-process golden model with the same model seed matches.
-	scfg := sptt.Config{
-		G: cfg.G, L: cfg.L, B: cfg.LocalBatch, N: cfg.Model.N,
-		TowerOf: towerOf, RankOf: rankOf,
-	}
-	for f := 0; f < cfg.Model.Schema.NumSparse(); f++ {
-		scfg.Features = append(scfg.Features, sptt.FeatureSpec{
-			Name:        fmt.Sprintf("emb%d", f),
-			Cardinality: cfg.Model.Schema.Cardinalities[f],
-			Hot:         cfg.Model.Schema.HotSizes[f],
-			Mode:        nn.PoolSum,
-		})
-	}
-	eng, err := sptt.NewEngine(scfg, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	for f, e := range tr.replicas[0].Embs {
-		eng.Tables[f].Table.CopyFrom(e.Table)
-	}
-	tr.engine = eng
 	if cfg.Fabric != nil {
 		// The network spans the compute ranks plus the embedding-server
 		// ranks (each on its own memory host), so tier traffic is priced by
@@ -387,22 +377,37 @@ func New(cfg Config) (*Trainer, error) {
 		tr.bottomBwd = 2 * tr.bottomFwd
 		tr.topBwd = 2 * tr.topFwd
 	}
-	// The embedding tier owns the canonical tables and their sparse
+	// The embedding tier holds the canonical tables and their sparse
 	// optimizer state; the dataflow engine's step (b) lookups and the update
 	// phase both go through it.
 	if s := cfg.EmbeddingTier.Servers; s > 0 {
 		tr.tier = embeddings.NewRemote(embeddings.RemoteConfig{
 			Clients:   cfg.G,
 			Servers:   s,
-			Tables:    eng.Tables,
+			Tables:    tables,
 			SparseLR:  cfg.SparseLR,
 			CacheRows: cfg.EmbeddingTier.CacheRows,
 			Net:       tr.net,
 		})
 	} else {
-		tr.tier = embeddings.NewLocalTier(eng.Tables, cfg.SparseLR)
+		tr.tier = embeddings.NewLocalTier(tables, cfg.SparseLR)
 	}
-	eng.Tier = tr.tier
+	scfg := sptt.Config{
+		G: cfg.G, L: cfg.L, B: cfg.LocalBatch, N: cfg.Model.N,
+		TowerOf: towerOf, RankOf: rankOf,
+	}
+	for f := 0; f < cfg.Model.Schema.NumSparse(); f++ {
+		scfg.Features = append(scfg.Features, sptt.FeatureSpec{
+			Name:        fmt.Sprintf("emb%d", f),
+			Cardinality: cfg.Model.Schema.Cardinalities[f],
+			Hot:         cfg.Model.Schema.HotSizes[f],
+			Mode:        nn.PoolSum,
+		})
+	}
+	if tr.engine, err = sptt.NewEngineOver(scfg, tables, tr.tier); err != nil {
+		tr.tier.Close()
+		return nil, err
+	}
 	tr.world = comm.NewGroupNet(cfg.G, tr.net, nil)
 	tr.buckets = planBuckets(tr.replicas[0], cfg.BucketBytes)
 	if cfg.Compression.Gradient != quant.None {
@@ -442,7 +447,8 @@ func (tr *Trainer) Residual(g, pi int) *tensor.Tensor {
 	return tr.residuals[g][pi]
 }
 
-// Engine exposes the dataflow engine (its tables are the canonical ones).
+// Engine exposes the dataflow engine. Its tables are the trainer's one
+// table set, the ones every replica holds.
 func (tr *Trainer) Engine() *sptt.Engine { return tr.engine }
 
 // Network exposes the simulated network (nil unless Config.Fabric is set) —
@@ -504,7 +510,9 @@ func (tr *Trainer) phaseClock() func() time.Duration {
 	}
 }
 
-// Replica returns rank g's model replica.
+// Replica returns rank g's model replica: a complete model, whose dense
+// modules are rank g's own and whose Embs are the trainer's one table set,
+// shared with every other replica and the engine, and trained in place.
 func (tr *Trainer) Replica(g int) *models.DMTDLRM { return tr.replicas[g] }
 
 // Stats returns cumulative step statistics.

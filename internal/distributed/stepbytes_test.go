@@ -1,0 +1,108 @@
+//go:build !race
+
+package distributed
+
+import (
+	"runtime"
+	"testing"
+
+	"dmt/internal/data"
+	"dmt/internal/models"
+	"dmt/internal/netsim"
+	"dmt/internal/quant"
+	"dmt/internal/topology"
+)
+
+// benchShape is a copy of one of the repo benchmark's two training
+// workloads (benchmark/train.go): 8 ranks at 2 per host, local batch 64, the
+// A100 fabric on the virtual clock.
+type benchShape struct {
+	name                string
+	features, hot, card int
+	d                   int
+	topMLP              []int
+	overlap             bool
+	pipeline            int
+	wire                quant.Scheme
+	servers, cacheRows  int
+	warmup              int
+	// maxBytes bounds the bytes one steady-state step allocates.
+	maxBytes float64
+}
+
+const benchG, benchL, benchBatch = 8, 2, 64
+
+func (sh benchShape) setUp(t *testing.T) (*Trainer, *data.Generator) {
+	dcfg := data.CriteoLike(0)
+	dcfg.Cardinalities = make([]int, sh.features)
+	dcfg.HotSizes = make([]int, sh.features)
+	for i := range dcfg.Cardinalities {
+		dcfg.Cardinalities[i] = sh.card
+		dcfg.HotSizes[i] = sh.hot
+	}
+	dcfg.NumGroups = benchG / benchL
+	tr, err := New(Config{
+		G: benchG, L: benchL, LocalBatch: benchBatch,
+		Model: models.DMTDLRMConfig{
+			Schema: dcfg.Schema, N: 16,
+			Towers: models.RoundRobinTowers(benchG/benchL, sh.features),
+			C:      1, P: 0, D: sh.d,
+			BottomMLP: []int{32, sh.d},
+			TopMLP:    sh.topMLP,
+			Seed:      99,
+		},
+		DenseLR: 1e-3, SparseLR: 1e-2, Seed: 7,
+		Overlap:       sh.overlap,
+		Pipeline:      sh.pipeline,
+		Compression:   Compression{Gradient: sh.wire, Embedding: sh.wire},
+		Fabric:        netsim.New(topology.A100),
+		EmbeddingTier: EmbeddingTier{Servers: sh.servers, CacheRows: sh.cacheRows},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, data.NewGenerator(dcfg)
+}
+
+// TestStepBytes pins the bytes a steady-state training step allocates at
+// the benchmark's train_dense and train_embed shapes: TotalAlloc over 20
+// steps after the warm-up, the generator's batches excluded. Linear's weight
+// gradients accumulated in place and the SPTT exchange's one-pass layout
+// permute took them from 16.5 and 37.3 MB.
+func TestStepBytes(t *testing.T) {
+	const steps = 20
+	for _, sh := range []benchShape{
+		{name: "train_dense", features: 16, hot: 1, card: 128, d: 16,
+			topMLP: []int{256, 128}, pipeline: 1, wire: quant.FP16,
+			warmup: 24, maxBytes: 13.5e6},
+		{name: "train_embed", features: 32, hot: 4, card: 4096, d: 8,
+			topMLP: []int{32}, overlap: true, wire: quant.None,
+			servers: 2, cacheRows: 8192, warmup: 30, maxBytes: 34e6},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			tr, gen := sh.setUp(t)
+			defer tr.Close()
+			batches := make([][]*data.Batch, sh.warmup+steps)
+			for s := range batches {
+				batches[s] = make([]*data.Batch, benchG)
+				for r := range batches[s] {
+					batches[s][r] = gen.Batch((s*benchG+r)*benchBatch, benchBatch)
+				}
+			}
+			for s := 0; s < sh.warmup; s++ {
+				tr.Step(batches[s])
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for s := sh.warmup; s < sh.warmup+steps; s++ {
+				tr.Step(batches[s])
+			}
+			runtime.ReadMemStats(&after)
+			perStep := float64(after.TotalAlloc-before.TotalAlloc) / steps
+			t.Logf("%s: %.2f MB per step", sh.name, perStep/1e6)
+			if perStep > sh.maxBytes {
+				t.Errorf("%s: a steady-state step allocates %.2f MB, want ≤ %.2f MB", sh.name, perStep/1e6, sh.maxBytes/1e6)
+			}
+		})
+	}
+}

@@ -83,7 +83,14 @@ type DMTDLRM struct {
 }
 
 // NewDMTDLRM builds the model.
-func NewDMTDLRM(cfg DMTDLRMConfig) *DMTDLRM {
+func NewDMTDLRM(cfg DMTDLRMConfig) *DMTDLRM { return NewDMTDLRMSharing(cfg, nil) }
+
+// NewDMTDLRMSharing builds the model over embs, the tables of another model
+// built for the same schema and N, instead of seeding its own (nil embs
+// seeds them, as NewDMTDLRM does). Its dense parameters are bit for bit
+// NewDMTDLRM(cfg)'s either way. The distributed trainer's replicas share
+// one table set this way.
+func NewDMTDLRMSharing(cfg DMTDLRMConfig, embs []*nn.EmbeddingBag) *DMTDLRM {
 	if cfg.BottomMLP[len(cfg.BottomMLP)-1] != cfg.D {
 		panic("models: DMT-DLRM bottom MLP must end at the tower output dimension D")
 	}
@@ -91,9 +98,14 @@ func NewDMTDLRM(cfg DMTDLRMConfig) *DMTDLRM {
 		panic(err)
 	}
 	r := tensor.NewRNG(cfg.Seed)
+	if embs == nil {
+		embs = newEmbeddings(r, cfg.Schema, cfg.N)
+	} else {
+		embs = shareEmbeddings(r, cfg.Schema, cfg.N, embs)
+	}
 	m := &DMTDLRM{
 		cfg:         cfg,
-		Embs:        newEmbeddings(r, cfg.Schema, cfg.N),
+		Embs:        embs,
 		Bottom:      nn.NewMLP(r.Split(1), cfg.Schema.NumDense, cfg.BottomMLP, true, "bottom"),
 		Interaction: &nn.DotInteraction{},
 		tape:        nn.Tape{Record: true},

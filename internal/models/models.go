@@ -61,6 +61,22 @@ func newEmbeddings(r *tensor.RNG, schema data.Schema, n int) []*nn.EmbeddingBag 
 	return embs
 }
 
+// shareEmbeddings returns embs, the tables of a model built for the same
+// schema and n, after making the draws from r that newEmbeddings would have
+// made, so every later Split of r yields what it would have yielded.
+func shareEmbeddings(r *tensor.RNG, schema data.Schema, n int, embs []*nn.EmbeddingBag) []*nn.EmbeddingBag {
+	if len(embs) != schema.NumSparse() {
+		panic(fmt.Sprintf("models: %d shared tables for %d sparse features", len(embs), schema.NumSparse()))
+	}
+	for f, e := range embs {
+		if e.Rows != schema.Cardinalities[f] || e.Dim != n {
+			panic(fmt.Sprintf("models: shared table %d is %dx%d, want %dx%d", f, e.Rows, e.Dim, schema.Cardinalities[f], n))
+		}
+		r.Split(uint64(f) + 100)
+	}
+	return embs
+}
+
 // lookupPooled pools every feature's bags for a batch into (B, F, N) from
 // t's arena, through the cache when there is one, and records each table's
 // lookup on t.

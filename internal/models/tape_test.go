@@ -128,7 +128,9 @@ func TestForwardWithoutBackwardKeepsOnePass(t *testing.T) {
 // step — Forward, BCE, Backward and TakeSparseGrads on CriteoLike at batch
 // 64, DMT-DLRM on 4 round-robin towers. While every layer kept its last
 // input on itself they were DMT-DLRM 508, DLRM 378 and DCN 390; one lookup
-// path and the in-place ReLU took them to the bounds below.
+// path and the in-place ReLU took them to 400, 278 and 286, and weight and
+// bias gradients added in place, with no dW or dB temporary, to the bounds
+// below.
 func TestTrainStepAllocs(t *testing.T) {
 	cfg := data.CriteoLike(1)
 	b := data.NewGenerator(cfg).Batch(0, 64)
@@ -137,9 +139,9 @@ func TestTrainStepAllocs(t *testing.T) {
 		m     Model
 		bound float64
 	}{
-		{"dmt-dlrm", NewDMTDLRM(DefaultDMTDLRMConfig(cfg.Schema, RoundRobinTowers(4, cfg.Schema.NumSparse()), 1)), 400},
-		{"dlrm", NewDLRM(DefaultDLRMConfig(cfg.Schema, 1)), 278},
-		{"dcn", NewDCN(DCNConfig{Schema: cfg.Schema, N: 16, CrossLayers: 2, DeepMLP: []int{64, 32}, Seed: 1}), 286},
+		{"dmt-dlrm", NewDMTDLRM(DefaultDMTDLRMConfig(cfg.Schema, RoundRobinTowers(4, cfg.Schema.NumSparse()), 1)), 346},
+		{"dlrm", NewDLRM(DefaultDLRMConfig(cfg.Schema, 1)), 248},
+		{"dcn", NewDCN(DCNConfig{Schema: cfg.Schema, N: 16, CrossLayers: 2, DeepMLP: []int{64, 32}, Seed: 1}), 256},
 	} {
 		loss := &nn.BCEWithLogits{}
 		n := testing.AllocsPerRun(10, func() {

@@ -73,8 +73,8 @@ func (c *CrossNet) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 		tensor.AddInPlace(dx0, tensor.Mul(dcur, ul))
 		du := tensor.Mul(dcur, x0)
 		// u = W x_l + b: dW += duᵀ x_l, db += Σ du, dx_l += du W.
-		tensor.AddInPlace(c.Ws[l].Grad, tensor.MatMulAT(du, xl))
-		tensor.AddInPlace(c.Bs[l].Grad, tensor.SumRows(du))
+		tensor.AddMatMulAT(c.Ws[l].Grad, du, xl)
+		tensor.AddSumRows(c.Bs[l].Grad, du)
 		dxl := tensor.MatMul(du, c.Ws[l].Value)
 		dcur = tensor.Add(dxl, dcur)
 	}

@@ -41,9 +41,9 @@ func (l *Linear) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 // dX (batch, In).
 func (l *Linear) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	x := t.pop(l).x
-	// dW = dYᵀ · X, accumulated.
-	tensor.AddInPlace(l.W.Grad, tensor.MatMulAT(dy, x))
-	tensor.AddInPlace(l.B.Grad, tensor.SumRows(dy))
+	// dW += dYᵀ · X and dB += Σ dY, straight into the gradients.
+	tensor.AddMatMulAT(l.W.Grad, dy, x)
+	tensor.AddSumRows(l.B.Grad, dy)
 	// dX = dY · W.
 	return tensor.MatMul(dy, l.W.Value)
 }

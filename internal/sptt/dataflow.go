@@ -215,14 +215,15 @@ func (e *Engine) forward(inputs []*Inputs, fl flow, cm Comms) ([]*tensor.Tensor,
 		}
 		// Steps (c)+(d): to local rank j, through the peer-order map, the
 		// peer-class-j slice of each of my lookups. Back comes the tower's
-		// full feature set for my class, (F_t, T, B*N): concatenated in host
-		// order, or summed over the host's row shards.
+		// full feature set for my class, (F_t, T, B*N): one block per local
+		// rank in host order, or one block summed over the host's row
+		// shards.
 		chunks := e.pack(pooled, e.peerOrder, cfg.L)
-		var tower *tensor.Tensor
+		var tower []*tensor.Tensor
 		if fl.shard.byRow {
-			tower = hostC.ReduceScatterSum(chunks)
+			tower = []*tensor.Tensor{hostC.ReduceScatterSum(chunks)}
 		} else {
-			tower = tensor.Concat(0, hostC.AlltoAllTensors(chunks)...)
+			tower = hostC.AlltoAllTensors(chunks)
 		}
 		outs[rank] = e.exchange(peerC, rank, tower, fl, cm)
 	})
@@ -455,16 +456,44 @@ func rowsOf(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
 	return tensor.FromSlice(x.Data()[lo*w:hi*w], shape...)
 }
 
-// swapMiddle transposes the two middle axes of x viewed as (d0, d1, d2, n):
-// the switch between the feature-major layout the exchange moves and the
-// sample-major one a tower module reads.
-func swapMiddle(x *tensor.Tensor, d0, d1, d2, n int) *tensor.Tensor {
-	out := tensor.New(d0, d2, d1, n)
-	for a := 0; a < d0; a++ {
-		for i := 0; i < d1; i++ {
-			for s := 0; s < d2; s++ {
-				src, dst := ((a*d1+i)*d2+s)*n, ((a*d2+s)*d1+i)*n
-				copy(out.Data()[dst:dst+n], x.Data()[src:src+n])
+// toPeerMajor is step (e) in one copy pass. The tower, (F_t, T, B, n), is
+// given as its feature blocks: their concatenation along the leading axis,
+// as step (d) delivers them. It returns (T*B, F_t, n): peer t's block is rows
+// t*B to t*B+B-1, and sample s of it holds every feature's n values. With
+// B = 1 and n = B·N this is the (features, peers) -> (peers, features)
+// transpose alone; with the local batch as B it also turns each peer block
+// sample-major, the layout a tower module reads.
+func toPeerMajor(blocks []*tensor.Tensor, T, B, n int) *tensor.Tensor {
+	ft := 0
+	for _, blk := range blocks {
+		ft += blk.Dim(0)
+	}
+	out := tensor.New(T*B, ft, n)
+	dst := out.Data()
+	a := 0
+	for _, blk := range blocks {
+		src := blk.Data()
+		for i := 0; i < blk.Dim(0); i++ {
+			for t := 0; t < T; t++ {
+				for s := 0; s < B; s++ {
+					copy(dst[((t*B+s)*ft+a)*n:][:n], src[((i*T+t)*B+s)*n:][:n])
+				}
+			}
+			a++
+		}
+	}
+	return out
+}
+
+// fromPeerMajor is toPeerMajor's inverse, (T*B, F_t, n) -> (F_t, T, B*n),
+// in one copy pass.
+func fromPeerMajor(x *tensor.Tensor, ft, T, B, n int) *tensor.Tensor {
+	out := tensor.New(ft, T, B*n)
+	src, dst := x.Data(), out.Data()
+	for a := 0; a < ft; a++ {
+		for t := 0; t < T; t++ {
+			for s := 0; s < B; s++ {
+				copy(dst[((a*T+t)*B+s)*n:][:n], src[((t*B+s)*ft+a)*n:][:n])
 			}
 		}
 	}
@@ -483,20 +512,23 @@ func stepF(peerC *comm.Comm, s quant.Scheme, chunks []*tensor.Tensor, hook func(
 }
 
 // exchange is the forward exchange half on one rank: step (e), the tower
-// module if the flow has one, and step (f). tower is (F_t, T, B*N).
-func (e *Engine) exchange(peerC *comm.Comm, rank int, tower *tensor.Tensor, fl flow, cm Comms) *tensor.Tensor {
+// module if the flow has one, and step (f). tower is (F_t, T, B*N), as
+// feature blocks in order.
+func (e *Engine) exchange(peerC *comm.Comm, rank int, tower []*tensor.Tensor, fl flow, cm Comms) *tensor.Tensor {
 	cfg := e.Cfg
 	T, B, N := cfg.T(), cfg.B, cfg.N
-	ft := tower.Dim(0)
-	// Step (e): local data shuffle — (features, peers) -> (peers, features)
-	// transpose, payload (B, N) rides along.
-	x := tensor.Transpose3D01(tower).Reshape(T*ft, B, N)
-	if fl.modules != nil {
-		// Per peer block go sample-major, stack to (T*B, F_t, N), compress;
-		// the wire scheme stacks on top of the module's dimensional
-		// compression.
+	var x *tensor.Tensor
+	if fl.modules == nil {
+		// Step (e): local data shuffle — (features, peers) -> (peers,
+		// features) transpose, payload (B, N) rides along.
+		x = toPeerMajor(tower, T, 1, B*N)
+		x = x.Reshape(T*x.Dim(1), B, N)
+	} else {
+		// Step (e) with each peer block sample-major in the same pass,
+		// (T*B, F_t, N), then the module compresses; the wire scheme stacks
+		// on top of the module's dimensional compression.
 		mod := fl.modules[rank]
-		x = mod.Forward(swapMiddle(x, T, ft, B, N).Reshape(T*B, ft, N))
+		x = mod.Forward(toPeerMajor(tower, T, B, N))
 		if x.Dim(0) != T*B || x.Dim(1) != mod.OutDim() {
 			panic(fmt.Sprintf("sptt: tower module returned %v, want (%d, %d)", x.Shape(), T*B, mod.OutDim()))
 		}
@@ -550,10 +582,11 @@ func (e *Engine) exchangeBackward(hostC, peerC *comm.Comm, rank int, dOut *tenso
 		for _, prm := range mod.Params() {
 			prm.Grad.CopyFrom(hostC.AllReduceSum(prm.Grad.Clone()))
 		}
-		d = swapMiddle(d, T, B, ft, N) // back to feature-major per peer
+		// Back to feature-major and reverse step (e) in one pass.
+		return fromPeerMajor(d, ft, T, B, N)
 	}
 	// Reverse step (e): (peers, features) -> (features, peers).
-	return tensor.Transpose3D01(d.Reshape(T, ft, B*N))
+	return fromPeerMajor(d, ft, T, 1, B*N)
 }
 
 // mergeDisjointSparse merges two sparse gradients with disjoint row sets.

@@ -1,6 +1,7 @@
 package sptt
 
 import (
+	"fmt"
 	"time"
 
 	"dmt/internal/comm"
@@ -20,8 +21,9 @@ type Engine struct {
 	// Tier is the embedding backend every table-wise step (b) lookup goes
 	// through. NewEngine installs an in-process LocalTier over Tables
 	// (bitwise identical to direct table access); the distributed trainer
-	// swaps in its own tier — a LocalTier carrying the training learning
-	// rate, or a RemoteTier whose lookups travel the simulated fabric.
+	// passes NewEngineOver its own tier over the same tables — a LocalTier
+	// carrying the training learning rate, or a RemoteTier whose lookups
+	// travel the simulated fabric.
 	Tier embeddings.Tier
 
 	// The layout, derived from Cfg once: the index maps step (d)'s and the
@@ -52,20 +54,40 @@ type sharding struct {
 	byRow bool
 }
 
-// NewEngine builds deterministic tables for the configuration.
+// NewEngine builds the engine over deterministic tables it seeds for the
+// configuration.
 func NewEngine(cfg Config, seed uint64) (*Engine, error) {
+	if err := cfg.Validate(len(cfg.TowerOf) > 0); err != nil {
+		return nil, err
+	}
+	r := tensor.NewRNG(seed)
+	tables := make([]*nn.EmbeddingBag, len(cfg.Features))
+	for f, spec := range cfg.Features {
+		tables[f] = nn.NewEmbeddingBag(r.Split(uint64(f)+1), spec.Cardinality, cfg.N, spec.Mode, spec.Name)
+	}
+	return NewEngineOver(cfg, tables, embeddings.NewLocalTier(tables, 0))
+}
+
+// NewEngineOver builds the engine over tables the caller seeded, one per
+// Config.Features entry with its cardinality, mode and dimension N, and
+// tier, a backend over those same tables. The engine adopts both: Tables
+// holds these very tables, not copies.
+func NewEngineOver(cfg Config, tables []*nn.EmbeddingBag, tier embeddings.Tier) (*Engine, error) {
 	towers := len(cfg.TowerOf) > 0
 	if err := cfg.Validate(towers); err != nil {
 		return nil, err
 	}
-	r := tensor.NewRNG(seed)
-	e := &Engine{Cfg: cfg, peerOrder: PeerOrder(cfg.G, cfg.L), rowWise: sharding{byRow: true}}
+	if len(tables) != cfg.F() {
+		return nil, fmt.Errorf("sptt: %d tables for %d features", len(tables), cfg.F())
+	}
+	e := &Engine{Cfg: cfg, Tables: tables, Tier: tier, peerOrder: PeerOrder(cfg.G, cfg.L), rowWise: sharding{byRow: true}}
 	for f, spec := range cfg.Features {
-		e.Tables = append(e.Tables,
-			nn.NewEmbeddingBag(r.Split(uint64(f)+1), spec.Cardinality, cfg.N, spec.Mode, spec.Name))
+		if t := tables[f]; t.Rows != spec.Cardinality || t.Dim != cfg.N || t.Mode != spec.Mode {
+			return nil, fmt.Errorf("sptt: table %d is %dx%d mode %d, feature %q wants %dx%d mode %d",
+				f, t.Rows, t.Dim, t.Mode, spec.Name, spec.Cardinality, cfg.N, spec.Mode)
+		}
 		e.slots = append(e.slots, make([]int32, spec.Cardinality))
 	}
-	e.Tier = embeddings.NewLocalTier(e.Tables, 0)
 
 	for g := 0; g < cfg.G; g++ {
 		e.rankOrder = append(e.rankOrder, g)

@@ -2,6 +2,7 @@ package sptt
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -458,4 +459,69 @@ func TestFamiliesBuiltOncePerNetwork(t *testing.T) {
 	if eng.fam != onNet {
 		t.Fatal("families rebuilt between calls on the same network")
 	}
+}
+
+// swapMiddle is the exchange's second layout pass before toPeerMajor fused
+// them: it transposes the two middle axes of x viewed as (d0, d1, d2, n).
+func swapMiddle(x *tensor.Tensor, d0, d1, d2, n int) *tensor.Tensor {
+	out := tensor.New(d0, d2, d1, n)
+	for a := 0; a < d0; a++ {
+		for i := 0; i < d1; i++ {
+			for s := 0; s < d2; s++ {
+				src, dst := ((a*d1+i)*d2+s)*n, ((a*d2+s)*d1+i)*n
+				copy(out.Data()[dst:dst+n], x.Data()[src:src+n])
+			}
+		}
+	}
+	return out
+}
+
+// TestPeerMajorMatchesMultiPassLayout holds the exchange's one-pass
+// permutes to the passes they replaced, bit for bit, on uneven T, F_t, B
+// and N, with the tower cut into uneven feature blocks as step (d) delivers
+// it. Forward with a tower module: Concat, Transpose3D01, then swapMiddle,
+// (F_t,T,B,N) -> (T,F_t,B,N) -> (T,B,F_t,N); without one, Concat then
+// Transpose3D01. Backward: the inverse passes.
+func TestPeerMajorMatchesMultiPassLayout(t *testing.T) {
+	r := tensor.NewRNG(3)
+	for _, d := range [][4]int{{1, 1, 1, 1}, {3, 2, 5, 7}, {2, 5, 3, 1}, {5, 3, 1, 4}, {4, 7, 6, 3}} {
+		T, ft, B, N := d[0], d[1], d[2], d[3]
+		name := fmt.Sprintf("T=%d F_t=%d B=%d N=%d", T, ft, B, N)
+		tower := tensor.RandN(r, 1, ft, T, B*N)
+		var blocks []*tensor.Tensor
+		for lo := 0; lo < ft; {
+			hi := min(ft, lo+1+r.Intn(3))
+			blocks = append(blocks, tensor.FromSlice(tower.Data()[lo*T*B*N:hi*T*B*N], hi-lo, T, B*N))
+			lo = hi
+		}
+		transposed := tensor.Transpose3D01(tensor.Concat(0, blocks...))
+
+		want := swapMiddle(transposed.Reshape(T*ft, B, N), T, ft, B, N)
+		if got := toPeerMajor(blocks, T, B, N); !slices.Equal(bitsOf(got), bitsOf(want)) {
+			t.Fatalf("%s: forward permute differs from Concat∘Transpose3D01∘swapMiddle", name)
+		}
+		if got := toPeerMajor(blocks, T, 1, B*N); !slices.Equal(bitsOf(got), bitsOf(transposed)) {
+			t.Fatalf("%s: module-less forward permute differs from Concat∘Transpose3D01", name)
+		}
+
+		grad := tensor.RandN(r, 1, T*B, ft, N)
+		want = tensor.Transpose3D01(swapMiddle(grad, T, B, ft, N).Reshape(T, ft, B*N))
+		if got := fromPeerMajor(grad, ft, T, B, N); !slices.Equal(bitsOf(got), bitsOf(want)) {
+			t.Fatalf("%s: inverse permute differs from swapMiddle∘Transpose3D01", name)
+		}
+		if got := fromPeerMajor(grad, ft, T, 1, B*N); !slices.Equal(bitsOf(got), bitsOf(tensor.Transpose3D01(grad.Reshape(T, ft, B*N)))) {
+			t.Fatalf("%s: module-less inverse permute differs from Transpose3D01", name)
+		}
+		if got := fromPeerMajor(toPeerMajor(blocks, T, B, N), ft, T, B, N); !slices.Equal(bitsOf(got), bitsOf(tower)) {
+			t.Fatalf("%s: the inverse does not undo the forward permute", name)
+		}
+	}
+}
+
+func bitsOf(x *tensor.Tensor) []uint32 {
+	out := make([]uint32, x.Len())
+	for i, v := range x.Data() {
+		out[i] = math.Float32bits(v)
+	}
+	return out
 }

@@ -41,6 +41,7 @@ func adamAVX2(s AdamStep, w, g, m, v []float32) {
 func init() {
 	if hasAVX2() {
 		mulRows, mulBTRows, mulATRows = matMulRowsAVX2, matMulBTRowsAVX2, matMulATRowsAVX2
+		mulATAddRows = matMulATAddRowsAVX2
 		addVec, scaleVec, adamVec = addAVX2, scaleAVX2, adamAVX2
 	}
 }
@@ -79,6 +80,18 @@ func matMulATRowsAVX2(a, b, out []float32, k, m, n, lo, hi int) {
 	}
 	dotEdge(a, b, out, k, n, 1, m, n, 1, lo, hi4, true)
 	matMulATRows(a, b, out, k, m, n, hi4, hi)
+}
+
+// matMulATAddRowsAVX2 is matMulATAddRows on the kernel.
+func matMulATAddRowsAVX2(a, b, dst []float32, k, m, n int) {
+	var buf [atAddBuf]float32
+	rows, scratch := atAddBlock(buf[:], n)
+	for i := 0; i < m; i += rows {
+		blk := scratch[:min(rows, m-i)*n]
+		clear(blk)
+		matMulATRowsAVX2(a[i:], b, blk, k, m, n, 0, len(blk)/n)
+		addAVX2(dst[i*n:i*n+len(blk)], blk)
+	}
 }
 
 // matMulBTRowsAVX2 is matMulBTRows on the kernel. The kernel reads b along

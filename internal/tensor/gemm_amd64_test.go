@@ -6,10 +6,11 @@ import (
 )
 
 // TestAVX2RowRoutinesSelected checks that init put the AVX2 row routines
-// under MatMul, MatMulBT and MatMulAT, and the AVX2 elementwise routines
-// under AddInPlace, ScaleInPlace and AdamUpdate, so the bitwise tests and
-// the fuzzers compare the kernels with the scalar routines rather than the
-// scalar routines with themselves. A CPU without AVX2 skips it, visibly.
+// under MatMul, MatMulBT, MatMulAT and AddMatMulAT, and the AVX2
+// elementwise routines under AddInPlace, ScaleInPlace and AdamUpdate, so
+// the bitwise tests and the fuzzers compare the kernels with the scalar
+// routines rather than the scalar routines with themselves. A CPU without
+// AVX2 skips it, visibly.
 func TestAVX2RowRoutinesSelected(t *testing.T) {
 	if !hasAVX2() {
 		t.Skip("CPU without AVX2: the entry points run the scalar routines")
@@ -21,6 +22,7 @@ func TestAVX2RowRoutinesSelected(t *testing.T) {
 		{"mulRows", mulRows, matMulRowsAVX2},
 		{"mulBTRows", mulBTRows, matMulBTRowsAVX2},
 		{"mulATRows", mulATRows, matMulATRowsAVX2},
+		{"mulATAddRows", mulATAddRows, matMulATAddRowsAVX2},
 		{"addVec", addVec, addAVX2},
 		{"scaleVec", scaleVec, scaleAVX2},
 		{"adamVec", adamVec, adamAVX2},

@@ -134,6 +134,42 @@ func TestKernelBitwiseMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestAddMatMulATMatchesUnfused pins the in-place weight-gradient
+// accumulation to what it replaced, AddInPlace(dst, MatMulAT(a, b)), bit
+// for bit, on a dst that already holds values (specials and -0 included),
+// across shapes with rows not a multiple of 4, more rows than one stack
+// block holds, and rows wider than the stack buffer. The scalar routine is
+// held to it too. AddSumRows is held to AddInPlace(dst, SumRows(a)) the
+// same way, past its 512-column buffer.
+func TestAddMatMulATMatchesUnfused(t *testing.T) {
+	r := NewRNG(9)
+	for _, d := range [][3]int{{1, 1, 1}, {3, 5, 7}, {17, 33, 9}, {130, 64, 40}, {6, 12, 1500}, {9, 3, 1025}} {
+		m, k, n := d[0], d[1], d[2]
+		for _, sp := range []bool{false, true} {
+			name := fmt.Sprintf("%v specials=%v", d, sp)
+			a, b := randOperand(r, 7, sp, k, m), randOperand(r, 7, sp, k, n)
+			dst := randOperand(r, 5, sp, m, n)
+			dst.data[0] = float32(math.Copysign(0, -1))
+			want := dst.Clone()
+			AddInPlace(want, MatMulAT(a, b))
+			got := dst.Clone()
+			AddMatMulAT(got, a, b)
+			sameBits(t, "AddMatMulAT "+name, got, want)
+			got = dst.Clone()
+			matMulATAddRows(a.data, b.data, got.data, k, m, n)
+			sameBits(t, "matMulATAddRows "+name, got, want)
+
+			bias := randOperand(r, 5, sp, n)
+			bias.data[0] = float32(math.Copysign(0, -1))
+			want = bias.Clone()
+			AddInPlace(want, SumRows(b))
+			got = bias.Clone()
+			AddSumRows(got, b)
+			sameBits(t, "AddSumRows "+name, got, want)
+		}
+	}
+}
+
 // sink keeps the tensors the allocation pins make on the heap, as a
 // caller's would be.
 var sink *Tensor
@@ -157,8 +193,9 @@ func allocsPerCall(runs int, f func()) uint64 {
 
 // TestGEMMAllocatesOnlyItsOutput pins every entry point, at 4 procs and
 // train_dense's dominant shapes, to the allocations of one New of its
-// output, and MatMulBTInto to none: a multiply runs on the calling
-// goroutine and allocates nothing of its own, however many procs there are.
+// output, and MatMulBTInto, AddMatMulAT and AddSumRows to none: a multiply
+// runs on the calling goroutine and allocates nothing of its own, however
+// many procs there are.
 func TestGEMMAllocatesOnlyItsOutput(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -175,6 +212,12 @@ func TestGEMMAllocatesOnlyItsOutput(t *testing.T) {
 			out := New(sh.m, sh.n)
 			if got := allocsPerCall(20, func() { MatMulBTInto(out, x, y) }); got != 0 {
 				t.Errorf("MatMulBTInto %v allocates %v per call", sh, got)
+			}
+		}
+		if kn.name == "MatMulAT" {
+			dW, dB := New(sh.m, sh.n), New(sh.m)
+			if got := allocsPerCall(20, func() { AddMatMulAT(dW, x, y); AddSumRows(dB, x) }); got != 0 {
+				t.Errorf("AddMatMulAT and AddSumRows %v allocate %v per call", sh, got)
 			}
 		}
 	}
@@ -200,7 +243,8 @@ func TestMatMulBTAllocs(t *testing.T) {
 
 // FuzzGEMMKernels draws random shapes, up to 256 per side and 600 deep,
 // with exact zeros and specials in both operands, and requires every entry
-// point to match its scalar row routine bit for bit.
+// point to match its scalar row routine bit for bit, and AddMatMulAT to
+// match adding that routine's output.
 func FuzzGEMMKernels(f *testing.F) {
 	f.Add(uint16(257), uint16(31), uint16(70), uint64(1), uint8(7))
 	f.Add(uint16(64), uint16(16), uint16(129), uint64(2), uint8(1))
@@ -213,6 +257,13 @@ func FuzzGEMMKernels(f *testing.F) {
 			xs, ys := kn.shapes(dm, dk, dn)
 			x, y := randOperand(r, 1+int(zeroEvery), true, xs...), randOperand(r, 1+int(zeroEvery), true, ys...)
 			sameBits(t, fmt.Sprintf("%s (%d, %d, %d)", kn.name, dm, dk, dn), kn.entry(x, y), kn.ref(x, y))
+			if kn.name == "MatMulAT" {
+				dst := randOperand(r, 1+int(zeroEvery), true, dm, dn)
+				want := dst.Clone()
+				AddInPlace(want, kn.ref(x, y))
+				AddMatMulAT(dst, x, y)
+				sameBits(t, fmt.Sprintf("AddMatMulAT (%d, %d, %d)", dm, dk, dn), dst, want)
+			}
 		}
 	})
 }

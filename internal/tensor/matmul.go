@@ -52,6 +52,36 @@ func MatMulAT(a, b *Tensor) *Tensor {
 	return out
 }
 
+// AddMatMulAT adds aᵀ @ b into dst, of shape (m, n), for a of shape (k, m)
+// and b of shape (k, n): the weight-gradient accumulation dW += dYᵀ @ X
+// with no dW temporary. Each element's dot product is formed from zero, in
+// ascending p, as MatMulAT forms it, and added to dst once, so dst ends
+// bitwise as AddInPlace(dst, MatMulAT(a, b)) leaves it, whatever dst held.
+// Output rows are formed a block at a time in a stack buffer: it allocates
+// nothing unless n > atAddBuf/4.
+func AddMatMulAT(dst, a, b *Tensor) {
+	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[0] != b.shape[0] ||
+		len(dst.shape) != 2 || dst.shape[0] != a.shape[1] || dst.shape[1] != b.shape[1] {
+		panic(fmt.Sprintf("tensor: AddMatMulAT shapes %v += %vᵀ x %v", dst.shape, a.shape, b.shape))
+	}
+	k, m, n := a.shape[0], a.shape[1], b.shape[1]
+	if n > 0 {
+		mulATAddRows(a.data, b.data, dst.data, k, m, n)
+	}
+}
+
+// atAddBuf is the float32 count of AddMatMulAT's stack buffer, 16 KiB.
+const atAddBuf = 4096
+
+// atAddBlock sizes AddMatMulAT's blocks: as many whole 4-row slabs of n
+// columns as buf holds, or one slab in a heap buffer when buf holds none.
+func atAddBlock(buf []float32, n int) (rows int, scratch []float32) {
+	if rows = len(buf) / n &^ 3; rows == 0 {
+		return 4, make([]float32, 4*n)
+	}
+	return rows, buf
+}
+
 // BatchedPairwiseDot computes, for a (B, F, N) tensor, the pairwise dot
 // products between the F feature vectors of every sample: output (B, F, F)
 // with out[b,i,j] = <x[b,i,:], x[b,j,:]>. It is the interaction kernel of
@@ -86,6 +116,11 @@ func BatchedPairwiseDot(x *Tensor) *Tensor {
 // scalar routines stay the reference, and the path on CPUs without AVX2
 // and off amd64.
 var mulRows, mulBTRows, mulATRows = matMulRows, matMulBTRows, matMulATRows
+
+// mulATAddRows is AddMatMulAT's routine, selected with the row routines: it
+// calls its own row routine and add directly, so its stack buffer stays on
+// the stack.
+var mulATAddRows = matMulATAddRows
 
 // matMulRows computes rows [lo, hi) of a @ b. The ikj loop order keeps the
 // inner loop streaming over b's rows.
@@ -195,6 +230,20 @@ func matMulATRows(a, b, out []float32, k, m, n, lo, hi int) {
 				orow[j] += float32(av * brow[j])
 			}
 		}
+	}
+}
+
+// matMulATAddRows adds aᵀ @ b into dst, for a (k, m), b (k, n) and n > 0,
+// one block of output rows at a time: the block is zeroed, formed by
+// matMulATRows and added to dst.
+func matMulATAddRows(a, b, dst []float32, k, m, n int) {
+	var buf [atAddBuf]float32
+	rows, scratch := atAddBlock(buf[:], n)
+	for i := 0; i < m; i += rows {
+		blk := scratch[:min(rows, m-i)*n]
+		clear(blk)
+		matMulATRows(a[i:], b, blk, k, m, n, 0, len(blk)/n)
+		addRef(dst[i*n:i*n+len(blk)], blk)
 	}
 }
 

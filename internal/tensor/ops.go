@@ -165,6 +165,30 @@ func SumRows(a *Tensor) *Tensor {
 	return out
 }
 
+// AddSumRows adds a's row sum into dst, of length w, for a of shape (h, w):
+// the bias-gradient accumulation with no temporary. Each column's sum is
+// formed from zero in row order, as SumRows forms it, and added to dst
+// once, so dst ends bitwise as AddInPlace(dst, SumRows(a)) leaves it.
+// It allocates nothing.
+func AddSumRows(dst, a *Tensor) {
+	if len(a.shape) != 2 || len(dst.shape) != 1 || dst.shape[0] != a.shape[1] {
+		panic(fmt.Sprintf("tensor: AddSumRows shapes %v += Σ rows of %v", dst.shape, a.shape))
+	}
+	h, w := a.shape[0], a.shape[1]
+	var buf [512]float32
+	for c := 0; c < w; c += len(buf) {
+		acc := buf[:min(len(buf), w-c)]
+		clear(acc)
+		for r := 0; r < h; r++ {
+			row := a.data[r*w+c : r*w+c+len(acc)]
+			for j, v := range row {
+				acc[j] += v
+			}
+		}
+		addRef(dst.data[c:c+len(acc)], acc)
+	}
+}
+
 // Apply returns f mapped over every element.
 func Apply(a *Tensor, f func(float32) float32) *Tensor {
 	out := New(a.shape...)
