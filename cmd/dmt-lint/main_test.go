@@ -24,7 +24,7 @@ func TestRun(t *testing.T) {
 		files:  map[string]string{"internal/netsim/n.go": "package netsim\n\nimport \"time\"\n\nfunc F() time.Time { return time.Now() }\n"},
 		args:   []string{"./..."},
 		code:   1,
-		stdout: "internal/netsim/n.go:5:29: determinism: time.Now reads the wall clock in a virtual-clock package: use the group's Clock (or annotate //dmt:nondeterministic-ok <reason> for wall-clock-only stats)\n",
+		stdout: "internal/netsim/n.go:5:29: determinism: time.Now reads the wall clock in a virtual-clock package: use the group's Clock\n",
 	}, {
 		name:  "clean",
 		files: map[string]string{"ok/ok.go": "package ok\n\nfunc F() int { return 1 }\n"},
@@ -85,5 +85,14 @@ func TestRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRepoIsClean lints this repository: no comment can silence a finding,
+// so any finding anywhere in the tree fails go test.
+func TestRepoIsClean(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run("../..", []string{"./..."}, &stdout, &stderr); code != 0 || stdout.Len() != 0 || stderr.Len() != 0 {
+		t.Fatalf("dmt-lint ./... exit %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
 	}
 }

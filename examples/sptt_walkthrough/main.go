@@ -9,6 +9,8 @@ package main
 import (
 	"fmt"
 
+	"dmt/internal/comm"
+
 	"dmt/internal/nn"
 	"dmt/internal/sptt"
 	"dmt/internal/topology"
@@ -73,7 +75,7 @@ func main() {
 	}
 
 	cluster := topology.Cluster{Gen: topology.A100, Hosts: 2, GPUsPerHost: 2}
-	sum := func(m [][]int64) (intra, cross int64) { return cluster.SplitTraffic(m) }
+	sum := func(m [][]int64) (intra, cross int64) { return comm.SplitByHost(m, cluster.GPUsPerHost) }
 	bIntra, bCross := sum(bst.GlobalTraffic)
 	_, gCross := sum(sst.GlobalTraffic)
 	hIntra, hCross := sum(sst.HostTraffic)

@@ -25,26 +25,17 @@
 //
 // Test files are exempt: measuring wall time around a run is how the
 // benchmarks work, and test-local iteration order does not feed wire
-// traffic or trajectories.
-//
-// # Suppression
-//
-//	last := time.Now() //dmt:nondeterministic-ok wall-clock stats only, never read in latency mode
-//
-// The reason is mandatory; a bare marker is itself reported.
+// traffic or trajectories. Nothing else is: no comment silences a
+// finding, so the fix is always to the code.
 package determinism
 
 import (
 	"go/ast"
 	"go/types"
 
-	"dmt/internal/analysis/directive"
 	"dmt/internal/analysis/dmtpkg"
 	"dmt/internal/analysis/lint"
 )
-
-// Marker is the suppression directive, without the leading "//".
-const Marker = "dmt:nondeterministic-ok"
 
 // Analyzer forbids wall-clock time, global math/rand and map iteration.
 var Analyzer = &lint.Analyzer{Name: "determinism", Run: run}
@@ -69,7 +60,6 @@ func run(pass *lint.Pass) {
 	if !dmtpkg.OnVirtualClockPath(pass.Pkg.Path()) {
 		return
 	}
-	supp := directive.New(pass, Marker)
 	for _, f := range pass.Files {
 		if dmtpkg.IsTestFile(pass.Fset, f) {
 			continue
@@ -77,9 +67,9 @@ func run(pass *lint.Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkCall(pass, supp, n)
+				checkCall(pass, n)
 			case *ast.RangeStmt:
-				checkMapRange(pass, supp, n)
+				checkMapRange(pass, n)
 			}
 			return true
 		})
@@ -99,7 +89,7 @@ func pkgFunc(pass *lint.Pass, fun ast.Expr) *types.Func {
 	return fn
 }
 
-func checkCall(pass *lint.Pass, supp *directive.Index, call *ast.CallExpr) {
+func checkCall(pass *lint.Pass, call *ast.CallExpr) {
 	fn := pkgFunc(pass, call.Fun)
 	if fn == nil {
 		return
@@ -107,24 +97,24 @@ func checkCall(pass *lint.Pass, supp *directive.Index, call *ast.CallExpr) {
 	switch fn.Pkg().Path() {
 	case "time":
 		if forbiddenTime[fn.Name()] {
-			supp.Report(call.Pos(), "time.%s reads the wall clock in a virtual-clock package: use the group's Clock (or annotate //%s <reason> for wall-clock-only stats)", fn.Name(), Marker)
+			pass.Reportf(call.Pos(), "time.%s reads the wall clock in a virtual-clock package: use the group's Clock", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
 		if !allowedRand[fn.Name()] {
-			supp.Report(call.Pos(), "rand.%s draws from the process-global source: use an explicitly seeded rand.New(rand.NewSource(seed))", fn.Name())
+			pass.Reportf(call.Pos(), "rand.%s draws from the process-global source: use an explicitly seeded rand.New(rand.NewSource(seed))", fn.Name())
 		}
 	}
 }
 
 // checkMapRange reports a range over a map-typed expression or over a
 // maps.All/Keys/Values sequence, whatever the loop body does.
-func checkMapRange(pass *lint.Pass, supp *directive.Index, rng *ast.RangeStmt) {
+func checkMapRange(pass *lint.Pass, rng *ast.RangeStmt) {
 	t, ok := pass.TypesInfo.Types[rng.X]
 	if !ok {
 		return
 	}
 	if _, isMap := t.Type.Underlying().(*types.Map); isMap || isMapIterator(pass, rng.X) {
-		supp.Report(rng.Pos(), "map iteration order is observable: range over slices.Sorted(maps.Keys(m)) or annotate //%s <reason>", Marker)
+		pass.Reportf(rng.Pos(), "map iteration order is observable: range over slices.Sorted(maps.Keys(m))")
 	}
 }
 

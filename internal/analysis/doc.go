@@ -27,9 +27,8 @@
 //     workload), forbid wall-clock reads (time.Now/Since/...), the
 //     process-global math/rand source, and every range over a map or
 //     over maps.All/Keys/Values, whatever its body does: range over
-//     slices.Sorted(maps.Keys(m)) instead, or justify the loop with a
-//     marker. A blind spot:
-//     the analyzer sees calls, not goroutines, so a virtual clock READ
+//     slices.Sorted(maps.Keys(m)) instead. A blind spot: the analyzer
+//     sees calls, not goroutines, so a virtual clock READ
 //     from one goroutine while another may still advance it (an observer
 //     averaging comm.Network clocks while a persistent server rank
 //     finishes a receive) passes — the value is a pure function of the
@@ -55,19 +54,10 @@
 // package flow holds the control-flow graphs and the may-leak walk
 // pendingwait and retainrelease share.
 //
-// # Suppressing a finding
+// # No escape hatch
 //
-// Each analyzer honors a line-level escape hatch with a MANDATORY
-// written reason — a bare marker is itself a diagnostic:
-//
-//	//dmt:pending-ok <reason>           pendingwait
-//	//dmt:refcount-ok <reason>          retainrelease
-//	//dmt:nondeterministic-ok <reason>  determinism
-//	//dmt:retain-ok <reason>            noretain
-//
-// placed at the end of the offending line or alone on the line above.
-// Suppressions are for code that is deliberately outside the invariant
-// (a test that leaks a handle to exercise the runtime guard; the trainer's
-// wall-clock phase walls, which a run on a fabric never reads), not for
-// silencing bugs.
+// No comment silences a finding: every rule holds without exception, so
+// a finding is fixed in the code. The one directive the suite reads,
+// //dmt:transient-result, adds an obligation (noretain's rule 2) rather
+// than lifting one.
 package analysis

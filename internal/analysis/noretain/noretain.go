@@ -29,10 +29,6 @@
 //     are covered) must not escape the calling function: no field or
 //     package-variable stores, channel sends, returns, or go-closure
 //     captures.
-//
-// # Suppression
-//
-//	m.last = b.Dense //dmt:retain-ok <reason>
 package noretain
 
 import (
@@ -40,13 +36,9 @@ import (
 	"go/types"
 	"strings"
 
-	"dmt/internal/analysis/directive"
 	"dmt/internal/analysis/dmtpkg"
 	"dmt/internal/analysis/lint"
 )
-
-// Marker is the suppression directive, without the leading "//".
-const Marker = "dmt:retain-ok"
 
 // TransientDirective marks a declaration whose result is arena-backed.
 const TransientDirective = "dmt:transient-result"
@@ -57,8 +49,6 @@ const TransientDirective = "dmt:transient-result"
 var Analyzer = &lint.Analyzer{Name: "noretain", Run: run}
 
 func run(pass *lint.Pass) {
-	supp := directive.New(pass, Marker)
-
 	// Mark //dmt:transient-result declarations.
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -80,9 +70,9 @@ func run(pass *lint.Pass) {
 		lint.WithStack(f, func(n ast.Node, stack []ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				checkPredict(pass, supp, n)
+				checkPredict(pass, n)
 			case *ast.CallExpr:
-				checkTransientCall(pass, supp, n, stack)
+				checkTransientCall(pass, n, stack)
 			}
 			return true
 		})
@@ -90,7 +80,7 @@ func run(pass *lint.Pass) {
 }
 
 // checkPredict applies rule 1 to a Predict implementation.
-func checkPredict(pass *lint.Pass, supp *directive.Index, fd *ast.FuncDecl) {
+func checkPredict(pass *lint.Pass, fd *ast.FuncDecl) {
 	if fd.Recv == nil || fd.Name.Name != "Predict" || fd.Body == nil {
 		return
 	}
@@ -98,12 +88,12 @@ func checkPredict(pass *lint.Pass, supp *directive.Index, fd *ast.FuncDecl) {
 	if batch == nil {
 		return
 	}
-	checkNoRetention(pass, supp, fd.Body, batch, "the batch",
+	checkNoRetention(pass, fd.Body, batch, "the batch",
 		"Predict must not retain the batch past its return (the serve worker reuses its arena)")
 }
 
 // checkTransientCall applies rule 2 to a call site.
-func checkTransientCall(pass *lint.Pass, supp *directive.Index, call *ast.CallExpr, stack []ast.Node) {
+func checkTransientCall(pass *lint.Pass, call *ast.CallExpr, stack []ast.Node) {
 	fn := calleeFunc(pass, call)
 	if fn == nil || !pass.Facts[fn] {
 		return
@@ -114,7 +104,7 @@ func checkTransientCall(pass *lint.Pass, supp *directive.Index, call *ast.CallEx
 	parent := parentNonParen(stack)
 	switch p := parent.(type) {
 	case *ast.ReturnStmt:
-		supp.Report(call.Pos(), "%s returns arena-backed storage (//%s): it must not escape the caller", fn.Name(), TransientDirective)
+		pass.Reportf(call.Pos(), "%s returns arena-backed storage (//%s): it must not escape the caller", fn.Name(), TransientDirective)
 	case *ast.AssignStmt:
 		for i, r := range p.Rhs {
 			if unparen(r) != ast.Expr(call) || i >= len(p.Lhs) {
@@ -123,22 +113,22 @@ func checkTransientCall(pass *lint.Pass, supp *directive.Index, call *ast.CallEx
 			if id, ok := p.Lhs[i].(*ast.Ident); ok {
 				if v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var); ok && !v.IsField() && isLocalVar(v) {
 					if body := enclosingBody(stack); body != nil {
-						checkNoRetention(pass, supp, body, v, fn.Name()+"'s arena-backed result",
+						checkNoRetention(pass, body, v, fn.Name()+"'s arena-backed result",
 							fn.Name()+" returns arena-backed storage (//"+TransientDirective+")")
 					}
 					return
 				}
 			}
-			supp.Report(call.Pos(), "%s returns arena-backed storage (//%s): storing it retains memory the arena will reuse", fn.Name(), TransientDirective)
+			pass.Reportf(call.Pos(), "%s returns arena-backed storage (//%s): storing it retains memory the arena will reuse", fn.Name(), TransientDirective)
 		}
 	case *ast.SendStmt:
-		supp.Report(call.Pos(), "%s returns arena-backed storage (//%s): it must not be sent on a channel", fn.Name(), TransientDirective)
+		pass.Reportf(call.Pos(), "%s returns arena-backed storage (//%s): it must not be sent on a channel", fn.Name(), TransientDirective)
 	}
 }
 
 // checkNoRetention taints seed inside body, propagates through
 // alias-producing assignments, and reports escapes.
-func checkNoRetention(pass *lint.Pass, supp *directive.Index, body *ast.BlockStmt, seed *types.Var, what, contract string) {
+func checkNoRetention(pass *lint.Pass, body *ast.BlockStmt, seed *types.Var, what, contract string) {
 	tainted := map[types.Object]bool{seed: true}
 
 	// Fixpoint alias propagation: x := <expr mentioning tainted via
@@ -181,23 +171,23 @@ func checkNoRetention(pass *lint.Pass, supp *directive.Index, body *ast.BlockStm
 					continue
 				}
 				if storesOutside(pass, l) {
-					supp.Report(n.Pos(), "%s is stored outside the call frame: %s", what, contract)
+					pass.Reportf(n.Pos(), "%s is stored outside the call frame: %s", what, contract)
 				}
 			}
 		case *ast.SendStmt:
 			if isTainted(n.Value) {
-				supp.Report(n.Pos(), "%s is sent on a channel: %s", what, contract)
+				pass.Reportf(n.Pos(), "%s is sent on a channel: %s", what, contract)
 			}
 		case *ast.ReturnStmt:
 			for _, r := range n.Results {
 				if isTainted(r) {
-					supp.Report(n.Pos(), "%s is returned: %s", what, contract)
+					pass.Reportf(n.Pos(), "%s is returned: %s", what, contract)
 				}
 			}
 		case *ast.GoStmt:
 			for _, id := range identsIn(n.Call) {
 				if obj := pass.TypesInfo.Uses[id]; obj != nil && tainted[obj] {
-					supp.Report(n.Pos(), "%s is captured by a goroutine that may outlive the call: %s", what, contract)
+					pass.Reportf(n.Pos(), "%s is captured by a goroutine that may outlive the call: %s", what, contract)
 					break
 				}
 			}
@@ -207,7 +197,7 @@ func checkNoRetention(pass *lint.Pass, supp *directive.Index, body *ast.BlockStm
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "PutVec" {
 				for _, a := range n.Args {
 					if isTainted(a) {
-						supp.Report(n.Pos(), "%s is stored in a cache without a copy: %s", what, contract)
+						pass.Reportf(n.Pos(), "%s is stored in a cache without a copy: %s", what, contract)
 					}
 				}
 			}

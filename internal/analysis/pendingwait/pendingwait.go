@@ -16,28 +16,16 @@
 // ownership transfer (stored into a struct or slice such as the trainer's
 // bucket arena, passed to another function, returned, or captured by a
 // closure — whoever holds it then owns the obligation).
-//
-// # Suppression
-//
-//	h := c.IAllGather(x) //dmt:pending-ok <reason>
-//
-// A justified marker on (or immediately above) the acquisition line
-// suppresses the diagnostic; tests that deliberately leak a handle to
-// exercise the runtime guards use this.
 package pendingwait
 
 import (
 	"go/ast"
 	"go/types"
 
-	"dmt/internal/analysis/directive"
 	"dmt/internal/analysis/dmtpkg"
 	"dmt/internal/analysis/flow"
 	"dmt/internal/analysis/lint"
 )
-
-// Marker is the suppression directive, without the leading "//".
-const Marker = "dmt:pending-ok"
 
 // Analyzer checks that every comm.Pending is waited, carried, or
 // transferred on all paths.
@@ -51,18 +39,17 @@ func classify(method string) flow.Class {
 }
 
 func run(pass *lint.Pass) {
-	supp := directive.New(pass, Marker)
 	for _, f := range pass.Files {
 		lint.WithStack(f, func(n ast.Node, stack []ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				check(pass, supp, call, stack)
+				check(pass, call, stack)
 			}
 			return true
 		})
 	}
 }
 
-func check(pass *lint.Pass, supp *directive.Index, call *ast.CallExpr, stack []ast.Node) {
+func check(pass *lint.Pass, call *ast.CallExpr, stack []ast.Node) {
 	tv, ok := pass.TypesInfo.Types[call]
 	if !ok || !dmtpkg.IsNamed(tv.Type, "comm", "Pending") {
 		return
@@ -70,10 +57,10 @@ func check(pass *lint.Pass, supp *directive.Index, call *ast.CallExpr, stack []a
 	binding, id, bindStmt, method := flow.Bind(stack)
 	switch binding {
 	case flow.BindDiscard, flow.BindBlank:
-		supp.Report(call.Pos(), "comm.Pending from %s is dropped without Wait or Carry: the handle leaks and the next collective on the group will panic or misdeliver", callName(call))
+		pass.Reportf(call.Pos(), "comm.Pending from %s is dropped without Wait or Carry: the handle leaks and the next collective on the group will panic or misdeliver", callName(call))
 	case flow.BindRecv:
 		if classify(method) != flow.Satisfy {
-			supp.Report(call.Pos(), "comm.Pending from %s is consumed by %s without Wait or Carry", callName(call), method)
+			pass.Reportf(call.Pos(), "comm.Pending from %s is consumed by %s without Wait or Carry", callName(call), method)
 		}
 	case flow.BindVar:
 		v, _ := pass.TypesInfo.ObjectOf(id).(*types.Var)
@@ -87,7 +74,7 @@ func check(pass *lint.Pass, supp *directive.Index, call *ast.CallExpr, stack []a
 			ClassifyMethod: classify,
 		}
 		if _, leaks := flow.Leaks(pass.CFGs.Enclosing(stack), tr); leaks {
-			supp.Report(call.Pos(), "comm.Pending %q from %s may reach a return without Wait or Carry", id.Name, callName(call))
+			pass.Reportf(call.Pos(), "comm.Pending %q from %s may reach a return without Wait or Carry", id.Name, callName(call))
 		}
 	}
 }

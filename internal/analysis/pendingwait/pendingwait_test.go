@@ -7,9 +7,9 @@ import (
 )
 
 // TestPendingWait runs the analyzer over the pw fixture corpus: dropped,
-// blank-assigned, and branch-leaked handles are flagged; Wait/Carry on
-// all paths, defers, arena stores, closures, returns, panic paths, and
-// the justified //dmt:pending-ok escape hatch are not.
+// blank-assigned, and branch-leaked handles are flagged, a drop under a
+// former escape-hatch comment included; Wait/Carry on all paths, defers,
+// arena stores, closures, returns and panic paths are not.
 func TestPendingWait(t *testing.T) {
 	linttest.Run(t, "pendingwait", "pw")
 }

@@ -22,24 +22,16 @@
 // documented as safe, and codec tests compare payloads without ever
 // pooling them. The analyzer enforces the discipline where it pays —
 // production send/receive paths.
-//
-// # Suppression
-//
-//	e := quant.Encode(s, x) //dmt:refcount-ok <reason>
 package retainrelease
 
 import (
 	"go/ast"
 	"go/types"
 
-	"dmt/internal/analysis/directive"
 	"dmt/internal/analysis/dmtpkg"
 	"dmt/internal/analysis/flow"
 	"dmt/internal/analysis/lint"
 )
-
-// Marker is the suppression directive, without the leading "//".
-const Marker = "dmt:refcount-ok"
 
 // Analyzer checks that pooled quant.Encoded references are released or
 // transferred on all paths.
@@ -55,16 +47,14 @@ func classify(method string) flow.Class {
 }
 
 func run(pass *lint.Pass) {
-	supp := directive.New(pass, Marker)
-
 	check := func(n ast.Node, stack []ast.Node, what string) {
 		binding, id, bindStmt, method := flow.Bind(stack)
 		switch binding {
 		case flow.BindDiscard, flow.BindBlank:
-			supp.Report(n.Pos(), "pooled quant.Encoded from %s is dropped without Release: its buffers never return to the pool", what)
+			pass.Reportf(n.Pos(), "pooled quant.Encoded from %s is dropped without Release: its buffers never return to the pool", what)
 		case flow.BindRecv:
 			if classify(method) != flow.Satisfy {
-				supp.Report(n.Pos(), "pooled quant.Encoded from %s is consumed by %s and then dropped without Release", what, method)
+				pass.Reportf(n.Pos(), "pooled quant.Encoded from %s is consumed by %s and then dropped without Release", what, method)
 			}
 		case flow.BindVar:
 			v, _ := pass.TypesInfo.ObjectOf(id).(*types.Var)
@@ -78,7 +68,7 @@ func run(pass *lint.Pass) {
 				ClassifyMethod: classify,
 			}
 			if _, leaks := flow.Leaks(pass.CFGs.Enclosing(stack), tr); leaks {
-				supp.Report(n.Pos(), "pooled quant.Encoded %q from %s may reach a return without Release", id.Name, what)
+				pass.Reportf(n.Pos(), "pooled quant.Encoded %q from %s may reach a return without Release", id.Name, what)
 			}
 		}
 	}

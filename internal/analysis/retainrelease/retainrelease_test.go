@@ -8,9 +8,9 @@ import (
 
 // TestRetainRelease runs the analyzer over the rr fixture corpus:
 // dropped and branch-leaked pooled references (minted or asserted off
-// the wire) are flagged; release-on-all-paths, defers, wire sends,
-// fan-out loops, type switches, test files, and the justified
-// //dmt:refcount-ok escape hatch are not.
+// the wire) are flagged, a drop under a former escape-hatch comment
+// included; release-on-all-paths, defers, wire sends, fan-out loops,
+// type switches and test files are not.
 func TestRetainRelease(t *testing.T) {
 	linttest.Run(t, "retainrelease", "rr")
 }

@@ -143,14 +143,8 @@ func allIterator(m map[int]int, sink func(int, int)) {
 	}
 }
 
-func bareMarkerOnMapRange(m map[int]int, sink func(int)) {
-	for _, v := range m { /* want `dmt:nondeterministic-ok needs a reason` `map iteration order is observable` */ //dmt:nondeterministic-ok
-		sink(v)
-	}
-}
-
-func bareMarkerNeedsReason() int64 {
-	return time.Now().UnixNano() /* want `dmt:nondeterministic-ok needs a reason` `time\.Now reads the wall clock` */ //dmt:nondeterministic-ok
+func formerMarkerSilencesNothing() int64 {
+	return time.Now().UnixNano() /* want `time\.Now reads the wall clock` */ //dmt:nondeterministic-ok a former escape hatch silences nothing
 }
 
 // ---- allowed ----------------------------------------------------------
@@ -163,37 +157,7 @@ func sortedKeys(m map[int]float64) float64 {
 	return sum
 }
 
-func suppressedMapRange(m map[int][]float32, scale float32) {
-	//dmt:nondeterministic-ok fixture: each entry is scaled in place and no entry reads another
-	for _, row := range m {
-		for i := range row {
-			row[i] *= scale
-		}
-	}
-}
-
 func seededRand(n int) int {
 	r := rand.New(rand.NewSource(7))
 	return r.Intn(n)
-}
-
-func suppressedWallClock() int64 {
-	return time.Now().UnixNano() //dmt:nondeterministic-ok fixture: wall-clock-only stats path
-}
-
-// ---- marker placement -------------------------------------------------
-
-func trailingMarkerCoversItsOwnLineOnly() (int64, int64) {
-	a := time.Now().UnixNano() //dmt:nondeterministic-ok fixture: covers this line, not the next
-	b := time.Now().UnixNano() // want `time\.Now reads the wall clock`
-	return a, b
-}
-
-func markerAloneCoversTheNextLine() int64 {
-	//dmt:nondeterministic-ok fixture: a marker alone on its line covers the line below
-	return time.Now().UnixNano()
-}
-
-func markerNeedsWhitespaceBeforeTheReason() int64 {
-	return time.Now().UnixNano() /* want `time\.Now reads the wall clock` */ //dmt:nondeterministic-okay
 }

@@ -61,6 +61,13 @@ func (m *cacheLeaker) Predict(b *data.Batch) []float32 {
 	return nil
 }
 
+type formerMarkerRetainer struct{ last []float32 }
+
+func (m *formerMarkerRetainer) Predict(b *data.Batch) []float32 {
+	m.last = b.Dense /* want `the batch is stored outside the call frame` */ //dmt:retain-ok a former escape hatch silences nothing
+	return nil
+}
+
 // ---- rule 1, allowed ---------------------------------------------------
 
 type copyOut struct{ last []float32 }
@@ -82,14 +89,6 @@ func score(d []float32) []float32 {
 	out := make([]float32, len(d))
 	copy(out, d)
 	return out
-}
-
-type suppressedRetainer struct{ last []float32 }
-
-func (m *suppressedRetainer) Predict(b *data.Batch) []float32 {
-	m.last = b.Dense //dmt:retain-ok fixture: single-caller model that copies before the next flush
-
-	return nil
 }
 
 // notPredict has no *data.Batch parameter, so rule 1 does not apply.
@@ -138,8 +137,4 @@ func copiesTransientOut(s *arena.Scratch) []float32 {
 	out := make([]float32, len(m))
 	copy(out, m)
 	return out
-}
-
-func suppressedTransient(s *arena.Scratch) []float32 {
-	return s.Merge(8) //dmt:retain-ok fixture: caller documented as consuming before the next merge
 }

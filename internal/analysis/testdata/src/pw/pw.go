@@ -1,5 +1,6 @@
-// Package pw is the pendingwait fixture corpus: flagged leaks, allowed
-// transfer/discharge patterns, and the suppression escape hatch.
+// Package pw is the pendingwait fixture corpus: flagged leaks, including
+// one under a former escape-hatch comment, and allowed transfer/discharge
+// patterns.
 package pw
 
 import "dmt/internal/comm"
@@ -40,8 +41,8 @@ func overwrittenInLoop(c *comm.Comm, x []float32, n int) {
 	}
 }
 
-func bareMarkerNeedsReason(c *comm.Comm, x []float32) {
-	c.IAllReduceSum(x) /* want `dmt:pending-ok needs a reason` `dropped without Wait or Carry` */ //dmt:pending-ok
+func formerMarkerSilencesNothing(c *comm.Comm, x []float32) {
+	c.IAllReduceSum(x) /* want `dropped without Wait or Carry` */ //dmt:pending-ok a former escape hatch silences nothing
 }
 
 // ---- allowed -----------------------------------------------------------
@@ -108,10 +109,4 @@ func panicPathIsNotALeak(c *comm.Comm, x []float32, cond bool) {
 		panic("torn down: the runtime cancels the group and reclaims handles")
 	}
 	h.Wait()
-}
-
-func suppressedLeak(c *comm.Comm, x []float32) {
-	_ = c.IAllReduceSum(x) //dmt:pending-ok fixture for the justified escape hatch
-
-	_ = x
 }

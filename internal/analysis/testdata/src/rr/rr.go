@@ -1,5 +1,6 @@
 // Package rr is the retainrelease fixture corpus: dropped pooled
-// references, allowed release/transfer patterns, and the escape hatch.
+// references, including one under a former escape-hatch comment, and
+// allowed release/transfer patterns.
 package rr
 
 import "dmt/internal/quant"
@@ -30,8 +31,8 @@ func wireDeliveryDropped(v any) []float32 {
 	return e.Decode()
 }
 
-func bareMarkerNeedsReason(x []float32) {
-	quant.Encode(quant.FP16, x) /* want `dmt:refcount-ok needs a reason` `dropped without Release` */ //dmt:refcount-ok
+func formerMarkerSilencesNothing(x []float32) {
+	quant.Encode(quant.FP16, x) /* want `dropped without Release` */ //dmt:refcount-ok a former escape hatch silences nothing
 }
 
 // ---- allowed -----------------------------------------------------------
@@ -83,10 +84,4 @@ func typeSwitchIsNotAnAcquisition(v any) int {
 	default:
 		return 0
 	}
-}
-
-func suppressedDrop(x []float32) {
-	_ = quant.Encode(quant.FP16, x) //dmt:refcount-ok fixture for the justified escape hatch
-
-	_ = x
 }

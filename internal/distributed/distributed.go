@@ -117,9 +117,9 @@ type Config struct {
 	// arrive after the fabric's modeled point-to-point transfer time
 	// (netsim.P2PTime over the G/L host placement; wire bytes, so compression
 	// shrinks delays), per-rank virtual clocks are advanced by modeled dense
-	// compute, and the phase walls become a deterministic virtual-time
+	// compute, and the phase walls are a deterministic virtual-time
 	// decomposition. Without it messages cost nothing, no compute is charged,
-	// and ExposedComm/HiddenComm and Sim are zero. The trajectory itself is
+	// and Stats.Phases and Stats.Sim are zero. The trajectory itself is
 	// unchanged: delay moves time, never values.
 	Fabric *netsim.Fabric
 	// EmbeddingTier disaggregates the embedding tables onto dedicated
@@ -229,9 +229,9 @@ type Trainer struct {
 	carried [][]pendingBucket
 }
 
-// PhaseTimes is cumulative time per step phase: wall-clock phase walls
-// without Config.Fabric, the network's virtual time with it. The
-// communication fields are always virtual time.
+// PhaseTimes is cumulative modeled time per step phase: the network's
+// virtual time under Config.Fabric. Without a Fabric nothing is modeled and
+// every field is zero.
 type PhaseTimes struct {
 	// EmbComm covers the SPTT embedding dataflow: forward distribution with
 	// tower-module compression plus the backward pass (which also carries
@@ -289,7 +289,9 @@ type SimTimes struct {
 // embedding wire volumes split by fabric (intra-host NVLink vs cross-host
 // RDMA), the split the paper's whole argument is about.
 type Stats struct {
-	Steps  int
+	Steps int
+	// Phases is modeled virtual time; zero unless the trainer runs with
+	// Config.Fabric.
 	Phases PhaseTimes
 	// Gradient synchronization bytes: the over-arch AllReduce (measured on
 	// the world group) plus the intra-tower reduction (always intra-host).
@@ -490,20 +492,16 @@ func (tr *Trainer) charge(g int, d time.Duration) {
 }
 
 // phaseClock returns a lap function for the step's phase walls: each call
-// yields the time since the previous one. Wall time normally; the
-// network's mean virtual time in simulated-latency mode, so PhaseTimes is
-// deterministic and decomposes the MODELED timeline.
+// yields the network's mean virtual time since the previous one, so
+// PhaseTimes decomposes the modeled timeline. Without Config.Fabric nothing
+// is modeled and every lap is zero.
 func (tr *Trainer) phaseClock() func() time.Duration {
-	//dmt:nondeterministic-ok wall-clock fallback used only when no netsim network is attached; latency mode replaces it below
-	start := time.Now()
-	//dmt:nondeterministic-ok wall-clock fallback used only when no netsim network is attached; latency mode replaces it below
-	now := func() time.Duration { return time.Since(start) }
-	if tr.net != nil {
-		now = tr.net.Now
+	if tr.net == nil {
+		return func() time.Duration { return 0 }
 	}
-	last := now()
+	last := tr.net.Now()
 	return func() time.Duration {
-		t := now()
+		t := tr.net.Now()
 		d := t - last
 		last = t
 		return d

@@ -322,39 +322,60 @@ func TestOverlapStatsAndBuckets(t *testing.T) {
 // TestRankParallelStepConcurrency drives the rank-parallel step at G=8 so
 // `go test -race` exercises every concurrent interaction: parallel dense
 // compute, the over-arch AllReduce, concurrent tower-module scaling, and
-// owner-applied sparse updates on primed optimizer state.
+// owner-applied sparse updates on primed optimizer state. Without a Fabric
+// nothing is modeled, so under every schedule, the sequential reference
+// included, the trainer has no network and every phase wall and Sim field
+// stays zero.
 func TestRankParallelStepConcurrency(t *testing.T) {
-	cfg, gen := testSetup(9)
-	cfg.G, cfg.L = 8, 4
-	cfg.Model.Towers = [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 3; step++ {
-		_, locals := splitGlobalBatch(gen, step, cfg.G, cfg.LocalBatch)
-		res := tr.Step(locals)
-		if res.MeanLoss <= 0 {
-			t.Fatalf("step %d: implausible loss %v", step, res.MeanLoss)
-		}
-		if err := tr.ReplicasInSync(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-	}
-	st := tr.Stats()
-	if st.Steps != 3 {
-		t.Fatalf("stats counted %d steps, want 3", st.Steps)
-	}
-	if st.Phases.EmbComm <= 0 || st.Phases.Dense <= 0 || st.Phases.GradExchange <= 0 || st.Phases.Update <= 0 {
-		t.Fatalf("phase times not all positive: %+v", st.Phases)
-	}
-	if st.EmbIntraHostBytes <= 0 || st.EmbCrossHostBytes <= 0 {
-		t.Fatalf("embedding traffic not split: %+v", st)
-	}
-	// The over-arch AllReduce spans hosts and the tower reduction is
-	// intra-host, so both gradient counters must be populated.
-	if st.GradIntraHostBytes <= 0 || st.GradCrossHostBytes <= 0 {
-		t.Fatalf("gradient traffic not split: %+v", st)
+	for _, sc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"sequential", func(c *Config) { c.Sequential = true }},
+		{"blocking", func(*Config) {}},
+		{"overlapped", func(c *Config) { c.Overlap = true }},
+		{"pipelined", func(c *Config) { c.Pipeline = 1 }},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			cfg, gen := testSetup(9)
+			cfg.G, cfg.L = 8, 4
+			cfg.Model.Towers = [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
+			sc.set(&cfg)
+			tr, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			if tr.Network() != nil {
+				t.Fatal("a trainer without a Fabric has a network")
+			}
+			for step := 0; step < 3; step++ {
+				_, locals := splitGlobalBatch(gen, step, cfg.G, cfg.LocalBatch)
+				res := tr.Step(locals)
+				if res.MeanLoss <= 0 {
+					t.Fatalf("step %d: implausible loss %v", step, res.MeanLoss)
+				}
+				if err := tr.ReplicasInSync(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+			st := tr.Stats()
+			if st.Steps != 3 {
+				t.Fatalf("stats counted %d steps, want 3", st.Steps)
+			}
+			if st.Phases != (PhaseTimes{}) || st.Sim != (SimTimes{}) {
+				t.Fatalf("nothing is modeled without a Fabric, yet phases %+v, sim %+v", st.Phases, st.Sim)
+			}
+			if st.EmbIntraHostBytes <= 0 || st.EmbCrossHostBytes <= 0 {
+				t.Fatalf("embedding traffic not split: %+v", st)
+			}
+			// The over-arch AllReduce spans hosts and the tower reduction is
+			// intra-host, so both gradient counters must be populated. The
+			// sequential reference averages through memory instead.
+			if !cfg.Sequential && (st.GradIntraHostBytes <= 0 || st.GradCrossHostBytes <= 0) {
+				t.Fatalf("gradient traffic not split: %+v", st)
+			}
+		})
 	}
 }
 

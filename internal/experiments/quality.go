@@ -446,7 +446,7 @@ func Table6(p Profile) []Table6Row {
 		// dominant variance source at these budgets.
 		tc.EvalSamples = p.EvalSamples * 4
 		tpList := tpTowers(gen, towersCount, 910+uint64(towersCount))
-		naiveList := partition.NaiveAssignment(qualityFeatures, towersCount)
+		naiveList := models.RoundRobinTowers(towersCount, qualityFeatures)
 		tp, tpAUCs := repeatedQuality("TP", func(s uint64) models.Model { return mkModel(tpList, s) },
 			gen, tc, p.Runs, 1300, paperTP)
 		naive, naiveAUCs := repeatedQuality("naive", func(s uint64) models.Model { return mkModel(naiveList, s) },
@@ -530,7 +530,7 @@ func figure9From(emb *tensor.Tensor, source string) Figure9Result {
 	}
 	within, cross := partition.WithinCrossAffinity(res.Interaction, res.Groups)
 	naiveWithin, _ := partition.WithinCrossAffinity(res.Interaction,
-		partition.NaiveAssignment(qualityFeatures, qualityGroups))
+		models.RoundRobinTowers(qualityGroups, qualityFeatures))
 	gain := 0.0
 	if naiveWithin > 0 {
 		gain = within / naiveWithin

@@ -17,9 +17,9 @@ import (
 // over the single-goroutine reference step on real hardware. Both engines
 // follow bitwise-identical trajectories (the distributed package's
 // equivalence theorem), so the comparison is pure execution speed: steps/s,
-// the per-phase breakdown (embedding dataflow, dense compute, gradient
-// exchange, optimizer update), and the gradient/embedding wire volumes
-// split intra-host vs cross-host.
+// the final loss, and the gradient/embedding wire volumes split intra-host
+// vs cross-host. No Fabric is set, so the trainer's modeled phase times are
+// zero and the table has no phase columns.
 
 // TrainingProfile sizes the distributed-training measurement.
 type TrainingProfile struct {
@@ -281,17 +281,12 @@ var (
 // profile, the wire-scheme table under it.
 func renderTraining(s Sweep) string {
 	p := s.Profile
-	perStep := func(r TrainingRun, d time.Duration) any { return micros(r.perStep(d)) }
 	engines := table[TrainingRun]{
 		title: "Distributed training: sequential vs rank-parallel step (" + p.shape() + ")",
 		cols: []column[TrainingRun]{
 			{"Engine", "%-14s", func(r TrainingRun) any { return r.Name }},
 			colStepsPerSec,
 			colLoss,
-			{"emb-comm", "| %9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.EmbComm) }},
-			{"dense", "%9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.Dense) }},
-			{"grad-ex", "%9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.GradExchange) }},
-			{"update", "%9s", func(r TrainingRun) any { return perStep(r, r.Stats.Phases.Update) }},
 			{"gradIntra", "| %8.2fMB", gradIntraMB},
 			{"gradCross", "%8.2fMB", gradCrossMB},
 			{"embIntra", "%8.2fMB", func(r TrainingRun) any { return mb(r.Stats.EmbIntraHostBytes) }},
@@ -300,7 +295,7 @@ func renderTraining(s Sweep) string {
 	}
 	par := s.Run("rank-parallel")
 	engines.foot = []string{fmt.Sprintf(
-		"rank-parallel speedup: %.2fx (phase times are per step; byte volumes cumulative)",
+		"rank-parallel speedup: %.2fx (byte volumes cumulative)",
 		par.StepsPerSec()/s.Run("sequential").StepsPerSec())}
 	if p.Overlap {
 		engines.foot = append(engines.foot, fmt.Sprintf("overlapped vs rank-parallel: %.2fx",

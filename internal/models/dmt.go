@@ -42,8 +42,10 @@ func DefaultDMTDLRMConfig(schema data.Schema, towersList [][]int, seed uint64) D
 
 // RoundRobinTowers deals nFeatures features across nTowers towers — the
 // baseline assignment used when no Tower Partitioner run is available
-// (benchmarks, the serving experiments). nTowers must be in [1, nFeatures]
-// so every tower is nonempty.
+// (benchmarks, the serving experiments) and Table 6's naive strided
+// baseline: tower t gets features {t, t+T, t+2T, …}, so 8 towers over 26
+// features give [[0 8 16 24] [1 9 17 25] [2 10 18] …], the paper's example.
+// nTowers must be in [1, nFeatures] so every tower is nonempty.
 func RoundRobinTowers(nTowers, nFeatures int) [][]int {
 	if nTowers < 1 || nTowers > nFeatures {
 		panic(fmt.Sprintf("models: %d towers for %d features leaves empty towers", nTowers, nFeatures))

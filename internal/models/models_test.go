@@ -1,12 +1,12 @@
 package models
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"dmt/internal/data"
 	"dmt/internal/nn"
-	"dmt/internal/partition"
 	"dmt/internal/tensor"
 )
 
@@ -72,7 +72,7 @@ func TestModelGradientsNumerically(t *testing.T) {
 	cfg := tinyConfig(3)
 	gen := data.NewGenerator(cfg)
 	b := gen.Batch(0, 16)
-	naive := partition.NaiveAssignment(cfg.NumSparse(), 3)
+	naive := RoundRobinTowers(3, cfg.NumSparse())
 
 	builders := map[string]func() Model{
 		"dlrm":     func() Model { return NewDLRM(tinyDLRM(cfg.Schema, 5)) },
@@ -181,9 +181,19 @@ func TestDMTDLRMTrainsComparablyToBaseline(t *testing.T) {
 	}
 }
 
+// TestRoundRobinTowersPaperExample pins §5.2.3's naive strided assignment:
+// 8 towers over 26 features.
+func TestRoundRobinTowersPaperExample(t *testing.T) {
+	got := fmt.Sprint(RoundRobinTowers(8, 26))
+	want := "[[0 8 16 24] [1 9 17 25] [2 10 18] [3 11 19] [4 12 20] [5 13 21] [6 14 22] [7 15 23]]"
+	if got != want {
+		t.Fatalf("RoundRobinTowers(8, 26) = %s, want %s", got, want)
+	}
+}
+
 func TestDMTReducesFlops(t *testing.T) {
 	cfg := tinyConfig(31)
-	naive := partition.NaiveAssignment(cfg.NumSparse(), 4)
+	naive := RoundRobinTowers(4, cfg.NumSparse())
 	base := NewDLRM(tinyDLRM(cfg.Schema, 1))
 	dmt := NewDMTDLRM(tinyDMTDLRM(cfg.Schema, naive, 1))
 	if dmt.FlopsPerSample() >= base.FlopsPerSample() {
@@ -201,7 +211,7 @@ func TestDMTReducesFlops(t *testing.T) {
 
 func TestCompressionRatioMatchesTable5Semantics(t *testing.T) {
 	cfg := tinyConfig(37)
-	naive := partition.NaiveAssignment(cfg.NumSparse(), 4)
+	naive := RoundRobinTowers(4, cfg.NumSparse())
 	// c=1, p=0: CR = N/D.
 	mcfg := tinyDMTDLRM(cfg.Schema, naive, 1) // N=8, D=4
 	m := NewDMTDLRM(mcfg)

@@ -16,8 +16,9 @@
 //  4. Constrained K-Means (Bradley et al. 2000): balanced clusters with a
 //     maximum group size of K × the minimum tower size.
 //
-// The package also provides the naive strided baseline of Table 6 and a
-// greedy graph-cut-style baseline for comparison benches.
+// The package also provides a greedy graph-cut-style baseline for
+// comparison benches; Table 6's naive strided baseline is
+// models.RoundRobinTowers.
 package partition
 
 import (

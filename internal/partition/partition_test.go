@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dmt/internal/data"
+	"dmt/internal/models"
 	"dmt/internal/tensor"
 )
 
@@ -194,23 +195,6 @@ func TestConstrainedKMeansSeparatesObviousClusters(t *testing.T) {
 	}
 }
 
-func TestNaiveAssignmentPaperExample(t *testing.T) {
-	// §5.2.3: 8 towers over 26 features.
-	groups := NaiveAssignment(26, 8)
-	want0 := []int{0, 8, 16, 24}
-	if len(groups[0]) != 4 {
-		t.Fatalf("tower 0: %v", groups[0])
-	}
-	for i, f := range want0 {
-		if groups[0][i] != f {
-			t.Fatalf("tower 0 = %v, want %v", groups[0], want0)
-		}
-	}
-	if len(groups[2]) != 3 || groups[2][0] != 2 || groups[2][2] != 18 {
-		t.Fatalf("tower 2 = %v, want [2 10 18]", groups[2])
-	}
-}
-
 func TestTPCoherentRecoversPlantedBlocks(t *testing.T) {
 	im := plantedMatrix(16, 4, 0.85, 0.05, 13)
 	tp := NewTP(Coherent, 17)
@@ -249,7 +233,7 @@ func TestTPCoherentBeatsNaiveOnAffinity(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpWithin, _ := WithinCrossAffinity(im, res.Groups)
-	naiveWithin, _ := WithinCrossAffinity(im, NaiveAssignment(24, 4))
+	naiveWithin, _ := WithinCrossAffinity(im, models.RoundRobinTowers(4, 24))
 	if tpWithin <= naiveWithin {
 		t.Fatalf("TP within-affinity %v should beat naive %v", tpWithin, naiveWithin)
 	}

@@ -78,19 +78,6 @@ func (tp *TP) PartitionMatrix(im *tensor.Tensor, numTowers int) (*Result, error)
 	}, nil
 }
 
-// NaiveAssignment is Table 6's baseline: balanced sequential striding with
-// stride equal to the tower count — tower t gets features {t, t+T, t+2T, …}.
-// For 8 towers over 26 features this yields [[0,8,16,24], [1,9,17,25],
-// [2,10,18], …], the paper's example.
-func NaiveAssignment(nFeatures, numTowers int) [][]int {
-	groups := make([][]int, numTowers)
-	for f := 0; f < nFeatures; f++ {
-		t := f % numTowers
-		groups[t] = append(groups[t], f)
-	}
-	return groups
-}
-
 // GreedyCoherent is a graph-cut-style baseline (§3.3 contrasts TP against
 // NP-hard cut formulations): seed each group with mutually distant
 // features, then repeatedly attach the unassigned feature with the highest

@@ -76,36 +76,7 @@ func NewCluster(gen Generation, gpus int) Cluster {
 // GPUs returns the total GPU count.
 func (c Cluster) GPUs() int { return c.Hosts * c.GPUsPerHost }
 
-// HostOf returns the host index of a global rank.
-func (c Cluster) HostOf(rank int) int { return rank / c.GPUsPerHost }
-
-// LocalIndexOf returns the within-host index of a global rank.
-func (c Cluster) LocalIndexOf(rank int) int { return rank % c.GPUsPerHost }
-
-// SameHost reports whether two global ranks share a host (and therefore an
-// NVLink domain).
-func (c Cluster) SameHost(a, b int) bool { return c.HostOf(a) == c.HostOf(b) }
-
 // String renders "64xH100 (8 hosts)".
 func (c Cluster) String() string {
 	return fmt.Sprintf("%dx%s (%d hosts)", c.GPUs(), c.Gen.Name, c.Hosts)
-}
-
-// SplitTraffic classifies a (src, dst) byte matrix (as produced by
-// comm.TrafficMatrix) into intra-host and cross-host totals under this
-// cluster's rank-to-host mapping. Self-traffic is excluded.
-func (c Cluster) SplitTraffic(m [][]int64) (intra, cross int64) {
-	for s := range m {
-		for d, b := range m[s] {
-			if s == d {
-				continue
-			}
-			if c.SameHost(s, d) {
-				intra += b
-			} else {
-				cross += b
-			}
-		}
-	}
-	return intra, cross
 }

@@ -46,15 +46,6 @@ func TestClusterLayout(t *testing.T) {
 	if c.Hosts != 8 || c.GPUs() != 64 {
 		t.Fatalf("cluster layout wrong: %+v", c)
 	}
-	if c.HostOf(0) != 0 || c.HostOf(7) != 0 || c.HostOf(8) != 1 || c.HostOf(63) != 7 {
-		t.Fatal("HostOf wrong")
-	}
-	if c.LocalIndexOf(13) != 5 {
-		t.Fatal("LocalIndexOf wrong")
-	}
-	if !c.SameHost(0, 7) || c.SameHost(7, 8) {
-		t.Fatal("SameHost wrong")
-	}
 	if !strings.Contains(c.String(), "64xH100") {
 		t.Fatalf("String: %s", c.String())
 	}
@@ -67,21 +58,4 @@ func TestClusterRejectsPartialHosts(t *testing.T) {
 		}
 	}()
 	NewCluster(A100, 12)
-}
-
-func TestSplitTraffic(t *testing.T) {
-	c := Cluster{Gen: A100, Hosts: 2, GPUsPerHost: 2}
-	// 4 ranks: hosts {0,1},{2,3}.
-	m := make([][]int64, 4)
-	for i := range m {
-		m[i] = make([]int64, 4)
-	}
-	m[0][1] = 10 // intra
-	m[0][2] = 20 // cross
-	m[3][2] = 5  // intra
-	m[1][1] = 99 // self: ignored
-	intra, cross := c.SplitTraffic(m)
-	if intra != 15 || cross != 20 {
-		t.Fatalf("SplitTraffic = %d, %d", intra, cross)
-	}
 }
