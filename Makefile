@@ -25,7 +25,8 @@ vet:
 
 # The full lint gate: gofmt, go vet, and the repo's own dmt-lint analyzer
 # suite (internal/analysis: pendingwait, retainrelease, determinism,
-# noretain), a standalone command over the packages and their tests.
+# noretain, unreached), a standalone command over the packages and their
+# tests.
 # staticcheck and the shadow vet tool run too when installed; offline
 # environments skip them (CI runs them in the advisory lint-extra job,
 # where they are installed from the network).

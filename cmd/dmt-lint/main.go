@@ -1,10 +1,11 @@
-// dmt-lint machine-checks the repo's concurrency, refcount, and
-// determinism invariants (see internal/analysis).
+// dmt-lint machine-checks the repo's concurrency, refcount, determinism
+// and reachability invariants (see internal/analysis).
 //
 //	dmt-lint [packages]
 //
-// loads the packages (default ./...) with their tests, runs every
-// analyzer, and prints each finding as file:line:col: analyzer: message.
+// loads the whole module with its tests, runs every analyzer, and prints
+// each finding in the packages (default ./...) as
+// file:line:col: analyzer: message.
 // It exits 1 when there are findings and 2 when the packages do not load
 // or type-check. It takes no flags.
 package main

@@ -10,7 +10,9 @@ import (
 
 // TestRun drives dmt-lint in-process on small modules: findings exit 1,
 // a clean package 0, and a package that does not load or type-check, or
-// a pattern that matches nothing, exits 2 with an error naming it.
+// a pattern that matches nothing, exits 2 with an error naming it. A run
+// over one package still sees the users of its functions in the rest of
+// the module.
 func TestRun(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -21,10 +23,28 @@ func TestRun(t *testing.T) {
 		inStderr []string
 	}{{
 		name:   "finding",
-		files:  map[string]string{"internal/netsim/n.go": "package netsim\n\nimport \"time\"\n\nfunc F() time.Time { return time.Now() }\n"},
+		files:  map[string]string{"internal/netsim/n.go": "package netsim\n\nimport \"time\"\n\nfunc f() time.Time { return time.Now() }\n"},
 		args:   []string{"./..."},
 		code:   1,
 		stdout: "internal/netsim/n.go:5:29: determinism: time.Now reads the wall clock in a virtual-clock package: use the group's Clock\n",
+	}, {
+		name: "subset run, used by a test outside it",
+		files: map[string]string{
+			"internal/tensor/t.go":      "package tensor\n\nfunc Full() int { return 1 }\n",
+			"internal/models/m.go":      "package models\n",
+			"internal/models/m_test.go": "package models\n\nimport \"example/internal/tensor\"\n\nvar _ = tensor.Full()\n",
+		},
+		args: []string{"./internal/tensor"},
+		code: 0,
+	}, {
+		name: "subset run, used by its own tests only",
+		files: map[string]string{
+			"internal/tensor/t.go":      "package tensor\n\nfunc Full() int { return 1 }\n",
+			"internal/tensor/t_test.go": "package tensor\n\nvar _ = Full()\n",
+		},
+		args:   []string{"./internal/tensor"},
+		code:   1,
+		stdout: "internal/tensor/t.go:3:6: unreached: exported function Full is reached from nothing but its own package's tests: delete it or move it into a _test.go file\n",
 	}, {
 		name:  "clean",
 		files: map[string]string{"ok/ok.go": "package ok\n\nfunc F() int { return 1 }\n"},

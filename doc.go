@@ -12,8 +12,7 @@
 // (internal/topology, internal/netsim, internal/perfmodel), the embedding
 // store backend (internal/embeddings), the DLRM/DCN model families
 // (internal/models), a parallelism-search study (internal/parallel), and
-// per-table/figure experiment drivers (internal/experiments) orchestrated
-// by the public planning API (internal/core).
+// per-table/figure experiment drivers (internal/experiments).
 //
 // The root bench_test.go regenerates every table and figure of the paper's
 // evaluation from the one registry in internal/experiments; `go run

@@ -6,14 +6,18 @@ import (
 	"dmt/internal/analysis/noretain"
 	"dmt/internal/analysis/pendingwait"
 	"dmt/internal/analysis/retainrelease"
+	"dmt/internal/analysis/unreached"
 )
 
-// All returns the dmt-lint analyzers in a stable order.
+// All returns the dmt-lint analyzers in a stable order, built afresh: an
+// analyzer that keeps state across the packages of a run (unreached) must
+// not carry it into the next run.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		pendingwait.Analyzer,
 		retainrelease.Analyzer,
 		determinism.Analyzer,
 		noretain.Analyzer,
+		unreached.New(),
 	}
 }

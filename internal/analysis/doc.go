@@ -1,7 +1,7 @@
 // Package analysis is the dmt-lint suite: analyzers, written against the
 // standard library's go/ast and go/types alone, that machine-check the
-// repository's hand-enforced concurrency, refcount, and determinism
-// invariants.
+// repository's hand-enforced concurrency, refcount, determinism and
+// reachability invariants.
 //
 // Nine PRs in, the correctness story rests on conventions that were
 // documented in comments and caught only at runtime — by AssertDrained,
@@ -45,13 +45,21 @@
 //     result; results of //dmt:transient-result arena APIs must not
 //     escape their caller.
 //
+//   - unreached: every exported package-level function of an internal/
+//     package is referenced from outside its own package's _test.go
+//     files. A function only its own tests reach belongs in a _test.go
+//     file; one nothing reaches is deleted. It is the one whole-run
+//     check: it reports from lint.Analyzer.Finish, after every package
+//     of the module has been seen.
+//
 // # Running
 //
 // The suite ships as cmd/dmt-lint (`go run ./cmd/dmt-lint ./...`; `make
 // lint` builds it into bin/ and runs it after gofmt and go vet). Package
 // lint loads the packages and runs the analyzers: packages come from
 // `go list`, test variants included, and are type-checked from source;
-// package flow holds the control-flow graphs and the may-leak walk
+// every run analyzes the whole module, and only the packages its patterns
+// name report. Package flow holds the control-flow graphs and the may-leak walk
 // pendingwait and retainrelease share.
 //
 // # No escape hatch

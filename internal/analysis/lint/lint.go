@@ -7,12 +7,13 @@
 // library comes from the export data of one `go list -export` over just
 // the standard packages the graph reaches, so loading needs no network
 // and writes nothing outside the build cache. Every analyzer runs on
-// every module package, so what it records about a declaration (Pass.Facts,
-// and the no-return functions behind Pass.CFGs) is known before any
-// package that imports it is analyzed; only the packages the patterns
-// name report. A package with tests reports through its test variant,
-// which holds the same files plus the tests, so each finding is reported
-// once.
+// every package of the module, whatever the patterns, so what it records
+// about a declaration (Pass.Facts, and the no-return functions behind
+// Pass.CFGs) is known before any package that imports it is analyzed,
+// and a whole-run check (Analyzer.Finish) sees every use of it; only the
+// packages the patterns name report. A package with tests reports through
+// its test variant, which holds the same files plus the tests, so each
+// finding is reported once.
 package lint
 
 import (
@@ -39,6 +40,9 @@ import (
 type Analyzer struct {
 	Name string
 	Run  func(*Pass)
+	// Finish, when non-nil, runs once after the last package, for a check
+	// that needs the whole run; it reports through the Passes Run saw.
+	Finish func()
 }
 
 // A Pass is one analyzer's view of one type-checked package.
@@ -91,20 +95,30 @@ func WithStack(root ast.Node, f func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// Run loads the packages that patterns match in the module at dir, runs
-// the analyzers over them and returns the findings sorted by position. It
-// fails, naming the package, when a pattern matches nothing or a package
-// does not load or type-check.
+// Run loads the module at dir, runs the analyzers over every package of it
+// and returns the findings in the packages that patterns match, sorted by
+// position. It fails, naming the package, when a pattern matches nothing
+// or a package does not load or type-check.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
+	named, err := goList(dir, append([]string{"-e", "-json=ImportPath"}, patterns...))
+	if err != nil {
+		return nil, err
+	}
+	if len(named) == 0 {
+		return nil, fmt.Errorf("no packages match %s", strings.Join(patterns, " "))
+	}
+	reports := map[string]bool{}
+	for _, p := range named {
+		reports[p.ImportPath] = true
+	}
 	pkgs, err := goList(dir, append([]string{"-e", "-deps", "-test",
-		"-json=ImportPath,Dir,GoFiles,ImportMap,ForTest,DepOnly,Standard,Error"}, patterns...))
+		"-json=ImportPath,Dir,GoFiles,ImportMap,ForTest,Standard,Error", "./..."}, patterns...))
 	if err != nil {
 		return nil, err
 	}
 	var errs []error
 	var std []string
 	hasTestVariant := map[string]bool{}
-	matched := false
 	for _, p := range pkgs {
 		if e := p.Error; e != nil {
 			msg := e.Err
@@ -119,10 +133,6 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 		if p.ForTest != "" && p.path() == p.ForTest {
 			hasTestVariant[p.ForTest] = true
 		}
-		matched = matched || !p.DepOnly
-	}
-	if !matched {
-		errs = append(errs, fmt.Errorf("no packages match %s", strings.Join(patterns, " ")))
 	}
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
@@ -150,12 +160,17 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 		}
 		checked[p.ImportPath] = pkg
 		var report *[]Diagnostic
-		if p.reports(hasTestVariant) {
+		if p.reports(reports, hasTestVariant) {
 			report = &diags
 		}
 		graphs := flow.Build(info, files, noReturn)
 		for _, a := range analyzers {
 			a.Run(&Pass{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, CFGs: graphs, Facts: facts[a], analyzer: a.Name, diags: report})
+		}
+	}
+	for _, a := range analyzers {
+		if a.Finish != nil {
+			a.Finish()
 		}
 	}
 	sort.SliceStable(diags, func(i, j int) bool {
@@ -175,7 +190,6 @@ type listed struct {
 	GoFiles    []string
 	ImportMap  map[string]string
 	ForTest    string
-	DepOnly    bool
 	Standard   bool
 	Export     string
 	Error      *struct{ Pos, Err string }
@@ -188,17 +202,15 @@ func (p *listed) path() string {
 	return path
 }
 
-// reports reports whether p's findings are kept: p was named by a
-// pattern, and it is the test variant of the package or its external test
-// package, or a package without a test variant.
-func (p *listed) reports(hasTestVariant map[string]bool) bool {
-	if p.DepOnly {
-		return false
-	}
+// reports reports whether p's findings are kept: the patterns named it
+// (named is keyed by import path), and it is the test variant of the
+// package or its external test package, or a package without a test
+// variant.
+func (p *listed) reports(named, hasTestVariant map[string]bool) bool {
 	if p.ForTest == "" {
-		return !hasTestVariant[p.ImportPath]
+		return named[p.ImportPath] && !hasTestVariant[p.ImportPath]
 	}
-	return p.path() == p.ForTest || p.path() == p.ForTest+"_test"
+	return named[p.ForTest] && (p.path() == p.ForTest || p.path() == p.ForTest+"_test")
 }
 
 // check parses and type-checks p against the packages checked so far

@@ -3,7 +3,7 @@
 //
 // # Invariant
 //
-// A comm.Pending returned by a non-blocking collective (IAllGather,
+// A comm.Pending returned by a non-blocking collective (IAllGatherBatch,
 // IAlltoAllTensorsQ, ...) is an open obligation on its rank's mailbox
 // ordering: handles must be waited in issue order, and a handle that is
 // never Wait()ed leaves payloads queued in peer mailboxes, which the next

@@ -1,0 +1,17 @@
+package unreached_test
+
+import (
+	"testing"
+
+	"dmt/internal/analysis/linttest"
+)
+
+// TestUnreached runs the analyzer over the ur fixtures: an exported
+// function of an internal/ package reached only by its own package's
+// tests (in-package and external), by nothing, or only by itself is
+// flagged; a use from its own package's non-test code, from another
+// package's code or tests, with inferred type arguments, and methods and
+// unexported functions are not.
+func TestUnreached(t *testing.T) {
+	linttest.Run(t, "unreached", "ur")
+}

@@ -135,16 +135,6 @@ func (c *Comm) IAlltoAllInt32(chunks [][]int32) *Pending[[][]int32] {
 	})
 }
 
-// IAllGather posts x to every rank and returns a handle resolving to the
-// gathered tensors indexed by source.
-func (c *Comm) IAllGather(x *tensor.Tensor) *Pending[[]*tensor.Tensor] {
-	chunks := make([]*tensor.Tensor, c.g.size)
-	for d := range chunks {
-		chunks[d] = x
-	}
-	return c.IAlltoAllTensors(chunks)
-}
-
 // IAllReduceSum posts x to every rank and returns a handle resolving to the
 // elementwise sum of every rank's contribution, accumulated in rank order
 // (bit-identical on all ranks).
@@ -182,25 +172,6 @@ func (c *Comm) IAllGatherBatch(xs []*tensor.Tensor) *Pending[[][]*tensor.Tensor]
 		out := make([][]*tensor.Tensor, n)
 		for s := 0; s < n; s++ {
 			out[s] = c.recv(s).([]*tensor.Tensor)
-		}
-		return out
-	})
-}
-
-// IReduceScatterSum posts chunks[j] to rank j and returns a handle resolving
-// to the rank-ordered sum of the chunks addressed to this rank.
-func (c *Comm) IReduceScatterSum(chunks []*tensor.Tensor) *Pending[*tensor.Tensor] {
-	n := c.g.size
-	if len(chunks) != n {
-		panic(fmt.Sprintf("comm: ReduceScatter needs %d chunks, got %d", n, len(chunks)))
-	}
-	for d := 0; d < n; d++ {
-		c.send(d, chunks[d], tensorBytes(chunks[d]))
-	}
-	return newPending(c, func() *tensor.Tensor {
-		out := c.recv(0).(*tensor.Tensor).Clone()
-		for s := 1; s < n; s++ {
-			tensor.AddInPlace(out, c.recv(s).(*tensor.Tensor))
 		}
 		return out
 	})

@@ -29,7 +29,7 @@ func TestAsyncCollectivesMatchBlocking(t *testing.T) {
 		// Three collectives in flight at once on one group.
 		h1 := c.IAllReduceSum(x1)
 		h2 := c.IAlltoAllTensors(chunks)
-		h3 := c.IAllGather(x2)
+		h3 := c.IAlltoAllTensors(replicated(c, x2))
 
 		sum := h1.Wait()
 		if sum.Data()[0] != 1+2+3+4 || sum.Data()[1] != 2*(0+1+2+3) {
@@ -44,7 +44,7 @@ func TestAsyncCollectivesMatchBlocking(t *testing.T) {
 		gath := h3.Wait()
 		for s := 0; s < n; s++ {
 			if want := float32(100 + s); gath[s].Data()[0] != want {
-				t.Errorf("rank %d: IAllGather from %d got %v want %v", c.Rank(), s, gath[s].Data()[0], want)
+				t.Errorf("rank %d: replicated IAlltoAll from %d got %v want %v", c.Rank(), s, gath[s].Data()[0], want)
 			}
 		}
 		// Wait is idempotent.
@@ -54,25 +54,17 @@ func TestAsyncCollectivesMatchBlocking(t *testing.T) {
 	})
 }
 
-// TestAsyncReduceScatterAndInt32 covers the remaining I* variants.
-func TestAsyncReduceScatterAndInt32(t *testing.T) {
+// TestAsyncAlltoAllInt32 covers the index-payload I* variant.
+func TestAsyncAlltoAllInt32(t *testing.T) {
 	const n = 3
 	comms := NewGroup(n)
 	Run(comms, func(c *Comm) {
 		r := c.Rank()
-		chunks := make([]*tensor.Tensor, n)
 		ichunks := make([][]int32, n)
 		for d := 0; d < n; d++ {
-			chunks[d] = tensor.FromSlice([]float32{float32(r + d)}, 1)
 			ichunks[d] = []int32{int32(r*100 + d)}
 		}
-		hr := c.IReduceScatterSum(chunks)
-		hi := c.IAlltoAllInt32(ichunks)
-		// sum over src of (src + myRank)
-		if got, want := hr.Wait().Data()[0], float32(0+1+2+3*r); got != want {
-			t.Errorf("rank %d: IReduceScatterSum got %v want %v", r, got, want)
-		}
-		ints := hi.Wait()
+		ints := c.IAlltoAllInt32(ichunks).Wait()
 		for s := 0; s < n; s++ {
 			if want := int32(s*100 + r); ints[s][0] != want {
 				t.Errorf("rank %d: IAlltoAllInt32 from %d got %d want %d", r, s, ints[s][0], want)
@@ -170,12 +162,12 @@ func TestTrafficCountersConcurrentRead(t *testing.T) {
 			t.Fatalf("traffic went backwards: %d -> %d", last, total)
 		}
 		last = total
-		_ = comms[0].BytesSent()
+		_ = bytesSent(comms[0])
 		_ = comms[1].BytesSentTo(2)
 	}
 	// 200 rounds, 4 bytes per payload, n-1 off-diagonal peers per rank.
-	if want := int64(200 * 4 * n * (n - 1)); comms[0].BytesSent() != want/int64(n) {
-		t.Fatalf("final BytesSent = %d, want %d", comms[0].BytesSent(), want/int64(n))
+	if want := int64(200 * 4 * n * (n - 1)); bytesSent(comms[0]) != want/int64(n) {
+		t.Fatalf("final bytesSent = %d, want %d", bytesSent(comms[0]), want/int64(n))
 	}
 }
 
@@ -286,7 +278,7 @@ func TestBroadcastWithPendingPanics(t *testing.T) {
 	Run(comms, func(c *Comm) {
 		x := tensor.FromSlice([]float32{1}, 1)
 		h := c.IAlltoAllTensorsQ(quant.FP16, []*tensor.Tensor{x, x})
-		c.AllGather(x)
+		c.AlltoAllTensors(replicated(c, x))
 		h.Wait()
 	})
 }

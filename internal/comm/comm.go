@@ -1,7 +1,7 @@
 // Package comm is the in-process collective-communication runtime that
 // stands in for NCCL. Ranks are goroutines; a Group is a private full mesh
 // of unbounded FIFO mailboxes; collectives (AlltoAll, AllReduce,
-// ReduceScatter, AllGather) move real tensors between ranks; the SPTT
+// AllGather) move real tensors between ranks; the SPTT
 // embedding AlltoAll and the batched gradient AllGather also run over a
 // quantized wire (compressed.go).
 //
@@ -344,18 +344,6 @@ func (c *Comm) BytesSentTo(dst int) int64 {
 	return atomic.LoadInt64(&c.g.sent[c.rank][dst])
 }
 
-// BytesSent returns total bytes sent by this rank, excluding self-delivery.
-// Safe to call while rank goroutines are still running.
-func (c *Comm) BytesSent() int64 {
-	var t int64
-	for d := range c.g.sent[c.rank] {
-		if d != c.rank {
-			t += atomic.LoadInt64(&c.g.sent[c.rank][d])
-		}
-	}
-	return t
-}
-
 // Times returns this rank's cumulative collective timing in virtual time:
 // exposed is communication the schedule failed to hide — the gaps from the
 // rank's clock to later message ready-times — and hidden is the union of the
@@ -465,27 +453,12 @@ func (c *Comm) AlltoAllInt32(chunks [][]int32) [][]int32 {
 	return c.IAlltoAllInt32(chunks).Wait()
 }
 
-// AllGather distributes x to every rank; the result is indexed by source.
-func (c *Comm) AllGather(x *tensor.Tensor) []*tensor.Tensor {
-	c.checkIdle("AllGather")
-	return c.IAllGather(x).Wait()
-}
-
 // AllReduceSum returns the elementwise sum of every rank's x. The reduction
 // is performed in rank order on every rank, so all ranks obtain bit-identical
 // results (deterministic, unlike real ring reductions).
 func (c *Comm) AllReduceSum(x *tensor.Tensor) *tensor.Tensor {
 	c.checkIdle("AllReduceSum")
 	return c.IAllReduceSum(x).Wait()
-}
-
-// ReduceScatterSum sends chunks[j] to rank j and returns the rank-ordered
-// sum of the chunks addressed to this rank. This is step (d) of SPTT for
-// row-wise-sharded multi-hot tables (§3.1.3), where partial pooled
-// embeddings must be summed rather than concatenated.
-func (c *Comm) ReduceScatterSum(chunks []*tensor.Tensor) *tensor.Tensor {
-	c.checkIdle("ReduceScatterSum")
-	return c.IReduceScatterSum(chunks).Wait()
 }
 
 // checkIdle panics if this rank still has unwaited Pending handles. Every

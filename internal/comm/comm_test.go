@@ -73,50 +73,23 @@ func TestAlltoAllInt32(t *testing.T) {
 	}
 }
 
-func TestAllGatherAndAllReduce(t *testing.T) {
+func TestAllReduceSum(t *testing.T) {
 	const n = 5
 	comms := NewGroup(n)
 	sums := make([]*tensor.Tensor, n)
-	gathers := make([][]*tensor.Tensor, n)
 	Run(comms, func(c *Comm) {
 		x := tensor.FromSlice([]float32{float32(c.Rank()), 1}, 2)
-		gathers[c.Rank()] = c.AllGather(x)
 		sums[c.Rank()] = c.AllReduceSum(x)
 	})
 	for r := 0; r < n; r++ {
 		if sums[r].Data()[0] != 10 || sums[r].Data()[1] != 5 {
 			t.Fatalf("allreduce rank %d got %v", r, sums[r].Data())
 		}
-		for s := 0; s < n; s++ {
-			if gathers[r][s].Data()[0] != float32(s) {
-				t.Fatalf("allgather rank %d src %d got %v", r, s, gathers[r][s].Data())
-			}
-		}
 	}
 	// Determinism: all ranks bit-identical.
 	for r := 1; r < n; r++ {
 		if !sums[r].Equal(sums[0]) {
 			t.Fatal("allreduce results differ across ranks")
-		}
-	}
-}
-
-func TestReduceScatterSum(t *testing.T) {
-	const n = 3
-	comms := NewGroup(n)
-	out := make([]*tensor.Tensor, n)
-	Run(comms, func(c *Comm) {
-		chunks := make([]*tensor.Tensor, n)
-		for d := 0; d < n; d++ {
-			chunks[d] = tensor.FromSlice([]float32{float32(c.Rank() + d)}, 1)
-		}
-		out[c.Rank()] = c.ReduceScatterSum(chunks)
-	})
-	// Rank d receives sum over src of (src + d) = 3 + 3d for n = 3.
-	for d := 0; d < n; d++ {
-		want := float32(3 + 3*d)
-		if out[d].Data()[0] != want {
-			t.Fatalf("reducescatter rank %d got %v want %v", d, out[d].Data()[0], want)
 		}
 	}
 }
@@ -167,9 +140,9 @@ func TestTrafficCounters(t *testing.T) {
 			}
 		}
 	}
-	// BytesSent excludes self-delivery: 2 peers * 20 bytes.
-	if comms[0].BytesSent() != 40 {
-		t.Fatalf("BytesSent = %d", comms[0].BytesSent())
+	// bytesSent excludes self-delivery: 2 peers * 20 bytes.
+	if bytesSent(comms[0]) != 40 {
+		t.Fatalf("bytesSent = %d", bytesSent(comms[0]))
 	}
 	if comms[1].BytesSentTo(2) != 20 {
 		t.Fatalf("BytesSentTo = %d", comms[1].BytesSentTo(2))
@@ -275,4 +248,26 @@ func TestSplitByHostMatchesMeasuredAllReduce(t *testing.T) {
 	if intra != 4*32 || cross != 4*2*32 {
 		t.Fatalf("intra %d cross %d, want 128 and 256", intra, cross)
 	}
+}
+
+// replicated returns x once per rank of c's group: the chunks of an
+// AlltoAll that delivers x to every rank, as an AllGather of x would.
+func replicated(c *Comm, x *tensor.Tensor) []*tensor.Tensor {
+	chunks := make([]*tensor.Tensor, c.Size())
+	for d := range chunks {
+		chunks[d] = x
+	}
+	return chunks
+}
+
+// bytesSent returns the bytes c's rank sent to the other ranks of its
+// group, self-delivery excluded.
+func bytesSent(c *Comm) int64 {
+	var t int64
+	for d := 0; d < c.Size(); d++ {
+		if d != c.Rank() {
+			t += c.BytesSentTo(d)
+		}
+	}
+	return t
 }

@@ -123,7 +123,7 @@ func latencyWorkload(g, l int) ([]time.Duration, []time.Duration, []time.Duratio
 			// Two handles in flight at once, compute between issue and Wait,
 			// then a compressed gather and a blocking raw collective.
 			h1 := c.IAllReduceSum(big)
-			h2 := c.IAllGather(x)
+			h2 := c.IAlltoAllTensors(replicated(c, x))
 			k.Advance(time.Duration(10+step) * time.Microsecond)
 			h1.Wait()
 			h2.Wait()
@@ -131,7 +131,7 @@ func latencyWorkload(g, l int) ([]time.Duration, []time.Duration, []time.Duratio
 				es[0].Release()
 			}
 			k.Advance(5 * time.Microsecond)
-			c.AllGather(x)
+			c.AlltoAllTensors(replicated(c, x))
 		}
 		exposed[r], hidden[r] = c.Times()
 		clocks[r] = k.Now()
@@ -183,7 +183,7 @@ func TestLatencyModeConcurrentRanks(t *testing.T) {
 		r := c.Rank()
 		for i := 0; i < 50; i++ {
 			x := tensor.FromSlice([]float32{float32(r*1000 + i)}, 1)
-			h := c.IAllGather(x)
+			h := c.IAlltoAllTensors(replicated(c, x))
 			net.Clock(r).Advance(time.Duration(i) * time.Nanosecond)
 			got := h.Wait()
 			for s := 0; s < g; s++ {
@@ -207,9 +207,9 @@ func TestHiddenWindowsUnion(t *testing.T) {
 	comms := NewGroupNet(n, net, nil)
 	Run(comms, func(c *Comm) {
 		x := tensor.FromSlice([]float32{float32(c.Rank())}, 1)
-		h1 := c.IAllGather(x)
-		h2 := c.IAllGather(x)
-		h3 := c.IAllGather(x)
+		h1 := c.IAlltoAllTensors(replicated(c, x))
+		h2 := c.IAlltoAllTensors(replicated(c, x))
+		h3 := c.IAlltoAllTensors(replicated(c, x))
 		net.Clock(c.Rank()).Advance(20 * time.Millisecond)
 		h1.Wait()
 		h2.Wait()

@@ -347,16 +347,3 @@ func (g *Generator) LatentBatch(start, m int) *tensor.Tensor {
 	}
 	return out
 }
-
-// PositiveRate returns the label rate over the first n samples, a cheap
-// sanity probe used by tests and examples.
-func (g *Generator) PositiveRate(n int) float64 {
-	b := g.Batch(0, n)
-	pos := 0
-	for _, l := range b.Labels {
-		if l > 0.5 {
-			pos++
-		}
-	}
-	return float64(pos) / float64(n)
-}

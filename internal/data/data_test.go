@@ -76,9 +76,14 @@ func TestIndicesWithinCardinality(t *testing.T) {
 }
 
 func TestPositiveRateReasonable(t *testing.T) {
-	g := NewGenerator(CriteoLike(11))
-	rate := g.PositiveRate(4000)
-	if rate < 0.1 || rate > 0.6 {
+	const n = 4000
+	pos := 0
+	for _, l := range NewGenerator(CriteoLike(11)).Batch(0, n).Labels {
+		if l > 0.5 {
+			pos++
+		}
+	}
+	if rate := float64(pos) / n; rate < 0.1 || rate > 0.6 {
 		t.Fatalf("positive rate %v outside CTR-plausible band", rate)
 	}
 }

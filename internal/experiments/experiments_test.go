@@ -489,3 +489,11 @@ func TestFigure6CompressedKeepsRanking(t *testing.T) {
 		}
 	}
 }
+
+// SmokeTraining keeps the test suite fast.
+func SmokeTraining() TrainingProfile {
+	return TrainingProfile{
+		G: 4, L: 2, LocalBatch: 8, Steps: 2,
+		Features: 8, N: 8, D: 4, TopMLP: []int{16},
+	}
+}

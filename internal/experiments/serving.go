@@ -28,20 +28,6 @@ type ServingProfile struct {
 	Towers        int
 }
 
-// SmokeServing keeps the test suite fast.
-func SmokeServing() ServingProfile {
-	return ServingProfile{
-		Requests:      384,
-		Concurrency:   16,
-		UniqueSamples: 192,
-		ZipfS:         1.3,
-		MaxBatch:      16,
-		MaxWait:       time.Millisecond,
-		CacheEntries:  1 << 12,
-		Towers:        4,
-	}
-}
-
 // DefaultServing is the cmd/dmt-serve default.
 func DefaultServing() ServingProfile {
 	return ServingProfile{

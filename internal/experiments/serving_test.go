@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestServingTable(t *testing.T) {
@@ -34,5 +35,19 @@ func TestServingTable(t *testing.T) {
 	out := FormatServing(rows)
 	if !strings.Contains(out, "DMT") || !strings.Contains(out, "microbatch") {
 		t.Fatalf("format output missing expected columns:\n%s", out)
+	}
+}
+
+// SmokeServing keeps the test suite fast.
+func SmokeServing() ServingProfile {
+	return ServingProfile{
+		Requests:      384,
+		Concurrency:   16,
+		UniqueSamples: 192,
+		ZipfS:         1.3,
+		MaxBatch:      16,
+		MaxWait:       time.Millisecond,
+		CacheEntries:  1 << 12,
+		Towers:        4,
 	}
 }

@@ -54,14 +54,6 @@ type TrainingProfile struct {
 	EmbCacheRows int
 }
 
-// SmokeTraining keeps the test suite fast.
-func SmokeTraining() TrainingProfile {
-	return TrainingProfile{
-		G: 4, L: 2, LocalBatch: 8, Steps: 2,
-		Features: 8, N: 8, D: 4, TopMLP: []int{16},
-	}
-}
-
 // DefaultTraining is the cmd/dmt-bench configuration: 8 ranks across 4
 // hosts of 2, with a dense part heavy enough that rank parallelism shows.
 func DefaultTraining() TrainingProfile {

@@ -133,9 +133,7 @@ func (e *EmbeddingBag) Backward(t *Tape, dy *tensor.Tensor) *SparseGrad {
 //
 // Ascending order comes from a scan of slot between the least and greatest
 // marked row, at most the table's row count. PoolBackward reads and writes
-// slot only inside that span: row-wise co-owners of one table share its
-// slot over disjoint row ranges, so each must stay inside the span of the
-// rows its own bags list.
+// slot only inside that span.
 func PoolBackward(mode PoolMode, indices, offsets []int32, dPooled *tensor.Tensor, slot []int32) *SparseGrad {
 	b := len(offsets)
 	dim := dPooled.Dim(1)

@@ -180,3 +180,12 @@ func TestEmbeddingBagBackwardMatchesNumerical(t *testing.T) {
 		}
 	}
 }
+
+// ZeroGrads clears gradients of all parameters of the given modules.
+func ZeroGrads(ms ...Module) {
+	for _, m := range ms {
+		for _, p := range m.Params() {
+			p.ZeroGrad()
+		}
+	}
+}

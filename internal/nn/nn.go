@@ -50,15 +50,6 @@ type Module interface {
 	Params() []*Param
 }
 
-// ZeroGrads clears gradients of all parameters of the given modules.
-func ZeroGrads(ms ...Module) {
-	for _, m := range ms {
-		for _, p := range m.Params() {
-			p.ZeroGrad()
-		}
-	}
-}
-
 // CountParams returns the total number of scalar parameters in the modules.
 func CountParams(ms ...Module) int {
 	n := 0

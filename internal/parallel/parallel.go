@@ -182,13 +182,3 @@ func Search(cfg SearchConfig) []Result {
 	sort.Slice(out, func(i, j int) bool { return out[i].Latency < out[j].Latency })
 	return out
 }
-
-// CDF converts sorted results into (latency, cumulative fraction) pairs.
-func CDF(results []Result) (latencies []float64, fractions []float64) {
-	n := len(results)
-	for i, r := range results {
-		latencies = append(latencies, r.Latency)
-		fractions = append(fractions, float64(i+1)/float64(n))
-	}
-	return latencies, fractions
-}

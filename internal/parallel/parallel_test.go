@@ -99,21 +99,6 @@ func TestHybridDPGradSyncCostsCrossHost(t *testing.T) {
 	}
 }
 
-func TestCDFIsMonotone(t *testing.T) {
-	lat, frac := CDF(Search(DefaultSearchConfig()))
-	if len(lat) != len(frac) {
-		t.Fatal("CDF lengths differ")
-	}
-	for i := 1; i < len(lat); i++ {
-		if lat[i] < lat[i-1] || frac[i] <= frac[i-1] {
-			t.Fatal("CDF must be monotone")
-		}
-	}
-	if frac[len(frac)-1] != 1 {
-		t.Fatal("CDF must end at 1")
-	}
-}
-
 func TestQuickEnumerateValid(t *testing.T) {
 	f := func(k uint8) bool {
 		gpus := []int{8, 16, 24, 32, 48, 64}[int(k)%6]

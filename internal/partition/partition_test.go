@@ -327,3 +327,23 @@ func TestQuickConstrainedKMeansInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Stress evaluates the MDS objective Σ_{i<j} (‖X_i−X_j‖ − D_ij)² for
+// coordinates x (F, n).
+func Stress(x, d *tensor.Tensor) float64 {
+	f, n := x.Dim(0), x.Dim(1)
+	total := 0.0
+	for i := 0; i < f; i++ {
+		for j := i + 1; j < f; j++ {
+			var acc float64
+			for p := 0; p < n; p++ {
+				diff := float64(x.At(i, p)) - float64(x.At(j, p))
+				acc += diff * diff
+			}
+			dist := math.Sqrt(acc)
+			e := dist - float64(d.At(i, j))
+			total += e * e
+		}
+	}
+	return total
+}

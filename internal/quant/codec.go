@@ -55,9 +55,10 @@ func (e *Encoded) Scheme() Scheme { return e.scheme }
 // ±Inf and NaN inputs still travel as themselves, mirroring the
 // uncompressed wire.
 //
-// It is ToFloat16 plus that clamp, without a branch: every case is computed
-// and the right one selected (CMOVs on amd64), since a gradient bucket mixes
-// subnormal and normal halves unpredictably. On the magnitude a:
+// It is ToFloat16 (the scalar reference in float16_test.go) plus that
+// clamp, without a branch: every case is computed and the right one
+// selected (CMOVs on amd64), since a gradient bucket mixes subnormal and
+// normal halves unpredictably. On the magnitude a:
 //   - normal halves round in integers: rebias the exponent, add half an ulp
 //     less one plus the kept LSB (ties to even), shift; min clamps overflow
 //     to 65504;

@@ -151,3 +151,45 @@ func TestPoolIsSizeClassed(t *testing.T) {
 		}
 	}
 }
+
+// ToFloat16 converts a float32 to IEEE 754 binary16 bits with
+// round-to-nearest-even, handling subnormals, infinities, and NaN.
+func ToFloat16(f float32) uint16 {
+	bits := math.Float32bits(f)
+	sign := uint16(bits>>16) & 0x8000
+	exp := int32(bits>>23&0xff) - 127 + 15
+	mant := bits & 0x7fffff
+	switch {
+	case exp >= 0x1f: // overflow or inf/nan
+		if int32(bits>>23&0xff) == 0xff && mant != 0 {
+			return sign | 0x7e00 // NaN
+		}
+		return sign | 0x7c00 // Inf
+	case exp <= 0:
+		if exp < -10 {
+			return sign // underflow to zero
+		}
+		// Subnormal: shift mantissa (with implicit leading 1) and round to
+		// nearest even like the normal path: add (half-1) plus the kept LSB,
+		// so ties round up exactly when the truncated result would be odd.
+		// (A previous version truncated every tie, rounding e.g. 513.5
+		// subnormal ulps down to 513 instead of the even 514 — found by
+		// FuzzFloat16RoundTrip.)
+		mant |= 0x800000
+		shift := uint32(14 - exp)
+		half := uint32(1) << (shift - 1)
+		rounded := mant + (half - 1) + (mant>>shift)&1
+		return sign | uint16(rounded>>shift)
+	default:
+		// Normal: round mantissa from 23 to 10 bits, nearest even.
+		rounded := mant + 0xfff + (mant>>13)&1
+		if rounded&0x800000 != 0 {
+			rounded = 0
+			exp++
+			if exp >= 0x1f {
+				return sign | 0x7c00
+			}
+		}
+		return sign | uint16(exp)<<10 | uint16(rounded>>13)
+	}
+}

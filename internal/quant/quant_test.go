@@ -170,3 +170,24 @@ func TestQuickFP16RoundTripStable(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Schemes lists every scheme in fidelity order, for sweeps and exhaustive
+// tests.
+func Schemes() []Scheme { return []Scheme{None, FP16, INT8, INT4} }
+
+// MaxRelError returns the worst-case relative rounding error of a scheme on
+// values of similar magnitude: the per-step guarantee used by the tests.
+func MaxRelError(s Scheme) float64 {
+	switch s {
+	case None:
+		return 0
+	case FP16:
+		return 1.0 / 2048 // half of ulp at 10 mantissa bits
+	case INT8:
+		return 1.0 / 254
+	case INT4:
+		return 1.0 / 14
+	default:
+		return 0
+	}
+}

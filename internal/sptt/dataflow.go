@@ -2,7 +2,6 @@ package sptt
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"dmt/internal/comm"
@@ -84,9 +83,6 @@ type flow struct {
 	// flat stops after step (b) and returns embeddings with one global
 	// AlltoAll: Figure 4's baseline, no towers.
 	flat bool
-	// shard is where the tables live: the engine's table-wise or row-wise
-	// sharding.
-	shard *sharding
 	// modules[r] is rank r's tower-module replica, applied between steps
 	// (e) and (f); nil exchanges the raw tower block.
 	modules []TowerModule
@@ -96,7 +92,7 @@ type flow struct {
 // assembled during step (a), in source-rank order; the backward pass turns
 // output gradients into sparse table gradients with them.
 type rankLookupState struct {
-	features []int     // looked-up features, in the sharding's order
+	features []int     // the rank's owned features, ascending
 	indices  [][]int32 // per feature: flat indices for the global batch
 	offsets  [][]int32 // per feature: offsets, length G*B
 }
@@ -144,14 +140,14 @@ type SPTTState struct {
 // global AlltoAll returning embeddings. outs[r] is rank r's (B, F, N)
 // tensor in canonical feature order.
 func (e *Engine) BaselineForward(inputs []*Inputs) ([]*tensor.Tensor, *SPTTState) {
-	return e.forward(inputs, flow{flat: true, shard: &e.tableWise}, Comms{})
+	return e.forward(inputs, flow{flat: true}, Comms{})
 }
 
 // SPTTForward runs the pass-through transform (steps a–f, no tower module):
 // outs[r] is rank r's (B, F, N) in canonical feature order — bit-identical
 // to BaselineForward's output (Table 3's "SPTT only orchestrates dataflow").
 func (e *Engine) SPTTForward(inputs []*Inputs, opt Options) ([]*tensor.Tensor, *SPTTState) {
-	return e.forward(inputs, flow{shard: &e.tableWise}, opt.Comms)
+	return e.forward(inputs, flow{}, opt.Comms)
 }
 
 // SPTTForwardCompressed runs the transform with tower modules: modules[r]
@@ -163,28 +159,7 @@ func (e *Engine) SPTTForwardCompressed(inputs []*Inputs, modules []TowerModule, 
 	if len(modules) != e.Cfg.G {
 		panic(fmt.Sprintf("sptt: %d tower-module replicas for %d ranks", len(modules), e.Cfg.G))
 	}
-	return e.forward(inputs, flow{shard: &e.tableWise, modules: modules}, opt.Comms)
-}
-
-// SPTTForwardRowWise runs the §3.1.3 specialization for multi-hot features:
-// every feature's table is row-wise sharded across its tower's L GPUs, each
-// rank pools the hits in its row range, and step (d) becomes a
-// ReduceScatter that sums the partial pools. Only sum pooling is supported
-// (partial sums compose; partial means do not).
-//
-// Unlike the table-wise flows, this one reads Engine.Tables directly rather
-// than through the embeddings tier: row-wise sharding splits single tables
-// ACROSS compute ranks, the antithesis of disaggregating whole tables onto
-// memory nodes, so the Store API's per-table ownership does not describe it.
-// It is a reference flow: the tests hold it to the table-wise flows' outputs
-// and gradients, and no trainer or benchmark runs it.
-func (e *Engine) SPTTForwardRowWise(inputs []*Inputs) ([]*tensor.Tensor, *SPTTState) {
-	for f, spec := range e.Cfg.Features {
-		if spec.Mode != nn.PoolSum {
-			panic(fmt.Sprintf("sptt: row-wise SPTT requires sum pooling, feature %d uses mean", f))
-		}
-	}
-	return e.forward(inputs, flow{shard: &e.rowWise}, Comms{})
+	return e.forward(inputs, flow{modules: modules}, opt.Comms)
 }
 
 // forward runs one flow: the lookup half on every rank, then either the
@@ -202,13 +177,13 @@ func (e *Engine) forward(inputs []*Inputs, fl flow, cm Comms) ([]*tensor.Tensor,
 
 	u := e.run(cm.Net, func(c, hostC, peerC *comm.Comm) {
 		rank := c.Rank()
-		ls, pooled := e.lookup(c, inputs[rank], fl.shard)
+		ls, pooled := e.lookup(c, inputs[rank])
 		st.lookups[rank] = ls
 		if fl.flat {
 			// To dst: my features' pooled rows for dst's local batch.
 			out := tensor.New(cfg.B, cfg.F(), cfg.N)
 			for src, blk := range c.AlltoAllTensors(e.pack(pooled, e.rankOrder, cfg.G)) {
-				e.scatter(out, blk, fl.shard.lookup[src])
+				e.scatter(out, blk, e.owned[src])
 			}
 			outs[rank] = out
 			return
@@ -216,15 +191,8 @@ func (e *Engine) forward(inputs []*Inputs, fl flow, cm Comms) ([]*tensor.Tensor,
 		// Steps (c)+(d): to local rank j, through the peer-order map, the
 		// peer-class-j slice of each of my lookups. Back comes the tower's
 		// full feature set for my class, (F_t, T, B*N): one block per local
-		// rank in host order, or one block summed over the host's row
-		// shards.
-		chunks := e.pack(pooled, e.peerOrder, cfg.L)
-		var tower []*tensor.Tensor
-		if fl.shard.byRow {
-			tower = []*tensor.Tensor{hostC.ReduceScatterSum(chunks)}
-		} else {
-			tower = hostC.AlltoAllTensors(chunks)
-		}
+		// rank in host order.
+		tower := hostC.AlltoAllTensors(e.pack(pooled, e.peerOrder, cfg.L))
 		outs[rank] = e.exchange(peerC, rank, tower, fl, cm)
 	})
 	st.GlobalTraffic, st.HostTraffic, st.PeerTraffic = u.global, u.host, u.peer
@@ -247,7 +215,6 @@ func (e *Engine) SPTTBackward(st *SPTTState, dOuts []*tensor.Tensor) map[int]*nn
 	if len(dOuts) != cfg.G {
 		panic(fmt.Sprintf("sptt: %d gradients for %d ranks", len(dOuts), cfg.G))
 	}
-	sh := st.shard
 	grads := make([][]*nn.SparseGrad, cfg.G)
 
 	u := e.run(st.comms.Net, func(c, hostC, peerC *comm.Comm) {
@@ -256,67 +223,50 @@ func (e *Engine) SPTTBackward(st *SPTTState, dOuts []*tensor.Tensor) map[int]*nn
 			// To each owner: the gradient slice of its features for my batch.
 			chunks := make([]*tensor.Tensor, cfg.G)
 			for dst := range chunks {
-				chunks[dst] = e.gather(dOuts[rank], sh.lookup[dst])
+				chunks[dst] = e.gather(dOuts[rank], e.owned[dst])
 			}
 			grads[rank] = e.poolGrads(st.lookups[rank], c.AlltoAllTensors(chunks), e.rankOrder)
 			return
 		}
 		dTower := e.exchangeBackward(hostC, peerC, rank, dOuts[rank], st) // (F_t, T, B*N)
 
-		// Reverse step (d): every row shard needs the whole class slice (the
-		// gradient of a sum fans out unchanged); a table's one owner needs
-		// only its own feature rows.
-		var got []*tensor.Tensor
-		if sh.byRow {
-			got = hostC.AllGather(dTower)
-		} else {
-			chunks, row := make([]*tensor.Tensor, cfg.L), 0
-			for j := range chunks {
-				nj := len(sh.lookup[rank-hostC.Rank()+j])
-				chunks[j] = rowsOf(dTower, row, row+nj)
-				row += nj
-			}
-			got = hostC.AlltoAllTensors(chunks)
+		// Reverse step (d): each table's owner gets its own feature rows.
+		chunks, row := make([]*tensor.Tensor, cfg.L), 0
+		for j := range chunks {
+			nj := len(e.owned[rank-hostC.Rank()+j])
+			chunks[j] = rowsOf(dTower, row, row+nj)
+			row += nj
 		}
-		grads[rank] = e.poolGrads(st.lookups[rank], got, e.peerOrder)
+		grads[rank] = e.poolGrads(st.lookups[rank], hostC.AlltoAllTensors(chunks), e.peerOrder)
 	})
 	st.BwdGlobalTraffic, st.BwdHostTraffic, st.BwdPeerTraffic = u.global, u.host, u.peer
 	st.BwdExposedComm, st.BwdHiddenComm = u.exposed, u.hidden
 
-	// Owner merge. A table-wise feature has one owner; a row-wise one comes
-	// back from each of its host's shards with disjoint rows.
+	// Every feature comes back from its one owner.
 	merged := make(map[int]*nn.SparseGrad, cfg.F())
 	for rank, gs := range grads {
 		for i, g := range gs {
-			f := st.lookups[rank].features[i]
-			if prev, dup := merged[f]; dup {
-				if !sh.byRow {
-					panic(fmt.Sprintf("sptt: feature %d graded on two ranks", f))
-				}
-				g = mergeDisjointSparse(prev, g)
-			}
-			merged[f] = g
+			merged[st.lookups[rank].features[i]] = g
 		}
 	}
 	return merged
 }
 
 // lookup runs steps (a)+(b) on one rank: exchange sparse inputs so the rank
-// holds, for every feature the sharding has it look up, the bags of the
-// global batch in source-rank order, then pool them. It returns the bags
-// (the backward pass's pooling input) and one pooled (G*B, N) tensor per
-// looked-up feature.
-func (e *Engine) lookup(c *comm.Comm, in *Inputs, sh *sharding) (*rankLookupState, []*tensor.Tensor) {
+// holds, for every feature it owns, the bags of the global batch in
+// source-rank order, then pool them. It returns the bags (the backward
+// pass's pooling input) and one pooled (G*B, N) tensor per owned feature.
+func (e *Engine) lookup(c *comm.Comm, in *Inputs) (*rankLookupState, []*tensor.Tensor) {
 	cfg := e.Cfg
 	rank := c.Rank()
 	chunks := make([][]int32, cfg.G)
 	for dst := range chunks {
-		chunks[dst] = encodeBags(sh.lookup[dst], in, cfg.B)
+		chunks[dst] = encodeBags(e.owned[dst], in, cfg.B)
 	}
 	recvd := c.AlltoAllInt32(chunks)
 
-	feats := sh.lookup[rank]
-	decoded := make([][2][][]int32, cfg.G) // per src: (indices, offsets) per looked-up feature
+	feats := e.owned[rank]
+	decoded := make([][2][][]int32, cfg.G) // per src: (indices, offsets) per owned feature
 	for src := range decoded {
 		idx, off := decodeBags(recvd[src], len(feats), cfg.B)
 		decoded[src] = [2][][]int32{idx, off}
@@ -337,10 +287,6 @@ func (e *Engine) lookup(c *comm.Comm, in *Inputs, sh *sharding) (*rankLookupStat
 			}
 			gIdx = append(gIdx, decoded[src][0][i]...)
 		}
-		if sh.byRow {
-			lo, hi := rowRange(cfg.Features[f].Cardinality, cfg.L, rank%cfg.L)
-			gIdx, gOff = shardBags(gIdx, gOff, lo, hi)
-		}
 		st.indices = append(st.indices, gIdx)
 		st.offsets = append(st.offsets, gOff)
 		reqs[i] = embeddings.Req{Table: f, IDs: gIdx}
@@ -349,26 +295,12 @@ func (e *Engine) lookup(c *comm.Comm, in *Inputs, sh *sharding) (*rankLookupStat
 	// Step (b). The tier Lookup is issued even with zero owned features:
 	// remote stores count one round per client per phase (round symmetry),
 	// and an owner-less rank still participates.
-	var rows []*tensor.Tensor
-	if sh.byRow {
-		rows = make([]*tensor.Tensor, len(reqs))
-		for i, q := range reqs {
-			rows[i] = e.Tables[q.Table].LookupRows(q.IDs)
-		}
-	} else {
-		rows = e.Tier.Client(rank).Lookup(reqs)
-	}
+	rows := e.Tier.Client(rank).Lookup(reqs)
 	pooled := make([]*tensor.Tensor, len(feats))
 	for i, f := range feats {
 		pooled[i] = poolRows(rows[i], cfg.Features[f].Mode, st.offsets[i], cfg.N)
 	}
 	return st, pooled
-}
-
-// rowRange returns local rank j's row slice of a table with rows rows when
-// split over l ranks.
-func rowRange(rows, l, j int) (lo, hi int) {
-	return j * rows / l, (j + 1) * rows / l
 }
 
 // pack builds the send chunks of an embedding AlltoAll over nDst
@@ -545,7 +477,7 @@ func (e *Engine) exchange(peerC *comm.Comm, rank int, tower []*tensor.Tensor, fl
 	}
 	out := tensor.New(B, cfg.F(), N)
 	for t, blk := range got {
-		e.scatter(out, blk, fl.shard.tower[t])
+		e.scatter(out, blk, e.tower[t])
 	}
 	return out
 }
@@ -555,13 +487,13 @@ func (e *Engine) exchange(peerC *comm.Comm, rank int, tower []*tensor.Tensor, fl
 func (e *Engine) exchangeBackward(hostC, peerC *comm.Comm, rank int, dOut *tensor.Tensor, st *SPTTState) *tensor.Tensor {
 	cfg := e.Cfg
 	T, L, B, N := cfg.T(), cfg.L, cfg.B, cfg.N
-	ft := len(st.shard.tower[rank/L])
+	ft := len(e.tower[rank/L])
 	// Reverse step (f): return gradient slices to the tower that produced
 	// them; receive my tower's gradients for every peer batch.
 	chunks := make([]*tensor.Tensor, T)
 	if st.modules == nil {
 		for t := range chunks {
-			chunks[t] = e.gather(dOut, st.shard.tower[t])
+			chunks[t] = e.gather(dOut, e.tower[t])
 		}
 	} else {
 		widths := make([]int, T)
@@ -587,28 +519,4 @@ func (e *Engine) exchangeBackward(hostC, peerC *comm.Comm, rank int, dOut *tenso
 	}
 	// Reverse step (e): (peers, features) -> (features, peers).
 	return fromPeerMajor(d, ft, T, 1, B*N)
-}
-
-// mergeDisjointSparse merges two sparse gradients with disjoint row sets.
-func mergeDisjointSparse(a, b *nn.SparseGrad) *nn.SparseGrad {
-	dim := a.Grads.Dim(1)
-	type entry struct {
-		row int
-		src []float32
-	}
-	entries := make([]entry, 0, len(a.Rows)+len(b.Rows))
-	for i, r := range a.Rows {
-		entries = append(entries, entry{r, a.Grads.Row(i)})
-	}
-	for i, r := range b.Rows {
-		entries = append(entries, entry{r, b.Grads.Row(i)})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].row < entries[j].row })
-	rows := make([]int, len(entries))
-	grads := tensor.New(len(entries), dim)
-	for i, e := range entries {
-		rows[i] = e.row
-		copy(grads.Row(i), e.src)
-	}
-	return &nn.SparseGrad{Rows: rows, Grads: grads}
 }

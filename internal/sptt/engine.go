@@ -27,31 +27,20 @@ type Engine struct {
 	Tier embeddings.Tier
 
 	// The layout, derived from Cfg once: the index maps step (d)'s and the
-	// flat flow's send chunks are gathered through, and the two shardings.
+	// flat flow's send chunks are gathered through; owned[r], the features
+	// rank r looks up in steps (a)+(b); and tower[t], the feature order of
+	// tower t's block in steps (d)–(f).
 	peerOrder, rankOrder []int
-	tableWise, rowWise   sharding
+	owned, tower         [][]int
 
 	// slots[f] is nn.PoolBackward's scratch index for table f, one entry per
-	// row, all zero between calls. A table-wise feature is pooled by its one
-	// owner rank; a row-wise one by each rank of its host over its own row
-	// range, and PoolBackward touches only the span of rows it pools, so
+	// row, all zero between calls. Only f's owner rank pools it, so
 	// concurrent ranks never touch the same entry.
 	slots [][]int32
 
 	// fam is the communicator cache: the families of the last completed
 	// run, reused as long as calls name the same Comms.Net.
 	fam *families
-}
-
-// sharding is where a flow keeps its tables: lookup[r] lists the features
-// rank r looks up in steps (a)+(b), and tower[t] is the feature order of
-// tower t's block in steps (d)–(f).
-type sharding struct {
-	lookup [][]int
-	tower  [][]int
-	// byRow marks the §3.1.3 layout: every rank of a host looks up all of
-	// its tower's features, each within its own row range of the table.
-	byRow bool
 }
 
 // NewEngine builds the engine over deterministic tables it seeds for the
@@ -80,7 +69,7 @@ func NewEngineOver(cfg Config, tables []*nn.EmbeddingBag, tier embeddings.Tier) 
 	if len(tables) != cfg.F() {
 		return nil, fmt.Errorf("sptt: %d tables for %d features", len(tables), cfg.F())
 	}
-	e := &Engine{Cfg: cfg, Tables: tables, Tier: tier, peerOrder: PeerOrder(cfg.G, cfg.L), rowWise: sharding{byRow: true}}
+	e := &Engine{Cfg: cfg, Tables: tables, Tier: tier, peerOrder: PeerOrder(cfg.G, cfg.L)}
 	for f, spec := range cfg.Features {
 		if t := tables[f]; t.Rows != spec.Cardinality || t.Dim != cfg.N || t.Mode != spec.Mode {
 			return nil, fmt.Errorf("sptt: table %d is %dx%d mode %d, feature %q wants %dx%d mode %d",
@@ -91,20 +80,11 @@ func NewEngineOver(cfg Config, tables []*nn.EmbeddingBag, tier embeddings.Tier) 
 
 	for g := 0; g < cfg.G; g++ {
 		e.rankOrder = append(e.rankOrder, g)
-		e.tableWise.lookup = append(e.tableWise.lookup, cfg.OwnedFeatures(g))
+		e.owned = append(e.owned, cfg.OwnedFeatures(g))
 	}
 	if towers {
-		// Table-wise towers list their features in host order; row-wise
-		// ones have no per-rank ownership, so plain ascending order.
-		e.rowWise.tower = make([][]int, cfg.T())
-		for f, t := range cfg.TowerOf {
-			e.rowWise.tower[t] = append(e.rowWise.tower[t], f)
-		}
 		for t := 0; t < cfg.T(); t++ {
-			e.tableWise.tower = append(e.tableWise.tower, cfg.TowerFeatures(t))
-		}
-		for g := 0; g < cfg.G; g++ {
-			e.rowWise.lookup = append(e.rowWise.lookup, e.rowWise.tower[g/cfg.L])
+			e.tower = append(e.tower, cfg.TowerFeatures(t))
 		}
 	}
 	return e, nil

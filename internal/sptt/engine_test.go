@@ -114,16 +114,6 @@ func TestRankPanicNeverHangs(t *testing.T) {
 			mods[2].(*flatTower).failFwd = true
 			e.SPTTForwardCompressed(inputs, mods, Options{})
 		}},
-		{"row-wise forward, a tower's tables are missing", []int{2, 3}, func(e *Engine) {
-			good := append([]*nn.EmbeddingBag(nil), e.Tables...)
-			defer func() { copy(e.Tables, good) }()
-			for f, tw := range cfg.TowerOf {
-				if tw == 1 {
-					e.Tables[f] = nil
-				}
-			}
-			e.SPTTForwardRowWise(inputs)
-		}},
 		{"flat backward, wrong-shaped gradient", []int{6}, func(e *Engine) {
 			_, st := e.BaselineForward(inputs)
 			e.SPTTBackward(st, badGrads(6, 0))
@@ -149,10 +139,6 @@ func TestRankPanicNeverHangs(t *testing.T) {
 				}
 			}}})
 			e.SPTTBackward(st, randomGrads(cfg, 17, wide))
-		}},
-		{"row-wise backward, wrong-shaped gradient", []int{7}, func(e *Engine) {
-			_, st := e.SPTTForwardRowWise(inputs)
-			e.SPTTBackward(st, badGrads(7, 0))
 		}},
 	}
 	for _, tc := range cases {
@@ -231,8 +217,7 @@ func TestInputsValidation(t *testing.T) {
 			in[3].Offsets[0][1] = int32(len(in[3].Indices[0]) + 5)
 			return in
 		}, "rank 3 feature 0"},
-		// An index outside its table used to panic on the owner rank in the
-		// table-wise flows and pool zeros, returning normally, row-wise.
+		// An index outside its table used to panic on the owner rank.
 		{"index past the table", func(in []*Inputs) []*Inputs {
 			in[6].Indices[1] = append(in[6].Indices[1], int32(cfg.Features[1].Cardinality))
 			return in
@@ -246,7 +231,6 @@ func TestInputsValidation(t *testing.T) {
 		"flat":         func(in []*Inputs) { eng.BaselineForward(in) },
 		"tower":        func(in []*Inputs) { eng.SPTTForward(in, Options{}) },
 		"tower+module": func(in []*Inputs) { eng.SPTTForwardCompressed(in, flatTowers(cfg), Options{}) },
-		"row-wise":     func(in []*Inputs) { eng.SPTTForwardRowWise(in) },
 	}
 	for _, tc := range cases {
 		for name, run := range flows {
@@ -348,11 +332,6 @@ func TestEngineReusePerCallAccounting(t *testing.T) {
 			e.SPTTBackward(st, randomGrads(cfg, seed, wide))
 			return st
 		}},
-		{"row-wise", false, func(e *Engine, in []*Inputs, _ Comms, seed uint64) *SPTTState {
-			_, st := e.SPTTForwardRowWise(in)
-			e.SPTTBackward(st, randomGrads(cfg, seed, 0))
-			return st
-		}},
 	}
 	// Different batches, so a cumulative figure could not pass for a delta.
 	batches := [][]*Inputs{makeInputs(cfg, 2), makeInputs(cfg, 3)}
@@ -427,7 +406,6 @@ func TestFamiliesBuiltOncePerNetwork(t *testing.T) {
 	}
 	eng.SPTTBackward(st, randomGrads(cfg, 7, 0))
 	eng.BaselineForward(inputs)
-	eng.SPTTForwardRowWise(inputs)
 	if eng.fam != first {
 		t.Fatal("families rebuilt between calls on the same network")
 	}

@@ -20,13 +20,11 @@
 //     dataflow's only cross-host hop for embeddings, written once as
 //     post -> Comms overlap hook -> wait.
 //
-// A flow chooses three things and nothing else:
+// Tables are sharded table-wise: each has one owner rank (Config.RankOf),
+// which looks it up through Engine.Tier. §3.1.3's row-wise specialization,
+// which splits one table's rows across a host, is not implemented: every
+// table here fits one rank. A flow chooses two things and nothing else:
 //
-//   - where tables are sharded: table-wise (one owner rank per table, lookup
-//     through Engine.Tier) or row-wise across the tower's host (§3.1.3: each
-//     rank pools the bag entries in its row range and step (d) becomes a
-//     ReduceScatter that sums the partial pools; a reference flow, which
-//     bypasses the tier and runs only in tests);
 //   - whether a tower module sits between (e) and (f), compressing the
 //     tower's embeddings before they cross hosts;
 //   - whether step (f) exists at all: the flat baseline stops after (b) and
@@ -202,8 +200,7 @@ type Inputs struct {
 // checkInputs validates the per-rank sparse batches every flow starts from,
 // before any rank goroutine runs: a malformed bag or an index outside its
 // table would otherwise surface on the rank that decodes or looks it up
-// rather than the one that supplied it, or (row-wise, where every shard
-// skips a row it does not hold) pool zeros without failing at all.
+// rather than the one that supplied it.
 func (c Config) checkInputs(inputs []*Inputs) error {
 	if len(inputs) != c.G {
 		return fmt.Errorf("sptt: %d inputs for %d ranks", len(inputs), c.G)
@@ -279,21 +276,6 @@ func decodeBags(payload []int32, nFeatures, b int) (indices [][]int32, offsets [
 		pos += total
 	}
 	return indices, offsets
-}
-
-// shardBags keeps only the bag entries whose row falls in [lo, hi): the
-// share of a global batch one row shard of the table pools (§3.1.3).
-func shardBags(indices, offsets []int32, lo, hi int) (idx, off []int32) {
-	off = make([]int32, len(offsets))
-	for s := range offsets {
-		off[s] = int32(len(idx))
-		for _, ix := range indices[offsets[s]:bagEnd(offsets, s, len(indices))] {
-			if int(ix) >= lo && int(ix) < hi {
-				idx = append(idx, ix)
-			}
-		}
-	}
-	return idx, off
 }
 
 // poolRows performs the pure step (b) pooling kernel over pre-gathered

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -200,71 +199,6 @@ func TestSPTTBackwardMatchesBaseline(t *testing.T) {
 	}
 }
 
-func TestRowWiseMatchesBaseline(t *testing.T) {
-	// §3.1.3: multi-hot features row-wise sharded; step (d) becomes
-	// ReduceScatter. Sum pooling only.
-	cfg := makeConfig(4, 2, 3, 4, 5, 24, 4, nn.PoolSum)
-	eng, err := NewEngine(cfg, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := makeInputs(cfg, 10)
-	base, _ := eng.BaselineForward(inputs)
-	rw, _ := eng.SPTTForwardRowWise(inputs)
-	for r := 0; r < cfg.G; r++ {
-		if !base[r].AllClose(rw[r], 1e-5, 1e-6) {
-			t.Fatalf("rank %d: row-wise diverged by %v", r, base[r].MaxAbsDiff(rw[r]))
-		}
-	}
-}
-
-func TestRowWiseBackwardMatchesBaseline(t *testing.T) {
-	cfg := makeConfig(4, 2, 2, 3, 4, 20, 3, nn.PoolSum)
-	eng, err := NewEngine(cfg, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := makeInputs(cfg, 12)
-	_, bst := eng.BaselineForward(inputs)
-	_, rst := eng.SPTTForwardRowWise(inputs)
-
-	r := tensor.NewRNG(13)
-	dOuts := make([]*tensor.Tensor, cfg.G)
-	for g := range dOuts {
-		dOuts[g] = tensor.RandN(r, 1, cfg.B, cfg.F(), cfg.N)
-	}
-	bg := eng.SPTTBackward(bst, dOuts)
-	rg := eng.SPTTBackward(rst, dOuts)
-	for f := 0; f < cfg.F(); f++ {
-		b, s := bg[f], rg[f]
-		if len(b.Rows) != len(s.Rows) {
-			t.Fatalf("feature %d touched rows: baseline %d vs rowwise %d", f, len(b.Rows), len(s.Rows))
-		}
-		for i := range b.Rows {
-			if b.Rows[i] != s.Rows[i] {
-				t.Fatalf("feature %d row mismatch", f)
-			}
-		}
-		if !b.Grads.AllClose(s.Grads, 1e-5, 1e-6) {
-			t.Fatalf("feature %d grads differ by %v", f, b.Grads.MaxAbsDiff(s.Grads))
-		}
-	}
-}
-
-func TestRowWiseRejectsMeanPooling(t *testing.T) {
-	cfg := makeConfig(4, 2, 2, 3, 4, 20, 3, nn.PoolMean)
-	eng, err := NewEngine(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for mean pooling")
-		}
-	}()
-	eng.SPTTForwardRowWise(makeInputs(cfg, 2))
-}
-
 // sameSparseGrads reports whether two backward results touch the same rows
 // of the same features with bit-identical gradients.
 func sameSparseGrads(a, b map[int]*nn.SparseGrad) bool {
@@ -289,9 +223,7 @@ func sameSparseGrads(a, b map[int]*nn.SparseGrad) bool {
 // random cluster shapes, feature counts, bag sizes, pooling modes, and for
 // each several input draws through ONE engine (so every flow also runs on
 // communicator families another flow has already used). The tower flow must
-// match the flat one bit for bit, outputs and sparse gradients; on
-// sum-pooling draws so must the row-wise flow, except that its outputs sum
-// per-shard partial pools and agree only to float associativity.
+// match the flat one bit for bit, outputs and sparse gradients.
 func TestQuickSPTTEquivalence(t *testing.T) {
 	f := func(seed uint64, lSel, tSel, bSel, nfSel, hotSel uint8, mean bool) bool {
 		l := []int{1, 2, 4}[int(lSel)%3]
@@ -318,18 +250,6 @@ func TestQuickSPTTEquivalence(t *testing.T) {
 			out, st := eng.SPTTForward(inputs, Options{})
 			for r := 0; r < g; r++ {
 				if !base[r].Equal(out[r]) {
-					return false
-				}
-			}
-			if !sameSparseGrads(baseGrads, eng.SPTTBackward(st, dOuts)) {
-				return false
-			}
-			if mean {
-				continue
-			}
-			out, st = eng.SPTTForwardRowWise(inputs)
-			for r := 0; r < g; r++ {
-				if !base[r].AllClose(out[r], 1e-5, 1e-6) {
 					return false
 				}
 			}
@@ -604,60 +524,6 @@ func TestPoolBackwardMatchesMapOracle(t *testing.T) {
 			}
 		}
 		checkPoolBackward(t, nn.PoolMode(trial/2%2), indices, offsets, tc, dim, uint64(trial)+100)
-	}
-}
-
-// TestPoolBackwardRowWiseSharedSlot: row-wise co-owners of one table pool
-// their own row ranges concurrently through one shared slot index, as the
-// row-wise flow's ranks do. Each must get the oracle's result, and (under
-// -race) neither may touch an entry of the other's range.
-func TestPoolBackwardRowWiseSharedSlot(t *testing.T) {
-	const card, dim, half = 4096, 4, 2048
-	slot := make([]int32, card)
-	r := tensor.NewRNG(5)
-	for trial := 0; trial < 40; trial++ {
-		type owner struct {
-			indices, offsets []int32
-			dPooled          *tensor.Tensor
-			got              *nn.SparseGrad
-		}
-		var owners [2]owner
-		for k := range owners {
-			// ids in a window of the owner's range, of random width, ending
-			// at or starting from the shared boundary row.
-			width := 1 + r.Intn(half)
-			o := &owners[k]
-			for s := 1 + r.Intn(6); s > 0; s-- {
-				o.offsets = append(o.offsets, int32(len(o.indices)))
-				for n := r.Intn(5); n > 0; n-- {
-					id := half - 1 - r.Intn(width)
-					if k == 1 {
-						id = half + r.Intn(width)
-					}
-					o.indices = append(o.indices, int32(id))
-				}
-			}
-			o.dPooled = tensor.RandUniform(r, -1, 1, len(o.offsets), dim)
-		}
-		var wg sync.WaitGroup
-		for k := range owners {
-			wg.Add(1)
-			go func(o *owner) {
-				defer wg.Done()
-				o.got = nn.PoolBackward(nn.PoolSum, o.indices, o.offsets, o.dPooled, slot)
-			}(&owners[k])
-		}
-		wg.Wait()
-		for k, o := range owners {
-			if err := matchPoolBackward(o.got, nn.PoolSum, o.indices, o.offsets, o.dPooled); err != nil {
-				t.Fatalf("trial %d, owner %d: %v", trial, k, err)
-			}
-		}
-		for row, v := range slot {
-			if v != 0 {
-				t.Fatalf("trial %d: scratch index left %d at row %d", trial, v, row)
-			}
-		}
 	}
 }
 

@@ -35,15 +35,6 @@ func Mul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Scale returns s * a.
-func Scale(a *Tensor, s float32) *Tensor {
-	out := New(a.shape...)
-	for i := range out.data {
-		out.data[i] = a.data[i] * s
-	}
-	return out
-}
-
 // AddInPlace accumulates src into dst (dst += src).
 func AddInPlace(dst, src *Tensor) {
 	mustSameShape("AddInPlace", dst, src)
@@ -127,18 +118,6 @@ func (t *Tensor) Mean() float64 {
 	return t.Sum() / float64(len(t.data))
 }
 
-// Dot returns the inner product of two same-length 1-D tensors.
-func Dot(a, b *Tensor) float64 {
-	if len(a.data) != len(b.data) {
-		panic("tensor: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a.data {
-		s += float64(a.data[i]) * float64(b.data[i])
-	}
-	return s
-}
-
 // L2Norm returns the Euclidean norm of all elements.
 func (t *Tensor) L2Norm() float64 {
 	s := 0.0
@@ -146,23 +125,6 @@ func (t *Tensor) L2Norm() float64 {
 		s += float64(v) * float64(v)
 	}
 	return math.Sqrt(s)
-}
-
-// SumRows reduces a (h, w) tensor over rows, returning a length-w vector.
-// It is the backward of AddRowVector with respect to the vector.
-func SumRows(a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic("tensor: SumRows requires a 2-D tensor")
-	}
-	h, w := a.shape[0], a.shape[1]
-	out := New(w)
-	for r := 0; r < h; r++ {
-		row := a.data[r*w : (r+1)*w]
-		for c := 0; c < w; c++ {
-			out.data[c] += row[c]
-		}
-	}
-	return out
 }
 
 // AddSumRows adds a's row sum into dst, of length w, for a of shape (h, w):
@@ -187,15 +149,6 @@ func AddSumRows(dst, a *Tensor) {
 		}
 		addRef(dst.data[c:c+len(acc)], acc)
 	}
-}
-
-// Apply returns f mapped over every element.
-func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = f(v)
-	}
-	return out
 }
 
 func mustSameShape(op string, a, b *Tensor) {

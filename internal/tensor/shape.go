@@ -2,22 +2,6 @@ package tensor
 
 import "fmt"
 
-// Transpose2D returns the transpose of a (h, w) tensor as a new (w, h) tensor.
-func Transpose2D(a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic("tensor: Transpose2D requires a 2-D tensor")
-	}
-	h, w := a.shape[0], a.shape[1]
-	out := New(w, h)
-	for r := 0; r < h; r++ {
-		row := a.data[r*w : (r+1)*w]
-		for c := 0; c < w; c++ {
-			out.data[c*h+r] = row[c]
-		}
-	}
-	return out
-}
-
 // Transpose3D01 swaps the first two axes of a (d0, d1, d2) tensor,
 // returning (d1, d0, d2). This is the "local data shuffle" primitive of
 // SPTT step (e): viewing a buffer as (features, peers, payload) and
@@ -118,19 +102,6 @@ func SplitCols(a *Tensor, widths []int) []*Tensor {
 	return outs
 }
 
-// SelectRows gathers rows of a 2-D tensor: out[i] = a[idx[i]].
-func SelectRows(a *Tensor, idx []int) *Tensor {
-	if len(a.shape) != 2 {
-		panic("tensor: SelectRows requires a 2-D tensor")
-	}
-	w := a.shape[1]
-	out := New(len(idx), w)
-	for i, r := range idx {
-		copy(out.data[i*w:(i+1)*w], a.data[r*w:(r+1)*w])
-	}
-	return out
-}
-
 // SelectFeatures gathers feature slots of a (B, F, N) tensor:
 // out[b, i, :] = a[b, idx[i], :]. Used to materialize a tower's feature
 // subset from the full feature set.
@@ -149,45 +120,6 @@ func SelectFeatures(a *Tensor, idx []int) *Tensor {
 			dst := out.data[(s*len(idx)+i)*n : (s*len(idx)+i+1)*n]
 			copy(dst, src)
 		}
-	}
-	return out
-}
-
-// ScatterAddFeatures accumulates grad (B, |idx|, N) into dst (B, F, N) at
-// feature slots idx: dst[b, idx[i], :] += grad[b, i, :]. The backward of
-// SelectFeatures.
-func ScatterAddFeatures(dst, grad *Tensor, idx []int) {
-	if len(dst.shape) != 3 || len(grad.shape) != 3 {
-		panic("tensor: ScatterAddFeatures requires 3-D tensors")
-	}
-	b, f, n := dst.shape[0], dst.shape[1], dst.shape[2]
-	if grad.shape[0] != b || grad.shape[1] != len(idx) || grad.shape[2] != n {
-		panic(fmt.Sprintf("tensor: ScatterAddFeatures shapes %v, %v, idx %d", dst.shape, grad.shape, len(idx)))
-	}
-	for s := 0; s < b; s++ {
-		for i, fi := range idx {
-			src := grad.data[(s*len(idx)+i)*n : (s*len(idx)+i+1)*n]
-			d := dst.data[(s*f+fi)*n : (s*f+fi+1)*n]
-			for p := 0; p < n; p++ {
-				d[p] += src[p]
-			}
-		}
-	}
-}
-
-// Stack stacks equal-shaped tensors along a new leading axis.
-func Stack(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: Stack of zero tensors")
-	}
-	shape := append([]int{len(ts)}, ts[0].shape...)
-	out := New(shape...)
-	n := ts[0].Len()
-	for i, t := range ts {
-		if !t.SameShape(ts[0]) {
-			panic("tensor: Stack shape mismatch")
-		}
-		copy(out.data[i*n:(i+1)*n], t.data)
 	}
 	return out
 }

@@ -90,18 +90,7 @@ func TestSplitColsBadWidths(t *testing.T) {
 	SplitCols(New(2, 4), []int{1, 1})
 }
 
-func TestSelectRows(t *testing.T) {
-	a := FromSlice([]float32{0, 1, 10, 11, 20, 21}, 3, 2)
-	out := SelectRows(a, []int{2, 0, 2})
-	want := []float32{20, 21, 0, 1, 20, 21}
-	for i, w := range want {
-		if out.Data()[i] != w {
-			t.Fatalf("SelectRows got %v", out.Data())
-		}
-	}
-}
-
-func TestSelectScatterFeaturesRoundTrip(t *testing.T) {
+func TestSelectFeatures(t *testing.T) {
 	r := NewRNG(9)
 	x := RandN(r, 1, 2, 5, 3)
 	idx := []int{4, 1, 3}
@@ -117,27 +106,6 @@ func TestSelectScatterFeaturesRoundTrip(t *testing.T) {
 				}
 			}
 		}
-	}
-	dst := New(2, 5, 3)
-	ScatterAddFeatures(dst, sel, idx)
-	ScatterAddFeatures(dst, sel, idx)
-	for b := 0; b < 2; b++ {
-		for i, fi := range idx {
-			for p := 0; p < 3; p++ {
-				if dst.At(b, fi, p) != 2*sel.At(b, i, p) {
-					t.Fatal("ScatterAddFeatures must accumulate")
-				}
-			}
-		}
-	}
-}
-
-func TestStack(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 2)
-	b := FromSlice([]float32{3, 4}, 2)
-	s := Stack(a, b)
-	if s.Dim(0) != 2 || s.At(1, 0) != 3 {
-		t.Fatalf("Stack wrong: %v %v", s.Shape(), s.Data())
 	}
 }
 
@@ -168,4 +136,20 @@ func TestQuickConcatPreservesParts(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Transpose2D returns the transpose of a (h, w) tensor as a new (w, h) tensor.
+func Transpose2D(a *Tensor) *Tensor {
+	if len(a.shape) != 2 {
+		panic("tensor: Transpose2D requires a 2-D tensor")
+	}
+	h, w := a.shape[0], a.shape[1]
+	out := New(w, h)
+	for r := 0; r < h; r++ {
+		row := a.data[r*w : (r+1)*w]
+		for c := 0; c < w; c++ {
+			out.data[c*h+r] = row[c]
+		}
+	}
+	return out
 }

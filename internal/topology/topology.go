@@ -50,10 +50,6 @@ func ByName(name string) (Generation, error) {
 // ScaleOutGBps converts the NIC rate to GB/s.
 func (g Generation) ScaleOutGBps() float64 { return g.ScaleOutGbps / 8 }
 
-// BandwidthGap returns scale-up / scale-out per-GPU bandwidth, the
-// heterogeneity factor SPTT exploits (NVLink vs RDMA).
-func (g Generation) BandwidthGap() float64 { return g.ScaleUpGBps / g.ScaleOutGBps() }
-
 // Cluster is a training cluster: identical hosts, each with GPUsPerHost
 // GPUs, full bisection bandwidth across hosts (§5.1: "Our infrastructure
 // guarantees full bisection bandwidth between any pair of hosts").

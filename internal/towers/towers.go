@@ -236,23 +236,3 @@ var (
 	_ Module           = (*DCNTower)(nil)
 	_ sptt.TowerModule = (*PassThrough)(nil)
 )
-
-// BuildReplicas constructs per-rank tower-module replicas for a tower-
-// aligned SPTT config: every rank of host t receives an identically
-// initialized module for tower t (same derived seed), which is the
-// data-parallel-within-tower deployment the distributed path requires.
-// make builds one module for tower t over ft features.
-func BuildReplicas(cfg sptt.Config, seed uint64, mk func(r *tensor.RNG, tower, ft int) sptt.TowerModule) []sptt.TowerModule {
-	root := tensor.NewRNG(seed)
-	towerSeeds := make([]uint64, cfg.T())
-	for t := range towerSeeds {
-		towerSeeds[t] = root.Uint64()
-	}
-	mods := make([]sptt.TowerModule, cfg.G)
-	for g := 0; g < cfg.G; g++ {
-		t := g / cfg.L
-		ft := len(cfg.TowerFeatures(t))
-		mods[g] = mk(tensor.NewRNG(towerSeeds[t]), t, ft)
-	}
-	return mods
-}
