@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt fmt-check vet lint fma-check bench bench-smoke bench-hotpath bench-hotpath-check fuzz-smoke examples-smoke cmds-smoke serve-demo
+.PHONY: build test race fmt fmt-check vet lint fma-check bench bench-smoke bench-hotpath bench-hotpath-check fp16-exhaustive fuzz-smoke examples-smoke cmds-smoke serve-demo
 
 build:
 	$(GO) build ./...
@@ -66,12 +66,16 @@ bench-smoke:
 
 # Hot-path kernel benchmarks: each vector entry point (MatMul, MatMulBT,
 # MatMulAT) against its scalar row routine at train_dense's and over-arch
-# shapes, Adam and AddInPlace vector vs scalar
-# at an over-arch weight's size, the fused vs unfused quantized codec with
-# allocs/op (-benchmem), the fused encode on a gradient-like, mostly
-# half-subnormal payload, and the codec's receive side (decode/addto, MB/s
-# of fp32) on a uniform and on the gradient-like payload — the before/after
-# numbers behind the README's "Hot-path kernels" section — the embedding
+# shapes, MatMulBT also at the width-1 logit layer's (all edge columns),
+# Adam and AddInPlace vector vs scalar at an over-arch weight's size, the
+# ReLU gate (backward and in-place forward) on an over-arch activation and
+# the interaction backward (PairwiseUpperGrad) at train_dense's input,
+# vector vs scalar, the fp16 encode and its fused residual pass vector vs
+# scalar on a gradient-like, mostly half-subnormal payload, the fused vs
+# unfused quantized codec with allocs/op (-benchmem), the fused encode on
+# the gradient-like payload, and the codec's receive side (decode/addto,
+# MB/s of fp32) on a uniform and on the gradient-like payload — the
+# before/after numbers behind the README's "Hot-path kernels" section — the embedding
 # tier's caches: a Cached(Local) Lookup+Update round at one train_embed
 # rank's shape, Keyed hits and evicting inserts, and the cluster
 # simulator's LRUSet hits and evicting inserts (BenchmarkHotpathLRUSet) —
@@ -90,9 +94,19 @@ bench-hotpath:
 bench-hotpath-check:
 	$(GO) test -tags benchgate -run '^TestHotpathMatMulSpeedup$$' -v ./internal/tensor
 
+# Every float32 input through the fp16 encoders: the scalar toFloat16Sat
+# and the selected encode and fused-residual routines (AVX2 where the CPU
+# has it) against the reference encoder, by bits, all 2^32 inputs (about a
+# minute a core). Too slow for tier-1, so it compiles only under the
+# exhaustive build tag.
+fp16-exhaustive:
+	$(GO) test -tags exhaustive -run '^TestFloat16SatExhaustive$$' -v -timeout 60m ./internal/quant
+
 # Short native-fuzz runs over the GEMM entry points against their scalar row
-# routines, the elementwise kernels (AddInPlace, ScaleInPlace, AdamUpdate)
-# against their scalar references, the wire codec, the SPTT step (a) bag
+# routines, the elementwise kernels (AddInPlace, ScaleInPlace, AdamUpdate,
+# ReLUGate) and the interaction backward (PairwiseUpperGrad, N from 1 to 33)
+# against their scalar references, the wire codec (the fused encode at
+# every length mod 8), the SPTT step (a) bag
 # payload, the pooling backward against its map-based oracle (over tables
 # small and large enough for both of its row orders), the LRU core against
 # its reference model, the micro-batcher against its flush rule and the
@@ -101,6 +115,7 @@ bench-hotpath-check:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGEMMKernels$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzElementwiseKernels$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzInteractionBackward$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzFloat16RoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzLinearQuantRoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedCodec$$' -fuzztime 10s ./internal/quant

@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -24,15 +26,29 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment to run (default: all)")
-	profileName := flag.String("profile", "quick", "smoke | quick | full")
-	list := flag.Bool("list", false, "list experiment names and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run trains the experiments the flags in args select, prints each table
+// to stdout, and returns the exit code: 2 for a bad flag, profile or
+// experiment name, 1 when an experiment fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dmt-train", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "", "experiment to run (default: all)")
+	profileName := fs.String("profile", "quick", "smoke | quick | full")
+	list := fs.Bool("list", false, "list experiment names and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	exps := experiments.Select(experiments.Quality)
 	if *list {
-		fmt.Print(experiments.List(exps))
-		return
+		fmt.Fprint(stdout, experiments.List(exps))
+		return 0
 	}
 
 	var opts experiments.Options
@@ -44,15 +60,15 @@ func main() {
 	case "full":
 		opts.Profile = experiments.Full()
 	default:
-		fmt.Fprintf(os.Stderr, "dmt-train: unknown profile %q\n", *profileName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "dmt-train: unknown profile %q\n", *profileName)
+		return 2
 	}
 
 	if *exp != "" {
 		e, ok := experiments.Lookup(exps, *exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "dmt-train: unknown experiment %q (use -list)\n", *exp)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "dmt-train: unknown experiment %q (use -list)\n", *exp)
+			return 2
 		}
 		exps = []experiments.Experiment{e}
 	}
@@ -60,10 +76,11 @@ func main() {
 		start := time.Now()
 		out, err := e.Run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmt-train: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "dmt-train: %v\n", err)
+			return 1
 		}
-		fmt.Print(out)
-		fmt.Printf("[%s profile, %.1fs]\n\n", opts.Profile.Name, time.Since(start).Seconds())
+		fmt.Fprint(stdout, out)
+		fmt.Fprintf(stdout, "[%s profile, %.1fs]\n\n", opts.Profile.Name, time.Since(start).Seconds())
 	}
+	return 0
 }

@@ -55,7 +55,8 @@ func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 // ReLU after the final layer (DLRM's bottom MLP ends in ReLU; the top MLP
 // emits a raw logit). Each ReLU runs in place on its Linear's fresh output
 // and records that output: y > 0 exactly where the pre-activation is > 0
-// (NaN and -0 included), so Backward gates on it.
+// (NaN and -0 included), so Backward gates on it. Both directions are one
+// tensor.ReLUGate, a vector compare-and-mask where the CPU has AVX2.
 type MLP struct {
 	Layers    []*Linear
 	FinalReLU bool
@@ -83,12 +84,7 @@ func (m *MLP) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	for i, l := range m.Layers {
 		x = l.Forward(t, x)
 		if m.relu(i) {
-			xd := x.Data()
-			for j, v := range xd {
-				if !(v > 0) {
-					xd[j] = 0
-				}
-			}
+			tensor.ReLUGate(x, x)
 			t.push(record{layer: m, y: x})
 		}
 	}
@@ -104,12 +100,7 @@ func (m *MLP) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 			if i == len(m.Layers)-1 {
 				dy = dy.Clone()
 			}
-			dd := dy.Data()
-			for j, v := range y.Data() {
-				if !(v > 0) {
-					dd[j] = 0
-				}
-			}
+			tensor.ReLUGate(dy, y)
 		}
 		dy = m.Layers[i].Backward(t, dy)
 	}

@@ -68,6 +68,13 @@ func (e *Encoded) Scheme() Scheme { return e.scheme }
 //     0.5's bits;
 //   - ±Inf stays Inf and NaN becomes the quiet half NaN.
 //
+// Where the CPU has AVX2, Encode and EncodeResidual run this formula 8
+// lanes at a time instead (tensor.Float16SatAVX2 via encodeHalves below:
+// VPADDD/VPSRLD/VPMINUD for the normal case, one VADDPS for the subnormal
+// one, compare-selects for the rest), bitwise this function on all 2³²
+// inputs (`make fp16-exhaustive`). No F16C: its conversion overflows to Inf
+// and keeps NaN payloads, where this encoder saturates and canonicalises.
+//
 // It stays out of line: inlined into a loop that looks the half up in
 // FromFloat16's table, the compiler turns the selects back into branches,
 // since it never makes a load address wait on a CMOV.
@@ -88,6 +95,33 @@ func toFloat16Sat(v float32) uint16 {
 		h = 0x7e00
 	}
 	return uint16(b>>16&0x8000 | h)
+}
+
+// encodeHalves sets h[i] = toFloat16Sat(v[i]) for i < len(v), and
+// encodeHalvesResidual is EncodeResidual's FP16 pass: with v = g[i] + r[i],
+// h[i] = toFloat16Sat(v) and r[i] = v − FromFloat16(h[i]). Where the CPU
+// has AVX2 (tensor.HasAVX2), init replaces both with tensor's 8-lane forms
+// of the same integer formula and float32 operations
+// (tensor.Float16SatAVX2, tensor.Float16SatResidualAVX2), which match these
+// bit for bit on every float32 input, NaN payloads included; the scalar
+// loops below stay the reference and run the n mod 8 tail.
+var encodeHalves, encodeHalvesResidual = encodeHalvesRef, encodeHalvesResidualRef
+
+func encodeHalvesRef(h []uint16, v []float32) {
+	h = h[:len(v)]
+	for i, x := range v {
+		h[i] = toFloat16Sat(x)
+	}
+}
+
+func encodeHalvesResidualRef(h []uint16, g, r []float32) {
+	h, r = h[:len(g)], r[:len(g)] // hoisted: no per-element reload or bounds check
+	for i := range g {
+		vi := g[i] + r[i]
+		hi := toFloat16Sat(vi)
+		h[i] = hi
+		r[i] = vi - FromFloat16(hi)
+	}
 }
 
 // linearGeometry returns the (rows, width) a linear scheme quantizes over.
@@ -124,9 +158,7 @@ func Encode(s Scheme, t *tensor.Tensor) *Encoded {
 		e.raw = t
 	case FP16:
 		e.f16 = grow(e.f16, t.Len())
-		for i, v := range t.Data() {
-			e.f16[i] = toFloat16Sat(v)
-		}
+		encodeHalves(e.f16[:t.Len()], t.Data())
 	case INT8, INT4:
 		e.rows, e.width = linearGeometry(t)
 		e.scales = grow(e.scales, e.rows)

@@ -90,24 +90,24 @@ func toFloat16SatRef(v float32) uint16 {
 	return h
 }
 
-// TestToFloat16SatMatchesReference pins the branch-free toFloat16Sat to its
-// definition on every sign × exponent × kept 10-bit mantissa, each with the
-// 13 dropped bits at 0, 1, just under and exactly at the rounding midpoint,
-// just past it, and all ones; then on NaN payloads, ±Inf, ±0 and float32
-// subnormals. (The encoder matched the reference on all 2³² float32 inputs
-// once, exhaustively; that run is too slow to repeat in tier-1.)
+// TestToFloat16SatMatchesReference pins the branch-free toFloat16Sat, and
+// the encoders the codec selected (the AVX2 ones where the CPU has AVX2),
+// to the definition on every sign × exponent × kept 10-bit mantissa, each
+// with the 13 dropped bits at 0, 1, just under and exactly at the rounding
+// midpoint, just past it, and all ones; then on NaN payloads, ±Inf, ±0 and
+// float32 subnormals. The selected encoders run over all of these at once,
+// as a payload whose length is not a multiple of 8: encodeHalves against
+// the definition, and encodeHalvesResidual against its scalar reference on
+// a residual with specials of its own. Everything is compared by bits, NaN
+// payloads included. `make fp16-exhaustive` runs the same comparisons over
+// all 2³² float32 inputs.
 func TestToFloat16SatMatchesReference(t *testing.T) {
-	check := func(bits uint32) {
-		v := math.Float32frombits(bits)
-		if got, want := toFloat16Sat(v), toFloat16SatRef(v); got != want {
-			t.Fatalf("%g (%#08x) encodes to %#04x, want %#04x", v, bits, got, want)
-		}
-	}
+	var in []float32
 	for sign := uint32(0); sign < 2; sign++ {
 		for exp := uint32(0); exp < 256; exp++ {
 			for mant := uint32(0); mant < 1024; mant++ {
 				for _, low := range []uint32{0, 1, 0xfff, 0x1000, 0x1001, 0x1fff} {
-					check(sign<<31 | exp<<23 | mant<<13 | low)
+					in = append(in, math.Float32frombits(sign<<31|exp<<23|mant<<13|low))
 				}
 			}
 		}
@@ -117,8 +117,68 @@ func TestToFloat16SatMatchesReference(t *testing.T) {
 		0x00000000, 0x80000000, // ±0
 		0x7fc00000, 0xffc00000, 0x7f800001, 0xff800001, 0x7fbfffff, 0x7fffffff, 0xffffffff, 0x7fd2468a, // NaN payloads, quiet and signalling
 		0x00000001, 0x80000001, 0x00000fff, 0x00400000, 0x007fffff, 0x807fffff, // float32 subnormals
+		0x3f800000, // one more: the length is not a multiple of 8
 	} {
-		check(bits)
+		in = append(in, math.Float32frombits(bits))
+	}
+	if len(in)%8 == 0 {
+		t.Fatalf("%d inputs: want a tail past the last block of 8", len(in))
+	}
+	for _, v := range in {
+		if got, want := toFloat16Sat(v), toFloat16SatRef(v); got != want {
+			t.Fatalf("%g (%#08x) encodes to %#04x, want %#04x", v, math.Float32bits(v), got, want)
+		}
+	}
+	h := make([]uint16, len(in))
+	encodeHalves(h, in)
+	for i, v := range in {
+		if want := toFloat16SatRef(v); h[i] != want {
+			t.Fatalf("encodeHalves: element %d, %g (%#08x), encodes to %#04x, want %#04x", i, v, math.Float32bits(v), h[i], want)
+		}
+	}
+	checkHalvesResidual(t, in, residualOperand(len(in)))
+	// NaN plus NaN keeps g's payload, as AddInPlace's g + r does.
+	gNaN, rNaN := make([]float32, 19), make([]float32, 19)
+	for i := range gNaN {
+		gNaN[i] = math.Float32frombits(0x7fc00000 | uint32(i+1) | uint32(i%2)<<31)
+		rNaN[i] = math.Float32frombits(0xffd00000 | uint32(i+100) ^ uint32(i%3)<<31)
+	}
+	checkHalvesResidual(t, gNaN, rNaN)
+}
+
+// residualOperand is an error-feedback residual for n elements: small
+// values of either sign, with a special (NaNs with their own payloads, ±Inf,
+// ±0, a float32 subnormal, values past the half range) every 7th element.
+func residualOperand(n int) []float32 {
+	specials := []float32{
+		math.Float32frombits(0x7fc0dead), math.Float32frombits(0xff812345),
+		float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)),
+		1e-40, 7e4, -7e4,
+	}
+	r := make([]float32, n)
+	for i := range r {
+		r[i] = float32(i%13-6) * 1e-6
+		if i%7 == 3 {
+			r[i] = specials[i%len(specials)]
+		}
+	}
+	return r
+}
+
+// checkHalvesResidual runs the selected encodeHalvesResidual and its scalar
+// reference on the same g and r, and requires the same halves and the same
+// rewritten residual, bit for bit.
+func checkHalvesResidual(t *testing.T, g, r []float32) {
+	t.Helper()
+	h, hRef := make([]uint16, len(g)), make([]uint16, len(g))
+	rGot, rRef := append([]float32(nil), r...), append([]float32(nil), r...)
+	encodeHalvesResidual(h, g, rGot)
+	encodeHalvesResidualRef(hRef, g, rRef)
+	for i := range g {
+		if h[i] != hRef[i] || math.Float32bits(rGot[i]) != math.Float32bits(rRef[i]) {
+			t.Fatalf("encodeHalvesResidual: element %d, g %#08x r %#08x, gives half %#04x residual %#08x; the scalar reference %#04x and %#08x",
+				i, math.Float32bits(g[i]), math.Float32bits(r[i]), h[i], math.Float32bits(rGot[i]), hRef[i], math.Float32bits(rRef[i]))
+		}
 	}
 }
 

@@ -45,14 +45,7 @@ func EncodeResidual(s Scheme, g, r *tensor.Tensor) *Encoded {
 		e.raw = v
 	case FP16:
 		e.f16 = grow(e.f16, g.Len())
-		f16 := e.f16[:len(gd)] // hoisted: no per-element reload or bounds check
-		rd = rd[:len(gd)]
-		for i := range gd {
-			vi := gd[i] + rd[i]
-			h := toFloat16Sat(vi)
-			f16[i] = h
-			rd[i] = vi - FromFloat16(h)
-		}
+		encodeHalvesResidual(e.f16[:len(gd)], gd, rd)
 	case INT8, INT4:
 		e.rows, e.width = linearGeometry(g)
 		e.scales = grow(e.scales, e.rows)

@@ -21,6 +21,38 @@ func gradientLike(r *tensor.RNG, shape ...int) *tensor.Tensor {
 	return t
 }
 
+// BenchmarkHotpathFloat16Encode times the fp16 encode alone on the
+// gradient-like payload: the encoders the codec selected (encodeHalves and
+// encodeHalvesResidual, 8 lanes at a time where the CPU has AVX2) against
+// their scalar references, in fp32 MB/s.
+func BenchmarkHotpathFloat16Encode(b *testing.B) {
+	r := tensor.NewRNG(43)
+	grad := gradientLike(r, 64, 257).Data()
+	res := make([]float32, len(grad))
+	h := make([]uint16, len(grad))
+	for _, side := range []struct {
+		name          string
+		encode        func(h []uint16, v []float32)
+		encodeResidue func(h []uint16, g, r []float32)
+	}{
+		{"scalar", encodeHalvesRef, encodeHalvesResidualRef},
+		{"vector", encodeHalves, encodeHalvesResidual},
+	} {
+		b.Run(side.name+"/encode", func(b *testing.B) {
+			b.SetBytes(int64(4 * len(grad)))
+			for i := 0; i < b.N; i++ {
+				side.encode(h, grad)
+			}
+		})
+		b.Run(side.name+"/residual", func(b *testing.B) {
+			b.SetBytes(int64(4 * len(grad)))
+			for i := 0; i < b.N; i++ {
+				side.encodeResidue(h, grad, res)
+			}
+		})
+	}
+}
+
 // BenchmarkHotpathCodec measures the per-bucket wire path of compressed
 // collectives. fused/unfused: the quantize+encode+error-feedback pass
 // against the clone/add/encode/decode/sub composition it replaces — run

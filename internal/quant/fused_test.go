@@ -57,7 +57,22 @@ func fusedCases() []*tensor.Tensor {
 		tensor.FromSlice([]float32{nan, 1, -1, negZero, 0.5, nan}, 2, 3),
 		tensor.FromSlice([]float32{1e-38, -1e-38, 2e-38}, 1, 3),         // subnormal scales
 		tensor.FromSlice([]float32{65504, -65504, 70000, -70000, 1}, 5), // fp16 saturation
+		withSpecials(tensor.RandUniform(r, -1e-4, 1e-4, 3, 37)),         // vector blocks and a tail per row
 	}
+}
+
+// withSpecials overwrites every fifth element of t with a special (NaN, ±Inf,
+// −0, a float32 subnormal, a value past the half range, the largest half and
+// the smallest normal half) and returns t.
+func withSpecials(t *tensor.Tensor) *tensor.Tensor {
+	specials := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x80000000), 1e-40, 70000, 65504, 0x1p-14,
+	}
+	for i := 0; i < t.Len(); i += 5 {
+		t.Data()[i] = specials[i/5%len(specials)]
+	}
+	return t
 }
 
 // TestFusedEncodeResidualMatchesUnfused pins the fused quantize+encode+
@@ -154,15 +169,22 @@ func TestEncodeResidualNone(t *testing.T) {
 
 // FuzzFusedCodec drives the fused paths over arbitrary rows — including
 // non-finite values — and requires bit-identical behavior to the unfused
-// composition for every scheme. The 5-wide row keeps INT4 on an odd width.
+// composition for every scheme. The row cycles through the five values, and
+// its length, 5 to 40, takes every residue mod 8, so the vector encoders
+// run whole blocks and a scalar tail; odd lengths keep INT4 on an odd width.
 func FuzzFusedCodec(f *testing.F) {
-	f.Add(float32(1), float32(-2), float32(3), float32(-4), float32(5))
-	f.Add(float32(0), float32(0), float32(0), float32(0), float32(0))
-	f.Add(float32(math.Inf(1)), float32(1), float32(math.NaN()), float32(-0.0), float32(1e-38))
-	f.Add(float32(65504), float32(70000), float32(-70000), float32(1e-30), float32(1e30))
-	f.Fuzz(func(t *testing.T, a, b, c, d, e float32) {
-		x := tensor.FromSlice([]float32{a, b, c, d, e}, 5)
-		res0 := tensor.FromSlice([]float32{d, e, a, b, c}, 5)
+	f.Add(float32(1), float32(-2), float32(3), float32(-4), float32(5), uint8(0))
+	f.Add(float32(0), float32(0), float32(0), float32(0), float32(0), uint8(3))
+	f.Add(float32(math.Inf(1)), float32(1), float32(math.NaN()), float32(-0.0), float32(1e-38), uint8(11))
+	f.Add(float32(65504), float32(70000), float32(-70000), float32(1e-30), float32(1e30), uint8(30))
+	f.Fuzz(func(t *testing.T, a, b, c, d, e float32, n uint8) {
+		vals := []float32{a, b, c, d, e}
+		size := 5 + int(n)%36
+		xd, rd := make([]float32, size), make([]float32, size)
+		for i := range xd {
+			xd[i], rd[i] = vals[i%5], vals[(i+3)%5]
+		}
+		x, res0 := tensor.FromSlice(xd, size), tensor.FromSlice(rd, size)
 		for _, s := range Schemes() {
 			resF, resU := res0.Clone(), res0.Clone()
 			ef := EncodeResidual(s, x, resF)
@@ -178,7 +200,7 @@ func FuzzFusedCodec(f *testing.F) {
 			if s == None {
 				continue
 			}
-			into := tensor.New(5)
+			into := tensor.New(size)
 			ef.DecodeInto(into)
 			if !bitsEqual(into, decF) {
 				t.Fatalf("%s: DecodeInto diverged on %v", s, x.Data())

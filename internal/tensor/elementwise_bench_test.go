@@ -46,3 +46,61 @@ func BenchmarkHotpathAddInPlace(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkHotpathReLUGate times the ReLU gate on one over-arch activation,
+// train_dense's (64, 256) first top-MLP output, both ways it runs: the
+// backward gate (dy, y) and the forward ReLU in place; the vector routine
+// the CPU selected against the scalar reference, in MB/s of d.
+func BenchmarkHotpathReLUGate(b *testing.B) {
+	const n = 64 * 256
+	r := NewRNG(3)
+	dy, y := RandUniform(r, -1, 1, n), RandUniform(r, -1, 1, n)
+	x := RandUniform(r, -1, 1, n)
+	for _, side := range []struct {
+		name string
+		run  func(d, y *Tensor)
+	}{{"scalar", func(d, y *Tensor) { gateRef(d.data, y.data) }}, {"vector", ReLUGate}} {
+		b.Run(side.name+"/backward", func(b *testing.B) {
+			b.SetBytes(4 * n)
+			for i := 0; i < b.N; i++ {
+				side.run(dy, y)
+			}
+		})
+		b.Run(side.name+"/forward", func(b *testing.B) {
+			b.SetBytes(4 * n)
+			for i := 0; i < b.N; i++ {
+				side.run(x, x)
+			}
+		})
+	}
+}
+
+// BenchmarkHotpathPairwiseUpperGrad times the interaction backward at
+// train_dense's (64, 17, 16) input: PairwiseUpperGrad (the vector routine
+// the CPU selected) against the scalar loop over the same samples, in
+// MB/s of the dx it forms.
+func BenchmarkHotpathPairwiseUpperGrad(b *testing.B) {
+	sh := trainDensePairwise
+	bs, f, n := sh.m, sh.k, sh.n
+	ow := f * (f - 1) / 2
+	r := NewRNG(4)
+	x, dy := RandUniform(r, -1, 1, bs, f, n), RandUniform(r, -1, 1, bs, ow)
+	scalar := func(x, dy *Tensor) *Tensor {
+		dx := New(bs, f, n)
+		for s := range bs {
+			pairGradRef(dx.data[s*f*n:(s+1)*f*n], x.data[s*f*n:(s+1)*f*n], dy.data[s*ow:(s+1)*ow], f, n)
+		}
+		return dx
+	}
+	for _, side := range []struct {
+		name string
+		run  func(x, dy *Tensor) *Tensor
+	}{{"scalar", scalar}, {"vector", PairwiseUpperGrad}} {
+		b.Run(side.name, func(b *testing.B) {
+			b.SetBytes(int64(4 * bs * f * n))
+			for i := 0; i < b.N; i++ {
+				side.run(x, dy)
+			}
+		})
+	}
+}

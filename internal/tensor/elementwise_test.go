@@ -30,12 +30,13 @@ func elementOperand(r *RNG, n, every int, lo, hi float64) []float32 {
 }
 
 // sameFloat32Bits fails the test at the first element whose bits differ.
-// AddInPlace and ScaleInPlace must reproduce NaN payloads too, so their
-// results are compared as they are. With anyNaN every NaN matches every NaN
-// (the GEMM tests' bits): that is for Adam, whose moment updates add two
-// products that are both NaN when the moment and the gradient are, and the
-// Go compiler picks either as the add's first operand (its choice differs
-// under -race), so which payload the reference keeps is not defined.
+// AddInPlace, ScaleInPlace and ReLUGate must reproduce NaN payloads too, so
+// their results are compared as they are. With anyNaN every NaN matches
+// every NaN (the GEMM tests' bits): that is for Adam, whose moment updates
+// add two products that are both NaN when the moment and the gradient are,
+// and the Go compiler picks either as the add's first operand (its choice
+// differs under -race), so which payload the reference keeps is not
+// defined; PairwiseUpperGrad's accumulation is the same case.
 func sameFloat32Bits(t *testing.T, what string, got, want []float32, anyNaN bool) {
 	t.Helper()
 	key := math.Float32bits
@@ -50,10 +51,12 @@ func sameFloat32Bits(t *testing.T, what string, got, want []float32, anyNaN bool
 	}
 }
 
-// checkElementwise runs AddInPlace, ScaleInPlace and AdamUpdate at length
-// n against addRef, scaleRef and adamRef, with specials in every operand,
-// and compares every output by Float32bits (Adam's NaNs canonicalised).
-// Adam runs adamSteps steps of bias correction, each on a fresh gradient.
+// checkElementwise runs AddInPlace, ScaleInPlace, ReLUGate and AdamUpdate
+// at length n against addRef, scaleRef, gateRef and adamRef, with specials
+// in every operand, and compares every output by Float32bits (Adam's NaNs
+// canonicalised). ReLUGate runs as the backward gate (d, y) and as the
+// forward ReLU (y, y). Adam runs adamSteps steps of bias correction, each
+// on a fresh gradient.
 func checkElementwise(t *testing.T, r *RNG, n, every, adamSteps int, s AdamStep) {
 	t.Helper()
 	d, src := elementOperand(r, n, every, -2, 2), elementOperand(r, n, every, -2, 2)
@@ -61,6 +64,15 @@ func checkElementwise(t *testing.T, r *RNG, n, every, adamSteps int, s AdamStep)
 	AddInPlace(got, FromSlice(src, n))
 	addRef(want, src)
 	sameFloat32Bits(t, fmt.Sprintf("AddInPlace n=%d", n), got.data, want, false)
+
+	got, want = FromSlice(append([]float32(nil), d...), n), append([]float32(nil), d...)
+	ReLUGate(got, FromSlice(src, n))
+	gateRef(want, src)
+	sameFloat32Bits(t, fmt.Sprintf("ReLUGate n=%d", n), got.data, want, false)
+	got, want = FromSlice(append([]float32(nil), src...), n), append([]float32(nil), src...)
+	ReLUGate(got, got)
+	gateRef(want, want)
+	sameFloat32Bits(t, fmt.Sprintf("ReLUGate in place n=%d", n), got.data, want, false)
 
 	for _, f := range []float32{0.125, -1.5, float32(math.Inf(1)), elementSpecials[3]} {
 		got, want := FromSlice(append([]float32(nil), d...), n), append([]float32(nil), d...)
@@ -102,7 +114,8 @@ func TestElementwiseKernelsMatchReferences(t *testing.T) {
 
 // FuzzElementwiseKernels draws lengths up to 4 096, the density of
 // specials, and Adam's hyperparameters and step count, and requires the
-// selected elementwise routines to match the scalar references bit for bit.
+// selected elementwise routines (ReLUGate's both ways) to match the scalar
+// references bit for bit.
 func FuzzElementwiseKernels(f *testing.F) {
 	f.Add(uint16(67), uint64(1), uint8(4), float32(1e-3), uint16(1))
 	f.Add(uint16(8), uint64(2), uint8(0), float32(0.5), uint16(1000))

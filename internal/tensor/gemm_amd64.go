@@ -14,6 +14,13 @@ func xgetbv() (eax uint32)
 //go:noescape
 func gemm4(out, a, b *float32, k, nc, ldo, rsA, psA, ldb int, skipZero bool)
 
+// edge8 is dotEdge's kernel, 8 output rows as the lanes of one vector:
+// acc[c*8+l] += Σ_p a[p*psA+l]·b[p*psB+c*csB] for l < 8, c < nc (see
+// gemm_amd64.s).
+//
+//go:noescape
+func edge8(acc, a, b *float32, k, nc, psA, psB, csB int, skipZero bool)
+
 // transpose8 packs 8 rows of b, ldb apart, into 8·blocks rows of dst, ldd
 // apart: dst[p*ldd+j] = b[j*ldb+p] (see gemm_amd64.s).
 //
@@ -32,6 +39,30 @@ func scaleAVX2(d []float32, f float32)
 //go:noescape
 func adam8(w, gr, m, v []float32, b1, c1, b2, c2, lr float32, bc1, bc2, eps float64)
 
+// gateAVX2 is gateRef, and pairGradAVX2 is pairGradRef (ops.go, matmul.go).
+//
+//go:noescape
+func gateAVX2(d, y []float32)
+
+//go:noescape
+func pairGradAVX2(dx, x, g []float32, f, n int)
+
+// Float16SatAVX2 is quant's saturating fp16 encoder over whole blocks of 8:
+// h[i] = toFloat16Sat(v[i]) for i < len(v), a multiple of 8, with h as long.
+// It runs the encoder's integer formula lane by lane, so it is bitwise the
+// scalar encoder, NaNs included. Quant selects it when HasAVX2 reports the
+// CPU support; this package holds it beside the other vector routines.
+//
+//go:noescape
+func Float16SatAVX2(h []uint16, v []float32)
+
+// Float16SatResidualAVX2 is quant's fused error-feedback encode over whole
+// blocks of 8: with v = g[i] + r[i], h[i] = toFloat16Sat(v) and r[i] =
+// v − FromFloat16(h[i]), bit for bit.
+//
+//go:noescape
+func Float16SatResidualAVX2(h []uint16, g, r []float32)
+
 func adamAVX2(s AdamStep, w, g, m, v []float32) {
 	n := len(w) &^ 7
 	adam8(w[:n], g[:n], m[:n], v[:n], s.Beta1, 1-s.Beta1, s.Beta2, 1-s.Beta2, s.LR, s.BC1, s.BC2, float64(s.Eps))
@@ -39,16 +70,18 @@ func adamAVX2(s AdamStep, w, g, m, v []float32) {
 }
 
 func init() {
-	if hasAVX2() {
+	if HasAVX2() {
 		mulRows, mulBTRows, mulATRows = matMulRowsAVX2, matMulBTRowsAVX2, matMulATRowsAVX2
 		mulATAddRows = matMulATAddRowsAVX2
 		addVec, scaleVec, adamVec = addAVX2, scaleAVX2, adamAVX2
+		gateVec, pairGradVec = gateAVX2, pairGradAVX2
 	}
 }
 
-// hasAVX2 checks CPUID leaf 1 for OSXSAVE and AVX, XCR0 for saved XMM and
-// YMM state, and CPUID leaf 7 for AVX2.
-func hasAVX2() bool {
+// HasAVX2 checks CPUID leaf 1 for OSXSAVE and AVX, XCR0 for saved XMM and
+// YMM state, and CPUID leaf 7 for AVX2: the one CPU-feature rule, which
+// quant reads too.
+func HasAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	_, _, c, _ := cpuid(1, 0)
 	if maxLeaf < 7 || c&(1<<27) == 0 || c&(1<<28) == 0 || xgetbv()&6 != 6 {
@@ -129,17 +162,68 @@ func matMulBTRowsAVX2(a, b, out []float32, k, n, lo, hi int) {
 // dotEdge sets the columns the kernel leaves, n&^7 up to n, of rows
 // [lo, hi): out[r*n+j] = Σ_p A(r,p)·B(p,j) in ascending p, with A(r,p) =
 // a[r*rsA+p*psA] and B(p,j) = b[p*psB+j*csB]. skipZero drops the terms of
-// zero A elements, as the ikj routines do.
+// zero A elements, as the ikj routines do. edge8 runs 8 rows at a time as
+// the lanes of a vector, each lane the scalar sum from +0, reading the 8
+// rows' A elements for one p as one vector: straight from a when they are
+// adjacent (rsA = 1), else from a panel edgePacked packs them into.
 func dotEdge(a, b, out []float32, k, n, rsA, psA, psB, csB, lo, hi int, skipZero bool) {
-	for r := lo; r < hi; r++ {
-		for j := n &^ 7; j < n; j++ {
-			var s float32
-			for p := 0; p < k; p++ {
-				if av := a[r*rsA+p*psA]; av != 0 || !skipZero {
-					s += float32(av * b[p*psB+j*csB])
+	j0 := n &^ 7
+	nc := n - j0
+	if nc == 0 || k == 0 {
+		return // out arrives zero-filled: an empty sum is already there
+	}
+	r := lo
+	if rsA == 1 {
+		var acc [8 * 7]float32
+		for ; r+8 <= hi; r += 8 {
+			clear(acc[:8*nc])
+			edge8(&acc[0], &a[r], &b[j0*csB], k, nc, psA, psB, csB, skipZero)
+			edgeStore(out, &acc, n, r, 8)
+		}
+	}
+	if r < hi {
+		edgePacked(a, b, out, k, n, rsA, psA, psB, csB, r, hi, skipZero)
+	}
+}
+
+// edgePacked is dotEdge for rows that are not adjacent in a, or fewer
+// than 8: each ≤ btPanelK-step chunk of 8 rows' A elements is packed into
+// a stack panel, p-major, lanes past the last row left as they are (their
+// sums are never stored). A full block with psA = 1 packs by transpose8, 8
+// steps at a time.
+func edgePacked(a, b, out []float32, k, n, rsA, psA, psB, csB, lo, hi int, skipZero bool) {
+	j0 := n &^ 7
+	nc := n - j0
+	var acc [8 * 7]float32
+	var panel [8 * btPanelK]float32
+	for r := lo; r < hi; r += 8 {
+		lanes := min(8, hi-r)
+		clear(acc[:8*nc])
+		for p0 := 0; p0 < k; p0 += btPanelK {
+			kc := min(btPanelK, k-p0)
+			p := 0
+			if lanes == 8 && psA == 1 {
+				transpose8(&panel[0], &a[r*rsA+p0], rsA, 8, kc/8)
+				p = kc &^ 7
+			}
+			for ; p < kc; p++ {
+				for l := range lanes {
+					panel[p*8+l] = a[(r+l)*rsA+(p0+p)*psA]
 				}
 			}
-			out[r*n+j] = s
+			edge8(&acc[0], &panel[0], &b[p0*psB+j0*csB], kc, nc, 8, psB, csB, skipZero)
+		}
+		edgeStore(out, &acc, n, r, lanes)
+	}
+}
+
+// edgeStore writes the first lanes rows of edge8's column-major sums into
+// out's edge columns, rows r onwards.
+func edgeStore(out []float32, acc *[8 * 7]float32, n, r, lanes int) {
+	j0 := n &^ 7
+	for c := range n - j0 {
+		for l := range lanes {
+			out[(r+l)*n+j0+c] = acc[c*8+l]
 		}
 	}
 }

@@ -228,3 +228,107 @@ tloop:
 tdone:
 	VZEROUPPER
 	RET
+
+// One reduction step of one edge column: multiply the A lanes in Y1 by the
+// column's B element (at address src), zero the lanes the mask Y2 clears,
+// and add into the column's accumulator.
+#define EDGECOL(src, t, acc) \
+	VBROADCASTSS src, t; \
+	VMULPS       t, Y1, t; \
+	VANDPS       Y2, t, t; \
+	VADDPS       t, acc, acc
+
+// func edge8(acc, a, b *float32, k, nc, psA, psB, csB int, skipZero bool)
+//
+// For l < 8 and c < nc:
+//
+//	acc[c*8+l] += Σ_{p<k} a[p*psA+l]·b[p*psB+c*csB]
+//
+// one accumulator per column, in ascending p, each lane a separate
+// multiply and add (no FMA): dotEdge's 8 output rows side by side. With
+// skipZero a lane whose A element is ±0 adds +0 instead of its product,
+// as in gemm4 (VCMPPS NEQ_UQ against +0, or against a NaN when every term
+// counts). Four columns share each A load, then one at a time.
+//
+// Registers: DI acc at the current column, SI a, BX b at the current
+// column, DX k, CX columns left, R8/R9/R10 psA/psB/csB bytes, R13 3·csB
+// bytes; AX/R11 walk a and b along p, R12 counts p.
+TEXT ·edge8(SB), NOSPLIT, $0-65
+	MOVQ acc+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ k+24(FP), DX
+	MOVQ nc+32(FP), CX
+	MOVQ psA+40(FP), R8
+	SHLQ $2, R8
+	MOVQ psB+48(FP), R9
+	SHLQ $2, R9
+	MOVQ csB+56(FP), R10
+	SHLQ $2, R10
+	LEAQ (R10)(R10*2), R13
+	TESTQ DX, DX
+	JZ    edone
+	VXORPS   Y15, Y15, Y15
+	MOVBLZX  skipZero+64(FP), AX
+	TESTQ    AX, AX
+	JNZ      ecols4
+	VPCMPEQD Y15, Y15, Y15 // all ones: a NaN
+
+ecols4:
+	CMPQ    CX, $4
+	JLT     ecols1
+	VMOVUPS (DI), Y4
+	VMOVUPS 32(DI), Y5
+	VMOVUPS 64(DI), Y6
+	VMOVUPS 96(DI), Y7
+	MOVQ    SI, AX
+	MOVQ    BX, R11
+	MOVQ    DX, R12
+
+eloop4:
+	VMOVUPS (AX), Y1
+	VCMPPS  $4, Y15, Y1, Y2
+	EDGECOL((R11), Y8, Y4)
+	EDGECOL((R11)(R10*1), Y9, Y5)
+	EDGECOL((R11)(R10*2), Y10, Y6)
+	EDGECOL((R11)(R13*1), Y11, Y7)
+	ADDQ    R8, AX
+	ADDQ    R9, R11
+	DECQ    R12
+	JNZ     eloop4
+
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	VMOVUPS Y6, 64(DI)
+	VMOVUPS Y7, 96(DI)
+	ADDQ    $128, DI
+	LEAQ    (BX)(R10*4), BX
+	SUBQ    $4, CX
+	JMP     ecols4
+
+ecols1:
+	TESTQ   CX, CX
+	JZ      edone
+	VMOVUPS (DI), Y4
+	MOVQ    SI, AX
+	MOVQ    BX, R11
+	MOVQ    DX, R12
+
+eloop1:
+	VMOVUPS (AX), Y1
+	VCMPPS  $4, Y15, Y1, Y2
+	EDGECOL((R11), Y8, Y4)
+	ADDQ    R8, AX
+	ADDQ    R9, R11
+	DECQ    R12
+	JNZ     eloop1
+
+	VMOVUPS Y4, (DI)
+	ADDQ    $32, DI
+	ADDQ    R10, BX
+	DECQ    CX
+	JMP     ecols1
+
+edone:
+	VZEROUPPER
+	RET

@@ -24,6 +24,10 @@ var trainDenseShapes = map[string]gemmShape{
 	"MatMulAT": {256, 64, 152},
 }
 
+// trainDenseLogit is train_dense's width-1 logit layer, x·wᵀ for the last
+// top-MLP activation x (64, 128): all of its output is dotEdge's.
+var trainDenseLogit = gemmShape{64, 128, 1}
+
 // trainDensePairwise is train_dense's interaction input, (B, F, N) =
 // (m, k, n): 17 feature vectors of 16 per sample at the local batch.
 var trainDensePairwise = gemmShape{64, 17, 16}
@@ -48,7 +52,8 @@ func BenchmarkHotpathMatMul(b *testing.B) {
 }
 
 // BenchmarkHotpathMatMulBT is the Linear-layer layout (weights stored
-// (out, in)): the forward and serve predict path's kernel.
+// (out, in)): the forward and serve predict path's kernel, here also at
+// the width-1 logit layer's shape, where every output is an edge column.
 func BenchmarkHotpathMatMulBT(b *testing.B) {
 	benchmarkGEMM(b, gemmKernelNamed(b, "MatMulBT"))
 }
@@ -60,6 +65,9 @@ func BenchmarkHotpathMatMulAT(b *testing.B) {
 
 func benchmarkGEMM(b *testing.B, kn gemmKernel) {
 	shapes := append([]gemmShape{trainDenseShapes[kn.name]}, hotpathShapes...)
+	if kn.name == "MatMulBT" {
+		shapes = append(shapes, trainDenseLogit)
+	}
 	for _, side := range []struct {
 		name string
 		run  func(x, y *Tensor) *Tensor

@@ -101,10 +101,13 @@ func sameBits(t *testing.T, what string, got, want *Tensor) {
 
 // TestKernelBitwiseMatchesScalar pins MatMul, MatMulBT and MatMulAT
 // bitwise to their scalar row routines across shapes that exercise every
-// kernel edge: rows not a multiple of 4, columns not a multiple of 8 or
-// 16, reductions past the 256-step bᵀ panel, single rows and columns, and
-// exact zeros. Every shape runs once plain and once with specials in both
-// operands.
+// kernel edge: rows not a multiple of 4 or 8, columns not a multiple of 8
+// or 16, reductions past the 256-step panels, single rows and columns, and
+// exact zeros. The n mod 8 edge columns run 8 rows to a vector (dotEdge)
+// in all three stride layouts, with zero A elements in some lanes and not
+// others, in full and partial 8-row blocks, and at width 1 (train_dense's
+// logit layer, and one past a panel). Every shape runs once plain and once
+// with specials in both operands.
 func TestKernelBitwiseMatchesScalar(t *testing.T) {
 	r := NewRNG(42)
 	shapes := [][3]int{
@@ -120,6 +123,11 @@ func TestKernelBitwiseMatchesScalar(t *testing.T) {
 		{13, 513, 40},
 		{6, 257, 23},
 		{35, 256, 31},
+		{64, 128, 1},
+		{64, 300, 1},
+		{19, 260, 13},
+		{64, 13, 13},
+		{8, 1, 3},
 	}
 	for _, kn := range gemmKernels {
 		for _, d := range shapes {

@@ -97,6 +97,56 @@ func BatchedPairwiseDot(x *Tensor) *Tensor {
 	return out
 }
 
+// PairwiseUpperGrad is the backward of the pairwise-dot interaction's
+// strict upper triangle. For x of shape (B, F, N) and dy of shape
+// (B, F(F−1)/2), each sample's pairs (i, j), i < j, in row-major order, it
+// returns dx of shape (B, F, N) with dx[b,i,:] = Σ_{j≠i} dy[b,(i,j)]·x[b,j,:],
+// formed pair by pair in that order and skipping pairs whose gradient is
+// ±0.
+func PairwiseUpperGrad(x, dy *Tensor) *Tensor {
+	if len(x.shape) != 3 || len(dy.shape) != 2 || dy.shape[0] != x.shape[0] ||
+		dy.shape[1] != x.shape[1]*(x.shape[1]-1)/2 {
+		panic(fmt.Sprintf("tensor: PairwiseUpperGrad shapes x %v, dy %v", x.shape, dy.shape))
+	}
+	b, f, n := x.shape[0], x.shape[1], x.shape[2]
+	ow := dy.shape[1]
+	dx := New(b, f, n)
+	if n == 0 {
+		return dx
+	}
+	for s := range b {
+		pairGradVec(dx.data[s*f*n:(s+1)*f*n], x.data[s*f*n:(s+1)*f*n], dy.data[s*ow:(s+1)*ow], f, n)
+	}
+	return dx
+}
+
+// pairGradVec is PairwiseUpperGrad's per-sample routine: pairGradRef, or
+// the AVX2 routine init selects, which repeats its float32 operations in
+// the same order.
+var pairGradVec = pairGradRef
+
+// pairGradRef adds one sample's pairwise-dot gradient into dx, (F, N):
+// for each pair (i, j) in order whose g is not ±0, dx[i] += g·x[j] and
+// dx[j] += g·x[i], element by element.
+func pairGradRef(dx, x, g []float32, f, n int) {
+	k := 0
+	for i := 0; i < f; i++ {
+		for j := i + 1; j < f; j++ {
+			gk := g[k]
+			k++
+			if gk == 0 {
+				continue
+			}
+			vi, vj := x[i*n:(i+1)*n], x[j*n:(j+1)*n]
+			dvi, dvj := dx[i*n:(i+1)*n], dx[j*n:(j+1)*n]
+			for p := range vi {
+				dvi[p] += float32(gk * vj[p])
+				dvj[p] += float32(gk * vi[p])
+			}
+		}
+	}
+}
+
 // --- Row-range routines ---
 //
 // Each entry point above calls one routine below over its whole output

@@ -53,10 +53,27 @@ type AdamStep struct {
 // AdamUpdate applies step s to w from gradient g, updating moments m and v.
 func AdamUpdate(s AdamStep, w, g, m, v []float32) { adamVec(s, w, g, m, v) }
 
+// ReLUGate sets d[i] to +0 wherever !(y[i] > 0), NaN and −0 included,
+// and leaves the other elements' bits as they are: a ReLU in place when d
+// is y, and its backward gate when y is the ReLU's output.
+func ReLUGate(d, y *Tensor) {
+	mustSameShape("ReLUGate", d, y)
+	gateVec(d.data, y.data)
+}
+
 // The scalar references below, replaced when init finds AVX2 by routines
 // (gemm_amd64.go) that repeat their operations and order exactly, so the
 // results match bit for bit (NaN payloads: see elementwise_amd64.s).
-var addVec, scaleVec, adamVec = addRef, scaleRef, adamRef
+var addVec, scaleVec, adamVec, gateVec = addRef, scaleRef, adamRef, gateRef
+
+func gateRef(d, y []float32) {
+	y = y[:len(d)]
+	for i, v := range y {
+		if !(v > 0) {
+			d[i] = 0
+		}
+	}
+}
 
 func addRef(d, s []float32) {
 	s = s[:len(d)] // hoisted: no per-element bounds check
