@@ -109,9 +109,8 @@ fp16-exhaustive:
 # every length mod 8), the SPTT step (a) bag
 # payload, the pooling backward against its map-based oracle (over tables
 # small and large enough for both of its row orders), the LRU core against
-# its reference model, the micro-batcher against its flush rule and the
-# workload trace parser (go test allows one -fuzz target per invocation,
-# hence the separate runs).
+# its reference model and the micro-batcher against its flush rule (go test
+# allows one -fuzz target per invocation, hence the separate runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGEMMKernels$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzElementwiseKernels$$' -fuzztime 10s ./internal/tensor
@@ -123,13 +122,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolBackward$$' -fuzztime 10s ./internal/sptt
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUCore$$' -fuzztime 10s ./internal/embeddings
 	$(GO) test -run '^$$' -fuzz '^FuzzBatcher$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/workload
 
 # The example mains have no tests: build them all, run the SPTT
 # walkthrough, which panics on a semantic-preservation violation and prints
 # the Figure 7 traffic accounting — the cheapest end-to-end check of the
-# embedding-exchange dataflow — and the quickstart, the one caller of the
-# core.Plan planning API.
+# embedding-exchange dataflow — and the quickstart, which plans a DMT
+# deployment through partition, perfmodel and sptt.TowerAssignment and
+# trains the planned model.
 examples-smoke:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/sptt_walkthrough

@@ -46,7 +46,7 @@ func spttBenchSetup(g, l, batch, nFeatures int) (*sptt.Engine, []*sptt.Inputs) {
 	towersList := make([][]int, t)
 	for f := 0; f < nFeatures; f++ {
 		cfg.Features = append(cfg.Features, sptt.FeatureSpec{
-			Name: "f", Cardinality: 1000, Hot: 1, Mode: nn.PoolSum})
+			Name: "f", Cardinality: 1000, Hot: 1})
 		towersList[f%t] = append(towersList[f%t], f)
 	}
 	towerOf, rankOf, err := sptt.TowerAssignment(towersList, nFeatures, l)

@@ -34,8 +34,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -45,47 +47,63 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment to run (default: all)")
-	list := flag.Bool("list", false, "list experiment names and exit")
-	scheme := flag.String("compress", "fp32", "wire scheme for train/fig6 (fp32, fp16, int8, int4)")
-	genName := flag.String("gen", "a100", "hardware generation for the simulated fabric (v100, a100, h100)")
-	var opts experiments.Options
-	flag.BoolVar(&opts.Overlap, "overlap", false, "measure the overlapped engine in the train experiment")
-	flag.BoolVar(&opts.Pipeline, "pipeline", false, "measure the cross-step pipelined engine in the train experiment")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	fail := func(code int, err error) {
-		fmt.Fprintf(os.Stderr, "dmt-bench: %v\n", err)
-		os.Exit(code)
+// run regenerates the experiments the flags in args select, prints each
+// table to stdout, and returns the exit code: 2 for a bad flag, wire
+// scheme, hardware generation or experiment name, 1 when an experiment
+// fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dmt-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "", "experiment to run (default: all)")
+	list := fs.Bool("list", false, "list experiment names and exit")
+	scheme := fs.String("compress", "fp32", "wire scheme for train/fig6 (fp32, fp16, int8, int4)")
+	genName := fs.String("gen", "a100", "hardware generation for the simulated fabric (v100, a100, h100)")
+	var opts experiments.Options
+	fs.BoolVar(&opts.Overlap, "overlap", false, "measure the overlapped engine in the train experiment")
+	fs.BoolVar(&opts.Pipeline, "pipeline", false, "measure the cross-step pipelined engine in the train experiment")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+
 	var err error
 	if opts.Compress, err = quant.ParseScheme(*scheme); err != nil {
-		fail(2, err)
+		fmt.Fprintf(stderr, "dmt-bench: %v\n", err)
+		return 2
 	}
 	if opts.Gen, err = topology.ByName(strings.ToUpper(*genName)); err != nil {
-		fail(2, err)
+		fmt.Fprintf(stderr, "dmt-bench: %v\n", err)
+		return 2
 	}
 
 	exps := experiments.Select(experiments.Model, experiments.Measured)
 	if *list {
-		fmt.Print(experiments.List(exps))
-		return
+		fmt.Fprint(stdout, experiments.List(exps))
+		return 0
 	}
 	if *exp != "" {
 		e, ok := experiments.Lookup(exps, *exp)
 		if !ok {
-			fail(2, fmt.Errorf("unknown experiment %q (use -list)", *exp))
+			fmt.Fprintf(stderr, "dmt-bench: unknown experiment %q (use -list)\n", *exp)
+			return 2
 		}
 		exps = []experiments.Experiment{e}
 	}
 	for _, e := range exps {
 		out, err := e.Run(opts)
 		if err != nil {
-			fail(1, err)
+			fmt.Fprintf(stderr, "dmt-bench: %v\n", err)
+			return 1
 		}
-		fmt.Print(out)
+		fmt.Fprint(stdout, out)
 		if *exp == "" {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
+	return 0
 }

@@ -12,7 +12,7 @@ import (
 // a clean package 0, and a package that does not load or type-check, or
 // a pattern that matches nothing, exits 2 with an error naming it. A run
 // over one package still sees the users of its functions in the rest of
-// the module.
+// the module, and a method only its own package's tests call is a finding.
 func TestRun(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -45,6 +45,15 @@ func TestRun(t *testing.T) {
 		args:   []string{"./internal/tensor"},
 		code:   1,
 		stdout: "internal/tensor/t.go:3:6: unreached: exported function Full is reached from nothing but its own package's tests: delete it or move it into a _test.go file\n",
+	}, {
+		name: "method used by its own tests only",
+		files: map[string]string{
+			"internal/tensor/t.go":      "package tensor\n\ntype T struct{}\n\nfunc (T) Full() int { return 1 }\n",
+			"internal/tensor/t_test.go": "package tensor\n\nvar _ = T{}.Full()\n",
+		},
+		args:   []string{"./..."},
+		code:   1,
+		stdout: "internal/tensor/t.go:5:10: unreached: exported method T.Full is reached from nothing but its own package's tests: delete it or move it into a _test.go file\n",
 	}, {
 		name:  "clean",
 		files: map[string]string{"ok/ok.go": "package ok\n\nfunc F() int { return 1 }\n"},

@@ -36,15 +36,16 @@ import (
 )
 
 func main() {
+	def := experiments.DefaultServing()
 	var (
-		requests    = flag.Int("requests", 8192, "requests per (model, mode) cell")
-		concurrency = flag.Int("concurrency", 32, "closed-loop client goroutines")
-		unique      = flag.Int("unique", 1024, "distinct samples the zipf load draws from")
-		zipfS       = flag.Float64("zipf", 1.2, "zipf skew (>1); higher = hotter head")
-		maxBatch    = flag.Int("max-batch", 32, "micro-batch flush size")
-		maxWait     = flag.Duration("max-wait", time.Millisecond, "micro-batch flush timeout")
-		cacheSize   = flag.Int("cache", 1<<14, "entries per cache (embedding and tower)")
-		towers      = flag.Int("towers", 8, "DMT tower count")
+		requests    = flag.Int("requests", def.Requests, "requests per (model, mode) cell")
+		concurrency = flag.Int("concurrency", def.Concurrency, "closed-loop client goroutines")
+		unique      = flag.Int("unique", def.UniqueSamples, "distinct samples the zipf load draws from")
+		zipfS       = flag.Float64("zipf", def.ZipfS, "zipf skew (>1); higher = hotter head")
+		maxBatch    = flag.Int("max-batch", def.MaxBatch, "micro-batch flush size")
+		maxWait     = flag.Duration("max-wait", def.MaxWait, "micro-batch flush timeout")
+		cacheSize   = flag.Int("cache", def.CacheEntries, "entries per cache (embedding and tower)")
+		towers      = flag.Int("towers", def.Towers, "DMT tower count")
 		table       = flag.Bool("table", false, "run the experiments.ServingTable default profile and exit")
 
 		clusterMode = flag.Bool("cluster", false, "run the discrete-event cluster simulator instead of the real server")
@@ -64,8 +65,8 @@ func main() {
 		p.ZipfS = *zipfS
 		p.MaxBatch = *maxBatch
 		p.CacheEntries = *cacheSize
-		// -max-wait's default is the real server's 1 ms, not the profile's
-		// window, so only a -max-wait the user gave overrides the profile.
+		// -max-wait's default is the serving profile's 1 ms, not the cluster
+		// profile's window, so only a -max-wait the user gave overrides it.
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "max-wait" {
 				p.MaxWait = *maxWait

@@ -11,7 +11,6 @@ import (
 
 	"dmt/internal/comm"
 
-	"dmt/internal/nn"
 	"dmt/internal/sptt"
 	"dmt/internal/topology"
 	"dmt/internal/towers"
@@ -24,10 +23,10 @@ func main() {
 	cfg := sptt.Config{
 		G: g, L: l, B: b, N: n,
 		Features: []sptt.FeatureSpec{
-			{Name: "orange", Cardinality: 4, Hot: 1, Mode: nn.PoolSum},
-			{Name: "red", Cardinality: 4, Hot: 1, Mode: nn.PoolSum},
-			{Name: "blue", Cardinality: 4, Hot: 1, Mode: nn.PoolSum},
-			{Name: "green", Cardinality: 4, Hot: 1, Mode: nn.PoolSum},
+			{Name: "orange", Cardinality: 4, Hot: 1},
+			{Name: "red", Cardinality: 4, Hot: 1},
+			{Name: "blue", Cardinality: 4, Hot: 1},
+			{Name: "green", Cardinality: 4, Hot: 1},
 		},
 		TowerOf: []int{0, 0, 1, 1},
 		RankOf:  []int{0, 1, 2, 3},

@@ -45,12 +45,16 @@
 //     result; results of //dmt:transient-result arena APIs must not
 //     escape their caller.
 //
-//   - unreached: every exported package-level function of an internal/
-//     package is referenced from outside its own package's _test.go
-//     files. A function only its own tests reach belongs in a _test.go
-//     file; one nothing reaches is deleted. It is the one whole-run
-//     check: it reports from lint.Analyzer.Finish, after every package
-//     of the module has been seen.
+//   - unreached: every exported package-level function and exported
+//     method of an internal/ package is reached from outside its own
+//     package's _test.go files. A method also counts as reached when
+//     non-test code calls a same-named method of an interface, or of a
+//     type parameter's constraint, its type's method set covers, or when
+//     it implements a standard-library interface (String, Error). One
+//     only its own tests reach belongs in a _test.go file; one nothing
+//     reaches is deleted. It is the one whole-run check: it reports from
+//     lint.Analyzer.Finish, after every package of the module has been
+//     seen.
 //
 // # Running
 //

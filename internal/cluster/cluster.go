@@ -48,15 +48,14 @@ type Config struct {
 	// Policy routes admitted requests; nil defaults to round-robin.
 	Policy Policy
 	// AdmitRate enables token-bucket admission when positive: the fleet
-	// admits at most AdmitRate requests/second sustained with AdmitBurst
-	// extra headroom (AdmitBurst <= 0 defaults to MaxBatch tokens).
-	AdmitRate  float64
-	AdmitBurst float64
+	// admits at most AdmitRate requests/second sustained with MaxBatch
+	// tokens of headroom.
+	AdmitRate float64
 	// TowerCacheEntries / EmbCacheEntries size each replica's caches
-	// (embeddings.LRUSet; <= 0 disables as in serve.Config).
+	// (embeddings.LRUSet, sharded as serve.DefaultConfig's; <= 0 disables
+	// as in serve.Config).
 	TowerCacheEntries int
 	EmbCacheEntries   int
-	CacheShards       int
 	// EmbIDSpace is the distinct embedding-row id space the sample pool maps
 	// onto per table; <= 0 keys rows by sample directly (no cross-sample
 	// sharing).
@@ -147,9 +146,6 @@ func Run(cfg Config, trace *workload.Trace) Result {
 	if cfg.Replicas < 1 {
 		panic(fmt.Sprintf("cluster: %d replicas", cfg.Replicas))
 	}
-	if cfg.CacheShards < 1 {
-		cfg.CacheShards = 8
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = RoundRobin()
 	}
@@ -159,11 +155,7 @@ func Run(cfg Config, trace *workload.Trace) Result {
 		s.reps = append(s.reps, newReplica(i, cfg))
 	}
 	if cfg.AdmitRate > 0 {
-		burst := cfg.AdmitBurst
-		if burst <= 0 {
-			burst = float64(cfg.MaxBatch)
-		}
-		s.bucket = newTokenBucket(cfg.AdmitRate, burst)
+		s.bucket = newTokenBucket(cfg.AdmitRate, float64(cfg.MaxBatch))
 	}
 	for _, c := range trace.Classes {
 		s.classes = append(s.classes, &classAcc{class: c})

@@ -92,7 +92,7 @@ func TestCacheAccountingMatchesKeyedSemantics(t *testing.T) {
 	})
 	res := Run(Config{
 		Replicas: 1, Cost: cost, MaxBatch: 1, MaxWait: time.Millisecond,
-		TowerCacheEntries: 1 << 10, EmbCacheEntries: 1 << 10, CacheShards: 1,
+		TowerCacheEntries: 1 << 10, EmbCacheEntries: 1 << 10,
 	}, tr)
 
 	if res.Tower.Hits != uint64(cost.Towers) || res.Tower.Misses != uint64(cost.Towers) {
@@ -126,7 +126,7 @@ func TestEmbIDSpaceSharesRowsAcrossSamples(t *testing.T) {
 	})
 	res := Run(Config{
 		Replicas: 1, Cost: cost, MaxBatch: 1, MaxWait: time.Millisecond,
-		TowerCacheEntries: 1 << 10, EmbCacheEntries: 1 << 10, CacheShards: 1,
+		TowerCacheEntries: 1 << 10, EmbCacheEntries: 1 << 10,
 		EmbIDSpace: 1,
 	}, tr)
 	if res.Emb.Hits != uint64(cost.EmbTables) || res.Emb.Misses != uint64(cost.EmbTables) {

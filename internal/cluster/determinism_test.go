@@ -16,9 +16,9 @@ import (
 )
 
 // TestSimulatorDeterministicAcrossRunsAndProcs is the reproducibility gate:
-// a recorded trace replayed through the simulator must produce a deeply
-// identical Result on every run and at every GOMAXPROCS setting — the
-// property that makes capacity answers diffable in CI.
+// one trace replayed through the simulator must produce a deeply identical
+// Result on every run and at every GOMAXPROCS setting — the property that
+// makes capacity answers diffable in CI.
 func TestSimulatorDeterministicAcrossRunsAndProcs(t *testing.T) {
 	cost := serve.NewCostModel(topology.A100, perfmodel.DLRMSpec(), 8)
 	wcfg := workload.Config{
@@ -27,18 +27,9 @@ func TestSimulatorDeterministicAcrossRunsAndProcs(t *testing.T) {
 	}
 	trace := workload.Generate(wcfg)
 
-	// Record -> replay must reproduce the identical request stream.
-	replayed, err := workload.Decode(trace.Encode())
-	if err != nil {
-		t.Fatalf("decode recorded trace: %v", err)
-	}
-	if !reflect.DeepEqual(trace, replayed) {
-		t.Fatal("record->replay changed the request stream")
-	}
-
 	cfg := Config{
 		Replicas: 3, Cost: cost, MaxBatch: 8, MaxWait: 200 * time.Microsecond,
-		Policy: CacheAffinity(0), AdmitRate: 120_000, AdmitBurst: 16,
+		Policy: CacheAffinity(0), AdmitRate: 120_000,
 		TowerCacheEntries: 1 << 12, EmbCacheEntries: 1 << 12, EmbIDSpace: 4096,
 	}
 	baseline := Run(cfg, trace)
@@ -54,7 +45,7 @@ func TestSimulatorDeterministicAcrossRunsAndProcs(t *testing.T) {
 			// run gets a fresh one — as any caller constructing a Config would.
 			c := cfg
 			c.Policy = CacheAffinity(0)
-			got := Run(c, replayed)
+			got := Run(c, trace)
 			if !reflect.DeepEqual(baseline, got) {
 				t.Fatalf("GOMAXPROCS=%d run %d diverged from baseline:\n got %+v\nwant %+v",
 					procs, run, got, baseline)
@@ -64,16 +55,14 @@ func TestSimulatorDeterministicAcrossRunsAndProcs(t *testing.T) {
 }
 
 // TestGenerateIsPureFunctionOfConfig re-generates the same workload config
-// and requires byte-identical encodings — the trace side of the gate.
+// and requires deeply equal traces — the trace side of the gate.
 func TestGenerateIsPureFunctionOfConfig(t *testing.T) {
 	wcfg := workload.Config{
 		Arrival: workload.Weibull, Rate: 30_000, Shape: 1.5, Requests: 800,
 		Samples: 128, ZipfS: 1.3, Classes: workload.DefaultClasses(), Seed: 42,
 	}
-	a := workload.Generate(wcfg).Encode()
-	b := workload.Generate(wcfg).Encode()
-	if string(a) != string(b) {
-		t.Fatal("same workload config produced different trace bytes")
+	if a, b := workload.Generate(wcfg), workload.Generate(wcfg); !reflect.DeepEqual(a, b) {
+		t.Fatal("same workload config produced different traces")
 	}
 }
 

@@ -57,11 +57,12 @@ type batchJob struct {
 func (b *batchJob) cost() time.Duration { return b.compute + b.embFetch }
 
 func newReplica(id int, cfg Config) *replica {
+	shards := serve.DefaultConfig().CacheShards
 	return &replica{
 		id:    id,
 		batch: serve.NewBatcher[*workload.Request](cfg.MaxBatch, cfg.MaxWait),
-		tower: embeddings.NewLRUSet(cfg.TowerCacheEntries, cfg.CacheShards),
-		emb:   embeddings.NewLRUSet(cfg.EmbCacheEntries, cfg.CacheShards),
+		tower: embeddings.NewLRUSet(cfg.TowerCacheEntries, shards),
+		emb:   embeddings.NewLRUSet(cfg.EmbCacheEntries, shards),
 	}
 }
 

@@ -31,14 +31,6 @@ func (c ClassResult) MeetsSLO() bool {
 	return c.Rejected == 0 && c.Served > 0 && c.P99 <= c.Class.SLO
 }
 
-// RejectRate is the admission-rejected fraction of arrivals.
-func (c ClassResult) RejectRate() float64 {
-	if c.Arrived == 0 {
-		return 0
-	}
-	return float64(c.Rejected) / float64(c.Arrived)
-}
-
 // ReplicaResult is one replica's share of the run.
 type ReplicaResult struct {
 	Served  int

@@ -81,7 +81,7 @@ func TestCacheAffinityRaisesTowerHitRateCrafted(t *testing.T) {
 	}
 	base := Config{
 		Replicas: 2, Cost: cost, MaxBatch: 1, MaxWait: time.Millisecond,
-		TowerCacheEntries: 1 << 10, CacheShards: 1,
+		TowerCacheEntries: 1 << 10,
 	}
 
 	rrCfg := base
@@ -113,7 +113,7 @@ func TestCacheAffinityRaisesTowerHitRateZipf(t *testing.T) {
 	})
 	base := Config{
 		Replicas: 4, Cost: cost, MaxBatch: 8, MaxWait: 200 * time.Microsecond,
-		TowerCacheEntries: 1 << 12, EmbCacheEntries: 1 << 12, CacheShards: 8,
+		TowerCacheEntries: 1 << 12, EmbCacheEntries: 1 << 12,
 		EmbIDSpace: 4096,
 	}
 
@@ -134,9 +134,10 @@ func TestCacheAffinityRaisesTowerHitRateZipf(t *testing.T) {
 	}
 }
 
-// TestTokenBucketRejectsExactExcess: burst 2, 2 tokens/s. Four arrivals at
-// t=0 spend the burst and reject the other two; one virtual second refills
-// exactly two tokens, so of three arrivals at t=1s exactly one is rejected.
+// TestTokenBucketRejectsExactExcess: burst 2 (MaxBatch tokens), 2 tokens/s.
+// Four arrivals at t=0 spend the burst and reject the other two; one virtual
+// second refills exactly two tokens, so of three arrivals at t=1s exactly
+// one is rejected.
 func TestTokenBucketRejectsExactExcess(t *testing.T) {
 	cost := testCost()
 	var reqs []workload.Request
@@ -147,8 +148,8 @@ func TestTokenBucketRejectsExactExcess(t *testing.T) {
 		reqs = append(reqs, workload.Request{Seq: i, At: time.Second, Sample: i, Class: 0, Items: 1})
 	}
 	res := Run(Config{
-		Replicas: 1, Cost: cost, MaxBatch: 1, MaxWait: time.Millisecond,
-		AdmitRate: 2, AdmitBurst: 2,
+		Replicas: 1, Cost: cost, MaxBatch: 2, MaxWait: time.Millisecond,
+		AdmitRate: 2,
 	}, craftedTrace(oneClass, reqs))
 
 	if res.Rejected != 3 || res.Served != 4 {

@@ -128,9 +128,6 @@ type Clock struct {
 	hiddenFrontierNS int64
 }
 
-// Now returns the rank's current virtual time.
-func (k *Clock) Now() time.Duration { return time.Duration(k.ns.Load()) }
-
 // Advance moves the clock forward by a modeled compute duration — the hook
 // that lets posted collectives hide behind compute in virtual time.
 func (k *Clock) Advance(d time.Duration) {
@@ -334,9 +331,6 @@ func NewGroupNet(size int, net *Network, globalRanks []int) []*Comm {
 
 // Rank returns this handle's rank within the group.
 func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the group size.
-func (c *Comm) Size() int { return c.g.size }
 
 // BytesSentTo returns the bytes this rank sent to dst so far. Safe to call
 // while rank goroutines are still running (atomic snapshot).

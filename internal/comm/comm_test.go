@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dmt/internal/tensor"
 )
@@ -271,3 +272,9 @@ func bytesSent(c *Comm) int64 {
 	}
 	return t
 }
+
+// Now returns the rank's current virtual time.
+func (k *Clock) Now() time.Duration { return time.Duration(k.ns.Load()) }
+
+// Size returns the group size.
+func (c *Comm) Size() int { return c.g.size }

@@ -185,9 +185,6 @@ func NewGenerator(cfg Config) *Generator {
 // Config returns the generator's configuration.
 func (g *Generator) Config() Config { return g.cfg }
 
-// TrueGroup returns the planted group of feature f.
-func (g *Generator) TrueGroup(f int) int { return g.groups[f] }
-
 // TrueGroups returns the planted feature partition as index lists.
 func (g *Generator) TrueGroups() [][]int {
 	out := make([][]int, g.cfg.NumGroups)

@@ -208,3 +208,6 @@ func TestQuickBatchShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TrueGroup returns the planted group of feature f.
+func (g *Generator) TrueGroup(f int) int { return g.groups[f] }

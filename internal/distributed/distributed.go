@@ -403,7 +403,6 @@ func New(cfg Config) (*Trainer, error) {
 			Name:        fmt.Sprintf("emb%d", f),
 			Cardinality: cfg.Model.Schema.Cardinalities[f],
 			Hot:         cfg.Model.Schema.HotSizes[f],
-			Mode:        nn.PoolSum,
 		})
 	}
 	if tr.engine, err = sptt.NewEngineOver(scfg, tables, tr.tier); err != nil {

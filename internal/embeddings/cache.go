@@ -397,9 +397,6 @@ func (k *Keyed) Stats() CacheStats {
 	return out
 }
 
-// Len returns the entry count across shards; zero for a nil cache.
-func (k *Keyed) Len() int { return k.Stats().Entries }
-
 // LRUSet is a presence-only LRU over namespaced keys, for a single
 // goroutine that only asks whether a key is cached (the cluster
 // simulator's replicas). It is CachedStore's shard split with no rows, so

@@ -549,3 +549,6 @@ func TestKeyedConcurrentRows(t *testing.T) {
 		}
 	}
 }
+
+// Len returns the entry count across shards; zero for a nil cache.
+func (k *Keyed) Len() int { return k.Stats().Entries }

@@ -17,7 +17,7 @@ func makeTables(nTables, rows, dim int, seed uint64) []*nn.EmbeddingBag {
 	rng := tensor.NewRNG(seed)
 	out := make([]*nn.EmbeddingBag, nTables)
 	for f := range out {
-		out[f] = nn.NewEmbeddingBag(rng, rows, dim, nn.PoolSum, fmt.Sprintf("emb%d", f))
+		out[f] = nn.NewEmbeddingBag(rng, rows, dim, fmt.Sprintf("emb%d", f))
 	}
 	return out
 }
@@ -223,4 +223,12 @@ func TestServerPanicCancelsComputeGroups(t *testing.T) {
 		}
 	}
 	tier.Close() // must not hang after the crash
+}
+
+// Err reports the first server-side failure (nil while healthy or after a
+// clean Close).
+func (t *RemoteTier) Err() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.err
 }

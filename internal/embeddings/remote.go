@@ -141,14 +141,6 @@ func NewRemote(cfg RemoteConfig) *RemoteTier {
 // across calls, so the hot-ID cache persists over the whole run.
 func (t *RemoteTier) Client(rank int) Store { return t.clients[rank] }
 
-// Err reports the first server-side failure (nil while healthy or after a
-// clean Close).
-func (t *RemoteTier) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
 // Close cancels the pair groups, which wakes every server out of its
 // blocking request receive, and waits for the server goroutines to exit.
 // Idempotent.

@@ -291,7 +291,7 @@ func verifySPTTNeutrality(schema data.Schema) bool {
 	for f := 0; f < schema.NumSparse(); f++ {
 		cfg.Features = append(cfg.Features, sptt.FeatureSpec{
 			Name: fmt.Sprintf("f%d", f), Cardinality: schema.Cardinalities[f],
-			Hot: schema.HotSizes[f], Mode: nn.PoolSum,
+			Hot: schema.HotSizes[f],
 		})
 		towersList[f%t] = append(towersList[f%t], f)
 	}

@@ -28,7 +28,8 @@ type ServingProfile struct {
 	Towers        int
 }
 
-// DefaultServing is the cmd/dmt-serve default.
+// DefaultServing is the cmd/dmt-serve default: its closed-loop flags take
+// their defaults from it.
 func DefaultServing() ServingProfile {
 	return ServingProfile{
 		Requests:      4096,

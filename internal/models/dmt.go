@@ -150,15 +150,6 @@ func checkPartition(towersList [][]int, nFeatures int) error {
 // Name identifies the model, e.g. "DMT 8T-DLRM".
 func (m *DMTDLRM) Name() string { return fmt.Sprintf("DMT %dT-DLRM", len(m.cfg.Towers)) }
 
-// CompressionRatio reports the paper's CR for this configuration.
-func (m *DMTDLRM) CompressionRatio() float64 {
-	outs := make([]int, len(m.TMs))
-	for t, tm := range m.TMs {
-		outs[t] = tm.OutDim()
-	}
-	return towers.CompressionRatio(m.cfg.Schema.NumSparse(), m.cfg.N, outs)
-}
-
 // Forward computes logits: the bottom MLP, the embeddings and tower
 // modules (hierarchical interaction level 1: per-tower compression), then
 // the over-arch a distributed rank runs in ForwardDenseFrom.

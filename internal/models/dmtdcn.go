@@ -56,15 +56,6 @@ func NewDMTDCN(cfg DMTDCNConfig) *DMTDCN {
 // Name identifies the model, e.g. "DMT 8T-DCN".
 func (m *DMTDCN) Name() string { return fmt.Sprintf("DMT %dT-DCN", len(m.cfg.Towers)) }
 
-// CompressionRatio reports the paper's CR.
-func (m *DMTDCN) CompressionRatio() float64 {
-	outs := make([]int, len(m.TMs))
-	for t, tm := range m.TMs {
-		outs[t] = tm.OutDim()
-	}
-	return towers.CompressionRatio(m.cfg.Schema.NumSparse(), m.cfg.N, outs)
-}
-
 // Forward computes logits.
 func (m *DMTDCN) Forward(b *data.Batch) *tensor.Tensor {
 	m.tape.Reset()

@@ -49,14 +49,12 @@ type Model interface {
 	FlopsPerSample() float64
 }
 
-// newEmbeddings builds one table per sparse feature of the schema. Multi-hot
-// features pool by sum (partial sums compose across row shards, §3.1.3);
-// single-hot pooling mode is irrelevant and also sum.
+// newEmbeddings builds one table per sparse feature of the schema.
 func newEmbeddings(r *tensor.RNG, schema data.Schema, n int) []*nn.EmbeddingBag {
 	embs := make([]*nn.EmbeddingBag, schema.NumSparse())
 	for f := range embs {
 		embs[f] = nn.NewEmbeddingBag(r.Split(uint64(f)+100), schema.Cardinalities[f], n,
-			nn.PoolSum, fmt.Sprintf("emb%d", f))
+			fmt.Sprintf("emb%d", f))
 	}
 	return embs
 }

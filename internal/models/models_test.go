@@ -8,6 +8,7 @@ import (
 	"dmt/internal/data"
 	"dmt/internal/nn"
 	"dmt/internal/tensor"
+	"dmt/internal/towers"
 )
 
 // tinyConfig returns a fast synthetic workload for model tests: 12 sparse
@@ -214,14 +215,19 @@ func TestCompressionRatioMatchesTable5Semantics(t *testing.T) {
 	naive := RoundRobinTowers(4, cfg.NumSparse())
 	// c=1, p=0: CR = N/D.
 	mcfg := tinyDMTDLRM(cfg.Schema, naive, 1) // N=8, D=4
-	m := NewDMTDLRM(mcfg)
-	if cr := m.CompressionRatio(); math.Abs(cr-2) > 1e-9 {
+	ratio := func(m *DMTDLRM) float64 {
+		outs := make([]int, len(m.TMs))
+		for t, tm := range m.TMs {
+			outs[t] = tm.OutDim()
+		}
+		return towers.CompressionRatio(cfg.NumSparse(), mcfg.N, outs)
+	}
+	if cr := ratio(NewDMTDLRM(mcfg)); math.Abs(cr-2) > 1e-9 {
 		t.Fatalf("CR = %v, want 2", cr)
 	}
 	mcfg.D = 2
 	mcfg.BottomMLP = []int{16, 2}
-	m = NewDMTDLRM(mcfg)
-	if cr := m.CompressionRatio(); math.Abs(cr-4) > 1e-9 {
+	if cr := ratio(NewDMTDLRM(mcfg)); math.Abs(cr-4) > 1e-9 {
 		t.Fatalf("CR = %v, want 4", cr)
 	}
 }

@@ -29,9 +29,6 @@ func NewCrossNet(r *tensor.RNG, dim, layers int, name string) *CrossNet {
 	return c
 }
 
-// Layers returns the number of cross layers.
-func (c *CrossNet) Layers() int { return len(c.Ws) }
-
 // Forward applies all cross layers to x of shape (B, Dim). Each layer's
 // u = W x_l + b is a fresh GEMM output; a recording tape keeps (x0, x_l, u)
 // and x0 ⊙ u + x_l goes to a new tensor, otherwise it overwrites u. Either

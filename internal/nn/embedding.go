@@ -6,18 +6,11 @@ import (
 	"dmt/internal/tensor"
 )
 
-// PoolMode selects how multi-hot lookups are pooled into one vector.
-type PoolMode int
-
-// Pooling modes for EmbeddingBag.
-const (
-	PoolSum PoolMode = iota
-	PoolMean
-)
-
 // EmbeddingBag is a pooled embedding table, the sparse component of
 // recommendation models (§2.1). A lookup takes, per sample, a bag of row
-// indices (single-hot bags have length 1) and returns the pooled embedding.
+// indices (single-hot bags have length 1) and returns their sum: partial
+// sums compose wherever the rows live, which is what SPTT relies on
+// (§3.1.3).
 // Gradients are sparse: Backward returns the touched rows and their
 // gradients, coalesced, which is what SparseAdam and the model-parallel
 // gradient routing consume.
@@ -25,7 +18,6 @@ type EmbeddingBag struct {
 	Name string
 	Rows int
 	Dim  int
-	Mode PoolMode
 	// Table is the (Rows, Dim) weight matrix. It is deliberately not a Param:
 	// embedding tables are trained model-parallel with sparse updates, never
 	// through the dense optimizer path (§2.2).
@@ -39,33 +31,20 @@ type EmbeddingBag struct {
 
 // NewEmbeddingBag creates a table initialized U(-1/Rows, 1/Rows), the
 // standard DLRM initialization.
-func NewEmbeddingBag(r *tensor.RNG, rows, dim int, mode PoolMode, name string) *EmbeddingBag {
+func NewEmbeddingBag(r *tensor.RNG, rows, dim int, name string) *EmbeddingBag {
 	bound := 1.0 / float64(rows)
 	return &EmbeddingBag{
 		Name:  name,
 		Rows:  rows,
 		Dim:   dim,
-		Mode:  mode,
 		Table: tensor.RandUniform(r, -bound, bound, rows, dim),
 	}
 }
 
-// Forward pools rows for each bag. offsets has one entry per sample giving
-// the start of its bag in indices; sample i's bag is
+// Record leaves on t the record Backward pops, for a caller that pooled the
+// bags itself, one PoolBagInto at a time. offsets has one entry per sample
+// giving the start of its bag in indices; sample i's bag is
 // indices[offsets[i]:offsets[i+1]] (the last bag extends to len(indices)).
-// Returns a (numBags, Dim) tensor from t's arena. Empty bags pool to zero.
-func (e *EmbeddingBag) Forward(t *Tape, indices, offsets []int32) *tensor.Tensor {
-	out := t.New(len(offsets), e.Dim)
-	for b := range offsets {
-		lo, hi := bagBounds(indices, offsets, b)
-		e.PoolBagInto(out.Row(b), indices[lo:hi])
-	}
-	e.Record(t, indices, offsets)
-	return out
-}
-
-// Record leaves on t the record Forward leaves, for a caller that pooled the
-// same bags itself, one PoolBagInto at a time.
 func (e *EmbeddingBag) Record(t *Tape, indices, offsets []int32) {
 	t.push(record{layer: e, ids: indices, offs: offsets})
 }
@@ -73,9 +52,6 @@ func (e *EmbeddingBag) Record(t *Tape, indices, offsets []int32) {
 // PoolBagInto pools the table rows of one bag into dst (length Dim, assumed
 // zeroed). An empty bag leaves dst at zero.
 func (e *EmbeddingBag) PoolBagInto(dst []float32, bag []int32) {
-	if len(bag) == 0 {
-		return
-	}
 	for _, idx := range bag {
 		if int(idx) < 0 || int(idx) >= e.Rows {
 			panic(fmt.Sprintf("nn: embedding %q index %d out of range [0,%d)", e.Name, idx, e.Rows))
@@ -83,12 +59,6 @@ func (e *EmbeddingBag) PoolBagInto(dst []float32, bag []int32) {
 		src := e.Table.Row(int(idx))
 		for d := 0; d < e.Dim; d++ {
 			dst[d] += src[d]
-		}
-	}
-	if e.Mode == PoolMean {
-		inv := float32(1) / float32(len(bag))
-		for d := 0; d < e.Dim; d++ {
-			dst[d] *= inv
 		}
 	}
 }
@@ -111,14 +81,14 @@ type SparseGrad struct {
 }
 
 // Backward converts the pooled-output gradient dY (numBags, Dim) of the
-// recorded Forward into a coalesced sparse gradient over table rows
+// recorded bags into a coalesced sparse gradient over table rows
 // (PoolBackward).
 func (e *EmbeddingBag) Backward(t *Tape, dy *tensor.Tensor) *SparseGrad {
 	r := t.pop(e)
 	if e.slot == nil {
 		e.slot = make([]int32, e.Rows)
 	}
-	return PoolBackward(e.Mode, r.ids, r.offs, dy, e.slot)
+	return PoolBackward(r.ids, r.offs, dy, e.slot)
 }
 
 // PoolBackward converts a pooled-output gradient into a coalesced sparse
@@ -134,7 +104,7 @@ func (e *EmbeddingBag) Backward(t *Tape, dy *tensor.Tensor) *SparseGrad {
 // Ascending order comes from a scan of slot between the least and greatest
 // marked row, at most the table's row count. PoolBackward reads and writes
 // slot only inside that span.
-func PoolBackward(mode PoolMode, indices, offsets []int32, dPooled *tensor.Tensor, slot []int32) *SparseGrad {
+func PoolBackward(indices, offsets []int32, dPooled *tensor.Tensor, slot []int32) *SparseGrad {
 	b := len(offsets)
 	dim := dPooled.Dim(1)
 	// Only entries inside some bag count: a leading offset above zero leaves
@@ -162,18 +132,11 @@ func PoolBackward(mode PoolMode, indices, offsets []int32, dPooled *tensor.Tenso
 	grads := tensor.New(len(rows), dim)
 	for s := 0; s < b; s++ {
 		lo, hi := bagBounds(indices, offsets, s)
-		if lo == hi {
-			continue
-		}
 		g := dPooled.Row(s)
-		scale := float32(1)
-		if mode == PoolMean {
-			scale = 1 / float32(hi-lo)
-		}
 		for _, ix := range indices[lo:hi] {
 			row := grads.Row(int(slot[ix]) - 1)[:len(g)]
 			for d, gv := range g {
-				row[d] += float32(scale * gv)
+				row[d] += gv
 			}
 		}
 	}

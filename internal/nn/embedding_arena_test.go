@@ -18,10 +18,6 @@ func refBackward(e *EmbeddingBag, indices, offsets []int32, dy *tensor.Tensor) *
 			continue
 		}
 		g := dy.Row(b)
-		scale := float32(1)
-		if e.Mode == PoolMean {
-			scale = 1 / float32(hi-lo)
-		}
 		for _, idx := range indices[lo:hi] {
 			row := acc[int(idx)]
 			if row == nil {
@@ -29,7 +25,7 @@ func refBackward(e *EmbeddingBag, indices, offsets []int32, dy *tensor.Tensor) *
 				acc[int(idx)] = row
 			}
 			for d := 0; d < e.Dim; d++ {
-				row[d] += scale * g[d]
+				row[d] += g[d]
 			}
 		}
 	}
@@ -51,44 +47,42 @@ func refBackward(e *EmbeddingBag, indices, offsets []int32, dy *tensor.Tensor) *
 // touched-row set (including duplicate indices within and across bags and
 // empty bags), which is exactly what would surface stale arena contents.
 func TestEmbeddingBackwardArenaBitwise(t *testing.T) {
-	for _, mode := range []PoolMode{PoolSum, PoolMean} {
-		r := tensor.NewRNG(11)
-		e := NewEmbeddingBag(r, 50, 6, mode, "arena")
-		for step := 0; step < 12; step++ {
-			// Bag shapes vary per step; step 3 includes an empty bag.
-			indices := []int32{}
-			offsets := []int32{}
-			nbags := 2 + step%4
-			for b := 0; b < nbags; b++ {
-				offsets = append(offsets, int32(len(indices)))
-				if step%5 == 3 && b == 1 {
-					continue // empty bag
-				}
-				for k := 0; k <= (step+b)%4; k++ {
-					// Deliberate collisions: a few rows recur every step,
-					// others rotate in and out of the touched set.
-					indices = append(indices, int32((7*step+13*b+k*k)%50))
-				}
+	r := tensor.NewRNG(11)
+	e := NewEmbeddingBag(r, 50, 6, "arena")
+	for step := 0; step < 12; step++ {
+		// Bag shapes vary per step; step 3 includes an empty bag.
+		indices := []int32{}
+		offsets := []int32{}
+		nbags := 2 + step%4
+		for b := 0; b < nbags; b++ {
+			offsets = append(offsets, int32(len(indices)))
+			if step%5 == 3 && b == 1 {
+				continue // empty bag
 			}
-			dy := tensor.RandUniform(r, -1, 1, nbags, e.Dim)
+			for k := 0; k <= (step+b)%4; k++ {
+				// Deliberate collisions: a few rows recur every step,
+				// others rotate in and out of the touched set.
+				indices = append(indices, int32((7*step+13*b+k*k)%50))
+			}
+		}
+		dy := tensor.RandUniform(r, -1, 1, nbags, e.Dim)
 
-			tp := &Tape{Record: true}
-			e.Forward(tp, indices, offsets)
-			got := e.Backward(tp, dy)
-			want := refBackward(e, indices, offsets, dy)
+		tp := &Tape{Record: true}
+		e.Forward(tp, indices, offsets)
+		got := e.Backward(tp, dy)
+		want := refBackward(e, indices, offsets, dy)
 
-			if len(got.Rows) != len(want.Rows) {
-				t.Fatalf("mode %v step %d: %d rows, want %d", mode, step, len(got.Rows), len(want.Rows))
+		if len(got.Rows) != len(want.Rows) {
+			t.Fatalf("step %d: %d rows, want %d", step, len(got.Rows), len(want.Rows))
+		}
+		for i := range got.Rows {
+			if got.Rows[i] != want.Rows[i] {
+				t.Fatalf("step %d: row[%d]=%d, want %d", step, i, got.Rows[i], want.Rows[i])
 			}
-			for i := range got.Rows {
-				if got.Rows[i] != want.Rows[i] {
-					t.Fatalf("mode %v step %d: row[%d]=%d, want %d", mode, step, i, got.Rows[i], want.Rows[i])
-				}
-			}
-			if !got.Grads.Equal(want.Grads) {
-				t.Fatalf("mode %v step %d: arena backward diverged from reference (max abs diff %g)",
-					mode, step, got.Grads.MaxAbsDiff(want.Grads))
-			}
+		}
+		if !got.Grads.Equal(want.Grads) {
+			t.Fatalf("step %d: arena backward diverged from reference (max abs diff %g)",
+				step, got.Grads.MaxAbsDiff(want.Grads))
 		}
 	}
 }
@@ -99,7 +93,7 @@ func TestEmbeddingBackwardArenaBitwise(t *testing.T) {
 // allocated a map plus one []float32 per distinct row per step.
 func TestEmbeddingBackwardAllocs(t *testing.T) {
 	r := tensor.NewRNG(5)
-	e := NewEmbeddingBag(r, 400, 16, PoolSum, "allocs")
+	e := NewEmbeddingBag(r, 400, 16, "allocs")
 	indices := make([]int32, 0, 256)
 	offsets := make([]int32, 0, 64)
 	for b := 0; b < 64; b++ {

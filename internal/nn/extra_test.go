@@ -137,8 +137,8 @@ func TestSparseAdamPrimeConcurrentTables(t *testing.T) {
 	mkTables := func() []*EmbeddingBag {
 		r := tensor.NewRNG(5)
 		return []*EmbeddingBag{
-			NewEmbeddingBag(r.Split(1), 16, 4, PoolSum, "a"),
-			NewEmbeddingBag(r.Split(2), 16, 4, PoolSum, "b"),
+			NewEmbeddingBag(r.Split(1), 16, 4, "a"),
+			NewEmbeddingBag(r.Split(2), 16, 4, "b"),
 		}
 	}
 	mkGrad := func(seed uint64) *SparseGrad {
@@ -179,7 +179,7 @@ func TestSparseAdamPrimeConcurrentTables(t *testing.T) {
 func TestSparseAdamBiasCorrectionMemo(t *testing.T) {
 	const rows, dim = 12, 3
 	newTable := func() *EmbeddingBag {
-		return NewEmbeddingBag(tensor.NewRNG(21), rows, dim, PoolSum, "memo")
+		return NewEmbeddingBag(tensor.NewRNG(21), rows, dim, "memo")
 	}
 	memoTable, freshTable := newTable(), newTable()
 	memo, fresh := NewSparseAdam(0.05), NewSparseAdam(0.05)
@@ -213,3 +213,6 @@ func TestSparseAdamBiasCorrectionMemo(t *testing.T) {
 		t.Fatalf("memo holds %d step counts after 200 steps", len(st.bc))
 	}
 }
+
+// Layers returns the number of cross layers.
+func (c *CrossNet) Layers() int { return len(c.Ws) }

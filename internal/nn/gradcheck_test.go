@@ -148,35 +148,33 @@ func TestBCEGradients(t *testing.T) {
 
 func TestEmbeddingBagBackwardMatchesNumerical(t *testing.T) {
 	r := tensor.NewRNG(7)
-	for _, mode := range []PoolMode{PoolSum, PoolMean} {
-		e := NewEmbeddingBag(r, 6, 3, mode, "emb")
-		// Re-init to spread values.
-		e.Table = tensor.RandN(r, 1, 6, 3)
-		indices := []int32{0, 2, 2, 5, 1} // duplicate row 2 to exercise coalescing
-		offsets := []int32{0, 3, 3}       // bags: {0,2,2}, {}, {5,1}
-		ws := newWeightedSum(9, 19)
-		lossFn := func() float64 { return ws.Loss(e.Forward(&Tape{}, indices, offsets)) }
+	e := NewEmbeddingBag(r, 6, 3, "emb")
+	// Re-init to spread values.
+	e.Table = tensor.RandN(r, 1, 6, 3)
+	indices := []int32{0, 2, 2, 5, 1} // duplicate row 2 to exercise coalescing
+	offsets := []int32{0, 3, 3}       // bags: {0,2,2}, {}, {5,1}
+	ws := newWeightedSum(9, 19)
+	lossFn := func() float64 { return ws.Loss(e.Forward(&Tape{}, indices, offsets)) }
 
-		tp := &Tape{Record: true}
-		y := e.Forward(tp, indices, offsets)
-		sg := e.Backward(tp, ws.Grad(y.Shape()))
+	tp := &Tape{Record: true}
+	y := e.Forward(tp, indices, offsets)
+	sg := e.Backward(tp, ws.Grad(y.Shape()))
 
-		// Densify the sparse gradient.
-		dense := tensor.New(6, 3)
-		for i, row := range sg.Rows {
-			copy(dense.Row(row), sg.Grads.Row(i))
-		}
-		checkDense(t, "embedding table", e.Table, dense, lossFn, 1e-2)
+	// Densify the sparse gradient.
+	dense := tensor.New(6, 3)
+	for i, row := range sg.Rows {
+		copy(dense.Row(row), sg.Grads.Row(i))
+	}
+	checkDense(t, "embedding table", e.Table, dense, lossFn, 1e-2)
 
-		// Rows must be the touched set, sorted, without duplicates.
-		want := []int{0, 1, 2, 5}
-		if len(sg.Rows) != len(want) {
-			t.Fatalf("mode %v touched rows %v", mode, sg.Rows)
-		}
-		for i := range want {
-			if sg.Rows[i] != want[i] {
-				t.Fatalf("mode %v touched rows %v, want %v", mode, sg.Rows, want)
-			}
+	// Rows must be the touched set, sorted, without duplicates.
+	want := []int{0, 1, 2, 5}
+	if len(sg.Rows) != len(want) {
+		t.Fatalf("touched rows %v", sg.Rows)
+	}
+	for i := range want {
+		if sg.Rows[i] != want[i] {
+			t.Fatalf("touched rows %v, want %v", sg.Rows, want)
 		}
 	}
 }

@@ -62,23 +62,18 @@ func TestReLUForwardBackward(t *testing.T) {
 }
 
 func TestEmbeddingBagPooling(t *testing.T) {
-	e := &EmbeddingBag{Name: "e", Rows: 3, Dim: 2, Mode: PoolSum,
+	e := &EmbeddingBag{Name: "e", Rows: 3, Dim: 2,
 		Table: tensor.FromSlice([]float32{1, 2, 10, 20, 100, 200}, 3, 2)}
 	y := e.Forward(&Tape{}, []int32{0, 2, 1}, []int32{0, 2})
 	// bag0 = row0+row2 = (101, 202); bag1 = row1 = (10, 20)
 	if y.At(0, 0) != 101 || y.At(0, 1) != 202 || y.At(1, 0) != 10 {
 		t.Fatalf("sum pooling got %v", y.Data())
 	}
-	e.Mode = PoolMean
-	y = e.Forward(&Tape{}, []int32{0, 2, 1}, []int32{0, 2})
-	if y.At(0, 0) != 50.5 {
-		t.Fatalf("mean pooling got %v", y.Data())
-	}
 }
 
 func TestEmbeddingBagEmptyBag(t *testing.T) {
 	r := tensor.NewRNG(2)
-	e := NewEmbeddingBag(r, 4, 3, PoolMean, "e")
+	e := NewEmbeddingBag(r, 4, 3, "e")
 	y := e.Forward(&Tape{}, []int32{1}, []int32{0, 1, 1}) // bags: {1}, {}, {}
 	for d := 0; d < 3; d++ {
 		if y.At(1, d) != 0 || y.At(2, d) != 0 {
@@ -89,7 +84,7 @@ func TestEmbeddingBagEmptyBag(t *testing.T) {
 
 func TestEmbeddingBagOutOfRangePanics(t *testing.T) {
 	r := tensor.NewRNG(3)
-	e := NewEmbeddingBag(r, 4, 3, PoolSum, "e")
+	e := NewEmbeddingBag(r, 4, 3, "e")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for out-of-range index")
@@ -99,7 +94,7 @@ func TestEmbeddingBagOutOfRangePanics(t *testing.T) {
 }
 
 func TestEmbeddingLookupRows(t *testing.T) {
-	e := &EmbeddingBag{Name: "e", Rows: 3, Dim: 2, Mode: PoolSum,
+	e := &EmbeddingBag{Name: "e", Rows: 3, Dim: 2,
 		Table: tensor.FromSlice([]float32{1, 2, 10, 20, 100, 200}, 3, 2)}
 	y := e.LookupRows([]int32{2, 0})
 	if y.At(0, 1) != 200 || y.At(1, 0) != 1 {
@@ -165,7 +160,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 func TestSparseAdamMatchesDenseAdamWhenAllRowsTouched(t *testing.T) {
 	r := tensor.NewRNG(8)
 	table := tensor.RandN(r, 1, 4, 3)
-	e := &EmbeddingBag{Name: "e", Rows: 4, Dim: 3, Mode: PoolSum, Table: table.Clone()}
+	e := &EmbeddingBag{Name: "e", Rows: 4, Dim: 3, Table: table.Clone()}
 	p := NewParam("dense", table.Clone())
 
 	sparse := NewSparseAdam(0.01)
@@ -195,7 +190,7 @@ func TestAdamStepAllocatesNothing(t *testing.T) {
 }
 
 func TestSparseAdamLazyRows(t *testing.T) {
-	e := &EmbeddingBag{Name: "e", Rows: 3, Dim: 1, Mode: PoolSum,
+	e := &EmbeddingBag{Name: "e", Rows: 3, Dim: 1,
 		Table: tensor.FromSlice([]float32{1, 1, 1}, 3, 1)}
 	o := NewSparseAdam(0.1)
 	o.Step(e, &SparseGrad{Rows: []int{0}, Grads: tensor.FromSlice([]float32{1}, 1, 1)})
@@ -277,7 +272,7 @@ func TestQuickEmbeddingSumLinearity(t *testing.T) {
 	f := func(seed uint64, rows8, dim8 uint8) bool {
 		rows, dim := int(rows8%8)+2, int(dim8%6)+1
 		r := tensor.NewRNG(seed)
-		e := NewEmbeddingBag(r, rows, dim, PoolSum, "e")
+		e := NewEmbeddingBag(r, rows, dim, "e")
 		idx := []int32{0, int32(rows - 1), int32(rows / 2)}
 		full := e.Forward(&Tape{}, idx, []int32{0})
 		acc := tensor.New(1, dim)
@@ -318,4 +313,17 @@ func TestDotInteractionMatchesPlainDots(t *testing.T) {
 			t.Fatalf("F=%d: %d outputs, want %d", f, y.Len(), k)
 		}
 	}
+}
+
+// Forward pools rows for each bag, as the models do one PoolBagInto at a
+// time, and records the bags for Backward. Returns a (numBags, Dim) tensor
+// from t's arena. Empty bags pool to zero.
+func (e *EmbeddingBag) Forward(t *Tape, indices, offsets []int32) *tensor.Tensor {
+	out := t.New(len(offsets), e.Dim)
+	for b := range offsets {
+		lo, hi := bagBounds(indices, offsets, b)
+		e.PoolBagInto(out.Row(b), indices[lo:hi])
+	}
+	e.Record(t, indices, offsets)
+	return out
 }

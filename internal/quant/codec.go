@@ -44,9 +44,6 @@ type Encoded struct {
 	class  uint8
 }
 
-// Scheme returns the scheme the payload was encoded under.
-func (e *Encoded) Scheme() Scheme { return e.scheme }
-
 // toFloat16Sat converts with saturation: a finite value beyond the half
 // range clamps to ±65504 instead of overflowing to Inf — what real fp16
 // communication libraries do, and what keeps error-feedback residuals

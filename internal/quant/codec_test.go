@@ -174,3 +174,6 @@ func TestFP16SubnormalTieRoundsToEven(t *testing.T) {
 		t.Fatalf("512.5-ulp tie must round down to even 512, got %g", got)
 	}
 }
+
+// Scheme returns the scheme the payload was encoded under.
+func (e *Encoded) Scheme() Scheme { return e.scheme }

@@ -297,8 +297,8 @@ func (e *Engine) lookup(c *comm.Comm, in *Inputs) (*rankLookupState, []*tensor.T
 	// and an owner-less rank still participates.
 	rows := e.Tier.Client(rank).Lookup(reqs)
 	pooled := make([]*tensor.Tensor, len(feats))
-	for i, f := range feats {
-		pooled[i] = poolRows(rows[i], cfg.Features[f].Mode, st.offsets[i], cfg.N)
+	for i := range feats {
+		pooled[i] = poolRows(rows[i], st.offsets[i], cfg.N)
 	}
 	return st, pooled
 }
@@ -347,7 +347,7 @@ func (e *Engine) poolGrads(ls *rankLookupState, got []*tensor.Tensor, order []in
 				copy(dPooled.Data()[src*bn:(src+1)*bn], g.Data()[(i*k+kk)*bn:(i*k+kk+1)*bn])
 			}
 		}
-		out[i] = nn.PoolBackward(cfg.Features[f].Mode, ls.indices[i], ls.offsets[i], dPooled, e.slots[f])
+		out[i] = nn.PoolBackward(ls.indices[i], ls.offsets[i], dPooled, e.slots[f])
 	}
 	return out
 }

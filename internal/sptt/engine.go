@@ -52,13 +52,13 @@ func NewEngine(cfg Config, seed uint64) (*Engine, error) {
 	r := tensor.NewRNG(seed)
 	tables := make([]*nn.EmbeddingBag, len(cfg.Features))
 	for f, spec := range cfg.Features {
-		tables[f] = nn.NewEmbeddingBag(r.Split(uint64(f)+1), spec.Cardinality, cfg.N, spec.Mode, spec.Name)
+		tables[f] = nn.NewEmbeddingBag(r.Split(uint64(f)+1), spec.Cardinality, cfg.N, spec.Name)
 	}
 	return NewEngineOver(cfg, tables, embeddings.NewLocalTier(tables, 0))
 }
 
 // NewEngineOver builds the engine over tables the caller seeded, one per
-// Config.Features entry with its cardinality, mode and dimension N, and
+// Config.Features entry with its cardinality and dimension N, and
 // tier, a backend over those same tables. The engine adopts both: Tables
 // holds these very tables, not copies.
 func NewEngineOver(cfg Config, tables []*nn.EmbeddingBag, tier embeddings.Tier) (*Engine, error) {
@@ -71,9 +71,9 @@ func NewEngineOver(cfg Config, tables []*nn.EmbeddingBag, tier embeddings.Tier) 
 	}
 	e := &Engine{Cfg: cfg, Tables: tables, Tier: tier, peerOrder: PeerOrder(cfg.G, cfg.L)}
 	for f, spec := range cfg.Features {
-		if t := tables[f]; t.Rows != spec.Cardinality || t.Dim != cfg.N || t.Mode != spec.Mode {
-			return nil, fmt.Errorf("sptt: table %d is %dx%d mode %d, feature %q wants %dx%d mode %d",
-				f, t.Rows, t.Dim, t.Mode, spec.Name, spec.Cardinality, cfg.N, spec.Mode)
+		if t := tables[f]; t.Rows != spec.Cardinality || t.Dim != cfg.N {
+			return nil, fmt.Errorf("sptt: table %d is %dx%d, feature %q wants %dx%d",
+				f, t.Rows, t.Dim, spec.Name, spec.Cardinality, cfg.N)
 		}
 		e.slots = append(e.slots, make([]int32, spec.Cardinality))
 	}

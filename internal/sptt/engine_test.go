@@ -83,7 +83,7 @@ func randomGrads(cfg Config, seed uint64, width int) []*tensor.Tensor {
 // call must re-raise the failure with its rank attached instead of hanging,
 // leave no rank goroutine behind, and leave the engine usable.
 func TestRankPanicNeverHangs(t *testing.T) {
-	cfg := makeConfig(8, 2, 2, 4, 8, 30, 2, nn.PoolSum)
+	cfg := makeConfig(8, 2, 2, 4, 8, 30, 2)
 	inputs := makeInputs(cfg, 16)
 	wide := cfg.F() * cfg.N
 	badGrads := func(rank, width int) []*tensor.Tensor {
@@ -190,7 +190,7 @@ func TestRankPanicNeverHangs(t *testing.T) {
 // goroutine starts, by one check shared by every flow, naming the rank and
 // feature at fault.
 func TestInputsValidation(t *testing.T) {
-	cfg := makeConfig(8, 2, 2, 4, 8, 30, 2, nn.PoolSum)
+	cfg := makeConfig(8, 2, 2, 4, 8, 30, 2)
 	eng, err := NewEngine(cfg, 15)
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func (m twoTier) P2PDelay(src, dst, nbytes int) time.Duration {
 // private zero-delay groups, where the times are zero, and on a simulated
 // network, where they are modeled and nonzero.
 func TestEngineReusePerCallAccounting(t *testing.T) {
-	cfg := makeConfig(8, 2, 3, 4, 10, 40, 3, nn.PoolSum)
+	cfg := makeConfig(8, 2, 3, 4, 10, 40, 3)
 	wide := cfg.F() * cfg.N
 	type flowFn func(e *Engine, in []*Inputs, cm Comms, seed uint64) *SPTTState
 	flows := []struct {
@@ -392,7 +392,7 @@ func TestEngineReusePerCallAccounting(t *testing.T) {
 // objects from call to call, and are rebuilt exactly when they must be —
 // after a canceled run, and when Comms.Net changes.
 func TestFamiliesBuiltOncePerNetwork(t *testing.T) {
-	cfg := makeConfig(4, 2, 2, 3, 6, 30, 2, nn.PoolSum)
+	cfg := makeConfig(4, 2, 2, 3, 6, 30, 2)
 	eng, err := NewEngine(cfg, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"sort"
 
-	"dmt/internal/nn"
 	"dmt/internal/tensor"
 )
 
@@ -57,10 +56,9 @@ import (
 type FeatureSpec struct {
 	Name        string
 	Cardinality int
-	// Hot is the bag size per sample (1 = single-hot).
+	// Hot is the bag size per sample (1 = single-hot); a bag pools to the
+	// sum of its rows.
 	Hot int
-	// Mode is the pooling mode for multi-hot bags.
-	Mode nn.PoolMode
 }
 
 // Config is the static layout of an embedding-distribution problem.
@@ -284,25 +282,16 @@ func decodeBags(payload []int32, nFeatures, b int) (indices [][]int32, offsets [
 // The float additions run in exactly the order the former direct-table
 // kernel used, so pooling store-gathered rows is bitwise identical to
 // pooling table rows in place.
-func poolRows(rows *tensor.Tensor, mode nn.PoolMode, offsets []int32, dim int) *tensor.Tensor {
+func poolRows(rows *tensor.Tensor, offsets []int32, dim int) *tensor.Tensor {
 	b := len(offsets)
 	out := tensor.New(b, dim)
 	for s := 0; s < b; s++ {
 		lo, hi := int(offsets[s]), bagEnd(offsets, s, rows.Dim(0))
-		if lo == hi {
-			continue
-		}
 		dst := out.Row(s)
 		for p := lo; p < hi; p++ {
 			src := rows.Row(p)
 			for d := 0; d < dim; d++ {
 				dst[d] += src[d]
-			}
-		}
-		if mode == nn.PoolMean {
-			inv := 1 / float32(hi-lo)
-			for d := 0; d < dim; d++ {
-				dst[d] *= inv
 			}
 		}
 	}

@@ -17,13 +17,13 @@ import (
 
 // makeConfig builds a tower-aligned config: features are dealt round-robin
 // to towers, then placed round-robin within each tower's host.
-func makeConfig(g, l, b, n, nFeatures, card, hot int, mode nn.PoolMode) Config {
+func makeConfig(g, l, b, n, nFeatures, card, hot int) Config {
 	cfg := Config{G: g, L: l, B: b, N: n}
 	t := g / l
 	towers := make([][]int, t)
 	for f := 0; f < nFeatures; f++ {
 		cfg.Features = append(cfg.Features, FeatureSpec{
-			Name: "f", Cardinality: card + f, Hot: hot, Mode: mode,
+			Name: "f", Cardinality: card + f, Hot: hot,
 		})
 		towers[f%t] = append(towers[f%t], f)
 	}
@@ -50,9 +50,9 @@ func makeInputs(cfg Config, seed uint64) []*Inputs {
 			for s := 0; s < cfg.B; s++ {
 				off[s] = int32(len(idx))
 				// Variable bag sizes exercise the V-variant encoding:
-				// between 1 and Hot entries (occasionally empty for sum).
+				// between 1 and Hot entries, occasionally empty.
 				bag := 1 + r.Intn(spec.Hot)
-				if spec.Mode == nn.PoolSum && r.Intn(7) == 0 {
+				if r.Intn(7) == 0 {
 					bag = 0
 				}
 				for k := 0; k < bag; k++ {
@@ -111,7 +111,7 @@ func TestTowerAssignmentErrors(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	cfg := makeConfig(4, 2, 2, 3, 6, 10, 1, nn.PoolSum)
+	cfg := makeConfig(4, 2, 2, 3, 6, 10, 1)
 	if err := cfg.Validate(true); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestEncodeDecodeBagsRoundTrip(t *testing.T) {
 // paper (§3.1, Table 3): the transformed dataflow produces bit-identical
 // embeddings on every rank.
 func TestSPTTMatchesBaseline(t *testing.T) {
-	cfg := makeConfig(8, 2, 3, 4, 10, 50, 3, nn.PoolMean)
+	cfg := makeConfig(8, 2, 3, 4, 10, 50, 3)
 	eng, err := NewEngine(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestSPTTMatchesBaseline(t *testing.T) {
 }
 
 func TestSPTTBackwardMatchesBaseline(t *testing.T) {
-	cfg := makeConfig(4, 2, 2, 3, 6, 30, 2, nn.PoolMean)
+	cfg := makeConfig(4, 2, 2, 3, 6, 30, 2)
 	eng, err := NewEngine(cfg, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -220,23 +220,19 @@ func sameSparseGrads(a, b map[int]*nn.SparseGrad) bool {
 }
 
 // TestQuickSPTTEquivalence is the property-based form of the theorem:
-// random cluster shapes, feature counts, bag sizes, pooling modes, and for
+// random cluster shapes, feature counts and bag sizes, and for
 // each several input draws through ONE engine (so every flow also runs on
 // communicator families another flow has already used). The tower flow must
 // match the flat one bit for bit, outputs and sparse gradients.
 func TestQuickSPTTEquivalence(t *testing.T) {
-	f := func(seed uint64, lSel, tSel, bSel, nfSel, hotSel uint8, mean bool) bool {
+	f := func(seed uint64, lSel, tSel, bSel, nfSel, hotSel uint8) bool {
 		l := []int{1, 2, 4}[int(lSel)%3]
 		tt := []int{2, 3, 4}[int(tSel)%3]
 		g := l * tt
 		b := int(bSel)%3 + 1
 		nf := int(nfSel)%7 + tt // at least one feature per tower
 		hot := int(hotSel)%3 + 1
-		mode := nn.PoolSum
-		if mean {
-			mode = nn.PoolMean
-		}
-		cfg := makeConfig(g, l, b, 3, nf, 20, hot, mode)
+		cfg := makeConfig(g, l, b, 3, nf, 20, hot)
 		eng, err := NewEngine(cfg, seed)
 		if err != nil {
 			return false
@@ -269,7 +265,7 @@ func TestQuickSPTTEquivalence(t *testing.T) {
 // the baseline AlltoAll's cross-host volume; SPTT merely reroutes the
 // intra-host share over NVLink.
 func TestBytesOnWirePreserved(t *testing.T) {
-	cfg := makeConfig(8, 2, 2, 4, 8, 30, 1, nn.PoolSum)
+	cfg := makeConfig(8, 2, 2, 4, 8, 30, 1)
 	eng, err := NewEngine(cfg, 15)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +322,7 @@ func TestBytesOnWirePreserved(t *testing.T) {
 func TestDistributedSparseSGDStep(t *testing.T) {
 	// One full forward/backward/update cycle through SPTT must move only
 	// touched rows, identically to a baseline-updated copy.
-	cfg := makeConfig(4, 2, 2, 3, 4, 16, 2, nn.PoolSum)
+	cfg := makeConfig(4, 2, 2, 3, 4, 16, 2)
 	engA, _ := NewEngine(cfg, 21)
 	engB, _ := NewEngine(cfg, 21)
 	inputs := makeInputs(cfg, 22)
@@ -367,7 +363,7 @@ func TestDistributedSparseSGDStep(t *testing.T) {
 // with and without it. On a network, the modeled compute the hook charges
 // hides part of the exchange.
 func TestOverlapHookBitwiseNeutral(t *testing.T) {
-	cfg := makeConfig(8, 2, 4, 8, 16, 50, 1, nn.PoolSum)
+	cfg := makeConfig(8, 2, 4, 8, 16, 50, 1)
 	inputs := makeInputs(cfg, 3)
 	eng, err := NewEngine(cfg, 1)
 	if err != nil {
@@ -398,7 +394,7 @@ func TestOverlapHookBitwiseNeutral(t *testing.T) {
 // poolBackwardMap is the kernel nn.PoolBackward replaced, kept as its oracle:
 // one heap row per touched table row behind a map, copied out in sorted
 // order.
-func poolBackwardMap(mode nn.PoolMode, indices, offsets []int32, dPooled *tensor.Tensor) *nn.SparseGrad {
+func poolBackwardMap(indices, offsets []int32, dPooled *tensor.Tensor) *nn.SparseGrad {
 	b := len(offsets)
 	dim := dPooled.Dim(1)
 	acc := make(map[int][]float32)
@@ -408,10 +404,6 @@ func poolBackwardMap(mode nn.PoolMode, indices, offsets []int32, dPooled *tensor
 			continue
 		}
 		g := dPooled.Row(s)
-		scale := float32(1)
-		if mode == nn.PoolMean {
-			scale = 1 / float32(hi-lo)
-		}
 		for _, ix := range indices[lo:hi] {
 			row := acc[int(ix)]
 			if row == nil {
@@ -419,7 +411,7 @@ func poolBackwardMap(mode nn.PoolMode, indices, offsets []int32, dPooled *tensor
 				acc[int(ix)] = row
 			}
 			for d := 0; d < dim; d++ {
-				row[d] += scale * g[d]
+				row[d] += g[d]
 			}
 		}
 	}
@@ -438,12 +430,12 @@ func poolBackwardMap(mode nn.PoolMode, indices, offsets []int32, dPooled *tensor
 // checkPoolBackward runs nn.PoolBackward and its oracle over one bag layout
 // and requires the same rows, bit-equal gradients, and the scratch index
 // handed back all zero.
-func checkPoolBackward(t *testing.T, mode nn.PoolMode, indices, offsets []int32, card, dim int, seed uint64) {
+func checkPoolBackward(t *testing.T, indices, offsets []int32, card, dim int, seed uint64) {
 	t.Helper()
 	dPooled := tensor.RandUniform(tensor.NewRNG(seed), -1, 1, len(offsets), dim)
 	slot := make([]int32, card)
-	got := nn.PoolBackward(mode, indices, offsets, dPooled, slot)
-	if err := matchPoolBackward(got, mode, indices, offsets, dPooled); err != nil {
+	got := nn.PoolBackward(indices, offsets, dPooled, slot)
+	if err := matchPoolBackward(got, indices, offsets, dPooled); err != nil {
 		t.Fatal(err)
 	}
 	for r, v := range slot {
@@ -455,8 +447,8 @@ func checkPoolBackward(t *testing.T, mode nn.PoolMode, indices, offsets []int32,
 
 // matchPoolBackward compares one PoolBackward result with the oracle's:
 // the same rows and bit-equal gradients.
-func matchPoolBackward(got *nn.SparseGrad, mode nn.PoolMode, indices, offsets []int32, dPooled *tensor.Tensor) error {
-	want := poolBackwardMap(mode, indices, offsets, dPooled)
+func matchPoolBackward(got *nn.SparseGrad, indices, offsets []int32, dPooled *tensor.Tensor) error {
+	want := poolBackwardMap(indices, offsets, dPooled)
 	if !slices.Equal(got.Rows, want.Rows) {
 		return fmt.Errorf("rows %v, want %v (indices %v offsets %v)", got.Rows, want.Rows, indices, offsets)
 	}
@@ -473,7 +465,7 @@ func matchPoolBackward(got *nn.SparseGrad, mode nn.PoolMode, indices, offsets []
 
 // TestPoolBackwardMatchesMapOracle: the slot-indexed kernel equals the
 // map-based one bit for bit — the rows' additions happen in bag order from
-// zero in both — over sum and mean pooling, empty bags, ids repeated inside
+// zero in both — over empty bags, ids repeated inside
 // and across bags, a leading non-zero offset, and ids at both table ends.
 // The large table's layouts scatter a few ids over most of its rows, so
 // the scan for their order crosses a span far wider than the ids.
@@ -497,12 +489,10 @@ func TestPoolBackwardMatchesMapOracle(t *testing.T) {
 		{"sparse over a large table", large, []int32{4000, 3, 2048, 3, large - 1, 0}, []int32{0, 2, 2, 5}},
 		{"sparse, repeats across bags", large, []int32{1000, 3000, 1000, 3000, 17}, []int32{0, 1, 3}},
 	}
-	for _, mode := range []nn.PoolMode{nn.PoolSum, nn.PoolMean} {
-		for i, l := range layouts {
-			t.Run(fmt.Sprintf("%s/mode%d", l.name, mode), func(t *testing.T) {
-				checkPoolBackward(t, mode, l.indices, l.offsets, l.card, dim, uint64(i)+1)
-			})
-		}
+	for i, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			checkPoolBackward(t, l.indices, l.offsets, l.card, dim, uint64(i)+1)
+		})
 	}
 	// Random layouts: bag sizes 0..5 over a small table, so repeats abound,
 	// and over a large one, so the ids are few and far apart.
@@ -523,7 +513,7 @@ func TestPoolBackwardMatchesMapOracle(t *testing.T) {
 				indices = append(indices, int32(r.Intn(tc)))
 			}
 		}
-		checkPoolBackward(t, nn.PoolMode(trial/2%2), indices, offsets, tc, dim, uint64(trial)+100)
+		checkPoolBackward(t, indices, offsets, tc, dim, uint64(trial)+100)
 	}
 }
 
@@ -532,11 +522,11 @@ func TestPoolBackwardMatchesMapOracle(t *testing.T) {
 // from the id bytes, over a table of 1 to 4096 rows the input picks, so
 // the ids may be dense in a small table or few and far apart in a large one.
 func FuzzPoolBackward(f *testing.F) {
-	f.Add([]byte{1, 0, 2, 3}, []byte{4, 4, 9, 200, 0, 31}, uint16(31), false)
-	f.Add([]byte{}, []byte{}, uint16(0), true)
-	f.Add([]byte{6, 6, 6}, []byte{1}, uint16(7), true)
-	f.Add([]byte{2, 3}, []byte{15, 160, 0, 3, 8, 0, 0, 3}, uint16(4095), false)
-	f.Fuzz(func(t *testing.T, sizes, ids []byte, cardSel uint16, mean bool) {
+	f.Add([]byte{1, 0, 2, 3}, []byte{4, 4, 9, 200, 0, 31}, uint16(31))
+	f.Add([]byte{}, []byte{}, uint16(0))
+	f.Add([]byte{6, 6, 6}, []byte{1}, uint16(7))
+	f.Add([]byte{2, 3}, []byte{15, 160, 0, 3, 8, 0, 0, 3}, uint16(4095))
+	f.Fuzz(func(t *testing.T, sizes, ids []byte, cardSel uint16) {
 		card := int(cardSel)%4096 + 1
 		var indices, offsets []int32
 		next := 0
@@ -551,10 +541,6 @@ func FuzzPoolBackward(f *testing.F) {
 				next++
 			}
 		}
-		mode := nn.PoolSum
-		if mean {
-			mode = nn.PoolMean
-		}
-		checkPoolBackward(t, mode, indices, offsets, card, 3, uint64(len(sizes))+1)
+		checkPoolBackward(t, indices, offsets, card, 3, uint64(len(sizes))+1)
 	})
 }

@@ -118,23 +118,6 @@ func AddRowVector(a, v *Tensor) *Tensor {
 	return a
 }
 
-// Sum returns the sum of all elements (accumulated in float64 for accuracy).
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
-}
-
 // L2Norm returns the Euclidean norm of all elements.
 func (t *Tensor) L2Norm() float64 {
 	s := 0.0

@@ -179,3 +179,33 @@ func SumRows(a *Tensor) *Tensor {
 	}
 	return out
 }
+
+// Sum returns the sum of all elements (accumulated in float64 for accuracy).
+func (t *Tensor) Sum() float64 {
+	s := 0.0
+	for _, v := range t.data {
+		s += float64(v)
+	}
+	return s
+}
+
+// Mean returns the arithmetic mean of all elements.
+func (t *Tensor) Mean() float64 {
+	if len(t.data) == 0 {
+		return 0
+	}
+	return t.Sum() / float64(len(t.data))
+}
+
+// Perm returns a random permutation of [0, n) (Fisher-Yates).
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}

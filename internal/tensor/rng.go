@@ -38,9 +38,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Float32 returns a uniform value in [0, 1).
-func (r *RNG) Float32() float32 { return float32(r.Float64()) }
-
 // NormFloat64 returns a standard normal deviate via Box-Muller.
 func (r *RNG) NormFloat64() float64 {
 	if r.hasSpare {
@@ -58,19 +55,6 @@ func (r *RNG) NormFloat64() float64 {
 		r.hasSpare = true
 		return mag * math.Cos(2*math.Pi*v)
 	}
-}
-
-// Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Split derives an independent child generator. Children seeded with

@@ -186,7 +186,7 @@ func spttConfig(g, l, b, n, nf int) sptt.Config {
 	towersList := make([][]int, tt)
 	for f := 0; f < nf; f++ {
 		cfg.Features = append(cfg.Features, sptt.FeatureSpec{
-			Name: "f", Cardinality: 20 + f, Hot: 1, Mode: nn.PoolSum,
+			Name: "f", Cardinality: 20 + f, Hot: 1,
 		})
 		towersList[f%tt] = append(towersList[f%tt], f)
 	}

@@ -65,32 +65,6 @@ func kindGlyph(k perfmodel.PhaseKind) byte {
 	}
 }
 
-// Render draws the timeline as an ASCII Gantt chart of the given width.
-func (tl *Timeline) Render(width int) string {
-	if width < 20 {
-		width = 20
-	}
-	total := tl.Total()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s iteration on %s, serialized %.2f ms (exposed total %.2f ms)\n",
-		tl.Config.System, tl.Config.Cluster, total*1e3, tl.Exposed.Total()*1e3)
-	for _, sp := range tl.Spans {
-		lo := int(sp.Start / total * float64(width))
-		hi := int(sp.End / total * float64(width))
-		if hi == lo {
-			hi = lo + 1
-		}
-		if hi > width {
-			hi = width
-		}
-		bar := strings.Repeat(" ", lo) + strings.Repeat(string(kindGlyph(sp.Phase.Kind)), hi-lo) +
-			strings.Repeat(" ", width-hi)
-		fmt.Fprintf(&b, "|%s| %7.2fms  %s\n", bar, sp.Phase.Seconds*1e3, sp.Phase.Name)
-	}
-	fmt.Fprintf(&b, "legend: # compute  = embedding comm  ~ local shuffle  + dense sync\n")
-	return b.String()
-}
-
 // Compare renders baseline and DMT timelines for a cluster side by side on
 // a shared scale, the textual Figure 13.
 func Compare(base, dmt perfmodel.Config, width int) string {

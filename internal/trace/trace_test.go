@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -100,4 +101,30 @@ func TestRenderMinWidth(t *testing.T) {
 	if out := Build(base).Render(1); !strings.Contains(out, "compute") {
 		t.Fatal("tiny width must still render")
 	}
+}
+
+// Render draws the timeline as an ASCII Gantt chart of the given width.
+func (tl *Timeline) Render(width int) string {
+	if width < 20 {
+		width = 20
+	}
+	total := tl.Total()
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s iteration on %s, serialized %.2f ms (exposed total %.2f ms)\n",
+		tl.Config.System, tl.Config.Cluster, total*1e3, tl.Exposed.Total()*1e3)
+	for _, sp := range tl.Spans {
+		lo := int(sp.Start / total * float64(width))
+		hi := int(sp.End / total * float64(width))
+		if hi == lo {
+			hi = lo + 1
+		}
+		if hi > width {
+			hi = width
+		}
+		bar := strings.Repeat(" ", lo) + strings.Repeat(string(kindGlyph(sp.Phase.Kind)), hi-lo) +
+			strings.Repeat(" ", width-hi)
+		fmt.Fprintf(&b, "|%s| %7.2fms  %s\n", bar, sp.Phase.Seconds*1e3, sp.Phase.Name)
+	}
+	fmt.Fprintf(&b, "legend: # compute  = embedding comm  ~ local shuffle  + dense sync\n")
+	return b.String()
 }

@@ -8,9 +8,8 @@
 // Poisson model misses), request keys follow a zipf distribution over a
 // fixed sample pool (hot items and returning users repeat), and each request
 // is tagged with an SLO class from a configurable mix. Because generation is
-// single-goroutine and seeded, the same Config yields a byte-identical trace
-// on every run and every GOMAXPROCS setting; Encode/Decode round-trip a
-// trace for record/replay across processes.
+// single-goroutine and seeded, the same Config yields an identical trace on
+// every run and every GOMAXPROCS setting.
 package workload
 
 import (
@@ -113,14 +112,6 @@ type Request struct {
 type Trace struct {
 	Classes  []Class
 	Requests []Request
-}
-
-// Duration returns the arrival span of the trace.
-func (t *Trace) Duration() time.Duration {
-	if len(t.Requests) == 0 {
-		return 0
-	}
-	return t.Requests[len(t.Requests)-1].At
 }
 
 // Generate records a trace from the config. The result is deterministic in

@@ -1,12 +1,9 @@
 package workload
 
 import (
-	"bytes"
-	"fmt"
 	"math"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 )
@@ -76,112 +73,17 @@ func TestGenerateClassMixAndSkew(t *testing.T) {
 	}
 }
 
-// TestTraceEncodeDecodeRoundTrip: record -> replay must reproduce the exact
-// request stream, and re-encoding must be byte-identical.
-func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
-	tr := Generate(testConfig(Gamma))
-	enc := tr.Encode()
-	back, err := Decode(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(tr, back) {
-		t.Fatal("decoded trace differs from recorded trace")
-	}
-	if string(back.Encode()) != string(enc) {
-		t.Fatal("re-encoded trace is not byte-identical")
-	}
-}
-
-// TestDecodeRejectsCorruptTraces pins the error paths: every trace Encode
-// could not have written, or Generate could not have produced, fails with an
-// error naming the offending line.
-func TestDecodeRejectsCorruptTraces(t *testing.T) {
-	const h = "# dmt workload trace v1\n"
-	const cls = "class a 1 1 1000\n"
-	cases := []struct {
-		name, trace string
-		line        int // the line the error must name; 0 when the header is missing
-	}{
-		{"empty", "", 0},
-		{"no header", "not a trace\n0 0 0 0 1\n", 0},
-		{"short class record", h + "class broken\n", 2},
-		{"class index out of range", h + cls + "0 0 0 5 1\n", 3},
-		{"non-numeric arrival", h + "0 nonsense 0 0 1\n", 2},
-		{"sixth field", h + cls + "0 5 1 0 3 99\n", 3},
-		{"NaN share", h + "class a NaN 1 100\n", 2},
-		{"infinite share", h + "class a +Inf 1 100\n", 2},
-		{"negative share", h + "class a -0.5 1 100\n", 2},
-		{"class items below 1", h + "class a 1 0 100\n", 2},
-		{"negative SLO", h + "class a 1 1 -5\n", 2},
-		{"negative items", h + cls + "0 5 1 0 -4\n", 3},
-		{"negative arrival", h + cls + "0 -5 1 0 1\n", 3},
-		{"negative sample", h + cls + "0 5 -1 0 1\n", 3},
-		{"arrivals go backwards", h + cls + "0 5 1 0 1\n1 4 1 0 1\n", 4},
-		{"blank line", h + cls + "\n0 5 1 0 1\n", 3},
-		{"non-canonical number", h + cls + "0 05 1 0 1\n", 3},
-		{"class after a request", h + cls + "0 5 1 0 1\nclass b 1 1 100\n", 3},
-		{"missing final newline", h + cls + "0 5 1 0 1", 3},
-		{"CRLF line ends", strings.ReplaceAll(h+cls, "\n", "\r\n"), 1},
-	}
-	for _, c := range cases {
-		_, err := Decode([]byte(c.trace))
-		if err == nil {
-			t.Errorf("%s: corrupt trace decoded without error", c.name)
-			continue
-		}
-		if want := fmt.Sprintf("trace line %d:", c.line); c.line > 0 && !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: error %q does not name line %d", c.name, err, c.line)
-		}
-	}
-	if _, err := Decode([]byte(h + cls + "0 5 1 0 1\n1 5 0 0 3\n")); err != nil {
-		t.Errorf("hand-written canonical trace rejected: %v", err)
-	}
-}
-
-// FuzzDecode: Decode never panics, and whatever it accepts re-encodes to
-// exactly the input, which decodes to a deeply equal trace and re-encodes
-// identically.
-func FuzzDecode(f *testing.F) {
-	cfg := testConfig(Gamma)
-	cfg.Requests = 8
-	f.Add(Generate(cfg).Encode())
-	f.Add([]byte("# dmt workload trace v1\nclass a 1 1 1000\n0 5 1 0 3\n"))
-	f.Add([]byte("# dmt workload trace v1\nclass a 1 1 1000\n0 5 1 0 3 99\n"))
-	f.Add([]byte("# dmt workload trace v1\nclass a NaN 1 100\n"))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		tr, err := Decode(b)
-		if err != nil {
-			return
-		}
-		enc := tr.Encode()
-		if !bytes.Equal(enc, b) {
-			t.Fatalf("accepted trace re-encodes differently:\n%q\n%q", b, enc)
-		}
-		back, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("re-encoded trace rejected: %v", err)
-		}
-		if !reflect.DeepEqual(tr, back) {
-			t.Fatal("re-decoded trace differs")
-		}
-		if !bytes.Equal(back.Encode(), enc) {
-			t.Fatal("second re-encode differs")
-		}
-	})
-}
-
 // TestGenerateDeterministicAcrossRunsAndProcs: trace generation is a pure
-// function of Config — identical streams run to run and at any GOMAXPROCS.
+// function of Config — deeply equal traces run to run and at any GOMAXPROCS.
 func TestGenerateDeterministicAcrossRunsAndProcs(t *testing.T) {
 	cfg := testConfig(Weibull)
-	ref := Generate(cfg).Encode()
+	ref := Generate(cfg)
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	for _, procs := range []int{1, 2, runtime.NumCPU()} {
 		runtime.GOMAXPROCS(procs)
 		for run := 0; run < 2; run++ {
-			if got := Generate(cfg).Encode(); string(got) != string(ref) {
+			if got := Generate(cfg); !reflect.DeepEqual(got, ref) {
 				t.Fatalf("GOMAXPROCS=%d run %d: trace differs from reference", procs, run)
 			}
 		}
@@ -246,4 +148,12 @@ func TestPercentileCeilNearestRank(t *testing.T) {
 			t.Errorf("Percentile(n=%d, q=%v) = %v, want %v", c.n, c.q, got, c.want)
 		}
 	}
+}
+
+// Duration returns the arrival span of the trace.
+func (t *Trace) Duration() time.Duration {
+	if len(t.Requests) == 0 {
+		return 0
+	}
+	return t.Requests[len(t.Requests)-1].At
 }
