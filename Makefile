@@ -39,16 +39,20 @@ lint: fmt-check vet
 
 # arm64 compiles x += a*b into one fused multiply-add (FMADD/FMSUB/FNMADD/
 # FNMSUB), which rounds once where amd64 rounds twice, so a fused op on the
-# training path breaks the bitwise goldens there. Writing the product as
-# float32(a*b) or float64(a*b) keeps it apart. Cross-compiles for arm64 (no
-# emulator, no network) the trainer's test binary and the models' (every
-# model's forward, Predict included, the towers and the metrics), and fails
-# if any function from a non-test dmt/ file contains a fused op.
+# training path breaks the bitwise goldens there, and one in a closed-form
+# model moves its tables. Writing the product as float32(a*b) or
+# float64(a*b) keeps it apart. Cross-compiles for arm64 (no emulator, no
+# network) the trainer's test binary, the models' (every model's forward,
+# Predict included, the towers and the metrics) and the experiments' (the
+# closed-form packages every table is rendered from: perfmodel, netsim,
+# metrics, partition, parallel, workload, cluster and serve's cost model),
+# and fails if any function from a non-test dmt/ file contains a fused op.
 fma-check:
 	@mkdir -p bin
 	GOARCH=arm64 $(GO) test -c -o bin/fma-check-arm64.test ./internal/distributed
 	GOARCH=arm64 $(GO) test -c -o bin/fma-check-models-arm64.test ./internal/models
-	@for b in bin/fma-check-arm64.test bin/fma-check-models-arm64.test; do $(GO) tool objdump $$b; done | awk ' \
+	GOARCH=arm64 $(GO) test -c -o bin/fma-check-experiments-arm64.test ./internal/experiments
+	@for b in bin/fma-check-arm64.test bin/fma-check-models-arm64.test bin/fma-check-experiments-arm64.test; do $(GO) tool objdump $$b; done | awk ' \
 		/^TEXT / { fn = $$2; file = $$3; next } \
 		/\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD]? / && fn ~ /^dmt\// && file !~ /_test\.go$$/ { print "fma-check: " fn " " $$1 ": " $$4; bad = 1 } \
 		END { if (bad) { print "fma-check: fused multiply-add in non-test code; write the product as float32(a*b) or float64(a*b)"; exit 1 } }'
@@ -66,9 +70,11 @@ bench-smoke:
 
 # Hot-path kernel benchmarks: each vector entry point (MatMul, MatMulBT,
 # MatMulAT) against its scalar row routine at train_dense's and over-arch
-# shapes, MatMulBT also at the width-1 logit layer's (all edge columns),
-# Adam and AddInPlace vector vs scalar at an over-arch weight's size, the
-# ReLU gate (backward and in-place forward) on an over-arch activation and
+# shapes, MatMul and MatMulAT also with every other A element zero (a
+# ReLU-gated gradient), MatMulBT also at the width-1 logit layer's (all
+# edge columns), Adam and AddInPlace vector vs scalar at an over-arch
+# weight's size, the ReLU gate (backward and in-place forward) on an
+# over-arch activation and
 # the interaction backward (PairwiseUpperGrad) at train_dense's input,
 # vector vs scalar, the fp16 encode and its fused residual pass vector vs
 # scalar on a gradient-like, mostly half-subnormal payload, the fused vs
@@ -103,7 +109,7 @@ fp16-exhaustive:
 	$(GO) test -tags exhaustive -run '^TestFloat16SatExhaustive$$' -v -timeout 60m ./internal/quant
 
 # Short native-fuzz runs over the GEMM entry points against their scalar row
-# routines, the elementwise kernels (AddInPlace, ScaleInPlace, AdamUpdate,
+# routines and one another, the elementwise kernels (AddInPlace, ScaleInPlace, AdamUpdate,
 # ReLUGate) and the interaction backward (PairwiseUpperGrad, N from 1 to 33)
 # against their scalar references, the wire codec (the fused encode at
 # every length mod 8), the SPTT step (a) bag

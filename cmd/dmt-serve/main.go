@@ -19,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -36,28 +38,52 @@ import (
 )
 
 func main() {
-	def := experiments.DefaultServing()
-	var (
-		requests    = flag.Int("requests", def.Requests, "requests per (model, mode) cell")
-		concurrency = flag.Int("concurrency", def.Concurrency, "closed-loop client goroutines")
-		unique      = flag.Int("unique", def.UniqueSamples, "distinct samples the zipf load draws from")
-		zipfS       = flag.Float64("zipf", def.ZipfS, "zipf skew (>1); higher = hotter head")
-		maxBatch    = flag.Int("max-batch", def.MaxBatch, "micro-batch flush size")
-		maxWait     = flag.Duration("max-wait", def.MaxWait, "micro-batch flush timeout")
-		cacheSize   = flag.Int("cache", def.CacheEntries, "entries per cache (embedding and tower)")
-		towers      = flag.Int("towers", def.Towers, "DMT tower count")
-		table       = flag.Bool("table", false, "run the experiments.ServingTable default profile and exit")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		clusterMode = flag.Bool("cluster", false, "run the discrete-event cluster simulator instead of the real server")
-		policy      = flag.String("policy", "cache-affinity", "cluster routing policy: round-robin, least-loaded, cache-affinity")
-		arrival     = flag.String("arrival", "poisson", "cluster arrival process: poisson, gamma, weibull")
-		shape       = flag.Float64("shape", 2, "gamma/weibull arrival shape")
-		rates       = flag.String("rates", "", "comma-separated arrival rates (req/s) to sweep (default profile's)")
-		maxReplicas = flag.Int("max-replicas", 8, "largest fleet size the sweep tries")
-		admit       = flag.Float64("admit", 0, "token-bucket admission rate per replica (req/s, 0 = off)")
-		seed        = flag.Uint64("seed", 1, "cluster workload seed")
+// run serves or simulates as the flags in args select, prints the table to
+// stdout, and returns the exit code: 2 for a bad flag, routing policy,
+// arrival process, -rates entry, -towers or -unique, before anything runs;
+// 1 when a run fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	def := experiments.DefaultServing()
+	fs := flag.NewFlagSet("dmt-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		requests    = fs.Int("requests", def.Requests, "requests per (model, mode) cell")
+		concurrency = fs.Int("concurrency", def.Concurrency, "closed-loop client goroutines")
+		unique      = fs.Int("unique", def.UniqueSamples, "distinct samples the zipf load draws from")
+		zipfS       = fs.Float64("zipf", def.ZipfS, "zipf skew (>1); higher = hotter head")
+		maxBatch    = fs.Int("max-batch", def.MaxBatch, "micro-batch flush size")
+		maxWait     = fs.Duration("max-wait", def.MaxWait, "micro-batch flush timeout")
+		cacheSize   = fs.Int("cache", def.CacheEntries, "entries per cache (embedding and tower)")
+		towers      = fs.Int("towers", def.Towers, "DMT tower count")
+		table       = fs.Bool("table", false, "run the experiments.ServingTable default profile and exit")
+
+		clusterMode = fs.Bool("cluster", false, "run the discrete-event cluster simulator instead of the real server")
+		policy      = fs.String("policy", "cache-affinity", "cluster routing policy: round-robin, least-loaded, cache-affinity")
+		arrival     = fs.String("arrival", "poisson", "cluster arrival process: poisson, gamma, weibull")
+		shape       = fs.Float64("shape", 2, "gamma/weibull arrival shape")
+		rates       = fs.String("rates", "", "comma-separated arrival rates (req/s) to sweep (default profile's)")
+		maxReplicas = fs.Int("max-replicas", 8, "largest fleet size the sweep tries")
+		admit       = fs.Float64("admit", 0, "token-bucket admission rate per replica (req/s, 0 = off)")
+		seed        = fs.Uint64("seed", 1, "cluster workload seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if _, err := cluster.ParsePolicy(*policy); err != nil {
+		fmt.Fprintf(stderr, "dmt-serve: %v\n", err)
+		return 2
+	}
+	dist, err := workload.ParseDist(*arrival)
+	if err != nil {
+		fmt.Fprintf(stderr, "dmt-serve: %v\n", err)
+		return 2
+	}
 
 	if *clusterMode {
 		p := experiments.DefaultCluster()
@@ -67,7 +93,7 @@ func main() {
 		p.CacheEntries = *cacheSize
 		// -max-wait's default is the serving profile's 1 ms, not the cluster
 		// profile's window, so only a -max-wait the user gave overrides it.
-		flag.Visit(func(f *flag.Flag) {
+		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "max-wait" {
 				p.MaxWait = *maxWait
 			}
@@ -77,60 +103,51 @@ func main() {
 		p.MaxReplicas = *maxReplicas
 		p.AdmitPerRep = *admit
 		p.Seed = *seed
-		if _, err := cluster.ParsePolicy(*policy); err != nil {
-			fmt.Fprintf(os.Stderr, "dmt-serve: %v\n", err)
-			os.Exit(2)
-		}
-		dist, err := workload.ParseDist(*arrival)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmt-serve: %v\n", err)
-			os.Exit(2)
-		}
 		p.Arrival = dist
 		if *rates != "" {
 			p.Rates = nil
 			for _, s := range strings.Split(*rates, ",") {
 				r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 				if err != nil || r <= 0 {
-					fmt.Fprintf(os.Stderr, "dmt-serve: bad -rates entry %q\n", s)
-					os.Exit(2)
+					fmt.Fprintf(stderr, "dmt-serve: bad -rates entry %q\n", s)
+					return 2
 				}
 				p.Rates = append(p.Rates, r)
 			}
 		}
 		res, err := experiments.ClusterCapacity(p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmt-serve: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "dmt-serve: %v\n", err)
+			return 1
 		}
-		fmt.Print(experiments.FormatCluster(res))
-		return
+		fmt.Fprint(stdout, experiments.FormatCluster(res))
+		return 0
 	}
 
 	if *table {
 		e, ok := experiments.Lookup(experiments.Select(experiments.Serving), "serving")
 		if !ok {
-			fmt.Fprintln(os.Stderr, "dmt-serve: the serving table is not registered")
-			os.Exit(1)
+			fmt.Fprintln(stderr, "dmt-serve: the serving table is not registered")
+			return 1
 		}
 		out, err := e.Run(experiments.Options{})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmt-serve: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "dmt-serve: %v\n", err)
+			return 1
 		}
-		fmt.Print(out)
-		return
+		fmt.Fprint(stdout, out)
+		return 0
 	}
 
 	cfg := data.CriteoLike(1)
 	if *towers < 1 || *towers > cfg.NumSparse() {
-		fmt.Fprintf(os.Stderr, "dmt-serve: -towers must be in [1,%d] (one nonempty tower per feature group), got %d\n",
+		fmt.Fprintf(stderr, "dmt-serve: -towers must be in [1,%d] (one nonempty tower per feature group), got %d\n",
 			cfg.NumSparse(), *towers)
-		os.Exit(2)
+		return 2
 	}
 	if *unique < 1 {
-		fmt.Fprintf(os.Stderr, "dmt-serve: -unique must be positive, got %d\n", *unique)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "dmt-serve: -unique must be positive, got %d\n", *unique)
+		return 2
 	}
 	p := experiments.ServingProfile{
 		Requests:      *requests,
@@ -143,17 +160,17 @@ func main() {
 		Towers:        *towers,
 	}
 
-	fmt.Printf("workload: %d dense + %d sparse features, %d unique samples, zipf s=%.2f\n",
+	fmt.Fprintf(stdout, "workload: %d dense + %d sparse features, %d unique samples, zipf s=%.2f\n",
 		cfg.NumDense, cfg.NumSparse(), p.UniqueSamples, p.ZipfS)
-	fmt.Printf("server: max-batch=%d max-wait=%v cache=%d entries, %d clients, %d requests/cell\n\n",
+	fmt.Fprintf(stdout, "server: max-batch=%d max-wait=%v cache=%d entries, %d clients, %d requests/cell\n\n",
 		p.MaxBatch, p.MaxWait, p.CacheEntries, p.Concurrency, p.Requests)
 
 	rows, err := experiments.ServingTable(p)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmt-serve: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "dmt-serve: %v\n", err)
+		return 1
 	}
-	fmt.Print(experiments.FormatServing(rows))
+	fmt.Fprint(stdout, experiments.FormatServing(rows))
 
 	// The headline DMT numbers: batching speedup and cache speedup.
 	var unbatched, batched, cached *experiments.ServingRow
@@ -171,15 +188,16 @@ func main() {
 		}
 	}
 	if unbatched != nil && batched != nil && cached != nil {
-		fmt.Printf("\nDMT micro-batching speedup: %.2fx  (+caches: %.2fx, tower hit rate %.1f%%)\n",
+		fmt.Fprintf(stdout, "\nDMT micro-batching speedup: %.2fx  (+caches: %.2fx, tower hit rate %.1f%%)\n",
 			batched.QPS/unbatched.QPS, cached.QPS/unbatched.QPS, cached.Tower.HitRate()*100)
 	}
 
 	// The same cost model the cluster simulator runs on, for the modeled
 	// counterpart of the measured numbers above.
 	cost := serve.NewCostModel(topology.A100, perfmodel.DLRMSpec(), *towers)
-	fmt.Printf("\nmodeled (%s):\n  full batch of %d: forward %v, cold embedding fetch %v\n",
+	fmt.Fprintf(stdout, "\nmodeled (%s):\n  full batch of %d: forward %v, cold embedding fetch %v\n",
 		cost, p.MaxBatch,
 		cost.ForwardTime(p.MaxBatch, 0).Round(time.Microsecond),
 		cost.EmbFetchTime(p.MaxBatch*cost.EmbTables).Round(time.Microsecond))
+	return 0
 }

@@ -33,7 +33,7 @@ func newTokenBucket(rate, burst float64) *tokenBucket {
 func (b *tokenBucket) allow(now time.Duration) bool {
 	ns := now.Nanoseconds()
 	if ns > b.last {
-		b.tokens = math.Min(b.burst, b.tokens+float64(ns-b.last)/1e9*b.rate)
+		b.tokens = math.Min(b.burst, b.tokens+float64(float64(ns-b.last)/1e9*b.rate))
 		b.last = ns
 	}
 	if b.tokens >= 1 {

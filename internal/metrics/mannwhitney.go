@@ -51,7 +51,7 @@ func mannWhitneyUNormal(a, b []float64) (u float64, pValue float64) {
 		for j < n && all[j].v == all[i].v {
 			j++
 		}
-		midrank := float64(i+j+1) / 2
+		midrank := float64(float64(i+j+1) / 2)
 		for k := i; k < j; k++ {
 			if all[k].fromA {
 				rankSumA += midrank
@@ -59,13 +59,13 @@ func mannWhitneyUNormal(a, b []float64) (u float64, pValue float64) {
 		}
 		t := float64(j - i)
 		if t > 1 {
-			tieCorrection += t*t*t - t
+			tieCorrection += float64(t*t*t) - t
 		}
 		i = j
 	}
 
-	u = rankSumA - n1*(n1+1)/2
-	meanU := n1 * n2 / 2
+	u = rankSumA - float64(n1*(n1+1)/2)
+	meanU := float64(n1 * n2 / 2)
 	nn := n1 + n2
 	varU := n1 * n2 / 12 * ((nn + 1) - tieCorrection/(nn*(nn-1)))
 	if varU <= 0 {
@@ -92,7 +92,7 @@ func mannWhitneyUNormal(a, b []float64) (u float64, pValue float64) {
 
 // normalSF is the standard normal survival function P(Z > z).
 func normalSF(z float64) float64 {
-	return 0.5 * math.Erfc(z/math.Sqrt2)
+	return float64(0.5 * math.Erfc(z/math.Sqrt2))
 }
 
 // mannWhitneyUExact enumerates the permutation distribution of U over all
@@ -112,8 +112,8 @@ func mannWhitneyUExact(a, b []float64) (u float64, pValue float64) {
 	for i := 0; i < n1; i++ {
 		rankSumA += ranks[i]
 	}
-	u = rankSumA - float64(n1)*float64(n1+1)/2
-	meanU := float64(n1) * float64(n2) / 2
+	u = rankSumA - float64(float64(n1)*float64(n1+1)/2)
+	meanU := float64(float64(n1) * float64(n2) / 2)
 	dev := math.Abs(u - meanU)
 
 	// Enumerate all n1-subsets of [0, n) via Gosper's hack.
@@ -128,7 +128,7 @@ func mannWhitneyUExact(a, b []float64) (u float64, pValue float64) {
 			sum += ranks[i]
 			m &= m - 1
 		}
-		uu := sum - float64(n1)*float64(n1+1)/2
+		uu := sum - float64(float64(n1)*float64(n1+1)/2)
 		if math.Abs(uu-meanU) >= dev-1e-12 {
 			extreme++
 		}

@@ -117,7 +117,7 @@ func interpLog2(points []etaPoint, x float64) float64 {
 		if x <= float64(hi.hosts) {
 			l0, l1 := math.Log2(float64(lo.hosts)), math.Log2(float64(hi.hosts))
 			t := (lx - l0) / (l1 - l0)
-			return lo.eta + t*(hi.eta-lo.eta)
+			return lo.eta + float64(t*(hi.eta-lo.eta))
 		}
 	}
 	return last.eta
@@ -228,7 +228,7 @@ func (f *Fabric) Time(coll Collective, world, ranksPerHost int, bytes int) float
 	case AlltoAll, ReduceScatter, AllGather:
 		factor = (n - 1) / n
 	}
-	latency := f.Alpha * math.Ceil(math.Log2(n))
+	latency := float64(f.Alpha * math.Ceil(math.Log2(n)))
 	return latency + float64(bytes)*factor/bw
 }
 

@@ -124,7 +124,7 @@ func IterationLatency(cfg SearchConfig, m Mesh) float64 {
 	var ppOverhead float64
 	if m.PP > 1 {
 		bubble := float64(m.PP-1) / float64(cfg.MicroBatches+m.PP-1)
-		ppOverhead = compute * bubble
+		ppOverhead = float64(compute * bubble)
 		perRankSamples := globalBatch / m.DP
 		actBytes := perRankSamples * cfg.ActivationBytesPerSample
 		ppOverhead += float64(m.PP-1) * float64(actBytes) / (cfg.Cluster.Gen.ScaleOutGBps() * 1e9)

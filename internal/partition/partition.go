@@ -49,7 +49,7 @@ func InteractionMatrix(r *tensor.Tensor) *tensor.Tensor {
 			v := base[i*n : (i+1)*n]
 			var acc float64
 			for d := 0; d < n; d++ {
-				acc += float64(v[d]) * float64(v[d])
+				acc += float64(float64(v[d]) * float64(v[d]))
 			}
 			norms[i] = math.Sqrt(acc)
 		}
@@ -65,7 +65,7 @@ func InteractionMatrix(r *tensor.Tensor) *tensor.Tensor {
 				vj := base[j*n : (j+1)*n]
 				var dot float64
 				for d := 0; d < n; d++ {
-					dot += float64(vi[d]) * float64(vj[d])
+					dot += float64(float64(vi[d]) * float64(vj[d]))
 				}
 				cos := math.Abs(dot) / (norms[i] * norms[j])
 				out.Data()[i*f+j] += float32(cos)
@@ -152,19 +152,19 @@ func MDSEmbed(d *tensor.Tensor, dim int, steps int, lr float64, seed uint64) *MD
 				var acc float64
 				for p := 0; p < dim; p++ {
 					diff := float64(x.At(i, p)) - float64(x.At(j, p))
-					acc += diff * diff
+					acc += float64(diff * diff)
 				}
 				dist := math.Sqrt(acc)
 				target := float64(d.At(i, j))
 				e := dist - target
-				stress += e * e
+				stress += float64(e * e)
 				if dist < 1e-9 {
 					continue
 				}
 				scale := 2 * e / dist
 				for p := 0; p < dim; p++ {
 					diff := x.At(i, p) - x.At(j, p)
-					g := float32(scale) * diff
+					g := float32(float32(scale) * diff)
 					grad.Set(grad.At(i, p)+g, i, p)
 					grad.Set(grad.At(j, p)-g, j, p)
 				}
@@ -176,8 +176,8 @@ func MDSEmbed(d *tensor.Tensor, dim int, steps int, lr float64, seed uint64) *MD
 		md, vd, gd, xd := m.Data(), v.Data(), grad.Data(), x.Data()
 		for k := range gd {
 			g := gd[k]
-			md[k] = beta1*md[k] + (1-beta1)*g
-			vd[k] = beta2*vd[k] + (1-beta2)*g*g
+			md[k] = float32(beta1*md[k]) + float32((1-beta1)*g)
+			vd[k] = float32(beta2*vd[k]) + float32((1-beta2)*g*g)
 			mh := float64(md[k]) / bc1
 			vh := float64(vd[k]) / bc2
 			xd[k] -= float32(lr * mh / (math.Sqrt(vh) + eps))
@@ -309,7 +309,7 @@ func dist2(a, b []float32) float64 {
 	var acc float64
 	for i := range a {
 		d := float64(a[i]) - float64(b[i])
-		acc += d * d
+		acc += float64(d * d)
 	}
 	return acc
 }

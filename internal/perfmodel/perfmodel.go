@@ -236,7 +236,7 @@ func stragglerPenalty(world int) float64 {
 	if world <= 8 {
 		return 1
 	}
-	return 1 + 0.07*math.Log2(float64(world)/8)
+	return 1 + float64(0.07*math.Log2(float64(world)/8))
 }
 
 // DMTFlopsPerSample returns the DMT variant's MFlops/sample for a tower
@@ -382,7 +382,7 @@ func Iterate(cfg Config) Breakdown {
 
 	// Overlap: compute hides part of the communication; dense sync overlaps
 	// first (it naturally pipelines with backward), then embedding comm.
-	budget := cfg.OverlapFraction * compute
+	budget := float64(cfg.OverlapFraction * compute)
 	exposedDense := denseComm - budget
 	if exposedDense < 0 {
 		budget = -exposedDense
@@ -396,7 +396,7 @@ func Iterate(cfg Config) Breakdown {
 	}
 
 	// Others: input pipeline and launch overheads.
-	others := 0.02*compute + 0.8e-3
+	others := float64(0.02*compute) + 0.8e-3
 
 	return Breakdown{
 		Compute:      compute,

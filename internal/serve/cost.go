@@ -92,7 +92,7 @@ func (c CostModel) ForwardTime(items, towerHits int) time.Duration {
 	if items <= 0 {
 		return 0
 	}
-	mflops := float64(items) * c.MFlopsPerSample
+	mflops := float64(float64(items) * c.MFlopsPerSample)
 	if c.Towers > 0 && towerHits > 0 {
 		saved := float64(towerHits) / float64(c.Towers) * c.TowerShare * c.MFlopsPerSample
 		if max := mflops * c.TowerShare; saved > max {

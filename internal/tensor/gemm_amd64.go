@@ -1,9 +1,11 @@
 package tensor
 
 // The AVX2 micro-kernel (gemm_amd64.s) under MatMul, MatMulAT and MatMulBT.
-// Its row routines below honour matmul.go's contract with the scalar ones'
-// float32 operations in the same order, so they are bitwise identical to
-// them; init selects them once, from CPUID, with the elementwise routines.
+// Its row routines below honour matmul.go's contract: every term
+// float32(A(r,p)·B(p,j)) is added in ascending p from +0, zero A elements
+// included, with the scalar routines' float32 operations in the same
+// order, so they are bitwise identical to them; init selects them once,
+// from CPUID, with the elementwise routines.
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -12,14 +14,14 @@ func xgetbv() (eax uint32)
 // gemm4 is the micro-kernel (see gemm_amd64.s); k must be positive.
 //
 //go:noescape
-func gemm4(out, a, b *float32, k, nc, ldo, rsA, psA, ldb int, skipZero bool)
+func gemm4(out, a, b *float32, k, nc, ldo, rsA, psA, ldb int)
 
 // edge8 is dotEdge's kernel, 8 output rows as the lanes of one vector:
 // acc[c*8+l] += Σ_p a[p*psA+l]·b[p*psB+c*csB] for l < 8, c < nc (see
 // gemm_amd64.s).
 //
 //go:noescape
-func edge8(acc, a, b *float32, k, nc, psA, psB, csB int, skipZero bool)
+func edge8(acc, a, b *float32, k, nc, psA, psB, csB int)
 
 // transpose8 packs 8 rows of b, ldb apart, into 8·blocks rows of dst, ldd
 // apart: dst[p*ldd+j] = b[j*ldb+p] (see gemm_amd64.s).
@@ -71,7 +73,7 @@ func adamAVX2(s AdamStep, w, g, m, v []float32) {
 
 func init() {
 	if HasAVX2() {
-		mulRows, mulBTRows, mulATRows = matMulRowsAVX2, matMulBTRowsAVX2, matMulATRowsAVX2
+		mulRows, mulBTRows = matMulRowsAVX2, matMulBTRowsAVX2
 		mulATAddRows = matMulATAddRowsAVX2
 		addVec, scaleVec, adamVec = addAVX2, scaleAVX2, adamAVX2
 		gateVec, pairGradVec = gateAVX2, pairGradAVX2
@@ -95,24 +97,14 @@ func HasAVX2() bool {
 // steps of float32 is 16 KiB, on the stack.
 const btPanelK = 256
 
-// matMulRowsAVX2 is matMulRows on the kernel: A(r, p) = a[r*k+p].
-func matMulRowsAVX2(a, b, out []float32, k, n, lo, hi int) {
+// matMulRowsAVX2 is matMulRows on the kernel, A(r, p) = a[r*rsA+p*psA].
+func matMulRowsAVX2(a, b, out []float32, k, n, rsA, psA, lo, hi int) {
 	hi4 := lo + (hi-lo)&^3
 	for i := lo; i < hi4 && k > 0 && n >= 8; i += 4 {
-		gemm4(&out[i*n], &a[i*k], &b[0], k, n&^7, n, k, 1, n, true)
+		gemm4(&out[i*n], &a[i*rsA], &b[0], k, n&^7, n, rsA, psA, n)
 	}
-	dotEdge(a, b, out, k, n, k, 1, n, 1, lo, hi4, true)
-	matMulRows(a, b, out, k, n, hi4, hi)
-}
-
-// matMulATRowsAVX2 is matMulATRows on the kernel: A(r, p) = a[p*m+r].
-func matMulATRowsAVX2(a, b, out []float32, k, m, n, lo, hi int) {
-	hi4 := lo + (hi-lo)&^3
-	for i := lo; i < hi4 && k > 0 && n >= 8; i += 4 {
-		gemm4(&out[i*n], &a[i], &b[0], k, n&^7, n, 1, m, n, true)
-	}
-	dotEdge(a, b, out, k, n, 1, m, n, 1, lo, hi4, true)
-	matMulATRows(a, b, out, k, m, n, hi4, hi)
+	dotEdge(a, b, out, k, n, rsA, psA, n, 1, lo, hi4)
+	matMulRows(a, b, out, k, n, rsA, psA, hi4, hi)
 }
 
 // matMulATAddRowsAVX2 is matMulATAddRows on the kernel.
@@ -122,7 +114,7 @@ func matMulATAddRowsAVX2(a, b, dst []float32, k, m, n int) {
 	for i := 0; i < m; i += rows {
 		blk := scratch[:min(rows, m-i)*n]
 		clear(blk)
-		matMulATRowsAVX2(a[i:], b, blk, k, m, n, 0, len(blk)/n)
+		matMulRowsAVX2(a[i:], b, blk, k, n, 1, m, 0, len(blk)/n)
 		addAVX2(dst[i*n:i*n+len(blk)], blk)
 	}
 }
@@ -150,23 +142,22 @@ func matMulBTRowsAVX2(a, b, out []float32, k, n, lo, hi int) {
 					}
 				}
 				for i := lo; i < hi4; i += 4 {
-					gemm4(&out[i*n+c], &a[i*k+p0], &panel[0], kc, w, n, k, 1, w, false)
+					gemm4(&out[i*n+c], &a[i*k+p0], &panel[0], kc, w, n, k, 1, w)
 				}
 			}
 		}
 	}
-	dotEdge(a, b, out, k, n, k, 1, 1, k, lo, hi4, false)
+	dotEdge(a, b, out, k, n, k, 1, 1, k, lo, hi4)
 	matMulBTRows(a, b, out, k, n, hi4, hi)
 }
 
 // dotEdge sets the columns the kernel leaves, n&^7 up to n, of rows
 // [lo, hi): out[r*n+j] = Σ_p A(r,p)·B(p,j) in ascending p, with A(r,p) =
-// a[r*rsA+p*psA] and B(p,j) = b[p*psB+j*csB]. skipZero drops the terms of
-// zero A elements, as the ikj routines do. edge8 runs 8 rows at a time as
+// a[r*rsA+p*psA] and B(p,j) = b[p*psB+j*csB]. edge8 runs 8 rows at a time as
 // the lanes of a vector, each lane the scalar sum from +0, reading the 8
 // rows' A elements for one p as one vector: straight from a when they are
 // adjacent (rsA = 1), else from a panel edgePacked packs them into.
-func dotEdge(a, b, out []float32, k, n, rsA, psA, psB, csB, lo, hi int, skipZero bool) {
+func dotEdge(a, b, out []float32, k, n, rsA, psA, psB, csB, lo, hi int) {
 	j0 := n &^ 7
 	nc := n - j0
 	if nc == 0 || k == 0 {
@@ -177,12 +168,12 @@ func dotEdge(a, b, out []float32, k, n, rsA, psA, psB, csB, lo, hi int, skipZero
 		var acc [8 * 7]float32
 		for ; r+8 <= hi; r += 8 {
 			clear(acc[:8*nc])
-			edge8(&acc[0], &a[r], &b[j0*csB], k, nc, psA, psB, csB, skipZero)
+			edge8(&acc[0], &a[r], &b[j0*csB], k, nc, psA, psB, csB)
 			edgeStore(out, &acc, n, r, 8)
 		}
 	}
 	if r < hi {
-		edgePacked(a, b, out, k, n, rsA, psA, psB, csB, r, hi, skipZero)
+		edgePacked(a, b, out, k, n, rsA, psA, psB, csB, r, hi)
 	}
 }
 
@@ -191,7 +182,7 @@ func dotEdge(a, b, out []float32, k, n, rsA, psA, psB, csB, lo, hi int, skipZero
 // a stack panel, p-major, lanes past the last row left as they are (their
 // sums are never stored). A full block with psA = 1 packs by transpose8, 8
 // steps at a time.
-func edgePacked(a, b, out []float32, k, n, rsA, psA, psB, csB, lo, hi int, skipZero bool) {
+func edgePacked(a, b, out []float32, k, n, rsA, psA, psB, csB, lo, hi int) {
 	j0 := n &^ 7
 	nc := n - j0
 	var acc [8 * 7]float32
@@ -211,7 +202,7 @@ func edgePacked(a, b, out []float32, k, n, rsA, psA, psB, csB, lo, hi int, skipZ
 					panel[p*8+l] = a[(r+l)*rsA+(p0+p)*psA]
 				}
 			}
-			edge8(&acc[0], &panel[0], &b[p0*psB+j0*csB], kc, nc, 8, psB, csB, skipZero)
+			edge8(&acc[0], &panel[0], &b[p0*psB+j0*csB], kc, nc, 8, psB, csB)
 		}
 		edgeStore(out, &acc, n, r, lanes)
 	}

@@ -20,28 +20,20 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 
 // One reduction step p of one output row: broadcast the row's A element
 // (at address src), multiply it into the b row already loaded in Y8/Y9,
-// zero the products when the mask compare says so, and add them into the
-// row's accumulators. The compare is VCMPPS predicate 4, NEQ_UQ, against
-// Y15: false only for a zero A element when Y15 is +0, never when Y15 is
-// a NaN.
+// and add the products into the row's accumulators.
 #define ROW16(src, acc0, acc1) \
 	VBROADCASTSS src, Y10; \
-	VCMPPS       $4, Y15, Y10, Y11; \
 	VMULPS       Y8, Y10, Y12; \
 	VMULPS       Y9, Y10, Y13; \
-	VANDPS       Y11, Y12, Y12; \
-	VANDPS       Y11, Y13, Y13; \
 	VADDPS       Y12, acc0, acc0; \
 	VADDPS       Y13, acc1, acc1
 
 #define ROW8(src, acc) \
 	VBROADCASTSS src, Y10; \
-	VCMPPS       $4, Y15, Y10, Y11; \
 	VMULPS       Y8, Y10, Y12; \
-	VANDPS       Y11, Y12, Y12; \
 	VADDPS       Y12, acc, acc
 
-// func gemm4(out, a, b *float32, k, nc, ldo, rsA, psA, ldb int, skipZero bool)
+// func gemm4(out, a, b *float32, k, nc, ldo, rsA, psA, ldb int)
 //
 // For r < 4 and c < nc (a multiple of 8):
 //
@@ -49,15 +41,14 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 //
 // in blocks of 16 columns, then one of 8, each accumulated in registers in
 // ascending p with a separate multiply and add (no FMA): the float32
-// operation sequence of the scalar row routines. With skipZero a term
-// whose A element is ±0 adds +0 instead of its product, which leaves the
-// accumulator unchanged exactly as skipping the term does: it starts at
-// out's +0 and a sum of +0 and anything other than -0 is never -0.
+// operation sequence of the scalar row routines. Every term counts, a zero
+// A element's included, so ±0 against ±Inf or NaN in b gives NaN, as IEEE
+// does.
 //
 // Registers: DI/BX out and b at the current column block, SI a, DX columns
 // left, R8/R9 1·rsA/3·rsA bytes, R10 ldo bytes, R11 psA bytes, R12 ldb
 // bytes; AX/R14 walk a and b along p, R13 counts p, CX is out row 1.
-TEXT ·gemm4(SB), NOSPLIT, $0-73
+TEXT ·gemm4(SB), NOSPLIT, $0-72
 	MOVQ out+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
@@ -71,11 +62,6 @@ TEXT ·gemm4(SB), NOSPLIT, $0-73
 	SHLQ $2, R11
 	MOVQ ldb+64(FP), R12
 	SHLQ $2, R12
-	VXORPS    Y15, Y15, Y15
-	MOVBLZX   skipZero+72(FP), AX
-	TESTQ     AX, AX
-	JNZ       blocks
-	VPCMPEQD  Y15, Y15, Y15 // all ones: a NaN
 
 blocks:
 	CMPQ DX, $16
@@ -230,30 +216,28 @@ tdone:
 	RET
 
 // One reduction step of one edge column: multiply the A lanes in Y1 by the
-// column's B element (at address src), zero the lanes the mask Y2 clears,
-// and add into the column's accumulator.
+// column's B element (at address src) and add into the column's
+// accumulator.
 #define EDGECOL(src, t, acc) \
 	VBROADCASTSS src, t; \
 	VMULPS       t, Y1, t; \
-	VANDPS       Y2, t, t; \
 	VADDPS       t, acc, acc
 
-// func edge8(acc, a, b *float32, k, nc, psA, psB, csB int, skipZero bool)
+// func edge8(acc, a, b *float32, k, nc, psA, psB, csB int)
 //
 // For l < 8 and c < nc:
 //
 //	acc[c*8+l] += Σ_{p<k} a[p*psA+l]·b[p*psB+c*csB]
 //
 // one accumulator per column, in ascending p, each lane a separate
-// multiply and add (no FMA): dotEdge's 8 output rows side by side. With
-// skipZero a lane whose A element is ±0 adds +0 instead of its product,
-// as in gemm4 (VCMPPS NEQ_UQ against +0, or against a NaN when every term
-// counts). Four columns share each A load, then one at a time.
+// multiply and add (no FMA): dotEdge's 8 output rows side by side, every
+// term counted as in gemm4. Four columns share each A load, then one at a
+// time.
 //
 // Registers: DI acc at the current column, SI a, BX b at the current
 // column, DX k, CX columns left, R8/R9/R10 psA/psB/csB bytes, R13 3·csB
 // bytes; AX/R11 walk a and b along p, R12 counts p.
-TEXT ·edge8(SB), NOSPLIT, $0-65
+TEXT ·edge8(SB), NOSPLIT, $0-64
 	MOVQ acc+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
@@ -268,11 +252,6 @@ TEXT ·edge8(SB), NOSPLIT, $0-65
 	LEAQ (R10)(R10*2), R13
 	TESTQ DX, DX
 	JZ    edone
-	VXORPS   Y15, Y15, Y15
-	MOVBLZX  skipZero+64(FP), AX
-	TESTQ    AX, AX
-	JNZ      ecols4
-	VPCMPEQD Y15, Y15, Y15 // all ones: a NaN
 
 ecols4:
 	CMPQ    CX, $4
@@ -287,7 +266,6 @@ ecols4:
 
 eloop4:
 	VMOVUPS (AX), Y1
-	VCMPPS  $4, Y15, Y1, Y2
 	EDGECOL((R11), Y8, Y4)
 	EDGECOL((R11)(R10*1), Y9, Y5)
 	EDGECOL((R11)(R10*2), Y10, Y6)
@@ -316,7 +294,6 @@ ecols1:
 
 eloop1:
 	VMOVUPS (AX), Y1
-	VCMPPS  $4, Y15, Y1, Y2
 	EDGECOL((R11), Y8, Y4)
 	ADDQ    R8, AX
 	ADDQ    R9, R11

@@ -6,7 +6,8 @@ import (
 )
 
 // TestAVX2RowRoutinesSelected checks that init put the AVX2 row routines
-// under MatMul, MatMulBT, MatMulAT and AddMatMulAT, and the AVX2
+// under MatMul and MatMulAT (one strided routine), MatMulBT and
+// AddMatMulAT, and the AVX2
 // elementwise routines under AddInPlace, ScaleInPlace, AdamUpdate,
 // ReLUGate and PairwiseUpperGrad, so
 // the bitwise tests and the fuzzers compare the kernels with the scalar
@@ -22,7 +23,6 @@ func TestAVX2RowRoutinesSelected(t *testing.T) {
 	}{
 		{"mulRows", mulRows, matMulRowsAVX2},
 		{"mulBTRows", mulBTRows, matMulBTRowsAVX2},
-		{"mulATRows", mulATRows, matMulATRowsAVX2},
 		{"mulATAddRows", mulATAddRows, matMulATAddRowsAVX2},
 		{"addVec", addVec, addAVX2},
 		{"scaleVec", scaleVec, scaleAVX2},

@@ -45,8 +45,11 @@ func gemmKernelNamed(tb testing.TB, name string) gemmKernel {
 
 // BenchmarkHotpathMatMul times the MatMul entry point (the vector kernel
 // where the CPU has it) against its scalar row routine, at over-arch
-// shapes and at train_dense's (`make bench-hotpath`); the table in the
-// README's hot-path section comes from this run.
+// shapes and at train_dense's (`make bench-hotpath`), there also with
+// every other A element exactly 0, as a ReLU-gated gradient has them
+// (",sparse"): every term counts, so the vector kernel runs it at the dense
+// speed, and the scalar routine shows what skipping zero terms would save.
+// The table in the README's hot-path section comes from this run.
 func BenchmarkHotpathMatMul(b *testing.B) {
 	benchmarkGEMM(b, gemmKernelNamed(b, "MatMul"))
 }
@@ -58,28 +61,50 @@ func BenchmarkHotpathMatMulBT(b *testing.B) {
 	benchmarkGEMM(b, gemmKernelNamed(b, "MatMulBT"))
 }
 
-// BenchmarkHotpathMatMulAT is the weight-gradient layout.
+// BenchmarkHotpathMatMulAT is the weight-gradient layout, with the same
+// ReLU-sparse row as MatMul's: its A is the layer's output gradient dY.
 func BenchmarkHotpathMatMulAT(b *testing.B) {
 	benchmarkGEMM(b, gemmKernelNamed(b, "MatMulAT"))
 }
 
+// benchmarkGEMM runs kn's rows and entry sides at its train_dense shape,
+// then, for MatMul and MatMulAT, at that shape with A's even elements
+// zeroed, then at the over-arch shapes (and, for MatMulBT, the logit
+// layer's).
 func benchmarkGEMM(b *testing.B, kn gemmKernel) {
-	shapes := append([]gemmShape{trainDenseShapes[kn.name]}, hotpathShapes...)
+	type gemmCase struct {
+		gemmShape
+		sparse bool
+	}
+	cases := []gemmCase{{trainDenseShapes[kn.name], false}}
+	if kn.name != "MatMulBT" {
+		cases = append(cases, gemmCase{trainDenseShapes[kn.name], true})
+	}
+	for _, sh := range hotpathShapes {
+		cases = append(cases, gemmCase{sh, false})
+	}
 	if kn.name == "MatMulBT" {
-		shapes = append(shapes, trainDenseLogit)
+		cases = append(cases, gemmCase{trainDenseLogit, false})
 	}
 	for _, side := range []struct {
 		name string
 		run  func(x, y *Tensor) *Tensor
 	}{{"rows", kn.ref}, {"entry", kn.entry}} {
-		for _, sh := range shapes {
-			b.Run(fmt.Sprintf("%s/m=%d,k=%d,n=%d", side.name, sh.m, sh.k, sh.n), func(b *testing.B) {
+		for _, c := range cases {
+			name := fmt.Sprintf("%s/m=%d,k=%d,n=%d", side.name, c.m, c.k, c.n)
+			if c.sparse {
+				name += ",sparse"
+			}
+			b.Run(name, func(b *testing.B) {
 				r := NewRNG(1)
-				xs, ys := kn.shapes(sh.m, sh.k, sh.n)
+				xs, ys := kn.shapes(c.m, c.k, c.n)
 				x, y := RandUniform(r, -1, 1, xs...), RandUniform(r, -1, 1, ys...)
+				for i := 0; c.sparse && i < len(x.data); i += 2 {
+					x.data[i] = 0
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					side.run(x, y)
+					sink = side.run(x, y)
 				}
 			})
 		}

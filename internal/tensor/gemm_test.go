@@ -27,7 +27,7 @@ var gemmKernels = []gemmKernel{
 		ref: func(a, b *Tensor) *Tensor {
 			m, k, n := a.shape[0], a.shape[1], b.shape[1]
 			out := New(m, n)
-			matMulRows(a.data, b.data, out.data, k, n, 0, m)
+			matMulRows(a.data, b.data, out.data, k, n, k, 1, 0, m)
 			return out
 		},
 	},
@@ -49,7 +49,7 @@ var gemmKernels = []gemmKernel{
 		ref: func(a, b *Tensor) *Tensor {
 			k, m, n := a.shape[0], a.shape[1], b.shape[1]
 			out := New(m, n)
-			matMulATRows(a.data, b.data, out.data, k, m, n, 0, m)
+			matMulRows(a.data, b.data, out.data, k, n, 1, m, 0, m)
 			return out
 		},
 	},
@@ -64,7 +64,9 @@ var specials = []float32{
 }
 
 // randOperand fills shape with uniform values and an exact zero every
-// zeroEvery elements, so the skip-zero branch of the MatMul routines runs.
+// zeroEvery elements, as a ReLU-gated activation or gradient has them: a
+// routine that treated a zero A element as a term to skip, rather than a
+// product to add, would part from the others where one meets an infinity.
 // With withSpecials it then overwrites 1 + len/1024 random elements with
 // values from specials: sparse enough that most dot products stay finite,
 // dense enough that a zero meets an infinity somewhere.
@@ -94,9 +96,31 @@ func sameBits(t *testing.T, what string, got, want *Tensor) {
 	t.Helper()
 	for i := range want.data {
 		if bits(got.data[i]) != bits(want.data[i]) {
-			t.Fatalf("%s: element %d is %v, row routine gives %v", what, i, got.data[i], want.data[i])
+			t.Fatalf("%s: element %d is %v, want %v", what, i, got.data[i], want.data[i])
 		}
 	}
+}
+
+// kernelShapes are (m, k, n) shapes that exercise every kernel edge (see
+// TestKernelBitwiseMatchesScalar).
+var kernelShapes = [][3]int{
+	{1, 1, 1},
+	{3, 5, 7},
+	{4, 8, 4},
+	{17, 33, 9},
+	{64, 16, 129},
+	{100, 40, 72},
+	{130, 64, 1},
+	{257, 31, 70},
+	{8, 300, 24},
+	{13, 513, 40},
+	{6, 257, 23},
+	{35, 256, 31},
+	{64, 128, 1},
+	{64, 300, 1},
+	{19, 260, 13},
+	{64, 13, 13},
+	{8, 1, 3},
 }
 
 // TestKernelBitwiseMatchesScalar pins MatMul, MatMulBT and MatMulAT
@@ -110,33 +134,69 @@ func sameBits(t *testing.T, what string, got, want *Tensor) {
 // with specials in both operands.
 func TestKernelBitwiseMatchesScalar(t *testing.T) {
 	r := NewRNG(42)
-	shapes := [][3]int{
-		{1, 1, 1},
-		{3, 5, 7},
-		{4, 8, 4},
-		{17, 33, 9},
-		{64, 16, 129},
-		{100, 40, 72},
-		{130, 64, 1},
-		{257, 31, 70},
-		{8, 300, 24},
-		{13, 513, 40},
-		{6, 257, 23},
-		{35, 256, 31},
-		{64, 128, 1},
-		{64, 300, 1},
-		{19, 260, 13},
-		{64, 13, 13},
-		{8, 1, 3},
-	}
 	for _, kn := range gemmKernels {
-		for _, d := range shapes {
+		for _, d := range kernelShapes {
 			for _, sp := range []bool{false, true} {
 				xs, ys := kn.shapes(d[0], d[1], d[2])
 				x, y := randOperand(r, 7, sp, xs...), randOperand(r, 7, sp, ys...)
 				got := kn.entry(x, y)
 				sameBits(t, fmt.Sprintf("%s %v specials=%v", kn.name, d, sp), got, kn.ref(x, y))
 				sameBits(t, fmt.Sprintf("%s %v specials=%v, second run", kn.name, d, sp), kn.entry(x, y), got)
+			}
+		}
+	}
+}
+
+// entryPointsAgree requires MatMulBT(a, bᵀ), MatMulAT(aᵀ, b) and
+// AddMatMulAT of aᵀ and b into a zero dst to equal MatMul(a, b) bit for
+// bit, NaNs compared through bits: one product, one IEEE contract,
+// whatever layout the operands arrive in.
+func entryPointsAgree(t *testing.T, what string, a, b *Tensor) {
+	t.Helper()
+	want := MatMul(a, b)
+	at := Transpose2D(a)
+	sameBits(t, "MatMulBT "+what, MatMulBT(a, Transpose2D(b)), want)
+	sameBits(t, "MatMulAT "+what, MatMulAT(at, b), want)
+	dst := New(want.shape...)
+	AddMatMulAT(dst, at, b)
+	sameBits(t, "AddMatMulAT "+what, dst, want)
+}
+
+// TestGEMMEntryPointsAgree holds MatMul, MatMulBT, MatMulAT and
+// AddMatMulAT to one another on the shapes of
+// TestKernelBitwiseMatchesScalar, plain and with specials, and on rows of
+// A that are all zero, ±0, against ±Inf and NaN in b: each term counts, so
+// those outputs are NaN from every entry point, as IEEE gives them. The
+// zero rows sit in a 4-row slab, in the scalar row tail and, with the
+// non-finite columns, in the kernel's columns and in its edge columns.
+func TestGEMMEntryPointsAgree(t *testing.T) {
+	r := NewRNG(11)
+	for _, d := range kernelShapes {
+		for _, sp := range []bool{false, true} {
+			a, b := randOperand(r, 7, sp, d[0], d[1]), randOperand(r, 7, sp, d[1], d[2])
+			entryPointsAgree(t, fmt.Sprintf("%v specials=%v", d, sp), a, b)
+		}
+	}
+
+	const m, k, n = 9, 20, 11
+	a, b := randOperand(r, 7, false, m, k), randOperand(r, 7, false, k, n)
+	for _, row := range []int{2, 8} {
+		clear(a.data[row*k : (row+1)*k])
+	}
+	a.data[2*k+6] = float32(math.Copysign(0, -1))
+	nonFinite := make([]float32, n) // column j's non-finite b element, or 0
+	nonFinite[0], nonFinite[9], nonFinite[10] = float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())
+	for j, v := range nonFinite {
+		if v != 0 {
+			b.data[(3+j)*n+j] = v
+		}
+	}
+	entryPointsAgree(t, "zero rows of A against ±Inf and NaN", a, b)
+	got := MatMul(a, b)
+	for _, row := range []int{2, 8} {
+		for j, v := range nonFinite {
+			if g := got.data[row*n+j]; (g != g) != (v != 0) {
+				t.Errorf("zero row %d, column %d: got %v; want NaN exactly where b holds ±Inf or NaN", row, j, g)
 			}
 		}
 	}
@@ -251,8 +311,9 @@ func TestMatMulBTAllocs(t *testing.T) {
 
 // FuzzGEMMKernels draws random shapes, up to 256 per side and 600 deep,
 // with exact zeros and specials in both operands, and requires every entry
-// point to match its scalar row routine bit for bit, and AddMatMulAT to
-// match adding that routine's output.
+// point to match its scalar row routine bit for bit, AddMatMulAT to match
+// adding that routine's output, and the entry points to agree with one
+// another (entryPointsAgree) on one more pair of operands.
 func FuzzGEMMKernels(f *testing.F) {
 	f.Add(uint16(257), uint16(31), uint16(70), uint64(1), uint8(7))
 	f.Add(uint16(64), uint16(16), uint16(129), uint64(2), uint8(1))
@@ -273,5 +334,7 @@ func FuzzGEMMKernels(f *testing.F) {
 				sameBits(t, fmt.Sprintf("AddMatMulAT (%d, %d, %d)", dm, dk, dn), dst, want)
 			}
 		}
+		a, b := randOperand(r, 1+int(zeroEvery), true, dm, dk), randOperand(r, 1+int(zeroEvery), true, dk, dn)
+		entryPointsAgree(t, fmt.Sprintf("(%d, %d, %d)", dm, dk, dn), a, b)
 	})
 }

@@ -10,7 +10,7 @@ func MatMul(a, b *Tensor) *Tensor {
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	out := New(m, n)
-	mulRows(a.data, b.data, out.data, k, n, 0, m)
+	mulRows(a.data, b.data, out.data, k, n, k, 1, 0, m)
 	return out
 }
 
@@ -48,7 +48,7 @@ func MatMulAT(a, b *Tensor) *Tensor {
 	}
 	k, m, n := a.shape[0], a.shape[1], b.shape[1]
 	out := New(m, n)
-	mulATRows(a.data, b.data, out.data, k, m, n, 0, m)
+	mulRows(a.data, b.data, out.data, k, n, 1, m, 0, m)
 	return out
 }
 
@@ -153,39 +153,38 @@ func pairGradRef(dx, x, g []float32, f, n int) {
 // range, on the calling goroutine: parallelism lives one level up, in the
 // trainer's ranks and the server's batch executors, never inside a
 // multiply. Contract, which any faster routine must honour: out arrives
-// zero-filled, each output element is written once, and it accumulates its
-// dot product in ascending p (reduction-index) order. The result is then
-// bitwise identical however the rows are cut into ranges — the training
+// zero-filled, each output element is written once, and it is the plain
+// IEEE sum of every term float32(A(r,p)·B(p,j)), added in ascending p
+// (reduction-index) order starting from +0, terms of zero A elements
+// included. The result is then bitwise identical however the rows are cut
+// into ranges, and MatMul, MatMulBT and MatMulAT give the same bits for the
+// same product whatever layout their operands arrive in — the training
 // golden trajectories depend on it. Every product is written float32(a*b):
 // the conversion forbids fusing it into the add, which arm64, ppc64le and
 // s390x would otherwise do.
 //
 // The AVX2 micro-kernel's row routines (gemm_amd64.go) honour the same
-// contract with the same float32 operations, and replace the scalar MatMul,
-// MatMulBT and MatMulAT routines when init finds the CPU support. The
-// scalar routines stay the reference, and the path on CPUs without AVX2
-// and off amd64.
-var mulRows, mulBTRows, mulATRows = matMulRows, matMulBTRows, matMulATRows
+// contract with the same float32 operations, and replace the scalar
+// routines when init finds the CPU support. The scalar routines stay the
+// reference, and the path on CPUs without AVX2 and off amd64.
+var mulRows, mulBTRows = matMulRows, matMulBTRows
 
 // mulATAddRows is AddMatMulAT's routine, selected with the row routines: it
 // calls its own row routine and add directly, so its stack buffer stays on
 // the stack.
 var mulATAddRows = matMulATAddRows
 
-// matMulRows computes rows [lo, hi) of a @ b. The ikj loop order keeps the
-// inner loop streaming over b's rows.
-func matMulRows(a, b, out []float32, k, n, lo, hi int) {
+// matMulRows computes rows [lo, hi) of A @ b for A(r, p) = a[r*rsA+p*psA]
+// and b (k, n): MatMul's a (m, k) has rsA = k, psA = 1, and MatMulAT's
+// a (k, m) has rsA = 1, psA = m. The ikj loop order keeps the inner loop
+// streaming over b's rows.
+func matMulRows(a, b, out []float32, k, n, rsA, psA, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
 		orow := out[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : (p+1)*n]
-			for j := range orow {
-				orow[j] += float32(av * brow[j])
+		for p, ap := 0, i*rsA; p < k; p, ap = p+1, ap+psA {
+			av := a[ap]
+			for j, bv := range b[p*n : (p+1)*n] {
+				orow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -266,33 +265,16 @@ func matMulBT4(a, b, out []float32, k, n int) {
 	}
 }
 
-// matMulATRows computes output rows [lo, hi) of aᵀ @ b for a (k, m), b (k, n).
-func matMulATRows(a, b, out []float32, k, m, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		orow := out[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := a[p*m+i]
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : (p+1)*n]
-			for j := range orow {
-				orow[j] += float32(av * brow[j])
-			}
-		}
-	}
-}
-
 // matMulATAddRows adds aᵀ @ b into dst, for a (k, m), b (k, n) and n > 0,
 // one block of output rows at a time: the block is zeroed, formed by
-// matMulATRows and added to dst.
+// matMulRows and added to dst.
 func matMulATAddRows(a, b, dst []float32, k, m, n int) {
 	var buf [atAddBuf]float32
 	rows, scratch := atAddBlock(buf[:], n)
 	for i := 0; i < m; i += rows {
 		blk := scratch[:min(rows, m-i)*n]
 		clear(blk)
-		matMulATRows(a[i:], b, blk, k, m, n, 0, len(blk)/n)
+		matMulRows(a[i:], b, blk, k, n, 1, m, 0, len(blk)/n)
 		addRef(dst[i*n:i*n+len(blk)], blk)
 	}
 }
