@@ -142,8 +142,9 @@ examples-smoke:
 
 # Build every command main and drive each one no test runs: the three
 # experiment front ends through the registry (a listing and one fast
-# experiment each) and the partitioner. (dmt-lint has its own test, and
-# make lint runs it.)
+# experiment each; dmt-serve in both its simulator and its real-server
+# mode, the latter on a short closed-loop run) and the partitioner.
+# (dmt-lint has its own test, and make lint runs it.)
 cmds-smoke:
 	$(GO) build ./cmd/...
 	$(GO) run ./cmd/dmt-bench -list
@@ -151,6 +152,7 @@ cmds-smoke:
 	$(GO) run ./cmd/dmt-train -list
 	$(GO) run ./cmd/dmt-train -exp fig9 -profile smoke
 	$(GO) run ./cmd/dmt-serve -cluster
+	$(GO) run ./cmd/dmt-serve -requests 512 -unique 64
 	$(GO) run ./cmd/dmt-partition -towers 4
 
 serve-demo:

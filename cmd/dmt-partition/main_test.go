@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,5 +51,40 @@ func TestRun(t *testing.T) {
 	}
 	if towers != 4 {
 		t.Fatalf("-towers 4 printed %d tower lines, want 4:\n%s", towers, &stdout)
+	}
+}
+
+// TestGolden pins the Tower Partitioner's exact output: the towers, the
+// affinities and the MDS stress trace, at the default flags, at a diverse
+// four-tower split of 26 features whose towers cannot be equal, and at a
+// diverse eight-tower split that only the K = 1 size cap keeps equal. A
+// drift in TP's constants (the MDS plane, its steps and learning rate, the
+// size cap) or in the MDS/k-means numerics fails here. The
+// golden files are the command's own stdout: regenerate one with
+// `go run ./cmd/dmt-partition <args> > cmd/dmt-partition/testdata/<name>.golden`,
+// and only when the change is meant to move TP.
+func TestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"default", nil},
+		{"towers4-diverse-features26", []string{"-towers", "4", "-strategy", "diverse", "-features", "26"}},
+		{"towers8-diverse", []string{"-towers", "8", "-strategy", "diverse"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d, want 0\nstderr:\n%s", code, &stderr)
+			}
+			if got := stdout.String(); got != string(want) {
+				t.Fatalf("dmt-partition %s drifted from testdata/%s.golden\ngot:\n%s\nwant:\n%s",
+					strings.Join(tc.args, " "), tc.name, got, want)
+			}
+		})
 	}
 }

@@ -13,7 +13,6 @@
 //
 //	dmt-serve                                  # default comparison table
 //	dmt-serve -requests 20000 -concurrency 64  # heavier load
-//	dmt-serve -table                           # the experiments.ServingTable profile
 //	dmt-serve -cluster                         # simulated capacity-planning sweep
 //	dmt-serve -cluster -policy least-loaded -arrival gamma -seed 7
 package main
@@ -58,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxWait     = fs.Duration("max-wait", def.MaxWait, "micro-batch flush timeout")
 		cacheSize   = fs.Int("cache", def.CacheEntries, "entries per cache (embedding and tower)")
 		towers      = fs.Int("towers", def.Towers, "DMT tower count")
-		table       = fs.Bool("table", false, "run the experiments.ServingTable default profile and exit")
 
 		clusterMode = fs.Bool("cluster", false, "run the discrete-event cluster simulator instead of the real server")
 		policy      = fs.String("policy", "cache-affinity", "cluster routing policy: round-robin, least-loaded, cache-affinity")
@@ -121,21 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprint(stdout, experiments.FormatCluster(res))
-		return 0
-	}
-
-	if *table {
-		e, ok := experiments.Lookup(experiments.Select(experiments.Serving), "serving")
-		if !ok {
-			fmt.Fprintln(stderr, "dmt-serve: the serving table is not registered")
-			return 1
-		}
-		out, err := e.Run(experiments.Options{})
-		if err != nil {
-			fmt.Fprintf(stderr, "dmt-serve: %v\n", err)
-			return 1
-		}
-		fmt.Fprint(stdout, out)
 		return 0
 	}
 

@@ -15,6 +15,7 @@ func TestRun(t *testing.T) {
 		inStderr string
 	}{
 		{[]string{"-bogus"}, "flag provided but not defined: -bogus"},
+		{[]string{"-table"}, "flag provided but not defined: -table"},
 		{[]string{"-policy", "random"}, `unknown routing policy "random"`},
 		{[]string{"-cluster", "-policy", "random"}, `unknown routing policy "random"`},
 		{[]string{"-arrival", "pareto"}, `unknown arrival distribution "pareto"`},

@@ -21,7 +21,6 @@
 package data
 
 import (
-	"fmt"
 	"math"
 
 	"dmt/internal/tensor"
@@ -37,19 +36,21 @@ type Schema struct {
 // NumSparse returns the number of categorical features.
 func (s Schema) NumSparse() int { return len(s.Cardinalities) }
 
+// The label model's fixed shape, the same for every workload.
+const (
+	embDim           = 16   // latent dimensionality of ground-truth embeddings
+	subDim           = 4    // dimensionality of each group's latent subspace
+	logitBias        = -0.9 // controls the positive rate
+	interactionScale = 1.1  // scales within-group pairwise terms
+	denseScale       = 0.30 // scales the dense features' linear contribution
+)
+
 // Config parameterizes the synthetic workload.
 type Config struct {
 	Schema
 	Seed      uint64
-	EmbDim    int     // latent dimensionality of ground-truth embeddings
-	SubDim    int     // dimensionality of each group's latent subspace
 	NumGroups int     // ground-truth interaction groups
 	NoiseStd  float64 // logit noise; larger = lower attainable AUC
-	Bias      float64 // logit bias; controls positive rate
-	// InteractionScale scales within-group pairwise terms.
-	InteractionScale float64
-	// DenseScale scales the dense features' linear contribution.
-	DenseScale float64
 }
 
 // CriteoLike returns the default configuration mirroring the Criteo Kaggle
@@ -76,15 +77,10 @@ func CriteoLike(seed uint64) Config {
 		hots[i] = 1
 	}
 	return Config{
-		Schema:           Schema{NumDense: 13, Cardinalities: cards, HotSizes: hots},
-		Seed:             seed,
-		EmbDim:           16,
-		SubDim:           4,
-		NumGroups:        8,
-		NoiseStd:         1.5,
-		Bias:             -0.9,
-		InteractionScale: 1.1,
-		DenseScale:       0.30,
+		Schema:    Schema{NumDense: 13, Cardinalities: cards, HotSizes: hots},
+		Seed:      seed,
+		NumGroups: 8,
+		NoiseStd:  1.5,
 	}
 }
 
@@ -114,29 +110,26 @@ func XLRMMini(seed uint64) Config {
 // truth for tests and the partitioner experiments.
 type Generator struct {
 	cfg     Config
-	latents []*tensor.Tensor // per feature: (cardinality, EmbDim) in its group subspace
+	latents []*tensor.Tensor // per feature: (cardinality, embDim) in its group subspace
 	groups  []int            // ground-truth group of each feature
 	denseW  []float64        // linear weights for dense features
 }
 
 // NewGenerator builds the latent tables for the configuration.
 func NewGenerator(cfg Config) *Generator {
-	if cfg.EmbDim <= 0 || cfg.SubDim <= 0 || cfg.SubDim > cfg.EmbDim {
-		panic(fmt.Sprintf("data: bad dims EmbDim=%d SubDim=%d", cfg.EmbDim, cfg.SubDim))
-	}
 	if cfg.NumGroups <= 0 {
 		panic("data: NumGroups must be positive")
 	}
 	root := tensor.NewRNG(cfg.Seed)
 	g := &Generator{cfg: cfg}
 
-	// Orthogonal-ish random basis per group: (EmbDim, SubDim) with N(0,1)
-	// columns; high EmbDim makes random subspaces nearly orthogonal, which
+	// Orthogonal-ish random basis per group: (embDim, subDim) with N(0,1)
+	// columns; high embDim makes random subspaces nearly orthogonal, which
 	// is what suppresses cross-group interaction signal.
 	bases := make([]*tensor.Tensor, cfg.NumGroups)
 	basisRNG := root.Split(1)
 	for gi := range bases {
-		bases[gi] = tensor.RandN(basisRNG, 1/math.Sqrt(float64(cfg.SubDim)), cfg.EmbDim, cfg.SubDim)
+		bases[gi] = tensor.RandN(basisRNG, 1/math.Sqrt(float64(subDim)), embDim, subDim)
 	}
 
 	g.groups = make([]int, cfg.NumSparse())
@@ -151,10 +144,10 @@ func NewGenerator(cfg Config) *Generator {
 	g.latents = make([]*tensor.Tensor, cfg.NumSparse())
 	for f := 0; f < cfg.NumSparse(); f++ {
 		card := cfg.Cardinalities[f]
-		z := tensor.RandN(latRNG, 1, card, cfg.SubDim)
-		// latent = z @ basisᵀ -> (card, EmbDim), then normalize each row to
+		z := tensor.RandN(latRNG, 1, card, subDim)
+		// latent = z @ basisᵀ -> (card, embDim), then normalize each row to
 		// unit norm so pairwise dots are O(1) and the logit scale is
-		// controlled by InteractionScale alone (labels must stay noisy:
+		// controlled by interactionScale alone (labels must stay noisy:
 		// near-deterministic labels of per-row latents are unlearnable at
 		// in-process sample budgets).
 		lat := tensor.MatMulBT(z, bases[g.groups[f]])
@@ -262,7 +255,7 @@ func (g *Generator) Batch(start, size int) *Batch {
 		b.Offsets[f] = make([]int32, size)
 	}
 
-	pooled := tensor.New(nf, cfg.EmbDim) // reused per sample
+	pooled := tensor.New(nf, embDim) // reused per sample
 	for s := 0; s < size; s++ {
 		sample := uint64(start + s)
 		// Dense features.
@@ -289,7 +282,7 @@ func (g *Generator) Batch(start, size int) *Batch {
 			}
 		}
 		// Logit: within-group pairwise interactions + dense linear + bias.
-		logit := cfg.Bias
+		logit := logitBias
 		for i := 0; i < nf; i++ {
 			ri := pooled.Row(i)
 			for j := i + 1; j < nf; j++ {
@@ -301,11 +294,11 @@ func (g *Generator) Batch(start, size int) *Batch {
 				for d := range ri {
 					dot += float64(float64(ri[d]) * float64(rj[d]))
 				}
-				logit += float64(cfg.InteractionScale * dot)
+				logit += float64(interactionScale * dot)
 			}
 		}
 		for d := 0; d < cfg.NumDense; d++ {
-			logit += float64(cfg.DenseScale * g.denseW[d] * float64(b.Dense.At(s, d)))
+			logit += float64(denseScale * g.denseW[d] * float64(b.Dense.At(s, d)))
 		}
 		b.Logits[s] = logit
 		noisy := logit + float64(cfg.NoiseStd*g.normal(streamNoise, sample, 0, 0))
@@ -318,16 +311,16 @@ func (g *Generator) Batch(start, size int) *Batch {
 }
 
 // LatentBatch returns the pooled ground-truth latents for m samples as a
-// (m, F, EmbDim) tensor — the "oracle embeddings" used by partitioner tests
+// (m, F, embDim) tensor — the "oracle embeddings" used by partitioner tests
 // in place of learned embeddings.
 func (g *Generator) LatentBatch(start, m int) *tensor.Tensor {
 	cfg := g.cfg
 	nf := cfg.NumSparse()
-	out := tensor.New(m, nf, cfg.EmbDim)
+	out := tensor.New(m, nf, embDim)
 	for s := 0; s < m; s++ {
 		sample := uint64(start + s)
 		for f := 0; f < nf; f++ {
-			dst := out.Data()[(s*nf+f)*cfg.EmbDim : (s*nf+f+1)*cfg.EmbDim]
+			dst := out.Data()[(s*nf+f)*embDim : (s*nf+f+1)*embDim]
 			h := cfg.HotSizes[f]
 			for k := 0; k < h; k++ {
 				idx := int(g.mix(streamIndex, sample, f, k) % uint64(cfg.Cardinalities[f]))

@@ -109,7 +109,7 @@ func TestInteractionSignalIsGrouped(t *testing.T) {
 	m := 256
 	lat := g.LatentBatch(0, m)
 	nf := g.Config().NumSparse()
-	dim := g.Config().EmbDim
+	dim := embDim
 
 	var sameSum, crossSum float64
 	var sameN, crossN int

@@ -59,8 +59,8 @@ type Config struct {
 	G, L int
 	// LocalBatch per rank.
 	LocalBatch int
-	// Model holds the DMT-DLRM architecture; its Towers must already be in
-	// SPTT "host order" (use TowersInHostOrder).
+	// Model holds the DMT-DLRM architecture. Its Towers may list features
+	// in any order: New reorders each tower into SPTT "host order" itself.
 	Model models.DMTDLRMConfig
 	// Learning rates (Adam for dense, SparseAdam for tables).
 	DenseLR  float32
@@ -311,11 +311,11 @@ type Stats struct {
 	Tier embeddings.TierStats
 }
 
-// TowersInHostOrder converts a tower partition into the feature order the
+// towersInHostOrder converts a tower partition into the feature order the
 // SPTT dataflow materializes (per local rank ascending within each tower),
 // so the single-process model and the distributed dataflow agree on column
 // layout.
-func TowersInHostOrder(towers [][]int, nFeatures, l int) ([][]int, []int, []int, error) {
+func towersInHostOrder(towers [][]int, nFeatures, l int) ([][]int, []int, []int, error) {
 	towerOf, rankOf, err := sptt.TowerAssignment(towers, nFeatures, l)
 	if err != nil {
 		return nil, nil, nil, err
@@ -342,7 +342,7 @@ func New(cfg Config) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	ordered, towerOf, rankOf, err := TowersInHostOrder(cfg.Model.Towers, cfg.Model.Schema.NumSparse(), cfg.L)
+	ordered, towerOf, rankOf, err := towersInHostOrder(cfg.Model.Towers, cfg.Model.Schema.NumSparse(), cfg.L)
 	if err != nil {
 		return nil, err
 	}

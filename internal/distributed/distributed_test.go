@@ -64,7 +64,7 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 	// tower layout the trainer computed.
 	goldenCfg := cfg.Model
 	goldenCfg.Towers, _, _, err = func() ([][]int, []int, []int, error) {
-		return TowersInHostOrder([][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}, 8, cfg.L)
+		return towersInHostOrder([][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}, 8, cfg.L)
 	}()
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +401,7 @@ func TestSequentialStatsCountTowerReduction(t *testing.T) {
 }
 
 func TestTowersInHostOrder(t *testing.T) {
-	ordered, towerOf, rankOf, err := TowersInHostOrder([][]int{{3, 0}, {1, 2}}, 4, 2)
+	ordered, towerOf, rankOf, err := towersInHostOrder([][]int{{3, 0}, {1, 2}}, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestTowersInHostOrder(t *testing.T) {
 			t.Fatal("rank not on tower host")
 		}
 	}
-	if _, _, _, err := TowersInHostOrder([][]int{{0}}, 2, 2); err == nil {
+	if _, _, _, err := towersInHostOrder([][]int{{0}}, 2, 2); err == nil {
 		t.Fatal("incomplete partition must error")
 	}
 }

@@ -18,9 +18,8 @@ import (
 // holds its p99? One open-loop trace is generated per rate and replayed
 // against every fleet size, so rows within a rate differ only in the fleet.
 
-// ClusterProfile sizes the capacity sweep.
+// ClusterProfile sizes the capacity sweep of an A100 fleet.
 type ClusterProfile struct {
-	Gen    topology.Generation
 	Towers int // DMT tower count for the cost model (<=1 = monolithic)
 
 	Rates       []float64 // arrival rates (requests/second) to sweep
@@ -43,7 +42,6 @@ type ClusterProfile struct {
 // SmokeCluster keeps the test suite and CI gate fast.
 func SmokeCluster() ClusterProfile {
 	return ClusterProfile{
-		Gen:          topology.A100,
 		Towers:       8,
 		Rates:        []float64{200_000, 800_000},
 		MaxReplicas:  3,
@@ -120,7 +118,7 @@ func clusterConfig(p ClusterProfile, cost serve.CostModel, replicas int) (cluste
 // ClusterCapacity runs the sweep: per rate, one generated trace replayed
 // against fleets of 1..MaxReplicas. Deterministic: same profile, same table.
 func ClusterCapacity(p ClusterProfile) (ClusterCapacityResult, error) {
-	cost := serve.NewCostModel(p.Gen, perfmodel.DLRMSpec(), p.Towers)
+	cost := serve.NewCostModel(topology.A100, perfmodel.DLRMSpec(), p.Towers)
 	classes := workload.DefaultClasses()
 	res := ClusterCapacityResult{Cost: cost, Profile: p, Classes: classes}
 

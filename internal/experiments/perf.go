@@ -152,9 +152,7 @@ type Figure6Result struct {
 // AllReduce — so the paper's data-parallelism-wins ranking must survive
 // every scheme; the experiments tests assert it.
 func Figure6(s quant.Scheme) Figure6Result {
-	cfg := parallel.DefaultSearchConfig()
-	cfg.Compression = s
-	res := parallel.Search(cfg)
+	res := parallel.Search(s)
 	return Figure6Result{
 		Results:            res,
 		BestMesh:           res[0].Mesh,

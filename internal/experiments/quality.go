@@ -72,7 +72,6 @@ func trainConfig(p Profile) models.TrainConfig {
 		Steps:       p.Steps,
 		BatchSize:   p.BatchSize,
 		DenseLR:     1e-3,
-		SparseLR:    1e-2,
 		EvalStart:   1 << 22,
 		EvalSamples: p.EvalSamples,
 	}
@@ -253,7 +252,7 @@ func Table3(p Profile) []QualityRow {
 	gen := qualityWorkload(p, 3033)
 	tc := trainConfig(p)
 
-	verified := verifySPTTNeutrality(gen.Config().Schema)
+	verified := verifySPTTNeutrality(gen)
 	note := "bit-identical dataflow NOT verified"
 	if verified {
 		note = "bit-identical dataflow verified on live tables"
@@ -281,45 +280,30 @@ func Table3(p Profile) []QualityRow {
 }
 
 // verifySPTTNeutrality runs the distributed SPTT transform against the
-// global-AlltoAll baseline on the quality schema (4 GPUs, 2 hosts) and
-// reports bit-exact equality of every rank's output.
-func verifySPTTNeutrality(schema data.Schema) bool {
+// global-AlltoAll baseline on gen's workload (4 GPUs, 2 hosts, round-robin
+// towers, each rank fed its own batch of gen's bags) and reports bit-exact
+// equality of every rank's output.
+func verifySPTTNeutrality(gen *data.Generator) bool {
 	const g, l, b = 4, 2, 8
+	schema := gen.Config().Schema
 	cfg := sptt.Config{G: g, L: l, B: b, N: qualityN}
-	t := g / l
-	towersList := make([][]int, t)
 	for f := 0; f < schema.NumSparse(); f++ {
 		cfg.Features = append(cfg.Features, sptt.FeatureSpec{
-			Name: fmt.Sprintf("f%d", f), Cardinality: schema.Cardinalities[f],
-			Hot: schema.HotSizes[f],
-		})
-		towersList[f%t] = append(towersList[f%t], f)
+			Name: fmt.Sprintf("f%d", f), Cardinality: schema.Cardinalities[f], Hot: schema.HotSizes[f]})
 	}
-	towerOf, rankOf, err := sptt.TowerAssignment(towersList, schema.NumSparse(), l)
+	var err error
+	cfg.TowerOf, cfg.RankOf, err = sptt.TowerAssignment(models.RoundRobinTowers(g/l, schema.NumSparse()), schema.NumSparse(), l)
 	if err != nil {
 		return false
 	}
-	cfg.TowerOf, cfg.RankOf = towerOf, rankOf
 	eng, err := sptt.NewEngine(cfg, 77)
 	if err != nil {
 		return false
 	}
-	rng := tensor.NewRNG(78)
 	inputs := make([]*sptt.Inputs, g)
-	for r := 0; r < g; r++ {
-		in := &sptt.Inputs{Indices: make([][]int32, cfg.F()), Offsets: make([][]int32, cfg.F())}
-		for f, spec := range cfg.Features {
-			offs := make([]int32, b)
-			var idx []int32
-			for s := 0; s < b; s++ {
-				offs[s] = int32(len(idx))
-				for k := 0; k < spec.Hot; k++ {
-					idx = append(idx, int32(rng.Intn(spec.Cardinality)))
-				}
-			}
-			in.Indices[f], in.Offsets[f] = idx, offs
-		}
-		inputs[r] = in
+	for r := range inputs {
+		batch := gen.Batch(r*b, b)
+		inputs[r] = &sptt.Inputs{Indices: batch.Indices, Offsets: batch.Offsets}
 	}
 	base, _ := eng.BaselineForward(inputs)
 	transformed, _ := eng.SPTTForward(inputs, sptt.Options{})

@@ -140,7 +140,7 @@ var registry = []Experiment{
 	{"quantq", Quality, "§6 quality side: embedding-comm precision vs AUC/NE",
 		trained(func(p Profile) string { return quantQualityTable.render(QuantQuality(p)) })},
 
-	{"serving", Serving, "real server: unbatched vs micro-batched vs cached, DLRM and DMT-DLRM (dmt-serve -table)",
+	{"serving", Serving, "real server: unbatched vs micro-batched vs cached, DLRM and DMT-DLRM (dmt-serve)",
 		func(Options) (string, error) {
 			rows, err := ServingTable(DefaultServing())
 			if err != nil {

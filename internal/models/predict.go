@@ -113,11 +113,7 @@ func hashBag(h uint64, bag []int32) uint64 {
 
 // bagOf returns sample s's bag for feature f.
 func bagOf(b *data.Batch, f, s int) []int32 {
-	lo := int(b.Offsets[f][s])
-	hi := len(b.Indices[f])
-	if s+1 < len(b.Offsets[f]) {
-		hi = int(b.Offsets[f][s+1])
-	}
+	lo, hi := nn.BagBounds(b.Offsets[f], s, len(b.Indices[f]))
 	return b.Indices[f][lo:hi]
 }
 

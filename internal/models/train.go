@@ -9,6 +9,9 @@ import (
 	"dmt/internal/tensor"
 )
 
+// sparseLR is the SparseAdam learning rate for tables.
+const sparseLR = 1e-2
+
 // TrainConfig drives the single-process trainer. The paper's recipe (§5.1):
 // Adam for dense parameters with a tuned learning-rate schedule, sparse Adam
 // for embedding tables, identical hyperparameters across baseline and DMT
@@ -18,8 +21,6 @@ type TrainConfig struct {
 	BatchSize int
 	// DenseLR is the Adam learning rate for dense parameters.
 	DenseLR float32
-	// SparseLR is the SparseAdam learning rate for tables.
-	SparseLR float32
 	// Schedule optionally decays DenseLR (Strong Baseline's tuned schedule).
 	Schedule *nn.ExponentialLR
 	// EvalStart is the first sample index of the held-out evaluation range;
@@ -34,7 +35,6 @@ func DefaultTrainConfig() TrainConfig {
 		Steps:       400,
 		BatchSize:   256,
 		DenseLR:     1e-3,
-		SparseLR:    1e-2,
 		EvalStart:   1 << 22,
 		EvalSamples: 8192,
 	}
@@ -60,7 +60,7 @@ func Train(m Model, gen *data.Generator, cfg TrainConfig) TrainResult {
 			cfg.EvalStart, cfg.Steps*cfg.BatchSize))
 	}
 	denseOpt := nn.NewAdam(cfg.DenseLR)
-	sparseOpt := nn.NewSparseAdam(cfg.SparseLR)
+	sparseOpt := nn.NewSparseAdam(sparseLR)
 	loss := &nn.BCEWithLogits{}
 	denseParams := m.DenseParams()
 	embs := m.Embeddings()

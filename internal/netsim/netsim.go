@@ -125,16 +125,12 @@ func interpLog2(points []etaPoint, x float64) float64 {
 
 // Fabric predicts collective performance for one hardware generation.
 type Fabric struct {
-	Gen         topology.Generation
-	GPUsPerHost int
-	// Alpha is the per-hop latency (seconds); zero disables latency.
-	Alpha float64
+	Gen topology.Generation
 }
 
-// New returns a fabric for the generation with 8 GPUs per host and the
-// default latency constant.
+// New returns a fabric for the generation.
 func New(gen topology.Generation) *Fabric {
-	return &Fabric{Gen: gen, GPUsPerHost: 8, Alpha: alphaLatency}
+	return &Fabric{Gen: gen}
 }
 
 // nicScale is this generation's scale-out bandwidth relative to the A100
@@ -228,7 +224,7 @@ func (f *Fabric) Time(coll Collective, world, ranksPerHost int, bytes int) float
 	case AlltoAll, ReduceScatter, AllGather:
 		factor = (n - 1) / n
 	}
-	latency := float64(f.Alpha * math.Ceil(math.Log2(n)))
+	latency := float64(alphaLatency * math.Ceil(math.Log2(n)))
 	return latency + float64(bytes)*factor/bw
 }
 
@@ -271,11 +267,7 @@ type Figure5Point struct {
 func (f *Fabric) Figure5Curve(coll Collective) []Figure5Point {
 	var out []Figure5Point
 	for _, n := range []int{8, 16, 32, 64, 128, 256, 512} {
-		rph := f.GPUsPerHost
-		if n < rph {
-			rph = n
-		}
-		out = append(out, Figure5Point{GPUs: n, BusBW: f.BusBW(coll, n, rph)})
+		out = append(out, Figure5Point{GPUs: n, BusBW: f.BusBW(coll, n, 8)})
 	}
 	return out
 }

@@ -80,17 +80,17 @@ func TestGenerationScaling(t *testing.T) {
 
 func TestTimeConventions(t *testing.T) {
 	f := New(topology.A100)
-	f.Alpha = 0
 	const bytes = 1 << 30
 	n := 64
+	latency := alphaLatency * math.Ceil(math.Log2(float64(n)))
 	bw := f.BusBW(AlltoAll, n, 8) * 1e9
-	want := float64(bytes) * float64(n-1) / float64(n) / bw
+	want := latency + float64(bytes)*float64(n-1)/float64(n)/bw
 	if got := f.Time(AlltoAll, n, 8, bytes); math.Abs(got-want)/want > 1e-12 {
 		t.Fatalf("AlltoAll time convention wrong: %v vs %v", got, want)
 	}
 	// AllReduce moves 2(n-1)/n.
 	bwAR := f.BusBW(AllReduce, n, 8) * 1e9
-	wantAR := float64(bytes) * 2 * float64(n-1) / float64(n) / bwAR
+	wantAR := latency + float64(bytes)*2*float64(n-1)/float64(n)/bwAR
 	if got := f.Time(AllReduce, n, 8, bytes); math.Abs(got-wantAR)/wantAR > 1e-12 {
 		t.Fatalf("AllReduce time convention wrong: %v vs %v", got, wantAR)
 	}
@@ -99,7 +99,7 @@ func TestTimeConventions(t *testing.T) {
 func TestLatencyDominatesSmallMessages(t *testing.T) {
 	f := New(topology.A100)
 	tiny := f.Time(AlltoAll, 64, 8, 1024)
-	if tiny < f.Alpha {
+	if tiny < alphaLatency {
 		t.Fatalf("latency term missing: %v", tiny)
 	}
 	// Doubling a tiny message should barely change the time.

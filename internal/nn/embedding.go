@@ -63,10 +63,11 @@ func (e *EmbeddingBag) PoolBagInto(dst []float32, bag []int32) {
 	}
 }
 
-// bagBounds returns bag b's [lo, hi) range in indices.
-func bagBounds(indices, offsets []int32, b int) (int, int) {
-	lo := int(offsets[b])
-	hi := len(indices)
+// BagBounds returns bag b's [lo, hi) range in a flat list of n indices
+// that offsets splits into bags: from its own offset to the next bag's, or
+// to n for the last bag. Every reader of the bag layout asks it.
+func BagBounds(offsets []int32, b, n int) (lo, hi int) {
+	lo, hi = int(offsets[b]), n
 	if b+1 < len(offsets) {
 		hi = int(offsets[b+1])
 	}
@@ -131,7 +132,7 @@ func PoolBackward(indices, offsets []int32, dPooled *tensor.Tensor, slot []int32
 	}
 	grads := tensor.New(len(rows), dim)
 	for s := 0; s < b; s++ {
-		lo, hi := bagBounds(indices, offsets, s)
+		lo, hi := BagBounds(offsets, s, len(indices))
 		g := dPooled.Row(s)
 		for _, ix := range indices[lo:hi] {
 			row := grads.Row(int(slot[ix]) - 1)[:len(g)]

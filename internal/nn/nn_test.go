@@ -321,7 +321,7 @@ func TestDotInteractionMatchesPlainDots(t *testing.T) {
 func (e *EmbeddingBag) Forward(t *Tape, indices, offsets []int32) *tensor.Tensor {
 	out := t.New(len(offsets), e.Dim)
 	for b := range offsets {
-		lo, hi := bagBounds(indices, offsets, b)
+		lo, hi := BagBounds(offsets, b, len(indices))
 		e.PoolBagInto(out.Row(b), indices[lo:hi])
 	}
 	e.Record(t, indices, offsets)

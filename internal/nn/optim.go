@@ -6,6 +6,15 @@ import (
 	"dmt/internal/tensor"
 )
 
+// Adam's moment decays and denominator guard, the standard (0.9, 0.999,
+// 1e-8). They are typed float32 so that the bias corrections widen
+// float32(0.9), the value the kernel multiplies by, to float64.
+const (
+	beta1 float32 = 0.9
+	beta2 float32 = 0.999
+	eps   float32 = 1e-8
+)
+
 // Adam implements the Adam optimizer, the paper's choice for both the Strong
 // Baseline and DMT models (§5.1) and for the Tower Partitioner's MDS solve
 // (§3.3).
@@ -16,20 +25,17 @@ import (
 // lockstep), which is what lets the distributed trainer run per-rank
 // optimizer steps concurrently.
 type Adam struct {
-	LR    float32
-	Beta1 float32
-	Beta2 float32
-	Eps   float32
-	t     int
-	m, v  map[*Param]*tensor.Tensor
+	LR   float32
+	t    int
+	m, v map[*Param]*tensor.Tensor
 }
 
-// NewAdam returns Adam with the standard (0.9, 0.999, 1e-8) defaults.
+// NewAdam returns Adam at learning rate lr.
 func NewAdam(lr float32) *Adam {
 	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[*Param]*tensor.Tensor),
-		v: make(map[*Param]*tensor.Tensor),
+		LR: lr,
+		m:  make(map[*Param]*tensor.Tensor),
+		v:  make(map[*Param]*tensor.Tensor),
 	}
 }
 
@@ -37,9 +43,9 @@ func NewAdam(lr float32) *Adam {
 // vector kernel where the CPU has one).
 func (o *Adam) Step(params []*Param) {
 	o.t++
-	s := tensor.AdamStep{LR: o.LR, Beta1: o.Beta1, Beta2: o.Beta2, Eps: o.Eps,
-		BC1: 1 - math.Pow(float64(o.Beta1), float64(o.t)),
-		BC2: 1 - math.Pow(float64(o.Beta2), float64(o.t)),
+	s := tensor.AdamStep{LR: o.LR, Beta1: beta1, Beta2: beta2, Eps: eps,
+		BC1: 1 - math.Pow(float64(beta1), float64(o.t)),
+		BC2: 1 - math.Pow(float64(beta2), float64(o.t)),
 	}
 	for _, p := range params {
 		m := o.m[p]
@@ -69,10 +75,7 @@ func (o *Adam) Step(params []*Param) {
 // distributed trainer satisfies both rules by having exactly one owner rank
 // per table.
 type SparseAdam struct {
-	LR    float32
-	Beta1 float32
-	Beta2 float32
-	Eps   float32
+	LR float32
 
 	state map[*EmbeddingBag]*sparseAdamState
 }
@@ -81,21 +84,15 @@ type sparseAdamState struct {
 	m, v  *tensor.Tensor
 	steps []int
 
-	// bc[t] memoises the bias corrections (1-Beta1^t, 1-Beta2^t) of step
-	// count t, computed for the betas recorded beside it. A row's
-	// corrections depend on nothing but its step count, and every touched
-	// row needs them on every step. The table grows to the largest step
-	// count any row of this table has reached.
-	bc               [][2]float64
-	bcBeta1, bcBeta2 float32
+	// bc[t] memoises the bias corrections (1-beta1^t, 1-beta2^t) of step
+	// count t. A row's corrections depend on nothing but its step count,
+	// and every touched row needs them on every step. The table grows to
+	// the largest step count any row of this table has reached.
+	bc [][2]float64
 }
 
-// biasCorrection returns (1-beta1^t, 1-beta2^t), from the memo when it was
-// filled under the same betas.
-func (st *sparseAdamState) biasCorrection(beta1, beta2 float32, t int) (bc1, bc2 float64) {
-	if beta1 != st.bcBeta1 || beta2 != st.bcBeta2 {
-		st.bc, st.bcBeta1, st.bcBeta2 = st.bc[:0], beta1, beta2
-	}
+// biasCorrection returns (1-beta1^t, 1-beta2^t), from the memo.
+func (st *sparseAdamState) biasCorrection(t int) (bc1, bc2 float64) {
 	for n := len(st.bc); n <= t; n++ {
 		st.bc = append(st.bc, [2]float64{
 			1 - math.Pow(float64(beta1), float64(n)),
@@ -105,10 +102,9 @@ func (st *sparseAdamState) biasCorrection(beta1, beta2 float32, t int) (bc1, bc2
 	return st.bc[t][0], st.bc[t][1]
 }
 
-// NewSparseAdam returns a SparseAdam with standard defaults.
+// NewSparseAdam returns a SparseAdam at learning rate lr.
 func NewSparseAdam(lr float32) *SparseAdam {
-	return &SparseAdam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		state: make(map[*EmbeddingBag]*sparseAdamState)}
+	return &SparseAdam{LR: lr, state: make(map[*EmbeddingBag]*sparseAdamState)}
 }
 
 // Prime pre-creates table e's moment state so later Step calls never write
@@ -135,10 +131,10 @@ func (o *SparseAdam) ensure(e *EmbeddingBag) *sparseAdamState {
 // touched row with that row's bias corrections.
 func (o *SparseAdam) Step(e *EmbeddingBag, g *SparseGrad) {
 	st := o.ensure(e)
-	s := tensor.AdamStep{LR: o.LR, Beta1: o.Beta1, Beta2: o.Beta2, Eps: o.Eps}
+	s := tensor.AdamStep{LR: o.LR, Beta1: beta1, Beta2: beta2, Eps: eps}
 	for i, row := range g.Rows {
 		st.steps[row]++
-		s.BC1, s.BC2 = st.biasCorrection(o.Beta1, o.Beta2, st.steps[row])
+		s.BC1, s.BC2 = st.biasCorrection(st.steps[row])
 		tensor.AdamUpdate(s, e.Table.Row(row), g.Grads.Row(i), st.m.Row(row), st.v.Row(row))
 	}
 }

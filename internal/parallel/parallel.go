@@ -54,39 +54,19 @@ func Enumerate(gpus int) []Mesh {
 	return out
 }
 
-// SearchConfig parameterizes the Figure 6 study: DLRM's dense part on 64
-// A100 GPUs at the evaluation batch size.
-type SearchConfig struct {
-	Model      perfmodel.ModelSpec
-	Cluster    topology.Cluster
-	LocalBatch int
-	// DenseLayers approximates the dense network depth (activation
+// The Figure 6 study, the paper's setup: the dense part of DLRM
+// (perfmodel.DLRMSpec) on 64 A100 GPUs at the evaluation batch size.
+const (
+	gpus       = 64
+	localBatch = 16 * 1024
+	// denseLayers approximates the dense network depth (activation
 	// AllReduce count for tp; stage count granularity for pp).
-	DenseLayers int
-	// ActivationBytesPerSample is the per-layer activation footprint.
-	ActivationBytesPerSample int
-	// MicroBatches for pipeline execution.
-	MicroBatches int
-	// Compression quantizes the links the planner costs: the dense-gradient
-	// AllReduce shard and the sparse AlltoAll payloads shrink to the
-	// scheme's wire footprint (the backward embedding hop keeps its fp16
-	// floor). quant.None reproduces the uncompressed Figure 6 costing
-	// exactly; compression helps pure DP most — its only communication is
-	// the gradient AllReduce — so the pure-DP-wins ranking is preserved.
-	Compression quant.Scheme
-}
-
-// DefaultSearchConfig mirrors the paper's setup (DLRM, 64 A100s).
-func DefaultSearchConfig() SearchConfig {
-	return SearchConfig{
-		Model:                    perfmodel.DLRMSpec(),
-		Cluster:                  topology.NewCluster(topology.A100, 64),
-		LocalBatch:               16 * 1024,
-		DenseLayers:              8,
-		ActivationBytesPerSample: 512 * 4,
-		MicroBatches:             8,
-	}
-}
+	denseLayers = 8
+	// activationBytesPerSample is the per-layer activation footprint.
+	activationBytesPerSample = 512 * 4
+	// microBatches for pipeline execution.
+	microBatches = 8
+)
 
 // Result is one costed configuration.
 type Result struct {
@@ -94,61 +74,66 @@ type Result struct {
 	Latency float64 // seconds per iteration
 }
 
-// IterationLatency costs one mesh.
-func IterationLatency(cfg SearchConfig, m Mesh) float64 {
-	g := cfg.Cluster.GPUs()
-	l := cfg.Cluster.GPUsPerHost
-	fabric := netsim.New(cfg.Cluster.Gen)
-	globalBatch := cfg.LocalBatch * g
+// IterationLatency costs one mesh with its links quantized by scheme s:
+// the dense-gradient AllReduce shard and the sparse AlltoAll payloads
+// shrink to the scheme's wire footprint (the backward embedding hop keeps
+// its fp16 floor). quant.None reproduces the uncompressed Figure 6 costing
+// exactly; compression helps pure DP most — its only communication is the
+// gradient AllReduce — so the pure-DP-wins ranking is preserved.
+func IterationLatency(s quant.Scheme, m Mesh) float64 {
+	model := perfmodel.DLRMSpec()
+	cluster := topology.NewCluster(topology.A100, gpus)
+	l := cluster.GPUsPerHost
+	fabric := netsim.New(cluster.Gen)
+	globalBatch := localBatch * gpus
 
 	// Dense compute: the global batch's flops spread over all GPUs
 	// regardless of how the mesh slices them (perfect-split optimism).
-	eff := perfmodel.EffectiveTFlops(cfg.Cluster.Gen)
-	compute := cfg.Model.MFlopsPerSample * 1e6 * float64(globalBatch) / float64(g) / (eff * 1e12)
+	eff := perfmodel.EffectiveTFlops(cluster.Gen)
+	compute := model.MFlopsPerSample * 1e6 * float64(globalBatch) / float64(gpus) / (eff * 1e12)
 
 	// Tensor parallelism: 2 AllReduces per layer over tp ranks of the
 	// per-rank activation slab.
 	var tpComm float64
 	if m.TP > 1 {
 		perRankSamples := globalBatch / m.DP / m.PP
-		actBytes := perRankSamples * cfg.ActivationBytesPerSample
+		actBytes := perRankSamples * activationBytesPerSample
 		rph := m.TP
 		if rph > l {
 			rph = l
 		}
-		tpComm = float64(2*cfg.DenseLayers) * fabric.Time(netsim.AllReduce, m.TP, rph, actBytes)
+		tpComm = float64(2*denseLayers) * fabric.Time(netsim.AllReduce, m.TP, rph, actBytes)
 	}
 
 	// Pipeline parallelism: bubble over the compute, plus stage-boundary
 	// activation sends (costed as 1/tp'th of an AllReduce between stages).
 	var ppOverhead float64
 	if m.PP > 1 {
-		bubble := float64(m.PP-1) / float64(cfg.MicroBatches+m.PP-1)
+		bubble := float64(m.PP-1) / float64(microBatches+m.PP-1)
 		ppOverhead = float64(compute * bubble)
 		perRankSamples := globalBatch / m.DP
-		actBytes := perRankSamples * cfg.ActivationBytesPerSample
-		ppOverhead += float64(m.PP-1) * float64(actBytes) / (cfg.Cluster.Gen.ScaleOutGBps() * 1e9)
+		actBytes := perRankSamples * activationBytesPerSample
+		ppOverhead += float64(m.PP-1) * float64(actBytes) / (cluster.Gen.ScaleOutGBps() * 1e9)
 	}
 
 	// Data parallelism: gradient AllReduce of the dense bytes shard, at the
 	// wire scheme's footprint when compression is on.
 	var dpComm float64
 	if m.DP > 1 {
-		shard := perfmodel.CompressedBytes(cfg.Compression,
-			int(cfg.Model.DenseBytes)/4/(m.TP*m.PP))
+		shard := perfmodel.CompressedBytes(s, int(model.DenseBytes)/4/(m.TP*m.PP))
 		dpComm = fabric.Time(netsim.AllReduce, m.DP, dpRanksPerHost(l, m), shard)
 	}
 
 	// Sparse component: invariant global AlltoAlls (fwd fp32 + bwd fp16,
 	// both capped by the wire scheme).
-	embElems := cfg.Model.EmbElemsPerSample * cfg.LocalBatch
-	embBytes := perfmodel.CompressedBytes(cfg.Compression, embElems)
+	embElems := model.EmbElemsPerSample * localBatch
+	embBytes := perfmodel.CompressedBytes(s, embElems)
 	gradBytes := 2 * embElems
 	if embBytes < gradBytes {
 		gradBytes = embBytes
 	}
-	sparse := fabric.Time(netsim.AlltoAll, g, l, embBytes) +
-		fabric.Time(netsim.AlltoAll, g, l, gradBytes)
+	sparse := fabric.Time(netsim.AlltoAll, gpus, l, embBytes) +
+		fabric.Time(netsim.AlltoAll, gpus, l, gradBytes)
 
 	return compute + tpComm + ppOverhead + dpComm + sparse
 }
@@ -171,13 +156,13 @@ func dpRanksPerHost(l int, m Mesh) int {
 	return rph
 }
 
-// Search costs every mesh and returns results sorted by latency (the CDF's
-// x-axis order).
-func Search(cfg SearchConfig) []Result {
-	meshes := Enumerate(cfg.Cluster.GPUs())
+// Search costs every mesh at wire scheme s and returns results sorted by
+// latency (the CDF's x-axis order).
+func Search(s quant.Scheme) []Result {
+	meshes := Enumerate(gpus)
 	out := make([]Result, 0, len(meshes))
 	for _, m := range meshes {
-		out = append(out, Result{Mesh: m, Latency: IterationLatency(cfg, m)})
+		out = append(out, Result{Mesh: m, Latency: IterationLatency(s, m)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Latency < out[j].Latency })
 	return out

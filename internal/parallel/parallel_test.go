@@ -5,6 +5,9 @@ import (
 	"testing/quick"
 
 	"dmt/internal/netsim"
+	"dmt/internal/perfmodel"
+	"dmt/internal/quant"
+	"dmt/internal/topology"
 )
 
 func TestEnumerateCountsFactorizations(t *testing.T) {
@@ -23,7 +26,7 @@ func TestEnumerateCountsFactorizations(t *testing.T) {
 func TestDataParallelWinsTheSearch(t *testing.T) {
 	// The paper's Figure 6 conclusion: pure data parallelism is the fastest
 	// configuration for the dense part of DLRM.
-	results := Search(DefaultSearchConfig())
+	results := Search(quant.None)
 	best := results[0]
 	if !best.Mesh.IsDataParallel() {
 		t.Fatalf("fastest mesh is %+v, want pure data parallelism", best.Mesh)
@@ -37,18 +40,16 @@ func TestDataParallelWinsTheSearch(t *testing.T) {
 }
 
 func TestTensorParallelismPaysActivationSync(t *testing.T) {
-	cfg := DefaultSearchConfig()
-	dp := IterationLatency(cfg, Mesh{DP: 64, TP: 1, PP: 1})
-	tp := IterationLatency(cfg, Mesh{DP: 8, TP: 8, PP: 1})
+	dp := IterationLatency(quant.None, Mesh{DP: 64, TP: 1, PP: 1})
+	tp := IterationLatency(quant.None, Mesh{DP: 8, TP: 8, PP: 1})
 	if tp <= dp {
 		t.Fatalf("tp=8 (%.3fms) should cost more than pure dp (%.3fms)", tp*1e3, dp*1e3)
 	}
 }
 
 func TestPipelineBubbleCosts(t *testing.T) {
-	cfg := DefaultSearchConfig()
-	dp := IterationLatency(cfg, Mesh{DP: 64, TP: 1, PP: 1})
-	pp := IterationLatency(cfg, Mesh{DP: 8, TP: 1, PP: 8})
+	dp := IterationLatency(quant.None, Mesh{DP: 64, TP: 1, PP: 1})
+	pp := IterationLatency(quant.None, Mesh{DP: 8, TP: 1, PP: 8})
 	if pp <= dp {
 		t.Fatalf("pp=8 (%.3fms) should cost more than pure dp (%.3fms)", pp*1e3, dp*1e3)
 	}
@@ -84,14 +85,14 @@ func TestDPRanksPerHost(t *testing.T) {
 // DP peer onto a different host, which must cost more than the same mesh
 // would if its DP sync were (incorrectly) priced intra-host.
 func TestHybridDPGradSyncCostsCrossHost(t *testing.T) {
-	cfg := DefaultSearchConfig()
-	l := cfg.Cluster.GPUsPerHost
+	cluster := topology.NewCluster(topology.A100, gpus)
+	l := cluster.GPUsPerHost
 	m := Mesh{DP: 8, TP: 8, PP: 1}
 	if rph := dpRanksPerHost(l, m); rph != 1 {
 		t.Fatalf("tp=%d on %d-GPU hosts must isolate DP peers, got rph=%d", m.TP, l, rph)
 	}
-	fabric := netsim.New(cfg.Cluster.Gen)
-	shard := int(cfg.Model.DenseBytes) / (m.TP * m.PP)
+	fabric := netsim.New(cluster.Gen)
+	shard := int(perfmodel.DLRMSpec().DenseBytes) / (m.TP * m.PP)
 	cross := fabric.Time(netsim.AllReduce, m.DP, 1, shard)
 	intra := fabric.Time(netsim.AllReduce, m.DP, l, shard)
 	if cross <= intra {

@@ -7,32 +7,26 @@ import (
 	"dmt/internal/tensor"
 )
 
-// TP is the end-to-end Tower Partitioner with the paper's defaults:
-// dot-product (cosine) kernel, 2-D embedding plane, constrained K-Means
-// with size ratio K = 1 (§5.1: "dot-product based TP on a 2D plane with
-// R = 1 for constrained K-Means").
+// The paper's one TP setting (§5.1: "dot-product based TP on a 2D plane
+// with R = 1 for constrained K-Means"): MDS onto mdsDim dimensions (n < N
+// saves computation and reduces embedding noise, §3.3), solved by mdsSteps
+// Adam steps at mdsLR. Size ratio K = 1 caps every group at ⌈F/k⌉.
+const (
+	mdsDim   = 2
+	mdsSteps = 400
+	mdsLR    = 0.05
+)
+
+// TP is the end-to-end Tower Partitioner: dot-product (cosine) kernel,
+// 2-D embedding plane, constrained K-Means with size ratio K = 1.
 type TP struct {
 	Strategy Strategy
-	// EmbedDim is the MDS target dimensionality n (< N to save computation
-	// and reduce embedding noise, §3.3).
-	EmbedDim int
-	// SizeRatio is K: maximum group size ≤ K × minimum tower size.
-	SizeRatio float64
-	MDSSteps  int
-	MDSLR     float64
-	Seed      uint64
+	Seed     uint64
 }
 
-// NewTP returns a partitioner with the paper's defaults.
+// NewTP returns a partitioner for strategy, seeded by seed.
 func NewTP(strategy Strategy, seed uint64) *TP {
-	return &TP{
-		Strategy:  strategy,
-		EmbedDim:  2,
-		SizeRatio: 1,
-		MDSSteps:  400,
-		MDSLR:     0.05,
-		Seed:      seed,
-	}
+	return &TP{Strategy: strategy, Seed: seed}
 }
 
 // Result is a full partitioning outcome, including the artifacts Figure 9
@@ -41,7 +35,7 @@ type Result struct {
 	Groups      [][]int
 	Interaction *tensor.Tensor // (F, F)
 	Distance    *tensor.Tensor // (F, F) after the strategy transform
-	Coords      *tensor.Tensor // (F, EmbedDim) learned embedding
+	Coords      *tensor.Tensor // (F, mdsDim) learned embedding
 	Stress      []float64      // MDS optimization trace
 }
 
@@ -58,16 +52,8 @@ func (tp *TP) PartitionMatrix(im *tensor.Tensor, numTowers int) (*Result, error)
 		return nil, fmt.Errorf("partition: %d towers for %d features", numTowers, f)
 	}
 	d := DistanceMatrix(im, tp.Strategy)
-	mds := MDSEmbed(d, tp.EmbedDim, tp.MDSSteps, tp.MDSLR, tp.Seed)
-	minSize := f / numTowers
-	maxSize := int(tp.SizeRatio * float64(minSize))
-	if maxSize < 1 {
-		maxSize = 1
-	}
-	// The cap must still admit a full assignment when F % k != 0.
-	for maxSize*numTowers < f {
-		maxSize++
-	}
+	mds := MDSEmbed(d, mdsDim, mdsSteps, mdsLR, tp.Seed)
+	maxSize := (f + numTowers - 1) / numTowers
 	groups := ConstrainedKMeans(mds.X, numTowers, maxSize, 50, tp.Seed+1)
 	return &Result{
 		Groups:      groups,
@@ -182,7 +168,7 @@ func WithinCrossAffinity(im *tensor.Tensor, groups [][]int) (within, cross float
 }
 
 // BalanceStats reports group size spread: (min, max, max/min ratio). A
-// ratio within the configured K certifies the constraint held.
+// ratio within the partitioner's K certifies the constraint held.
 func BalanceStats(groups [][]int) (min, max int, ratio float64) {
 	min, max = 1<<31, 0
 	for _, g := range groups {

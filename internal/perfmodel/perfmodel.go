@@ -168,10 +168,11 @@ type Config struct {
 	// GradBytesPerElem for the backward embedding AlltoAll (quantized
 	// gradient comm in the Strong Baseline).
 	GradBytesPerElem float64
-	// OverlapFraction of compute usable to hide communication (§5.1's
-	// pipelined/overlapped execution).
-	OverlapFraction float64
 }
+
+// overlapFraction is the share of compute usable to hide communication
+// (§5.1's pipelined/overlapped execution).
+const overlapFraction = 0.18
 
 // CompressedBytes returns the wire footprint of elems fp32 elements sent
 // under a quantized-communication scheme — the byte knob the planners feed
@@ -192,7 +193,6 @@ func DefaultConfig(spec ModelSpec, cluster topology.Cluster, system System) Conf
 		CompressionRatio: 1,
 		EmbBytesPerElem:  4,
 		GradBytesPerElem: 2,
-		OverlapFraction:  0.18,
 	}
 	if system == DMT {
 		cfg.CompressionRatio = spec.DefaultCR
@@ -382,7 +382,7 @@ func Iterate(cfg Config) Breakdown {
 
 	// Overlap: compute hides part of the communication; dense sync overlaps
 	// first (it naturally pipelines with backward), then embedding comm.
-	budget := float64(cfg.OverlapFraction * compute)
+	budget := float64(overlapFraction * compute)
 	exposedDense := denseComm - budget
 	if exposedDense < 0 {
 		budget = -exposedDense

@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dmt/internal/nn"
 	"dmt/internal/tensor"
 )
 
@@ -212,7 +213,7 @@ func (c Config) checkInputs(inputs []*Inputs) error {
 				return fmt.Errorf("sptt: rank %d feature %d: want %d bag offsets starting at 0", r, f, c.B)
 			}
 			for s := range offs {
-				if end := bagEnd(offs, s, len(in.Indices[f])); end < int(offs[s]) {
+				if _, end := nn.BagBounds(offs, s, len(in.Indices[f])); end < int(offs[s]) {
 					return fmt.Errorf("sptt: rank %d feature %d: bag %d ends at %d, before its offset %d (%d indices)",
 						r, f, s, end, offs[s], len(in.Indices[f]))
 				}
@@ -227,15 +228,6 @@ func (c Config) checkInputs(inputs []*Inputs) error {
 	return nil
 }
 
-// bagEnd returns where bag s ends in a flat list of n indices: the next
-// bag's offset, or n for the last bag.
-func bagEnd(offsets []int32, s, n int) int {
-	if s+1 < len(offsets) {
-		return int(offsets[s+1])
-	}
-	return n
-}
-
 // encodeBags packs the bags of the given features from in into one int32
 // payload: per feature, B bag sizes followed by the flat indices.
 func encodeBags(features []int, in *Inputs, b int) []int32 {
@@ -248,7 +240,8 @@ func encodeBags(features []int, in *Inputs, b int) []int32 {
 		offs := in.Offsets[f]
 		idxs := in.Indices[f]
 		for s := 0; s < b; s++ {
-			payload = append(payload, int32(bagEnd(offs, s, len(idxs)))-offs[s])
+			lo, hi := nn.BagBounds(offs, s, len(idxs))
+			payload = append(payload, int32(hi-lo))
 		}
 		payload = append(payload, idxs...)
 	}
@@ -286,7 +279,7 @@ func poolRows(rows *tensor.Tensor, offsets []int32, dim int) *tensor.Tensor {
 	b := len(offsets)
 	out := tensor.New(b, dim)
 	for s := 0; s < b; s++ {
-		lo, hi := int(offsets[s]), bagEnd(offsets, s, rows.Dim(0))
+		lo, hi := nn.BagBounds(offsets, s, rows.Dim(0))
 		dst := out.Row(s)
 		for p := lo; p < hi; p++ {
 			src := rows.Row(p)

@@ -399,7 +399,7 @@ func poolBackwardMap(indices, offsets []int32, dPooled *tensor.Tensor) *nn.Spars
 	dim := dPooled.Dim(1)
 	acc := make(map[int][]float32)
 	for s := 0; s < b; s++ {
-		lo, hi := int(offsets[s]), bagEnd(offsets, s, len(indices))
+		lo, hi := nn.BagBounds(offsets, s, len(indices))
 		if lo == hi {
 			continue
 		}
