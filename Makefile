@@ -3,13 +3,22 @@
 
 GO ?= go
 
-.PHONY: build test race fmt fmt-check vet lint fma-check bench bench-smoke bench-hotpath bench-hotpath-check fp16-exhaustive fuzz-smoke examples-smoke cmds-smoke serve-demo
+.PHONY: build test test-1proc race fmt fmt-check vet lint fma-check bench bench-smoke bench-hotpath bench-hotpath-check fp16-exhaustive fuzz-smoke examples-smoke cmds-smoke serve-demo
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The packages whose ranks hand work to one another (comm's mailboxes, the
+# embedding tier's server turns, the SPTT and trainer rank goroutines) on a
+# single P: a deadlock that extra cores would mask, by letting a blocked
+# goroutine's peer run elsewhere, shows here as a hang or a failure.
+# -count=1: the runtime reads GOMAXPROCS, which the test cache does not key
+# on, so a cached multi-core pass would otherwise stand in for this run.
+test-1proc:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/comm ./internal/embeddings ./internal/sptt ./internal/distributed
 
 race:
 	$(GO) test -race -timeout 30m ./...

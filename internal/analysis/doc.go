@@ -30,12 +30,13 @@
 //     slices.Sorted(maps.Keys(m)) instead. A blind spot: the analyzer
 //     sees calls, not goroutines, so a virtual clock READ
 //     from one goroutine while another may still advance it (an observer
-//     averaging comm.Network clocks while a persistent server rank
-//     finishes a receive) passes — the value is a pure function of the
-//     message stream only once every writer has reached its settled
-//     point. Such reads need a host-side join with the writers first
-//     (embeddings.RemoteTier's per-round settle is one), and a
-//     repeat-under-Gosched test, not this analyzer, guards them.
+//     averaging comm.Network clocks while some goroutine still finishes
+//     a receive) passes — the value is a pure function of the message
+//     stream only once every writer has reached its settled point. Such
+//     reads need a join with the writers first (the trainer reads its
+//     phase walls after comm.Run joins the ranks, and the embedding
+//     tier's server side runs on those ranks, inside their rounds), and a
+//     repeat-across-GOMAXPROCS test, not this analyzer, guards them.
 //     comm itself reads no wall clock at all: every group runs on a
 //     Network's virtual clocks (NewGroup on a private zero-delay one), so
 //     exposed and hidden time have one deterministic definition.

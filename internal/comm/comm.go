@@ -117,8 +117,9 @@ func (zeroDelay) P2PDelay(int, int, int) time.Duration { return 0 }
 // never wall time, or determinism would be lost. A Clock is shared by every
 // group the rank belongs to and must only be ADVANCED by the goroutine
 // currently acting as that rank (phases hand it off through Run joins, like
-// the Comm itself); ns is read atomically so observers — Network.Now between
-// phases, or while persistent server ranks keep running — see whole values.
+// the Comm itself; an embedding server's clock passes with its turn from
+// client to client); ns is read atomically so observers — Network.Now
+// between phases — see whole values.
 type Clock struct {
 	ns atomic.Int64
 	// hiddenFrontierNS is the virtual end of the latest hidden window
@@ -263,16 +264,6 @@ func (g *group) cancel() {
 			}
 		}
 	})
-}
-
-// CancelGroup poisons every mailbox of the group the comms belong to:
-// blocked receivers wake and panic with the cancellation value, and further
-// sends panic too. Idempotent. This is the teardown hook for runtimes whose
-// rank goroutines live outside Run — the embeddings remote tier's server
-// ranks loop forever serving rounds, and CancelGroup on their request groups
-// is how Close (or a peer failure) makes them exit.
-func CancelGroup(comms []*Comm) {
-	comms[0].g.cancel()
 }
 
 // NewGroup creates a fresh group of the given size on a private zero-delay

@@ -90,7 +90,7 @@ type Config struct {
 	// (off) and 1 (buckets span one boundary). The over-arch Adam update
 	// moves behind the boundary with them — still applied before the
 	// parameters are read, so the trajectory stays bitwise identical to
-	// the sequential engine; Trainer.Drain (called by Close) completes the
+	// the sequential engine; Trainer.Drain (Close is Drain) completes the
 	// final step's carried work. Every trainer New builds can carry work
 	// across the boundary: each table has exactly one owner (New derives
 	// RankOf through sptt.TowerAssignment, a slice indexed by table), and the
@@ -406,7 +406,6 @@ func New(cfg Config) (*Trainer, error) {
 		})
 	}
 	if tr.engine, err = sptt.NewEngineOver(scfg, tables, tr.tier); err != nil {
-		tr.tier.Close()
 		return nil, err
 	}
 	tr.world = comm.NewGroupNet(cfg.G, tr.net, nil)
@@ -525,14 +524,11 @@ func (tr *Trainer) Stats() Stats {
 // Tier exposes the embedding tier (test and diagnostics hook).
 func (tr *Trainer) Tier() embeddings.Tier { return tr.tier }
 
-// Close tears the trainer down: it completes any cross-step carried work
-// (Drain, a no-op outside the pipelined schedule) and stops the embedding
-// tier's server goroutines (a no-op for the in-process tier). The trainer
-// must not be stepped after Close.
-func (tr *Trainer) Close() {
-	tr.Drain()
-	tr.tier.Close()
-}
+// Close is Drain: it completes any cross-step carried work (a no-op
+// outside the pipelined schedule). The trainer holds nothing else to
+// release — the embedding tier runs no goroutine of its own — and Close is
+// kept only because benchmark/'s workloads call it.
+func (tr *Trainer) Close() { tr.Drain() }
 
 // StepResult summarizes one distributed step.
 type StepResult struct {
@@ -665,8 +661,8 @@ func (tr *Trainer) stepSequential(batches []*data.Batch, inputs []*sptt.Inputs) 
 		tr.tmOpts[g].Step(tr.modules[g].Params())
 	}
 	// Sparse updates go through the tier in ascending rank order — the
-	// fixed schedule a remote tier's servers round-robin on (and, per
-	// table, the same optimizer math the owner-rank engine applies).
+	// order a remote tier's server turns pass in (and, per table, the same
+	// optimizer math the owner-rank engine applies).
 	for g := 0; g < cfg.G; g++ {
 		tr.applySparse(g, sparse)
 	}

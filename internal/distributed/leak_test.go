@@ -1,0 +1,30 @@
+package distributed
+
+import (
+	"fmt"
+	"os"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// TestMain fails the package if goroutines outlive its tests. Every
+// goroutine a test starts, its rank goroutines under comm.Run included,
+// must be gone once the tests finish; a short grace period lets the ones
+// already returning exit.
+func TestMain(m *testing.M) {
+	before := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 {
+		for wait := 0; runtime.NumGoroutine() > before && wait < 200; wait++ {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<20)
+			fmt.Fprintf(os.Stderr, "FAIL: %d goroutine(s) outlived the tests (%d before, %d after):\n%s\n",
+				n-before, before, n, buf[:runtime.Stack(buf, true)])
+			code = 1
+		}
+	}
+	os.Exit(code)
+}

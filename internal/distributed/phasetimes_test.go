@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"dmt/internal/embeddings"
 	"dmt/internal/netsim"
 	"dmt/internal/sptt"
 	"dmt/internal/topology"
@@ -50,14 +49,12 @@ func TestAccountFoldsEveryPhaseField(t *testing.T) {
 // that raced the embedding servers. The walls lap on the mean over ALL
 // virtual clocks, the servers' included, and a server's last receive of a
 // round — the client's empty chunk of the response collective, which still
-// costs the per-message latency — used to be free to land after the client
-// had its rows and the rank goroutines had joined, so the same step split
-// its time between two neighbouring phases differently from run to run. A
-// client round now returns only once its server has finished it. The
-// server hook yields exactly inside that window, under one and two procs;
-// all four walls must read the same on every repeat.
+// costs the per-message latency — must land before the rank goroutines
+// join, or the same step splits its time between two neighbouring phases
+// differently from run to run. The asking client runs that receive itself,
+// inside its round; under one and two procs all four walls must read the
+// same on every repeat.
 func TestPhaseWallsSettledWithRemoteTier(t *testing.T) {
-	defer embeddings.SetServeRoundHook(runtime.Gosched)()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	walls := func() [4]time.Duration {
 		cfg, gen := latencySetup(1)

@@ -31,8 +31,8 @@ func TestTrainerHoldsOneTableSet(t *testing.T) {
 		}
 		// The tier reads those very tables: a value written into each
 		// table's row 0 comes back from a lookup. Clients look up their
-		// owned tables in ascending rank order, the round order a remote
-		// tier's servers serve.
+		// owned tables in ascending rank order, the order a remote tier's
+		// server turns pass in.
 		for f, e := range eng.Tables {
 			e.Table.Row(0)[0] = float32(1000 + f)
 		}

@@ -103,8 +103,9 @@ type Upd struct {
 //
 // Round symmetry contract (remote stores): every client must call Lookup
 // once per lookup phase and Update once per update phase even when it owns
-// no tables or has no traffic — empty requests still complete the round the
-// servers are counting on. Local stores don't care.
+// no tables or has no traffic — an empty request still takes each server's
+// turn and passes it on to the clients waiting for it. Local stores don't
+// care.
 type Store interface {
 	// Dim returns the embedding dimension shared by every table.
 	Dim() int
@@ -112,15 +113,14 @@ type Store interface {
 	Update(ups []Upd) []*tensor.Tensor
 }
 
-// Tier builds and owns the per-rank stores of one training job.
+// Tier builds and owns the per-rank stores of one training job. A tier
+// starts no goroutine and holds nothing to release: a remote tier's server
+// side runs inside its clients' own rounds (see RemoteTier).
 type Tier interface {
 	// Client returns compute rank g's store. Stable across calls: per-rank
 	// caches live in the store, so callers must reuse the same handle.
 	Client(rank int) Store
 	Stats() TierStats
-	// Close tears the tier down (stops remote server goroutines). Safe to
-	// call more than once. No Store method may be called after Close.
-	Close()
 }
 
 // TierStats aggregates the tier's traffic over all clients. Byte counters

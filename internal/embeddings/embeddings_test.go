@@ -51,7 +51,6 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		Tables:   makeTables(nTables, rows, dim, 42),
 		SparseLR: lr,
 	})
-	defer remote.Close()
 	// Fix the per-table single-owner contract: client 0 owns tables 0 and 1,
 	// client 1 owns tables 2 and 3.
 	owned := [][]int{{0, 1}, {2, 3}}
@@ -102,9 +101,6 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	}
 	if st.Lookups == 0 || st.Updates == 0 {
 		t.Fatalf("remote tier accounted no rounds: %+v", st)
-	}
-	if err := remote.Err(); err != nil {
-		t.Fatalf("healthy tier reports error: %v", err)
 	}
 }
 
@@ -176,11 +172,12 @@ func TestCachedDisabled(t *testing.T) {
 }
 
 // TestServerPanicCancelsComputeGroups is the teardown-cascade regression
-// for the server-rank topology: an embedding server panicking mid-Run (an
-// out-of-range row id) must cancel the pair groups, which aborts the
-// client blocked on the response INSIDE a compute-group comm.Run, which in
-// turn cancels the compute group so sibling ranks blocked on compute
-// collectives wake up — nobody deadlocks.
+// for a round whose server half panics (an out-of-range row id). The panic
+// surfaces on the asking client inside its compute-group comm.Run, which
+// names the rank and the id and cancels the compute group, so a sibling
+// rank blocked on a compute collective wakes up. The round also kills the
+// tier: a later Lookup by another client, which waits for the dead server's
+// turn, panics instead of hanging.
 func TestServerPanicCancelsComputeGroups(t *testing.T) {
 	tier := NewRemote(RemoteConfig{
 		Clients: 2, Servers: 1,
@@ -188,47 +185,43 @@ func TestServerPanicCancelsComputeGroups(t *testing.T) {
 		SparseLR: 0.01,
 	})
 	compute := comm.NewGroup(2)
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
+	r := panicWithin(t, func() {
 		comm.Run(compute, func(c *comm.Comm) {
 			if c.Rank() == 0 {
-				// Row id 8 is out of range for an 8-row table: the server's
-				// gather panics, RunLinked cancels every pair group, and this
-				// client's blocked response receive aborts.
+				// Row id 8 is out of range for an 8-row table.
 				tier.Client(0).Lookup([]Req{{Table: 0, IDs: []int32{8}}})
 			}
 			// Rank 1 blocks on a compute collective the dying rank will never
 			// join; only the cancellation cascade can free it.
 			compute[c.Rank()].AllReduceSum(tensor.FromSlice([]float32{1}, 1))
 		})
+	})
+	if msg := fmt.Sprint(r); !strings.Contains(msg, "rank 0 panicked") || !strings.Contains(msg, "no row 8") {
+		t.Fatalf("compute Run panic should name rank 0 and row 8: %v", r)
+	}
+	r = panicWithin(t, func() { tier.Client(1).Lookup([]Req{{Table: 1, IDs: []int32{0}}}) })
+	if msg := fmt.Sprint(r); !strings.Contains(msg, "killed the tier") {
+		t.Fatalf("a Lookup on the dead tier should report it: %v", r)
+	}
+}
+
+// panicWithin runs fn and returns what it panicked with, failing the test if
+// fn returns cleanly or is still running after 30 s.
+func panicWithin(t *testing.T, fn func()) any {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		fn()
 	}()
 	select {
 	case r := <-done:
 		if r == nil {
-			t.Fatal("compute Run returned cleanly despite the server panic")
+			t.Fatal("returned cleanly; want a panic")
 		}
-		if msg := fmt.Sprint(r); !strings.Contains(msg, "canceled") {
-			t.Fatalf("compute Run panic should report cancellation: %v", r)
-		}
+		return r
 	case <-time.After(30 * time.Second):
-		t.Fatal("compute group deadlocked after the server panic")
+		t.Fatal("still blocked after 30 s; want a panic")
+		return nil
 	}
-	deadline := time.After(10 * time.Second)
-	for tier.Err() == nil {
-		select {
-		case <-deadline:
-			t.Fatal("tier never recorded the server failure")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	tier.Close() // must not hang after the crash
-}
-
-// Err reports the first server-side failure (nil while healthy or after a
-// clean Close).
-func (t *RemoteTier) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
 }

@@ -91,6 +91,3 @@ func (t *LocalTier) Stats() TierStats {
 		Updates: atomic.LoadInt64(&t.store.updates),
 	}
 }
-
-// Close is a no-op: there are no server goroutines.
-func (t *LocalTier) Close() {}

@@ -2,6 +2,7 @@ package embeddings
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,8 +27,7 @@ type RemoteConfig struct {
 	// f % Servers == s.
 	Servers int
 	// Tables are the canonical embedding tables, indexed by feature. The
-	// tier takes them over: after NewRemote only server goroutines touch
-	// them, and clients reach rows exclusively through the wire protocol.
+	// tier takes them over: only the server half of a round touches them.
 	Tables []*nn.EmbeddingBag
 	// SparseLR drives the per-server SparseAdam.
 	SparseLR float32
@@ -41,43 +41,48 @@ type RemoteConfig struct {
 // RemoteTier disaggregates the embedding tables onto dedicated server ranks.
 // Each (client, server) pair owns a private 2-rank comm group; a client
 // round is one request collective plus one (lookup) or two (update) row
-// collectives on that pair, and each server is one goroutine serving clients
-// round-robin in ascending rank order — a fixed schedule that keeps the
-// virtual timeline deterministic. Round symmetry (see Store) guarantees the
-// schedule never starves: every client issues exactly one round to every
-// server per phase, empty or not.
+// collectives on that pair.
 //
-// Server goroutines run under comm.RunLinked with every pair group linked,
-// so a server panic (e.g. an out-of-range row id) cancels all of them and
-// any client blocked on a response aborts instead of deadlocking — the same
-// teardown cascade the SPTT dataflow relies on, extended to the server-rank
-// topology.
+// A server is a turn, not a goroutine. Server s's turn passes through the
+// clients in ascending rank order, round-robin; a client that needs s waits
+// for the turn and, while it holds it, runs both sides of its round on the
+// pair group: each collective is posted by the client, completed by the
+// server side (group rank 1, on s's virtual clock), then waited by the
+// client. Every rank therefore performs its collectives in one fixed
+// program order, whatever the goroutine schedule, so the virtual timeline
+// is deterministic, and a round has finished on the server's clock by the
+// time it returns. Round symmetry (see Store) guarantees the turn never
+// starves: every client issues exactly one round to every server per phase,
+// empty or not.
+//
+// A round that panics (an out-of-range row id, say) panics on the asking
+// client, inside its comm.Run, which reports it with the rank attached. It
+// also kills the tier: its server's turn never passes on, so every client
+// waiting for that turn panics instead of waiting forever.
 type RemoteTier struct {
 	cfg RemoteConfig
 	dim int
-	// pairs[c][s] is the 2-rank group of client c and server s (client is
-	// group rank 0, server rank 1).
-	pairs   [][][]*comm.Comm
+	// pairs[c][s] is client c's link to server s.
+	pairs   [][]pair
 	clients []Store
 	opts    []*nn.SparseAdam // per server
 
-	// settled[c][s] carries one token per finished round of pair (c, s),
-	// from the server to the client (see settle). Capacity 1: the client
-	// takes a round's token before it starts the pair's next round.
-	settled [][]chan struct{}
-
-	done   chan struct{}
-	closed int32
-
-	mu  sync.Mutex
-	err error
+	dead     chan struct{} // closed by the first round that panics
+	killOnce sync.Once
 
 	lookups, updates                   int64
 	lookupCrossBytes, updateCrossBytes int64
 	lookupExposedNS, updateExposedNS   int64
 }
 
-// NewRemote builds the tier and starts the server goroutines.
+// pair is one (client, server) link: the two sides of its 2-rank group and
+// the server's turn token while the turn is the client's.
+type pair struct {
+	client, server *comm.Comm
+	turn           chan struct{} // capacity 1
+}
+
+// NewRemote builds the tier; server s's turn starts at client 0.
 func NewRemote(cfg RemoteConfig) *RemoteTier {
 	if cfg.Clients <= 0 || cfg.Servers <= 0 {
 		panic(fmt.Sprintf("embeddings: remote tier with %d clients, %d servers", cfg.Clients, cfg.Servers))
@@ -85,7 +90,7 @@ func NewRemote(cfg RemoteConfig) *RemoteTier {
 	if len(cfg.Tables) == 0 {
 		panic("embeddings: remote tier over zero tables")
 	}
-	t := &RemoteTier{cfg: cfg, dim: cfg.Tables[0].Dim, done: make(chan struct{})}
+	t := &RemoteTier{cfg: cfg, dim: cfg.Tables[0].Dim, dead: make(chan struct{})}
 	for _, e := range cfg.Tables {
 		if e.Dim != t.dim {
 			panic(fmt.Sprintf("embeddings: table dim %d != %d", e.Dim, t.dim))
@@ -101,59 +106,24 @@ func NewRemote(cfg RemoteConfig) *RemoteTier {
 		t.opts = append(t.opts, opt)
 	}
 
-	t.pairs = make([][][]*comm.Comm, cfg.Clients)
-	t.settled = make([][]chan struct{}, cfg.Clients)
-	linked := make([][]*comm.Comm, 0, cfg.Clients*cfg.Servers)
-	for c := 0; c < cfg.Clients; c++ {
-		t.pairs[c] = make([][]*comm.Comm, cfg.Servers)
-		t.settled[c] = make([]chan struct{}, cfg.Servers)
-		for s := 0; s < cfg.Servers; s++ {
-			t.settled[c][s] = make(chan struct{}, 1)
+	t.pairs = make([][]pair, cfg.Clients)
+	for c := range t.pairs {
+		t.pairs[c] = make([]pair, cfg.Servers)
+		for s := range t.pairs[c] {
 			pg := comm.NewGroupNet(2, cfg.Net, []int{c, cfg.Clients + s})
-			t.pairs[c][s] = pg
-			linked = append(linked, pg)
+			t.pairs[c][s] = pair{client: pg[0], server: pg[1], turn: make(chan struct{}, 1)}
 		}
-	}
-	for c := 0; c < cfg.Clients; c++ {
 		t.clients = append(t.clients, Cached(&remoteClient{t: t, rank: c}, cfg.CacheRows))
 	}
-
-	granks := make([]int, cfg.Servers)
-	for s := range granks {
-		granks[s] = cfg.Clients + s
+	for s := range t.pairs[0] {
+		t.pairs[0][s].turn <- struct{}{}
 	}
-	serverComms := comm.NewGroupNet(cfg.Servers, cfg.Net, granks)
-	go func() {
-		defer close(t.done)
-		defer func() {
-			if r := recover(); r != nil && atomic.LoadInt32(&t.closed) == 0 {
-				t.mu.Lock()
-				t.err = fmt.Errorf("embeddings: server tier died: %v", r)
-				t.mu.Unlock()
-			}
-		}()
-		comm.RunLinked(serverComms, linked, t.serveLoop)
-	}()
 	return t
 }
 
 // Client returns rank's store handle (cached when CacheRows > 0); stable
 // across calls, so the hot-ID cache persists over the whole run.
 func (t *RemoteTier) Client(rank int) Store { return t.clients[rank] }
-
-// Close cancels the pair groups, which wakes every server out of its
-// blocking request receive, and waits for the server goroutines to exit.
-// Idempotent.
-func (t *RemoteTier) Close() {
-	if atomic.CompareAndSwapInt32(&t.closed, 0, 1) {
-		for _, row := range t.pairs {
-			for _, pg := range row {
-				comm.CancelGroup(pg)
-			}
-		}
-	}
-	<-t.done
-}
 
 // Stats aggregates wire and cache counters over all clients.
 func (t *RemoteTier) Stats() TierStats {
@@ -162,9 +132,9 @@ func (t *RemoteTier) Stats() TierStats {
 		Updates:          atomic.LoadInt64(&t.updates),
 		LookupCrossBytes: atomic.LoadInt64(&t.lookupCrossBytes),
 		UpdateCrossBytes: atomic.LoadInt64(&t.updateCrossBytes),
+		LookupExposed:    time.Duration(atomic.LoadInt64(&t.lookupExposedNS)),
+		UpdateExposed:    time.Duration(atomic.LoadInt64(&t.updateExposedNS)),
 	}
-	st.LookupExposed = durationOf(&t.lookupExposedNS)
-	st.UpdateExposed = durationOf(&t.updateExposedNS)
 	for _, c := range t.clients {
 		cs := StatsOf(c)
 		st.CacheHits += cs.Hits
@@ -173,102 +143,87 @@ func (t *RemoteTier) Stats() TierStats {
 	return st
 }
 
-func durationOf(ns *int64) time.Duration { return time.Duration(atomic.LoadInt64(ns)) }
-
-// serveLoop is one server rank's life: serve clients round-robin forever,
-// until cancellation (Close or a peer failure) aborts a receive.
-func (t *RemoteTier) serveLoop(c *comm.Comm) {
-	s := c.Rank()
-	for {
-		for cl := 0; cl < t.cfg.Clients; cl++ {
-			t.serveRound(t.pairs[cl][s][1], cl, s)
-		}
+// round runs client c's round with server s under s's turn, accounts its
+// wire bytes and exposure, and returns the server's response rows. The
+// client's collectives send req and, for an update, grads; the server side
+// receives the request and answers it. The turn passes on as soon as the
+// server's half is done, before the client's final wait.
+func (t *RemoteTier) round(c, s int, req []int32, grads *tensor.Tensor) *tensor.Tensor {
+	p := &t.pairs[c][s]
+	select {
+	case <-p.turn:
+	case <-t.dead:
+		panic(fmt.Sprintf("embeddings: client %d's round with server %d abandoned: an earlier round killed the tier", c, s))
 	}
+	served := false
+	defer func() {
+		if !served {
+			t.killOnce.Do(func() { close(t.dead) })
+		}
+	}()
+
+	pc, sc := p.client, p.server
+	e0, _ := pc.Times()
+	reqs := pc.IAlltoAllInt32(to(1, req))
+	got := sc.AlltoAllInt32(make([][]int32, 2))[0]
+	reqs.Wait()
+	var gotGrads *tensor.Tensor
+	if got[0] == roundUpdate {
+		sent := pc.IAlltoAllTensors(to(1, grads))
+		gotGrads = sc.AlltoAllTensors(make([]*tensor.Tensor, 2))[0]
+		sent.Wait()
+	}
+	rows := pc.IAlltoAllTensors(make([]*tensor.Tensor, 2))
+	sc.AlltoAllTensors(to(0, t.serve(s, got, gotGrads)))
+	served = true
+	t.pairs[(c+1)%t.cfg.Clients][s].turn <- struct{}{}
+	// The next client now waits runnable on this P: yield, so that the
+	// server's rounds go on at once rather than when this client blocks.
+	runtime.Gosched()
+	resp := rows.Wait()[1]
+
+	e1, _ := pc.Times()
+	exposed, wire := &t.lookupExposedNS, &t.lookupCrossBytes
+	if grads != nil {
+		exposed, wire = &t.updateExposedNS, &t.updateCrossBytes
+	}
+	atomic.AddInt64(exposed, int64(e1-e0))
+	atomic.AddInt64(wire, int64(4*len(req))+rowBytes(grads)+rowBytes(resp))
+	return resp
 }
 
-// serveRound answers one client round on a pair group: decode the request,
-// then run the kind's response collectives. The rows it gathers, and the
-// gradient payload it steps the optimizer on, are one slab per round.
-func (t *RemoteTier) serveRound(pc *comm.Comm, cl, s int) {
-	req := pc.AlltoAllInt32(make([][]int32, 2))[0]
-	kind, tables, ids := decodeRequest(req)
-	total := 0
-	for _, sub := range ids {
-		total += len(sub)
+// serve is the server half of a round between its collectives. It walks the
+// request (see encodeRequest) and gathers each id's row into the response,
+// after stepping the optimizer on the ids' gradient rows for an update. The
+// response, and the gradient payload an update steps on, are one slab each.
+func (t *RemoteTier) serve(s int, req []int32, grads *tensor.Tensor) *tensor.Tensor {
+	resp := tensor.New(len(req)-2-2*int(req[1]), t.dim)
+	var rows []int
+	if req[0] == roundUpdate {
+		rows = make([]int, resp.Dim(0))
 	}
-	resp := tensor.New(total, t.dim)
-	switch kind {
-	case roundLookup:
-		r := 0
-		for i, f := range tables {
-			e := t.cfg.Tables[f]
-			for _, id := range ids[i] {
-				copy(resp.Row(r), e.Table.Row(int(id)))
-				r++
+	for pos, r := 2, 0; pos < len(req); {
+		f, ids := req[pos], req[pos+2:pos+2+int(req[pos+1])]
+		pos += 2 + len(ids)
+		e := t.cfg.Tables[f]
+		for _, id := range ids {
+			if id < 0 || int(id) >= e.Rows {
+				panic(fmt.Sprintf("embeddings: server %d: table %d has no row %d", s, f, id))
 			}
 		}
-	case roundUpdate:
-		grads := pc.AlltoAllTensors(make([]*tensor.Tensor, 2))[0]
-		rows := make([]int, total)
-		r := 0
-		for i, f := range tables {
-			e := t.cfg.Tables[f]
-			n := len(ids[i])
-			sub := rows[r : r+n]
-			for j, id := range ids[i] {
+		if req[0] == roundUpdate {
+			sub := rows[r : r+len(ids)]
+			for j, id := range ids {
 				sub[j] = int(id)
 			}
-			t.opts[s].Step(e, &nn.SparseGrad{Rows: sub, Grads: rowsView(grads, r, n, t.dim)})
-			for j, row := range sub {
-				copy(resp.Row(r+j), e.Table.Row(row))
-			}
-			r += n
+			t.opts[s].Step(e, &nn.SparseGrad{Rows: sub, Grads: rowsView(grads, r, len(sub), t.dim)})
 		}
-	default:
-		panic(fmt.Sprintf("embeddings: unknown round kind %d", kind))
+		for _, id := range ids {
+			copy(resp.Row(r), e.Table.Row(int(id)))
+			r++
+		}
 	}
-	// The response is posted and waited in two steps only so that tests can
-	// yield between them (serveRoundHook); AlltoAllTensors is the same pair.
-	pending := pc.IAlltoAllTensors(pairT(resp, 0))
-	if serveRoundHook != nil {
-		serveRoundHook()
-	}
-	pending.Wait()
-	// The wait's last receive — the client's empty chunk — may advance this
-	// server's clock after the client already holds its rows; the client
-	// leaves the round only once that has happened (see settle).
-	t.settled[cl][s] <- struct{}{}
-}
-
-// serveRoundHook, when non-nil, runs on the server goroutine between
-// posting a round's response and receiving the client's side of that
-// collective. Tests set it (SetServeRoundHook) to widen the window in which
-// a server is still finishing a round its client has the rows of.
-var serveRoundHook func()
-
-// SetServeRoundHook installs fn as the server-round test hook and returns a
-// function restoring the previous one. Test-only; not safe while any tier
-// is running rounds.
-func SetServeRoundHook(fn func()) (restore func()) {
-	prev := serveRoundHook
-	serveRoundHook = fn
-	return func() { serveRoundHook = prev }
-}
-
-// settle blocks the client of pair (cl, s) until the server has finished the
-// round the client just received the response of. It is host-side only — no
-// message, no virtual clock — and exists for observers of the clocks: the
-// server's last receive of a round can advance its clock, and a reader of
-// comm.Network.Now between phases (the trainer's phase walls) must see that
-// advance on every run, not on the runs where the server goroutine happened
-// to get there first. A dead tier (a server panic cancels every server)
-// aborts the wait the way a canceled receive would.
-func (t *RemoteTier) settle(cl, s int) {
-	select {
-	case <-t.settled[cl][s]:
-	case <-t.done:
-		panic("embeddings: round abandoned: server tier canceled")
-	}
+	return resp
 }
 
 // rowsView views rows [lo, lo+n) of a (rows, dim) slab as a tensor of their
@@ -291,21 +246,6 @@ func encodeRequest(kind int32, tables []int32, ids [][]int32) []int32 {
 		out = append(out, ids[i]...)
 	}
 	return out
-}
-
-func decodeRequest(req []int32) (kind int32, tables []int32, ids [][]int32) {
-	kind = req[0]
-	n := int(req[1])
-	tables, ids = make([]int32, n), make([][]int32, n)
-	pos := 2
-	for i := 0; i < n; i++ {
-		tables[i] = req[pos]
-		cnt := int(req[pos+1])
-		pos += 2
-		ids[i] = req[pos : pos+cnt]
-		pos += cnt
-	}
-	return kind, tables, ids
 }
 
 // remoteClient is compute rank `rank`'s uncached wire client. Each Lookup /
@@ -367,16 +307,7 @@ func (rc *remoteClient) Lookup(reqs []Req) []*tensor.Tensor {
 	}
 	resp := make([]*tensor.Tensor, t.cfg.Servers)
 	for s := range resp {
-		pc := t.pairs[rc.rank][s][0]
-		req := encodeRequest(roundLookup, ro.tables[s], ro.ids[s])
-		e0, _ := pc.Times()
-		pc.AlltoAllInt32(pair2(req))
-		rows := pc.AlltoAllTensors(make([]*tensor.Tensor, 2))[1]
-		t.settle(rc.rank, s)
-		e1, _ := pc.Times()
-		atomic.AddInt64(&t.lookupExposedNS, int64(e1-e0))
-		atomic.AddInt64(&t.lookupCrossBytes, int64(4*len(req))+rowBytes(rows))
-		resp[s] = rows
+		resp[s] = t.round(rc.rank, s, encodeRequest(roundLookup, ro.tables[s], ro.ids[s]), nil)
 	}
 	return ro.views(resp, t.dim)
 }
@@ -404,8 +335,6 @@ func (rc *remoteClient) Update(ups []Upd) []*tensor.Tensor {
 
 	resp := make([]*tensor.Tensor, t.cfg.Servers)
 	for s := range resp {
-		pc := t.pairs[rc.rank][s][0]
-		req := encodeRequest(roundUpdate, ro.tables[s], ro.ids[s])
 		// One gradient payload per round: the server's updates in request
 		// order (ups and ro.at run in step).
 		grads := tensor.New(ro.rows[s], t.dim)
@@ -414,31 +343,16 @@ func (rc *remoteClient) Update(ups []Upd) []*tensor.Tensor {
 				copy(grads.Data()[sp.off*t.dim:(sp.off+sp.n)*t.dim], ups[i].GradRows.Data())
 			}
 		}
-		e0, _ := pc.Times()
-		pc.AlltoAllInt32(pair2(req))
-		pc.AlltoAllTensors(pairT(grads, 1))
-		fresh := pc.AlltoAllTensors(make([]*tensor.Tensor, 2))[1]
-		t.settle(rc.rank, s)
-		e1, _ := pc.Times()
-		atomic.AddInt64(&t.updateExposedNS, int64(e1-e0))
-		atomic.AddInt64(&t.updateCrossBytes, int64(4*len(req))+rowBytes(grads)+rowBytes(fresh))
-		resp[s] = fresh
+		resp[s] = t.round(rc.rank, s, encodeRequest(roundUpdate, ro.tables[s], ro.ids[s]), grads)
 	}
 	return ro.views(resp, t.dim)
 }
 
-// pair2 addresses a request payload to the server side of a pair group.
-func pair2(req []int32) [][]int32 {
-	out := make([][]int32, 2)
-	out[1] = req
-	return out
-}
-
-// pairT addresses a tensor payload to one side of a pair group (0 the
-// client, 1 the server).
-func pairT(x *tensor.Tensor, to int) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, 2)
-	out[to] = x
+// to addresses a payload to one side of a pair group (0 the client, 1 the
+// server).
+func to[T any](side int, x T) []T {
+	out := make([]T, 2)
+	out[side] = x
 	return out
 }
 

@@ -384,10 +384,10 @@ func TestTrainingSetupFailureIsAnError(t *testing.T) {
 	}
 }
 
-// TestTrainingThroughputClosesTrainers: with a remote embedding tier every
-// row's trainer owns server goroutines, and the experiment must stop them —
-// no goroutine may outlive the report. (Trainer.Close joins the servers;
-// the short poll only covers their supervisor's own exit.)
+// TestTrainingThroughputClosesTrainers: with a remote embedding tier no
+// goroutine may outlive the report. The tier's rounds run on the trainer's
+// rank goroutines, which every step joins; the short poll only covers
+// goroutines already on their way out.
 func TestTrainingThroughputClosesTrainers(t *testing.T) {
 	p := SmokeTraining()
 	p.EmbServers = 1

@@ -180,14 +180,12 @@ func (s Sweep) Run(name string) TrainingRun {
 // measured training experiment shares. The trainer is drained inside the
 // timed region — the pipelined schedule carries the last step's bucket tail
 // across the boundary, so its steps/s and exposed comm must pay for the
-// deferred work (a no-op for the other schedules) — and always closed, so
-// a remote embedding tier's server goroutines never outlive the row.
+// deferred work (a no-op for the other schedules).
 func runTraining(name string, p TrainingProfile, sequential bool) (TrainingRun, error) {
 	tr, gen, err := NewTrainer(p, sequential)
 	if err != nil {
 		return TrainingRun{}, fmt.Errorf("experiments: training setup for %s: %w", name, err)
 	}
-	defer tr.Close()
 	run := TrainingRun{Name: name}
 	start := time.Now()
 	for step := 0; step < p.Steps; step++ {
