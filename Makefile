@@ -84,8 +84,10 @@ bench-smoke:
 # edge columns), Adam and AddInPlace vector vs scalar at an over-arch
 # weight's size, the ReLU gate (backward and in-place forward) on an
 # over-arch activation and
-# the interaction backward (PairwiseUpperGrad) at train_dense's input,
-# vector vs scalar, the fp16 encode and its fused residual pass vector vs
+# the interaction backward (PairwiseUpperGrad) at train_dense's input and
+# the interaction forward (PairwiseUpperInto) at the serving batch's
+# (32, 9, 128) and train_dense's (64, 17, 16) inputs, vector vs scalar,
+# the fp16 encode and its fused residual pass vector vs
 # scalar on a gradient-like, mostly half-subnormal payload, the fused vs
 # unfused quantized codec with allocs/op (-benchmem), the fused encode on
 # the gradient-like payload, and the codec's receive side (decode/addto,
@@ -119,8 +121,11 @@ fp16-exhaustive:
 
 # Short native-fuzz runs over the GEMM entry points against their scalar row
 # routines and one another, the elementwise kernels (AddInPlace, ScaleInPlace, AdamUpdate,
-# ReLUGate) and the interaction backward (PairwiseUpperGrad, N from 1 to 33)
-# against their scalar references, the wire codec (the fused encode at
+# ReLUGate, the bias adds AddRowVector and AddSumRows), the interaction
+# backward (PairwiseUpperGrad, N from 1 to 33) and forward
+# (PairwiseUpperInto and BatchedPairwiseDot, batches of 1 to 64 for every
+# ragged tail of 8 samples, N from 1 to 300) against their scalar
+# references, the wire codec (the fused encode at
 # every length mod 8), the SPTT step (a) bag
 # payload, the pooling backward against its map-based oracle (over tables
 # small and large enough for both of its row orders), the LRU core against
@@ -130,6 +135,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGEMMKernels$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzElementwiseKernels$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzInteractionBackward$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzInteractionForward$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzFloat16RoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzLinearQuantRoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedCodec$$' -fuzztime 10s ./internal/quant

@@ -286,9 +286,10 @@ func TestQuickEmbeddingSumLinearity(t *testing.T) {
 	}
 }
 
-// TestDotInteractionMatchesPlainDots holds the four-chain kernel to one
-// ascending-p sum per pair, bit for bit, at every feature count from 1 to
-// 11 (so every group size and padding case occurs).
+// TestDotInteractionMatchesPlainDots holds Forward to one ascending-p sum
+// per pair, bit for bit, at every feature count from 1 to 11 (so every
+// padding of a row's pairs to groups of 4 occurs) on a batch of 3, fewer
+// samples than a vector's 8 lanes.
 func TestDotInteractionMatchesPlainDots(t *testing.T) {
 	r := tensor.NewRNG(12)
 	for f := 1; f <= 11; f++ {
@@ -326,4 +327,22 @@ func (e *EmbeddingBag) Forward(t *Tape, indices, offsets []int32) *tensor.Tensor
 	}
 	e.Record(t, indices, offsets)
 	return out
+}
+
+// TestDotInteractionForwardAllocs pins Forward on an arena tape, at the
+// serving batch's (32, 9, 128) input, to no allocation once the arena has
+// served one pass: the output comes from the arena and the vector
+// routine's packed panel stays on the stack.
+func TestDotInteractionForwardAllocs(t *testing.T) {
+	x := tensor.RandN(tensor.NewRNG(13), 1, 32, 9, 128)
+	di := &DotInteraction{}
+	tp := &Tape{Arena: &tensor.Arena{}, Record: true}
+	pass := func() {
+		tp.Reset()
+		di.Forward(tp, x)
+	}
+	pass()
+	if n := testing.AllocsPerRun(50, pass); n != 0 {
+		t.Errorf("DotInteraction.Forward on an arena tape allocates %v times", n)
+	}
 }

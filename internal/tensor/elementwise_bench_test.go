@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // overArchLen is the size of train_dense's widest over-arch weight, the
 // (256, 152) first top-MLP layer: the length one Adam update and one
@@ -102,5 +105,32 @@ func BenchmarkHotpathPairwiseUpperGrad(b *testing.B) {
 				side.run(x, dy)
 			}
 		})
+	}
+}
+
+// BenchmarkHotpathPairwiseUpper times the interaction forward at the
+// serving batch's (32, 9, 128) input, the 9-vector global interaction of
+// the benchmark's DMT-DLRM at batch 32, and at train_dense's (64, 17, 16):
+// PairwiseUpperInto (the routine the CPU selected) against the scalar
+// loop, in MB/s of the x it reads.
+func BenchmarkHotpathPairwiseUpper(b *testing.B) {
+	r := NewRNG(5)
+	for _, sh := range []gemmShape{{32, 9, 128}, trainDensePairwise} {
+		bs, f, n := sh.m, sh.k, sh.n
+		x, out := RandUniform(r, -1, 1, bs, f, n), New(bs, f*(f-1)/2)
+		for _, side := range []struct {
+			name string
+			run  func(out, x *Tensor)
+		}{
+			{"scalar", func(out, x *Tensor) { pairDotRef(x.data, out.data, bs, f, n, false) }},
+			{"vector", PairwiseUpperInto},
+		} {
+			b.Run(fmt.Sprintf("%s/b=%d,f=%d,n=%d", side.name, bs, f, n), func(b *testing.B) {
+				b.SetBytes(int64(4 * bs * f * n))
+				for i := 0; i < b.N; i++ {
+					side.run(out, x)
+				}
+			})
+		}
 	}
 }

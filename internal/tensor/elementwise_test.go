@@ -52,8 +52,9 @@ func sameFloat32Bits(t *testing.T, what string, got, want []float32, anyNaN bool
 }
 
 // checkElementwise runs AddInPlace, ScaleInPlace, ReLUGate and AdamUpdate
-// at length n against addRef, scaleRef, gateRef and adamRef, with specials
-// in every operand, and compares every output by Float32bits (Adam's NaNs
+// at length n against addRef, scaleRef, gateRef and adamRef, and the bias
+// adds at width n (checkBiasAdds), with specials in every operand, and
+// compares every output by Float32bits (Adam's and the bias adds' NaNs
 // canonicalised). ReLUGate runs as the backward gate (d, y) and as the
 // forward ReLU (y, y). Adam runs adamSteps steps of bias correction, each
 // on a fresh gradient.
@@ -64,6 +65,8 @@ func checkElementwise(t *testing.T, r *RNG, n, every, adamSteps int, s AdamStep)
 	AddInPlace(got, FromSlice(src, n))
 	addRef(want, src)
 	sameFloat32Bits(t, fmt.Sprintf("AddInPlace n=%d", n), got.data, want, false)
+
+	checkBiasAdds(t, r, n, every)
 
 	got, want = FromSlice(append([]float32(nil), d...), n), append([]float32(nil), d...)
 	ReLUGate(got, FromSlice(src, n))
@@ -98,6 +101,36 @@ func checkElementwise(t *testing.T, r *RNG, n, every, adamSteps int, s AdamStep)
 	}
 }
 
+// checkBiasAdds runs AddRowVector and AddSumRows on a (3, w) operand with
+// specials against their scalar loops, comparing by Float32bits with NaNs
+// canonicalised: in `d += s` written out, as here, the Go compiler may take
+// either operand first (addRef's loop happens to compile with d first, and
+// AddInPlace is held to its payloads above).
+func checkBiasAdds(t *testing.T, r *RNG, w, every int) {
+	t.Helper()
+	const h = 3
+	a, v := elementOperand(r, h*w, every, -2, 2), elementOperand(r, w, every, -2, 2)
+	got, want := FromSlice(append([]float32(nil), a...), h, w), append([]float32(nil), a...)
+	AddRowVector(got, FromSlice(v, w))
+	for row := range h {
+		for c, bv := range v {
+			want[row*w+c] += bv
+		}
+	}
+	sameFloat32Bits(t, fmt.Sprintf("AddRowVector (%d, %d)", h, w), got.data, want, true)
+
+	gotSum, wantSum := FromSlice(append([]float32(nil), v...), w), append([]float32(nil), v...)
+	AddSumRows(gotSum, FromSlice(a, h, w))
+	for c := range w {
+		var acc float32
+		for row := range h {
+			acc += a[row*w+c]
+		}
+		wantSum[c] += acc
+	}
+	sameFloat32Bits(t, fmt.Sprintf("AddSumRows (%d, %d)", h, w), gotSum.data, wantSum, true)
+}
+
 var defaultAdam = AdamStep{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 
 // TestElementwiseKernelsMatchReferences pins the elementwise routines the
@@ -114,8 +147,8 @@ func TestElementwiseKernelsMatchReferences(t *testing.T) {
 
 // FuzzElementwiseKernels draws lengths up to 4 096, the density of
 // specials, and Adam's hyperparameters and step count, and requires the
-// selected elementwise routines (ReLUGate's both ways) to match the scalar
-// references bit for bit.
+// selected elementwise routines (ReLUGate's both ways) and the bias adds to
+// match the scalar references bit for bit.
 func FuzzElementwiseKernels(f *testing.F) {
 	f.Add(uint16(67), uint64(1), uint8(4), float32(1e-3), uint16(1))
 	f.Add(uint16(8), uint64(2), uint8(0), float32(0.5), uint16(1000))

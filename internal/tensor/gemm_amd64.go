@@ -1,5 +1,7 @@
 package tensor
 
+import "unsafe"
+
 // The AVX2 micro-kernel (gemm_amd64.s) under MatMul, MatMulAT and MatMulBT.
 // Its row routines below honour matmul.go's contract: every term
 // float32(A(r,p)·B(p,j)) is added in ascending p from +0, zero A elements
@@ -28,6 +30,14 @@ func edge8(acc, a, b *float32, k, nc, psA, psB, csB int)
 //
 //go:noescape
 func transpose8(dst, b *float32, ldb, ldd, blocks int)
+
+// pair8 is pairDotAVX2's kernel, 8 samples as the lanes of one vector:
+// acc[c*8+l] += Σ_p xi[p*ps+l]·xj[p*ps+c*8+l] for l < 8 and c < nc. It
+// reads acc and xj up to nc rounded up to a multiple of 4 (see
+// gemm_amd64.s).
+//
+//go:noescape
+func pair8(acc, xi, xj *float32, k, nc, ps int)
 
 // The elementwise routines (elementwise_amd64.s) are addRef, scaleRef and,
 // over w's whole blocks of 8 with c1 = 1 − β₁ and c2 = 1 − β₂, adamRef.
@@ -76,7 +86,8 @@ func init() {
 		mulRows, mulBTRows = matMulRowsAVX2, matMulBTRowsAVX2
 		mulATAddRows = matMulATAddRowsAVX2
 		addVec, scaleVec, adamVec = addAVX2, scaleAVX2, adamAVX2
-		gateVec, pairGradVec = gateAVX2, pairGradAVX2
+		addSumRowsVec = addSumRowsAVX2
+		gateVec, pairGradVec, pairDotVec = gateAVX2, pairGradAVX2, pairDotAVX2
 	}
 }
 
@@ -116,6 +127,19 @@ func matMulATAddRowsAVX2(a, b, dst []float32, k, m, n int) {
 		clear(blk)
 		matMulRowsAVX2(a[i:], b, blk, k, n, 1, m, 0, len(blk)/n)
 		addAVX2(dst[i*n:i*n+len(blk)], blk)
+	}
+}
+
+// addSumRowsAVX2 is addSumRowsRef on addAVX2.
+func addSumRowsAVX2(dst, a []float32, h, w int) {
+	var buf [512]float32
+	for c := 0; c < w; c += len(buf) {
+		acc := buf[:min(len(buf), w-c)]
+		clear(acc)
+		for r := range h {
+			addAVX2(acc, a[r*w+c:r*w+c+len(acc)])
+		}
+		addAVX2(dst[c:c+len(acc)], acc)
 	}
 }
 
@@ -215,6 +239,118 @@ func edgeStore(out []float32, acc *[8 * 7]float32, n, r, lanes int) {
 	for c := range n - j0 {
 		for l := range lanes {
 			out[(r+l)*n+j0+c] = acc[c*8+l]
+		}
+	}
+}
+
+// pairPanel and pairAcc are the float32 counts of pairDotAVX2's panel of
+// packed samples and of its pair sums, 12 and 8 KiB on the stack. Go
+// zeroes both on every call, a tenth of the routine's time on the serving
+// batch at 16 KiB each, so they are sized to the models' shapes: the
+// serving F = 9 takes N = 128 in four chunks of p, and train_dense's
+// (F, N) = (17, 16) one chunk and one block of sums.
+const pairPanel, pairAcc = 3072, 2048
+
+// align32 returns all but 7 elements of buf, the ones that start on a
+// 32-byte boundary: pair8's loads, 5 per step, then never split a cache
+// line, which ran it up to 2× slower. Goroutine stacks start and end on
+// 2 KiB boundaries, so a stack copy moves a frame by a multiple of 2 KiB
+// and the slice stays aligned.
+func align32(buf []float32) []float32 {
+	off := -int(uintptr(unsafe.Pointer(&buf[0]))/4) & 7
+	return buf[off : len(buf)-7+off]
+}
+
+// pairDotAVX2 is pairDotRef with 8 samples as the 8 lanes of a vector: each
+// lane sums its own sample's products in ascending p from +0, so every dot
+// is bitwise pairDotRef's. A batch's last block is its last 8 samples, so
+// it may form some of the previous block's dots again, with the same bits;
+// only a batch of fewer than 8 runs a part-filled block.
+//
+// For each block the features from row i0 on, f' of them, are packed
+// p-major into a stack panel, panel[p*8f'+i'*8+l], ≤ pairPanel floats of p
+// at a time: by transpose8, 8 steps at a time, with a chunk's last kc mod 8
+// steps, and a part-filled block, copied one by one. pair8 then adds each
+// row's pairs over the chunk into acc, pair-major in out's order, which
+// carries their sums between chunks. A row's last group of fewer than 4
+// pairs reads past the row's sums and the panel's last feature, and the
+// lanes of a part-filled block past its last sample sum whatever the panel
+// holds; none of these sums is stored. Rows are taken in blocks whose sums,
+// with 3 pairs of slack, fit acc. The strict upper triangle goes back to
+// out 8 pairs × 8 samples at a time by transpose8, which lays it out as out
+// does. F > 253, where one row's sums do not fit acc, runs pairDotRef.
+func pairDotAVX2(x, out []float32, b, f, n int, full bool) {
+	if 8*f+24 > pairAcc {
+		pairDotRef(x, out, b, f, n, full)
+		return
+	}
+	d := 1
+	if full {
+		d = 0
+	}
+	var panelBuf [pairPanel + 7]float32
+	var accBuf [pairAcc + 7]float32
+	panel, acc := align32(panelBuf[:]), align32(accBuf[:])
+	ow := f * (f - 1) / 2
+	for s0 := 0; s0 < b; s0 += 8 {
+		if b >= 8 {
+			s0 = min(s0, b-8)
+		}
+		lanes := min(8, b-s0)
+		for i0, i1 := 0, 0; i0 < f; i0 = i1 {
+			sums := 0
+			for ; i1 < f && 8*(sums+f-i1-d)+24 <= pairAcc; i1++ {
+				sums += f - i1 - d
+			}
+			clear(acc[:8*sums])
+			ps := 8 * (f - i0)
+			kc := (pairPanel - 24) / ps
+			if kc >= 8 {
+				kc &^= 7
+			}
+			for p0 := 0; p0 < n; p0 += kc {
+				kk := min(kc, n-p0)
+				for i := i0; i < f; i++ {
+					src := (s0*f+i)*n + p0
+					p := 0
+					if lanes == 8 {
+						transpose8(&panel[(i-i0)*8], &x[src], f*n, ps, kk/8)
+						p = kk &^ 7
+					}
+					for ; p < kk; p++ {
+						for l := range lanes {
+							panel[p*ps+(i-i0)*8+l] = x[src+l*f*n+p]
+						}
+					}
+				}
+				a := 0
+				for i := i0; i < i1; i++ {
+					pair8(&acc[a], &panel[(i-i0)*8], &panel[(i+d-i0)*8], kk, f-i-d, ps)
+					a += 8 * (f - i - d)
+				}
+			}
+			if full {
+				a := 0
+				for i := i0; i < i1; i++ {
+					for j := i; j < f; j++ {
+						for l := range lanes {
+							v := acc[a+l]
+							out[((s0+l)*f+i)*f+j], out[((s0+l)*f+j)*f+i] = v, v
+						}
+						a += 8
+					}
+				}
+				continue
+			}
+			k0, k := i0*(2*f-i0-1)/2, 0
+			for ; lanes == 8 && k+8 <= sums; k += 8 {
+				transpose8(&out[s0*ow+k0+k], &acc[k*8], 8, ow, 1)
+			}
+			for l := range lanes {
+				for kk := k; kk < sums; kk++ {
+					out[(s0+l)*ow+k0+kk] = acc[kk*8+l]
+				}
+			}
 		}
 	}
 }

@@ -309,3 +309,76 @@ eloop1:
 edone:
 	VZEROUPPER
 	RET
+
+// One reduction step of one pair: multiply the x_j lanes (at address src)
+// into the x_i lanes in Y0 and add into the pair's accumulator.
+#define PAIRCOL(src, t, acc) \
+	VMULPS src, Y0, t; \
+	VADDPS t, acc, acc
+
+// func pair8(acc, xi, xj *float32, k, nc, ps int)
+//
+// For l < 8 and c < nc:
+//
+//	acc[c*8+l] += Σ_{p<k} xi[p*ps+l]·xj[p*ps+c*8+l]
+//
+// 8 samples side by side as the lanes of one vector, one accumulator per
+// pair (i, j+c), in ascending p, each lane a separate multiply and add (no
+// FMA): the float32 operation sequence of pairDotRef's dot. Four pairs
+// share each load of x_i. A last group of fewer than 4 reads acc and xj
+// for all 4 and stores only its own sums.
+//
+// Registers: DI acc at the current pair group, SI xi, BX xj at the current
+// group, DX k, CX pairs left, R8 ps bytes; AX/R11 walk xi and xj along p,
+// R12 counts p.
+TEXT ·pair8(SB), NOSPLIT, $0-48
+	MOVQ  acc+0(FP), DI
+	MOVQ  xi+8(FP), SI
+	MOVQ  xj+16(FP), BX
+	MOVQ  k+24(FP), DX
+	MOVQ  nc+32(FP), CX
+	MOVQ  ps+40(FP), R8
+	SHLQ  $2, R8
+	TESTQ DX, DX
+	JZ    pdone
+	TESTQ CX, CX
+	JZ    pdone
+
+pcols:
+	VMOVUPS (DI), Y4
+	VMOVUPS 32(DI), Y5
+	VMOVUPS 64(DI), Y6
+	VMOVUPS 96(DI), Y7
+	MOVQ    SI, AX
+	MOVQ    BX, R11
+	MOVQ    DX, R12
+
+ploop:
+	VMOVUPS (AX), Y0
+	PAIRCOL((R11), Y8, Y4)
+	PAIRCOL(32(R11), Y9, Y5)
+	PAIRCOL(64(R11), Y10, Y6)
+	PAIRCOL(96(R11), Y11, Y7)
+	ADDQ    R8, AX
+	ADDQ    R8, R11
+	DECQ    R12
+	JNZ     ploop
+
+	VMOVUPS Y4, (DI)
+	CMPQ    CX, $2
+	JLT     pdone
+	VMOVUPS Y5, 32(DI)
+	CMPQ    CX, $3
+	JLT     pdone
+	VMOVUPS Y6, 64(DI)
+	CMPQ    CX, $4
+	JLT     pdone
+	VMOVUPS Y7, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, BX
+	SUBQ    $4, CX
+	JG      pcols
+
+pdone:
+	VZEROUPPER
+	RET

@@ -84,17 +84,79 @@ func atAddBlock(buf []float32, n int) (rows int, scratch []float32) {
 
 // BatchedPairwiseDot computes, for a (B, F, N) tensor, the pairwise dot
 // products between the F feature vectors of every sample: output (B, F, F)
-// with out[b,i,j] = <x[b,i,:], x[b,j,:]>. It is the interaction kernel of
-// DLRM; the paper notes a manual pairwise routine outperforms the generated
-// batched-GEMV kernel for this layout (§4), which is what this is.
+// with out[b,i,j] = <x[b,i,:], x[b,j,:]>, each the sum of the products
+// float32(x[b,i,p]·x[b,j,p]) in ascending p from +0. It is DLRM's
+// interaction with the diagonal and each pair mirrored, on the routine
+// PairwiseUpperInto runs: no batched GEMM, but 8 samples to a vector where
+// the CPU has AVX2.
 func BatchedPairwiseDot(x *Tensor) *Tensor {
 	if len(x.shape) != 3 {
 		panic("tensor: BatchedPairwiseDot requires a (B,F,N) tensor")
 	}
 	b, f, n := x.shape[0], x.shape[1], x.shape[2]
 	out := New(b, f, f)
-	pairwiseDotSamples(x.data, out.data, f, n, 0, b)
+	pairDotVec(x.data, out.data, b, f, n, true)
 	return out
+}
+
+// PairwiseUpperInto writes the pairwise-dot interaction's strict upper
+// triangle into out: for x of shape (B, F, N), out (B, F(F−1)/2) holds each
+// sample's pairs (i, j), i < j, in row-major order, each dot the sum of the
+// products float32(x[b,i,p]·x[b,j,p]) in ascending p from +0. Every element
+// of out is overwritten. It allocates nothing.
+func PairwiseUpperInto(out, x *Tensor) {
+	if len(x.shape) != 3 || len(out.shape) != 2 || out.shape[0] != x.shape[0] ||
+		out.shape[1] != x.shape[1]*(x.shape[1]-1)/2 {
+		panic(fmt.Sprintf("tensor: PairwiseUpperInto shapes out %v, x %v", out.shape, x.shape))
+	}
+	pairDotVec(x.data, out.data, x.shape[0], x.shape[1], x.shape[2], false)
+}
+
+// pairDotVec is the pairwise-dot routine under BatchedPairwiseDot and
+// PairwiseUpperInto: pairDotRef, or the AVX2 routine init selects, which
+// forms every dot with the same float32 operations in the same order.
+var pairDotVec = pairDotRef
+
+// pairDotRef writes the pairwise dots of the b samples of x, (b, f, n): the
+// strict upper triangle in row-major order into out (b, f(f−1)/2), or with
+// full the diagonal and both triangles into out (b, f, f). Each pass over
+// x_i runs four dots: four independent add chains keep the loop busy, where
+// a single chain waits on every add. A group that runs past the last row
+// repeats that row and drops the extra sums.
+func pairDotRef(x, out []float32, b, f, n int, full bool) {
+	d := 1
+	if full {
+		d = 0
+	}
+	k := 0
+	for s := range b {
+		xs := x[s*f*n : (s+1)*f*n]
+		for i := range f {
+			vi := xs[i*n : (i+1)*n]
+			for j := i + d; j < f; j += 4 {
+				v0 := xs[j*n:][:n]
+				v1 := xs[min(j+1, f-1)*n:][:n]
+				v2 := xs[min(j+2, f-1)*n:][:n]
+				v3 := xs[min(j+3, f-1)*n:][:n]
+				var d0, d1, d2, d3 float32
+				for p, v := range vi {
+					d0 += float32(v * v0[p])
+					d1 += float32(v * v1[p])
+					d2 += float32(v * v2[p])
+					d3 += float32(v * v3[p])
+				}
+				ds := [4]float32{d0, d1, d2, d3}
+				for c, dot := range ds[:min(4, f-j)] {
+					if full {
+						out[(s*f+i)*f+j+c], out[(s*f+j+c)*f+i] = dot, dot
+					} else {
+						out[k] = dot
+						k++
+					}
+				}
+			}
+		}
+	}
 }
 
 // PairwiseUpperGrad is the backward of the pairwise-dot interaction's
@@ -276,26 +338,5 @@ func matMulATAddRows(a, b, dst []float32, k, m, n int) {
 		clear(blk)
 		matMulRows(a[i:], b, blk, k, n, 1, m, 0, len(blk)/n)
 		addRef(dst[i*n:i*n+len(blk)], blk)
-	}
-}
-
-// pairwiseDotSamples computes samples [lo, hi) of the batched pairwise-dot
-// interaction.
-func pairwiseDotSamples(x, out []float32, f, n, lo, hi int) {
-	for s := lo; s < hi; s++ {
-		base := x[s*f*n : (s+1)*f*n]
-		obase := out[s*f*f : (s+1)*f*f]
-		for i := 0; i < f; i++ {
-			vi := base[i*n : (i+1)*n]
-			for j := i; j < f; j++ {
-				vj := base[j*n : (j+1)*n]
-				var dot float32
-				for p := 0; p < n; p++ {
-					dot += float32(vi[p] * vj[p])
-				}
-				obase[i*f+j] = dot
-				obase[j*f+i] = dot
-			}
-		}
 	}
 }

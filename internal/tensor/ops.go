@@ -102,18 +102,15 @@ func adamRef(s AdamStep, w, g, m, v []float32) {
 }
 
 // AddRowVector adds a length-w vector to every row of a (h, w) tensor in
-// place and returns a. Used for linear-layer biases, on a GEMM's fresh
-// output.
+// place and returns a: AddInPlace's routine, a row at a time. Used for
+// linear-layer biases, on a GEMM's fresh output.
 func AddRowVector(a, v *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(v.shape) != 1 || a.shape[1] != v.shape[0] {
 		panic(fmt.Sprintf("tensor: AddRowVector shapes %v, %v", a.shape, v.shape))
 	}
 	w := a.shape[1]
-	for r := 0; r < a.shape[0]; r++ {
-		av := a.data[r*w : (r+1)*w]
-		for c, bv := range v.data {
-			av[c] += bv
-		}
+	for r := range a.shape[0] {
+		addVec(a.data[r*w:(r+1)*w], v.data)
 	}
 	return a
 }
@@ -130,24 +127,31 @@ func (t *Tensor) L2Norm() float64 {
 // AddSumRows adds a's row sum into dst, of length w, for a of shape (h, w):
 // the bias-gradient accumulation with no temporary. Each column's sum is
 // formed from zero in row order, as SumRows forms it, and added to dst
-// once, so dst ends bitwise as AddInPlace(dst, SumRows(a)) leaves it.
-// It allocates nothing.
+// once, so dst ends bitwise as AddInPlace(dst, SumRows(a)) leaves it; every
+// add is AddInPlace's, a row at a time. It allocates nothing.
 func AddSumRows(dst, a *Tensor) {
 	if len(a.shape) != 2 || len(dst.shape) != 1 || dst.shape[0] != a.shape[1] {
 		panic(fmt.Sprintf("tensor: AddSumRows shapes %v += Σ rows of %v", dst.shape, a.shape))
 	}
-	h, w := a.shape[0], a.shape[1]
+	addSumRowsVec(dst.data, a.data, a.shape[0], a.shape[1])
+}
+
+// addSumRowsVec is AddSumRows' routine, selected with addVec: it calls its
+// add directly, so its stack buffer stays on the stack.
+var addSumRowsVec = addSumRowsRef
+
+// addSumRowsRef adds the row sum of a, (h, w), into dst, 512 columns at a
+// time: each block's sums are formed from zero by addRef, row by row, and
+// added to dst once.
+func addSumRowsRef(dst, a []float32, h, w int) {
 	var buf [512]float32
 	for c := 0; c < w; c += len(buf) {
 		acc := buf[:min(len(buf), w-c)]
 		clear(acc)
-		for r := 0; r < h; r++ {
-			row := a.data[r*w+c : r*w+c+len(acc)]
-			for j, v := range row {
-				acc[j] += v
-			}
+		for r := range h {
+			addRef(acc, a[r*w+c:r*w+c+len(acc)])
 		}
-		addRef(dst.data[c:c+len(acc)], acc)
+		addRef(dst[c:c+len(acc)], acc)
 	}
 }
 
