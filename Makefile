@@ -94,7 +94,8 @@ bench-smoke:
 # MB/s of fp32) on a uniform and on the gradient-like payload — the
 # before/after numbers behind the README's "Hot-path kernels" section — the embedding
 # tier's caches: a Cached(Local) Lookup+Update round at one train_embed
-# rank's shape, Keyed hits and evicting inserts, and the cluster
+# rank's shape, Keyed hits and evicting inserts on 128-float tower rows,
+# one key a call and batch-32 GetRows/PutRows as Predict makes them, and the cluster
 # simulator's LRUSet hits and evicting inserts (BenchmarkHotpathLRUSet) —
 # and the serving DMT-DLRM's Predict at batch 32 on cold keys through
 # Keyed caches.
@@ -129,8 +130,10 @@ fp16-exhaustive:
 # every length mod 8), the SPTT step (a) bag
 # payload, the pooling backward against its map-based oracle (over tables
 # small and large enough for both of its row orders), the LRU core against
-# its reference model and the micro-batcher against its flush rule (go test
-# allows one -fuzz target per invocation, hence the separate runs).
+# its reference model, Keyed's batch calls (GetRows, FillRows, PutRows)
+# against the one-key calls they stand for on a twin cache, and the
+# micro-batcher against its flush rule (go test allows one -fuzz target per
+# invocation, hence the separate runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGEMMKernels$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzElementwiseKernels$$' -fuzztime 10s ./internal/tensor
@@ -142,6 +145,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBags$$' -fuzztime 10s ./internal/sptt
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolBackward$$' -fuzztime 10s ./internal/sptt
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUCore$$' -fuzztime 10s ./internal/embeddings
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyedRows$$' -fuzztime 10s ./internal/embeddings
 	$(GO) test -run '^$$' -fuzz '^FuzzBatcher$$' -fuzztime 10s ./internal/serve
 
 # The example mains have no tests: build them all, run the SPTT

@@ -21,8 +21,9 @@
 //     derived from the batch (b, b.Dense, b.Indices[f], sub-slices of
 //     those) must not be assigned to struct fields, package variables,
 //     or map/slice elements of non-locals, sent on channels, captured by
-//     go statements, returned, or handed to a VecCache PutVec without a
-//     fresh copy.
+//     go statements, returned, or handed to a VecCache write (PutVec,
+//     PutRows, FillRows; inside a row view or filler literal too) without
+//     a fresh copy.
 //  2. Call results of functions whose doc comment carries the
 //     //dmt:transient-result directive (the arena APIs opt in at the
 //     declaration; the analyzer exports a fact, so cross-package callers
@@ -192,11 +193,12 @@ func checkNoRetention(pass *lint.Pass, body *ast.BlockStmt, seed *types.Var, wha
 				}
 			}
 		case *ast.CallExpr:
-			// Handing a tainted slice to a cache without copying
-			// publishes arena memory under a stable key.
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "PutVec" {
+			// Handing a tainted slice to a cache write without copying —
+			// directly, or inside a row view or filler built in the
+			// argument — publishes arena memory under a stable key.
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && cacheWrites[sel.Sel.Name] {
 				for _, a := range n.Args {
-					if isTainted(a) {
+					if holdsTainted(a, isTainted) {
 						pass.Reportf(n.Pos(), "%s is stored in a cache without a copy: %s", what, contract)
 					}
 				}
@@ -204,6 +206,32 @@ func checkNoRetention(pass *lint.Pass, body *ast.BlockStmt, seed *types.Var, wha
 		}
 		return true
 	})
+}
+
+// cacheWrites are the VecCache methods that store what they are handed:
+// PutVec a vector, PutRows a row view's rows, FillRows its filler's rows.
+var cacheWrites = map[string]bool{"PutVec": true, "PutRows": true, "FillRows": true}
+
+// holdsTainted reports whether the argument e is tainted or is a composite
+// literal, or its address, with a tainted element.
+func holdsTainted(e ast.Expr, isTainted func(ast.Expr) bool) bool {
+	switch e := unparen(e).(type) {
+	case *ast.CompositeLit:
+		for _, el := range e.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				el = kv.Value
+			}
+			if holdsTainted(el, isTainted) {
+				return true
+			}
+		}
+		return false
+	case *ast.UnaryExpr:
+		if _, ok := unparen(e.X).(*ast.CompositeLit); ok {
+			return holdsTainted(e.X, isTainted)
+		}
+	}
+	return isTainted(e)
 }
 
 // aliases reports whether e is an alias-producing expression rooted at a

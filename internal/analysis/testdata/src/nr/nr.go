@@ -13,6 +13,18 @@ type vecCache struct{}
 
 func (vecCache) PutVec(ns int, key uint64, v []float32) {}
 
+func (vecCache) PutRows(keys []uint64, src rows) {}
+
+func (vecCache) FillRows(keys []uint64, f *filler) {}
+
+// rows is a strided row view, filler a row filler over a buffer.
+type rows struct {
+	Base          []float32
+	Stride, Width int
+}
+
+type filler struct{ out []float32 }
+
 // ---- rule 1, flagged: Predict retaining the batch ----------------------
 
 type fieldRetainer struct{ last []float32 }
@@ -61,6 +73,22 @@ func (m *cacheLeaker) Predict(b *data.Batch) []float32 {
 	return nil
 }
 
+type rowsLeaker struct{ cache vecCache }
+
+func (m *rowsLeaker) Predict(b *data.Batch) []float32 {
+	m.cache.PutRows(nil, rows{Base: b.Dense, Stride: 1, Width: 1}) // want `the batch is stored in a cache without a copy`
+	m.cache.PutRows(nil, rows{b.Dense[2:], 1, 1})                  // want `the batch is stored in a cache without a copy`
+	return nil
+}
+
+type fillLeaker struct{ cache vecCache }
+
+func (m *fillLeaker) Predict(b *data.Batch) []float32 {
+	d := b.Dense
+	m.cache.FillRows(nil, &filler{out: d}) // want `the batch is stored in a cache without a copy`
+	return nil
+}
+
 type formerMarkerRetainer struct{ last []float32 }
 
 func (m *formerMarkerRetainer) Predict(b *data.Batch) []float32 {
@@ -76,6 +104,16 @@ func (m *copyOut) Predict(b *data.Batch) []float32 {
 	out := make([]float32, len(b.Dense))
 	copy(out, b.Dense)
 	m.last = out // fresh storage: the call boundary stops the taint
+	return out
+}
+
+type rowsCopyOut struct{ cache vecCache }
+
+func (m *rowsCopyOut) Predict(b *data.Batch) []float32 {
+	out := make([]float32, len(b.Dense))
+	copy(out, b.Dense)
+	m.cache.PutRows(nil, rows{Base: out, Stride: 1, Width: 1})
+	m.cache.FillRows(nil, &filler{out: out})
 	return out
 }
 

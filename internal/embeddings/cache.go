@@ -2,6 +2,7 @@ package embeddings
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -244,14 +245,22 @@ func NsKey(ns int, key uint64) uint64 {
 // are split over independently locked shards (one lruCore each) so
 // concurrent serving workers do not serialize on one mutex.
 //
+// The serving path reaches it a batch at a time: GetRows reads rows,
+// FillRows reads or computes and caches them, PutRows writes them. Each
+// call sorts its keys by shard, keeping their call order within a shard,
+// and takes each shard's lock once, so a shard sees exactly the operations
+// the same keys made one call at a time would make, in the same order.
+// GetVec and PutVec are those one-key operations.
+//
 // Keyed owns its values. Each shard keeps them in one []float32 slab, entry
-// i's vector at i·stride with its own length beside it: PutVec copies in and
-// GetInto copies out, both under the shard's lock, so callers keep their
+// i's vector at i·stride with its own length beside it: writes copy in and
+// reads copy out, both under the shard's lock, so callers keep their
 // buffers and an insert that evicts overwrites the victim's row in place,
 // allocating nothing. The slab grows with the live entries (see reserve),
 // never past the shard's capacity, and a vector longer than the stride
-// widens every row once. A nil *Keyed (capacity <= 0) disables
-// caching: lookups miss, PutVec is a no-op, Stats and Len are zero.
+// widens every row once. A nil *Keyed (capacity <= 0) disables caching:
+// lookups miss, writes are no-ops, FillRows computes every row, Stats and
+// Len are zero.
 type Keyed struct {
 	shards []*lruShard
 	mask   uint64
@@ -281,10 +290,13 @@ func NewKeyed(capacity, shards int) *Keyed {
 	return k
 }
 
+// shardOf is the index of the shard holding the namespaced key.
+func (k *Keyed) shardOf(key uint64) int { return int(mix64(key) & k.mask) }
+
 // shard returns the shard holding (ns, key) and the namespaced key.
 func (k *Keyed) shard(ns int, key uint64) (*lruShard, uint64) {
 	key = NsKey(ns, key)
-	return k.shards[mix64(key)&k.mask], key
+	return k.shards[k.shardOf(key)], key
 }
 
 // vec is entry i's vector, a view of the slab.
@@ -294,28 +306,177 @@ func (sh *lruShard) vec(i int32) []float32 {
 	return sh.slab[lo:hi:hi]
 }
 
-// GetInto copies the vector cached under (ns, key) into dst, as copy does,
-// and marks it most recently used. It reports whether the key was cached;
-// on a miss dst is untouched.
-func (k *Keyed) GetInto(ns int, key uint64, dst []float32) bool {
-	if k == nil {
-		return false
+// store copies v into entry i's row, appending i's length cell if i is a
+// new entry one past the last.
+func (sh *lruShard) store(i int32, v []float32) {
+	if int(i) == len(sh.lens) {
+		sh.lens = append(sh.lens, 0)
 	}
-	sh, key := k.shard(ns, key)
+	sh.reserve(len(v), int(i)+1)
+	sh.lens[i] = int32(len(v))
+	copy(sh.slab[int(i)*sh.stride:], v)
+}
+
+// KeyBatch is the keys of one batch call on a Keyed, in call order, with
+// the memory the call sorts them by shard in. Keys are namespaced (NsKey):
+// Add namespaces one, and keys already namespaced may be appended to Keys
+// directly. A caller keeps one per call site and refills it, so a steady
+// stream of calls allocates nothing; it serves one call at a time.
+type KeyBatch struct {
+	Keys  []uint64
+	order []int32 // positions in Keys, grouped by shard, in call order within each
+	ends  []int32 // shard s's positions are order[ends[s-1]:ends[s]] (from 0 for shard 0)
+}
+
+// Reset empties the batch, keeping its memory.
+func (kb *KeyBatch) Reset() { kb.Keys = kb.Keys[:0] }
+
+// Add appends key under namespace ns.
+func (kb *KeyBatch) Add(ns int, key uint64) { kb.Keys = append(kb.Keys, NsKey(ns, key)) }
+
+// Rows is a strided view of vectors, the caller's memory a batch call reads
+// or writes: vector i is Base[i·Stride:][:Width].
+type Rows struct {
+	Base          []float32
+	Stride, Width int
+}
+
+// Row is vector i.
+func (r Rows) Row(i int) []float32 {
+	lo := i * r.Stride
+	return r.Base[lo : lo+r.Width : lo+r.Width]
+}
+
+// A RowFiller places and computes the vectors of a FillRows call.
+type RowFiller interface {
+	// Row is where vector i goes.
+	Row(i int) []float32
+	// Fill computes the missed vector i into dst, which is Row(i).
+	Fill(i int, dst []float32)
+}
+
+// byShard groups kb's positions by shard, each group in call order (see
+// group). A counting sort, O(keys + shards).
+func (k *Keyed) byShard(kb *KeyBatch) {
+	kb.ends = slices.Grow(kb.ends[:0], len(k.shards))[:len(k.shards)]
+	clear(kb.ends)
+	for _, key := range kb.Keys {
+		kb.ends[k.shardOf(key)]++
+	}
+	var sum int32
+	for s, n := range kb.ends {
+		kb.ends[s] = sum // shard s's start, advanced to its end below
+		sum += n
+	}
+	kb.order = slices.Grow(kb.order[:0], len(kb.Keys))[:len(kb.Keys)]
+	for i, key := range kb.Keys {
+		s := k.shardOf(key)
+		kb.order[kb.ends[s]] = int32(i)
+		kb.ends[s]++
+	}
+}
+
+// group is shard s's positions in Keys, in call order, after byShard.
+func (kb *KeyBatch) group(s int) []int32 {
+	var lo int32
+	if s > 0 {
+		lo = kb.ends[s-1]
+	}
+	return kb.order[lo:kb.ends[s]]
+}
+
+// GetRows copies the vector cached under each key i into dst.Row(i), as
+// copy does, marks it most recently used and sets hit[i]; a missed key
+// clears hit[i] and leaves its row alone. hit holds at least one flag per
+// key.
+func (k *Keyed) GetRows(kb *KeyBatch, dst Rows, hit []bool) {
+	if k == nil {
+		clear(hit[:len(kb.Keys)])
+		return
+	}
+	k.byShard(kb)
+	for s, sh := range k.shards {
+		if at := kb.group(s); len(at) > 0 {
+			sh.getRows(kb.Keys, at, dst, hit)
+		}
+	}
+}
+
+func (sh *lruShard) getRows(keys []uint64, at []int32, dst Rows, hit []bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	i, ok := sh.get(key)
-	if ok {
-		copy(dst, sh.vec(i))
+	for _, i := range at {
+		e, ok := sh.get(keys[i])
+		if ok {
+			copy(dst.Row(int(i)), sh.vec(e))
+		}
+		hit[i] = ok
 	}
-	return ok
+}
+
+// FillRows puts each key i's vector into f.Row(i): the cached copy on a
+// hit; on a miss, what f.Fill computes there, which is cached at once, so
+// a later key of the call hits it. Each row is what GetVec and, on a
+// miss, the fill and a PutVec would leave, and each shard's lock is held
+// across its keys' fills.
+func (k *Keyed) FillRows(kb *KeyBatch, f RowFiller) {
+	if k == nil {
+		for i := range kb.Keys {
+			f.Fill(i, f.Row(i))
+		}
+		return
+	}
+	k.byShard(kb)
+	for s, sh := range k.shards {
+		if at := kb.group(s); len(at) > 0 {
+			sh.fillRows(kb.Keys, at, f)
+		}
+	}
+}
+
+func (sh *lruShard) fillRows(keys []uint64, at []int32, f RowFiller) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, i := range at {
+		dst := f.Row(int(i))
+		e, ok := sh.getOrInsert(keys[i])
+		if ok {
+			copy(dst, sh.vec(e))
+			continue
+		}
+		f.Fill(int(i), dst)
+		sh.store(e, dst)
+	}
+}
+
+// PutRows caches a copy of src.Row(i) under each key i, evicting the
+// shard's least recently used entry when full. The caller may reuse src at
+// once.
+func (k *Keyed) PutRows(kb *KeyBatch, src Rows) {
+	if k == nil {
+		return
+	}
+	k.byShard(kb)
+	for s, sh := range k.shards {
+		if at := kb.group(s); len(at) > 0 {
+			sh.putRows(kb.Keys, at, src)
+		}
+	}
+}
+
+func (sh *lruShard) putRows(keys []uint64, at []int32, src Rows) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, i := range at {
+		sh.store(sh.slot(keys[i]), src.Row(int(i)))
+	}
 }
 
 // GetVec returns the vector cached under (ns, key), marking it most recently
 // used. The result is a view of the cache's storage, valid only until the
-// next PutVec on this cache (which may overwrite or move it) and never to be
+// next write to this cache (which may overwrite or move it) and never to be
 // written: it suits a single goroutine that checks presence or reads the
-// value at once. Concurrent readers use GetInto.
+// value at once. Concurrent readers use GetRows.
 func (k *Keyed) GetVec(ns int, key uint64) ([]float32, bool) {
 	if k == nil {
 		return nil, false
@@ -338,13 +499,7 @@ func (k *Keyed) PutVec(ns int, key uint64, v []float32) {
 	sh, key := k.shard(ns, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	i := sh.slot(key)
-	if int(i) == len(sh.lens) {
-		sh.lens = append(sh.lens, 0)
-	}
-	sh.reserve(len(v), int(i)+1)
-	sh.lens[i] = int32(len(v))
-	copy(sh.slab[int(i)*sh.stride:], v)
+	sh.store(sh.slot(key), v)
 }
 
 // slabDoubling is the slab size, in float32s, below which a slab doubles

@@ -62,20 +62,30 @@ func BenchmarkHotpathRowCache(b *testing.B) {
 }
 
 // BenchmarkHotpathKeyed times Keyed at the serving tower cache's geometry
-// (16 384 entries over 8 shards, 16-float vectors): GetVec hits (a view)
-// and GetInto hits (a copy, what Predict does) over a half-full cache's
-// keys, and PutVecs of new keys into a full cache, each of which evicts.
+// (16 384 entries over 8 shards; a row of D·(C·F+P) = 128 floats, the
+// serving DMT-DLRM's tower output): GetVec hits (a view) over a half-full
+// cache's keys and PutVecs of new keys into a full cache, each of which
+// evicts, one key a call; then what Predict does, a batch of 32 keys a
+// call: GetRows hits (copies out) and PutRows of new keys (copies in, every
+// one evicting). The batch cases report ns per row beside ns per call.
 func BenchmarkHotpathKeyed(b *testing.B) {
 	const (
 		entries = 1 << 14
-		towers  = 4
+		towers  = 8
+		width   = 128
+		batch   = 32
 	)
 	fill := func(n int) *Keyed {
 		c := NewKeyed(entries, 8)
+		v := make([]float32, width)
 		for k := 0; k < n; k++ {
-			c.PutVec(k%towers, uint64(k), make([]float32, 16))
+			c.PutVec(k%towers, uint64(k), v)
 		}
 		return c
+	}
+	rows := Rows{Base: make([]float32, batch*width), Stride: width, Width: width}
+	perRow := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/row")
 	}
 	b.Run("get-hit", func(b *testing.B) {
 		c := fill(entries / 2) // no shard overflows, so every key stays
@@ -88,27 +98,51 @@ func BenchmarkHotpathKeyed(b *testing.B) {
 			}
 		}
 	})
-	b.Run("get-into-hit", func(b *testing.B) {
-		c := fill(entries / 2)
-		dst := make([]float32, 16)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k := i % (entries / 2)
-			if !c.GetInto(k%towers, uint64(k), dst) {
-				b.Fatalf("key %d missed", k)
-			}
-		}
-	})
 	b.Run("put-evict", func(b *testing.B) {
 		c := fill(2 * entries)
-		v := make([]float32, 16)
+		v := make([]float32, width)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := 2*entries + i
 			c.PutVec(k%towers, uint64(k), v)
 		}
+	})
+	b.Run("rows-hit-32", func(b *testing.B) {
+		c := fill(entries / 2)
+		var kb KeyBatch
+		hit := make([]bool, batch)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			kb.Reset()
+			for j := range batch {
+				k := (i*batch + j) % (entries / 2)
+				kb.Add(k%towers, uint64(k))
+			}
+			c.GetRows(&kb, rows, hit)
+		}
+		b.StopTimer()
+		if !hit[0] || !hit[batch-1] {
+			b.Fatal("a resident key missed")
+		}
+		perRow(b)
+	})
+	b.Run("rows-put-evict-32", func(b *testing.B) {
+		c := fill(2 * entries)
+		var kb KeyBatch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			kb.Reset()
+			for j := range batch {
+				k := 2*entries + i*batch + j
+				kb.Add(k%towers, uint64(k))
+			}
+			c.PutRows(&kb, rows)
+		}
+		b.StopTimer()
+		perRow(b)
 	})
 }
 

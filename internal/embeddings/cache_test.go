@@ -2,6 +2,7 @@ package embeddings
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -10,6 +11,15 @@ import (
 
 // The Keyed tests use namespace 0 throughout.
 func put(c *Keyed, key uint64, v float32) { c.PutVec(0, key, []float32{v}) }
+
+// getInto reads (ns, key) into dst through a GetRows batch of one.
+func getInto(c *Keyed, ns int, key uint64, dst []float32) bool {
+	var kb KeyBatch
+	kb.Add(ns, key)
+	hit := []bool{false}
+	c.GetRows(&kb, Rows{Base: dst, Stride: len(dst), Width: len(dst)}, hit)
+	return hit[0]
+}
 
 func TestLRUHitMissAccounting(t *testing.T) {
 	c := NewKeyed(8, 1)
@@ -359,8 +369,8 @@ func FuzzLRUCore(f *testing.F) {
 }
 
 // TestKeyedAllocs pins the steady-state paths at zero allocations: a hit
-// (GetVec's view and GetInto's copy), a refresh, and an insert that evicts
-// from a full cache.
+// (GetVec's view and a batch of GetRows copies), a refresh, an insert that
+// evicts from a full cache, and batches of FillRows and PutRows that evict.
 func TestKeyedAllocs(t *testing.T) {
 	c := NewKeyed(64, 4)
 	val := []float32{1, 2, 3}
@@ -371,9 +381,14 @@ func TestKeyedAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { c.GetVec(0, hot) }); n != 0 {
 		t.Errorf("GetVec hit allocates %v times", n)
 	}
-	dst := make([]float32, len(val))
-	if n := testing.AllocsPerRun(100, func() { c.GetInto(0, hot, dst) }); n != 0 {
-		t.Errorf("GetInto hit allocates %v times", n)
+	var kb KeyBatch
+	for k := uint64(990); k < 1000; k++ {
+		kb.Add(0, k)
+	}
+	rows := Rows{Base: make([]float32, 4*len(kb.Keys)), Stride: 4, Width: len(val)}
+	hit := make([]bool, len(kb.Keys))
+	if n := testing.AllocsPerRun(100, func() { c.GetRows(&kb, rows, hit) }); n != 0 {
+		t.Errorf("GetRows of %d hits allocates %v times", len(kb.Keys), n)
 	}
 	if n := testing.AllocsPerRun(100, func() { c.PutVec(0, hot, val) }); n != 0 {
 		t.Errorf("PutVec refresh allocates %v times", n)
@@ -385,6 +400,32 @@ func TestKeyedAllocs(t *testing.T) {
 	}
 	if got := c.Stats().Evictions - before; got != 1001 {
 		t.Fatalf("%d evictions over 1001 inserts into a full cache", got)
+	}
+	fresh := func() {
+		kb.Reset()
+		for range 10 {
+			kb.Add(0, next)
+			next++
+		}
+	}
+	fill := &constFiller{rows: rows}
+	if n := testing.AllocsPerRun(100, func() { fresh(); c.FillRows(&kb, fill) }); n != 0 {
+		t.Errorf("FillRows of 10 evicting misses allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { fresh(); c.PutRows(&kb, rows) }); n != 0 {
+		t.Errorf("PutRows of 10 evicting inserts allocates %v times", n)
+	}
+}
+
+// constFiller is a RowFiller over a Rows view that fills a missed vector
+// with its position.
+type constFiller struct{ rows Rows }
+
+func (f *constFiller) Row(i int) []float32 { return f.rows.Row(i) }
+
+func (f *constFiller) Fill(i int, dst []float32) {
+	for d := range dst {
+		dst[d] = float32(i)
 	}
 }
 
@@ -461,6 +502,183 @@ func TestLRUSetMatchesKeyed(t *testing.T) {
 	}
 }
 
+// rowsTwin drives one Keyed through batch calls and a twin of the same
+// geometry through the one-key calls each batch call stands for — a read is
+// GetVec per key, a fill is GetVec and, on a miss, the fill and PutVec, a
+// write is PutVec per key, in call order — and checks after every call
+// that the two answered alike (the same hits, the same rows, bit for bit)
+// and count alike, and at the end that every shard holds the same keys and
+// vectors in the same recency order, so later evictions agree too.
+type rowsTwin struct {
+	t           *testing.T
+	batch, twin *Keyed
+	kb          KeyBatch
+	ns          []int
+	keys        []uint64
+	call        int
+}
+
+func newRowsTwin(t *testing.T, capacity, shards int) *rowsTwin {
+	return &rowsTwin{t: t, batch: NewKeyed(capacity, shards), twin: NewKeyed(capacity, shards)}
+}
+
+// value is vector element d of row i of the current call, distinct across
+// calls and rows; fills negate it.
+func (w *rowsTwin) value(i, d int) float32 { return float32(w.call*1000 + i*10 + d + 1) }
+
+// rowsFiller fills a missed row with the call's negated values.
+type rowsFiller struct {
+	w    *rowsTwin
+	rows Rows
+}
+
+func (f *rowsFiller) Row(i int) []float32 { return f.rows.Row(i) }
+
+func (f *rowsFiller) Fill(i int, dst []float32) {
+	for d := range dst {
+		dst[d] = -f.w.value(i, d)
+	}
+}
+
+// do runs one call over (w.ns[i], w.keys[i]): kind 0 reads, 1 fills, 2
+// writes, width-float rows, stride width+1.
+func (w *rowsTwin) do(kind, width int) {
+	n := len(w.keys)
+	w.kb.Reset()
+	for i := range n {
+		w.kb.Add(w.ns[i], w.keys[i])
+	}
+	stride := width + 1
+	got := Rows{Base: make([]float32, n*stride), Stride: stride, Width: width}
+	want := Rows{Base: make([]float32, n*stride), Stride: stride, Width: width}
+	gotHit, wantHit := make([]bool, n), make([]bool, n)
+	switch kind {
+	case 0:
+		w.batch.GetRows(&w.kb, got, gotHit)
+		for i := range n {
+			v, ok := w.twin.GetVec(w.ns[i], w.keys[i])
+			copy(want.Row(i), v)
+			wantHit[i] = ok
+		}
+	case 1:
+		w.batch.FillRows(&w.kb, &rowsFiller{w, got})
+		f := &rowsFiller{w, want}
+		for i := range n {
+			if v, ok := w.twin.GetVec(w.ns[i], w.keys[i]); ok {
+				copy(want.Row(i), v)
+				continue
+			}
+			f.Fill(i, want.Row(i))
+			w.twin.PutVec(w.ns[i], w.keys[i], want.Row(i))
+		}
+	default:
+		for i := range n {
+			for d := range width {
+				got.Row(i)[d] = w.value(i, d)
+			}
+		}
+		copy(want.Base, got.Base)
+		w.batch.PutRows(&w.kb, got)
+		for i := range n {
+			w.twin.PutVec(w.ns[i], w.keys[i], want.Row(i))
+		}
+	}
+	if !slices.Equal(gotHit, wantHit) || !slices.Equal(bitsOf(got.Base), bitsOf(want.Base)) {
+		w.t.Fatalf("call %d (kind %d) over %v/%v: hits %v rows %v, one key at a time %v %v",
+			w.call, kind, w.ns, w.keys, gotHit, got.Base, wantHit, want.Base)
+	}
+	if g, t := w.batch.Stats(), w.twin.Stats(); g != t {
+		w.t.Fatalf("call %d (kind %d): stats %+v, one key at a time %+v", w.call, kind, g, t)
+	}
+	w.call++
+}
+
+// checkState walks every shard's ring from most to least recent on both.
+func (w *rowsTwin) checkState() {
+	for s, sh := range w.batch.shards {
+		tw := w.twin.shards[s]
+		i, j := sh.ents[0].next, tw.ents[0].next
+		for i != 0 && j != 0 {
+			if sh.ents[i].key != tw.ents[j].key || !slices.Equal(bitsOf(sh.vec(i)), bitsOf(tw.vec(j))) {
+				w.t.Fatalf("shard %d: entry (%d, %v), one key at a time (%d, %v)", s, sh.ents[i].key, sh.vec(i), tw.ents[j].key, tw.vec(j))
+			}
+			i, j = sh.ents[i].next, tw.ents[j].next
+		}
+		if i != j {
+			w.t.Fatalf("shard %d holds %d entries, one key at a time %d", s, sh.len(), tw.len())
+		}
+	}
+}
+
+func bitsOf(v []float32) []uint32 {
+	out := make([]uint32, len(v))
+	for i, x := range v {
+		out[i] = math.Float32bits(x)
+	}
+	return out
+}
+
+// keyedRowsGeometries are the shard counts FuzzKeyedRows and
+// TestKeyedRowsMatchOneKeyAtATime cover (3 rounds up to 4).
+var keyedRowsGeometries = []int{1, 3, 8}
+
+// runKeyedRows decodes a call stream: the first byte picks the capacity
+// (1–16) and the shard count; each call is a header byte — the kind
+// (read, fill, write) in its top two bits, the row width (1–4) in the next
+// two, the batch length (1–8) in the low three, clipped to the bytes left
+// — and one byte per key, a namespace (0–3) in its top two bits and a key
+// (0–15) in its low four, so a call often repeats a key.
+func runKeyedRows(t *testing.T, stream []byte) {
+	capacity := int(stream[0]&15) + 1
+	w := newRowsTwin(t, capacity, keyedRowsGeometries[int(stream[0]>>4)%len(keyedRowsGeometries)])
+	for ops := stream[1:]; len(ops) > 1; {
+		head := ops[0]
+		n := min(int(head&7)+1, len(ops)-1)
+		w.ns, w.keys = w.ns[:0], w.keys[:0]
+		for _, k := range ops[1 : 1+n] {
+			w.ns = append(w.ns, int(k>>6))
+			w.keys = append(w.keys, uint64(k&15))
+		}
+		ops = ops[1+n:]
+		w.do(int(head>>6)%3, int(head>>3&3)+1)
+	}
+	w.checkState()
+}
+
+// TestKeyedRowsMatchOneKeyAtATime runs long seeded call streams through
+// runKeyedRows at every fuzzed geometry and capacities 1, 5 and 16.
+func TestKeyedRowsMatchOneKeyAtATime(t *testing.T) {
+	for g := range keyedRowsGeometries {
+		for _, capacity := range []int{1, 5, 16} {
+			rng := tensor.NewRNG(uint64(10*g + capacity))
+			stream := []byte{byte(g<<4 | (capacity - 1))}
+			for range 4000 {
+				stream = append(stream, byte(rng.Intn(256)))
+			}
+			runKeyedRows(t, stream)
+		}
+	}
+}
+
+// FuzzKeyedRows drives random batched reads, fills and writes on one Keyed
+// and the one-key calls they stand for on a twin (see runKeyedRows and
+// rowsTwin): hits, rows, counters, contents and recency order must match.
+func FuzzKeyedRows(f *testing.F) {
+	const maxBytes = 256
+	f.Add([]byte{0x03, 0x07, 1, 2, 3, 1, 2, 3, 1, 2, 0x47, 1, 2, 3, 4, 5, 6, 7, 8, 0x87, 9, 1, 9, 1, 0x41, 0x41})
+	f.Add([]byte{0x10, 0x45, 0x01, 0x41, 0x81, 0xc1, 0x01, 0x02, 0x05, 0x01, 0x41, 0x81, 0xc1, 0x01, 0x02})
+	f.Add([]byte{0x2f, 0x9f, 0, 1, 2, 3, 4, 5, 6, 7, 0x1f, 8, 9, 10, 11, 12, 13, 14, 15, 0x5f, 0, 1, 2, 3, 4, 5, 6, 7})
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		if len(stream) == 0 {
+			return
+		}
+		if len(stream) > maxBytes {
+			t.Skip() // longer streams add nothing the cache can see, only run time
+		}
+		runKeyedRows(t, stream)
+	})
+}
+
 // filled returns a vector of n copies of v.
 func filled(n int, v float32) []float32 {
 	out := make([]float32, n)
@@ -472,7 +690,7 @@ func filled(n int, v float32) []float32 {
 
 // TestKeyedMixedLengths stores vectors of lengths 1, 16 and 128 in one
 // shard, so the slab's stride widens with live rows in it, and reads every
-// one back exactly through GetInto and GetVec.
+// one back exactly through GetRows and GetVec.
 func TestKeyedMixedLengths(t *testing.T) {
 	c := NewKeyed(16, 1)
 	want := map[uint64][]float32{}
@@ -490,13 +708,13 @@ func TestKeyedMixedLengths(t *testing.T) {
 			t.Errorf("key %d: GetVec %v %v, want %v", k, got, ok, v)
 		}
 		dst := filled(len(v), -1)
-		if !c.GetInto(0, k, dst) || !slices.Equal(dst, v) {
-			t.Errorf("key %d: GetInto read %v, want %v", k, dst, v)
+		if !getInto(c, 0, k, dst) || !slices.Equal(dst, v) {
+			t.Errorf("key %d: GetRows read %v, want %v", k, dst, v)
 		}
 	}
 	var nilCache *Keyed
-	if dst := filled(2, -1); nilCache.GetInto(0, 1, dst) || !slices.Equal(dst, filled(2, -1)) {
-		t.Error("a nil cache's GetInto hit or wrote dst")
+	if dst := filled(2, -1); getInto(nilCache, 0, 1, dst) || !slices.Equal(dst, filled(2, -1)) {
+		t.Error("a nil cache's GetRows hit or wrote dst")
 	}
 }
 
@@ -508,35 +726,50 @@ func TestKeyedCopiesOnPut(t *testing.T) {
 	c.PutVec(0, 7, v)
 	v[0], v[2] = 9, 9
 	dst := make([]float32, 3)
-	if !c.GetInto(0, 7, dst) || !slices.Equal(dst, []float32{1, 2, 3}) {
+	if !getInto(c, 0, 7, dst) || !slices.Equal(dst, []float32{1, 2, 3}) {
 		t.Fatalf("cached %v after the caller's vector changed, want [1 2 3]", dst)
 	}
 }
 
-// TestKeyedConcurrentRows has 4 goroutines store constant-filled vectors
-// under overlapping keys and read them back into their own buffers while
-// the others evict and overwrite rows: a row read back must be one vector,
-// never a mix of two (run it under -race).
+// TestKeyedConcurrentRows has 4 goroutines write batches of
+// constant-filled vectors under overlapping keys, and read and fill batches
+// of them back into their own buffers, while the others evict and
+// overwrite rows: a row read back must be one vector, never a mix of two
+// (run it under -race).
 func TestKeyedConcurrentRows(t *testing.T) {
-	const dim = 64
+	const dim, batch = 64, 4
 	c := NewKeyed(32, 2)
 	errs := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func() {
-			vec, dst := make([]float32, dim), make([]float32, dim)
-			for i := 0; i < 2000; i++ {
-				key := uint64((i*7 + g) % 48)
-				for j := range vec {
-					vec[j] = float32(1000*g + i)
+			rows := Rows{Base: make([]float32, batch*dim), Stride: dim, Width: dim}
+			fill := &constFiller{rows: rows}
+			hit := make([]bool, batch)
+			var kb KeyBatch
+			for i := 0; i < 500; i++ {
+				kb.Reset()
+				for j := range batch {
+					kb.Add(0, uint64((i*7+g+j)%48))
 				}
-				c.PutVec(0, key, vec)
-				if !c.GetInto(0, uint64((i*5+g)%48), dst) {
-					continue
+				for j := range rows.Base {
+					rows.Base[j] = float32(1000*g + i)
 				}
-				for _, v := range dst {
-					if v != dst[0] {
-						errs <- fmt.Errorf("torn row: %v", dst)
-						return
+				c.PutRows(&kb, rows)
+				kb.Reset()
+				for j := range batch {
+					kb.Add(0, uint64((i*5+g+j)%48))
+				}
+				if i%2 == 0 {
+					c.GetRows(&kb, rows, hit)
+				} else {
+					c.FillRows(&kb, fill)
+				}
+				for j := range batch {
+					for _, v := range rows.Row(j) {
+						if v != rows.Row(j)[0] {
+							errs <- fmt.Errorf("torn row: %v", rows.Row(j))
+							return
+						}
 					}
 				}
 			}

@@ -32,10 +32,14 @@
 // both make the same hit, miss and eviction decisions:
 //
 //   - Keyed, the serving caches: one mutex per core, because serve workers
-//     really do call GetInto and PutVec concurrently. It owns its vectors —
-//     one slab per core, entry i's at i·stride, grown with the live
-//     entries — and copies in and out under the core's lock, so an
-//     evicting insert overwrites a row in place and allocates nothing.
+//     really do read and write them concurrently. They reach it a batch at
+//     a time (GetRows, FillRows, PutRows): a call sorts its keys by core
+//     and takes each core's lock once, not once per row, keeping the keys'
+//     call order within a core, so every core sees the operations a row
+//     at a time would make. It owns its vectors — one slab per core,
+//     entry i's at i·stride, grown with the live entries — and copies in
+//     and out under the core's lock, so an evicting insert overwrites a
+//     row in place and allocates nothing.
 //   - rowLRU, the split over bare cores with no lock of its own, and its
 //     two faces. CachedStore, the training-side write-back row cache, owns
 //     its rows — one contiguous array per core, entry i's row at i·dim,

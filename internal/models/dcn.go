@@ -55,8 +55,8 @@ func (m *DCN) Forward(b *data.Batch) *tensor.Tensor {
 
 // forward is the one forward body, behind Forward and Predict: (B, 1)
 // logits, pooled lookups going through opt's cache when there is one.
-func (m *DCN) forward(t *nn.Tape, _ *predictScratch, b *data.Batch, opt PredictOptions) *tensor.Tensor {
-	sparse := lookupPooled(t, m.Embs, b, opt.Embeddings) // (B, F, N)
+func (m *DCN) forward(t *nn.Tape, sc *predictScratch, b *data.Batch, opt PredictOptions) *tensor.Tensor {
+	sparse := lookupPooled(t, sc, m.Embs, b, opt.Embeddings) // (B, F, N)
 	x0 := t.Concat(1, b.Dense, t.Reshape(sparse, b.Size, -1))
 	return m.Deep.Forward(t, m.Cross.Forward(t, x0))
 }

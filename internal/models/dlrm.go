@@ -82,8 +82,8 @@ func (m *DLRM) Forward(b *data.Batch) *tensor.Tensor {
 
 // forward is the one forward body, behind Forward and Predict: (B, 1)
 // logits, pooled lookups going through opt's cache when there is one.
-func (m *DLRM) forward(t *nn.Tape, _ *predictScratch, b *data.Batch, opt PredictOptions) *tensor.Tensor {
-	sparse := lookupPooled(t, m.Embs, b, opt.Embeddings) // (B, F, N)
+func (m *DLRM) forward(t *nn.Tape, sc *predictScratch, b *data.Batch, opt PredictOptions) *tensor.Tensor {
+	sparse := lookupPooled(t, sc, m.Embs, b, opt.Embeddings) // (B, F, N)
 	// Simulated quantized embedding AlltoAll: the dense network sees the
 	// rounded values, the backward pass is straight-through.
 	sparse = quant.Apply(m.cfg.EmbCommQuant, sparse)

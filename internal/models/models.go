@@ -76,17 +76,13 @@ func shareEmbeddings(r *tensor.RNG, schema data.Schema, n int, embs []*nn.Embedd
 }
 
 // lookupPooled pools every feature's bags for a batch into (B, F, N) from
-// t's arena, through the cache when there is one, and records each table's
-// lookup on t.
-func lookupPooled(t *nn.Tape, embs []*nn.EmbeddingBag, b *data.Batch, cache VecCache) *tensor.Tensor {
-	f := len(embs)
-	n := embs[0].Dim
-	out := t.New(b.Size, f, n)
+// t's arena, feature by feature, through the cache when there is one (sc
+// is Predict's scratch, nil for training, which passes no cache), and
+// records each table's lookup on t.
+func lookupPooled(t *nn.Tape, sc *predictScratch, embs []*nn.EmbeddingBag, b *data.Batch, cache VecCache) *tensor.Tensor {
+	out := t.New(b.Size, len(embs), embs[0].Dim)
+	poolBags(sc, bagRows{embs: embs, b: b, rows: b.Size, byFeature: true, out: out.Data()}, cache)
 	for fi, e := range embs {
-		for s := 0; s < b.Size; s++ {
-			dst := out.Data()[(s*f+fi)*n : (s*f+fi+1)*n]
-			pooledBagInto(dst, e, fi, bagOf(b, fi, s), cache)
-		}
 		e.Record(t, b.Indices[fi], b.Offsets[fi])
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"dmt/internal/data"
+	"dmt/internal/embeddings"
 	"dmt/internal/nn"
 	"dmt/internal/tensor"
 	"dmt/internal/towers"
@@ -25,23 +26,31 @@ import (
 //     DLRM/DCN interaction mixes all features and caches nothing above the
 //     per-bag level.
 //
-// The caches copy in and out (VecCache), so Predict hands them its own
-// rows and reads hits straight into place. Everything else a Predict call
-// computes — activations, the tower input, the miss sub-batch, the
-// per-sample dedupe tables — lives in a predictScratch taken from a package
-// pool and returned before Predict returns, so a steady stream of batches
-// reuses the same memory. Only the returned logits are freshly allocated.
-// Training passes no caches: a recording tape needs every lookup and tower
-// forward to run.
+// The caches copy in and out (VecCache) a batch at a time, so Predict
+// hands them its own rows and reads hits straight into place, and each
+// call takes a cache shard's lock once. Everything else a Predict call
+// computes — activations, the tower input, the miss sub-batch, the keys
+// and the per-sample dedupe tables — lives in a predictScratch taken from
+// a package pool and returned before Predict returns, so a steady stream
+// of batches reuses the same memory. Only the returned logits are freshly
+// allocated. Training passes no caches: a recording tape needs every
+// lookup and tower forward to run.
 
-// VecCache memoizes float32 vectors under a (namespace, key) pair — the one
-// shape both serving caches share (namespace = table index for pooled bags,
-// tower index for tower outputs). embeddings.Keyed satisfies it. The cache
-// owns its copies: GetInto copies a hit into dst (leaving dst alone on a
-// miss) and PutVec copies v, so callers pass scratch memory both ways.
+// VecCache memoizes float32 vectors under namespaced keys (embeddings.NsKey
+// of a table index and a bag's hash for pooled bags, of a tower index and
+// the tower's bags' hash for tower outputs) — the one shape both serving
+// caches share. embeddings.Keyed satisfies it. Each call takes a batch of
+// keys, and the cache owns its copies, so callers pass scratch memory both
+// ways:
+//   - GetRows copies each cached key i's vector into dst.Row(i) and sets
+//     hit[i], leaving a missed row alone;
+//   - FillRows puts each key i's vector into f.Row(i): the cached copy, or,
+//     on a miss, what f.Fill computes there, which it caches at once;
+//   - PutRows caches a copy of each src.Row(i) under key i.
 type VecCache interface {
-	GetInto(ns int, key uint64, dst []float32) bool
-	PutVec(ns int, key uint64, v []float32)
+	GetRows(keys *embeddings.KeyBatch, dst embeddings.Rows, hit []bool)
+	FillRows(keys *embeddings.KeyBatch, f embeddings.RowFiller)
+	PutRows(keys *embeddings.KeyBatch, src embeddings.Rows)
 }
 
 // PredictOptions configures a Predict call. The zero value disables all
@@ -67,14 +76,18 @@ type Predictor interface {
 
 // predictScratch is one Predict call's reusable memory, taken from a pool
 // and put back by predict: the non-recording tape whose arena every
-// intermediate tensor comes from, and cachedTowerForward's per-sample
-// tables.
+// intermediate tensor comes from, the cache calls' keys and the bag filler,
+// and cachedTowerForward's per-sample tables.
 type predictScratch struct {
-	tape    nn.Tape
-	slot    []int
-	miss    []int
-	missKey []uint64
-	seen    map[uint64]int
+	tape      nn.Tape
+	towerKeys embeddings.KeyBatch // one tower key per sample
+	missKeys  embeddings.KeyBatch // one per distinct missed tower key
+	bagKeys   embeddings.KeyBatch // one per pooled bag
+	bags      bagRows             // the FillRows in flight
+	hit       []bool
+	slot      []int
+	miss      []int
+	seen      map[uint64]int
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -117,19 +130,86 @@ func bagOf(b *data.Batch, f, s int) []int32 {
 	return b.Indices[f][lo:hi]
 }
 
-// pooledBagInto fills dst (zeroed, length Dim) with the pooled lookup of one
-// bag, going through the cache when present.
-func pooledBagInto(dst []float32, e *nn.EmbeddingBag, table int, bag []int32, cache VecCache) {
+// bagRows is a block of pooled bag lookups laid out as lookupPooled's
+// (B, F, N) output and a tower's (rows, F_t, N) input are: sample row i's
+// k-th feature at out[(i·F+k)·N:]. Its rows are numbered in the order the
+// cache sees them, feature-major (byFeature) or sample-major, and it is the
+// RowFiller of the FillRows that pools them through a cache.
+type bagRows struct {
+	embs      []*nn.EmbeddingBag
+	b         *data.Batch
+	feats     []int // the k-th feature's table; nil: table k
+	samples   []int // the batch sample of row i; nil: sample i
+	rows      int
+	byFeature bool
+	out       []float32
+}
+
+// nfeat is F, the features per sample row.
+func (p *bagRows) nfeat() int {
+	if p.feats == nil {
+		return len(p.embs)
+	}
+	return len(p.feats)
+}
+
+// at maps lookup j to its sample row i, feature position k and table f.
+func (p *bagRows) at(j int) (i, k, f int) {
+	if p.byFeature {
+		i, k = j%p.rows, j/p.rows
+	} else {
+		i, k = j/p.nfeat(), j%p.nfeat()
+	}
+	f = k
+	if p.feats != nil {
+		f = p.feats[k]
+	}
+	return i, k, f
+}
+
+// bag is lookup j's table and bag.
+func (p *bagRows) bag(j int) (int, []int32) {
+	i, _, f := p.at(j)
+	if p.samples != nil {
+		i = p.samples[i]
+	}
+	return f, bagOf(p.b, f, i)
+}
+
+// Row is lookup j's pooled vector, N wide.
+func (p *bagRows) Row(j int) []float32 {
+	i, k, _ := p.at(j)
+	n := p.embs[0].Dim
+	lo := (i*p.nfeat() + k) * n
+	return p.out[lo : lo+n : lo+n]
+}
+
+// Fill pools lookup j into dst (zeroed).
+func (p *bagRows) Fill(j int, dst []float32) {
+	f, bag := p.bag(j)
+	p.embs[f].PoolBagInto(dst, bag)
+}
+
+// poolBags pools every lookup of p into p.out: through cache, one FillRows
+// over p's lookups in order, when there is one, and straight from the
+// tables otherwise.
+func poolBags(sc *predictScratch, p bagRows, cache VecCache) {
+	n := p.rows * p.nfeat()
 	if cache == nil {
-		e.PoolBagInto(dst, bag)
+		for j := range n {
+			p.Fill(j, p.Row(j))
+		}
 		return
 	}
-	key := hashBag(fnvOffset, bag)
-	if cache.GetInto(table, key, dst) {
-		return
+	keys := &sc.bagKeys
+	keys.Reset()
+	for j := range n {
+		f, bag := p.bag(j)
+		keys.Add(f, hashBag(fnvOffset, bag))
 	}
-	e.PoolBagInto(dst, bag)
-	cache.PutVec(table, key, dst)
+	sc.bags = p
+	cache.FillRows(keys, &sc.bags)
+	sc.bags = bagRows{} // the scratch outlives the batch; it must not hold it
 }
 
 // cachedTowerForward computes one tower's derived features via tm into
@@ -137,14 +217,14 @@ func pooledBagInto(dst []float32, e *nn.EmbeddingBag, table int, bag []int32, ca
 // lookups and module on t. With a tower cache it memoizes per-sample output
 // rows keyed on the tower's bag ids: rows are cacheable because tower
 // modules operate per sample on their own feature group only, and misses
-// are gathered into one sub-batch so the module still runs batched. Each
-// tower writing its own column window of one buffer is what Concat of
-// per-tower outputs would build.
+// are gathered into one sub-batch so the module still runs batched. The
+// cache sees one read over the batch, one fill over the misses' bags and
+// one write of the misses' rows. Each tower writing its own column window
+// of one buffer is what Concat of per-tower outputs would build.
 func cachedTowerForward(t *nn.Tape, sc *predictScratch, embs []*nn.EmbeddingBag, tower int, feats []int, b *data.Batch,
 	opt PredictOptions, out *tensor.Tensor, col int, tm towers.Module) {
 
 	outDim := tm.OutDim()
-	row := func(s int) []float32 { return out.Row(s)[col : col+outDim] }
 	// Without a tower cache the module runs on every sample, in order. With
 	// one, miss lists a representative sample per distinct missing key, and
 	// slot[s] is the row of the miss sub-batch that serves sample s, or -1
@@ -152,32 +232,40 @@ func cachedTowerForward(t *nn.Tape, sc *predictScratch, embs []*nn.EmbeddingBag,
 	// under skewed load — share one slot, so each distinct feature-group
 	// value runs the tower module exactly once.
 	var slot, miss []int
-	var missKey []uint64
 	rows := b.Size
 	if opt.Towers != nil {
-		sc.slot = slices.Grow(sc.slot[:0], b.Size)[:b.Size]
-		slot, miss, missKey = sc.slot, sc.miss[:0], sc.missKey[:0]
-		seen := sc.seen
-		clear(seen)
+		keys := &sc.towerKeys
+		keys.Reset()
 		for s := 0; s < b.Size; s++ {
 			h := fnvOffset
 			for _, f := range feats {
 				h = hashBag(h, bagOf(b, f, s))
 			}
-			if opt.Towers.GetInto(tower, h, row(s)) {
+			keys.Add(tower, h)
+		}
+		sc.hit = slices.Grow(sc.hit[:0], b.Size)[:b.Size]
+		opt.Towers.GetRows(keys, embeddings.Rows{Base: out.Data()[col:], Stride: out.Dim(1), Width: outDim}, sc.hit)
+		sc.slot = slices.Grow(sc.slot[:0], b.Size)[:b.Size]
+		slot, miss = sc.slot, sc.miss[:0]
+		missKeys := &sc.missKeys
+		missKeys.Reset()
+		seen := sc.seen
+		clear(seen)
+		for s, key := range keys.Keys {
+			if sc.hit[s] {
 				slot[s] = -1
 				continue
 			}
-			if sl, ok := seen[h]; ok {
+			if sl, ok := seen[key]; ok {
 				slot[s] = sl
 				continue
 			}
-			seen[h] = len(miss)
+			seen[key] = len(miss)
 			slot[s] = len(miss)
 			miss = append(miss, s)
-			missKey = append(missKey, h)
+			missKeys.Keys = append(missKeys.Keys, key)
 		}
-		sc.miss, sc.missKey = miss, missKey
+		sc.miss = miss
 		if len(miss) == 0 {
 			return
 		}
@@ -186,16 +274,7 @@ func cachedTowerForward(t *nn.Tape, sc *predictScratch, embs []*nn.EmbeddingBag,
 	ft := len(feats)
 	n := embs[0].Dim
 	sel := t.New(rows, ft, n)
-	for i := 0; i < rows; i++ {
-		s := i
-		if miss != nil {
-			s = miss[i]
-		}
-		for k, f := range feats {
-			dst := sel.Data()[(i*ft+k)*n : (i*ft+k+1)*n]
-			pooledBagInto(dst, embs[f], f, bagOf(b, f, s), opt.Embeddings)
-		}
-	}
+	poolBags(sc, bagRows{embs: embs, b: b, feats: feats, samples: miss, rows: rows, out: sel.Data()}, opt.Embeddings)
 	for _, f := range feats {
 		embs[f].Record(t, b.Indices[f], b.Offsets[f])
 	}
@@ -206,11 +285,11 @@ func cachedTowerForward(t *nn.Tape, sc *predictScratch, embs []*nn.EmbeddingBag,
 			r = slot[s]
 		}
 		if r >= 0 {
-			copy(row(s), y.Row(r))
+			copy(out.Row(s)[col:col+outDim], y.Row(r))
 		}
 	}
-	for mi, key := range missKey {
-		opt.Towers.PutVec(tower, key, y.Row(mi))
+	if opt.Towers != nil {
+		opt.Towers.PutRows(&sc.missKeys, embeddings.Rows{Base: y.Data(), Stride: outDim, Width: outDim})
 	}
 }
 

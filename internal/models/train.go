@@ -141,5 +141,5 @@ func RepeatedAUC(mk func(seed uint64) Model, gen *data.Generator, cfg TrainConfi
 // tape that records nothing, and returns (B, F, N) per-sample embeddings —
 // the Tower Partitioner's input (§3.3's R tensor).
 func GatherFeatureEmbeddings(m Model, gen *data.Generator, start, samples int) *tensor.Tensor {
-	return lookupPooled(&nn.Tape{}, m.Embeddings(), gen.Batch(start, samples), nil)
+	return lookupPooled(&nn.Tape{}, nil, m.Embeddings(), gen.Batch(start, samples), nil)
 }

@@ -67,8 +67,9 @@ func (b *Batcher[T]) Take() []T {
 }
 
 // Reuse hands back a batch the driver is done with; a later batch forms in
-// its backing array. A driver that never calls it (the Server, whose
-// workers keep batches past the lock) gets a new array for every batch.
+// its backing array. Both drivers hand back every batch they answer (the
+// Server's workers under the mutex its Add, Expire and Take hold); a driver
+// that did not would grow a new array for every batch.
 func (b *Batcher[T]) Reuse(batch []T) {
 	clear(batch)
 	b.spare = append(b.spare, batch[:0])
@@ -92,7 +93,8 @@ func (s *Server) flushExpired(gen uint64) {
 
 // worker executes flushed batches until the work channel closes. Each
 // worker carries its own mergeScratch, so steady-state flushes reuse the
-// batch arena instead of allocating one per forward.
+// batch arena instead of allocating one per forward, and hands each
+// answered batch back to the batcher, so later batches form in its array.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	var scratch mergeScratch
@@ -107,5 +109,8 @@ func (s *Server) worker() {
 		for i := range group {
 			group[i].out <- ld[i]
 		}
+		s.pmu.Lock()
+		s.batch.Reuse(group)
+		s.pmu.Unlock()
 	}
 }

@@ -136,6 +136,36 @@ func TestPredictRejectsWrongShape(t *testing.T) {
 	}
 }
 
+// TestServerAllocsPerRequest pins the Server's steady state, one client at
+// batch 1, to the allocations of the model's own Predict: the reply
+// channel comes from a pool, the batch forms in an array a worker handed
+// back, and the worker merges into its own scratch. testing.AllocsPerRun
+// runs at GOMAXPROCS 1, where the worker hands its batch back before the
+// client it answered runs again, so the count is exact. Under -race,
+// sync.Pool drops a share of the reply channels put back, so it skips.
+func TestServerAllocsPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops reply channels at random under -race")
+	}
+	m := newStub()
+	srv := NewServer(m, Config{MaxBatch: 1, Workers: 1})
+	defer srv.Close()
+	sm := stubSample(1, 7)
+	predict := func() {
+		if _, err := srv.Predict(sm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	predict() // the first batch array, the merge scratch and a reply channel
+	predict() // the second array: the first was handed back after the first Take
+	var sc mergeScratch
+	b := sc.merge([]request{{sample: sm}}, m.schema)
+	want := testing.AllocsPerRun(100, func() { m.Predict(b, models.PredictOptions{}) })
+	if got := testing.AllocsPerRun(100, predict); got != want {
+		t.Fatalf("%v allocations per request, want %v (the model's Predict alone)", got, want)
+	}
+}
+
 // TestMergeScratchAllocs pins the per-worker batch arena: once a flush has
 // grown the scratch to its high-water mark, re-merging a same-shaped group
 // allocates nothing — the worker's steady state is zero allocations per

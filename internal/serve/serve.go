@@ -110,7 +110,8 @@ type Server struct {
 	mu     sync.RWMutex
 	closed bool
 
-	// pmu guards the forming batch and ptimer, the last MaxWait timer armed.
+	// pmu guards the batcher — the forming batch and the answered ones
+	// handed back for reuse — and ptimer, the last MaxWait timer armed.
 	pmu    sync.Mutex
 	batch  *Batcher[request]
 	ptimer *time.Timer
@@ -206,7 +207,9 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	group := s.batch.Take() // every other use of the batch holds the read lock
+	s.pmu.Lock()
+	group := s.batch.Take()
+	s.pmu.Unlock()
 	s.mu.Unlock()
 	// No sender can be in flight past this point (all hold the read lock
 	// and re-check closed), so the remainder flush and close are safe.
