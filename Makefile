@@ -12,13 +12,13 @@ test:
 	$(GO) test ./...
 
 # The packages whose ranks hand work to one another (comm's mailboxes, the
-# embedding tier's server turns, the SPTT and trainer rank goroutines) on a
-# single P: a deadlock that extra cores would mask, by letting a blocked
+# embedding tier's server turns, the SPTT and trainer rank goroutines, the
+# serving clients, workers and MaxWait timers) on a single P: a deadlock that extra cores would mask, by letting a blocked
 # goroutine's peer run elsewhere, shows here as a hang or a failure.
 # -count=1: the runtime reads GOMAXPROCS, which the test cache does not key
 # on, so a cached multi-core pass would otherwise stand in for this run.
 test-1proc:
-	GOMAXPROCS=1 $(GO) test -count=1 ./internal/comm ./internal/embeddings ./internal/sptt ./internal/distributed
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/comm ./internal/embeddings ./internal/sptt ./internal/distributed ./internal/serve
 
 race:
 	$(GO) test -race -timeout 30m ./...
@@ -98,9 +98,11 @@ bench-smoke:
 # one key a call and batch-32 GetRows/PutRows as Predict makes them, and the cluster
 # simulator's LRUSet hits and evicting inserts (BenchmarkHotpathLRUSet) —
 # and the serving DMT-DLRM's Predict at batch 32 on cold keys through
-# Keyed caches.
+# Keyed caches — and the server's own request path, over a stub model,
+# at 1, 8 and 32 closed-loop clients (BenchmarkServerPath).
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '^BenchmarkHotpath' -benchmem -timeout 20m ./internal/tensor ./internal/quant ./internal/embeddings ./internal/models
+	$(GO) test -run '^$$' -bench '^BenchmarkServerPath$$' -benchmem -timeout 20m ./internal/serve
 
 # The one gate nothing else expresses: the vector entry point vs the scalar
 # row routine, both on the calling goroutine — MatMul and MatMulBT must be
@@ -131,8 +133,9 @@ fp16-exhaustive:
 # payload, the pooling backward against its map-based oracle (over tables
 # small and large enough for both of its row orders), the LRU core against
 # its reference model, Keyed's batch calls (GetRows, FillRows, PutRows)
-# against the one-key calls they stand for on a twin cache, and the
-# micro-batcher against its flush rule (go test allows one -fuzz target per
+# against the one-key calls they stand for on a twin cache, CachedStore's
+# Lookup and Update against the one-id GetVec/PutVec replay they stand for
+# on a twin Keyed, and the micro-batcher against its flush rule (go test allows one -fuzz target per
 # invocation, hence the separate runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGEMMKernels$$' -fuzztime 10s ./internal/tensor
@@ -146,6 +149,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolBackward$$' -fuzztime 10s ./internal/sptt
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUCore$$' -fuzztime 10s ./internal/embeddings
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyedRows$$' -fuzztime 10s ./internal/embeddings
+	$(GO) test -run '^$$' -fuzz '^FuzzCachedStore$$' -fuzztime 10s ./internal/embeddings
 	$(GO) test -run '^$$' -fuzz '^FuzzBatcher$$' -fuzztime 10s ./internal/serve
 
 # The example mains have no tests: build them all, run the SPTT

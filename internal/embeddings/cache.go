@@ -240,12 +240,13 @@ func NsKey(ns int, key uint64) uint64 {
 }
 
 // Keyed is a fixed-capacity LRU cache of float32 vectors under namespaced
-// keys — the shape both serving caches share (pooled bags per table, tower
-// outputs per tower). It satisfies models.VecCache structurally. The keys
-// are split over independently locked shards (one lruCore each) so
-// concurrent serving workers do not serialize on one mutex.
+// keys — the repo's one row cache: the serving caches' pooled bags per
+// table and tower outputs per tower, and CachedStore's embedding rows per
+// table. It satisfies models.VecCache structurally. The keys are split
+// over independently locked shards (one lruCore each) so concurrent
+// serving workers do not serialize on one mutex.
 //
-// The serving path reaches it a batch at a time: GetRows reads rows,
+// Its callers reach it a batch at a time: GetRows reads rows,
 // FillRows reads or computes and caches them, PutRows writes them. Each
 // call sorts its keys by shard, keeping their call order within a shard,
 // and takes each shard's lock once, so a shard sees exactly the operations
@@ -554,12 +555,16 @@ func (k *Keyed) Stats() CacheStats {
 
 // LRUSet is a presence-only LRU over namespaced keys, for a single
 // goroutine that only asks whether a key is cached (the cluster
-// simulator's replicas). It is CachedStore's shard split with no rows, so
-// it makes exactly the hit, miss and eviction decisions of a Keyed of the
-// same capacity and shards driven by GetVec and, on a miss, PutVec — but
-// in one probe per key, with no lock and no values. A nil *LRUSet
-// (capacity <= 0) disables caching: every Touch misses and Stats is zero.
-type LRUSet rowLRU
+// simulator's replicas). It splits keys over bare cores as Keyed splits
+// them over shards, so it makes exactly the hit, miss and eviction
+// decisions of a Keyed of the same capacity and shards driven by GetVec
+// and, on a miss, PutVec — but in one probe per key, with no lock and no
+// values. A nil *LRUSet (capacity <= 0) disables caching: every Touch
+// misses and Stats is zero.
+type LRUSet struct {
+	cores []lruCore
+	mask  uint64
+}
 
 // NewLRUSet builds a set of up to capacity keys, spread over shards as
 // NewKeyed spreads them; capacity <= 0 yields nil (caching disabled).
@@ -567,7 +572,12 @@ func NewLRUSet(capacity, shards int) *LRUSet {
 	if capacity <= 0 {
 		return nil
 	}
-	return (*LRUSet)(newRowLRU(capacity, shards, 0))
+	n, per := lruGeometry(capacity, shards)
+	s := &LRUSet{cores: make([]lruCore, n), mask: uint64(n - 1)}
+	for i := range s.cores {
+		s.cores[i].init(per)
+	}
+	return s
 }
 
 // Touch reports whether (ns, key) was cached and leaves it cached, most
@@ -577,14 +587,18 @@ func (s *LRUSet) Touch(ns int, key uint64) bool {
 		return false
 	}
 	key = NsKey(ns, key)
-	_, hit := (*rowLRU)(s).core(key).getOrInsert(key)
+	_, hit := s.cores[mix64(key)&s.mask].getOrInsert(key)
 	return hit
 }
 
 // Stats merges the shard counters; zero for a nil set.
 func (s *LRUSet) Stats() CacheStats {
+	var out CacheStats
 	if s == nil {
-		return CacheStats{}
+		return out
 	}
-	return (*rowLRU)(s).stats()
+	for i := range s.cores {
+		out.Add(s.cores[i].stats())
+	}
+	return out
 }

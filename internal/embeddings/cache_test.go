@@ -593,19 +593,22 @@ func (w *rowsTwin) do(kind, width int) {
 	w.call++
 }
 
-// checkState walks every shard's ring from most to least recent on both.
-func (w *rowsTwin) checkState() {
-	for s, sh := range w.batch.shards {
-		tw := w.twin.shards[s]
+// sameEntries walks every shard's ring from most to least recent on got and
+// on want, a Keyed of the same geometry: each must hold the same keys and
+// vectors, bit for bit, in the same recency order.
+func sameEntries(t *testing.T, got, want *Keyed) {
+	t.Helper()
+	for s, sh := range got.shards {
+		tw := want.shards[s]
 		i, j := sh.ents[0].next, tw.ents[0].next
 		for i != 0 && j != 0 {
 			if sh.ents[i].key != tw.ents[j].key || !slices.Equal(bitsOf(sh.vec(i)), bitsOf(tw.vec(j))) {
-				w.t.Fatalf("shard %d: entry (%d, %v), one key at a time (%d, %v)", s, sh.ents[i].key, sh.vec(i), tw.ents[j].key, tw.vec(j))
+				t.Fatalf("shard %d: entry (%d, %v), want (%d, %v)", s, sh.ents[i].key, sh.vec(i), tw.ents[j].key, tw.vec(j))
 			}
 			i, j = sh.ents[i].next, tw.ents[j].next
 		}
 		if i != j {
-			w.t.Fatalf("shard %d holds %d entries, one key at a time %d", s, sh.len(), tw.len())
+			t.Fatalf("shard %d holds %d entries, want %d", s, sh.len(), tw.len())
 		}
 	}
 }
@@ -642,7 +645,7 @@ func runKeyedRows(t *testing.T, stream []byte) {
 		ops = ops[1+n:]
 		w.do(int(head>>6)%3, int(head>>3&3)+1)
 	}
-	w.checkState()
+	sameEntries(t, w.batch, w.twin)
 }
 
 // TestKeyedRowsMatchOneKeyAtATime runs long seeded call streams through

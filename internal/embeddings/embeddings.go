@@ -19,7 +19,7 @@
 // Both implement the same Store and are built through a Tier, the per-job
 // handle the distributed trainer owns.
 //
-// # The cache core and its two users
+// # The cache core: one row cache, one presence set
 //
 // One unlocked LRU, lruCore (cache.go), backs every cache in the tree: a
 // slice of pointer-free entries (key and two int32 links) in a recency ring
@@ -27,32 +27,26 @@
 // or a refresh relinks indices, and an insert into a full core re-keys the
 // least recent entry in place; getOrInsert does a lookup and, on a miss,
 // the insert in one probe. The core stores no values: each user keeps
-// them beside it, indexed by entry position. Two users wrap it, splitting
-// keys over cores with the same selector and the same per-core capacity, so
-// both make the same hit, miss and eviction decisions:
+// them beside it, indexed by entry position. Two types wrap it, splitting
+// keys over cores with the same selector and the same per-core capacity,
+// so both make the same hit, miss and eviction decisions:
 //
-//   - Keyed, the serving caches: one mutex per core, because serve workers
-//     really do read and write them concurrently. They reach it a batch at
-//     a time (GetRows, FillRows, PutRows): a call sorts its keys by core
-//     and takes each core's lock once, not once per row, keeping the keys'
-//     call order within a core, so every core sees the operations a row
-//     at a time would make. It owns its vectors — one slab per core,
-//     entry i's at i·stride, grown with the live entries — and copies in
-//     and out under the core's lock, so an evicting insert overwrites a
-//     row in place and allocates nothing.
-//   - rowLRU, the split over bare cores with no lock of its own, and its
-//     two faces. CachedStore, the training-side write-back row cache, owns
-//     its rows — one contiguous array per core, entry i's row at i·dim,
-//     overwritten in place by every write-back — and takes no per-row lock.
-//     The Store ownership contract gives a table one owner, the trainer
-//     gives every rank its own store, and a call walks all its rows in one
-//     pass, so the only exclusion left to provide is between owners of
-//     DISJOINT tables sharing one store: one store-wide mutex taken once
-//     per pass, uncontended in the trainer. (A per-row-locked prototype
-//     spent ≈ 10 % of an embedding-bound step inside Unlock.) LRUSet, the
-//     cluster simulator's replica caches, is the split with no rows: its
-//     one caller only asks whether a key is present, so it takes no lock,
-//     keeps no values, and answers each key in one getOrInsert probe.
+//   - Keyed, the one row cache, behind the serving caches and CachedStore:
+//     one mutex per core, because serve workers really do read and write
+//     it concurrently. Its callers reach it a batch at a time (GetRows,
+//     FillRows, PutRows): a call sorts its keys by core and takes each
+//     core's lock once, not once per row, keeping the keys' call order
+//     within a core, so every core sees the operations a row at a time
+//     would make. It owns its vectors — one slab per core, entry i's at
+//     i·stride, grown with the live entries — and copies in and out under
+//     the core's lock, so an evicting insert overwrites a row in place and
+//     allocates nothing. CachedStore, the training-side write-back cache,
+//     makes one read per Lookup and one write per request or update, so an
+//     embedding-bound step takes no lock per row.
+//   - LRUSet, the cluster simulator's replica caches, the presence set:
+//     bare cores with no rows and no lock, since its one caller only asks
+//     whether a key is present, answering each key in one getOrInsert
+//     probe.
 //
 // # Aliasing
 //
