@@ -152,16 +152,21 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCachedStore$$' -fuzztime 10s ./internal/embeddings
 	$(GO) test -run '^$$' -fuzz '^FuzzBatcher$$' -fuzztime 10s ./internal/serve
 
-# The example mains have no tests: build them all, run the SPTT
-# walkthrough, which panics on a semantic-preservation violation and prints
-# the Figure 7 traffic accounting — the cheapest end-to-end check of the
-# embedding-exchange dataflow — and the quickstart, which plans a DMT
-# deployment through partition, perfmodel and sptt.TowerAssignment and
-# trains the planned model.
+# The example mains have no tests: build them all and run every cheap one,
+# so a panic in any of them fails here. The SPTT walkthrough panics on a
+# semantic-preservation violation and prints the Figure 7 traffic
+# accounting — the cheapest end-to-end check of the embedding-exchange
+# dataflow; the quickstart plans a DMT deployment through partition,
+# perfmodel and sptt.TowerAssignment and trains the planned model; the
+# topology planner prints its modeled deployment sweep; distributed_training
+# trains on simulated ranks and prints the replica sync check. ctr_training
+# (~8 s) is only built.
 examples-smoke:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/sptt_walkthrough
 	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/topology_planner
+	$(GO) run ./examples/distributed_training
 
 # Build every command main and drive each one no test runs: the three
 # experiment front ends through the registry (a listing and one fast

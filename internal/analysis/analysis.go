@@ -2,10 +2,9 @@ package analysis
 
 import (
 	"dmt/internal/analysis/determinism"
+	"dmt/internal/analysis/handles"
 	"dmt/internal/analysis/lint"
 	"dmt/internal/analysis/noretain"
-	"dmt/internal/analysis/pendingwait"
-	"dmt/internal/analysis/retainrelease"
 	"dmt/internal/analysis/unreached"
 )
 
@@ -13,11 +12,9 @@ import (
 // analyzer that keeps state across the packages of a run (unreached) must
 // not carry it into the next run.
 func All() []*lint.Analyzer {
-	return []*lint.Analyzer{
-		pendingwait.Analyzer,
-		retainrelease.Analyzer,
+	return append(handles.Analyzers(),
 		determinism.Analyzer,
 		noretain.Analyzer,
 		unreached.New(),
-	}
+	)
 }

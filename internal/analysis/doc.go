@@ -9,18 +9,19 @@
 // bit flipped. dmt-lint turns each convention into a compile-time
 // property:
 //
-//   - pendingwait: every comm.Pending returned by a non-blocking
-//     collective reaches Wait() or Carry() on all control-flow paths
-//     before scope exit, unless ownership transfers (stored in a bucket
-//     arena, passed on, returned, captured). Catches leaked handles
-//     before the runtime guards do.
+//   - pendingwait, a row of package handles' table: every comm.Pending
+//     returned by a non-blocking collective reaches Wait() or Carry() on
+//     all control-flow paths before scope exit, unless ownership
+//     transfers (stored in a bucket arena, passed on, returned,
+//     captured). Catches leaked handles before the runtime guards do.
 //
-//   - retainrelease: every pooled quant.Encoded reference (minted by
-//     Encode/EncodeResidual, or delivered off the wire via a
-//     .(*quant.Encoded) assertion) reaches Release() or transfers
-//     ownership. A dropped reference is not a crash — the pool tolerates
-//     it — but it silently erodes the zero-alloc steady state the
-//     hot-path CI gates pin.
+//   - retainrelease, the table's other row: every pooled quant.Encoded
+//     reference (minted by Encode/EncodeResidual, or delivered off the
+//     wire via a .(*quant.Encoded) assertion) reaches Release() or
+//     transfers ownership, outside test files. A dropped reference is not
+//     a crash — the pool tolerates it — but it silently erodes the
+//     zero-alloc steady state the hot-path CI gates pin. The rows differ
+//     only in data: checking another handle is one more row.
 //
 //   - determinism: in the packages on the deterministic virtual-clock
 //     path (comm, distributed, netsim, cluster, sptt, embeddings,
@@ -65,7 +66,7 @@
 // `go list`, test variants included, and are type-checked from source;
 // every run analyzes the whole module, and only the packages its patterns
 // name report. Package flow holds the control-flow graphs and the may-leak walk
-// pendingwait and retainrelease share.
+// every row of package handles' table runs.
 //
 // # No escape hatch
 //

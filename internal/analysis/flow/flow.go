@@ -1,9 +1,9 @@
-// Package flow is the shared may-leak dataflow engine behind the
-// pendingwait and retainrelease analyzers.
+// Package flow is the may-leak dataflow engine behind the rows of package
+// handles' table.
 //
-// Both analyzers have the same shape: some expression ACQUIRES a resource
-// (an in-flight comm.Pending, a pooled quant.Encoded reference) that must,
-// on every control-flow path to the function's return, either reach a
+// Every row has the same shape: some expression ACQUIRES a resource (an
+// in-flight comm.Pending, a pooled quant.Encoded reference) that must, on
+// every control-flow path to the function's return, either reach a
 // SATISFYING call (Wait/Carry, Release) or be TRANSFERRED to other code
 // that assumes the obligation (stored, passed as an argument, returned,
 // captured by a closure). The engine walks the function's control-flow
@@ -346,7 +346,7 @@ func Bind(stack []ast.Node) (b Binding, bound *ast.Ident, stmt ast.Node, method 
 	case *ast.AssignStmt:
 		expr := stack[len(stack)-1].(ast.Expr)
 		for i, rhs := range p.Rhs {
-			if unparen(rhs) != expr || i >= len(p.Lhs) {
+			if ast.Unparen(rhs) != expr || i >= len(p.Lhs) {
 				continue
 			}
 			if id, ok := p.Lhs[i].(*ast.Ident); ok {
@@ -361,7 +361,7 @@ func Bind(stack []ast.Node) (b Binding, bound *ast.Ident, stmt ast.Node, method 
 	case *ast.ValueSpec:
 		expr := stack[len(stack)-1].(ast.Expr)
 		for i, rhs := range p.Values {
-			if unparen(rhs) == expr && i < len(p.Names) {
+			if ast.Unparen(rhs) == expr && i < len(p.Names) {
 				if p.Names[i].Name == "_" {
 					return BindBlank, nil, nil, ""
 				}
@@ -376,15 +376,5 @@ func Bind(stack []ast.Node) (b Binding, bound *ast.Ident, stmt ast.Node, method 
 		return BindEscape, nil, nil, ""
 	default:
 		return BindEscape, nil, nil, ""
-	}
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
 	}
 }

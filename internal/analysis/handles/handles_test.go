@@ -1,10 +1,18 @@
-package retainrelease_test
+package handles_test
 
 import (
 	"testing"
 
 	"dmt/internal/analysis/linttest"
 )
+
+// TestPendingWait runs the analyzer over the pw fixture corpus: dropped,
+// blank-assigned, and branch-leaked handles are flagged, a drop under a
+// former escape-hatch comment included; Wait/Carry on all paths, defers,
+// arena stores, closures, returns and panic paths are not.
+func TestPendingWait(t *testing.T) {
+	linttest.Run(t, "pendingwait", "pw")
+}
 
 // TestRetainRelease runs the analyzer over the rr fixture corpus:
 // dropped and branch-leaked pooled references (minted or asserted off

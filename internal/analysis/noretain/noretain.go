@@ -108,7 +108,7 @@ func checkTransientCall(pass *lint.Pass, call *ast.CallExpr, stack []ast.Node) {
 		pass.Reportf(call.Pos(), "%s returns arena-backed storage (//%s): it must not escape the caller", fn.Name(), TransientDirective)
 	case *ast.AssignStmt:
 		for i, r := range p.Rhs {
-			if unparen(r) != ast.Expr(call) || i >= len(p.Lhs) {
+			if ast.Unparen(r) != ast.Expr(call) || i >= len(p.Lhs) {
 				continue
 			}
 			if id, ok := p.Lhs[i].(*ast.Ident); ok {
@@ -215,7 +215,7 @@ var cacheWrites = map[string]bool{"PutVec": true, "PutRows": true, "FillRows": t
 // holdsTainted reports whether the argument e is tainted or is a composite
 // literal, or its address, with a tainted element.
 func holdsTainted(e ast.Expr, isTainted func(ast.Expr) bool) bool {
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.CompositeLit:
 		for _, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
@@ -227,7 +227,7 @@ func holdsTainted(e ast.Expr, isTainted func(ast.Expr) bool) bool {
 		}
 		return false
 	case *ast.UnaryExpr:
-		if _, ok := unparen(e.X).(*ast.CompositeLit); ok {
+		if _, ok := ast.Unparen(e.X).(*ast.CompositeLit); ok {
 			return holdsTainted(e.X, isTainted)
 		}
 	}
@@ -274,7 +274,7 @@ func storesOutside(pass *lint.Pass, l ast.Expr) bool {
 		// Indexing a local slice keeps the value local only if the
 		// slice itself is local and untainted; be conservative for
 		// non-ident bases.
-		if id, ok := unparen(l.X).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(l.X).(*ast.Ident); ok {
 			v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var)
 			return !ok || !isLocalVar(v)
 		}
@@ -313,7 +313,7 @@ func batchParam(pass *lint.Pass, fd *ast.FuncDecl) *types.Var {
 }
 
 func calleeFunc(pass *lint.Pass, call *ast.CallExpr) *types.Func {
-	switch f := unparen(call.Fun).(type) {
+	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		fn, _ := pass.TypesInfo.Uses[f].(*types.Func)
 		return fn
@@ -355,14 +355,4 @@ func identsIn(n ast.Node) []*ast.Ident {
 		return true
 	})
 	return out
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

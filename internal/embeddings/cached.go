@@ -19,8 +19,9 @@ import (
 //
 // The rows live in a Keyed under NsKey(table, id), which copies them in and
 // out a batch at a time, taking each shard's lock once per call: a Lookup
-// makes one read over all its ids and one write per request, an Update one
-// write per update, so no traffic locks or allocates per row.
+// makes one read and one write per request, an Update one write per update,
+// so no traffic locks or allocates per row, and the batch scratch grows only
+// to the largest request.
 type CachedStore struct {
 	inner Store
 	rows  *Keyed
@@ -35,8 +36,8 @@ type CachedStore struct {
 // lookupScratch is what one Lookup carries from its probe, across the inner
 // fetch, to its write-back; an Update uses only kb.
 type lookupScratch struct {
-	kb     KeyBatch        // every requested id's key for the probe, then one request's or update's rows' for a write
-	hit    []bool          // per requested id: the probe hit it
+	kb     KeyBatch        // one request's ids' keys for its probe, or one request's or update's rows' for a write
+	hit    []bool          // per id of the request being probed: the probe hit it
 	reqs   []Req           // per request: the deduplicated missed ids
 	ids    []int32         // backing array of every reqs[i].IDs
 	missAt []int32         // per requested id: its row in the miss response, -1 for a hit
@@ -109,27 +110,27 @@ func (c *CachedStore) Lookup(reqs []Req) []*tensor.Tensor {
 	if cap(sc.ids) < total {
 		sc.ids = make([]int32, 0, total)
 		sc.missAt = make([]int32, total)
-		sc.hit = make([]bool, total)
 	}
 	sc.reqs, sc.ids = sc.reqs[:len(reqs)], sc.ids[:0]
 
-	// One read over every id, hits copied straight into the response.
-	sc.kb.Reset()
-	for _, r := range reqs {
-		for _, id := range r.IDs {
-			sc.kb.Add(r.Table, uint64(id))
-		}
-	}
-	c.rows.GetRows(&sc.kb, Rows{Base: resp, Stride: dim, Width: dim}, sc.hit)
-
+	// One read per request, hits copied straight into the response; every
+	// probe still comes before the fetch, in request order.
 	off := 0
 	for i, r := range reqs {
 		n := len(r.IDs)
+		if cap(sc.hit) < n {
+			sc.hit = make([]bool, n)
+		}
+		sc.kb.Reset()
+		for _, id := range r.IDs {
+			sc.kb.Add(r.Table, uint64(id))
+		}
+		c.rows.GetRows(&sc.kb, Rows{Base: resp[off*dim:], Stride: dim, Width: dim}, sc.hit)
 		missAt := sc.missAt[off : off+n]
 		first := len(sc.ids)
 		clear(sc.pos)
 		for k, id := range r.IDs {
-			if sc.hit[off+k] {
+			if sc.hit[k] {
 				missAt[k] = -1
 				continue
 			}

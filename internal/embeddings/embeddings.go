@@ -41,8 +41,8 @@
 //     i·stride, grown with the live entries — and copies in and out under
 //     the core's lock, so an evicting insert overwrites a row in place and
 //     allocates nothing. CachedStore, the training-side write-back cache,
-//     makes one read per Lookup and one write per request or update, so an
-//     embedding-bound step takes no lock per row.
+//     makes one read and one write per request and one write per update,
+//     so an embedding-bound step takes no lock per row.
 //   - LRUSet, the cluster simulator's replica caches, the presence set:
 //     bare cores with no rows and no lock, since its one caller only asks
 //     whether a key is present, answering each key in one getOrInsert
