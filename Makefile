@@ -104,15 +104,16 @@ bench-hotpath:
 	$(GO) test -run '^$$' -bench '^BenchmarkHotpath' -benchmem -timeout 20m ./internal/tensor ./internal/quant ./internal/embeddings ./internal/models
 	$(GO) test -run '^$$' -bench '^BenchmarkServerPath$$' -benchmem -timeout 20m ./internal/serve
 
-# The one gate nothing else expresses: the vector entry point vs the scalar
+# The two gates nothing else expresses: the vector entry point vs the scalar
 # row routine, both on the calling goroutine — MatMul and MatMulBT must be
 # >= 1.5x faster at over-arch shapes (skips on a CPU with no vector row
-# routine, where it would compare the scalar routine with itself). A
-# wall-clock gate, so it compiles only under the benchgate tag, never in
+# routine, where it would compare the scalar routine with itself) — and a
+# 1–3-row tail costing within 1.25x of one more 4-row slab. Wall-clock
+# gates, so they compile only under the benchgate tag, never in
 # `make test`. (The codec and EmbeddingBag allocation pins are plain tier-1
 # tests.)
 bench-hotpath-check:
-	$(GO) test -tags benchgate -run '^TestHotpathMatMulSpeedup$$' -v ./internal/tensor
+	$(GO) test -tags benchgate -run '^(TestHotpathMatMulSpeedup|TestRowTailCostsOneSlab)$$' -v ./internal/tensor
 
 # Every float32 input through the fp16 encoders: the scalar toFloat16Sat
 # and the selected encode and fused-residual routines (AVX2 where the CPU

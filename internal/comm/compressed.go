@@ -7,14 +7,16 @@ import (
 	"dmt/internal/tensor"
 )
 
-// Compressed-wire collectives. Two collectives carry quant-encoded payloads,
-// one per training-side use of the reduced wire:
+// Compressed-wire collectives. Three collectives carry quant-encoded
+// payloads:
 //
 //   - IAlltoAllTensorsQ — SPTT step (f), the embedding exchange — encodes
 //     each chunk once on the sender and decodes it on its one receiver.
-//   - IAllGatherBatchEnc — the trainer's gradient buckets — gathers payloads
-//     the caller has already encoded (quant.EncodeResidual, error feedback)
-//     and leaves decoding to the receiver (see distributed/buckets.go).
+//   - IAlltoAllBatchEnc — the trainer's gradient buckets — sends each rank
+//     a batch of payloads the caller has already encoded
+//     (quant.EncodeResidual, error feedback) and leaves decoding to the
+//     receiver (see distributed/buckets.go).
+//   - IAllGatherBatchEnc gathers pre-encoded batches to every rank.
 //
 // What travels through the mailboxes is the reduced representation, and the
 // traffic counters charge its wire size (2 bytes/element for fp16, ~1 for
@@ -69,11 +71,9 @@ func (c *Comm) IAlltoAllTensorsQ(s quant.Scheme, chunks []*tensor.Tensor) *Pendi
 // IAllGatherBatchEnc gathers pre-encoded payloads: the whole batch travels
 // to every rank as one mailbox message, and the handle resolves to the raw
 // payloads indexed [src][i], leaving what to do with them to the receiver
-// (the fused DecodeInto/AddTo, or nothing when the sender's decoded image
-// is reachable in-process — the wire bytes are charged either way). The
-// collective takes over the caller's reference on each payload; the resolver
-// hands each receiver one reference per payload, which the receiver must
-// Release after consuming.
+// (the fused DecodeInto/AddTo). The collective takes over the caller's
+// reference on each payload; the resolver hands each receiver one
+// reference per payload, which the receiver must Release after consuming.
 func (c *Comm) IAllGatherBatchEnc(encs []*quant.Encoded) *Pending[[][]*quant.Encoded] {
 	n := c.g.size
 	bytes := 0
@@ -89,6 +89,46 @@ func (c *Comm) IAllGatherBatchEnc(encs []*quant.Encoded) *Pending[[][]*quant.Enc
 		out := make([][]*quant.Encoded, n)
 		for src := 0; src < n; src++ {
 			out[src] = c.recv(src).([]*quant.Encoded)
+		}
+		return out
+	})
+}
+
+// IAlltoAllBatchEnc posts parts[d], a batch of pre-encoded payloads, to rank
+// d as ONE mailbox message charged the batch's wire bytes, and returns a
+// handle resolving to the received batches indexed [src][i]. Each payload's
+// single reference passes to its one receiver, which must Release it after
+// consuming it. Every rank must pass batches of the same length for a given
+// destination — the layout is agreed, as in a reduce-scatter — so a rank
+// whose own batch is empty receives nothing, and an empty batch is neither
+// sent nor received.
+func (c *Comm) IAlltoAllBatchEnc(parts [][]*quant.Encoded) *Pending[[][]*quant.Encoded] {
+	n := c.g.size
+	if len(parts) != n {
+		panic(fmt.Sprintf("comm: AlltoAllBatchEnc needs %d batches, got %d", n, len(parts)))
+	}
+	for d, es := range parts {
+		if len(es) == 0 {
+			continue
+		}
+		bytes := 0
+		for _, e := range es {
+			bytes += e.WireBytes()
+		}
+		c.send(d, es, bytes)
+	}
+	want := len(parts[c.rank])
+	return newPending(c, func() [][]*quant.Encoded {
+		out := make([][]*quant.Encoded, n)
+		if want == 0 {
+			return out
+		}
+		for src := 0; src < n; src++ {
+			out[src] = c.recv(src).([]*quant.Encoded)
+			if len(out[src]) != want {
+				panic(fmt.Sprintf("comm: rank %d got a batch of %d payloads from rank %d, sent itself %d (batch layouts must agree)",
+					c.rank, len(out[src]), src, want))
+			}
 		}
 		return out
 	})

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"dmt/internal/quant"
@@ -212,5 +213,58 @@ func TestCompressedNoneIsRawPath(t *testing.T) {
 	}
 	if fmt.Sprintf("%p", got[1][0]) != fmt.Sprintf("%p", x) {
 		t.Fatal("pointer identity lost")
+	}
+}
+
+// TestAlltoAllBatchEncDeliversEachOwnerItsBatch: every rank receives, from
+// each source, exactly the batch that source addressed to it, in order; the
+// traffic counters charge each batch's wire bytes to its one (src, dst)
+// pair; and a destination every rank leaves empty gets no message at all,
+// so it receives nothing and nothing stays queued for the next collective.
+func TestAlltoAllBatchEncDeliversEachOwnerItsBatch(t *testing.T) {
+	const g = 4
+	// Rank d gets d batches' worth of payloads from everyone: rank 0 none.
+	x := func(src, dst, k int) *tensor.Tensor {
+		return tensor.Full(float32(100*src+10*dst+k), 2, 3)
+	}
+	comms := NewGroup(g)
+	got := make([][][]float32, g) // [dst][src] first element of each payload
+	Run(comms, func(c *Comm) {
+		parts := make([][]*quant.Encoded, g)
+		for d := range parts {
+			for k := 0; k < d; k++ {
+				parts[d] = append(parts[d], quant.Encode(quant.INT8, x(c.Rank(), d, k)))
+			}
+		}
+		in := c.IAlltoAllBatchEnc(parts).Wait()
+		got[c.Rank()] = make([][]float32, g)
+		for src, es := range in {
+			for _, e := range es {
+				got[c.Rank()][src] = append(got[c.Rank()][src], e.Decode().Data()[0])
+				e.Release()
+			}
+		}
+		// The next collective on the group must see only its own messages.
+		if sum := c.AllReduceSum(tensor.Full(1, 1)); sum.Data()[0] != g {
+			t.Errorf("rank %d: follow-up AllReduce read %v", c.Rank(), sum.Data()[0])
+		}
+	})
+	traffic := TrafficMatrix(comms)
+	for d := 0; d < g; d++ {
+		for src := 0; src < g; src++ {
+			if len(got[d][src]) != d {
+				t.Fatalf("rank %d got %d payloads from rank %d, want %d", d, len(got[d][src]), src, d)
+			}
+			for k, v := range got[d][src] {
+				if want := x(src, d, k).Data()[0]; math.Abs(float64(v-want)) > 1e-6*math.Abs(float64(want)) {
+					t.Fatalf("rank %d payload %d from rank %d decodes to %v, want %v", d, k, src, v, want)
+				}
+			}
+			// Each int8 payload of 2 rows × 3 is 6 bytes plus two 4-byte
+			// scales; the follow-up AllReduce adds one fp32 element.
+			if want := int64(d*(6+8) + 4); traffic[src][d] != want {
+				t.Fatalf("%d→%d carried %d bytes, want %d", src, d, traffic[src][d], want)
+			}
+		}
 	}
 }

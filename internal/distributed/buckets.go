@@ -9,14 +9,34 @@ import (
 )
 
 // The over-arch gradient reduction is sliced into readiness-ordered buckets
-// of whole parameters, each carried by ONE batched collective. The plan and
-// the launch/finish pair below are shared by every rank-parallel schedule
-// (schedule.go); a schedule only decides WHEN a bucket launches and
-// finishes. None of that changes arithmetic: each parameter is still
-// reduced by one collective whose sum accumulates in source-rank order,
-// buckets never split a parameter (so compressed runs quantize exactly the
-// tensors the sequential reference quantizes), and launch/wait order is
-// identical on every rank.
+// of whole parameters, and every over-arch row has exactly one owner rank.
+// Per bucket, each rank encodes its gradient (with error feedback on a
+// compressed wire) and sends each owner only that owner's rows, in ONE
+// batched all-to-all (comm.IAlltoAllBatchEnc). The owner decodes the G
+// parts it received and sums them in ascending source rank, scaled to the
+// global-batch mean. Once every bucket has landed, each rank runs Adam on
+// the rows it owns, with moments for those rows alone, and all-gathers its
+// updated weights in fp32: one batched message for the bottom MLP's rows
+// and one for the top MLP's. That is stage 1 of ZeRO (Rajbhandari et al.,
+// arXiv 1910.02054) on the data-parallel over-arch of §3.2.
+//
+// The plan, the ownership and the launch/finish/step/gather steps below are
+// shared by every rank-parallel schedule (schedule.go); a schedule only
+// decides WHEN a bucket launches and finishes and where the weight gathers
+// are waited. None of that changes arithmetic: each rank encodes exactly
+// the tensors the sequential reference quantizes (row segments encode to
+// the bits and residuals their rows get inside the whole parameter), each
+// element's gradient is the source-rank-ordered float32 sum the reference
+// forms, Adam is elementwise, and the weights travel back in fp32, so every
+// replica holds the reference's bits. Launch and wait order is identical on
+// every rank.
+//
+// Wire bytes per rank and step, for N over-arch elements at G ranks: the
+// reduce sends (G−1)/G·N elements at the gradient wire's width (4 B fp32,
+// 2 B fp16, 1 B plus a 4-byte scale per row int8) and the gather (G−1)/G·N
+// elements at 4 B. An all-gather of every rank's whole bucket would send
+// (G−1)·N at the wire's width: at G = 8, 2.7× these bytes on fp16 and 4×
+// on fp32, and every rank would sum all G parts and step every row.
 
 // defaultBucketBytes is the per-bucket gradient payload cap when
 // Config.BucketBytes is zero.
@@ -31,8 +51,25 @@ type gradBucket struct {
 	// BackwardBottom has run; the rest are final right after BackwardTop.
 	afterBottom bool
 	// idx is the bucket's position in launch order — the key into each
-	// rank's persistent bucket arena (see launchBucket).
+	// rank's shard (see rankShard).
 	idx int
+	// segs[o] lists owner o's rows of the bucket, in parameter order
+	// (assignOwners).
+	segs [][]rowSeg
+}
+
+// The two readiness groups, in the order their weight gathers are posted
+// and waited: the bottom MLP's rows are read first, by ForwardBottom.
+const (
+	bottomGroup = iota
+	topGroup
+)
+
+func (b gradBucket) group() int {
+	if b.afterBottom {
+		return bottomGroup
+	}
+	return topGroup
 }
 
 // planBuckets groups the over-arch parameters into buckets in launch order:
@@ -82,109 +119,218 @@ func (tr *Trainer) Buckets() [][]int {
 	return out
 }
 
-// bucketArena is one rank's reusable bucket-assembly scratch. Reuse across
-// steps is safe because every rank's buckets of step N are finished before
-// a Run join that precedes the first launch of step N+1 (the exchange
-// phase, or the next SPTT forward for carried buckets): no peer can still
-// be reading last step's buffers. Within a step a peer reads them only
-// after the Wait that received this rank's message for the bucket, and the
-// message was sent after they were filled, so the mailbox orders the two.
-type bucketArena struct {
-	// vs[bi] holds, per parameter of bucket bi, this rank's fp32 part of
-	// the reduction, exactly sized and built once in New: on the raw wire
-	// the gradient snapshot that rides the batched message in place of a
-	// per-step clone, on the compressed wire the decoded image of the
-	// payload it sent — decoded once here, not once per receiver. Every
-	// rank's finishBucket sums the G ranks' parts.
-	vs [][]*tensor.Tensor
-	// encs[bi] holds bucket bi's encoded payload slots (compressed path);
-	// the Encoded values themselves come from quant's buffer pool.
-	encs [][]*quant.Encoded
+// rowSeg is one owner's contiguous rows of one over-arch parameter: the
+// elements [lo, hi) of the flattened parameter, width to a row. A
+// parameter's rows are the ones int8's per-row scales see — the last
+// dimension of a matrix, the whole of a vector — so a segment encodes to
+// exactly the bits and residual its rows get inside the whole parameter.
+type rowSeg struct {
+	param, lo, hi, width int
 }
 
-// pendingBucket is one in-flight gradient bucket: the single batched
-// collective carrying every parameter of the bucket. Exactly one handle is
-// set — h for the raw wire, hEnc for the compressed one. idx is the
-// bucket's arena key.
+// view wraps the segment's elements of t, a tensor shaped like the
+// parameter, as a (rows, width) tensor sharing t's storage.
+func (s rowSeg) view(t *tensor.Tensor) *tensor.Tensor {
+	return tensor.FromSlice(t.Data()[s.lo:s.hi], (s.hi-s.lo)/s.width, s.width)
+}
+
+// assignOwners gives every over-arch row one owner rank. Within each
+// readiness group the group's rows, in plan order, are dealt to ranks
+// 0…G−1 in contiguous runs of about equal element count: a row goes to the
+// rank whose share of the group holds the row's midpoint. So every rank
+// owns about 1/G of each group, the largest weights are spread over several
+// owners, and the assignment, like the plan, depends only on the
+// architecture and G.
+func assignOwners(plan []gradBucket, all []*nn.Param, g int) {
+	for _, grp := range []int{topGroup, bottomGroup} {
+		total := 0
+		for _, b := range plan {
+			if b.group() == grp {
+				for _, pi := range b.params {
+					total += all[pi].Value.Len()
+				}
+			}
+		}
+		done := 0
+		for bi := range plan {
+			b := &plan[bi]
+			if b.group() != grp {
+				continue
+			}
+			b.segs = make([][]rowSeg, g)
+			for _, pi := range b.params {
+				v := all[pi].Value
+				w := v.Len()
+				if v.Rank() >= 2 {
+					w = v.Dim(-1)
+				}
+				for lo := 0; lo < v.Len(); lo += w {
+					o := (2*done + w) * g / (2 * total)
+					if segs := b.segs[o]; len(segs) > 0 && segs[len(segs)-1].param == pi {
+						segs[len(segs)-1].hi += w
+					} else {
+						b.segs[o] = append(segs, rowSeg{param: pi, lo: lo, hi: lo + w, width: w})
+					}
+					done += w
+				}
+			}
+		}
+	}
+}
+
+// segView is one rank's views of one row segment: its replica's weight and
+// gradient rows, and either its error-feedback residual rows (compressed
+// wire) or its send snapshot (raw wire).
+type segView struct {
+	value, grad, resid, snap *tensor.Tensor
+}
+
+// rankShard is one rank's side of the ownership plan, built once in New, so
+// steady-state launches, reductions and gathers allocate no tensor.
+//
+// Reuse across steps is safe without a barrier. A peer reads this rank's
+// snapshot and send slots of a bucket while it finishes the bucket, and it
+// sends its gathered weights only after finishing every bucket. This rank
+// refills them at its next launch of the bucket, after it has waited for
+// every owner's gathered weights. Likewise an owner's weight rows are read
+// by peers' gather waits, and rewritten only by its next Adam step, which
+// needs every peer's next launch.
+type rankShard struct {
+	// views[bi][o][k] views segment k of owner o in bucket bi.
+	views [][][]segView
+	// parts[bi][o] are bucket bi's send slots for owner o, refilled at every
+	// launch; each payload's reference passes to the owner.
+	parts [][][]*quant.Encoded
+	// owned is the segments this rank owns, as parameters of weight and
+	// gradient views in plan order: the rank's over-arch Adam keeps moments
+	// for these rows alone.
+	owned []*nn.Param
+	// send[grp] is the owned weight rows of readiness group grp that the
+	// rank's gather sends; recv[grp][src] is where src's rows land.
+	send [2][]*tensor.Tensor
+	recv [2][][]*tensor.Tensor
+	// gather[grp] is group grp's weight gather in flight, nil when none is.
+	gather [2]*comm.Pending[[][]*tensor.Tensor]
+}
+
+// newShard builds rank g's shard over its replica and residuals.
+func (tr *Trainer) newShard(g int) rankShard {
+	params := tr.replicas[g].OverArchParams()
+	raw := tr.cfg.Compression.Gradient == quant.None
+	sh := rankShard{
+		views: make([][][]segView, len(tr.buckets)),
+		parts: make([][][]*quant.Encoded, len(tr.buckets)),
+	}
+	for grp := range sh.recv {
+		sh.recv[grp] = make([][]*tensor.Tensor, tr.cfg.G)
+	}
+	for bi, b := range tr.buckets {
+		grp := b.group()
+		sh.views[bi] = make([][]segView, len(b.segs))
+		sh.parts[bi] = make([][]*quant.Encoded, len(b.segs))
+		for o, segs := range b.segs {
+			sh.parts[bi][o] = make([]*quant.Encoded, len(segs))
+			for _, s := range segs {
+				p := params[s.param]
+				v := segView{value: s.view(p.Value), grad: s.view(p.Grad)}
+				if raw {
+					v.snap = tensor.New(v.grad.Shape()...)
+				} else {
+					v.resid = s.view(tr.residuals[g][s.param])
+				}
+				sh.views[bi][o] = append(sh.views[bi][o], v)
+				if o == g {
+					sh.owned = append(sh.owned, &nn.Param{Name: p.Name, Value: v.value, Grad: v.grad})
+					sh.send[grp] = append(sh.send[grp], v.value)
+				} else {
+					sh.recv[grp][o] = append(sh.recv[grp][o], v.value)
+				}
+			}
+		}
+	}
+	return sh
+}
+
+// pendingBucket is one in-flight gradient bucket: the batched all-to-all
+// carrying every owner its rows. idx is the bucket's shard key.
 type pendingBucket struct {
-	params []int
-	idx    int
-	h      *comm.Pending[[][]*tensor.Tensor]
-	hEnc   *comm.Pending[[][]*quant.Encoded]
+	idx int
+	h   *comm.Pending[[][]*quant.Encoded]
 }
 
-// carry marks the bucket's handle as deliberately spanning a step boundary
-// so the comm runtime's leak guards report it as pipelined, not leaked.
-func (pb pendingBucket) carry() {
-	if pb.h != nil {
-		pb.h.Carry()
-		return
-	}
-	pb.hEnc.Carry()
-}
-
-// launchBucket posts rank g's reduction of one gradient bucket on the world
-// group — every parameter of the bucket rides a single batched AllGather
-// message — and returns without waiting. On the raw wire the gradients are
-// snapshotted into the rank's persistent arena before sending: collectives
-// deliver by reference and p.Grad is overwritten while peers may still be
-// reading. On the compressed wire each rank sends its contribution g + r
-// and remembers the round-trip error r for the next step: the fused
-// quant.EncodeResidual quantizes g + r straight into pooled wire buffers
-// and leaves the refreshed error-feedback residual behind in the same pass,
-// and the sender decodes the payload once into its arena image — what every
-// receiver would reconstruct from it, since decoding is a pure function of
-// the payload. Each parameter is still encoded separately, so bucket
-// boundaries never change what the quantizer sees, and steady-state
-// launches allocate nothing.
-func (tr *Trainer) launchBucket(g int, params []*nn.Param, b gradBucket) pendingBucket {
+// launchBucket posts rank g's share of one bucket's reduction and returns
+// without waiting: every owner gets one batch with its rows of every
+// parameter of the bucket. On the raw wire the rows are snapshotted first —
+// collectives deliver by reference, and p.Grad is overwritten while the
+// owner may still be reading. On a compressed wire each segment is encoded
+// with quant.EncodeResidual, which quantizes g + r straight into a pooled
+// wire buffer and leaves the refreshed error-feedback residual r behind in
+// the same pass. Steady-state launches allocate no tensor.
+func (tr *Trainer) launchBucket(g int, b gradBucket) pendingBucket {
 	s := tr.cfg.Compression.Gradient
-	c, a := tr.world[g], &tr.arenas[g]
-	vs := a.vs[b.idx]
-	if s == quant.None {
-		for i, pi := range b.params {
-			vs[i].CopyFrom(params[pi].Grad)
+	sh := &tr.shards[g]
+	parts := sh.parts[b.idx]
+	for o, vs := range sh.views[b.idx] {
+		for k, v := range vs {
+			if s == quant.None {
+				v.snap.CopyFrom(v.grad)
+				parts[o][k] = quant.Encode(quant.None, v.snap)
+			} else {
+				parts[o][k] = quant.EncodeResidual(s, v.grad, v.resid)
+			}
 		}
-		return pendingBucket{params: b.params, idx: b.idx, h: c.IAllGatherBatch(vs)}
 	}
-	encs := a.encs[b.idx]
-	for i, pi := range b.params {
-		encs[i] = quant.EncodeResidual(s, params[pi].Grad, tr.residuals[g][pi])
-		encs[i].DecodeInto(vs[i])
-	}
-	return pendingBucket{params: b.params, idx: b.idx, hEnc: c.IAllGatherBatchEnc(encs)}
+	return pendingBucket{idx: b.idx, h: tr.world[g].IAlltoAllBatchEnc(parts)}
 }
 
-// finishBucket completes a launched bucket: waits for every rank's batch,
-// then per parameter accumulates the ranks' fp32 parts in source-rank order
-// directly into the parameter gradient, scaled to the global-batch mean.
-// The parts are read from the peers' arenas: the raw wire delivers exactly
-// those tensors by reference, and on the compressed wire each is the image
-// its sender decoded at launch — bit for bit what DecodeInto/AddTo on the
-// received payload would add, computed G times a step instead of G². So
-// every rank obtains averages bit-identical to the sequential path's
-// centralized ones. The received payloads carried the wire bytes and clock
-// charges; they are released back to the wire-buffer pool unread. (The
-// error-feedback residual was already refreshed at launch by
-// EncodeResidual.)
-func (tr *Trainer) finishBucket(params []*nn.Param, pb pendingBucket, invG float32) {
-	var enc [][]*quant.Encoded
-	if pb.h != nil {
-		pb.h.Wait()
-	} else {
-		enc = pb.hEnc.Wait()
-	}
-	for i, pi := range pb.params {
-		gd := params[pi].Grad
-		gd.CopyFrom(tr.arenas[0].vs[pb.idx][i])
-		for src := 1; src < len(tr.arenas); src++ {
-			tensor.AddInPlace(gd, tr.arenas[src].vs[pb.idx][i])
+// finishBucket completes rank g's share of a launched bucket: it waits for
+// the batch each rank sent it and, per segment it owns, decodes rank 0's
+// part into its gradient rows, adds ranks 1…G−1's parts in order and scales
+// to the global-batch mean — per element the float32 operations the
+// sequential reference runs. Its other gradient rows keep their local
+// values, which nothing reads. Every received payload is released once
+// folded.
+func (tr *Trainer) finishBucket(g int, pb pendingBucket, invG float32) {
+	got := pb.h.Wait()
+	for k, v := range tr.shards[g].views[pb.idx][g] {
+		got[0][k].DecodeInto(v.grad)
+		for src := 1; src < len(got); src++ {
+			got[src][k].AddTo(v.grad)
 		}
-		tensor.ScaleInPlace(gd, invG)
+		tensor.ScaleInPlace(v.grad, invG)
 	}
-	for _, es := range enc {
+	for _, es := range got {
 		for _, e := range es {
 			e.Release()
+		}
+	}
+}
+
+// stepOwned is rank g's share of the over-arch update, once every bucket
+// has finished: Adam on the rows it owns, then the posts of both weight
+// gathers, the bottom MLP's first — the order the forwards wait for them.
+func (tr *Trainer) stepOwned(g int) {
+	sh := &tr.shards[g]
+	tr.overOpts[g].Step(sh.owned)
+	for grp := range sh.gather {
+		sh.gather[grp] = tr.world[g].IAllGatherBatch(sh.send[grp])
+	}
+}
+
+// awaitWeights completes rank g's weight gather of readiness group grp,
+// copying every other owner's updated rows into its replica. It is a no-op
+// when no gather of the group is in flight.
+func (tr *Trainer) awaitWeights(g, grp int) {
+	sh := &tr.shards[g]
+	h := sh.gather[grp]
+	if h == nil {
+		return
+	}
+	sh.gather[grp] = nil
+	got := h.Wait()
+	for src, rows := range sh.recv[grp] {
+		for j, v := range rows {
+			v.CopyFrom(got[src][j])
 		}
 	}
 }

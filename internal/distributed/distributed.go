@@ -14,7 +14,8 @@
 // walks a fixed phase order — SPTT forward, dense forward/backward, SPTT
 // backward, gradient exchange, update — running every phase as one goroutine
 // per rank under comm.Run, exactly like the SPTT dataflow: over-arch
-// gradient averaging via real bucketed collectives on the global group
+// gradients reduced to one owner rank per row by real bucketed collectives
+// on the global group, stepped there and gathered back as weights
 // (buckets.go), tower-module gradients reduced intra-host inside
 // SPTTBackward, and sparse updates applied by each table's owner rank. What
 // communication a step leaves exposed is decided by a schedule VALUE the
@@ -74,7 +75,7 @@ type Config struct {
 	Sequential bool
 	// Overlap selects the overlapped rank-parallel schedule: the SPTT
 	// forward's cross-host peer AlltoAll runs concurrently with the
-	// bottom-MLP forward, and the over-arch gradient AllReduce is launched
+	// bottom-MLP forward, and the over-arch gradient reduce is launched
 	// in readiness-ordered buckets during the dense backward and completed
 	// behind the SPTT backward. Purely a scheduling change — per-parameter
 	// reductions still combine in source-rank order, so the trajectory is
@@ -98,7 +99,7 @@ type Config struct {
 	// (models.NewDMTDLRM), so they share no parameter. Mutually exclusive
 	// with Sequential and with Overlap.
 	Pipeline int
-	// BucketBytes caps how many gradient bytes one overlapped AllReduce
+	// BucketBytes caps how many gradient bytes one over-arch reduction
 	// bucket carries. Parameters are always grouped whole: encoding
 	// boundaries must match the golden per-parameter trajectory, or
 	// compressed runs would quantize over different row structures and
@@ -143,11 +144,13 @@ type EmbeddingTier struct {
 // Compression is the quantized-communication policy (§6 / the Strong
 // Baseline's quantized comms, Yang et al. 2021). The embedding dataflow is
 // compressed topology-aware — cross-host hops shrink while intra-host
-// NVLink traffic stays fp32 — and the over-arch gradient AllReduce, whose
-// volume is dominated by cross-host pairs, is compressed on every hop with
-// error feedback absorbing the rounding.
+// NVLink traffic stays fp32 — and the over-arch gradient reduce to the row
+// owners, whose volume is dominated by cross-host pairs, is compressed on
+// every hop with error feedback absorbing the rounding. The owners' weight
+// gather that answers it stays fp32: re-quantizing weights would move the
+// trajectory.
 type Compression struct {
-	// Gradient compresses the over-arch gradient AllReduce with per-rank
+	// Gradient compresses the over-arch gradient reduce with per-rank
 	// error feedback: each rank quantizes g + r, where the residual r
 	// carries that rank's accumulated round-trip error into the next step
 	// (1-bit Adam style memory), so quantization error does not bias the
@@ -166,13 +169,16 @@ type Trainer struct {
 	engine   *sptt.Engine
 	replicas []*models.DMTDLRM
 	modules  []sptt.TowerModule
-	// Each rank's dense optimizers: identical state keeps replicas in
-	// lockstep. The over-arch and tower-module parameter sets get separate
-	// Adam instances because the pipelined schedule applies their updates
-	// in different phases (over-arch behind the step boundary, tower
-	// module inside the step). nn.Adam state is per-parameter and the two
-	// sets are disjoint, so splitting the optimizer is value-neutral: each
-	// parameter sees the same t/m/v sequence as under one fused instance.
+	// Each rank's dense optimizers. The over-arch and tower-module parameter
+	// sets get separate Adam instances because the pipelined schedule
+	// applies their updates in different phases (over-arch behind the step
+	// boundary, tower module inside the step). nn.Adam state is per element
+	// and the sets are disjoint, so splitting the optimizer is
+	// value-neutral: each element sees the same t/m/v sequence as under one
+	// fused instance. The rank-parallel engine steps each over-arch row on
+	// its owner alone (rankShard.owned), so overOpts[g] holds moments for
+	// rank g's rows only; the sequential reference steps every replica
+	// whole. Tower-module replicas stay in lockstep through identical state.
 	overOpts []*nn.Adam
 	tmOpts   []*nn.Adam
 	loss     []*nn.BCEWithLogits
@@ -183,7 +189,7 @@ type Trainer struct {
 	tier embeddings.Tier
 
 	// world is the persistent global group the rank-parallel step uses for
-	// dense compute and the over-arch gradient AllReduce; its cumulative
+	// dense compute and the over-arch reduce and gather; its cumulative
 	// traffic counters feed Stats.
 	world []*comm.Comm
 	// tmReduceBytes is the per-step wire volume of the intra-tower gradient
@@ -195,7 +201,8 @@ type Trainer struct {
 	// the Config selectors at New (unused by the sequential reference).
 	sched schedule
 	// buckets is the launch plan for the over-arch gradient reduction, in
-	// launch order (identical on every rank).
+	// launch order, with each bucket's row owners (identical on every
+	// rank).
 	buckets []gradBucket
 	// Cumulative world-group timing at the end of the previous step, so
 	// each step can charge its own exposed/hidden delta.
@@ -219,10 +226,10 @@ type Trainer struct {
 	// only its own slots, so the rank-parallel engine needs no locking.
 	residuals [][]*tensor.Tensor
 
-	// arenas[g] is rank g's persistent wire scratch for the over-arch
-	// gradient buckets, so steady-state bucket assembly allocates nothing
-	// (see launchBucket). Unused by the sequential reference path.
-	arenas []bucketArena
+	// shards[g] is rank g's side of the row ownership: views of its rows,
+	// its wire scratch and its owned rows' Adam parameters (see rankShard).
+	// Unused by the sequential reference path.
+	shards []rankShard
 
 	// Cross-step state (Config.Pipeline): the previous step's still-in-
 	// flight gradient buckets, per rank in launch order.
@@ -293,8 +300,9 @@ type Stats struct {
 	// Phases is modeled virtual time; zero unless the trainer runs with
 	// Config.Fabric.
 	Phases PhaseTimes
-	// Gradient synchronization bytes: the over-arch AllReduce (measured on
-	// the world group) plus the intra-tower reduction (always intra-host).
+	// Gradient synchronization bytes: the over-arch reduce and weight
+	// gather (measured on the world group) plus the intra-tower reduction
+	// (always intra-host).
 	// The sequential reference path exchanges dense gradients through
 	// memory, so only the tower-module share appears there.
 	GradIntraHostBytes int64
@@ -410,6 +418,7 @@ func New(cfg Config) (*Trainer, error) {
 	}
 	tr.world = comm.NewGroupNet(cfg.G, tr.net, nil)
 	tr.buckets = planBuckets(tr.replicas[0], cfg.BucketBytes)
+	assignOwners(tr.buckets, tr.replicas[0].OverArchParams(), cfg.G)
 	if cfg.Compression.Gradient != quant.None {
 		for g := 0; g < cfg.G; g++ {
 			var rs []*tensor.Tensor
@@ -420,19 +429,8 @@ func New(cfg Config) (*Trainer, error) {
 		}
 	}
 	if !cfg.Sequential {
-		tr.arenas = make([]bucketArena, cfg.G)
 		for g := 0; g < cfg.G; g++ {
-			a := &tr.arenas[g]
-			params := tr.replicas[g].OverArchParams()
-			a.vs = make([][]*tensor.Tensor, len(tr.buckets))
-			a.encs = make([][]*quant.Encoded, len(tr.buckets))
-			for bi, b := range tr.buckets {
-				a.vs[bi] = make([]*tensor.Tensor, len(b.params))
-				for i, pi := range b.params {
-					a.vs[bi][i] = tensor.New(params[pi].Value.Shape()...)
-				}
-				a.encs[bi] = make([]*quant.Encoded, len(b.params))
-			}
+			tr.shards = append(tr.shards, tr.newShard(g))
 		}
 	}
 	return tr, nil

@@ -9,6 +9,7 @@ import (
 
 	"dmt/internal/comm"
 	"dmt/internal/data"
+	"dmt/internal/nn"
 	"dmt/internal/quant"
 	"dmt/internal/tensor"
 )
@@ -34,27 +35,26 @@ func seedGradients(tr *Trainer, round int) {
 	}
 }
 
-// runBuckets drives one round of the over-arch reduction exactly as the
-// trainer's schedule places it: launch and finish bucket by bucket
-// (blocking), launch all then finish all (overlapped), or launch carried in
-// one Run and finish in the next (pipelined).
+// runBuckets drives one round of the over-arch reduction and update
+// exactly as the trainer's schedule places it: launch and finish bucket by
+// bucket (blocking), launch all then finish all (overlapped), or launch
+// carried in one Run and finish in the next (pipelined); then the owners'
+// Adam step and both weight gathers.
 func runBuckets(tr *Trainer) {
 	invG := 1 / float32(tr.cfg.G)
 	inflight := make([][]pendingBucket, tr.cfg.G)
 	finish := func(g int) {
-		params := tr.replicas[g].OverArchParams()
 		for _, pb := range inflight[g] {
-			tr.finishBucket(params, pb, invG)
+			tr.finishBucket(g, pb, invG)
 		}
 		inflight[g] = inflight[g][:0]
 	}
 	comm.Run(tr.world, func(c *comm.Comm) {
 		g := c.Rank()
-		params := tr.replicas[g].OverArchParams()
 		for _, b := range tr.buckets {
-			pb := tr.launchBucket(g, params, b)
+			pb := tr.launchBucket(g, b)
 			if tr.sched.finish == finishNextStep {
-				pb.carry()
+				pb.h.Carry()
 			}
 			inflight[g] = append(inflight[g], pb)
 			if tr.sched.finish == finishAtLaunch {
@@ -65,9 +65,17 @@ func runBuckets(tr *Trainer) {
 			finish(g)
 		}
 	})
-	if tr.sched.finish == finishNextStep {
-		comm.Run(tr.world, func(c *comm.Comm) { finish(c.Rank()) })
-	}
+	comm.Run(tr.world, func(c *comm.Comm) {
+		g := c.Rank()
+		if tr.sched.finish == finishNextStep {
+			tr.finishCarried(g, inflight[g], invG)
+			inflight[g] = inflight[g][:0]
+		} else {
+			tr.stepOwned(g)
+		}
+		tr.awaitWeights(g, bottomGroup)
+		tr.awaitWeights(g, topGroup)
+	})
 }
 
 // sameBits compares by float32 bit pattern, so −0 and +0 differ, with one
@@ -84,52 +92,84 @@ func sameBits(a, b *tensor.Tensor) bool {
 	return a.Len() == b.Len()
 }
 
-// checkReduction runs one round on tr and compares every rank's reduced
-// gradients and refreshed residuals with the per-receiver reference:
-// DecodeInto(payload of rank 0), AddTo(payloads of ranks 1…G−1), scale —
-// computed from payloads the test encodes itself.
-func checkReduction(t *testing.T, name string, tr *Trainer, s quant.Scheme) {
+// reference is the whole-parameter oracle a trainer's reduction and
+// update are checked against: every rank's encode of its whole gradient,
+// the per-receiver decode DecodeInto(rank 0) + AddTo(ranks 1…G−1), the
+// scale, and one Adam over full copies of the weights, stepped in lockstep
+// with the trainer.
+type reference struct {
+	params []*nn.Param
+	adam   *nn.Adam
+}
+
+func newReference(tr *Trainer) *reference {
+	ref := &reference{adam: nn.NewAdam(tr.cfg.DenseLR)}
+	for _, p := range tr.replicas[0].OverArchParams() {
+		ref.params = append(ref.params, &nn.Param{Name: p.Name, Value: p.Value.Clone(), Grad: tensor.New(p.Grad.Shape()...)})
+	}
+	return ref
+}
+
+// checkReduction runs one round on tr and compares it with the reference,
+// computed from payloads the test encodes itself: each owner's reduced
+// gradient rows, every rank's refreshed residuals, and every rank's weights
+// after the owners' Adam step and the gathers.
+func checkReduction(t *testing.T, name string, tr *Trainer, ref *reference, s quant.Scheme) {
 	t.Helper()
 	G := tr.cfg.G
-	nParams := len(tr.replicas[0].OverArchParams())
-	wantGrad := make([]*tensor.Tensor, nParams)
 	wantRes := make([][]*tensor.Tensor, G)
 	for g := range wantRes {
-		wantRes[g] = make([]*tensor.Tensor, nParams)
+		wantRes[g] = make([]*tensor.Tensor, len(ref.params))
 		for pi, p := range tr.replicas[g].OverArchParams() {
-			wantRes[g][pi] = tr.Residual(g, pi).Clone()
-			e := quant.EncodeResidual(s, p.Grad, wantRes[g][pi])
-			if g == 0 {
-				wantGrad[pi] = tensor.New(p.Grad.Shape()...)
-				e.DecodeInto(wantGrad[pi])
+			var e *quant.Encoded
+			if s == quant.None {
+				e = quant.Encode(s, p.Grad)
 			} else {
-				e.AddTo(wantGrad[pi])
+				wantRes[g][pi] = tr.Residual(g, pi).Clone()
+				e = quant.EncodeResidual(s, p.Grad, wantRes[g][pi])
+			}
+			if g == 0 {
+				e.DecodeInto(ref.params[pi].Grad)
+			} else {
+				e.AddTo(ref.params[pi].Grad)
 			}
 			e.Release()
 		}
 	}
-	for _, w := range wantGrad {
-		tensor.ScaleInPlace(w, 1/float32(G))
+	for _, p := range ref.params {
+		tensor.ScaleInPlace(p.Grad, 1/float32(G))
 	}
+	ref.adam.Step(ref.params)
 	runBuckets(tr)
 	for g := 0; g < G; g++ {
-		for pi, p := range tr.replicas[g].OverArchParams() {
-			if !sameBits(p.Grad, wantGrad[pi]) {
-				t.Fatalf("%s: rank %d gradient %s differs from the per-receiver decode", name, g, p.Name)
+		params := tr.replicas[g].OverArchParams()
+		for bi, b := range tr.buckets {
+			for k, seg := range b.segs[g] {
+				if !sameBits(tr.shards[g].views[bi][g][k].grad, seg.view(ref.params[seg.param].Grad)) {
+					t.Fatalf("%s: owner %d's gradient rows [%d, %d) of %s differ from the per-receiver decode",
+						name, g, seg.lo, seg.hi, params[seg.param].Name)
+				}
 			}
-			if !sameBits(tr.Residual(g, pi), wantRes[g][pi]) {
+		}
+		for pi, p := range params {
+			if s != quant.None && !sameBits(tr.Residual(g, pi), wantRes[g][pi]) {
 				t.Fatalf("%s: rank %d residual %s differs", name, g, p.Name)
+			}
+			if !sameBits(p.Value, ref.params[pi].Value) {
+				t.Fatalf("%s: rank %d weights %s differ from the whole-parameter Adam step", name, g, p.Name)
 			}
 		}
 	}
 }
 
-// TestBucketReductionMatchesPerReceiverDecode pins the sender-side decode:
-// whatever the schedule, world size and wire scheme, every rank's reduced
-// gradient and refreshed residual carry the bits of the per-receiver
-// reference. Two rounds per trainer, so the second reuses the arenas and
-// starts from non-zero residuals; both GOMAXPROCS settings, so `make race`
-// sees the cross-rank image reads with and without real parallelism.
+// TestBucketReductionMatchesPerReceiverDecode pins the owner-sharded
+// reduction and update: whatever the schedule, world size and wire scheme,
+// each owner's reduced gradient rows, every rank's refreshed residuals and
+// every rank's weights after the owners' Adam step and the fp32 gathers
+// carry the bits of the whole-parameter reference. Two rounds per trainer,
+// so the second reuses the shards and starts from non-zero residuals and
+// moments; both GOMAXPROCS settings, so `make race` sees the owners' reads
+// of peers' payloads and weight rows with and without real parallelism.
 func TestBucketReductionMatchesPerReceiverDecode(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	schedules := []struct {
@@ -143,7 +183,7 @@ func TestBucketReductionMatchesPerReceiverDecode(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
 		for _, setup := range []func(uint64) (Config, *data.Generator){testSetup, latencySetup} { // G = 4, G = 8
-			for _, s := range []quant.Scheme{quant.FP16, quant.INT8, quant.INT4} {
+			for _, s := range []quant.Scheme{quant.None, quant.FP16, quant.INT8, quant.INT4} {
 				for _, sc := range schedules {
 					cfg, _ := setup(3)
 					cfg.Compression.Gradient = s
@@ -156,9 +196,10 @@ func TestBucketReductionMatchesPerReceiverDecode(t *testing.T) {
 					if sc.name == "pipelined" && !tr.PipelineActive() {
 						t.Fatalf("%s: pipeline not active", name)
 					}
+					ref := newReference(tr)
 					for round := 0; round < 2; round++ {
 						seedGradients(tr, round)
-						checkReduction(t, fmt.Sprintf("%s round %d", name, round), tr, s)
+						checkReduction(t, fmt.Sprintf("%s round %d", name, round), tr, ref, s)
 					}
 					tr.Close()
 				}
@@ -167,13 +208,40 @@ func TestBucketReductionMatchesPerReceiverDecode(t *testing.T) {
 	}
 }
 
+// TestOverArchMomentsSharded: each over-arch element has one owner, so the
+// ranks' over-arch Adam instances together hold exactly two moments per
+// over-arch parameter element — one copy of the optimizer state, not G.
+func TestOverArchMomentsSharded(t *testing.T) {
+	for _, setup := range []func(uint64) (Config, *data.Generator){testSetup, latencySetup} {
+		for _, pipeline := range []int{0, 1} {
+			cfg, gen := setup(5)
+			cfg.Pipeline = pipeline
+			tr, losses := runSteps(t, cfg, gen, 2)
+			tr.Drain()
+			if losses[1] <= 0 {
+				t.Fatalf("implausible loss %v", losses[1])
+			}
+			want := 0
+			for _, p := range tr.replicas[0].OverArchParams() {
+				want += 2 * p.Value.Len()
+			}
+			got := 0
+			for g := range tr.overOpts {
+				got += tr.overOpts[g].StateLen()
+			}
+			if got != want {
+				t.Fatalf("G=%d pipeline=%d: the ranks hold %d over-arch moment elements, want %d", cfg.G, pipeline, got, want)
+			}
+		}
+	}
+}
+
 // TestCompressedBucketCycleAllocs pins the steady-state cost of one
-// compressed launch+finish cycle over all G ranks and buckets at the raw
-// wire's: what both allocate is the runtime's — the Run goroutines and, per
-// bucket, the boxed message, the pending handle, its resolver and the [src]
-// result slice (198 objects at G = 8 with two buckets; 310 on either wire
-// while the message was boxed once per destination). The codec, the arena
-// images and the reduction add nothing. The collector is held off while
+// compressed launch+finish+update cycle over all G ranks and buckets at the
+// raw wire's: what both allocate is the runtime's — the Run goroutines and,
+// per bucket and gather, the boxed messages, the pending handle, its
+// resolver and the [src] result slice. The codec, the shards and the
+// reduction add nothing. The collector is held off while
 // measuring: a GC cycle empties sync.Pool, and the re-encodes it forces
 // would count the heap the earlier tests left behind, not the cycle.
 func TestCompressedBucketCycleAllocs(t *testing.T) {
@@ -191,13 +259,20 @@ func TestCompressedBucketCycleAllocs(t *testing.T) {
 		}
 		defer tr.Close()
 		seedGradients(tr, 0)
-		runBuckets(tr) // warm the payload pool
+		// Warm the owners' moments and the payload pool. Row segments of
+		// different sizes share a pool size class, and a pooled buffer
+		// grows only when a larger segment draws it, so the buffers reach
+		// their high-water marks over tens of cycles (about 20 here from
+		// an empty pool), not one.
+		for range 40 {
+			runBuckets(tr)
+		}
 		return testing.AllocsPerRun(20, func() { runBuckets(tr) })
 	}
 	raw := cycle(quant.None)
 	for _, s := range []quant.Scheme{quant.FP16, quant.INT8, quant.INT4} {
 		if got := cycle(s); got > raw {
-			t.Errorf("%s launch+finish cycle allocates %.1f objects, the raw wire %.1f", s, got, raw)
+			t.Errorf("%s launch+finish+update cycle allocates %.1f objects, the raw wire %.1f", s, got, raw)
 		}
 	}
 }

@@ -33,25 +33,32 @@ type schedule struct {
 	// the bottom backward runs), bottom-MLP buckets right after
 	// BackwardBottom — instead of all of them in the exchange phase.
 	launchAtReadiness bool
-	// finish is where a launched bucket completes.
+	// finish is where a launched bucket completes, and with it where the
+	// owners' Adam step runs and the weight gathers are waited.
 	finish finishPoint
 }
 
 type finishPoint int
 
 const (
-	// finishAtLaunch waits each bucket before the next one is posted.
+	// finishAtLaunch waits each bucket before the next one is posted, and
+	// each weight gather where the update phase posts it.
 	finishAtLaunch finishPoint = iota
 	// finishAfterBackward completes the buckets in the exchange phase, so
 	// they ride out the rest of the dense backward and the whole SPTT
 	// backward: in latency mode the backward's modeled collective time
-	// advances the ranks' clocks past the buckets' ready-times.
+	// advances the ranks' clocks past the buckets' ready-times. The weight
+	// gathers fly under the rest of the update phase (the tower-module
+	// step and the embedding tier's update round) and are waited at its
+	// end, so every step still leaves the replicas in sync.
 	finishAfterBackward
 	// finishNextStep leaves the buckets in flight across the step boundary
-	// (Pending.Carry). They complete at the head of the NEXT step's
-	// bottom-MLP forward — inside that step's forward window — followed at
-	// once by the deferred over-arch Adam step; Drain completes the last
-	// step's.
+	// (Pending.Carry). They complete at the head of the NEXT step, before
+	// its SPTT forward, followed at once by the owners' deferred Adam step
+	// and the posts of the weight gathers. Each gather is waited right
+	// before the first forward that reads it: the bottom MLP's before
+	// ForwardBottom, inside the forward window, and the top MLP's before
+	// ForwardDenseFrom. Drain completes the last step's.
 	finishNextStep
 )
 
@@ -65,17 +72,17 @@ const (
 //     embedding backward.
 //   - pipelined (Config.Pipeline): the overlapped schedule extended across
 //     the step boundary, where the overlapped schedule still drains its
-//     buckets while the next SPTT forward sits idle. Step N's buckets
-//     complete while step N+1's step (f) peer AlltoAll is in flight, and the
-//     reverse peer AlltoAll hides under the bottom-MLP backward. Over S
-//     steps the residual drain exposure is paid once (Drain) instead of S
-//     times.
+//     buckets and gathers while the next SPTT forward sits idle. Step N's
+//     buckets complete at the head of step N+1, and its weight gathers fly
+//     under step N+1's SPTT forward; the reverse peer AlltoAll hides under
+//     the bottom-MLP backward. Over S steps the last gathers' exposure is
+//     paid once (Drain) instead of S times.
 //
 // Why moving work between windows is legal, and bitwise identical to the
 // sequential reference:
 //
-//   - Arithmetic. See buckets.go: one collective per parameter, source-rank
-//     summation order, whole-parameter buckets. The staged model methods
+//   - Arithmetic. See buckets.go: one owner per row, source-rank summation
+//     order, elementwise Adam, fp32 weights back. The staged model methods
 //     compose exactly (ForwardDense = ForwardDenseFrom∘ForwardBottom,
 //     BackwardDense = BackwardBottom after BackwardTop).
 //   - Independence. The SPTT forward touches embedding tables and
@@ -90,16 +97,17 @@ const (
 //     owner-applied sparse updates never cross the boundary: the next
 //     forward reads them, and their collectives already hid inside
 //     SPTTBackward.
-//   - Update placement. The over-arch Adam step still runs after the bucket
-//     averages land and before ForwardBottom reads the parameters — the
-//     same read-after-update dataflow under every schedule, just later in
-//     wall/virtual time. Splitting the dense Adam into over-arch and
-//     tower-module instances is value-neutral: nn.Adam state is per
-//     parameter and the two sets are disjoint.
+//   - Update placement. The owners' over-arch Adam step still runs after
+//     the bucket averages land, and every rank holds the gathered weights
+//     before a forward reads them — the same read-after-update dataflow
+//     under every schedule, just later in wall/virtual time. Splitting the
+//     dense Adam into over-arch and tower-module instances, and the
+//     over-arch one into row segments, is value-neutral: nn.Adam state is
+//     per element and the sets are disjoint.
 //   - Wire format. Handles are waited in issue order (the launch plan's
-//     order) by a goroutine of the issuing rank, sequenced by Run joins,
-//     before any new collective is issued on the world group — exactly the
-//     Pending contract. The window hooks run on the rank's SPTT dataflow
+//     order, then the bottom gather, then the top one) by a goroutine of
+//     the issuing rank, sequenced by Run joins, before any new collective
+//     is issued on the world group — exactly the Pending contract. The window hooks run on the rank's SPTT dataflow
 //     goroutine and touch only rank-private state and the world group,
 //     which is disjoint from the dataflow's groups.
 var (
@@ -148,7 +156,7 @@ func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepR
 	invG := 1 / float32(cfg.G)
 	carried := tr.carried
 	tr.carried = nil
-	var crossE, crossH atomic.Int64 // carried-bucket completion, summed over ranks
+	var crossE, crossH atomic.Int64 // carried work's completion, summed over ranks
 	denseEmb := make([]*tensor.Tensor, cfg.G)
 	dDenseEmb := make([]*tensor.Tensor, cfg.G)
 	inflight := make([][]pendingBucket, cfg.G)
@@ -162,24 +170,29 @@ func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepR
 	// (the wire format), and parks the handles for the schedule's finish
 	// point — marked carried when that point lies past the step boundary.
 	launch := func(g int, bs []gradBucket) {
-		params := tr.replicas[g].OverArchParams()
 		for _, b := range bs {
-			pb := tr.launchBucket(g, params, b)
+			pb := tr.launchBucket(g, b)
 			switch s.finish {
 			case finishAtLaunch:
-				tr.finishBucket(params, pb, invG)
+				tr.finishBucket(g, pb, invG)
 				continue
 			case finishNextStep:
-				pb.carry()
+				pb.h.Carry()
 			}
 			inflight[g] = append(inflight[g], pb)
 		}
 	}
+	// crossStep runs fn, rank g's share of the work the last step carried
+	// over, and adds the world group's exposed/hidden delta around it to
+	// the cross-step sub-attribution.
+	crossStep := func(g int, fn func()) {
+		e, h := tr.timed(g, fn)
+		crossE.Add(int64(e))
+		crossH.Add(int64(h))
+	}
 	bottomForward := func(g int) {
 		if carried != nil {
-			e, h := tr.finishCarried(g, carried[g], invG)
-			crossE.Add(int64(e))
-			crossH.Add(int64(h))
+			crossStep(g, func() { tr.awaitWeights(g, bottomGroup) })
 		}
 		m := tr.replicas[g]
 		for _, p := range m.DenseParams() {
@@ -194,6 +207,15 @@ func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepR
 		if s.launchAtReadiness {
 			launch(g, tr.buckets[nTop:])
 		}
+	}
+
+	// The buckets the last step carried land first, and their owners step:
+	// the weight gathers then fly under the whole SPTT forward.
+	if carried != nil {
+		comm.Run(tr.world, func(c *comm.Comm) {
+			g := c.Rank()
+			crossStep(g, func() { tr.finishCarried(g, carried[g], invG) })
+		})
 	}
 
 	comms := sptt.Comms{CrossHost: cfg.Compression.Embedding, Net: tr.net}
@@ -217,6 +239,9 @@ func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepR
 		m := tr.replicas[g]
 		if !s.fwdInWindow {
 			bottomForward(g)
+		}
+		if carried != nil {
+			crossStep(g, func() { tr.awaitWeights(g, topGroup) })
 		}
 		logits := m.ForwardDenseFrom(denseEmb[g], compressed[g])
 		res.PerRankLoss[g] = tr.loss[g].Forward(logits, batches[g].Labels)
@@ -252,25 +277,33 @@ func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepR
 			launch(g, tr.buckets)
 		}
 		if s.finish == finishAfterBackward {
-			params := tr.replicas[g].OverArchParams()
 			for _, pb := range inflight[g] {
-				tr.finishBucket(params, pb, invG)
+				tr.finishBucket(g, pb, invG)
 			}
 		}
 		tr.scaleRank(g, sparse, invG)
 	})
 	gradEx := lap()
 
-	// Updates: each rank steps its over-arch (unless its gradients are
-	// still on the wire) and its own tower module; each owner rank applies
-	// sparse updates to its canonical tables through the embedding tier.
+	// Updates: each rank steps the over-arch rows it owns and posts their
+	// gathers (unless its gradients are still on the wire), and steps its
+	// own tower module; each owner rank applies sparse updates to its
+	// canonical tables through the embedding tier.
 	comm.Run(tr.world, func(c *comm.Comm) {
 		g := c.Rank()
 		if s.finish != finishNextStep {
-			tr.overOpts[g].Step(tr.replicas[g].OverArchParams())
+			tr.stepOwned(g)
+		}
+		if s.finish == finishAtLaunch {
+			tr.awaitWeights(g, bottomGroup)
+			tr.awaitWeights(g, topGroup)
 		}
 		tr.tmOpts[g].Step(tr.modules[g].Params())
 		tr.applySparse(g, sparse)
+		if s.finish == finishAfterBackward {
+			tr.awaitWeights(g, bottomGroup)
+			tr.awaitWeights(g, topGroup)
+		}
 	})
 	update := lap()
 
@@ -293,30 +326,35 @@ func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepR
 }
 
 // finishCarried completes rank g's buckets carried over the last step
-// boundary and applies the deferred over-arch Adam step — after the
-// averages land, before anything reads the parameters. It returns the
-// world group's exposed/hidden deltas around the waits, the cross-step
-// sub-attribution (safe to read: the counters belong to this rank, and the
-// caller is one of its goroutines, sequenced by the previous Run joins).
-func (tr *Trainer) finishCarried(g int, pbs []pendingBucket, invG float32) (exposed, hidden time.Duration) {
-	c := tr.world[g]
-	params := tr.replicas[g].OverArchParams()
-	e0, h0 := c.Times()
+// boundary and runs its deferred Adam step on the rows it owns, which posts
+// the weight gathers. Each gather stays in flight until the first forward
+// that reads its rows.
+func (tr *Trainer) finishCarried(g int, pbs []pendingBucket, invG float32) {
 	for _, pb := range pbs {
-		tr.finishBucket(params, pb, invG)
+		tr.finishBucket(g, pb, invG)
 	}
+	tr.stepOwned(g)
+}
+
+// timed runs fn and returns rank g's world-group exposed/hidden deltas
+// around it (safe to read: the counters belong to this rank, and the
+// caller is one of its goroutines, sequenced by the previous Run joins).
+func (tr *Trainer) timed(g int, fn func()) (exposed, hidden time.Duration) {
+	c := tr.world[g]
+	e0, h0 := c.Times()
+	fn()
 	e1, h1 := c.Times()
-	tr.overOpts[g].Step(params)
 	return e1 - e0, h1 - h0
 }
 
 // Drain finishes whatever the last step carried across its boundary — each
-// rank's in-flight gradient buckets and the deferred over-arch update —
-// then asserts the comm runtime is fully drained. The drain's exposure is
-// folded into the cumulative stats (without counting a step); all of it is
-// cross-step time, since the world group has done nothing else since the
-// last step ended. Idempotent, and a no-op when nothing is carried; Close
-// calls it, and tests call it before comparing final parameters.
+// rank's in-flight gradient buckets, the owners' deferred Adam step and
+// both weight gathers — then asserts the comm runtime is fully drained. The
+// drain's exposure is folded into the cumulative stats (without counting a
+// step); all of it is cross-step time, since the world group has done
+// nothing else since the last step ended. Idempotent, and a no-op when
+// nothing is carried; Close calls it, and tests call it before comparing
+// final parameters.
 func (tr *Trainer) Drain() {
 	carried := tr.carried
 	if carried == nil {
@@ -325,7 +363,10 @@ func (tr *Trainer) Drain() {
 	tr.carried = nil
 	invG := 1 / float32(tr.cfg.G)
 	comm.Run(tr.world, func(c *comm.Comm) {
-		tr.finishCarried(c.Rank(), carried[c.Rank()], invG)
+		g := c.Rank()
+		tr.finishCarried(g, carried[g], invG)
+		tr.awaitWeights(g, bottomGroup)
+		tr.awaitWeights(g, topGroup)
 	})
 	comm.AssertDrained(tr.world)
 

@@ -35,25 +35,23 @@ func (g scheduleGolden) String() string {
 		g.bytes[0], g.bytes[1], g.bytes[2], g.bytes[3], g.lossBits)
 }
 
-// scheduleGoldens were captured from the three hand-written step bodies
-// that preceded the one executor (commit e9762c8): G=8, L=2, A100 fabric,
-// 3 steps + Drain. "toy" is latencySetup as is (the Figure 13 profile: the
-// bucket drain fits inside the SPTT backward window); "wide" widens the top
-// MLP to {512, 256} so the drain outlasts that window and the schedules
-// actually separate.
+// scheduleGoldens pin G=8, L=2, A100 fabric, 3 steps + Drain. "toy" is
+// latencySetup as is (the Figure 13 profile, where per-message latency
+// sets the reduction's cost); "wide" widens the top MLP to {512, 256} so
+// the gradient bytes set it and the schedules separate.
 var scheduleGoldens = map[string]scheduleGolden{
-	"toy/blocking/fp16":    {PhaseTimes{69228, 9, 30228, 0, 99456, 0, 0, 0}, [6]time.Duration{3, 6, 36129, 0, 33099, 0}, [4]int64{49776, 277920, 202752, 110592}, 0x3fe61db8f51e35f6},
-	"toy/blocking/fp32":    {PhaseTimes{69348, 9, 30459, 0, 99807, 0, 0, 0}, [6]time.Duration{3, 6, 36189, 0, 33159, 0}, [4]int64{96096, 555840, 202752, 184320}, 0x3fe61dbeec918f1e},
-	"toy/overlapped/fp16":  {PhaseTimes{69228, 9, 0, 0, 69228, 33099, 0, 0}, [6]time.Duration{3, 6, 36129, 0, 33099, 0}, [4]int64{49776, 277920, 202752, 110592}, 0x3fe61db8f51e35f6},
-	"toy/overlapped/fp32":  {PhaseTimes{69348, 9, 0, 0, 69348, 33159, 0, 0}, [6]time.Duration{3, 6, 36189, 0, 33159, 0}, [4]int64{96096, 555840, 202752, 184320}, 0x3fe61dbeec918f1e},
-	"toy/pipelined/fp16":   {PhaseTimes{69228, 9, 0, 0, 69228, 47145, 0, 47145}, [6]time.Duration{3, 6, 36129, 0, 33099, 0}, [4]int64{49776, 277920, 202752, 110592}, 0x3fe61db8f51e35f6},
-	"toy/pipelined/fp32":   {PhaseTimes{69348, 9, 0, 0, 69348, 47205, 0, 47205}, [6]time.Duration{3, 6, 36189, 0, 33159, 0}, [4]int64{96096, 555840, 202752, 184320}, 0x3fe61dbeec918f1e},
-	"wide/blocking/fp16":   {PhaseTimes{69228, 2250, 111681, 0, 180909, 0, 0, 0}, [6]time.Duration{750, 1500, 36129, 0, 33099, 0}, [4]int64{7341168, 44026272, 202752, 110592}, 0x3fe55f4c5eeafdc6},
-	"wide/blocking/fp32":   {PhaseTimes{69348, 2250, 148368, 0, 217716, 0, 0, 0}, [6]time.Duration{750, 1500, 36189, 0, 33159, 0}, [4]int64{14678880, 88052544, 202752, 184320}, 0x3fe55f50fe0a47c6},
-	"wide/overlapped/fp16": {PhaseTimes{69228, 2250, 13356, 0, 82584, 46455, 0, 0}, [6]time.Duration{750, 1500, 36129, 0, 33099, 0}, [4]int64{7341168, 44026272, 202752, 110592}, 0x3fe55f4c5eeafdc6},
-	"wide/overlapped/fp32": {PhaseTimes{69348, 2250, 44754, 0, 114102, 77913, 0, 0}, [6]time.Duration{750, 1500, 36189, 0, 33159, 0}, [4]int64{14678880, 88052544, 202752, 184320}, 0x3fe55f50fe0a47c6},
-	"wide/pipelined/fp16":  {PhaseTimes{69228, 2250, 0, 0, 73680, 51597, 4452, 51597}, [6]time.Duration{750, 1500, 36129, 0, 33099, 0}, [4]int64{7341168, 44026272, 202752, 110592}, 0x3fe55f4c5eeafdc6},
-	"wide/pipelined/fp32":  {PhaseTimes{75058, 2250, 0, 0, 89976, 77913, 30708, 77913}, [6]time.Duration{750, 1500, 26109, 0, 33159, 0}, [4]int64{14678880, 88052544, 202752, 184320}, 0x3fe55f50fe0a47c6},
+	"toy/blocking/fp16":    {PhaseTimes{69230, 9, 30030, 15051, 114311, 15021, 0, 0}, [6]time.Duration{3, 6, 36131, 0, 33099, 0}, [4]int64{20826, 104220, 202752, 110592}, 0x3fe61db8f51e35f6},
+	"toy/blocking/fp32":    {PhaseTimes{69348, 9, 30066, 15045, 114459, 15024, 0, 0}, [6]time.Duration{3, 6, 36189, 0, 33159, 0}, [4]int64{26616, 138960, 202752, 184320}, 0x3fe61dbeec918f1e},
+	"toy/overlapped/fp16":  {PhaseTimes{69232, 9, 0, 15051, 84283, 48117, 0, 0}, [6]time.Duration{3, 6, 36131, 0, 33099, 0}, [4]int64{20826, 104220, 202752, 110592}, 0x3fe61db8f51e35f6},
+	"toy/overlapped/fp32":  {PhaseTimes{69352, 9, 0, 15051, 84403, 48177, 0, 0}, [6]time.Duration{3, 6, 36191, 0, 33159, 0}, [4]int64{26616, 138960, 202752, 184320}, 0x3fe61dbeec918f1e},
+	"toy/pipelined/fp16":   {PhaseTimes{69228, 9, 0, 0, 74245, 62191, 5017, 62191}, [6]time.Duration{3, 6, 36129, 0, 33099, 0}, [4]int64{20826, 104220, 202752, 110592}, 0x3fe61db8f51e35f6},
+	"toy/pipelined/fp32":   {PhaseTimes{69348, 9, 0, 0, 74365, 62291, 5017, 62291}, [6]time.Duration{3, 6, 36189, 0, 33159, 0}, [4]int64{26616, 138960, 202752, 184320}, 0x3fe61dbeec918f1e},
+	"wide/blocking/fp16":   {PhaseTimes{69240, 2250, 72384, 27321, 168945, 18018, 0, 0}, [6]time.Duration{750, 1500, 36139, 0, 33099, 0}, [4]int64{2755098, 16509852, 202752, 110592}, 0x3fe55f4c5eeafdc6},
+	"wide/blocking/fp32":   {PhaseTimes{69360, 2250, 81768, 27324, 178452, 18021, 0, 0}, [6]time.Duration{750, 1500, 36199, 0, 33159, 0}, [4]int64{3672312, 22013136, 202752, 184320}, 0x3fe55f50fe0a47c6},
+	"wide/overlapped/fp16": {PhaseTimes{69240, 2250, 0, 24318, 93558, 48117, 0, 0}, [6]time.Duration{750, 1500, 36139, 0, 33099, 0}, [4]int64{2755098, 16509852, 202752, 110592}, 0x3fe55f4c5eeafdc6},
+	"wide/overlapped/fp32": {PhaseTimes{69360, 2250, 0, 24318, 93678, 48177, 0, 0}, [6]time.Duration{750, 1500, 36199, 0, 33159, 0}, [4]int64{3672312, 22013136, 202752, 184320}, 0x3fe55f50fe0a47c6},
+	"wide/pipelined/fp16":  {PhaseTimes{69228, 2250, 0, 0, 77334, 62191, 8106, 62191}, [6]time.Duration{750, 1500, 36129, 0, 33099, 0}, [4]int64{2755098, 16509852, 202752, 110592}, 0x3fe55f4c5eeafdc6},
+	"wide/pipelined/fp32":  {PhaseTimes{69348, 2250, 0, 0, 77454, 62291, 8106, 62291}, [6]time.Duration{750, 1500, 36189, 0, 33159, 0}, [4]int64{3672312, 22013136, 202752, 184320}, 0x3fe55f50fe0a47c6},
 }
 
 // TestScheduleGoldenTimeline pins each schedule's modeled timeline by

@@ -285,7 +285,7 @@ func NewKeyed(capacity, shards int) *Keyed {
 	n, per := lruGeometry(capacity, shards)
 	k := &Keyed{shards: make([]*lruShard, n), mask: uint64(n - 1)}
 	for i := range k.shards {
-		k.shards[i] = &lruShard{lens: make([]int32, 1, 8)}
+		k.shards[i] = &lruShard{lens: make([]int32, 1)}
 		k.shards[i].init(per)
 	}
 	return k
@@ -310,10 +310,10 @@ func (sh *lruShard) vec(i int32) []float32 {
 // store copies v into entry i's row, appending i's length cell if i is a
 // new entry one past the last.
 func (sh *lruShard) store(i int32, v []float32) {
+	sh.reserve(len(v), int(i)+1)
 	if int(i) == len(sh.lens) {
 		sh.lens = append(sh.lens, 0)
 	}
-	sh.reserve(len(v), int(i)+1)
 	sh.lens[i] = int32(len(v))
 	copy(sh.slab[int(i)*sh.stride:], v)
 }
@@ -513,7 +513,7 @@ const slabDoubling = 1 << 12
 // at least rows rows — doubling while small, then by a quarter at a time,
 // so appending entry by entry costs amortized O(1) copies — but never past
 // the shard's capacity plus the sentinel's row, so a full cache holds no
-// slack.
+// slack. The length cells grow with the slab, to the same row count.
 func (sh *lruShard) reserve(width, rows int) {
 	stride := max(sh.stride, width)
 	have := 0
@@ -537,6 +537,9 @@ func (sh *lruShard) reserve(width, rows int) {
 		copy(slab[j*stride:j*stride+int(n)], sh.vec(int32(j)))
 	}
 	sh.slab, sh.stride = slab, stride
+	if rows > cap(sh.lens) {
+		sh.lens = append(make([]int32, 0, rows), sh.lens...)
+	}
 }
 
 // Stats merges the shard counters; zero for a nil cache.

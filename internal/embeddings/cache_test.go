@@ -788,3 +788,32 @@ func TestKeyedConcurrentRows(t *testing.T) {
 
 // Len returns the entry count across shards; zero for a nil cache.
 func (k *Keyed) Len() int { return k.Stats().Entries }
+
+// TestKeyedLengthCellsFollowTheSlab fills an 8 192-row Keyed at
+// train_embed's shape past its capacity: every shard's length cells hold
+// exactly the slab's row count, capacity plus the sentinel's at most, with
+// no append slack — 32 KiB of cells, where growing them by append held
+// 42 KB.
+func TestKeyedLengthCellsFollowTheSlab(t *testing.T) {
+	c := NewKeyed(8192, 16)
+	v := filled(8, 1)
+	for key := range uint64(3 * 8192) {
+		c.PutVec(0, key, v)
+		if key%1000 != 999 {
+			continue
+		}
+		for s, sh := range c.shards {
+			if rows := len(sh.slab) / sh.stride; cap(sh.lens) != rows || rows > sh.capacity+1 {
+				t.Fatalf("after %d puts, shard %d holds %d length cells for a slab of %d rows (capacity %d)",
+					key+1, s, cap(sh.lens), rows, sh.capacity)
+			}
+		}
+	}
+	cells := 0
+	for _, sh := range c.shards {
+		cells += cap(sh.lens)
+	}
+	if want := 8192 + len(c.shards); cells != want {
+		t.Fatalf("a full cache holds %d length cells, want %d", cells, want)
+	}
+}

@@ -435,8 +435,10 @@ func TestTrainingThroughputOverlapRow(t *testing.T) {
 
 // TestTrainingCompressionSweep: a compressed profile must add the fp32
 // baseline run without measuring the rank-parallel engine twice, charge at
-// least 40% fewer cross-host gradient bytes under fp16 (the dmt-bench
-// acceptance bar), and keep the error-feedback loss drift small.
+// least 40% fewer cross-host embedding bytes under fp16 (the dmt-bench
+// acceptance bar) and exactly 3/4 of the gradient bytes (the reduce halves,
+// the fp32 weight gather that answers it does not), and keep the
+// error-feedback loss drift small.
 func TestTrainingCompressionSweep(t *testing.T) {
 	p := SmokeTraining()
 	p.Compress = quant.FP16
@@ -451,8 +453,8 @@ func TestTrainingCompressionSweep(t *testing.T) {
 	if base.Stats.GradCrossHostBytes <= 0 {
 		t.Fatalf("fp32 row has no cross-host gradient traffic: %+v", base.Stats)
 	}
-	if got, limit := fp16.Stats.GradCrossHostBytes, base.Stats.GradCrossHostBytes*6/10; got > limit {
-		t.Fatalf("fp16 gradient cross-host bytes %d not ≥40%% under fp32's %d",
+	if got := fp16.Stats.GradCrossHostBytes; 4*got != 3*base.Stats.GradCrossHostBytes {
+		t.Fatalf("fp16 gradient cross-host bytes %d are not 3/4 of fp32's %d",
 			got, base.Stats.GradCrossHostBytes)
 	}
 	if got, limit := fp16.Stats.EmbCrossHostBytes, base.Stats.EmbCrossHostBytes*6/10; got > limit {
@@ -464,7 +466,7 @@ func TestTrainingCompressionSweep(t *testing.T) {
 	}
 	s := renderTraining(r)
 	_, schemes, ok := strings.Cut(s, "Compressed communication")
-	if !ok || !strings.Contains(schemes, "fp16") || !strings.Contains(schemes, "-5") ||
+	if !ok || !strings.Contains(schemes, "fp16") || !strings.Contains(schemes, "-25.0%") ||
 		!strings.Contains(schemes, "+0.000000") {
 		t.Fatalf("sweep report missing the fp32 anchor or the fp16 savings row:\n%s", s)
 	}

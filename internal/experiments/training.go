@@ -300,7 +300,7 @@ func renderTraining(s Sweep) string {
 	if p.Compress == quant.None {
 		return engines.render(s.Runs)
 	}
-	engines.title += fmt.Sprintf("\nwire compression: %s (gradient AllReduce with error feedback; cross-host embedding hops)", p.Compress)
+	engines.title += fmt.Sprintf("\nwire compression: %s (gradient reduce with error feedback; cross-host embedding hops)", p.Compress)
 
 	// The wire-scheme table: the trailing fp32 baseline run against the
 	// rank-parallel run (shown under its scheme's name), with the byte
@@ -331,8 +331,8 @@ func renderTraining(s Sweep) string {
 			{"gradIntra", "| %8.2fMB", gradIntraMB},
 		},
 		foot: []string{
-			"embedding intra-host hops stay fp32 (topology-aware policy); the gradient AllReduce",
-			"compresses every hop and carries per-rank error feedback",
+			"embedding intra-host hops stay fp32 (topology-aware policy); the gradient reduce to",
+			"the row owners compresses every hop with per-rank error feedback, the weight gather stays fp32",
 		},
 	}
 	return engines.render(s.Runs[:len(s.Runs)-1]) + schemes.render([]TrainingRun{base, par})

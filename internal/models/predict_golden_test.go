@@ -209,3 +209,40 @@ func TestPredictResultIsTheCallers(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictLogitIndependentOfBatch: a served sample's logit does not
+// depend on the batch it rides in. Thirty-two samples are predicted alone
+// and in consecutive batches of 2, 3, 5, 6, 7 and 32 — every GEMM row tail
+// of 1 to 3 rows, alone and after whole 4-row slabs — cache-less, and
+// through Keyed embedding and tower caches, cold (a fresh pair per batch
+// size, so a sample's first lookups miss and store) and then warm (every
+// lookup hits).
+// Every sample's logit must carry the bits it has alone and cache-less.
+func TestPredictLogitIndependentOfBatch(t *testing.T) {
+	const n, base = 32, 7000
+	cfg := goldenConfig()
+	gen := data.NewGenerator(cfg)
+	for _, gm := range goldenModels(cfg.Schema) {
+		want := make([]uint32, n)
+		for i := range want {
+			want[i] = math.Float32bits(gm.m.Predict(gen.Batch(base+i, 1), PredictOptions{}).Data()[0])
+		}
+		for _, size := range []int{1, 2, 3, 5, 6, 7, 32} {
+			cached := PredictOptions{Embeddings: embeddings.NewKeyed(1<<12, 4), Towers: embeddings.NewKeyed(1<<12, 4)}
+			for _, mode := range []struct {
+				name string
+				opt  PredictOptions
+			}{{"none", PredictOptions{}}, {"cold", cached}, {"warm", cached}} {
+				for lo := 0; lo < n; lo += size {
+					b := gen.Batch(base+lo, min(size, n-lo))
+					for i, v := range gm.m.Predict(b, mode.opt).Data() {
+						if got := math.Float32bits(v); got != want[lo+i] {
+							t.Fatalf("%s %s: sample %d in a batch of %d has logit bits %08x, alone %08x",
+								gm.name, mode.name, lo+i, b.Size, got, want[lo+i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

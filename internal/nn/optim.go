@@ -62,6 +62,16 @@ func (o *Adam) Step(params []*Param) {
 	}
 }
 
+// StateLen returns the number of moment elements o holds: two for every
+// element of every parameter it has stepped.
+func (o *Adam) StateLen() int {
+	n := 0
+	for p, m := range o.m {
+		n += m.Len() + o.v[p].Len()
+	}
+	return n
+}
+
 // SparseAdam is Adam specialized for embedding tables: moment state is kept
 // per table row and only touched rows are updated ("lazy" semantics, as in
 // PyTorch's SparseAdam / TorchRec fused optimizers). Bias correction uses a

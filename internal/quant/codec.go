@@ -104,6 +104,35 @@ func toFloat16Sat(v float32) uint16 {
 // loops below stay the reference and run the n mod 8 tail.
 var encodeHalves, encodeHalvesResidual = encodeHalvesRef, encodeHalvesResidualRef
 
+// decodeHalves sets d[i] = FromFloat16(h[i]) and addHalves adds it, for
+// i < len(d), bitwise as tensor.AddInPlace would add the decoded halves. Where the CPU has AVX2 init replaces both with tensor's
+// 8-lane forms (tensor.Float16DecodeAVX2, tensor.Float16AddAVX2), which
+// decode every half to the table's bits; the loops below stay the
+// reference and run the n mod 8 tail.
+var decodeHalves, addHalves = decodeHalvesRef, addHalvesRef
+
+func decodeHalvesRef(d []float32, h []uint16) {
+	h = h[:len(d)]
+	for i, x := range h {
+		d[i] = FromFloat16(x)
+	}
+}
+
+// addHalvesRef decodes a chunk at a time and adds it as tensor.AddInPlace
+// does, d the first source of each add, so a NaN in d keeps its payload
+// against a decoded NaN under every selection.
+func addHalvesRef(d []float32, h []uint16) {
+	var buf [64]float32
+	for lo := 0; lo < len(d); lo += len(buf) {
+		dd := d[lo:min(lo+len(buf), len(d))]
+		s := buf[:len(dd)]
+		decodeHalvesRef(s, h[lo:])
+		for i := range dd {
+			dd[i] += s[i]
+		}
+	}
+}
+
 func encodeHalvesRef(h []uint16, v []float32) {
 	h = h[:len(v)]
 	for i, x := range v {
@@ -244,9 +273,7 @@ func (e *Encoded) Decode() *tensor.Tensor {
 		return e.raw
 	case FP16:
 		out := tensor.New(e.shape...)
-		for i, h := range e.f16 {
-			out.Data()[i] = FromFloat16(h)
-		}
+		decodeHalves(out.Data(), e.f16)
 		return out
 	case INT8, INT4:
 		out := tensor.New(e.shape...)

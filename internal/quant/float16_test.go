@@ -2,6 +2,7 @@ package quant
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dmt/internal/tensor"
@@ -251,5 +252,46 @@ func ToFloat16(f float32) uint16 {
 			}
 		}
 		return sign | uint16(exp)<<10 | uint16(rounded>>13)
+	}
+}
+
+// TestDecodeHalvesMatchTable pins the fp16 decoders the codec selected
+// (the AVX2 ones where the CPU has AVX2), and their scalar references, to
+// FromFloat16's table on all 65 536 halves, NaNs and both signs of zero
+// included, by bits: decodeHalves straight, and addHalves onto
+// destinations with specials of their own (NaN payloads, ±Inf, ±0) against
+// tensor.AddInPlace of the table's halves — AddTo's contract, NaN payloads
+// included. Each run is one past a multiple of 8, so the scalar tail runs
+// too, and starts at every offset 0–7 into the halves, so each half meets
+// every vector lane.
+func TestDecodeHalvesMatchTable(t *testing.T) {
+	h := make([]uint16, 1<<16+1+7)
+	for i := range h {
+		h[i] = uint16(i)
+	}
+	specials := []uint32{0x7fc00000, 0xffd2468a, 0x7f800001, 0x7f800000, 0xff800000, 0x80000000, 0, 0x3f800000, 0xc2f6e979, 0x00000001}
+	type codec struct{ decode, add func([]float32, []uint16) }
+	for ci, c := range []codec{{decodeHalves, addHalves}, {decodeHalvesRef, addHalvesRef}} {
+		for off := range 8 {
+			in := h[off : off+1<<16+1]
+			got, sum, table := make([]float32, len(in)), make([]float32, len(in)), make([]float32, len(in))
+			for i, x := range in {
+				sum[i] = math.Float32frombits(specials[i%len(specials)])
+				table[i] = FromFloat16(x)
+			}
+			want := slices.Clone(sum)
+			tensor.AddInPlace(tensor.FromSlice(want, len(want)), tensor.FromSlice(table, len(table)))
+			c.decode(got, in)
+			c.add(sum, in)
+			for i, x := range in {
+				if g, w := math.Float32bits(got[i]), math.Float32bits(table[i]); g != w {
+					t.Fatalf("codec %d offset %d: half %#04x decodes to %#08x, the table holds %#08x", ci, off, x, g, w)
+				}
+				if g, w := math.Float32bits(sum[i]), math.Float32bits(want[i]); g != w {
+					t.Fatalf("codec %d offset %d: %#08x + half %#04x gives %#08x, want %#08x",
+						ci, off, specials[i%len(specials)], x, g, w)
+				}
+			}
+		}
 	}
 }

@@ -105,9 +105,7 @@ func (e *Encoded) DecodeInto(dst *tensor.Tensor) {
 		if len(d) != len(e.f16) {
 			panic(fmt.Sprintf("quant: DecodeInto size mismatch %d vs %d", len(d), len(e.f16)))
 		}
-		for i, h := range e.f16 {
-			d[i] = FromFloat16(h)
-		}
+		decodeHalves(d, e.f16)
 	case INT8, INT4:
 		if len(d) != e.rows*e.width {
 			panic(fmt.Sprintf("quant: DecodeInto size mismatch %d vs %d", len(d), e.rows*e.width))
@@ -151,9 +149,7 @@ func (e *Encoded) AddTo(dst *tensor.Tensor) {
 		if len(d) != len(e.f16) {
 			panic(fmt.Sprintf("quant: AddTo size mismatch %d vs %d", len(d), len(e.f16)))
 		}
-		for i, h := range e.f16 {
-			d[i] += FromFloat16(h)
-		}
+		addHalves(d, e.f16)
 	case INT8, INT4:
 		if len(d) != e.rows*e.width {
 			panic(fmt.Sprintf("quant: AddTo size mismatch %d vs %d", len(d), e.rows*e.width))

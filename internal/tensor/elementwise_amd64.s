@@ -478,3 +478,77 @@ halfRes8:
 halfResDone:
 	VZEROUPPER
 	RET
+
+CONST8(halfSign16, $0x8000)
+CONST8(halfMag16, $0x7fff)
+CONST8(halfSubLim, $0x400)
+
+// The 8 halves at SI widened to float32 in Y3, exactly as quant's
+// FromFloat16 table holds them: a normal half's bits shifted and rebiased;
+// a subnormal one as (0.5 + m·2⁻²⁴) − 0.5, its mantissa m set into 0.5's
+// low bits, which is exact; ±Inf; and every NaN as the quiet NaN 0x7fc00000
+// with the half's sign. Y1 holds the magnitudes, Y2 the sign bits.
+#define HALFDECODE \
+	VPMOVZXWD (SI), Y0; \
+	VPAND     halfSign16<>(SB), Y0, Y2; \
+	VPSLLD    $16, Y2, Y2; \
+	VPAND     halfMag16<>(SB), Y0, Y1; \
+	VPSLLD    $13, Y1, Y3; \
+	VPADDD    halfRebias<>(SB), Y3, Y3; \
+	VPOR      halfPoint5<>(SB), Y1, Y4; \
+	VSUBPS    halfPoint5<>(SB), Y4, Y4; \
+	VMOVDQU   halfSubLim<>(SB), Y5; \
+	VPCMPGTD  Y1, Y5, Y5; \
+	VPBLENDVB Y5, Y4, Y3, Y3; \
+	VPCMPGTD  halfMax<>(SB), Y1, Y6; \
+	VPBLENDVB Y6, halfNaNMin<>(SB), Y3, Y3; \
+	VPCMPGTD  halfInf<>(SB), Y1, Y7; \
+	VPBLENDVB Y7, halfQNaN<>(SB), Y3, Y3; \
+	VPOR      Y2, Y3, Y3
+
+// func Float16DecodeAVX2(d []float32, h []uint16)
+//
+// d[i] = FromFloat16(h[i]) for i < len(d), a multiple of 8.
+TEXT ·Float16DecodeAVX2(SB), NOSPLIT, $0-48
+	MOVQ d_base+0(FP), DI
+	MOVQ d_len+8(FP), CX
+	MOVQ h_base+24(FP), SI
+	SHRQ $3, CX
+	JZ   halfDecDone
+
+halfDec8:
+	HALFDECODE
+	VMOVUPS Y3, (DI)
+	ADDQ    $16, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     halfDec8
+
+halfDecDone:
+	VZEROUPPER
+	RET
+
+// func Float16AddAVX2(d []float32, h []uint16)
+//
+// d[i] += FromFloat16(h[i]) for i < len(d), a multiple of 8, d the first
+// source as in the compiled loop.
+TEXT ·Float16AddAVX2(SB), NOSPLIT, $0-48
+	MOVQ d_base+0(FP), DI
+	MOVQ d_len+8(FP), CX
+	MOVQ h_base+24(FP), SI
+	SHRQ $3, CX
+	JZ   halfAddDone
+
+halfAdd8:
+	HALFDECODE
+	VMOVUPS (DI), Y0
+	VADDPS  Y3, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $16, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     halfAdd8
+
+halfAddDone:
+	VZEROUPPER
+	RET

@@ -75,6 +75,18 @@ func Float16SatAVX2(h []uint16, v []float32)
 //go:noescape
 func Float16SatResidualAVX2(h []uint16, g, r []float32)
 
+// Float16DecodeAVX2 and Float16AddAVX2 are quant's fp16 decode over whole
+// blocks of 8: d[i] = FromFloat16(h[i]) and d[i] += FromFloat16(h[i]) for
+// i < len(d), a multiple of 8, with h at least as long. They widen each
+// half with integer operations and one exact float32 subtraction, so every
+// half, NaNs included, decodes to the bits quant's table holds.
+//
+//go:noescape
+func Float16DecodeAVX2(d []float32, h []uint16)
+
+//go:noescape
+func Float16AddAVX2(d []float32, h []uint16)
+
 func adamAVX2(s AdamStep, w, g, m, v []float32) {
 	n := len(w) &^ 7
 	adam8(w[:n], g[:n], m[:n], v[:n], s.Beta1, 1-s.Beta1, s.Beta2, 1-s.Beta2, s.LR, s.BC1, s.BC2, float64(s.Eps))
@@ -109,13 +121,67 @@ func HasAVX2() bool {
 const btPanelK = 256
 
 // matMulRowsAVX2 is matMulRows on the kernel, A(r, p) = a[r*rsA+p*psA].
+// A last 1–3 rows run as one zero-padded 4-row slab (tailPanel), their A
+// elements packed ≤ btPanelK steps at a time.
 func matMulRowsAVX2(a, b, out []float32, k, n, rsA, psA, lo, hi int) {
 	hi4 := lo + (hi-lo)&^3
-	for i := lo; i < hi4 && k > 0 && n >= 8; i += 4 {
-		gemm4(&out[i*n], &a[i*rsA], &b[0], k, n&^7, n, rsA, psA, n)
+	if k > 0 && n >= 8 {
+		for i := lo; i < hi4; i += 4 {
+			gemm4(&out[i*n], &a[i*rsA], &b[0], k, n&^7, n, rsA, psA, n)
+		}
+		if hi4 < hi {
+			var t tailPanel
+			for c := 0; c < n&^7; c += tailCols {
+				w := min(tailCols, n&^7-c)
+				t.load(out[c:], n, hi4, hi, w)
+				for p0 := 0; p0 < k; p0 += btPanelK {
+					kc := min(btPanelK, k-p0)
+					for r := hi4; r < hi; r++ {
+						row := t.a[(r-hi4)*kc : (r-hi4+1)*kc]
+						if psA == 1 {
+							copy(row, a[r*rsA+p0:])
+							continue
+						}
+						for p := range row {
+							row[p] = a[r*rsA+(p0+p)*psA]
+						}
+					}
+					gemm4(&t.o[0], &t.a[0], &b[p0*n+c], kc, w, w, kc, 1, n)
+				}
+				t.store(out[c:], n, hi4, hi, w)
+			}
+		}
 	}
-	dotEdge(a, b, out, k, n, rsA, psA, n, 1, lo, hi4)
-	matMulRows(a, b, out, k, n, rsA, psA, hi4, hi)
+	dotEdge(a, b, out, k, n, rsA, psA, n, 1, lo, hi)
+}
+
+// tailCols is how many kernel columns a tailPanel's sums hold.
+const tailCols = 128
+
+// tailPanel runs the last 1–3 rows of a product on the kernel as one
+// 4-row slab. load copies the rows' current sums into o, the row routine
+// packs each chunk of their A elements into the first rows of a, kc apart,
+// and has gemm4 add the chunk into o, and store copies the rows back. Each
+// row's sums are the ones a 4-row slab of real rows forms, bit for bit; the
+// padding rows read whatever a and o hold and are never stored.
+type tailPanel struct {
+	a [4 * btPanelK]float32
+	o [4 * tailCols]float32
+}
+
+// load copies rows [lo, hi) of out, w columns from out[0] on, ldo apart,
+// into o, w apart.
+func (t *tailPanel) load(out []float32, ldo, lo, hi, w int) {
+	for r := lo; r < hi; r++ {
+		copy(t.o[(r-lo)*w:(r-lo+1)*w], out[r*ldo:r*ldo+w])
+	}
+}
+
+// store is load's inverse.
+func (t *tailPanel) store(out []float32, ldo, lo, hi, w int) {
+	for r := lo; r < hi; r++ {
+		copy(out[r*ldo:r*ldo+w], t.o[(r-lo)*w:(r-lo+1)*w])
+	}
 }
 
 // matMulATAddRowsAVX2 is matMulATAddRows on the kernel.
@@ -148,13 +214,18 @@ func addSumRowsAVX2(dst, a []float32, h, w int) {
 // steps at a time, into a stack panel that every 4-row slab of [lo, hi)
 // then accumulates from; out holds the partial sums between chunks.
 // transpose8 packs 8 columns 8 steps at a time, and a chunk's last kc mod 8
-// steps are copied one by one.
+// steps are copied one by one. A last 1–3 rows accumulate from the same
+// panel as one zero-padded 4-row slab (tailPanel), their A rows packed
+// once per step chunk.
 func matMulBTRowsAVX2(a, b, out []float32, k, n, lo, hi int) {
 	hi4 := lo + (hi-lo)&^3
-	if hi4 > lo {
+	if hi > lo {
 		var panel [16 * btPanelK]float32
+		var t tailPanel
+		packed := -1 // the step chunk t.a holds
 		for c := 0; c+8 <= n; c += 16 {
 			w := min(16, n&^7-c)
+			t.load(out[c:], n, hi4, hi, w)
 			for p0 := 0; p0 < k; p0 += btPanelK {
 				kc := min(btPanelK, k-p0)
 				for j := 0; j < w; j += 8 {
@@ -168,11 +239,18 @@ func matMulBTRowsAVX2(a, b, out []float32, k, n, lo, hi int) {
 				for i := lo; i < hi4; i += 4 {
 					gemm4(&out[i*n+c], &a[i*k+p0], &panel[0], kc, w, n, k, 1, w)
 				}
+				if hi4 < hi {
+					for r := hi4; r < hi && packed != p0; r++ {
+						copy(t.a[(r-hi4)*kc:(r-hi4+1)*kc], a[r*k+p0:r*k+p0+kc])
+					}
+					packed = p0
+					gemm4(&t.o[0], &t.a[0], &panel[0], kc, w, w, kc, 1, w)
+				}
 			}
+			t.store(out[c:], n, hi4, hi, w)
 		}
 	}
-	dotEdge(a, b, out, k, n, k, 1, 1, k, lo, hi4)
-	matMulBTRows(a, b, out, k, n, hi4, hi)
+	dotEdge(a, b, out, k, n, k, 1, 1, k, lo, hi)
 }
 
 // dotEdge sets the columns the kernel leaves, n&^7 up to n, of rows

@@ -102,8 +102,8 @@ func sameBits(t *testing.T, what string, got, want *Tensor) {
 }
 
 // kernelShapes are (m, k, n) shapes that exercise every kernel edge (see
-// TestKernelBitwiseMatchesScalar).
-var kernelShapes = [][3]int{
+// TestKernelBitwiseMatchesScalar), then rowTails.
+var kernelShapes = append([][3]int{
 	{1, 1, 1},
 	{3, 5, 7},
 	{4, 8, 4},
@@ -121,6 +121,20 @@ var kernelShapes = [][3]int{
 	{19, 260, 13},
 	{64, 13, 13},
 	{8, 1, 3},
+}, rowTails()...)
+
+// rowTails are the shapes of every row tail the AVX2 kernel pads to a
+// 4-row slab: 1 to 7 rows (alone, and after one slab) at every n mod 8,
+// over a reduction past one 256-step panel; and 3 rows past two 128-column
+// output panels.
+func rowTails() [][3]int {
+	out := [][3]int{{3, 40, 280}}
+	for m := 1; m <= 7; m++ {
+		for j := range 8 {
+			out = append(out, [3]int{m, 300, 16 + j})
+		}
+	}
+	return out
 }
 
 // TestKernelBitwiseMatchesScalar pins MatMul, MatMulBT and MatMulAT
@@ -319,6 +333,9 @@ func FuzzGEMMKernels(f *testing.F) {
 	f.Add(uint16(64), uint16(16), uint16(129), uint64(2), uint8(1))
 	f.Add(uint16(1), uint16(1), uint16(1), uint64(3), uint8(0))
 	f.Add(uint16(13), uint16(520), uint16(45), uint64(4), uint8(5))
+	for j := range 8 { // row tails of 1 to 7 rows at every n mod 8, past one panel
+		f.Add(uint16(j%7), uint16(256+j), uint16(8+j), uint64(5+j), uint8(j))
+	}
 	f.Fuzz(func(t *testing.T, m, k, n uint16, seed uint64, zeroEvery uint8) {
 		dm, dk, dn := 1+int(m)%256, 1+int(k)%600, 1+int(n)%256
 		r := NewRNG(seed)
