@@ -24,10 +24,10 @@
 //     over the second's, whichever side went first. An A/A comparison
 //     shows the order effect alone.
 //
-// With -pr n it writes BENCH_<n>.json into -dir: both checkouts and their
-// git HEADs (marked -dirty with uncommitted changes), GOMAXPROCS as the
-// benchmark echoed it, the seeds, each pair's order and every run's last
-// line, plus the summary above.
+// With -pr n it writes BENCH_<n>.json into -dir: both checkouts' directory
+// names and git HEADs (marked -dirty with uncommitted changes), GOMAXPROCS
+// as the benchmark echoed it, the seeds, each pair's order and every run's
+// last line, plus the summary above.
 package main
 
 import (
@@ -52,7 +52,8 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// side is one checkout under comparison.
+// side is one checkout under comparison: its directory's name and its git
+// HEAD.
 type side struct {
 	Dir string `json:"dir"`
 	SHA string `json:"sha"`
@@ -162,8 +163,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dirs[name] = abs
 	}
 	l.AA = dirs["A"] == dirs["B"]
-	l.A = side{Dir: dirs["A"], SHA: gitHead(dirs["A"])}
-	l.B = side{Dir: dirs["B"], SHA: gitHead(dirs["B"])}
+	l.A = side{Dir: filepath.Base(dirs["A"]), SHA: gitHead(dirs["A"])}
+	l.B = side{Dir: filepath.Base(dirs["B"]), SHA: gitHead(dirs["B"])}
 	for _, name := range []string{"A", "B"} {
 		if name == "B" && l.AA {
 			break

@@ -21,7 +21,7 @@
 //
 // -compress selects the wire scheme (fp32, fp16, int8, int4) for the
 // experiments that model or measure compressed communication: `train` runs
-// the engines with quantized collectives (gradient AllReduce with error
+// the engines with quantized collectives (gradient reduce with error
 // feedback, cross-host embedding hops) and appends the scheme-vs-fp32
 // table; `fig6` costs the parallelism search over compressed links.
 //

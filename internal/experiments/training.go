@@ -35,7 +35,7 @@ type TrainingProfile struct {
 	// Overlap adds a third measured engine: the overlapped rank-parallel
 	// schedule (distributed.Config.Overlap), which hides the SPTT peer
 	// AlltoAll behind the bottom-MLP forward and the bucketed gradient
-	// AllReduce behind the dense and embedding backward.
+	// reduce behind the dense and embedding backward.
 	Overlap bool
 	// Pipeline adds the cross-step pipelined engine
 	// (distributed.Config.Pipeline): the overlapped schedule extended
