@@ -9,10 +9,14 @@
 //
 // Each side builds through its own `bash benchmark/run.sh --manifest`, which
 // compiles the benchmark inside that checkout and exits. Then, per workload,
-// pair i runs seed seeds[i mod len(seeds)] on both sides, A first on even
-// pairs and B first on odd ones, so a slow spell or a warm cache favours
-// neither side. Each run's result is its last output line, the benchmark's
-// JSON object.
+// pair i runs seed seeds[i mod len(seeds)] on both sides for 10 seconds at
+// trace level 0, the benchmark's own settings, A first on even pairs and B
+// first on odd ones, so a slow spell or a warm cache favours neither side.
+// Each run's result is its last output line, the benchmark's JSON object.
+// A run that exits non-zero (run.sh does when its sequential check or a
+// guard fails) or prints "correct":false is a failed run: its metrics still
+// enter the summary, but the report counts the failed runs per side and
+// dmt-ab exits 1.
 //
 // Per workload and metric it reports B/A as
 //   - the median of the pairs' ratios,
@@ -27,7 +31,7 @@
 // With -pr n it writes BENCH_<n>.json into -dir: both checkouts' directory
 // names and git HEADs (marked -dirty with uncommitted changes), GOMAXPROCS
 // as the benchmark echoed it, the seeds, each pair's order and every run's
-// last line, plus the summary above.
+// last line, plus the summary above and the failed-run counts.
 package main
 
 import (
@@ -51,6 +55,13 @@ import (
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
+
+// Every run lasts runSeconds at trace level runTrace, as the benchmark's
+// own runs do.
+const (
+	runSeconds = 10
+	runTrace   = 0
+)
 
 // side is one checkout under comparison: its directory's name and its git
 // HEAD.
@@ -79,6 +90,15 @@ type result struct {
 	} `json:"metrics"`
 }
 
+// failedRuns counts, per side, one workload's runs that exited non-zero or
+// printed "correct":false, out of Runs each.
+type failedRuns struct {
+	Workload string `json:"workload"`
+	A        int    `json:"a"`
+	B        int    `json:"b"`
+	Runs     int    `json:"runs"`
+}
+
 // summary is one workload's metric compared across the pairs.
 type summary struct {
 	Workload    string  `json:"workload"`
@@ -93,22 +113,24 @@ type summary struct {
 
 // ledger is BENCH_<n>.json.
 type ledger struct {
-	PR         int         `json:"pr"`
-	A          side        `json:"a"`
-	B          side        `json:"b"`
-	AA         bool        `json:"aa"`
-	GOMAXPROCS string      `json:"gomaxprocs"`
-	Seconds    float64     `json:"seconds"`
-	Trace      int         `json:"trace"`
-	Seeds      []uint64    `json:"seeds"`
-	Workloads  []string    `json:"workloads"`
-	Summary    []summary   `json:"summary"`
-	Runs       []runRecord `json:"runs"`
+	PR         int          `json:"pr"`
+	A          side         `json:"a"`
+	B          side         `json:"b"`
+	AA         bool         `json:"aa"`
+	GOMAXPROCS string       `json:"gomaxprocs"`
+	Seconds    float64      `json:"seconds"`
+	Trace      int          `json:"trace"`
+	Seeds      []uint64     `json:"seeds"`
+	Workloads  []string     `json:"workloads"`
+	Summary    []summary    `json:"summary"`
+	Failed     []failedRuns `json:"failed"`
+	Runs       []runRecord  `json:"runs"`
 }
 
 // run compares the checkouts the flags in args name, prints the summary to
 // stdout and returns the exit code: 2 for bad flags, 1 when a side fails to
-// build, a run prints no result line, or the ledger cannot be written.
+// build, a run prints no result line or fails, or the ledger cannot be
+// written.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dmt-ab", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -117,8 +139,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workloads := fs.String("workloads", "train_dense", "comma-separated workloads")
 	seedList := fs.String("seeds", "1", "comma-separated seeds, taken in turn by the pairs")
 	pairs := fs.Int("pairs", 10, "interleaved pairs per workload")
-	seconds := fs.Float64("seconds", 10, "the benchmark's -seconds")
-	trace := fs.Int("trace", 0, "the benchmark's -trace (0 or 1)")
 	pr := fs.Int("pr", 0, "write BENCH_<pr>.json (0: write no ledger)")
 	outDir := fs.String("dir", ".", "directory BENCH_<pr>.json is written to")
 	if err := fs.Parse(args); err != nil {
@@ -149,11 +169,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seeds = append(seeds, v)
 	}
 	ws := strings.Split(*workloads, ",")
-	if *pairs < 1 || *seconds <= 0 || (*trace != 0 && *trace != 1) || slices.Contains(ws, "") {
-		return fail(2, "-pairs must be positive, -seconds positive, -trace 0 or 1 and -workloads non-empty")
+	if *pairs < 1 || slices.Contains(ws, "") {
+		return fail(2, "-pairs must be positive and -workloads non-empty")
 	}
 
-	l := ledger{PR: *pr, Seconds: *seconds, Trace: *trace, Seeds: seeds, Workloads: ws}
+	l := ledger{PR: *pr, Seconds: runSeconds, Trace: runTrace, Seeds: seeds, Workloads: ws}
 	dirs := map[string]string{"A": *dirA, "B": *dirB}
 	for _, name := range []string{"A", "B"} {
 		abs, err := filepath.Abs(dirs[name])
@@ -176,7 +196,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	better := directions(dirs["A"])
 
 	gomaxprocs := regexp.MustCompile(`gomaxprocs=(\d+)`)
+	anyFailed := false
 	for _, w := range ws {
+		failed := failedRuns{Workload: w, Runs: *pairs}
 		for i := 0; i < *pairs; i++ {
 			seed := seeds[i%len(seeds)]
 			order := []string{"A", "B"}
@@ -185,7 +207,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			for k, name := range order {
 				out, err := runSH(dirs[name], "--workload", w, "--seed", strconv.FormatUint(seed, 10),
-					"--seconds", strconv.FormatFloat(*seconds, 'g', -1, 64), "--trace", strconv.Itoa(*trace))
+					"--seconds", strconv.Itoa(runSeconds), "--trace", strconv.Itoa(runTrace))
 				rec := runRecord{Workload: w, Pair: i, Seed: seed, Side: name, Order: k + 1, Line: lastLine(out)}
 				var exitErr *exec.ExitError
 				switch {
@@ -197,13 +219,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if m := gomaxprocs.FindSubmatch(out); m != nil && l.GOMAXPROCS == "" {
 					l.GOMAXPROCS = string(m[1])
 				}
-				if _, err := parse(rec.Line); err != nil {
+				r, err := parse(rec.Line)
+				if err != nil {
 					return fail(1, "%s pair %d side %s printed no result line (exit %d): %v", w, i, name, rec.Exit, err)
+				}
+				if rec.Exit != 0 || !r.Correct {
+					if name == "A" {
+						failed.A++
+					} else {
+						failed.B++
+					}
 				}
 				l.Runs = append(l.Runs, rec)
 			}
 		}
 		l.Summary = append(l.Summary, summarize(w, l.Runs, better)...)
+		l.Failed = append(l.Failed, failed)
+		anyFailed = anyFailed || failed.A+failed.B > 0
 	}
 
 	report(stdout, l)
@@ -217,6 +249,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(1, "%v", err)
 		}
 		fmt.Fprintf(stdout, "wrote %s\n", path)
+	}
+	if anyFailed {
+		return fail(1, "some runs failed; see the failed-run counts")
 	}
 	return 0
 }
@@ -396,6 +431,9 @@ func report(w io.Writer, l ledger) {
 			won = fmt.Sprintf("%d/%d", s.Won, s.Pairs)
 		}
 		fmt.Fprintf(w, "%-12s %-40s %8.4f %8s %8.4f %9.4f\n", s.Workload, s.Metric, s.MedianRatio, won, s.DecileRatio, s.FirstBias)
+	}
+	for _, f := range l.Failed {
+		fmt.Fprintf(w, "%-12s failed runs (non-zero exit or correct:false): A %d/%d, B %d/%d\n", f.Workload, f.A, f.Runs, f.B, f.Runs)
 	}
 }
 

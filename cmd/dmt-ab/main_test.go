@@ -15,17 +15,21 @@ import (
 // code, and a run prints a header and a canned result line. Its
 // throughput is the checkout's value file times 1.1 when the run is the
 // first of its pair (a shared counter of runs, in $STUB_COUNTER, is even),
-// so the first-run bias shows; its latency is 1000/value.
+// so the first-run bias shows; its latency is 1000/value. Its "correct" is
+// the checkout's correct file (true when there is none), and like the real
+// run.sh it exits 1 when that is false.
 const stubRunSH = `#!/usr/bin/env bash
 if [[ "$1" == "--manifest" ]]; then exit "$(cat build_exit)"; fi
 n=$(cat "$STUB_COUNTER" 2>/dev/null || echo 0)
 echo $((n + 1)) >"$STUB_COUNTER"
 v=$(cat value)
+c=$(cat correct 2>/dev/null || echo true)
 f=1
 if (( n % 2 == 0 )); then f=1.1; fi
 echo "# workload=$2 seed=$4 seconds=$6 trace=$8 gomaxprocs=2"
 echo "throughput_per_s $(awk "BEGIN{print $v*$f}") 1/s"
-echo "{\"correct\":true,\"attempted\":1,\"failed\":0,\"metrics\":{\"throughput_per_s\":{\"value\":$(awk "BEGIN{print $v*$f}"),\"unit\":\"1/s\"},\"latency_p50_ms\":{\"value\":$(awk "BEGIN{print 1000/$v}"),\"unit\":\"ms\"}}}"
+echo "{\"correct\":$c,\"attempted\":1,\"failed\":0,\"metrics\":{\"throughput_per_s\":{\"value\":$(awk "BEGIN{print $v*$f}"),\"unit\":\"1/s\"},\"latency_p50_ms\":{\"value\":$(awk "BEGIN{print 1000/$v}"),\"unit\":\"ms\"}}}"
+[[ "$c" == true ]]
 `
 
 const stubManifest = `{"end_to_end": [{"name": "throughput_per_s", "better": "higher"}, {"name": "latency_p50_ms", "better": "lower"}]}`
@@ -80,7 +84,8 @@ func TestRunAB(t *testing.T) {
 	if err := json.Unmarshal(js, &l); err != nil {
 		t.Fatal(err)
 	}
-	if l.PR != 7 || l.AA || l.GOMAXPROCS != "2" || len(l.Seeds) != 2 || len(l.Runs) != 8 {
+	if l.PR != 7 || l.AA || l.GOMAXPROCS != "2" || len(l.Seeds) != 2 || len(l.Runs) != 8 ||
+		len(l.Failed) != 1 || l.Failed[0] != (failedRuns{Workload: "train_dense", Runs: 4}) {
 		t.Fatalf("ledger header %+v with %d runs", l, len(l.Runs))
 	}
 	for i, rec := range l.Runs {
@@ -152,5 +157,38 @@ func TestRunFailures(t *testing.T) {
 		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.inStderr) {
 			t.Errorf("%v: exit %d, stderr %q; want exit %d mentioning %q", tc.args, code, &stderr, tc.code, tc.inStderr)
 		}
+	}
+}
+
+// TestRunCountsFailedRuns: a side whose runs print "correct":false and exit
+// 1 still enters the summary, but the report and the ledger count its
+// failed runs and dmt-ab exits 1.
+func TestRunCountsFailedRuns(t *testing.T) {
+	t.Setenv("STUB_COUNTER", filepath.Join(t.TempDir(), "n"))
+	a, b, out := stubCheckout(t, "100", 0), stubCheckout(t, "120", 0), t.TempDir()
+	if err := os.WriteFile(filepath.Join(b, "correct"), []byte("false"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	args := []string{"-a", a, "-b", b, "-pairs", "2", "-pr", "3", "-dir", out}
+	if code := run(args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "some runs failed") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 naming the failed runs", code, &stderr)
+	}
+	if !strings.Contains(stdout.String(), "A 0/2, B 2/2") {
+		t.Errorf("report does not count B's failed runs:\n%s", &stdout)
+	}
+	js, err := os.ReadFile(filepath.Join(out, "BENCH_3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l ledger
+	if err := json.Unmarshal(js, &l); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Failed) != 1 || l.Failed[0] != (failedRuns{Workload: "train_dense", B: 2, Runs: 2}) {
+		t.Errorf("ledger failed counts %+v", l.Failed)
+	}
+	if thr := summaryOf(t, l, "throughput_per_s"); thr.Pairs != 2 {
+		t.Errorf("throughput summary %+v, want both pairs", thr)
 	}
 }

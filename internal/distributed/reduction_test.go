@@ -259,14 +259,7 @@ func TestCompressedBucketCycleAllocs(t *testing.T) {
 		}
 		defer tr.Close()
 		seedGradients(tr, 0)
-		// Warm the owners' moments and the payload pool. Row segments of
-		// different sizes share a pool size class, and a pooled buffer
-		// grows only when a larger segment draws it, so the buffers reach
-		// their high-water marks over tens of cycles (about 20 here from
-		// an empty pool), not one.
-		for range 40 {
-			runBuckets(tr)
-		}
+		runBuckets(tr) // warm the owners' moments and the payload pool
 		return testing.AllocsPerRun(20, func() { runBuckets(tr) })
 	}
 	raw := cycle(quant.None)

@@ -105,7 +105,8 @@ func toFloat16Sat(v float32) uint16 {
 var encodeHalves, encodeHalvesResidual = encodeHalvesRef, encodeHalvesResidualRef
 
 // decodeHalves sets d[i] = FromFloat16(h[i]) and addHalves adds it, for
-// i < len(d), bitwise as tensor.AddInPlace would add the decoded halves. Where the CPU has AVX2 init replaces both with tensor's
+// i < len(d), bitwise as tensor.AddInPlace would add the decoded halves.
+// Where the CPU has AVX2 init replaces both with tensor's
 // 8-lane forms (tensor.Float16DecodeAVX2, tensor.Float16AddAVX2), which
 // decode every half to the table's bits; the loops below stay the
 // reference and run the n mod 8 tail.
@@ -118,9 +119,12 @@ func decodeHalvesRef(d []float32, h []uint16) {
 	}
 }
 
-// addHalvesRef decodes a chunk at a time and adds it as tensor.AddInPlace
-// does, d the first source of each add, so a NaN in d keeps its payload
-// against a decoded NaN under every selection.
+// addHalvesRef decodes a chunk at a time and adds it with the loop
+// tensor.AddInPlace runs, d the first source of each add, so a NaN in d
+// keeps its payload against a decoded NaN. The one-line form
+// d[i] += FromFloat16(x) leaves the operand order to the compiler, and
+// under -race it puts the decoded half first (TestDecodeHalvesMatchTable
+// fails there).
 func addHalvesRef(d []float32, h []uint16) {
 	var buf [64]float32
 	for lo := 0; lo < len(d); lo += len(buf) {
@@ -183,12 +187,12 @@ func Encode(s Scheme, t *tensor.Tensor) *Encoded {
 	case None:
 		e.raw = t
 	case FP16:
-		e.f16 = grow(e.f16, t.Len())
+		e.f16 = grow(e.f16, t.Len(), e.classLen())
 		encodeHalves(e.f16[:t.Len()], t.Data())
 	case INT8, INT4:
 		e.rows, e.width = linearGeometry(t)
-		e.scales = grow(e.scales, e.rows)
-		e.q = grow(e.q, t.Len())
+		e.scales = grow(e.scales, e.rows, rowsCap(e.rows))
+		e.q = grow(e.q, t.Len(), e.classLen())
 		levels := linearLevels(s)
 		for r := 0; r < e.rows; r++ {
 			src := t.Data()[r*e.width : (r+1)*e.width]
@@ -197,7 +201,7 @@ func Encode(s Scheme, t *tensor.Tensor) *Encoded {
 		if s == INT4 {
 			// Pack signed nibbles biased by +8 (values -7..7 -> 1..15);
 			// e.q stays behind as pooled scratch, the wire is nib+scales.
-			e.nib = grow(e.nib, (t.Len()+1)/2)
+			e.nib = grow(e.nib, (t.Len()+1)/2, (e.classLen()+1)/2)
 			packNibbles(e.q, e.nib)
 		}
 	default:

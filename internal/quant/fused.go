@@ -44,12 +44,12 @@ func EncodeResidual(s Scheme, g, r *tensor.Tensor) *Encoded {
 		}
 		e.raw = v
 	case FP16:
-		e.f16 = grow(e.f16, g.Len())
+		e.f16 = grow(e.f16, g.Len(), e.classLen())
 		encodeHalvesResidual(e.f16[:len(gd)], gd, rd)
 	case INT8, INT4:
 		e.rows, e.width = linearGeometry(g)
-		e.scales = grow(e.scales, e.rows)
-		e.q = grow(e.q, g.Len())
+		e.scales = grow(e.scales, e.rows, rowsCap(e.rows))
+		e.q = grow(e.q, g.Len(), e.classLen())
 		levels := linearLevels(s)
 		for row := 0; row < e.rows; row++ {
 			lo, hi := row*e.width, (row+1)*e.width
@@ -85,7 +85,7 @@ func EncodeResidual(s Scheme, g, r *tensor.Tensor) *Encoded {
 			}
 		}
 		if s == INT4 {
-			e.nib = grow(e.nib, (g.Len()+1)/2)
+			e.nib = grow(e.nib, (g.Len()+1)/2, (e.classLen()+1)/2)
 			packNibbles(e.q, e.nib)
 		}
 	default:

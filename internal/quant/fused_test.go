@@ -2,6 +2,8 @@ package quant
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dmt/internal/tensor"
@@ -244,6 +246,34 @@ func TestPooledEncodeAllocs(t *testing.T) {
 			e.Release()
 		}); allocs >= 1 {
 			t.Errorf("%s: pooled EncodeResidual allocates %.1f objects/op, want 0", s, allocs)
+		}
+	}
+}
+
+// TestPooledEncodeGrowsToItsClass pins grow's sizing: a buffer first grown
+// for a small payload already holds the largest payload of its size class,
+// so row segments of several sizes in one class stop allocating after one
+// round instead of each time a larger segment draws a smaller buffer.
+func TestPooledEncodeGrowsToItsClass(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; strict zero-alloc pin only holds without it")
+	}
+	r := tensor.NewRNG(19)
+	small := tensor.RandUniform(r, -1, 1, 16, 33) // 528 elements, 16 rows
+	large := tensor.RandUniform(r, -1, 1, 31, 33) // 1023: the same classes
+	// One P and no collector, as in testing.AllocsPerRun, whose own warm-up
+	// run would grow the buffer before it counts.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	for _, s := range []Scheme{FP16, INT8, INT4} {
+		Encode(s, small).Release()
+		runtime.ReadMemStats(&before)
+		Encode(s, large).Release()
+		runtime.ReadMemStats(&after)
+		if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+			t.Errorf("%s: a %d-element payload after a %d-element one allocates %d objects, want 0",
+				s, large.Len(), small.Len(), allocs)
 		}
 	}
 }

@@ -77,13 +77,26 @@ func (e *Encoded) recycle() {
 	encodedPools[e.class].Put(e)
 }
 
+// classLen is the most elements any payload of e's size class holds.
+func (e *Encoded) classLen() int { return 1<<e.class - 1 }
+
 // grow returns s resized to n elements, reusing capacity when it suffices.
-// Contents are unspecified: callers must overwrite (or explicitly zero)
-// every element, since a recycled buffer carries stale values where a fresh
-// make() would carry zeros.
-func grow[T any](s []T, n int) []T {
+// When it must allocate, it allocates capacity c: the most its buffer needs
+// for any payload of the Encoded's size class (classLen, or half of it for
+// packed nibbles), not n. Payloads of several sizes share a class (the row
+// segments of one bucket, say), and a buffer sized to the first payload
+// that drew it would grow again each time a larger one did, until every
+// pooled buffer had met the largest. The per-row scales, one per row and 8
+// bytes each, are sized to their row count's class instead. Contents are
+// unspecified: callers must overwrite (or explicitly zero) every element,
+// since a recycled buffer carries stale values where a fresh make() would
+// carry zeros.
+func grow[T any](s []T, n, c int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]T, n)
+	return make([]T, n, max(n, c))
 }
+
+// rowsCap is the capacity grow gives a scales buffer for rows rows.
+func rowsCap(rows int) int { return 1<<bits.Len(uint(rows)) - 1 }
