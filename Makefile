@@ -96,12 +96,14 @@ bench-smoke:
 # tier's caches: a Cached(Local) Lookup+Update round at one train_embed
 # rank's shape, Keyed hits and evicting inserts on 128-float tower rows,
 # one key a call and batch-32 GetRows/PutRows as Predict makes them, and the cluster
-# simulator's LRUSet hits and evicting inserts (BenchmarkHotpathLRUSet) —
+# simulator's LRUSet hits and evicting inserts (BenchmarkHotpathLRUSet) and one
+# whole cluster.Run at sim_fleet's geometry over a 64 Ki-request trace, ns per
+# request (BenchmarkHotpathClusterRun) —
 # and the serving DMT-DLRM's Predict at batch 32 on cold keys through
 # Keyed caches — and the server's own request path, over a stub model,
 # at 1, 8 and 32 closed-loop clients (BenchmarkServerPath).
 bench-hotpath:
-	$(GO) test -run '^$$' -bench '^BenchmarkHotpath' -benchmem -timeout 20m ./internal/tensor ./internal/quant ./internal/embeddings ./internal/models
+	$(GO) test -run '^$$' -bench '^BenchmarkHotpath' -benchmem -timeout 20m ./internal/tensor ./internal/quant ./internal/embeddings ./internal/models ./internal/cluster
 	$(GO) test -run '^$$' -bench '^BenchmarkServerPath$$' -benchmem -timeout 20m ./internal/serve
 
 # The two gates nothing else expresses: the vector entry point vs the scalar
@@ -136,8 +138,9 @@ fp16-exhaustive:
 # its reference model, Keyed's batch calls (GetRows, FillRows, PutRows)
 # against the one-key calls they stand for on a twin cache, CachedStore's
 # Lookup and Update against the one-id GetVec/PutVec replay they stand for
-# on a twin Keyed, and the micro-batcher against its flush rule (go test allows one -fuzz target per
-# invocation, hence the separate runs).
+# on a twin Keyed, the micro-batcher against its flush rule, and the cluster
+# simulator's percentile selection against a sorted copy (go test allows one
+# -fuzz target per invocation, hence the separate runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGEMMKernels$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzElementwiseKernels$$' -fuzztime 10s ./internal/tensor
@@ -152,6 +155,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyedRows$$' -fuzztime 10s ./internal/embeddings
 	$(GO) test -run '^$$' -fuzz '^FuzzCachedStore$$' -fuzztime 10s ./internal/embeddings
 	$(GO) test -run '^$$' -fuzz '^FuzzBatcher$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzPercentiles$$' -fuzztime 10s ./internal/cluster
 
 # The example mains have no tests: build them all and run every cheap one,
 # so a panic in any of them fails here. The SPTT walkthrough panics on a

@@ -13,16 +13,20 @@
 //   - per-replica tower-output and embedding-row caches are
 //     embeddings.LRUSets: presence-only, lock-free, and one probe per key,
 //     yet deciding every hit, miss and eviction exactly as the real
-//     server's embeddings.Keyed memoization of the same geometry does;
+//     server's embeddings.Keyed memoization of the same geometry does.
+//     A run derives each distinct sample's namespaced keys once (keyTable:
+//     its tower keys and its embedding-row keys, already folded onto
+//     EmbIDSpace) into one table every replica touches them from;
 //   - each replica runs serve's Batcher, the micro-batcher's one
 //     flush-on-full / flush-on-MaxWait rule, on the virtual clock.
 //
 // Requests arrive from a workload.Trace (open-loop arrivals, zipf key skew,
 // SLO classes), pass token-bucket admission, are routed by a pluggable
 // Policy, and leave per-class latency breakdowns (queue wait, batch wait,
-// compute, embedding fetch). Every quantity is a pure function of
-// (Config, Trace): same-seed runs are bit-reproducible in CI at any
-// GOMAXPROCS.
+// compute, embedding fetch). Their percentiles are selected, not sorted,
+// from one latency array sized by the trace. Every quantity is a pure
+// function of (Config, Trace): same-seed runs are bit-reproducible in CI at
+// any GOMAXPROCS.
 package cluster
 
 import (
@@ -123,11 +127,14 @@ func (h *eventHeap) pop() event {
 
 type sim struct {
 	cfg     Config
+	reqs    []workload.Request // the trace in arrival order; batches hold positions in it
+	keys    *keyTable
 	events  eventHeap
 	seq     int64
 	reps    []*replica
 	bucket  *tokenBucket
 	classes []*classAcc
+	lats    []time.Duration // every class's latencies, one region per class
 	loads   []time.Duration // route's scratch: Policy.Pick must not retain it
 	batches int
 	served  int
@@ -143,6 +150,13 @@ func (s *sim) push(e event) {
 // Run simulates the trace against the fleet and returns the aggregated
 // result. It is a pure function of its arguments.
 func Run(cfg Config, trace *workload.Trace) Result {
+	reqs := arrivalOrder(trace.Requests)
+	return run(cfg, trace.Classes, reqs, newKeyTable(reqs, cfg.Cost, cfg.EmbIDSpace)).result()
+}
+
+// run replays reqs, in arrival order, through the fleet with the cache keys
+// of keys, and returns the simulator with its counters for result.
+func run(cfg Config, classes []workload.Class, reqs []workload.Request, keys *keyTable) *sim {
 	if cfg.Replicas < 1 {
 		panic(fmt.Sprintf("cluster: %d replicas", cfg.Replicas))
 	}
@@ -150,21 +164,29 @@ func Run(cfg Config, trace *workload.Trace) Result {
 		cfg.Policy = RoundRobin()
 	}
 
-	s := &sim{cfg: cfg, loads: make([]time.Duration, cfg.Replicas)}
+	s := &sim{cfg: cfg, reqs: reqs, keys: keys, loads: make([]time.Duration, cfg.Replicas)}
 	for i := 0; i < cfg.Replicas; i++ {
 		s.reps = append(s.reps, newReplica(i, cfg))
 	}
 	if cfg.AdmitRate > 0 {
 		s.bucket = newTokenBucket(cfg.AdmitRate, float64(cfg.MaxBatch))
 	}
-	for _, c := range trace.Classes {
-		s.classes = append(s.classes, &classAcc{class: c})
+	// One latency array for the run, a region per class sized by the
+	// class's arrivals, so no class's latencies ever grow a slice.
+	counts := make([]int, len(classes))
+	for i := range reqs {
+		counts[reqs[i].Class]++
+	}
+	s.lats = make([]time.Duration, len(reqs))
+	off := 0
+	for c, n := range counts {
+		s.classes = append(s.classes, &classAcc{class: classes[c], lats: s.lats[off : off : off+n]})
+		off += n
 	}
 
-	reqs := arrivalOrder(trace.Requests)
 	for next := 0; next < len(reqs) || len(s.events) > 0; {
 		if next < len(reqs) && (len(s.events) == 0 || reqs[next].At <= s.events[0].at) {
-			s.arrive(reqs[next].At, &reqs[next])
+			s.arrive(reqs[next].At, int32(next))
 			next++
 			continue
 		}
@@ -175,7 +197,7 @@ func Run(cfg Config, trace *workload.Trace) Result {
 			s.flush(r, group, e.at)
 		}
 	}
-	return s.result()
+	return s
 }
 
 // arrivalOrder returns reqs stably sorted by arrival: reqs itself if already
@@ -189,8 +211,9 @@ func arrivalOrder(reqs []workload.Request) []workload.Request {
 	return reqs
 }
 
-// arrive admits, routes, and enqueues one request.
-func (s *sim) arrive(now time.Duration, rq *workload.Request) {
+// arrive admits, routes, and enqueues request i.
+func (s *sim) arrive(now time.Duration, i int32) {
+	rq := &s.reqs[i]
 	acc := s.classes[rq.Class]
 	acc.arrived++
 	if s.bucket != nil && !s.bucket.allow(now) {
@@ -199,7 +222,7 @@ func (s *sim) arrive(now time.Duration, rq *workload.Request) {
 	}
 	r := s.reps[s.route(now, rq)]
 	r.pendingEst += time.Duration(rq.Items) * s.cfg.Cost.ItemTime()
-	group, gen, arm := r.batch.Add(rq)
+	group, gen, arm := r.batch.Add(i)
 	if group != nil {
 		s.flush(r, group, now)
 	}
@@ -223,8 +246,8 @@ func (s *sim) route(now time.Duration, rq *workload.Request) int {
 // flush seals a batch the replica's Batcher released: cache accounting runs
 // here (the batch's cost is fixed at flush, exactly once per request), and
 // the batch joins the executor queue.
-func (s *sim) flush(r *replica, group []*workload.Request, now time.Duration) {
-	b := r.seal(group, now, s.cfg.Cost, s.cfg.EmbIDSpace)
+func (s *sim) flush(r *replica, group []int32, now time.Duration) {
+	b := s.seal(r, group, now)
 	r.queue = append(r.queue, b)
 	r.queuedCost += b.cost()
 	if !r.busy {
@@ -252,7 +275,8 @@ func (s *sim) complete(r *replica, now time.Duration) {
 	r.busy = false
 	s.batches++
 	r.batches++
-	for _, rq := range b.reqs {
+	for _, i := range b.reqs {
+		rq := &s.reqs[i]
 		acc := s.classes[rq.Class]
 		acc.served++
 		s.served++
@@ -285,7 +309,10 @@ func (s *sim) result() Result {
 	if s.batches > 0 {
 		res.AvgBatch = float64(s.served) / float64(s.batches)
 	}
-	all := make([]time.Duration, 0, s.served)
+	// Each class's served latencies move down to follow the classes
+	// before it (append copies within s.lats, never past the region it
+	// reads), so the fleet's are one prefix of the same array.
+	all := s.lats[:0]
 	for _, acc := range s.classes {
 		res.Rejected += acc.rejected
 		cr := ClassResult{
@@ -294,10 +321,7 @@ func (s *sim) result() Result {
 			Served:   acc.served,
 			Rejected: acc.rejected,
 		}
-		slices.Sort(acc.lats)
-		cr.P50 = workload.Percentile(acc.lats, 0.50)
-		cr.P95 = workload.Percentile(acc.lats, 0.95)
-		cr.P99 = workload.Percentile(acc.lats, 0.99)
+		cr.P50, cr.P95, cr.P99 = percentiles(acc.lats)
 		if acc.served > 0 {
 			n := time.Duration(acc.served)
 			cr.AvgBatchWait = acc.batchWait / n
@@ -308,10 +332,7 @@ func (s *sim) result() Result {
 		all = append(all, acc.lats...)
 		res.Classes = append(res.Classes, cr)
 	}
-	slices.Sort(all)
-	res.P50 = workload.Percentile(all, 0.50)
-	res.P95 = workload.Percentile(all, 0.95)
-	res.P99 = workload.Percentile(all, 0.99)
+	res.P50, res.P95, res.P99 = percentiles(all)
 	for _, r := range s.reps {
 		res.PerReplica = append(res.PerReplica, ReplicaResult{
 			Served:  r.served,
@@ -330,7 +351,7 @@ type classAcc struct {
 	class             workload.Class
 	arrived, served   int
 	rejected          int
-	lats              []time.Duration
+	lats              []time.Duration // the class's region of sim.lats, capped at its arrivals
 	batchWait         time.Duration
 	queueWait         time.Duration
 	compute, embFetch time.Duration

@@ -5,7 +5,6 @@ import (
 
 	"dmt/internal/embeddings"
 	"dmt/internal/serve"
-	"dmt/internal/workload"
 )
 
 // replica is one simulated serving instance: the forming micro-batch, the
@@ -13,18 +12,19 @@ import (
 // under the real server's serve.Batcher; state advances only when the
 // simulator delivers an event. The caches are embeddings.LRUSets: they hold
 // keys only, and decide every hit, miss and eviction as the server's
-// embeddings.Keyed caches of the same geometry would. Two divergences from
-// the real server remain (closing either would move the simulator's pinned
-// results):
+// embeddings.Keyed caches of the same geometry would. Every replica touches
+// them with the keys the run's keyTable derived once per sample. Two
+// divergences from the real server remain (closing either would move the
+// simulator's pinned results):
 //
 //   - one executor per replica, where a Server runs Config.Workers;
 //   - caches keyed by the request's sample identity, where the server keys
-//     them by the real bag ids.
+//     them by the real bag ids (sampleKeys is the one function to change).
 type replica struct {
 	id int
 
 	// batch forms the next micro-batch; pendingEst is its modeled compute.
-	batch      *serve.Batcher[*workload.Request]
+	batch      *serve.Batcher[int32]
 	pendingEst time.Duration
 
 	// queue[head:] holds flushed batches awaiting the executor, which
@@ -47,7 +47,7 @@ type replica struct {
 
 // batchJob is one sealed micro-batch with its modeled cost, fixed at flush.
 type batchJob struct {
-	reqs         []*workload.Request
+	reqs         []int32 // positions in sim.reqs
 	flushedAt    time.Duration
 	serviceStart time.Duration
 	compute      time.Duration
@@ -60,7 +60,7 @@ func newReplica(id int, cfg Config) *replica {
 	shards := serve.DefaultConfig().CacheShards
 	return &replica{
 		id:    id,
-		batch: serve.NewBatcher[*workload.Request](cfg.MaxBatch, cfg.MaxWait),
+		batch: serve.NewBatcher[int32](cfg.MaxBatch, cfg.MaxWait),
 		tower: embeddings.NewLRUSet(cfg.TowerCacheEntries, shards),
 		emb:   embeddings.NewLRUSet(cfg.EmbCacheEntries, shards),
 	}
@@ -82,32 +82,27 @@ func (r *replica) loadAt(now time.Duration) time.Duration {
 // runs through the replica's presence caches with exactly the serve-path
 // key structure (namespace = tower or table, key = the request's
 // feature-group identity; duplicate keys within a batch hit after the first
-// occurrence, mirroring models.Predict's intra-batch dedupe).
-func (r *replica) seal(group []*workload.Request, now time.Duration, cost serve.CostModel, embIDSpace int) batchJob {
+// occurrence, mirroring models.Predict's intra-batch dedupe). The keys come
+// from the run's keyTable, in sampleKeys' order: towers, then tables.
+func (s *sim) seal(r *replica, group []int32, now time.Duration) batchJob {
 	b := batchJob{reqs: group, flushedAt: now}
 	r.pendingEst = 0
 
 	items, towerHits, missRows := 0, 0, 0
-	for _, rq := range group {
-		sample := uint64(rq.Sample)
-		items += rq.Items
-		for t := 0; t < cost.Towers; t++ {
-			if r.tower.Touch(t, sample) {
+	for _, i := range group {
+		items += s.reqs[i].Items
+		keys := s.keys.of(i)
+		for _, k := range keys[:s.keys.towers] {
+			if r.tower.Touch(k) {
 				towerHits++
 			}
 		}
-		for f := 0; f < cost.EmbTables; f++ {
-			id := embeddings.NsKey(f, sample)
-			if embIDSpace > 0 {
-				// Fold the sample onto the table's id space so hot rows are
-				// shared across samples, as real bag ids are.
-				id %= uint64(embIDSpace)
-			}
-			if !r.emb.Touch(f, id) {
+		for _, k := range keys[s.keys.towers:] {
+			if !r.emb.Touch(k) {
 				missRows++
 			}
 		}
 	}
-	b.compute, b.embFetch = cost.BatchTime(items, towerHits, missRows)
+	b.compute, b.embFetch = s.cfg.Cost.BatchTime(items, towerHits, missRows)
 	return b
 }

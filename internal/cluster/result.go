@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/bits"
+	"slices"
 	"time"
 
 	"dmt/internal/embeddings"
@@ -79,4 +81,59 @@ func (r Result) MeetsSLO() bool {
 		}
 	}
 	return len(r.Classes) > 0
+}
+
+// percentiles returns the nearest-rank p50, p95 and p99 of lats, each what
+// workload.Percentile reads off a sorted copy, by selecting the three ranks
+// in ascending order, each within what the last left above it. It reorders
+// lats.
+func percentiles(lats []time.Duration) (p50, p95, p99 time.Duration) {
+	if len(lats) == 0 {
+		return 0, 0, 0
+	}
+	var out [3]time.Duration
+	lo := 0
+	for i, q := range [3]float64{0.50, 0.95, 0.99} {
+		k := workload.Rank(q, len(lats))
+		nthElement(lats[lo:], k-lo)
+		out[i], lo = lats[k], k
+	}
+	return out[0], out[1], out[2]
+}
+
+// nthElement reorders a so that a[k] holds what a sorted copy holds there,
+// with nothing greater before it and nothing smaller after it: quickselect
+// with median-of-three pivots and a three-way partition, so runs of equal
+// values end a round at once. A range that has not shrunk to 16 elements
+// within 2·log2(len(a)) rounds is sorted instead, bounding the worst case
+// at a sort's.
+func nthElement(a []time.Duration, k int) {
+	lo, hi := 0, len(a) // a[k] belongs to a[lo:hi]
+	for rounds := 2 * bits.Len(uint(len(a))); hi-lo > 16 && rounds > 0; rounds-- {
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi-1]
+		p := max(min(x, y), min(max(x, y), z))
+		lt, i, gt := lo, lo, hi // a[lo:lt] < p, a[lt:i] == p, a[gt:hi] > p
+		for i < gt {
+			switch {
+			case a[i] < p:
+				a[lt], a[i] = a[i], a[lt]
+				lt++
+				i++
+			case a[i] > p:
+				gt--
+				a[i], a[gt] = a[gt], a[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+	slices.Sort(a[lo:hi])
 }

@@ -558,8 +558,9 @@ func (k *Keyed) Stats() CacheStats {
 
 // LRUSet is a presence-only LRU over namespaced keys, for a single
 // goroutine that only asks whether a key is cached (the cluster
-// simulator's replicas). It splits keys over bare cores as Keyed splits
-// them over shards, so it makes exactly the hit, miss and eviction
+// simulator's replicas). Its caller namespaces each key (NsKey) and may
+// keep it for later touches. It splits keys over bare cores as Keyed
+// splits them over shards, so it makes exactly the hit, miss and eviction
 // decisions of a Keyed of the same capacity and shards driven by GetVec
 // and, on a miss, PutVec — but in one probe per key, with no lock and no
 // values. A nil *LRUSet (capacity <= 0) disables caching: every Touch
@@ -583,13 +584,15 @@ func NewLRUSet(capacity, shards int) *LRUSet {
 	return s
 }
 
-// Touch reports whether (ns, key) was cached and leaves it cached, most
-// recently used, evicting the shard's least recently used key when full.
-func (s *LRUSet) Touch(ns int, key uint64) bool {
+// Touch reports whether key was cached and leaves it cached, most recently
+// used, evicting the shard's least recently used key when full. key is
+// namespaced (NsKey), as a KeyBatch's keys are, so a caller that touches
+// the same key again derives it once: Touch(NsKey(ns, k)) decides what
+// GetVec(ns, k) and, on a miss, PutVec(ns, k, v) decide on a Keyed.
+func (s *LRUSet) Touch(key uint64) bool {
 	if s == nil {
 		return false
 	}
-	key = NsKey(ns, key)
 	_, hit := s.cores[mix64(key)&s.mask].getOrInsert(key)
 	return hit
 }

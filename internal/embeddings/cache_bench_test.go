@@ -157,7 +157,7 @@ func BenchmarkHotpathLRUSet(b *testing.B) {
 	fill := func(n int) *LRUSet {
 		s := NewLRUSet(entries, 8)
 		for k := 0; k < n; k++ {
-			s.Touch(k%towers, uint64(k))
+			s.Touch(NsKey(k%towers, uint64(k)))
 		}
 		return s
 	}
@@ -167,7 +167,7 @@ func BenchmarkHotpathLRUSet(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := i % (entries / 2)
-			if !s.Touch(k%towers, uint64(k)) {
+			if !s.Touch(NsKey(k%towers, uint64(k))) {
 				b.Fatalf("key %d missed", k)
 			}
 		}
@@ -178,7 +178,7 @@ func BenchmarkHotpathLRUSet(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := 2*entries + i
-			if s.Touch(k%towers, uint64(k)) {
+			if s.Touch(NsKey(k%towers, uint64(k))) {
 				b.Fatalf("new key %d hit", k)
 			}
 		}

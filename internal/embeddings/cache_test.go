@@ -93,7 +93,7 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	if s != nil {
 		t.Fatal("zero capacity should yield a nil set")
 	}
-	if s.Touch(0, 1) || s.Touch(0, 1) {
+	if s.Touch(NsKey(0, 1)) || s.Touch(NsKey(0, 1)) {
 		t.Fatal("nil set returned a hit")
 	}
 	if st := s.Stats(); st != (CacheStats{}) {
@@ -436,18 +436,18 @@ func (f *constFiller) Fill(i int, dst []float32) {
 func TestLRUSetAllocs(t *testing.T) {
 	s := NewLRUSet(64, 1)
 	for k := uint64(0); k < 1000; k++ {
-		s.Touch(0, k)
+		s.Touch(NsKey(0, k))
 	}
-	if n := testing.AllocsPerRun(100, func() { s.Touch(0, 999) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { s.Touch(NsKey(0, 999)) }); n != 0 {
 		t.Errorf("Touch hit allocates %v times", n)
 	}
 	older := uint64(998)
-	if n := testing.AllocsPerRun(100, func() { s.Touch(0, older); older ^= 1 }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { s.Touch(NsKey(0, older)); older ^= 1 }); n != 0 {
 		t.Errorf("Touch refresh allocates %v times", n)
 	}
 	next := uint64(1000)
 	before := s.Stats().Evictions
-	if n := testing.AllocsPerRun(1000, func() { s.Touch(0, next); next++ }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { s.Touch(NsKey(0, next)); next++ }); n != 0 {
 		t.Errorf("Touch insert-with-evict allocates %v times", n)
 	}
 	if got := s.Stats().Evictions - before; got != 1001 {
@@ -482,7 +482,7 @@ func TestLRUSetMatchesKeyed(t *testing.T) {
 				if g.fold > 0 {
 					key = NsKey(ns, key) % g.fold
 				}
-				hit := set.Touch(ns, key)
+				hit := set.Touch(NsKey(ns, key))
 				_, want := keyed.GetVec(ns, key)
 				if !want {
 					keyed.PutVec(ns, key, marker)

@@ -46,7 +46,9 @@
 //   - LRUSet, the cluster simulator's replica caches, the presence set:
 //     bare cores with no rows and no lock, since its one caller only asks
 //     whether a key is present, answering each key in one getOrInsert
-//     probe.
+//     probe. Touch takes a key NsKey has already namespaced, as a
+//     KeyBatch's keys are, so the simulator derives each sample's keys
+//     once per run rather than once per touch.
 //
 // # Aliasing
 //

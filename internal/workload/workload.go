@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -129,7 +130,7 @@ func Generate(cfg Config) *Trace {
 	if cfg.Shape <= 0 {
 		cfg.Shape = 1
 	}
-	classes := cfg.Classes
+	classes := slices.Clone(cfg.Classes) // normalized below; the caller's stays as given
 	if len(classes) == 0 {
 		classes = []Class{{Name: "default", Share: 1, Items: 1, SLO: time.Millisecond}}
 	}
@@ -154,7 +155,7 @@ func Generate(cfg Config) *Trace {
 	}
 
 	tr := &Trace{
-		Classes:  append([]Class(nil), classes...),
+		Classes:  classes,
 		Requests: make([]Request, 0, cfg.Requests),
 	}
 	var now float64 // seconds
@@ -240,18 +241,16 @@ func gammaSample(rng *rand.Rand, k float64) float64 {
 // the distribution at or below it. Floor-indexing into n-1 would round tail
 // percentiles down a rank and underestimate them at small n.
 func Percentile(sorted []time.Duration, q float64) time.Duration {
-	n := len(sorted)
-	if n == 0 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return sorted[rank-1]
+	return sorted[Rank(q, len(sorted))]
+}
+
+// Rank is the index Percentile reads the q-quantile at in n > 0 sorted
+// samples, so a caller that selects rather than sorts reads the same one.
+func Rank(q float64, n int) int {
+	return min(max(int(math.Ceil(q*float64(n))), 1), n) - 1
 }
 
 // KeyStream is the closed-loop generator's per-client key source: a

@@ -157,3 +157,23 @@ func (t *Trace) Duration() time.Duration {
 	}
 	return t.Requests[len(t.Requests)-1].At
 }
+
+// TestGenerateLeavesCallersClasses: Generate normalizes Items < 1 to 1 in
+// the trace's own class table, never in the caller's slice, and the trace
+// is the one the normalized mix gives.
+func TestGenerateLeavesCallersClasses(t *testing.T) {
+	cfg := testConfig(Poisson)
+	cfg.Classes = []Class{{Name: "zero", Share: 1, Items: 0, SLO: time.Millisecond}}
+	tr := Generate(cfg)
+	if got := cfg.Classes[0].Items; got != 0 {
+		t.Fatalf("Generate set the caller's Items to %d", got)
+	}
+	if got := tr.Classes[0].Items; got != 1 {
+		t.Fatalf("trace.Classes[0].Items = %d, want 1", got)
+	}
+	normalized := cfg
+	normalized.Classes = []Class{{Name: "zero", Share: 1, Items: 1, SLO: time.Millisecond}}
+	if !reflect.DeepEqual(tr, Generate(normalized)) {
+		t.Fatal("an Items-0 mix generated a different trace from the normalized mix")
+	}
+}
