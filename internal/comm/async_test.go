@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -283,27 +284,46 @@ func TestBroadcastWithPendingPanics(t *testing.T) {
 	})
 }
 
-// TestRunLinkedCancelsLinkedGroups: the SPTT-shaped failure — a rank panics
-// while its peers are blocked on a DIFFERENT group's receive. RunLinked
-// must cancel the linked groups too, or those peers sleep forever.
-func TestRunLinkedCancelsLinkedGroups(t *testing.T) {
+// TestRankPanicCancelsItsNetwork: the SPTT-shaped failure — a rank panics
+// while its peers are blocked on a DIFFERENT group of the same network. The
+// panic cancels the whole network, so those peers wake; a group on another
+// network is untouched, a second cancel is a no-op, and every group of the
+// canceled network, one built after the cancel included, aborts at once.
+func TestRankPanicCancelsItsNetwork(t *testing.T) {
 	const n = 2
-	world := NewGroup(n)
-	sub := NewGroup(n)
+	one := tensor.FromSlice([]float32{1}, 1)
+	net := NewNetwork(nil, n)
+	world, sub := NewGroupNet(n, net, nil), NewGroupNet(n, net, nil)
+	other := NewGroup(n)
 	r := recoverRun(func() {
-		RunLinked(world, [][]*Comm{sub}, func(c *Comm) {
+		Run(world, func(c *Comm) {
 			if c.Rank() == 0 {
-				panic("boom on the primary group")
+				panic("boom on the world group")
 			}
 			// Rank 1 blocks on the sub-group, where rank 0's contribution
 			// will never arrive.
-			sub[c.Rank()].AllReduceSum(tensor.FromSlice([]float32{1}, 1))
+			sub[c.Rank()].AllReduceSum(one)
 		})
 	})
-	if r == nil {
-		t.Fatal("RunLinked returned without panicking")
+	if msg := fmt.Sprint(r); !strings.Contains(msg, "rank 0 panicked: boom") {
+		t.Fatalf("panic should name rank 0 and its message: %v", r)
 	}
-	if msg, ok := r.(string); !ok || !strings.Contains(msg, "rank 0") {
-		t.Fatalf("panic should name rank 0: %v", r)
+	select {
+	case <-net.Done():
+	default:
+		t.Fatal("the rank panic left its network's Done open")
+	}
+	if net.cancel() {
+		t.Fatal("a second cancel reported canceling the network")
+	}
+
+	Run(other, func(c *Comm) { c.AllReduceSum(one) })
+
+	late := NewGroupNet(n, net, nil)
+	for _, grp := range [][]*Comm{world, sub, late} {
+		r := recoverRun(func() { Run(grp, func(c *Comm) { c.AllReduceSum(one) }) })
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "network canceled") {
+			t.Fatalf("a collective on the canceled network should abort: %v", r)
+		}
 	}
 }

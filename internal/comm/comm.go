@@ -39,15 +39,19 @@
 // handles' issue→Wait windows on the same clock. Compute advances a rank's
 // clock only through explicit Clock.Advance calls, so the whole timeline is
 // a pure function of the byte stream and the charged compute: bit-identical
-// across runs, however the goroutines are actually scheduled. NewGroup
-// builds its group a private zero-delay network — instant delivery is the
-// cheapest latency model, not a separate mode — so with nothing modeled,
-// exposed and hidden time are both zero.
+// across runs, however the goroutines are actually scheduled. A nil model is
+// zero delay — instant delivery is the cheapest latency model, not a
+// separate mode — so with nothing modeled, exposed and hidden time are both
+// zero. NewGroup builds its group such a network of its own.
+//
+// The Network is also the failure domain: a rank panic inside Run cancels
+// every group on the rank's network (see Run).
 package comm
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,12 +59,9 @@ import (
 	"dmt/internal/tensor"
 )
 
-// errCanceled is the panic value delivered to ranks blocked on (or sending
-// into) a canceled group: when one rank of a Run panics, the group is
-// canceled so its peers abort instead of deadlocking on receives that will
-// never be satisfied. Run recognizes the value and reports the originating
-// panic, not the cascade.
-var errCanceled = errors.New("comm: group canceled")
+// errCanceled is the panic value of a send or receive on a group of a
+// canceled network (see Run).
+var errCanceled = errors.New("comm: network canceled")
 
 // Comm is one rank's handle to a communication group. All collective calls
 // must be made by every rank of the group, in the same order, each from its
@@ -104,8 +105,8 @@ type LatencyModel interface {
 	P2PDelay(src, dst, nbytes int) time.Duration
 }
 
-// zeroDelay is the latency model of the private network NewGroup builds:
-// every message is ready the instant it is sent.
+// zeroDelay is the latency model of a network built with a nil one: every
+// message is ready the instant it is sent.
 type zeroDelay struct{}
 
 func (zeroDelay) P2PDelay(int, int, int) time.Duration { return 0 }
@@ -138,25 +139,31 @@ func (k *Clock) Advance(d time.Duration) {
 	k.ns.Add(d.Nanoseconds())
 }
 
-// Network couples a latency model with one virtual clock per global rank.
-// Build it once per simulated world and pass it to every NewGroupNet call,
-// so the global group and all sub-groups (SPTT's host and peer families)
-// share each rank's single timeline.
+// Network couples a latency model with one virtual clock per global rank,
+// and is the failure domain of every group built on it. Build it once per
+// simulated world and pass it to every NewGroupNet call, so the global
+// group and all sub-groups (SPTT's host and peer families, an embedding
+// tier's pair groups) share each rank's single timeline and fail together.
 type Network struct {
 	model  LatencyModel
 	clocks []*Clock
+
+	mu       sync.Mutex
+	mail     []*mailbox // every mailbox of every group on the network
+	canceled bool
+	done     chan struct{} // closed when canceled is set
 }
 
 // NewNetwork creates a simulated network of `ranks` global ranks priced by
-// the model.
+// the model; a nil model delivers every message instantly.
 func NewNetwork(model LatencyModel, ranks int) *Network {
 	if model == nil {
-		panic("comm: NewNetwork requires a latency model")
+		model = zeroDelay{}
 	}
 	if ranks <= 0 {
 		panic(fmt.Sprintf("comm: network of %d ranks", ranks))
 	}
-	n := &Network{model: model, clocks: make([]*Clock, ranks)}
+	n := &Network{model: model, clocks: make([]*Clock, ranks), done: make(chan struct{})}
 	for i := range n.clocks {
 		n.clocks[i] = &Clock{}
 	}
@@ -165,6 +172,28 @@ func NewNetwork(model LatencyModel, ranks int) *Network {
 
 // Clock returns global rank's virtual clock.
 func (n *Network) Clock(rank int) *Clock { return n.clocks[rank] }
+
+// Done is closed once a rank of a Run on the network has panicked. Code
+// that waits for a peer outside the collectives (an embedding server's
+// turn) selects on it, so it aborts with the network's groups.
+func (n *Network) Done() <-chan struct{} { return n.done }
+
+// cancel poisons every mailbox of the network, so blocked receivers wake
+// and panic with errCanceled, as do further sends, and closes Done. It
+// reports whether this call canceled the network.
+func (n *Network) cancel() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.canceled {
+		return false
+	}
+	n.canceled = true
+	close(n.done)
+	for _, m := range n.mail {
+		m.cancel()
+	}
+	return true
+}
 
 // Now returns the per-rank mean virtual time — the simulated wall clock of
 // the whole world (ranks progress together through collectives).
@@ -250,42 +279,22 @@ type group struct {
 	// on it, the identity the latency model prices links by.
 	net    *Network
 	granks []int
-
-	cancelOnce sync.Once
 }
 
-// cancel poisons every mailbox of the group: blocked receivers wake and
-// panic with errCanceled, and further sends panic too. Idempotent.
-func (g *group) cancel() {
-	g.cancelOnce.Do(func() {
-		for _, row := range g.mail {
-			for _, m := range row {
-				m.cancel()
-			}
-		}
-	})
-}
-
-// NewGroup creates a fresh group of the given size on a private zero-delay
-// network and returns one Comm per rank. Groups are independent: SPTT builds
-// a global group, one intra-host group per host, and one peer group per
-// local index, and hands each rank its three handles.
+// NewGroup creates a group of the given size on a zero-delay network of its
+// own and returns one Comm per rank.
 func NewGroup(size int) []*Comm {
-	return NewGroupNet(size, nil, nil)
+	return NewGroupNet(size, NewNetwork(nil, size), nil)
 }
 
 // NewGroupNet creates a group whose rank i acts as global rank
 // globalRanks[i] on the network (nil globalRanks means the identity — group
 // rank == global rank). Every message is stamped with a modeled ready-time,
 // and the ranks' shared virtual clocks (net.Clock) drive the exposed/hidden
-// accounting. A nil net is NewGroup: a private zero-delay network of size
-// ranks, with globalRanks ignored.
+// accounting.
 func NewGroupNet(size int, net *Network, globalRanks []int) []*Comm {
 	if size <= 0 {
 		panic(fmt.Sprintf("comm: group size %d", size))
-	}
-	if net == nil {
-		net, globalRanks = NewNetwork(zeroDelay{}, size), nil
 	}
 	if globalRanks == nil {
 		globalRanks = make([]int, size)
@@ -304,15 +313,18 @@ func NewGroupNet(size int, net *Network, globalRanks []int) []*Comm {
 	g := &group{size: size, net: net, granks: globalRanks}
 	g.mail = make([][]*mailbox, size)
 	g.sent = make([][]int64, size)
+	net.mu.Lock()
 	for d := 0; d < size; d++ {
 		g.mail[d] = make([]*mailbox, size)
 		g.sent[d] = make([]int64, size)
 		for s := 0; s < size; s++ {
-			m := &mailbox{}
+			m := &mailbox{canceled: net.canceled}
 			m.cond.L = &m.mu
 			g.mail[d][s] = m
+			net.mail = append(net.mail, m)
 		}
 	}
+	net.mu.Unlock()
 	comms := make([]*Comm, size)
 	for r := 0; r < size; r++ {
 		comms[r] = &Comm{rank: r, g: g, clock: net.Clock(globalRanks[r])}
@@ -477,57 +489,36 @@ func AssertDrained(comms []*Comm) {
 }
 
 // Run executes fn once per rank, each in its own goroutine, and waits for
-// all of them. A panic in any rank cancels the group — peers blocked on its
-// messages abort instead of deadlocking — and Run re-raises the originating
-// panic with its rank attached, so test failures point at the offending
-// rank rather than hanging. A group that has been canceled this way must
-// not be reused.
-//
-// If fn also performs collectives on additional groups (as the SPTT
-// dataflow does on its host and peer families), use RunLinked so those
-// groups are canceled too.
+// all of them. The first rank to panic cancels the group's network, so
+// peers blocked on any of its groups abort instead of deadlocking, and Run
+// re-raises that panic with its rank attached. Panics after the
+// cancellation are its cascade, not failures of their own. A canceled
+// network stays canceled: its groups must not be used again.
 func Run(comms []*Comm, fn func(c *Comm)) {
-	RunLinked(comms, nil, fn)
-}
-
-// RunLinked is Run for dataflows whose fn performs collectives on further
-// groups besides the one it is invoked on: a rank panic cancels the primary
-// group and every linked group, so peers blocked on any of them abort
-// instead of deadlocking.
-func RunLinked(comms []*Comm, linked [][]*Comm, fn func(c *Comm)) {
-	g := comms[0].g
-	cancelAll := func() {
-		g.cancel()
-		for _, lg := range linked {
-			lg[0].g.cancel()
-		}
-	}
+	net := comms[0].g.net
 	var wg sync.WaitGroup
 	panics := make([]any, len(comms))
+	first := -1
 	for i, c := range comms {
 		wg.Add(1)
-		go func(i int, c *Comm) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					panics[i] = r
-					cancelAll()
+					if net.cancel() {
+						first = i
+					}
 				}
 			}()
 			fn(c)
-		}(i, c)
+		}()
 	}
 	wg.Wait()
-	// Report the lowest-rank real panic; errCanceled entries are cascades
-	// from the cancellation, not failures of their own.
-	for i, p := range panics {
-		if p != nil && p != errCanceled {
-			panic(fmt.Sprintf("comm: rank %d panicked: %v", i, p))
-		}
+	if first < 0 { // canceled before this run: report any rank it aborted
+		first = slices.IndexFunc(panics, func(p any) bool { return p != nil })
 	}
-	for i, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("comm: rank %d aborted: group canceled externally", i))
-		}
+	if first >= 0 {
+		panic(fmt.Sprintf("comm: rank %d panicked: %v", first, panics[first]))
 	}
 }

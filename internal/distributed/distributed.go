@@ -119,9 +119,10 @@ type Config struct {
 	// (netsim.P2PTime over the G/L host placement; wire bytes, so compression
 	// shrinks delays), per-rank virtual clocks are advanced by modeled dense
 	// compute, and the phase walls are a deterministic virtual-time
-	// decomposition. Without it messages cost nothing, no compute is charged,
-	// and Stats.Phases and Stats.Sim are zero. The trajectory itself is
-	// unchanged: delay moves time, never values.
+	// decomposition. Without it the network is zero-delay: messages cost
+	// nothing, no compute is charged, and Stats.Phases and Stats.Sim are
+	// zero. The trajectory itself is unchanged: delay moves time, never
+	// values.
 	Fabric *netsim.Fabric
 	// EmbeddingTier disaggregates the embedding tables onto dedicated
 	// server ranks. The zero value keeps them in-process (a LocalTier).
@@ -209,9 +210,9 @@ type Trainer struct {
 	lastWorldExposed time.Duration
 	lastWorldHidden  time.Duration
 
-	// Simulated-latency mode (Config.Fabric != nil): the shared network of
-	// per-rank virtual clocks, plus the modeled per-rank dense compute
-	// charged to them each step — 2 FLOPs per weight element per sample
+	// net is the one network of per-rank virtual clocks (see New). The
+	// modeled per-rank dense compute charged to them each step is zero
+	// without Config.Fabric; with it, 2 FLOPs per weight element per sample
 	// forward, twice that backward (input-grad + weight-grad), over the
 	// generation's calibrated effective throughput.
 	net       *comm.Network
@@ -371,12 +372,13 @@ func New(cfg Config) (*Trainer, error) {
 		}
 	}
 
+	// The network spans the compute ranks plus the embedding-server ranks
+	// (each on its own memory host): the world group, the SPTT families and
+	// the tier share its clocks and its one failure domain. A Fabric prices
+	// it; without one it is zero-delay.
+	var model comm.LatencyModel
 	if cfg.Fabric != nil {
-		// The network spans the compute ranks plus the embedding-server
-		// ranks (each on its own memory host), so tier traffic is priced by
-		// the same fabric model as the training collectives.
-		tr.net = comm.NewNetwork(fabricLatency{f: cfg.Fabric, g: cfg.G, l: cfg.L},
-			cfg.G+cfg.EmbeddingTier.Servers)
+		model = fabricLatency{f: cfg.Fabric, g: cfg.G, l: cfg.L}
 		bot := nn.CountParams(tr.replicas[0].Bottom)
 		top := nn.CountParams(tr.replicas[0].Top)
 		// ns per weight element: 2 FLOPs per element per sample forward,
@@ -387,6 +389,7 @@ func New(cfg Config) (*Trainer, error) {
 		tr.bottomBwd = 2 * tr.bottomFwd
 		tr.topBwd = 2 * tr.topFwd
 	}
+	tr.net = comm.NewNetwork(model, cfg.G+cfg.EmbeddingTier.Servers)
 	// The embedding tier holds the canonical tables and their sparse
 	// optimizer state; the dataflow engine's step (b) lookups and the update
 	// phase both go through it.
@@ -449,7 +452,7 @@ func (tr *Trainer) Residual(g, pi int) *tensor.Tensor {
 // table set, the ones every replica holds.
 func (tr *Trainer) Engine() *sptt.Engine { return tr.engine }
 
-// Network exposes the simulated network (nil unless Config.Fabric is set) —
+// Network exposes the simulated network, zero-delay without Config.Fabric —
 // test and diagnostics hook for the per-rank virtual clocks.
 func (tr *Trainer) Network() *comm.Network { return tr.net }
 
@@ -478,13 +481,11 @@ func (m fabricLatency) P2PDelay(src, dst, nbytes int) time.Duration {
 	return time.Duration(m.f.P2PTime(nbytes, m.hostOf(src) == m.hostOf(dst)) * float64(time.Second))
 }
 
-// charge advances rank g's virtual clock by a modeled compute duration; a
-// no-op without Config.Fabric. This is how dense compute hides
-// in-flight collectives in virtual time.
+// charge advances rank g's virtual clock by a modeled compute duration
+// (zero without Config.Fabric). This is how dense compute hides in-flight
+// collectives in virtual time.
 func (tr *Trainer) charge(g int, d time.Duration) {
-	if tr.net != nil {
-		tr.net.Clock(g).Advance(d)
-	}
+	tr.net.Clock(g).Advance(d)
 }
 
 // phaseClock returns a lap function for the step's phase walls: each call
@@ -492,9 +493,6 @@ func (tr *Trainer) charge(g int, d time.Duration) {
 // PhaseTimes decomposes the modeled timeline. Without Config.Fabric nothing
 // is modeled and every lap is zero.
 func (tr *Trainer) phaseClock() func() time.Duration {
-	if tr.net == nil {
-		return func() time.Duration { return 0 }
-	}
 	last := tr.net.Now()
 	return func() time.Duration {
 		t := tr.net.Now()

@@ -140,7 +140,7 @@ type TierStats struct {
 	LookupCrossBytes int64
 	UpdateCrossBytes int64
 	// Modeled virtual-clock time clients waited for server responses (summed
-	// over clients; zero without RemoteConfig.Net).
+	// over clients; zero on a zero-delay RemoteConfig.Net).
 	LookupExposed time.Duration
 	UpdateExposed time.Duration
 }

@@ -50,6 +50,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		Clients: 2, Servers: 2,
 		Tables:   makeTables(nTables, rows, dim, 42),
 		SparseLR: lr,
+		Net:      comm.NewNetwork(nil, 4),
 	})
 	// Fix the per-table single-owner contract: client 0 owns tables 0 and 1,
 	// client 1 owns tables 2 and 3.
@@ -174,17 +175,19 @@ func TestCachedDisabled(t *testing.T) {
 // TestServerPanicCancelsComputeGroups is the teardown-cascade regression
 // for a round whose server half panics (an out-of-range row id). The panic
 // surfaces on the asking client inside its compute-group comm.Run, which
-// names the rank and the id and cancels the compute group, so a sibling
-// rank blocked on a compute collective wakes up. The round also kills the
+// names the rank and the id and cancels the network, so a sibling rank
+// blocked on a compute collective wakes up. The cancellation also kills the
 // tier: a later Lookup by another client, which waits for the dead server's
 // turn, panics instead of hanging.
 func TestServerPanicCancelsComputeGroups(t *testing.T) {
+	net := comm.NewNetwork(nil, 3)
 	tier := NewRemote(RemoteConfig{
 		Clients: 2, Servers: 1,
 		Tables:   makeTables(2, 8, 4, 3),
 		SparseLR: 0.01,
+		Net:      net,
 	})
-	compute := comm.NewGroup(2)
+	compute := comm.NewGroupNet(2, net, nil)
 	r := panicWithin(t, func() {
 		comm.Run(compute, func(c *comm.Comm) {
 			if c.Rank() == 0 {
@@ -202,6 +205,68 @@ func TestServerPanicCancelsComputeGroups(t *testing.T) {
 	r = panicWithin(t, func() { tier.Client(1).Lookup([]Req{{Table: 1, IDs: []int32{0}}}) })
 	if msg := fmt.Sprint(r); !strings.Contains(msg, "killed the tier") {
 		t.Fatalf("a Lookup on the dead tier should report it: %v", r)
+	}
+}
+
+// TestRankPanicBeforeRoundFreesTurnWaiters: a compute rank that panics
+// before its round never passes on the server turns its peers wait for.
+// The compute group and the tier share one network, so the panic cancels
+// both: rank 2, waiting for the turn rank 1 would have passed on, and rank
+// 0, blocked on a compute collective, both abort, and Run names rank 1.
+func TestRankPanicBeforeRoundFreesTurnWaiters(t *testing.T) {
+	net := comm.NewNetwork(nil, 4)
+	tier := NewRemote(RemoteConfig{
+		Clients: 3, Servers: 1,
+		Tables:   makeTables(2, 8, 4, 3),
+		SparseLR: 0.01,
+		Net:      net,
+	})
+	compute := comm.NewGroupNet(3, net, nil)
+	r := panicWithin(t, func() {
+		comm.Run(compute, func(c *comm.Comm) {
+			switch c.Rank() {
+			case 0:
+				c.AllReduceSum(tensor.FromSlice([]float32{1}, 1))
+			case 1:
+				panic("rank 1 fails before its Lookup")
+			case 2:
+				tier.Client(2).Lookup([]Req{{Table: 0, IDs: []int32{0}}})
+			}
+		})
+	})
+	if msg := fmt.Sprint(r); !strings.Contains(msg, "comm: rank 1 panicked") {
+		t.Fatalf("Run should name rank 1: %v", r)
+	}
+}
+
+// TestTurnWaitIsACascade: a turn wait that the cancellation ends is not a
+// failure of its own. Rank 0's first Lookup passes the turn to rank 1,
+// which fails holding it; rank 0's second Lookup then waits on that turn
+// and aborts. Run must name rank 1, the rank that failed first, although
+// rank 0 is the lower rank.
+func TestTurnWaitIsACascade(t *testing.T) {
+	net := comm.NewNetwork(nil, 3)
+	tier := NewRemote(RemoteConfig{
+		Clients: 2, Servers: 1,
+		Tables:   makeTables(2, 8, 4, 3),
+		SparseLR: 0.01,
+		Net:      net,
+	})
+	compute := comm.NewGroupNet(2, net, nil)
+	passed := make(chan struct{})
+	r := panicWithin(t, func() {
+		comm.Run(compute, func(c *comm.Comm) {
+			if c.Rank() == 1 {
+				<-passed
+				panic("rank 1 fails holding the turn")
+			}
+			tier.Client(0).Lookup([]Req{{Table: 0, IDs: []int32{0}}})
+			close(passed)
+			tier.Client(0).Lookup([]Req{{Table: 0, IDs: []int32{1}}})
+		})
+	})
+	if msg := fmt.Sprint(r); !strings.Contains(msg, "comm: rank 1 panicked") {
+		t.Fatalf("Run should name rank 1, which failed first: %v", r)
 	}
 }
 

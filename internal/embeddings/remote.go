@@ -3,7 +3,6 @@ package embeddings
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,8 +32,9 @@ type RemoteConfig struct {
 	SparseLR float32
 	// CacheRows is each client's hot-ID cache capacity (0 disables).
 	CacheRows int
-	// Net prices the request/response rounds; it must span Clients+Servers
-	// global ranks. nil runs the protocol on zero-delay groups (tests).
+	// Net is the clients' network, spanning Clients+Servers global ranks:
+	// it prices the request/response rounds, and it is the tier's failure
+	// domain. Required.
 	Net *comm.Network
 }
 
@@ -55,10 +55,11 @@ type RemoteConfig struct {
 // starves: every client issues exactly one round to every server per phase,
 // empty or not.
 //
-// A round that panics (an out-of-range row id, say) panics on the asking
-// client, inside its comm.Run, which reports it with the rank attached. It
-// also kills the tier: its server's turn never passes on, so every client
-// waiting for that turn panics instead of waiting forever.
+// Clients call the tier inside a comm.Run on Net. A round that panics (an
+// out-of-range row id, say) is the asking client's panic, which that Run
+// reports with the rank attached. Any rank panic there cancels Net, and
+// with it the tier: a client waiting for a turn that will never pass on
+// panics instead of waiting forever.
 type RemoteTier struct {
 	cfg RemoteConfig
 	dim int
@@ -66,9 +67,6 @@ type RemoteTier struct {
 	pairs   [][]pair
 	clients []Store
 	opts    []*nn.SparseAdam // per server
-
-	dead     chan struct{} // closed by the first round that panics
-	killOnce sync.Once
 
 	lookups, updates                   int64
 	lookupCrossBytes, updateCrossBytes int64
@@ -87,10 +85,10 @@ func NewRemote(cfg RemoteConfig) *RemoteTier {
 	if cfg.Clients <= 0 || cfg.Servers <= 0 {
 		panic(fmt.Sprintf("embeddings: remote tier with %d clients, %d servers", cfg.Clients, cfg.Servers))
 	}
-	if len(cfg.Tables) == 0 {
-		panic("embeddings: remote tier over zero tables")
+	if len(cfg.Tables) == 0 || cfg.Net == nil {
+		panic("embeddings: remote tier needs tables and its clients' network")
 	}
-	t := &RemoteTier{cfg: cfg, dim: cfg.Tables[0].Dim, dead: make(chan struct{})}
+	t := &RemoteTier{cfg: cfg, dim: cfg.Tables[0].Dim}
 	for _, e := range cfg.Tables {
 		if e.Dim != t.dim {
 			panic(fmt.Sprintf("embeddings: table dim %d != %d", e.Dim, t.dim))
@@ -152,15 +150,9 @@ func (t *RemoteTier) round(c, s int, req []int32, grads *tensor.Tensor) *tensor.
 	p := &t.pairs[c][s]
 	select {
 	case <-p.turn:
-	case <-t.dead:
-		panic(fmt.Sprintf("embeddings: client %d's round with server %d abandoned: an earlier round killed the tier", c, s))
+	case <-t.cfg.Net.Done():
+		panic(fmt.Sprintf("embeddings: client %d's round with server %d abandoned: a rank panic killed the tier", c, s))
 	}
-	served := false
-	defer func() {
-		if !served {
-			t.killOnce.Do(func() { close(t.dead) })
-		}
-	}()
 
 	pc, sc := p.client, p.server
 	e0, _ := pc.Times()
@@ -175,7 +167,6 @@ func (t *RemoteTier) round(c, s int, req []int32, grads *tensor.Tensor) *tensor.
 	}
 	rows := pc.IAlltoAllTensors(make([]*tensor.Tensor, 2))
 	sc.AlltoAllTensors(to(0, t.serve(s, got, gotGrads)))
-	served = true
 	t.pairs[(c+1)%t.cfg.Clients][s].turn <- struct{}{}
 	// The next client now waits runnable on this P: yield, so that the
 	// server's rounds go on at once rather than when this client blocks.

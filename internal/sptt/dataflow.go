@@ -64,8 +64,9 @@ type Comms struct {
 	// Net, when non-nil, prices the dataflow's collectives: all communicator
 	// families are built against this network, so message delays follow its
 	// point-to-point cost model and the state's Exposed/Hidden times are
-	// modeled virtual-clock quantities. Without it the families run on
-	// zero-delay networks and those times are zero. Outputs are bitwise
+	// modeled virtual-clock quantities. Without it the families run on a
+	// private zero-delay network and those times are zero. A rank panic
+	// cancels the network: a remote Tier must share it. Outputs are bitwise
 	// identical with or without it — delay changes timing, never values. The
 	// Overlap hook may advance the rank's clock (Net.Clock(rank).Advance) to
 	// model the compute that hides the exchange.

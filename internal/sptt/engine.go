@@ -39,7 +39,8 @@ type Engine struct {
 	slots [][]int32
 
 	// fam is the communicator cache: the families of the last completed
-	// run, reused as long as calls name the same Comms.Net.
+	// run (a failed one cancels their network), reused as long as calls
+	// name the same Comms.Net.
 	fam *families
 }
 
@@ -91,22 +92,25 @@ func NewEngineOver(cfg Config, tables []*nn.EmbeddingBag, tier embeddings.Tier) 
 }
 
 // families are the three communicator families of the dataflow, all built
-// against one (possibly nil) simulated network.
+// on one network: the failure domain a rank panic cancels as a whole.
 type families struct {
-	net    *comm.Network
+	net    *comm.Network // as the caller named it; nil for a private one
 	global []*comm.Comm
 	host   [][]*comm.Comm // [host][local index]
 	peer   [][]*comm.Comm // [class][host index]
 }
 
-// newFamilies is the package's only communicator constructor. With a
-// non-nil net, every sub-group is created with its ranks' GLOBAL identities
-// (host h owns ranks h*l..h*l+l-1; peer class m owns ranks {t*l+m}), so the
-// latency model prices each hop by the actual host placement and all
-// families share each rank's one virtual clock.
+// newFamilies is the package's only communicator constructor. Every group
+// is built on net (a private zero-delay one if nil) with its ranks' GLOBAL
+// identities (host h owns ranks h*l..h*l+l-1; peer class m owns {t*l+m}),
+// so hops are priced by host placement on each rank's one virtual clock.
 func newFamilies(g, l int, net *comm.Network) *families {
 	t := g / l
-	fm := &families{net: net, global: comm.NewGroupNet(g, net, nil)}
+	fm := &families{net: net}
+	if net == nil {
+		net = comm.NewNetwork(nil, g)
+	}
+	fm.global = comm.NewGroupNet(g, net, nil)
 	for h := 0; h < t; h++ {
 		granks := make([]int, l)
 		for j := range granks {
@@ -158,16 +162,15 @@ func (fm *families) tally(u *usage, sign int64) {
 
 // run executes fn once per rank, each on its own goroutine with the rank's
 // three communicators, and returns what this call alone moved and waited
-// for. The host and peer families are linked to the global one for
-// cancellation: a panicking rank cancels all of them, so no peer deadlocks
-// on a sub-group receive, and the panic is re-raised with its rank attached.
+// for. A panicking rank cancels the families' one network, so no peer
+// deadlocks on a sub-group receive, and Run re-raises it with the rank.
 func (e *Engine) run(net *comm.Network, fn func(global, host, peer *comm.Comm)) usage {
 	g, l := e.Cfg.G, e.Cfg.L
 	fm := e.fam
 	if fm == nil || fm.net != net {
 		fm = newFamilies(g, l, net)
 	}
-	// Canceled groups cannot be reused, so the cache is emptied for the
+	// A canceled network cannot be reused, so the cache is emptied for the
 	// duration of the run and refilled only if it completes: the call after
 	// a failed one builds fresh families.
 	e.fam = nil
@@ -180,7 +183,7 @@ func (e *Engine) run(net *comm.Network, fn func(global, host, peer *comm.Comm)) 
 	}
 	u := usage{global: mk(), host: mk(), peer: mk()}
 	fm.tally(&u, -1)
-	comm.RunLinked(fm.global, append(append([][]*comm.Comm{}, fm.host...), fm.peer...), func(c *comm.Comm) {
+	comm.Run(fm.global, func(c *comm.Comm) {
 		r := c.Rank()
 		fn(c, fm.host[r/l][r%l], fm.peer[r%l][r/l])
 	})
