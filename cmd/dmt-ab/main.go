@@ -4,8 +4,11 @@
 //
 // Usage:
 //
-//	dmt-ab -a ../parent -b . -workloads train_dense -seeds 1,2,3 -pairs 10 -pr 51
+//	dmt-ab -a ../parent -b . -workloads train_dense,sim_fleet -seeds 1,2,3 -pairs 3,sim_fleet=10 -pr 56
 //	dmt-ab -a . -workloads serve_cold -pairs 6     # A/A: one checkout against itself
+//
+// -pairs takes a count for every workload (default 10) and workload=count
+// entries for single ones. -workloads names each workload once.
 //
 // Each side builds through its own `bash benchmark/run.sh --manifest`, which
 // compiles the benchmark inside that checkout and exits. Then, per workload,
@@ -35,14 +38,14 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -50,6 +53,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"dmt/internal/metrics"
 )
 
 func main() {
@@ -138,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dirB := fs.String("b", "", "checkout B, the change (default: A, an A/A comparison)")
 	workloads := fs.String("workloads", "train_dense", "comma-separated workloads")
 	seedList := fs.String("seeds", "1", "comma-separated seeds, taken in turn by the pairs")
-	pairs := fs.Int("pairs", 10, "interleaved pairs per workload")
+	pairList := fs.String("pairs", "10", "interleaved pairs per workload: a count, workload=count entries, or both, comma-separated")
 	pr := fs.Int("pr", 0, "write BENCH_<pr>.json (0: write no ledger)")
 	outDir := fs.String("dir", ".", "directory BENCH_<pr>.json is written to")
 	if err := fs.Parse(args); err != nil {
@@ -169,8 +174,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seeds = append(seeds, v)
 	}
 	ws := strings.Split(*workloads, ",")
-	if *pairs < 1 || slices.Contains(ws, "") {
-		return fail(2, "-pairs must be positive and -workloads non-empty")
+	for i, w := range ws {
+		if w == "" || slices.Contains(ws[:i], w) {
+			return fail(2, "-workloads %q must name each workload once", *workloads)
+		}
+	}
+	pairs, err := parsePairs(*pairList, ws)
+	if err != nil {
+		return fail(2, "bad -pairs %q: %v", *pairList, err)
 	}
 
 	l := ledger{PR: *pr, Seconds: runSeconds, Trace: runTrace, Seeds: seeds, Workloads: ws}
@@ -198,8 +209,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	gomaxprocs := regexp.MustCompile(`gomaxprocs=(\d+)`)
 	anyFailed := false
 	for _, w := range ws {
-		failed := failedRuns{Workload: w, Runs: *pairs}
-		for i := 0; i < *pairs; i++ {
+		failed := failedRuns{Workload: w, Runs: pairs[w]}
+		for i := 0; i < pairs[w]; i++ {
 			seed := seeds[i%len(seeds)]
 			order := []string{"A", "B"}
 			if i%2 == 1 {
@@ -256,6 +267,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// parsePairs reads -pairs into each workload of ws's pair count: a bare
+// count is every workload's (10 without one), and a workload=count entry
+// one workload's. Each count is positive and given once.
+func parsePairs(list string, ws []string) (map[string]int, error) {
+	pairs := map[string]int{}
+	for _, item := range strings.Split(list, ",") {
+		name, count, named := strings.Cut(item, "=")
+		if !named {
+			name, count = "", name
+		}
+		n, err := strconv.Atoi(count)
+		switch {
+		case err != nil || n < 1:
+			return nil, fmt.Errorf("%q is not a positive pair count", item)
+		case named && !slices.Contains(ws, name):
+			return nil, fmt.Errorf("%s is not in -workloads", name)
+		case pairs[name] != 0:
+			return nil, fmt.Errorf("%s has two counts", cmp.Or(name, "every workload"))
+		}
+		pairs[name] = n
+	}
+	for _, w := range ws {
+		pairs[w] = cmp.Or(pairs[w], pairs[""], 10)
+	}
+	return pairs, nil
+}
+
 // runSH runs the checkout's benchmark/run.sh with args, from the checkout's
 // root, and returns its standard output and error together.
 func runSH(dir string, args ...string) ([]byte, error) {
@@ -298,15 +336,8 @@ func directions(dir string) map[string]string {
 
 // lastLine is the last non-blank line of out.
 func lastLine(out []byte) string {
-	var last string
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		if s := strings.TrimSpace(sc.Text()); s != "" {
-			last = s
-		}
-	}
-	return last
+	s := strings.TrimSpace(string(out))
+	return strings.TrimSpace(s[strings.LastIndexByte(s, '\n')+1:])
 }
 
 func parse(line string) (result, error) {
@@ -321,83 +352,49 @@ func parse(line string) (result, error) {
 }
 
 // summarize compares side B with side A on workload w, metric by metric,
-// over the pairs in runs. A metric enters only if every run of the
+// over the pairs in runs, where the workload's runs 2i and 2i+1 are pair
+// i's, in the order they ran. A metric enters only if every run of the
 // workload reports it.
 func summarize(w string, runs []runRecord, better map[string]string) []summary {
-	type pair struct{ a, b, first, second float64 }
-	byPair := map[int]map[string]*pair{}
-	var names []string
-	counts := map[string]int{}
-	n := 0
+	var own []runRecord
+	values := map[string][]float64{} // by metric, one per run that reports it
 	for _, rec := range runs {
-		if rec.Workload != w {
-			continue
-		}
-		n++
-		r, _ := parse(rec.Line)
-		if byPair[rec.Pair] == nil {
-			byPair[rec.Pair] = map[string]*pair{}
-		}
-		for name, m := range r.Metrics {
-			p := byPair[rec.Pair][name]
-			if p == nil {
-				p = &pair{}
-				byPair[rec.Pair][name] = p
-			}
-			if counts[name]++; counts[name] == 1 {
-				names = append(names, name)
-			}
-			if rec.Side == "A" {
-				p.a = m.Value
-			} else {
-				p.b = m.Value
-			}
-			if rec.Order == 1 {
-				p.first = m.Value
-			} else {
-				p.second = m.Value
+		if rec.Workload == w {
+			own = append(own, rec)
+			r, _ := parse(rec.Line)
+			for name, m := range r.Metrics {
+				values[name] = append(values[name], m.Value)
 			}
 		}
 	}
-	slices.Sort(names)
 	var out []summary
-	for _, name := range names {
-		if counts[name] != n {
+	for _, name := range slices.Sorted(maps.Keys(values)) {
+		v := values[name]
+		if len(v) != len(own) {
 			continue
 		}
-		s := summary{Workload: w, Metric: name, Better: better[name], Won: -1, Pairs: n / 2}
+		s := summary{Workload: w, Metric: name, Better: better[name], Won: -1, Pairs: len(v) / 2}
 		var ratios, bias, as, bs []float64
 		won := 0
-		for i := range n / 2 {
-			p := byPair[i][name]
-			ratios = append(ratios, p.b/p.a)
-			bias = append(bias, p.first/p.second)
-			as, bs = append(as, p.a), append(bs, p.b)
-			if (s.Better == "higher" && p.b > p.a) || (s.Better == "lower" && p.b < p.a) {
+		for i := 0; i+1 < len(v); i += 2 {
+			a, b := v[i], v[i+1]
+			if own[i].Side == "B" {
+				a, b = b, a
+			}
+			ratios, bias = append(ratios, b/a), append(bias, v[i]/v[i+1])
+			as, bs = append(as, a), append(bs, b)
+			if (s.Better == "higher" && b > a) || (s.Better == "lower" && b < a) {
 				won++
 			}
 		}
 		if s.Better == "higher" || s.Better == "lower" {
 			s.Won = won
 		}
-		s.MedianRatio, s.FirstBias = median(ratios), median(bias)
+		s.MedianRatio, s.FirstBias = metrics.Median(ratios), metrics.Median(bias)
 		s.DecileRatio = fastestDecile(bs, s.Better) / fastestDecile(as, s.Better)
 		out = append(out, s)
 	}
 	return out
-}
-
-// median of xs (the mean of the middle two for an even count); NaN for none.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := slices.Clone(xs)
-	slices.Sort(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
 // fastestDecile is the mean of the best tenth of xs (at least one value) in

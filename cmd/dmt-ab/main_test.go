@@ -137,8 +137,9 @@ func TestRunAA(t *testing.T) {
 	t.Errorf("no throughput row:\n%s", &stdout)
 }
 
-// TestRunFailures: bad flags exit 2 before anything runs; a side whose
-// build fails exits 1 naming the side.
+// TestRunFailures: bad flags exit 2 before anything runs, a repeated
+// workload and malformed pair counts among them; a side whose build fails
+// exits 1 naming the side.
 func TestRunFailures(t *testing.T) {
 	t.Setenv("STUB_COUNTER", filepath.Join(t.TempDir(), "n"))
 	good, broken := stubCheckout(t, "100", 0), stubCheckout(t, "100", 1)
@@ -150,7 +151,13 @@ func TestRunFailures(t *testing.T) {
 		{[]string{"-bogus"}, 2, "flag provided but not defined"},
 		{[]string{"-pairs", "3"}, 2, "-a is required"},
 		{[]string{"-a", good, "-seeds", "x"}, 2, "bad -seeds"},
-		{[]string{"-a", good, "-pairs", "0"}, 2, "-pairs must be positive"},
+		{[]string{"-a", good, "-pairs", "0"}, 2, "not a positive pair count"},
+		{[]string{"-a", good, "-pairs", "3,x=2"}, 2, "x is not in -workloads"},
+		{[]string{"-a", good, "-pairs", "3,4"}, 2, "every workload has two counts"},
+		{[]string{"-a", good, "-pairs", "train_dense=2,train_dense=3"}, 2, "train_dense has two counts"},
+		{[]string{"-a", good, "-pairs", "train_dense=-1"}, 2, "not a positive pair count"},
+		{[]string{"-a", good, "-workloads", "serve_hot,train_dense,serve_hot"}, 2, "must name each workload once"},
+		{[]string{"-a", good, "-workloads", "serve_hot,"}, 2, "must name each workload once"},
 		{[]string{"-a", good, "-b", broken}, 1, "building side B"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -190,5 +197,50 @@ func TestRunCountsFailedRuns(t *testing.T) {
 	}
 	if thr := summaryOf(t, l, "throughput_per_s"); thr.Pairs != 2 {
 		t.Errorf("throughput summary %+v, want both pairs", thr)
+	}
+}
+
+// TestRunPerWorkloadPairs: -pairs gives one workload its own count and the
+// rest the bare one, in one invocation and one ledger: the runs, the
+// failed-run counts and the summaries follow each workload's count.
+func TestRunPerWorkloadPairs(t *testing.T) {
+	t.Setenv("STUB_COUNTER", filepath.Join(t.TempDir(), "n"))
+	a, b, out := stubCheckout(t, "100", 0), stubCheckout(t, "120", 0), t.TempDir()
+	var stdout, stderr bytes.Buffer
+	args := []string{"-a", a, "-b", b, "-workloads", "train_dense,sim_fleet,serve_cold",
+		"-pairs", "sim_fleet=3,2", "-pr", "9", "-dir", out}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, &stderr)
+	}
+	js, err := os.ReadFile(filepath.Join(out, "BENCH_9.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l ledger
+	if err := json.Unmarshal(js, &l); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"train_dense": 2, "sim_fleet": 3, "serve_cold": 2}
+	runs := map[string]int{}
+	for _, rec := range l.Runs {
+		runs[rec.Workload]++
+	}
+	for w, n := range want {
+		if runs[w] != 2*n {
+			t.Errorf("%s ran %d times, want %d", w, runs[w], 2*n)
+		}
+	}
+	if len(l.Failed) != 3 {
+		t.Fatalf("ledger failed counts %+v, want one per workload", l.Failed)
+	}
+	for _, f := range l.Failed {
+		if f.Runs != want[f.Workload] {
+			t.Errorf("%s failed-run count out of %d pairs, want %d", f.Workload, f.Runs, want[f.Workload])
+		}
+	}
+	for _, s := range l.Summary {
+		if s.Pairs != want[s.Workload] {
+			t.Errorf("%s %s summarizes %d pairs, want %d", s.Workload, s.Metric, s.Pairs, want[s.Workload])
+		}
 	}
 }

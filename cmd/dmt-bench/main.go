@@ -1,16 +1,17 @@
 // Command dmt-bench regenerates the paper's throughput-side tables and
 // figures: the closed-form performance-model reproductions, and the measured
-// experiments that run the distributed training engines on this machine or
-// on a simulated fabric. The experiments come from the registry in
-// internal/experiments; `dmt-bench -list` prints each name with a one-line
-// description and the paper reference.
+// experiments that run the distributed training engines and read their
+// byte counters or a simulated fabric's virtual clock. The experiments come
+// from the registry in internal/experiments; `dmt-bench -list` prints each
+// name with a one-line description and the paper reference. Every table is
+// deterministic; the engines' wall-clock step rates are the root
+// BenchmarkDistributedStep's (`go test -run '^$' -bench DistributedStep .`).
 //
 // Usage:
 //
 //	dmt-bench                          # run everything
 //	dmt-bench -exp fig10               # one experiment
-//	dmt-bench -exp train -compress fp16  # measured training over a quantized wire
-//	dmt-bench -exp train -overlap      # add the overlapped engine row
+//	dmt-bench -exp train               # wire-scheme sweep: fp32/fp16/int8/int4 loss and bytes
 //	dmt-bench -exp fig13 -gen h100     # measured component latencies on a simulated fabric
 //	dmt-bench -list                    # list experiments
 //
@@ -19,18 +20,8 @@
 // engines with the comm runtime in netsim-driven latency mode and print
 // deterministic virtual-clock tables.
 //
-// -compress selects the wire scheme (fp32, fp16, int8, int4) for the
-// experiments that model or measure compressed communication: `train` runs
-// the engines with quantized collectives (gradient reduce with error
-// feedback, cross-host embedding hops) and appends the scheme-vs-fp32
-// table; `fig6` costs the parallelism search over compressed links.
-//
-// -overlap and -pipeline each add a row to `train`: the overlapped schedule
-// (SPTT peer AlltoAll hidden behind the bottom-MLP forward, gradient
-// buckets behind the backward), and its cross-step extension (step N's
-// buckets completing behind step N+1's SPTT forward). The trajectory stays
-// bitwise identical to the blocking engines; the exposed/hidden columns
-// show what the schedule moved off the critical path.
+// -compress selects the wire scheme (fp32, fp16, int8, int4) `fig6` costs
+// the parallelism search's links at. `train` always sweeps all four.
 package main
 
 import (
@@ -59,11 +50,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "", "experiment to run (default: all)")
 	list := fs.Bool("list", false, "list experiment names and exit")
-	scheme := fs.String("compress", "fp32", "wire scheme for train/fig6 (fp32, fp16, int8, int4)")
+	scheme := fs.String("compress", "fp32", "wire scheme for fig6 (fp32, fp16, int8, int4)")
 	genName := fs.String("gen", "a100", "hardware generation for the simulated fabric (v100, a100, h100)")
-	var opts experiments.Options
-	fs.BoolVar(&opts.Overlap, "overlap", false, "measure the overlapped engine in the train experiment")
-	fs.BoolVar(&opts.Pipeline, "pipeline", false, "measure the cross-step pipelined engine in the train experiment")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -71,6 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	var opts experiments.Options
 	var err error
 	if opts.Compress, err = quant.ParseScheme(*scheme); err != nil {
 		fmt.Fprintf(stderr, "dmt-bench: %v\n", err)

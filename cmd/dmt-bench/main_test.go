@@ -8,9 +8,9 @@ import (
 	"dmt/internal/experiments"
 )
 
-// TestRun drives dmt-bench in-process: a bad flag, an unknown experiment, an
-// unknown hardware generation and an unknown wire scheme each exit 2 with a
-// message naming it, before any experiment runs, and -list exits 0 printing
+// TestRun drives dmt-bench in-process: a bad flag (train's former -overlap
+// among them), an unknown experiment, an unknown hardware generation and an
+// unknown wire scheme each exit 2 with a message naming it, before any experiment runs, and -list exits 0 printing
 // every Model and Measured experiment's name.
 func TestRun(t *testing.T) {
 	for _, tc := range []struct {
@@ -21,6 +21,7 @@ func TestRun(t *testing.T) {
 		{[]string{"-exp", "fig99"}, `unknown experiment "fig99"`},
 		{[]string{"-gen", "b200"}, `unknown generation "B200"`},
 		{[]string{"-compress", "int3"}, `unknown scheme "int3"`},
+		{[]string{"-exp", "train", "-overlap"}, "flag provided but not defined: -overlap"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -97,39 +97,29 @@ func (p *Pending[T]) Wait() T {
 // IAlltoAllTensors posts chunks[j] to rank j and returns a handle that
 // resolves to the received chunks indexed by source rank.
 func (c *Comm) IAlltoAllTensors(chunks []*tensor.Tensor) *Pending[[]*tensor.Tensor] {
-	n := c.g.size
-	if len(chunks) != n {
-		panic(fmt.Sprintf("comm: AlltoAll needs %d chunks, got %d", n, len(chunks)))
-	}
-	for d := 0; d < n; d++ {
-		c.send(d, chunks[d], tensorBytes(chunks[d]))
-	}
-	return newPending(c, func() []*tensor.Tensor {
-		out := make([]*tensor.Tensor, n)
-		for s := 0; s < n; s++ {
-			if v := c.recv(s); v != nil {
-				out[s] = v.(*tensor.Tensor)
-			}
-		}
-		return out
-	})
+	return iAlltoAll(c, "AlltoAll", chunks, tensorBytes)
 }
 
 // IAlltoAllInt32 is IAlltoAllTensors for index payloads.
 func (c *Comm) IAlltoAllInt32(chunks [][]int32) *Pending[[][]int32] {
+	return iAlltoAll(c, "AlltoAllInt32", chunks, func(ids []int32) int { return 4 * len(ids) })
+}
+
+// iAlltoAll is the one all-to-all: chunks[d] goes to rank d, charged
+// size(chunks[d]) bytes, and the handle resolves to the received chunks
+// indexed by source rank.
+func iAlltoAll[T any](c *Comm, op string, chunks []T, size func(T) int) *Pending[[]T] {
 	n := c.g.size
 	if len(chunks) != n {
-		panic(fmt.Sprintf("comm: AlltoAllInt32 needs %d chunks, got %d", n, len(chunks)))
+		panic(fmt.Sprintf("comm: %s needs %d chunks, got %d", op, n, len(chunks)))
 	}
 	for d := 0; d < n; d++ {
-		c.send(d, chunks[d], 4*len(chunks[d]))
+		c.send(d, chunks[d], size(chunks[d]))
 	}
-	return newPending(c, func() [][]int32 {
-		out := make([][]int32, n)
+	return newPending(c, func() []T {
+		out := make([]T, n)
 		for s := 0; s < n; s++ {
-			if v := c.recv(s); v != nil {
-				out[s] = v.([]int32)
-			}
+			out[s] = c.recv(s).(T)
 		}
 		return out
 	})
@@ -159,19 +149,26 @@ func (c *Comm) IAllReduceSum(x *tensor.Tensor) *Pending[*tensor.Tensor] {
 // synchronization (the in-process analog of coalescing small gradients
 // into one NCCL launch). Tensors are delivered by reference.
 func (c *Comm) IAllGatherBatch(xs []*tensor.Tensor) *Pending[[][]*tensor.Tensor] {
+	return iAllGatherBatch(c, xs, tensorBytes)
+}
+
+// iAllGatherBatch is the one batched all-gather: xs travels to every rank
+// as one message charged the sum of size over its payloads, and the handle
+// resolves to the gathered batches indexed [src][i].
+func iAllGatherBatch[T any](c *Comm, xs []T, size func(T) int) *Pending[[][]T] {
 	n := c.g.size
 	bytes := 0
 	for _, x := range xs {
-		bytes += tensorBytes(x)
+		bytes += size(x)
 	}
 	msg := any(xs) // boxed once, not once per destination
 	for d := 0; d < n; d++ {
 		c.send(d, msg, bytes)
 	}
-	return newPending(c, func() [][]*tensor.Tensor {
-		out := make([][]*tensor.Tensor, n)
+	return newPending(c, func() [][]T {
+		out := make([][]T, n)
 		for s := 0; s < n; s++ {
-			out[s] = c.recv(s).([]*tensor.Tensor)
+			out[s] = c.recv(s).([]T)
 		}
 		return out
 	})

@@ -75,23 +75,10 @@ func (c *Comm) IAlltoAllTensorsQ(s quant.Scheme, chunks []*tensor.Tensor) *Pendi
 // reference on each payload; the resolver hands each receiver one
 // reference per payload, which the receiver must Release after consuming.
 func (c *Comm) IAllGatherBatchEnc(encs []*quant.Encoded) *Pending[[][]*quant.Encoded] {
-	n := c.g.size
-	bytes := 0
 	for _, e := range encs {
-		e.Retain(n - 1) // with the caller's reference: one per receiver
-		bytes += e.WireBytes()
+		e.Retain(c.g.size - 1) // with the caller's reference: one per receiver
 	}
-	msg := any(encs) // boxed once, not once per destination
-	for d := 0; d < n; d++ {
-		c.send(d, msg, bytes)
-	}
-	return newPending(c, func() [][]*quant.Encoded {
-		out := make([][]*quant.Encoded, n)
-		for src := 0; src < n; src++ {
-			out[src] = c.recv(src).([]*quant.Encoded)
-		}
-		return out
-	})
+	return iAllGatherBatch(c, encs, (*quant.Encoded).WireBytes)
 }
 
 // IAlltoAllBatchEnc posts parts[d], a batch of pre-encoded payloads, to rank

@@ -6,9 +6,9 @@
 //
 // Only the dense modules are replicated. The trainer holds one set of
 // embedding tables, as each table lives on one owner rank in the paper: the
-// rank replicas, the SPTT engine and the embedding tier all point at the
-// same tables, so the trainer's memory is one table set plus its SparseAdam
-// moments, the footprint a memory node would have to hold.
+// rank replicas, the SPTT engine and the tier (embeddings.Local without
+// servers) share the tables, each with its own pooling scratch, so memory
+// is one table set plus SparseAdam moments: what a memory node would hold.
 //
 // The training engine is rank-parallel: one executor (stepRanks, schedule.go)
 // walks a fixed phase order — SPTT forward, dense forward/backward, SPTT
@@ -26,8 +26,8 @@
 // mathematics. Stats splits communication time into exposed vs hidden to
 // measure exactly how much each schedule hid. A sequential reference step
 // (Config.Sequential) executes the same mathematics in a single goroutine
-// with centralized averaging loops, as the benchmark baseline and the
-// bitwise cross-check every schedule is tested against.
+// with centralized averaging loops, as BenchmarkDistributedStep's baseline
+// and the bitwise cross-check every schedule is tested against.
 //
 // Gradients are normalized so that one distributed step over G ranks with
 // local batch B is mathematically identical to one single-process step over
@@ -125,7 +125,7 @@ type Config struct {
 	// values.
 	Fabric *netsim.Fabric
 	// EmbeddingTier disaggregates the embedding tables onto dedicated
-	// server ranks. The zero value keeps them in-process (a LocalTier).
+	// server ranks. The zero value keeps them in-process (a Local).
 	EmbeddingTier EmbeddingTier
 }
 
@@ -183,7 +183,7 @@ type Trainer struct {
 	overOpts []*nn.Adam
 	tmOpts   []*nn.Adam
 	loss     []*nn.BCEWithLogits
-	// tier is the embedding backend: a LocalTier over the trainer's one
+	// tier is the embedding backend: a Local over the trainer's one
 	// table set, or a RemoteTier of dedicated server ranks that takes the
 	// set over (Config.EmbeddingTier). Sparse optimizer state lives inside
 	// it.
@@ -316,7 +316,7 @@ type Stats struct {
 	Sim SimTimes
 	// Tier is the embedding tier's traffic: wire bytes, cache counters, and
 	// modeled exposed lookup/update time. Bytes are zero for the in-process
-	// LocalTier — lookups there are memory reads.
+	// Local tier — lookups there are memory reads.
 	Tier embeddings.TierStats
 }
 
@@ -403,7 +403,7 @@ func New(cfg Config) (*Trainer, error) {
 			Net:       tr.net,
 		})
 	} else {
-		tr.tier = embeddings.NewLocalTier(tables, cfg.SparseLR)
+		tr.tier = embeddings.NewLocal(tables, cfg.SparseLR)
 	}
 	scfg := sptt.Config{
 		G: cfg.G, L: cfg.L, B: cfg.LocalBatch, N: cfg.Model.N,

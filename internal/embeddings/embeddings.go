@@ -16,8 +16,11 @@
 //     P2P cost model, and compute ranks keep a write-back hot-ID cache
 //     (Cached, generalizing the serving LRU) in front of the wire.
 //
-// Both implement the same Store and are built through a Tier, the per-job
-// handle the distributed trainer owns.
+// Both implement the same Store and are handed out by a Tier, the per-job
+// handle the distributed trainer owns: a Local is its own Tier, the one
+// store every rank shares, and a RemoteTier builds one client store per
+// rank. A remote client's results are row ranges of a server's response
+// slab (tensor.Rows), not copies.
 //
 // # The cache core: one row cache, one presence set
 //

@@ -33,6 +33,24 @@ func gradFor(rows []int, dim int, salt float32) *tensor.Tensor {
 	return g
 }
 
+// TestLocalTierStatsCountCalls: Local is its own Tier. Every rank's
+// client is the one store, and Stats counts each Lookup and Update call,
+// empty ones included, with no wire bytes, exposure or cache counters.
+func TestLocalTierStatsCountCalls(t *testing.T) {
+	var tier Tier = NewLocal(makeTables(2, 8, 4, 1), 0.01)
+	c0, c3 := tier.Client(0), tier.Client(3)
+	if c0 != c3 {
+		t.Fatal("a Local tier hands different ranks different stores")
+	}
+	c0.Lookup([]Req{{Table: 0, IDs: []int32{1, 2, 2}}})
+	c3.Lookup(nil)
+	c3.Update([]Upd{{Table: 1, Rows: []int{3}, GradRows: tensor.Full(0.5, 1, 4)}})
+	c0.Lookup([]Req{{Table: 1, IDs: []int32{3}}})
+	if got, want := tier.Stats(), (TierStats{Lookups: 3, Updates: 1}); got != want {
+		t.Fatalf("Stats() = %+v, want %+v", got, want)
+	}
+}
+
 // TestRemoteMatchesLocal drives a Local tier and a Remote tier (2 clients,
 // 2 servers, zero-delay wires) through identical lookup/update phases over
 // identically seeded tables. Every returned row must match bitwise — the
@@ -45,7 +63,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		dim     = 8
 		lr      = 0.01
 	)
-	local := NewLocalTier(makeTables(nTables, rows, dim, 42), lr)
+	local := NewLocal(makeTables(nTables, rows, dim, 42), lr)
 	remote := NewRemote(RemoteConfig{
 		Clients: 2, Servers: 2,
 		Tables:   makeTables(nTables, rows, dim, 42),

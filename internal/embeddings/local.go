@@ -8,10 +8,12 @@ import (
 	"dmt/internal/tensor"
 )
 
-// Local is the in-process Store: lookups copy rows straight out of the
-// wrapped tables and updates run SparseAdam on them. It is shared by every
-// client rank of a LocalTier; the per-table single-owner contract makes the
-// concurrent owner-rank Lookups/Updates race-free (SparseAdam is primed at
+// Local is the in-process Store and its own Tier: lookups copy rows
+// straight out of the wrapped tables and updates run SparseAdam on them.
+// It hands itself to every client rank — the Servers=0 point of the
+// memory:compute sweep, and the default for every trainer that predates
+// disaggregation. The per-table single-owner contract makes the concurrent
+// owner-rank Lookups/Updates race-free (SparseAdam is primed at
 // construction, and distinct tables have disjoint state).
 type Local struct {
 	tables []*nn.EmbeddingBag
@@ -68,26 +70,14 @@ func (l *Local) Update(ups []Upd) []*tensor.Tensor {
 	return out
 }
 
-// LocalTier hands every client rank the same in-process Local store — the
-// Servers=0 point of the memory:compute sweep, and the default for every
-// trainer that predates disaggregation.
-type LocalTier struct {
-	store *Local
-}
-
-// NewLocalTier builds the tier.
-func NewLocalTier(tables []*nn.EmbeddingBag, lr float32) *LocalTier {
-	return &LocalTier{store: NewLocal(tables, lr)}
-}
-
-// Client returns the shared local store for any rank.
-func (t *LocalTier) Client(rank int) Store { return t.store }
+// Client returns the one local store for any rank.
+func (l *Local) Client(rank int) Store { return l }
 
 // Stats reports call counts; wire bytes and exposure are zero — local
 // lookups are memory reads.
-func (t *LocalTier) Stats() TierStats {
+func (l *Local) Stats() TierStats {
 	return TierStats{
-		Lookups: atomic.LoadInt64(&t.store.lookups),
-		Updates: atomic.LoadInt64(&t.store.updates),
+		Lookups: atomic.LoadInt64(&l.lookups),
+		Updates: atomic.LoadInt64(&l.updates),
 	}
 }

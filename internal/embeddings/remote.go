@@ -207,7 +207,7 @@ func (t *RemoteTier) serve(s int, req []int32, grads *tensor.Tensor) *tensor.Ten
 			for j, id := range ids {
 				sub[j] = int(id)
 			}
-			t.opts[s].Step(e, &nn.SparseGrad{Rows: sub, Grads: rowsView(grads, r, len(sub), t.dim)})
+			t.opts[s].Step(e, &nn.SparseGrad{Rows: sub, Grads: grads.Rows(r, r+len(sub))})
 		}
 		for _, id := range ids {
 			copy(resp.Row(r), e.Table.Row(int(id)))
@@ -215,13 +215,6 @@ func (t *RemoteTier) serve(s int, req []int32, grads *tensor.Tensor) *tensor.Ten
 		}
 	}
 	return resp
-}
-
-// rowsView views rows [lo, lo+n) of a (rows, dim) slab as a tensor of their
-// own. Collectives deliver payloads by reference and no slab is written
-// again after its round, so per-request results need no copy.
-func rowsView(slab *tensor.Tensor, lo, n, dim int) *tensor.Tensor {
-	return tensor.FromSlice(slab.Data()[lo*dim:(lo+n)*dim], n, dim)
 }
 
 // encodeRequest packs a round request: [kind, nTables, (table, n, ids...)*].
@@ -278,11 +271,12 @@ func (ro *routing) add(table int, ids []int32) {
 	ro.rows[s] += len(ids)
 }
 
-// views cuts the per-server response slabs into per-request tensors.
-func (ro *routing) views(resp []*tensor.Tensor, dim int) []*tensor.Tensor {
+// views cuts the per-server response slabs into per-request tensors,
+// views rather than copies: no slab is written again after its round.
+func (ro *routing) views(resp []*tensor.Tensor) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, len(ro.at))
 	for i, sp := range ro.at {
-		out[i] = rowsView(resp[sp.server], sp.off, sp.n, dim)
+		out[i] = resp[sp.server].Rows(sp.off, sp.off+sp.n)
 	}
 	return out
 }
@@ -300,7 +294,7 @@ func (rc *remoteClient) Lookup(reqs []Req) []*tensor.Tensor {
 	for s := range resp {
 		resp[s] = t.round(rc.rank, s, encodeRequest(roundLookup, ro.tables[s], ro.ids[s]), nil)
 	}
-	return ro.views(resp, t.dim)
+	return ro.views(resp)
 }
 
 // Update ships each table's sparse gradient to its owning server and
@@ -336,7 +330,7 @@ func (rc *remoteClient) Update(ups []Upd) []*tensor.Tensor {
 		}
 		resp[s] = t.round(rc.rank, s, encodeRequest(roundUpdate, ro.tables[s], ro.ids[s]), grads)
 	}
-	return ro.views(resp, t.dim)
+	return ro.views(resp)
 }
 
 // to addresses a payload to one side of a pair group (0 the client, 1 the

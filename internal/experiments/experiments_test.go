@@ -336,41 +336,42 @@ func itoa(n int) string {
 	return string(digits)
 }
 
+// TestTrainingThroughputReport: the train experiment's sweep runs the
+// rank-parallel engine once per wire scheme, fp32 first, every row counting
+// its steps, splitting its embedding traffic by host and moving gradients
+// across hosts, and the table renders every scheme with fp32 as its zero.
+// (The engines' bit-equal losses, sequential against rank-parallel,
+// overlapped and pipelined, are distributed's
+// TestParallelMatchesSequentialBitwise, TestOverlapMatchesSequentialBitwiseG8
+// and TestPipelineMatchesSequentialBitwise; that the sequential engine
+// moves no gradient across hosts is TestSequentialStatsCountTowerReduction.)
 func TestTrainingThroughputReport(t *testing.T) {
 	p := SmokeTraining()
-	r, err := TrainingThroughput(p)
+	r, err := WireSchemes(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Runs) != 2 {
-		t.Fatalf("got %d rows, want 2", len(r.Runs))
-	}
-	seq, par := r.Runs[0], r.Runs[1]
-	if seq.Name != "sequential" || par.Name != "rank-parallel" {
-		t.Fatalf("unexpected modes: %+v", r.Runs)
-	}
+	var names []string
 	for _, row := range r.Runs {
-		if row.StepsPerSec() <= 0 {
-			t.Fatalf("%s: steps/s %v", row.Name, row.StepsPerSec())
-		}
+		names = append(names, row.Name)
 		if row.Stats.Steps != p.Steps {
 			t.Fatalf("%s: counted %d steps, want %d", row.Name, row.Stats.Steps, p.Steps)
 		}
 		if row.Stats.EmbIntraHostBytes <= 0 || row.Stats.EmbCrossHostBytes <= 0 {
 			t.Fatalf("%s: embedding traffic not split: %+v", row.Name, row.Stats)
 		}
+		if row.Stats.GradCrossHostBytes <= 0 {
+			t.Fatalf("%s: no cross-host gradient bytes: %+v", row.Name, row.Stats)
+		}
 	}
-	// Both engines follow bitwise-identical trajectories, so the measured
-	// losses must agree exactly — the report compares speed, not math.
-	if seq.FinalLoss != par.FinalLoss {
-		t.Fatalf("engines diverged: %v vs %v", seq.FinalLoss, par.FinalLoss)
+	if got := strings.Join(names, " "); got != "fp32 fp16 int8 int4" {
+		t.Fatalf("sweep rows %q, want fp32 fp16 int8 int4", got)
 	}
-	// Only the rank-parallel engine moves dense gradients over the wire.
-	if par.Stats.GradCrossHostBytes <= 0 {
-		t.Fatalf("rank-parallel engine reported no cross-host gradient bytes: %+v", par.Stats)
-	}
-	if s := renderTraining(r); !strings.Contains(s, "rank-parallel speedup") {
-		t.Fatalf("report missing the speedup line:\n%s", s)
+	s := renderWireSchemes(r)
+	for _, want := range []string{"fp32", "fp16", "int8", "int4", "+0.000000", "+0.0%"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("wire-scheme table missing %q:\n%s", want, s)
+		}
 	}
 }
 
@@ -379,20 +380,20 @@ func TestTrainingThroughputReport(t *testing.T) {
 func TestTrainingSetupFailureIsAnError(t *testing.T) {
 	p := SmokeTraining()
 	p.LocalBatch = 0
-	if _, err := TrainingThroughput(p); err == nil {
-		t.Fatal("TrainingThroughput accepted an empty local batch")
+	if _, err := WireSchemes(p); err == nil {
+		t.Fatal("WireSchemes accepted an empty local batch")
 	}
 }
 
 // TestTrainingThroughputClosesTrainers: with a remote embedding tier no
-// goroutine may outlive the report. The tier's rounds run on the trainer's
+// goroutine may outlive the sweep. The tier's rounds run on the trainer's
 // rank goroutines, which every step joins; the short poll only covers
 // goroutines already on their way out.
 func TestTrainingThroughputClosesTrainers(t *testing.T) {
 	p := SmokeTraining()
 	p.EmbServers = 1
 	before := runtime.NumGoroutine()
-	if _, err := TrainingThroughput(p); err != nil {
+	if _, err := WireSchemes(p); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -400,56 +401,22 @@ func TestTrainingThroughputClosesTrainers(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("TrainingThroughput leaked %d goroutine(s) with EmbServers=1", after-before)
+		t.Fatalf("WireSchemes leaked %d goroutine(s) with EmbServers=1", after-before)
 	}
 }
 
-// TestTrainingThroughputOverlapRow: with Overlap set the report grows a
-// third row for the overlapped schedule — same bitwise trajectory, a
-// measured steps/s, and its speedup rendered in the train table. (What the
-// schedule hides is modeled time, pinned by the fig13 and pipeline tests.)
-func TestTrainingThroughputOverlapRow(t *testing.T) {
-	p := SmokeTraining()
-	p.Overlap = true
-	r, err := TrainingThroughput(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Runs) != 3 {
-		t.Fatalf("got %d rows, want 3", len(r.Runs))
-	}
-	over := r.Runs[2]
-	if over.Name != "overlapped" {
-		t.Fatalf("unexpected modes: %+v", r.Runs)
-	}
-	if over.FinalLoss != r.Runs[0].FinalLoss {
-		t.Fatalf("overlapped engine diverged: %v vs %v", over.FinalLoss, r.Runs[0].FinalLoss)
-	}
-	if over.StepsPerSec() <= 0 {
-		t.Fatalf("overlapped steps/s %v", over.StepsPerSec())
-	}
-	if out := renderTraining(r); !strings.Contains(out, "overlapped vs rank-parallel") {
-		t.Fatalf("train table missing the overlapped row:\n%s", out)
-	}
-}
-
-// TestTrainingCompressionSweep: a compressed profile must add the fp32
-// baseline run without measuring the rank-parallel engine twice, charge at
-// least 40% fewer cross-host embedding bytes under fp16 (the dmt-bench
-// acceptance bar) and exactly 3/4 of the gradient bytes (the reduce halves,
-// the fp32 weight gather that answers it does not), and keep the
-// error-feedback loss drift small.
+// TestTrainingCompressionSweep: against the fp32 row, every compressed
+// scheme must charge fewer cross-host bytes than the one before it — fp16
+// at least 40% fewer embedding bytes (the dmt-bench acceptance bar) and
+// exactly 3/4 of the gradient bytes (the reduce halves, the fp32 weight
+// gather that answers it does not) — and keep the error-feedback loss
+// drift small.
 func TestTrainingCompressionSweep(t *testing.T) {
-	p := SmokeTraining()
-	p.Compress = quant.FP16
-	r, err := TrainingThroughput(p)
+	r, err := WireSchemes(SmokeTraining())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Runs) != 3 || r.Runs[2].Name != "fp32" {
-		t.Fatalf("unexpected sweep rows: %+v", r.Runs)
-	}
-	base, fp16 := r.Runs[2], mustRun(t, r, "rank-parallel")
+	base, fp16 := mustRun(t, r, "fp32"), mustRun(t, r, "fp16")
 	if base.Stats.GradCrossHostBytes <= 0 {
 		t.Fatalf("fp32 row has no cross-host gradient traffic: %+v", base.Stats)
 	}
@@ -461,14 +428,18 @@ func TestTrainingCompressionSweep(t *testing.T) {
 		t.Fatalf("fp16 embedding cross-host bytes %d not ≥40%% under fp32's %d",
 			got, base.Stats.EmbCrossHostBytes)
 	}
-	if drift := fp16.FinalLoss - base.FinalLoss; math.Abs(drift) > 0.01*base.FinalLoss {
-		t.Fatalf("fp16 loss drift %v too large vs baseline %v", drift, base.FinalLoss)
+	for i, row := range r.Runs[1:] {
+		prev := r.Runs[i]
+		if row.Stats.GradCrossHostBytes >= prev.Stats.GradCrossHostBytes ||
+			row.Stats.EmbCrossHostBytes >= prev.Stats.EmbCrossHostBytes {
+			t.Fatalf("%s charges no fewer cross-host bytes than %s: %+v vs %+v", row.Name, prev.Name, row.Stats, prev.Stats)
+		}
+		if drift := row.FinalLoss - base.FinalLoss; math.Abs(drift) > 0.01*base.FinalLoss {
+			t.Fatalf("%s loss drift %v too large vs baseline %v", row.Name, drift, base.FinalLoss)
+		}
 	}
-	s := renderTraining(r)
-	_, schemes, ok := strings.Cut(s, "Compressed communication")
-	if !ok || !strings.Contains(schemes, "fp16") || !strings.Contains(schemes, "-25.0%") ||
-		!strings.Contains(schemes, "+0.000000") {
-		t.Fatalf("sweep report missing the fp32 anchor or the fp16 savings row:\n%s", s)
+	if s := renderWireSchemes(r); !strings.Contains(s, "-25.0%") {
+		t.Fatalf("wire-scheme table missing fp16's gradient savings:\n%s", s)
 	}
 }
 

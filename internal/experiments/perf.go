@@ -5,6 +5,13 @@
 // registry (registry.go) is the one list of them that cmd/dmt-bench,
 // cmd/dmt-train, cmd/dmt-serve and the root BenchmarkExperiments all read
 // (`dmt-bench -list` / `dmt-train -list` print it).
+//
+// No Model or Measured table reads the wall clock: Model tables evaluate
+// closed forms, and Measured ones read the training engines' losses, byte
+// counters and virtual clocks — train's wire-scheme sweep on a zero-delay
+// network, the others on a simulated fabric — so testdata/*.golden pins
+// each byte for byte. The engines' wall-clock step rates are the root
+// BenchmarkDistributedStep's.
 package experiments
 
 import (

@@ -63,35 +63,3 @@ func TestPipelineMeasured(t *testing.T) {
 		}
 	}
 }
-
-// TestTrainingThroughputPipelineRow: with Pipeline set the report grows a
-// pipelined row — same bitwise trajectory as the sequential reference, a
-// recorded speedup, and the footer rendered in the train table.
-func TestTrainingThroughputPipelineRow(t *testing.T) {
-	p := SmokeTraining()
-	p.Pipeline = true
-	r, err := TrainingThroughput(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Runs) != 3 {
-		t.Fatalf("got %d rows, want 3", len(r.Runs))
-	}
-	row := r.Runs[2]
-	if row.Name != "pipelined" {
-		t.Fatalf("unexpected modes: %+v", r.Runs)
-	}
-	if row.FinalLoss != r.Runs[0].FinalLoss {
-		t.Fatalf("pipelined engine diverged: %v vs %v", row.FinalLoss, r.Runs[0].FinalLoss)
-	}
-	if row.Stats.Steps != p.Steps {
-		t.Fatalf("pipelined row counted %d steps, want %d", row.Stats.Steps, p.Steps)
-	}
-	if row.StepsPerSec() <= 0 {
-		t.Fatalf("pipelined steps/s %v", row.StepsPerSec())
-	}
-	out := renderTraining(r)
-	if !strings.Contains(out, "pipelined vs rank-parallel") {
-		t.Fatalf("train table missing the pipelined row:\n%s", out)
-	}
-}

@@ -18,9 +18,9 @@ const (
 	// Model experiments evaluate the closed-form performance model: pure
 	// functions of constants, milliseconds each (cmd/dmt-bench).
 	Model Kind = iota
-	// Measured experiments run the distributed training engines, on the
-	// wall clock (train) or a simulated fabric's virtual clock
-	// (cmd/dmt-bench).
+	// Measured experiments run the distributed training engines and read
+	// their byte counters and losses (train) or a simulated fabric's
+	// virtual clock (cmd/dmt-bench); none reads the wall clock.
 	Measured
 	// Quality experiments train models at Options.Profile (cmd/dmt-train).
 	Quality
@@ -33,9 +33,7 @@ const (
 // experiment ignores the ones that do not apply to it.
 type Options struct {
 	Gen      topology.Generation // simulated fabric (fig13, pipeline, embtier)
-	Compress quant.Scheme        // wire scheme (train, fig6)
-	Overlap  bool                // train: add the overlapped engine row
-	Pipeline bool                // train: add the cross-step pipelined row
+	Compress quant.Scheme        // wire scheme the fig6 planner costs links at
 	Profile  Profile             // fidelity of the Quality experiments
 }
 
@@ -103,15 +101,13 @@ var registry = []Experiment{
 		static(func() string { return renderQuantXLRM(QuantXLRM()) })},
 	{"khost", Model, "§3.1.3 ablation: hosts per tower, DMT-DLRM on 512xA100",
 		static(func() string { return towerHostsTable.render(TowerHostsAblation()) })},
-	{"train", Measured, "wall-clock engine comparison on this machine: sequential vs rank-parallel (-overlap, -pipeline, -compress)",
-		func(o Options) (string, error) {
-			p := DefaultTraining()
-			p.Compress, p.Overlap, p.Pipeline = o.Compress, o.Overlap, o.Pipeline
-			s, err := TrainingThroughput(p)
+	{"train", Measured, "wire-scheme sweep, rank-parallel engine: fp32/fp16/int8/int4 loss and cross-host bytes",
+		func(Options) (string, error) {
+			s, err := WireSchemes(DefaultTraining())
 			if err != nil {
 				return "", err
 			}
-			return renderTraining(s), nil
+			return renderWireSchemes(s), nil
 		}},
 	{"timeline", Model, "Figure 4/7-style iteration timelines, Baseline vs DMT (DCN on 64xH100)",
 		static(func() string {

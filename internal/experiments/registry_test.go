@@ -16,17 +16,20 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
-// fabricGrids are the deterministic tables that goroutines produce: the
+// engineGrids are the deterministic tables that goroutines produce: the
 // training engines on a simulated fabric, whose virtual-clock numbers must
-// not depend on the scheduler. Each maps to its grid and renderer, as
+// not depend on the scheduler, and train's wire-scheme sweep, whose losses
+// and byte counts must not either. Each maps to its grid and renderer, as
 // registered.
-var fabricGrids = map[string]struct {
+var engineGrids = map[string]struct {
 	grid   func(topology.Generation) (Sweep, error)
 	render func(Sweep) string
 }{
 	"fig13":    {Figure13, renderFigure13},
 	"pipeline": {Pipeline, renderPipeline},
 	"embtier":  {EmbTier, renderEmbTier},
+	"train": {func(topology.Generation) (Sweep, error) { return WireSchemes(DefaultTraining()) },
+		renderWireSchemes},
 }
 
 var (
@@ -34,7 +37,7 @@ var (
 	ambientSweeps = map[string]Sweep{}
 )
 
-// ambientSweep runs the named fabric grid at A100 and the ambient GOMAXPROCS
+// ambientSweep runs the named engine grid at A100 and the ambient GOMAXPROCS
 // once per test binary: TestGoldenTables and the grid's acceptance test
 // share the result.
 func ambientSweep(t *testing.T, name string) Sweep {
@@ -44,7 +47,7 @@ func ambientSweep(t *testing.T, name string) Sweep {
 	s, ok := ambientSweeps[name]
 	if !ok {
 		var err error
-		if s, err = fabricGrids[name].grid(topology.A100); err != nil {
+		if s, err = engineGrids[name].grid(topology.A100); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		ambientSweeps[name] = s
@@ -52,9 +55,9 @@ func ambientSweep(t *testing.T, name string) Sweep {
 	return s
 }
 
-// sameTimeline fails the test unless two sweeps of one simulated-fabric grid
-// agree bit for bit: on a fabric every Stats field is read off the virtual
-// clocks or the byte stream, so only Elapsed may differ.
+// sameTimeline fails the test unless two sweeps of one engine grid agree
+// bit for bit: every Stats field is read off the virtual clocks or the byte
+// stream.
 func sameTimeline(t *testing.T, a, b Sweep) {
 	t.Helper()
 	for i := range a.Runs {
@@ -66,11 +69,12 @@ func sameTimeline(t *testing.T, a, b Sweep) {
 }
 
 // TestGoldenTables pins every deterministic table byte for byte against
-// testdata/<name>.golden (A100, default profiles, fp32): all Model
-// experiments, the simulated-fabric grids and the fleet simulator's capacity
-// table (once: the simulator is single-goroutine, and internal/cluster's
-// TestSimulatorDeterministicAcrossRunsAndProcs holds it across settings).
-// Each fabric grid is run at GOMAXPROCS 1 and compared, every Stats field,
+// testdata/<name>.golden (A100, default profiles, an fp32 wire unless the
+// table sweeps it): all Model experiments, the engine grids and the fleet
+// simulator's capacity table (once: the simulator is single-goroutine, and
+// internal/cluster's TestSimulatorDeterministicAcrossRunsAndProcs holds it
+// across settings).
+// Each engine grid is run at GOMAXPROCS 1 and compared, every Stats field,
 // with the shared ambient-GOMAXPROCS sweep, and both are rendered: the one
 // determinism check across runs and scheduler settings the grids' acceptance
 // tests rely on. Not parallel: it changes the process-wide GOMAXPROCS.
@@ -80,8 +84,8 @@ func TestGoldenTables(t *testing.T) {
 	ambient := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(ambient)
 	for _, e := range All() {
-		fg, onFabric := fabricGrids[e.Name]
-		if e.Kind != Model && !onFabric && e.Name != "cluster" {
+		fg, onEngines := engineGrids[e.Name]
+		if e.Kind != Model && !onEngines && e.Name != "cluster" {
 			continue
 		}
 		path := filepath.Join("testdata", e.Name+".golden")
@@ -99,7 +103,7 @@ func TestGoldenTables(t *testing.T) {
 				t.Errorf("%s at GOMAXPROCS=%d differs from %s:\n--- got ---\n%s--- want ---\n%s", e.Name, procs, path, got, want)
 			}
 		}
-		if !onFabric {
+		if !onEngines {
 			got, err := e.Run(Options{Gen: topology.A100})
 			if err != nil {
 				t.Fatalf("%s: %v", e.Name, err)

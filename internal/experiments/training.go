@@ -12,14 +12,15 @@ import (
 	"dmt/internal/quant"
 )
 
-// The training-throughput experiment: the repo's counterpart to the paper's
-// training-side evaluation, measuring what the rank-parallel engine buys
-// over the single-goroutine reference step on real hardware. Both engines
-// follow bitwise-identical trajectories (the distributed package's
-// equivalence theorem), so the comparison is pure execution speed: steps/s,
-// the final loss, and the gradient/embedding wire volumes split intra-host
-// vs cross-host. No Fabric is set, so the trainer's modeled phase times are
-// zero and the table has no phase columns.
+// The measured training grids share one profile type, one trainer builder
+// and one run loop. The train experiment is the wire-scheme sweep: the
+// rank-parallel engine under fp32, fp16, int8 and int4 wires, its final
+// loss and the gradient/embedding wire volumes split intra-host vs
+// cross-host. No Fabric is set, so every column is a function of the
+// trajectory and the byte stream, deterministic on any core count
+// (testdata/train.golden). The engines' wall-clock step rates are the root
+// BenchmarkDistributedStep's, and benchmark/'s train_dense and train_embed
+// workloads'.
 
 // TrainingProfile sizes the distributed-training measurement.
 type TrainingProfile struct {
@@ -32,15 +33,15 @@ type TrainingProfile struct {
 	// Compress selects the wire scheme for gradient (with error feedback)
 	// and cross-host embedding traffic; None trains uncompressed.
 	Compress quant.Scheme
-	// Overlap adds a third measured engine: the overlapped rank-parallel
-	// schedule (distributed.Config.Overlap), which hides the SPTT peer
-	// AlltoAll behind the bottom-MLP forward and the bucketed gradient
-	// reduce behind the dense and embedding backward.
+	// Overlap runs the overlapped rank-parallel schedule
+	// (distributed.Config.Overlap), which hides the SPTT peer AlltoAll
+	// behind the bottom-MLP forward and the bucketed gradient reduce behind
+	// the dense and embedding backward.
 	Overlap bool
-	// Pipeline adds the cross-step pipelined engine
+	// Pipeline runs the cross-step pipelined schedule
 	// (distributed.Config.Pipeline): the overlapped schedule extended
 	// across step boundaries, with step N's gradient buckets completing
-	// under step N+1's SPTT forward.
+	// under step N+1's SPTT forward. Overlap takes precedence.
 	Pipeline bool
 	// Fabric, when non-nil, prices the engines' messages with this fabric's
 	// modeled transfer times, so exposed/hidden communication are nonzero
@@ -54,8 +55,9 @@ type TrainingProfile struct {
 	EmbCacheRows int
 }
 
-// DefaultTraining is the cmd/dmt-bench configuration: 8 ranks across 4
-// hosts of 2, with a dense part heavy enough that rank parallelism shows.
+// DefaultTraining is the train experiment's and the root
+// BenchmarkDistributedStep's profile: 8 ranks across 4 hosts of 2, with a
+// dense part heavy enough that rank parallelism shows.
 func DefaultTraining() TrainingProfile {
 	return TrainingProfile{
 		G: 8, L: 2, LocalBatch: 64, Steps: 8,
@@ -63,8 +65,9 @@ func DefaultTraining() TrainingProfile {
 	}
 }
 
-// NewTrainer builds a distributed trainer for a profile — shared by the
-// experiment below, cmd/dmt-bench, and the root BenchmarkDistributedStep.
+// NewTrainer builds a distributed trainer for a profile: the rank-parallel
+// engine, or with sequential the single-goroutine reference step. The
+// measured grids and the root BenchmarkDistributedStep share it.
 func NewTrainer(p TrainingProfile, sequential bool) (*distributed.Trainer, *data.Generator, error) {
 	dcfg := data.CriteoLike(1)
 	dcfg.Cardinalities = make([]int, p.Features)
@@ -121,12 +124,10 @@ func TrainingBatches(gen *data.Generator, p TrainingProfile, step int) []*data.B
 }
 
 // variant is one named point of a training grid: the mutation it applies to
-// the grid's base profile, and whether it runs the single-goroutine
-// reference engine instead of the rank-parallel one.
+// the grid's base profile. Every variant runs the rank-parallel engine.
 type variant struct {
-	name       string
-	sequential bool
-	set        func(*TrainingProfile)
+	name string
+	set  func(*TrainingProfile)
 }
 
 // TrainingRun is the one row type every measured training table reads: the
@@ -135,13 +136,7 @@ type variant struct {
 type TrainingRun struct {
 	Name      string
 	FinalLoss float64
-	Elapsed   time.Duration
 	Stats     distributed.Stats
-}
-
-// StepsPerSec is the run's wall-clock throughput, drain included.
-func (r TrainingRun) StepsPerSec() float64 {
-	return float64(r.Stats.Steps) / r.Elapsed.Seconds()
 }
 
 // perStep is a cumulative duration's per-step mean in whole nanoseconds.
@@ -177,22 +172,21 @@ func (s Sweep) Run(name string) TrainingRun {
 }
 
 // runTraining is the one build-trainer / run-p.Steps / read-Stats loop every
-// measured training experiment shares. The trainer is drained inside the
-// timed region — the pipelined schedule carries the last step's bucket tail
-// across the boundary, so its steps/s and exposed comm must pay for the
-// deferred work (a no-op for the other schedules).
-func runTraining(name string, p TrainingProfile, sequential bool) (TrainingRun, error) {
-	tr, gen, err := NewTrainer(p, sequential)
+// measured training experiment shares. The trainer is drained before its
+// Stats are read — the pipelined schedule carries the last step's bucket
+// tail across the boundary, so its exposed comm must pay for the deferred
+// work (a no-op for the other schedules).
+func runTraining(name string, p TrainingProfile) (TrainingRun, error) {
+	tr, gen, err := NewTrainer(p, false)
 	if err != nil {
 		return TrainingRun{}, fmt.Errorf("experiments: training setup for %s: %w", name, err)
 	}
 	run := TrainingRun{Name: name}
-	start := time.Now()
 	for step := 0; step < p.Steps; step++ {
 		run.FinalLoss = tr.Step(TrainingBatches(gen, p, step)).MeanLoss
 	}
 	tr.Drain()
-	run.Stats, run.Elapsed = tr.Stats(), time.Since(start)
+	run.Stats = tr.Stats()
 	return run, nil
 }
 
@@ -205,7 +199,7 @@ func sweep(base TrainingProfile, variants []variant) (Sweep, error) {
 		if v.set != nil {
 			v.set(&p)
 		}
-		run, err := runTraining(v.name, p, v.sequential)
+		run, err := runTraining(v.name, p)
 		if err != nil {
 			return s, err
 		}
@@ -220,29 +214,16 @@ func blocking(p *TrainingProfile)   { p.Overlap, p.Pipeline = false, false }
 func overlapped(p *TrainingProfile) { p.Overlap, p.Pipeline = true, false }
 func pipelined(p *TrainingProfile)  { p.Overlap, p.Pipeline = false, true }
 
-// TrainingThroughput runs the engines over the same step sequence:
-// sequential and rank-parallel always, plus the overlapped and cross-step
-// pipelined schedules when the profile asks for them. All rows follow
-// bitwise-identical trajectories, so the comparison is pure execution
-// speed; how much communication each schedule hides is the fabric tables'
-// (fig13, pipeline) subject. A compressed profile adds one "fp32"
-// run of the rank-parallel engine, the baseline of the wire-scheme table;
-// that table's other row is the rank-parallel run itself, measured once.
-func TrainingThroughput(p TrainingProfile) (Sweep, error) {
-	variants := []variant{
-		{name: "sequential", sequential: true, set: blocking},
-		{name: "rank-parallel", set: blocking},
-	}
-	if p.Overlap {
-		variants = append(variants, variant{name: "overlapped", set: overlapped})
-	}
-	if p.Pipeline {
-		variants = append(variants, variant{name: "pipelined", set: pipelined})
-	}
-	if p.Compress != quant.None {
-		variants = append(variants, variant{name: "fp32", set: func(p *TrainingProfile) {
+// WireSchemes runs the rank-parallel engine, blocking, over the same step
+// sequence once per wire scheme — fp32 first, the baseline, then fp16, int8
+// and int4 — for the gradient reduce (with error feedback) and the
+// cross-host embedding hops. p's own Compress and schedule are overridden.
+func WireSchemes(p TrainingProfile) (Sweep, error) {
+	var variants []variant
+	for _, scheme := range []quant.Scheme{quant.None, quant.FP16, quant.INT8, quant.INT4} {
+		variants = append(variants, variant{name: scheme.String(), set: func(p *TrainingProfile) {
 			blocking(p)
-			p.Compress = quant.None
+			p.Compress = scheme
 		}})
 	}
 	return sweep(p, variants)
@@ -258,56 +239,15 @@ func (p TrainingProfile) shape() string {
 	return fmt.Sprintf("G=%d, L=%d, B=%d, %d steps", p.G, p.L, p.LocalBatch, p.Steps)
 }
 
-// Columns the engine table and the wire-scheme table share.
-var (
-	colStepsPerSec = column[TrainingRun]{"steps/s", "%9.1f", func(r TrainingRun) any { return r.StepsPerSec() }}
-	colLoss        = column[TrainingRun]{"loss", "%9.4f", func(r TrainingRun) any { return r.FinalLoss }}
-	gradIntraMB    = func(r TrainingRun) any { return mb(r.Stats.GradIntraHostBytes) }
-	gradCrossMB    = func(r TrainingRun) any { return mb(r.Stats.GradCrossHostBytes) }
-	embCrossMB     = func(r TrainingRun) any { return mb(r.Stats.EmbCrossHostBytes) }
-)
-
-// renderTraining renders the engine comparison and, for a compressed
-// profile, the wire-scheme table under it.
-func renderTraining(s Sweep) string {
-	p := s.Profile
-	engines := table[TrainingRun]{
-		title: "Distributed training: sequential vs rank-parallel step (" + p.shape() + ")",
-		cols: []column[TrainingRun]{
-			{"Engine", "%-14s", func(r TrainingRun) any { return r.Name }},
-			colStepsPerSec,
-			colLoss,
-			{"gradIntra", "| %8.2fMB", gradIntraMB},
-			{"gradCross", "%8.2fMB", gradCrossMB},
-			{"embIntra", "%8.2fMB", func(r TrainingRun) any { return mb(r.Stats.EmbIntraHostBytes) }},
-			{"embCross", "%8.2fMB", embCrossMB},
-		},
+// renderWireSchemes renders the wire-scheme table: each scheme's final
+// loss, its drift from the fp32 row after error feedback, and the
+// cross-host bytes the compressed collectives actually charged, with their
+// savings over fp32.
+func renderWireSchemes(s Sweep) string {
+	base := s.Runs[0]
+	mbOf := func(n func(distributed.Stats) int64) func(TrainingRun) any {
+		return func(r TrainingRun) any { return mb(n(r.Stats)) }
 	}
-	par := s.Run("rank-parallel")
-	engines.foot = []string{fmt.Sprintf(
-		"rank-parallel speedup: %.2fx (byte volumes cumulative)",
-		par.StepsPerSec()/s.Run("sequential").StepsPerSec())}
-	if p.Overlap {
-		engines.foot = append(engines.foot, fmt.Sprintf("overlapped vs rank-parallel: %.2fx",
-			s.Run("overlapped").StepsPerSec()/par.StepsPerSec()))
-	}
-	if p.Pipeline {
-		engines.foot = append(engines.foot,
-			fmt.Sprintf("pipelined vs rank-parallel: %.2fx — gradient buckets complete across the step",
-				s.Run("pipelined").StepsPerSec()/par.StepsPerSec()),
-			"boundary, behind the next step's SPTT forward (drained tail included in the timing)")
-	}
-	if p.Compress == quant.None {
-		return engines.render(s.Runs)
-	}
-	engines.title += fmt.Sprintf("\nwire compression: %s (gradient reduce with error feedback; cross-host embedding hops)", p.Compress)
-
-	// The wire-scheme table: the trailing fp32 baseline run against the
-	// rank-parallel run (shown under its scheme's name), with the byte
-	// savings the compressed collectives actually delivered and the loss
-	// drift left after error feedback.
-	base := s.Run("fp32")
-	par.Name = p.Compress.String()
 	save := func(n func(distributed.Stats) int64) func(TrainingRun) any {
 		return func(r TrainingRun) any {
 			b, was := float64(n(r.Stats)), float64(n(base.Stats))
@@ -317,23 +257,25 @@ func renderTraining(s Sweep) string {
 			return fmt.Sprintf("%+.1f%%", (b-was)/was*100)
 		}
 	}
+	gradCross := func(st distributed.Stats) int64 { return st.GradCrossHostBytes }
+	embCross := func(st distributed.Stats) int64 { return st.EmbCrossHostBytes }
 	schemes := table[TrainingRun]{
-		title: "Compressed communication: wire scheme sweep, rank-parallel engine (" + p.shape() + ")",
+		title: "Compressed communication: wire scheme sweep, rank-parallel engine (" + s.Profile.shape() + ")",
 		cols: []column[TrainingRun]{
 			{"Scheme", "%-8s", func(r TrainingRun) any { return r.Name }},
-			colStepsPerSec,
-			colLoss,
+			{"loss", "%9.4f", func(r TrainingRun) any { return r.FinalLoss }},
 			{"Δloss", "%+10.6f", func(r TrainingRun) any { return r.FinalLoss - base.FinalLoss }},
-			{"gradCross", "| %8.2fMB", gradCrossMB},
-			{"vs fp32", "%9s", save(func(st distributed.Stats) int64 { return st.GradCrossHostBytes })},
-			{"embCross", "%8.2fMB", embCrossMB},
-			{"vs fp32", "%9s", save(func(st distributed.Stats) int64 { return st.EmbCrossHostBytes })},
-			{"gradIntra", "| %8.2fMB", gradIntraMB},
+			{"gradCross", "| %8.2fMB", mbOf(gradCross)},
+			{"vs fp32", "%9s", save(gradCross)},
+			{"embCross", "%8.2fMB", mbOf(embCross)},
+			{"vs fp32", "%9s", save(embCross)},
+			{"gradIntra", "| %8.2fMB", mbOf(func(st distributed.Stats) int64 { return st.GradIntraHostBytes })},
+			{"embIntra", "%8.2fMB", mbOf(func(st distributed.Stats) int64 { return st.EmbIntraHostBytes })},
 		},
 		foot: []string{
 			"embedding intra-host hops stay fp32 (topology-aware policy); the gradient reduce to",
 			"the row owners compresses every hop with per-rank error feedback, the weight gather stays fp32",
 		},
 	}
-	return engines.render(s.Runs[:len(s.Runs)-1]) + schemes.render([]TrainingRun{base, par})
+	return schemes.render(s.Runs)
 }

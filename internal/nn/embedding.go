@@ -24,7 +24,7 @@ type EmbeddingBag struct {
 	Table *tensor.Tensor
 
 	// slot is PoolBackward's scratch index for this table, one entry per row,
-	// built on the first Backward and all zero between calls, so steady-state
+	// built on the first call and all zero between calls, so steady-state
 	// backward allocates nothing beyond the returned SparseGrad.
 	slot []int32
 }
@@ -86,26 +86,24 @@ type SparseGrad struct {
 // (PoolBackward).
 func (e *EmbeddingBag) Backward(t *Tape, dy *tensor.Tensor) *SparseGrad {
 	r := t.pop(e)
+	return e.PoolBackward(r.ids, r.offs, dy)
+}
+
+// PoolBackward converts a pooled-output gradient over bags of the table's
+// rows into a coalesced sparse gradient — the one pooling-backward kernel,
+// behind Backward and the SPTT dataflow's step (a) backward — accumulating
+// straight into the result's rows. Through the scratch index slot (zero
+// again on return) a bag entry finds its row's position in the result: the
+// touched rows are marked, collected in ascending order and numbered, and
+// then the bags are walked in their original order, so every row's float
+// additions run from zero in the order the bags list it. Ascending order
+// comes from a scan of slot between the least and greatest marked row, at
+// most the table's row count, the only span PoolBackward touches.
+func (e *EmbeddingBag) PoolBackward(indices, offsets []int32, dPooled *tensor.Tensor) *SparseGrad {
 	if e.slot == nil {
 		e.slot = make([]int32, e.Rows)
 	}
-	return PoolBackward(r.ids, r.offs, dy, e.slot)
-}
-
-// PoolBackward converts a pooled-output gradient into a coalesced sparse
-// table gradient — the one pooling-backward kernel, behind both
-// EmbeddingBag.Backward and the SPTT dataflow's step (a) backward —
-// accumulating straight into the result's rows. slot is the table's scratch
-// index — one zero per table row, zero again on return — through which a
-// bag entry finds its row's position in the result: the touched rows are
-// marked, collected in ascending order and numbered, and then the bags are
-// walked in their original order, so every row's float additions run from
-// zero in the order the bags list it.
-//
-// Ascending order comes from a scan of slot between the least and greatest
-// marked row, at most the table's row count. PoolBackward reads and writes
-// slot only inside that span.
-func PoolBackward(indices, offsets []int32, dPooled *tensor.Tensor, slot []int32) *SparseGrad {
+	slot := e.slot
 	b := len(offsets)
 	dim := dPooled.Dim(1)
 	// Only entries inside some bag count: a leading offset above zero leaves

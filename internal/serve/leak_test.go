@@ -1,0 +1,9 @@
+package serve
+
+import (
+	"testing"
+
+	"dmt/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -235,7 +235,7 @@ func (e *Engine) SPTTBackward(st *SPTTState, dOuts []*tensor.Tensor) map[int]*nn
 		chunks, row := make([]*tensor.Tensor, cfg.L), 0
 		for j := range chunks {
 			nj := len(e.owned[rank-hostC.Rank()+j])
-			chunks[j] = rowsOf(dTower, row, row+nj)
+			chunks[j] = dTower.Rows(row, row+nj)
 			row += nj
 		}
 		grads[rank] = e.poolGrads(st.lookups[rank], hostC.AlltoAllTensors(chunks), e.peerOrder)
@@ -348,7 +348,7 @@ func (e *Engine) poolGrads(ls *rankLookupState, got []*tensor.Tensor, order []in
 				copy(dPooled.Data()[src*bn:(src+1)*bn], g.Data()[(i*k+kk)*bn:(i*k+kk+1)*bn])
 			}
 		}
-		out[i] = nn.PoolBackward(ls.indices[i], ls.offsets[i], dPooled, e.slots[f])
+		out[i] = e.Tables[f].PoolBackward(ls.indices[i], ls.offsets[i], dPooled)
 	}
 	return out
 }
@@ -378,15 +378,6 @@ func (e *Engine) gather(x *tensor.Tensor, feats []int) *tensor.Tensor {
 		}
 	}
 	return blk
-}
-
-// rowsOf views leading-axis rows [lo, hi) of x as a tensor of their own.
-// Collectives deliver payloads by reference, so a chunk cut from a buffer
-// that is not written again needs no copy.
-func rowsOf(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
-	shape := append([]int{hi - lo}, x.Shape()[1:]...)
-	w := x.Len() / max(x.Dim(0), 1)
-	return tensor.FromSlice(x.Data()[lo*w:hi*w], shape...)
 }
 
 // toPeerMajor is step (e) in one copy pass. The tower, (F_t, T, B, n), is
@@ -470,7 +461,7 @@ func (e *Engine) exchange(peerC *comm.Comm, rank int, tower []*tensor.Tensor, fl
 	// its tower's block for my local batch.
 	chunks := make([]*tensor.Tensor, T)
 	for t := range chunks {
-		chunks[t] = rowsOf(x, t*x.Dim(0)/T, (t+1)*x.Dim(0)/T)
+		chunks[t] = x.Rows(t*x.Dim(0)/T, (t+1)*x.Dim(0)/T)
 	}
 	got := stepF(peerC, cm.CrossHost, chunks, cm.Overlap, rank)
 	if fl.modules != nil {

@@ -19,9 +19,9 @@ type Engine struct {
 	Cfg    Config
 	Tables []*nn.EmbeddingBag // indexed by feature
 	// Tier is the embedding backend every table-wise step (b) lookup goes
-	// through. NewEngine installs an in-process LocalTier over Tables
+	// through. NewEngine installs an in-process Local over Tables
 	// (bitwise identical to direct table access); the distributed trainer
-	// passes NewEngineOver its own tier over the same tables — a LocalTier
+	// passes NewEngineOver its own tier over the same tables — a Local
 	// carrying the training learning rate, or a RemoteTier whose lookups
 	// travel the simulated fabric.
 	Tier embeddings.Tier
@@ -32,11 +32,6 @@ type Engine struct {
 	// tower t's block in steps (d)–(f).
 	peerOrder, rankOrder []int
 	owned, tower         [][]int
-
-	// slots[f] is nn.PoolBackward's scratch index for table f, one entry per
-	// row, all zero between calls. Only f's owner rank pools it, so
-	// concurrent ranks never touch the same entry.
-	slots [][]int32
 
 	// fam is the communicator cache: the families of the last completed
 	// run (a failed one cancels their network), reused as long as calls
@@ -55,7 +50,7 @@ func NewEngine(cfg Config, seed uint64) (*Engine, error) {
 	for f, spec := range cfg.Features {
 		tables[f] = nn.NewEmbeddingBag(r.Split(uint64(f)+1), spec.Cardinality, cfg.N, spec.Name)
 	}
-	return NewEngineOver(cfg, tables, embeddings.NewLocalTier(tables, 0))
+	return NewEngineOver(cfg, tables, embeddings.NewLocal(tables, 0))
 }
 
 // NewEngineOver builds the engine over tables the caller seeded, one per
@@ -76,7 +71,6 @@ func NewEngineOver(cfg Config, tables []*nn.EmbeddingBag, tier embeddings.Tier) 
 			return nil, fmt.Errorf("sptt: table %d is %dx%d, feature %q wants %dx%d",
 				f, t.Rows, t.Dim, spec.Name, spec.Cardinality, cfg.N)
 		}
-		e.slots = append(e.slots, make([]int32, spec.Cardinality))
 	}
 
 	for g := 0; g < cfg.G; g++ {

@@ -21,7 +21,10 @@
 //     post -> Comms overlap hook -> wait.
 //
 // Tables are sharded table-wise: each has one owner rank (Config.RankOf),
-// which looks it up through Engine.Tier. §3.1.3's row-wise specialization,
+// which looks it up through Engine.Tier and pools its bag gradients in
+// step (a)'s backward through the table's own PoolBackward
+// (nn.EmbeddingBag), whose scratch index the table keeps: the engine keeps
+// no per-table state of its own. §3.1.3's row-wise specialization,
 // which splits one table's rows across a host, is not implemented: every
 // table here fits one rank. A flow chooses two things and nothing else:
 //

@@ -122,7 +122,7 @@ func BenchmarkHotpathPairwiseUpper(b *testing.B) {
 			name string
 			run  func(out, x *Tensor)
 		}{
-			{"scalar", func(out, x *Tensor) { pairDotRef(x.data, out.data, bs, f, n, false) }},
+			{"scalar", func(out, x *Tensor) { pairDotRef(x.data, out.data, bs, f, n) }},
 			{"vector", PairwiseUpperInto},
 		} {
 			b.Run(fmt.Sprintf("%s/b=%d,f=%d,n=%d", side.name, bs, f, n), func(b *testing.B) {

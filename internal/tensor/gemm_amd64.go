@@ -357,14 +357,10 @@ func align32(buf []float32) []float32 {
 // with 3 pairs of slack, fit acc. The strict upper triangle goes back to
 // out 8 pairs × 8 samples at a time by transpose8, which lays it out as out
 // does. F > 253, where one row's sums do not fit acc, runs pairDotRef.
-func pairDotAVX2(x, out []float32, b, f, n int, full bool) {
+func pairDotAVX2(x, out []float32, b, f, n int) {
 	if 8*f+24 > pairAcc {
-		pairDotRef(x, out, b, f, n, full)
+		pairDotRef(x, out, b, f, n)
 		return
-	}
-	d := 1
-	if full {
-		d = 0
 	}
 	var panelBuf [pairPanel + 7]float32
 	var accBuf [pairAcc + 7]float32
@@ -377,8 +373,8 @@ func pairDotAVX2(x, out []float32, b, f, n int, full bool) {
 		lanes := min(8, b-s0)
 		for i0, i1 := 0, 0; i0 < f; i0 = i1 {
 			sums := 0
-			for ; i1 < f && 8*(sums+f-i1-d)+24 <= pairAcc; i1++ {
-				sums += f - i1 - d
+			for ; i1 < f && 8*(sums+f-i1-1)+24 <= pairAcc; i1++ {
+				sums += f - i1 - 1
 			}
 			clear(acc[:8*sums])
 			ps := 8 * (f - i0)
@@ -403,22 +399,9 @@ func pairDotAVX2(x, out []float32, b, f, n int, full bool) {
 				}
 				a := 0
 				for i := i0; i < i1; i++ {
-					pair8(&acc[a], &panel[(i-i0)*8], &panel[(i+d-i0)*8], kk, f-i-d, ps)
-					a += 8 * (f - i - d)
+					pair8(&acc[a], &panel[(i-i0)*8], &panel[(i+1-i0)*8], kk, f-i-1, ps)
+					a += 8 * (f - i - 1)
 				}
-			}
-			if full {
-				a := 0
-				for i := i0; i < i1; i++ {
-					for j := i; j < f; j++ {
-						for l := range lanes {
-							v := acc[a+l]
-							out[((s0+l)*f+i)*f+j], out[((s0+l)*f+j)*f+i] = v, v
-						}
-						a += 8
-					}
-				}
-				continue
 			}
 			k0, k := i0*(2*f-i0-1)/2, 0
 			for ; lanes == 8 && k+8 <= sums; k += 8 {

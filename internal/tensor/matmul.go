@@ -86,16 +86,35 @@ func atAddBlock(buf []float32, n int) (rows int, scratch []float32) {
 // products between the F feature vectors of every sample: output (B, F, F)
 // with out[b,i,j] = <x[b,i,:], x[b,j,:]>, each the sum of the products
 // float32(x[b,i,p]·x[b,j,p]) in ascending p from +0. It is DLRM's
-// interaction with the diagonal and each pair mirrored, on the routine
-// PairwiseUpperInto runs: no batched GEMM, but 8 samples to a vector where
-// the CPU has AVX2.
+// interaction with the diagonal and each pair mirrored: the strict upper
+// triangles come from the routine PairwiseUpperInto runs (no batched GEMM,
+// but 8 samples to a vector where the CPU has AVX2), written to out's
+// front, and each sample's grid is then laid out from the last sample and
+// the last pair back. Every element lands past the place its pair is read
+// from, so nothing is overwritten before it is read.
 func BatchedPairwiseDot(x *Tensor) *Tensor {
 	if len(x.shape) != 3 {
 		panic("tensor: BatchedPairwiseDot requires a (B,F,N) tensor")
 	}
 	b, f, n := x.shape[0], x.shape[1], x.shape[2]
 	out := New(b, f, f)
-	pairDotVec(x.data, out.data, b, f, n, true)
+	ow := f * (f - 1) / 2
+	pairDotVec(x.data, out.data[:b*ow], b, f, n)
+	for s, k := b-1, b*ow; s >= 0; s-- {
+		xs, grid := x.data[s*f*n:][:f*n], out.data[s*f*f:][:f*f]
+		for i := f - 1; i >= 0; i-- {
+			for j := f - 1; j > i; j-- {
+				k--
+				v := out.data[k]
+				grid[i*f+j], grid[j*f+i] = v, v
+			}
+			var dot float32
+			for _, v := range xs[i*n:][:n] {
+				dot += float32(v * v)
+			}
+			grid[i*f+i] = dot
+		}
+	}
 	return out
 }
 
@@ -109,31 +128,26 @@ func PairwiseUpperInto(out, x *Tensor) {
 		out.shape[1] != x.shape[1]*(x.shape[1]-1)/2 {
 		panic(fmt.Sprintf("tensor: PairwiseUpperInto shapes out %v, x %v", out.shape, x.shape))
 	}
-	pairDotVec(x.data, out.data, x.shape[0], x.shape[1], x.shape[2], false)
+	pairDotVec(x.data, out.data, x.shape[0], x.shape[1], x.shape[2])
 }
 
-// pairDotVec is the pairwise-dot routine under BatchedPairwiseDot and
-// PairwiseUpperInto: pairDotRef, or the AVX2 routine init selects, which
+// pairDotVec is the pairwise-dot routine under PairwiseUpperInto and
+// BatchedPairwiseDot: pairDotRef, or the AVX2 routine init selects, which
 // forms every dot with the same float32 operations in the same order.
 var pairDotVec = pairDotRef
 
-// pairDotRef writes the pairwise dots of the b samples of x, (b, f, n): the
-// strict upper triangle in row-major order into out (b, f(f−1)/2), or with
-// full the diagonal and both triangles into out (b, f, f). Each pass over
-// x_i runs four dots: four independent add chains keep the loop busy, where
-// a single chain waits on every add. A group that runs past the last row
-// repeats that row and drops the extra sums.
-func pairDotRef(x, out []float32, b, f, n int, full bool) {
-	d := 1
-	if full {
-		d = 0
-	}
+// pairDotRef writes the strict upper triangle of the pairwise dots of the
+// b samples of x, (b, f, n), in row-major order into out (b, f(f−1)/2).
+// Each pass over x_i runs four dots: four independent add chains keep the
+// loop busy, where a single chain waits on every add. A group that runs
+// past the last row repeats that row and drops the extra sums.
+func pairDotRef(x, out []float32, b, f, n int) {
 	k := 0
 	for s := range b {
 		xs := x[s*f*n : (s+1)*f*n]
 		for i := range f {
 			vi := xs[i*n : (i+1)*n]
-			for j := i + d; j < f; j += 4 {
+			for j := i + 1; j < f; j += 4 {
 				v0 := xs[j*n:][:n]
 				v1 := xs[min(j+1, f-1)*n:][:n]
 				v2 := xs[min(j+2, f-1)*n:][:n]
@@ -146,14 +160,7 @@ func pairDotRef(x, out []float32, b, f, n int, full bool) {
 					d3 += float32(v * v3[p])
 				}
 				ds := [4]float32{d0, d1, d2, d3}
-				for c, dot := range ds[:min(4, f-j)] {
-					if full {
-						out[(s*f+i)*f+j+c], out[(s*f+j+c)*f+i] = dot, dot
-					} else {
-						out[k] = dot
-						k++
-					}
-				}
+				k += copy(out[k:], ds[:min(4, f-j)])
 			}
 		}
 	}

@@ -61,31 +61,62 @@ func FuzzInteractionBackward(f *testing.F) {
 	})
 }
 
-// checkPairDot runs PairwiseUpperInto, into a dirty out, and
-// BatchedPairwiseDot on a (b, f, n) input against pairDotRef. x carries
+// pairDotLoop is the pairwise-dot oracle: for every sample, every (i, j)
+// of the (f, f) grid, diagonal and both triangles, the sum of the products
+// float32(x_i[p]·x_j[p]) in ascending p from +0, one plain loop per dot.
+func pairDotLoop(x *Tensor) []float32 {
+	b, f, n := x.shape[0], x.shape[1], x.shape[2]
+	out := make([]float32, b*f*f)
+	for s := range b {
+		for i := range f {
+			xi := x.data[(s*f+i)*n:][:n]
+			for j := range f {
+				xj := x.data[(s*f+j)*n:][:n]
+				var dot float32
+				for p := range n {
+					dot += float32(xi[p] * xj[p])
+				}
+				out[(s*f+i)*f+j] = dot
+			}
+		}
+	}
+	return out
+}
+
+// checkPairDot runs PairwiseUpperInto, into a dirty out, pairDotRef and
+// BatchedPairwiseDot on a (b, f, n) input against pairDotLoop. x carries
 // specials about one element in every `every`; NaNs are compared
 // canonicalised, as checkPairGrad compares them, since each dot adds a
 // product to an accumulator.
 func checkPairDot(t *testing.T, r *RNG, b, f, n, every int) {
 	t.Helper()
 	x := FromSlice(elementOperand(r, b*f*n, every, -2, 2), b, f, n)
+	grid := pairDotLoop(x)
 	ow := f * (f - 1) / 2
-	got, want := Full(7, b, ow), New(b, ow)
+	upper := make([]float32, 0, b*ow)
+	for s := range b {
+		for i := range f {
+			upper = append(upper, grid[(s*f+i)*f+i+1:(s*f+i+1)*f]...)
+		}
+	}
+	got := Full(7, b, ow)
 	PairwiseUpperInto(got, x)
-	pairDotRef(x.data, want.data, b, f, n, false)
-	sameFloat32Bits(t, fmt.Sprintf("PairwiseUpperInto (%d, %d, %d)", b, f, n), got.data, want.data, true)
-	want = New(b, f, f)
-	pairDotRef(x.data, want.data, b, f, n, true)
-	sameFloat32Bits(t, fmt.Sprintf("BatchedPairwiseDot (%d, %d, %d)", b, f, n), BatchedPairwiseDot(x).data, want.data, true)
+	sameFloat32Bits(t, fmt.Sprintf("PairwiseUpperInto (%d, %d, %d)", b, f, n), got.data, upper, true)
+	ref := Full(7, b, ow)
+	pairDotRef(x.data, ref.data, b, f, n)
+	sameFloat32Bits(t, fmt.Sprintf("pairDotRef (%d, %d, %d)", b, f, n), ref.data, upper, true)
+	sameFloat32Bits(t, fmt.Sprintf("BatchedPairwiseDot (%d, %d, %d)", b, f, n), BatchedPairwiseDot(x).data, grid, true)
 }
 
 // TestPairwiseUpperMatchesScalar pins the selected interaction forward,
-// and BatchedPairwiseDot, to the scalar loop: batches with every ragged
-// tail of 8 samples, feature counts up to DLRM's 27 on CriteoLike, and row lengths
-// from 1 to 300, which spans several packed chunks of p, with specials
-// about one element in 5; then at F = 40, whose pairs fill the vector
-// routine's sums more than once, at F = 60, whose chunks of p are shorter
-// than a transpose8 block, and at F = 300, which runs the reference.
+// the scalar routine and BatchedPairwiseDot to a plain loop per dot:
+// batches with every ragged tail of 8 samples, feature counts up to DLRM's
+// 27 on CriteoLike, and row lengths from 1 to 300, which spans several
+// packed chunks of p, with specials about one element in 5; then at F = 40,
+// whose pairs fill the vector routine's sums more than once, at F = 60,
+// whose chunks of p are shorter than a transpose8 block, and at F = 253
+// and 254, the last the vector routine takes and the first it hands to
+// the scalar one, at a batch of 9.
 func TestPairwiseUpperMatchesScalar(t *testing.T) {
 	r := NewRNG(29)
 	for _, b := range []int{1, 7, 8, 9, 29, 64} {
@@ -97,13 +128,14 @@ func TestPairwiseUpperMatchesScalar(t *testing.T) {
 	}
 	checkPairDot(t, r, 11, 40, 37, 9)
 	checkPairDot(t, r, 9, 60, 20, 9)
-	checkPairDot(t, r, 2, 300, 3, 9)
+	checkPairDot(t, r, 9, 253, 3, 9)
+	checkPairDot(t, r, 9, 254, 3, 9)
 }
 
 // FuzzInteractionForward draws the batch (1–64), the feature count (1–40),
 // N (1–300) and the density of specials, and requires the selected
-// interaction forward and BatchedPairwiseDot to match the scalar loop
-// (NaNs canonicalised, see checkPairDot).
+// interaction forward, the scalar routine and BatchedPairwiseDot to match
+// a plain loop per dot (NaNs canonicalised, see checkPairDot).
 func FuzzInteractionForward(f *testing.F) {
 	f.Add(uint8(63), uint8(16), uint16(15), uint64(1), uint8(0))
 	f.Add(uint8(28), uint8(8), uint16(127), uint64(2), uint8(3))

@@ -145,6 +145,14 @@ func (t *Tensor) Row(i int) []float32 {
 	return t.data[i*w : (i+1)*w]
 }
 
+// Rows views leading-axis rows [lo, hi) of t as a tensor of their own,
+// sharing t's data: collectives deliver payloads by reference, so a chunk
+// cut from a buffer that is not written again needs no copy.
+func (t *Tensor) Rows(lo, hi int) *Tensor {
+	w := checkShape(t.shape[1:])
+	return &Tensor{shape: append([]int{hi - lo}, t.shape[1:]...), data: t.data[lo*w : hi*w]}
+}
+
 // SameShape reports whether t and o have identical shapes.
 func (t *Tensor) SameShape(o *Tensor) bool {
 	if len(t.shape) != len(o.shape) {

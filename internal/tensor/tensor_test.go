@@ -83,6 +83,23 @@ func TestReshapeSharesAndInfers(t *testing.T) {
 	}
 }
 
+// TestRowsSharesData: a leading-axis row range keeps the trailing shape
+// and views the parent's data, including the empty range.
+func TestRowsSharesData(t *testing.T) {
+	x := New(4, 2, 3)
+	v := x.Rows(1, 3)
+	if !v.SameShape(New(2, 2, 3)) {
+		t.Fatalf("Rows(1, 3) shape %v", v.Shape())
+	}
+	v.Set(5, 1, 1, 2)
+	if x.At(2, 1, 2) != 5 {
+		t.Fatal("Rows does not share data")
+	}
+	if e := x.Rows(4, 4); e.Dim(0) != 0 || e.Len() != 0 {
+		t.Fatalf("Rows(4, 4) = %v, %d elements", e.Shape(), e.Len())
+	}
+}
+
 func TestReshapeBadCount(t *testing.T) {
 	defer expectPanic(t, "element count")
 	New(2, 3).Reshape(4, 2)
