@@ -8,10 +8,11 @@ import (
 	"dmt/internal/experiments"
 )
 
-// TestRun drives dmt-bench in-process: a bad flag (train's former -overlap
-// among them), an unknown experiment, an unknown hardware generation and an
-// unknown wire scheme each exit 2 with a message naming it, before any experiment runs, and -list exits 0 printing
-// every Model and Measured experiment's name.
+// TestRun drives dmt-bench in-process: a bad flag (-overlap, which train
+// does not take, among them), an unknown experiment, an unknown hardware
+// generation and an unknown wire scheme each exit 2 with a message naming
+// it, before any experiment runs, and -list exits 0 printing every Model
+// and Measured experiment's name.
 func TestRun(t *testing.T) {
 	for _, tc := range []struct {
 		args     []string
