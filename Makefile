@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-1proc race fmt fmt-check vet lint fma-check bench bench-smoke bench-hotpath bench-hotpath-check fp16-exhaustive fuzz-smoke examples-smoke cmds-smoke serve-demo
+.PHONY: build test test-1proc arena-check race fmt fmt-check vet lint fma-check bench bench-smoke bench-hotpath bench-hotpath-check fp16-exhaustive fuzz-smoke examples-smoke cmds-smoke serve-demo
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,16 @@ test:
 # on, so a cached multi-core pass would otherwise stand in for this run.
 test-1proc:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/comm ./internal/embeddings ./internal/sptt ./internal/distributed ./internal/serve
+
+# The use-after-reset check: under the test-only arenacheck build tag,
+# tensor.Arena's Reset (and Rewind) fills every chunk it handed out with NaN
+# and carves later tensors from fresh chunks, so a tensor kept past its
+# pass's Reset reads NaN instead of the next pass's data, and the training
+# and prediction goldens of the packages whose passes run on arenas fail
+# instead of passing by luck. The allocation pins that count an arena's
+# reuse skip under it.
+arena-check:
+	$(GO) test -count=1 -tags arenacheck ./internal/nn ./internal/towers ./internal/models ./internal/sptt ./internal/distributed
 
 race:
 	$(GO) test -race -timeout 30m ./...
@@ -100,10 +110,12 @@ bench-smoke:
 # whole cluster.Run at sim_fleet's geometry over a 64 Ki-request trace, ns per
 # request (BenchmarkHotpathClusterRun) —
 # and the serving DMT-DLRM's Predict at batch 32 on cold keys through
-# Keyed caches — and the server's own request path, over a stub model,
-# at 1, 8 and 32 closed-loop clients (BenchmarkServerPath).
+# Keyed caches — one rank-parallel training step at the train_dense and
+# train_embed benchmark shapes, with its bytes and objects per step
+# (BenchmarkHotpathTrainStep) — and the server's own request path, over a
+# stub model, at 1, 8 and 32 closed-loop clients (BenchmarkServerPath).
 bench-hotpath:
-	$(GO) test -run '^$$' -bench '^BenchmarkHotpath' -benchmem -timeout 20m ./internal/tensor ./internal/quant ./internal/embeddings ./internal/models ./internal/cluster
+	$(GO) test -run '^$$' -bench '^BenchmarkHotpath' -benchmem -timeout 20m ./internal/tensor ./internal/quant ./internal/embeddings ./internal/models ./internal/cluster ./internal/distributed
 	$(GO) test -run '^$$' -bench '^BenchmarkServerPath$$' -benchmem -timeout 20m ./internal/serve
 
 # The two gates nothing else expresses: the vector entry point vs the scalar

@@ -31,10 +31,25 @@
 //     over the second's, whichever side went first. An A/A comparison
 //     shows the order effect alone.
 //
+// With -layers it also compares the checkouts layer by layer, on the
+// packages' hot-path benchmarks (-bench, ^BenchmarkHotpath by default):
+//
+//	dmt-ab -a ../parent -b . -workloads '' -layers ./internal/distributed,./internal/tensor -rounds 10 -pr 57
+//
+// Each side builds every listed package's test binary once (go test -c,
+// its build cache under the checkout's .bench_build/, as run.sh keeps
+// its), then round i runs every binary of both sides, -test.benchmem at one
+// count, A first on even rounds and B first on odd ones. Per benchmark row
+// it reports the median over rounds of B's ns/op over A's and the rounds B
+// was faster, and each side's median B/op and allocs/op as values. A row
+// that only one side has is reported with that side's values. -workloads
+// ” runs no workload, for a ledger of layer rows alone.
+//
 // With -pr n it writes BENCH_<n>.json into -dir: both checkouts' directory
 // names and git HEADs (marked -dirty with uncommitted changes), GOMAXPROCS
 // as the benchmark echoed it, the seeds, each pair's order and every run's
-// last line, plus the summary above and the failed-run counts.
+// last line, plus the summary above and the failed-run counts; with
+// -layers, also every layer row of every run and the layer summary.
 package main
 
 import (
@@ -116,20 +131,60 @@ type summary struct {
 	FirstBias   float64 `json:"first_run_bias"`
 }
 
+// layerRow is one benchmark row of one run of a package's test binary.
+type layerRow struct {
+	Package     string  `json:"package"`
+	Name        string  `json:"name"`
+	Round       int     `json:"round"`
+	Side        string  `json:"side"`
+	Order       int     `json:"order"` // 1 = the side ran first in its round
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+}
+
+// layerSummary is one benchmark row compared across the rounds: B's ns/op
+// over A's, and each side's B/op and allocs/op as values. A side without
+// the row has zero rounds of it and no ratio.
+type layerSummary struct {
+	Package     string  `json:"package"`
+	Name        string  `json:"name"`
+	MedianRatio float64 `json:"median_ns_ratio,omitempty"`
+	Won         int     `json:"won"` // rounds B ran faster
+	Rounds      int     `json:"rounds"`
+	NsA         float64 `json:"ns_per_op_a,omitempty"`
+	NsB         float64 `json:"ns_per_op_b,omitempty"`
+	BytesA      float64 `json:"bytes_per_op_a"`
+	BytesB      float64 `json:"bytes_per_op_b"`
+	AllocsA     float64 `json:"allocs_per_op_a"`
+	AllocsB     float64 `json:"allocs_per_op_b"`
+	RoundsA     int     `json:"rounds_a"`
+	RoundsB     int     `json:"rounds_b"`
+	BytesVaryA  bool    `json:"bytes_vary_a,omitempty"`
+	BytesVaryB  bool    `json:"bytes_vary_b,omitempty"`
+	AllocsVaryA bool    `json:"allocs_vary_a,omitempty"`
+	AllocsVaryB bool    `json:"allocs_vary_b,omitempty"`
+}
+
 // ledger is BENCH_<n>.json.
 type ledger struct {
-	PR         int          `json:"pr"`
-	A          side         `json:"a"`
-	B          side         `json:"b"`
-	AA         bool         `json:"aa"`
-	GOMAXPROCS string       `json:"gomaxprocs"`
-	Seconds    float64      `json:"seconds"`
-	Trace      int          `json:"trace"`
-	Seeds      []uint64     `json:"seeds"`
-	Workloads  []string     `json:"workloads"`
-	Summary    []summary    `json:"summary"`
-	Failed     []failedRuns `json:"failed"`
-	Runs       []runRecord  `json:"runs"`
+	PR           int            `json:"pr"`
+	A            side           `json:"a"`
+	B            side           `json:"b"`
+	AA           bool           `json:"aa"`
+	GOMAXPROCS   string         `json:"gomaxprocs"`
+	Seconds      float64        `json:"seconds"`
+	Trace        int            `json:"trace"`
+	Seeds        []uint64       `json:"seeds"`
+	Workloads    []string       `json:"workloads"`
+	Summary      []summary      `json:"summary"`
+	Failed       []failedRuns   `json:"failed"`
+	Runs         []runRecord    `json:"runs"`
+	Layers       []string       `json:"layers,omitempty"`
+	Bench        string         `json:"bench,omitempty"`
+	Rounds       int            `json:"rounds,omitempty"`
+	LayerSummary []layerSummary `json:"layer_summary,omitempty"`
+	LayerRows    []layerRow     `json:"layer_rows,omitempty"`
 }
 
 // run compares the checkouts the flags in args name, prints the summary to
@@ -146,6 +201,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pairList := fs.String("pairs", "10", "interleaved pairs per workload: a count, workload=count entries, or both, comma-separated")
 	pr := fs.Int("pr", 0, "write BENCH_<pr>.json (0: write no ledger)")
 	outDir := fs.String("dir", ".", "directory BENCH_<pr>.json is written to")
+	layerList := fs.String("layers", "", "comma-separated packages whose hot-path benchmarks run in interleaved rounds ('' runs none)")
+	bench := fs.String("bench", "^BenchmarkHotpath", "the -test.bench pattern of the layer rounds")
+	rounds := fs.Int("rounds", 10, "interleaved rounds of the layer benchmarks")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -173,11 +231,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		seeds = append(seeds, v)
 	}
-	ws := strings.Split(*workloads, ",")
+	var ws []string
+	if *workloads != "" {
+		ws = strings.Split(*workloads, ",")
+	}
 	for i, w := range ws {
 		if w == "" || slices.Contains(ws[:i], w) {
 			return fail(2, "-workloads %q must name each workload once", *workloads)
 		}
+	}
+	var layers []string
+	if *layerList != "" {
+		layers = strings.Split(*layerList, ",")
+	}
+	for i, p := range layers {
+		if p == "" || slices.Contains(layers[:i], p) {
+			return fail(2, "-layers %q must name each package once", *layerList)
+		}
+	}
+	if _, err := regexp.Compile(*bench); err != nil {
+		return fail(2, "bad -bench %q: %v", *bench, err)
+	}
+	if *rounds < 1 {
+		return fail(2, "-rounds %d is not a positive count", *rounds)
+	}
+	if len(ws) == 0 && len(layers) == 0 {
+		return fail(2, "nothing to compare: -workloads and -layers are both empty")
 	}
 	pairs, err := parsePairs(*pairList, ws)
 	if err != nil {
@@ -200,8 +279,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if name == "B" && l.AA {
 			break
 		}
-		if out, err := runSH(dirs[name], "--manifest"); err != nil {
-			return fail(1, "building side %s (%s): %v\n%s", name, dirs[name], err, out)
+		if len(ws) > 0 {
+			if out, err := runSH(dirs[name], "--manifest"); err != nil {
+				return fail(1, "building side %s (%s): %v\n%s", name, dirs[name], err, out)
+			}
+		}
+		for _, p := range layers {
+			if out, err := buildLayer(dirs[name], p); err != nil {
+				return fail(1, "building %s on side %s (%s): %v\n%s", p, name, dirs[name], err, out)
+			}
 		}
 	}
 	better := directions(dirs["A"])
@@ -247,6 +333,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		l.Summary = append(l.Summary, summarize(w, l.Runs, better)...)
 		l.Failed = append(l.Failed, failed)
 		anyFailed = anyFailed || failed.A+failed.B > 0
+	}
+
+	if len(layers) > 0 {
+		l.Layers, l.Bench, l.Rounds = layers, *bench, *rounds
+		for i := 0; i < *rounds; i++ {
+			order := []string{"A", "B"}
+			if i%2 == 1 {
+				order = []string{"B", "A"}
+			}
+			for k, name := range order {
+				for _, p := range layers {
+					out, err := runLayer(dirs[name], p, *bench)
+					if err != nil {
+						return fail(1, "%s round %d side %s: %v\n%s", p, i, name, err, out)
+					}
+					rows, procs := parseBench(out)
+					for _, r := range rows {
+						r.Package, r.Round, r.Side, r.Order = p, i, name, k+1
+						l.LayerRows = append(l.LayerRows, r)
+					}
+					l.GOMAXPROCS = cmp.Or(l.GOMAXPROCS, procs)
+				}
+			}
+		}
+		l.LayerSummary = summarizeLayers(l.LayerRows)
 	}
 
 	report(stdout, l)
@@ -300,6 +411,129 @@ func runSH(dir string, args ...string) ([]byte, error) {
 	cmd := exec.Command("bash", append([]string{"benchmark/run.sh"}, args...)...)
 	cmd.Dir = dir
 	return cmd.CombinedOutput()
+}
+
+// layerBinary is where pkg's test binary is built inside checkout dir.
+func layerBinary(dir, pkg string) string {
+	name := strings.Trim(strings.ReplaceAll(filepath.ToSlash(pkg), "/", "_"), "._")
+	return filepath.Join(dir, ".bench_build", "layers", name+".test")
+}
+
+// buildLayer compiles pkg's test binary in checkout dir, with the go
+// command's caches under dir/.bench_build as run.sh keeps them.
+func buildLayer(dir, pkg string) ([]byte, error) {
+	build := filepath.Join(dir, ".bench_build")
+	for _, d := range []string{filepath.Join(build, "config", "go", "telemetry"), filepath.Dir(layerBinary(dir, pkg))} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			return nil, err
+		}
+	}
+	if err := os.WriteFile(filepath.Join(build, "config", "go", "telemetry", "mode"), []byte("off\n"), 0o644); err != nil {
+		return nil, err
+	}
+	cmd := exec.Command("go", "test", "-c", "-o", layerBinary(dir, pkg), pkg)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOCACHE="+filepath.Join(build, "go-cache"), "GOPATH="+filepath.Join(build, "gopath"),
+		"XDG_CONFIG_HOME="+filepath.Join(build, "config"), "GOTOOLCHAIN=local")
+	return cmd.CombinedOutput()
+}
+
+// runLayer runs pkg's test binary from its package directory, as go test
+// would: no tests, the benchmarks bench matches, -benchmem, one count.
+func runLayer(dir, pkg, bench string) ([]byte, error) {
+	cmd := exec.Command(layerBinary(dir, pkg), "-test.run", "^$", "-test.bench", bench, "-test.benchmem", "-test.count", "1")
+	cmd.Dir = filepath.Join(dir, pkg)
+	return cmd.CombinedOutput()
+}
+
+// benchLine is a -benchmem result line: name, GOMAXPROCS suffix,
+// iterations, then value-unit pairs.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+(.*)$`)
+
+// parseBench reads the rows of a benchmark binary's output, each row's name
+// (without the -GOMAXPROCS suffix) and its ns/op, B/op and allocs/op, and
+// the GOMAXPROCS the suffix gives ("" without one).
+func parseBench(out []byte) (rows []layerRow, procs string) {
+	for _, line := range strings.Split(string(out), "\n") {
+		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
+		if m == nil {
+			continue
+		}
+		procs = cmp.Or(procs, m[2])
+		r := layerRow{Name: m[1]}
+		f := strings.Fields(m[3])
+		for i := 0; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				continue
+			}
+			switch f[i+1] {
+			case "ns/op":
+				r.NsPerOp = v
+			case "B/op":
+				r.BytesPerOp = v
+			case "allocs/op":
+				r.AllocsPerOp = v
+			}
+		}
+		rows = append(rows, r)
+	}
+	return rows, procs
+}
+
+// summarizeLayers compares the rows of every round, per package and
+// benchmark, in the order they first appear: the median over rounds of B's
+// ns/op over A's and the rounds B was faster, where both sides have the
+// row, and each side's medians, with a flag where a side's B/op or
+// allocs/op moved between rounds.
+func summarizeLayers(rows []layerRow) []layerSummary {
+	type key struct{ pkg, name string }
+	var keys []key
+	bySide := map[key]map[string]map[int]layerRow{}
+	for _, r := range rows {
+		k := key{r.Package, r.Name}
+		if bySide[k] == nil {
+			keys = append(keys, k)
+			bySide[k] = map[string]map[int]layerRow{"A": {}, "B": {}}
+		}
+		bySide[k][r.Side][r.Round] = r
+	}
+	var out []layerSummary
+	for _, k := range keys {
+		s := layerSummary{Package: k.pkg, Name: k.name}
+		a, b := bySide[k]["A"], bySide[k]["B"]
+		var ratios []float64
+		for _, round := range slices.Sorted(maps.Keys(a)) {
+			if rb, ok := b[round]; ok {
+				ratios = append(ratios, rb.NsPerOp/a[round].NsPerOp)
+				if rb.NsPerOp < a[round].NsPerOp {
+					s.Won++
+				}
+			}
+		}
+		s.Rounds = len(ratios)
+		if len(ratios) > 0 {
+			s.MedianRatio = metrics.Median(ratios)
+		}
+		s.RoundsA, s.NsA, s.BytesA, s.AllocsA, s.BytesVaryA, s.AllocsVaryA = sideMedians(a)
+		s.RoundsB, s.NsB, s.BytesB, s.AllocsB, s.BytesVaryB, s.AllocsVaryB = sideMedians(b)
+		out = append(out, s)
+	}
+	return out
+}
+
+// sideMedians is one side's round count and median ns/op, B/op and
+// allocs/op of a row, and whether B/op and allocs/op moved between rounds.
+func sideMedians(rows map[int]layerRow) (n int, ns, bytes, allocs float64, bytesVary, allocsVary bool) {
+	if len(rows) == 0 {
+		return 0, 0, 0, 0, false, false
+	}
+	var nss, bs, as []float64
+	for _, r := range rows {
+		nss, bs, as = append(nss, r.NsPerOp), append(bs, r.BytesPerOp), append(as, r.AllocsPerOp)
+	}
+	return len(rows), metrics.Median(nss), metrics.Median(bs), metrics.Median(as),
+		slices.Min(bs) != slices.Max(bs), slices.Min(as) != slices.Max(as)
 }
 
 // gitHead is dir's git HEAD, with -dirty when the tree has uncommitted
@@ -432,6 +666,32 @@ func report(w io.Writer, l ledger) {
 	for _, f := range l.Failed {
 		fmt.Fprintf(w, "%-12s failed runs (non-zero exit or correct:false): A %d/%d, B %d/%d\n", f.Workload, f.A, f.Runs, f.B, f.Runs)
 	}
+	if len(l.LayerSummary) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "%-48s %8s %8s %12s %12s %10s %10s\n", "layer row (B/A ns/op)", "median", "won", "B/op A", "B/op B", "allocs A", "allocs B")
+	for _, s := range l.LayerSummary {
+		ratio, won := "-", "-"
+		if s.Rounds > 0 {
+			ratio, won = fmt.Sprintf("%.4f", s.MedianRatio), fmt.Sprintf("%d/%d", s.Won, s.Rounds)
+		}
+		fmt.Fprintf(w, "%-48s %8s %8s %12s %12s %10s %10s\n", s.Package+" "+s.Name, ratio, won,
+			perSide(s.RoundsA, s.BytesA, s.BytesVaryA), perSide(s.RoundsB, s.BytesB, s.BytesVaryB),
+			perSide(s.RoundsA, s.AllocsA, s.AllocsVaryA), perSide(s.RoundsB, s.AllocsB, s.AllocsVaryB))
+	}
+}
+
+// perSide prints one side's median of a count, "-" when the side lacks
+// the row, marked with ~ when the count moved between rounds.
+func perSide(rounds int, v float64, vary bool) string {
+	if rounds == 0 {
+		return "-"
+	}
+	s := strconv.FormatFloat(v, 'f', -1, 64)
+	if vary {
+		s = "~" + s
+	}
+	return s
 }
 
 func orNone(s string) string {

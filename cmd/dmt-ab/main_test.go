@@ -244,3 +244,131 @@ func TestRunPerWorkloadPairs(t *testing.T) {
 		}
 	}
 }
+
+// stubGo is a go command that builds no test binary: `go test -c -o X pkg`,
+// run from a checkout, appends the build to $STUB_GOLOG, exits with the
+// checkout's build_exit file's code, and otherwise writes to X a stub test
+// binary. The binary prints one benchmark row whose ns/op is the checkout's
+// value file times 1.1 when the run is the first of its round (the shared
+// $STUB_COUNTER is even), with value·1000 B/op and value allocs/op, and a
+// second row when the checkout has an extra file.
+const stubGo = `#!/usr/bin/env bash
+echo "$PWD $*" >>"$STUB_GOLOG"
+code=$(cat build_exit)
+if [[ "$code" != 0 ]]; then echo "stub build failed"; exit "$code"; fi
+root=$PWD
+cat >"$4" <<STUB
+#!/usr/bin/env bash
+n=\$(cat "\$STUB_COUNTER" 2>/dev/null || echo 0)
+echo \$((n + 1)) >"\$STUB_COUNTER"
+v=\$(cat "$root/value")
+f=1
+if (( n % 2 == 0 )); then f=1.1; fi
+echo "goos: linux"
+echo "BenchmarkHotpathTrainStep/train_dense-2   	     100	 \$(awk "BEGIN{print \$v*\$f}") ns/op	 \$((v * 1000)) B/op	 \$v allocs/op"
+if [[ -f "$root/extra" ]]; then echo "BenchmarkHotpathNew-2   	 5	 7 ns/op	 0 B/op	 0 allocs/op"; fi
+echo PASS
+STUB
+chmod +x "$4"
+`
+
+// stubLayers makes the stub checkouts' package directory and puts the stub
+// go command first on PATH.
+func stubLayers(t *testing.T, dirs ...string) string {
+	t.Helper()
+	bin := t.TempDir()
+	if err := os.WriteFile(filepath.Join(bin, "go"), []byte(stubGo), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("PATH", bin+string(os.PathListSeparator)+os.Getenv("PATH"))
+	t.Setenv("STUB_COUNTER", filepath.Join(t.TempDir(), "n"))
+	log := filepath.Join(t.TempDir(), "golog")
+	t.Setenv("STUB_GOLOG", log)
+	for _, d := range dirs {
+		if err := os.MkdirAll(filepath.Join(d, "internal", "distributed"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return log
+}
+
+// TestRunLayers compares a stub checkout's layer row at 100 ns/op with one
+// at 80 over 4 rounds, with no workload: each side builds its test binary
+// once, the sides alternate going first, the ledger keeps every row of
+// every run, B wins every round by the ratios the canned values imply, and
+// B/op and allocs/op are each side's values; a row only B has is reported
+// with B's values and no ratio.
+func TestRunLayers(t *testing.T) {
+	a, b, out := stubCheckout(t, "100", 0), stubCheckout(t, "80", 0), t.TempDir()
+	log := stubLayers(t, a, b)
+	if err := os.WriteFile(filepath.Join(b, "extra"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	args := []string{"-a", a, "-b", b, "-workloads", "", "-layers", "./internal/distributed", "-rounds", "4", "-pr", "5", "-dir", out}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, &stderr)
+	}
+	builds, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSpace(string(builds)), "\n"); len(lines) != 2 ||
+		!strings.HasPrefix(lines[0], a+" test -c -o ") || !strings.HasPrefix(lines[1], b+" test -c -o ") {
+		t.Errorf("builds %q, want one go test -c per side", lines)
+	}
+	js, err := os.ReadFile(filepath.Join(out, "BENCH_5.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l ledger
+	if err := json.Unmarshal(js, &l); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Runs) != 0 || l.Rounds != 4 || l.GOMAXPROCS != "2" || len(l.LayerRows) != 12 || len(l.LayerSummary) != 2 {
+		t.Fatalf("ledger %+v", l)
+	}
+	for _, r := range l.LayerRows {
+		first := r.Round%2 == 0 == (r.Side == "A")
+		if (r.Order == 1) != first || r.Package != "./internal/distributed" {
+			t.Errorf("row %+v: want order 1 = %v", r, first)
+		}
+	}
+	s := l.LayerSummary[0]
+	// Rounds alternate (110 vs 80) and (100 vs 88): ratios 0.7273 and 0.88.
+	if s.Name != "BenchmarkHotpathTrainStep/train_dense" || s.Won != 4 || s.Rounds != 4 ||
+		!near(s.MedianRatio, (80.0/110+0.88)/2) || s.BytesA != 100000 || s.BytesB != 80000 ||
+		s.AllocsA != 100 || s.AllocsB != 80 || s.BytesVaryA || s.AllocsVaryB {
+		t.Errorf("layer summary %+v", s)
+	}
+	if extra := l.LayerSummary[1]; extra.Name != "BenchmarkHotpathNew" || extra.Rounds != 0 || extra.RoundsA != 0 || extra.RoundsB != 4 {
+		t.Errorf("one-sided row %+v", extra)
+	}
+	if !strings.Contains(stdout.String(), "BenchmarkHotpathTrainStep/train_dense") || !strings.Contains(stdout.String(), "4/4") {
+		t.Errorf("report misses the layer row:\n%s", &stdout)
+	}
+}
+
+// TestRunLayersFailures: bad layer flags exit 2 before anything runs, and a
+// side whose test binary fails to build exits 1 naming the package and the
+// side.
+func TestRunLayersFailures(t *testing.T) {
+	good, broken := stubCheckout(t, "100", 0), stubCheckout(t, "100", 1)
+	stubLayers(t, good, broken)
+	for _, tc := range []struct {
+		args     []string
+		code     int
+		inStderr string
+	}{
+		{[]string{"-a", good, "-workloads", ""}, 2, "nothing to compare"},
+		{[]string{"-a", good, "-layers", "./x,./x"}, 2, "must name each package once"},
+		{[]string{"-a", good, "-layers", "./x", "-rounds", "0"}, 2, "not a positive count"},
+		{[]string{"-a", good, "-layers", "./x", "-bench", "("}, 2, "bad -bench"},
+		{[]string{"-a", good, "-b", broken, "-workloads", "", "-layers", "./internal/distributed"}, 1, "building ./internal/distributed on side B"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.inStderr) {
+			t.Errorf("%v: exit %d, stderr %q; want exit %d mentioning %q", tc.args, code, &stderr, tc.code, tc.inStderr)
+		}
+	}
+}

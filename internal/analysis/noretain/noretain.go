@@ -29,7 +29,11 @@
 //     declaration; the analyzer exports a fact, so cross-package callers
 //     are covered) must not escape the calling function: no field or
 //     package-variable stores, channel sends, returns, or go-closure
-//     captures.
+//     captures. Every result of a multi-value call is tracked. A result
+//     stored in an element of a local slice is tracked through that slice
+//     in the function that declares it (a closure may fill its caller's
+//     per-rank slice). A declaration that itself carries the directive may
+//     return a transient result: its callers carry the obligation.
 package noretain
 
 import (
@@ -90,7 +94,7 @@ func checkPredict(pass *lint.Pass, fd *ast.FuncDecl) {
 		return
 	}
 	checkNoRetention(pass, fd.Body, batch, "the batch",
-		"Predict must not retain the batch past its return (the serve worker reuses its arena)")
+		"Predict must not retain the batch past its return (the serve worker reuses its arena)", false)
 }
 
 // checkTransientCall applies rule 2 to a call site.
@@ -100,36 +104,112 @@ func checkTransientCall(pass *lint.Pass, call *ast.CallExpr, stack []ast.Node) {
 		return
 	}
 	// A transient result consumed in place (argument, receiver,
-	// expression) is fine; track it when bound to a variable, and
-	// flag direct escapes.
+	// expression) is fine; track it when bound to a variable or to an
+	// element of a local slice, and flag direct escapes. A function that
+	// itself carries the directive may return one: its callers then carry
+	// the obligation.
 	parent := parentNonParen(stack)
 	switch p := parent.(type) {
 	case *ast.ReturnStmt:
-		pass.Reportf(call.Pos(), "%s returns arena-backed storage (//%s): it must not escape the caller", fn.Name(), TransientDirective)
+		if !transientFunc(pass, stack) {
+			pass.Reportf(call.Pos(), "%s returns arena-backed storage (//%s): it must not escape the caller", fn.Name(), TransientDirective)
+		}
 	case *ast.AssignStmt:
 		for i, r := range p.Rhs {
 			if ast.Unparen(r) != ast.Expr(call) || i >= len(p.Lhs) {
 				continue
 			}
-			if id, ok := p.Lhs[i].(*ast.Ident); ok {
-				if v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var); ok && !v.IsField() && isLocalVar(v) {
-					if body := enclosingBody(stack); body != nil {
-						checkNoRetention(pass, body, v, fn.Name()+"'s arena-backed result",
-							fn.Name()+" returns arena-backed storage (//"+TransientDirective+")")
-					}
-					return
-				}
+			lhs := p.Lhs[i : i+1]
+			if len(p.Rhs) == 1 {
+				lhs = p.Lhs // every result of a multi-value call
 			}
-			pass.Reportf(call.Pos(), "%s returns arena-backed storage (//%s): storing it retains memory the arena will reuse", fn.Name(), TransientDirective)
+			for _, l := range lhs {
+				checkTransientStore(pass, call, fn, l, stack)
+			}
 		}
 	case *ast.SendStmt:
 		pass.Reportf(call.Pos(), "%s returns arena-backed storage (//%s): it must not be sent on a channel", fn.Name(), TransientDirective)
 	}
 }
 
+// checkTransientStore checks one assignment target of fn's transient
+// result. A local variable is tracked through the function that binds it;
+// an element of a local slice or array keeps the result in the frame of
+// the function that declares the slice, which may be a closure's caller,
+// so the slice is tracked there. Anything else retains it.
+func checkTransientStore(pass *lint.Pass, call *ast.CallExpr, fn *types.Func, l ast.Expr, stack []ast.Node) {
+	if id, ok := l.(*ast.Ident); ok && id.Name == "_" {
+		return
+	}
+	what, contract := fn.Name()+"'s arena-backed result", fn.Name()+" returns arena-backed storage (//"+TransientDirective+")"
+	var base *ast.Ident
+	switch l := l.(type) {
+	case *ast.Ident:
+		base = l
+	case *ast.IndexExpr:
+		base, _ = ast.Unparen(l.X).(*ast.Ident)
+	}
+	if base != nil {
+		if v, ok := pass.TypesInfo.ObjectOf(base).(*types.Var); ok && isLocalVar(v) {
+			if body, transient := declaringBody(pass, stack, v); body != nil {
+				checkNoRetention(pass, body, v, what, contract, transient)
+				return
+			}
+		}
+	}
+	pass.Reportf(call.Pos(), "%s returns arena-backed storage (//%s): storing it retains memory the arena will reuse", fn.Name(), TransientDirective)
+}
+
+// transientFunc reports whether the function the stack's innermost return
+// belongs to is a declaration carrying the directive.
+func transientFunc(pass *lint.Pass, stack []ast.Node) bool {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch f := stack[i].(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.FuncDecl:
+			fn, ok := pass.TypesInfo.Defs[f.Name].(*types.Func)
+			return ok && pass.Facts[fn]
+		}
+	}
+	return false
+}
+
+// declaringBody returns the body of the innermost function on the stack
+// that declares v, and whether that function is a declaration carrying
+// the directive.
+func declaringBody(pass *lint.Pass, stack []ast.Node, v *types.Var) (*ast.BlockStmt, bool) {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch f := stack[i].(type) {
+		case *ast.FuncLit:
+			if v.Pos() >= f.Type.Pos() && v.Pos() < f.Body.End() {
+				return f.Body, false
+			}
+		case *ast.FuncDecl:
+			if f.Body != nil && v.Pos() >= f.Type.Pos() && v.Pos() < f.Body.End() {
+				return f.Body, transientFunc(pass, stack[:i+1])
+			}
+		}
+	}
+	return nil, false
+}
+
+// inClosure reports whether n lies inside a function literal in body.
+func inClosure(body *ast.BlockStmt, n ast.Node) bool {
+	in := false
+	ast.Inspect(body, func(m ast.Node) bool {
+		if lit, ok := m.(*ast.FuncLit); ok && lit.Pos() <= n.Pos() && n.End() <= lit.End() {
+			in = true
+		}
+		return !in
+	})
+	return in
+}
+
 // checkNoRetention taints seed inside body, propagates through
-// alias-producing assignments, and reports escapes.
-func checkNoRetention(pass *lint.Pass, body *ast.BlockStmt, seed *types.Var, what, contract string) {
+// alias-producing assignments, and reports escapes. mayReturn exempts the
+// returns of body's own function, one carrying the directive.
+func checkNoRetention(pass *lint.Pass, body *ast.BlockStmt, seed *types.Var, what, contract string, mayReturn bool) {
 	tainted := map[types.Object]bool{seed: true}
 
 	// Fixpoint alias propagation: x := <expr mentioning tainted via
@@ -180,6 +260,9 @@ func checkNoRetention(pass *lint.Pass, body *ast.BlockStmt, seed *types.Var, wha
 				pass.Reportf(n.Pos(), "%s is sent on a channel: %s", what, contract)
 			}
 		case *ast.ReturnStmt:
+			if mayReturn && !inClosure(body, n) {
+				break
+			}
 			for _, r := range n.Results {
 				if isTainted(r) {
 					pass.Reportf(n.Pos(), "%s is returned: %s", what, contract)
@@ -330,18 +413,6 @@ func parentNonParen(stack []ast.Node) ast.Node {
 			continue
 		}
 		return stack[i]
-	}
-	return nil
-}
-
-func enclosingBody(stack []ast.Node) *ast.BlockStmt {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch f := stack[i].(type) {
-		case *ast.FuncLit:
-			return f.Body
-		case *ast.FuncDecl:
-			return f.Body
-		}
 	}
 	return nil
 }

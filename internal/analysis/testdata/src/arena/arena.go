@@ -15,3 +15,12 @@ func (s *Scratch) Merge(n int) []float32 {
 	}
 	return s.buf[:n]
 }
+
+// Split returns two halves of storage backed by the scratch's arrays; both
+// are valid only until the next Merge or Split.
+//
+//dmt:transient-result
+func (s *Scratch) Split(n int) ([]float32, []float32) {
+	m := s.Merge(2 * n)
+	return m[:n], m[n:]
+}

@@ -155,7 +155,48 @@ func sendsTransient(s *arena.Scratch, ch chan []float32) {
 	ch <- s.Merge(8) // want `Merge returns arena-backed storage \(//dmt:transient-result\): it must not be sent on a channel`
 }
 
+func storesSecondResult(s *arena.Scratch) {
+	_, global = s.Split(8) // want `Split returns arena-backed storage \(//dmt:transient-result\): storing it retains memory the arena will reuse`
+}
+
+func leaksLocalSlice(s *arena.Scratch) {
+	parts := make([][]float32, 2)
+	parts[0] = s.Merge(8)
+	slices = parts // want `Merge's arena-backed result is stored outside the call frame`
+}
+
+func returnsFromClosure(s *arena.Scratch) func() []float32 {
+	return func() []float32 {
+		return s.Merge(8) // want `Merge returns arena-backed storage \(//dmt:transient-result\): it must not escape the caller`
+	}
+}
+
+var slices [][]float32
+
 // ---- rule 2, allowed ---------------------------------------------------
+
+// perRankSlices fills a local per-rank slice from closures, as a phase
+// executor does, and hands it down.
+func perRankSlices(s *arena.Scratch) int {
+	a, b := make([][]float32, 2), make([][]float32, 2)
+	fill := func(g int) { a[g], b[g] = s.Split(4) }
+	fill(0)
+	fill(1)
+	return len(score(a[0])) + len(score(b[1]))
+}
+
+// passesUp carries the directive itself, so it may hand its caller a
+// transient result, and its callers carry the obligation.
+//
+//dmt:transient-result
+func passesUp(s *arena.Scratch) []float32 {
+	m := s.Merge(8)
+	return m
+}
+
+func storesPassedUp(s *arena.Scratch) {
+	global = passesUp(s) // want `passesUp returns arena-backed storage \(//dmt:transient-result\): storing it retains memory the arena will reuse`
+}
 
 func consumesInPlace(s *arena.Scratch) float64 {
 	m := s.Merge(8)

@@ -88,8 +88,13 @@ func (c *Comm) IAllGatherBatchEnc(encs []*quant.Encoded) *Pending[[][]*quant.Enc
 // consuming it. Every rank must pass batches of the same length for a given
 // destination — the layout is agreed, as in a reduce-scatter — so a rank
 // whose own batch is empty receives nothing, and an empty batch is neither
-// sent nor received.
-func (c *Comm) IAlltoAllBatchEnc(parts [][]*quant.Encoded) *Pending[[][]*quant.Encoded] {
+// sent nor received. The message is a pointer to parts[d], read when the
+// receiver waits, so the caller must leave parts as it is until every
+// receiver has waited, as it leaves the payloads. The batches land in got,
+// of length G, which the handle
+// resolves to: a caller that posts the same exchange every step passes the
+// same got each time and allocates no result slice (nil allocates one).
+func (c *Comm) IAlltoAllBatchEnc(parts, got [][]*quant.Encoded) *Pending[[][]*quant.Encoded] {
 	n := c.g.size
 	if len(parts) != n {
 		panic(fmt.Sprintf("comm: AlltoAllBatchEnc needs %d batches, got %d", n, len(parts)))
@@ -102,16 +107,22 @@ func (c *Comm) IAlltoAllBatchEnc(parts [][]*quant.Encoded) *Pending[[][]*quant.E
 		for _, e := range es {
 			bytes += e.WireBytes()
 		}
-		c.send(d, es, bytes)
+		c.send(d, &parts[d], bytes) // a pointer boxes with no allocation
 	}
 	want := len(parts[c.rank])
+	if got == nil {
+		got = make([][]*quant.Encoded, n)
+	} else if len(got) != n {
+		panic(fmt.Sprintf("comm: AlltoAllBatchEnc result of %d batches for %d ranks", len(got), n))
+	}
 	return newPending(c, func() [][]*quant.Encoded {
-		out := make([][]*quant.Encoded, n)
+		out := got
+		clear(out)
 		if want == 0 {
 			return out
 		}
 		for src := 0; src < n; src++ {
-			out[src] = c.recv(src).([]*quant.Encoded)
+			out[src] = *c.recv(src).(*[]*quant.Encoded)
 			if len(out[src]) != want {
 				panic(fmt.Sprintf("comm: rank %d got a batch of %d payloads from rank %d, sent itself %d (batch layouts must agree)",
 					c.rank, len(out[src]), src, want))

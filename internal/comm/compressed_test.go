@@ -236,7 +236,7 @@ func TestAlltoAllBatchEncDeliversEachOwnerItsBatch(t *testing.T) {
 				parts[d] = append(parts[d], quant.Encode(quant.INT8, x(c.Rank(), d, k)))
 			}
 		}
-		in := c.IAlltoAllBatchEnc(parts).Wait()
+		in := c.IAlltoAllBatchEnc(parts, nil).Wait()
 		got[c.Rank()] = make([][]float32, g)
 		for src, es := range in {
 			for _, e := range es {

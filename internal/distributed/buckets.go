@@ -198,9 +198,14 @@ type segView struct {
 type rankShard struct {
 	// views[bi][o][k] views segment k of owner o in bucket bi.
 	views [][][]segView
-	// parts[bi][o] are bucket bi's send slots for owner o, refilled at every
-	// launch; each payload's reference passes to the owner.
+	// enc[bi][o][k] is the payload of segment k of owner o in bucket bi,
+	// encoded into at every launch: its buffers are sized once, exactly, to
+	// the segment. parts[bi][o] points at bucket bi's payloads for owner o,
+	// the batch the owner receives, and got[bi] is where bucket bi's
+	// batches land when this rank owns rows of it.
+	enc   [][][]quant.Encoded
 	parts [][][]*quant.Encoded
+	got   [][][]*quant.Encoded
 	// owned is the segments this rank owns, as parameters of weight and
 	// gradient views in plan order: the rank's over-arch Adam keeps moments
 	// for these rows alone.
@@ -219,7 +224,9 @@ func (tr *Trainer) newShard(g int) rankShard {
 	raw := tr.cfg.Compression.Gradient == quant.None
 	sh := rankShard{
 		views: make([][][]segView, len(tr.buckets)),
+		enc:   make([][][]quant.Encoded, len(tr.buckets)),
 		parts: make([][][]*quant.Encoded, len(tr.buckets)),
+		got:   make([][][]*quant.Encoded, len(tr.buckets)),
 	}
 	for grp := range sh.recv {
 		sh.recv[grp] = make([][]*tensor.Tensor, tr.cfg.G)
@@ -227,10 +234,14 @@ func (tr *Trainer) newShard(g int) rankShard {
 	for bi, b := range tr.buckets {
 		grp := b.group()
 		sh.views[bi] = make([][]segView, len(b.segs))
+		sh.enc[bi] = make([][]quant.Encoded, len(b.segs))
 		sh.parts[bi] = make([][]*quant.Encoded, len(b.segs))
+		sh.got[bi] = make([][]*quant.Encoded, len(b.segs))
 		for o, segs := range b.segs {
+			sh.enc[bi][o] = make([]quant.Encoded, len(segs))
 			sh.parts[bi][o] = make([]*quant.Encoded, len(segs))
-			for _, s := range segs {
+			for k, s := range segs {
+				sh.parts[bi][o][k] = &sh.enc[bi][o][k]
 				p := params[s.param]
 				v := segView{value: s.view(p.Value), grad: s.view(p.Grad)}
 				if raw {
@@ -263,24 +274,25 @@ type pendingBucket struct {
 // parameter of the bucket. On the raw wire the rows are snapshotted first —
 // collectives deliver by reference, and p.Grad is overwritten while the
 // owner may still be reading. On a compressed wire each segment is encoded
-// with quant.EncodeResidual, which quantizes g + r straight into a pooled
-// wire buffer and leaves the refreshed error-feedback residual r behind in
-// the same pass. Steady-state launches allocate no tensor.
+// with quant.EncodeResidualTo, which quantizes g + r straight into the
+// segment's own wire buffer and leaves the refreshed error-feedback
+// residual r behind in the same pass. Steady-state launches allocate
+// nothing but the collective's message and handle.
 func (tr *Trainer) launchBucket(g int, b gradBucket) pendingBucket {
 	s := tr.cfg.Compression.Gradient
 	sh := &tr.shards[g]
-	parts := sh.parts[b.idx]
+	enc := sh.enc[b.idx]
 	for o, vs := range sh.views[b.idx] {
 		for k, v := range vs {
 			if s == quant.None {
 				v.snap.CopyFrom(v.grad)
-				parts[o][k] = quant.Encode(quant.None, v.snap)
+				quant.EncodeTo(&enc[o][k], quant.None, v.snap)
 			} else {
-				parts[o][k] = quant.EncodeResidual(s, v.grad, v.resid)
+				quant.EncodeResidualTo(&enc[o][k], s, v.grad, v.resid)
 			}
 		}
 	}
-	return pendingBucket{idx: b.idx, h: tr.world[g].IAlltoAllBatchEnc(parts)}
+	return pendingBucket{idx: b.idx, h: tr.world[g].IAlltoAllBatchEnc(sh.parts[b.idx], sh.got[b.idx])}
 }
 
 // finishBucket completes rank g's share of a launched bucket: it waits for
@@ -288,8 +300,8 @@ func (tr *Trainer) launchBucket(g int, b gradBucket) pendingBucket {
 // part into its gradient rows, adds ranks 1…G−1's parts in order and scales
 // to the global-batch mean — per element the float32 operations the
 // sequential reference runs. Its other gradient rows keep their local
-// values, which nothing reads. Every received payload is released once
-// folded.
+// values, which nothing reads. The payloads are their senders' own
+// (rankShard.enc), so there is nothing to release.
 func (tr *Trainer) finishBucket(g int, pb pendingBucket, invG float32) {
 	got := pb.h.Wait()
 	for k, v := range tr.shards[g].views[pb.idx][g] {
@@ -298,11 +310,6 @@ func (tr *Trainer) finishBucket(g int, pb pendingBucket, invG float32) {
 			got[src][k].AddTo(v.grad)
 		}
 		tensor.ScaleInPlace(v.grad, invG)
-	}
-	for _, es := range got {
-		for _, e := range es {
-			e.Release()
-		}
 	}
 }
 

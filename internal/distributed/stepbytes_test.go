@@ -10,6 +10,7 @@ import (
 	"dmt/internal/models"
 	"dmt/internal/netsim"
 	"dmt/internal/quant"
+	"dmt/internal/tensor"
 	"dmt/internal/topology"
 )
 
@@ -26,13 +27,14 @@ type benchShape struct {
 	wire                quant.Scheme
 	servers, cacheRows  int
 	warmup              int
-	// maxBytes bounds the bytes one steady-state step allocates.
-	maxBytes float64
+	// maxBytes and maxAllocs bound the bytes and the objects one
+	// steady-state step allocates.
+	maxBytes, maxAllocs float64
 }
 
 const benchG, benchL, benchBatch = 8, 2, 64
 
-func (sh benchShape) setUp(t *testing.T) (*Trainer, *data.Generator) {
+func (sh benchShape) setUp(t testing.TB) (*Trainer, *data.Generator) {
 	dcfg := data.CriteoLike(0)
 	dcfg.Cardinalities = make([]int, sh.features)
 	dcfg.HotSizes = make([]int, sh.features)
@@ -64,20 +66,28 @@ func (sh benchShape) setUp(t *testing.T) (*Trainer, *data.Generator) {
 	return tr, data.NewGenerator(dcfg)
 }
 
-// TestStepBytes pins the bytes a steady-state training step allocates at
-// the benchmark's train_dense and train_embed shapes: TotalAlloc over 20
-// steps after the warm-up, the generator's batches excluded. Linear's weight
-// gradients accumulated in place and the SPTT exchange's one-pass layout
-// permute took them from 16.5 and 37.3 MB.
+// TestStepBytes pins the bytes and the objects a steady-state training
+// step allocates at the benchmark's train_dense and train_embed shapes:
+// TotalAlloc and Mallocs over 20 steps after the warm-up, the generator's
+// batches excluded. Linear's weight gradients accumulated in place and the
+// SPTT exchange's one-pass layout permute took the bytes from 16.5 and
+// 37.3 MB to 12.57 and 33.48 MB (≈ 3 010 and 4 045 objects). The arenas
+// (the models' and the tower modules' training tapes, tensor.Scratch's
+// pass arenas for the over-arch and the SPTT re-layings), the bucket
+// payloads encoded into buffers of their own and the parameter lists built
+// once took them to ≈ 5.4 and 23.1 MB, ≈ 1 910 and 3 000 objects.
 func TestStepBytes(t *testing.T) {
+	if tensor.ArenaCheck {
+		t.Skip("under arenacheck every Reset drops the arena's memory, so every pass allocates it afresh")
+	}
 	const steps = 20
 	for _, sh := range []benchShape{
 		{name: "train_dense", features: 16, hot: 1, card: 128, d: 16,
 			topMLP: []int{256, 128}, pipeline: 1, wire: quant.FP16,
-			warmup: 24, maxBytes: 13.5e6},
+			warmup: 24, maxBytes: 6e6, maxAllocs: 2000},
 		{name: "train_embed", features: 32, hot: 4, card: 4096, d: 8,
 			topMLP: []int{32}, overlap: true, wire: quant.None,
-			servers: 2, cacheRows: 8192, warmup: 30, maxBytes: 34e6},
+			servers: 2, cacheRows: 8192, warmup: 30, maxBytes: 23.5e6, maxAllocs: 3100},
 	} {
 		t.Run(sh.name, func(t *testing.T) {
 			tr, gen := sh.setUp(t)
@@ -99,9 +109,47 @@ func TestStepBytes(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			perStep := float64(after.TotalAlloc-before.TotalAlloc) / steps
-			t.Logf("%s: %.2f MB per step", sh.name, perStep/1e6)
+			objects := float64(after.Mallocs-before.Mallocs) / steps
+			t.Logf("%s: %.2f MB and %.0f objects per step", sh.name, perStep/1e6, objects)
 			if perStep > sh.maxBytes {
 				t.Errorf("%s: a steady-state step allocates %.2f MB, want ≤ %.2f MB", sh.name, perStep/1e6, sh.maxBytes/1e6)
+			}
+			if objects > sh.maxAllocs {
+				t.Errorf("%s: a steady-state step allocates %.0f objects, want ≤ %.0f", sh.name, objects, sh.maxAllocs)
+			}
+		})
+	}
+}
+
+// BenchmarkHotpathTrainStep times one rank-parallel training step at the
+// benchmark's train_dense and train_embed shapes, TestStepBytes' copies,
+// after their warm-ups: ns, bytes and objects per step (-benchmem). The
+// steps cycle over 32 steps' batches, generated before the timer starts.
+func BenchmarkHotpathTrainStep(b *testing.B) {
+	for _, sh := range []benchShape{
+		{name: "train_dense", features: 16, hot: 1, card: 128, d: 16,
+			topMLP: []int{256, 128}, pipeline: 1, wire: quant.FP16, warmup: 24},
+		{name: "train_embed", features: 32, hot: 4, card: 4096, d: 8,
+			topMLP: []int{32}, overlap: true, wire: quant.None,
+			servers: 2, cacheRows: 8192, warmup: 30},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			tr, gen := sh.setUp(b)
+			defer tr.Close()
+			batches := make([][]*data.Batch, 32)
+			for s := range batches {
+				batches[s] = make([]*data.Batch, benchG)
+				for r := range batches[s] {
+					batches[s][r] = gen.Batch((s*benchG+r)*benchBatch, benchBatch)
+				}
+			}
+			for s := 0; s < sh.warmup; s++ {
+				tr.Step(batches[s%len(batches)])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.Step(batches[i%len(batches)])
 			}
 		})
 	}

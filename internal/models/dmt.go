@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"slices"
 
 	"dmt/internal/data"
 	"dmt/internal/nn"
@@ -80,8 +81,21 @@ type DMTDLRM struct {
 	Interaction *nn.DotInteraction
 	Top         *nn.MLP
 
-	tape        nn.Tape // the training pass's, staged calls included
+	// tape is the training pass's, staged calls included. Its arena is
+	// arena, reset at the pass's start (Forward, ForwardBottom), so a
+	// steady-state pass takes nothing from the heap. From ForwardDenseFrom
+	// to BackwardTop it is lent, an arena of tensor.Scratch: that pass waits
+	// on nothing, so the arena goes back as soon as it ends and the next
+	// rank's pass reuses it. It is the bulk of a step's dense tensors (at
+	// the train_dense benchmark's shape ≈ 400 KB of a rank's ≈ 500 KB), and
+	// every byte an arena keeps is live heap, which the collector's pacing
+	// doubles in RSS.
+	tape        nn.Tape
+	arena, lent *tensor.Arena
 	sparseGrads []*nn.SparseGrad
+
+	// The parameter lists, built once by NewDMTDLRMSharing.
+	overArchPs, bottomPs, densePs []*nn.Param
 }
 
 // NewDMTDLRM builds the model.
@@ -110,8 +124,9 @@ func NewDMTDLRMSharing(cfg DMTDLRMConfig, embs []*nn.EmbeddingBag) *DMTDLRM {
 		Embs:        embs,
 		Bottom:      nn.NewMLP(r.Split(1), cfg.Schema.NumDense, cfg.BottomMLP, true, "bottom"),
 		Interaction: &nn.DotInteraction{},
-		tape:        nn.Tape{Record: true},
+		arena:       new(tensor.Arena),
 	}
+	m.tape = nn.Tape{Arena: m.arena, Record: true}
 	totalDerived := 0
 	for t, feats := range cfg.Towers {
 		tm := towers.NewDLRMTower(r.Split(uint64(10+t)), len(feats), cfg.N, cfg.C, cfg.P, cfg.D,
@@ -123,6 +138,12 @@ func NewDMTDLRMSharing(cfg DMTDLRMConfig, embs []*nn.EmbeddingBag) *DMTDLRM {
 	}
 	topIn := cfg.D + m.Interaction.OutDim(totalDerived+1)
 	m.Top = nn.NewMLP(r.Split(2), topIn, append(append([]int(nil), cfg.TopMLP...), 1), false, "top")
+	m.bottomPs = m.Bottom.Params()
+	m.overArchPs = nn.CollectParams(m.Bottom, m.Top)
+	m.densePs = slices.Clone(m.overArchPs)
+	for _, tm := range m.TMs {
+		m.densePs = append(m.densePs, tm.Params()...)
+	}
 	return m
 }
 
@@ -152,10 +173,14 @@ func (m *DMTDLRM) Name() string { return fmt.Sprintf("DMT %dT-DLRM", len(m.cfg.T
 
 // Forward computes logits: the bottom MLP, the embeddings and tower
 // modules (hierarchical interaction level 1: per-tower compression), then
-// the over-arch a distributed rank runs in ForwardDenseFrom.
+// the over-arch a distributed rank runs in ForwardDenseFrom. The logits
+// live in the model's training arena: valid until the next Forward or
+// ForwardBottom.
+//
+//dmt:transient-result
 func (m *DMTDLRM) Forward(b *data.Batch) *tensor.Tensor {
-	m.tape.Reset()
-	return m.forward(&m.tape, nil, b, PredictOptions{}).Reshape(b.Size)
+	m.startPass()
+	return m.tape.Reshape(m.forward(&m.tape, nil, b, PredictOptions{}), b.Size)
 }
 
 // forward is the one forward body, behind Forward and Predict: (B, 1)
@@ -168,10 +193,18 @@ func (m *DMTDLRM) forward(t *nn.Tape, sc *predictScratch, b *data.Batch, opt Pre
 
 // overArch is the global interaction and the top MLP over flat, the dense
 // embedding followed by the tower outputs (B, D + Σ O_t): (B, 1) logits.
+// The top MLP's input is the dense embedding beside the interaction's
+// pairs, which the interaction writes in place.
 func (m *DMTDLRM) overArch(t *nn.Tape, denseEmb, flat *tensor.Tensor) *tensor.Tensor {
 	b, d := flat.Dim(0), m.cfg.D
-	z := m.Interaction.Forward(t, t.Reshape(flat, b, flat.Dim(1)/d, d))
-	return m.Top.Forward(t, t.Concat(1, denseEmb, z))
+	x := t.Reshape(flat, b, flat.Dim(1)/d, d)
+	top := t.New(b, d+m.Interaction.OutDim(x.Dim(1)))
+	w := top.Dim(1)
+	for r := range b {
+		copy(top.Data()[r*w:r*w+d], denseEmb.Row(r))
+	}
+	m.Interaction.ForwardInto(t, top, d, x)
+	return m.Top.Forward(t, top)
 }
 
 // Backward propagates logit gradients: BackwardTop (the over-arch, as on a
@@ -187,7 +220,10 @@ func (m *DMTDLRM) Backward(dLogits *tensor.Tensor) {
 // features (B, NumDense) and the already-compressed tower outputs
 // (B, Σ O_t) — as produced by the distributed SPTT dataflow — it computes
 // logits. Together with BackwardDense this is the per-rank replica's share
-// of a distributed DMT training step (package distributed).
+// of a distributed DMT training step (package distributed). It starts a
+// pass, as ForwardBottom does; the logits are valid until BackwardTop.
+//
+//dmt:transient-result
 func (m *DMTDLRM) ForwardDense(dense, compressed *tensor.Tensor) *tensor.Tensor {
 	return m.ForwardDenseFrom(m.ForwardBottom(dense), compressed)
 }
@@ -196,22 +232,61 @@ func (m *DMTDLRM) ForwardDense(dense, compressed *tensor.Tensor) *tensor.Tensor 
 // no dependency on the embedding dataflow, which is what lets the
 // overlapped distributed schedule run it while the SPTT peer AlltoAll is
 // still in flight.
+//
+// ForwardBottom starts a pass, the rank's step: it resets the model's
+// training arena. The staged calls' results live in the model's arenas:
+// ForwardBottom's and BackwardTop's dense-embedding gradient until the next
+// ForwardBottom or Forward, and ForwardDenseFrom's and ForwardDense's
+// logits until BackwardTop; a caller must not keep one past that.
+// BackwardTop's compressed-output gradient is the caller's.
+//
+//dmt:transient-result
 func (m *DMTDLRM) ForwardBottom(dense *tensor.Tensor) *tensor.Tensor {
-	m.tape.Reset()
+	m.startPass()
 	return m.Bottom.Forward(&m.tape, dense)
+}
+
+// startPass starts a pass on the model's own arena, handing back an
+// over-arch arena a pass left open.
+func (m *DMTDLRM) startPass() {
+	m.endOverArch()
+	m.tape.Reset()
+}
+
+// endOverArch hands the lent over-arch arena back, if one is lent, and puts
+// the tape back on the model's own arena.
+func (m *DMTDLRM) endOverArch() {
+	if m.lent != nil {
+		m.tape.Arena = m.arena
+		tensor.Scratch.Put(m.lent)
+		m.lent = nil
+	}
 }
 
 // ForwardDenseFrom is ForwardDense with the bottom-MLP activation already
 // computed (by ForwardBottom, which started the pass): interaction over the
-// dense embedding and the compressed tower outputs, then the top MLP.
+// dense embedding and the compressed tower outputs, then the top MLP. Its
+// tensors come from an arena lent until BackwardTop; the (B) logits are
+// valid until then.
+//
+//dmt:transient-result
 func (m *DMTDLRM) ForwardDenseFrom(denseEmb, compressed *tensor.Tensor) *tensor.Tensor {
-	return m.overArch(&m.tape, denseEmb, tensor.Concat(1, denseEmb, compressed)).Reshape(denseEmb.Dim(0))
+	if m.lent == nil {
+		m.lent = tensor.Scratch.Get()
+		m.tape.Arena = m.lent
+	}
+	t := &m.tape
+	return t.Reshape(m.overArch(t, denseEmb, t.Concat(1, denseEmb, compressed)), denseEmb.Dim(0))
 }
 
 // BackwardDense reverses ForwardDense: it accumulates bottom/top gradients
 // and returns the gradient of the compressed tower outputs (B, Σ O_t),
 // which the distributed trainer feeds back through SPTT (where the tower
-// modules and embedding tables receive their gradients).
+// modules and embedding tables receive their gradients). The gradient is
+// the caller's, as BackwardTop's is; it carries BackwardTop's directive,
+// whose results it passes on.
+//
+//dmt:transient-result
 func (m *DMTDLRM) BackwardDense(dLogits *tensor.Tensor) *tensor.Tensor {
 	dCompressed, dDenseEmb := m.BackwardTop(dLogits)
 	m.BackwardBottom(dDenseEmb)
@@ -222,16 +297,33 @@ func (m *DMTDLRM) BackwardDense(dLogits *tensor.Tensor) *tensor.Tensor {
 // interaction. After it returns, every top-MLP gradient is final (the
 // overlapped schedule launches their AllReduce buckets here) while
 // BottomParams gradients are still pending BackwardBottom. It returns the
-// gradient of the compressed tower outputs and of the bottom-MLP output.
+// gradient of the compressed tower outputs, the caller's, and of the
+// bottom-MLP output, valid until the next ForwardBottom. The interaction
+// reads its columns of the top MLP's input gradient in place, and the
+// dense embedding's two gradient paths are summed straight out of both
+// gradients' column blocks into the model's own arena, after which the
+// over-arch pass's arena goes back.
+//
+//dmt:transient-result
 func (m *DMTDLRM) BackwardTop(dLogits *tensor.Tensor) (dCompressed, dDenseEmb *tensor.Tensor) {
+	t := &m.tape
 	b, d := dLogits.Len(), m.cfg.D
-	dTop := m.Top.Backward(&m.tape, dLogits.Reshape(b, 1))
-	parts := tensor.SplitCols(dTop, []int{d, dTop.Dim(1) - d})
-	dDenseDirect, dZ := parts[0], parts[1]
-	dX := m.Interaction.Backward(&m.tape, dZ)
-	dFlat := dX.Reshape(b, dX.Dim(1)*d)
-	blocks := tensor.SplitCols(dFlat, []int{d, dFlat.Dim(1) - d})
-	return blocks[1], tensor.Add(blocks[0], dDenseDirect)
+	dTop := m.Top.Backward(t, t.Reshape(dLogits, b, 1)) // (B, D + pairs)
+	dX := m.Interaction.BackwardFrom(t, dTop, d)        // (B, K, D)
+	fw := dX.Dim(1) * d
+	// The dataflow re-lays dCompressed into its per-tower blocks at once,
+	// so it is the heap's, and the arena does not keep it between steps.
+	dDenseEmb, dCompressed = m.arena.New(b, d), tensor.New(b, fw-d)
+	tw := dTop.Dim(1)
+	dst, top, flat := dDenseEmb.Data(), dTop.Data(), dX.Data()
+	for r := range b {
+		for j := range d {
+			dst[r*d+j] = flat[r*fw+j] + top[r*tw+j]
+		}
+		copy(dCompressed.Row(r), flat[r*fw+d:(r+1)*fw])
+	}
+	m.endOverArch()
+	return dCompressed, dDenseEmb
 }
 
 // BackwardBottom finishes the dense backward through the bottom MLP,
@@ -245,20 +337,17 @@ func (m *DMTDLRM) BackwardBottom(dDenseEmb *tensor.Tensor) {
 // synchronizes globally, while tower modules synchronize intra-host (§3.2).
 // The order is BottomParams followed by the top MLP's; the distributed
 // trainer's error-feedback residuals and gradient buckets index into it.
-func (m *DMTDLRM) OverArchParams() []*nn.Param { return nn.CollectParams(m.Bottom, m.Top) }
+// The list is built once and shared by every call: read-only.
+func (m *DMTDLRM) OverArchParams() []*nn.Param { return m.overArchPs }
 
 // BottomParams returns the bottom MLP's parameters — the over-arch share
-// whose gradients become final only after BackwardBottom.
-func (m *DMTDLRM) BottomParams() []*nn.Param { return nn.CollectParams(m.Bottom) }
+// whose gradients become final only after BackwardBottom. The list is
+// built once and shared by every call: read-only.
+func (m *DMTDLRM) BottomParams() []*nn.Param { return m.bottomPs }
 
-// DenseParams returns MLP and tower-module parameters.
-func (m *DMTDLRM) DenseParams() []*nn.Param {
-	ps := nn.CollectParams(m.Bottom, m.Top)
-	for _, tm := range m.TMs {
-		ps = append(ps, tm.Params()...)
-	}
-	return ps
-}
+// DenseParams returns MLP and tower-module parameters. The list is built
+// once and shared by every call: read-only.
+func (m *DMTDLRM) DenseParams() []*nn.Param { return m.densePs }
 
 // Embeddings returns the tables.
 func (m *DMTDLRM) Embeddings() []*nn.EmbeddingBag { return m.Embs }

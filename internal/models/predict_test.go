@@ -51,6 +51,9 @@ func allocsPerCall(runs int, f func()) uint64 {
 // runs on the calling goroutine. Under -race, where sync.Pool drops a share
 // of the scratch put back, it keeps the older bound of 224.
 func TestDMTDLRMPredictAllocs(t *testing.T) {
+	if tensor.ArenaCheck {
+		t.Skip("under arenacheck every Reset drops the arena's memory, so every pass allocates it afresh")
+	}
 	cfg := data.CriteoLike(1)
 	m := servingDMTDLRM(cfg)
 	b := data.NewGenerator(cfg).Batch(0, 32)

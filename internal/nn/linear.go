@@ -13,16 +13,20 @@ type Linear struct {
 	In, Out int
 	W       *Param // (Out, In)
 	B       *Param // (Out)
+
+	params []*Param // Params' list, built by NewLinear
 }
 
 // NewLinear creates a Linear layer with Xavier-uniform weights and zero bias.
 func NewLinear(r *tensor.RNG, in, out int, name string) *Linear {
-	return &Linear{
+	l := &Linear{
 		In:  in,
 		Out: out,
 		W:   NewParam(name+".W", tensor.XavierUniform(r, in, out, out, in)),
 		B:   NewParam(name+".B", tensor.New(out)),
 	}
+	l.params = []*Param{l.W, l.B}
+	return l
 }
 
 // Forward computes y = x Wᵀ + b for x of shape (batch, In), recording x.
@@ -38,18 +42,24 @@ func (l *Linear) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward consumes dY (batch, Out), accumulates dW and dB, and returns
-// dX (batch, In).
+// dX (batch, In), taken from the tape's arena.
 func (l *Linear) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	x := t.pop(l).x
 	// dW += dYᵀ · X and dB += Σ dY, straight into the gradients.
 	tensor.AddMatMulAT(l.W.Grad, dy, x)
 	tensor.AddSumRows(l.B.Grad, dy)
 	// dX = dY · W.
-	return tensor.MatMul(dy, l.W.Value)
+	return t.MatMul(dy, l.W.Value)
 }
 
-// Params returns the layer's parameters.
-func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
+// Params returns the layer's parameters, W then B. The list built by
+// NewLinear is shared by every call and read-only.
+func (l *Linear) Params() []*Param {
+	if l.params != nil {
+		return l.params
+	}
+	return []*Param{l.W, l.B}
+}
 
 // MLP is a stack of Linear layers with ReLU between them, and optionally a
 // ReLU after the final layer (DLRM's bottom MLP ends in ReLU; the top MLP
@@ -60,6 +70,8 @@ func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 type MLP struct {
 	Layers    []*Linear
 	FinalReLU bool
+
+	params []*Param // Params' list, built by NewMLP
 }
 
 // NewMLP builds an MLP mapping in -> sizes[0] -> ... -> sizes[len-1].
@@ -70,6 +82,7 @@ func NewMLP(r *tensor.RNG, in int, sizes []int, finalReLU bool, name string) *ML
 		m.Layers = append(m.Layers, NewLinear(r, prev, s, fmt.Sprintf("%s.%d", name, i)))
 		prev = s
 	}
+	m.params = m.collect()
 	return m
 }
 
@@ -92,13 +105,16 @@ func (m *MLP) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward reverses the stack. The final ReLU gates a copy of dy, which is
-// the caller's; every other gate overwrites a Linear's fresh dX.
+// the caller's; every other gate overwrites a Linear's fresh dX. Every
+// tensor it makes comes from the tape's arena.
 func (m *MLP) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		if m.relu(i) {
 			y := t.pop(m).y
 			if i == len(m.Layers)-1 {
-				dy = dy.Clone()
+				c := t.New(dy.Shape()...)
+				c.CopyFrom(dy)
+				dy = c
 			}
 			tensor.ReLUGate(dy, y)
 		}
@@ -107,8 +123,17 @@ func (m *MLP) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	return dy
 }
 
-// Params returns all layer parameters.
+// Params returns all layer parameters, layer by layer. The list built by
+// NewMLP is shared by every call and read-only.
 func (m *MLP) Params() []*Param {
+	if m.params != nil {
+		return m.params
+	}
+	return m.collect()
+}
+
+// collect builds the parameter list.
+func (m *MLP) collect() []*Param {
 	var ps []*Param
 	for _, l := range m.Layers {
 		ps = append(ps, l.Params()...)

@@ -74,6 +74,13 @@ func CollectParams(ms ...Module) []*Param {
 // means the heap) and, when Record is set, the stack of what each layer's
 // Backward needs. The zero Tape takes from the heap and records nothing. A
 // Tape is not safe for concurrent use.
+//
+// Every tensor a layer's Forward or Backward returns on a tape with an
+// arena, activations, input gradients and the records' views alike, lives
+// in that arena: it is valid until the arena is reset (Reset here, or by
+// whoever lends the tape its arena), and the next pass may then overwrite
+// it. A caller that needs one longer copies it out. Parameter gradients
+// are the layers' own and are only ever added into.
 type Tape struct {
 	*tensor.Arena // New, Reshape and Concat take from it
 	Record        bool

@@ -334,6 +334,9 @@ func (e *EmbeddingBag) Forward(t *Tape, indices, offsets []int32) *tensor.Tensor
 // served one pass: the output comes from the arena and the vector
 // routine's packed panel stays on the stack.
 func TestDotInteractionForwardAllocs(t *testing.T) {
+	if tensor.ArenaCheck {
+		t.Skip("under arenacheck every Reset drops the arena's memory, so every pass allocates it afresh")
+	}
 	x := tensor.RandN(tensor.NewRNG(13), 1, 32, 9, 128)
 	di := &DotInteraction{}
 	tp := &Tape{Arena: &tensor.Arena{}, Record: true}
@@ -344,5 +347,19 @@ func TestDotInteractionForwardAllocs(t *testing.T) {
 	pass()
 	if n := testing.AllocsPerRun(50, pass); n != 0 {
 		t.Errorf("DotInteraction.Forward on an arena tape allocates %v times", n)
+	}
+}
+
+// TestParamListsAllocateNothing pins Linear's and MLP's Params at zero
+// allocations: NewLinear and NewMLP build the lists once.
+func TestParamListsAllocateNothing(t *testing.T) {
+	r := tensor.NewRNG(4)
+	l := NewLinear(r, 3, 2, "l")
+	m := NewMLP(r, 3, []int{4, 2}, true, "m")
+	if n := testing.AllocsPerRun(50, func() { l.Params(); m.Params() }); n != 0 {
+		t.Errorf("Params allocates %v times", n)
+	}
+	if ps := m.Params(); len(ps) != 4 || ps[0] != m.Layers[0].W || ps[3] != m.Layers[1].B {
+		t.Errorf("MLP.Params lists %d parameters out of layer order", len(ps))
 	}
 }

@@ -180,6 +180,32 @@ func linearLevels(s Scheme) float64 {
 // that never Release simply leave the value to the garbage collector.
 func Encode(s Scheme, t *tensor.Tensor) *Encoded {
 	e := getEncoded(s, t.Len())
+	encode(e, s, t)
+	return e
+}
+
+// EncodeTo is Encode into e, a payload the caller owns and reuses: its
+// buffers are sized to exactly this payload the first time and reused by
+// later encodes of the same size, so a caller that encodes the same tensors
+// every step allocates nothing after the first and keeps no size-class
+// slack. e must not come from Encode or EncodeResidual (a zero Encoded
+// will do); Retain and Release do nothing to it, and the caller must not
+// encode into it again while a receiver may still read it.
+func EncodeTo(e *Encoded, s Scheme, t *tensor.Tensor) {
+	e.owned(s)
+	encode(e, s, t)
+}
+
+// owned readies e, a caller's payload, for an encode under s.
+func (e *Encoded) owned(s Scheme) {
+	if e.pooled {
+		panic("quant: encoding into a pooled payload")
+	}
+	e.scheme = s
+}
+
+// encode is Encode's body, into e.
+func encode(e *Encoded, s Scheme, t *tensor.Tensor) {
 	if s != None {
 		e.shape = append(e.shape[:0], t.Shape()...)
 	}
@@ -187,12 +213,12 @@ func Encode(s Scheme, t *tensor.Tensor) *Encoded {
 	case None:
 		e.raw = t
 	case FP16:
-		e.f16 = grow(e.f16, t.Len(), e.classLen())
+		e.f16 = grow(e.f16, t.Len(), e.bufLen(t.Len()))
 		encodeHalves(e.f16[:t.Len()], t.Data())
 	case INT8, INT4:
 		e.rows, e.width = linearGeometry(t)
-		e.scales = grow(e.scales, e.rows, rowsCap(e.rows))
-		e.q = grow(e.q, t.Len(), e.classLen())
+		e.scales = grow(e.scales, e.rows, e.bufLen(e.rows))
+		e.q = grow(e.q, t.Len(), e.bufLen(t.Len()))
 		levels := linearLevels(s)
 		for r := 0; r < e.rows; r++ {
 			src := t.Data()[r*e.width : (r+1)*e.width]
@@ -201,13 +227,12 @@ func Encode(s Scheme, t *tensor.Tensor) *Encoded {
 		if s == INT4 {
 			// Pack signed nibbles biased by +8 (values -7..7 -> 1..15);
 			// e.q stays behind as pooled scratch, the wire is nib+scales.
-			e.nib = grow(e.nib, (t.Len()+1)/2, (e.classLen()+1)/2)
+			e.nib = grow(e.nib, (t.Len()+1)/2, (e.bufLen(t.Len())+1)/2)
 			packNibbles(e.q, e.nib)
 		}
 	default:
 		panic("quant: cannot encode unknown scheme " + s.String())
 	}
-	return e
 }
 
 // quantizeRow symmetric-linearly quantizes one row into q and returns its

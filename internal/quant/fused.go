@@ -25,17 +25,35 @@ import (
 // untouched. The float32 operations and their order are exactly those of the
 // unfused composition, so training trajectories do not move by a bit.
 func EncodeResidual(s Scheme, g, r *tensor.Tensor) *Encoded {
+	e := getEncoded(s, g.Len())
+	encodeResidual(e, s, g, r)
+	return e
+}
+
+// EncodeResidualTo is EncodeResidual into e, a payload the caller owns and
+// reuses, as EncodeTo is Encode: buffers sized exactly once, no size-class
+// slack, and under None the same snapshot tensor every call once its size
+// is set.
+func EncodeResidualTo(e *Encoded, s Scheme, g, r *tensor.Tensor) {
+	e.owned(s)
+	encodeResidual(e, s, g, r)
+}
+
+// encodeResidual is EncodeResidual's body, into e.
+func encodeResidual(e *Encoded, s Scheme, g, r *tensor.Tensor) {
 	if g.Len() != r.Len() {
 		panic(fmt.Sprintf("quant: EncodeResidual size mismatch %d vs %d", g.Len(), r.Len()))
 	}
 	gd, rd := g.Data(), r.Data()
-	e := getEncoded(s, g.Len())
 	if s != None {
 		e.shape = append(e.shape[:0], g.Shape()...)
 	}
 	switch s {
 	case None:
-		v := tensor.New(g.Shape()...)
+		v := e.raw // a pooled payload's is nil: recycle drops it
+		if v == nil || !v.SameShape(g) {
+			v = tensor.New(g.Shape()...)
+		}
 		vd := v.Data()
 		for i := range gd {
 			vi := gd[i] + rd[i]
@@ -44,12 +62,12 @@ func EncodeResidual(s Scheme, g, r *tensor.Tensor) *Encoded {
 		}
 		e.raw = v
 	case FP16:
-		e.f16 = grow(e.f16, g.Len(), e.classLen())
+		e.f16 = grow(e.f16, g.Len(), e.bufLen(g.Len()))
 		encodeHalvesResidual(e.f16[:len(gd)], gd, rd)
 	case INT8, INT4:
 		e.rows, e.width = linearGeometry(g)
-		e.scales = grow(e.scales, e.rows, rowsCap(e.rows))
-		e.q = grow(e.q, g.Len(), e.classLen())
+		e.scales = grow(e.scales, e.rows, e.bufLen(e.rows))
+		e.q = grow(e.q, g.Len(), e.bufLen(g.Len()))
 		levels := linearLevels(s)
 		for row := 0; row < e.rows; row++ {
 			lo, hi := row*e.width, (row+1)*e.width
@@ -85,13 +103,12 @@ func EncodeResidual(s Scheme, g, r *tensor.Tensor) *Encoded {
 			}
 		}
 		if s == INT4 {
-			e.nib = grow(e.nib, (g.Len()+1)/2, (e.classLen()+1)/2)
+			e.nib = grow(e.nib, (g.Len()+1)/2, (e.bufLen(g.Len())+1)/2)
 			packNibbles(e.q, e.nib)
 		}
 	default:
 		panic("quant: cannot encode unknown scheme " + s.String())
 	}
-	return e
 }
 
 // DecodeInto reconstructs the payload into dst, overwriting every element —

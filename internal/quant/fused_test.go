@@ -300,3 +300,53 @@ func TestFusedCutsAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnedEncodeMatchesPooled pins EncodeTo and EncodeResidualTo, the
+// caller-owned payloads the trainer's gradient buckets encode into, to the
+// pooled Encode and EncodeResidual bit for bit (payload, residual, wire
+// bytes), with buffers of exactly the payload's size, Release a no-op, and
+// no allocation once the payload has been encoded once.
+func TestOwnedEncodeMatchesPooled(t *testing.T) {
+	for _, s := range Schemes() {
+		for ci, x := range fusedCases() {
+			r := tensor.NewRNG(uint64(31 + ci))
+			resP := tensor.RandUniform(r, -0.01, 0.01, x.Shape()...)
+			resO := resP.Clone()
+			var own, ownRes Encoded
+			EncodeTo(&own, s, x)
+			EncodeResidualTo(&ownRes, s, x, resO)
+			pooled, pooledRes := Encode(s, x), EncodeResidual(s, x, resP)
+			for _, c := range []struct {
+				name      string
+				got, want *Encoded
+			}{{"EncodeTo", &own, pooled}, {"EncodeResidualTo", &ownRes, pooledRes}} {
+				if !bitsEqual(c.got.Decode(), c.want.Decode()) || c.got.WireBytes() != c.want.WireBytes() {
+					t.Fatalf("%s case %d: %s differs from the pooled payload", s, ci, c.name)
+				}
+				for _, n := range []struct{ cap, len int }{
+					{cap(c.got.f16), len(c.got.f16)}, {cap(c.got.q), len(c.got.q)},
+					{cap(c.got.nib), len(c.got.nib)}, {cap(c.got.scales), len(c.got.scales)},
+				} {
+					if n.cap != n.len {
+						t.Fatalf("%s case %d: %s buffer holds %d for a payload of %d", s, ci, c.name, n.cap, n.len)
+					}
+				}
+			}
+			if !bitsEqual(resO, resP) {
+				t.Fatalf("%s case %d: EncodeResidualTo's residual differs from EncodeResidual's", s, ci)
+			}
+			own.Release() // a no-op: the payload is the caller's
+			if own.pooled || own.Decode() == nil {
+				t.Fatalf("%s case %d: Release touched an owned payload", s, ci)
+			}
+			pooled.Release()
+			pooledRes.Release()
+			if raceEnabled {
+				continue
+			}
+			if n := testing.AllocsPerRun(20, func() { EncodeResidualTo(&ownRes, s, x, resO) }); n != 0 {
+				t.Errorf("%s case %d: a repeated EncodeResidualTo allocates %v times", s, ci, n)
+			}
+		}
+	}
+}

@@ -77,17 +77,25 @@ func (e *Encoded) recycle() {
 	encodedPools[e.class].Put(e)
 }
 
-// classLen is the most elements any payload of e's size class holds.
-func (e *Encoded) classLen() int { return 1<<e.class - 1 }
+// bufLen is the capacity grow gives a buffer of n elements (or rows) of e.
+// A pooled payload's buffers take the most any payload of n's size class
+// needs, 2^bits.Len(n) − 1: for the elements that is the payload's own
+// class, and the per-row scales, one per row and 8 bytes each, take their
+// row count's. A caller's own payload (EncodeTo) encodes the same tensors
+// every time, so its buffers take exactly n.
+func (e *Encoded) bufLen(n int) int {
+	if !e.pooled {
+		return n
+	}
+	return 1<<bits.Len(uint(n)) - 1
+}
 
 // grow returns s resized to n elements, reusing capacity when it suffices.
-// When it must allocate, it allocates capacity c: the most its buffer needs
-// for any payload of the Encoded's size class (classLen, or half of it for
-// packed nibbles), not n. Payloads of several sizes share a class (the row
-// segments of one bucket, say), and a buffer sized to the first payload
-// that drew it would grow again each time a larger one did, until every
-// pooled buffer had met the largest. The per-row scales, one per row and 8
-// bytes each, are sized to their row count's class instead. Contents are
+// When it must allocate, it allocates capacity c, the Encoded's bufLen (or
+// half of it for packed nibbles), not n. Payloads of several sizes share a
+// pooled class (the row segments of one bucket, say), and a buffer sized
+// to the first payload that drew it would grow again each time a larger
+// one did, until every pooled buffer had met the largest. Contents are
 // unspecified: callers must overwrite (or explicitly zero) every element,
 // since a recycled buffer carries stale values where a fresh make() would
 // carry zeros.
@@ -97,6 +105,3 @@ func grow[T any](s []T, n, c int) []T {
 	}
 	return make([]T, n, max(n, c))
 }
-
-// rowsCap is the capacity grow gives a scales buffer for rows rows.
-func rowsCap(rows int) int { return 1<<bits.Len(uint(rows)) - 1 }

@@ -178,12 +178,14 @@ func (e *Engine) forward(inputs []*Inputs, fl flow, cm Comms) ([]*tensor.Tensor,
 
 	u := e.run(cm.Net, func(c, hostC, peerC *comm.Comm) {
 		rank := c.Rank()
-		ls, pooled := e.lookup(c, inputs[rank])
+		ls, pooled, scratch := e.lookup(c, inputs[rank])
 		st.lookups[rank] = ls
 		if fl.flat {
 			// To dst: my features' pooled rows for dst's local batch.
 			out := tensor.New(cfg.B, cfg.F(), cfg.N)
-			for src, blk := range c.AlltoAllTensors(e.pack(pooled, e.rankOrder, cfg.G)) {
+			chunks := e.pack(pooled, e.rankOrder, cfg.G)
+			tensor.Scratch.Put(scratch)
+			for src, blk := range c.AlltoAllTensors(chunks) {
 				e.scatter(out, blk, e.owned[src])
 			}
 			outs[rank] = out
@@ -193,7 +195,9 @@ func (e *Engine) forward(inputs []*Inputs, fl flow, cm Comms) ([]*tensor.Tensor,
 		// peer-class-j slice of each of my lookups. Back comes the tower's
 		// full feature set for my class, (F_t, T, B*N): one block per local
 		// rank in host order.
-		tower := hostC.AlltoAllTensors(e.pack(pooled, e.peerOrder, cfg.L))
+		chunks := e.pack(pooled, e.peerOrder, cfg.L)
+		tensor.Scratch.Put(scratch)
+		tower := hostC.AlltoAllTensors(chunks)
 		outs[rank] = e.exchange(peerC, rank, tower, fl, cm)
 	})
 	st.GlobalTraffic, st.HostTraffic, st.PeerTraffic = u.global, u.host, u.peer
@@ -257,7 +261,10 @@ func (e *Engine) SPTTBackward(st *SPTTState, dOuts []*tensor.Tensor) map[int]*nn
 // holds, for every feature it owns, the bags of the global batch in
 // source-rank order, then pool them. It returns the bags (the backward
 // pass's pooling input) and one pooled (G*B, N) tensor per owned feature.
-func (e *Engine) lookup(c *comm.Comm, in *Inputs) (*rankLookupState, []*tensor.Tensor) {
+// The pooled tensors live from pooling to packing, with no wait between,
+// so they come from a scratch arena, which lookup also returns: the caller
+// puts it back once it has packed them.
+func (e *Engine) lookup(c *comm.Comm, in *Inputs) (*rankLookupState, []*tensor.Tensor, *tensor.Arena) {
 	cfg := e.Cfg
 	rank := c.Rank()
 	chunks := make([][]int32, cfg.G)
@@ -297,11 +304,12 @@ func (e *Engine) lookup(c *comm.Comm, in *Inputs) (*rankLookupState, []*tensor.T
 	// remote stores count one round per client per phase (round symmetry),
 	// and an owner-less rank still participates.
 	rows := e.Tier.Client(rank).Lookup(reqs)
+	scratch := tensor.Scratch.Get()
 	pooled := make([]*tensor.Tensor, len(feats))
 	for i := range feats {
-		pooled[i] = poolRows(rows[i], st.offsets[i], cfg.N)
+		pooled[i] = poolRows(scratch, rows[i], st.offsets[i], cfg.N)
 	}
-	return st, pooled
+	return st, pooled, scratch
 }
 
 // pack builds the send chunks of an embedding AlltoAll over nDst
@@ -339,8 +347,11 @@ func (e *Engine) poolGrads(ls *rankLookupState, got []*tensor.Tensor, order []in
 	k := len(order) / len(got)
 	out := make([]*nn.SparseGrad, len(ls.features))
 	// One reassembly buffer serves every feature: the blocks of got cover
-	// all G source ranks, so each feature overwrites it completely.
-	dPooled := tensor.New(cfg.G*cfg.B, cfg.N)
+	// all G source ranks, so each feature overwrites it completely. It
+	// lives for this call alone, which waits on nothing: a scratch arena's.
+	scratch := tensor.Scratch.Get()
+	defer tensor.Scratch.Put(scratch)
+	dPooled := scratch.New(cfg.G*cfg.B, cfg.N)
 	for i, f := range ls.features {
 		for j, g := range got {
 			for kk := 0; kk < k; kk++ {
@@ -494,21 +505,28 @@ func (e *Engine) exchangeBackward(hostC, peerC *comm.Comm, rank int, dOut *tenso
 		}
 		chunks = tensor.SplitCols(dOut, widths)
 	}
-	d := tensor.Concat(0, stepF(peerC, st.comms.CrossHost, chunks, st.comms.BwdOverlap, rank)...)
-	if st.modules != nil {
-		// Tower module backward, (T*B, O_t) -> (T*B, F_t, N), then the
-		// intra-tower gradient reduction. The local gradient is cloned
-		// before the reduce: collectives share payloads by reference, and
-		// prm.Grad is overwritten with the reduced value while peers may
-		// still be reading it.
-		mod := st.modules[rank]
-		d = mod.Backward(d)
-		for _, prm := range mod.Params() {
-			prm.Grad.CopyFrom(hostC.AllReduceSum(prm.Grad.Clone()))
-		}
-		// Back to feature-major and reverse step (e) in one pass.
-		return fromPeerMajor(d, ft, T, B, N)
+	got := stepF(peerC, st.comms.CrossHost, chunks, st.comms.BwdOverlap, rank)
+	// The received blocks are re-laid, through the tower module if there is
+	// one, into the feature-major result with no wait between: a scratch
+	// arena's pass.
+	scratch := tensor.Scratch.Get()
+	d := scratch.Concat(0, got...)
+	if st.modules == nil {
+		// Reverse step (e): (peers, features) -> (features, peers).
+		out := fromPeerMajor(d, ft, T, 1, B*N)
+		tensor.Scratch.Put(scratch)
+		return out
 	}
-	// Reverse step (e): (peers, features) -> (features, peers).
-	return fromPeerMajor(d, ft, T, 1, B*N)
+	// Tower module backward, (T*B, O_t) -> (T*B, F_t, N), back to
+	// feature-major and reverse step (e) in one pass, then the intra-tower
+	// gradient reduction. The local gradient is cloned before the reduce:
+	// collectives share payloads by reference, and prm.Grad is overwritten
+	// with the reduced value while peers may still be reading it.
+	mod := st.modules[rank]
+	out := fromPeerMajor(mod.Backward(d), ft, T, B, N)
+	tensor.Scratch.Put(scratch)
+	for _, prm := range mod.Params() {
+		prm.Grad.CopyFrom(hostC.AllReduceSum(prm.Grad.Clone()))
+	}
+	return out
 }

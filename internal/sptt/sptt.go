@@ -278,9 +278,9 @@ func decodeBags(payload []int32, nFeatures, b int) (indices [][]int32, offsets [
 // The float additions run in exactly the order the former direct-table
 // kernel used, so pooling store-gathered rows is bitwise identical to
 // pooling table rows in place.
-func poolRows(rows *tensor.Tensor, offsets []int32, dim int) *tensor.Tensor {
+func poolRows(a *tensor.Arena, rows *tensor.Tensor, offsets []int32, dim int) *tensor.Tensor {
 	b := len(offsets)
-	out := tensor.New(b, dim)
+	out := a.New(b, dim)
 	for s := 0; s < b; s++ {
 		lo, hi := nn.BagBounds(offsets, s, rows.Dim(0))
 		dst := out.Row(s)

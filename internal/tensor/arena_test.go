@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestArenaReuse checks that an arena's tensors are zeroed however dirty
 // their memory was, keep their data while later tensors grow the arena
@@ -85,5 +88,105 @@ func TestMatMulBTIntoAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, func() { MatMulBTInto(out, a, b) }); n != 0 {
 		t.Errorf("MatMulBTInto allocates %v times", n)
+	}
+}
+
+// TestArenaSizesChunksExactly checks the sizing a Reset does after a pass
+// that spilled: the chunks past the first become one of exactly the spill,
+// a repeated pass fits it with nothing allocated, a smaller one changes
+// nothing, and a larger one resizes it to the larger spill.
+func TestArenaSizesChunksExactly(t *testing.T) {
+	var a Arena
+	pass := func(sizes ...int) {
+		a.Reset()
+		for _, n := range sizes {
+			a.New(n)
+		}
+	}
+	pass(100, minArenaChunk, 3*minArenaChunk) // spills 4·minArenaChunk past chunks[0]
+	pass(100, minArenaChunk, 3*minArenaChunk)
+	if len(a.chunks) != 2 || len(a.chunks[1]) != 4*minArenaChunk {
+		t.Fatalf("after a spilling pass the arena holds %d chunks, the second of %d, want 2 and %d", len(a.chunks), len(a.chunks[1]), 4*minArenaChunk)
+	}
+	if n := testing.AllocsPerRun(20, func() { pass(100, minArenaChunk, 3*minArenaChunk) }); n != 0 {
+		t.Errorf("a repeated pass over an exactly sized arena allocates %v times", n)
+	}
+	pass(minArenaChunk)
+	pass(minArenaChunk)
+	if len(a.chunks[1]) != 4*minArenaChunk {
+		t.Errorf("a smaller pass resized the spill chunk to %d", len(a.chunks[1]))
+	}
+	pass(100, 5*minArenaChunk, 2*minArenaChunk)
+	pass(100)
+	if len(a.chunks) != 2 || len(a.chunks[1]) != 7*minArenaChunk {
+		t.Errorf("after a larger spill the arena holds %d chunks, the second of %d, want 2 and %d", len(a.chunks), len(a.chunks[1]), 7*minArenaChunk)
+	}
+}
+
+// TestArenaRewindAndViews checks Rewind and DropViews against Reset: Rewind
+// reuses the data from the start while every header keeps its shape and is
+// not handed out again; DropViews lets a view of memory the arena does not
+// hold let go of it and keeps views of the arena's own memory; Reset lets
+// go of every view.
+func TestArenaRewindAndViews(t *testing.T) {
+	var a Arena
+	input := Full(3, 4, 6)
+	view := a.Reshape(input, 6, 4)
+	first := a.New(2, 3)
+	a.Rewind()
+	again := a.New(2, 3)
+	if &again.Data()[0] != &first.Data()[0] {
+		t.Error("after Rewind the first tensor does not reuse the first tensor's memory")
+	}
+	if again == view || again == first || view.Dim(0) != 6 || &view.Data()[0] != &input.Data()[0] {
+		t.Error("Rewind handed out a header in use or changed a view")
+	}
+	a.DropViews()
+	if view.Data() != nil || len(again.Data()) != 6 {
+		t.Errorf("DropViews left the input view with %d elements and the arena's own tensor with %d", len(view.Data()), len(again.Data()))
+	}
+	own := a.Reshape(again, 3, 2)
+	a.Reset()
+	if own.Data() != nil {
+		t.Error("Reset left a header holding data")
+	}
+}
+
+// TestArenaPoolKeepsGOMAXPROCS checks that an ArenaPool lends its most
+// recently returned arena, reset, and keeps at most GOMAXPROCS arenas.
+func TestArenaPoolKeepsGOMAXPROCS(t *testing.T) {
+	var p ArenaPool
+	keep := runtime.GOMAXPROCS(0)
+	lent := make([]*Arena, keep+2)
+	for i := range lent {
+		lent[i] = p.Get()
+		lent[i].New(5)
+	}
+	for _, a := range lent {
+		p.Put(a)
+	}
+	if len(p.free) != keep {
+		t.Fatalf("the pool keeps %d arenas, want GOMAXPROCS = %d", len(p.free), keep)
+	}
+	a := p.Get()
+	if a != lent[keep-1] || a.nh != 0 || a.off != 0 {
+		t.Error("Get did not lend the most recently returned arena, reset")
+	}
+}
+
+// TestArenaMatMulAndCols holds the arena's MatMul and Cols to the heap's
+// MatMul and SplitCols, bit for bit, on dirty arena memory.
+func TestArenaMatMulAndCols(t *testing.T) {
+	r := NewRNG(8)
+	x, w := RandN(r, 1, 7, 5), RandN(r, 1, 5, 9)
+	var a Arena
+	copy(a.New(200).Data(), RandN(r, 1, 200).Data())
+	a.Reset()
+	if !a.MatMul(x, w).Equal(MatMul(x, w)) {
+		t.Error("Arena.MatMul differs from MatMul")
+	}
+	parts := SplitCols(w, []int{2, 4, 3})
+	if !a.Cols(w, 2, 6).Equal(parts[1]) {
+		t.Error("Arena.Cols differs from SplitCols")
 	}
 }

@@ -79,7 +79,7 @@ func BenchmarkHotpathReLUGate(b *testing.B) {
 }
 
 // BenchmarkHotpathPairwiseUpperGrad times the interaction backward at
-// train_dense's (64, 17, 16) input: PairwiseUpperGrad (the vector routine
+// train_dense's (64, 17, 16) input: Arena.PairwiseUpperGrad (the vector routine
 // the CPU selected) against the scalar loop over the same samples, in
 // MB/s of the dx it forms.
 func BenchmarkHotpathPairwiseUpperGrad(b *testing.B) {
@@ -98,7 +98,7 @@ func BenchmarkHotpathPairwiseUpperGrad(b *testing.B) {
 	for _, side := range []struct {
 		name string
 		run  func(x, dy *Tensor) *Tensor
-	}{{"scalar", scalar}, {"vector", PairwiseUpperGrad}} {
+	}{{"scalar", scalar}, {"vector", func(x, dy *Tensor) *Tensor { return (*Arena)(nil).PairwiseUpperGrad(x, dy, 0) }}} {
 		b.Run(side.name, func(b *testing.B) {
 			b.SetBytes(int64(4 * bs * f * n))
 			for i := 0; i < b.N; i++ {
@@ -111,7 +111,7 @@ func BenchmarkHotpathPairwiseUpperGrad(b *testing.B) {
 // BenchmarkHotpathPairwiseUpper times the interaction forward at the
 // serving batch's (32, 9, 128) input, the 9-vector global interaction of
 // the benchmark's DMT-DLRM at batch 32, and at train_dense's (64, 17, 16):
-// PairwiseUpperInto (the routine the CPU selected) against the scalar
+// PairwiseUpperIntoCols (the routine the CPU selected) against the scalar
 // loop, in MB/s of the x it reads.
 func BenchmarkHotpathPairwiseUpper(b *testing.B) {
 	r := NewRNG(5)
@@ -122,8 +122,8 @@ func BenchmarkHotpathPairwiseUpper(b *testing.B) {
 			name string
 			run  func(out, x *Tensor)
 		}{
-			{"scalar", func(out, x *Tensor) { pairDotRef(x.data, out.data, bs, f, n) }},
-			{"vector", PairwiseUpperInto},
+			{"scalar", func(out, x *Tensor) { pairDotRef(x.data, out.data, bs, f, n, f*(f-1)/2) }},
+			{"vector", func(out, x *Tensor) { PairwiseUpperIntoCols(out, 0, x) }},
 		} {
 			b.Run(fmt.Sprintf("%s/b=%d,f=%d,n=%d", side.name, bs, f, n), func(b *testing.B) {
 				b.SetBytes(int64(4 * bs * f * n))

@@ -356,16 +356,15 @@ func align32(buf []float32) []float32 {
 // holds; none of these sums is stored. Rows are taken in blocks whose sums,
 // with 3 pairs of slack, fit acc. The strict upper triangle goes back to
 // out 8 pairs × 8 samples at a time by transpose8, which lays it out as out
-// does. F > 253, where one row's sums do not fit acc, runs pairDotRef.
-func pairDotAVX2(x, out []float32, b, f, n int) {
+// does, sample rows os apart. F > 253, where one row's sums do not fit acc, runs pairDotRef.
+func pairDotAVX2(x, out []float32, b, f, n, os int) {
 	if 8*f+24 > pairAcc {
-		pairDotRef(x, out, b, f, n)
+		pairDotRef(x, out, b, f, n, os)
 		return
 	}
 	var panelBuf [pairPanel + 7]float32
 	var accBuf [pairAcc + 7]float32
 	panel, acc := align32(panelBuf[:]), align32(accBuf[:])
-	ow := f * (f - 1) / 2
 	for s0 := 0; s0 < b; s0 += 8 {
 		if b >= 8 {
 			s0 = min(s0, b-8)
@@ -405,11 +404,11 @@ func pairDotAVX2(x, out []float32, b, f, n int) {
 			}
 			k0, k := i0*(2*f-i0-1)/2, 0
 			for ; lanes == 8 && k+8 <= sums; k += 8 {
-				transpose8(&out[s0*ow+k0+k], &acc[k*8], 8, ow, 1)
+				transpose8(&out[s0*os+k0+k], &acc[k*8], 8, os, 1)
 			}
 			for l := range lanes {
 				for kk := k; kk < sums; kk++ {
-					out[(s0+l)*ow+k0+kk] = acc[kk*8+l]
+					out[(s0+l)*os+k0+kk] = acc[kk*8+l]
 				}
 			}
 		}

@@ -4,12 +4,15 @@ import "fmt"
 
 // MatMul returns a @ b for a of shape (m, k) and b of shape (k, n), on the
 // calling goroutine.
-func MatMul(a, b *Tensor) *Tensor {
+func MatMul(a, b *Tensor) *Tensor { return (*Arena)(nil).MatMul(a, b) }
+
+// MatMul is tensor.MatMul with the result taken from the arena.
+func (ar *Arena) MatMul(a, b *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[0] {
 		panic(fmt.Sprintf("tensor: MatMul shapes %v, %v", a.shape, b.shape))
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
-	out := New(m, n)
+	out := ar.New(m, n)
 	mulRows(a.data, b.data, out.data, k, n, k, 1, 0, m)
 	return out
 }
@@ -87,7 +90,7 @@ func atAddBlock(buf []float32, n int) (rows int, scratch []float32) {
 // with out[b,i,j] = <x[b,i,:], x[b,j,:]>, each the sum of the products
 // float32(x[b,i,p]·x[b,j,p]) in ascending p from +0. It is DLRM's
 // interaction with the diagonal and each pair mirrored: the strict upper
-// triangles come from the routine PairwiseUpperInto runs (no batched GEMM,
+// triangles come from the routine PairwiseUpperIntoCols runs (no batched GEMM,
 // but 8 samples to a vector where the CPU has AVX2), written to out's
 // front, and each sample's grid is then laid out from the last sample and
 // the last pair back. Every element lands past the place its pair is read
@@ -99,7 +102,7 @@ func BatchedPairwiseDot(x *Tensor) *Tensor {
 	b, f, n := x.shape[0], x.shape[1], x.shape[2]
 	out := New(b, f, f)
 	ow := f * (f - 1) / 2
-	pairDotVec(x.data, out.data[:b*ow], b, f, n)
+	pairDotVec(x.data, out.data[:b*ow], b, f, n, ow)
 	for s, k := b-1, b*ow; s >= 0; s-- {
 		xs, grid := x.data[s*f*n:][:f*n], out.data[s*f*f:][:f*f]
 		for i := f - 1; i >= 0; i-- {
@@ -118,32 +121,40 @@ func BatchedPairwiseDot(x *Tensor) *Tensor {
 	return out
 }
 
-// PairwiseUpperInto writes the pairwise-dot interaction's strict upper
-// triangle into out: for x of shape (B, F, N), out (B, F(F−1)/2) holds each
-// sample's pairs (i, j), i < j, in row-major order, each dot the sum of the
-// products float32(x[b,i,p]·x[b,j,p]) in ascending p from +0. Every element
-// of out is overwritten. It allocates nothing.
-func PairwiseUpperInto(out, x *Tensor) {
+// PairwiseUpperIntoCols writes the pairwise-dot interaction's strict upper
+// triangle into columns [col, col+F(F−1)/2) of out, (B, W): for x of shape
+// (B, F, N), row b's window holds sample b's pairs (i, j), i < j, in
+// row-major order, each dot the sum of the products float32(x[b,i,p]·
+// x[b,j,p]) in ascending p from +0. The window may be a wider tensor's (the
+// top MLP's input keeps one beside the dense embedding), so the pairs need
+// no copy into it; every element of it is overwritten and the other
+// columns are left as they are. It allocates nothing.
+func PairwiseUpperIntoCols(out *Tensor, col int, x *Tensor) {
 	if len(x.shape) != 3 || len(out.shape) != 2 || out.shape[0] != x.shape[0] ||
-		out.shape[1] != x.shape[1]*(x.shape[1]-1)/2 {
-		panic(fmt.Sprintf("tensor: PairwiseUpperInto shapes out %v, x %v", out.shape, x.shape))
+		col < 0 || col+x.shape[1]*(x.shape[1]-1)/2 > out.shape[1] {
+		panic(fmt.Sprintf("tensor: PairwiseUpperIntoCols shapes out %v at column %d, x %v", out.shape, col, x.shape))
 	}
-	pairDotVec(x.data, out.data, x.shape[0], x.shape[1], x.shape[2])
+	b, w := x.shape[0], out.shape[1]
+	if b == 0 {
+		return
+	}
+	pairDotVec(x.data, out.data[col:(b-1)*w+col+x.shape[1]*(x.shape[1]-1)/2], b, x.shape[1], x.shape[2], w)
 }
 
-// pairDotVec is the pairwise-dot routine under PairwiseUpperInto and
+// pairDotVec is the pairwise-dot routine under PairwiseUpperIntoCols and
 // BatchedPairwiseDot: pairDotRef, or the AVX2 routine init selects, which
 // forms every dot with the same float32 operations in the same order.
 var pairDotVec = pairDotRef
 
 // pairDotRef writes the strict upper triangle of the pairwise dots of the
-// b samples of x, (b, f, n), in row-major order into out (b, f(f−1)/2).
-// Each pass over x_i runs four dots: four independent add chains keep the
-// loop busy, where a single chain waits on every add. A group that runs
-// past the last row repeats that row and drops the extra sums.
-func pairDotRef(x, out []float32, b, f, n int) {
-	k := 0
+// b samples of x, (b, f, n), in row-major order into out, sample s's
+// f(f−1)/2 pairs from out[s·os]. Each pass over x_i runs four dots: four
+// independent add chains keep the loop busy, where a single chain waits on
+// every add. A group that runs past the last row repeats that row and drops
+// the extra sums.
+func pairDotRef(x, out []float32, b, f, n, os int) {
 	for s := range b {
+		k := s * os
 		xs := x[s*f*n : (s+1)*f*n]
 		for i := range f {
 			vi := xs[i*n : (i+1)*n]
@@ -167,29 +178,31 @@ func pairDotRef(x, out []float32, b, f, n int) {
 }
 
 // PairwiseUpperGrad is the backward of the pairwise-dot interaction's
-// strict upper triangle. For x of shape (B, F, N) and dy of shape
-// (B, F(F−1)/2), each sample's pairs (i, j), i < j, in row-major order, it
-// returns dx of shape (B, F, N) with dx[b,i,:] = Σ_{j≠i} dy[b,(i,j)]·x[b,j,:],
-// formed pair by pair in that order and skipping pairs whose gradient is
-// ±0.
-func PairwiseUpperGrad(x, dy *Tensor) *Tensor {
+// strict upper triangle, with dx taken from the arena. For x of shape
+// (B, F, N) and the pairs' gradient g read in place from columns [col,
+// col+F(F−1)/2) of dy, (B, W) (the interaction's window of a wider
+// gradient, so the window needs no copy out of it), each sample's pairs
+// (i, j), i < j, in row-major order, it returns dx of shape (B, F, N) with
+// dx[b,i,:] = Σ_{j≠i} g[b,(i,j)]·x[b,j,:], formed pair by pair in that
+// order and skipping pairs whose gradient is ±0.
+func (a *Arena) PairwiseUpperGrad(x, dy *Tensor, col int) *Tensor {
 	if len(x.shape) != 3 || len(dy.shape) != 2 || dy.shape[0] != x.shape[0] ||
-		dy.shape[1] != x.shape[1]*(x.shape[1]-1)/2 {
-		panic(fmt.Sprintf("tensor: PairwiseUpperGrad shapes x %v, dy %v", x.shape, dy.shape))
+		col < 0 || col+x.shape[1]*(x.shape[1]-1)/2 > dy.shape[1] {
+		panic(fmt.Sprintf("tensor: PairwiseUpperGrad shapes x %v, dy %v at column %d", x.shape, dy.shape, col))
 	}
 	b, f, n := x.shape[0], x.shape[1], x.shape[2]
-	ow := dy.shape[1]
-	dx := New(b, f, n)
+	ow, w := f*(f-1)/2, dy.shape[1]
+	dx := a.New(b, f, n)
 	if n == 0 {
 		return dx
 	}
 	for s := range b {
-		pairGradVec(dx.data[s*f*n:(s+1)*f*n], x.data[s*f*n:(s+1)*f*n], dy.data[s*ow:(s+1)*ow], f, n)
+		pairGradVec(dx.data[s*f*n:(s+1)*f*n], x.data[s*f*n:(s+1)*f*n], dy.data[s*w+col:s*w+col+ow], f, n)
 	}
 	return dx
 }
 
-// pairGradVec is PairwiseUpperGrad's per-sample routine: pairGradRef, or
+// pairGradVec is Arena.PairwiseUpperGrad's per-sample routine: pairGradRef, or
 // the AVX2 routine init selects, which repeats its float32 operations in
 // the same order.
 var pairGradVec = pairGradRef

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// checkPairGrad runs PairwiseUpperGrad on a (b, f, n) input against
-// pairGradRef sample by sample. x carries specials about one element in
+// checkPairGrad runs Arena.PairwiseUpperGrad on a (b, f, n) input against
+// pairGradRef sample by sample, on the heap with dy as it is and on an
+// arena with dy read from a window of a wider gradient. x carries specials about one element in
 // every `every`; dy holds an exact ±0 about one pair in every zeroEvery,
 // so the skip runs, and specials as often as x. NaNs are compared
 // canonicalised (sameFloat32Bits' anyNaN): each element adds a product to
@@ -23,12 +24,22 @@ func checkPairGrad(t *testing.T, r *RNG, b, f, n, zeroEvery, every int) {
 			dy.data[i] = []float32{0, elementSpecials[6]}[r.Intn(2)] // +0 or −0
 		}
 	}
-	got := PairwiseUpperGrad(x, dy)
+	got := (*Arena)(nil).PairwiseUpperGrad(x, dy, 0)
 	want := New(b, f, n)
 	for s := range b {
 		pairGradRef(want.data[s*f*n:(s+1)*f*n], x.data[s*f*n:(s+1)*f*n], dy.data[s*ow:(s+1)*ow], f, n)
 	}
 	sameFloat32Bits(t, fmt.Sprintf("PairwiseUpperGrad (%d, %d, %d)", b, f, n), got.data, want.data, true)
+	const col, extra = 3, 5
+	wide := Full(9, b, col+ow+extra)
+	for s := range b {
+		copy(wide.data[s*(col+ow+extra)+col:], dy.data[s*ow:(s+1)*ow])
+	}
+	var a Arena
+	a.New(7) // dirty the arena's memory ahead of dx
+	a.Reset()
+	sameFloat32Bits(t, fmt.Sprintf("PairwiseUpperGrad at column %d (%d, %d, %d)", col, b, f, n),
+		a.PairwiseUpperGrad(x, wide, col).data, want.data, true)
 }
 
 // TestPairwiseUpperGradMatchesScalar pins the selected interaction
@@ -83,8 +94,9 @@ func pairDotLoop(x *Tensor) []float32 {
 	return out
 }
 
-// checkPairDot runs PairwiseUpperInto, into a dirty out, pairDotRef and
-// BatchedPairwiseDot on a (b, f, n) input against pairDotLoop. x carries
+// checkPairDot runs PairwiseUpperIntoCols, into a dirty out and into a
+// window of a wider one, pairDotRef and BatchedPairwiseDot on a (b, f, n)
+// input against pairDotLoop. x carries
 // specials about one element in every `every`; NaNs are compared
 // canonicalised, as checkPairGrad compares them, since each dot adds a
 // product to an accumulator.
@@ -100,10 +112,25 @@ func checkPairDot(t *testing.T, r *RNG, b, f, n, every int) {
 		}
 	}
 	got := Full(7, b, ow)
-	PairwiseUpperInto(got, x)
-	sameFloat32Bits(t, fmt.Sprintf("PairwiseUpperInto (%d, %d, %d)", b, f, n), got.data, upper, true)
+	PairwiseUpperIntoCols(got, 0, x)
+	sameFloat32Bits(t, fmt.Sprintf("PairwiseUpperIntoCols (%d, %d, %d)", b, f, n), got.data, upper, true)
+	const col, extra = 2, 3
+	w := col + ow + extra
+	wide := Full(7, b, w)
+	PairwiseUpperIntoCols(wide, col, x)
+	window, rest := make([]float32, 0, b*ow), make([]float32, 0, b*(col+extra))
+	for s := range b {
+		window = append(window, wide.data[s*w+col:s*w+col+ow]...)
+		rest = append(append(rest, wide.data[s*w:s*w+col]...), wide.data[s*w+col+ow:(s+1)*w]...)
+	}
+	sameFloat32Bits(t, fmt.Sprintf("PairwiseUpperIntoCols at column %d (%d, %d, %d)", col, b, f, n), window, upper, true)
+	for i, v := range rest {
+		if v != 7 {
+			t.Fatalf("PairwiseUpperIntoCols (%d, %d, %d) wrote outside its window: element %d is %v", b, f, n, i, v)
+		}
+	}
 	ref := Full(7, b, ow)
-	pairDotRef(x.data, ref.data, b, f, n)
+	pairDotRef(x.data, ref.data, b, f, n, f*(f-1)/2)
 	sameFloat32Bits(t, fmt.Sprintf("pairDotRef (%d, %d, %d)", b, f, n), ref.data, upper, true)
 	sameFloat32Bits(t, fmt.Sprintf("BatchedPairwiseDot (%d, %d, %d)", b, f, n), BatchedPairwiseDot(x).data, grid, true)
 }

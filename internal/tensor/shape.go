@@ -102,6 +102,20 @@ func SplitCols(a *Tensor, widths []int) []*Tensor {
 	return outs
 }
 
+// Cols returns a copy of columns [lo, hi) of the (h, w) tensor x, taken
+// from the arena: one block of SplitCols.
+func (a *Arena) Cols(x *Tensor, lo, hi int) *Tensor {
+	if len(x.shape) != 2 || lo < 0 || lo > hi || hi > x.shape[1] {
+		panic(fmt.Sprintf("tensor: Cols [%d, %d) of shape %v", lo, hi, x.shape))
+	}
+	h, w := x.shape[0], x.shape[1]
+	out := a.New(h, hi-lo)
+	for r := range h {
+		copy(out.data[r*(hi-lo):(r+1)*(hi-lo)], x.data[r*w+lo:r*w+hi])
+	}
+	return out
+}
+
 // SelectFeatures gathers feature slots of a (B, F, N) tensor:
 // out[b, i, :] = a[b, idx[i], :]. Used to materialize a tower's feature
 // subset from the full feature set.

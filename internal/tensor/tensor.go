@@ -94,14 +94,17 @@ func (t *Tensor) Set(v float32, idx ...int) {
 	t.data[t.flatIndex(idx)] = v
 }
 
+// flatIndex formats only a copy of idx into its panics, so idx does not
+// escape and At's and Set's variadic index slices stay on their callers'
+// stacks.
 func (t *Tensor) flatIndex(idx []int) int {
 	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v has wrong rank for shape %v", idx, t.shape))
+		panic(fmt.Sprintf("tensor: index %v has wrong rank for shape %v", slices.Clone(idx), t.shape))
 	}
 	flat := 0
 	for i, ix := range idx {
 		if ix < 0 || ix >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", slices.Clone(idx), t.shape))
 		}
 		flat = flat*t.shape[i] + ix
 	}

@@ -151,3 +151,17 @@ func expectPanic(t *testing.T, context string) {
 		t.Fatalf("expected panic: %s", context)
 	}
 }
+
+// TestAtSetAllocateNothing pins At and Set at zero allocations: their
+// variadic index slices stay on the caller's stack, because the bounds
+// panics format a copy of the index, not the index itself.
+func TestAtSetAllocateNothing(t *testing.T) {
+	x := New(3, 4, 5)
+	var sink float32
+	if n := testing.AllocsPerRun(100, func() {
+		x.Set(sink+1, 2, 3, 4)
+		sink = x.At(1, 2, 3)
+	}); n != 0 {
+		t.Errorf("At and Set allocate %v times a call pair", n)
+	}
+}

@@ -16,6 +16,8 @@
 // Its sptt.TowerModule face, Forward and Backward, runs that body on a tape
 // the module owns and records on; that is how each replica runs inside the
 // distributed dataflow (one per host GPU, gradients AllReduced intra-host).
+// That tape's arena holds the pass: Forward resets it, and Forward's and
+// Backward's results are valid until the next Forward.
 // The single-process DMT models call ForwardOn and BackwardOn on their own
 // tape instead: a recording one to train, and Predict's non-recording one,
 // drawn from its pooled arena, to serve.
@@ -47,7 +49,8 @@ type DLRMTower struct {
 	Flat       *nn.Linear
 	PerFeature *nn.Linear
 
-	tape nn.Tape // Forward and Backward's
+	tape   nn.Tape     // Forward and Backward's, over the module's arena
+	params []*nn.Param // Params' list, built by NewDLRMTower
 }
 
 // NewDLRMTower builds the module for a tower of f features with embedding
@@ -56,12 +59,14 @@ func NewDLRMTower(r *tensor.RNG, f, n, c, p, d int, name string) *DLRMTower {
 	if c < 0 || p < 0 || c+p == 0 || d <= 0 {
 		panic(fmt.Sprintf("towers: invalid DLRM tower c=%d p=%d D=%d", c, p, d))
 	}
-	t := &DLRMTower{F: f, N: n, C: c, P: p, D: d, tape: nn.Tape{Record: true}}
+	t := &DLRMTower{F: f, N: n, C: c, P: p, D: d, tape: nn.Tape{Arena: new(tensor.Arena), Record: true}}
 	if p > 0 {
 		t.Flat = nn.NewLinear(r, n*f, p*d, name+".flat")
+		t.params = append(t.params, t.Flat.Params()...)
 	}
 	if c > 0 {
 		t.PerFeature = nn.NewLinear(r, n, c*d, name+".perfeat")
+		t.params = append(t.params, t.PerFeature.Params()...)
 	}
 	return t
 }
@@ -70,13 +75,30 @@ func NewDLRMTower(r *tensor.RNG, f, n, c, p, d int, name string) *DLRMTower {
 func (t *DLRMTower) OutDim() int { return t.D * (t.C*t.F + t.P) }
 
 // Forward maps (S, F, N) to (S, OutDim), recording on the module's tape.
+// The result is valid until the next Backward or Forward.
+//
+//dmt:transient-result
 func (t *DLRMTower) Forward(x *tensor.Tensor) *tensor.Tensor {
 	t.tape.Reset()
 	return t.ForwardOn(&t.tape, x)
 }
 
 // Backward maps dY (S, OutDim) to dX (S, F, N) through the last Forward.
-func (t *DLRMTower) Backward(dy *tensor.Tensor) *tensor.Tensor { return t.BackwardOn(&t.tape, dy) }
+// The result is valid until the next Forward.
+//
+// The forward's records are views of x, which the caller owns, so the
+// backward needs none of the forward's data: it rewinds the module's
+// arena and reuses that memory, and the module holds one pass's output,
+// not two. Once the records are spent, the arena's views of x and dy let
+// go of them, so the module does not keep its caller's tensors alive.
+//
+//dmt:transient-result
+func (t *DLRMTower) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	t.tape.Arena.Rewind()
+	dx := t.BackwardOn(&t.tape, dy)
+	t.tape.Arena.DropViews()
+	return dx
+}
 
 // ForwardOn maps (S, F, N) to (S, OutDim) on the tape tp.
 func (t *DLRMTower) ForwardOn(tp *nn.Tape, x *tensor.Tensor) *tensor.Tensor {
@@ -102,36 +124,30 @@ func (t *DLRMTower) ForwardOn(tp *nn.Tape, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // BackwardOn maps dY (S, OutDim) to dX (S, F, N), popping ForwardOn's
-// records off tp.
+// records off tp. Every tensor it makes comes from tp's arena.
 func (t *DLRMTower) BackwardOn(tp *nn.Tape, dy *tensor.Tensor) *tensor.Tensor {
 	s := dy.Dim(0)
-	dx := tensor.New(s, t.F, t.N)
-	dFlat, dPer := dy, dy
-	if t.Flat != nil && t.PerFeature != nil {
-		parts := tensor.SplitCols(dy, []int{t.P * t.D, t.F * t.C * t.D})
-		dFlat, dPer = parts[0], parts[1]
+	if t.Flat == nil || t.PerFeature == nil {
+		// One projection: its dX is the module's, with no zeroed sum to
+		// add it into (a GEMM's dot products start from +0, so 0 + dX
+		// would leave every bit as it is).
+		if t.Flat != nil {
+			return tp.Reshape(t.Flat.Backward(tp, dy), s, t.F, t.N)
+		}
+		return tp.Reshape(t.PerFeature.Backward(tp, tp.Reshape(dy, s*t.F, t.C*t.D)), s, t.F, t.N)
 	}
-	if t.PerFeature != nil {
-		d2 := t.PerFeature.Backward(tp, dPer.Reshape(s*t.F, t.C*t.D))
-		tensor.AddInPlace(dx, d2.Reshape(s, t.F, t.N))
-	}
-	if t.Flat != nil {
-		tensor.AddInPlace(dx, t.Flat.Backward(tp, dFlat).Reshape(s, t.F, t.N))
-	}
+	dx := tp.New(s, t.F, t.N)
+	dFlat, dPer := tp.Cols(dy, 0, t.P*t.D), tp.Cols(dy, t.P*t.D, dy.Dim(1))
+	d2 := t.PerFeature.Backward(tp, tp.Reshape(dPer, s*t.F, t.C*t.D))
+	tensor.AddInPlace(dx, tp.Reshape(d2, s, t.F, t.N))
+	tensor.AddInPlace(dx, tp.Reshape(t.Flat.Backward(tp, dFlat), s, t.F, t.N))
 	return dx
 }
 
-// Params exposes the trainable parameters for intra-tower reduction.
-func (t *DLRMTower) Params() []*nn.Param {
-	var ps []*nn.Param
-	if t.Flat != nil {
-		ps = append(ps, t.Flat.Params()...)
-	}
-	if t.PerFeature != nil {
-		ps = append(ps, t.PerFeature.Params()...)
-	}
-	return ps
-}
+// Params exposes the trainable parameters for intra-tower reduction: the
+// flat projection's, then the per-feature one's. The list is built once
+// and shared by every call: read-only.
+func (t *DLRMTower) Params() []*nn.Param { return t.params }
 
 // DCNTower is Listing 2: linear(F·N → F·D)(crossnet(flatten(x))).
 // Output width F·D.
@@ -140,7 +156,8 @@ type DCNTower struct {
 	Cross   *nn.CrossNet
 	Proj    *nn.Linear
 
-	tape nn.Tape // Forward and Backward's
+	tape   nn.Tape     // Forward and Backward's, over the module's arena
+	params []*nn.Param // Params' list, built by NewDCNTower
 }
 
 // NewDCNTower builds the module with the given number of cross layers.
@@ -148,24 +165,32 @@ func NewDCNTower(r *tensor.RNG, f, n, d, crossLayers int, name string) *DCNTower
 	if d <= 0 || crossLayers <= 0 {
 		panic(fmt.Sprintf("towers: invalid DCN tower D=%d layers=%d", d, crossLayers))
 	}
-	return &DCNTower{
+	t := &DCNTower{
 		F: f, N: n, D: d,
 		Cross: nn.NewCrossNet(r, f*n, crossLayers, name+".cross"),
 		Proj:  nn.NewLinear(r, f*n, f*d, name+".proj"),
-		tape:  nn.Tape{Record: true},
+		tape:  nn.Tape{Arena: new(tensor.Arena), Record: true},
 	}
+	t.params = append(t.Cross.Params(), t.Proj.Params()...)
+	return t
 }
 
 // OutDim returns O = F·D.
 func (t *DCNTower) OutDim() int { return t.F * t.D }
 
 // Forward maps (S, F, N) to (S, F·D), recording on the module's tape.
+// The result is valid until the next Forward.
+//
+//dmt:transient-result
 func (t *DCNTower) Forward(x *tensor.Tensor) *tensor.Tensor {
 	t.tape.Reset()
 	return t.ForwardOn(&t.tape, x)
 }
 
 // Backward maps dY (S, F·D) to dX (S, F, N) through the last Forward.
+// The result is valid until the next Forward.
+//
+//dmt:transient-result
 func (t *DCNTower) Backward(dy *tensor.Tensor) *tensor.Tensor { return t.BackwardOn(&t.tape, dy) }
 
 // ForwardOn maps (S, F, N) to (S, F·D) on the tape tp.
@@ -184,10 +209,10 @@ func (t *DCNTower) BackwardOn(tp *nn.Tape, dy *tensor.Tensor) *tensor.Tensor {
 	return dflat.Reshape(dflat.Dim(0), t.F, t.N)
 }
 
-// Params exposes the trainable parameters.
-func (t *DCNTower) Params() []*nn.Param {
-	return append(t.Cross.Params(), t.Proj.Params()...)
-}
+// Params exposes the trainable parameters: the cross network's, then the
+// projection's. The list is built once and shared by every call:
+// read-only.
+func (t *DCNTower) Params() []*nn.Param { return t.params }
 
 // PassThrough is the identity tower (SPTT without compression): it flattens
 // (S, F, N) to (S, F·N). Compression ratio 1 — the module that makes the

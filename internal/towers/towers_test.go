@@ -114,7 +114,7 @@ func checkTowerGradients(t *testing.T, name string, tw sptt.TowerModule, x *tens
 		p.ZeroGrad()
 	}
 	lossFn()
-	dx := tw.Backward(coeff)
+	dx := tw.Backward(coeff).Clone() // the module's arena holds it only until the next Forward
 
 	const eps = 1e-3
 	check := func(label string, value, analytic *tensor.Tensor) {
@@ -403,4 +403,18 @@ func BuildReplicas(cfg sptt.Config, seed uint64, mk func(r *tensor.RNG, tower, f
 		mods[g] = mk(tensor.NewRNG(towerSeeds[t]), t, ft)
 	}
 	return mods
+}
+
+// TestParamListsAllocateNothing pins the tower modules' Params at zero
+// allocations: the constructors build the lists once.
+func TestParamListsAllocateNothing(t *testing.T) {
+	r := tensor.NewRNG(6)
+	dlrm := NewDLRMTower(r, 3, 4, 1, 1, 2, "d")
+	dcn := NewDCNTower(r, 3, 4, 2, 2, "c")
+	if n := testing.AllocsPerRun(50, func() { dlrm.Params(); dcn.Params() }); n != 0 {
+		t.Errorf("Params allocates %v times", n)
+	}
+	if ps := dlrm.Params(); len(ps) != 4 || ps[0] != dlrm.Flat.W || ps[2] != dlrm.PerFeature.W {
+		t.Error("DLRMTower.Params is not the flat projection's then the per-feature one's")
+	}
 }
