@@ -81,15 +81,15 @@ type DMTDLRM struct {
 	Interaction *nn.DotInteraction
 	Top         *nn.MLP
 
-	// tape is the training pass's, staged calls included. Its arena is
-	// arena, reset at the pass's start (Forward, ForwardBottom), so a
-	// steady-state pass takes nothing from the heap. From ForwardDenseFrom
-	// to BackwardTop it is lent, an arena of tensor.Scratch: that pass waits
-	// on nothing, so the arena goes back as soon as it ends and the next
-	// rank's pass reuses it. It is the bulk of a step's dense tensors (at
-	// the train_dense benchmark's shape ≈ 400 KB of a rank's ≈ 500 KB), and
-	// every byte an arena keeps is live heap, which the collector's pacing
-	// doubles in RSS.
+	// tape is the training pass's, staged calls included. It takes its
+	// tensors from arena, reset at the pass's start (Forward,
+	// ForwardBottom), so a steady-state pass takes nothing from the heap;
+	// from ForwardDenseFrom to BackwardTop it takes them from lent, an
+	// arena of tensor.Scratch. That pass waits on nothing, so the arena goes
+	// back as soon as it ends and the next rank's pass reuses it. It is the
+	// bulk of a step's dense tensors (at the train_dense benchmark's shape
+	// ≈ 400 KB of a rank's ≈ 500 KB), and every byte an arena keeps is live
+	// heap, which the collector's pacing doubles in RSS.
 	tape        nn.Tape
 	arena, lent *tensor.Arena
 	sparseGrads []*nn.SparseGrad

@@ -16,8 +16,9 @@
 // Its sptt.TowerModule face, Forward and Backward, runs that body on a tape
 // the module owns and records on; that is how each replica runs inside the
 // distributed dataflow (one per host GPU, gradients AllReduced intra-host).
-// That tape's arena holds the pass: Forward resets it, and Forward's and
-// Backward's results are valid until the next Forward.
+// That tape's arena holds the pass: Forward resets it, Forward's result is
+// valid until the module's next Backward or Forward (DLRMTower's backward
+// reuses its memory), and Backward's until the next Forward.
 // The single-process DMT models call ForwardOn and BackwardOn on their own
 // tape instead: a recording one to train, and Predict's non-recording one,
 // drawn from its pooled arena, to serve.
