@@ -32,18 +32,20 @@
 //     shows the order effect alone.
 //
 // With -layers it also compares the checkouts layer by layer, on the
-// packages' hot-path benchmarks (-bench, ^BenchmarkHotpath by default):
+// packages' hot-path benchmarks (every ^BenchmarkHotpath row), beside the
+// workloads:
 //
-//	dmt-ab -a ../parent -b . -workloads '' -layers ./internal/distributed,./internal/tensor -rounds 10 -pr 57
+//	dmt-ab -a ../parent -b . -workloads train_dense,train_embed -layers ./internal/distributed,./internal/tensor -pr 57
 //
 // Each side builds every listed package's test binary once (go test -c,
 // its build cache under the checkout's .bench_build/, as run.sh keeps
-// its), then round i runs every binary of both sides, -test.benchmem at one
-// count, A first on even rounds and B first on odd ones. Per benchmark row
-// it reports the median over rounds of B's ns/op over A's and the rounds B
-// was faster, and each side's median B/op and allocs/op as values. A row
-// that only one side has is reported with that side's values. -workloads
-// ” runs no workload, for a ledger of layer rows alone.
+// its), then, after the workloads, round i runs every binary of both
+// sides, -test.benchmem at one count, A first on even rounds and B first
+// on odd ones. There are as many rounds as -pairs' bare count gives every
+// workload (10 without one). Per benchmark row it reports the median over
+// rounds of B's ns/op over A's and the rounds B was faster, and each
+// side's median B/op and allocs/op as values. A row that only one side has
+// is reported with that side's values.
 //
 // With -pr n it writes BENCH_<n>.json into -dir: both checkouts' directory
 // names and git HEADs (marked -dirty with uncommitted changes), GOMAXPROCS
@@ -77,10 +79,11 @@ func main() {
 }
 
 // Every run lasts runSeconds at trace level runTrace, as the benchmark's
-// own runs do.
+// own runs do. The layer rounds run the benchmarks layerBench matches.
 const (
 	runSeconds = 10
 	runTrace   = 0
+	layerBench = "^BenchmarkHotpath"
 )
 
 // side is one checkout under comparison: its directory's name and its git
@@ -181,7 +184,6 @@ type ledger struct {
 	Failed       []failedRuns   `json:"failed"`
 	Runs         []runRecord    `json:"runs"`
 	Layers       []string       `json:"layers,omitempty"`
-	Bench        string         `json:"bench,omitempty"`
 	Rounds       int            `json:"rounds,omitempty"`
 	LayerSummary []layerSummary `json:"layer_summary,omitempty"`
 	LayerRows    []layerRow     `json:"layer_rows,omitempty"`
@@ -198,12 +200,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dirB := fs.String("b", "", "checkout B, the change (default: A, an A/A comparison)")
 	workloads := fs.String("workloads", "train_dense", "comma-separated workloads")
 	seedList := fs.String("seeds", "1", "comma-separated seeds, taken in turn by the pairs")
-	pairList := fs.String("pairs", "10", "interleaved pairs per workload: a count, workload=count entries, or both, comma-separated")
+	pairList := fs.String("pairs", "10", "interleaved pairs per workload: a count, workload=count entries, or both, comma-separated (the count is also the layer rounds')")
 	pr := fs.Int("pr", 0, "write BENCH_<pr>.json (0: write no ledger)")
 	outDir := fs.String("dir", ".", "directory BENCH_<pr>.json is written to")
 	layerList := fs.String("layers", "", "comma-separated packages whose hot-path benchmarks run in interleaved rounds ('' runs none)")
-	bench := fs.String("bench", "^BenchmarkHotpath", "the -test.bench pattern of the layer rounds")
-	rounds := fs.Int("rounds", 10, "interleaved rounds of the layer benchmarks")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -231,10 +231,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		seeds = append(seeds, v)
 	}
-	var ws []string
-	if *workloads != "" {
-		ws = strings.Split(*workloads, ",")
-	}
+	ws := strings.Split(*workloads, ",")
 	for i, w := range ws {
 		if w == "" || slices.Contains(ws[:i], w) {
 			return fail(2, "-workloads %q must name each workload once", *workloads)
@@ -248,15 +245,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if p == "" || slices.Contains(layers[:i], p) {
 			return fail(2, "-layers %q must name each package once", *layerList)
 		}
-	}
-	if _, err := regexp.Compile(*bench); err != nil {
-		return fail(2, "bad -bench %q: %v", *bench, err)
-	}
-	if *rounds < 1 {
-		return fail(2, "-rounds %d is not a positive count", *rounds)
-	}
-	if len(ws) == 0 && len(layers) == 0 {
-		return fail(2, "nothing to compare: -workloads and -layers are both empty")
 	}
 	pairs, err := parsePairs(*pairList, ws)
 	if err != nil {
@@ -279,10 +267,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if name == "B" && l.AA {
 			break
 		}
-		if len(ws) > 0 {
-			if out, err := runSH(dirs[name], "--manifest"); err != nil {
-				return fail(1, "building side %s (%s): %v\n%s", name, dirs[name], err, out)
-			}
+		if out, err := runSH(dirs[name], "--manifest"); err != nil {
+			return fail(1, "building side %s (%s): %v\n%s", name, dirs[name], err, out)
 		}
 		for _, p := range layers {
 			if out, err := buildLayer(dirs[name], p); err != nil {
@@ -336,15 +322,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if len(layers) > 0 {
-		l.Layers, l.Bench, l.Rounds = layers, *bench, *rounds
-		for i := 0; i < *rounds; i++ {
+		l.Layers, l.Rounds = layers, cmp.Or(pairs[""], 10)
+		for i := 0; i < l.Rounds; i++ {
 			order := []string{"A", "B"}
 			if i%2 == 1 {
 				order = []string{"B", "A"}
 			}
 			for k, name := range order {
 				for _, p := range layers {
-					out, err := runLayer(dirs[name], p, *bench)
+					out, err := runLayer(dirs[name], p)
 					if err != nil {
 						return fail(1, "%s round %d side %s: %v\n%s", p, i, name, err, out)
 					}
@@ -439,9 +425,9 @@ func buildLayer(dir, pkg string) ([]byte, error) {
 }
 
 // runLayer runs pkg's test binary from its package directory, as go test
-// would: no tests, the benchmarks bench matches, -benchmem, one count.
-func runLayer(dir, pkg, bench string) ([]byte, error) {
-	cmd := exec.Command(layerBinary(dir, pkg), "-test.run", "^$", "-test.bench", bench, "-test.benchmem", "-test.count", "1")
+// would: no tests, the benchmarks layerBench matches, -benchmem, one count.
+func runLayer(dir, pkg string) ([]byte, error) {
+	cmd := exec.Command(layerBinary(dir, pkg), "-test.run", "^$", "-test.bench", layerBench, "-test.benchmem", "-test.count", "1")
 	cmd.Dir = filepath.Join(dir, pkg)
 	return cmd.CombinedOutput()
 }

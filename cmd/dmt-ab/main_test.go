@@ -247,14 +247,15 @@ func TestRunPerWorkloadPairs(t *testing.T) {
 
 // stubGo is a go command that builds no test binary: `go test -c -o X pkg`,
 // run from a checkout, appends the build to $STUB_GOLOG, exits with the
-// checkout's build_exit file's code, and otherwise writes to X a stub test
+// checkout's go_exit file's code (0 without one: run.sh's build still
+// passes), and otherwise writes to X a stub test
 // binary. The binary prints one benchmark row whose ns/op is the checkout's
 // value file times 1.1 when the run is the first of its round (the shared
 // $STUB_COUNTER is even), with value·1000 B/op and value allocs/op, and a
 // second row when the checkout has an extra file.
 const stubGo = `#!/usr/bin/env bash
 echo "$PWD $*" >>"$STUB_GOLOG"
-code=$(cat build_exit)
+code=$(cat go_exit 2>/dev/null || echo 0)
 if [[ "$code" != 0 ]]; then echo "stub build failed"; exit "$code"; fi
 root=$PWD
 cat >"$4" <<STUB
@@ -293,11 +294,12 @@ func stubLayers(t *testing.T, dirs ...string) string {
 }
 
 // TestRunLayers compares a stub checkout's layer row at 100 ns/op with one
-// at 80 over 4 rounds, with no workload: each side builds its test binary
-// once, the sides alternate going first, the ledger keeps every row of
-// every run, B wins every round by the ratios the canned values imply, and
-// B/op and allocs/op are each side's values; a row only B has is reported
-// with B's values and no ratio.
+// at 80 over 4 rounds, after 4 pairs of a workload: each side builds its
+// test binary once, the rounds are -pairs' count, the sides alternate
+// going first, the ledger keeps every row of every run, B wins every round
+// by the ratios the canned values imply, and B/op and allocs/op are each
+// side's values; a row only B has is reported with B's values and no
+// ratio.
 func TestRunLayers(t *testing.T) {
 	a, b, out := stubCheckout(t, "100", 0), stubCheckout(t, "80", 0), t.TempDir()
 	log := stubLayers(t, a, b)
@@ -305,7 +307,7 @@ func TestRunLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	args := []string{"-a", a, "-b", b, "-workloads", "", "-layers", "./internal/distributed", "-rounds", "4", "-pr", "5", "-dir", out}
+	args := []string{"-a", a, "-b", b, "-layers", "./internal/distributed", "-pairs", "4", "-pr", "5", "-dir", out}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\nstderr:\n%s", code, &stderr)
 	}
@@ -325,7 +327,7 @@ func TestRunLayers(t *testing.T) {
 	if err := json.Unmarshal(js, &l); err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Runs) != 0 || l.Rounds != 4 || l.GOMAXPROCS != "2" || len(l.LayerRows) != 12 || len(l.LayerSummary) != 2 {
+	if len(l.Runs) != 8 || l.Rounds != 4 || l.GOMAXPROCS != "2" || len(l.LayerRows) != 12 || len(l.LayerSummary) != 2 {
 		t.Fatalf("ledger %+v", l)
 	}
 	for _, r := range l.LayerRows {
@@ -349,22 +351,22 @@ func TestRunLayers(t *testing.T) {
 	}
 }
 
-// TestRunLayersFailures: bad layer flags exit 2 before anything runs, and a
-// side whose test binary fails to build exits 1 naming the package and the
-// side.
+// TestRunLayersFailures: a package named twice exits 2 before anything
+// runs, and a side whose test binary fails to build exits 1 naming the
+// package and the side.
 func TestRunLayersFailures(t *testing.T) {
-	good, broken := stubCheckout(t, "100", 0), stubCheckout(t, "100", 1)
+	good, broken := stubCheckout(t, "100", 0), stubCheckout(t, "100", 0)
 	stubLayers(t, good, broken)
+	if err := os.WriteFile(filepath.Join(broken, "go_exit"), []byte("1"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		args     []string
 		code     int
 		inStderr string
 	}{
-		{[]string{"-a", good, "-workloads", ""}, 2, "nothing to compare"},
 		{[]string{"-a", good, "-layers", "./x,./x"}, 2, "must name each package once"},
-		{[]string{"-a", good, "-layers", "./x", "-rounds", "0"}, 2, "not a positive count"},
-		{[]string{"-a", good, "-layers", "./x", "-bench", "("}, 2, "bad -bench"},
-		{[]string{"-a", good, "-b", broken, "-workloads", "", "-layers", "./internal/distributed"}, 1, "building ./internal/distributed on side B"},
+		{[]string{"-a", good, "-b", broken, "-layers", "./internal/distributed"}, 1, "building ./internal/distributed on side B"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.inStderr) {

@@ -30,9 +30,11 @@
 //     are covered) must not escape the calling function: no field or
 //     package-variable stores, channel sends, returns, or go-closure
 //     captures. Every result of a multi-value call is tracked. A result
-//     stored in an element of a local slice is tracked through that slice
-//     in the function that declares it (a closure may fill its caller's
-//     per-rank slice). A declaration that itself carries the directive may
+//     stored in an element of a slice the function makes itself (from
+//     make or a composite literal) is tracked through that slice in the
+//     function that declares it (a closure may fill its caller's per-rank
+//     slice); one stored in an element of a parameter's slice, or of a
+//     local alias of another value's, is retained. A declaration that itself carries the directive may
 //     return a transient result: its callers carry the obligation.
 package noretain
 
@@ -133,31 +135,96 @@ func checkTransientCall(pass *lint.Pass, call *ast.CallExpr, stack []ast.Node) {
 }
 
 // checkTransientStore checks one assignment target of fn's transient
-// result. A local variable is tracked through the function that binds it;
-// an element of a local slice or array keeps the result in the frame of
-// the function that declares the slice, which may be a closure's caller,
-// so the slice is tracked there. Anything else retains it.
+// result. A local variable is tracked through the function that binds it.
+// An element of a slice or array that a function makes itself (declared
+// in its body from make or a composite literal, and never rebound to
+// anything else) keeps the result in that function's frame, which may be a
+// closure's caller, so the slice is tracked there. Anything else retains
+// it: a parameter's elements are the caller's, and a local alias of
+// another value's slice writes into that value.
 func checkTransientStore(pass *lint.Pass, call *ast.CallExpr, fn *types.Func, l ast.Expr, stack []ast.Node) {
 	if id, ok := l.(*ast.Ident); ok && id.Name == "_" {
 		return
 	}
 	what, contract := fn.Name()+"'s arena-backed result", fn.Name()+" returns arena-backed storage (//"+TransientDirective+")"
 	var base *ast.Ident
+	element := false
 	switch l := l.(type) {
 	case *ast.Ident:
 		base = l
 	case *ast.IndexExpr:
 		base, _ = ast.Unparen(l.X).(*ast.Ident)
+		element = true
 	}
 	if base != nil {
 		if v, ok := pass.TypesInfo.ObjectOf(base).(*types.Var); ok && isLocalVar(v) {
-			if body, transient := declaringBody(pass, stack, v); body != nil {
+			if body, transient := declaringBody(pass, stack, v); body != nil && (!element || madeIn(pass, body, v)) {
 				checkNoRetention(pass, body, v, what, contract, transient)
 				return
 			}
 		}
 	}
 	pass.Reportf(call.Pos(), "%s returns arena-backed storage (//%s): storing it retains memory the arena will reuse", fn.Name(), TransientDirective)
+}
+
+// madeIn reports whether body declares v and every binding of v in body is
+// storage made there: a make call or a composite literal, or an array's
+// zero value. A parameter has no binding in body.
+func madeIn(pass *lint.Pass, body *ast.BlockStmt, v *types.Var) bool {
+	made, other := false, false
+	bind := func(rhs ast.Expr) {
+		if fresh(pass, rhs) {
+			made = true
+		} else {
+			other = true
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, l := range n.Lhs {
+				if id, ok := l.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == v {
+					if len(n.Rhs) == len(n.Lhs) {
+						bind(n.Rhs[i])
+					} else {
+						other = true
+					}
+				}
+			}
+		case *ast.ValueSpec:
+			for i, id := range n.Names {
+				switch {
+				case pass.TypesInfo.Defs[id] != v:
+				case len(n.Values) == len(n.Names):
+					bind(n.Values[i])
+				case len(n.Values) == 0:
+					_, array := v.Type().Underlying().(*types.Array)
+					made, other = made || array, other || !array
+				default:
+					other = true
+				}
+			}
+		}
+		return true
+	})
+	return made && !other
+}
+
+// fresh reports whether e makes new storage: a call of the make builtin or
+// a composite literal.
+func fresh(pass *lint.Pass, e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.CompositeLit:
+		return true
+	case *ast.CallExpr:
+		id, ok := ast.Unparen(e.Fun).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
+		return ok && b.Name() == "make"
+	}
+	return false
 }
 
 // transientFunc reports whether the function the stack's innermost return

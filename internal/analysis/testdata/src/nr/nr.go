@@ -165,6 +165,23 @@ func leaksLocalSlice(s *arena.Scratch) {
 	slices = parts // want `Merge's arena-backed result is stored outside the call frame`
 }
 
+func fillsParamSlice(s *arena.Scratch, out [][]float32) {
+	out[0] = s.Merge(8) // want `Merge returns arena-backed storage \(//dmt:transient-result\): storing it retains memory the arena will reuse`
+}
+
+type holder struct{ buf [][]float32 }
+
+func fillsFieldAlias(s *arena.Scratch, h *holder) {
+	p := h.buf
+	p[0] = s.Merge(8) // want `Merge returns arena-backed storage \(//dmt:transient-result\): storing it retains memory the arena will reuse`
+}
+
+func fillsRebound(s *arena.Scratch, h *holder) {
+	parts := make([][]float32, 2)
+	parts = h.buf
+	parts[0] = s.Merge(8) // want `Merge returns arena-backed storage \(//dmt:transient-result\): storing it retains memory the arena will reuse`
+}
+
 func returnsFromClosure(s *arena.Scratch) func() []float32 {
 	return func() []float32 {
 		return s.Merge(8) // want `Merge returns arena-backed storage \(//dmt:transient-result\): it must not escape the caller`
@@ -182,6 +199,14 @@ func perRankSlices(s *arena.Scratch) int {
 	fill := func(g int) { a[g], b[g] = s.Split(4) }
 	fill(0)
 	fill(1)
+	return len(score(a[0])) + len(score(b[1]))
+}
+
+// localArray fills a local array and a composite-literal slice.
+func localArray(s *arena.Scratch) int {
+	var a [2][]float32
+	b := [][]float32{nil, nil}
+	a[0], b[1] = s.Merge(4), s.Merge(4)
 	return len(score(a[0])) + len(score(b[1]))
 }
 

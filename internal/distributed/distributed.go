@@ -552,8 +552,12 @@ func (tr *Trainer) Step(batches []*data.Batch) StepResult {
 
 // denseRank is rank g's share of the sequential reference's dense phase —
 // over-arch forward, loss, and backward on the rank-local replica, through
-// the unstaged model methods the executor's staged calls compose to.
-func (tr *Trainer) denseRank(g int, batches []*data.Batch, compressed, dCompressed []*tensor.Tensor, res *StepResult) {
+// the unstaged model methods the executor's staged calls compose to. It
+// returns the gradient of the rank's compressed tower outputs, with
+// BackwardDense's lifetime.
+//
+//dmt:transient-result
+func (tr *Trainer) denseRank(g int, batches []*data.Batch, compressed []*tensor.Tensor, res *StepResult) *tensor.Tensor {
 	m := tr.replicas[g]
 	for _, p := range m.DenseParams() {
 		p.ZeroGrad()
@@ -561,8 +565,9 @@ func (tr *Trainer) denseRank(g int, batches []*data.Batch, compressed, dCompress
 	logits := m.ForwardDense(batches[g].Dense, compressed[g])
 	res.PerRankLoss[g] = tr.loss[g].Forward(logits, batches[g].Labels)
 	tr.charge(g, tr.bottomFwd+tr.topFwd)
-	dCompressed[g] = m.BackwardDense(tr.loss[g].Backward())
+	dc := m.BackwardDense(tr.loss[g].Backward())
 	tr.charge(g, tr.bottomBwd+tr.topBwd)
+	return dc
 }
 
 // scaleRank normalizes rank g's tower-module gradients and the sparse
@@ -605,7 +610,7 @@ func (tr *Trainer) stepSequential(batches []*data.Batch, inputs []*sptt.Inputs) 
 	res := StepResult{PerRankLoss: make([]float64, cfg.G)}
 	dCompressed := make([]*tensor.Tensor, cfg.G)
 	for g := 0; g < cfg.G; g++ {
-		tr.denseRank(g, batches, compressed, dCompressed, &res)
+		dCompressed[g] = tr.denseRank(g, batches, compressed, &res)
 		res.MeanLoss += res.PerRankLoss[g] / float64(cfg.G)
 	}
 	dense := lap()

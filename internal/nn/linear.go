@@ -54,12 +54,7 @@ func (l *Linear) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 
 // Params returns the layer's parameters, W then B. The list built by
 // NewLinear is shared by every call and read-only.
-func (l *Linear) Params() []*Param {
-	if l.params != nil {
-		return l.params
-	}
-	return []*Param{l.W, l.B}
-}
+func (l *Linear) Params() []*Param { return l.params }
 
 // MLP is a stack of Linear layers with ReLU between them, and optionally a
 // ReLU after the final layer (DLRM's bottom MLP ends in ReLU; the top MLP
@@ -79,10 +74,11 @@ func NewMLP(r *tensor.RNG, in int, sizes []int, finalReLU bool, name string) *ML
 	m := &MLP{FinalReLU: finalReLU}
 	prev := in
 	for i, s := range sizes {
-		m.Layers = append(m.Layers, NewLinear(r, prev, s, fmt.Sprintf("%s.%d", name, i)))
+		l := NewLinear(r, prev, s, fmt.Sprintf("%s.%d", name, i))
+		m.Layers = append(m.Layers, l)
+		m.params = append(m.params, l.params...)
 		prev = s
 	}
-	m.params = m.collect()
 	return m
 }
 
@@ -125,18 +121,4 @@ func (m *MLP) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 
 // Params returns all layer parameters, layer by layer. The list built by
 // NewMLP is shared by every call and read-only.
-func (m *MLP) Params() []*Param {
-	if m.params != nil {
-		return m.params
-	}
-	return m.collect()
-}
-
-// collect builds the parameter list.
-func (m *MLP) collect() []*Param {
-	var ps []*Param
-	for _, l := range m.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
+func (m *MLP) Params() []*Param { return m.params }

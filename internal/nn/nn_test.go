@@ -8,10 +8,16 @@ import (
 	"dmt/internal/tensor"
 )
 
+// linearOf is a Linear layer with the given weights (Out, In) and bias,
+// its parameter list built as NewLinear builds it.
+func linearOf(w, b *tensor.Tensor) *Linear {
+	l := &Linear{In: w.Dim(1), Out: w.Dim(0), W: NewParam("w", w), B: NewParam("b", b)}
+	l.params = []*Param{l.W, l.B}
+	return l
+}
+
 func TestLinearForwardKnown(t *testing.T) {
-	l := &Linear{In: 2, Out: 1,
-		W: NewParam("w", tensor.FromSlice([]float32{2, 3}, 1, 2)),
-		B: NewParam("b", tensor.FromSlice([]float32{10}, 1))}
+	l := linearOf(tensor.FromSlice([]float32{2, 3}, 1, 2), tensor.FromSlice([]float32{10}, 1))
 	y := l.Forward(&Tape{}, tensor.FromSlice([]float32{1, 1, 2, 0}, 2, 2))
 	if y.At(0, 0) != 15 || y.At(1, 0) != 14 {
 		t.Fatalf("linear forward got %v", y.Data())
@@ -34,10 +40,8 @@ func TestLinearRejectsWrongWidth(t *testing.T) {
 // included) to +0, and the backward passes the gradient exactly where the
 // recorded output is > 0.
 func TestReLUForwardBackward(t *testing.T) {
-	id := &Linear{In: 1, Out: 1,
-		W: NewParam("w", tensor.FromSlice([]float32{1}, 1, 1)),
-		B: NewParam("b", tensor.New(1))}
-	m := &MLP{Layers: []*Linear{id}, FinalReLU: true}
+	id := linearOf(tensor.FromSlice([]float32{1}, 1, 1), tensor.New(1))
+	m := &MLP{Layers: []*Linear{id}, FinalReLU: true, params: id.params}
 	nan, negZero := float32(math.NaN()), float32(math.Copysign(0, -1))
 	tp := &Tape{Record: true}
 	y := m.Forward(tp, tensor.FromSlice([]float32{-1, 0, 2, nan, negZero}, 5, 1))

@@ -32,8 +32,9 @@ func EncodeResidual(s Scheme, g, r *tensor.Tensor) *Encoded {
 
 // EncodeResidualTo is EncodeResidual into e, a payload the caller owns and
 // reuses, as EncodeTo is Encode: buffers sized exactly once, no size-class
-// slack, and under None the same snapshot tensor every call once its size
-// is set.
+// slack. Under None each call takes a fresh snapshot tensor, as
+// EncodeResidual does, so it never writes into a tensor an earlier EncodeTo
+// of e handed it.
 func EncodeResidualTo(e *Encoded, s Scheme, g, r *tensor.Tensor) {
 	e.owned(s)
 	encodeResidual(e, s, g, r)
@@ -50,10 +51,7 @@ func encodeResidual(e *Encoded, s Scheme, g, r *tensor.Tensor) {
 	}
 	switch s {
 	case None:
-		v := e.raw // a pooled payload's is nil: recycle drops it
-		if v == nil || !v.SameShape(g) {
-			v = tensor.New(g.Shape()...)
-		}
+		v := tensor.New(g.Shape()...)
 		vd := v.Data()
 		for i := range gd {
 			vi := gd[i] + rd[i]

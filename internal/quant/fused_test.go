@@ -305,7 +305,9 @@ func TestFusedCutsAllocs(t *testing.T) {
 // caller-owned payloads the trainer's gradient buckets encode into, to the
 // pooled Encode and EncodeResidual bit for bit (payload, residual, wire
 // bytes), with buffers of exactly the payload's size, Release a no-op, and
-// no allocation once the payload has been encoded once.
+// no allocation once a compressed payload has been encoded once. Under None
+// EncodeResidualTo snapshots into a fresh tensor, so it never writes into
+// the tensor an earlier EncodeTo of the same payload holds.
 func TestOwnedEncodeMatchesPooled(t *testing.T) {
 	for _, s := range Schemes() {
 		for ci, x := range fusedCases() {
@@ -341,6 +343,15 @@ func TestOwnedEncodeMatchesPooled(t *testing.T) {
 			}
 			pooled.Release()
 			pooledRes.Release()
+			if s == None {
+				held := x.Clone()
+				EncodeTo(&ownRes, s, held)
+				EncodeResidualTo(&ownRes, s, x, tensor.RandUniform(r, -0.01, 0.01, x.Shape()...))
+				if !bitsEqual(held, x) {
+					t.Fatalf("case %d: EncodeResidualTo wrote into the tensor EncodeTo handed the payload", ci)
+				}
+				continue
+			}
 			if raceEnabled {
 				continue
 			}
