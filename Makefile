@@ -43,9 +43,8 @@ vet:
 	$(GO) vet ./...
 
 # The full lint gate: gofmt, go vet, and the repo's own dmt-lint analyzer
-# suite (internal/analysis: pendingwait, retainrelease, determinism,
-# noretain, unreached), a standalone command over the packages and their
-# tests.
+# suite (internal/analysis: pendingwait, determinism, noretain,
+# unreached), a standalone command over the packages and their tests.
 # staticcheck and the shadow vet tool run too when installed; offline
 # environments skip them (CI runs them in the advisory lint-extra job,
 # where they are installed from the network).
@@ -144,7 +143,8 @@ fp16-exhaustive:
 # (PairwiseUpperInto and BatchedPairwiseDot, batches of 1 to 64 for every
 # ragged tail of 8 samples, N from 1 to 300) against their scalar
 # references, the wire codec (the fused encode at
-# every length mod 8), the SPTT step (a) bag
+# every length mod 8, and the column-window decode DecodeIntoCols into a
+# wider destination at an offset), the SPTT step (a) bag
 # payload, the pooling backward against its map-based oracle (over tables
 # small and large enough for both of its row orders), the LRU core against
 # its reference model, Keyed's batch calls (GetRows, FillRows, PutRows)

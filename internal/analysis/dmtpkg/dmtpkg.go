@@ -1,6 +1,6 @@
 // Package dmtpkg centralizes how the dmt-lint analyzers recognize this
 // repository's own packages and types. Matching is by import-path suffix
-// ("internal/comm", "internal/quant", ...) rather than the literal module
+// ("internal/comm", "internal/data", ...) rather than the literal module
 // path, so the analyzers work unchanged on the real module and on the
 // stub packages the analyzer test fixtures declare under the same
 // relative paths.

@@ -1,7 +1,7 @@
 // Package analysis is the dmt-lint suite: analyzers, written against the
 // standard library's go/ast and go/types alone, that machine-check the
-// repository's hand-enforced concurrency, refcount, determinism and
-// reachability invariants.
+// repository's hand-enforced concurrency, determinism and reachability
+// invariants.
 //
 // Nine PRs in, the correctness story rests on conventions that were
 // documented in comments and caught only at runtime — by AssertDrained,
@@ -9,19 +9,14 @@
 // bit flipped. dmt-lint turns each convention into a compile-time
 // property:
 //
-//   - pendingwait, a row of package handles' table: every comm.Pending
-//     returned by a non-blocking collective reaches Wait() or Carry() on
-//     all control-flow paths before scope exit, unless ownership
-//     transfers (stored in a bucket arena, passed on, returned,
-//     captured). Catches leaked handles before the runtime guards do.
-//
-//   - retainrelease, the table's other row: every pooled quant.Encoded
-//     reference (minted by Encode/EncodeResidual, or delivered off the
-//     wire via a .(*quant.Encoded) assertion) reaches Release() or
-//     transfers ownership, outside test files. A dropped reference is not
-//     a crash — the pool tolerates it — but it silently erodes the
-//     zero-alloc steady state the hot-path CI gates pin. The rows differ
-//     only in data: checking another handle is one more row.
+//   - pendingwait, the one row of package handles' table: every
+//     comm.Pending returned by a non-blocking collective reaches Wait() or
+//     Carry() on all control-flow paths before scope exit, unless
+//     ownership transfers (stored in a bucket arena, passed on, returned,
+//     captured). Catches leaked handles before the runtime guards do. A
+//     row is data: checking another must-discharge handle is one more row.
+//     (Wire payloads need none: a quant.Encoded belongs to whoever encoded
+//     it, so a receiver owes nothing once it has read one.)
 //
 //   - determinism: in the packages on the deterministic virtual-clock
 //     path (comm, distributed, netsim, cluster, sptt, embeddings,

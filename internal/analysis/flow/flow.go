@@ -2,11 +2,10 @@
 // handles' table.
 //
 // Every row has the same shape: some expression ACQUIRES a resource (an
-// in-flight comm.Pending, a pooled quant.Encoded reference) that must, on
-// every control-flow path to the function's return, either reach a
-// SATISFYING call (Wait/Carry, Release) or be TRANSFERRED to other code
-// that assumes the obligation (stored, passed as an argument, returned,
-// captured by a closure). The engine walks the function's control-flow
+// in-flight comm.Pending) that must, on every control-flow path to the
+// function's return, either reach a SATISFYING call (Wait/Carry) or be
+// TRANSFERRED to other code that assumes the obligation (stored, passed as
+// an argument, returned, captured by a closure). The engine walks the function's control-flow
 // graph from the acquisition site and reports whether any path reaches a
 // return with the obligation still open.
 //

@@ -7,19 +7,11 @@
 // handle, how it is acquired and discharged, and what a finding reads.
 //
 //   - pendingwait: a comm.Pending from a non-blocking collective
-//     (IAllGatherBatch, IAlltoAllTensorsQ, ...) holds its rank's mailbox
+//     (IAllGatherBatch, IAlltoAllBatchEnc, ...) holds its rank's mailbox
 //     order open. One never Wait()ed or Carry()ed leaves payloads queued
 //     in peer mailboxes for the group's next collective to misread, which
 //     the runtime catches only late (checkIdle, AssertDrained) and only
 //     on executions that reach those guards. Test files are checked too.
-//
-//   - retainrelease: quant.Encode and EncodeResidual hand out a pooled
-//     Encoded holding one reference, and every delivered reference (here,
-//     a value asserted off the wire with .(*quant.Encoded)) must be
-//     Release()d once decoded or folded. A dropped one is no crash, but
-//     its buffers never return to the pool, eroding the zero-alloc steady
-//     state quant's TestPooledEncodeAllocs pins. Test files are exempt:
-//     codec tests compare payloads without ever pooling them.
 package handles
 
 import (
@@ -37,10 +29,6 @@ type row struct {
 	name      string
 	pkg, typ  string   // the handle is (a pointer to) internal/<pkg>.<typ>
 	discharge []string // the handle's methods that discharge it
-	// wire: a .(*T) assertion acquires a handle, as a call returning one
-	// always does.
-	wire        bool
-	testsExempt bool
 	// The findings' formats: a handle dropped at birth (from), consumed at
 	// birth by a method that does not discharge it (from, method), or
 	// bound to a variable that may reach a return open (name, from).
@@ -52,12 +40,6 @@ var rows = []row{{
 	dropped:  "comm.Pending from %s is dropped without Wait or Carry: the handle leaks and the next collective on the group will panic or misdeliver",
 	consumed: "comm.Pending from %s is consumed by %s without Wait or Carry",
 	leaks:    "comm.Pending %q from %s may reach a return without Wait or Carry",
-}, {
-	name: "retainrelease", pkg: "quant", typ: "Encoded", discharge: []string{"Release"},
-	wire: true, testsExempt: true,
-	dropped:  "pooled quant.Encoded from %s is dropped without Release: its buffers never return to the pool",
-	consumed: "pooled quant.Encoded from %s is consumed by %s and then dropped without Release",
-	leaks:    "pooled quant.Encoded %q from %s may reach a return without Release",
 }}
 
 // Analyzers returns one analyzer per row of the table, in row order.
@@ -71,8 +53,8 @@ func Analyzers() []*lint.Analyzer {
 
 func (r *row) is(t types.Type) bool { return dmtpkg.IsNamed(t, r.pkg, r.typ) }
 
-// classify: every other method (Ticket, Retain, Decode, ...) reads the
-// handle but leaves its obligation open.
+// classify: every other method (Ticket, ...) reads the handle but leaves
+// its obligation open.
 func (r *row) classify(method string) flow.Class {
 	if slices.Contains(r.discharge, method) {
 		return flow.Satisfy
@@ -82,26 +64,19 @@ func (r *row) classify(method string) flow.Class {
 
 func (r *row) run(pass *lint.Pass) {
 	for _, f := range pass.Files {
-		if r.testsExempt && dmtpkg.IsTestFile(pass.Fset, f) {
-			continue
-		}
 		lint.WithStack(f, func(n ast.Node, stack []ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				// A call returning a handle acquires one, unless it is a
-				// method of a handle: those return derived values or the
-				// receiver, never a fresh handle.
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && r.is(pass.TypesInfo.Types[sel.X].Type) {
-					return true
-				}
-				if r.is(pass.TypesInfo.Types[n].Type) {
-					r.check(pass, n, stack, callName(n))
-				}
-			case *ast.TypeAssertExpr:
-				// A type switch's assert has no type syntax.
-				if r.wire && n.Type != nil && r.is(pass.TypesInfo.Types[n.Type].Type) {
-					r.check(pass, n, stack, "the wire")
-				}
+			// A call returning a handle acquires one, unless it is a
+			// method of a handle: those return derived values or the
+			// receiver, never a fresh handle.
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && r.is(pass.TypesInfo.Types[sel.X].Type) {
+				return true
+			}
+			if r.is(pass.TypesInfo.Types[call].Type) {
+				r.check(pass, call, stack, callName(call))
 			}
 			return true
 		})

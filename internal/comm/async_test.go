@@ -220,7 +220,7 @@ func TestAllGatherBatchMatchesPerTensor(t *testing.T) {
 			ref[r] = make([][]*tensor.Tensor, b)
 			for i := 0; i < b; i++ {
 				x := mk(r, i)
-				ref[r][i] = c.IAlltoAllTensorsQ(s, []*tensor.Tensor{x, x, x, x}).Wait()
+				ref[r][i] = alltoAllQ(c, s, x, x, x, x)
 			}
 		})
 		comms2 := NewGroup(n)
@@ -235,7 +235,6 @@ func TestAllGatherBatchMatchesPerTensor(t *testing.T) {
 			for src, es := range parts {
 				for _, e := range es {
 					got[r][src] = append(got[r][src], e.Decode())
-					e.Release()
 				}
 			}
 		})
@@ -278,7 +277,7 @@ func TestBroadcastWithPendingPanics(t *testing.T) {
 	}()
 	Run(comms, func(c *Comm) {
 		x := tensor.FromSlice([]float32{1}, 1)
-		h := c.IAlltoAllTensorsQ(quant.FP16, []*tensor.Tensor{x, x})
+		h := c.IAlltoAllBatchEnc(perPeer(quant.FP16, x, x), nil)
 		c.AlltoAllTensors(replicated(c, x))
 		h.Wait()
 	})

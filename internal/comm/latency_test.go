@@ -91,7 +91,7 @@ func TestLatencyModeWireBytesDriveDelay(t *testing.T) {
 			for i := range x.Data() {
 				x.Data()[i] = float32(i)
 			}
-			c.IAlltoAllTensorsQ(s, []*tensor.Tensor{x, x, x, x}).Wait()
+			alltoAllQ(c, s, x, x, x, x)
 		})
 		e, _ := GroupTimes(comms)
 		return e
@@ -127,9 +127,7 @@ func latencyWorkload(g, l int) ([]time.Duration, []time.Duration, []time.Duratio
 			k.Advance(time.Duration(10+step) * time.Microsecond)
 			h1.Wait()
 			h2.Wait()
-			for _, es := range c.IAllGatherBatchEnc([]*quant.Encoded{quant.Encode(quant.FP16, big)}).Wait() {
-				es[0].Release()
-			}
+			c.IAllGatherBatchEnc([]*quant.Encoded{quant.Encode(quant.FP16, big)}).Wait()
 			k.Advance(5 * time.Microsecond)
 			c.AlltoAllTensors(replicated(c, x))
 		}
@@ -301,7 +299,7 @@ func TestBlockingQFailsWithPending(t *testing.T) {
 		}()
 		Run(comms, func(c *Comm) {
 			x := tensor.FromSlice([]float32{1}, 1)
-			h := c.IAlltoAllTensorsQ(quant.INT8, []*tensor.Tensor{x})
+			h := c.IAlltoAllBatchEnc(perPeer(quant.INT8, x), nil)
 			h.Carry()
 			c.AllReduceSum(x)
 			h.Wait()

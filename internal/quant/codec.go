@@ -3,7 +3,6 @@ package quant
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"dmt/internal/tensor"
 )
@@ -18,11 +17,17 @@ import (
 // Decode is a pure function of the Encoded value: every receiver of the same
 // payload reconstructs bit-identical tensors, which is what keeps compressed
 // collectives deterministic across ranks.
+//
+// A payload belongs to whoever encoded it, and its buffers are reused by the
+// next encode into it: the owner must not encode into it again until every
+// receiver has read it (a comm.Run join, or the Wait of the collective that
+// carried it, on every receiver).
 type Encoded struct {
 	scheme Scheme
 	shape  []int
-	// rows/width are the per-row quantization geometry of the linear
-	// schemes (width = last dimension for rank >= 2, whole tensor for 1-D).
+	// rows/width are the payload's row geometry (width = last dimension for
+	// rank >= 2, whole tensor for 1-D): the linear schemes quantize per row,
+	// and DecodeIntoCols places rows.
 	rows, width int
 
 	raw *tensor.Tensor // None: by-reference passthrough (zero-copy)
@@ -36,12 +41,6 @@ type Encoded struct {
 	// invariants depend on it); the wire charge remains the 4 bytes/row a
 	// production fp32-scale codec ships.
 	scales []float64
-
-	// Pool bookkeeping (see pool.go): pooled payloads carry a reference
-	// count and return their buffers, by size class, on the last Release.
-	refs   atomic.Int32
-	pooled bool
-	class  uint8
 }
 
 // toFloat16Sat converts with saturation: a finite value beyond the half
@@ -171,41 +170,22 @@ func linearLevels(s Scheme) float64 {
 	return 127
 }
 
-// Encode serializes t under the scheme. None keeps a reference to t (the
-// in-process analog of sending the raw buffer); the other schemes copy into
-// the reduced representation and do not retain t.
-//
-// The returned payload is pooled: once every holder has called Release the
-// buffers are recycled, making steady-state encode allocation-free. Callers
-// that never Release simply leave the value to the garbage collector.
+// Encode serializes t under the scheme into a fresh payload. None keeps a
+// reference to t (the in-process analog of sending the raw buffer); the
+// other schemes copy into the reduced representation and do not retain t.
 func Encode(s Scheme, t *tensor.Tensor) *Encoded {
-	e := getEncoded(s, t.Len())
-	encode(e, s, t)
+	e := new(Encoded)
+	EncodeTo(e, s, t)
 	return e
 }
 
-// EncodeTo is Encode into e, a payload the caller owns and reuses: its
-// buffers are sized to exactly this payload the first time and reused by
-// later encodes of the same size, so a caller that encodes the same tensors
-// every step allocates nothing after the first and keeps no size-class
-// slack. e must not come from Encode or EncodeResidual (a zero Encoded
-// will do); Retain and Release do nothing to it, and the caller must not
-// encode into it again while a receiver may still read it.
+// EncodeTo is Encode into e, a payload the caller owns and reuses (a zero
+// Encoded will do): its buffers are sized to exactly this payload the first
+// time and reused by later encodes of the same size, so a caller that
+// encodes the same tensors every step allocates nothing after the first.
 func EncodeTo(e *Encoded, s Scheme, t *tensor.Tensor) {
-	e.owned(s)
-	encode(e, s, t)
-}
-
-// owned readies e, a caller's payload, for an encode under s.
-func (e *Encoded) owned(s Scheme) {
-	if e.pooled {
-		panic("quant: encoding into a pooled payload")
-	}
 	e.scheme = s
-}
-
-// encode is Encode's body, into e.
-func encode(e *Encoded, s Scheme, t *tensor.Tensor) {
+	e.rows, e.width = linearGeometry(t)
 	if s != None {
 		e.shape = append(e.shape[:0], t.Shape()...)
 	}
@@ -213,12 +193,11 @@ func encode(e *Encoded, s Scheme, t *tensor.Tensor) {
 	case None:
 		e.raw = t
 	case FP16:
-		e.f16 = grow(e.f16, t.Len(), e.bufLen(t.Len()))
-		encodeHalves(e.f16[:t.Len()], t.Data())
+		e.f16 = grow(e.f16, t.Len())
+		encodeHalves(e.f16, t.Data())
 	case INT8, INT4:
-		e.rows, e.width = linearGeometry(t)
-		e.scales = grow(e.scales, e.rows, e.bufLen(e.rows))
-		e.q = grow(e.q, t.Len(), e.bufLen(t.Len()))
+		e.scales = grow(e.scales, e.rows)
+		e.q = grow(e.q, t.Len())
 		levels := linearLevels(s)
 		for r := 0; r < e.rows; r++ {
 			src := t.Data()[r*e.width : (r+1)*e.width]
@@ -226,8 +205,8 @@ func encode(e *Encoded, s Scheme, t *tensor.Tensor) {
 		}
 		if s == INT4 {
 			// Pack signed nibbles biased by +8 (values -7..7 -> 1..15);
-			// e.q stays behind as pooled scratch, the wire is nib+scales.
-			e.nib = grow(e.nib, (t.Len()+1)/2, (e.bufLen(t.Len())+1)/2)
+			// e.q stays behind as reused scratch, the wire is nib+scales.
+			e.nib = grow(e.nib, (t.Len()+1)/2)
 			packNibbles(e.q, e.nib)
 		}
 	default:
@@ -235,11 +214,27 @@ func encode(e *Encoded, s Scheme, t *tensor.Tensor) {
 	}
 }
 
+// Release does nothing: a payload is its encoder's, and no receiver owes it
+// anything once it has read it.
+func (e *Encoded) Release() {}
+
+// grow returns s resized to n elements, reusing its capacity when it
+// suffices and allocating exactly n when it does not. Contents are
+// unspecified: callers must overwrite (or explicitly zero) every element,
+// since a reused buffer carries the previous payload's values where a fresh
+// make() would carry zeros.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
 // quantizeRow symmetric-linearly quantizes one row into q and returns its
 // scale. All-zero rows quantize to zero; non-finite rows cannot be scaled
 // and are dropped to zero rather than poisoning the int8 conversion with
-// NaN. Every element of q is written, so reused (pooled) buffers carry no
-// stale values.
+// NaN. Every element of q is written, so reused buffers carry no stale
+// values.
 func quantizeRow(src []float32, q []int8, levels float64) float64 {
 	maxAbs := 0.0
 	for _, v := range src {

@@ -183,36 +183,6 @@ func checkHalvesResidual(t *testing.T, g, r []float32) {
 	}
 }
 
-// TestPoolIsSizeClassed is the regression pin for the size-blind payload
-// pool: rounds of large payloads (a top-layer gradient) interleaved with
-// rounds of small ones (an AlltoAll chunk) must not hand the large buffers
-// to the small payloads. Every buffer handed out holds less than twice the
-// capacity it needs, whatever else the pool has seen.
-func TestPoolIsSizeClassed(t *testing.T) {
-	r := tensor.NewRNG(5)
-	large := tensor.RandUniform(r, -1, 1, 256, 152)
-	small := tensor.RandUniform(r, -1, 1, 512)
-	for _, s := range []Scheme{FP16, INT8} {
-		for round := 0; round < 4; round++ {
-			for _, x := range []*tensor.Tensor{large, small} {
-				var es [8]*Encoded
-				held := 0
-				for i := range es {
-					es[i] = Encode(s, x)
-					held += max(cap(es[i].f16), cap(es[i].q)) // one object serves both schemes
-				}
-				if limit := 2 * len(es) * x.Len(); held >= limit {
-					t.Fatalf("%s round %d: %d payloads of %d elements hold capacity for %d, want < %d",
-						s, round, len(es), x.Len(), held, limit)
-				}
-				for _, e := range es {
-					e.Release()
-				}
-			}
-		}
-	}
-}
-
 // ToFloat16 converts a float32 to IEEE 754 binary16 bits with
 // round-to-nearest-even, handling subnormals, infinities, and NaN.
 func ToFloat16(f float32) uint16 {

@@ -16,36 +16,33 @@ import (
 //	EncodeResidual(s, g, r) ≡ v := Clone(g); AddInPlace(v, r);
 //	                          e := Encode(s, v); r = Sub(v, e.Decode())
 //	e.DecodeInto(dst)       ≡ dst.CopyFrom(e.Decode())
+//	e.DecodeIntoCols(dst, c) ≡ the same, into columns c… of dst's rows
 //	e.AddTo(dst)            ≡ AddInPlace(dst, e.Decode())
 
-// EncodeResidual encodes v = g + r under s and rewrites r in place to the
-// error-feedback residual v − decode(encode(v)), without materializing v
-// (except under None, where the receiver needs the raw tensor and the
-// residual is what v − v leaves — zeros, or NaN where v is ±Inf). g is left
-// untouched. The float32 operations and their order are exactly those of the
-// unfused composition, so training trajectories do not move by a bit.
+// EncodeResidual encodes v = g + r under s into a fresh payload and
+// rewrites r in place to the error-feedback residual v − decode(encode(v)),
+// without materializing v (except under None, where the receiver needs the
+// raw tensor and the residual is what v − v leaves — zeros, or NaN where v
+// is ±Inf). g is left untouched. The float32 operations and their order are
+// exactly those of the unfused composition, so training trajectories do not
+// move by a bit.
 func EncodeResidual(s Scheme, g, r *tensor.Tensor) *Encoded {
-	e := getEncoded(s, g.Len())
-	encodeResidual(e, s, g, r)
+	e := new(Encoded)
+	EncodeResidualTo(e, s, g, r)
 	return e
 }
 
 // EncodeResidualTo is EncodeResidual into e, a payload the caller owns and
-// reuses, as EncodeTo is Encode: buffers sized exactly once, no size-class
-// slack. Under None each call takes a fresh snapshot tensor, as
-// EncodeResidual does, so it never writes into a tensor an earlier EncodeTo
-// of e handed it.
+// reuses, as EncodeTo is Encode. Under None each call takes a fresh
+// snapshot tensor, so it never writes into a tensor an earlier EncodeTo of
+// e handed it.
 func EncodeResidualTo(e *Encoded, s Scheme, g, r *tensor.Tensor) {
-	e.owned(s)
-	encodeResidual(e, s, g, r)
-}
-
-// encodeResidual is EncodeResidual's body, into e.
-func encodeResidual(e *Encoded, s Scheme, g, r *tensor.Tensor) {
 	if g.Len() != r.Len() {
 		panic(fmt.Sprintf("quant: EncodeResidual size mismatch %d vs %d", g.Len(), r.Len()))
 	}
 	gd, rd := g.Data(), r.Data()
+	e.scheme = s
+	e.rows, e.width = linearGeometry(g)
 	if s != None {
 		e.shape = append(e.shape[:0], g.Shape()...)
 	}
@@ -60,12 +57,11 @@ func encodeResidual(e *Encoded, s Scheme, g, r *tensor.Tensor) {
 		}
 		e.raw = v
 	case FP16:
-		e.f16 = grow(e.f16, g.Len(), e.bufLen(g.Len()))
+		e.f16 = grow(e.f16, g.Len())
 		encodeHalvesResidual(e.f16[:len(gd)], gd, rd)
 	case INT8, INT4:
-		e.rows, e.width = linearGeometry(g)
-		e.scales = grow(e.scales, e.rows, e.bufLen(e.rows))
-		e.q = grow(e.q, g.Len(), e.bufLen(g.Len()))
+		e.scales = grow(e.scales, e.rows)
+		e.q = grow(e.q, g.Len())
 		levels := linearLevels(s)
 		for row := 0; row < e.rows; row++ {
 			lo, hi := row*e.width, (row+1)*e.width
@@ -101,7 +97,7 @@ func encodeResidual(e *Encoded, s Scheme, g, r *tensor.Tensor) {
 			}
 		}
 		if s == INT4 {
-			e.nib = grow(e.nib, (g.Len()+1)/2, (e.bufLen(g.Len())+1)/2)
+			e.nib = grow(e.nib, (g.Len()+1)/2)
 			packNibbles(e.q, e.nib)
 		}
 	default:
@@ -109,25 +105,51 @@ func encodeResidual(e *Encoded, s Scheme, g, r *tensor.Tensor) {
 	}
 }
 
-// DecodeInto reconstructs the payload into dst, overwriting every element —
-// the zero-allocation receiver path. Bitwise identical to Decode.
+// DecodeInto reconstructs the payload into dst, a tensor of the payload's
+// length, overwriting every element — the zero-allocation receiver path.
+// It is DecodeIntoCols at column 0 with dst read as the payload's own rows.
+// Bitwise identical to Decode.
 func (e *Encoded) DecodeInto(dst *tensor.Tensor) {
-	d := dst.Data()
+	if dst.Len() != e.rows*e.width {
+		panic(fmt.Sprintf("quant: DecodeInto size mismatch %d vs %d", dst.Len(), e.rows*e.width))
+	}
+	e.decodeRows(dst.Data(), e.width)
+}
+
+// DecodeIntoCols reconstructs the payload into the column window col to
+// col+w−1 of dst, where w is the payload's row width (its last dimension,
+// or its whole length if 1-D) and dst, read as rows of its own last
+// dimension, has the payload's row count: the receiver of one column block
+// of a wider tensor decodes straight into its place. The window is bitwise
+// Decode's; dst's other columns keep their bits.
+func (e *Encoded) DecodeIntoCols(dst *tensor.Tensor, col int) {
+	rows, stride := linearGeometry(dst)
+	if rows != e.rows || col < 0 || col+e.width > stride {
+		panic(fmt.Sprintf("quant: a %dx%d payload does not fit at column %d of %dx%d", e.rows, e.width, col, rows, stride))
+	}
+	e.decodeRows(dst.Data()[col:], stride)
+}
+
+// decodeRows writes the payload's row r to d[r*stride:][:e.width].
+func (e *Encoded) decodeRows(d []float32, stride int) {
 	switch e.scheme {
-	case None:
-		dst.CopyFrom(e.raw)
-	case FP16:
-		if len(d) != len(e.f16) {
-			panic(fmt.Sprintf("quant: DecodeInto size mismatch %d vs %d", len(d), len(e.f16)))
+	case None, FP16:
+		// No per-row scale: rows that lie back to back decode as one run.
+		runs, n := e.rows, e.width
+		if stride == n {
+			runs, n = 1, e.rows*e.width
 		}
-		decodeHalves(d, e.f16)
+		for r := 0; r < runs; r++ {
+			if e.scheme == None {
+				copy(d[r*stride:][:n], e.raw.Data()[r*n:][:n])
+			} else {
+				decodeHalves(d[r*stride:][:n], e.f16[r*n:][:n])
+			}
+		}
 	case INT8, INT4:
-		if len(d) != e.rows*e.width {
-			panic(fmt.Sprintf("quant: DecodeInto size mismatch %d vs %d", len(d), e.rows*e.width))
-		}
 		for r := 0; r < e.rows; r++ {
 			scale := e.scales[r]
-			row := d[r*e.width : (r+1)*e.width]
+			row := d[r*stride:][:e.width]
 			if scale == 0 {
 				for i := range row {
 					row[i] = 0

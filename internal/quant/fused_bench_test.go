@@ -22,21 +22,27 @@ func gradientLike(r *tensor.RNG, shape ...int) *tensor.Tensor {
 }
 
 // BenchmarkHotpathFloat16Encode times the fp16 encode alone on the
-// gradient-like payload: the encoders the codec selected (encodeHalves and
-// encodeHalvesResidual, 8 lanes at a time where the CPU has AVX2) against
-// their scalar references, in fp32 MB/s.
+// gradient-like payload, in fp32 MB/s: the scalar reference loops against
+// the codec as the trainer and SPTT run it, EncodeTo and EncodeResidualTo
+// into a reused payload, whose encoders (encodeHalves and
+// encodeHalvesResidual) run 8 lanes at a time where the CPU has AVX2.
 func BenchmarkHotpathFloat16Encode(b *testing.B) {
 	r := tensor.NewRNG(43)
-	grad := gradientLike(r, 64, 257).Data()
-	res := make([]float32, len(grad))
+	gt := gradientLike(r, 64, 257)
+	rt := tensor.New(64, 257)
+	grad, res := gt.Data(), rt.Data()
 	h := make([]uint16, len(grad))
+	var e Encoded
+	EncodeTo(&e, FP16, gt) // size the buffers
 	for _, side := range []struct {
 		name          string
 		encode        func(h []uint16, v []float32)
 		encodeResidue func(h []uint16, g, r []float32)
 	}{
 		{"scalar", encodeHalvesRef, encodeHalvesResidualRef},
-		{"vector", encodeHalves, encodeHalvesResidual},
+		{"vector",
+			func([]uint16, []float32) { EncodeTo(&e, FP16, gt) },
+			func([]uint16, []float32, []float32) { EncodeResidualTo(&e, FP16, gt, rt) }},
 	} {
 		b.Run(side.name+"/encode", func(b *testing.B) {
 			b.SetBytes(int64(4 * len(grad)))
@@ -54,10 +60,11 @@ func BenchmarkHotpathFloat16Encode(b *testing.B) {
 }
 
 // BenchmarkHotpathCodec measures the per-bucket wire path of compressed
-// collectives. fused/unfused: the quantize+encode+error-feedback pass
-// against the clone/add/encode/decode/sub composition it replaces — run
-// with -benchmem (`make bench-hotpath`), the headline is the allocs/op
-// column; fused/gradient is the fused pass, in fp32 MB/s, on the
+// collectives. fused/unfused: the quantize+encode+error-feedback pass,
+// EncodeResidualTo into a reused payload as the trainer runs it, against
+// the clone/add/encode/decode/sub composition it replaces — run with
+// -benchmem (`make bench-hotpath`), the headline is the allocs/op column;
+// fused/gradient is the fused pass, in fp32 MB/s, on the
 // gradient-like payload the trainer actually encodes (with its own
 // residual), where most halves are subnormal. decode/addto: the receive
 // side (DecodeInto, AddTo) in fp32 MB/s, on the uniform payload and on a
@@ -83,21 +90,20 @@ func BenchmarkHotpathCodec(b *testing.B) {
 			x, res *tensor.Tensor
 		}{{"fused", g, res}, {"fused/gradient", grad, tensor.New(64, 257)}} {
 			b.Run(s.String()+"/"+p.name, func(b *testing.B) {
-				EncodeResidual(s, p.x, p.res).Release() // warm the pool
+				var e Encoded
+				EncodeResidualTo(&e, s, p.x, p.res) // size the buffers
 				b.ReportAllocs()
 				b.SetBytes(int64(4 * p.x.Len()))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					e := EncodeResidual(s, p.x, p.res)
-					e.Release()
+					EncodeResidualTo(&e, s, p.x, p.res)
 				}
 			})
 		}
 		b.Run(s.String()+"/unfused", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e := unfusedEncodeResidual(s, g, res)
-				e.Release()
+				unfusedEncodeResidual(s, g, res)
 			}
 		})
 		for _, p := range []struct {
@@ -117,7 +123,6 @@ func BenchmarkHotpathCodec(b *testing.B) {
 					e.AddTo(dst)
 				}
 			})
-			e.Release()
 		}
 	}
 }

@@ -2,8 +2,6 @@ package quant
 
 import (
 	"math"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"dmt/internal/tensor"
@@ -110,16 +108,46 @@ func TestFusedEncodeResidualMatchesUnfused(t *testing.T) {
 	}
 }
 
+// sentinel is a NaN with a payload no decode produces: a column outside
+// DecodeIntoCols' window must keep exactly these bits.
+var sentinel = math.Float32frombits(0x7fc0_5a5a)
+
+// checkDecodeIntoCols decodes e into a destination of its rows, pad
+// columns wider, at column col, and requires the window to equal want
+// (e's Decode) bit for bit and every other column to keep the sentinel.
+func checkDecodeIntoCols(t *testing.T, e *Encoded, want *tensor.Tensor, col, pad int) {
+	t.Helper()
+	rows, width := linearGeometry(want)
+	stride := width + pad
+	dst := tensor.New(rows, stride)
+	for i := range dst.Data() {
+		dst.Data()[i] = sentinel
+	}
+	e.DecodeIntoCols(dst, col)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < stride; c++ {
+			got := math.Float32bits(dst.Data()[r*stride+c])
+			if c >= col && c < col+width {
+				if w := math.Float32bits(want.Data()[r*width+c-col]); got != w {
+					t.Fatalf("%s: DecodeIntoCols at column %d of %d: row %d column %d is %#08x, Decode has %#08x", e.scheme, col, stride, r, c, got, w)
+				}
+			} else if got != math.Float32bits(sentinel) {
+				t.Fatalf("%s: DecodeIntoCols at column %d of %d wrote row %d column %d outside its window", e.scheme, col, stride, r, c)
+			}
+		}
+	}
+}
+
 // TestDecodeIntoAndAddToMatchUnfused pins the fused receiver paths bitwise
-// against Decode: DecodeInto must equal the decoded tensor, and AddTo must
-// equal AddInPlace with it — including the += 0 of skipped rows, which
-// normalizes a −0 in the destination to +0 exactly like the unfused add.
+// against Decode, for every scheme: DecodeInto must equal the decoded
+// tensor; DecodeIntoCols must equal it in its column window of a wider
+// destination, at column 0 and at an offset, and leave the other columns'
+// bits alone; and AddTo must equal AddInPlace with it — including the += 0
+// of skipped rows, which normalizes a −0 in the destination to +0 exactly
+// like the unfused add.
 func TestDecodeIntoAndAddToMatchUnfused(t *testing.T) {
 	negZero := math.Float32frombits(0x80000000)
 	for _, s := range Schemes() {
-		if s == None {
-			continue // by-reference; covered by the codec tests
-		}
 		for ci, x := range fusedCases() {
 			e := Encode(s, x)
 			want := e.Decode()
@@ -132,6 +160,9 @@ func TestDecodeIntoAndAddToMatchUnfused(t *testing.T) {
 			if !bitsEqual(into, want) {
 				t.Fatalf("%s case %d: DecodeInto != Decode", s, ci)
 			}
+			checkDecodeIntoCols(t, e, want, 0, 0)
+			checkDecodeIntoCols(t, e, want, 0, 3)
+			checkDecodeIntoCols(t, e, want, 2, 5)
 
 			r := tensor.NewRNG(uint64(31 + ci))
 			acc := tensor.RandUniform(r, -1, 1, x.Shape()...)
@@ -174,6 +205,8 @@ func TestEncodeResidualNone(t *testing.T) {
 // composition for every scheme. The row cycles through the five values, and
 // its length, 5 to 40, takes every residue mod 8, so the vector encoders
 // run whole blocks and a scalar tail; odd lengths keep INT4 on an odd width.
+// The decoded row also lands in a column window of a wider destination, at
+// an offset n picks.
 func FuzzFusedCodec(f *testing.F) {
 	f.Add(float32(1), float32(-2), float32(3), float32(-4), float32(5), uint8(0))
 	f.Add(float32(0), float32(0), float32(0), float32(0), float32(0), uint8(3))
@@ -199,13 +232,14 @@ func FuzzFusedCodec(f *testing.F) {
 				t.Fatalf("%s: fused payload diverged on %v", s, x.Data())
 			}
 
-			if s == None {
-				continue
-			}
 			into := tensor.New(size)
 			ef.DecodeInto(into)
 			if !bitsEqual(into, decF) {
 				t.Fatalf("%s: DecodeInto diverged on %v", s, x.Data())
+			}
+			checkDecodeIntoCols(t, ef, decF, int(n)%4, int(n)%4+int(n)/4%3)
+			if s == None {
+				continue
 			}
 			acc := res0.Clone()
 			ref := res0.Clone()
@@ -218,62 +252,33 @@ func FuzzFusedCodec(f *testing.F) {
 	})
 }
 
-// TestPooledEncodeAllocs pins the pooled hot loop at zero steady-state
-// allocations: once the pool holds a buffer at the high-water mark, an
-// Encode/Release or EncodeResidual/Release cycle — the per-bucket wire path
-// of compressed collectives — reuses it outright, and the fused receiver
-// paths write into caller storage.
-func TestPooledEncodeAllocs(t *testing.T) {
+// TestReusedEncodeAllocs pins the hot loop at zero steady-state
+// allocations: once a payload's buffers are sized, an EncodeTo or
+// EncodeResidualTo into it — the per-bucket and step (f) wire path — reuses
+// them outright, and the fused receiver paths write into caller storage.
+func TestReusedEncodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; strict zero-alloc pin only holds without it")
 	}
 	r := tensor.NewRNG(17)
 	x := tensor.RandUniform(r, -1, 1, 16, 33) // odd width: nib path too
 	res := tensor.RandUniform(r, -0.01, 0.01, 16, 33)
-	dst := tensor.New(16, 33)
+	dst, wide := tensor.New(16, 33), tensor.New(16, 40)
 	for _, s := range []Scheme{FP16, INT8, INT4} {
-		Encode(s, x).Release() // warm the pool
+		var e Encoded
+		EncodeTo(&e, s, x) // size the buffers
 		if allocs := testing.AllocsPerRun(100, func() {
-			e := Encode(s, x)
+			EncodeTo(&e, s, x)
 			e.DecodeInto(dst)
+			e.DecodeIntoCols(wide, 7)
 			e.AddTo(dst)
-			e.Release()
-		}); allocs >= 1 {
-			t.Errorf("%s: pooled Encode+DecodeInto+AddTo allocates %.1f objects/op, want 0", s, allocs)
+		}); allocs != 0 {
+			t.Errorf("%s: EncodeTo+DecodeInto+DecodeIntoCols+AddTo allocates %.1f objects/op, want 0", s, allocs)
 		}
 		if allocs := testing.AllocsPerRun(100, func() {
-			e := EncodeResidual(s, x, res)
-			e.Release()
-		}); allocs >= 1 {
-			t.Errorf("%s: pooled EncodeResidual allocates %.1f objects/op, want 0", s, allocs)
-		}
-	}
-}
-
-// TestPooledEncodeGrowsToItsClass pins grow's sizing: a buffer first grown
-// for a small payload already holds the largest payload of its size class,
-// so row segments of several sizes in one class stop allocating after one
-// round instead of each time a larger segment draws a smaller buffer.
-func TestPooledEncodeGrowsToItsClass(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; strict zero-alloc pin only holds without it")
-	}
-	r := tensor.NewRNG(19)
-	small := tensor.RandUniform(r, -1, 1, 16, 33) // 528 elements, 16 rows
-	large := tensor.RandUniform(r, -1, 1, 31, 33) // 1023: the same classes
-	// One P and no collector, as in testing.AllocsPerRun, whose own warm-up
-	// run would grow the buffer before it counts.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	for _, s := range []Scheme{FP16, INT8, INT4} {
-		Encode(s, small).Release()
-		runtime.ReadMemStats(&before)
-		Encode(s, large).Release()
-		runtime.ReadMemStats(&after)
-		if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
-			t.Errorf("%s: a %d-element payload after a %d-element one allocates %d objects, want 0",
-				s, large.Len(), small.Len(), allocs)
+			EncodeResidualTo(&e, s, x, res)
+		}); allocs != 0 {
+			t.Errorf("%s: EncodeResidualTo allocates %.1f objects/op, want 0", s, allocs)
 		}
 	}
 }
@@ -286,14 +291,8 @@ func TestFusedCutsAllocs(t *testing.T) {
 	x := tensor.RandUniform(r, -1, 1, 32, 64)
 	res := tensor.RandUniform(r, -0.01, 0.01, 32, 64)
 	for _, s := range []Scheme{FP16, INT8, INT4} {
-		fused := testing.AllocsPerRun(50, func() {
-			e := EncodeResidual(s, x, res)
-			e.Release()
-		})
-		unfused := testing.AllocsPerRun(50, func() {
-			e := unfusedEncodeResidual(s, x, res)
-			e.Release()
-		})
+		fused := testing.AllocsPerRun(50, func() { EncodeResidual(s, x, res) })
+		unfused := testing.AllocsPerRun(50, func() { unfusedEncodeResidual(s, x, res) })
 		if fused >= unfused {
 			t.Errorf("%s: fused path allocates %.1f/op, unfused %.1f/op — want a strict cut",
 				s, fused, unfused)
@@ -301,48 +300,43 @@ func TestFusedCutsAllocs(t *testing.T) {
 	}
 }
 
-// TestOwnedEncodeMatchesPooled pins EncodeTo and EncodeResidualTo, the
-// caller-owned payloads the trainer's gradient buckets encode into, to the
-// pooled Encode and EncodeResidual bit for bit (payload, residual, wire
-// bytes), with buffers of exactly the payload's size, Release a no-op, and
-// no allocation once a compressed payload has been encoded once. Under None
-// EncodeResidualTo snapshots into a fresh tensor, so it never writes into
-// the tensor an earlier EncodeTo of the same payload holds.
-func TestOwnedEncodeMatchesPooled(t *testing.T) {
+// TestReusedEncodeMatchesFresh pins EncodeTo and EncodeResidualTo into
+// one payload reused across every case — buffers grown for another size,
+// holding the last case's values — to a fresh payload bit for bit
+// (payload, residual, wire bytes): every encode overwrites all it ships. A
+// fresh payload's buffers hold exactly its size, and repeating an encode
+// into a sized payload allocates nothing. Under None EncodeResidualTo
+// snapshots into a fresh tensor, so it never writes into the tensor an
+// earlier EncodeTo of the same payload holds.
+func TestReusedEncodeMatchesFresh(t *testing.T) {
 	for _, s := range Schemes() {
+		var own, ownRes Encoded
 		for ci, x := range fusedCases() {
 			r := tensor.NewRNG(uint64(31 + ci))
-			resP := tensor.RandUniform(r, -0.01, 0.01, x.Shape()...)
-			resO := resP.Clone()
-			var own, ownRes Encoded
+			resF := tensor.RandUniform(r, -0.01, 0.01, x.Shape()...)
+			resO := resF.Clone()
 			EncodeTo(&own, s, x)
 			EncodeResidualTo(&ownRes, s, x, resO)
-			pooled, pooledRes := Encode(s, x), EncodeResidual(s, x, resP)
+			fresh, freshRes := Encode(s, x), EncodeResidual(s, x, resF)
 			for _, c := range []struct {
 				name      string
 				got, want *Encoded
-			}{{"EncodeTo", &own, pooled}, {"EncodeResidualTo", &ownRes, pooledRes}} {
+			}{{"EncodeTo", &own, fresh}, {"EncodeResidualTo", &ownRes, freshRes}} {
 				if !bitsEqual(c.got.Decode(), c.want.Decode()) || c.got.WireBytes() != c.want.WireBytes() {
-					t.Fatalf("%s case %d: %s differs from the pooled payload", s, ci, c.name)
+					t.Fatalf("%s case %d: %s into a reused payload differs from a fresh one", s, ci, c.name)
 				}
 				for _, n := range []struct{ cap, len int }{
-					{cap(c.got.f16), len(c.got.f16)}, {cap(c.got.q), len(c.got.q)},
-					{cap(c.got.nib), len(c.got.nib)}, {cap(c.got.scales), len(c.got.scales)},
+					{cap(c.want.f16), len(c.want.f16)}, {cap(c.want.q), len(c.want.q)},
+					{cap(c.want.nib), len(c.want.nib)}, {cap(c.want.scales), len(c.want.scales)},
 				} {
 					if n.cap != n.len {
-						t.Fatalf("%s case %d: %s buffer holds %d for a payload of %d", s, ci, c.name, n.cap, n.len)
+						t.Fatalf("%s case %d: a fresh payload's buffer holds %d for a payload of %d", s, ci, n.cap, n.len)
 					}
 				}
 			}
-			if !bitsEqual(resO, resP) {
+			if !bitsEqual(resO, resF) {
 				t.Fatalf("%s case %d: EncodeResidualTo's residual differs from EncodeResidual's", s, ci)
 			}
-			own.Release() // a no-op: the payload is the caller's
-			if own.pooled || own.Decode() == nil {
-				t.Fatalf("%s case %d: Release touched an owned payload", s, ci)
-			}
-			pooled.Release()
-			pooledRes.Release()
 			if s == None {
 				held := x.Clone()
 				EncodeTo(&ownRes, s, held)

@@ -87,10 +87,9 @@ func Apply(s Scheme, t *tensor.Tensor) *tensor.Tensor {
 	if s == None {
 		return t
 	}
-	e := Encode(s, t)
-	out := e.Decode()
-	e.Release() // Decode copied; recycle the wire buffers immediately
-	return out
+	var e Encoded
+	EncodeTo(&e, s, t)
+	return e.Decode()
 }
 
 // FromFloat16 converts binary16 bits back to float32 exactly: one load from

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +61,12 @@ func TestFP16KnownValues(t *testing.T) {
 	}
 }
 
+// TestFP16RelativeErrorBound draws values in ±100 and checks each round
+// trip: within half an ulp relative to v where v is a normal half
+// (|v| ≥ 2⁻¹⁴), and within half the subnormal step, 2⁻²⁵, below it, where a
+// half has a fixed absolute step of 2⁻²⁴ and the relative error grows as v
+// shrinks. quick draws its seeds from a fixed source, and the seed whose
+// 99th draw, 2.2367127e-05, is subnormal as a half runs as a case of its own.
 func TestFP16RelativeErrorBound(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := tensor.NewRNG(seed)
@@ -69,14 +76,21 @@ func TestFP16RelativeErrorBound(t *testing.T) {
 				continue
 			}
 			got := FromFloat16(ToFloat16(v))
-			rel := math.Abs(float64(got-v)) / math.Abs(float64(v))
-			if rel > MaxRelError(FP16)+1e-9 {
+			diff := math.Abs(float64(got - v))
+			if math.Abs(float64(v)) < 0x1p-14 {
+				if diff > 0x1p-25 {
+					return false
+				}
+			} else if diff/math.Abs(float64(v)) > MaxRelError(FP16)+1e-9 {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if !f(0xefeef8966f5cfe) {
+		t.Fatal("seed 0xefeef8966f5cfe: a round trip is out of bounds")
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -166,7 +180,7 @@ func TestQuickFP16RoundTripStable(t *testing.T) {
 		twice := FromFloat16(ToFloat16(once))
 		return once == twice
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -435,11 +435,40 @@ func fromPeerMajor(x *tensor.Tensor, ft, T, B, n int) *tensor.Tensor {
 	return out
 }
 
-// stepF is step (f) and its reverse: post the peer AlltoAll — the
-// dataflow's cross-host hop, quantized under the topology-aware policy —
-// run the overlap hook while the payloads are in flight, then wait.
-func stepF(peerC *comm.Comm, s quant.Scheme, chunks []*tensor.Tensor, hook func(rank int), rank int) []*tensor.Tensor {
-	pending := peerC.IAlltoAllTensorsQ(s, chunks)
+// peerWire is one rank's step (f) wire: its payload to each peer, which
+// the rank encodes into on every call and keeps, and the one-payload
+// batches the peer AlltoAll posts and receives. A call re-encodes only
+// after the previous call's run has joined, by which time every receiver
+// has decoded what it was sent.
+type peerWire struct {
+	enc        []quant.Encoded // enc[t]: the payload to peer t
+	parts, got [][]*quant.Encoded
+}
+
+func newPeerWire(peers int) peerWire {
+	w := peerWire{
+		enc:   make([]quant.Encoded, peers),
+		parts: make([][]*quant.Encoded, peers),
+		got:   make([][]*quant.Encoded, peers),
+	}
+	for t := range w.parts {
+		w.parts[t] = []*quant.Encoded{&w.enc[t]}
+	}
+	return w
+}
+
+// stepF is step (f) and its reverse on one rank: encode chunks[t] into the
+// rank's payload to peer t, post the peer AlltoAll — the dataflow's
+// cross-host hop, quantized under the topology-aware policy — with one
+// payload per peer, run the overlap hook while the payloads are in flight,
+// then wait. got[t][0] is peer t's payload to this rank, which the caller
+// decodes into its destination.
+func (e *Engine) stepF(peerC *comm.Comm, rank int, s quant.Scheme, chunks []*tensor.Tensor, hook func(rank int)) (got [][]*quant.Encoded) {
+	w := &e.wire[rank]
+	for t, c := range chunks {
+		quant.EncodeTo(&w.enc[t], s, c)
+	}
+	pending := peerC.IAlltoAllBatchEnc(w.parts, w.got)
 	if hook != nil {
 		hook(rank)
 	}
@@ -451,7 +480,7 @@ func stepF(peerC *comm.Comm, s quant.Scheme, chunks []*tensor.Tensor, hook func(
 // feature blocks in order.
 func (e *Engine) exchange(peerC *comm.Comm, rank int, tower []*tensor.Tensor, fl flow, cm Comms) *tensor.Tensor {
 	cfg := e.Cfg
-	T, B, N := cfg.T(), cfg.B, cfg.N
+	T, L, B, N := cfg.T(), cfg.L, cfg.B, cfg.N
 	var x *tensor.Tensor
 	if fl.modules == nil {
 		// Step (e): local data shuffle — (features, peers) -> (peers,
@@ -474,14 +503,29 @@ func (e *Engine) exchange(peerC *comm.Comm, rank int, tower []*tensor.Tensor, fl
 	for t := range chunks {
 		chunks[t] = x.Rows(t*x.Dim(0)/T, (t+1)*x.Dim(0)/T)
 	}
-	got := stepF(peerC, cm.CrossHost, chunks, cm.Overlap, rank)
+	got := e.stepF(peerC, rank, cm.CrossHost, chunks, cm.Overlap)
 	if fl.modules != nil {
-		return tensor.Concat(1, got...) // (B, Σ O_t), tower order
+		// (B, Σ O_t) in tower order: each tower's block decodes into its
+		// column window.
+		sum := 0
+		for t := 0; t < T; t++ {
+			sum += fl.modules[t*L].OutDim()
+		}
+		out, col := tensor.New(B, sum), 0
+		for t, p := range got {
+			p[0].DecodeIntoCols(out, col)
+			col += fl.modules[t*L].OutDim()
+		}
+		return out
 	}
 	out := tensor.New(B, cfg.F(), N)
-	for t, blk := range got {
+	scratch := tensor.Scratch.Get()
+	for t, p := range got {
+		blk := scratch.New(len(e.tower[t]), B, N)
+		p[0].DecodeInto(blk)
 		e.scatter(out, blk, e.tower[t])
 	}
+	tensor.Scratch.Put(scratch)
 	return out
 }
 
@@ -505,12 +549,20 @@ func (e *Engine) exchangeBackward(hostC, peerC *comm.Comm, rank int, dOut *tenso
 		}
 		chunks = tensor.SplitCols(dOut, widths)
 	}
-	got := stepF(peerC, st.comms.CrossHost, chunks, st.comms.BwdOverlap, rank)
-	// The received blocks are re-laid, through the tower module if there is
-	// one, into the feature-major result with no wait between: a scratch
-	// arena's pass.
+	got := e.stepF(peerC, rank, st.comms.CrossHost, chunks, st.comms.BwdOverlap)
+	// The received blocks decode into their row blocks of d and are
+	// re-laid, through the tower module if there is one, into the
+	// feature-major result with no wait between: a scratch arena's pass.
 	scratch := tensor.Scratch.Get()
-	d := scratch.Concat(0, got...)
+	var d *tensor.Tensor
+	if st.modules == nil {
+		d = scratch.New(T*ft, B, N)
+	} else {
+		d = scratch.New(T*B, st.modules[rank].OutDim())
+	}
+	for t, p := range got {
+		p[0].DecodeInto(scratch.Rows(d, t*d.Dim(0)/T, (t+1)*d.Dim(0)/T))
+	}
 	if st.modules == nil {
 		// Reverse step (e): (peers, features) -> (features, peers).
 		out := fromPeerMajor(d, ft, T, 1, B*N)

@@ -33,6 +33,9 @@ type Engine struct {
 	peerOrder, rankOrder []int
 	owned, tower         [][]int
 
+	// wire[r] is rank r's step (f) payloads, kept from call to call.
+	wire []peerWire
+
 	// fam is the communicator cache: the families of the last completed
 	// run (a failed one cancels their network), reused as long as calls
 	// name the same Comms.Net.
@@ -80,6 +83,9 @@ func NewEngineOver(cfg Config, tables []*nn.EmbeddingBag, tier embeddings.Tier) 
 	if towers {
 		for t := 0; t < cfg.T(); t++ {
 			e.tower = append(e.tower, cfg.TowerFeatures(t))
+		}
+		for g := 0; g < cfg.G; g++ {
+			e.wire = append(e.wire, newPeerWire(cfg.T()))
 		}
 	}
 	return e, nil

@@ -105,6 +105,19 @@ func (a *Arena) Reshape(t *Tensor, shape ...int) *Tensor {
 	return v
 }
 
+// Rows returns a view of rows [lo, hi) of t, as t.Rows does, with the
+// header taken from the arena.
+func (a *Arena) Rows(t *Tensor, lo, hi int) *Tensor {
+	if a == nil {
+		return t.Rows(lo, hi)
+	}
+	w := checkShape(t.shape[1:])
+	v := a.header()
+	v.shape = append(append(v.shape[:0], hi-lo), t.shape[1:]...)
+	v.data = t.data[lo*w : hi*w]
+	return v
+}
+
 // DropViews lets every header handed out since the last Reset that views
 // memory the arena does not hold, a Reshape of a pass's input, let go of
 // it, so the arena keeps that memory alive no longer than the pass that
