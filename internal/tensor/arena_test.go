@@ -127,7 +127,8 @@ func TestArenaSizesChunksExactly(t *testing.T) {
 // reuses the data from the start while every header keeps its shape and is
 // not handed out again; DropViews lets a view of memory the arena does not
 // hold let go of it and keeps views of the arena's own memory; Reset lets
-// go of every view.
+// go of every view. Rows is a view of the rows it names, as Reshape is of
+// the whole tensor.
 func TestArenaRewindAndViews(t *testing.T) {
 	var a Arena
 	input := Full(3, 4, 6)
@@ -141,9 +142,13 @@ func TestArenaRewindAndViews(t *testing.T) {
 	if again == view || again == first || view.Dim(0) != 6 || &view.Data()[0] != &input.Data()[0] {
 		t.Error("Rewind handed out a header in use or changed a view")
 	}
+	rows := a.Rows(input, 1, 3)
+	if rows.Dim(0) != 2 || rows.Dim(1) != 6 || &rows.Data()[0] != &input.Data()[6] || len(rows.Data()) != 12 {
+		t.Errorf("Rows(1, 3) of a (4, 6) tensor is %v, not a view of its rows 1 and 2", rows.Shape())
+	}
 	a.DropViews()
-	if view.Data() != nil || len(again.Data()) != 6 {
-		t.Errorf("DropViews left the input view with %d elements and the arena's own tensor with %d", len(view.Data()), len(again.Data()))
+	if view.Data() != nil || rows.Data() != nil || len(again.Data()) != 6 {
+		t.Errorf("DropViews left the input views with %d and %d elements and the arena's own tensor with %d", len(view.Data()), len(rows.Data()), len(again.Data()))
 	}
 	own := a.Reshape(again, 3, 2)
 	a.Reset()
