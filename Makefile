@@ -144,8 +144,8 @@ fp16-exhaustive:
 # ragged tail of 8 samples, N from 1 to 300) against their scalar
 # references, the wire codec (the fused encode at
 # every length mod 8, and the column-window decode DecodeIntoCols into a
-# wider destination at an offset), the SPTT step (a) bag
-# payload, the pooling backward against its map-based oracle (over tables
+# wider destination at an offset), SPTT step (a)'s global-batch bags at
+# each owner (and the bytes each message is charged), the pooling backward against its map-based oracle (over tables
 # small and large enough for both of its row orders), the LRU core against
 # its reference model, Keyed's batch calls (GetRows, FillRows, PutRows)
 # against the one-key calls they stand for on a twin cache, CachedStore's
@@ -161,7 +161,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFloat16RoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzLinearQuantRoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedCodec$$' -fuzztime 10s ./internal/quant
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBags$$' -fuzztime 10s ./internal/sptt
+	$(GO) test -run '^$$' -fuzz '^FuzzGlobalBags$$' -fuzztime 10s ./internal/sptt
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolBackward$$' -fuzztime 10s ./internal/sptt
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUCore$$' -fuzztime 10s ./internal/embeddings
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyedRows$$' -fuzztime 10s ./internal/embeddings

@@ -97,21 +97,18 @@ func (p *Pending[T]) Wait() T {
 // IAlltoAllTensors posts chunks[j] to rank j and returns a handle that
 // resolves to the received chunks indexed by source rank.
 func (c *Comm) IAlltoAllTensors(chunks []*tensor.Tensor) *Pending[[]*tensor.Tensor] {
-	return iAlltoAll(c, "AlltoAll", chunks, tensorBytes)
+	return IAlltoAll(c, chunks, tensorBytes)
 }
 
-// IAlltoAllInt32 is IAlltoAllTensors for index payloads.
-func (c *Comm) IAlltoAllInt32(chunks [][]int32) *Pending[[][]int32] {
-	return iAlltoAll(c, "AlltoAllInt32", chunks, func(ids []int32) int { return 4 * len(ids) })
-}
-
-// iAlltoAll is the one all-to-all: chunks[d] goes to rank d, charged
-// size(chunks[d]) bytes, and the handle resolves to the received chunks
-// indexed by source rank.
-func iAlltoAll[T any](c *Comm, op string, chunks []T, size func(T) int) *Pending[[]T] {
+// IAlltoAll is the one all-to-all: chunks[d] goes to rank d by reference,
+// charged the size(chunks[d]) bytes the caller says its wire encoding
+// takes, and the handle resolves to the received chunks indexed by source
+// rank. A sender leaves what a chunk refers to as it is, and a receiver
+// reads it in place, until the Run that carried it has joined.
+func IAlltoAll[T any](c *Comm, chunks []T, size func(T) int) *Pending[[]T] {
 	n := c.g.size
 	if len(chunks) != n {
-		panic(fmt.Sprintf("comm: %s needs %d chunks, got %d", op, n, len(chunks)))
+		panic(fmt.Sprintf("comm: AlltoAll needs %d chunks, got %d", n, len(chunks)))
 	}
 	for d := 0; d < n; d++ {
 		c.send(d, chunks[d], size(chunks[d]))

@@ -55,7 +55,8 @@ func TestAsyncCollectivesMatchBlocking(t *testing.T) {
 	})
 }
 
-// TestAsyncAlltoAllInt32 covers the index-payload I* variant.
+// TestAsyncAlltoAllInt32 covers IAlltoAll on index payloads: every rank's
+// slice reaches its destination by reference, charged the caller's size.
 func TestAsyncAlltoAllInt32(t *testing.T) {
 	const n = 3
 	comms := NewGroup(n)
@@ -63,15 +64,24 @@ func TestAsyncAlltoAllInt32(t *testing.T) {
 		r := c.Rank()
 		ichunks := make([][]int32, n)
 		for d := 0; d < n; d++ {
-			ichunks[d] = []int32{int32(r*100 + d)}
+			ichunks[d] = make([]int32, d+1)
+			ichunks[d][0] = int32(r*100 + d)
 		}
-		ints := c.IAlltoAllInt32(ichunks).Wait()
+		ints := IAlltoAll(c, ichunks, func(ids []int32) int { return 4 * len(ids) }).Wait()
 		for s := 0; s < n; s++ {
-			if want := int32(s*100 + r); ints[s][0] != want {
-				t.Errorf("rank %d: IAlltoAllInt32 from %d got %d want %d", r, s, ints[s][0], want)
+			if want := int32(s*100 + r); ints[s][0] != want || len(ints[s]) != r+1 {
+				t.Errorf("rank %d: IAlltoAll from %d got %v want [%d ...] of %d", r, s, ints[s], want, r+1)
 			}
 		}
 	})
+	m := TrafficMatrix(comms)
+	for s := range m {
+		for d, b := range m[s] {
+			if want := int64(4 * (d + 1)); b != want {
+				t.Errorf("%d→%d charged %d bytes, want %d", s, d, b, want)
+			}
+		}
+	}
 }
 
 // TestWaitOutOfOrderPanics: mailbox FIFO is the wire format, so waiting

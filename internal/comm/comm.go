@@ -5,6 +5,11 @@
 // embedding AlltoAll and the batched gradient AllGather also run over a
 // quantized wire (compressed.go).
 //
+// Payloads travel by reference and are never serialized: each message is
+// charged the bytes its wire encoding would take, a size the generic
+// AlltoAll/IAlltoAll takes from its caller (SPTT step (a)'s bag records and
+// an embedding tier's round requests, charged their int32 encodings).
+//
 // Every collective has a non-blocking I* form (IAlltoAllTensors,
 // IAllReduceSum, ...) that posts its sends immediately and returns a
 // Pending handle whose Wait() drains the receives and finishes the
@@ -443,11 +448,12 @@ func (c *Comm) AlltoAllTensors(chunks []*tensor.Tensor) []*tensor.Tensor {
 	return c.IAlltoAllTensors(chunks).Wait()
 }
 
-// AlltoAllInt32 is AlltoAllTensors for index payloads (the sparse-feature
-// distribution of SPTT/baseline step a sends indices, not embeddings).
-func (c *Comm) AlltoAllInt32(chunks [][]int32) [][]int32 {
-	c.checkIdle("AlltoAllInt32")
-	return c.IAlltoAllInt32(chunks).Wait()
+// AlltoAll is the blocking IAlltoAll: it sends chunks[j] to rank j,
+// charged size(chunks[j]) bytes, and returns the received chunks indexed by
+// source rank.
+func AlltoAll[T any](c *Comm, chunks []T, size func(T) int) []T {
+	c.checkIdle("AlltoAll")
+	return IAlltoAll(c, chunks, size).Wait()
 }
 
 // AllReduceSum returns the elementwise sum of every rank's x. The reduction

@@ -62,7 +62,7 @@ func TestAlltoAllInt32(t *testing.T) {
 		for d := 0; d < n; d++ {
 			chunks[d] = []int32{int32(c.Rank()), int32(d)}
 		}
-		results[c.Rank()] = c.AlltoAllInt32(chunks)
+		results[c.Rank()] = AlltoAll(c, chunks, func(ids []int32) int { return 4 * len(ids) })
 	})
 	for dst := 0; dst < n; dst++ {
 		for src := 0; src < n; src++ {

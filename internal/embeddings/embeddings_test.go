@@ -123,6 +123,70 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestRoundBytesMatchInt32Encoding: a round's messages travel by
+// reference, charged what their int32 encoding took: the request 4·(2 +
+// Σ(2 + n)) bytes, [kind, nTables, (table, n, ids...)*] over its n-id
+// lists; an update's gradient rows and every response 4 bytes an element.
+// Uneven tables, a server whose round is empty and an update of zero rows
+// are all charged so, per pair and in the tier's counters.
+func TestRoundBytesMatchInt32Encoding(t *testing.T) {
+	const dim = 4
+	rng := tensor.NewRNG(3)
+	var tables []*nn.EmbeddingBag
+	for f, rows := range []int{8, 3, 5, 16, 12} {
+		tables = append(tables, nn.NewEmbeddingBag(rng, rows, dim, fmt.Sprintf("emb%d", f)))
+	}
+	// Server s owns tables f ≡ s (mod 3): 0 and 3 on server 0, 1 and 4 on
+	// server 1, none on server 2, whose rounds are empty.
+	tier := NewRemote(RemoteConfig{Clients: 1, Servers: 3, Tables: tables, SparseLR: 0.01, Net: comm.NewNetwork(nil, 4)})
+	sent := func() (req, resp [3]int64) {
+		for s := range req {
+			p := tier.pairs[0][s]
+			req[s], resp[s] = p.client.BytesSentTo(1), p.server.BytesSentTo(0)
+		}
+		return req, resp
+	}
+	check := func(phase string, req0, resp0, wantReq, wantResp [3]int64) {
+		t.Helper()
+		req, resp := sent()
+		for s := range req {
+			if got := req[s] - req0[s]; got != wantReq[s] {
+				t.Errorf("%s: client → server %d charged %d bytes, want %d", phase, s, got, wantReq[s])
+			}
+			if got := resp[s] - resp0[s]; got != wantResp[s] {
+				t.Errorf("%s: server %d → client charged %d bytes, want %d", phase, s, got, wantResp[s])
+			}
+		}
+	}
+	row := int64(4 * dim)
+
+	req0, resp0 := sent()
+	tier.Client(0).Lookup([]Req{
+		{Table: 0, IDs: []int32{1, 2, 2}}, {Table: 1}, {Table: 3, IDs: []int32{0, 4, 5, 6, 15}}, {Table: 4, IDs: []int32{11}},
+	})
+	check("lookup", req0, resp0,
+		[3]int64{4 * (2 + 2 + 3 + 2 + 5), 4 * (2 + 2 + 0 + 2 + 1), 4 * 2},
+		[3]int64{8 * row, 1 * row, 0})
+	lookupBytes := 4*(2+2+3+2+5) + 4*(2+2+0+2+1) + 4*2 + 9*row
+
+	req0, resp0 = sent()
+	tier.Client(0).Update([]Upd{
+		{Table: 0, Rows: []int{1, 7}, GradRows: gradFor([]int{1, 7}, dim, 1)},
+		{Table: 1, Rows: []int{}, GradRows: tensor.New(0, dim)},
+		{Table: 4, Rows: []int{11}, GradRows: gradFor([]int{11}, dim, 2)},
+	})
+	// The gradient message rides the request's pair link too.
+	check("update", req0, resp0,
+		[3]int64{4*(2+2+2) + 2*row, 4*(2+2+0+2+1) + 1*row, 4 * 2},
+		[3]int64{2 * row, 1 * row, 0})
+	updateBytes := 4*(2+2+2) + 4*(2+2+0+2+1) + 4*2 + 2*(3*row)
+
+	if st := tier.Stats(); st.LookupCrossBytes != lookupBytes || st.UpdateCrossBytes != updateBytes {
+		t.Errorf("tier counted %d lookup and %d update bytes, want %d and %d",
+			st.LookupCrossBytes, st.UpdateCrossBytes, lookupBytes, updateBytes)
+	}
+}
+
 // TestCachedWriteBackConcurrent is the -race hammer: several owner
 // goroutines banging on ONE shared Cached store over disjoint tables —
 // concurrent Lookup, Update, and write-back refresh through the sharded

@@ -11,12 +11,6 @@ import (
 	"dmt/internal/tensor"
 )
 
-// Round kinds of the client→server request protocol.
-const (
-	roundLookup int32 = iota
-	roundUpdate
-)
-
 // RemoteConfig sizes a disaggregated embedding tier.
 type RemoteConfig struct {
 	// Clients is the number of compute ranks (global ranks 0..Clients-1).
@@ -41,7 +35,11 @@ type RemoteConfig struct {
 // RemoteTier disaggregates the embedding tables onto dedicated server ranks.
 // Each (client, server) pair owns a private 2-rank comm group; a client
 // round is one request collective plus one (lookup) or two (update) row
-// collectives on that pair.
+// collectives on that pair. The request is the client's own Reqs or Upds
+// for that server, which the server reads in place, charged the bytes of
+// their int32 encoding, [kind, nTables, (table, n, ids...)*]; an update's
+// gradient message carries the Upds' own GradRows, charged 4 bytes an
+// element, and the response is one slab of rows.
 //
 // A server is a turn, not a goroutine. Server s's turn passes through the
 // clients in ascending rank order, round-robin; a client that needs s waits
@@ -141,12 +139,48 @@ func (t *RemoteTier) Stats() TierStats {
 	return st
 }
 
+// request is one round's request message: the client's lookups or updates
+// for the server, in request order, by reference, and the rows they ask
+// for in all, which sizes the response.
+type request struct {
+	update bool
+	reqs   []Req
+	ups    []Upd
+	rows   int
+}
+
+// wireBytes is the request's int32 encoding, [kind, nTables, (table, n,
+// ids...)*]; a nil request (a pair side that sends nothing) takes none.
+func (r *request) wireBytes() int {
+	if r == nil {
+		return 0
+	}
+	n := 2
+	for _, q := range r.reqs {
+		n += 2 + len(q.IDs)
+	}
+	for _, u := range r.ups {
+		n += 2 + len(u.Rows)
+	}
+	return 4 * n
+}
+
+// gradBytes is what an update's gradient rows take on the wire.
+func (r *request) gradBytes() (n int) {
+	if r != nil {
+		for _, u := range r.ups {
+			n += rowBytes(u.GradRows)
+		}
+	}
+	return n
+}
+
 // round runs client c's round with server s under s's turn, accounts its
 // wire bytes and exposure, and returns the server's response rows. The
-// client's collectives send req and, for an update, grads; the server side
-// receives the request and answers it. The turn passes on as soon as the
-// server's half is done, before the client's final wait.
-func (t *RemoteTier) round(c, s int, req []int32, grads *tensor.Tensor) *tensor.Tensor {
+// client's collectives send req and, for an update, its gradient rows; the
+// server side receives the request and answers it. The turn passes on as
+// soon as the server's half is done, before the client's final wait.
+func (t *RemoteTier) round(c, s int, req *request) *tensor.Tensor {
 	p := &t.pairs[c][s]
 	select {
 	case <-p.turn:
@@ -156,17 +190,16 @@ func (t *RemoteTier) round(c, s int, req []int32, grads *tensor.Tensor) *tensor.
 
 	pc, sc := p.client, p.server
 	e0, _ := pc.Times()
-	reqs := pc.IAlltoAllInt32(to(1, req))
-	got := sc.AlltoAllInt32(make([][]int32, 2))[0]
-	reqs.Wait()
-	var gotGrads *tensor.Tensor
-	if got[0] == roundUpdate {
-		sent := pc.IAlltoAllTensors(to(1, grads))
-		gotGrads = sc.AlltoAllTensors(make([]*tensor.Tensor, 2))[0]
+	sent := comm.IAlltoAll(pc, to(1, req), (*request).wireBytes)
+	got := comm.AlltoAll(sc, make([]*request, 2), (*request).wireBytes)[0]
+	sent.Wait()
+	if got.update {
+		sent := comm.IAlltoAll(pc, to(1, req), (*request).gradBytes)
+		got = comm.AlltoAll(sc, make([]*request, 2), (*request).gradBytes)[0]
 		sent.Wait()
 	}
 	rows := pc.IAlltoAllTensors(make([]*tensor.Tensor, 2))
-	sc.AlltoAllTensors(to(0, t.serve(s, got, gotGrads)))
+	sc.AlltoAllTensors(to(0, t.serve(s, got)))
 	t.pairs[(c+1)%t.cfg.Clients][s].turn <- struct{}{}
 	// The next client now waits runnable on this P: yield, so that the
 	// server's rounds go on at once rather than when this client blocks.
@@ -175,61 +208,47 @@ func (t *RemoteTier) round(c, s int, req []int32, grads *tensor.Tensor) *tensor.
 
 	e1, _ := pc.Times()
 	exposed, wire := &t.lookupExposedNS, &t.lookupCrossBytes
-	if grads != nil {
+	if req.update {
 		exposed, wire = &t.updateExposedNS, &t.updateCrossBytes
 	}
 	atomic.AddInt64(exposed, int64(e1-e0))
-	atomic.AddInt64(wire, int64(4*len(req))+rowBytes(grads)+rowBytes(resp))
+	atomic.AddInt64(wire, int64(req.wireBytes()+req.gradBytes()+rowBytes(resp)))
 	return resp
 }
 
-// serve is the server half of a round between its collectives. It walks the
-// request (see encodeRequest) and gathers each id's row into the response,
-// after stepping the optimizer on the ids' gradient rows for an update. The
-// response, and the gradient payload an update steps on, are one slab each.
-func (t *RemoteTier) serve(s int, req []int32, grads *tensor.Tensor) *tensor.Tensor {
-	resp := tensor.New(len(req)-2-2*int(req[1]), t.dim)
-	var rows []int
-	if req[0] == roundUpdate {
-		rows = make([]int, resp.Dim(0))
-	}
-	for pos, r := 2, 0; pos < len(req); {
-		f, ids := req[pos], req[pos+2:pos+2+int(req[pos+1])]
-		pos += 2 + len(ids)
-		e := t.cfg.Tables[f]
-		for _, id := range ids {
-			if id < 0 || int(id) >= e.Rows {
-				panic(fmt.Sprintf("embeddings: server %d: table %d has no row %d", s, f, id))
-			}
-		}
-		if req[0] == roundUpdate {
-			sub := rows[r : r+len(ids)]
-			for j, id := range ids {
-				sub[j] = int(id)
-			}
-			t.opts[s].Step(e, &nn.SparseGrad{Rows: sub, Grads: grads.Rows(r, r+len(sub))})
-		}
-		for _, id := range ids {
+// serve is the server half of a round between its collectives. It gathers
+// each requested row into the response, one slab in request order, after
+// stepping the optimizer on an update's gradient rows.
+func (t *RemoteTier) serve(s int, req *request) *tensor.Tensor {
+	resp, r := tensor.New(req.rows, t.dim), 0
+	for _, q := range req.reqs {
+		e := serverTable(t, s, q.Table, q.IDs)
+		for _, id := range q.IDs {
 			copy(resp.Row(r), e.Table.Row(int(id)))
+			r++
+		}
+	}
+	for _, u := range req.ups {
+		e := serverTable(t, s, u.Table, u.Rows)
+		t.opts[s].Step(e, &nn.SparseGrad{Rows: u.Rows, Grads: u.GradRows})
+		for _, id := range u.Rows {
+			copy(resp.Row(r), e.Table.Row(id))
 			r++
 		}
 	}
 	return resp
 }
 
-// encodeRequest packs a round request: [kind, nTables, (table, n, ids...)*].
-func encodeRequest(kind int32, tables []int32, ids [][]int32) []int32 {
-	size := 2 + 2*len(tables)
-	for _, sub := range ids {
-		size += len(sub)
+// serverTable returns server s's table f after checking that it has every
+// row of ids.
+func serverTable[I int | int32](t *RemoteTier, s, f int, ids []I) *nn.EmbeddingBag {
+	e := t.cfg.Tables[f]
+	for _, id := range ids {
+		if id < 0 || int(id) >= e.Rows {
+			panic(fmt.Sprintf("embeddings: server %d: table %d has no row %d", s, f, id))
+		}
 	}
-	out := make([]int32, 2, size)
-	out[0], out[1] = kind, int32(len(tables))
-	for i, f := range tables {
-		out = append(out, f, int32(len(ids[i])))
-		out = append(out, ids[i]...)
-	}
-	return out
+	return e
 }
 
 // remoteClient is compute rank `rank`'s uncached wire client. Each Lookup /
@@ -243,37 +262,41 @@ type remoteClient struct {
 
 func (rc *remoteClient) Dim() int { return rc.t.dim }
 
-// routing is one client call's fan-out: per server, the tables and id lists
-// of its round in request order, and per request, the span of its rows in
-// that server's response.
+// routing is one client call's fan-out: per server, the request of its
+// round, and per request, the span of its rows in that server's response.
 type routing struct {
-	tables [][]int32
-	ids    [][][]int32
-	rows   []int // per server: rows in its response
-	at     []rowSpan
+	msgs []request
+	at   []rowSpan
 }
 
 type rowSpan struct{ server, off, n int }
 
-func newRouting(servers, requests int) *routing {
-	return &routing{
-		tables: make([][]int32, servers), ids: make([][][]int32, servers),
-		rows: make([]int, servers), at: make([]rowSpan, 0, requests),
+func newRouting(servers, requests int, update bool) *routing {
+	ro := &routing{msgs: make([]request, servers), at: make([]rowSpan, 0, requests)}
+	for s := range ro.msgs {
+		ro.msgs[s].update = update
 	}
+	return ro
 }
 
-// add routes the next request to its table's owning server.
-func (ro *routing) add(table int, ids []int32) {
-	s := table % len(ro.rows)
-	ro.tables[s] = append(ro.tables[s], int32(table))
-	ro.ids[s] = append(ro.ids[s], ids)
-	ro.at = append(ro.at, rowSpan{server: s, off: ro.rows[s], n: len(ids)})
-	ro.rows[s] += len(ids)
+// add routes the next request, of n rows, to its table's owning server,
+// and returns that server's request.
+func (ro *routing) add(table, n int) *request {
+	s := table % len(ro.msgs)
+	m := &ro.msgs[s]
+	ro.at = append(ro.at, rowSpan{server: s, off: m.rows, n: n})
+	m.rows += n
+	return m
 }
 
-// views cuts the per-server response slabs into per-request tensors,
-// views rather than copies: no slab is written again after its round.
-func (ro *routing) views(resp []*tensor.Tensor) []*tensor.Tensor {
+// send runs client c's round with every server, ascending, and cuts the
+// response slabs into per-request tensors, views rather than copies: no
+// slab is written again after its round.
+func (ro *routing) send(t *RemoteTier, c int) []*tensor.Tensor {
+	resp := make([]*tensor.Tensor, len(ro.msgs))
+	for s := range resp {
+		resp[s] = t.round(c, s, &ro.msgs[s])
+	}
 	out := make([]*tensor.Tensor, len(ro.at))
 	for i, sp := range ro.at {
 		out[i] = resp[sp.server].Rows(sp.off, sp.off+sp.n)
@@ -286,15 +309,12 @@ func (ro *routing) views(resp []*tensor.Tensor) []*tensor.Tensor {
 func (rc *remoteClient) Lookup(reqs []Req) []*tensor.Tensor {
 	t := rc.t
 	atomic.AddInt64(&t.lookups, 1)
-	ro := newRouting(t.cfg.Servers, len(reqs))
+	ro := newRouting(t.cfg.Servers, len(reqs), false)
 	for _, r := range reqs {
-		ro.add(r.Table, r.IDs)
+		m := ro.add(r.Table, len(r.IDs))
+		m.reqs = append(m.reqs, r)
 	}
-	resp := make([]*tensor.Tensor, t.cfg.Servers)
-	for s := range resp {
-		resp[s] = t.round(rc.rank, s, encodeRequest(roundLookup, ro.tables[s], ro.ids[s]), nil)
-	}
-	return ro.views(resp)
+	return ro.send(t, rc.rank)
 }
 
 // Update ships each table's sparse gradient to its owning server and
@@ -303,34 +323,12 @@ func (rc *remoteClient) Lookup(reqs []Req) []*tensor.Tensor {
 func (rc *remoteClient) Update(ups []Upd) []*tensor.Tensor {
 	t := rc.t
 	atomic.AddInt64(&t.updates, 1)
-	total := 0
+	ro := newRouting(t.cfg.Servers, len(ups), true)
 	for _, u := range ups {
-		total += len(u.Rows)
+		m := ro.add(u.Table, len(u.Rows))
+		m.ups = append(m.ups, u)
 	}
-	ids := make([]int32, total)
-	ro := newRouting(t.cfg.Servers, len(ups))
-	for _, u := range ups {
-		sub := ids[:len(u.Rows):len(u.Rows)]
-		ids = ids[len(u.Rows):]
-		for j, r := range u.Rows {
-			sub[j] = int32(r)
-		}
-		ro.add(u.Table, sub)
-	}
-
-	resp := make([]*tensor.Tensor, t.cfg.Servers)
-	for s := range resp {
-		// One gradient payload per round: the server's updates in request
-		// order (ups and ro.at run in step).
-		grads := tensor.New(ro.rows[s], t.dim)
-		for i, sp := range ro.at {
-			if sp.server == s {
-				copy(grads.Data()[sp.off*t.dim:(sp.off+sp.n)*t.dim], ups[i].GradRows.Data())
-			}
-		}
-		resp[s] = t.round(rc.rank, s, encodeRequest(roundUpdate, ro.tables[s], ro.ids[s]), grads)
-	}
-	return ro.views(resp)
+	return ro.send(t, rc.rank)
 }
 
 // to addresses a payload to one side of a pair group (0 the client, 1 the
@@ -341,9 +339,9 @@ func to[T any](side int, x T) []T {
 	return out
 }
 
-func rowBytes(x *tensor.Tensor) int64 {
+func rowBytes(x *tensor.Tensor) int {
 	if x == nil {
 		return 0
 	}
-	return 4 * int64(x.Len())
+	return 4 * x.Len()
 }

@@ -87,26 +87,27 @@ func (m *DLRM) forward(t *nn.Tape, sc *predictScratch, b *data.Batch, opt Predic
 	// Simulated quantized embedding AlltoAll: the dense network sees the
 	// rounded values, the backward pass is straight-through.
 	sparse = quant.Apply(m.cfg.EmbCommQuant, sparse)
-	denseEmb := m.Bottom.Forward(t, b.Dense)   // (B, N)
-	x := stackDenseSparse(t, denseEmb, sparse) // (B, F+1, N)
-	z := m.Interaction.Forward(t, x)           // (B, P)
-	return m.Top.Forward(t, t.Concat(1, denseEmb, z))
+	denseEmb := m.Bottom.Forward(t, b.Dense)                     // (B, N)
+	flat := t.Concat(1, denseEmb, t.Reshape(sparse, b.Size, -1)) // (B, (F+1)·N)
+	return dotOverArch(t, m.Interaction, m.Top, denseEmb, flat)
 }
 
 // Backward propagates logit gradients to all parameters.
 func (m *DLRM) Backward(dLogits *tensor.Tensor) {
-	b, n := dLogits.Len(), m.cfg.N
-	dTop := m.Top.Backward(&m.tape, dLogits.Reshape(b, 1)) // (B, N+P)
-	parts := tensor.SplitCols(dTop, []int{n, dTop.Dim(1) - n})
-	dX := m.Interaction.Backward(&m.tape, parts[1]).Reshape(b, -1) // (B, (F+1)·N)
+	t, b, n := &m.tape, dLogits.Len(), m.cfg.N
+	dTop, dX := dotOverArchBackward(t, m.Interaction, m.Top, dLogits, n)
+	dX = t.Reshape(dX, b, -1) // (B, (F+1)·N)
 	dDenseEmb := tensor.New(b, n)
-	for s := 0; s < b; s++ {
-		copy(dDenseEmb.Row(s), dX.Row(s)[:n])
+	dst, top, flat := dDenseEmb.Data(), dTop.Data(), dX.Data()
+	tw, fw := dTop.Dim(1), dX.Dim(1)
+	for r := range b {
+		for j := range n {
+			dst[r*n+j] = flat[r*fw+j] + top[r*tw+j]
+		}
 	}
-	tensor.AddInPlace(dDenseEmb, parts[0])
-	m.Bottom.Backward(&m.tape, dDenseEmb)
+	m.Bottom.Backward(t, dDenseEmb)
 	m.sparseGrads = make([]*nn.SparseGrad, len(m.Embs))
-	lookupBackward(&m.tape, m.Embs, nil, dX, n, m.sparseGrads)
+	lookupBackward(t, m.Embs, nil, dX, n, m.sparseGrads)
 }
 
 // DenseParams returns the MLP parameters.

@@ -188,23 +188,7 @@ func (m *DMTDLRM) Forward(b *data.Batch) *tensor.Tensor {
 func (m *DMTDLRM) forward(t *nn.Tape, sc *predictScratch, b *data.Batch, opt PredictOptions) *tensor.Tensor {
 	denseEmb := m.Bottom.Forward(t, b.Dense)
 	flat := towerInput(t, sc, denseEmb, m.Embs, m.cfg.Towers, m.TMs, b, opt)
-	return m.overArch(t, denseEmb, flat)
-}
-
-// overArch is the global interaction and the top MLP over flat, the dense
-// embedding followed by the tower outputs (B, D + Σ O_t): (B, 1) logits.
-// The top MLP's input is the dense embedding beside the interaction's
-// pairs, which the interaction writes in place.
-func (m *DMTDLRM) overArch(t *nn.Tape, denseEmb, flat *tensor.Tensor) *tensor.Tensor {
-	b, d := flat.Dim(0), m.cfg.D
-	x := t.Reshape(flat, b, flat.Dim(1)/d, d)
-	top := t.New(b, d+m.Interaction.OutDim(x.Dim(1)))
-	w := top.Dim(1)
-	for r := range b {
-		copy(top.Data()[r*w:r*w+d], denseEmb.Row(r))
-	}
-	m.Interaction.ForwardInto(t, top, d, x)
-	return m.Top.Forward(t, top)
+	return dotOverArch(t, m.Interaction, m.Top, denseEmb, flat)
 }
 
 // Backward propagates logit gradients: BackwardTop (the over-arch, as on a
@@ -276,7 +260,7 @@ func (m *DMTDLRM) ForwardDenseFrom(denseEmb, compressed *tensor.Tensor) *tensor.
 		m.tape.Arena = m.lent
 	}
 	t := &m.tape
-	return t.Reshape(m.overArch(t, denseEmb, t.Concat(1, denseEmb, compressed)), denseEmb.Dim(0))
+	return t.Reshape(dotOverArch(t, m.Interaction, m.Top, denseEmb, t.Concat(1, denseEmb, compressed)), denseEmb.Dim(0))
 }
 
 // BackwardDense reverses ForwardDense: it accumulates bottom/top gradients
@@ -308,8 +292,7 @@ func (m *DMTDLRM) BackwardDense(dLogits *tensor.Tensor) *tensor.Tensor {
 func (m *DMTDLRM) BackwardTop(dLogits *tensor.Tensor) (dCompressed, dDenseEmb *tensor.Tensor) {
 	t := &m.tape
 	b, d := dLogits.Len(), m.cfg.D
-	dTop := m.Top.Backward(t, t.Reshape(dLogits, b, 1)) // (B, D + pairs)
-	dX := m.Interaction.BackwardFrom(t, dTop, d)        // (B, K, D)
+	dTop, dX := dotOverArchBackward(t, m.Interaction, m.Top, dLogits, d) // (B, D + pairs), (B, K, D)
 	fw := dX.Dim(1) * d
 	// The dataflow re-lays dCompressed into its per-tower blocks at once,
 	// so it is the heap's, and the arena does not keep it between steps.

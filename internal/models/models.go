@@ -128,17 +128,30 @@ func towersBackward[TM towers.Module](t *nn.Tape, embs []*nn.EmbeddingBag, tower
 	return grads
 }
 
-// stackDenseSparse interleaves the dense embedding (B, N) ahead of the
-// sparse embeddings (B, F, N) into the (B, F+1, N) interaction input, taken
-// from t's arena.
-func stackDenseSparse(t *nn.Tape, denseEmb, sparse *tensor.Tensor) *tensor.Tensor {
-	b, f, n := sparse.Dim(0), sparse.Dim(1), sparse.Dim(2)
-	x := t.New(b, f+1, n)
-	for s := 0; s < b; s++ {
-		copy(x.Data()[s*(f+1)*n:s*(f+1)*n+n], denseEmb.Row(s))
-		copy(x.Data()[s*(f+1)*n+n:(s+1)*(f+1)*n], sparse.Data()[s*f*n:(s+1)*f*n])
+// dotOverArch is DLRM's and DMT-DLRM's over-arch, the dot interaction and
+// the top MLP: flat is the dense embedding (B, D) followed by the other D-wide
+// vectors, (B, K·D), and the top MLP reads the dense embedding beside the
+// K vectors' pairs, which the interaction writes in place into its input.
+// It returns the (B, 1) logits.
+func dotOverArch(t *nn.Tape, di *nn.DotInteraction, top *nn.MLP, denseEmb, flat *tensor.Tensor) *tensor.Tensor {
+	b, d := flat.Dim(0), denseEmb.Dim(1)
+	x := t.Reshape(flat, b, flat.Dim(1)/d, d)
+	in := t.New(b, d+di.OutDim(x.Dim(1)))
+	w := in.Dim(1)
+	for r := range b {
+		copy(in.Data()[r*w:r*w+d], denseEmb.Row(r))
 	}
-	return x
+	di.ForwardInto(t, in, d, x)
+	return top.Forward(t, in)
+}
+
+// dotOverArchBackward reverses dotOverArch: it returns the gradient of the
+// top MLP's input, (B, D + pairs), and of flat as (B, K, D), which the
+// interaction reads in place from the pairs' columns. The dense
+// embedding's gradient is the sum of both gradients' first D columns.
+func dotOverArchBackward(t *nn.Tape, di *nn.DotInteraction, top *nn.MLP, dLogits *tensor.Tensor, d int) (dIn, dX *tensor.Tensor) {
+	dIn = top.Backward(t, t.Reshape(dLogits, dLogits.Len(), 1))
+	return dIn, di.BackwardFrom(t, dIn, d)
 }
 
 func tableParamCount(embs []*nn.EmbeddingBag) int64 {

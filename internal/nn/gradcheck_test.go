@@ -107,12 +107,19 @@ func TestDotInteractionGradients(t *testing.T) {
 	r := tensor.NewRNG(4)
 	di := &DotInteraction{}
 	x := tensor.RandN(r, 1, 2, 4, 3) // B=2, F=4, N=3
-	ws := newWeightedSum(2*di.OutDim(4), 13)
-	lossFn := func() float64 { return ws.Loss(di.Forward(&Tape{}, x)) }
+	// The pairs' window sits inside a wider input, as in the models' top MLP.
+	const col, w = 2, 2 + 6 + 1
+	ws := newWeightedSum(2*w, 13)
+	forward := func(tp *Tape) *tensor.Tensor {
+		y := tensor.New(2, w)
+		di.ForwardInto(tp, y, col, x)
+		return y
+	}
+	lossFn := func() float64 { return ws.Loss(forward(&Tape{})) }
 
 	tp := &Tape{Record: true}
-	y := di.Forward(tp, x)
-	dx := di.Backward(tp, ws.Grad(y.Shape()))
+	y := forward(tp)
+	dx := di.BackwardFrom(tp, ws.Grad(y.Shape()), col)
 	checkDense(t, "dot dX", x, dx, lossFn, 1e-2)
 }
 

@@ -290,7 +290,7 @@ func TestQuickEmbeddingSumLinearity(t *testing.T) {
 	}
 }
 
-// TestDotInteractionMatchesPlainDots holds Forward to one ascending-p sum
+// TestDotInteractionMatchesPlainDots holds ForwardInto to one ascending-p sum
 // per pair, bit for bit, at every feature count from 1 to 11 (so every
 // padding of a row's pairs to groups of 4 occurs) on a batch of 3, fewer
 // samples than a vector's 8 lanes.
@@ -298,7 +298,9 @@ func TestDotInteractionMatchesPlainDots(t *testing.T) {
 	r := tensor.NewRNG(12)
 	for f := 1; f <= 11; f++ {
 		x := tensor.RandN(r, 1, 3, f, 5)
-		y := (&DotInteraction{}).Forward(&Tape{}, x)
+		di := &DotInteraction{}
+		y := tensor.New(3, di.OutDim(f))
+		di.ForwardInto(&Tape{}, y, 0, x)
 		k := 0
 		for s := 0; s < 3; s++ {
 			for i := 0; i < f; i++ {
@@ -333,9 +335,9 @@ func (e *EmbeddingBag) Forward(t *Tape, indices, offsets []int32) *tensor.Tensor
 	return out
 }
 
-// TestDotInteractionForwardAllocs pins Forward on an arena tape, at the
-// serving batch's (32, 9, 128) input, to no allocation once the arena has
-// served one pass: the output comes from the arena and the vector
+// TestDotInteractionForwardAllocs pins ForwardInto on an arena tape, at
+// the serving batch's (32, 9, 128) input, to no allocation once the arena
+// has served one pass: the output comes from the arena and the vector
 // routine's packed panel stays on the stack.
 func TestDotInteractionForwardAllocs(t *testing.T) {
 	if tensor.ArenaCheck {
@@ -346,11 +348,11 @@ func TestDotInteractionForwardAllocs(t *testing.T) {
 	tp := &Tape{Arena: &tensor.Arena{}, Record: true}
 	pass := func() {
 		tp.Reset()
-		di.Forward(tp, x)
+		di.ForwardInto(tp, tp.New(32, di.OutDim(9)), 0, x)
 	}
 	pass()
 	if n := testing.AllocsPerRun(50, pass); n != 0 {
-		t.Errorf("DotInteraction.Forward on an arena tape allocates %v times", n)
+		t.Errorf("DotInteraction.ForwardInto on an arena tape allocates %v times", n)
 	}
 }
 

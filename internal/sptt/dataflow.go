@@ -267,33 +267,29 @@ func (e *Engine) SPTTBackward(st *SPTTState, dOuts []*tensor.Tensor) map[int]*nn
 func (e *Engine) lookup(c *comm.Comm, in *Inputs) (*rankLookupState, []*tensor.Tensor, *tensor.Arena) {
 	cfg := e.Cfg
 	rank := c.Rank()
-	chunks := make([][]int32, cfg.G)
-	for dst := range chunks {
-		chunks[dst] = encodeBags(e.owned[dst], in, cfg.B)
+	// Step (a): to each owner, my inputs, whose bags of its features it
+	// reads in place.
+	for _, m := range e.bags[rank] {
+		m.in = in
 	}
-	recvd := c.AlltoAllInt32(chunks)
+	recvd := comm.AlltoAll(c, e.bags[rank], (*bagMsg).wireBytes)
 
 	feats := e.owned[rank]
-	decoded := make([][2][][]int32, cfg.G) // per src: (indices, offsets) per owned feature
-	for src := range decoded {
-		idx, off := decodeBags(recvd[src], len(feats), cfg.B)
-		decoded[src] = [2][][]int32{idx, off}
-	}
 	st := &rankLookupState{features: feats}
 	reqs := make([]embeddings.Req, len(feats))
 	for i, f := range feats {
 		n := 0
-		for src := range decoded {
-			n += len(decoded[src][0][i])
+		for _, m := range recvd {
+			n += len(m.in.Indices[f])
 		}
 		gIdx := make([]int32, 0, n)
 		gOff := make([]int32, 0, cfg.G*cfg.B)
-		for src := range decoded {
+		for _, m := range recvd {
 			base := int32(len(gIdx))
-			for _, o := range decoded[src][1][i] {
+			for _, o := range m.in.Offsets[f] {
 				gOff = append(gOff, base+o)
 			}
-			gIdx = append(gIdx, decoded[src][0][i]...)
+			gIdx = append(gIdx, m.in.Indices[f]...)
 		}
 		st.indices = append(st.indices, gIdx)
 		st.offsets = append(st.offsets, gOff)

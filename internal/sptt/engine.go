@@ -33,7 +33,9 @@ type Engine struct {
 	peerOrder, rankOrder []int
 	owned, tower         [][]int
 
-	// wire[r] is rank r's step (f) payloads, kept from call to call.
+	// bags[r][o] is rank r's step (a) message to owner o, and wire[r] its
+	// step (f) payloads, kept from call to call.
+	bags [][]*bagMsg
 	wire []peerWire
 
 	// fam is the communicator cache: the families of the last completed
@@ -79,6 +81,13 @@ func NewEngineOver(cfg Config, tables []*nn.EmbeddingBag, tier embeddings.Tier) 
 	for g := 0; g < cfg.G; g++ {
 		e.rankOrder = append(e.rankOrder, g)
 		e.owned = append(e.owned, cfg.OwnedFeatures(g))
+	}
+	for g := 0; g < cfg.G; g++ {
+		ms := make([]*bagMsg, cfg.G)
+		for o := range ms {
+			ms[o] = &bagMsg{feats: e.owned[o], b: cfg.B}
+		}
+		e.bags = append(e.bags, ms)
 	}
 	if towers {
 		for t := 0; t < cfg.T(); t++ {

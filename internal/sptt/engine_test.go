@@ -254,38 +254,78 @@ func TestInputsValidation(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBags: encodeBags -> decodeBags is the identity on every valid
-// batch, whatever the bag sizes (empty bags, empty features, long bags).
-func FuzzDecodeBags(f *testing.F) {
-	f.Add([]byte{1, 0, 2, 3}, uint8(2), uint8(2))
-	f.Add([]byte{}, uint8(1), uint8(1))
-	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(3), uint8(2))
-	f.Fuzz(func(t *testing.T, sizes []byte, nf, b uint8) {
-		cfg := Config{G: 1, L: 1, B: int(b)%6 + 1, N: 1, Features: make([]FeatureSpec, int(nf)%5+1)}
-		in := &Inputs{Indices: make([][]int32, cfg.F()), Offsets: make([][]int32, cfg.F())}
-		feats := make([]int, cfg.F())
-		next := int32(0)
-		for f := range feats {
-			feats[f] = f
-			cfg.Features[f].Cardinality = 5 * 6 * 9 // every index the generator can reach
-			in.Indices[f] = []int32{}
-			for s := 0; s < cfg.B; s++ {
-				in.Offsets[f] = append(in.Offsets[f], int32(len(in.Indices[f])))
-				if k := f*cfg.B + s; k < len(sizes) {
-					for n := 0; n < int(sizes[k])%9; n++ {
-						in.Indices[f] = append(in.Indices[f], next)
-						next++
+// FuzzGlobalBags: step (a) leaves each owner, per feature it owns, every
+// rank's bags of it concatenated in source-rank order with their offsets
+// rebased into the concatenation, and charges each rank's message to an
+// owner exactly the bytes of its int32 encoding, 4·Σ(B + len(indices))
+// over the owner's features, whatever the bag sizes (empty bags, empty
+// features, bags of up to 8 ids) and however the features are owned (an
+// owner-less rank sends and receives 0 bytes). The tower flow is used, so
+// GlobalTraffic holds step (a) alone.
+func FuzzGlobalBags(f *testing.F) {
+	f.Add([]byte{1, 0, 2, 3}, uint8(1), uint8(2), uint8(2))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(3), uint8(2), uint8(1))
+	f.Add([]byte{3, 8, 0, 5, 1, 7, 2, 0, 4, 6, 8, 1}, uint8(3), uint8(4), uint8(5))
+	f.Fuzz(func(t *testing.T, sizes []byte, g, nf, b uint8) {
+		cfg := Config{G: int(g)%4 + 1, L: 1, B: int(b)%6 + 1, N: 1, Features: make([]FeatureSpec, int(nf)%5+1)}
+		next := func() int {
+			if len(sizes) == 0 {
+				return 0
+			}
+			v := int(sizes[0])
+			sizes = sizes[1:]
+			return v
+		}
+		for f := range cfg.Features {
+			cfg.Features[f] = FeatureSpec{Name: "f", Cardinality: 4 * 6 * 5 * 8, Hot: 1} // every index the generator can reach
+			cfg.RankOf = append(cfg.RankOf, next()%cfg.G)
+		}
+		cfg.TowerOf = cfg.RankOf // L = 1: each rank is its own tower's host
+		ins := make([]*Inputs, cfg.G)
+		id := int32(0)
+		for r := range ins {
+			ins[r] = &Inputs{Indices: make([][]int32, cfg.F()), Offsets: make([][]int32, cfg.F())}
+			for f := range cfg.Features {
+				ins[r].Indices[f] = []int32{}
+				for s := 0; s < cfg.B; s++ {
+					ins[r].Offsets[f] = append(ins[r].Offsets[f], int32(len(ins[r].Indices[f])))
+					for n := next() % 9; n > 0; n-- {
+						ins[r].Indices[f] = append(ins[r].Indices[f], id)
+						id++
 					}
 				}
 			}
 		}
-		if err := cfg.checkInputs([]*Inputs{in}); err != nil {
-			t.Fatalf("generated batch is invalid: %v", err)
+		e, err := NewEngine(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		idx, off := decodeBags(encodeBags(feats, in, cfg.B), cfg.F(), cfg.B)
-		for f := range feats {
-			if !slices.Equal(idx[f], in.Indices[f]) || !slices.Equal(off[f], in.Offsets[f]) {
-				t.Fatalf("feature %d: decoded (%v, %v), want (%v, %v)", f, idx[f], off[f], in.Indices[f], in.Offsets[f])
+		_, st := e.SPTTForward(ins, Options{})
+		for owner, ls := range st.lookups {
+			if !slices.Equal(ls.features, cfg.OwnedFeatures(owner)) {
+				t.Fatalf("owner %d looked up %v, owns %v", owner, ls.features, cfg.OwnedFeatures(owner))
+			}
+			for i, f := range ls.features {
+				var idx, off []int32
+				for _, in := range ins {
+					for _, o := range in.Offsets[f] {
+						off = append(off, int32(len(idx))+o)
+					}
+					idx = append(idx, in.Indices[f]...)
+				}
+				if !slices.Equal(ls.indices[i], idx) || !slices.Equal(ls.offsets[i], off) {
+					t.Fatalf("owner %d feature %d: bags (%v, %v), want (%v, %v)", owner, f, ls.indices[i], ls.offsets[i], idx, off)
+				}
+			}
+			for src, in := range ins {
+				want := int64(0)
+				for _, f := range ls.features {
+					want += int64(4 * (cfg.B + len(in.Indices[f])))
+				}
+				if got := st.GlobalTraffic[src][owner]; got != want {
+					t.Fatalf("rank %d → owner %d charged %d bytes, want %d", src, owner, got, want)
+				}
 			}
 		}
 	})
@@ -502,4 +542,34 @@ func bitsOf(x *tensor.Tensor) []uint32 {
 		out[i] = math.Float32bits(v)
 	}
 	return out
+}
+
+// TestSPTTStepAllocs pins the objects one compressed forward and its
+// backward allocate at a G = 8 shape once the engine has run a step: 824,
+// the same count at any GOMAXPROCS and under -race. Step (a)'s messages
+// are records the engine keeps and the owners read in place, so a
+// per-call payload or decode table would show here as 8 objects or more.
+func TestSPTTStepAllocs(t *testing.T) {
+	if tensor.ArenaCheck {
+		t.Skip("under arenacheck every Reset drops the arena's memory, so every pass allocates it afresh")
+	}
+	cfg := makeConfig(8, 2, 3, 4, 10, 40, 3)
+	e, err := NewEngine(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, mods := makeInputs(cfg, 7), flatTowers(cfg)
+	width := 0
+	for tw := 0; tw < cfg.T(); tw++ {
+		width += mods[tw*cfg.L].OutDim()
+	}
+	dOuts := randomGrads(cfg, 8, width)
+	step := func() {
+		_, st := e.SPTTForwardCompressed(ins, mods, Options{})
+		e.SPTTBackward(st, dOuts)
+	}
+	step()
+	if n := testing.AllocsPerRun(10, step); n > 824 {
+		t.Errorf("a compressed forward and backward allocate %v objects, want ≤ 824", n)
+	}
 }

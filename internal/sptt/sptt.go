@@ -11,7 +11,11 @@
 //
 //   - The lookup half, steps (a)–(d), ends with each rank holding its
 //     tower's block (F_t, T, B, N) for its peer class:
-//     (a) feature-distribution AlltoAll of index payloads (global world),
+//     (a) feature-distribution AlltoAll of index payloads (global world):
+//     each owner reads its features' bags in place from every rank's own
+//     Inputs, a message charged the bytes of its int32 encoding (B bag
+//     sizes and the indices per feature), and rebases their offsets into
+//     the global batch in source-rank order,
 //     (b) pooled embedding lookup of the global batch at the table's owner,
 //     (c) peer permute, (d) intra-host AlltoAll (the NVLink domain).
 //   - The exchange half: (e) the local (features, peers) -> (peers,
@@ -201,7 +205,7 @@ type Inputs struct {
 
 // checkInputs validates the per-rank sparse batches every flow starts from,
 // before any rank goroutine runs: a malformed bag or an index outside its
-// table would otherwise surface on the rank that decodes or looks it up
+// table would otherwise surface on the rank that reads or looks it up
 // rather than the one that supplied it.
 func (c Config) checkInputs(inputs []*Inputs) error {
 	if len(inputs) != c.G {
@@ -231,45 +235,24 @@ func (c Config) checkInputs(inputs []*Inputs) error {
 	return nil
 }
 
-// encodeBags packs the bags of the given features from in into one int32
-// payload: per feature, B bag sizes followed by the flat indices.
-func encodeBags(features []int, in *Inputs, b int) []int32 {
-	size := len(features) * b
-	for _, f := range features {
-		size += len(in.Indices[f])
-	}
-	payload := make([]int32, 0, size)
-	for _, f := range features {
-		offs := in.Offsets[f]
-		idxs := in.Indices[f]
-		for s := 0; s < b; s++ {
-			lo, hi := nn.BagBounds(offs, s, len(idxs))
-			payload = append(payload, int32(hi-lo))
-		}
-		payload = append(payload, idxs...)
-	}
-	return payload
+// bagMsg is step (a)'s message from one rank to one owner: the sender's
+// inputs, of which the owner reads its own features' bags in place. The
+// engine keeps one per (rank, owner) and points it at the rank's inputs on
+// every call.
+type bagMsg struct {
+	in    *Inputs
+	feats []int // the owner's features
+	b     int   // the local batch
 }
 
-// decodeBags unpacks a payload produced by encodeBags.
-func decodeBags(payload []int32, nFeatures, b int) (indices [][]int32, offsets [][]int32) {
-	indices = make([][]int32, nFeatures)
-	offsets = make([][]int32, nFeatures)
-	offs := make([]int32, nFeatures*b)
-	pos := 0
-	for f := 0; f < nFeatures; f++ {
-		sizes := payload[pos : pos+b]
-		pos += b
-		offsets[f] = offs[f*b : (f+1)*b : (f+1)*b]
-		total := 0
-		for s := 0; s < b; s++ {
-			offsets[f][s] = int32(total)
-			total += int(sizes[s])
-		}
-		indices[f] = payload[pos : pos+total]
-		pos += total
+// wireBytes is the message's size as an int32 encoding would lay it out:
+// per feature of the owner, B bag sizes followed by the flat indices.
+func (m *bagMsg) wireBytes() int {
+	n := 0
+	for _, f := range m.feats {
+		n += m.b + len(m.in.Indices[f])
 	}
-	return indices, offsets
+	return 4 * n
 }
 
 // poolRows performs the pure step (b) pooling kernel over pre-gathered

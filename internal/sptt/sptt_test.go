@@ -126,18 +126,34 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeBagsRoundTrip(t *testing.T) {
-	in := &Inputs{
-		Indices: [][]int32{{5, 6, 7}, {9}},
-		Offsets: [][]int32{{0, 1}, {0, 1}}, // f0 bags {5},{6,7}; f1 bags {9},{}
+// TestGlobalBagsInSourceRankOrder: step (a) hands each owner its features'
+// bags of the global batch, rank 0's first, each rank's offsets rebased
+// past the indices of the ranks before it, empty bags and empty features
+// included.
+func TestGlobalBagsInSourceRankOrder(t *testing.T) {
+	cfg := Config{G: 2, L: 2, B: 2, N: 1, RankOf: []int{1, 1},
+		Features: []FeatureSpec{{Name: "a", Cardinality: 10, Hot: 2}, {Name: "b", Cardinality: 10, Hot: 2}}}
+	e, err := NewEngine(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	payload := encodeBags([]int{0, 1}, in, 2)
-	idx, off := decodeBags(payload, 2, 2)
-	if len(idx[0]) != 3 || idx[0][2] != 7 || off[0][1] != 1 {
-		t.Fatalf("feature 0 decode wrong: %v %v", idx[0], off[0])
+	ins := []*Inputs{
+		{Indices: [][]int32{{5, 6, 7}, {9}}, Offsets: [][]int32{{0, 1}, {0, 1}}}, // a: {5},{6,7}; b: {9},{}
+		{Indices: [][]int32{{1}, {}}, Offsets: [][]int32{{0, 0}, {0, 0}}},        // a: {},{1}; b: {},{}
 	}
-	if len(idx[1]) != 1 || idx[1][0] != 9 || off[1][1] != 1 {
-		t.Fatalf("feature 1 decode wrong: %v %v", idx[1], off[1])
+	_, st := e.BaselineForward(ins)
+	if ls := st.lookups[0]; len(ls.features) != 0 {
+		t.Fatalf("rank 0 owns nothing but looked up %v", ls.features)
+	}
+	ls := st.lookups[1]
+	want := []struct{ idx, off []int32 }{
+		{[]int32{5, 6, 7, 1}, []int32{0, 1, 3, 3}},
+		{[]int32{9}, []int32{0, 1, 1, 1}},
+	}
+	for i, w := range want {
+		if !slices.Equal(ls.indices[i], w.idx) || !slices.Equal(ls.offsets[i], w.off) {
+			t.Errorf("feature %d: bags (%v, %v), want (%v, %v)", i, ls.indices[i], ls.offsets[i], w.idx, w.off)
+		}
 	}
 }
 
