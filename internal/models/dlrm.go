@@ -95,8 +95,8 @@ func (m *DLRM) forward(t *nn.Tape, sc *predictScratch, b *data.Batch, opt Predic
 // Backward propagates logit gradients to all parameters.
 func (m *DLRM) Backward(dLogits *tensor.Tensor) {
 	t, b, n := &m.tape, dLogits.Len(), m.cfg.N
-	dTop, dX := dotOverArchBackward(t, m.Interaction, m.Top, dLogits, n)
-	dX = t.Reshape(dX, b, -1) // (B, (F+1)·N)
+	dTop := m.Top.Backward(t, t.Reshape(dLogits, b, 1))            // (B, N + pairs)
+	dX := t.Reshape(m.Interaction.BackwardFrom(t, dTop, n), b, -1) // (B, (F+1)·N)
 	dDenseEmb := tensor.New(b, n)
 	dst, top, flat := dDenseEmb.Data(), dTop.Data(), dX.Data()
 	tw, fw := dTop.Dim(1), dX.Dim(1)

@@ -292,7 +292,8 @@ func (m *DMTDLRM) BackwardDense(dLogits *tensor.Tensor) *tensor.Tensor {
 func (m *DMTDLRM) BackwardTop(dLogits *tensor.Tensor) (dCompressed, dDenseEmb *tensor.Tensor) {
 	t := &m.tape
 	b, d := dLogits.Len(), m.cfg.D
-	dTop, dX := dotOverArchBackward(t, m.Interaction, m.Top, dLogits, d) // (B, D + pairs), (B, K, D)
+	dTop := m.Top.Backward(t, t.Reshape(dLogits, b, 1)) // (B, D + pairs)
+	dX := m.Interaction.BackwardFrom(t, dTop, d)        // (B, K, D)
 	fw := dX.Dim(1) * d
 	// The dataflow re-lays dCompressed into its per-tower blocks at once,
 	// so it is the heap's, and the arena does not keep it between steps.

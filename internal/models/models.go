@@ -145,15 +145,6 @@ func dotOverArch(t *nn.Tape, di *nn.DotInteraction, top *nn.MLP, denseEmb, flat 
 	return top.Forward(t, in)
 }
 
-// dotOverArchBackward reverses dotOverArch: it returns the gradient of the
-// top MLP's input, (B, D + pairs), and of flat as (B, K, D), which the
-// interaction reads in place from the pairs' columns. The dense
-// embedding's gradient is the sum of both gradients' first D columns.
-func dotOverArchBackward(t *nn.Tape, di *nn.DotInteraction, top *nn.MLP, dLogits *tensor.Tensor, d int) (dIn, dX *tensor.Tensor) {
-	dIn = top.Backward(t, t.Reshape(dLogits, dLogits.Len(), 1))
-	return dIn, di.BackwardFrom(t, dIn, d)
-}
-
 func tableParamCount(embs []*nn.EmbeddingBag) int64 {
 	var total int64
 	for _, e := range embs {
