@@ -80,7 +80,7 @@ bench:
 
 # One iteration of every root benchmark: proves they compile and run.
 # BenchmarkExperiments regenerates each registered table (the quality ones
-# at the smoke profile); BenchmarkDistributedStep runs the four schedules.
+# at the smoke profile); BenchmarkDistributedStep runs the sequential step and both schedules.
 # The compressed-wire, simulated-fabric and remote-tier step shapes are
 # benchmark/'s train_dense / train_embed workloads (CI's benchmark-exact).
 bench-smoke:
@@ -146,7 +146,9 @@ fp16-exhaustive:
 # every length mod 8, and the column-window decode DecodeIntoCols into a
 # wider destination at an offset), SPTT step (a)'s global-batch bags at
 # each owner (and the bytes each message is charged), the pooling backward against its map-based oracle (over tables
-# small and large enough for both of its row orders), the LRU core against
+# small and large enough for both of its row orders), the trainer's two
+# schedules against the sequential step, a remote tier against the Local
+# one and SPTT against the flat flow over drawn configurations, the LRU core against
 # its reference model, Keyed's batch calls (GetRows, FillRows, PutRows)
 # against the one-key calls they stand for on a twin cache, CachedStore's
 # Lookup and Update against the one-id GetVec/PutVec replay they stand for
@@ -163,6 +165,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedCodec$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzGlobalBags$$' -fuzztime 10s ./internal/sptt
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolBackward$$' -fuzztime 10s ./internal/sptt
+	$(GO) test -run '^$$' -fuzz '^FuzzSchedulesMatchOracles$$' -fuzztime 10s ./internal/distributed
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUCore$$' -fuzztime 10s ./internal/embeddings
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyedRows$$' -fuzztime 10s ./internal/embeddings
 	$(GO) test -run '^$$' -fuzz '^FuzzCachedStore$$' -fuzztime 10s ./internal/embeddings

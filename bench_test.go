@@ -95,7 +95,7 @@ func BenchmarkSPTT_TransformDataflow(b *testing.B) {
 }
 
 // BenchmarkDistributedStep compares the single-goroutine reference step
-// against the rank-parallel engine under its three schedules at G=8 (4
+// against the rank-parallel engine under its two schedules at G=8 (4
 // hosts of 2 ranks), fp32. All engines execute identical mathematics over
 // the same batches, so ns/op is a direct engine comparison. The pipeline
 // variant's deferred bucket tail is drained after the timed loop, before the
@@ -104,18 +104,16 @@ func BenchmarkSPTT_TransformDataflow(b *testing.B) {
 // benchmark/'s train_dense and train_embed workloads, with exact pins.)
 func BenchmarkDistributedStep(b *testing.B) {
 	for _, mode := range []struct {
-		name              string
-		sequential        bool
-		overlap, pipeline bool
+		name                 string
+		sequential, pipeline bool
 	}{
-		{"sequential", true, false, false},
-		{"rank-parallel", false, false, false},
-		{"overlap", false, true, false},
-		{"pipeline", false, false, true},
+		{"sequential", true, false},
+		{"rank-parallel", false, false},
+		{"pipeline", false, true},
 	} {
 		b.Run(mode.name+"/G=8", func(b *testing.B) {
 			p := experiments.DefaultTraining()
-			p.Overlap, p.Pipeline = mode.overlap, mode.pipeline
+			p.Pipeline = mode.pipeline
 			tr, gen, err := experiments.NewTrainer(p, mode.sequential)
 			if err != nil {
 				b.Fatal(err)

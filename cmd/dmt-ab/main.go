@@ -15,13 +15,26 @@
 // pair i runs seed seeds[i mod len(seeds)] on both sides for 10 seconds at
 // trace level 0, the benchmark's own settings, A first on even pairs and B
 // first on odd ones, so a slow spell or a warm cache favours neither side.
-// Each run's result is its last output line, the benchmark's JSON object.
+// Every run passes --full, so its result, its last output line (the
+// benchmark's JSON object), holds every metric the run computed, the
+// virtual-clock and byte-count figures included.
 // A run that exits non-zero (run.sh does when its sequential check or a
 // guard fails) or prints "correct":false is a failed run: its metrics still
 // enter the summary, but the report counts the failed runs per side and
 // dmt-ab exits 1.
 //
-// Per workload and metric it reports B/A as
+// A metric is exact on a workload when every run of one side at one seed
+// reports the same bits, and some side ran some seed more than once (a
+// metric the benchmark's expected.json guards is exact by contract, and
+// counts as exact on one run). Per workload and seed it reports each
+// exact metric that is not one of BENCHMARK.json's end-to-end metrics
+// with A's value, B's, the relative change and "equal" when the bits
+// match; the direction comes from BENCHMARK.json. A guarded figure that
+// differs between two runs of one side at one seed is a determinism
+// failure: the report lists it and dmt-ab exits 1.
+//
+// Per workload and every other metric (the wall-clock ones) it reports B/A
+// as
 //   - the median of the pairs' ratios,
 //   - the pairs B won, in the metric's direction from the A side's
 //     BENCHMARK.json ("-" for a metric it does not list),
@@ -50,8 +63,9 @@
 // With -pr n it writes BENCH_<n>.json into -dir: both checkouts' directory
 // names and git HEADs (marked -dirty with uncommitted changes), GOMAXPROCS
 // as the benchmark echoed it, the seeds, each pair's order and every run's
-// last line, plus the summary above and the failed-run counts; with
-// -layers, also every layer row of every run and the layer summary.
+// last line, plus the summary above, the exact figures, the determinism
+// failures and the failed-run counts; with -layers, also every layer row of
+// every run and the layer summary.
 package main
 
 import (
@@ -63,6 +77,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -134,6 +149,30 @@ type summary struct {
 	FirstBias   float64 `json:"first_run_bias"`
 }
 
+// exactFigure is one exact metric of one workload at one seed: each side's
+// value, B's relative change from A (absent when A is 0 and B is not) and
+// whether the bits match.
+type exactFigure struct {
+	Workload string   `json:"workload"`
+	Metric   string   `json:"metric"`
+	Seed     uint64   `json:"seed"`
+	Better   string   `json:"better,omitempty"`
+	A        float64  `json:"a"`
+	B        float64  `json:"b"`
+	Change   *float64 `json:"change,omitempty"`
+	Equal    bool     `json:"equal"`
+}
+
+// nondeterministic is a guarded figure whose runs of one side at one seed
+// disagree.
+type nondeterministic struct {
+	Workload string    `json:"workload"`
+	Metric   string    `json:"metric"`
+	Side     string    `json:"side"`
+	Seed     uint64    `json:"seed"`
+	Values   []float64 `json:"values"`
+}
+
 // layerRow is one benchmark row of one run of a package's test binary.
 type layerRow struct {
 	Package     string  `json:"package"`
@@ -171,28 +210,30 @@ type layerSummary struct {
 
 // ledger is BENCH_<n>.json.
 type ledger struct {
-	PR           int            `json:"pr"`
-	A            side           `json:"a"`
-	B            side           `json:"b"`
-	AA           bool           `json:"aa"`
-	GOMAXPROCS   string         `json:"gomaxprocs"`
-	Seconds      float64        `json:"seconds"`
-	Trace        int            `json:"trace"`
-	Seeds        []uint64       `json:"seeds"`
-	Workloads    []string       `json:"workloads"`
-	Summary      []summary      `json:"summary"`
-	Failed       []failedRuns   `json:"failed"`
-	Runs         []runRecord    `json:"runs"`
-	Layers       []string       `json:"layers,omitempty"`
-	Rounds       int            `json:"rounds,omitempty"`
-	LayerSummary []layerSummary `json:"layer_summary,omitempty"`
-	LayerRows    []layerRow     `json:"layer_rows,omitempty"`
+	PR           int                `json:"pr"`
+	A            side               `json:"a"`
+	B            side               `json:"b"`
+	AA           bool               `json:"aa"`
+	GOMAXPROCS   string             `json:"gomaxprocs"`
+	Seconds      float64            `json:"seconds"`
+	Trace        int                `json:"trace"`
+	Seeds        []uint64           `json:"seeds"`
+	Workloads    []string           `json:"workloads"`
+	Summary      []summary          `json:"summary"`
+	Exact        []exactFigure      `json:"exact"`
+	Unstable     []nondeterministic `json:"nondeterministic,omitempty"`
+	Failed       []failedRuns       `json:"failed"`
+	Runs         []runRecord        `json:"runs"`
+	Layers       []string           `json:"layers,omitempty"`
+	Rounds       int                `json:"rounds,omitempty"`
+	LayerSummary []layerSummary     `json:"layer_summary,omitempty"`
+	LayerRows    []layerRow         `json:"layer_rows,omitempty"`
 }
 
 // run compares the checkouts the flags in args name, prints the summary to
 // stdout and returns the exit code: 2 for bad flags, 1 when a side fails to
-// build, a run prints no result line or fails, or the ledger cannot be
-// written.
+// build, a run prints no result line or fails, a guarded figure is not
+// deterministic, or the ledger cannot be written.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dmt-ab", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -276,7 +317,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	better := directions(dirs["A"])
+	better, endToEnd := directions(dirs["A"])
+	guarded := guardedFigures(dirs["A"])
 
 	gomaxprocs := regexp.MustCompile(`gomaxprocs=(\d+)`)
 	anyFailed := false
@@ -290,7 +332,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			for k, name := range order {
 				out, err := runSH(dirs[name], "--workload", w, "--seed", strconv.FormatUint(seed, 10),
-					"--seconds", strconv.Itoa(runSeconds), "--trace", strconv.Itoa(runTrace))
+					"--seconds", strconv.Itoa(runSeconds), "--trace", strconv.Itoa(runTrace), "--full")
 				rec := runRecord{Workload: w, Pair: i, Seed: seed, Side: name, Order: k + 1, Line: lastLine(out)}
 				var exitErr *exec.ExitError
 				switch {
@@ -316,7 +358,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				l.Runs = append(l.Runs, rec)
 			}
 		}
-		l.Summary = append(l.Summary, summarize(w, l.Runs, better)...)
+		pairMetrics, exact, unstable := exactFigures(w, l.Runs, better, endToEnd, guarded[w])
+		l.Summary = append(l.Summary, summarize(w, l.Runs, better, pairMetrics)...)
+		l.Exact = append(l.Exact, exact...)
+		l.Unstable = append(l.Unstable, unstable...)
 		l.Failed = append(l.Failed, failed)
 		anyFailed = anyFailed || failed.A+failed.B > 0
 	}
@@ -360,6 +405,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if anyFailed {
 		return fail(1, "some runs failed; see the failed-run counts")
+	}
+	if len(l.Unstable) > 0 {
+		return fail(1, "determinism failure: a guarded figure differs between runs of one side at one seed")
 	}
 	return 0
 }
@@ -537,19 +585,44 @@ func gitHead(dir string) string {
 }
 
 // directions maps each metric BENCHMARK.json in dir lists to "higher" or
-// "lower", the way it gets better; an unreadable file yields none.
-func directions(dir string) map[string]string {
+// "lower", the way it gets better, and marks its end-to-end metrics; an
+// unreadable file yields none.
+func directions(dir string) (better map[string]string, endToEnd map[string]bool) {
 	var m struct {
 		EndToEnd []struct{ Name, Better string } `json:"end_to_end"`
 		PerLayer []struct{ Name, Better string } `json:"per_layer"`
 	}
-	out := map[string]string{}
+	better, endToEnd = map[string]string{}, map[string]bool{}
 	js, err := os.ReadFile(filepath.Join(dir, "BENCHMARK.json"))
+	if err != nil || json.Unmarshal(js, &m) != nil {
+		return better, endToEnd
+	}
+	for _, d := range m.EndToEnd {
+		endToEnd[d.Name] = true
+	}
+	for _, d := range append(m.EndToEnd, m.PerLayer...) {
+		better[d.Name] = d.Better
+	}
+	return better, endToEnd
+}
+
+// guardedFigures maps each workload to the metrics benchmark/expected.json
+// in dir commits values for at some seed: the figures the benchmark guards,
+// exact by contract. An unreadable file yields none.
+func guardedFigures(dir string) map[string]map[string]bool {
+	var m map[string]map[string]map[string]float64 // workload → seed → metric → value
+	out := map[string]map[string]bool{}
+	js, err := os.ReadFile(filepath.Join(dir, "benchmark", "expected.json"))
 	if err != nil || json.Unmarshal(js, &m) != nil {
 		return out
 	}
-	for _, d := range append(m.EndToEnd, m.PerLayer...) {
-		out[d.Name] = d.Better
+	for w, seeds := range m {
+		out[w] = map[string]bool{}
+		for _, figures := range seeds {
+			for name := range figures {
+				out[w][name] = true
+			}
+		}
 	}
 	return out
 }
@@ -571,11 +644,79 @@ func parse(line string) (result, error) {
 	return r, nil
 }
 
+// exactFigures splits workload w's metrics in runs: it returns the ones
+// the pair summary covers (the end-to-end metrics and every metric that is
+// not exact), each exact metric's figure per seed that both sides ran, and
+// the guarded figures that differ between runs of one side at one seed.
+func exactFigures(w string, runs []runRecord, better map[string]string, endToEnd, guarded map[string]bool) (
+	pairMetrics map[string]bool, exact []exactFigure, unstable []nondeterministic) {
+	type group struct {
+		side string
+		seed uint64
+	}
+	values := map[string]map[group][]float64{} // metric → side and seed → one value per run
+	for _, rec := range runs {
+		if rec.Workload != w {
+			continue
+		}
+		r, _ := parse(rec.Line)
+		for name, m := range r.Metrics {
+			if values[name] == nil {
+				values[name] = map[group][]float64{}
+			}
+			k := group{rec.Side, rec.Seed}
+			values[name][k] = append(values[name][k], m.Value)
+		}
+	}
+	pairMetrics = map[string]bool{}
+	for _, name := range slices.Sorted(maps.Keys(values)) {
+		groups := values[name]
+		consistent, repeated := true, false
+		for _, k := range slices.SortedFunc(maps.Keys(groups), func(a, b group) int {
+			return cmp.Or(strings.Compare(a.side, b.side), cmp.Compare(a.seed, b.seed))
+		}) {
+			vs := groups[k]
+			repeated = repeated || len(vs) > 1
+			if slices.ContainsFunc(vs, func(v float64) bool { return math.Float64bits(v) != math.Float64bits(vs[0]) }) {
+				consistent = false
+				if guarded[name] {
+					unstable = append(unstable, nondeterministic{Workload: w, Metric: name, Side: k.side, Seed: k.seed, Values: vs})
+				}
+			}
+		}
+		if endToEnd[name] || !consistent || !(repeated || guarded[name]) {
+			pairMetrics[name] = true
+			continue
+		}
+		var seeds []uint64
+		for k := range groups {
+			if _, ok := groups[group{"B", k.seed}]; k.side == "A" && ok {
+				seeds = append(seeds, k.seed)
+			}
+		}
+		slices.Sort(seeds)
+		for _, seed := range seeds {
+			a, b := groups[group{"A", seed}][0], groups[group{"B", seed}][0]
+			f := exactFigure{Workload: w, Metric: name, Seed: seed, Better: better[name], A: a, B: b,
+				Equal: math.Float64bits(a) == math.Float64bits(b)}
+			if a != 0 || b == 0 {
+				change := 0.0
+				if !f.Equal && a != 0 {
+					change = (b - a) / a
+				}
+				f.Change = &change
+			}
+			exact = append(exact, f)
+		}
+	}
+	return pairMetrics, exact, unstable
+}
+
 // summarize compares side B with side A on workload w, metric by metric,
 // over the pairs in runs, where the workload's runs 2i and 2i+1 are pair
-// i's, in the order they ran. A metric enters only if every run of the
-// workload reports it.
-func summarize(w string, runs []runRecord, better map[string]string) []summary {
+// i's, in the order they ran. A metric enters only if it is one of
+// include and every run of the workload reports it.
+func summarize(w string, runs []runRecord, better map[string]string, include map[string]bool) []summary {
 	var own []runRecord
 	values := map[string][]float64{} // by metric, one per run that reports it
 	for _, rec := range runs {
@@ -590,7 +731,7 @@ func summarize(w string, runs []runRecord, better map[string]string) []summary {
 	var out []summary
 	for _, name := range slices.Sorted(maps.Keys(values)) {
 		v := values[name]
-		if len(v) != len(own) {
+		if len(v) != len(own) || !include[name] {
 			continue
 		}
 		s := summary{Workload: w, Metric: name, Better: better[name], Won: -1, Pairs: len(v) / 2}
@@ -649,6 +790,10 @@ func report(w io.Writer, l ledger) {
 		}
 		fmt.Fprintf(w, "%-12s %-40s %8.4f %8s %8.4f %9.4f\n", s.Workload, s.Metric, s.MedianRatio, won, s.DecileRatio, s.FirstBias)
 	}
+	reportExact(w, l.Exact)
+	for _, u := range l.Unstable {
+		fmt.Fprintf(w, "%-12s determinism failure: %s differs between side %s's runs at seed %d: %v\n", u.Workload, u.Metric, u.Side, u.Seed, u.Values)
+	}
 	for _, f := range l.Failed {
 		fmt.Fprintf(w, "%-12s failed runs (non-zero exit or correct:false): A %d/%d, B %d/%d\n", f.Workload, f.A, f.Runs, f.B, f.Runs)
 	}
@@ -665,6 +810,52 @@ func report(w io.Writer, l ledger) {
 			perSide(s.RoundsA, s.BytesA, s.BytesVaryA), perSide(s.RoundsB, s.BytesB, s.BytesVaryB),
 			perSide(s.RoundsA, s.AllocsA, s.AllocsVaryA), perSide(s.RoundsB, s.AllocsB, s.AllocsVaryB))
 	}
+}
+
+// reportExact prints the exact figures: one line for a metric whose bits
+// match at every seed, and otherwise one line per seed with A, B, the
+// relative change and, where BENCHMARK.json gives a direction, whether B
+// is better or worse.
+func reportExact(w io.Writer, figures []exactFigure) {
+	if len(figures) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "%-12s %-40s %6s %22s %22s %s\n", "workload", "exact metric", "seed", "A", "B", "change")
+	for i := 0; i < len(figures); {
+		j := i
+		for j < len(figures) && figures[j].Workload == figures[i].Workload && figures[j].Metric == figures[i].Metric {
+			j++
+		}
+		same := figures[i:j]
+		if !slices.ContainsFunc(same, func(f exactFigure) bool { return !f.Equal }) {
+			fmt.Fprintf(w, "%-12s %-40s %6s %22s %22s equal\n", same[0].Workload, same[0].Metric, "all", "", "")
+			i = j
+			continue
+		}
+		for _, f := range same {
+			fmt.Fprintf(w, "%-12s %-40s %6d %22s %22s %s\n", f.Workload, f.Metric, f.Seed,
+				strconv.FormatFloat(f.A, 'g', -1, 64), strconv.FormatFloat(f.B, 'g', -1, 64), change(f))
+		}
+		i = j
+	}
+}
+
+// change describes an exact figure's move from A to B.
+func change(f exactFigure) string {
+	if f.Equal {
+		return "equal"
+	}
+	s := "changed"
+	if f.Change != nil {
+		s = fmt.Sprintf("%+.4f%%", 100**f.Change)
+	}
+	switch {
+	case f.Better == "lower" && f.B < f.A, f.Better == "higher" && f.B > f.A:
+		s += " better"
+	case f.Better == "lower" || f.Better == "higher":
+		s += " worse"
+	}
+	return s
 }
 
 // perSide prints one side's median of a count, "-" when the side lacks

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,24 +18,34 @@ import (
 // code, and a run prints a header and a canned result line. Its
 // throughput is the checkout's value file times 1.1 when the run is the
 // first of its pair (a shared counter of runs, in $STUB_COUNTER, is even),
-// so the first-run bias shows; its latency is 1000/value. Its "correct" is
-// the checkout's correct file (true when there is none), and like the real
-// run.sh it exits 1 when that is false.
+// so the first-run bias shows; its latency is 1000/value. Its modeled step,
+// a figure the stub's expected.json guards, is the checkout's step file
+// (10 without one), plus the run counter when the checkout has a jitter
+// file. Its "correct" is the checkout's correct file (true when there is
+// none), and like the real run.sh it exits 1 when that is false. The last
+// argument must be --full.
 const stubRunSH = `#!/usr/bin/env bash
 if [[ "$1" == "--manifest" ]]; then exit "$(cat build_exit)"; fi
 n=$(cat "$STUB_COUNTER" 2>/dev/null || echo 0)
 echo $((n + 1)) >"$STUB_COUNTER"
 v=$(cat value)
 c=$(cat correct 2>/dev/null || echo true)
+step=$(cat step 2>/dev/null || echo 10)
+if [[ -f jitter ]]; then step=$((step + n)); fi
+if [[ "$9" != --full ]]; then echo "want --full, got $9"; exit 2; fi
 f=1
 if (( n % 2 == 0 )); then f=1.1; fi
 echo "# workload=$2 seed=$4 seconds=$6 trace=$8 gomaxprocs=2"
 echo "throughput_per_s $(awk "BEGIN{print $v*$f}") 1/s"
-echo "{\"correct\":$c,\"attempted\":1,\"failed\":0,\"metrics\":{\"throughput_per_s\":{\"value\":$(awk "BEGIN{print $v*$f}"),\"unit\":\"1/s\"},\"latency_p50_ms\":{\"value\":$(awk "BEGIN{print 1000/$v}"),\"unit\":\"ms\"}}}"
+echo "{\"correct\":$c,\"attempted\":1,\"failed\":0,\"metrics\":{\"throughput_per_s\":{\"value\":$(awk "BEGIN{print $v*$f}"),\"unit\":\"1/s\"},\"latency_p50_ms\":{\"value\":$(awk "BEGIN{print 1000/$v}"),\"unit\":\"ms\"},\"distributed.modeled_step_us\":{\"value\":$step,\"unit\":\"us\"}}}"
 [[ "$c" == true ]]
 `
 
-const stubManifest = `{"end_to_end": [{"name": "throughput_per_s", "better": "higher"}, {"name": "latency_p50_ms", "better": "lower"}]}`
+const stubManifest = `{"end_to_end": [{"name": "throughput_per_s", "better": "higher"}, {"name": "latency_p50_ms", "better": "lower"}],
+ "per_layer": [{"name": "distributed.modeled_step_us", "better": "lower"}]}`
+
+// stubExpected guards the stub's modeled step on train_dense.
+const stubExpected = `{"train_dense": {"0": {"distributed.modeled_step_us": 10}}}`
 
 // stubCheckout makes a checkout whose run.sh reports value.
 func stubCheckout(t *testing.T, value string, buildExit int) string {
@@ -46,6 +59,7 @@ func stubCheckout(t *testing.T, value string, buildExit int) string {
 	must(os.MkdirAll(filepath.Join(dir, "benchmark"), 0o755))
 	must(os.WriteFile(filepath.Join(dir, "benchmark", "run.sh"), []byte(stubRunSH), 0o755))
 	must(os.WriteFile(filepath.Join(dir, "BENCHMARK.json"), []byte(stubManifest), 0o644))
+	must(os.WriteFile(filepath.Join(dir, "benchmark", "expected.json"), []byte(stubExpected), 0o644))
 	must(os.WriteFile(filepath.Join(dir, "value"), []byte(value), 0o644))
 	must(os.WriteFile(filepath.Join(dir, "build_exit"), []byte{byte('0' + buildExit)}, 0o644))
 	return dir
@@ -110,6 +124,106 @@ func TestRunAB(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "throughput_per_s") || !strings.Contains(stdout.String(), "4/4") {
 		t.Errorf("report misses the throughput row:\n%s", &stdout)
+	}
+}
+
+// readLedger reads BENCH_<pr>.json back from dir.
+func readLedger(t *testing.T, dir string, pr int) ledger {
+	t.Helper()
+	js, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", pr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l ledger
+	if err := json.Unmarshal(js, &l); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// TestRunExactFigures: a modeled step of 10 on A and 11 on B, the same on
+// every run of a side, differs only across the sides. It is reported as an
+// exact figure per seed, A, B and +10 % worse (lower is better), and kept
+// out of the pair summary, and dmt-ab exits 0. Where both sides read 10 it
+// is reported "equal" at every seed. The wall metrics keep their pair
+// summary.
+func TestRunExactFigures(t *testing.T) {
+	t.Setenv("STUB_COUNTER", filepath.Join(t.TempDir(), "n"))
+	a, b, out := stubCheckout(t, "100", 0), stubCheckout(t, "120", 0), t.TempDir()
+	if err := os.WriteFile(filepath.Join(b, "step"), []byte("11"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	args := []string{"-a", a, "-b", b, "-workloads", "train_dense,serve_cold", "-seeds", "1,2", "-pairs", "4", "-pr", "4", "-dir", out}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, &stderr)
+	}
+	l := readLedger(t, out, 4)
+	if len(l.Exact) != 4 || len(l.Unstable) != 0 {
+		t.Fatalf("exact figures %+v, nondeterministic %+v; want the step at 2 seeds on 2 workloads", l.Exact, l.Unstable)
+	}
+	for i, f := range l.Exact {
+		if f.Metric != "distributed.modeled_step_us" || f.Seed != uint64(1+i%2) || f.A != 10 || f.B != 11 ||
+			f.Equal || f.Change == nil || !near(*f.Change, 0.1) || f.Better != "lower" {
+			t.Errorf("exact figure %d: %+v", i, f)
+		}
+	}
+	for _, s := range l.Summary {
+		if s.Metric == "distributed.modeled_step_us" {
+			t.Errorf("an exact figure entered the pair summary: %+v", s)
+		}
+	}
+	if thr := summaryOf(t, l, "throughput_per_s"); thr.Pairs != 4 {
+		t.Errorf("throughput summary %+v", thr)
+	}
+	if !strings.Contains(stdout.String(), "+10.0000% worse") {
+		t.Errorf("report misses the exact figure's change:\n%s", &stdout)
+	}
+
+	t.Setenv("STUB_COUNTER", filepath.Join(t.TempDir(), "n"))
+	stdout.Reset()
+	if code := run([]string{"-a", a, "-pairs", "2", "-pr", "5", "-dir", out}, &stdout, &stderr); code != 0 {
+		t.Fatalf("A/A: exit %d\nstderr:\n%s", code, &stderr)
+	}
+	if l := readLedger(t, out, 5); len(l.Exact) != 1 || !l.Exact[0].Equal || *l.Exact[0].Change != 0 {
+		t.Errorf("A/A exact figures %+v, want the step equal", l.Exact)
+	}
+	if !regexp.MustCompile(`train_dense +distributed.modeled_step_us +all +equal`).MatchString(stdout.String()) {
+		t.Errorf("A/A report does not call the step equal:\n%s", &stdout)
+	}
+}
+
+// TestRunDeterminismFailure: a guarded figure that differs between two runs
+// of one side at one seed is a determinism failure. The report and the
+// ledger name it, and dmt-ab exits 1. The same jitter on a workload whose
+// expected.json guards nothing only moves the figure into the pair
+// summary.
+func TestRunDeterminismFailure(t *testing.T) {
+	t.Setenv("STUB_COUNTER", filepath.Join(t.TempDir(), "n"))
+	a, b, out := stubCheckout(t, "100", 0), stubCheckout(t, "100", 0), t.TempDir()
+	if err := os.WriteFile(filepath.Join(b, "jitter"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	args := []string{"-a", a, "-b", b, "-workloads", "train_dense,serve_cold", "-pairs", "2", "-pr", "6", "-dir", out}
+	if code := run(args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "determinism failure") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 naming the determinism failure", code, &stderr)
+	}
+	if !strings.Contains(stdout.String(), "distributed.modeled_step_us differs between side B's runs at seed 1") {
+		t.Errorf("report does not name the unstable figure:\n%s", &stdout)
+	}
+	l := readLedger(t, out, 6)
+	if len(l.Unstable) != 1 || l.Unstable[0].Workload != "train_dense" || l.Unstable[0].Side != "B" || len(l.Unstable[0].Values) != 2 {
+		t.Errorf("ledger nondeterministic %+v", l.Unstable)
+	}
+	var inSummary []string
+	for _, s := range l.Summary {
+		if s.Metric == "distributed.modeled_step_us" {
+			inSummary = append(inSummary, s.Workload)
+		}
+	}
+	if len(l.Exact) != 0 || !slices.Equal(inSummary, []string{"train_dense", "serve_cold"}) {
+		t.Errorf("exact figures %+v, step summarized on %v; want none exact and both workloads summarized", l.Exact, inSummary)
 	}
 }
 

@@ -16,7 +16,7 @@
 //	dmt-bench -list                    # list experiments
 //
 // -gen picks the hardware generation (v100, a100, h100) for the experiments
-// that simulate a fabric (fig13, pipeline, embtier): they run the training
+// that simulate a fabric (fig13, embtier): they run the training
 // engines with the comm runtime in netsim-driven latency mode and print
 // deterministic virtual-clock tables.
 //

@@ -56,19 +56,19 @@ func TestCompressionNoneBitwiseGolden(t *testing.T) {
 // TestCompressedParallelMatchesSequentialBitwise extends the engine
 // equivalence theorem to the compressed wire: with fp16 gradient (error
 // feedback) and embedding compression, the rank-parallel collectives —
-// blocking and overlapped — and the sequential centralized mirror must
+// blocking and pipelined — and the sequential centralized mirror must
 // still produce bitwise-identical losses, parameters, tables, and
-// residuals. The overlapped engine holds because buckets never split a
+// residuals. The pipelined engine holds because buckets never split a
 // parameter, so the quantizer sees exactly the tensors the golden path
-// quantizes.
+// quantizes, whichever step they complete in.
 func TestCompressedParallelMatchesSequentialBitwise(t *testing.T) {
 	for _, s := range []quant.Scheme{quant.FP16, quant.INT8} {
 		cfg, gen := testSetup(12)
 		cfg.Compression = Compression{Gradient: s, Embedding: s}
 		seqCfg := cfg
 		seqCfg.Sequential = true
-		ovCfg := cfg
-		ovCfg.Overlap = true
+		pipeCfg := cfg
+		pipeCfg.Pipeline = 1
 		par, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -77,7 +77,7 @@ func TestCompressedParallelMatchesSequentialBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ov, err := New(ovCfg)
+		pipe, err := New(pipeCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,18 +86,19 @@ func TestCompressedParallelMatchesSequentialBitwise(t *testing.T) {
 			_, locals := splitGlobalBatch(gen, step, cfg.G, cfg.LocalBatch)
 			rp := par.Step(locals)
 			rs := seq.Step(locals)
-			ro := ov.Step(locals)
+			ro := pipe.Step(locals)
 			if rp.MeanLoss != rs.MeanLoss {
 				t.Fatalf("%s step %d: parallel loss %v != sequential %v", s, step, rp.MeanLoss, rs.MeanLoss)
 			}
 			if ro.MeanLoss != rs.MeanLoss {
-				t.Fatalf("%s step %d: overlapped loss %v != sequential %v", s, step, ro.MeanLoss, rs.MeanLoss)
+				t.Fatalf("%s step %d: pipelined loss %v != sequential %v", s, step, ro.MeanLoss, rs.MeanLoss)
 			}
 		}
+		pipe.Drain() // the last step's over-arch update
 		for _, eng := range []struct {
 			name string
 			tr   *Trainer
-		}{{"rank-parallel", par}, {"overlapped", ov}} {
+		}{{"rank-parallel", par}, {"pipelined", pipe}} {
 			for g := 0; g < cfg.G; g++ {
 				pp, sp := eng.tr.Replica(g).DenseParams(), seq.Replica(g).DenseParams()
 				for pi := range pp {

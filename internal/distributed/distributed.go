@@ -18,13 +18,13 @@
 // on the global group, stepped there and gathered back as weights
 // (buckets.go), tower-module gradients reduced intra-host inside
 // SPTTBackward, and sparse updates applied by each table's owner rank. What
-// communication a step leaves exposed is decided by a schedule VALUE the
-// executor reads — blocking, overlapped (Config.Overlap) or cross-step
-// pipelined (Config.Pipeline) — which only moves the bottom-MLP halves into
+// communication a step leaves exposed is decided by the schedule the
+// executor reads — blocking, or cross-step pipelined (Config.Pipeline, or
+// its alias Config.Overlap) — which only moves the bottom-MLP halves into
 // the SPTT peer-AlltoAll windows and the bucket launch/finish points across
-// phases; schedule.go lists the three values and why they are the same
-// mathematics. Stats splits communication time into exposed vs hidden to
-// measure exactly how much each schedule hid. A sequential reference step
+// phases and the step boundary; schedule.go describes both and why they are
+// the same mathematics. Stats splits communication time into exposed vs
+// hidden to measure exactly how much each schedule hid. A sequential reference step
 // (Config.Sequential) executes the same mathematics in a single goroutine
 // with centralized averaging loops, as BenchmarkDistributedStep's baseline
 // and the bitwise cross-check every schedule is tested against.
@@ -73,22 +73,19 @@ type Config struct {
 	// rank-parallel engine. Both follow bitwise-identical trajectories; the
 	// sequential path exists as the benchmark baseline and cross-check.
 	Sequential bool
-	// Overlap selects the overlapped rank-parallel schedule: the SPTT
-	// forward's cross-host peer AlltoAll runs concurrently with the
-	// bottom-MLP forward, and the over-arch gradient reduce is launched
-	// in readiness-ordered buckets during the dense backward and completed
-	// behind the SPTT backward. Purely a scheduling change — per-parameter
-	// reductions still combine in source-rank order, so the trajectory is
-	// bitwise identical to the sequential and rank-parallel engines.
+	// Overlap is an alias for Pipeline: 1, kept while benchmark/ sets it.
+	// The within-step overlapped schedule it once selected exposed no less
+	// communication per step than the pipelined one on any measured shape.
 	// Mutually exclusive with Sequential.
 	Overlap bool
 	// Pipeline selects the cross-step pipelined schedule (schedule.go) at
-	// the given depth: the overlapped schedule extended across step
-	// boundaries, so step N's gradient buckets complete while step N+1's
-	// SPTT step (f) peer AlltoAll and bottom-MLP forward are already
-	// running, and the reverse peer AlltoAll hides under the bottom-MLP
-	// backward via the backward-side sptt hook. Supported depths are 0
-	// (off) and 1 (buckets span one boundary). The over-arch Adam update
+	// the given depth: the SPTT forward's cross-host peer AlltoAll runs
+	// concurrently with the bottom-MLP forward, the reverse one with the
+	// bottom-MLP backward, the over-arch gradient reduce launches in
+	// readiness-ordered buckets during the dense backward, and step N's
+	// buckets complete while step N+1's SPTT forward is already running.
+	// Supported depths are 0 (off) and 1 (buckets span one boundary). The
+	// over-arch Adam update
 	// moves behind the boundary with them — still applied before the
 	// parameters are read, so the trajectory stays bitwise identical to
 	// the sequential engine; Trainer.Drain (Close is Drain) completes the
@@ -97,7 +94,7 @@ type Config struct {
 	// RankOf through sptt.TowerAssignment, a slice indexed by table), and the
 	// tower modules and the over-arch are separate nn.Linears
 	// (models.NewDMTDLRM), so they share no parameter. Mutually exclusive
-	// with Sequential and with Overlap.
+	// with Sequential.
 	Pipeline int
 	// BucketBytes caps how many gradient bytes one over-arch reduction
 	// bucket carries. Parameters are always grouped whole: encoding
@@ -259,8 +256,8 @@ type PhaseTimes struct {
 	ExposedComm time.Duration
 	// HiddenComm is the mean-per-rank virtual-time window of non-blocking
 	// collectives between issue and Wait — communication covered by
-	// overlapping modeled compute. Zero for the blocking schedules; under
-	// Config.Overlap it is the quantity the refactor exists to maximize.
+	// overlapping modeled compute or by another wait. The pipelined
+	// schedule exists to raise it.
 	// Windows of concurrently in-flight collectives are merged (interval
 	// union), so a rank's hidden time never exceeds the span its clock
 	// covered.
@@ -269,7 +266,7 @@ type PhaseTimes struct {
 	// schedule's carried gradient buckets: of the completing step's
 	// ExposedComm/HiddenComm, the share spent finishing buckets launched
 	// by the PREVIOUS step (Config.Pipeline). They are a breakdown of the
-	// totals above, not additive to them; zero for the other schedules.
+	// totals above, not additive to them; zero under the blocking schedule.
 	CrossStepExposed time.Duration
 	CrossStepHidden  time.Duration
 }
@@ -577,7 +574,7 @@ func (tr *Trainer) scaleRank(g int, sparse map[int]*nn.SparseGrad, invG float32)
 	for _, p := range tr.modules[g].Params() {
 		tensor.ScaleInPlace(p.Grad, invG)
 	}
-	for _, f := range tr.engine.Cfg.OwnedFeatures(g) {
+	for _, f := range tr.engine.Owned(g) {
 		if sg := sparse[f]; sg != nil {
 			tensor.ScaleInPlace(sg.Grads, invG)
 		}
@@ -589,7 +586,7 @@ func (tr *Trainer) scaleRank(g int, sparse map[int]*nn.SparseGrad, invG float32)
 // one round per client per phase (round symmetry).
 func (tr *Trainer) applySparse(g int, sparse map[int]*nn.SparseGrad) {
 	var ups []embeddings.Upd
-	for _, f := range tr.engine.Cfg.OwnedFeatures(g) {
+	for _, f := range tr.engine.Owned(g) {
 		if sg := sparse[f]; sg != nil && len(sg.Rows) > 0 {
 			ups = append(ups, embeddings.Upd{Table: f, Rows: sg.Rows, GradRows: sg.Grads})
 		}

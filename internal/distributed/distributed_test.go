@@ -6,10 +6,8 @@ import (
 
 	"dmt/internal/data"
 	"dmt/internal/models"
-	"dmt/internal/netsim"
 	"dmt/internal/nn"
 	"dmt/internal/tensor"
-	"dmt/internal/topology"
 )
 
 // testSetup builds a small cluster (4 ranks, 2 hosts) and workload.
@@ -227,96 +225,21 @@ func runBitwiseEngines(t *testing.T, cfg Config, gen *data.Generator, candidates
 }
 
 // TestParallelMatchesSequentialBitwise is the refactor's regression proof:
-// the rank-parallel engine — blocking and overlapped — and the
-// single-goroutine reference step must produce bitwise-identical
-// parameters, tables, and losses — not merely close ones — because the
-// comm runtime reduces in source-rank order, bucketing never splits a
-// parameter, and the overlapped schedule changes only when collectives run,
-// not what they compute.
+// the blocking rank-parallel engine and the single-goroutine reference step
+// must produce bitwise-identical parameters, tables, and losses — not
+// merely close ones — because the comm runtime reduces in source-rank
+// order and bucketing never splits a parameter. (The pipelined schedule's
+// proof is TestPipelineMatchesSequentialBitwise.)
 func TestParallelMatchesSequentialBitwise(t *testing.T) {
 	cfg, gen := testSetup(7)
-	overlapCfg := cfg
-	overlapCfg.Overlap = true
 	// A tiny bucket cap forces one parameter per bucket, exercising the
 	// multi-bucket launch/wait ordering.
-	tinyBuckets := overlapCfg
+	tinyBuckets := cfg
 	tinyBuckets.BucketBytes = 1
 	runBitwiseEngines(t, cfg, gen, map[string]Config{
-		"rank-parallel":        cfg,
-		"overlapped":           overlapCfg,
-		"overlapped/1B-bucket": tinyBuckets,
+		"rank-parallel":           cfg,
+		"rank-parallel/1B-bucket": tinyBuckets,
 	}, 5)
-}
-
-// TestOverlapMatchesSequentialBitwiseG8 is the acceptance-scale variant of
-// the regression: at G=8 (4 hosts of 2) the overlapped schedule must still
-// track the sequential golden trajectory bit for bit.
-func TestOverlapMatchesSequentialBitwiseG8(t *testing.T) {
-	cfg, gen := testSetup(8)
-	cfg.G, cfg.L = 8, 2
-	cfg.Model.Towers = [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
-	overlapCfg := cfg
-	overlapCfg.Overlap = true
-	runBitwiseEngines(t, cfg, gen, map[string]Config{"overlapped": overlapCfg}, 3)
-}
-
-// TestOverlapStatsAndBuckets: the overlapped engine must actually overlap —
-// on a fabric its cumulative HiddenComm must be positive (collectives spent
-// virtual time in flight under modeled compute) — and the bucket plan must
-// cover every over-arch parameter exactly once, in top-before-bottom launch
-// order.
-func TestOverlapStatsAndBuckets(t *testing.T) {
-	cfg, gen := testSetup(15)
-	cfg.Overlap = true
-	cfg.Fabric = netsim.New(topology.A100)
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 2; step++ {
-		_, locals := splitGlobalBatch(gen, step, cfg.G, cfg.LocalBatch)
-		tr.Step(locals)
-	}
-	st := tr.Stats()
-	if st.Phases.HiddenComm <= 0 {
-		t.Fatalf("overlapped engine hid no communication: %+v", st.Phases)
-	}
-	if st.Phases.ExposedComm < 0 {
-		t.Fatalf("negative exposed comm: %+v", st.Phases)
-	}
-
-	nAll := len(tr.Replica(0).OverArchParams())
-	nBottom := len(tr.Replica(0).BottomParams())
-	seen := map[int]int{}
-	var order []int
-	for _, b := range tr.Buckets() {
-		for _, pi := range b {
-			seen[pi]++
-			order = append(order, pi)
-		}
-	}
-	if len(seen) != nAll {
-		t.Fatalf("buckets cover %d of %d params", len(seen), nAll)
-	}
-	for pi, n := range seen {
-		if n != 1 {
-			t.Fatalf("param %d appears in %d buckets", pi, n)
-		}
-	}
-	// Launch order: every top param (index >= nBottom) precedes every
-	// bottom param.
-	firstBottom := len(order)
-	for i, pi := range order {
-		if pi < nBottom {
-			firstBottom = i
-			break
-		}
-	}
-	for _, pi := range order[firstBottom:] {
-		if pi >= nBottom {
-			t.Fatalf("top param %d launched after a bottom param: order %v", pi, order)
-		}
-	}
 }
 
 // TestRankParallelStepConcurrency drives the rank-parallel step at G=8 so
@@ -333,7 +256,6 @@ func TestRankParallelStepConcurrency(t *testing.T) {
 	}{
 		{"sequential", func(c *Config) { c.Sequential = true }},
 		{"blocking", func(*Config) {}},
-		{"overlapped", func(c *Config) { c.Overlap = true }},
 		{"pipelined", func(c *Config) { c.Pipeline = 1 }},
 	} {
 		t.Run(sc.name, func(t *testing.T) {

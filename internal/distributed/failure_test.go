@@ -13,30 +13,28 @@ import (
 )
 
 // TestRankPanicSweep injects a panic on one rank of a G = 4 trainer, under
-// every schedule and embedding tier, at each phase a test reaches without a
-// production hook. The step must panic naming that rank, within a bound,
-// whatever its peers were blocked on: a collective of the world group or of
-// an SPTT family, or an embedding server's turn. The package's TestMain
-// then holds that no goroutine is left behind.
+// both schedules and every embedding tier, at each phase a test reaches
+// without a production hook. The step must panic naming that rank, within
+// a bound, whatever its peers were blocked on: a collective of the world
+// group or of an SPTT family, or an embedding server's turn. The package's
+// TestMain then holds that no goroutine is left behind.
 //
 // Where each fault fires (the pipelined schedule's owner step and weight
 // gathers run one step later, so every case runs two steps):
 //
-//	fault            blocking      overlapped    pipelined
-//	tier lookup      SPTT fwd      SPTT fwd      SPTT fwd
-//	bottom weight    dense         SPTT fwd      SPTT fwd
-//	top weight       dense         dense         dense
-//	bottom grad      dense         dense         SPTT bwd
-//	tower grad       SPTT bwd      SPTT bwd      SPTT bwd
-//	bucket snapshot  exchange      dense         dense
-//	tier update      update        update        update
-//	owner step       update        update        next step's head
-//	weight gather    update        update        next SPTT fwd
+//	fault            blocking      pipelined
+//	tier lookup      SPTT fwd      SPTT fwd
+//	bottom weight    dense         SPTT fwd
+//	top weight       dense         dense
+//	bottom grad      dense         SPTT bwd
+//	tower grad       SPTT bwd      SPTT bwd
+//	bucket snapshot  exchange      dense
+//	tier update      update        update
+//	owner step       update        next step's head
+//	weight gather    update        next SPTT fwd
 //
-// Not reached: the exchange phase of the overlapped and pipelined
-// schedules. There a rank scales gradients, which has no shape to break,
-// and, overlapped, finishes its buckets into the gradient views its own
-// launch already read, so a broken view fails that launch first.
+// Not reached: the pipelined schedule's exchange phase. There a rank only
+// scales gradients, which has no shape to break.
 func TestRankPanicSweep(t *testing.T) {
 	faults := []struct {
 		name   string
@@ -73,7 +71,6 @@ func TestRankPanicSweep(t *testing.T) {
 		set  func(*Config)
 	}{
 		{"blocking", func(*Config) {}},
-		{"overlapped", func(c *Config) { c.Overlap = true }},
 		{"pipelined", func(c *Config) { c.Pipeline = 1 }},
 	}
 	tiers := []struct {

@@ -72,10 +72,9 @@ func TestLatencyTrajectoryMatchesGolden(t *testing.T) {
 		cfg.Compression = Compression{Gradient: compress, Embedding: compress}
 		golden, goldenLoss := runSteps(t, cfg, gen, steps)
 
-		for _, mode := range []string{"sequential", "rank-parallel", "overlap", "pipeline"} {
+		for _, mode := range []string{"sequential", "rank-parallel", "pipeline"} {
 			cfg, gen := latencySetup(1)
 			cfg.Sequential = mode == "sequential"
-			cfg.Overlap = mode == "overlap"
 			if mode == "pipeline" {
 				cfg.Pipeline = 1
 			}
@@ -112,10 +111,11 @@ func TestLatencyTrajectoryMatchesGolden(t *testing.T) {
 func TestLatencyDeterministicPhaseTimes(t *testing.T) {
 	run := func() (Stats, []float64) {
 		cfg, gen := latencySetup(1)
-		cfg.Overlap = true
+		cfg.Pipeline = 1
 		cfg.Compression = Compression{Gradient: quant.FP16, Embedding: quant.FP16}
 		cfg.Fabric = netsim.New(topology.A100)
 		tr, losses := runSteps(t, cfg, gen, 3)
+		tr.Drain()
 		return tr.Stats(), losses
 	}
 	s1, l1 := run()
@@ -137,17 +137,20 @@ func TestLatencyDeterministicPhaseTimes(t *testing.T) {
 }
 
 // TestLatencyOverlapReducesExposed: under the netsim cost model the
-// overlapped schedule must expose strictly less modeled communication than
-// the blocking rank-parallel engine at the same scheme, and the fp16 wire
-// must expose strictly less than fp32 under the same schedule (wire bytes
-// drive delay).
+// pipelined schedule, drained so its deferred tail is paid, must expose
+// strictly less modeled communication than the blocking rank-parallel
+// engine at the same scheme, and the fp16 wire must expose strictly less
+// than fp32 under the same schedule (wire bytes drive delay).
 func TestLatencyOverlapReducesExposed(t *testing.T) {
-	exposed := func(overlap bool, s quant.Scheme) time.Duration {
+	exposed := func(pipeline bool, s quant.Scheme) time.Duration {
 		cfg, gen := latencySetup(1)
-		cfg.Overlap = overlap
+		if pipeline {
+			cfg.Pipeline = 1
+		}
 		cfg.Compression = Compression{Gradient: s, Embedding: s}
 		cfg.Fabric = netsim.New(topology.A100)
 		tr, _ := runSteps(t, cfg, gen, 2)
+		tr.Drain()
 		return tr.Stats().Phases.ExposedComm
 	}
 	blockFP32 := exposed(false, quant.None)
@@ -155,16 +158,16 @@ func TestLatencyOverlapReducesExposed(t *testing.T) {
 	overFP32 := exposed(true, quant.None)
 	overFP16 := exposed(true, quant.FP16)
 	if overFP32 >= blockFP32 {
-		t.Errorf("overlap should reduce modeled exposed comm: %v vs blocking %v (fp32)", overFP32, blockFP32)
+		t.Errorf("pipelining should reduce modeled exposed comm: %v vs blocking %v (fp32)", overFP32, blockFP32)
 	}
 	if overFP16 >= blockFP16 {
-		t.Errorf("overlap should reduce modeled exposed comm: %v vs blocking %v (fp16)", overFP16, blockFP16)
+		t.Errorf("pipelining should reduce modeled exposed comm: %v vs blocking %v (fp16)", overFP16, blockFP16)
 	}
 	if blockFP16 >= blockFP32 {
 		t.Errorf("fp16 wire should reduce modeled exposed comm: %v vs fp32 %v (blocking)", blockFP16, blockFP32)
 	}
 	if overFP16 >= blockFP32 {
-		t.Errorf("the acceptance pair: overlap/fp16 %v should beat blocking/fp32 %v", overFP16, blockFP32)
+		t.Errorf("the acceptance pair: pipeline/fp16 %v should beat blocking/fp32 %v", overFP16, blockFP32)
 	}
 }
 
@@ -175,10 +178,11 @@ func TestLatencyOverlapReducesExposed(t *testing.T) {
 // it.
 func TestHiddenNeverExceedsWall(t *testing.T) {
 	cfg, gen := latencySetup(1)
-	cfg.Overlap = true
+	cfg.Pipeline = 1
 	cfg.BucketBytes = 64 // one parameter per bucket: maximally concurrent handles
 	cfg.Fabric = netsim.New(topology.A100)
 	tr, _ := runSteps(t, cfg, gen, 3)
+	tr.Drain()
 	if len(tr.Buckets()) < 4 {
 		t.Fatalf("setup: want >=4 buckets for concurrency, got %d", len(tr.Buckets()))
 	}
@@ -190,6 +194,6 @@ func TestHiddenNeverExceedsWall(t *testing.T) {
 			st.Phases.HiddenComm, wall)
 	}
 	if st.Phases.HiddenComm <= 0 {
-		t.Fatal("overlapped schedule should hide some communication")
+		t.Fatal("pipelined schedule should hide some communication")
 	}
 }

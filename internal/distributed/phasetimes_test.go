@@ -58,7 +58,7 @@ func TestPhaseWallsSettledWithRemoteTier(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	walls := func() [4]time.Duration {
 		cfg, gen := latencySetup(1)
-		cfg.Overlap = true
+		cfg.Pipeline = 1
 		cfg.Fabric = netsim.New(topology.A100)
 		cfg.EmbeddingTier = EmbeddingTier{Servers: 2, CacheRows: 64}
 		tr, _ := runSteps(t, cfg, gen, 2)

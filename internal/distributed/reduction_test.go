@@ -37,39 +37,27 @@ func seedGradients(tr *Trainer, round int) {
 
 // runBuckets drives one round of the over-arch reduction and update
 // exactly as the trainer's schedule places it: launch and finish bucket by
-// bucket (blocking), launch all then finish all (overlapped), or launch
-// carried in one Run and finish in the next (pipelined); then the owners'
-// Adam step and both weight gathers.
+// bucket (blocking), or launch carried in one Run and finish in the next
+// (pipelined); then the owners' Adam step and both weight gathers.
 func runBuckets(tr *Trainer) {
 	invG := 1 / float32(tr.cfg.G)
 	inflight := make([][]pendingBucket, tr.cfg.G)
-	finish := func(g int) {
-		for _, pb := range inflight[g] {
-			tr.finishBucket(g, pb, invG)
-		}
-		inflight[g] = inflight[g][:0]
-	}
 	comm.Run(tr.world, func(c *comm.Comm) {
 		g := c.Rank()
 		for _, b := range tr.buckets {
 			pb := tr.launchBucket(g, b)
-			if tr.sched.finish == finishNextStep {
-				pb.h.Carry()
+			if tr.sched == blocking {
+				tr.finishBucket(g, pb, invG)
+				continue
 			}
+			pb.h.Carry()
 			inflight[g] = append(inflight[g], pb)
-			if tr.sched.finish == finishAtLaunch {
-				finish(g)
-			}
-		}
-		if tr.sched.finish == finishAfterBackward {
-			finish(g)
 		}
 	})
 	comm.Run(tr.world, func(c *comm.Comm) {
 		g := c.Rank()
-		if tr.sched.finish == finishNextStep {
+		if tr.sched == pipelined {
 			tr.finishCarried(g, inflight[g], invG)
-			inflight[g] = inflight[g][:0]
 		} else {
 			tr.stepOwned(g)
 		}
@@ -176,7 +164,6 @@ func TestBucketReductionMatchesPerReceiverDecode(t *testing.T) {
 		set  func(*Config)
 	}{
 		{"blocking", func(*Config) {}},
-		{"overlapped", func(c *Config) { c.Overlap = true }},
 		{"pipelined", func(c *Config) { c.Pipeline = 1 }},
 	}
 	for _, procs := range []int{1, 2} {
@@ -251,7 +238,7 @@ func TestCompressedBucketCycleAllocs(t *testing.T) {
 	cycle := func(s quant.Scheme) float64 {
 		cfg, _ := latencySetup(3)
 		cfg.Compression.Gradient = s
-		cfg.Overlap = true
+		cfg.Pipeline = 1
 		tr, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

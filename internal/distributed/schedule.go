@@ -11,73 +11,44 @@ import (
 	"dmt/internal/tensor"
 )
 
-// schedule is the data the one rank-parallel executor (stepRanks) reads.
-// Every schedule walks the same phase order — SPTT forward, dense, SPTT
-// backward, gradient exchange, update — and performs the same arithmetic;
+// schedule is the one choice the rank-parallel executor (stepRanks) reads.
+// Both schedules walk the same phase order — SPTT forward, dense, SPTT
+// backward, gradient exchange, update — and perform the same arithmetic;
 // a schedule only says which communication window the bottom-MLP halves
 // run in and where the over-arch gradient buckets launch and finish.
-type schedule struct {
-	// fwdInWindow runs each rank's bottom-MLP forward between the post and
-	// the wait of the SPTT forward's step (f) peer AlltoAll — the cross-host
-	// hop — through sptt.Comms.Overlap, instead of at the head of the dense
-	// phase. In latency mode the charged bottom-forward compute then covers
-	// (part of) the hop's modeled transfer time.
-	fwdInWindow bool
-	// bwdInWindow runs the bottom-MLP backward (and, with launchAtReadiness,
-	// the bottom-bucket launches) inside the REVERSE step (f) window of the
-	// SPTT backward through sptt.Comms.BwdOverlap, instead of at the tail
-	// of the dense phase, hiding the return transfer the same way.
-	bwdInWindow bool
-	// launchAtReadiness posts each gradient bucket the moment its gradients
-	// are final — top-MLP buckets right after BackwardTop (they fly while
-	// the bottom backward runs), bottom-MLP buckets right after
-	// BackwardBottom — instead of all of them in the exchange phase.
-	launchAtReadiness bool
-	// finish is where a launched bucket completes, and with it where the
-	// owners' Adam step runs and the weight gathers are waited.
-	finish finishPoint
-}
-
-type finishPoint int
+type schedule int
 
 const (
-	// finishAtLaunch waits each bucket before the next one is posted, and
-	// each weight gather where the update phase posts it.
-	finishAtLaunch finishPoint = iota
-	// finishAfterBackward completes the buckets in the exchange phase, so
-	// they ride out the rest of the dense backward and the whole SPTT
-	// backward: in latency mode the backward's modeled collective time
-	// advances the ranks' clocks past the buckets' ready-times. The weight
-	// gathers fly under the rest of the update phase (the tower-module
-	// step and the embedding tier's update round) and are waited at its
-	// end, so every step still leaves the replicas in sync.
-	finishAfterBackward
-	// finishNextStep leaves the buckets in flight across the step boundary
-	// (Pending.Carry). They complete at the head of the NEXT step, before
-	// its SPTT forward, followed at once by the owners' deferred Adam step
-	// and the posts of the weight gathers. Each gather is waited right
-	// before the first forward that reads it: the bottom MLP's before
-	// ForwardBottom, inside the forward window, and the top MLP's before
-	// ForwardDenseFrom. Drain completes the last step's.
-	finishNextStep
+	// blocking overlaps nothing: the bottom-MLP halves run inside the dense
+	// phase, every bucket is launched in the exchange phase and waited
+	// before the next one is posted, and the owners' Adam step and both
+	// weight gathers complete in the update phase.
+	blocking schedule = iota
+	// pipelined (Config.Pipeline, or its alias Config.Overlap) hides the
+	// step's communication under compute, within the step and across its
+	// boundary:
+	//   - the bottom-MLP forward runs between the post and the wait of the
+	//     SPTT forward's step (f) peer AlltoAll, the cross-host hop
+	//     (sptt.Comms.Overlap), and the bottom-MLP backward inside the
+	//     reverse step (f) window of the SPTT backward (sptt.Comms.BwdOverlap),
+	//     so in latency mode their charged compute covers (part of) the
+	//     hops' modeled transfer time;
+	//   - each gradient bucket is posted the moment its gradients are
+	//     final — top-MLP buckets right after BackwardTop, bottom-MLP
+	//     buckets right after BackwardBottom;
+	//   - the buckets stay in flight across the step boundary
+	//     (Pending.Carry). They complete at the head of the NEXT step,
+	//     before its SPTT forward, followed at once by the owners' deferred
+	//     Adam step and the posts of the weight gathers. Each gather is
+	//     waited right before the first forward that reads it: the bottom
+	//     MLP's before ForwardBottom, inside the forward window, and the top
+	//     MLP's before ForwardDenseFrom. Drain completes the last step's.
+	//
+	// Over S steps the last gathers' exposure is paid once (Drain) instead
+	// of S times.
+	pipelined
 )
 
-// The three schedules Config selects. They are values of one type precisely
-// because they are the same mathematics:
-//
-//   - blocking: nothing overlaps; every collective is waited where it is
-//     posted.
-//   - overlapped (Config.Overlap): EmbComm hides behind the bottom-MLP
-//     forward and GradExchange behind the remaining dense backward and the
-//     embedding backward.
-//   - pipelined (Config.Pipeline): the overlapped schedule extended across
-//     the step boundary, where the overlapped schedule still drains its
-//     buckets and gathers while the next SPTT forward sits idle. Step N's
-//     buckets complete at the head of step N+1, and its weight gathers fly
-//     under step N+1's SPTT forward; the reverse peer AlltoAll hides under
-//     the bottom-MLP backward. Over S steps the last gathers' exposure is
-//     paid once (Drain) instead of S times.
-//
 // Why moving work between windows is legal, and bitwise identical to the
 // sequential reference:
 //
@@ -100,42 +71,35 @@ const (
 //   - Update placement. The owners' over-arch Adam step still runs after
 //     the bucket averages land, and every rank holds the gathered weights
 //     before a forward reads them — the same read-after-update dataflow
-//     under every schedule, just later in wall/virtual time. Splitting the
+//     under both schedules, just later in wall/virtual time. Splitting the
 //     dense Adam into over-arch and tower-module instances, and the
 //     over-arch one into row segments, is value-neutral: nn.Adam state is
 //     per element and the sets are disjoint.
 //   - Wire format. Handles are waited in issue order (the launch plan's
 //     order, then the bottom gather, then the top one) by a goroutine of
 //     the issuing rank, sequenced by Run joins, before any new collective
-//     is issued on the world group — exactly the Pending contract. The window hooks run on the rank's SPTT dataflow
-//     goroutine and touch only rank-private state and the world group,
-//     which is disjoint from the dataflow's groups.
-var (
-	blocking   = schedule{}
-	overlapped = schedule{fwdInWindow: true, launchAtReadiness: true, finish: finishAfterBackward}
-	pipelined  = schedule{fwdInWindow: true, bwdInWindow: true, launchAtReadiness: true, finish: finishNextStep}
-)
+//     is issued on the world group — exactly the Pending contract. The
+//     window hooks run on the rank's SPTT dataflow goroutine and touch only
+//     rank-private state and the world group, which is disjoint from the
+//     dataflow's groups.
 
-// resolveSchedule maps the Config selectors to a schedule value, rejecting
-// contradictory combinations. Sequential trainers never read the result.
+// resolveSchedule maps the Config selectors to a schedule. Overlap and
+// Pipeline both name the pipelined schedule; the sequential reference takes
+// neither and never reads the result.
 func resolveSchedule(cfg Config) (schedule, error) {
 	switch {
 	case cfg.Pipeline < 0 || cfg.Pipeline > 1:
-		return schedule{}, fmt.Errorf("distributed: Pipeline depth %d unsupported (0 disables, 1 spans one step boundary)", cfg.Pipeline)
+		return blocking, fmt.Errorf("distributed: Pipeline depth %d unsupported (0 disables, 1 spans one step boundary)", cfg.Pipeline)
 	case cfg.Sequential && (cfg.Overlap || cfg.Pipeline > 0):
-		return schedule{}, fmt.Errorf("distributed: Overlap and Pipeline schedule the rank-parallel engine (Sequential=false)")
-	case cfg.Overlap && cfg.Pipeline > 0:
-		return schedule{}, fmt.Errorf("distributed: Pipeline and Overlap are distinct schedules; set at most one")
-	case cfg.Pipeline > 0:
+		return blocking, fmt.Errorf("distributed: Overlap and Pipeline schedule the rank-parallel engine (Sequential=false)")
+	case cfg.Overlap || cfg.Pipeline > 0:
 		return pipelined, nil
-	case cfg.Overlap:
-		return overlapped, nil
 	}
 	return blocking, nil
 }
 
 // PipelineActive reports whether the cross-step pipelined schedule is in
-// effect (Config.Pipeline > 0).
+// effect (Config.Pipeline > 0 or Config.Overlap).
 func (tr *Trainer) PipelineActive() bool { return tr.sched == pipelined }
 
 // PipelineFallback returns why a trainer asked to pipeline runs another
@@ -147,11 +111,11 @@ func (tr *Trainer) PipelineFallback() string { return "" }
 // stepRanks is the rank-parallel executor: five phases, each with one
 // goroutine per rank. The SPTT phases run on the engine's communicator
 // families; the dense, exchange and update phases share the trainer's
-// persistent world group. Phase walls always bound the step, but under a
-// non-blocking schedule compute and communication deliberately cross them —
+// persistent world group. Phase walls always bound the step, but under the
+// pipelined schedule compute and communication deliberately cross them —
 // the sharper lens is PhaseTimes.ExposedComm/HiddenComm.
 func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepResult {
-	cfg, s := tr.cfg, tr.sched
+	cfg, pipe := tr.cfg, tr.sched == pipelined
 	lap := tr.phaseClock()
 	invG := 1 / float32(cfg.G)
 	carried := tr.carried
@@ -167,18 +131,16 @@ func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepR
 	}
 
 	// launch posts rank g's reduction of the given buckets, in plan order
-	// (the wire format), and parks the handles for the schedule's finish
-	// point — marked carried when that point lies past the step boundary.
+	// (the wire format). Blocking finishes each before posting the next;
+	// pipelined marks the handles carried and parks them for the next step.
 	launch := func(g int, bs []gradBucket) {
 		for _, b := range bs {
 			pb := tr.launchBucket(g, b)
-			switch s.finish {
-			case finishAtLaunch:
+			if !pipe {
 				tr.finishBucket(g, pb, invG)
 				continue
-			case finishNextStep:
-				pb.h.Carry()
 			}
+			pb.h.Carry()
 			inflight[g] = append(inflight[g], pb)
 		}
 	}
@@ -204,7 +166,7 @@ func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepR
 	bottomBackward := func(g int) {
 		tr.replicas[g].BackwardBottom(dDenseEmb[g])
 		tr.charge(g, tr.bottomBwd)
-		if s.launchAtReadiness {
+		if pipe {
 			launch(g, tr.buckets[nTop:])
 		}
 	}
@@ -219,11 +181,8 @@ func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepR
 	}
 
 	comms := sptt.Comms{CrossHost: cfg.Compression.Embedding, Net: tr.net}
-	if s.fwdInWindow {
-		comms.Overlap = bottomForward
-	}
-	if s.bwdInWindow {
-		comms.BwdOverlap = bottomBackward
+	if pipe {
+		comms.Overlap, comms.BwdOverlap = bottomForward, bottomBackward
 	}
 	compressed, st := tr.engine.SPTTForwardCompressed(inputs, tr.modules, sptt.Options{Comms: comms})
 	embFwd := lap()
@@ -237,7 +196,7 @@ func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepR
 	comm.Run(tr.world, func(c *comm.Comm) {
 		g := c.Rank()
 		m := tr.replicas[g]
-		if !s.fwdInWindow {
+		if !pipe {
 			bottomForward(g)
 		}
 		if carried != nil {
@@ -248,10 +207,9 @@ func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepR
 		tr.charge(g, tr.topFwd)
 		dCompressed[g], dDenseEmb[g] = m.BackwardTop(tr.loss[g].Backward())
 		tr.charge(g, tr.topBwd)
-		if s.launchAtReadiness {
+		if pipe {
 			launch(g, tr.buckets[:nTop])
-		}
-		if !s.bwdInWindow {
+		} else {
 			bottomBackward(g)
 		}
 	})
@@ -273,41 +231,30 @@ func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepR
 	// scaled by their owner.
 	comm.Run(tr.world, func(c *comm.Comm) {
 		g := c.Rank()
-		if !s.launchAtReadiness {
+		if !pipe {
 			launch(g, tr.buckets)
-		}
-		if s.finish == finishAfterBackward {
-			for _, pb := range inflight[g] {
-				tr.finishBucket(g, pb, invG)
-			}
 		}
 		tr.scaleRank(g, sparse, invG)
 	})
 	gradEx := lap()
 
-	// Updates: each rank steps the over-arch rows it owns and posts their
-	// gathers (unless its gradients are still on the wire), and steps its
-	// own tower module; each owner rank applies sparse updates to its
+	// Updates: each rank steps the over-arch rows it owns and gathers them
+	// (blocking; pipelined defers both to the next step's head), and steps
+	// its own tower module; each owner rank applies sparse updates to its
 	// canonical tables through the embedding tier.
 	comm.Run(tr.world, func(c *comm.Comm) {
 		g := c.Rank()
-		if s.finish != finishNextStep {
+		if !pipe {
 			tr.stepOwned(g)
-		}
-		if s.finish == finishAtLaunch {
 			tr.awaitWeights(g, bottomGroup)
 			tr.awaitWeights(g, topGroup)
 		}
 		tr.tmOpts[g].Step(tr.modules[g].Params())
 		tr.applySparse(g, sparse)
-		if s.finish == finishAfterBackward {
-			tr.awaitWeights(g, bottomGroup)
-			tr.awaitWeights(g, topGroup)
-		}
 	})
 	update := lap()
 
-	if s.finish == finishNextStep {
+	if pipe {
 		tr.carried = inflight
 	}
 

@@ -40,27 +40,23 @@ func (g scheduleGolden) String() string {
 // sets the reduction's cost); "wide" widens the top MLP to {512, 256} so
 // the gradient bytes set it and the schedules separate.
 var scheduleGoldens = map[string]scheduleGolden{
-	"toy/blocking/fp16":    {PhaseTimes{69230, 9, 30030, 15051, 114311, 15021, 0, 0}, [6]time.Duration{3, 6, 36131, 0, 33099, 0}, [4]int64{20826, 104220, 202752, 110592}, 0x3fe61db8f51e35f6},
-	"toy/blocking/fp32":    {PhaseTimes{69348, 9, 30066, 15045, 114459, 15024, 0, 0}, [6]time.Duration{3, 6, 36189, 0, 33159, 0}, [4]int64{26616, 138960, 202752, 184320}, 0x3fe61dbeec918f1e},
-	"toy/overlapped/fp16":  {PhaseTimes{69232, 9, 0, 15051, 84283, 48117, 0, 0}, [6]time.Duration{3, 6, 36131, 0, 33099, 0}, [4]int64{20826, 104220, 202752, 110592}, 0x3fe61db8f51e35f6},
-	"toy/overlapped/fp32":  {PhaseTimes{69352, 9, 0, 15051, 84403, 48177, 0, 0}, [6]time.Duration{3, 6, 36191, 0, 33159, 0}, [4]int64{26616, 138960, 202752, 184320}, 0x3fe61dbeec918f1e},
-	"toy/pipelined/fp16":   {PhaseTimes{69228, 9, 0, 0, 74245, 62191, 5017, 62191}, [6]time.Duration{3, 6, 36129, 0, 33099, 0}, [4]int64{20826, 104220, 202752, 110592}, 0x3fe61db8f51e35f6},
-	"toy/pipelined/fp32":   {PhaseTimes{69348, 9, 0, 0, 74365, 62291, 5017, 62291}, [6]time.Duration{3, 6, 36189, 0, 33159, 0}, [4]int64{26616, 138960, 202752, 184320}, 0x3fe61dbeec918f1e},
-	"wide/blocking/fp16":   {PhaseTimes{69240, 2250, 72384, 27321, 168945, 18018, 0, 0}, [6]time.Duration{750, 1500, 36139, 0, 33099, 0}, [4]int64{2755098, 16509852, 202752, 110592}, 0x3fe55f4c5eeafdc6},
-	"wide/blocking/fp32":   {PhaseTimes{69360, 2250, 81768, 27324, 178452, 18021, 0, 0}, [6]time.Duration{750, 1500, 36199, 0, 33159, 0}, [4]int64{3672312, 22013136, 202752, 184320}, 0x3fe55f50fe0a47c6},
-	"wide/overlapped/fp16": {PhaseTimes{69240, 2250, 0, 24318, 93558, 48117, 0, 0}, [6]time.Duration{750, 1500, 36139, 0, 33099, 0}, [4]int64{2755098, 16509852, 202752, 110592}, 0x3fe55f4c5eeafdc6},
-	"wide/overlapped/fp32": {PhaseTimes{69360, 2250, 0, 24318, 93678, 48177, 0, 0}, [6]time.Duration{750, 1500, 36199, 0, 33159, 0}, [4]int64{3672312, 22013136, 202752, 184320}, 0x3fe55f50fe0a47c6},
-	"wide/pipelined/fp16":  {PhaseTimes{69228, 2250, 0, 0, 77334, 62191, 8106, 62191}, [6]time.Duration{750, 1500, 36129, 0, 33099, 0}, [4]int64{2755098, 16509852, 202752, 110592}, 0x3fe55f4c5eeafdc6},
-	"wide/pipelined/fp32":  {PhaseTimes{69348, 2250, 0, 0, 77454, 62291, 8106, 62291}, [6]time.Duration{750, 1500, 36189, 0, 33159, 0}, [4]int64{3672312, 22013136, 202752, 184320}, 0x3fe55f50fe0a47c6},
+	"toy/blocking/fp16":   {PhaseTimes{69230, 9, 30030, 15051, 114311, 15021, 0, 0}, [6]time.Duration{3, 6, 36131, 0, 33099, 0}, [4]int64{20826, 104220, 202752, 110592}, 0x3fe61db8f51e35f6},
+	"toy/blocking/fp32":   {PhaseTimes{69348, 9, 30066, 15045, 114459, 15024, 0, 0}, [6]time.Duration{3, 6, 36189, 0, 33159, 0}, [4]int64{26616, 138960, 202752, 184320}, 0x3fe61dbeec918f1e},
+	"toy/pipelined/fp16":  {PhaseTimes{69228, 9, 0, 0, 74245, 62191, 5017, 62191}, [6]time.Duration{3, 6, 36129, 0, 33099, 0}, [4]int64{20826, 104220, 202752, 110592}, 0x3fe61db8f51e35f6},
+	"toy/pipelined/fp32":  {PhaseTimes{69348, 9, 0, 0, 74365, 62291, 5017, 62291}, [6]time.Duration{3, 6, 36189, 0, 33159, 0}, [4]int64{26616, 138960, 202752, 184320}, 0x3fe61dbeec918f1e},
+	"wide/blocking/fp16":  {PhaseTimes{69240, 2250, 72384, 27321, 168945, 18018, 0, 0}, [6]time.Duration{750, 1500, 36139, 0, 33099, 0}, [4]int64{2755098, 16509852, 202752, 110592}, 0x3fe55f4c5eeafdc6},
+	"wide/blocking/fp32":  {PhaseTimes{69360, 2250, 81768, 27324, 178452, 18021, 0, 0}, [6]time.Duration{750, 1500, 36199, 0, 33159, 0}, [4]int64{3672312, 22013136, 202752, 184320}, 0x3fe55f50fe0a47c6},
+	"wide/pipelined/fp16": {PhaseTimes{69228, 2250, 0, 0, 77334, 62191, 8106, 62191}, [6]time.Duration{750, 1500, 36129, 0, 33099, 0}, [4]int64{2755098, 16509852, 202752, 110592}, 0x3fe55f4c5eeafdc6},
+	"wide/pipelined/fp32": {PhaseTimes{69348, 2250, 0, 0, 77454, 62291, 8106, 62291}, [6]time.Duration{750, 1500, 36189, 0, 33159, 0}, [4]int64{3672312, 22013136, 202752, 184320}, 0x3fe55f50fe0a47c6},
 }
 
 // TestScheduleGoldenTimeline pins each schedule's modeled timeline by
 // value, under GOMAXPROCS 1 and 2: a refactor of the step executor must
-// reproduce every number, not merely keep blocking > overlapped > pipelined.
+// reproduce every number, not merely keep blocking > pipelined.
 func TestScheduleGoldenTimeline(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		for _, profile := range []string{"toy", "wide"} {
-			for _, sched := range []string{"blocking", "overlapped", "pipelined"} {
+			for _, sched := range []string{"blocking", "pipelined"} {
 				for _, s := range []quant.Scheme{quant.None, quant.FP16} {
 					name := fmt.Sprintf("%s/%s/%s", profile, sched, s)
 					t.Run(fmt.Sprintf("procs=%d/%s", procs, name), func(t *testing.T) {
@@ -69,7 +65,6 @@ func TestScheduleGoldenTimeline(t *testing.T) {
 						if profile == "wide" {
 							cfg.Model.TopMLP = []int{512, 256}
 						}
-						cfg.Overlap = sched == "overlapped"
 						if sched == "pipelined" {
 							cfg.Pipeline = 1
 						}

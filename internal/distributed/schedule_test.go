@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dmt/internal/comm"
 	"dmt/internal/data"
@@ -155,8 +154,9 @@ func TestPipelineDrainMidTrainingContinues(t *testing.T) {
 	}
 }
 
-// TestResolveSchedule: the Config selectors map onto the three schedule
-// values, are mutually exclusive, and only depth 0/1 is supported; New
+// TestResolveSchedule: the Config selectors map onto the two schedules —
+// Overlap is an alias of Pipeline: 1, so setting both is no conflict —
+// neither combines with Sequential, and only depth 0/1 is supported; New
 // surfaces every rejection.
 func TestResolveSchedule(t *testing.T) {
 	for _, tc := range []struct {
@@ -167,19 +167,19 @@ func TestResolveSchedule(t *testing.T) {
 	}{
 		{"default", func(c *Config) {}, blocking, false},
 		{"sequential", func(c *Config) { c.Sequential = true }, blocking, false},
-		{"overlap", func(c *Config) { c.Overlap = true }, overlapped, false},
+		{"overlap", func(c *Config) { c.Overlap = true }, pipelined, false},
 		{"pipeline", func(c *Config) { c.Pipeline = 1 }, pipelined, false},
-		{"overlap+sequential", func(c *Config) { c.Overlap = true; c.Sequential = true }, schedule{}, true},
-		{"pipeline+sequential", func(c *Config) { c.Pipeline = 1; c.Sequential = true }, schedule{}, true},
-		{"pipeline+overlap", func(c *Config) { c.Pipeline = 1; c.Overlap = true }, schedule{}, true},
-		{"depth 2", func(c *Config) { c.Pipeline = 2 }, schedule{}, true},
-		{"negative depth", func(c *Config) { c.Pipeline = -1 }, schedule{}, true},
+		{"pipeline+overlap", func(c *Config) { c.Pipeline = 1; c.Overlap = true }, pipelined, false},
+		{"overlap+sequential", func(c *Config) { c.Overlap = true; c.Sequential = true }, blocking, true},
+		{"pipeline+sequential", func(c *Config) { c.Pipeline = 1; c.Sequential = true }, blocking, true},
+		{"depth 2", func(c *Config) { c.Pipeline = 2 }, blocking, true},
+		{"negative depth", func(c *Config) { c.Pipeline = -1 }, blocking, true},
 	} {
 		cfg, _ := testSetup(16)
 		tc.mut(&cfg)
 		got, err := resolveSchedule(cfg)
 		if (err != nil) != tc.bad || got != tc.want {
-			t.Fatalf("%s: resolveSchedule = %+v, %v; want %+v, error=%v", tc.name, got, err, tc.want, tc.bad)
+			t.Fatalf("%s: resolveSchedule = %v, %v; want %v, error=%v", tc.name, got, err, tc.want, tc.bad)
 		}
 		if _, err := New(cfg); (err != nil) != tc.bad {
 			t.Fatalf("%s: New error = %v, want error=%v", tc.name, err, tc.bad)
@@ -294,45 +294,5 @@ func TestPipelineCrossStepAccounting(t *testing.T) {
 	}
 	if st.Phases.CrossStepHidden > st.Phases.HiddenComm {
 		t.Fatalf("cross-step hidden %v exceeds total hidden %v", st.Phases.CrossStepHidden, st.Phases.HiddenComm)
-	}
-}
-
-// TestLatencyPipelineReducesExposedBelowOverlap is the modeled acceptance
-// comparison at G=8: with everything else equal, the cross-step schedule
-// must expose strictly less modeled communication than the overlapped
-// schedule it extends — at fp32 and at the fp16 acceptance point — with
-// the pipelined trainer fully drained so its deferred tail is included.
-//
-// The over-arch is widened beyond the latencySetup toy ({512, 256} instead
-// of {16}) so the gradient-bucket drain outlasts the SPTT backward window.
-// That is the regime the schedule targets: under overlapped, the excess
-// drain is exposed at the step boundary; under pipelined it completes
-// behind the next step's SPTT forward. With a toy over-arch the drain
-// already fits inside the backward window and both schedules expose the
-// same (irreducible) SPTT transfer chain.
-func TestLatencyPipelineReducesExposedBelowOverlap(t *testing.T) {
-	exposed := func(pipeline bool, s quant.Scheme) (time.Duration, time.Duration) {
-		cfg, gen := latencySetup(1)
-		cfg.Model.TopMLP = []int{512, 256}
-		cfg.Overlap = !pipeline
-		if pipeline {
-			cfg.Pipeline = 1
-		}
-		cfg.Compression = Compression{Gradient: s, Embedding: s}
-		cfg.Fabric = netsim.New(topology.A100)
-		tr, _ := runSteps(t, cfg, gen, 3)
-		tr.Drain()
-		st := tr.Stats()
-		return st.Phases.ExposedComm, st.Phases.CrossStepHidden
-	}
-	for _, s := range []quant.Scheme{quant.None, quant.FP16} {
-		over, _ := exposed(false, s)
-		pipe, crossH := exposed(true, s)
-		if pipe >= over {
-			t.Errorf("%s: pipelined exposed %v not strictly below overlapped %v", s, pipe, over)
-		}
-		if crossH <= 0 {
-			t.Errorf("%s: pipelined run hid no bucket completion across step boundaries", s)
-		}
 	}
 }

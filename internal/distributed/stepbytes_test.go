@@ -16,13 +16,13 @@ import (
 
 // benchShape is a copy of one of the repo benchmark's two training
 // workloads (benchmark/train.go): 8 ranks at 2 per host, local batch 64, the
-// A100 fabric on the virtual clock.
+// A100 fabric on the virtual clock. Both run the pipelined schedule
+// (train_embed selects it through Config.Overlap, its alias).
 type benchShape struct {
 	name                string
 	features, hot, card int
 	d                   int
 	topMLP              []int
-	overlap             bool
 	pipeline            int
 	wire                quant.Scheme
 	servers, cacheRows  int
@@ -54,7 +54,6 @@ func (sh benchShape) setUp(t testing.TB) (*Trainer, *data.Generator) {
 			Seed:      99,
 		},
 		DenseLR: 1e-3, SparseLR: 1e-2, Seed: 7,
-		Overlap:       sh.overlap,
 		Pipeline:      sh.pipeline,
 		Compression:   Compression{Gradient: sh.wire, Embedding: sh.wire},
 		Fabric:        netsim.New(topology.A100),
@@ -81,6 +80,10 @@ func (sh benchShape) setUp(t testing.TB) (*Trainer, *data.Generator) {
 // on the fp32 wire, kept ≈ 23.0 MB and ≈ 2 990). Step (a)'s bags and the
 // embedding tier's requests travelling by reference, with no int32 codec,
 // took them to 4.1–4.3 MB and ≈ 1 360 objects, and ≈ 18.3 MB and ≈ 2 345.
+// Each rank's owned-feature list read from the engine instead of rebuilt
+// twice a step took train_dense to ≈ 1 330 objects; train_embed, which that
+// and its move to the pipelined schedule (Overlap is its alias) both
+// reach, to ≈ 2 290.
 func TestStepBytes(t *testing.T) {
 	if tensor.ArenaCheck {
 		t.Skip("under arenacheck every Reset drops the arena's memory, so every pass allocates it afresh")
@@ -89,10 +92,10 @@ func TestStepBytes(t *testing.T) {
 	for _, sh := range []benchShape{
 		{name: "train_dense", features: 16, hot: 1, card: 128, d: 16,
 			topMLP: []int{256, 128}, pipeline: 1, wire: quant.FP16,
-			warmup: 24, maxBytes: 4.4e6, maxAllocs: 1440},
+			warmup: 24, maxBytes: 4.4e6, maxAllocs: 1400},
 		{name: "train_embed", features: 32, hot: 4, card: 4096, d: 8,
-			topMLP: []int{32}, overlap: true, wire: quant.None,
-			servers: 2, cacheRows: 8192, warmup: 30, maxBytes: 18.8e6, maxAllocs: 2400},
+			topMLP: []int{32}, pipeline: 1, wire: quant.None,
+			servers: 2, cacheRows: 8192, warmup: 30, maxBytes: 18.8e6, maxAllocs: 2350},
 	} {
 		t.Run(sh.name, func(t *testing.T) {
 			tr, gen := sh.setUp(t)
@@ -135,7 +138,7 @@ func BenchmarkHotpathTrainStep(b *testing.B) {
 		{name: "train_dense", features: 16, hot: 1, card: 128, d: 16,
 			topMLP: []int{256, 128}, pipeline: 1, wire: quant.FP16, warmup: 24},
 		{name: "train_embed", features: 32, hot: 4, card: 4096, d: 8,
-			topMLP: []int{32}, overlap: true, wire: quant.None,
+			topMLP: []int{32}, pipeline: 1, wire: quant.None,
 			servers: 2, cacheRows: 8192, warmup: 30},
 	} {
 		b.Run(sh.name, func(b *testing.B) {

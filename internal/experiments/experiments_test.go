@@ -129,44 +129,71 @@ func TestFigure13Improvements(t *testing.T) {
 	}
 }
 
+// mustRun returns the sweep's named run, failing the test when it has none.
+func mustRun(t *testing.T, s Sweep, name string) TrainingRun {
+	t.Helper()
+	r := s.Run(name)
+	if r.Name != name {
+		t.Fatalf("sweep has no %q run: %+v", name, s.Runs)
+	}
+	return r
+}
+
 // TestFigure13Measured is the acceptance gate behind the measured
-// component-latency table: (a) the overlapped schedule exposes strictly
+// component-latency table: (a) the pipelined schedule exposes strictly
 // less modeled communication than the blocking one at each wire scheme,
 // (b) fp16 compression exposes strictly less than fp32 under each schedule
-// (wire bytes drive the delays), so the headline fp16/overlap row beats
-// fp32/blocking. TestGoldenTables holds the same sweep to a GOMAXPROCS=1
-// rerun bit for bit.
+// (wire bytes drive the delays), so the headline fp16/pipeline row beats
+// fp32/blocking; (c) only the pipelined rows cross the step boundary, and
+// they hide the previous step's bucket completion behind the next SPTT
+// forward; (d) the trajectory is schedule-invariant. TestGoldenTables
+// holds the same sweep to a GOMAXPROCS=1 rerun bit for bit.
 func TestFigure13Measured(t *testing.T) {
 	r := ambientSweep(t, "fig13")
 	if len(r.Runs) != 4 {
 		t.Fatalf("%d rows, want 4", len(r.Runs))
 	}
 	fp32b := mustRun(t, r, "fp32/blocking")
-	fp32o := mustRun(t, r, "fp32/overlap")
+	fp32p := mustRun(t, r, "fp32/pipeline")
 	fp16b := mustRun(t, r, "fp16/blocking")
-	fp16o := mustRun(t, r, "fp16/overlap")
+	fp16p := mustRun(t, r, "fp16/pipeline")
 	exposed := func(run TrainingRun) time.Duration { return run.Stats.Phases.ExposedComm }
-	// (a) overlap reduces modeled exposed comm vs blocking.
-	if exposed(fp32o) >= exposed(fp32b) {
-		t.Errorf("fp32: overlap exposed %v, blocking %v — overlap must reduce it", exposed(fp32o), exposed(fp32b))
+	// (a) pipelining reduces modeled exposed comm vs blocking.
+	if exposed(fp32p) >= exposed(fp32b) {
+		t.Errorf("fp32: pipeline exposed %v, blocking %v — pipelining must reduce it", exposed(fp32p), exposed(fp32b))
 	}
-	if exposed(fp16o) >= exposed(fp16b) {
-		t.Errorf("fp16: overlap exposed %v, blocking %v — overlap must reduce it", exposed(fp16o), exposed(fp16b))
+	if exposed(fp16p) >= exposed(fp16b) {
+		t.Errorf("fp16: pipeline exposed %v, blocking %v — pipelining must reduce it", exposed(fp16p), exposed(fp16b))
 	}
 	// (b) fp16 wire bytes reduce modeled exposed time vs fp32.
 	if exposed(fp16b) >= exposed(fp32b) {
 		t.Errorf("blocking: fp16 exposed %v, fp32 %v — compression must reduce it", exposed(fp16b), exposed(fp32b))
 	}
-	// The headline acceptance pair.
-	if exposed(fp16o) >= exposed(fp32b) {
-		t.Errorf("fp16/overlap exposed %v must beat fp32/blocking %v", exposed(fp16o), exposed(fp32b))
+	if exposed(fp16p) >= exposed(fp32p) {
+		t.Errorf("pipeline: fp16 exposed %v, fp32 %v — compression must reduce it", exposed(fp16p), exposed(fp32p))
 	}
-	// The fabric delays never change values: both fp32 schedules end at the
-	// same loss (fp16 differs — quantization is lossy, error feedback or
-	// not — but must agree across its own schedules).
-	if fp32b.FinalLoss != fp32o.FinalLoss || fp16b.FinalLoss != fp16o.FinalLoss {
+	// The headline acceptance pair.
+	if exposed(fp16p) >= exposed(fp32b) {
+		t.Errorf("fp16/pipeline exposed %v must beat fp32/blocking %v", exposed(fp16p), exposed(fp32b))
+	}
+	// (c) The previous step's buckets really complete behind the next
+	// step's forward, and only the pipelined schedule crosses the boundary.
+	for _, run := range []TrainingRun{fp32p, fp16p} {
+		if run.Stats.Phases.CrossStepHidden <= 0 {
+			t.Errorf("%s: hid no cross-step bucket completion", run.Name)
+		}
+	}
+	for _, run := range []TrainingRun{fp32b, fp16b} {
+		if ph := run.Stats.Phases; ph.CrossStepExposed != 0 || ph.CrossStepHidden != 0 {
+			t.Errorf("%s: charged cross-step time %v/%v", run.Name, ph.CrossStepExposed, ph.CrossStepHidden)
+		}
+	}
+	// (d) The fabric delays and the schedule never change values: both fp32
+	// schedules end at the same loss (fp16 differs — quantization is lossy,
+	// error feedback or not — but must agree across its own schedules).
+	if fp32b.FinalLoss != fp32p.FinalLoss || fp16b.FinalLoss != fp16p.FinalLoss {
 		t.Errorf("schedules diverged in value: fp32 %v/%v, fp16 %v/%v",
-			fp32b.FinalLoss, fp32o.FinalLoss, fp16b.FinalLoss, fp16o.FinalLoss)
+			fp32b.FinalLoss, fp32p.FinalLoss, fp16b.FinalLoss, fp16p.FinalLoss)
 	}
 	// Every component is nonnegative and the modeled compute is nonzero.
 	for _, row := range r.Runs {
@@ -179,7 +206,7 @@ func TestFigure13Measured(t *testing.T) {
 		}
 	}
 	out := renderFigure13(r)
-	if !strings.Contains(out, "fp16/overlap") || !strings.Contains(out, "fp32/blocking") {
+	if !strings.Contains(out, "fp16/pipeline") || !strings.Contains(out, "fp32/blocking") {
 		t.Fatalf("format missing configs:\n%s", out)
 	}
 }
@@ -340,10 +367,9 @@ func itoa(n int) string {
 // rank-parallel engine once per wire scheme, fp32 first, every row counting
 // its steps, splitting its embedding traffic by host and moving gradients
 // across hosts, and the table renders every scheme with fp32 as its zero.
-// (The engines' bit-equal losses, sequential against rank-parallel,
-// overlapped and pipelined, are distributed's
-// TestParallelMatchesSequentialBitwise, TestOverlapMatchesSequentialBitwiseG8
-// and TestPipelineMatchesSequentialBitwise; that the sequential engine
+// (The engines' bit-equal losses, sequential against blocking and
+// pipelined, are distributed's TestParallelMatchesSequentialBitwise and
+// TestPipelineMatchesSequentialBitwise; that the sequential engine
 // moves no gradient across hosts is TestSequentialStatsCountTowerReduction.)
 func TestTrainingThroughputReport(t *testing.T) {
 	p := SmokeTraining()

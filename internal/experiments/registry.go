@@ -32,7 +32,7 @@ const (
 // Options carries the command-line choices an experiment may read; each
 // experiment ignores the ones that do not apply to it.
 type Options struct {
-	Gen      topology.Generation // simulated fabric (fig13, pipeline, embtier)
+	Gen      topology.Generation // simulated fabric (fig13, embtier)
 	Compress quant.Scheme        // wire scheme the fig6 planner costs links at
 	Profile  Profile             // fidelity of the Quality experiments
 }
@@ -91,10 +91,8 @@ var registry = []Experiment{
 		static(func() string { return figure12Table.render(Figure12()) })},
 	{"fig13model", Model, "Figure 13 (closed form): component latency, DCN vs DMT-DCN on 64xH100",
 		static(func() string { return renderFigure13Model(Figure13Model()) })},
-	{"fig13", Measured, "Figure 13 (measured): engines on the -gen simulated fabric, fp32/fp16 x blocking/overlap",
+	{"fig13", Measured, "Figure 13 (measured): engines on the -gen simulated fabric, fp32/fp16 x blocking/pipeline",
 		onFabric(Figure13, renderFigure13)},
-	{"pipeline", Measured, "cross-step pipelining vs the overlapped schedule at the wide over-arch, on the -gen fabric",
-		onFabric(Pipeline, renderPipeline)},
 	{"embtier", Measured, "disaggregated embedding tier: local vs 1/2/4 servers, hot-ID cache off/on, on the -gen fabric",
 		onFabric(EmbTier, renderEmbTier)},
 	{"quant", Model, "§6: quantized DMT-XLRM over FP8 XLRM on 1024xH100",

@@ -25,9 +25,8 @@ var engineGrids = map[string]struct {
 	grid   func(topology.Generation) (Sweep, error)
 	render func(Sweep) string
 }{
-	"fig13":    {Figure13, renderFigure13},
-	"pipeline": {Pipeline, renderPipeline},
-	"embtier":  {EmbTier, renderEmbTier},
+	"fig13":   {Figure13, renderFigure13},
+	"embtier": {EmbTier, renderEmbTier},
 	"train": {func(topology.Generation) (Sweep, error) { return WireSchemes(DefaultTraining()) },
 		renderWireSchemes},
 }

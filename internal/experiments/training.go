@@ -33,15 +33,11 @@ type TrainingProfile struct {
 	// Compress selects the wire scheme for gradient (with error feedback)
 	// and cross-host embedding traffic; None trains uncompressed.
 	Compress quant.Scheme
-	// Overlap runs the overlapped rank-parallel schedule
-	// (distributed.Config.Overlap), which hides the SPTT peer AlltoAll
-	// behind the bottom-MLP forward and the bucketed gradient reduce behind
-	// the dense and embedding backward.
-	Overlap bool
 	// Pipeline runs the cross-step pipelined schedule
-	// (distributed.Config.Pipeline): the overlapped schedule extended
-	// across step boundaries, with step N's gradient buckets completing
-	// under step N+1's SPTT forward. Overlap takes precedence.
+	// (distributed.Config.Pipeline), which hides the SPTT peer AlltoAlls
+	// behind the bottom-MLP halves and the bucketed gradient reduce behind
+	// the rest of the backward, with step N's buckets completing under step
+	// N+1's SPTT forward. Without it the engine runs the blocking schedule.
 	Pipeline bool
 	// Fabric, when non-nil, prices the engines' messages with this fabric's
 	// modeled transfer times, so exposed/hidden communication are nonzero
@@ -91,8 +87,7 @@ func NewTrainer(p TrainingProfile, sequential bool) (*distributed.Trainer, *data
 		},
 		DenseLR: 1e-3, SparseLR: 1e-2, Seed: 7,
 		Sequential: sequential,
-		Overlap:    p.Overlap && !sequential,
-		Pipeline:   b2i(p.Pipeline && !sequential && !p.Overlap),
+		Pipeline:   b2i(p.Pipeline && !sequential),
 		Compression: distributed.Compression{
 			Gradient:  p.Compress,
 			Embedding: p.Compress,
@@ -208,11 +203,10 @@ func sweep(base TrainingProfile, variants []variant) (Sweep, error) {
 	return s, nil
 }
 
-// The schedules a grid can put a profile under. Blocking clears both flags
+// The schedules a grid can put a profile under. Blocking clears the flag
 // explicitly so a grid row never inherits the base profile's schedule.
-func blocking(p *TrainingProfile)   { p.Overlap, p.Pipeline = false, false }
-func overlapped(p *TrainingProfile) { p.Overlap, p.Pipeline = true, false }
-func pipelined(p *TrainingProfile)  { p.Overlap, p.Pipeline = false, true }
+func blocking(p *TrainingProfile)  { p.Pipeline = false }
+func pipelined(p *TrainingProfile) { p.Pipeline = true }
 
 // WireSchemes runs the rank-parallel engine, blocking, over the same step
 // sequence once per wire scheme — fp32 first, the baseline, then fp16, int8

@@ -214,7 +214,7 @@ func (m *DMTDLRM) ForwardDense(dense, compressed *tensor.Tensor) *tensor.Tensor 
 
 // ForwardBottom runs only the bottom MLP: (B, NumDense) -> (B, D). It has
 // no dependency on the embedding dataflow, which is what lets the
-// overlapped distributed schedule run it while the SPTT peer AlltoAll is
+// pipelined distributed schedule run it while the SPTT peer AlltoAll is
 // still in flight.
 //
 // ForwardBottom starts a pass, the rank's step: it resets the model's
@@ -279,7 +279,7 @@ func (m *DMTDLRM) BackwardDense(dLogits *tensor.Tensor) *tensor.Tensor {
 
 // BackwardTop runs the upper share of the dense backward — top MLP and
 // interaction. After it returns, every top-MLP gradient is final (the
-// overlapped schedule launches their AllReduce buckets here) while
+// pipelined schedule launches their reduction buckets here) while
 // BottomParams gradients are still pending BackwardBottom. It returns the
 // gradient of the compressed tower outputs, the caller's, and of the
 // bottom-MLP output, valid until the next ForwardBottom. The interaction

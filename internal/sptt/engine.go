@@ -44,6 +44,10 @@ type Engine struct {
 	fam *families
 }
 
+// Owned returns the features rank owns, ascending: Cfg.OwnedFeatures(rank),
+// derived once at construction. The caller must not modify it.
+func (e *Engine) Owned(rank int) []int { return e.owned[rank] }
+
 // NewEngine builds the engine over deterministic tables it seeds for the
 // configuration.
 func NewEngine(cfg Config, seed uint64) (*Engine, error) {
