@@ -23,7 +23,9 @@
 // enter the summary, but the report counts the failed runs per side and
 // dmt-ab exits 1.
 //
-// A metric is exact on a workload when every run of one side at one seed
+// A metric that reads 0 on every run of a workload is one the run did not
+// compute (an untraced run prints the traced-only metrics as 0), and is
+// left out. A metric is exact on a workload when every run of one side at one seed
 // reports the same bits, and some side ran some seed more than once (a
 // metric the benchmark's expected.json guards is exact by contract, and
 // counts as exact on one run). Per workload and seed it reports each
@@ -33,8 +35,8 @@
 // differs between two runs of one side at one seed is a determinism
 // failure: the report lists it and dmt-ab exits 1.
 //
-// Per workload and every other metric (the wall-clock ones) it reports B/A
-// as
+// Per workload and every other metric (the wall-clock ones) that reads no
+// 0, so that every ratio is defined, it reports B/A as
 //   - the median of the pairs' ratios,
 //   - the pairs B won, in the metric's direction from the A side's
 //     BENCHMARK.json ("-" for a metric it does not list),
@@ -644,10 +646,11 @@ func parse(line string) (result, error) {
 	return r, nil
 }
 
-// exactFigures splits workload w's metrics in runs: it returns the ones
-// the pair summary covers (the end-to-end metrics and every metric that is
-// not exact), each exact metric's figure per seed that both sides ran, and
-// the guarded figures that differ between runs of one side at one seed.
+// exactFigures splits workload w's metrics in runs, leaving out those that
+// read 0 on every run: it returns the ones the pair summary covers (the
+// end-to-end metrics and every metric that is not exact), each exact
+// metric's figure per seed that both sides ran, and the guarded figures
+// that differ between runs of one side at one seed.
 func exactFigures(w string, runs []runRecord, better map[string]string, endToEnd, guarded map[string]bool) (
 	pairMetrics map[string]bool, exact []exactFigure, unstable []nondeterministic) {
 	type group struct {
@@ -671,6 +674,11 @@ func exactFigures(w string, runs []runRecord, better map[string]string, endToEnd
 	pairMetrics = map[string]bool{}
 	for _, name := range slices.Sorted(maps.Keys(values)) {
 		groups := values[name]
+		if !slices.ContainsFunc(slices.Collect(maps.Values(groups)), func(vs []float64) bool {
+			return slices.ContainsFunc(vs, func(v float64) bool { return v != 0 })
+		}) {
+			continue
+		}
 		consistent, repeated := true, false
 		for _, k := range slices.SortedFunc(maps.Keys(groups), func(a, b group) int {
 			return cmp.Or(strings.Compare(a.side, b.side), cmp.Compare(a.seed, b.seed))
@@ -715,7 +723,7 @@ func exactFigures(w string, runs []runRecord, better map[string]string, endToEnd
 // summarize compares side B with side A on workload w, metric by metric,
 // over the pairs in runs, where the workload's runs 2i and 2i+1 are pair
 // i's, in the order they ran. A metric enters only if it is one of
-// include and every run of the workload reports it.
+// include and every run of the workload reports it, none of them 0.
 func summarize(w string, runs []runRecord, better map[string]string, include map[string]bool) []summary {
 	var own []runRecord
 	values := map[string][]float64{} // by metric, one per run that reports it
@@ -731,7 +739,7 @@ func summarize(w string, runs []runRecord, better map[string]string, include map
 	var out []summary
 	for _, name := range slices.Sorted(maps.Keys(values)) {
 		v := values[name]
-		if len(v) != len(own) || !include[name] {
+		if len(v) != len(own) || !include[name] || slices.Contains(v, 0) {
 			continue
 		}
 		s := summary{Workload: w, Metric: name, Better: better[name], Won: -1, Pairs: len(v) / 2}

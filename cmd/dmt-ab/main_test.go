@@ -21,8 +21,8 @@ import (
 // so the first-run bias shows; its latency is 1000/value. Its modeled step,
 // a figure the stub's expected.json guards, is the checkout's step file
 // (10 without one), plus the run counter when the checkout has a jitter
-// file. Its "correct" is the checkout's correct file (true when there is
-// none), and like the real run.sh it exits 1 when that is false. The last
+// file. It also prints a metric it did not compute, as 0. Its "correct" is
+// the checkout's correct file (true when there is none), and like the real run.sh it exits 1 when that is false. The last
 // argument must be --full.
 const stubRunSH = `#!/usr/bin/env bash
 if [[ "$1" == "--manifest" ]]; then exit "$(cat build_exit)"; fi
@@ -37,7 +37,7 @@ f=1
 if (( n % 2 == 0 )); then f=1.1; fi
 echo "# workload=$2 seed=$4 seconds=$6 trace=$8 gomaxprocs=2"
 echo "throughput_per_s $(awk "BEGIN{print $v*$f}") 1/s"
-echo "{\"correct\":$c,\"attempted\":1,\"failed\":0,\"metrics\":{\"throughput_per_s\":{\"value\":$(awk "BEGIN{print $v*$f}"),\"unit\":\"1/s\"},\"latency_p50_ms\":{\"value\":$(awk "BEGIN{print 1000/$v}"),\"unit\":\"ms\"},\"distributed.modeled_step_us\":{\"value\":$step,\"unit\":\"us\"}}}"
+echo "{\"correct\":$c,\"attempted\":1,\"failed\":0,\"metrics\":{\"throughput_per_s\":{\"value\":$(awk "BEGIN{print $v*$f}"),\"unit\":\"1/s\"},\"latency_p50_ms\":{\"value\":$(awk "BEGIN{print 1000/$v}"),\"unit\":\"ms\"},\"distributed.modeled_step_us\":{\"value\":$step,\"unit\":\"us\"},\"quant.allocs_per_op\":{\"value\":0,\"unit\":\"count\"}}}"
 [[ "$c" == true ]]
 `
 
@@ -146,7 +146,7 @@ func readLedger(t *testing.T, dir string, pr int) ledger {
 // exact figure per seed, A, B and +10 % worse (lower is better), and kept
 // out of the pair summary, and dmt-ab exits 0. Where both sides read 10 it
 // is reported "equal" at every seed. The wall metrics keep their pair
-// summary.
+// summary, and a metric that reads 0 on every run enters neither.
 func TestRunExactFigures(t *testing.T) {
 	t.Setenv("STUB_COUNTER", filepath.Join(t.TempDir(), "n"))
 	a, b, out := stubCheckout(t, "100", 0), stubCheckout(t, "120", 0), t.TempDir()
@@ -169,8 +169,8 @@ func TestRunExactFigures(t *testing.T) {
 		}
 	}
 	for _, s := range l.Summary {
-		if s.Metric == "distributed.modeled_step_us" {
-			t.Errorf("an exact figure entered the pair summary: %+v", s)
+		if s.Metric == "distributed.modeled_step_us" || s.Metric == "quant.allocs_per_op" {
+			t.Errorf("an exact or uncomputed figure entered the pair summary: %+v", s)
 		}
 	}
 	if thr := summaryOf(t, l, "throughput_per_s"); thr.Pairs != 4 {

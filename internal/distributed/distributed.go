@@ -74,8 +74,6 @@ type Config struct {
 	// sequential path exists as the benchmark baseline and cross-check.
 	Sequential bool
 	// Overlap is an alias for Pipeline: 1, kept while benchmark/ sets it.
-	// The within-step overlapped schedule it once selected exposed no less
-	// communication per step than the pipelined one on any measured shape.
 	// Mutually exclusive with Sequential.
 	Overlap bool
 	// Pipeline selects the cross-step pipelined schedule (schedule.go) at

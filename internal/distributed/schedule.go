@@ -19,10 +19,10 @@ import (
 type schedule int
 
 const (
-	// blocking overlaps nothing: the bottom-MLP halves run inside the dense
-	// phase, every bucket is launched in the exchange phase and waited
-	// before the next one is posted, and the owners' Adam step and both
-	// weight gathers complete in the update phase.
+	// blocking hides nothing under compute: the bottom-MLP halves run in
+	// the dense phase, every bucket is launched in the exchange phase and
+	// waited before the next one is posted, and the owners' Adam step and
+	// both weight gathers complete in the update phase.
 	blocking schedule = iota
 	// pipelined (Config.Pipeline, or its alias Config.Overlap) hides the
 	// step's communication under compute, within the step and across its

@@ -34,16 +34,6 @@ func Figure13Profile(gen topology.Generation) TrainingProfile {
 // pipelined schedule. The acceptance ordering — pipelining exposes less
 // than blocking, fp16 less than fp32, and fp16/pipeline less than
 // fp32/blocking — is asserted by TestFigure13Measured.
-//
-// Until the overlapped schedule was removed its rows stood where the
-// pipelined ones do now. Pipelining exposes less at both wires (fp32 30.13
-// -> 26.41µs, fp16 29.47 -> 25.76µs a step), which takes fp16's ratio over
-// fp32/blocking from 1.6x back to 1.8x: the overlapped schedule waited for
-// its weight gathers inside each step, and the pipelined one hides them
-// under the next step's SPTT forward. It also runs the bottom-MLP backward
-// inside the SPTT backward's reverse cross-host hop, so 0.01µs of that hop
-// moves from sBwdExp to sBwdHid. The blocking rows and the losses are
-// unchanged.
 func Figure13(gen topology.Generation) (Sweep, error) {
 	var vs []variant
 	for _, scheme := range []quant.Scheme{quant.None, quant.FP16} {
