@@ -25,15 +25,15 @@
 //
 // A metric that reads 0 on every run of a workload is one the run did not
 // compute (an untraced run prints the traced-only metrics as 0), and is
-// left out. A metric is exact on a workload when every run of one side at one seed
-// reports the same bits, and some side ran some seed more than once (a
-// metric the benchmark's expected.json guards is exact by contract, and
-// counts as exact on one run). Per workload and seed it reports each
-// exact metric that is not one of BENCHMARK.json's end-to-end metrics
-// with A's value, B's, the relative change and "equal" when the bits
-// match; the direction comes from BENCHMARK.json. A guarded figure that
-// differs between two runs of one side at one seed is a determinism
-// failure: the report lists it and dmt-ab exits 1.
+// left out. A metric is exact on a workload when every run of one side at
+// one seed reports the same bits, and some side ran some seed more than
+// once (a metric the benchmark's expected.json guards is exact by
+// contract, and counts as exact on one run). Per workload and seed it
+// reports each exact metric that is not one of BENCHMARK.json's
+// end-to-end metrics with A's value, B's, the relative change and "equal"
+// when the bits match; the direction comes from BENCHMARK.json. A guarded
+// figure that differs between two runs of one side at one seed is a
+// determinism failure: the report lists it and dmt-ab exits 1.
 //
 // Per workload and every other metric (the wall-clock ones) that reads no
 // 0, so that every ratio is defined, it reports B/A as
