@@ -11,7 +11,7 @@ import (
 // unbounded — and returns a Pending handle whose Wait() drains the receives
 // and performs any reduction. Between issue and Wait the caller is free to
 // do rank-local compute; that window is the "hidden" communication time the
-// overlapped training schedule is built on.
+// pipelined training schedule is built on.
 //
 // Determinism is unchanged: Wait receives in source-rank order and
 // reductions accumulate in rank order, so an I* collective is bitwise

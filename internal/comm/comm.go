@@ -24,7 +24,7 @@
 // rank order and reductions accumulate in rank order, so repeated runs are
 // bit-identical — which is what lets the SPTT semantic-preservation tests
 // (package sptt) compare the transformed dataflow against the baseline
-// global AlltoAll exactly, and what makes the overlapped training schedule
+// global AlltoAll exactly, and what makes the pipelined training schedule
 // (package distributed) bitwise identical to the sequential one.
 //
 // Per-pair traffic counters record how many bytes each rank sent to each
